@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json race bench bench-all bench-gate bench-gate-self alloc-gates specs examples smoke largescale-smoke shard-smoke serve-smoke ci
+.PHONY: build test vet lint lint-json race bench bench-all bench-gate bench-gate-self alloc-gates identity specs examples smoke largescale-smoke shard-smoke serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -32,7 +32,7 @@ lint-json:
 race:
 	$(GO) test -race ./...
 
-# bench produces THIS PR's tracked baseline, BENCH_9.json: the engine
+# bench produces the tracked baseline BENCH_10.json: the engine
 # micro-benchmarks at a statistically useful -benchtime plus the
 # figure-scale, large-scale-streaming and simlint benchmarks at one
 # iteration each, all merged into one "after" section. The raw lines
@@ -84,6 +84,16 @@ bench-gate-self:
 alloc-gates:
 	$(GO) test -run 'TestAllocGate' -count 1 -v .
 
+# identity runs the output-identity contract on its own: the golden
+# figure CSVs (shards 1 and 2), the sharded-vs-lone-core exactness
+# tests, observer neutrality, worker-count identity and the benchmark
+# harness's digest tests — the set a change to shared run machinery has
+# to keep green (also part of `make test`; this is the fast inner loop).
+identity:
+	$(GO) test -count 1 -run 'TestGoldenFigures|TestShardedIdentical|TestParallelSerialIdentical' ./internal/experiments
+	$(GO) test -count 1 -run 'TestShardedExact|TestSessionObserverNeutral' ./internal/sim
+	$(GO) test -count 1 ./bench
+
 # specs validates every checked-in scenario spec through the loader
 # and registry (the quickstart example and the golden experiment
 # specs), then runs the quickstart spec end to end.
@@ -130,9 +140,10 @@ shard-smoke:
 	$(GO) run -race ./cmd/experiments -fig figF1 -flows 60 -workers 2 -shards 4 -q >/dev/null
 
 # ci is the gate: static checks (vet + simlint), the full test suite,
-# the zero-allocation gates, the race detector over all packages, and
+# the zero-allocation gates, the output-identity contract, the race
+# detector over all packages, and
 # the end-to-end smoke runs. Set BENCH_GATE=1 to also enforce the
 # events/sec regression threshold against the tracked baselines
 # (opt-in: CI hardware varies, so the wall-clock gate is only
 # meaningful where the newest BENCH_<pr>.json was produced).
-ci: build vet lint test alloc-gates race specs examples smoke largescale-smoke shard-smoke serve-smoke $(if $(BENCH_GATE),bench-gate)
+ci: build vet lint test alloc-gates identity race specs examples smoke largescale-smoke shard-smoke serve-smoke $(if $(BENCH_GATE),bench-gate)

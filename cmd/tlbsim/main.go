@@ -296,14 +296,21 @@ func runSpecFiles(files []string, workers, shards, traceN int, reportPath string
 	}
 	results, err := sim.RunSweep(scenarios, sim.SweepOptions{
 		Workers: workers,
-		Progress: func(p sim.SweepProgress) {
+		// Terminal events only: the k/n lines need no periodic snapshots,
+		// and without NoSnapshots an attached observer turns on the
+		// per-window aggregate clones.
+		SnapshotEvery: sim.NoSnapshots,
+		Observer: sim.ObserverFunc(func(ev sim.ProgressEvent) {
+			if ev.Kind != sim.ProgressDone {
+				return
+			}
 			status := "done"
-			if p.Err != nil {
+			if ev.Err != nil {
 				status = "FAILED"
 			}
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s %s (%v)\n",
-				p.Completed, p.Total, p.Scenario, status, p.Elapsed.Round(time.Millisecond))
-		},
+				ev.Completed, ev.Total, ev.Scenario, status, ev.Elapsed.Round(time.Millisecond))
+		}),
 	})
 	if err != nil {
 		return err

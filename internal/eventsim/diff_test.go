@@ -37,19 +37,19 @@ func (d *dualSim) schedule(id int, at Time) {
 	d.rH = append(d.rH, d.r.At(at, func() { d.rLog = append(d.rLog, id) }))
 }
 
-// scheduleReserved exercises the ReserveSeq/AtSeq pair: the FIFO slot
-// is taken first, then the event is materialized with it.
-func (d *dualSim) scheduleReserved(id int, at Time) {
+// scheduleKeyed exercises AtKey, the primitive every packet delivery
+// and flow teardown is scheduled with: the event's position within its
+// instant comes from the caller's key, not the FIFO counter. Equal
+// (time, key) pairs fire in unspecified order, so the low bits carry
+// the id to keep keys unique while salt — the high bits — decides the
+// order among keyed events.
+func (d *dualSim) scheduleKeyed(id int, at Time, salt uint64) {
 	if at < d.s.Now() {
 		return
 	}
-	sq := d.s.ReserveSeq()
-	rq := d.r.ReserveSeq()
-	if sq != rq {
-		d.t.Fatalf("sequence counters diverged: wheel %d, ref %d", sq, rq)
-	}
-	d.sH = append(d.sH, d.s.AtSeq(at, sq, func(any) { d.sLog = append(d.sLog, id) }, nil))
-	d.rH = append(d.rH, d.r.AtSeq(at, rq, func() { d.rLog = append(d.rLog, id) }))
+	key := KeyDomain | salt<<20 | uint64(id)&(1<<20-1)
+	d.sH = append(d.sH, d.s.AtKey(at, key, func(any) { d.sLog = append(d.sLog, id) }, nil))
+	d.rH = append(d.rH, d.r.AtKey(at, key, func() { d.rLog = append(d.rLog, id) }))
 }
 
 // scheduleChained schedules id, whose firing schedules id+chainOffset
@@ -131,9 +131,10 @@ func (d *dualSim) check(when string) {
 // schedule / cancel / RunUntil / Step workloads over several seeds,
 // mixing near-horizon events (wheel slots), far-horizon events (the
 // spill heap, and migration back as the clock advances), exact
-// same-timestamp bursts (batched dispatch), reserved-sequence
-// scheduling and cancel-after-fire — always requiring behavior
-// identical to the old heap.
+// same-timestamp bursts (batched dispatch) that mix keyed and
+// counter-sequenced events on one instant, keyed scheduling and
+// cancel-after-fire — always requiring behavior identical to the old
+// heap.
 func TestDifferentialRandomOps(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := NewRNG(seed)
@@ -147,14 +148,18 @@ func TestDifferentialRandomOps(t *testing.T) {
 			case 3: // far-horizon schedule (spill, > wheelHorizon)
 				d.schedule(nextID, d.s.Now()+wheelHorizon+Time(rng.Intn(50_000_000)))
 				nextID++
-			case 4: // same-timestamp burst
+			case 4: // same-timestamp burst, keyed and counter events colliding
 				at := d.s.Now() + Time(rng.Intn(100_000))
 				for k := rng.Intn(6) + 2; k > 0; k-- {
-					d.schedule(nextID, at)
+					if rng.Intn(3) == 0 {
+						d.scheduleKeyed(nextID, at, uint64(rng.Intn(4)))
+					} else {
+						d.schedule(nextID, at)
+					}
 					nextID++
 				}
-			case 5: // reserved-sequence schedule
-				d.scheduleReserved(nextID, d.s.Now()+Time(rng.Intn(300_000)))
+			case 5: // keyed schedule
+				d.scheduleKeyed(nextID, d.s.Now()+Time(rng.Intn(300_000)), uint64(rng.Intn(1<<16)))
 				nextID++
 			case 6: // schedule-from-callback chain
 				d.scheduleChained(nextID, d.s.Now()+Time(rng.Intn(100_000)), Time(rng.Intn(2_000_000)))
@@ -214,5 +219,30 @@ func TestDifferentialStopInBatch(t *testing.T) {
 	d.run() // resumes the rest of the batch
 	if len(d.sLog) != 20 {
 		t.Fatalf("resumed batch fired %d events total, want 20", len(d.sLog))
+	}
+}
+
+// TestDifferentialKeyedAmongCounters pins the two-domain order on one
+// instant: keyed events fire after every counter-sequenced one — even
+// one scheduled later, from a callback, while keyed events are already
+// pending in the batch — and among themselves by key, not by
+// scheduling order.
+func TestDifferentialKeyedAmongCounters(t *testing.T) {
+	d := newDualSim(t)
+	d.scheduleKeyed(0, 100, 7)
+	d.scheduleKeyed(1, 100, 3)
+	d.schedule(2, 100)
+	d.scheduleChained(3, 100, 0) // its child (a counter event) lands on the same instant
+	d.scheduleKeyed(4, 100, 5)
+	d.schedule(5, 100)
+	d.run()
+	want := []int{2, 3, 5, 3 + chainOffset, 1, 4, 0}
+	if len(d.sLog) != len(want) {
+		t.Fatalf("fired %v, want %v", d.sLog, want)
+	}
+	for i := range want {
+		if d.sLog[i] != want[i] {
+			t.Fatalf("fired %v, want %v", d.sLog, want)
+		}
 	}
 }

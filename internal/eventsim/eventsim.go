@@ -247,47 +247,15 @@ func (s *Sim) release(e *event) {
 	s.free = append(s.free, e)
 }
 
-// ReserveSeq consumes and returns the next FIFO sequence number
-// without scheduling anything. It exists for components that fix an
-// event's tie-break position at one point in simulated time but only
-// materialize the event later (netem ports reserve at packet admission
-// and schedule lazily, one event per port); AtSeq schedules with the
-// reserved number. Each reservation advances the same counter ordinary
-// scheduling uses, so reserved and direct events share one total
-// (time, seq) order.
-func (s *Sim) ReserveSeq() uint64 {
-	v := s.seq
-	s.seq++
-	return v
-}
-
-// AtSeq schedules fn(arg) at absolute time t with a sequence number
-// previously obtained from ReserveSeq, placing the event in FIFO order
-// as of the reservation, not the call. The caller must keep the pair
-// causally consistent: t must be >= Now (checked), and an event must
-// not be scheduled behind the engine's firing position — i.e. at
-// (t, seq) when another event at the same t with a sequence between
-// seq and the current counter has already fired (unchecked; netem's
-// per-port FIFO guarantees it by construction).
-func (s *Sim) AtSeq(t Time, seq uint64, fn func(any), arg any) Event {
-	if fn == nil {
-		panic("eventsim: nil event function")
-	}
-	if seq >= s.seq {
-		panic(fmt.Sprintf("eventsim: AtSeq with unreserved sequence number %d (next is %d)", seq, s.seq))
-	}
-	return s.schedule(t, seq, nil, fn, arg)
-}
-
 // KeyDomain is the bit separating caller-keyed events (AtKey) from
-// counter-sequenced ones (At/AtArg/AtSeq). Counter sequences can never
+// counter-sequenced ones (At/AtArg). Counter sequences can never
 // reach it, so the two domains share one total (time, seq) order with
 // every keyed event sorting after every counter event at the same
 // instant.
 const KeyDomain uint64 = 1 << 63
 
 // AtKey schedules fn(arg) at absolute time t with an explicit ordering
-// key instead of a reserved sequence number. The key must have the
+// key instead of the next FIFO sequence number. The key must have the
 // KeyDomain bit set (checked), which places it after every
 // counter-sequenced event at the same instant; among keyed events at
 // one instant, smaller keys fire first. The caller owns key semantics

@@ -11,8 +11,8 @@ import (
 // throughout. The seed corpus in testdata/fuzz/FuzzEventOrder covers
 // the structure's edges: same-timestamp bursts (batched dispatch),
 // far-horizon spills and their migration back into the wheel,
-// cancel-after-fire, reserved sequences, and deadline jumps across
-// many empty buckets.
+// cancel-after-fire, keyed events sharing an instant with
+// counter-sequenced ones, and deadline jumps across many empty buckets.
 func FuzzEventOrder(f *testing.F) {
 	// near schedules draining via steps
 	f.Add([]byte{0, 0x10, 0x00, 0, 0x20, 0x00, 0, 0x08, 0x00, 4, 4, 4, 4})
@@ -20,8 +20,8 @@ func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{2, 0x40, 3, 2, 0x40, 3, 5, 0xff, 0x7f})
 	// far spill, cancel, deadline jump migrating the survivor
 	f.Add([]byte{1, 0xff, 0xff, 0x3f, 1, 0x01, 0x00, 0x20, 3, 0x00, 0x00, 5, 0xff, 0xff})
-	// reserved-sequence schedules interleaved with direct ones
-	f.Add([]byte{6, 0x10, 0x00, 0, 0x10, 0x00, 6, 0x10, 0x00, 5, 0xff, 0x00})
+	// keyed schedules on one instant with a counter-sequenced burst
+	f.Add([]byte{6, 0x40, 3, 2, 0x40, 3, 6, 0x40, 1, 5, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzEventOrder(t, data)
 	})
@@ -86,13 +86,14 @@ func fuzzEventOrder(t *testing.T, data []byte) {
 				break
 			}
 			d.runUntil(d.s.Now() + Time(binary.LittleEndian.Uint16(b))<<(slotShift+2))
-		case 6: // reserved-sequence schedule
+		case 6: // keyed schedule; few distinct deltas and salts, so keyed
+			// events collide with each other and with counter events
 			b, ok := take(2)
 			if !ok {
 				break
 			}
-			delta := Time(binary.LittleEndian.Uint16(b)) << (slotShift - 2)
-			d.scheduleReserved(nextID, d.s.Now()+delta)
+			delta := Time(b[0]) << slotShift
+			d.scheduleKeyed(nextID, d.s.Now()+delta, uint64(b[1]%8))
 			nextID++
 		}
 	}

@@ -35,26 +35,23 @@ func (h refHandle) Scheduled() bool { return h.e != nil && h.e.heap >= 0 }
 
 func newRefSim() *refSim { return &refSim{} }
 
-func (s *refSim) Now() Time         { return s.now }
-func (s *refSim) Executed() uint64  { return s.executed }
-func (s *refSim) Pending() int      { return len(s.heap) }
-func (s *refSim) Stop()             { s.stopped = true }
-
-func (s *refSim) ReserveSeq() uint64 {
-	v := s.seq
-	s.seq++
-	return v
-}
+func (s *refSim) Now() Time        { return s.now }
+func (s *refSim) Executed() uint64 { return s.executed }
+func (s *refSim) Pending() int     { return len(s.heap) }
+func (s *refSim) Stop()            { s.stopped = true }
 
 func (s *refSim) At(t Time, fn func()) refHandle {
-	return s.scheduleSeq(t, s.ReserveSeq(), fn)
+	s.seq++
+	return s.scheduleSeq(t, s.seq-1, fn)
 }
 
-func (s *refSim) AtSeq(t Time, seq uint64, fn func()) refHandle {
-	if seq >= s.seq {
-		panic("refsim: AtSeq with unreserved sequence number")
+// AtKey mirrors Sim.AtKey: the key is the event's seq, and the
+// KeyDomain bit sorts it after every counter-sequenced event.
+func (s *refSim) AtKey(t Time, key uint64, fn func()) refHandle {
+	if key&KeyDomain == 0 {
+		panic("refsim: AtKey key outside the keyed domain")
 	}
-	return s.scheduleSeq(t, seq, fn)
+	return s.scheduleSeq(t, key, fn)
 }
 
 func (s *refSim) scheduleSeq(t Time, seq uint64, fn func()) refHandle {

@@ -4,9 +4,9 @@ import "time"
 
 // Clock is the run-control layer's one monotonic wall-clock seam: a
 // reading of elapsed wall time since an arbitrary fixed epoch.
-// Everything in internal/sim that needs wall time — SweepProgress.
-// Elapsed, the events/sec rate in ProgressEvents — subtracts two
-// readings of one Clock, and internal/serve injects the same seam so
+// Everything in internal/sim that needs wall time — Elapsed and the
+// events/sec rate in ProgressEvents — subtracts two readings of one
+// Clock, and internal/serve injects the same seam so
 // the whole harness has exactly one place that touches time.Now.
 // Tests inject a fake to make wall-derived fields deterministic.
 type Clock func() time.Duration

@@ -6,23 +6,24 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tlb/internal/netem"
 	"tlb/internal/units"
 )
 
 // This file is the run-control side of the run-control/measurement
-// split: a Session owns one scenario's execution — start, cooperative
-// cancellation, periodic snapshots — while the measurement itself
-// stays in the runners (sim.go, shard.go) and the observer stream
-// (observer.go). Run, RunSweep and the sharded runner are all built on
-// it.
+// split: a Session owns one scenario's execution — validation, start,
+// cooperative cancellation, periodic snapshots — while the simulated
+// world and its measurement live in the run core (core.go) and the
+// observer stream (observer.go). Every run is: build core 0, drive —
+// that one core in the session's windows, or N cores through the
+// epoch loop (shard.go) when the scenario shards — then assemble the
+// Result from the cores. Run and RunSweep are built on it.
 //
-// Determinism: the session drives the engine in bounded RunUntil
-// windows instead of one call, which is behavior-neutral — RunUntil
-// executes events <= its deadline and then only advances the clock, so
-// slicing [0, MaxTime] into windows executes the identical event
-// sequence and lands on the identical end time (events observe the
-// clock only at their own timestamps). Cancellation and snapshots
+// Determinism: the session drives a lone core's engine in bounded
+// RunUntil windows instead of one call, which is behavior-neutral —
+// RunUntil executes events <= its deadline and then only advances the
+// clock, so slicing [0, MaxTime] into windows executes the identical
+// event sequence and lands on the identical end time (events observe
+// the clock only at their own timestamps). Cancellation and snapshots
 // happen strictly *between* windows, on the session goroutine, reading
 // copies — never from inside the event stream — so an attached
 // observer cannot perturb results, and a cancel discards the partial
@@ -131,36 +132,97 @@ func (ss *Session) Run() (*Result, error) {
 		ss.emitDone(nil, err)
 		return nil, err
 	}
-	var (
-		res *Result
-		err error
-	)
-	if sc.Shards > 1 {
-		res, err = runSharded(ss)
-	} else {
-		res, err = runSingle(ss)
-	}
+	res, err := ss.run()
 	ss.emitDone(res, err)
 	return res, err
 }
 
-// validate applies the shared scenario checks (shard-specific ones
-// live in runSharded). The messages are part of the API surface —
-// spec-layer tests match on them.
+// run builds core 0 — which settles the effective shard count — drives
+// the world and assembles the Result.
+func (ss *Session) run() (*Result, error) {
+	sc := &ss.sc
+	first, err := newCore(sc, 0, ss.observing())
+	if err != nil {
+		return nil, err
+	}
+	cores := []*runCore{first}
+	var end units.Time
+	if first.lone() {
+		end, err = ss.runSolo(cores)
+	} else {
+		cores, end, err = ss.runSharded(first)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return assemble(sc, cores, end), nil
+}
+
+// runSolo drives a lone core to its stop criterion and returns the
+// end time: the run-control loop slices the engine into bounded windows
+// so the session can check cancellation and emit snapshots strictly
+// between event batches.
+func (ss *Session) runSolo(cores []*runCore) (units.Time, error) {
+	c := cores[0]
+	maxT := ss.sc.MaxTime
+	window := ss.window()
+	next := window
+	for !c.stopped {
+		if ss.Canceled() {
+			ss.tally(cores)
+			return 0, ss.cancelErr()
+		}
+		c.sim.RunUntil(min(maxT, next))
+		if c.stopped || c.sim.Now() >= maxT {
+			break
+		}
+		if ss.observing() && c.sim.Now() >= next {
+			ss.tally(cores)
+			ss.snapshot(cores, c.sim.Now())
+		}
+		next += window
+	}
+	ss.tally(cores)
+	return c.sim.Now(), c.err
+}
+
+// tally copies the cores' progress counters into the session. Callers
+// hold every core parked between event batches.
+func (ss *Session) tally(cores []*runCore) {
+	ss.flowsStarted, ss.flowsDone, ss.events = 0, 0, 0
+	for _, c := range cores {
+		ss.flowsStarted += c.started
+		ss.flowsDone += c.done
+		ss.events += c.sim.Executed()
+	}
+}
+
+// snapshot emits one mid-run observation of the (parked) cores: the
+// merged per-class aggregates and the uplink ports in global order.
+func (ss *Session) snapshot(cores []*runCore, at units.Time) {
+	ev := ss.baseEvent(ProgressSnapshot)
+	ev.SimTime = at
+	ev.Events = ss.events
+	ev.EventsPerSec = ss.rate(ss.events)
+	ev.Classes = classes(cores)
+	ev.Uplinks = uplinks(cores)
+	ss.emit(ev)
+}
+
+// validate applies the scenario checks that need no built network.
+// The messages are part of the API surface — spec-layer tests match on
+// them.
 func (ss *Session) validate() error {
 	sc := &ss.sc
 	if sc.Balancer == nil {
 		return fmt.Errorf("sim: scenario %q has no balancer", sc.Name)
 	}
-	if sc.FlowSource != nil && sc.FlowSourceNew != nil {
-		return fmt.Errorf("sim: scenario %q sets both FlowSource and FlowSourceNew", sc.Name)
-	}
-	hasSource := sc.FlowSource != nil || sc.FlowSourceNew != nil
+	hasSource := sc.FlowSourceNew != nil
 	if len(sc.Flows) == 0 && !hasSource {
 		return fmt.Errorf("sim: scenario %q has no flows", sc.Name)
 	}
 	if len(sc.Flows) > 0 && hasSource {
-		return fmt.Errorf("sim: scenario %q sets both Flows and FlowSource", sc.Name)
+		return fmt.Errorf("sim: scenario %q sets both Flows and FlowSourceNew", sc.Name)
 	}
 	if sc.StreamStats {
 		if sc.SampleShortPackets || sc.CollectTimeSeries {
@@ -172,6 +234,14 @@ func (ss *Session) validate() error {
 	}
 	if hasSource && sc.Replication != nil {
 		return fmt.Errorf("sim: scenario %q: Replication needs a materialized Flows slice", sc.Name)
+	}
+	if sc.Shards > 1 {
+		if sc.Replication != nil {
+			return fmt.Errorf("sim: scenario %q: Shards > 1 is incompatible with Replication (racing copies share one record); run with Shards: 1", sc.Name)
+		}
+		if sc.Tracer != nil {
+			return fmt.Errorf("sim: scenario %q: Shards > 1 is incompatible with a Tracer (trace order is engine-local); run with Shards: 1", sc.Name)
+		}
 	}
 	return nil
 }
@@ -258,21 +328,4 @@ func resultClasses(res *Result) *StreamAgg {
 		agg.Fold(fs, fs.Size <= res.ShortThreshold, res.EndTime)
 	}
 	return agg
-}
-
-// portSnapshots copies the current totals of the balanced (uplink)
-// ports — the same reduction the end-of-run Result performs, reused by
-// mid-run snapshots, where reading the counters is safe because the
-// engine is parked at a batch boundary.
-func portSnapshots(ports []*netem.Port) []PortSnapshot {
-	out := make([]PortSnapshot, 0, len(ports))
-	for _, p := range ports {
-		out = append(out, PortSnapshot{
-			Label:    p.Label(),
-			BusyTime: p.BusyTime(),
-			Queue:    p.Queue().Stats(),
-			Link:     p.Link(),
-		})
-	}
-	return out
 }

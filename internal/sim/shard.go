@@ -1,12 +1,12 @@
-// Sharded runner: one scenario spatially partitioned across event
-// engines running on parallel goroutines.
+// Sharding: N run cores (core.go) over one topology.Partition, each on
+// its own goroutine, synchronized here.
 //
-// Each shard builds its OWN complete copy of the network and hosts
+// Each core builds its OWN complete copy of the network and hosts
 // (identical construction, same seed, so RNG consumption matches the
-// single-engine run exactly) but drives only the components its
-// partition owns: flows open where their endpoints live, boundary
-// egress ports capture crossing packets as value handoffs
-// (topology.Sharder), and unowned switches simply never see traffic.
+// lone-core run exactly) but drives only the components its partition
+// owns: flows open where their endpoints live, boundary egress ports
+// capture crossing packets as value handoffs (topology.Sharder), and
+// unowned switches simply never see traffic.
 //
 // Synchronization is conservative lookahead (Chandy–Misra–Bryant
 // windows): the minimum propagation delay L over all shard-boundary
@@ -25,34 +25,30 @@
 // the engine's keyed domain under netem.DeliveryKey(admission time,
 // port index), a pure function of traffic and topology, so two events
 // colliding on one nanosecond order identically whether they met on
-// one global engine or arrived across a boundary (each epoch's
-// incoming handoffs are additionally sorted with topology.HandoffBefore
-// — the same (DeliverAt, AdmittedAt, SrcPort) order — before being
+// one engine or arrived across a boundary (each epoch's incoming
+// handoffs are additionally sorted with topology.HandoffBefore — the
+// same (DeliverAt, AdmittedAt, SrcPort) order — before being
 // scheduled). Flow teardown obeys the same finite-latency rule as
 // packets: a sender's completion closes its receiver via a keyed event
 // at completion + lag (teardownLag, ≥ the window width), which a
 // cross-shard closeMsg delivered at the next barrier re-creates
-// exactly — an instantaneous close would be a zero-latency cross-shard
-// influence, and whether a late retransmission meets an open or a
-// closed receiver would then depend on the partition. Order-sensitive
-// floating-point reductions (time series, per-packet samples) are
-// logged and replayed in one canonical sorted order by BOTH runners
-// (replaySampleRecs, replayGoodput). Everything shards exchange is a
-// value — no mutable memory is shared between shard goroutines, and
-// packet pool ownership never crosses one (packetown stays clean).
+// exactly. Everything shards exchange is a value — no mutable memory
+// is shared between shard goroutines, and packet pool ownership never
+// crosses one (packetown stays clean).
 //
 // Exactness: with MaxTime-bounded runs every counter, flow record,
-// sample and series bucket is reproduced. Known residual divergences
-// from the single-engine run, all bounded and deterministic for a
-// given shard count: (1) under StopWhenDone, shards finish the last
-// window after the final completion, so packets still draining can
-// bump port/drop counters the single-engine run never executed (flow
-// records are unaffected: all senders have completed, and every
-// receiver froze its stats at payload completion); (2) streaming-stats
-// mean/variance fold in barrier order, identical across runs of the
-// same shard count but rounding-different across counts (counters and
-// the quantile sketch merge exactly). The figure-identity tests in
-// internal/experiments pin both to byte-identical CSV output on every
+// sample and series bucket of the lone-core run is reproduced. Two
+// bounded divergences remain, both properties of running in windows
+// and deterministic for a given shard count: (1) under StopWhenDone,
+// shards finish the last window after the final completion, so packets
+// still draining can bump port/drop counters a lone core — which stops
+// at the completion itself — never executed (flow records are
+// unaffected: all senders have completed, and every receiver froze its
+// stats at payload completion); (2) streaming-stats mean/variance fold
+// in barrier order, identical across runs of the same shard count but
+// rounding-different across counts (counters and the quantile sketch
+// merge exactly). The golden and figure-identity tests in
+// internal/experiments pin byte-identical CSV output on every
 // acceptance figure.
 package sim
 
@@ -61,14 +57,11 @@ import (
 	"sort"
 	"sync"
 
-	"tlb/internal/eventsim"
 	"tlb/internal/faults"
 	"tlb/internal/netem"
-	"tlb/internal/stats"
 	"tlb/internal/topology"
 	"tlb/internal/transport"
 	"tlb/internal/units"
-	"tlb/internal/workload"
 )
 
 // closeMsg carries a cross-shard flow completion from the sender's
@@ -81,33 +74,6 @@ type closeMsg struct {
 	at       units.Time
 	short    bool
 	sender   transport.FlowStats // sender-half record, by value
-}
-
-// sampleRec is one logged receiver packet sample, replayed in a
-// sorted merge (TimeSeries float sums are order-dependent).
-type sampleRec struct {
-	ps    transport.PacketSample
-	short bool
-}
-
-// tickRec is one flow's goodput-sampler delta at one tick.
-type tickRec struct {
-	at    units.Time
-	idx   int32
-	short bool
-	delta units.Bytes
-}
-
-// openRec remembers a flow opened with its sender on this shard, in
-// open order — the record-mode result set and the goodput sampler's
-// iteration domain.
-type openRec struct {
-	idx   int
-	start units.Time
-	short bool
-	cross bool // receiver lives on another shard
-	stats *transport.FlowStats
-	last  units.Bytes // goodput sampler: BytesAcked at last tick
 }
 
 // shardEpochIn is one window's work order for a shard.
@@ -129,141 +95,54 @@ type shardEpochOut struct {
 	err       error
 }
 
-// shardState is one shard's complete private world. Only its own
-// goroutine touches it between the channel barriers.
-type shardState struct {
-	id   int
-	sc   *Scenario
-	cfg  transport.Config // sc.Transport with this shard's pool
-	sim  *eventsim.Sim
-	net  topology.Sharder
-	part *topology.Partition
-
-	hosts     []*transport.Host
-	hostOwner []int
-
-	src workload.Source
-
-	remaining int
-	drained   bool
-	lastDone  units.Time
-	closeLag  units.Time // finite teardown latency, same value in every shard and mode
-	err       error
-
-	outHandoffs []topology.Handoff
-	outDones    []closeMsg
-	applyFn     func(any)
-
-	// rstats holds the receiver-half record of every open cross-shard
-	// flow terminating here, by global flow index; rFinal snapshots it
-	// at close (record mode).
-	rstats map[int]*transport.FlowStats
-	rFinal map[int]transport.FlowStats
-
-	agg *StreamAgg // per-shard fold target (stream mode)
-	// obsAgg mirrors agg for observed record-mode runs: snapshots want
-	// per-class aggregates even when records are retained. Folded at
-	// the same points as agg, read only at barriers.
-	obsAgg *StreamAgg
-	// started/done count sender-owned flow opens and completions for
-	// the progress stream, summed across shards at barriers.
-	started int64
-	done    int64
-
-	openLog []openRec
-	samples []sampleRec
-	ticks   []tickRec
-}
-
-// runSharded is the Shards > 1 entry point; the session has already
-// applied defaults and the shared validation.
-func runSharded(ss *Session) (*Result, error) {
+// runSharded builds the remaining cores of first's partition, drives
+// all of them through the epoch loop and returns the run's end time.
+func (ss *Session) runSharded(first *runCore) ([]*runCore, units.Time, error) {
 	sc := &ss.sc
-	if sc.Replication != nil {
-		return nil, fmt.Errorf("sim: scenario %q: Shards > 1 is incompatible with Replication (racing copies share one record); run with Shards: 1", sc.Name)
-	}
-	if sc.Tracer != nil {
-		return nil, fmt.Errorf("sim: scenario %q: Shards > 1 is incompatible with a Tracer (trace order is engine-local); run with Shards: 1", sc.Name)
-	}
-	if sc.FlowSource != nil {
-		return nil, fmt.Errorf("sim: scenario %q: Shards > 1 needs the workload as a replayable FlowSourceNew factory, not a one-shot FlowSource", sc.Name)
-	}
-
-	// Build shard 0 first to learn the partition after clamping to the
-	// topology's parallelism; a single-shard partition falls back to
-	// the exact single-engine path.
-	first, la, err := buildShard(sc, 0)
-	if err != nil {
-		return nil, err
-	}
-	n := first.part.Shards
-	if n <= 1 {
-		sc.Shards = 1
-		return runSingle(ss)
-	}
 	// The lookahead is the minimum boundary propagation delay, further
 	// tightened by any scheduled OpDelay — a fault may shrink a
 	// boundary link mid-run, and the window width must stay causal
 	// under the smallest delay that can ever be in effect.
+	la := first.lookahead
 	for _, ev := range sc.Faults {
 		if ev.Op == faults.OpDelay && ev.Delay < la {
 			la = ev.Delay
 		}
 	}
 	if la <= 0 {
-		return nil, fmt.Errorf("sim: scenario %q: Shards > 1 requires a positive minimum boundary-link delay (lookahead %v)", sc.Name, la)
+		return nil, 0, fmt.Errorf("sim: scenario %q: Shards > 1 requires a positive minimum boundary-link delay (lookahead %v)", sc.Name, la)
 	}
-	// Flow teardown travels at the same finite latency in both modes
-	// (see teardownLag); it is computed over every boundary-capable
-	// link, so it can only tighten the window — which keeps a close
-	// event scheduled from a barrier (at completion + lag) always in a
-	// later window than the completion's.
-	lag := teardownLag(first.net, sc.Faults)
+	// Flow teardown travels at the same finite latency at every shard
+	// count (see teardownLag); it is computed over every
+	// boundary-capable link, so it can only tighten the window — which
+	// keeps a close event scheduled from a barrier (at completion + lag)
+	// always in a later window than the completion's.
+	lag := first.closeLag
 	if lag <= 0 {
-		return nil, fmt.Errorf("sim: scenario %q: Shards > 1 requires a positive minimum fabric-link delay (teardown lag %v)", sc.Name, lag)
+		return nil, 0, fmt.Errorf("sim: scenario %q: Shards > 1 requires a positive minimum fabric-link delay (teardown lag %v)", sc.Name, lag)
 	}
 	if lag < la {
 		la = lag
 	}
 
-	shards := make([]*shardState, n)
+	n := first.shards
+	shards := make([]*runCore, n)
 	shards[0] = first
 	for i := 1; i < n; i++ {
-		if shards[i], _, err = buildShard(sc, i); err != nil {
-			return nil, err
+		var err error
+		if shards[i], err = newCore(sc, i, ss.observing()); err != nil {
+			return nil, 0, err
 		}
 	}
-	for _, st := range shards {
-		st.closeLag = lag
-		if ss.observing() && !sc.StreamStats {
-			st.obsAgg = &StreamAgg{}
-		}
-		if err := st.scheduleFlows(); err != nil {
-			return nil, err
-		}
-		if sc.CollectTimeSeries {
-			st.installTicker()
-		}
-	}
-
-	// Snapshot plumbing: the uplink port objects and their global
-	// owner assignment are topology structure, fixed before any event
-	// runs — captured here so barrier snapshots and the final Result
-	// assemble the identical port set.
-	ports := make([][]*netem.Port, n)
-	for i, st := range shards {
-		ports[i] = st.net.BalancedPorts()
-	}
-	owners := shards[0].net.BalancedPortOwners(shards[0].part)
 
 	ins := make([]chan shardEpochIn, n)
 	outs := make([]chan shardEpochOut, n)
 	var wg sync.WaitGroup
-	for i, st := range shards {
+	for i, c := range shards {
 		ins[i] = make(chan shardEpochIn, 1)
 		outs[i] = make(chan shardEpochOut, 1)
 		wg.Add(1)
-		go st.serve(ins[i], outs[i], &wg)
+		go c.serve(ins[i], outs[i], &wg)
 	}
 	stopWorkers := func() {
 		for _, in := range ins {
@@ -285,11 +164,11 @@ func runSharded(ss *Session) (*Result, error) {
 		runErr  error
 	)
 	for {
-		// Cooperative cancel, checked between windows like the
-		// single-engine drive loop checks between batches.
+		// Cooperative cancel, checked between windows like the lone-core
+		// drive loop checks between batches.
 		if ss.Canceled() {
 			stopWorkers()
-			return nil, ss.cancelErr()
+			return nil, 0, ss.cancelErr()
 		}
 		deadline := cur + la - 1
 		if deadline > maxT || deadline < cur {
@@ -331,15 +210,10 @@ func runSharded(ss *Session) (*Result, error) {
 		// Every shard is parked at the barrier now (blocked on its next
 		// work order), so reading shard-private state here is race-free:
 		// the happens-before chain runs through the outs receive above.
-		ss.flowsStarted, ss.flowsDone, ss.events = 0, 0, 0
-		for _, st := range shards {
-			ss.flowsStarted += st.started
-			ss.flowsDone += st.done
-			ss.events += st.sim.Executed()
-		}
+		ss.tally(shards)
 		if runErr != nil {
 			stopWorkers()
-			return nil, runErr
+			return nil, 0, runErr
 		}
 		if sc.StopWhenDone && total == 0 && allDrained {
 			endTime = last
@@ -350,30 +224,7 @@ func runSharded(ss *Session) (*Result, error) {
 			break
 		}
 		if ss.observing() && deadline >= nextSnap {
-			// Barrier snapshot: merge the per-shard aggregate copies —
-			// exact, the same reduction the final Result performs — and
-			// snapshot the uplink ports in their global order.
-			ev := ss.baseEvent(ProgressSnapshot)
-			ev.SimTime = deadline
-			ev.Events = ss.events
-			ev.EventsPerSec = ss.rate(ss.events)
-			agg := &StreamAgg{}
-			for _, st := range shards {
-				agg.Merge(st.agg)
-				agg.Merge(st.obsAgg)
-			}
-			ev.Classes = agg
-			ev.Uplinks = make([]PortSnapshot, 0, len(owners))
-			for i, o := range owners {
-				p := ports[o][i]
-				ev.Uplinks = append(ev.Uplinks, PortSnapshot{
-					Label:    p.Label(),
-					BusyTime: p.BusyTime(),
-					Queue:    p.Queue().Stats(),
-					Link:     p.Link(),
-				})
-			}
-			ss.emit(ev)
+			ss.snapshot(shards, deadline)
 			for nextSnap <= deadline {
 				nextSnap += window
 			}
@@ -402,399 +253,47 @@ func runSharded(ss *Session) (*Result, error) {
 
 	// Completions from the final window: close and fold on the
 	// coordinator — the workers are joined, so this is single-threaded.
-	for i, st := range shards {
+	for i, c := range shards {
 		cs := pendingC[i]
 		sortCloses(cs)
-		st.applyCloses(cs, false)
+		c.applyCloses(cs, false)
 	}
-
-	res := &Result{
-		Scenario:       sc.Name,
-		Scheme:         sc.SchemeName,
-		ShortThreshold: sc.ShortThreshold,
-		EndTime:        endTime,
-	}
-	if sc.CollectTimeSeries {
-		w := sc.TimeBucket.Seconds()
-		res.ShortQueueDelayUs = stats.NewTimeSeries(w)
-		res.ShortOOORatio = stats.NewTimeSeries(w)
-		res.LongOOORatio = stats.NewTimeSeries(w)
-		res.ShortGoodputBytes = stats.NewTimeSeries(w)
-		res.LongGoodputBytes = stats.NewTimeSeries(w)
-	}
-
-	owner := shards[0].hostOwner
-	var opens []openRec
-	if sc.StreamStats {
-		res.Stream = &StreamAgg{}
-		for _, st := range shards {
-			res.Stream.Merge(st.agg)
-		}
-		// Unfinished flows: sweep still-open senders in global host
-		// order (the single-engine sweep order), grafting the live
-		// receiver half of cross-shard flows before folding.
-		for h := range owner {
-			st := shards[owner[h]]
-			st.hosts[h].EachOpenSenderSorted(func(snd *transport.Sender) {
-				fs := snd.Stats
-				if dst := shards[owner[fs.ID.Dst]]; dst != st {
-					addRecvHalf(&fs, dst.rstats[fs.ID.Port])
-				}
-				res.Stream.Fold(&fs, fs.Size <= sc.ShortThreshold, endTime)
-			})
-		}
-	} else {
-		// Record mode: assemble Flows in the single-engine append
-		// order — flow open order, i.e. (start, index).
-		for _, st := range shards {
-			opens = append(opens, st.openLog...)
-		}
-		sort.SliceStable(opens, func(a, b int) bool {
-			if opens[a].start != opens[b].start {
-				return opens[a].start < opens[b].start
-			}
-			return opens[a].idx < opens[b].idx
-		})
-		for i := range opens {
-			r := &opens[i]
-			fs := r.stats
-			if r.cross {
-				dst := shards[owner[fs.ID.Dst]]
-				merged := *fs
-				if fin, ok := dst.rFinal[r.idx]; ok {
-					addRecvHalf(&merged, &fin)
-				} else {
-					addRecvHalf(&merged, dst.rstats[r.idx])
-				}
-				fs = &merged
-			}
-			res.Flows = append(res.Flows, fs)
-		}
-	}
-
-	replaySamples(sc, res, shards, endTime)
-	replayGoodput(sc, res, shards, opens, endTime)
-
-	for _, st := range shards {
-		res.Drops += st.net.Drops()
-		st.net.EveryOwnedQueue(st.part, st.id, func(_ string, q *netem.Queue) {
-			res.FaultDrops += q.Stats().FaultDropped
-		})
-	}
-	for i, o := range owners {
-		p := ports[o][i]
-		res.Uplinks = append(res.Uplinks, PortSnapshot{
-			Label:    p.Label(),
-			BusyTime: p.BusyTime(),
-			Queue:    p.Queue().Stats(),
-			Link:     p.Link(),
-		})
-	}
-	return res, nil
-}
-
-// buildShard constructs one shard's complete private copy of the
-// simulation — engine, network, hosts, pool — and binds its boundary
-// ports. The returned lookahead is the minimum propagation delay over
-// all boundary links (0 when the partition collapsed to one shard).
-func buildShard(sc *Scenario, id int) (*shardState, units.Time, error) {
-	st := &shardState{id: id, sc: sc}
-	st.sim = eventsim.New()
-	rng := eventsim.NewRNG(sc.Seed)
-	pool := netem.NewPacketPool()
-	st.cfg = sc.Transport
-	st.cfg.Pool = pool
-
-	deliver := func(host int, pkt *netem.Packet) { st.hosts[host].Receive(pkt) }
-	var (
-		net topology.Network
-		err error
-	)
-	if sc.BuildNetwork != nil {
-		net, err = sc.BuildNetwork(st.sim, sc.Balancer, rng.Split(), deliver)
-	} else {
-		net, err = topology.New(st.sim, sc.Topology, sc.Balancer, rng.Split(), deliver)
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
-	}
-	sh, ok := net.(topology.Sharder)
-	if !ok {
-		return nil, 0, fmt.Errorf("sim: scenario %q: Shards > 1 needs a partitionable network (topology.Sharder), got %T", sc.Name, net)
-	}
-	st.net = sh
-	st.part = sh.NewPartition(sc.Shards)
-	la := sh.ShardBind(st.part, id, func(h topology.Handoff) {
-		st.outHandoffs = append(st.outHandoffs, h)
-	})
-	st.applyFn = func(arg any) { st.net.ApplyHandoff(arg.(*topology.Handoff)) }
-
-	if len(sc.Faults) > 0 {
-		fab, ok := net.(*topology.Fabric)
-		if !ok {
-			return nil, 0, fmt.Errorf("sim: scenario %q: fault schedule requires the leaf-spine fabric", sc.Name)
-		}
-		// Every shard installs the FULL schedule, filtered to the
-		// directed ports it owns — so each directed port is faulted by
-		// exactly the shard that runs its events, at the exact times.
-		resolve := func(leaf, spine int) (*netem.Port, *netem.Port, error) {
-			up, down, err := fab.LinkPorts(leaf, spine)
-			if err != nil {
-				return nil, nil, err
-			}
-			upO, downO := fab.LinkOwners(st.part, leaf, spine)
-			if upO != id {
-				up = nil
-			}
-			if downO != id {
-				down = nil
-			}
-			return up, down, nil
-		}
-		if _, err := faults.Install(st.sim, sc.Faults, resolve, nil); err != nil {
-			return nil, 0, fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
-		}
-	}
-
-	net.SetPool(pool)
-	st.hosts = make([]*transport.Host, net.Hosts())
-	for h := range st.hosts {
-		host := h
-		st.hosts[h] = transport.NewHost(st.sim, h, func(pkt *netem.Packet) { net.Inject(host, pkt) })
-		st.hosts[h].SetPool(pool)
-	}
-	st.hostOwner = make([]int, net.Hosts())
-	for h := range st.hostOwner {
-		st.hostOwner[h] = sh.HostOwner(st.part, h)
-	}
-	st.rstats = make(map[int]*transport.FlowStats)
-	if sc.StreamStats {
-		st.agg = &StreamAgg{}
-	} else {
-		st.rFinal = make(map[int]transport.FlowStats)
-	}
-	return st, la, nil
-}
-
-// checkFlowEndpoints mirrors the single-engine runner's flow check.
-func checkFlowEndpoints(i int, f workload.Flow, hosts int) error {
-	if f.Src == f.Dst || f.Src < 0 || f.Src >= hosts || f.Dst < 0 || f.Dst >= hosts {
-		return fmt.Errorf("sim: flow %d has invalid endpoints %d->%d", i, f.Src, f.Dst)
-	}
-	return nil
-}
-
-// scheduleFlows arms this shard's share of the workload. Every flow
-// keeps its global index; a shard schedules open events only for
-// flows with an endpoint it owns, and counts toward remaining only
-// those whose sender it owns (completion is decided where the sender
-// lives). With a lazy workload every shard pumps its own full source
-// copy — sources are pure functions of spec and seed — so indices and
-// arrival times agree across shards by construction.
-func (st *shardState) scheduleFlows() error {
-	sc := st.sc
-	for i, f := range sc.Flows {
-		if err := checkFlowEndpoints(i, f, len(st.hosts)); err != nil {
-			return err
-		}
-		if st.hostOwner[f.Src] != st.id && st.hostOwner[f.Dst] != st.id {
-			continue
-		}
-		if st.hostOwner[f.Src] == st.id {
-			st.remaining++
-		}
-		i, f := i, f
-		st.sim.At(f.Start, func() { st.openFlow(i, f) })
-	}
-	st.drained = sc.FlowSourceNew == nil
-	if sc.FlowSourceNew != nil {
-		st.src = sc.FlowSourceNew()
-		var pump func(i int, f workload.Flow)
-		pump = func(i int, f workload.Flow) {
-			if err := checkFlowEndpoints(i, f, len(st.hosts)); err != nil {
-				st.fail(err)
-				return
-			}
-			if f.Start < st.sim.Now() {
-				st.fail(fmt.Errorf("sim: FlowSource went backwards: flow %d starts at %v, now %v", i, f.Start, st.sim.Now()))
-				return
-			}
-			if st.hostOwner[f.Src] == st.id {
-				st.remaining++
-			}
-			st.sim.At(f.Start, func() {
-				st.openFlow(i, f)
-				if nf, ok := st.src.Next(); ok {
-					pump(i+1, nf)
-				} else {
-					st.drained = true
-				}
-			})
-		}
-		if f, ok := st.src.Next(); ok {
-			pump(0, f)
-		} else {
-			return fmt.Errorf("sim: scenario %q: FlowSource yielded no flows", sc.Name)
-		}
-	}
-	return nil
-}
-
-// fail records the first error and stops the current window early.
-func (st *shardState) fail(err error) {
-	if st.err == nil {
-		st.err = err
-	}
-	st.sim.Stop()
-}
-
-// flowDone is the shard-local part of every completion. Shards never
-// stop themselves — the coordinator owns the stop decision at the
-// next barrier.
-func (st *shardState) flowDone() {
-	st.remaining--
-	st.done++
-	if now := st.sim.Now(); now > st.lastDone {
-		st.lastDone = now
-	}
-}
-
-// openFlow opens the endpoints this shard owns for one flow.
-func (st *shardState) openFlow(i int, f workload.Flow) {
-	sc := st.sc
-	id := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: i}
-	short := f.Size <= sc.ShortThreshold
-	srcHere := st.hostOwner[f.Src] == st.id
-	dstHere := st.hostOwner[f.Dst] == st.id
-	switch {
-	case srcHere && dstHere:
-		// Shard-local flow: the exact single-engine wiring — shared
-		// record, deferred keyed close and synchronous fold.
-		snd := st.hosts[f.Src].OpenSender(st.cfg, id, f.Size, func(done *transport.Sender) {
-			st.hosts[f.Dst].CloseReceiverAt(st.sim.Now(), st.closeLag, id)
-			if st.agg != nil {
-				st.agg.Fold(&done.Stats, short, st.sim.Now())
-			}
-			if st.obsAgg != nil {
-				st.obsAgg.Fold(&done.Stats, short, st.sim.Now())
-			}
-			st.flowDone()
-		})
-		snd.Stats.Deadline = f.Deadline
-		recv := st.hosts[f.Dst].OpenReceiver(st.cfg, id, f.Size, &snd.Stats)
-		st.hookSamples(recv, short)
-		st.logOpen(i, short, false, &snd.Stats)
-		st.started++
-		snd.Start()
-	case srcHere:
-		// Sender half of a cross-shard flow: completion travels to the
-		// receiver's shard as a closeMsg, applied at the next barrier.
-		dst := int32(st.hostOwner[f.Dst])
-		snd := st.hosts[f.Src].OpenSender(st.cfg, id, f.Size, func(done *transport.Sender) {
-			st.outDones = append(st.outDones, closeMsg{
-				idx: i, dstShard: dst, at: st.sim.Now(), short: short, sender: done.Stats,
-			})
-			st.flowDone()
-		})
-		snd.Stats.Deadline = f.Deadline
-		st.logOpen(i, short, true, &snd.Stats)
-		st.started++
-		snd.Start()
-	case dstHere:
-		// Receiver half: a fresh record only the receiver writes,
-		// merged with the sender half at close (or end of run).
-		rs := &transport.FlowStats{ID: id, Size: f.Size, Deadline: f.Deadline}
-		st.rstats[i] = rs
-		recv := st.hosts[f.Dst].OpenReceiver(st.cfg, id, f.Size, rs)
-		st.hookSamples(recv, short)
-	}
-}
-
-// logOpen records a sender-owned open (record mode only — streaming
-// runs retain no per-flow state).
-func (st *shardState) logOpen(idx int, short, cross bool, fs *transport.FlowStats) {
-	if st.agg != nil {
-		return
-	}
-	st.openLog = append(st.openLog, openRec{
-		idx: idx, start: st.sim.Now(), short: short, cross: cross, stats: fs,
-	})
-}
-
-// hookSamples wires the receiver's per-packet sample hook into the
-// shard-local log, under the same conditions the single-engine runner
-// installs its hooks.
-func (st *shardState) hookSamples(recv *transport.Receiver, short bool) {
-	sc := st.sc
-	if !(sc.SampleShortPackets && short) && !sc.CollectTimeSeries {
-		return
-	}
-	recv.Sample = func(ps transport.PacketSample) {
-		st.samples = append(st.samples, sampleRec{ps: ps, short: short})
-	}
-}
-
-// installTicker arms the per-shard goodput sampler: same period and
-// phase as the single-engine sampler, but deltas are logged and
-// replayed in a sorted merge instead of added to the series directly.
-func (st *shardState) installTicker() {
-	period := st.sc.TimeBucket
-	var tick func()
-	tick = func() {
-		st.sampleGoodput()
-		st.sim.After(period, tick)
-	}
-	st.sim.After(period, tick)
-}
-
-// sampleGoodput logs each owned flow's acked-byte delta since its
-// last tick, in open order.
-func (st *shardState) sampleGoodput() {
-	now := st.sim.Now()
-	for j := range st.openLog {
-		r := &st.openLog[j]
-		d := r.stats.BytesAcked - r.last
-		if d <= 0 {
-			continue
-		}
-		r.last = r.stats.BytesAcked
-		st.ticks = append(st.ticks, tickRec{at: now, idx: int32(r.idx), short: r.short, delta: d})
-	}
+	return shards, endTime, nil
 }
 
 // serve is the shard goroutine: one epoch per work order until the
-// channel closes. All shard state is private to this goroutine while
+// channel closes. All core state is private to this goroutine while
 // it runs; the channel pair is the only synchronization.
-func (st *shardState) serve(in <-chan shardEpochIn, out chan<- shardEpochOut, wg *sync.WaitGroup) {
+func (c *runCore) serve(in <-chan shardEpochIn, out chan<- shardEpochOut, wg *sync.WaitGroup) {
 	defer wg.Done()
 	for ep := range in {
-		out <- st.runEpoch(ep)
+		out <- c.runEpoch(ep)
 	}
 }
 
 // runEpoch applies the barrier's messages, runs the window, and
 // reports. Each handoff is scheduled with the same DeliveryKey its
 // source port used, so it fires at exactly the position — relative to
-// this shard's local same-instant deliveries — that the unsharded
-// engine fires the original delivery at.
-func (st *shardState) runEpoch(ep shardEpochIn) shardEpochOut {
-	st.applyCloses(ep.closes, true)
+// this shard's local same-instant deliveries — that one engine fires
+// the original delivery at.
+func (c *runCore) runEpoch(ep shardEpochIn) shardEpochOut {
+	c.applyCloses(ep.closes, true)
 	for i := range ep.handoffs {
 		h := &ep.handoffs[i]
-		st.sim.AtKey(h.DeliverAt, netem.DeliveryKey(h.AdmittedAt, h.SrcPort), st.applyFn, h)
+		c.sim.AtKey(h.DeliverAt, netem.DeliveryKey(h.AdmittedAt, h.SrcPort), c.applyFn, h)
 	}
-	st.sim.RunUntil(ep.deadline)
+	c.sim.RunUntil(ep.deadline)
 	o := shardEpochOut{
-		handoffs:  st.outHandoffs,
-		dones:     st.outDones,
-		remaining: st.remaining,
-		drained:   st.drained,
-		lastDone:  st.lastDone,
-		err:       st.err,
+		handoffs:  c.outHandoffs,
+		dones:     c.outDones,
+		remaining: c.remaining,
+		drained:   c.drained,
+		lastDone:  c.lastDone,
+		err:       c.err,
 	}
-	st.outHandoffs = nil
-	st.outDones = nil
-	o.nextAt, o.hasNext = st.sim.NextEventAt()
+	c.outHandoffs = nil
+	c.outDones = nil
+	o.nextAt, o.hasNext = c.sim.NextEventAt()
 	return o
 }
 
@@ -803,152 +302,30 @@ func (st *shardState) runEpoch(ep shardEpochIn) shardEpochOut {
 // The stats merge happens here — safe at any point at or after
 // completion, because the receiver froze its half of the record the
 // moment all payload arrived — but the teardown itself is re-created
-// as the keyed engine event the single engine schedules at the
+// as the keyed engine event a core-local flow schedules at the
 // sender's done callback: at completion + lag, keyed by (completion,
 // host). The lag is no smaller than the window width, so an event
 // scheduled from the barrier after the completion's window is never in
 // the past. With schedule false (the post-join sweep, engines stopped)
 // the receiver is dropped directly.
-func (st *shardState) applyCloses(closes []closeMsg, schedule bool) {
+func (c *runCore) applyCloses(closes []closeMsg, schedule bool) {
 	for i := range closes {
-		c := &closes[i]
-		id := c.sender.ID
+		m := &closes[i]
+		id := m.sender.ID
 		if schedule {
-			st.hosts[id.Dst].CloseReceiverAt(c.at, st.closeLag, id)
+			c.hosts[id.Dst].CloseReceiverAt(m.at, c.closeLag, id)
 		} else {
-			st.hosts[id.Dst].CloseReceiver(id)
+			c.hosts[id.Dst].CloseReceiver(id)
 		}
-		rs := st.rstats[c.idx]
-		delete(st.rstats, c.idx)
-		if st.agg != nil || st.obsAgg != nil {
-			merged := c.sender
+		rs := c.rstats[m.idx]
+		delete(c.rstats, m.idx)
+		if c.agg != nil {
+			merged := m.sender
 			addRecvHalf(&merged, rs)
-			if st.agg != nil {
-				st.agg.Fold(&merged, c.short, c.at)
-			}
-			if st.obsAgg != nil {
-				st.obsAgg.Fold(&merged, c.short, c.at)
-			}
+			c.agg.Fold(&merged, m.short, m.at)
 		}
-		if st.agg == nil && rs != nil {
-			st.rFinal[c.idx] = *rs
-		}
-	}
-}
-
-// addRecvHalf grafts the receiver-side counters of src onto dst: the
-// two halves of a cross-shard flow are written by disjoint shards, so
-// the merge is plain assignment.
-func addRecvHalf(dst, src *transport.FlowStats) {
-	if src == nil {
-		return
-	}
-	dst.SumQueueDelay = src.SumQueueDelay
-	dst.PacketsRecv = src.PacketsRecv
-	dst.OutOfOrder = src.OutOfOrder
-	dst.DupAcksSent = src.DupAcksSent
-	dst.SumPktDelay = src.SumPktDelay
-	dst.DelaySamples = src.DelaySamples
-}
-
-// replaySamples merges the per-shard packet-sample logs and feeds the
-// retained-sample slice and the receiver-side time series.
-func replaySamples(sc *Scenario, res *Result, shards []*shardState, endTime units.Time) {
-	if !sc.SampleShortPackets && !sc.CollectTimeSeries {
-		return
-	}
-	var recs []sampleRec
-	for _, st := range shards {
-		recs = append(recs, st.samples...)
-	}
-	replaySampleRecs(sc, res, recs, endTime)
-}
-
-// replaySampleRecs applies a packet-sample log in (time, receiving
-// host) order — BOTH runners feed their series through it, because the
-// time-series bucket sums are floating-point and therefore
-// order-sensitive: same-instant samples at different hosts arrive in
-// engine delivery order on a single engine but are logged per shard
-// when sharded, so a canonical replay order is the only way the sums
-// come out bit-identical. Two samples can never tie on (time, host):
-// a host's last hop is one FIFO port, which separates its deliveries
-// in time.
-func replaySampleRecs(sc *Scenario, res *Result, recs []sampleRec, endTime units.Time) {
-	sort.SliceStable(recs, func(a, b int) bool {
-		if recs[a].ps.At != recs[b].ps.At {
-			return recs[a].ps.At < recs[b].ps.At
-		}
-		return recs[a].ps.Flow.Dst < recs[b].ps.Flow.Dst
-	})
-	for i := range recs {
-		r := &recs[i]
-		if r.ps.At > endTime {
-			continue
-		}
-		if sc.SampleShortPackets && r.short {
-			res.ShortSamples = append(res.ShortSamples, r.ps)
-		}
-		if !sc.CollectTimeSeries {
-			continue
-		}
-		at := r.ps.At.Seconds()
-		ooo := 0.0
-		if r.ps.OutOfOrder {
-			ooo = 1
-		}
-		if r.short {
-			res.ShortQueueDelayUs.Add(at, r.ps.QueueDelay.Micros())
-			res.ShortOOORatio.Add(at, ooo)
-		} else {
-			res.LongOOORatio.Add(at, ooo)
-		}
-	}
-}
-
-// replayGoodput merges the per-shard goodput tick logs — ordered by
-// tick time, then the flows' global open order within a tick, which
-// is the single-engine sampler's iteration order — and applies the
-// final flush at EndTime.
-func replayGoodput(sc *Scenario, res *Result, shards []*shardState, opens []openRec, endTime units.Time) {
-	if !sc.CollectTimeSeries {
-		return
-	}
-	rank := make(map[int32]int, len(opens))
-	for i := range opens {
-		rank[int32(opens[i].idx)] = i
-	}
-	var ticks []tickRec
-	for _, st := range shards {
-		ticks = append(ticks, st.ticks...)
-	}
-	sort.SliceStable(ticks, func(a, b int) bool {
-		if ticks[a].at != ticks[b].at {
-			return ticks[a].at < ticks[b].at
-		}
-		return rank[ticks[a].idx] < rank[ticks[b].idx]
-	})
-	applied := make(map[int32]units.Bytes, len(opens))
-	for i := range ticks {
-		t := &ticks[i]
-		if t.at > endTime {
-			continue
-		}
-		applied[t.idx] += t.delta
-		if t.short {
-			res.ShortGoodputBytes.Add(t.at.Seconds(), float64(t.delta))
-		} else {
-			res.LongGoodputBytes.Add(t.at.Seconds(), float64(t.delta))
-		}
-	}
-	at := endTime.Seconds()
-	for i := range opens {
-		r := &opens[i]
-		if d := r.stats.BytesAcked - applied[int32(r.idx)]; d > 0 {
-			if r.short {
-				res.ShortGoodputBytes.Add(at, float64(d))
-			} else {
-				res.LongGoodputBytes.Add(at, float64(d))
-			}
+		if c.rFinal != nil && rs != nil {
+			c.rFinal[m.idx] = *rs
 		}
 	}
 }

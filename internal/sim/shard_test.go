@@ -12,6 +12,7 @@ import (
 	"tlb/internal/netem"
 	"tlb/internal/stats"
 	"tlb/internal/topology"
+	"tlb/internal/trace"
 	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
@@ -351,11 +352,10 @@ func TestShardedRejections(t *testing.T) {
 	if _, err := Run(rep); err == nil {
 		t.Fatal("Replication under Shards > 1 did not error")
 	}
-	src := base
-	src.Flows = nil
-	src.FlowSource = workload.NewSliceSource(randomFlows(1, 8, 4))
-	if _, err := Run(src); err == nil {
-		t.Fatal("one-shot FlowSource under Shards > 1 did not error")
+	traced := base
+	traced.Tracer = trace.New(16)
+	if _, err := Run(traced); err == nil {
+		t.Fatal("Tracer under Shards > 1 did not error")
 	}
 }
 

@@ -5,8 +5,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"tlb/internal/eventsim"
 	"tlb/internal/faults"
 	"tlb/internal/lb"
@@ -34,22 +32,16 @@ type Scenario struct {
 	// Flows is the workload, absolute-timed.
 	Flows []workload.Flow
 
-	// FlowSource, when set, supplies the workload lazily instead of
-	// Flows (setting both is an error). Flows must arrive in
-	// non-decreasing Start order; the runner schedules one arrival
+	// FlowSourceNew, when set, supplies the workload lazily instead of
+	// Flows (setting both is an error), as a replayable factory: every
+	// call must return a fresh Source that yields the identical flow
+	// sequence (the compiled workloads are pure functions of spec and
+	// seed, so this is their natural form) — each core of a sharded run
+	// pumps its own copy, so flow indices stay global. Flows must arrive
+	// in non-decreasing Start order; the runner schedules one arrival
 	// ahead of the clock instead of pre-scheduling every flow, so
-	// neither the workload nor the event heap grows with the total flow
-	// count.
-	FlowSource workload.Source
-
-	// FlowSourceNew supplies the workload lazily like FlowSource, but as
-	// a replayable factory: every call must return a fresh Source that
-	// yields the identical flow sequence (the compiled workloads are pure
-	// functions of spec and seed, so this is their natural form). The
-	// sharded runner (Shards > 1) requires the factory — each shard pumps
-	// its own copy so flow indices stay global — and the single-engine
-	// path simply consumes one copy, so the factory is always safe where
-	// FlowSource would be. Setting both is an error.
+	// neither the workload nor the event queue grows with the total
+	// flow count.
 	FlowSourceNew func() workload.Source
 
 	// Shards > 1 partitions the run spatially: the topology is split
@@ -59,9 +51,8 @@ type Scenario struct {
 	// goroutine, synchronized by conservative lookahead windows, with
 	// cross-shard packets exchanged as timestamped handoffs applied in
 	// deterministic order (see shard.go for the exact guarantees). 0 or
-	// 1 keeps the single-engine path, byte-identical to previous
-	// releases. A lazy workload must come as FlowSourceNew; Replication
-	// and Tracer are incompatible with sharding.
+	// 1 — or a partition that clamps to one — runs a single engine.
+	// Replication and Tracer are incompatible with sharding.
 	Shards int
 
 	// StreamStats folds every flow record into fixed-size per-class
@@ -196,410 +187,4 @@ type Result struct {
 // cancellation or a progress stream (see session.go, observer.go).
 func Run(sc Scenario) (*Result, error) {
 	return NewSession(sc, SessionOptions{}).Run()
-}
-
-// runSingle is the single-engine runner. The session has already
-// applied defaults and the shared validation.
-func runSingle(ss *Session) (*Result, error) {
-	sc := &ss.sc
-	// A factory workload is consumed as one source.
-	if sc.FlowSource == nil && sc.FlowSourceNew != nil {
-		sc.FlowSource = sc.FlowSourceNew()
-	}
-
-	s := eventsim.New()
-	rng := eventsim.NewRNG(sc.Seed)
-	// One packet pool per run: endpoints allocate from it, and the
-	// hosts (delivery) and fabric (drops) release back to it, making
-	// the steady-state packet path allocation-free. Per-run ownership
-	// keeps parallel sweep workers from sharing any mutable state.
-	pool := netem.NewPacketPool()
-	sc.Transport.Pool = pool
-
-	// stopped mirrors the engine's one-shot stop flag: RunUntil consumes
-	// a pending Stop on return, so the session's sliced drive loop needs
-	// its own durable record that the run decided to end.
-	stopped := false
-	stop := func() { stopped = true; s.Stop() }
-
-	res := &Result{
-		Scenario:       sc.Name,
-		Scheme:         sc.SchemeName,
-		ShortThreshold: sc.ShortThreshold,
-	}
-	if sc.StreamStats {
-		res.Stream = &StreamAgg{}
-	}
-	// obsAgg mirrors the streaming fold for observed record-mode runs:
-	// snapshots want per-class aggregates even when the run retains its
-	// records. It only ever reads completed records, so the simulation
-	// cannot see it.
-	var obsAgg *StreamAgg
-	if ss.observing() && !sc.StreamStats {
-		obsAgg = &StreamAgg{}
-	}
-	if sc.CollectTimeSeries {
-		w := sc.TimeBucket.Seconds()
-		res.ShortQueueDelayUs = stats.NewTimeSeries(w)
-		res.ShortOOORatio = stats.NewTimeSeries(w)
-		res.LongOOORatio = stats.NewTimeSeries(w)
-		res.ShortGoodputBytes = stats.NewTimeSeries(w)
-		res.LongGoodputBytes = stats.NewTimeSeries(w)
-	}
-
-	var hosts []*transport.Host
-	deliver := func(host int, pkt *netem.Packet) { hosts[host].Receive(pkt) }
-	var net topology.Network
-	var err error
-	if sc.BuildNetwork != nil {
-		net, err = sc.BuildNetwork(s, sc.Balancer, rng.Split(), deliver)
-	} else {
-		net, err = topology.New(s, sc.Topology, sc.Balancer, rng.Split(), deliver)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
-	}
-	if len(sc.Faults) > 0 {
-		fab, ok := net.(*topology.Fabric)
-		if !ok {
-			return nil, fmt.Errorf("sim: scenario %q: fault schedule requires the leaf-spine fabric", sc.Name)
-		}
-		if _, err := faults.Install(s, sc.Faults, fab.LinkPorts, sc.Tracer); err != nil {
-			return nil, fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
-		}
-	}
-	net.SetPool(pool)
-	hosts = make([]*transport.Host, net.Hosts())
-	for h := range hosts {
-		host := h
-		hosts[h] = transport.NewHost(s, h, func(pkt *netem.Packet) { net.Inject(host, pkt) })
-		hosts[h].SetPool(pool)
-	}
-	closeLag := teardownLag(net, sc.Faults)
-
-	// srecs is the run's packet-sample log (see the hook in openFlow).
-	var srecs []sampleRec
-	// remaining counts scheduled-but-unfinished flows; sourceDrained is
-	// true once no further arrivals can appear (immediately for the
-	// slice path, at the lazy source's exhaustion otherwise), so the
-	// StopWhenDone check is the same predicate on both paths.
-	remaining := len(sc.Flows)
-	sourceDrained := sc.FlowSource == nil
-	// openFlow runs at f.Start; it is the one shared body of the eager
-	// (pre-scheduled slice) and lazy (pumped source) arrival paths.
-	openFlow := func(i int, f workload.Flow) {
-		id := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: i}
-		short := f.Size <= sc.ShortThreshold
-		recvHost := hosts[f.Dst]
-		sndHost := hosts[f.Src]
-		snd := sndHost.OpenSender(sc.Transport, id, f.Size, func(done *transport.Sender) {
-			closeReceiver(recvHost, s.Now(), closeLag, id)
-			sc.Tracer.Record(trace.Event{
-				At: s.Now(), Kind: trace.FlowEnd, Flow: id,
-				Note: fmt.Sprintf("fct=%v retx=%d", done.Stats.FCT(), done.Stats.Retransmits),
-			})
-			if res.Stream != nil {
-				// Fold and forget: the host already released the
-				// endpoint, so nothing retains the record.
-				res.Stream.Fold(&done.Stats, short, s.Now())
-			}
-			if obsAgg != nil {
-				obsAgg.Fold(&done.Stats, short, s.Now())
-			}
-			ss.flowsDone++
-			remaining--
-			if sc.StopWhenDone && remaining == 0 && sourceDrained {
-				stop()
-			}
-		})
-		snd.Stats.Deadline = f.Deadline
-		recv := recvHost.OpenReceiver(sc.Transport, id, f.Size, &snd.Stats)
-		// Samples are logged and replayed in a canonical order after the
-		// run (replaySampleRecs) rather than summed online: time-series
-		// bucket sums are float additions, and only a shared replay
-		// order makes them bit-identical to the sharded runner's.
-		if (sc.SampleShortPackets && short) || sc.CollectTimeSeries {
-			recv.Sample = func(ps transport.PacketSample) {
-				srecs = append(srecs, sampleRec{ps: ps, short: short})
-			}
-		}
-		if res.Stream == nil {
-			res.Flows = append(res.Flows, &snd.Stats)
-		}
-		sc.Tracer.Record(trace.Event{
-			At: s.Now(), Kind: trace.FlowStart, Flow: id,
-			Note: f.Size.String(),
-		})
-		ss.flowsStarted++
-		snd.Start()
-	}
-
-	checkFlow := func(i int, f workload.Flow) error {
-		if f.Src == f.Dst || f.Src < 0 || f.Src >= len(hosts) || f.Dst < 0 || f.Dst >= len(hosts) {
-			return fmt.Errorf("sim: flow %d has invalid endpoints %d->%d", i, f.Src, f.Dst)
-		}
-		return nil
-	}
-
-	var runErr error
-	for i, f := range sc.Flows {
-		f := f
-		if err := checkFlow(i, f); err != nil {
-			return nil, err
-		}
-		if sc.Replication != nil && sc.Replication.Copies > 1 && f.Size <= sc.Replication.Threshold {
-			openReplicated(s, ss, obsAgg, res, hosts, f, i, closeLag, &remaining, stop)
-			continue
-		}
-		i := i
-		s.At(f.Start, func() { openFlow(i, f) })
-	}
-	if sc.FlowSource != nil {
-		// Lazy pump: schedule one arrival ahead. Each flow's open event
-		// pulls the next flow from the source and schedules it, so at
-		// most one future arrival lives in the event heap at a time.
-		var pump func(i int, f workload.Flow)
-		pump = func(i int, f workload.Flow) {
-			if err := checkFlow(i, f); err != nil {
-				runErr = err
-				stop()
-				return
-			}
-			if f.Start < s.Now() {
-				runErr = fmt.Errorf("sim: FlowSource went backwards: flow %d starts at %v, now %v", i, f.Start, s.Now())
-				stop()
-				return
-			}
-			remaining++
-			s.At(f.Start, func() {
-				openFlow(i, f)
-				if nf, ok := sc.FlowSource.Next(); ok {
-					pump(i+1, nf)
-				} else {
-					sourceDrained = true
-				}
-			})
-		}
-		if f, ok := sc.FlowSource.Next(); ok {
-			pump(0, f)
-		} else {
-			return nil, fmt.Errorf("sim: scenario %q: FlowSource yielded no flows", sc.Name)
-		}
-	}
-
-	// Goodput series: sample each flow's acked-byte progress once per
-	// bucket (per-packet samples carry no size, and wrapping the
-	// fabric's deliver path would double-dispatch).
-	var flushGoodput func()
-	if sc.CollectTimeSeries {
-		flushGoodput = installGoodputSampler(s, sc, res)
-	}
-
-	// The run-control loop: drive the engine in bounded windows so the
-	// session can check cancellation and emit snapshots strictly between
-	// event batches. Slicing is behavior-neutral (see session.go): the
-	// event sequence and the final clock are identical to one
-	// RunUntil(MaxTime) call, observer attached or not.
-	window := ss.window()
-	next := window
-	canceled := false
-	for !stopped {
-		if ss.Canceled() {
-			canceled = true
-			break
-		}
-		d := sc.MaxTime
-		if next < d {
-			d = next
-		}
-		s.RunUntil(d)
-		if stopped || runErr != nil || s.Now() >= sc.MaxTime {
-			break
-		}
-		if ss.observing() && s.Now() >= next {
-			ss.events = s.Executed()
-			ev := ss.baseEvent(ProgressSnapshot)
-			ev.SimTime = s.Now()
-			ev.Events = ss.events
-			ev.EventsPerSec = ss.rate(ss.events)
-			if res.Stream != nil {
-				ev.Classes = res.Stream.Clone()
-			} else if obsAgg != nil {
-				ev.Classes = obsAgg.Clone()
-			}
-			ev.Uplinks = portSnapshots(net.BalancedPorts())
-			ss.emit(ev)
-		}
-		next += window
-	}
-	ss.events = s.Executed()
-	if canceled {
-		return nil, ss.cancelErr()
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if flushGoodput != nil {
-		flushGoodput()
-	}
-
-	res.EndTime = s.Now()
-	if len(srecs) > 0 {
-		replaySampleRecs(sc, res, srecs, res.EndTime)
-	}
-	if res.Stream != nil {
-		// Completed flows folded at their done callbacks; sweep the
-		// still-open senders so unfinished flows count too, exactly as
-		// the record-based accessors count them. Host order then FlowID
-		// order keeps the fold sequence deterministic.
-		for _, h := range hosts {
-			h.EachOpenSenderSorted(func(snd *transport.Sender) {
-				res.Stream.Fold(&snd.Stats, snd.Stats.Size <= sc.ShortThreshold, res.EndTime)
-			})
-		}
-	}
-	res.Drops = net.Drops()
-	net.EveryQueue(func(_ string, q *netem.Queue) {
-		res.FaultDrops += q.Stats().FaultDropped
-	})
-	res.Uplinks = portSnapshots(net.BalancedPorts())
-	return res, nil
-}
-
-// minFabricDelayer is implemented by the partitionable topologies
-// (leaf-spine, fat-tree): the minimum propagation delay over their
-// boundary-capable links, independent of any partition.
-type minFabricDelayer interface {
-	MinFabricDelay() units.Time
-}
-
-// teardownLag returns the flow-teardown latency for a run on net: how
-// long after a sender's completion its receiver is torn down. Teardown
-// is modelled as a finite-latency event because an instantaneous close
-// would be a zero-latency cross-shard influence — a retransmission
-// still in flight when the sender finishes would be consumed by a
-// sharded run (receiver open until the next barrier) but discarded by
-// the single engine (receiver closed synchronously), and the extra
-// duplicate ACK perturbs every downstream per-packet RNG draw. Using
-// the minimum boundary-capable link delay — tightened by any
-// fault-scheduled delay override, exactly like the sharded runner's
-// lookahead — makes the lag (a) a pure function of scenario and
-// topology, so both modes schedule the identical close event, and (b)
-// at least as large as the sharded synchronization window, so a
-// completion crossing a barrier can always still schedule its close in
-// the future. Networks that cannot shard (custom BuildNetwork pipes)
-// return 0 and keep the synchronous close.
-func teardownLag(net topology.Network, sched faults.Schedule) units.Time {
-	md, ok := net.(minFabricDelayer)
-	if !ok {
-		return 0
-	}
-	lag := md.MinFabricDelay()
-	if lag <= 0 {
-		return 0
-	}
-	for _, ev := range sched {
-		if ev.Op == faults.OpDelay && ev.Delay < lag {
-			lag = ev.Delay
-		}
-	}
-	return lag
-}
-
-// closeReceiver tears down a flow's receiving endpoint at its sender's
-// completion: deferred by the teardown lag on partitionable networks
-// (see teardownLag), synchronous where no lag is defined.
-func closeReceiver(h *transport.Host, done, lag units.Time, id netem.FlowID) {
-	if lag > 0 {
-		h.CloseReceiverAt(done, lag, id)
-	} else {
-		h.CloseReceiver(id)
-	}
-}
-
-// installGoodputSampler periodically records each flow's acked-byte
-// deltas into the goodput time series, bucketized by the sample time.
-// The returned flush captures the final partial bucket after the run
-// stops (completion can land between ticks).
-func installGoodputSampler(s *eventsim.Sim, sc *Scenario, res *Result) (flush func()) {
-	lastAcked := make(map[int]units.Bytes) // index in res.Flows
-	sample := func() {
-		at := s.Now().Seconds()
-		for i, fs := range res.Flows {
-			d := fs.BytesAcked - lastAcked[i]
-			if d <= 0 {
-				continue
-			}
-			lastAcked[i] = fs.BytesAcked
-			if fs.Size <= sc.ShortThreshold {
-				res.ShortGoodputBytes.Add(at, float64(d))
-			} else {
-				res.LongGoodputBytes.Add(at, float64(d))
-			}
-		}
-	}
-	period := sc.TimeBucket
-	var tick func()
-	tick = func() {
-		sample()
-		s.After(period, tick)
-	}
-	s.After(period, tick)
-	return sample
-}
-
-// openReplicated realizes one flow as N racing copies (RepFlow). The
-// canonical FlowStats in res.Flows receives the winner's record; losers
-// keep draining but are otherwise ignored.
-func openReplicated(s *eventsim.Sim, ss *Session, obsAgg *StreamAgg, res *Result, hosts []*transport.Host, f workload.Flow, idx int, closeLag units.Time, remaining *int, stop func()) {
-	sc := &ss.sc
-	canonical := &transport.FlowStats{
-		ID:       netem.FlowID{Src: f.Src, Dst: f.Dst, Port: idx},
-		Size:     f.Size,
-		Deadline: f.Deadline,
-	}
-	res.Flows = append(res.Flows, canonical)
-	won := false
-	copies := sc.Replication.Copies
-	s.At(f.Start, func() {
-		for c := 0; c < copies; c++ {
-			// Distinct Port per copy: per-flow schemes (ECMP, WCMP,
-			// Presto, ...) hash the copies independently.
-			id := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: idx + (c+1)<<24}
-			recvHost := hosts[f.Dst]
-			sndHost := hosts[f.Src]
-			snd := sndHost.OpenSender(sc.Transport, id, f.Size, func(done *transport.Sender) {
-				closeReceiver(recvHost, s.Now(), closeLag, id)
-				if won {
-					return
-				}
-				won = true
-				// The winner's record becomes the flow's record.
-				*canonical = done.Stats
-				canonical.ID = netem.FlowID{Src: f.Src, Dst: f.Dst, Port: idx}
-				canonical.Deadline = f.Deadline
-				sc.Tracer.Record(trace.Event{
-					At: s.Now(), Kind: trace.FlowEnd, Flow: canonical.ID,
-					Note: fmt.Sprintf("repflow winner fct=%v", done.Stats.FCT()),
-				})
-				if obsAgg != nil {
-					obsAgg.Fold(canonical, f.Size <= sc.ShortThreshold, s.Now())
-				}
-				ss.flowsDone++
-				*remaining--
-				if sc.StopWhenDone && *remaining == 0 {
-					stop()
-				}
-			})
-			snd.Stats.Deadline = f.Deadline
-			recvHost.OpenReceiver(sc.Transport, id, f.Size, &snd.Stats)
-			snd.Start()
-		}
-		sc.Tracer.Record(trace.Event{
-			At: s.Now(), Kind: trace.FlowStart,
-			Flow: netem.FlowID{Src: f.Src, Dst: f.Dst, Port: idx},
-			Note: fmt.Sprintf("%v x%d replicas", f.Size, copies),
-		})
-		ss.flowsStarted++
-	})
 }

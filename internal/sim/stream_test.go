@@ -196,7 +196,7 @@ func TestStreamStatsMatchesRecordsWithUnfinished(t *testing.T) {
 	assertStreamParity(t, exact, streamed)
 }
 
-// The lazy FlowSource path must produce the same simulation as the
+// The lazy FlowSourceNew path must produce the same simulation as the
 // pre-materialized slice: same flow count, same completions, same
 // aggregates.
 func TestFlowSourceMatchesSlice(t *testing.T) {
@@ -226,7 +226,7 @@ func TestFlowSourceMatchesSlice(t *testing.T) {
 	}
 	lazy := streamTestScenario(nil, 30*units.Second)
 	lazy.StreamStats = true
-	lazy.FlowSource = src
+	lazy.FlowSourceNew = func() workload.Source { return src }
 	fromSource, err := Run(lazy)
 	if err != nil {
 		t.Fatal(err)
@@ -260,10 +260,14 @@ func TestStreamScenarioValidation(t *testing.T) {
 	flows := []workload.Flow{{Src: 0, Dst: 4, Size: units.KB, Start: 0}}
 	base := streamTestScenario(flows, units.Second)
 
+	sliceSource := func(f []workload.Flow) func() workload.Source {
+		return func() workload.Source { return workload.NewSliceSource(f) }
+	}
+
 	sc := base
-	sc.FlowSource = workload.NewSliceSource(flows)
+	sc.FlowSourceNew = sliceSource(flows)
 	if _, err := Run(sc); err == nil {
-		t.Fatal("no error for Flows+FlowSource")
+		t.Fatal("no error for Flows+FlowSourceNew")
 	}
 
 	sc = base
@@ -289,24 +293,24 @@ func TestStreamScenarioValidation(t *testing.T) {
 
 	sc = base
 	sc.Flows = nil
-	sc.FlowSource = workload.NewSliceSource(nil)
+	sc.FlowSourceNew = sliceSource(nil)
 	if _, err := Run(sc); err == nil {
-		t.Fatal("no error for empty FlowSource")
+		t.Fatal("no error for an empty source")
 	}
 
 	sc = base
 	sc.Flows = nil
-	sc.FlowSource = workload.NewSliceSource([]workload.Flow{
+	sc.FlowSourceNew = sliceSource([]workload.Flow{
 		{Src: 0, Dst: 4, Size: units.KB, Start: units.Millisecond},
 		{Src: 1, Dst: 5, Size: units.KB, Start: 0}, // goes backwards
 	})
 	if _, err := Run(sc); err == nil {
-		t.Fatal("no error for a FlowSource with decreasing starts")
+		t.Fatal("no error for a source with decreasing starts")
 	}
 
 	sc = base
 	sc.Flows = nil
-	sc.FlowSource = workload.NewSliceSource([]workload.Flow{
+	sc.FlowSourceNew = sliceSource([]workload.Flow{
 		{Src: 0, Dst: 99, Size: units.KB, Start: 0}, // invalid endpoint
 	})
 	if _, err := Run(sc); err == nil {

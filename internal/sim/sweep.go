@@ -6,7 +6,6 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
-	"time"
 
 	"tlb/internal/units"
 )
@@ -32,40 +31,20 @@ type SweepOptions struct {
 	// Workers is the number of scenarios executed concurrently;
 	// <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Progress, when non-nil, is called once per finished scenario.
-	// Calls are serialized by the runner, so the callback may write to
-	// shared state (a log) without its own locking. It runs on worker
-	// goroutines; keep it cheap. It is an adapter over the observer
-	// stream: one call per ProgressDone event.
-	Progress func(SweepProgress)
 	// Observer, when non-nil, receives the merged progress stream of
 	// every session in the sweep: periodic snapshots plus one Done per
 	// scenario, serialized under the sweep's lock (so one instance
 	// needs no locking of its own), with Completed/Total stamped on
-	// Done events.
+	// Done events. It runs on worker goroutines; keep it cheap.
 	Observer Observer
 	// SnapshotEvery is the per-session snapshot period in simulation
-	// time (0 means DefaultSnapshotEvery). Only meaningful with an
-	// Observer.
+	// time (0 means DefaultSnapshotEvery; NoSnapshots keeps only the
+	// Done events, for callers that print per-scenario completions).
+	// Only meaningful with an Observer.
 	SnapshotEvery units.Time
 	// Clock supplies wall time for Elapsed fields; nil means
 	// WallClock().
 	Clock Clock
-}
-
-// SweepProgress describes one completed scenario of a sweep.
-type SweepProgress struct {
-	// Index is the scenario's position in the input slice.
-	Index int
-	// Completed counts scenarios finished so far, including this one;
-	// Total is the batch size — "Completed/Total" is the k/n line.
-	Completed, Total int
-	// Scenario is the Scenario.Name.
-	Scenario string
-	// Elapsed is the wall-clock time this scenario's Run took.
-	Elapsed time.Duration
-	// Err is the scenario's failure, if any.
-	Err error
 }
 
 // SweepFailure is one failed scenario of a sweep.
@@ -119,7 +98,7 @@ type Sweep struct {
 	sessions []*Session
 	canceled bool
 
-	// emitMu serializes the observer/progress stream and guards the
+	// emitMu serializes the observer stream and guards the
 	// completion counter. It is distinct from mu so Cancel (which takes
 	// mu) is safe to call from inside a callback (which holds emitMu).
 	emitMu    sync.Mutex
@@ -145,8 +124,8 @@ func NewSweep(scenarios []Scenario, opt SweepOptions) *Sweep {
 // Cancel requests cooperative cancellation of the whole sweep: every
 // running session stops at its next event-batch boundary, and every
 // scenario not yet started fails with ErrCanceled without running.
-// Safe from any goroutine — including an Observer or Progress
-// callback — and idempotent.
+// Safe from any goroutine — including an Observer callback — and
+// idempotent.
 func (sw *Sweep) Cancel() {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -225,19 +204,13 @@ func (sw *Sweep) runOne(i int) {
 			sw.observe(ev)
 		}
 	}()
-	snapEvery := sw.opt.SnapshotEvery
-	if sw.opt.Observer == nil {
-		// Nobody consumes snapshots; keep the Done event (it drives the
-		// Progress adapter) but skip the per-window aggregate clones.
-		snapEvery = NoSnapshots
-	}
 	var obs Observer
-	if sw.opt.Observer != nil || sw.opt.Progress != nil {
+	if sw.opt.Observer != nil {
 		obs = ObserverFunc(sw.observe)
 	}
 	ss := NewSession(sw.scenarios[i], SessionOptions{
 		Observer:      obs,
-		SnapshotEvery: snapEvery,
+		SnapshotEvery: sw.opt.SnapshotEvery,
 		Clock:         sw.clock,
 		Index:         i,
 		Total:         len(sw.scenarios),
@@ -251,29 +224,19 @@ func (sw *Sweep) runOne(i int) {
 	sw.results[i], sw.errs[i] = ss.Run()
 }
 
-// observe serializes the sessions' event streams, stamps the sweep's
-// completion counter onto Done events, and fans out to the Observer
-// and the legacy Progress adapter.
+// observe serializes the sessions' event streams into the sweep's
+// Observer, stamping the completion counter onto Done events.
 func (sw *Sweep) observe(ev ProgressEvent) {
+	if sw.opt.Observer == nil {
+		return
+	}
 	sw.emitMu.Lock()
 	defer sw.emitMu.Unlock()
 	if ev.Kind == ProgressDone {
 		sw.completed++
 		ev.Completed = sw.completed
 	}
-	if sw.opt.Observer != nil {
-		sw.opt.Observer.OnProgress(ev)
-	}
-	if sw.opt.Progress != nil && ev.Kind == ProgressDone {
-		sw.opt.Progress(SweepProgress{
-			Index:     ev.Index,
-			Completed: ev.Completed,
-			Total:     ev.Total,
-			Scenario:  ev.Scenario,
-			Elapsed:   ev.Elapsed,
-			Err:       ev.Err,
-		})
-	}
+	sw.opt.Observer.OnProgress(ev)
 }
 
 // RunSweep executes the scenarios on a worker pool and returns their
@@ -283,7 +246,7 @@ func RunSweep(scenarios []Scenario, opt SweepOptions) ([]*Result, error) {
 	return NewSweep(scenarios, opt).Run()
 }
 
-// RunAll is RunSweep without progress reporting — the minimal batch
+// RunAll is RunSweep without an observer — the minimal batch
 // API for callers that only want the worker pool.
 func RunAll(scenarios []Scenario, workers int) ([]*Result, error) {
 	return RunSweep(scenarios, SweepOptions{Workers: workers})

@@ -65,18 +65,19 @@ func TestRunSweepAggregatesAllErrors(t *testing.T) {
 	}
 }
 
-// TestRunSweepProgress: the progress callback fires once per scenario
-// with a monotonically increasing Completed counter and per-scenario
-// metadata.
+// TestRunSweepProgress: with snapshots off the observer sees exactly
+// one Done event per scenario, with a monotonically increasing
+// Completed counter and per-scenario metadata.
 func TestRunSweepProgress(t *testing.T) {
 	scenarios := []Scenario{
 		sweepScenario("p0", 1), sweepScenario("p1", 2), sweepScenario("p2", 3),
 	}
-	var seen []SweepProgress
+	var seen []ProgressEvent
 	_, err := RunSweep(scenarios, SweepOptions{
 		Workers: 2,
-		//simlint:allow sharedstate(RunSweep serializes Progress calls under its mutex)
-		Progress: func(p SweepProgress) { seen = append(seen, p) },
+		//simlint:allow sharedstate(RunSweep serializes Observer calls under its mutex)
+		Observer:      ObserverFunc(func(p ProgressEvent) { seen = append(seen, p) }),
+		SnapshotEvery: NoSnapshots,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +87,7 @@ func TestRunSweepProgress(t *testing.T) {
 	}
 	indices := map[int]bool{}
 	for i, p := range seen {
-		if p.Completed != i+1 || p.Total != len(scenarios) {
+		if p.Kind != ProgressDone || p.Completed != i+1 || p.Total != len(scenarios) {
 			t.Fatalf("progress %d: completed %d/%d", i, p.Completed, p.Total)
 		}
 		if p.Err != nil {
@@ -123,11 +124,12 @@ func TestRunSweepRecoversPanickingScenario(t *testing.T) {
 	}
 	scenarios := []Scenario{boom, sweepScenario("after-a", 2), sweepScenario("after-b", 3)}
 
-	var seen []SweepProgress
+	var seen []ProgressEvent
 	results, err := RunSweep(scenarios, SweepOptions{
 		Workers: 1,
-		//simlint:allow sharedstate(RunSweep serializes Progress calls under its mutex)
-		Progress: func(p SweepProgress) { seen = append(seen, p) },
+		//simlint:allow sharedstate(RunSweep serializes Observer calls under its mutex)
+		Observer:      ObserverFunc(func(p ProgressEvent) { seen = append(seen, p) }),
+		SnapshotEvery: NoSnapshots,
 	})
 	var se *SweepError
 	if !errors.As(err, &se) {
@@ -145,7 +147,7 @@ func TestRunSweepRecoversPanickingScenario(t *testing.T) {
 		t.Fatal("scenarios after the panic did not complete")
 	}
 	// The synthesized terminal event keeps the one-Done-per-scenario
-	// invariant: the progress adapter still fires for all three.
+	// invariant: the observer still hears all three.
 	if len(seen) != 3 {
 		t.Fatalf("%d progress calls, want 3", len(seen))
 	}

@@ -210,6 +210,9 @@ func (s *Spec) compile(materialize bool) (sim.Scenario, error) {
 	if s.Run.Shards < 0 {
 		c.errf("run.shards", "must not be negative")
 	}
+	if s.Run.Shards > 1 && s.Replication != nil {
+		c.errf("run.shards", "incompatible with replication (racing copies share one record); run with shards 1")
+	}
 	sc.Shards = s.Run.Shards
 
 	sc.SampleShortPackets = s.Outputs.SampleShortPackets

@@ -246,6 +246,19 @@ func TestFaultsRejectedOnFatTree(t *testing.T) {
 	}
 }
 
+func TestShardsRejectReplication(t *testing.T) {
+	s := testSpec()
+	s.Run.Shards = 2
+	s.Replication = &Replication{Threshold: "100KB", Copies: 2}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "run.shards") {
+		t.Fatalf("shards+replication should be rejected at run.shards, got %v", err)
+	}
+	s.Run.Shards = 1
+	if err := s.Validate(); err != nil {
+		t.Fatalf("replication on one shard is valid, got %v", err)
+	}
+}
+
 func TestMarshalLoadRoundTrip(t *testing.T) {
 	s := testSpec()
 	s.Scheme = Scheme{
