@@ -32,19 +32,28 @@ lint-json:
 race:
 	$(GO) test -race ./...
 
-# bench produces the tracked baseline BENCH_10.json: the engine
-# micro-benchmarks at a statistically useful -benchtime plus the
-# figure-scale, large-scale-streaming and simlint benchmarks at one
-# iteration each, all merged into one "after" section. The raw lines
-# inside the JSON stay benchstat-compatible. Earlier baselines
-# (BENCH_4/6/7/8/9.json) are append-only history — the perf trajectory
-# the ROADMAP tracks — and must never be rewritten by later runs; a
-# future PR that moves tracked performance writes a new BENCH_<pr>.json.
+# bench produces the tracked baseline BENCH_14.json: the engine
+# micro-benchmarks (BenchmarkEventQueue* — the dense-slot one included —
+# and BenchmarkPortTransit) at a statistically useful -benchtime plus
+# the figure-scale, large-scale-streaming and simlint benchmarks at one
+# iteration each, all merged into one "after" section. The file's
+# "before" section is the parent commit's engine under the same
+# benchmark file (run these commands in a checkout of the parent with
+# this bench_test.go, piping into `benchjson -out BENCH_14.json
+# -section before`). One capture on the shared reference box spreads
+# ±15 %, so the committed pair holds, per benchmark and side, the
+# median line of interleaved parent/change rounds (8 for the engine
+# benchmarks); a plain `make bench` overwrites "after" with a single
+# capture. The raw lines inside the JSON stay benchstat-compatible.
+# Earlier baselines (BENCH_4/6/7/8/9/10.json) are append-only history —
+# the perf trajectory the ROADMAP tracks — and must never be rewritten
+# by later runs; a future PR that moves tracked performance writes a
+# new BENCH_<pr>.json.
 bench:
 	( $(GO) test -bench 'BenchmarkEventQueue|BenchmarkPortTransit' -benchtime 2s -run '^$$' . \
 	  && $(GO) test -bench 'BenchmarkFig8ShortFlows|BenchmarkFig10WebSearch|BenchmarkFig13VaryShort|BenchmarkLargeScaleStream' -benchtime 1x -timeout 30m -run '^$$' . \
 	  && $(GO) test -bench 'BenchmarkSimlint' -benchtime 1x -run '^$$' ./internal/lint ) \
-	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_10.json -section after -require 'events/sec,flows/sec,peakRSS-MB'
+	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_14.json -section after -require 'events/sec,flows/sec,peakRSS-MB'
 
 # bench-all runs every benchmark in every package once, without
 # touching any baseline — a quick "do they all still run" check.

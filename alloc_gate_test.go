@@ -84,6 +84,33 @@ func TestAllocGateSameTickBatch(t *testing.T) {
 	}
 }
 
+// TestAllocGateDenseSlots: scheduling a few hundred events into future
+// wheel slots in scrambled order and draining them — tail appends, the
+// sort when each slot is reached (its scratch included), the fires —
+// must not allocate once the scratch has grown to the slot size.
+func TestAllocGateDenseSlots(t *testing.T) {
+	s := eventsim.New()
+	rng := eventsim.NewRNG(7)
+	fn := func() {}
+	burst := func() {
+		base := s.Now() + 4096
+		for i := 0; i < 300; i++ {
+			s.At(base+units.Time(rng.Intn(1024)), fn)
+		}
+		s.Run()
+	}
+	for i := 0; i < 64; i++ {
+		burst()
+	}
+	before := s.Counters().SlotSorts
+	if allocs := testing.AllocsPerRun(500, burst); allocs != 0 {
+		t.Fatalf("dense-slot schedule+sort+fire allocates %.1f allocs/op, want 0", allocs)
+	}
+	if s.Counters().SlotSorts == before {
+		t.Fatal("the burst never exercised the slot sort")
+	}
+}
+
 // TestAllocGateAtArg: the closure-free (fn, arg) scheduling variant
 // with a pointer-typed argument must not allocate in steady state
 // (this is the Port delivery path).

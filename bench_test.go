@@ -320,6 +320,45 @@ func BenchmarkEventQueueSameTick(b *testing.B) {
 	}
 }
 
+// BenchmarkEventQueueDense measures the dense-fabric shape the three
+// benchmarks above never produce: thousands of independently-phased
+// sources, each rescheduling itself a random 1..32 768 ns ahead, so
+// ~128 live events share every 512 ns wheel slot and almost every
+// insert lands mid-slot rather than at its tail (BenchmarkEventQueue
+// schedules monotone timestamps: tail appends only). This is what a
+// k=16 fat-tree's 6 144 ports do to the wheel. Every scheduled event
+// fires inside the timed region, so Executed() equals b.N.
+func BenchmarkEventQueueDense(b *testing.B) {
+	s := eventsim.New()
+	rng := eventsim.NewRNG(1)
+	const (
+		sources = 4096
+		maxGap  = 64 * 512 // mean gap 32 slots -> sources/32 = 128 events per slot
+	)
+	left := b.N
+	var fire func(any)
+	fire = func(any) {
+		if left > 0 {
+			left--
+			s.AtArg(s.Now()+1+units.Time(rng.Intn(maxGap)), fire, nil)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < sources && left > 0; i++ {
+		left--
+		s.AtArg(units.Time(rng.Intn(maxGap)), fire, nil)
+	}
+	s.Run()
+	b.StopTimer()
+	if s.Executed() != uint64(b.N) {
+		b.Fatalf("executed %d events, want %d", s.Executed(), b.N)
+	}
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(s.Executed())/secs, "events/sec")
+	}
+}
+
 // BenchmarkEventQueueFarTimers measures the spill path: an At+Cancel
 // cycle far beyond the wheel horizon, the steady-state cost of every
 // transport RTO re-arm.

@@ -246,3 +246,104 @@ func TestDifferentialKeyedAmongCounters(t *testing.T) {
 		}
 	}
 }
+
+// nextAt checks NextEventAt — the shard coordinator's peek, which may
+// sort a slot the clock has not reached — against the reference heap's
+// head.
+func (d *dualSim) nextAt() {
+	d.t.Helper()
+	at, ok := d.s.NextEventAt()
+	if ok != (len(d.r.heap) > 0) {
+		d.t.Fatalf("NextEventAt ok=%v with %d reference events pending", ok, len(d.r.heap))
+	}
+	if ok && at != d.r.heap[0].at {
+		d.t.Fatalf("NextEventAt = %v, reference head at %v", at, d.r.heap[0].at)
+	}
+}
+
+// TestDifferentialDenseSlots drives the sort-on-reach slot discipline
+// through every state a slot can be in. Each round piles 64–320 events
+// into one future slot in scrambled (at, seq) order, keyed and
+// counter-sequenced mixed and colliding on instants — arrival-order
+// tail appends, far more than the in-place list sort's budget, so the
+// key sort runs; cancels members (rarely the head) while the slot is
+// still unsorted; peeks or runs to a deadline short of the slot, which
+// sorts it ahead of the clock, then inserts behind that look-ahead
+// frontier, into the empty slots before it and into the sorted slot
+// itself; stops a RunUntil inside the slot and schedules around the
+// clock again; and throws in small neighbouring slots for the list
+// sort. Fire order, clock, Executed and Pending must match the
+// reference heap throughout.
+func TestDifferentialDenseSlots(t *testing.T) {
+	const slotNs = 1 << slotShift
+	for seed := uint64(1); seed <= 6; seed++ {
+		rng := NewRNG(seed)
+		d := newDualSim(t)
+		nextID := 0
+		mixed := func(at Time) {
+			if rng.Intn(3) == 0 {
+				d.scheduleKeyed(nextID, at, uint64(rng.Intn(1<<12)))
+			} else {
+				d.schedule(nextID, at)
+			}
+			nextID++
+		}
+		for round := 0; round < 30; round++ {
+			now := d.s.Now()
+			base := (now>>slotShift + 2 + Time(rng.Intn(3000))) << slotShift
+			first := len(d.sH)
+			n := 64 + rng.Intn(256)
+			for k := 0; k < n; k++ {
+				// A third of the burst shares eight instants, so keyed
+				// and counter events tie on time and order by seq.
+				off := Time(rng.Intn(slotNs))
+				if rng.Intn(3) == 0 {
+					off = Time(rng.Intn(8)) * (slotNs / 8)
+				}
+				mixed(base + off)
+			}
+			for k := rng.Intn(6); k > 0; k-- { // small neighbours: the list sort
+				mixed(base + slotNs + Time(rng.Intn(2*slotNs)))
+			}
+			for k := n / 8; k > 0; k-- {
+				d.cancel(first + rng.Intn(n))
+			}
+			switch rng.Intn(3) {
+			case 0:
+				d.nextAt()
+			case 1:
+				d.runUntil(now + (base-now)/2)
+			}
+			// Behind the look-ahead frontier: before the slot, and in it.
+			for k := rng.Intn(12); k > 0; k-- {
+				mixed(d.s.Now() + Time(rng.Intn(int(base+slotNs-d.s.Now()))))
+			}
+			d.nextAt()
+			d.runUntil(base + Time(rng.Intn(slotNs))) // stops inside the slot
+			for k := rng.Intn(12); k > 0; k-- {
+				mixed(d.s.Now() + Time(rng.Intn(2*slotNs)))
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				d.cancel(first + rng.Intn(len(d.sH)-first))
+			}
+			for k := rng.Intn(8); k > 0; k-- {
+				d.step()
+			}
+			if rng.Intn(2) == 0 {
+				d.runUntil(base + 3*slotNs)
+			}
+		}
+		d.run()
+		if d.s.Pending() != 0 {
+			t.Fatalf("seed %d: events left pending after Run: %d", seed, d.s.Pending())
+		}
+		c := d.s.Counters()
+		if c.MaxSlotSorted < 64 || c.OrderedInserts == 0 || c.WalkSteps == 0 {
+			t.Fatalf("seed %d: mix missed a path: %+v", seed, c)
+		}
+		if got, want := c.WheelInserts+c.SpillInserts, d.s.Executed()+c.Cancels; got != want {
+			t.Fatalf("seed %d: %d events scheduled, %d executed + cancelled", seed, got, want)
+		}
+		t.Logf("seed %d: %d events fired, %+v", seed, len(d.sLog), c)
+	}
+}

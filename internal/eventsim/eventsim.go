@@ -27,13 +27,21 @@
 // whole simulator, and almost every event is near-future — a
 // serialization completion or propagation arrival within one wire
 // horizon of now. Those land in O(1) wheel slots keyed by their
-// distance from the clock. The minority of far-future events (RTO
-// timers, fault-schedule entries, pre-scheduled flow arrivals) overflow
-// to a small 4-ary heap that refills the wheel as the clock advances.
-// Events scheduled for the same instant drain from one wheel slot as a
-// batch, so a burst of same-timestamp deliveries pays the ordering
-// machinery once, not per event. DESIGN.md §14 describes the structure
-// and why it preserves the engine's determinism contract exactly.
+// distance from the clock. A slot the clock has not reached yet is kept
+// in arrival order — an insert is a tail append that only notes whether
+// it arrived out of order — and is sorted by (at, seq) once, when it
+// becomes the wheel's earliest occupied slot; from then on (it is at or behind the sorted frontier)
+// inserts into it are placed in order. How many events share a slot is
+// a property of the fabric, not of the engine: a dozen on the leaf-spine
+// figures, over a hundred on a k=16 fat-tree, whose ~6 000 ports are
+// each monotone but mutually unordered. The minority of far-future
+// events (RTO timers, fault-schedule entries, pre-scheduled flow
+// arrivals) overflow to a small 4-ary heap that refills the wheel as
+// the clock advances. Events scheduled for the same instant drain from
+// one wheel slot as a batch, so a burst of same-timestamp deliveries
+// pays the ordering machinery once, not per event. DESIGN.md §14
+// describes the structure and why it preserves the engine's determinism
+// contract exactly.
 //
 // Event storage is recycled through a per-Sim freelist so steady-state
 // scheduling allocates nothing: nodes are carved in blocks, released
@@ -63,11 +71,17 @@ const maxTime = Time(1<<63 - 1)
 // Calendar-queue geometry. A slot spans 2^slotShift simulated
 // nanoseconds and the wheel holds wheelSlots of them, so events within
 // wheelHorizon (= wheelSlots << slotShift ≈ 1.05 ms) of the clock
-// insert in O(1); everything further out spills to the heap. 512 ns
-// per slot keeps slot populations near one for the dominant event mix
-// (per-packet serialization at 1–10 Gbps spaces events ~1.2–12 µs
-// apart), and 2048 slots cover the longest queueing backlogs the
-// figure scenarios build without spilling steady-state traffic.
+// insert in O(1); everything further out spills to the heap. 2048
+// slots cover the longest queueing backlogs the figure scenarios build
+// without spilling steady-state traffic. How many events a 512 ns slot
+// holds depends on the fabric: per-packet serialization at 1–10 Gbps
+// spaces one port's events ~1.2–12 µs apart, so the 640-queue
+// leaf-spine figures see about a dozen per slot, while the 6 144
+// independently-phased ports of a k=16 fat-tree put ~125 in each
+// (DESIGN.md §14 has the measured numbers). The slot discipline —
+// arrival order until reached, sorted once then — makes the insert cost
+// independent of that population, so the geometry is not a per-topology
+// tuning value.
 const (
 	slotShift    = 9
 	wheelSlots   = 2048 // must be a power of two
@@ -98,8 +112,9 @@ const (
 type event struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among equal times
-	// next/prev link the node into its wheel slot's (at, seq)-sorted
-	// list; nil while in the spill heap or free.
+	// next/prev link the node into its wheel slot's list — arrival
+	// order ahead of the sorted frontier, (at, seq) order at or behind
+	// it; nil while in the spill heap or free.
 	next, prev *event
 	// where locates the node: spill-heap index, locWheel (slot derived
 	// from at), or locNone once fired or cancelled.
@@ -132,11 +147,74 @@ func (h Event) At() Time { return h.at }
 // Scheduled reports whether the event is still pending.
 func (h Event) Scheduled() bool { return h.e != nil && h.gen == h.e.gen }
 
-// slot is one wheel bucket: a doubly-linked list kept sorted by
-// (at, seq). All events in a slot share one absolute bucket number
-// (at >> slotShift), so the list holds at most one slot-width of time.
+// slot is one wheel bucket: a doubly-linked list of the events sharing
+// one absolute bucket number (at >> slotShift), so it holds at most one
+// slot-width of time. A slot ahead of the sorted frontier is in arrival
+// order; one at or behind it is sorted by (at, seq).
 type slot struct {
 	head, tail *event
+}
+
+// insertBefore links the unlinked node e into the list ahead of c.
+func (sl *slot) insertBefore(e, c *event) {
+	e.next = c
+	e.prev = c.prev
+	if c.prev != nil {
+		c.prev.next = e
+	} else {
+		sl.head = e
+	}
+	c.prev = e
+}
+
+// sortKey is one slot member's ordering key, copied inline so the
+// sort-on-reach pass compares contiguous memory instead of chasing
+// node pointers.
+type sortKey struct {
+	at  Time
+	seq uint64
+	e   *event
+}
+
+// Counters describe how one engine instance's queue was exercised:
+// where inserts landed and what keeping the fire order cost. They are
+// plain increments on paths that already write the Sim, free when
+// unread. Sorts, spill diversions and frontier inserts depend on how a
+// run is sliced into RunUntil windows, so the counters describe an
+// execution, not the simulated system: they never feed a result.
+// Every scheduled event is counted once, in WheelInserts or
+// SpillInserts, so WheelInserts+SpillInserts == Executed + Cancels +
+// Pending at any quiescent point.
+type Counters struct {
+	WheelInserts uint64 // schedules that landed in a wheel slot
+	SpillInserts uint64 // schedules beyond the horizon, into the spill heap
+	Migrations   uint64 // spill → wheel moves as the horizon advanced
+	Cancels      uint64 // pending events removed by Cancel
+	// OrderedInserts counts wheel inserts (scheduled or migrated) at or
+	// behind the sorted frontier, which are placed by a backward walk
+	// from the slot tail; WalkSteps sums the list steps they took.
+	OrderedInserts uint64
+	WalkSteps      uint64
+	// SlotSorts counts reached slots that had taken an append out of
+	// order and were sorted, EventsSorted their total population,
+	// MaxSlotSorted the largest.
+	SlotSorts     uint64
+	EventsSorted  uint64
+	MaxSlotSorted uint64
+}
+
+// Add folds another engine's counters into c (sums; the maximum for
+// MaxSlotSorted) — how a sharded run reports one figure for its cores.
+func (c *Counters) Add(o Counters) {
+	c.WheelInserts += o.WheelInserts
+	c.SpillInserts += o.SpillInserts
+	c.Migrations += o.Migrations
+	c.Cancels += o.Cancels
+	c.OrderedInserts += o.OrderedInserts
+	c.WalkSteps += o.WalkSteps
+	c.SlotSorts += o.SlotSorts
+	c.EventsSorted += o.EventsSorted
+	c.MaxSlotSorted = max(c.MaxSlotSorted, o.MaxSlotSorted)
 }
 
 // Sim is a discrete-event simulator instance.
@@ -156,8 +234,21 @@ type Sim struct {
 	// (count disambiguates unknown from empty).
 	slots [wheelSlots]slot
 	occ   [wheelWords]uint64
-	count int
-	min   *event
+	// unsorted marks the slots ahead of the frontier that took an
+	// append out of (at, seq) order and so need sorting when reached.
+	unsorted [wheelWords]uint64
+	count    int
+	min      *event
+	// frontier is the sorted frontier: the latest absolute bucket rescan
+	// has reached. Every slot at or behind it is sorted (and stays so:
+	// inserts there are ordered); every slot ahead of it is in arrival
+	// order. It only moves forward, and only onto the earliest occupied
+	// bucket, so the slots it passes over are empty. A non-nil min
+	// always lies at or behind it.
+	frontier int64
+	// sortBuf/sortTmp are the sort-on-reach scratch, grown to the
+	// largest slot seen and reused.
+	sortBuf, sortTmp []sortKey
 	// curBucket/horizonEnd are refreshed when the clock advances into a
 	// new bucket; events at or beyond horizonEnd go to the spill. They
 	// may lag the clock after a RunUntil deadline jump — that only
@@ -173,6 +264,8 @@ type Sim struct {
 
 	// free is the recycled-node stack (LIFO, deterministic).
 	free []*event
+
+	ctr Counters
 }
 
 // eventBlock is how many nodes one freelist refill carves at once, so
@@ -199,6 +292,9 @@ func (s *Sim) Executed() uint64 { return s.executed }
 
 // Pending returns the number of events currently scheduled.
 func (s *Sim) Pending() int { return s.count + len(s.spill) }
+
+// Counters returns a copy of the engine's queue counters.
+func (s *Sim) Counters() Counters { return s.ctr }
 
 // NextEventAt returns the time of the earliest pending event; ok is
 // false when nothing is scheduled. It exists for epoch-synchronized
@@ -298,8 +394,10 @@ func (s *Sim) schedule(t Time, seq uint64, fn func(), fnArg func(any), arg any) 
 	e.fnArg = fnArg
 	e.arg = arg
 	if t < s.horizonEnd {
+		s.ctr.WheelInserts++
 		s.wheelInsert(e)
 	} else {
+		s.ctr.SpillInserts++
 		s.spillPush(e)
 	}
 	return Event{e: e, gen: e.gen, at: t}
@@ -358,6 +456,7 @@ func (s *Sim) Cancel(h Event) bool {
 	if h.e == nil || h.gen != h.e.gen {
 		return false
 	}
+	s.ctr.Cancels++
 	s.unqueue(h.e)
 	s.release(h.e)
 	return true
@@ -386,9 +485,11 @@ func (s *Sim) Run() {
 // back to back without re-probing the spill or the occupancy bitmap
 // (the spill cannot hold an event at the current instant — advance
 // migrated everything inside the horizon — and a callback scheduling
-// at the current instant sorts into the same slot, where wheelInsert
-// keeps the cached min coherent, so a counter-sequenced insert that
-// belongs before a still-pending keyed event is picked up in order).
+// at the current instant lands in the same slot: behind the sorted
+// frontier whenever the cached min is set, where wheelInsert places it
+// in order and keeps the min coherent, so a counter-sequenced insert
+// that belongs before a still-pending keyed event is picked up in
+// order; with no cached min the batch ends and peek re-establishes it).
 func (s *Sim) RunUntil(deadline Time) {
 	for !s.stopped {
 		e := s.peek()
@@ -484,6 +585,7 @@ func (s *Sim) advance(t Time) {
 	for len(s.spill) > 0 && s.spill[0].at < he {
 		e := s.spill[0]
 		s.spillPop()
+		s.ctr.Migrations++
 		s.wheelInsert(e)
 	}
 }
@@ -497,6 +599,15 @@ func (s *Sim) unqueue(e *event) {
 	}
 }
 
+// b2u is the branch-free bool-to-bit conversion (the compiler lowers
+// this shape to a zero-extending move).
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // before reports queue ordering: earlier time first, FIFO within a time.
 func before(a, b *event) bool {
 	if a.at != b.at {
@@ -507,14 +618,43 @@ func before(a, b *event) bool {
 
 // ---- wheel ----
 
-// wheelInsert links e into its slot's sorted list. The common case —
-// the newest event in its slot, because per-source schedules advance
-// monotonically — appends at the tail in O(1); otherwise a backward
-// walk finds the insertion point (slot populations are near one, so
-// the walk is short).
+// wheelInsert links e into its slot. Ahead of the sorted frontier that
+// is a tail append, whatever e's key: the slot is in arrival order
+// until rescan reaches it — one comparison with the old tail records
+// whether there will be anything to sort — and e cannot precede the
+// cached min, which lies at or behind the frontier. At or behind the
+// frontier — a same-instant callback, a schedule into the slot being
+// drained, a RunUntil or NextEventAt look-ahead that reached a later
+// slot, spill migration into the current bucket — the slot is sorted
+// and e is placed in (at, seq) order by a backward walk from the tail
+// (after any equal key, so insertion order breaks exact ties).
 func (s *Sim) wheelInsert(e *event) {
-	i := int(uint64(e.at)>>slotShift) & wheelMask
+	b := int64(e.at >> slotShift)
+	i := int(b) & wheelMask
 	sl := &s.slots[i]
+	e.where = locWheel
+	s.count++
+	if b > s.frontier {
+		if sl.tail == nil {
+			sl.head = e
+			s.occ[i>>6] |= 1 << (uint(i) & 63)
+			if s.count == 1 {
+				// The wheel's only event: it is the min and its slot is
+				// sorted as it stands, so the frontier can move onto it
+				// now instead of at the next peek's rescan.
+				s.min = e
+				s.frontier = b
+			}
+		} else {
+			// Branch-free: on a dense fabric the outcome is a coin toss.
+			s.unsorted[i>>6] |= b2u(before(e, sl.tail)) << (uint(i) & 63)
+			e.prev = sl.tail
+			sl.tail.next = e
+		}
+		sl.tail = e
+		return
+	}
+	s.ctr.OrderedInserts++
 	switch {
 	case sl.tail == nil:
 		sl.head = e
@@ -526,20 +666,14 @@ func (s *Sim) wheelInsert(e *event) {
 		sl.tail = e
 	default:
 		c := sl.tail
+		steps := uint64(1)
 		for c.prev != nil && before(e, c.prev) {
 			c = c.prev
+			steps++
 		}
-		e.next = c
-		e.prev = c.prev
-		if c.prev != nil {
-			c.prev.next = e
-		} else {
-			sl.head = e
-		}
-		c.prev = e
+		s.ctr.WalkSteps += steps
+		sl.insertBefore(e, c)
 	}
-	e.where = locWheel
-	s.count++
 	if s.min != nil && before(e, s.min) {
 		s.min = e
 	} else if s.count == 1 {
@@ -547,10 +681,11 @@ func (s *Sim) wheelInsert(e *event) {
 	}
 }
 
-// wheelUnlink removes e from its slot list and keeps the cached min
-// coherent: removing the min promotes its same-slot successor (the
-// slot holds the wheel's earliest bucket, so the successor is the new
-// global wheel min), or invalidates the cache when the slot drains.
+// wheelUnlink removes e from its slot list — O(1) whether or not the
+// slot is sorted yet — and keeps the cached min coherent: removing the
+// min promotes its same-slot successor (the slot holds the wheel's
+// earliest bucket and is sorted, so the successor is the new global
+// wheel min), or invalidates the cache when the slot drains.
 func (s *Sim) wheelUnlink(e *event) {
 	i := int(uint64(e.at)>>slotShift) & wheelMask
 	sl := &s.slots[i]
@@ -566,6 +701,7 @@ func (s *Sim) wheelUnlink(e *event) {
 	}
 	if sl.head == nil {
 		s.occ[i>>6] &^= 1 << (uint(i) & 63)
+		s.unsorted[i>>6] &^= 1 << (uint(i) & 63)
 	}
 	s.count--
 	if s.min == e {
@@ -579,25 +715,206 @@ func (s *Sim) wheelUnlink(e *event) {
 // rescan recomputes the cached wheel min by scanning the occupancy
 // bitmap circularly from the clock's slot. Every queued wheel event
 // lies within wheelSlots buckets at or after the clock's bucket, so
-// the first occupied slot found is the earliest bucket and its list
-// head the earliest event. Cost is a handful of word operations, paid
-// only when a slot drains.
+// the first occupied slot found is the earliest bucket; reach orders
+// it if it took appends out of order, and its head is then the
+// earliest event. Cost is a handful of word operations plus the one
+// sort, paid only when a slot drains.
 func (s *Sim) rescan() *event {
 	start := int(uint64(s.now)>>slotShift) & wheelMask
 	w := start >> 6
 	b := uint(start & 63)
 	if x := s.occ[w] & (^uint64(0) << b); x != 0 {
-		s.min = s.slots[w<<6+bits.TrailingZeros64(x)].head
+		s.min = s.reach(w<<6 + bits.TrailingZeros64(x))
 		return s.min
 	}
 	for k := 1; k <= wheelWords; k++ {
 		w2 := (w + k) & (wheelWords - 1)
 		if x := s.occ[w2]; x != 0 {
-			s.min = s.slots[w2<<6+bits.TrailingZeros64(x)].head
+			s.min = s.reach(w2<<6 + bits.TrailingZeros64(x))
 			return s.min
 		}
 	}
 	return nil
+}
+
+// reach moves the sorted frontier onto slot i, the wheel's earliest
+// occupied one, sorting it if it lay ahead and is marked unsorted, and
+// returns its head. The buckets the frontier passes over are empty, so
+// "every slot at or behind the frontier is sorted" holds across the
+// move.
+func (s *Sim) reach(i int) *event {
+	sl := &s.slots[i]
+	if b := int64(sl.head.at >> slotShift); b > s.frontier {
+		s.frontier = b
+		if bit := uint64(1) << (uint(i) & 63); s.unsorted[i>>6]&bit != 0 {
+			s.unsorted[i>>6] &^= bit
+			s.sortSlot(sl)
+		}
+	}
+	return sl.head
+}
+
+// sortSlot puts an arrival-order slot into (at, seq) order — stably, so
+// events with equal keys keep their arrival order, exactly what ordered
+// insertion gives them. This changes when the engine pays for
+// ordering, never the order it fires in.
+//
+// It starts as an insertion sort on the list itself, which finishes the
+// leaf-spine figures' slots of a dozen events without copying anything.
+// Once its backward walks have used up listSortSteps the slot is a
+// dense one: the members' keys are copied into the reused scratch,
+// sorted there and the list relinked. The prefix the list pass already
+// ordered is a stable rearrangement, so the result is the same either
+// way.
+func (s *Sim) sortSlot(sl *slot) {
+	budget := listSortSteps
+	n := uint64(1)
+	for c := sl.head.next; c != nil; n++ {
+		next := c.next
+		if p := c.prev; before(c, p) {
+			for p.prev != nil && before(c, p.prev) {
+				p = p.prev
+				budget--
+			}
+			if budget < 0 {
+				s.sortSlotKeys(sl)
+				return
+			}
+			// Unlink c (it has a predecessor) and put it before p.
+			c.prev.next = next
+			if next != nil {
+				next.prev = c.prev
+			} else {
+				sl.tail = c.prev
+			}
+			sl.insertBefore(c, p)
+		}
+		c = next
+	}
+	s.countSort(n)
+}
+
+// listSortSteps bounds the backward-walk steps sortSlot spends on the
+// list before switching to the key sort: enough to finish any slot of
+// up to ~16 events in place.
+const listSortSteps = 64
+
+func (s *Sim) countSort(n uint64) {
+	s.ctr.SlotSorts++
+	s.ctr.EventsSorted += n
+	s.ctr.MaxSlotSorted = max(s.ctr.MaxSlotSorted, n)
+}
+
+// sortSlotKeys is sortSlot's dense path: sort inline keys, relink.
+func (s *Sim) sortSlotKeys(sl *slot) {
+	keys := s.sortBuf[:0]
+	for c := sl.head; c != nil; c = c.next {
+		keys = append(keys, sortKey{at: c.at, seq: c.seq, e: c})
+	}
+	s.sortBuf = keys
+	n := len(keys)
+	s.countSort(uint64(n))
+	if cap(s.sortTmp) < n {
+		s.sortTmp = make([]sortKey, cap(keys))
+	}
+	keys = sortKeys(keys, s.sortTmp[:n])
+	var prev *event
+	for i := range keys {
+		e := keys[i].e
+		e.prev = prev
+		if prev != nil {
+			prev.next = e
+		} else {
+			sl.head = e
+		}
+		prev = e
+	}
+	prev.next = nil
+	sl.tail = prev
+}
+
+// keyBefore is before over inline keys.
+func keyBefore(a, b *sortKey) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// Sort tuning. Up to sortRun keys are insertion-sorted outright — the
+// leaf-spine figures' slots, a dozen events. A larger slot's members
+// still all lie within one slot width, so the low slotShift bits of at
+// are the whole time key: they are first distributed over 2^scatterBits
+// time buckets (a stable counting pass, free of the unpredictable
+// branches a comparison sort spends most of its time on), which leaves
+// the merge sort nearly-sorted input it finishes in close to one pass,
+// and keeps the worst case — a slot full of one instant — O(n log n).
+const (
+	sortRun     = 32
+	scatterBits = 7
+)
+
+// sortKeys stably sorts a by (at, seq) using tmp (same length) as the
+// second buffer, and returns whichever of the two holds the result.
+func sortKeys(a, tmp []sortKey) []sortKey {
+	n := len(a)
+	if n > sortRun {
+		const shift = slotShift - scatterBits
+		const mask = 1<<slotShift - 1
+		var pos [1<<scatterBits + 1]uint32
+		for i := range a {
+			pos[(a[i].at&mask)>>shift+1]++
+		}
+		for b := 1; b < len(pos); b++ {
+			pos[b] += pos[b-1]
+		}
+		for i := range a {
+			b := (a[i].at & mask) >> shift
+			tmp[pos[b]] = a[i]
+			pos[b]++
+		}
+		a, tmp = tmp, a
+	}
+	// Bottom-up merge sort: insertion-sorted blocks of sortRun merged
+	// pairwise, the buffers swapping roles each pass. A pair already in
+	// order is copied, not merged.
+	for lo := 0; lo < n; lo += sortRun {
+		hi := min(lo+sortRun, n)
+		for i := lo + 1; i < hi; i++ {
+			k := a[i]
+			j := i
+			for j > lo && keyBefore(&k, &a[j-1]) {
+				a[j] = a[j-1]
+				j--
+			}
+			a[j] = k
+		}
+	}
+	for w := sortRun; w < n; w *= 2 {
+		for lo := 0; lo < n; lo += 2 * w {
+			mid := min(lo+w, n)
+			hi := min(lo+2*w, n)
+			if mid == hi || !keyBefore(&a[mid], &a[mid-1]) {
+				copy(tmp[lo:hi], a[lo:hi])
+				continue
+			}
+			i, j, k := lo, mid, lo
+			for i < mid && j < hi {
+				if keyBefore(&a[j], &a[i]) {
+					tmp[k] = a[j]
+					j++
+				} else {
+					tmp[k] = a[i]
+					i++
+				}
+				k++
+			}
+			k += copy(tmp[k:], a[i:mid])
+			copy(tmp[k:], a[j:hi])
+		}
+		a, tmp = tmp, a
+	}
+	return a
 }
 
 // ---- spill (4-ary implicit heap, far-future overflow) ----

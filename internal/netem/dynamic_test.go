@@ -183,7 +183,7 @@ func TestEntryRingWrapAroundGrowth(t *testing.T) {
 	next := 0
 	push := func(n int) {
 		for i := 0; i < n; i++ {
-			r.push(queueEntry{serviceStart: units.Time(next)})
+			*r.push() = queueEntry{serviceStart: units.Time(next)}
 			next++
 		}
 	}

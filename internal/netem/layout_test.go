@@ -49,3 +49,75 @@ func TestPacketLayout(t *testing.T) {
 		t.Errorf("SackBlocks at offset %d is no longer the trailing field", off)
 	}
 }
+
+// TestPortLayout pins the cache-line layout of Port, the object a
+// packet-hop touches twice (Send at admission, portDeliver at
+// delivery) on a fabric with thousands of them — so each touch starts
+// cold. Everything portDeliver reads or writes must sit in the first
+// 64 bytes; the admission-time fields of Queue.admit and Send follow
+// contiguously; the shard-boundary hook and the label trail; and the
+// struct is exactly 256 bytes, the size class that keeps every
+// heap-allocated Port 64-byte aligned, so these offsets are real line
+// boundaries. Moving a field is a deliberate decision: update the
+// offsets here and re-run make bench.
+func TestPortLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms only")
+	}
+	if got, want := unsafe.Sizeof(Port{}), uintptr(256); got != want {
+		t.Errorf("sizeof(Port) = %d, want %d", got, want)
+	}
+	var p Port
+	q := unsafe.Offsetof(p.q)
+	ring := q + unsafe.Offsetof(p.q.entries)
+	stats := q + unsafe.Offsetof(p.q.stats)
+	offsets := []struct {
+		name string
+		off  uintptr
+		want uintptr
+	}{
+		// Line 0: the delivery path.
+		{"evPending", unsafe.Offsetof(p.evPending), 0},
+		{"down", unsafe.Offsetof(p.down), 1},
+		{"idx", unsafe.Offsetof(p.idx), 4},
+		{"dst", unsafe.Offsetof(p.dst), 8},
+		{"q.entries.buf", ring + unsafe.Offsetof(p.q.entries.buf), 16},
+		{"q.entries.head", ring + unsafe.Offsetof(p.q.entries.head), 40},
+		{"q.entries.n", ring + unsafe.Offsetof(p.q.entries.n), 48},
+		{"q.started", q + unsafe.Offsetof(p.q.started), 56},
+		// The admission path.
+		{"q.waitingBytes", q + unsafe.Offsetof(p.q.waitingBytes), 64},
+		{"q.cfg", q + unsafe.Offsetof(p.q.cfg), 72},
+		{"q.stats", stats, 88},
+		{"sim", unsafe.Offsetof(p.sim), 160},
+		{"link", unsafe.Offsetof(p.link), 168},
+		{"lastFinish", unsafe.Offsetof(p.lastFinish), 184},
+		{"lastDelivery", unsafe.Offsetof(p.lastDelivery), 192},
+		{"busyNs", unsafe.Offsetof(p.busyNs), 200},
+		// Cold.
+		{"boundary", unsafe.Offsetof(p.boundary), 208},
+		{"label", unsafe.Offsetof(p.label), 216},
+	}
+	for _, f := range offsets {
+		if f.off != f.want {
+			t.Errorf("offsetof(Port.%s) = %d, want %d", f.name, f.off, f.want)
+		}
+	}
+	if end := q + unsafe.Offsetof(p.q.started) + unsafe.Sizeof(p.q.started); end > 64 {
+		t.Errorf("the delivery-path fields end at offset %d, past the first cache line", end)
+	}
+}
+
+// TestQueueEntrySize pins the ring element at four words: the wire
+// size that spares the occupancy accounting a dereference of the (cold)
+// packet rides in the stamp's port-index field rather than in a fifth
+// word, which would cost every port's ring a quarter more memory and
+// cache (measured: +12 % on BenchmarkPortTransit's 1024-deep ring).
+func TestQueueEntrySize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms only")
+	}
+	if got, want := unsafe.Sizeof(queueEntry{}), uintptr(32); got != want {
+		t.Errorf("sizeof(queueEntry) = %d, want %d", got, want)
+	}
+}

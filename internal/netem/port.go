@@ -39,12 +39,32 @@ type LinkConfig struct {
 // mid-run and SetDown fails the port entirely (see internal/faults).
 // Changes apply at admission time — packets already committed to the
 // wire keep the schedule computed when they were admitted.
+//
+// Field order is part of the performance contract (layout_test.go pins
+// it): a k=16 fat-tree has 6 144 ports and touches two of them per
+// packet-hop, each long evicted since its last use, so what a hop costs
+// is how many of a port's cache lines it pulls. Everything portDeliver
+// needs — the event flag, the handler, the entry ring's header and the
+// started count — sits in the first 64 bytes; the fields Queue.admit
+// and Send add follow contiguously; the label and the boundary hook
+// trail. The struct is padded to 256 bytes, a size class the allocator
+// hands out 256-aligned, so those offsets are real line boundaries.
 type Port struct {
+	// evPending reports whether the single delivery event for the queue
+	// head is currently scheduled (ports never cancel deliveries, so a
+	// bool suffices — no handle is kept).
+	evPending bool
+	// down marks a failed link: Send drops at admission, like a pulled
+	// cable, and liveness-aware balancers route around the port.
+	down bool
+	// idx is the port's construction-order index (eventsim.ReserveKeyedID):
+	// the partition-invariant identity inside every DeliveryKey.
+	idx uint32
+	dst Handler
+	q   Queue
+
 	sim  *eventsim.Sim
 	link LinkConfig
-	q    *Queue
-	dst  Handler
-
 	// lastFinish is when the most recently admitted packet finishes
 	// serializing; the next packet starts at max(now, lastFinish).
 	lastFinish units.Time
@@ -54,26 +74,19 @@ type Port struct {
 	// (deliver pops the FIFO head, so delivery events must stay in
 	// admission order).
 	lastDelivery units.Time
-	// evPending reports whether the single delivery event for the queue
-	// head is currently scheduled (ports never cancel deliveries, so a
-	// bool suffices — no handle is kept).
-	evPending bool
-	// down marks a failed link: Send drops at admission, like a pulled
-	// cable, and liveness-aware balancers route around the port.
-	down bool
 	// busyNs accumulates serialization time for utilization accounting.
 	busyNs units.Time
-	// label is a human-readable identity for traces and tests.
-	label string
-	// idx is the port's construction-order index (eventsim.ReserveKeyedID):
-	// the partition-invariant identity inside every DeliveryKey.
-	idx uint32
 
 	// boundary, when set, marks the port as a shard-boundary egress
 	// (see SetBoundary): every admitted packet is additionally captured
 	// as a value copy for cross-shard handoff. Nil on every port of a
 	// single-shard run, costing one predictable branch in Send.
 	boundary func(pkt *Packet, admittedAt, deliverAt units.Time)
+	// label is a human-readable identity for traces and tests.
+	label string
+
+	// Pad 232 bytes of fields to the 256-byte size class.
+	_ [24]byte
 }
 
 // NewPort wires a queue to a link ending at dst. Each port draws a
@@ -89,7 +102,7 @@ func NewPort(sim *eventsim.Sim, link LinkConfig, qcfg QueueConfig, dst Handler, 
 	if idx >= 1<<deliveryPortBits {
 		panic("netem: port index overflows DeliveryKey packing (raise deliveryPortBits)")
 	}
-	return &Port{sim: sim, link: link, q: NewQueue(qcfg), dst: dst, label: label, idx: idx}
+	return &Port{sim: sim, link: link, q: Queue{cfg: qcfg}, dst: dst, label: label, idx: idx}
 }
 
 // Index returns the port's construction-order index — stable across
@@ -101,7 +114,8 @@ func (p *Port) Index() uint32 { return p.idx }
 // bit tops the word. 20 index bits allow a million ports; the 43
 // remaining timestamp bits cover ~2.4 simulated hours, far beyond any
 // scenario here (the guard panic says how to rebalance if that ever
-// changes).
+// changes). Queue entries reuse the index field for the packet's wire
+// size (queue.go), so it also bounds a packet at 1 MB on the wire.
 const (
 	deliveryPortBits = 20
 	maxKeyedTime     = units.Time(1) << (63 - deliveryPortBits)
@@ -124,7 +138,7 @@ func DeliveryKey(admittedAt units.Time, port uint32) uint64 {
 
 // Queue exposes the port's queue (read-mostly: load balancers consult
 // Len; tests consult Stats).
-func (p *Port) Queue() *Queue { return p.q }
+func (p *Port) Queue() *Queue { return &p.q }
 
 // QueueLen is the current backlog in packets, the signal every
 // queue-length-based load balancer in this repo consults.
@@ -238,28 +252,27 @@ func (p *Port) Send(pkt *Packet) bool {
 	if p.lastFinish > start {
 		start = p.lastFinish
 	}
-	if !p.q.admit(pkt, now, start) {
-		return false
-	}
 	tx := p.link.Bandwidth.TxTime(pkt.Wire)
 	finish := start + tx
+	deliverAt := finish + p.link.Delay
+	// The packet's position within its delivery instant is fixed now
+	// (its key is a function of the admission time) and recorded with
+	// the queue entry; an engine event is only materialized below if
+	// none is pending — the port re-arms for the next packet when the
+	// current delivery fires.
+	if !p.q.admit(pkt, now, start, deliverAt) {
+		return false
+	}
 	p.lastFinish = finish
 	p.busyNs += tx
-	deliverAt := finish + p.link.Delay
 	if deliverAt > p.lastDelivery {
 		p.lastDelivery = deliverAt
 	}
-	// Fix the packet's position within its delivery instant now (the
-	// key is a function of the admission time, so it must be built
-	// here), but only materialize an engine event if none is pending:
-	// the port re-arms for the next packet when the current delivery
-	// fires.
-	p.q.setDelivery(deliverAt, DeliveryKey(now, p.idx))
 	if p.boundary != nil {
 		p.boundary(pkt, now, deliverAt)
 	}
 	if !p.evPending {
-		at, key := p.q.headDelivery()
+		at, key := p.q.headDelivery(p.idx)
 		p.sim.AtKey(at, key, portDeliver, p)
 		p.evPending = true
 	}
@@ -280,7 +293,7 @@ func portDeliver(arg any) {
 	p.evPending = false
 	p.dst(p.q.popDelivered())
 	if !p.evPending && p.q.hasEntries() {
-		at, key := p.q.headDelivery()
+		at, key := p.q.headDelivery(p.idx)
 		p.sim.AtKey(at, key, portDeliver, p)
 		p.evPending = true
 	}

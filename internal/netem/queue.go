@@ -37,14 +37,24 @@ type QueueStats struct {
 
 // queueEntry is one admitted packet, the moment it starts service
 // (leaves the waiting queue, NS2 drop-tail semantics), when it reaches
-// the far end, and the DeliveryKey built at admission that fixes its
-// tie-break position among same-instant events.
+// the far end, and its stamp: the DeliveryKey built at admission that
+// fixes its tie-break position among same-instant events, with the
+// key's port-index field — the same for every entry of one port, which
+// ORs it back in — lent to the packet's wire size. The occupancy
+// accounting therefore never dereferences a packet other than the one
+// being handled (a queued packet's 144 bytes are cold by the time its
+// service starts), and the entry stays four words.
 type queueEntry struct {
 	pkt          *Packet
 	serviceStart units.Time
 	deliverAt    units.Time
-	seq          uint64
+	stamp        uint64
 }
+
+// stampWireMask selects the wire-size field of a stamp.
+const stampWireMask = 1<<deliveryPortBits - 1
+
+func (e *queueEntry) wire() units.Bytes { return units.Bytes(e.stamp & stampWireMask) }
 
 // Queue is a drop-tail FIFO with ECN marking whose occupancy is
 // evaluated lazily against precomputed service-start times: the owning
@@ -54,20 +64,20 @@ type queueEntry struct {
 // single simulator event per packet (its delivery) instead of separate
 // dequeue and delivery events — the difference is about 2x on whole-run
 // time.
+//
+// A Queue lives inside its Port by value, and its field order is part
+// of Port's layout contract (layout_test.go): the ring and started —
+// all a delivery touches — come first, the admission-time fields
+// follow.
 type Queue struct {
-	cfg QueueConfig
 	// entries holds admitted-but-undelivered packets in FIFO order;
 	// the first `started` of them have already begun service.
 	entries entryRing
 	started int
 	// waitingBytes is the wire-byte occupancy of the waiting part.
 	waitingBytes units.Bytes
+	cfg          QueueConfig
 	stats        QueueStats
-}
-
-// NewQueue returns an empty queue.
-func NewQueue(cfg QueueConfig) *Queue {
-	return &Queue{cfg: cfg}
 }
 
 // advance accounts for entries whose service has begun by time now.
@@ -78,9 +88,9 @@ func (q *Queue) advance(now units.Time) {
 			break
 		}
 		q.started++
-		q.waitingBytes -= e.pkt.Wire
+		q.waitingBytes -= e.wire()
 		q.stats.Dequeued++
-		q.stats.BytesOut += e.pkt.Wire
+		q.stats.BytesOut += e.wire()
 	}
 }
 
@@ -104,8 +114,10 @@ func (q *Queue) Stats() QueueStats { return q.stats }
 func (q *Queue) Config() QueueConfig { return q.cfg }
 
 // admit applies drop-tail and ECN policy and records the packet with
-// its (already computed) service-start time. It reports false on drop.
-func (q *Queue) admit(p *Packet, now, serviceStart units.Time) bool {
+// its (already computed) service-start and delivery times and its
+// stamp — only admitted packets get one: a dropped packet has no
+// delivery instant to order. It reports false on drop.
+func (q *Queue) admit(p *Packet, now, serviceStart, deliverAt units.Time) bool {
 	l := q.Len(now)
 	q.stats.SumLenOnArrival += int64(l)
 	if q.cfg.Capacity > 0 && l >= q.cfg.Capacity {
@@ -124,7 +136,10 @@ func (q *Queue) admit(p *Packet, now, serviceStart units.Time) bool {
 	}
 	p.EnqueuedAt = now
 	p.QueueDelay += serviceStart - now
-	q.entries.push(queueEntry{pkt: p, serviceStart: serviceStart})
+	if p.Wire < 0 || p.Wire > stampWireMask {
+		panic("netem: packet wire size overflows the queue entry stamp (raise deliveryPortBits)")
+	}
+	*q.entries.push() = queueEntry{pkt: p, serviceStart: serviceStart, deliverAt: deliverAt, stamp: DeliveryKey(now, uint32(p.Wire))}
 	q.waitingBytes += p.Wire
 	q.stats.Enqueued++
 	q.stats.BytesIn += p.Wire
@@ -137,21 +152,12 @@ func (q *Queue) admit(p *Packet, now, serviceStart units.Time) bool {
 // faultDrop records an admission drop at a down port.
 func (q *Queue) faultDrop() { q.stats.FaultDropped++ }
 
-// setDelivery stamps the most recently admitted entry with its
-// delivery time and admission-built DeliveryKey; only admitted packets
-// get a key — a dropped packet has no delivery instant to order.
-func (q *Queue) setDelivery(deliverAt units.Time, seq uint64) {
-	e := q.entries.tailRef()
-	e.deliverAt = deliverAt
-	e.seq = seq
-}
-
-// headDelivery returns the delivery time and DeliveryKey of the oldest
-// undelivered entry — the one the port's single pending engine event
-// stands for.
-func (q *Queue) headDelivery() (units.Time, uint64) {
+// headDelivery returns the delivery time of the oldest undelivered
+// entry — the one the port's single pending engine event stands for —
+// and its DeliveryKey on the port with the given index.
+func (q *Queue) headDelivery(port uint32) (units.Time, uint64) {
 	e := q.entries.headRef()
-	return e.deliverAt, e.seq
+	return e.deliverAt, e.stamp&^stampWireMask | uint64(port)
 }
 
 // hasEntries reports whether any admitted packet is still undelivered.
@@ -165,9 +171,9 @@ func (q *Queue) popDelivered() *Packet {
 		q.started--
 	} else {
 		// Delivery implies service completed long ago; account for it.
-		q.waitingBytes -= e.pkt.Wire
+		q.waitingBytes -= e.wire()
 		q.stats.Dequeued++
-		q.stats.BytesOut += e.pkt.Wire
+		q.stats.BytesOut += e.wire()
 	}
 	return e.pkt
 }
@@ -183,24 +189,23 @@ type entryRing struct {
 
 func (r *entryRing) len() int { return r.n }
 
-func (r *entryRing) at(i int) queueEntry {
-	return r.buf[(r.head+i)%len(r.buf)]
+func (r *entryRing) at(i int) *queueEntry {
+	return &r.buf[(r.head+i)%len(r.buf)]
 }
 
-func (r *entryRing) push(e queueEntry) {
+// push appends one entry and returns it for the caller to fill in
+// place (an entry is five words; passing it by value copies it twice).
+func (r *entryRing) push() *queueEntry {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = e
+	e := &r.buf[(r.head+r.n)%len(r.buf)]
 	r.n++
+	return e
 }
 
 func (r *entryRing) headRef() *queueEntry {
 	return &r.buf[r.head]
-}
-
-func (r *entryRing) tailRef() *queueEntry {
-	return &r.buf[(r.head+r.n-1)%len(r.buf)]
 }
 
 func (r *entryRing) pop() queueEntry {
@@ -208,7 +213,7 @@ func (r *entryRing) pop() queueEntry {
 		panic("netem: pop from empty queue")
 	}
 	e := r.buf[r.head]
-	r.buf[r.head] = queueEntry{}
+	r.buf[r.head].pkt = nil // the slot must not pin a delivered packet
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 	return e

@@ -352,7 +352,7 @@ func (c *runCore) openFlow(i int, f workload.Flow) {
 		recvHost := c.hosts[f.Dst]
 		snd := c.hosts[f.Src].OpenSender(c.cfg, id, f.Size, func(done *transport.Sender) {
 			closeReceiver(recvHost, c.sim.Now(), c.closeLag, id)
-			if c.lone() {
+			if sc.Tracer != nil {
 				sc.Tracer.Record(trace.Event{
 					At: c.sim.Now(), Kind: trace.FlowEnd, Flow: id,
 					Note: fmt.Sprintf("fct=%v retx=%d", done.Stats.FCT(), done.Stats.Retransmits),
@@ -370,12 +370,11 @@ func (c *runCore) openFlow(i int, f workload.Flow) {
 		recv := recvHost.OpenReceiver(c.cfg, id, f.Size, &snd.Stats)
 		c.hookSamples(recv, short)
 		c.logOpen(i, short, false, &snd.Stats)
-		if c.lone() {
+		if sc.Tracer != nil {
 			// Only a lone core traces (Shards > 1 rejects a Tracer).
-			// Record is nil-safe, but the notes here and at completion
-			// are formatted tracer or not, as they always were: a few
-			// allocations per flow that ROADMAP's per-flow alloc hunt
-			// owns, kept as they are by a change that claims no gain.
+			// Record is nil-safe; the guard is for the note, which
+			// would otherwise be formatted — and allocated — per flow
+			// with nobody to read it.
 			sc.Tracer.Record(trace.Event{
 				At: c.sim.Now(), Kind: trace.FlowStart, Flow: id,
 				Note: f.Size.String(),
@@ -436,10 +435,12 @@ func (c *runCore) openReplicated(idx int, f workload.Flow) {
 				*canonical = done.Stats
 				canonical.ID = flow
 				canonical.Deadline = f.Deadline
-				sc.Tracer.Record(trace.Event{
-					At: c.sim.Now(), Kind: trace.FlowEnd, Flow: flow,
-					Note: fmt.Sprintf("repflow winner fct=%v", done.Stats.FCT()),
-				})
+				if sc.Tracer != nil {
+					sc.Tracer.Record(trace.Event{
+						At: c.sim.Now(), Kind: trace.FlowEnd, Flow: flow,
+						Note: fmt.Sprintf("repflow winner fct=%v", done.Stats.FCT()),
+					})
+				}
 				if c.agg != nil {
 					c.agg.Fold(canonical, short, c.sim.Now())
 				}

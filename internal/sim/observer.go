@@ -3,6 +3,7 @@ package sim
 import (
 	"time"
 
+	"tlb/internal/eventsim"
 	"tlb/internal/units"
 )
 
@@ -85,6 +86,13 @@ type ProgressEvent struct {
 	// Uplinks snapshots the leaf uplink ports (queue depth sums feed
 	// the live queue CDFs). Nil on events that carry no port state.
 	Uplinks []PortSnapshot
+
+	// Engine holds the event queues' own counters, summed over the
+	// run's engines (Done events only). They describe this execution —
+	// how the run was sliced into windows and shards moves them — not
+	// the simulated system, which is why they live here and not in
+	// Result.
+	Engine eventsim.Counters
 }
 
 // Observer receives a session's progress stream. Sessions call it

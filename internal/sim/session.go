@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tlb/internal/eventsim"
 	"tlb/internal/units"
 )
 
@@ -80,6 +81,7 @@ type Session struct {
 	flowsStarted int64
 	flowsDone    int64
 	events       uint64
+	engine       eventsim.Counters
 
 	// Event-rate bookkeeping for EventsPerSec.
 	lastEvents uint64
@@ -190,10 +192,12 @@ func (ss *Session) runSolo(cores []*runCore) (units.Time, error) {
 // hold every core parked between event batches.
 func (ss *Session) tally(cores []*runCore) {
 	ss.flowsStarted, ss.flowsDone, ss.events = 0, 0, 0
+	ss.engine = eventsim.Counters{}
 	for _, c := range cores {
 		ss.flowsStarted += c.started
 		ss.flowsDone += c.done
 		ss.events += c.sim.Executed()
+		ss.engine.Add(c.sim.Counters())
 	}
 }
 
@@ -307,6 +311,7 @@ func (ss *Session) emitDone(res *Result, err error) {
 	ev.Completed = 1
 	ev.Err = err
 	ev.Events = ss.events
+	ev.Engine = ss.engine
 	ev.EventsPerSec = ss.rate(ss.events)
 	if res != nil {
 		ev.SimTime = res.EndTime

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"tlb/internal/eventsim"
 	"tlb/internal/units"
@@ -122,8 +123,13 @@ func (d *CDFDist) Sample(rng *eventsim.RNG) units.Bytes {
 
 // WebSearch returns the DCTCP web-search flow-size distribution, the
 // heavy-tailed mix where ~30% of flows exceed 1 MB and long flows carry
-// ~95% of the bytes (paper §6.2).
-func WebSearch() *CDFDist {
+// ~95% of the bytes (paper §6.2). The table — and its mean, a
+// 100 000-step integration — is built once per process; a CDFDist is
+// immutable after construction, so every caller may share it.
+func WebSearch() *CDFDist { return webSearch() }
+
+//simlint:allow sharedstate(sync.OnceValue memo: the table is built once under the Once and never written again)
+var webSearch = sync.OnceValue(func() *CDFDist {
 	return MustCDF("websearch", []CDFPoint{
 		{6 * units.KB, 0.15},
 		{13 * units.KB, 0.20},
@@ -138,14 +144,18 @@ func WebSearch() *CDFDist {
 		{20 * units.MB, 0.98},
 		{30 * units.MB, 1.00},
 	})
-}
+})
 
 // DataMining returns the VL2 data-mining distribution: ~80% of flows
 // under 10 KB, fewer than 5% over 35 MB, with an extreme elephant tail
 // (paper §6.2). The tail is truncated at 1 GB to keep single runs
 // bounded; the paper's observation (clear boundary between many tiny
-// flows and a few elephants) is preserved.
-func DataMining() *CDFDist {
+// flows and a few elephants) is preserved. Built once per process, like
+// WebSearch.
+func DataMining() *CDFDist { return dataMining() }
+
+//simlint:allow sharedstate(sync.OnceValue memo: the table is built once under the Once and never written again)
+var dataMining = sync.OnceValue(func() *CDFDist {
 	return MustCDF("datamining", []CDFPoint{
 		{100 * units.Byte, 0.03},
 		{180 * units.Byte, 0.10},
@@ -159,7 +169,7 @@ func DataMining() *CDFDist {
 		{35 * units.MB, 0.95},
 		{1000 * units.MB, 1.00},
 	})
-}
+})
 
 // Uniform returns sizes uniform on [min, max] — e.g. the paper's
 // "short flows with random size of less than 100 KB".
