@@ -13,12 +13,11 @@ import (
 // (fig3-4), the Poisson load grid (fig10), the testbed sweep (fig13),
 // replication (extended — single engine only, sharding rejects it),
 // the fat-tree's two chained decisions under the inter-pod workload
-// (fattree) and the fault schedule (figF1). Every other entry is
-// rendered at shards 1 and 2, so one file pins both shard counts to
-// the same bytes — and any change to shared run machinery to a
-// reviewed diff. (figLS, the streamed lazy-source run, prints wall
-// clock and RSS and so cannot be pinned as CSV; bench/golden carries
-// its digest.)
+// (fattree), the fault schedule (figF1), the flapping link (figF2) and
+// the streamed lazy-source run at 2 500 flows (figLS). Every other
+// entry is rendered at shards 1 and 2, so one file pins both shard
+// counts to the same bytes — and any change to shared run machinery to
+// a reviewed diff.
 var goldenFigures = []struct {
 	name   string
 	run    func(Options) ([]Figure, error)
@@ -32,6 +31,8 @@ var goldenFigures = []struct {
 	{"extended", ExtendedBaselines, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 1}, []int{1}},
 	{"fattree", FatTreeComparison, Options{Seed: 42}, []int{1, 2}},
 	{"figF1", FigF1, Options{Seed: 42, FlowsPerRun: 40}, []int{1, 2}},
+	{"figF2", FigF2, Options{Seed: 42, FlowsPerRun: 40, SweepPoints: 2}, []int{1, 2}},
+	{"figLS", FigLS, Options{Seed: 42, FlowsPerRun: 2}, []int{1, 2}},
 }
 
 // TestGoldenFigures renders each pinned figure and compares the CSV
