@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json race bench bench-all bench-gate bench-gate-self alloc-gates identity specs examples smoke largescale-smoke shard-smoke serve-smoke ci
+.PHONY: build test vet lint lint-json race bench bench-all bench-gate bench-gate-self alloc-gates identity specs examples smoke largescale-smoke serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -12,7 +12,7 @@ vet:
 	$(GO) vet ./...
 
 # lint runs simlint, the repo's custom static analyzer enforcing the
-# determinism, unit-safety, ownership and shard-readiness contract (see
+# determinism, unit-safety, ownership and run-isolation contract (see
 # DESIGN.md, "Determinism contract" / "Static enforcement"):
 # nowallclock, noglobalrand, maporder, floateq, unitliteral, packetown,
 # handlelife, dimcheck, sharedstate — plus stale-suppression detection.
@@ -94,13 +94,12 @@ alloc-gates:
 	$(GO) test -run 'TestAllocGate' -count 1 -v .
 
 # identity runs the output-identity contract on its own: the golden
-# figure CSVs (shards 1 and 2), the sharded-vs-lone-core exactness
-# tests, observer neutrality, worker-count identity and the benchmark
-# harness's digest tests — the set a change to shared run machinery has
+# figure CSVs, worker-count identity, observer neutrality and the
+# benchmark harness's digest tests — the set a change to shared run machinery has
 # to keep green (also part of `make test`; this is the fast inner loop).
 identity:
-	$(GO) test -count 1 -run 'TestGoldenFigures|TestShardedIdentical|TestParallelSerialIdentical' ./internal/experiments
-	$(GO) test -count 1 -run 'TestShardedExact|TestSessionObserverNeutral' ./internal/sim
+	$(GO) test -count 1 -run 'TestGoldenFigures|TestParallelSerialIdentical' ./internal/experiments
+	$(GO) test -count 1 -run 'TestSessionObserverNeutral' ./internal/sim
 	$(GO) test -count 1 ./bench
 
 # specs validates every checked-in scenario spec through the loader
@@ -141,13 +140,6 @@ smoke:
 largescale-smoke:
 	$(GO) run ./cmd/experiments -fig figLS -flows 2 -q >/dev/null
 
-# shard-smoke runs the fault-injection figure spatially sharded across
-# 4 per-shard engines inside the 2-worker sweep pool, under the race
-# detector: the epoch barriers, handoff exchange and per-shard pool
-# ownership all have to be data-race-free for it to exit 0.
-shard-smoke:
-	$(GO) run -race ./cmd/experiments -fig figF1 -flows 60 -workers 2 -shards 4 -q >/dev/null
-
 # ci is the gate: static checks (vet + simlint), the full test suite,
 # the zero-allocation gates, the output-identity contract, the race
 # detector over all packages, and
@@ -155,4 +147,4 @@ shard-smoke:
 # events/sec regression threshold against the tracked baselines
 # (opt-in: CI hardware varies, so the wall-clock gate is only
 # meaningful where the newest BENCH_<pr>.json was produced).
-ci: build vet lint test alloc-gates identity race specs examples smoke largescale-smoke shard-smoke serve-smoke $(if $(BENCH_GATE),bench-gate)
+ci: build vet lint test alloc-gates identity race specs examples smoke largescale-smoke serve-smoke $(if $(BENCH_GATE),bench-gate)

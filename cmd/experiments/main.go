@@ -44,7 +44,6 @@ func run() int {
 		flows      = flag.Int("flows", 800, "flows per large-scale run (fig10-12)")
 		points     = flag.Int("points", 0, "cap sweep points per figure (0 = figure default)")
 		workers    = flag.Int("workers", 0, "concurrent simulations per sweep (0 = GOMAXPROCS); any value produces identical figures")
-		shards     = flag.Int("shards", 0, "spatial shards per simulation (clamped per topology); any shard count produces identical figures")
 		quiet      = flag.Bool("q", false, "suppress progress logging")
 		timing     = flag.Bool("time", false, "print wall-clock time per experiment")
 		format     = flag.String("format", "plain", "output format: plain or csv")
@@ -103,7 +102,6 @@ func run() int {
 		FlowsPerRun: *flows,
 		SweepPoints: *points,
 		Workers:     *workers,
-		Shards:      *shards,
 		DumpSpecs:   *dumpSpecs,
 	}
 	if !*quiet {

@@ -1,6 +1,6 @@
 // Command simlint runs the repository's custom static analyzer over
 // the module. It enforces the determinism, unit-safety, ownership and
-// shard-readiness contract documented in DESIGN.md ("Determinism
+// run-isolation contract documented in DESIGN.md ("Determinism
 // contract" and "Static enforcement"): nowallclock, noglobalrand,
 // maporder, floateq, unitliteral, packetown, handlelife, dimcheck and
 // sharedstate, plus the directive meta-diagnostics (simlint,

@@ -65,7 +65,6 @@ func main() {
 		specPaths = flag.String("spec", "", "comma-separated spec files or globs to run instead of the flag-built scenario")
 		checkOnly = flag.Bool("check-spec", false, "with -spec: validate the files and exit without running")
 		workers   = flag.Int("workers", 0, "concurrent runs for multi-file -spec batches (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "spatial shards per run (clamped per topology); results are byte-identical at any shard count")
 		dumpSpec  = flag.String("dump-spec", "", "write the flag-built scenario's spec JSON to this path (\"-\" = stdout) and exit")
 		list      = flag.Bool("list-schemes", false, "list registered schemes and their parameters, then exit")
 
@@ -85,7 +84,7 @@ func main() {
 		seed: *seed, leaves: *leaves, spines: *spines, hosts: *hosts,
 		deadline: units.Time(deadline.Nanoseconds()), traceN: *traceN,
 		specPaths: *specPaths, checkOnly: *checkOnly,
-		workers: *workers, shards: *shards, dumpSpec: *dumpSpec,
+		workers: *workers, dumpSpec: *dumpSpec,
 		serveAddr: *serveAddr, reportPath: *reportPath,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "tlbsim:", err)
@@ -104,7 +103,6 @@ type options struct {
 	specPaths, dumpSpec   string
 	checkOnly             bool
 	workers               int
-	shards                int
 	serveAddr             string
 	reportPath            string
 }
@@ -121,7 +119,7 @@ func run(o options) error {
 		if o.checkOnly {
 			return checkSpecs(files)
 		}
-		return runSpecFiles(files, o.workers, o.shards, o.traceN, o.reportPath)
+		return runSpecFiles(files, o.workers, o.traceN, o.reportPath)
 	}
 	if o.checkOnly {
 		return fmt.Errorf("-check-spec needs -spec")
@@ -134,7 +132,7 @@ func run(o options) error {
 	if o.dumpSpec != "" {
 		return writeSpec(sp, o.dumpSpec)
 	}
-	return runOne(sp, o.shards, o.traceN, o.reportPath)
+	return runOne(sp, o.traceN, o.reportPath)
 }
 
 // serveMode runs the HTTP API until the process is killed.
@@ -262,13 +260,13 @@ func checkSpecs(files []string) error {
 
 // runSpecFiles compiles and runs the spec files; multi-file batches go
 // through the sweep worker pool and report each result in input order.
-func runSpecFiles(files []string, workers, shards, traceN int, reportPath string) error {
+func runSpecFiles(files []string, workers, traceN int, reportPath string) error {
 	if len(files) == 1 {
 		sp, err := spec.Load(files[0])
 		if err != nil {
 			return err
 		}
-		return runOne(sp, shards, traceN, reportPath)
+		return runOne(sp, traceN, reportPath)
 	}
 	if traceN > 0 {
 		return fmt.Errorf("-trace needs a single scenario, got %d spec files", len(files))
@@ -286,10 +284,7 @@ func runSpecFiles(files []string, workers, shards, traceN int, reportPath string
 		if err != nil {
 			return err
 		}
-		if shards > 0 {
-			scenarios[i].Shards = shards
-		}
-		if reportPath != "" && len(sp.Faults) > 0 && scenarios[i].Shards <= 1 {
+		if reportPath != "" && len(sp.Faults) > 0 {
 			tracers[i] = trace.New(0).WithFilter(trace.Filter{Kinds: []trace.EventKind{trace.LinkFault}})
 			scenarios[i].Tracer = tracers[i]
 		}
@@ -334,22 +329,18 @@ func runSpecFiles(files []string, workers, shards, traceN int, reportPath string
 	return nil
 }
 
-// runOne compiles and runs a single spec, with optional sharding and
-// tracing (mutually exclusive: the sharded runner rejects a tracer).
-func runOne(sp *spec.Spec, shards, traceN int, reportPath string) error {
+// runOne compiles and runs a single spec, with optional tracing.
+func runOne(sp *spec.Spec, traceN int, reportPath string) error {
 	sc, err := sp.Compile()
 	if err != nil {
 		return err
-	}
-	if shards > 0 {
-		sc.Shards = shards
 	}
 	var tr *trace.Tracer
 	switch {
 	case traceN > 0:
 		tr = trace.New(traceN)
 		sc.Tracer = tr
-	case reportPath != "" && len(sp.Faults) > 0 && sc.Shards <= 1:
+	case reportPath != "" && len(sp.Faults) > 0:
 		// The report's fault timeline needs the LinkFault events.
 		sc.Tracer = trace.New(0).WithFilter(trace.Filter{Kinds: []trace.EventKind{trace.LinkFault}})
 	}

@@ -247,28 +247,14 @@ func TestDifferentialKeyedAmongCounters(t *testing.T) {
 	}
 }
 
-// nextAt checks NextEventAt — the shard coordinator's peek, which may
-// sort a slot the clock has not reached — against the reference heap's
-// head.
-func (d *dualSim) nextAt() {
-	d.t.Helper()
-	at, ok := d.s.NextEventAt()
-	if ok != (len(d.r.heap) > 0) {
-		d.t.Fatalf("NextEventAt ok=%v with %d reference events pending", ok, len(d.r.heap))
-	}
-	if ok && at != d.r.heap[0].at {
-		d.t.Fatalf("NextEventAt = %v, reference head at %v", at, d.r.heap[0].at)
-	}
-}
-
 // TestDifferentialDenseSlots drives the sort-on-reach slot discipline
 // through every state a slot can be in. Each round piles 64–320 events
 // into one future slot in scrambled (at, seq) order, keyed and
 // counter-sequenced mixed and colliding on instants — arrival-order
 // tail appends, far more than the in-place list sort's budget, so the
 // key sort runs; cancels members (rarely the head) while the slot is
-// still unsorted; peeks or runs to a deadline short of the slot, which
-// sorts it ahead of the clock, then inserts behind that look-ahead
+// still unsorted; runs to a deadline short of the slot, which sorts it
+// ahead of the clock, then inserts behind that look-ahead
 // frontier, into the empty slots before it and into the sorted slot
 // itself; stops a RunUntil inside the slot and schedules around the
 // clock again; and throws in small neighbouring slots for the list
@@ -308,17 +294,13 @@ func TestDifferentialDenseSlots(t *testing.T) {
 			for k := n / 8; k > 0; k-- {
 				d.cancel(first + rng.Intn(n))
 			}
-			switch rng.Intn(3) {
-			case 0:
-				d.nextAt()
-			case 1:
+			if rng.Intn(2) == 0 {
 				d.runUntil(now + (base-now)/2)
 			}
 			// Behind the look-ahead frontier: before the slot, and in it.
 			for k := rng.Intn(12); k > 0; k-- {
 				mixed(d.s.Now() + Time(rng.Intn(int(base+slotNs-d.s.Now()))))
 			}
-			d.nextAt()
 			d.runUntil(base + Time(rng.Intn(slotNs))) // stops inside the slot
 			for k := rng.Intn(12); k > 0; k-- {
 				mixed(d.s.Now() + Time(rng.Intn(2*slotNs)))

@@ -12,9 +12,7 @@
 // set), so keyed events fire after every same-instant counter-sequenced
 // event, ordered among themselves by key. netem ports use it to give
 // packet deliveries a position that depends only on (admission time,
-// port identity) — the property that lets the sharded runner
-// (internal/sim) reproduce the exact global event order from per-shard
-// engines.
+// port identity), never on scheduling history.
 //
 // The engine is single-goroutine by design: a packet-level network
 // simulation is a serial dependency chain, and determinism (exact
@@ -203,20 +201,6 @@ type Counters struct {
 	MaxSlotSorted uint64
 }
 
-// Add folds another engine's counters into c (sums; the maximum for
-// MaxSlotSorted) — how a sharded run reports one figure for its cores.
-func (c *Counters) Add(o Counters) {
-	c.WheelInserts += o.WheelInserts
-	c.SpillInserts += o.SpillInserts
-	c.Migrations += o.Migrations
-	c.Cancels += o.Cancels
-	c.OrderedInserts += o.OrderedInserts
-	c.WalkSteps += o.WalkSteps
-	c.SlotSorts += o.SlotSorts
-	c.EventsSorted += o.EventsSorted
-	c.MaxSlotSorted = max(c.MaxSlotSorted, o.MaxSlotSorted)
-}
-
 // Sim is a discrete-event simulator instance.
 type Sim struct {
 	now     Time
@@ -296,20 +280,6 @@ func (s *Sim) Pending() int { return s.count + len(s.spill) }
 // Counters returns a copy of the engine's queue counters.
 func (s *Sim) Counters() Counters { return s.ctr }
 
-// NextEventAt returns the time of the earliest pending event; ok is
-// false when nothing is scheduled. It exists for epoch-synchronized
-// callers (the sharded runner in internal/sim): between conservative
-// lookahead windows the coordinator peeks every shard's next event time
-// and jumps the common window start over idle gaps instead of stepping
-// through empty lookahead intervals one by one.
-func (s *Sim) NextEventAt() (Time, bool) {
-	e := s.peek()
-	if e == nil {
-		return 0, false
-	}
-	return e.at, true
-}
-
 // alloc pops a recycled node, refilling the freelist with a fresh
 // block when it runs dry.
 func (s *Sim) alloc() *event {
@@ -358,8 +328,7 @@ const KeyDomain uint64 = 1 << 63
 // and uniqueness: two pending events at the same (t, key) fire in an
 // unspecified relative order. netem builds keys from (admission time,
 // port index) so a delivery's position within its timestamp is a pure
-// function of the traffic — identical no matter which engine instance
-// (global or per-shard) schedules it.
+// function of the traffic.
 func (s *Sim) AtKey(t Time, key uint64, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("eventsim: nil event function")
@@ -374,9 +343,8 @@ func (s *Sim) AtKey(t Time, key uint64, fn func(any), arg any) Event {
 // order, for components that schedule through AtKey and need a stable
 // identity inside their keys. Determinism contract: IDs depend only on
 // construction order, so two builds that construct the same components
-// in the same order assign the same IDs — the property that makes
-// AtKey ordering invariant across the sharded runner's per-shard
-// engine instances, which each rebuild the full topology identically.
+// in the same order assign the same IDs and therefore the same AtKey
+// ordering.
 func (s *Sim) ReserveKeyedID() uint32 {
 	v := s.keyedIDs
 	s.keyedIDs++

@@ -97,10 +97,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle randomizes the order of n elements using the given swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}

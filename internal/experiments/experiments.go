@@ -49,12 +49,6 @@ type Options struct {
 	// produces byte-identical figures: scenarios own their seeds, and
 	// results are reduced in input order.
 	Workers int
-	// Shards, when > 1, spatially shards every scenario across that
-	// many goroutines (clamped per topology). Composes with Workers and
-	// keeps every figure byte-identical: the sharded runner reproduces
-	// the single-engine event order exactly. Applied at run time, after
-	// compilation, so dumped specs are shard-free and portable.
-	Shards int
 	// DumpSpecs, when set, writes every scenario an experiment runs as
 	// a spec JSON file into this directory before running it.
 	DumpSpecs string

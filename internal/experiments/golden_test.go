@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,33 +10,29 @@ import (
 // under testdata/golden: between them the entries cover the receiver
 // time series and goodput ticker (fig8-9), retained packet samples
 // (fig3-4), the Poisson load grid (fig10), the testbed sweep (fig13),
-// replication (extended — single engine only, sharding rejects it),
-// the fat-tree's two chained decisions under the inter-pod workload
-// (fattree), the fault schedule (figF1), the flapping link (figF2) and
-// the streamed lazy-source run at 2 500 flows (figLS). Every other
-// entry is rendered at shards 1 and 2, so one file pins both shard
-// counts to the same bytes — and any change to shared run machinery to
-// a reviewed diff.
+// replication (extended), the fat-tree's two chained decisions under
+// the inter-pod workload (fattree), the fault schedule (figF1), the
+// flapping link (figF2) and the streamed lazy-source run at 2 500
+// flows (figLS) — pinning any change to shared run machinery to a
+// reviewed diff.
 var goldenFigures = []struct {
-	name   string
-	run    func(Options) ([]Figure, error)
-	opts   Options
-	shards []int
+	name string
+	run  func(Options) ([]Figure, error)
+	opts Options
 }{
-	{"fig3-4", Fig3And4, Options{Seed: 42}, []int{1, 2}},
-	{"fig8-9", Fig8And9, Options{Seed: 42}, []int{1, 2}},
-	{"fig10", Fig10, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 1}, []int{1, 2}},
-	{"fig13", Fig13, Options{Seed: 42, SweepPoints: 1}, []int{1, 2}},
-	{"extended", ExtendedBaselines, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 1}, []int{1}},
-	{"fattree", FatTreeComparison, Options{Seed: 42}, []int{1, 2}},
-	{"figF1", FigF1, Options{Seed: 42, FlowsPerRun: 40}, []int{1, 2}},
-	{"figF2", FigF2, Options{Seed: 42, FlowsPerRun: 40, SweepPoints: 2}, []int{1, 2}},
-	{"figLS", FigLS, Options{Seed: 42, FlowsPerRun: 2}, []int{1, 2}},
+	{"fig3-4", Fig3And4, Options{Seed: 42}},
+	{"fig8-9", Fig8And9, Options{Seed: 42}},
+	{"fig10", Fig10, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 1}},
+	{"fig13", Fig13, Options{Seed: 42, SweepPoints: 1}},
+	{"extended", ExtendedBaselines, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 1}},
+	{"fattree", FatTreeComparison, Options{Seed: 42}},
+	{"figF1", FigF1, Options{Seed: 42, FlowsPerRun: 40}},
+	{"figF2", FigF2, Options{Seed: 42, FlowsPerRun: 40, SweepPoints: 2}},
+	{"figLS", FigLS, Options{Seed: 42, FlowsPerRun: 2}},
 }
 
 // TestGoldenFigures renders each pinned figure and compares the CSV
-// bytes with the checked-in file. Regenerate (from the single-engine
-// render) with
+// bytes with the checked-in file. Regenerate with
 //
 //	TLB_UPDATE_GOLDEN=1 go test ./internal/experiments -run TestGoldenFigures
 func TestGoldenFigures(t *testing.T) {
@@ -51,35 +46,28 @@ func TestGoldenFigures(t *testing.T) {
 	for _, g := range goldenFigures {
 		g := g
 		path := filepath.Join(dir, g.name+".csv")
-		for _, shards := range g.shards {
-			shards := shards
-			t.Run(fmt.Sprintf("%s/shards%d", g.name, shards), func(t *testing.T) {
-				if update && shards != 1 {
-					t.Skip("goldens are written from the single-engine render")
-				}
-				t.Parallel()
-				o := g.opts
-				o.Workers = 1
-				o.Shards = shards
-				figs, err := g.run(o)
-				if err != nil {
+		t.Run(g.name, func(t *testing.T) {
+			t.Parallel()
+			o := g.opts
+			o.Workers = 1
+			figs, err := g.run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := figureCSV(figs)
+			if update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				got := figureCSV(figs)
-				if update {
-					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("%v (regenerate with TLB_UPDATE_GOLDEN=1)", err)
-				}
-				if got != string(want) {
-					t.Errorf("output differs from golden %s (regenerate with TLB_UPDATE_GOLDEN=1 if the change is intended)\n--- got ---\n%s", path, got)
-				}
-			})
-		}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (regenerate with TLB_UPDATE_GOLDEN=1)", err)
+			}
+			if got != string(want) {
+				t.Errorf("output differs from golden %s (regenerate with TLB_UPDATE_GOLDEN=1 if the change is intended)\n--- got ---\n%s", path, got)
+			}
+		})
 	}
 }

@@ -264,11 +264,6 @@ func (o Options) runSpecs(prefix string, specs []spec.Spec) ([]*sim.Result, erro
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", prefix, err)
 		}
-		if o.Shards > 0 {
-			// Shard at run time only: the dumped spec JSON stays
-			// shard-free, so an archived spec replays anywhere.
-			sc.Shards = o.Shards
-		}
 		scs[i] = sc
 	}
 	if o.DumpSpecs != "" {

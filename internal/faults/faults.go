@@ -172,12 +172,7 @@ func (s Schedule) Validate() error {
 
 // Resolver maps a (leaf, spine) pair to its two directed ports:
 // leaf→spine and spine→leaf. topology.(*Fabric).LinkPorts is the
-// canonical implementation. A resolver may return a nil port for a
-// direction without erroring: the sharded runner (internal/sim) wraps
-// the canonical resolver so each shard resolves only the directed
-// ports it owns, and Install skips nil targets — the full schedule
-// installs once per shard, every directed port is faulted by exactly
-// the shard that runs its events.
+// canonical implementation.
 type Resolver func(leaf, spine int) (up, down *netem.Port, err error)
 
 // Injector is one run's armed fault schedule.
@@ -225,22 +220,10 @@ func Install(sim *eventsim.Sim, sched Schedule, resolve Resolver, tracer *trace.
 		default:
 			targets = []*netem.Port{up, down}
 		}
-		// Drop directions the resolver declined (nil): an
-		// ownership-filtered resolver resolves only this shard's ports.
-		kept := targets[:0]
-		for _, p := range targets {
-			if p != nil {
-				kept = append(kept, p)
-			}
-		}
-		targets = kept
 		for _, p := range targets {
 			if _, ok := inj.orig[p]; !ok {
 				inj.orig[p] = p.Link()
 			}
-		}
-		if len(targets) == 0 {
-			continue
 		}
 		ev, targets := ev, targets
 		sim.At(ev.At, func() {

@@ -1,8 +1,8 @@
 // Package lint implements simlint, the repository's custom static
 // analyzer. It enforces the determinism, unit-safety and ownership
 // contract that the simulator's headline guarantees — byte-identical
-// figure output from a seed at any worker count, an allocation-free
-// hot path, and (next) spatial sharding of one scenario — depend on:
+// figure output from a seed at any worker count and an
+// allocation-free hot path — depend on:
 //
 //	nowallclock  no time.Now/time.Since/time.Sleep inside simulation
 //	             packages; wall-clock time belongs to the harness.
@@ -30,12 +30,13 @@
 //	             and no mixed-unit arithmetic or comparisons smuggled
 //	             through int64()/float64() strips, tracked through
 //	             local assignments.
-//	sharedstate  shard-readiness: no package-level mutable vars in
+//	sharedstate  run isolation (sweep workers and serve handlers share
+//	             one process): no package-level mutable vars in
 //	             simulation packages, no go statements outside the
 //	             approved concurrent entry points (internal/sim/
-//	             sweep.go, internal/sim/shard.go, internal/serve/
-//	             server.go), and no writes to captured variables
-//	             inside closures passed to sim.RunSweep/RunAll.
+//	             sweep.go, internal/serve/server.go), and no writes
+//	             to captured variables inside closures passed to
+//	             sim.RunSweep/RunAll.
 //
 // Test files are analyzed too, with per-rule exemptions: wall-clock
 // reads, map ranges, float equality, bare unit literals and unit
@@ -109,7 +110,7 @@ var ruleTable = map[string]ruleInfo{
 	"packetown":    {ID: "SIM006", Doc: "packet pool-ownership violation", InTests: true},
 	"handlelife":   {ID: "SIM007", Doc: "event-handle lifetime violation", InTests: true},
 	"dimcheck":     {ID: "SIM008", Doc: "cross-unit conversion or mixed-unit arithmetic", InTests: false},
-	"sharedstate":  {ID: "SIM009", Doc: "shared mutable state unsafe for sharding", InTests: true},
+	"sharedstate":  {ID: "SIM009", Doc: "mutable state shared between concurrent runs", InTests: true},
 }
 
 // metaIDs are the IDs of the non-suppressible meta diagnostics.

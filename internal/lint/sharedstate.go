@@ -8,9 +8,10 @@ import (
 	"strings"
 )
 
-// sharedstate enforces shard-readiness. The roadmap's next unlock is
-// sharding one scenario across cores, which turns every piece of
-// mutable state reachable from two shards into a data race. Three
+// sharedstate keeps concurrent runs isolated. One process runs many
+// simulations at once — the sweep's worker goroutines, the serve
+// layer's per-run executors — so every piece of mutable state
+// reachable from two runs is a data race and a determinism leak. Three
 // shapes are flagged:
 //
 //  1. Package-level vars in simulation packages. Immutable lookup
@@ -19,8 +20,7 @@ import (
 //     //simlint:allow sharedstate(...) asserting it is never written
 //     after init.
 //  2. go statements anywhere but the approved concurrency entry
-//     points: internal/sim/sweep.go (the sweep runner),
-//     internal/sim/shard.go (the sharded scenario runner) and
+//     points: internal/sim/sweep.go (the sweep runner) and
 //     internal/serve/server.go (the run-submission server, whose
 //     per-run executor goroutine is joined by Server.Close).
 //     Scattered goroutines make determinism and shutdown impossible
@@ -39,9 +39,9 @@ func (l *linter) checkSharedState(p *pkg, f *ast.File, sim bool) {
 		case *ast.GoStmt:
 			pos := sharedFset.Position(x.Pos())
 			rel := l.relFile(pos)
-			if !strings.HasSuffix(rel, "sim/sweep.go") && !strings.HasSuffix(rel, "sim/shard.go") && !strings.HasSuffix(rel, "serve/server.go") {
+			if !strings.HasSuffix(rel, "sim/sweep.go") && !strings.HasSuffix(rel, "serve/server.go") {
 				l.report(pos, "sharedstate",
-					"go statement outside the approved runners (sim/sweep.go, sim/shard.go, serve/server.go); route concurrency through sim.RunSweep/RunAll, the sharded scenario runner or the serve layer so shutdown and determinism stay centralized")
+					"go statement outside the approved runners (sim/sweep.go, serve/server.go); route concurrency through sim.RunSweep/RunAll or the serve layer so shutdown and determinism stay centralized")
 			}
 		case *ast.CallExpr:
 			l.checkSweepClosures(p, x)
@@ -68,7 +68,7 @@ func (l *linter) checkPackageVars(p *pkg, f *ast.File) {
 					continue
 				}
 				l.report(sharedFset.Position(name.Pos()), "sharedstate",
-					fmt.Sprintf("package-level var %s in a simulation package is shared mutable state; sharding needs per-shard state (hang it off a struct), or annotate why it is immutable after init", name.Name))
+					fmt.Sprintf("package-level var %s in a simulation package is shared mutable state; concurrent runs need per-run state (hang it off a struct), or annotate why it is immutable after init", name.Name))
 			}
 		}
 	}

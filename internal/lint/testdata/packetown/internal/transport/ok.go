@@ -44,8 +44,7 @@ func annotatedIdentityCheck(pool *netem.PacketPool) bool {
 	return pool.Get() == p
 }
 
-// handoff mirrors the sharded runner's boundary message: a whole-value
-// packet copy, sanctioned with a reasoned directive because the
+// handoff is a message carrying a whole-value packet copy, sanctioned with a reasoned directive because the
 // pool-owned original is never referenced.
 type handoff struct {
 	//simlint:allow packetown(whole-value copy; the pool-owned original is released separately)

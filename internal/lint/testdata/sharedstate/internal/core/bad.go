@@ -1,5 +1,5 @@
 // Package core demonstrates the sharedstate rule: package-level
-// mutable state in a simulation package breaks per-shard isolation.
+// mutable state in a simulation package breaks per-run isolation.
 package core
 
 var counter int //WANT sharedstate

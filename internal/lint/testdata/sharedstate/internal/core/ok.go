@@ -1,14 +1,14 @@
 package core
 
 // constants are immutable: no finding.
-const maxShards = 64
+const maxRuns = 64
 
-// state on a struct is per-shard by construction.
-type shard struct {
+// state on a struct is per-run by construction.
+type run struct {
 	counter int
 }
 
-func (s *shard) bump() { s.counter++ }
+func (r *run) bump() { r.counter++ }
 
 //simlint:allow sharedstate(immutable lookup table; written only at init)
 var names = []string{"a", "b"}

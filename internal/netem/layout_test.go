@@ -55,10 +55,9 @@ func TestPacketLayout(t *testing.T) {
 // delivery) on a fabric with thousands of them — so each touch starts
 // cold. Everything portDeliver reads or writes must sit in the first
 // 64 bytes; the admission-time fields of Queue.admit and Send follow
-// contiguously; the shard-boundary hook and the label trail; and the
-// struct is exactly 256 bytes, the size class that keeps every
-// heap-allocated Port 64-byte aligned, so these offsets are real line
-// boundaries. Moving a field is a deliberate decision: update the
+// contiguously; the label trails; and the struct is exactly 256 bytes,
+// the size class that keeps every heap-allocated Port 64-byte aligned,
+// so these offsets are real line boundaries. Moving a field is a deliberate decision: update the
 // offsets here and re-run make bench.
 func TestPortLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
@@ -95,8 +94,7 @@ func TestPortLayout(t *testing.T) {
 		{"lastDelivery", unsafe.Offsetof(p.lastDelivery), 192},
 		{"busyNs", unsafe.Offsetof(p.busyNs), 200},
 		// Cold.
-		{"boundary", unsafe.Offsetof(p.boundary), 208},
-		{"label", unsafe.Offsetof(p.label), 216},
+		{"label", unsafe.Offsetof(p.label), 208},
 	}
 	for _, f := range offsets {
 		if f.off != f.want {

@@ -29,10 +29,8 @@ type LinkConfig struct {
 // the admission time and the port's construction-order index. The key
 // is a pure function of the traffic and the topology, never of
 // scheduling history, so simultaneous deliveries at different ports
-// order identically whether the whole fabric runs on one engine or is
-// partitioned across the sharded runner's per-shard engines — the
-// property behind the "byte-identical at any shard count" guarantee.
-// Within one port the key is monotone in admission order (FIFO), so
+// order the same way however the events that admitted them were
+// scheduled. Within one port the key is monotone in admission order (FIFO), so
 // the single re-armed event always fires for the queue head.
 //
 // Link parameters are dynamic: SetLink re-rates or re-delays the link
@@ -46,8 +44,7 @@ type LinkConfig struct {
 // is how many of a port's cache lines it pulls. Everything portDeliver
 // needs — the event flag, the handler, the entry ring's header and the
 // started count — sits in the first 64 bytes; the fields Queue.admit
-// and Send add follow contiguously; the label and the boundary hook
-// trail. The struct is padded to 256 bytes, a size class the allocator
+// and Send add follow contiguously; the label trails. The struct is padded to 256 bytes, a size class the allocator
 // hands out 256-aligned, so those offsets are real line boundaries.
 type Port struct {
 	// evPending reports whether the single delivery event for the queue
@@ -58,7 +55,7 @@ type Port struct {
 	// cable, and liveness-aware balancers route around the port.
 	down bool
 	// idx is the port's construction-order index (eventsim.ReserveKeyedID):
-	// the partition-invariant identity inside every DeliveryKey.
+	// the port's identity inside every DeliveryKey.
 	idx uint32
 	dst Handler
 	q   Queue
@@ -77,23 +74,17 @@ type Port struct {
 	// busyNs accumulates serialization time for utilization accounting.
 	busyNs units.Time
 
-	// boundary, when set, marks the port as a shard-boundary egress
-	// (see SetBoundary): every admitted packet is additionally captured
-	// as a value copy for cross-shard handoff. Nil on every port of a
-	// single-shard run, costing one predictable branch in Send.
-	boundary func(pkt *Packet, admittedAt, deliverAt units.Time)
 	// label is a human-readable identity for traces and tests.
 	label string
 
-	// Pad 232 bytes of fields to the 256-byte size class.
-	_ [24]byte
+	// Pad 224 bytes of fields to the 256-byte size class.
+	_ [32]byte
 }
 
 // NewPort wires a queue to a link ending at dst. Each port draws a
 // construction-order index from its engine; two builds that construct
-// ports in the same order assign the same indices, which is what makes
-// DeliveryKey ordering identical across the sharded runner's per-shard
-// rebuilds of one topology.
+// ports in the same order assign the same indices, and so the same
+// DeliveryKey ordering.
 func NewPort(sim *eventsim.Sim, link LinkConfig, qcfg QueueConfig, dst Handler, label string) *Port {
 	if link.Bandwidth <= 0 {
 		panic("netem: port with non-positive bandwidth")
@@ -104,10 +95,6 @@ func NewPort(sim *eventsim.Sim, link LinkConfig, qcfg QueueConfig, dst Handler, 
 	}
 	return &Port{sim: sim, link: link, q: Queue{cfg: qcfg}, dst: dst, label: label, idx: idx}
 }
-
-// Index returns the port's construction-order index — stable across
-// rebuilds of the same topology, and unique within one engine.
-func (p *Port) Index() uint32 { return p.idx }
 
 // DeliveryKey packing: the low deliveryPortBits carry the port index,
 // the admission timestamp sits above it, and the engine's KeyDomain
@@ -125,10 +112,7 @@ const (
 // admitted at admittedAt on the port with the given index. Ordering
 // simultaneous deliveries by (admission time, port index) — rather
 // than by engine scheduling history — is what makes the event order a
-// pure function of the traffic: the sharded runner schedules a
-// cross-shard handoff in the destination engine with the same key the
-// source port used, landing it at exactly the position the unsharded
-// run would have fired the delivery.
+// pure function of the traffic.
 func DeliveryKey(admittedAt units.Time, port uint32) uint64 {
 	if admittedAt >= maxKeyedTime {
 		panic("netem: simulated time overflows DeliveryKey packing (lower deliveryPortBits)")
@@ -180,30 +164,6 @@ func (p *Port) SetLink(link LinkConfig) {
 
 // Label returns the port's diagnostic name.
 func (p *Port) Label() string { return p.label }
-
-// SetBoundary turns the port into a shard-boundary egress for the
-// sharded runner (internal/sim): this shard owns the port — its queue,
-// serialization schedule, drops and ECN marks stay exact and local —
-// but the far end belongs to another shard, so the real delivery
-// happens there. capture is invoked from Send for every admitted
-// packet, after the queue has applied all admission-time mutations (CE
-// mark, queue-delay and timestamp stamping), with the packet's
-// admission and delivery times; the callee copies the packet by value
-// into a handoff message. sink replaces the local destination handler:
-// the port's own delivery event still fires at the exact (time, seq)
-// position it would in an unsharded run — keeping occupancy, busy-time
-// and stats byte-identical — but the popped packet is released back to
-// this shard's pool instead of being handed to a peer, because the
-// value copy already crossed the boundary. Ownership of the original
-// thus never leaves the shard (packetown stays clean); the destination
-// shard materializes the copy from its own pool.
-func (p *Port) SetBoundary(capture func(pkt *Packet, admittedAt, deliverAt units.Time), sink Handler) {
-	if capture == nil || sink == nil {
-		panic("netem: SetBoundary with nil capture or sink")
-	}
-	p.boundary = capture
-	p.dst = sink
-}
 
 // BusyTime returns the cumulative serialization time, from which
 // utilization over an interval is computed.
@@ -267,9 +227,6 @@ func (p *Port) Send(pkt *Packet) bool {
 	p.busyNs += tx
 	if deliverAt > p.lastDelivery {
 		p.lastDelivery = deliverAt
-	}
-	if p.boundary != nil {
-		p.boundary(pkt, now, deliverAt)
 	}
 	if !p.evPending {
 		at, key := p.q.headDelivery(p.idx)

@@ -197,9 +197,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("specs[%d]: %v", i, err), http.StatusBadRequest)
 			return
 		}
-		// A reported faulted run also records its fault timeline (the
-		// sharded runner rejects tracers, so only unsharded runs do).
-		if sp.Outputs.Report && len(sp.Faults) > 0 && sc.Shards <= 1 {
+		// A reported faulted run also records its fault timeline.
+		if sp.Outputs.Report && len(sp.Faults) > 0 {
 			tracers[i] = trace.New(0).WithFilter(trace.Filter{Kinds: []trace.EventKind{trace.LinkFault}})
 			sc.Tracer = tracers[i]
 		}

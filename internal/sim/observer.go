@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the measurement side of the run-control/measurement
-// split: a typed progress stream every runner (single engine, sharded,
-// sweep) emits over one interface. Observation is strictly read-only —
+// split: a typed progress stream a single session and a sweep emit
+// over one interface. Observation is strictly read-only —
 // an attached observer sees copies (exact Merge-able aggregate clones,
 // port-stat snapshots) and can never perturb the simulation, so
 // results are byte-identical with and without one (pinned by
@@ -64,7 +64,7 @@ type ProgressEvent struct {
 	Err error
 
 	// SimTime is the engine clock at the observation; Events the total
-	// events executed so far (summed across shards when sharded).
+	// events executed so far.
 	SimTime units.Time
 	Events  uint64
 	// EventsPerSec is the event rate over the wall-clock interval since
@@ -87,11 +87,10 @@ type ProgressEvent struct {
 	// the live queue CDFs). Nil on events that carry no port state.
 	Uplinks []PortSnapshot
 
-	// Engine holds the event queues' own counters, summed over the
-	// run's engines (Done events only). They describe this execution —
-	// how the run was sliced into windows and shards moves them — not
-	// the simulated system, which is why they live here and not in
-	// Result.
+	// Engine holds the event queue's own counters (Done events only).
+	// They describe this execution — how the run was sliced into
+	// windows moves them — not the simulated system, which is why they
+	// live here and not in Result.
 	Engine eventsim.Counters
 }
 

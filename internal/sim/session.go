@@ -14,12 +14,11 @@ import (
 // split: a Session owns one scenario's execution — validation, start,
 // cooperative cancellation, periodic snapshots — while the simulated
 // world and its measurement live in the run core (core.go) and the
-// observer stream (observer.go). Every run is: build core 0, drive —
-// that one core in the session's windows, or N cores through the
-// epoch loop (shard.go) when the scenario shards — then assemble the
-// Result from the cores. Run and RunSweep are built on it.
+// observer stream (observer.go). Every run is: build the core, drive it
+// in the session's windows, assemble the Result from it. Run and
+// RunSweep are built on it.
 //
-// Determinism: the session drives a lone core's engine in bounded
+// Determinism: the session drives the core's engine in bounded
 // RunUntil windows instead of one call, which is behavior-neutral —
 // RunUntil executes events <= its deadline and then only advances the
 // clock, so slicing [0, MaxTime] into windows executes the identical
@@ -139,77 +138,59 @@ func (ss *Session) Run() (*Result, error) {
 	return res, err
 }
 
-// run builds core 0 — which settles the effective shard count — drives
-// the world and assembles the Result.
+// run builds the core, drives it to its stop criterion and assembles
+// the Result. The run-control loop slices the engine into bounded
+// windows so the session can check cancellation and emit snapshots
+// strictly between event batches.
 func (ss *Session) run() (*Result, error) {
 	sc := &ss.sc
-	first, err := newCore(sc, 0, ss.observing())
+	c, err := newCore(sc, ss.observing())
 	if err != nil {
 		return nil, err
 	}
-	cores := []*runCore{first}
-	var end units.Time
-	if first.lone() {
-		end, err = ss.runSolo(cores)
-	} else {
-		cores, end, err = ss.runSharded(first)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return assemble(sc, cores, end), nil
-}
-
-// runSolo drives a lone core to its stop criterion and returns the
-// end time: the run-control loop slices the engine into bounded windows
-// so the session can check cancellation and emit snapshots strictly
-// between event batches.
-func (ss *Session) runSolo(cores []*runCore) (units.Time, error) {
-	c := cores[0]
-	maxT := ss.sc.MaxTime
+	maxT := sc.MaxTime
 	window := ss.window()
 	next := window
 	for !c.stopped {
 		if ss.Canceled() {
-			ss.tally(cores)
-			return 0, ss.cancelErr()
+			ss.tally(c)
+			return nil, ss.cancelErr()
 		}
 		c.sim.RunUntil(min(maxT, next))
 		if c.stopped || c.sim.Now() >= maxT {
 			break
 		}
 		if ss.observing() && c.sim.Now() >= next {
-			ss.tally(cores)
-			ss.snapshot(cores, c.sim.Now())
+			ss.tally(c)
+			ss.snapshot(c)
 		}
 		next += window
 	}
-	ss.tally(cores)
-	return c.sim.Now(), c.err
-}
-
-// tally copies the cores' progress counters into the session. Callers
-// hold every core parked between event batches.
-func (ss *Session) tally(cores []*runCore) {
-	ss.flowsStarted, ss.flowsDone, ss.events = 0, 0, 0
-	ss.engine = eventsim.Counters{}
-	for _, c := range cores {
-		ss.flowsStarted += c.started
-		ss.flowsDone += c.done
-		ss.events += c.sim.Executed()
-		ss.engine.Add(c.sim.Counters())
+	ss.tally(c)
+	if c.err != nil {
+		return nil, c.err
 	}
+	return assemble(sc, c, c.sim.Now()), nil
 }
 
-// snapshot emits one mid-run observation of the (parked) cores: the
-// merged per-class aggregates and the uplink ports in global order.
-func (ss *Session) snapshot(cores []*runCore, at units.Time) {
+// tally copies the core's progress counters into the session, between
+// event batches.
+func (ss *Session) tally(c *runCore) {
+	ss.flowsStarted = c.started
+	ss.flowsDone = c.done
+	ss.events = c.sim.Executed()
+	ss.engine = c.sim.Counters()
+}
+
+// snapshot emits one mid-run observation of the core, between event
+// batches: the per-class aggregates and the uplink ports.
+func (ss *Session) snapshot(c *runCore) {
 	ev := ss.baseEvent(ProgressSnapshot)
-	ev.SimTime = at
+	ev.SimTime = c.sim.Now()
 	ev.Events = ss.events
 	ev.EventsPerSec = ss.rate(ss.events)
-	ev.Classes = classes(cores)
-	ev.Uplinks = uplinks(cores)
+	ev.Classes = c.classes()
+	ev.Uplinks = c.uplinks()
 	ss.emit(ev)
 }
 
@@ -238,14 +219,6 @@ func (ss *Session) validate() error {
 	}
 	if hasSource && sc.Replication != nil {
 		return fmt.Errorf("sim: scenario %q: Replication needs a materialized Flows slice", sc.Name)
-	}
-	if sc.Shards > 1 {
-		if sc.Replication != nil {
-			return fmt.Errorf("sim: scenario %q: Shards > 1 is incompatible with Replication (racing copies share one record); run with Shards: 1", sc.Name)
-		}
-		if sc.Tracer != nil {
-			return fmt.Errorf("sim: scenario %q: Shards > 1 is incompatible with a Tracer (trace order is engine-local); run with Shards: 1", sc.Name)
-		}
 	}
 	return nil
 }

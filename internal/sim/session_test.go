@@ -24,7 +24,7 @@ func fakeClock() Clock {
 
 // sessionScenario is a run long enough (several ms of sim time) to
 // cross multiple snapshot windows at a 1ms period.
-func sessionScenario(shards int) Scenario {
+func sessionScenario() Scenario {
 	flows := make([]workload.Flow, 0, 8)
 	for i := 0; i < 8; i++ {
 		flows = append(flows, workload.Flow{
@@ -42,7 +42,6 @@ func sessionScenario(shards int) Scenario {
 		SchemeName:   "ecmp",
 		Seed:         7,
 		Flows:        flows,
-		Shards:       shards,
 		StopWhenDone: true,
 		MaxTime:      units.Second,
 	}
@@ -57,7 +56,7 @@ func (r *recorder) OnProgress(ev ProgressEvent) { r.events = append(r.events, ev
 
 func TestSessionCancelBeforeStart(t *testing.T) {
 	rec := &recorder{}
-	ss := NewSession(sessionScenario(1), SessionOptions{
+	ss := NewSession(sessionScenario(), SessionOptions{
 		Observer: rec,
 		Clock:    fakeClock(),
 	})
@@ -94,7 +93,7 @@ func TestSessionCancelMidRunDiscardsPartialResult(t *testing.T) {
 			ss.Cancel()
 		}
 	})
-	ss = NewSession(sessionScenario(1), SessionOptions{
+	ss = NewSession(sessionScenario(), SessionOptions{
 		Observer:      obs,
 		SnapshotEvery: 100 * units.Microsecond,
 		Clock:         fakeClock(),
@@ -123,57 +122,34 @@ func TestSessionCancelMidRunDiscardsPartialResult(t *testing.T) {
 	}
 }
 
-func TestSessionCancelMidRunSharded(t *testing.T) {
-	var ss *Session
-	obs := ObserverFunc(func(ev ProgressEvent) {
-		if ev.Kind == ProgressSnapshot {
-			ss.Cancel()
-		}
-	})
-	ss = NewSession(sessionScenario(2), SessionOptions{
-		Observer:      obs,
-		SnapshotEvery: 100 * units.Microsecond,
-		Clock:         fakeClock(),
-	})
-	res, err := ss.Run()
-	if res != nil {
-		t.Fatalf("canceled sharded run returned a Result")
-	}
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-}
-
 // TestSessionObserverNeutral is the core determinism contract of the
 // run-control split: attaching an observer (snapshots included) must
-// not perturb the measurement in any way, single-engine and sharded.
+// not perturb the measurement in any way.
 func TestSessionObserverNeutral(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		plain, err := Run(sessionScenario(shards))
-		if err != nil {
-			t.Fatalf("shards=%d plain run: %v", shards, err)
-		}
-		rec := &recorder{}
-		observed, err := NewSession(sessionScenario(shards), SessionOptions{
-			Observer:      rec,
-			SnapshotEvery: 200 * units.Microsecond,
-			Clock:         fakeClock(),
-		}).Run()
-		if err != nil {
-			t.Fatalf("shards=%d observed run: %v", shards, err)
-		}
-		if len(rec.events) < 2 {
-			t.Fatalf("shards=%d: %d events, want snapshots plus Done", shards, len(rec.events))
-		}
-		if !reflect.DeepEqual(plain, observed) {
-			t.Fatalf("shards=%d: observed Result differs from plain Result", shards)
-		}
+	plain, err := Run(sessionScenario())
+	if err != nil {
+		t.Fatalf("plain run: %v", err)
+	}
+	rec := &recorder{}
+	observed, err := NewSession(sessionScenario(), SessionOptions{
+		Observer:      rec,
+		SnapshotEvery: 200 * units.Microsecond,
+		Clock:         fakeClock(),
+	}).Run()
+	if err != nil {
+		t.Fatalf("observed run: %v", err)
+	}
+	if len(rec.events) < 2 {
+		t.Fatalf("%d events, want snapshots plus Done", len(rec.events))
+	}
+	if !reflect.DeepEqual(plain, observed) {
+		t.Fatalf("observed Result differs from plain Result")
 	}
 }
 
 func TestSessionSnapshotStream(t *testing.T) {
 	rec := &recorder{}
-	res, err := NewSession(sessionScenario(1), SessionOptions{
+	res, err := NewSession(sessionScenario(), SessionOptions{
 		Observer:      rec,
 		SnapshotEvery: 200 * units.Microsecond,
 		Clock:         fakeClock(),
@@ -250,7 +226,7 @@ func TestSessionSnapshotClassesAreCopies(t *testing.T) {
 			ev.Classes.Agg(AllFlows).Completed = 999999
 		}
 	})
-	res, err := NewSession(sessionScenario(1), SessionOptions{
+	res, err := NewSession(sessionScenario(), SessionOptions{
 		Observer:      obs,
 		SnapshotEvery: 200 * units.Microsecond,
 		Clock:         fakeClock(),
@@ -269,7 +245,7 @@ func TestSessionSnapshotClassesAreCopies(t *testing.T) {
 }
 
 func TestSessionValidationEmitsDone(t *testing.T) {
-	sc := sessionScenario(1)
+	sc := sessionScenario()
 	sc.Balancer = nil
 	rec := &recorder{}
 	_, err := NewSession(sc, SessionOptions{Observer: rec, Clock: fakeClock()}).Run()

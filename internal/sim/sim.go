@@ -36,23 +36,19 @@ type Scenario struct {
 	// Flows (setting both is an error), as a replayable factory: every
 	// call must return a fresh Source that yields the identical flow
 	// sequence (the compiled workloads are pure functions of spec and
-	// seed, so this is their natural form) — each core of a sharded run
-	// pumps its own copy, so flow indices stay global. Flows must arrive
-	// in non-decreasing Start order; the runner schedules one arrival
-	// ahead of the clock instead of pre-scheduling every flow, so
-	// neither the workload nor the event queue grows with the total
-	// flow count.
+	// seed, so this is their natural form), which lets one Scenario value
+	// be run more than once. Flows must arrive in non-decreasing Start
+	// order; the runner schedules one arrival ahead of the clock instead
+	// of pre-scheduling every flow, so neither the workload nor the
+	// event queue grows with the total flow count.
 	FlowSourceNew func() workload.Source
 
-	// Shards > 1 partitions the run spatially: the topology is split
-	// into that many per-shard event partitions (clamped to the
-	// topology's parallelism — leaf groups on a leaf-spine fabric, pods
-	// on a fat-tree), each running its own event engine on its own
-	// goroutine, synchronized by conservative lookahead windows, with
-	// cross-shard packets exchanged as timestamped handoffs applied in
-	// deterministic order (see shard.go for the exact guarantees). 0 or
-	// 1 — or a partition that clamps to one — runs a single engine.
-	// Replication and Tracer are incompatible with sharding.
+	// Shards is accepted and ignored: every run is one engine.
+	//
+	// Deprecated: the sharded runner was removed in PR 16. The field
+	// survives only because the benchmark's fattree-mice-sharded
+	// workload still sets run.shards and bench/trace.go reads it; it is
+	// deleted when that workload is.
 	Shards int
 
 	// StreamStats folds every flow record into fixed-size per-class

@@ -77,8 +77,9 @@ func (st *StreamAgg) Clone() *StreamAgg {
 	return c
 }
 
-// Merge folds another run shard's aggregates into this one, so sweep
-// workers can reduce per-shard StreamAggs without retaining records.
+// Merge folds another aggregate into this one exactly, so observers
+// can reduce the StreamAggs of a sweep's runs without retaining
+// records.
 func (st *StreamAgg) Merge(o *StreamAgg) {
 	if o == nil {
 		return

@@ -213,7 +213,7 @@ func TestSweepCancelBeforeRun(t *testing.T) {
 // next batch boundary and fails the not-yet-started scenarios without
 // building them.
 func TestSweepCancelMidRun(t *testing.T) {
-	long := sessionScenario(1)
+	long := sessionScenario()
 	long.Name = "long"
 	scenarios := []Scenario{long, sweepScenario("later-a", 2), sweepScenario("later-b", 3)}
 

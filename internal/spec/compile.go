@@ -210,10 +210,7 @@ func (s *Spec) compile(materialize bool) (sim.Scenario, error) {
 	if s.Run.Shards < 0 {
 		c.errf("run.shards", "must not be negative")
 	}
-	if s.Run.Shards > 1 && s.Replication != nil {
-		c.errf("run.shards", "incompatible with replication (racing copies share one record); run with shards 1")
-	}
-	sc.Shards = s.Run.Shards
+	sc.Shards = s.Run.Shards // deprecated and ignored by the runner; bench/trace.go still reads it
 
 	sc.SampleShortPackets = s.Outputs.SampleShortPackets
 	sc.CollectTimeSeries = s.Outputs.CollectTimeSeries
@@ -443,9 +440,8 @@ func (s *Spec) compileDeadlines(c *checker, path string, d *Deadlines) workload.
 // compileWorkload lowers the workload to either a materialized flow
 // slice or (under outputs.streamStats, for the kinds that support it)
 // a replayable source factory: every call draws the identical lazy
-// sequence, which is what lets a sharded run give each shard its own
-// copy of the stream. Exactly one of the two returns is non-nil on
-// success.
+// sequence, so a compiled Scenario can be run more than once. Exactly
+// one of the two returns is non-nil on success.
 func (s *Spec) compileWorkload(c *checker, topoKind string, lsCfg topology.Config, ftCfg topology.FatTreeConfig, materialize bool) ([]workload.Flow, func() workload.Source) {
 	w := s.Workload
 	wseed := s.Seed + 1
@@ -539,8 +535,7 @@ func (s *Spec) compilePoisson(c *checker, topoKind string, lsCfg topology.Config
 	if s.Outputs.StreamStats {
 		// Validate the stream configuration once so spec errors surface
 		// at compile time; the factory then re-creates the identical
-		// source on every call (each shard of a sharded run pumps its
-		// own copy).
+		// source on every call.
 		if _, err := pc.Source(eventsim.NewRNG(wseed), w.Flows, 0); err != nil {
 			c.errf("workload", "%v", err)
 			return nil, nil
@@ -748,7 +743,7 @@ func (s *Spec) applyDeadlineOverride(c *checker, flows []workload.Flow) []worklo
 // identical per-flow semantics (the decorator runs after each flow's
 // draws, so the underlying stream is undisturbed). The returned
 // function is checker-free so source factories can call it long after
-// compilation — the sharded runner re-creates one source per shard.
+// compilation.
 func (s *Spec) deadlineOverrideDecorator(c *checker) func(workload.Source) workload.Source {
 	o := s.Workload.DeadlineOverride
 	if o == nil {

@@ -305,11 +305,12 @@ type Run struct {
 	// ShortThreshold classifies flows for result aggregation (default
 	// 100KB).
 	ShortThreshold Size `json:"shortThreshold,omitempty"`
-	// Shards > 1 partitions the topology spatially and runs one shard
-	// per goroutine with deterministic cross-shard handoff; results are
-	// byte-identical at any shard count. Clamped to the topology's
-	// parallelism (leaf groups / pods); 0 or 1 runs the single-engine
-	// path.
+	// Shards is accepted (negatives rejected) and ignored: every run is
+	// one engine.
+	//
+	// Deprecated: the sharded runner was removed in PR 16; the field
+	// stays until the benchmark's fattree-mice-sharded workload, which
+	// sets it, is dropped — then run.shards becomes a validation error.
 	Shards int `json:"shards,omitempty"`
 }
 

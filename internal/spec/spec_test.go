@@ -8,6 +8,7 @@ import (
 	_ "tlb/internal/core" // register the tlb scheme
 	"tlb/internal/eventsim"
 	"tlb/internal/faults"
+	"tlb/internal/sim"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
@@ -246,16 +247,49 @@ func TestFaultsRejectedOnFatTree(t *testing.T) {
 	}
 }
 
-func TestShardsRejectReplication(t *testing.T) {
-	s := testSpec()
-	s.Run.Shards = 2
-	s.Replication = &Replication{Threshold: "100KB", Copies: 2}
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "run.shards") {
-		t.Fatalf("shards+replication should be rejected at run.shards, got %v", err)
+// TestShardsAcceptedAndIgnored pins the compatibility shim the
+// benchmark's fattree-mice-sharded workload leans on: run.shards — with
+// or without replication, which the sharded runner used to reject —
+// validates, compiles and runs to the same Result (every field, hence
+// every accessor) as the spec without it; a negative count still fails
+// at its JSON path.
+func TestShardsAcceptedAndIgnored(t *testing.T) {
+	small := func() *Spec {
+		s := testSpec()
+		s.Workload.Groups[0].LongSizes = &SizeDist{Kind: "fixed", Size: "1MB"}
+		return s
 	}
-	s.Run.Shards = 1
-	if err := s.Validate(); err != nil {
-		t.Fatalf("replication on one shard is valid, got %v", err)
+	run := func(s *Spec) *sim.Result {
+		t.Helper()
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := s.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, repl := range []*Replication{nil, {Threshold: "100KB", Copies: 2}} {
+		plain, sharded := small(), small()
+		plain.Replication, sharded.Replication = repl, repl
+		sharded.Run.Shards = 2
+		want, got := run(plain), run(sharded)
+		if want.CompletedCount(sim.AllFlows) == 0 {
+			t.Fatal("reference run completed no flows")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("replication %v: run.shards 2 changed the Result", repl != nil)
+		}
+	}
+	s := small()
+	s.Run.Shards = -1
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "run.shards") {
+		t.Fatalf("negative shards should be rejected at run.shards, got %v", err)
 	}
 }
 
@@ -305,9 +339,9 @@ func TestMarshalLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardsRoundTrip pins the run.shards field: it survives
-// marshal/load, compiles into Scenario.Shards, and a negative count is
-// rejected at compile time.
+// TestShardsRoundTrip pins the deprecated run.shards field: it
+// survives marshal/load, compiles into Scenario.Shards, and a negative
+// count is rejected at compile time.
 func TestShardsRoundTrip(t *testing.T) {
 	s := testSpec()
 	s.Run.Shards = 4
@@ -408,8 +442,7 @@ func TestCompileStreamStatsProducesSource(t *testing.T) {
 	if got := workload.Collect(lazy.FlowSourceNew()); !reflect.DeepEqual(got, eager.Flows) {
 		t.Fatal("lazy poisson source diverges from the eager flows")
 	}
-	// The factory must be replayable: the sharded runner pumps one
-	// fresh copy per shard.
+	// The factory must be replayable.
 	if got := workload.Collect(lazy.FlowSourceNew()); !reflect.DeepEqual(got, eager.Flows) {
 		t.Fatal("lazy poisson factory is not replayable")
 	}

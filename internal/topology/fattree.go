@@ -6,6 +6,7 @@ import (
 	"tlb/internal/eventsim"
 	"tlb/internal/lb"
 	"tlb/internal/netem"
+	"tlb/internal/units"
 )
 
 // Network is the interface the experiment runner drives traffic
@@ -260,6 +261,20 @@ func (f *FatTree) BalancedPorts() []*netem.Port {
 		out = append(out, a.up...)
 	}
 	return out
+}
+
+// MinFabricDelay returns the minimum propagation delay over the
+// agg<->core links — the inter-pod tier — for the runner's
+// flow-teardown lag (see Fabric.MinFabricDelay).
+func (f *FatTree) MinFabricDelay() units.Time {
+	groups := make([][]*netem.Port, 0, len(f.aggs)+len(f.cores))
+	for _, a := range f.aggs {
+		groups = append(groups, a.up)
+	}
+	for _, c := range f.cores {
+		groups = append(groups, c.down)
+	}
+	return minLinkDelay(groups)
 }
 
 // EveryQueue implements Network.

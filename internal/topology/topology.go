@@ -257,8 +257,35 @@ func (f *Fabric) LinkPorts(leaf, spine int) (up, down *netem.Port, err error) {
 // instrumentation.
 func (f *Fabric) DownlinksOfSpine(spine int) []*netem.Port { return f.spines[spine].down }
 
-// HostNIC returns a host's NIC port, for instrumentation.
-func (f *Fabric) HostNIC(host int) *netem.Port { return f.hostNIC[host] }
+// MinFabricDelay returns the minimum propagation delay over every
+// inter-switch link (host links excluded). The runner derives the
+// flow-teardown lag from it (see internal/sim): a pure function of the
+// topology, so every run of it schedules the identical close events.
+func (f *Fabric) MinFabricDelay() units.Time {
+	groups := make([][]*netem.Port, 0, len(f.leaves)+len(f.spines))
+	for _, leaf := range f.leaves {
+		groups = append(groups, leaf.up)
+	}
+	for _, spine := range f.spines {
+		groups = append(groups, spine.down)
+	}
+	return minLinkDelay(groups)
+}
+
+// minLinkDelay returns the smallest propagation delay over the ports
+// of every group, 0 when there are none.
+func minLinkDelay(groups [][]*netem.Port) units.Time {
+	var min units.Time
+	found := false
+	for _, g := range groups {
+		for _, p := range g {
+			if d := p.Link().Delay; !found || d < min {
+				min, found = d, true
+			}
+		}
+	}
+	return min
+}
 
 // Balancer returns the load balancer instance at the given leaf.
 func (f *Fabric) Balancer(leaf int) lb.Balancer { return f.leaves[leaf].bal }

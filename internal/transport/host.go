@@ -29,7 +29,7 @@ type Host struct {
 	// closeKey is the host's construction-order keyed identity
 	// (eventsim.Sim.ReserveKeyedID), used by CloseReceiverAt to place
 	// deferred teardown events at a position that is a pure function of
-	// (completion time, host) — the same partition-invariance contract
+	// (completion time, host) — the same traffic-only ordering contract
 	// netem ports use for deliveries.
 	closeKey uint32
 }
@@ -108,16 +108,12 @@ func hostCloseFire(arg any) {
 
 // CloseReceiverAt schedules CloseReceiver as a keyed event at done+lag,
 // ordered by (done, host): flow teardown modelled as a finite-latency
-// notification rather than an instantaneous side effect. The runner
-// uses a lag no smaller than the sharded runner's synchronization
-// window (and the key is built from the completion time, not the
-// scheduling time), so a cross-shard completion delivered at a later
-// barrier can re-create the identical event — which is what keeps a
-// late retransmission's fate (consumed by a still-open receiver versus
-// dropped by a closed one) byte-identical at every shard count. Two
-// flows completing at the same instant toward the same host collide on
-// the key; the closes are commutative map deletions, so their relative
-// order is immaterial.
+// notification rather than an instantaneous side effect. The key is
+// built from the completion time, so a late retransmission's fate
+// (consumed by a still-open receiver versus dropped by a closed one)
+// is a function of the traffic alone. Two flows completing at the same
+// instant toward the same host collide on the key; the closes are
+// commutative map deletions, so their relative order is immaterial.
 func (h *Host) CloseReceiverAt(done, lag units.Time, id netem.FlowID) {
 	h.sim.AtKey(done+lag, netem.DeliveryKey(done, h.closeKey), hostCloseFire, &hostClose{h: h, id: id})
 }

@@ -41,9 +41,8 @@ type Receiver struct {
 	// ACKs, so sender dynamics are unchanged) but stops mutating Stats
 	// and emitting samples. Completion is receiver-local, so the freeze
 	// point — unlike the runner's teardown event — is independent of
-	// both the shard layout and when the close lands, which is what
-	// makes the receiver-half counters safe to snapshot at any moment
-	// at or after completion.
+	// when the close lands: the record reads the same at any moment at
+	// or after completion.
 	frozen bool
 
 	// Delayed-ACK state: how many in-order segments are unacknowledged
@@ -113,7 +112,6 @@ func (r *Receiver) onData(pkt *netem.Packet) {
 	oneWay := now - pkt.SentAt
 	if !frozen {
 		r.Stats.PacketsRecv++
-		r.Stats.SumPktDelay += oneWay
 		r.Stats.DelaySamples++
 	}
 	outOfOrder := false

@@ -38,7 +38,6 @@ type FlowStats struct {
 	PacketsRecv   int64
 	OutOfOrder    int64 // data packets that arrived above rcvNxt (reordered or post-loss)
 	DupAcksSent   int64
-	SumPktDelay   units.Time // one-way delay summed over received data packets
 	DelaySamples  int64
 }
 
@@ -60,15 +59,6 @@ func (s *FlowStats) MissedDeadline(now units.Time) bool {
 		return s.End > s.Deadline
 	}
 	return now > s.Deadline
-}
-
-// AvgPacketDelay returns the mean one-way delay of received data
-// packets, or 0 with no samples.
-func (s *FlowStats) AvgPacketDelay() units.Time {
-	if s.DelaySamples == 0 {
-		return 0
-	}
-	return s.SumPktDelay / units.Time(s.DelaySamples)
 }
 
 // DupAckRatio returns the receiver's duplicate-ACK count over packets
