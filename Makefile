@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json race bench bench-all bench-gate bench-gate-self alloc-gates identity specs examples smoke largescale-smoke serve-smoke ci
+.PHONY: build test vet lint lint-json race bench bench-all bench-gate bench-gate-self alloc-gates identity loc specs examples smoke largescale-smoke serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -94,13 +94,19 @@ alloc-gates:
 	$(GO) test -run 'TestAllocGate' -count 1 -v .
 
 # identity runs the output-identity contract on its own: the golden
-# figure CSVs, worker-count identity, observer neutrality and the
+# figure CSVs, worker-count identity, observer neutrality, records-kept
+# vs records-dropped parity (finished and truncated runs) and the
 # benchmark harness's digest tests — the set a change to shared run machinery has
 # to keep green (also part of `make test`; this is the fast inner loop).
 identity:
 	$(GO) test -count 1 -run 'TestGoldenFigures|TestParallelSerialIdentical' ./internal/experiments
-	$(GO) test -count 1 -run 'TestSessionObserverNeutral' ./internal/sim
+	$(GO) test -count 1 -run 'TestSessionObserverNeutral|TestStreamStatsMatchesRecords' ./internal/sim
 	$(GO) test -count 1 ./bench
+
+# loc prints the ROADMAP's simplicity measure — lines of non-test Go
+# outside bench/ — so every simplicity PR quotes the same count.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 # specs validates every checked-in scenario spec through the loader
 # and registry (the quickstart example and the golden experiment

@@ -18,7 +18,12 @@ func TestTickSweepVisitOrderSorted(t *testing.T) {
 
 	// Insert flows with scrambled identities.
 	n := 50
-	perm := rng.Perm(n)
+	perm := make([]int, n)
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
 	for _, i := range perm {
 		flow := netem.FlowID{Src: i % 7, Dst: 10 + i%5, Port: i}
 		tl.Pick(dataPkt(flow, 1460), ports)

@@ -407,14 +407,6 @@ func (s *Sim) AtArg(t Time, fn func(any), arg any) Event {
 	return s.schedule(t, s.nextSeq(), nil, fn, arg)
 }
 
-// AfterArg schedules fn(arg) to run d after the current time.
-func (s *Sim) AfterArg(d Time, fn func(any), arg any) Event {
-	if d < 0 {
-		panic(fmt.Sprintf("eventsim: negative delay %v", d))
-	}
-	return s.AtArg(s.now+d, fn, arg)
-}
-
 // Cancel removes a pending event and reports whether it was still
 // pending. Cancelling an event that already ran (or was already
 // cancelled) returns false and does nothing else, so callers may

@@ -328,18 +328,6 @@ func TestRNGSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	rng := NewRNG(3)
-	p := rng.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestTimeHelpers(t *testing.T) {
 	if units.Second.Seconds() != 1 {
 		t.Fatal("Second.Seconds() != 1")

@@ -220,9 +220,9 @@ func TestAtArg(t *testing.T) {
 	s.AtArg(20, record, 2)
 	s.AtArg(10, record, 1)
 	s.At(15, func() { got = append(got, 15) })
-	c := s.AfterArg(5, record, 99)
+	c := s.AtArg(5, record, 99)
 	if !s.Cancel(c) {
-		t.Fatal("Cancel of a pending AfterArg event reported not-pending")
+		t.Fatal("Cancel of a pending AtArg event reported not-pending")
 	}
 	s.Run()
 	want := []int{1, 15, 2}

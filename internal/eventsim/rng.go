@@ -86,14 +86,3 @@ func (r *RNG) ExpFloat64() float64 {
 	u := 1 - r.Float64()
 	return -math.Log(u)
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

@@ -92,8 +92,8 @@ func FigLS(o Options) ([]Figure, error) {
 		YLabel: "mixed units, see bar labels",
 	}
 	for i, res := range results {
-		if res.Stream == nil {
-			return nil, fmt.Errorf("figLS: %s ran without streaming aggregates", labels[i])
+		if len(res.Flows) != 0 {
+			return nil, fmt.Errorf("figLS: %s retained %d flow records, want streamStats", labels[i], len(res.Flows))
 		}
 		flows := res.Count(sim.AllFlows)
 		fig.Bars = append(fig.Bars,

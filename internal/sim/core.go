@@ -71,13 +71,13 @@ type runCore struct {
 	stopped bool
 	err     error
 
-	// agg is the fold target: set when the scenario streams its stats
-	// or an observer wants per-class aggregates in its snapshots. It
-	// only ever reads completed records, so the simulation cannot see
-	// it; Result.Stream is published from it only under StreamStats.
+	// agg is the fold target every flow record is reduced into exactly
+	// once — at its done callback, or in assemble if still open at end
+	// of run — and becomes Result.Stream. The fold only reads records,
+	// so the simulation cannot see it.
 	agg *StreamAgg
-	// started/done count flow opens and completions for the progress
-	// stream.
+	// started/done count flow opens and completions, for the progress
+	// stream and the fold audit.
 	started int64
 	done    int64
 
@@ -88,11 +88,9 @@ type runCore struct {
 
 // newCore constructs the scenario's world — engine, pool, network,
 // faults, hosts — and arms the workload and the goodput ticker, in
-// that order: set-up events take their sequence numbers in it. fold
-// asks for the per-class fold target even when the run retains its
-// records.
-func newCore(sc *Scenario, fold bool) (*runCore, error) {
-	c := &runCore{sc: sc, sim: eventsim.New()}
+// that order: set-up events take their sequence numbers in it.
+func newCore(sc *Scenario) (*runCore, error) {
+	c := &runCore{sc: sc, sim: eventsim.New(), agg: &StreamAgg{}}
 	rng := eventsim.NewRNG(sc.Seed)
 	// One packet pool per run: endpoints allocate from it, and the
 	// hosts (delivery) and fabric (drops) release back to it, making
@@ -132,9 +130,6 @@ func newCore(sc *Scenario, fold bool) (*runCore, error) {
 		c.hosts[h].SetPool(pool)
 	}
 	c.closeLag = teardownLag(net, sc.Faults)
-	if sc.StreamStats || fold {
-		c.agg = &StreamAgg{}
-	}
 
 	if err := c.scheduleFlows(); err != nil {
 		return nil, err
@@ -256,12 +251,9 @@ func (c *runCore) openFlow(i int, f workload.Flow) {
 				Note: fmt.Sprintf("fct=%v retx=%d", done.Stats.FCT(), done.Stats.Retransmits),
 			})
 		}
-		if c.agg != nil {
-			// Under StreamStats this is fold and forget: the host
-			// already released the endpoint, so nothing retains the
-			// record.
-			c.agg.Fold(&done.Stats, short, c.sim.Now())
-		}
+		// Under StreamStats this is fold and forget: the host already
+		// released the endpoint, so nothing retains the record.
+		c.agg.Fold(&done.Stats, short, c.sim.Now())
 		c.flowDone()
 	})
 	snd.Stats.Deadline = f.Deadline
@@ -315,9 +307,7 @@ func (c *runCore) openReplicated(idx int, f workload.Flow) {
 						Note: fmt.Sprintf("repflow winner fct=%v", done.Stats.FCT()),
 					})
 				}
-				if c.agg != nil {
-					c.agg.Fold(canonical, short, c.sim.Now())
-				}
+				c.agg.Fold(canonical, short, c.sim.Now())
 				c.flowDone()
 			})
 			snd.Stats.Deadline = f.Deadline
@@ -414,15 +404,6 @@ func closeReceiver(h *transport.Host, done, lag units.Time, id netem.FlowID) {
 	}
 }
 
-// classes returns an independent copy of the fold target — safe for an
-// observer to retain — or nil when the run folds nothing.
-func (c *runCore) classes() *StreamAgg {
-	if c.agg == nil {
-		return nil
-	}
-	return c.agg.Clone()
-}
-
 // uplinks snapshots the balanced (uplink) ports in their build order.
 // Reading the counters mid-run is safe between event batches.
 func (c *runCore) uplinks() []PortSnapshot {
@@ -438,11 +419,13 @@ func (c *runCore) uplinks() []PortSnapshot {
 	return out
 }
 
-// assemble reduces the finished core to the run's Result.
-func assemble(sc *Scenario, c *runCore, endTime units.Time) *Result {
+// assemble reduces the finished core to the run's Result, or fails the
+// run if the fold audit does not balance.
+func assemble(sc *Scenario, c *runCore, endTime units.Time) (*Result, error) {
 	res := &Result{
 		Scenario:       sc.Name,
 		Scheme:         sc.SchemeName,
+		Stream:         c.agg,
 		ShortThreshold: sc.ShortThreshold,
 		EndTime:        endTime,
 	}
@@ -455,22 +438,33 @@ func assemble(sc *Scenario, c *runCore, endTime units.Time) *Result {
 		res.LongGoodputBytes = stats.NewTimeSeries(w)
 	}
 
+	// Completed flows folded at their done callbacks; fold the flows
+	// still open so unfinished ones count too (deadline misses at
+	// endTime, goodput over active time).
+	opened := c.started
 	if sc.StreamStats {
-		// Completed flows folded at their done callbacks; sweep the
-		// still-open senders so unfinished flows count too, exactly as
-		// the record-based accessors count them — host order then FlowID
-		// order keeps the fold sequence deterministic.
-		res.Stream = c.agg
+		// No records were kept: sweep the still-open senders, in host
+		// order then FlowID order so the fold sequence is deterministic.
 		for _, h := range c.hosts {
 			h.EachOpenSenderSorted(func(snd *transport.Sender) {
-				res.Stream.Fold(&snd.Stats, snd.Stats.Size <= sc.ShortThreshold, endTime)
+				c.agg.Fold(&snd.Stats, snd.Stats.Size <= sc.ShortThreshold, endTime)
 			})
 		}
 	} else {
-		// Record mode: Flows in open order.
+		// Records are kept as well: Flows in open order. The log also
+		// holds replicated flows scheduled but not yet started.
+		opened = int64(len(c.openLog))
+		res.Flows = make([]*transport.FlowStats, len(c.openLog))
 		for i := range c.openLog {
-			res.Flows = append(res.Flows, c.openLog[i].stats)
+			r := &c.openLog[i]
+			res.Flows[i] = r.stats
+			if !r.stats.Done {
+				c.agg.Fold(r.stats, r.short, endTime)
+			}
 		}
+	}
+	if err := auditFold(c.agg.Agg(AllFlows), opened, c.done); err != nil {
+		return nil, fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
 	}
 
 	replaySamples(sc, res, c.samples)
@@ -479,7 +473,18 @@ func assemble(sc *Scenario, c *runCore, endTime units.Time) *Result {
 	res.Drops = c.net.Drops()
 	c.net.EveryQueue(func(_ string, q *netem.Queue) { res.FaultDrops += q.Stats().FaultDropped })
 	res.Uplinks = c.uplinks()
-	return res
+	return res, nil
+}
+
+// auditFold is the conservation check on the one path every flow
+// measurement takes: each opened flow must have been folded exactly
+// once, and each completion folded as a completion.
+func auditFold(all *stats.FlowAgg, opened, done int64) error {
+	if all.Count != opened || all.Completed != done {
+		return fmt.Errorf("fold audit: %d flows folded (%d completed), %d opened (%d completed)",
+			all.Count, all.Completed, opened, done)
+	}
+	return nil
 }
 
 // replaySamples applies the packet-sample log in (time, receiving

@@ -381,19 +381,19 @@ func TestRunAllSweep(t *testing.T) {
 }
 
 // TestIncastScenario runs the partition/aggregate pattern end to end:
-// the destination host link is the bottleneck and all flows must
-// still complete.
+// five synchronized rounds of four workers answering one aggregator, so
+// the destination host link is the bottleneck and all flows must still
+// complete.
 func TestIncastScenario(t *testing.T) {
-	inc := workload.IncastConfig{
-		Aggregator:    4, // on leaf 1
-		Workers:       []int{0, 1, 2, 3},
-		ResponseSize:  workload.Fixed{Size: 64 * units.KB},
-		Rounds:        5,
-		RoundInterval: 5 * units.Millisecond,
-	}
-	flows, err := inc.Generate(eventsim.NewRNG(3), 0)
-	if err != nil {
-		t.Fatal(err)
+	const aggregator = 4 // on leaf 1; the workers are leaf 0
+	var flows []workload.Flow
+	for round := 0; round < 5; round++ {
+		for worker := 0; worker < 4; worker++ {
+			flows = append(flows, workload.Flow{
+				Src: worker, Dst: aggregator, Size: 64 * units.KB,
+				Start: units.Time(round) * 5 * units.Millisecond,
+			})
+		}
 	}
 	res, err := Run(Scenario{
 		Name: "incast", Topology: smallTopo(), Transport: transport.DefaultConfig(),

@@ -9,11 +9,13 @@ import (
 
 // This file is the measurement side of the run-control/measurement
 // split: a typed progress stream a single session and a sweep emit
-// over one interface. Observation is strictly read-only —
-// an attached observer sees copies (exact Merge-able aggregate clones,
-// port-stat snapshots) and can never perturb the simulation, so
-// results are byte-identical with and without one (pinned by
-// TestObserverNeutrality and the figure-identity tests).
+// over one interface. Observation is strictly read-only, and neutral
+// by construction: the per-class aggregate a snapshot clones is the one
+// every run folds into and publishes as Result.Stream whether or not an
+// observer is attached, so attaching one adds no work to the run core
+// — it only copies (exact Merge-able aggregate clones, port-stat
+// snapshots) between event batches. TestSessionObserverNeutral and the
+// figure-identity tests keep that pinned.
 
 // ProgressKind discriminates the events of a session's progress stream.
 type ProgressKind int
@@ -77,10 +79,11 @@ type ProgressEvent struct {
 	FlowsStarted int64
 	FlowsDone    int64
 
-	// Classes holds per-class aggregates over the flows completed so
-	// far (final aggregates on Done): an exact Merge-able clone, so
-	// observers can reduce across sessions. Nil when the session has
-	// nothing to report yet.
+	// Classes is a clone of the run's per-class aggregate: the flows
+	// completed so far on a snapshot, Result.Stream on Done (so
+	// unfinished flows included). Exact and Merge-able, so observers can
+	// reduce across sessions. Nil only on a Done event that carries no
+	// Result (validation failure, cancel, run error).
 	Classes *StreamAgg
 
 	// Uplinks snapshots the leaf uplink ports (queue depth sums feed

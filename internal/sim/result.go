@@ -27,7 +27,14 @@ func (r *Result) inClass(fs *transport.FlowStats, c Class) bool {
 	}
 }
 
-// Each visits every flow record in the given class.
+// Every accessor below reads Result.Stream, the one representation of a
+// run's flow measurements. The retained records (Result.Flows, absent
+// under Scenario.StreamStats) do only what an aggregate cannot: visit
+// each flow, hand out the raw FCT observations, and answer percentiles
+// exactly.
+
+// Each visits every retained flow record in the given class (none
+// under StreamStats).
 func (r *Result) Each(c Class, fn func(*transport.FlowStats)) {
 	for _, fs := range r.Flows {
 		if r.inClass(fs, c) {
@@ -37,38 +44,17 @@ func (r *Result) Each(c Class, fn func(*transport.FlowStats)) {
 }
 
 // Count returns the number of flows in the class.
-func (r *Result) Count(c Class) int {
-	if r.Stream != nil {
-		return int(r.Stream.Agg(c).Count)
-	}
-	n := 0
-	r.Each(c, func(*transport.FlowStats) { n++ })
-	return n
-}
+func (r *Result) Count(c Class) int { return int(r.Stream.Agg(c).Count) }
 
 // CompletedCount returns how many flows in the class finished.
-func (r *Result) CompletedCount(c Class) int {
-	if r.Stream != nil {
-		return int(r.Stream.Agg(c).Completed)
-	}
-	n := 0
-	r.Each(c, func(fs *transport.FlowStats) {
-		if fs.Done {
-			n++
-		}
-	})
-	return n
-}
+func (r *Result) CompletedCount(c Class) int { return int(r.Stream.Agg(c).Completed) }
 
 // FCTSample collects the completion times (seconds) of finished flows
-// in the class. Under StreamStats no raw observations exist, so the
-// returned sample is empty — use AFCT/FCTPercentile, which answer from
-// the streaming aggregates.
+// in the class from the retained records. Under StreamStats no raw
+// observations exist, so the returned sample is empty — use
+// AFCT/FCTPercentile, which answer from the aggregate.
 func (r *Result) FCTSample(c Class) *stats.Sample {
 	s := &stats.Sample{}
-	if r.Stream != nil {
-		return s
-	}
 	r.Each(c, func(fs *transport.FlowStats) {
 		if fs.Done {
 			s.Add(fs.FCT().Seconds())
@@ -79,86 +65,41 @@ func (r *Result) FCTSample(c Class) *stats.Sample {
 
 // AFCT returns the mean completion time of finished flows in the class.
 func (r *Result) AFCT(c Class) units.Time {
-	if r.Stream != nil {
-		return units.FromSeconds(r.Stream.Agg(c).FCT.Mean())
-	}
-	s := r.FCTSample(c)
-	return units.FromSeconds(s.Mean())
+	return units.FromSeconds(r.Stream.Agg(c).FCT.Mean())
 }
 
 // FCTPercentile returns the p-th percentile FCT of finished flows —
-// exact from retained records, or within the quantile sketch's
-// relative-error bound (stats.DefaultSketchAlpha) under StreamStats.
+// exact when the run retained its records, within the quantile
+// sketch's relative-error bound (stats.DefaultSketchAlpha) when it did
+// not (StreamStats). This is the one place records and aggregate give
+// different answers.
 func (r *Result) FCTPercentile(c Class, p float64) units.Time {
-	if r.Stream != nil {
-		sk := r.Stream.Agg(c).Sketch
-		if sk == nil {
-			return 0
-		}
-		return units.FromSeconds(sk.Percentile(p))
+	if len(r.Flows) > 0 {
+		return units.FromSeconds(r.FCTSample(c).Percentile(p))
 	}
-	return units.FromSeconds(r.FCTSample(c).Percentile(p))
+	sk := r.Stream.Agg(c).Sketch
+	if sk == nil {
+		return 0
+	}
+	return units.FromSeconds(sk.Percentile(p))
 }
 
 // DeadlineMissRatio returns the fraction of deadline-carrying flows in
 // the class that missed (finished late or unfinished past the
 // deadline at run end).
-func (r *Result) DeadlineMissRatio(c Class) float64 {
-	if r.Stream != nil {
-		return r.Stream.Agg(c).MissRatio()
-	}
-	total, missed := 0, 0
-	r.Each(c, func(fs *transport.FlowStats) {
-		if fs.Deadline == 0 {
-			return
-		}
-		total++
-		if fs.MissedDeadline(r.EndTime) {
-			missed++
-		}
-	})
-	if total == 0 {
-		return 0
-	}
-	return float64(missed) / float64(total)
-}
+func (r *Result) DeadlineMissRatio(c Class) float64 { return r.Stream.Agg(c).MissRatio() }
 
 // Goodput returns the class's aggregate goodput: acknowledged payload
 // bytes divided by each flow's active time, averaged per flow. This is
 // the "throughput of long flows" metric of Fig. 10d/11d.
 func (r *Result) Goodput(c Class) units.Bandwidth {
-	if r.Stream != nil {
-		return units.Bandwidth(r.Stream.Agg(c).MeanGoodput())
-	}
-	var sum float64
-	n := 0
-	r.Each(c, func(fs *transport.FlowStats) {
-		end := fs.End
-		if !fs.Done {
-			end = r.EndTime
-		}
-		dur := (end - fs.Start).Seconds()
-		if dur <= 0 || fs.BytesAcked <= 0 {
-			return
-		}
-		sum += float64(fs.BytesAcked) * 8 / dur
-		n++
-	})
-	if n == 0 {
-		return 0
-	}
-	return units.Bandwidth(sum / float64(n))
+	return units.Bandwidth(r.Stream.Agg(c).MeanGoodput())
 }
 
 // AggregateGoodput returns total acknowledged bytes of the class over
 // the whole run duration, as a single rate.
 func (r *Result) AggregateGoodput(c Class) units.Bandwidth {
-	var bytes units.Bytes
-	if r.Stream != nil {
-		bytes = units.Bytes(r.Stream.Agg(c).BytesAcked)
-	} else {
-		r.Each(c, func(fs *transport.FlowStats) { bytes += fs.BytesAcked })
-	}
+	bytes := units.Bytes(r.Stream.Agg(c).BytesAcked)
 	dur := r.EndTime.Seconds()
 	if dur <= 0 {
 		return 0
@@ -181,79 +122,37 @@ func (r *Result) UplinkUtilization() float64 {
 }
 
 // TotalRetransmits sums retransmissions in the class.
-func (r *Result) TotalRetransmits(c Class) int64 {
-	if r.Stream != nil {
-		return r.Stream.Agg(c).Retransmits
-	}
-	var n int64
-	r.Each(c, func(fs *transport.FlowStats) { n += fs.Retransmits })
-	return n
-}
+func (r *Result) TotalRetransmits(c Class) int64 { return r.Stream.Agg(c).Retransmits }
 
 // TotalTimeouts sums RTO events in the class.
-func (r *Result) TotalTimeouts(c Class) int64 {
-	if r.Stream != nil {
-		return r.Stream.Agg(c).Timeouts
-	}
-	var n int64
-	r.Each(c, func(fs *transport.FlowStats) { n += fs.Timeouts })
-	return n
-}
+func (r *Result) TotalTimeouts(c Class) int64 { return r.Stream.Agg(c).Timeouts }
 
 // OutOfOrderRatio returns out-of-order arrivals over received packets
 // for the class — Fig. 4b's reordering metric.
 func (r *Result) OutOfOrderRatio(c Class) float64 {
-	var ooo, recv int64
-	if r.Stream != nil {
-		a := r.Stream.Agg(c)
-		ooo, recv = a.OutOfOrder, a.PacketsRecv
-	} else {
-		r.Each(c, func(fs *transport.FlowStats) {
-			ooo += fs.OutOfOrder
-			recv += fs.PacketsRecv
-		})
-	}
-	if recv == 0 {
+	a := r.Stream.Agg(c)
+	if a.PacketsRecv == 0 {
 		return 0
 	}
-	return float64(ooo) / float64(recv)
+	return float64(a.OutOfOrder) / float64(a.PacketsRecv)
 }
 
 // DupAckRatio returns duplicate ACKs over received data packets for
 // the class — Fig. 3b's metric.
 func (r *Result) DupAckRatio(c Class) float64 {
-	var dup, recv int64
-	if r.Stream != nil {
-		a := r.Stream.Agg(c)
-		dup, recv = a.DupAcksSent, a.PacketsRecv
-	} else {
-		r.Each(c, func(fs *transport.FlowStats) {
-			dup += fs.DupAcksSent
-			recv += fs.PacketsRecv
-		})
-	}
-	if recv == 0 {
+	a := r.Stream.Agg(c)
+	if a.PacketsRecv == 0 {
 		return 0
 	}
-	return float64(dup) / float64(recv)
+	return float64(a.DupAcksSent) / float64(a.PacketsRecv)
 }
 
 // MeanQueueDelay returns the mean per-packet queueing delay of the
 // class's received data packets.
 func (r *Result) MeanQueueDelay(c Class) units.Time {
-	var sum units.Time
-	var n int64
-	if r.Stream != nil {
-		a := r.Stream.Agg(c)
-		sum, n = units.Time(a.SumQueueDelay), a.DelaySamples
-	} else {
-		r.Each(c, func(fs *transport.FlowStats) {
-			sum += fs.SumQueueDelay
-			n += fs.DelaySamples
-		})
-	}
-	if n == 0 {
+	a := r.Stream.Agg(c)
+	if a.DelaySamples == 0 {
 		return 0
 	}
-	return sum / units.Time(n)
+	return units.Time(a.SumQueueDelay / a.DelaySamples)
 }

@@ -113,9 +113,6 @@ func (ss *Session) Cancel() { ss.canceled.Store(true) }
 // Canceled reports whether Cancel has been called.
 func (ss *Session) Canceled() bool { return ss.canceled.Load() }
 
-// Scenario returns the session's (defaulted) scenario copy.
-func (ss *Session) Scenario() *Scenario { return &ss.sc }
-
 // Run executes the session's scenario and returns its measurements,
 // exactly as the package-level Run does. Exactly one ProgressDone
 // event is emitted per Run call, error or not.
@@ -144,7 +141,7 @@ func (ss *Session) Run() (*Result, error) {
 // strictly between event batches.
 func (ss *Session) run() (*Result, error) {
 	sc := &ss.sc
-	c, err := newCore(sc, ss.observing())
+	c, err := newCore(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +167,7 @@ func (ss *Session) run() (*Result, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	return assemble(sc, c, c.sim.Now()), nil
+	return assemble(sc, c, c.sim.Now())
 }
 
 // tally copies the core's progress counters into the session, between
@@ -183,13 +180,14 @@ func (ss *Session) tally(c *runCore) {
 }
 
 // snapshot emits one mid-run observation of the core, between event
-// batches: the per-class aggregates and the uplink ports.
+// batches: a copy of the per-class aggregate the run folds into
+// whether or not anyone watches, and the uplink ports.
 func (ss *Session) snapshot(c *runCore) {
 	ev := ss.baseEvent(ProgressSnapshot)
 	ev.SimTime = c.sim.Now()
 	ev.Events = ss.events
 	ev.EventsPerSec = ss.rate(ss.events)
-	ev.Classes = c.classes()
+	ev.Classes = c.agg.Clone()
 	ev.Uplinks = c.uplinks()
 	ss.emit(ev)
 }
@@ -288,22 +286,8 @@ func (ss *Session) emitDone(res *Result, err error) {
 	ev.EventsPerSec = ss.rate(ss.events)
 	if res != nil {
 		ev.SimTime = res.EndTime
-		ev.Classes = resultClasses(res)
+		ev.Classes = res.Stream.Clone()
 		ev.Uplinks = res.Uplinks
 	}
 	ss.emit(ev)
-}
-
-// resultClasses reduces a finished run to its per-class aggregates:
-// the streaming aggregate's exact clone when the run streamed, a fresh
-// fold over the retained records otherwise.
-func resultClasses(res *Result) *StreamAgg {
-	if res.Stream != nil {
-		return res.Stream.Clone()
-	}
-	agg := &StreamAgg{}
-	for _, fs := range res.Flows {
-		agg.Fold(fs, fs.Size <= res.ShortThreshold, res.EndTime)
-	}
-	return agg
 }

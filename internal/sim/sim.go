@@ -51,14 +51,16 @@ type Scenario struct {
 	// deleted when that workload is.
 	Shards int
 
-	// StreamStats folds every flow record into fixed-size per-class
-	// aggregates (Result.Stream) at completion and releases the record,
-	// instead of retaining it in Result.Flows — O(1) memory per flow.
-	// All Result accessors answer from the aggregates; FCT percentiles
-	// carry the quantile sketch's relative-error bound
-	// (stats.DefaultSketchAlpha), other metrics are exact.
-	// Incompatible with SampleShortPackets, CollectTimeSeries and
-	// Replication, which need retained records.
+	// StreamStats means "do not retain records": every run folds each
+	// flow record into the fixed-size per-class aggregate
+	// (Result.Stream) exactly once; this flag additionally releases the
+	// record at completion instead of keeping it in Result.Flows — O(1)
+	// memory per flow. What goes with the records: Result.Each and
+	// FCTSample see nothing, and FCT percentiles come from the quantile
+	// sketch and carry its relative-error bound
+	// (stats.DefaultSketchAlpha). Every other metric is the same number
+	// either way. Incompatible with SampleShortPackets,
+	// CollectTimeSeries and Replication, which need retained records.
 	StreamStats bool
 
 	// MaxTime hard-stops the run; 0 means run until all flows finish.
@@ -148,13 +150,14 @@ type PortSnapshot struct {
 type Result struct {
 	Scenario string
 	Scheme   string
-	// Flows holds the per-flow records — empty under
-	// Scenario.StreamStats, where Stream carries the aggregates
-	// instead.
-	Flows []*transport.FlowStats
-	// Stream is the streaming aggregate representation (non-nil exactly
-	// when the scenario ran with StreamStats).
-	Stream  *StreamAgg
+	// Stream is the per-class aggregate of the run's flow measurements:
+	// always set, folded once per flow, and what every accessor in
+	// result.go reads.
+	Stream *StreamAgg
+	// Flows holds the per-flow records in open order, kept in addition
+	// to Stream unless Scenario.StreamStats. They serve Each, FCTSample
+	// and exact FCTPercentile.
+	Flows   []*transport.FlowStats
 	EndTime units.Time
 	Drops   int64
 	// FaultDrops counts packets dropped at down ports anywhere in the

@@ -6,13 +6,13 @@ import (
 	"tlb/internal/units"
 )
 
-// StreamAgg is the streaming representation of a run's flow
-// measurements: one fixed-size stats.FlowAgg per class instead of a
-// retained []*transport.FlowStats, so memory is O(1) in the flow
-// count. Every Result accessor answers from it when present; FCT
-// percentiles come from the per-class quantile sketch and carry its
-// relative-error bound (stats.DefaultSketchAlpha), everything else is
-// exact.
+// StreamAgg is the one representation of a run's flow measurements:
+// a fixed-size stats.FlowAgg per class, O(1) memory in the flow count.
+// Every run folds each flow into it exactly once and every Result
+// accessor reads it. Its FCT percentiles come from the per-class
+// quantile sketch and carry its relative-error bound
+// (stats.DefaultSketchAlpha) — Result.FCTPercentile prefers the
+// retained records when there are any; everything else is exact.
 type StreamAgg struct {
 	Classes [3]stats.FlowAgg // indexed by Class: AllFlows, ShortFlows, LongFlows
 }
@@ -33,9 +33,9 @@ func (st *StreamAgg) Fold(fs *transport.FlowStats, short bool, end units.Time) {
 	}
 }
 
-// foldOne mirrors the record-based Result accessors field for field:
-// counters sum identically; FCT seconds feed the Online accumulator
-// and the sketch.
+// foldOne defines each per-class metric over one record: counters sum
+// in the record's native integer domain; FCT seconds feed the Online
+// accumulator and the sketch.
 func foldOne(a *stats.FlowAgg, fs *transport.FlowStats, end units.Time) {
 	a.Count++
 	if fs.Done {

@@ -47,33 +47,46 @@ func streamTestScenario(flows []workload.Flow, maxTime units.Time) Scenario {
 	}
 }
 
-// assertStreamParity checks every Result accessor against the
-// record-based run: counters must be exactly equal; AFCT nearly equal
-// (running sum vs Welford); percentiles within the sketch bound of the
-// exact value's bracketing order statistics.
+// assertStreamParity checks every Result accessor of the streamed run
+// against the record-keeping run: counters must be exactly equal; AFCT
+// and goodput nearly equal (the two runs fold unfinished flows in
+// different orders); percentiles within the sketch bound of the exact
+// value's bracketing order statistics. Both sides of that comparison
+// read a fold, so the integer counters are also checked against sums
+// taken directly over the retained records, which go through none.
 func assertStreamParity(t *testing.T, exact, streamed *Result) {
 	t.Helper()
 	if len(streamed.Flows) != 0 {
 		t.Fatalf("streamed run retained %d records", len(streamed.Flows))
 	}
-	if streamed.Stream == nil {
-		t.Fatal("streamed run has no Stream aggregate")
-	}
 	if exact.EndTime != streamed.EndTime {
 		t.Fatalf("end times differ: %v vs %v", exact.EndTime, streamed.EndTime)
 	}
 	for _, c := range []Class{AllFlows, ShortFlows, LongFlows} {
-		if e, s := exact.Count(c), streamed.Count(c); e != s {
-			t.Fatalf("class %d Count %d vs %d", c, e, s)
-		}
-		if e, s := exact.CompletedCount(c), streamed.CompletedCount(c); e != s {
-			t.Fatalf("class %d CompletedCount %d vs %d", c, e, s)
-		}
-		if e, s := exact.TotalRetransmits(c), streamed.TotalRetransmits(c); e != s {
-			t.Fatalf("class %d retransmits %d vs %d", c, e, s)
-		}
-		if e, s := exact.TotalTimeouts(c), streamed.TotalTimeouts(c); e != s {
-			t.Fatalf("class %d timeouts %d vs %d", c, e, s)
+		var want stats.FlowAgg
+		exact.Each(c, func(fs *transport.FlowStats) {
+			want.Count++
+			if fs.Done {
+				want.Completed++
+			}
+			want.Retransmits += fs.Retransmits
+			want.Timeouts += fs.Timeouts
+			want.PacketsRecv += fs.PacketsRecv
+			want.OutOfOrder += fs.OutOfOrder
+			want.DupAcksSent += fs.DupAcksSent
+			want.BytesAcked += int64(fs.BytesAcked)
+		})
+		for name, r := range map[string]*Result{"exact": exact, "streamed": streamed} {
+			a := r.Stream.Agg(c)
+			got := stats.FlowAgg{
+				Count: int64(r.Count(c)), Completed: int64(r.CompletedCount(c)),
+				Retransmits: r.TotalRetransmits(c), Timeouts: r.TotalTimeouts(c),
+				PacketsRecv: a.PacketsRecv, OutOfOrder: a.OutOfOrder,
+				DupAcksSent: a.DupAcksSent, BytesAcked: a.BytesAcked,
+			}
+			if got != want {
+				t.Fatalf("class %d %s run: accessors %+v, direct sum over records %+v", c, name, got, want)
+			}
 		}
 		if e, s := exact.DeadlineMissRatio(c), streamed.DeadlineMissRatio(c); e != s {
 			t.Fatalf("class %d miss ratio %v vs %v", c, e, s)
@@ -124,6 +137,38 @@ func assertStreamParity(t *testing.T, exact, streamed *Result) {
 			if est < lo-1e-12 || est > hi+1e-12 {
 				t.Fatalf("class %d p%v: streamed %v outside [%v, %v]", c, p, est, lo, hi)
 			}
+		}
+	}
+}
+
+// TestFoldAudit doctors an aggregate the ways the single fold path
+// could go wrong and checks the end-of-run audit rejects each.
+func TestFoldAudit(t *testing.T) {
+	recs := []*transport.FlowStats{
+		{Size: units.KB, Start: 0, End: units.Millisecond, Done: true},
+		{Size: units.MB, Start: 0, End: 2 * units.Millisecond, Done: true},
+		{Size: units.KB, Start: units.Millisecond},
+	}
+	end := 3 * units.Millisecond
+	fold := func(recs ...*transport.FlowStats) *stats.FlowAgg {
+		agg := &StreamAgg{}
+		for _, fs := range recs {
+			agg.Fold(fs, fs.Size <= 100*units.KB, end)
+		}
+		return agg.Agg(AllFlows)
+	}
+	if err := auditFold(fold(recs...), 3, 2); err != nil {
+		t.Fatalf("clean fold: %v", err)
+	}
+	lost := *recs[0]
+	lost.Done = false
+	for name, all := range map[string]*stats.FlowAgg{
+		"double fold":                    fold(recs[0], recs[0], recs[1], recs[2]),
+		"missed fold":                    fold(recs[0], recs[1]),
+		"completion folded as open flow": fold(&lost, recs[1], recs[2]),
+	} {
+		if err := auditFold(all, 3, 2); err == nil {
+			t.Errorf("%s passed the audit", name)
 		}
 	}
 }

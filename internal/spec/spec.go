@@ -323,9 +323,10 @@ type Outputs struct {
 	CollectTimeSeries bool `json:"collectTimeSeries,omitempty"`
 	// TimeBucket is the series bucket width (default 1ms).
 	TimeBucket Duration `json:"timeBucket,omitempty"`
-	// StreamStats folds flow records into fixed-size per-class
-	// aggregates instead of retaining them — O(1) memory per flow, for
-	// large-scale runs. Poisson and interpod workloads also generate
+	// StreamStats keeps only the fixed-size per-class aggregates every
+	// run folds its flow records into and does not retain the records —
+	// O(1) memory per flow, for large-scale runs; FCT percentiles are
+	// then sketch estimates. Poisson and interpod workloads also generate
 	// lazily under it. Incompatible with sampleShortPackets,
 	// collectTimeSeries and replication.
 	StreamStats bool `json:"streamStats,omitempty"`

@@ -1,15 +1,14 @@
 package stats
 
-// FlowAgg is a fixed-size accumulator for one class of flows: the
-// streaming counterpart of retaining a []FlowStats and reducing it
-// later. Every figure-level metric the Result accessors compute from
-// raw records is answerable from these fields — mean/min/max FCT via
-// Online, FCT percentiles via the sketch (within its alpha bound),
-// and the rest from plain counters. Memory is O(1) per flow observed.
+// FlowAgg is a fixed-size accumulator for one class of flows. Every
+// figure-level metric the sim.Result accessors report is read from
+// these fields — mean/min/max FCT via Online, FCT percentiles via the
+// sketch (within its alpha bound), and the rest from plain counters.
+// Memory is O(1) per flow observed.
 //
 // Time-valued sums (FCT seconds aside) stay in the caller's native
-// integer tick domain so streamed counters equal the record-based
-// reductions exactly, not just approximately.
+// integer tick domain so the counters equal a direct sum over the
+// per-flow records exactly, not just approximately.
 type FlowAgg struct {
 	// Count is every flow observed; Completed those that finished.
 	Count     int64
@@ -29,7 +28,7 @@ type FlowAgg struct {
 
 	// GoodputSum accumulates per-flow goodput (bits/second over the
 	// flow's active time) for GoodputN flows with positive duration and
-	// acked bytes, matching Result.Goodput's per-flow average.
+	// acked bytes: sim.Result.Goodput's per-flow average.
 	GoodputSum float64
 	GoodputN   int64
 
@@ -60,8 +59,8 @@ func (a *FlowAgg) AddFCT(seconds float64) {
 }
 
 // Merge folds another accumulator into this one; merged counters are
-// exact and the sketch merge preserves its bound, so RunSweep shards
-// reduce to the same answers as a single-threaded run.
+// exact and the sketch merge preserves its bound, so an observer can
+// reduce the aggregates of a sweep's runs into one.
 func (a *FlowAgg) Merge(b *FlowAgg) {
 	a.Count += b.Count
 	a.Completed += b.Completed

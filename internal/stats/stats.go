@@ -1,12 +1,12 @@
 // Package stats provides the small statistics toolkit the experiments
 // reduce their measurements with: streaming mean/variance, percentile
-// and CDF estimation over collected samples, time-bucketed series for
-// "instantaneous" plots, and interval throughput meters.
+// and CDF estimation over collected samples, a mergeable quantile
+// sketch and per-class flow accumulator for runs that keep no records,
+// and time-bucketed series for "instantaneous" plots.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -75,9 +75,6 @@ func (o *Online) Var() float64 {
 	}
 	return o.m2 / float64(o.n-1)
 }
-
-// Std returns the sample standard deviation.
-func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
 
 // Min returns the smallest observation (0 when empty).
 func (o *Online) Min() float64 {
@@ -177,16 +174,6 @@ func (s *Sample) CDF(points int) []Point {
 		out = append(out, Point{X: s.xs[idx], Y: q})
 	}
 	return out
-}
-
-// FractionAtOrBelow returns the empirical CDF evaluated at x.
-func (s *Sample) FractionAtOrBelow(x float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	i := sort.SearchFloat64s(s.xs, math.Nextafter(x, math.MaxFloat64))
-	return float64(i) / float64(len(s.xs))
 }
 
 // Point is one (x, y) plot coordinate.
@@ -312,108 +299,6 @@ func (t *TimeSeries) Rates() []Point {
 	out := t.Sums()
 	for i := range out {
 		out[i].Y /= t.width
-	}
-	return out
-}
-
-// Histogram counts observations in fixed-width bins, for queue-length
-// and delay distributions where retaining raw samples would be too
-// costly.
-type Histogram struct {
-	width    float64
-	bins     []int64
-	n        int64
-	overflow int64
-	sum      float64
-}
-
-// NewHistogram creates a histogram with the given bin width and number
-// of bins; observations beyond bins*width are counted in an overflow
-// bucket.
-func NewHistogram(width float64, bins int) *Histogram {
-	if width <= 0 || bins <= 0 {
-		panic("stats: histogram needs positive width and bins")
-	}
-	return &Histogram{width: width, bins: make([]int64, bins)}
-}
-
-// Add records one observation (negative values clamp to bin 0).
-func (h *Histogram) Add(x float64) {
-	h.n++
-	h.sum += x
-	if x < 0 {
-		h.bins[0]++
-		return
-	}
-	// Compare in float space: converting a huge quotient to int is
-	// undefined and can wrap negative, indexing out of range.
-	if x/h.width >= float64(len(h.bins)) {
-		h.overflow++
-		return
-	}
-	h.bins[int(x/h.width)]++
-}
-
-// N returns the observation count.
-func (h *Histogram) N() int64 { return h.n }
-
-// Mean returns the mean observation.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Quantile returns an upper bound for the q-quantile (q in [0,1]) from
-// the binned counts; observations in the overflow bucket return +Inf's
-// stand-in, the histogram's upper edge.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	target := int64(q * float64(h.n))
-	if target >= h.n {
-		target = h.n - 1
-	}
-	var acc int64
-	for i, c := range h.bins {
-		acc += c
-		if acc > target {
-			return float64(i+1) * h.width
-		}
-	}
-	return float64(len(h.bins)) * h.width
-}
-
-// CDF returns (upper bin edge, cumulative fraction) points for
-// non-empty prefixes of the histogram. Overflow mass is folded into a
-// terminal point at the histogram's upper edge so the curve always
-// ends at exactly 1.0.
-func (h *Histogram) CDF() []Point {
-	if h.n == 0 {
-		return nil
-	}
-	var out []Point
-	var acc int64
-	lastBinEmitted := false
-	for i, c := range h.bins {
-		acc += c
-		if c > 0 {
-			out = append(out, Point{X: float64(i+1) * h.width, Y: float64(acc) / float64(h.n)})
-			lastBinEmitted = i == len(h.bins)-1
-		}
-	}
-	if h.overflow > 0 {
-		// The overflow bucket has no upper edge of its own; pin its mass
-		// to the histogram's upper edge, replacing the last bin's point
-		// if that bin already emitted at the same X.
-		p := Point{X: float64(len(h.bins)) * h.width, Y: 1.0}
-		if lastBinEmitted {
-			out[len(out)-1] = p
-		} else {
-			out = append(out, p)
-		}
 	}
 	return out
 }

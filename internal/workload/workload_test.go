@@ -288,45 +288,3 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestIncastGenerate(t *testing.T) {
-	rng := eventsim.NewRNG(12)
-	c := IncastConfig{
-		Aggregator:    0,
-		Workers:       []int{0, 1, 2, 3, 4}, // 0 skipped (is aggregator)
-		ResponseSize:  Fixed{Size: 32 * units.KB},
-		Rounds:        3,
-		RoundInterval: 10 * units.Millisecond,
-		Jitter:        100 * units.Microsecond,
-		Deadlines:     DeadlineDist{Min: 5 * units.Millisecond, Max: 25 * units.Millisecond},
-	}
-	flows, err := c.Generate(rng, units.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flows) != 12 { // 4 workers x 3 rounds
-		t.Fatalf("%d flows", len(flows))
-	}
-	for i, f := range flows {
-		if f.Dst != 0 {
-			t.Fatalf("flow %d to %d, want aggregator 0", i, f.Dst)
-		}
-		if f.Src == 0 {
-			t.Fatal("aggregator responded to itself")
-		}
-		round := i / 4
-		base := units.Millisecond + units.Time(round)*c.RoundInterval
-		if f.Start < base || f.Start > base+c.Jitter {
-			t.Fatalf("flow %d starts at %v outside its round window", i, f.Start)
-		}
-		if f.Deadline == 0 {
-			t.Fatal("missing deadline")
-		}
-	}
-	if _, err := (IncastConfig{Aggregator: 0, ResponseSize: Fixed{Size: 1}}).Generate(rng, 0); err == nil {
-		t.Fatal("workerless incast accepted")
-	}
-	if _, err := (IncastConfig{Aggregator: 0, Workers: []int{1}}).Generate(rng, 0); err == nil {
-		t.Fatal("sizeless incast accepted")
-	}
-}
