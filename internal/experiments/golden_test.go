@@ -12,9 +12,13 @@ import (
 // (fig3-4), the Poisson load grid (fig10), the testbed sweep (fig13),
 // replication (extended), the fat-tree's two chained decisions under
 // the inter-pod workload (fattree), the fault schedule (figF1), the
-// flapping link (figF2) and the streamed lazy-source run at 2 500
-// flows (figLS) — pinning any change to shared run machinery to a
-// reviewed diff.
+// flapping link (figF2), the streamed lazy-source run at 2 500 flows
+// (figLS) and the figures whose TLB / transport parameters deviate
+// from the registry defaults — every TLB and transport ablation
+// (ablations), a pinned q_th with a stated deadline (fig7), the
+// deadline percentiles (fig12) and link overrides on the testbed
+// transport (fig16) — pinning any change to shared run machinery or to
+// how an environment states its parameters to a reviewed diff.
 var goldenFigures = []struct {
 	name string
 	run  func(Options) ([]Figure, error)
@@ -29,6 +33,28 @@ var goldenFigures = []struct {
 	{"figF1", FigF1, Options{Seed: 42, FlowsPerRun: 40}},
 	{"figF2", FigF2, Options{Seed: 42, FlowsPerRun: 40, SweepPoints: 2}},
 	{"figLS", FigLS, Options{Seed: 42, FlowsPerRun: 2}},
+	{"ablations", allAblations, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 2}},
+	{"fig7", Fig7, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 2}},
+	{"fig12", Fig12, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 2}},
+	{"fig16", Fig16, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 2}},
+}
+
+// allAblations renders the seven ablation-* registry entries, in
+// registry order, as one figure list.
+func allAblations(o Options) ([]Figure, error) {
+	entries, err := Lookup("ablations")
+	if err != nil {
+		return nil, err
+	}
+	var figs []Figure
+	for _, e := range entries {
+		fs, err := e.Run(o)
+		if err != nil {
+			return nil, err
+		}
+		figs = append(figs, fs...)
+	}
+	return figs, nil
 }
 
 // TestGoldenFigures renders each pinned figure and compares the CSV
