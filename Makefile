@@ -109,11 +109,13 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 # specs validates every checked-in scenario spec through the loader
-# and registry (the quickstart example and the golden experiment
-# specs), then runs the quickstart spec end to end.
+# and registry (the example specs, the tlbsim presets and the golden
+# experiment specs), then runs the quickstart spec and the mix preset
+# end to end.
 specs:
-	$(GO) run ./cmd/tlbsim -check-spec -spec 'examples/*/spec.json,internal/experiments/testdata/specs/*.json'
+	$(GO) run ./cmd/tlbsim -check-spec -spec 'examples/*/spec.json,cmd/tlbsim/specs/*.json,internal/experiments/testdata/specs/*.json'
 	$(GO) run ./cmd/tlbsim -spec examples/quickstart/spec.json >/dev/null
+	$(GO) run ./cmd/tlbsim -spec cmd/tlbsim/specs/mix.json >/dev/null
 
 # examples compiles and runs every examples/ program as smoke; each
 # must exit 0.

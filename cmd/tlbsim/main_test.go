@@ -1,0 +1,165 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"tlb/internal/spec"
+)
+
+const quickstart = "../../examples/quickstart/spec.json"
+
+// runOut runs one invocation in process and returns its stdout.
+func runOut(t *testing.T, o options) (string, error) {
+	t.Helper()
+	var out bytes.Buffer
+	err := run(o, &out)
+	return out.String(), err
+}
+
+// TestPresetsValidateAndCompile: the three checked-in presets load,
+// validate and lower to a runnable scenario.
+func TestPresetsValidateAndCompile(t *testing.T) {
+	for _, name := range []string{"websearch", "datamining", "mix"} {
+		sp, err := spec.Load(filepath.Join("specs", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sc, err := sp.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(sc.Flows) == 0 {
+			t.Fatalf("%s: compiled to no flows", name)
+		}
+	}
+}
+
+// TestPresetsReproducePinnedOutput: the presets print what the
+// flag-built scenarios they replace printed (testdata/*.stdout is the
+// stdout of `tlbsim` and `tlbsim -workload mix` at the last commit that
+// had flag mode).
+func TestPresetsReproducePinnedOutput(t *testing.T) {
+	for _, name := range []string{"mix", "websearch"} {
+		t.Run(name, func(t *testing.T) {
+			if name == "websearch" && testing.Short() {
+				t.Skip("runs ~1 s")
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", name+".stdout"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := runOut(t, options{specPaths: filepath.Join("specs", name+".json")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("output differs from testdata/%s.stdout\n--- got ---\n%s", name, got)
+			}
+		})
+	}
+}
+
+// TestBatchPrintsResultsInInputOrder: a two-file -spec reports in the
+// order the files were named, whichever run finishes first.
+func TestBatchPrintsResultsInInputOrder(t *testing.T) {
+	for _, paths := range [][2]string{
+		{"specs/mix.json", quickstart},
+		{quickstart, "specs/mix.json"},
+	} {
+		got, err := runOut(t, options{specPaths: paths[0] + "," + paths[1], workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, line := range strings.Split(got, "\n") {
+			if f := strings.Fields(line); len(f) == 2 && f[0] == "scenario" {
+				names = append(names, f[1])
+			}
+		}
+		want := []string{"tlb-mix", "quickstart-spec"}
+		if paths[0] == quickstart {
+			want[0], want[1] = want[1], want[0]
+		}
+		if len(names) != 2 || names[0] != want[0] || names[1] != want[1] {
+			t.Errorf("-spec %s,%s printed scenarios %v, want %v", paths[0], paths[1], names, want)
+		}
+	}
+}
+
+// TestNoSpecIsUsageError: with nothing to run the error points at the
+// preset directory.
+func TestNoSpecIsUsageError(t *testing.T) {
+	for _, o := range []options{{}, {checkOnly: true}, {traceN: 5}} {
+		got, err := runOut(t, o)
+		if err == nil || !strings.Contains(err.Error(), "-spec") || !strings.Contains(err.Error(), "cmd/tlbsim/specs") {
+			t.Errorf("%+v: err = %v, want a usage error naming -spec and cmd/tlbsim/specs", o, err)
+		}
+		if got != "" {
+			t.Errorf("%+v: printed %q before failing", o, got)
+		}
+	}
+}
+
+// TestCheckSpecReportsBadFileAndKeepsGoing: an invalid file fails the
+// invocation but the files after it are still checked.
+func TestCheckSpecReportsBadFileAndKeepsGoing(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	data, err := os.ReadFile("specs/mix.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = bytes.Replace(data, []byte(`"name": "tlb"`), []byte(`"name": "no-such-scheme"`), 1)
+	if err := os.WriteFile(bad, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := runOut(t, options{checkOnly: true, specPaths: bad + ",specs/mix.json"})
+	if err == nil || !strings.Contains(err.Error(), "1 of 2 specs invalid") {
+		t.Fatalf("err = %v, want 1 of 2 specs invalid", err)
+	}
+	if got != "specs/mix.json: ok\n" {
+		t.Fatalf("stdout %q, want the good file's ok line only", got)
+	}
+}
+
+// TestTraceDoesNotChangeReport: the report's fault timeline shows the
+// run's link faults with or without -trace, and -trace prints the same
+// ring with or without -report.
+func TestTraceDoesNotChangeReport(t *testing.T) {
+	dir := t.TempDir()
+	plain, traced := filepath.Join(dir, "plain.html"), filepath.Join(dir, "traced.html")
+	if _, err := runOut(t, options{specPaths: quickstart, reportPath: plain}); err != nil {
+		t.Fatal(err)
+	}
+	both, err := runOut(t, options{specPaths: quickstart, reportPath: traced, traceN: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceOnly, err := runOut(t, options{specPaths: quickstart, traceN: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(want, []byte(" down</title>")); n != 2 {
+		t.Fatalf("report without -trace shows %d down markers, want 2", n)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("-trace 5 changed the report (%d down markers, want 2)", bytes.Count(got, []byte(" down</title>")))
+	}
+	if both != traceOnly {
+		t.Errorf("-report changed what -trace prints:\n--- with -report ---\n%s--- without ---\n%s", both, traceOnly)
+	}
+}

@@ -16,8 +16,9 @@
 //   - internal/sim      — the experiment runner and result reduction
 //   - internal/experiments — one function per paper figure
 //
-// Entry points: cmd/tlbsim runs a single scenario; cmd/experiments
-// regenerates every figure; examples/ hold runnable walkthroughs; the
-// benchmarks in this directory regenerate each figure under the
-// standard go test -bench machinery.
+// Entry points: cmd/tlbsim runs scenario spec files (presets under
+// cmd/tlbsim/specs); cmd/experiments regenerates every figure;
+// examples/ hold runnable walkthroughs; the benchmarks in this
+// directory regenerate each figure under the standard go test -bench
+// machinery.
 package tlb

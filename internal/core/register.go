@@ -1,14 +1,8 @@
 package core
 
-import (
-	"fmt"
+import "tlb/internal/lb"
 
-	"tlb/internal/lb"
-)
-
-// shortPolicyNames maps the spec-level policy strings onto the enum;
-// EnvConfig/buildTLB translate in both directions so the registry and
-// the experiments share one spelling.
+// shortPolicyNames maps the spec-level policy strings onto the enum.
 //
 //simlint:allow sharedstate(immutable name table; never written after init)
 var shortPolicyNames = []struct {
@@ -18,16 +12,6 @@ var shortPolicyNames = []struct {
 	{"shortest-queue", ShortShortestQueue},
 	{"po2c", ShortPowerOfTwo},
 	{"random", ShortRandom},
-}
-
-// ShortPolicyName returns the canonical spec string for a policy.
-func ShortPolicyName(p ShortPolicy) string {
-	for _, e := range shortPolicyNames {
-		if e.policy == p {
-			return e.name
-		}
-	}
-	return fmt.Sprintf("ShortPolicy(%d)", int(p))
 }
 
 // EnvConfig returns the TLB configuration every environment starts

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"tlb/internal/core"
 	"tlb/internal/sim"
 	"tlb/internal/spec"
 	"tlb/internal/stats"
@@ -23,12 +22,12 @@ func ablationEnv(o Options) largeEnv {
 	return newLargeEnv(websearchSizes(), o.FlowsPerRun)
 }
 
-// ablationVariant is one bar or sweep point of an ablation: a named
-// TLB configuration in its own environment.
+// ablationVariant is one bar or sweep point of an ablation: a name
+// (the scenario is labelled "tlb-<name>") and the TLB parameters it
+// changes on top of the environment's (nil runs that TLB as-is).
 type ablationVariant struct {
-	name string
-	env  largeEnv
-	cfg  core.Config
+	name   string
+	params spec.Params
 }
 
 // ablationMetrics is the (short AFCT s, long goodput Gbps, deadline
@@ -38,14 +37,14 @@ type ablationMetrics struct {
 }
 
 // runAblation executes the variants as one batch on the shared runner
-// and returns their metrics in input order. Each variant's mutated TLB
-// configuration serializes as the parameter diff against the
-// environment's base.
+// and returns their metrics in input order.
 func runAblation(o Options, label string, variants []ablationVariant) ([]ablationMetrics, error) {
+	env := ablationEnv(o)
 	specs := make([]spec.Spec, len(variants))
 	for i, v := range variants {
-		s := Scheme{Name: "tlb", Label: v.name, Params: tlbParams(v.cfg, spec.LeafSpineEnv(v.env.topo))}
-		specs[i] = v.env.spec(s, ablationLoad, o.Seed)
+		s := largeTLB(v.params)
+		s.Label = "tlb-" + v.name
+		specs[i] = env.spec(s, ablationLoad, o.Seed)
 	}
 	results, err := o.runSpecs(label, specs)
 	if err != nil {
@@ -73,10 +72,8 @@ func AblationInterval(o Options) ([]Figure, error) {
 	grid := trim(o, []float64{125, 250, 500, 1000, 2000})
 	variants := make([]ablationVariant, len(grid))
 	for i, us := range grid {
-		env := ablationEnv(o)
-		cfg := env.tlbConfig(0)
-		cfg.Interval = units.Time(us) * units.Microsecond
-		variants[i] = ablationVariant{fmt.Sprintf("tlb-t%v", us), env, cfg}
+		variants[i] = ablationVariant{fmt.Sprintf("t%v", us),
+			spec.Params{"interval": pDur(units.Time(us) * units.Microsecond)}}
 	}
 	ms, err := runAblation(o, "ablation-interval", variants)
 	if err != nil {
@@ -99,10 +96,8 @@ func AblationThreshold(o Options) ([]Figure, error) {
 	grid := trim(o, []float64{25, 50, 100, 200, 400})
 	variants := make([]ablationVariant, len(grid))
 	for i, kb := range grid {
-		env := ablationEnv(o)
-		cfg := env.tlbConfig(0)
-		cfg.ShortThreshold = units.Bytes(kb) * units.KB
-		variants[i] = ablationVariant{fmt.Sprintf("tlb-th%v", kb), env, cfg}
+		variants[i] = ablationVariant{fmt.Sprintf("th%v", kb),
+			spec.Params{"shortThreshold": string(spec.Sz(units.Bytes(kb) * units.KB))}}
 	}
 	ms, err := runAblation(o, "ablation-threshold", variants)
 	if err != nil {
@@ -119,23 +114,16 @@ func AblationThreshold(o Options) ([]Figure, error) {
 	return []Figure{afct, tput}, nil
 }
 
-// barAblation runs a bar-chart ablation: one named TLB config mutation
-// per bar.
-func barAblation(o Options, label string, afct, tput Figure, names []string, mut func(name string, c *core.Config)) ([]Figure, error) {
-	variants := make([]ablationVariant, len(names))
-	for i, name := range names {
-		env := ablationEnv(o)
-		cfg := env.tlbConfig(0)
-		mut(name, &cfg)
-		variants[i] = ablationVariant{"tlb-" + name, env, cfg}
-	}
-	ms, err := runAblation(o, label, variants)
+// barAblation runs a bar-chart ablation: one named set of TLB
+// parameters per bar.
+func barAblation(o Options, label string, afct, tput Figure, bars []ablationVariant) ([]Figure, error) {
+	ms, err := runAblation(o, label, bars)
 	if err != nil {
 		return nil, err
 	}
-	for i, name := range names {
-		afct.Bars = append(afct.Bars, Bar{name, ms[i].afct})
-		tput.Bars = append(tput.Bars, Bar{name, ms[i].tput})
+	for i, b := range bars {
+		afct.Bars = append(afct.Bars, Bar{b.name, ms[i].afct})
+		tput.Bars = append(tput.Bars, Bar{b.name, ms[i].tput})
 	}
 	return []Figure{afct, tput}, nil
 }
@@ -148,12 +136,12 @@ func AblationFixedGranularity(o Options) ([]Figure, error) {
 		YLabel: "AFCT (s)"}
 	tput := Figure{ID: "ablation-fixed-tput", Title: "Adaptive vs fixed q_th (long goodput)",
 		YLabel: "Gbps"}
-	fixed := map[string]int{
-		"adaptive": -1, "fixed-0": 0, "fixed-16": 16, "fixed-64": 64, "fixed-256": 256,
-	}
-	names := []string{"adaptive", "fixed-0", "fixed-16", "fixed-64", "fixed-256"}
-	return barAblation(o, "ablation-fixed", afct, tput, names, func(name string, c *core.Config) {
-		c.FixedQTh = fixed[name]
+	return barAblation(o, "ablation-fixed", afct, tput, []ablationVariant{
+		{"adaptive", nil},
+		{"fixed-0", spec.Params{"fixedQTh": 0}},
+		{"fixed-16", spec.Params{"fixedQTh": 16}},
+		{"fixed-64", spec.Params{"fixedQTh": 64}},
+		{"fixed-256", spec.Params{"fixedQTh": 256}},
 	})
 }
 
@@ -165,14 +153,10 @@ func AblationShortPolicy(o Options) ([]Figure, error) {
 		YLabel: "AFCT (s)"}
 	tput := Figure{ID: "ablation-shortpolicy-tput", Title: "Short-flow path policy (long goodput)",
 		YLabel: "Gbps"}
-	policies := map[string]core.ShortPolicy{
-		"shortest-queue": core.ShortShortestQueue,
-		"po2c":           core.ShortPowerOfTwo,
-		"random":         core.ShortRandom,
-	}
-	names := []string{"shortest-queue", "po2c", "random"}
-	return barAblation(o, "ablation-shortpolicy", afct, tput, names, func(name string, c *core.Config) {
-		c.ShortFlowPolicy = policies[name]
+	return barAblation(o, "ablation-shortpolicy", afct, tput, []ablationVariant{
+		{"shortest-queue", nil},
+		{"po2c", spec.Params{"shortPolicy": "po2c"}},
+		{"random", spec.Params{"shortPolicy": "random"}},
 	})
 }
 
@@ -183,17 +167,11 @@ func AblationSafeSwitch(o Options) ([]Figure, error) {
 		YLabel: "AFCT (s)"}
 	tput := Figure{ID: "ablation-safeswitch-tput", Title: "Reorder-safe switching (long goodput)",
 		YLabel: "Gbps"}
-	names := []string{"guarded", "no-guard", "no-hysteresis", "neither"}
-	return barAblation(o, "ablation-safeswitch", afct, tput, names, func(name string, c *core.Config) {
-		switch name {
-		case "no-guard":
-			c.DisableSafeSwitch = true
-		case "no-hysteresis":
-			c.ShortHysteresis = 0
-		case "neither":
-			c.DisableSafeSwitch = true
-			c.ShortHysteresis = 0
-		}
+	return barAblation(o, "ablation-safeswitch", afct, tput, []ablationVariant{
+		{"guarded", nil},
+		{"no-guard", spec.Params{"disableSafeSwitch": true}},
+		{"no-hysteresis", spec.Params{"shortHysteresis": 0}},
+		{"neither", spec.Params{"disableSafeSwitch": true, "shortHysteresis": 0}},
 	})
 }
 
@@ -204,10 +182,8 @@ func AblationDemandCap(o Options) ([]Figure, error) {
 		YLabel: "AFCT (s)"}
 	tput := Figure{ID: "ablation-demandcap-tput", Title: "Eq.1 demand cap (long goodput)",
 		YLabel: "Gbps"}
-	names := []string{"capped", "paper-literal"}
-	return barAblation(o, "ablation-demandcap", afct, tput, names, func(name string, c *core.Config) {
-		if name == "paper-literal" {
-			c.UncappedLongDemand = true
-		}
+	return barAblation(o, "ablation-demandcap", afct, tput, []ablationVariant{
+		{"capped", nil},
+		{"paper-literal", spec.Params{"uncappedLongDemand": true}},
 	})
 }

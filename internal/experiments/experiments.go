@@ -21,16 +21,13 @@ import (
 	"io"
 	"time"
 
-	"tlb/internal/core"
 	"tlb/internal/eventsim"
 	"tlb/internal/netem"
 	"tlb/internal/sim"
 	"tlb/internal/spec"
 	"tlb/internal/stats"
 	"tlb/internal/topology"
-	"tlb/internal/transport"
 	"tlb/internal/units"
-	"tlb/internal/workload"
 )
 
 // Options control experiment scale and reporting.
@@ -209,18 +206,35 @@ func baselines(flowletGap units.Time) []Scheme {
 }
 
 // ---- Shared scenario environments ----
+//
+// An environment keeps its fabric as a topology.Config (Fig. 7's model
+// parameters, Fig. 15's direct lb.Build and the Fig. 16/17 overrides
+// read it typed) and states everything else — sizes, deadlines,
+// transport, TLB parameters — as the spec values its scenarios carry.
+// What an environment does not state is the registry's default.
+
+// paperDeadlines is the §6 deadline assignment: U[5ms, 25ms] on flows
+// up to 100KB.
+func paperDeadlines() *spec.Deadlines {
+	return &spec.Deadlines{Min: "5ms", Max: "25ms", OnlyBelow: "100KB"}
+}
 
 // basicEnv is the paper's small-scale environment (§2.2, §4.2, §6.1):
 // a leaf-spine with 15 equal-cost paths, 1 Gbps links, ~100 µs RTT.
+// TLB runs on its registry defaults here (X = 70 KB is the mean of the
+// short sizes below).
 type basicEnv struct {
-	topo      topology.Config
-	transport transport.Config
-	shorts    int
-	longs     int
-	shortSize workload.SizeDist
-	longSize  workload.SizeDist
-	deadlines workload.DeadlineDist
+	topo   topology.Config
+	shorts int
+	longs  int
 }
+
+// "Random size of less than 100KB" with the 70KB mean §4.2 quotes:
+// uniform on [40KB, 100KB].
+const (
+	basicShortMin = 40 * units.KB
+	basicShortMax = 100 * units.KB
+)
 
 // newBasicEnv builds the environment with the given buffer size
 // (256 packets in §2.2/§6.1, 512 in §4.2) and flow counts.
@@ -234,29 +248,9 @@ func newBasicEnv(buffer, shorts, longs int) basicEnv {
 			FabricLink:   netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
 			Queue:        netem.QueueConfig{Capacity: buffer, ECNThreshold: 65},
 		},
-		transport: transport.DefaultConfig(),
-		shorts:    shorts,
-		longs:     longs,
-		// "Random size of less than 100KB" with the 70KB mean §4.2
-		// quotes: uniform on [40KB, 100KB].
-		shortSize: workload.Uniform{MinSize: 40 * units.KB, MaxSize: 100 * units.KB},
-		longSize:  workload.Fixed{Size: 10 * units.MB},
-		deadlines: workload.DeadlineDist{
-			Min: 5 * units.Millisecond, Max: 25 * units.Millisecond,
-			OnlyBelow: 100 * units.KB,
-		},
+		shorts: shorts,
+		longs:  longs,
 	}
-}
-
-// tlbConfig returns the TLB switch configuration matched to the
-// environment.
-func (e basicEnv) tlbConfig() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.LinkBandwidth = e.topo.FabricLink.Bandwidth
-	cfg.RTT = e.topo.BaseRTT()
-	cfg.MaxQTh = e.topo.Queue.Capacity
-	cfg.MeanShortSize = units.Bytes(e.shortSize.Mean())
-	return cfg
 }
 
 // spec builds one scheme's scenario description: the static mix
@@ -265,22 +259,21 @@ func (e basicEnv) tlbConfig() core.Config {
 // named after the scheme's display label.
 func (e basicEnv) spec(s Scheme, seed uint64) spec.Spec {
 	return spec.Spec{
-		Version:   spec.Version,
-		Name:      s.label(),
-		Seed:      seed,
-		Scheme:    s.schemeSpec(),
-		Topology:  topoSpec(e.topo),
-		Transport: transportSpec(e.transport),
+		Version:  spec.Version,
+		Name:     s.label(),
+		Seed:     seed,
+		Scheme:   s.schemeSpec(),
+		Topology: topoSpec(e.topo),
 		Workload: spec.Workload{
 			Kind: "mix",
 			Groups: []spec.MixGroup{{
 				Shorts:        e.shorts,
 				Longs:         e.longs,
-				ShortSizes:    sizeSpec(e.shortSize),
-				LongSizes:     sizeSpec(e.longSize),
+				ShortSizes:    &spec.SizeDist{Kind: "uniform", Min: spec.Sz(basicShortMin), Max: spec.Sz(basicShortMax)},
+				LongSizes:     &spec.SizeDist{Kind: "fixed", Size: "10MB"},
 				ArrivalJitter: spec.Dur(5 * units.Millisecond),
 			}},
-			Deadlines: deadlineSpec(e.deadlines),
+			Deadlines: paperDeadlines(),
 		},
 		Replication: s.Replication,
 		Run: spec.Run{
@@ -293,12 +286,13 @@ func (e basicEnv) spec(s Scheme, seed uint64) spec.Spec {
 // ---- Large-scale environment (§6.2) ----
 
 // largeEnv is the web-search / data-mining environment: 8 leaves,
-// 8 spines, 1 Gbps, Poisson arrivals at a target fabric load.
+// 8 spines, 1 Gbps, Poisson arrivals at a target fabric load (defined
+// against the aggregate leaf-uplink capacity, the convention of the
+// load-balancing literature the paper follows; all flows cross the
+// fabric).
 type largeEnv struct {
 	topo      topology.Config
-	transport transport.Config
 	sizes     spec.SizeDist
-	deadlines workload.DeadlineDist
 	flowCount int
 }
 
@@ -312,12 +306,7 @@ func newLargeEnv(sizes spec.SizeDist, flowCount int) largeEnv {
 			FabricLink:   netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
 			Queue:        netem.QueueConfig{Capacity: 256, ECNThreshold: 65},
 		},
-		transport: transport.DefaultConfig(),
 		sizes:     sizes,
-		deadlines: workload.DeadlineDist{
-			Min: 5 * units.Millisecond, Max: 25 * units.Millisecond,
-			OnlyBelow: 100 * units.KB,
-		},
 		flowCount: flowCount,
 	}
 }
@@ -333,57 +322,22 @@ func dataminingSizes() spec.SizeDist {
 	return spec.SizeDist{Kind: "datamining", Truncate: spec.Sz(50 * units.MB)}
 }
 
-// flows draws the Poisson workload for one load point — the same
-// draw the compiled spec performs, kept for load calibration checks.
-// Load is defined against the aggregate leaf-uplink capacity, the
-// convention of the load-balancing literature the paper follows; all
-// flows cross the fabric.
-func (e largeEnv) flows(load float64, seed uint64) ([]workload.Flow, error) {
-	sizes, err := e.sizes.Dist()
-	if err != nil {
-		return nil, err
-	}
-	fabricCapacity := float64(e.topo.Leaves) * float64(e.topo.Spines) * e.topo.FabricLink.Bandwidth.BytesPerSecond()
-	pc := workload.PoissonConfig{
-		Hosts:         e.topo.Hosts(),
-		Sizes:         sizes,
-		RateOverride:  load * fabricCapacity / sizes.Mean(),
-		Deadlines:     e.deadlines,
-		CrossLeafOnly: true,
-		LeafOf:        func(h int) int { return h / e.topo.HostsPerLeaf },
-	}
-	return pc.Generate(newRNG(seed), e.flowCount, 0)
-}
-
-func (e largeEnv) tlbConfig(deadline units.Time) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.LinkBandwidth = e.topo.FabricLink.Bandwidth
-	cfg.RTT = e.topo.BaseRTT()
-	cfg.MaxQTh = e.topo.Queue.Capacity
-	cfg.MeanShortSize = 30 * units.KB // mean short (<100KB) size of both CDFs, ~tens of KB
-	if deadline > 0 {
-		cfg.Deadline = deadline
-	}
-	return cfg
-}
-
 // spec builds one scheme's scenario description (with its optional
 // end-host replication) at one load point.
 func (e largeEnv) spec(s Scheme, load float64, seed uint64) spec.Spec {
 	sizes := e.sizes
 	return spec.Spec{
-		Version:   spec.Version,
-		Name:      fmt.Sprintf("%s-load%.1f", s.label(), load),
-		Seed:      seed,
-		Scheme:    s.schemeSpec(),
-		Topology:  topoSpec(e.topo),
-		Transport: transportSpec(e.transport),
+		Version:  spec.Version,
+		Name:     fmt.Sprintf("%s-load%.1f", s.label(), load),
+		Seed:     seed,
+		Scheme:   s.schemeSpec(),
+		Topology: topoSpec(e.topo),
 		Workload: spec.Workload{
 			Kind:      "poisson",
 			Flows:     e.flowCount,
 			Load:      load,
 			Sizes:     &sizes,
-			Deadlines: deadlineSpec(e.deadlines),
+			Deadlines: paperDeadlines(),
 		},
 		Replication: s.Replication,
 		Run: spec.Run{

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"tlb/internal/core"
+	"tlb/internal/spec"
 	"tlb/internal/stats"
 	"tlb/internal/units"
 )
@@ -166,10 +168,12 @@ func TestFigureFormat(t *testing.T) {
 
 func TestLargeEnvLoadCalibration(t *testing.T) {
 	env := newLargeEnv(websearchSizes(), 500)
-	flows, err := env.flows(0.5, 7)
+	sp := env.spec(Scheme{Name: "ecmp"}, 0.5, 6) // workload seed 7
+	sc, err := sp.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
+	flows := sc.Flows
 	// Offered bytes over the arrival span should be ~0.5x the fabric
 	// capacity.
 	var bytes float64
@@ -194,7 +198,7 @@ func TestLargeEnvLoadCalibration(t *testing.T) {
 
 func TestBasicEnvTLBConfigMatchesTopology(t *testing.T) {
 	env := newBasicEnv(256, 100, 3)
-	cfg := env.tlbConfig()
+	cfg := core.EnvConfig(spec.LeafSpineEnv(env.topo))
 	if cfg.LinkBandwidth != units.Gbps {
 		t.Fatalf("bandwidth %v", cfg.LinkBandwidth)
 	}

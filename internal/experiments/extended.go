@@ -16,16 +16,16 @@ import (
 // experiment fills that gap on the same substrate.
 func ExtendedBaselines(o Options) ([]Figure, error) {
 	env := newLargeEnv(websearchSizes(), o.FlowsPerRun)
-	schemes := extendedSchemeSet(env)
+	schemes := extendedSchemeSet()
 	return largeSweep(o, env, schemes, "extended", "web search, extended field")
 }
 
-// extendedSchemeSet builds the wider comparison set for an environment.
+// extendedSchemeSet builds the wider comparison set.
 // Every entry is registry data; the registry's defaults are the same
 // explicit values this set used to construct (DRILL d=2 m=1, CONGA's
 // own flowlet gap, Hermes and FlowBender defaults with the
 // environment's ECN threshold).
-func extendedSchemeSet(env largeEnv) []Scheme {
+func extendedSchemeSet() []Scheme {
 	return []Scheme{
 		{Name: "ecmp"},
 		{Name: "drill"},
@@ -36,7 +36,7 @@ func extendedSchemeSet(env largeEnv) []Scheme {
 		{Name: "letflow", Params: spec.Params{"gap": pDur(150 * units.Microsecond)}},
 		{Name: "ecmp", Label: "repflow",
 			Replication: &spec.Replication{Threshold: spec.Sz(100 * units.KB), Copies: 2}},
-		tlbScheme(env, 0),
+		largeTLB(nil),
 	}
 }
 
@@ -64,7 +64,7 @@ func ExtendedAsymmetric(o Options) ([]Figure, error) {
 		{Name: "hermes"},
 		{Name: "flowbender"},
 		{Name: "letflow", Params: spec.Params{"gap": pDur(testbedFlowletGap)}},
-		{Name: "tlb", Params: tlbParams(env.tlbConfig(), spec.LeafSpineEnv(env.topo))},
+		testbedTLB(),
 	}
 	specs := make([]spec.Spec, len(schemes))
 	for i, s := range schemes {

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"math"
 
-	"tlb/internal/faults"
 	"tlb/internal/sim"
 	"tlb/internal/spec"
 	"tlb/internal/stats"
 	"tlb/internal/transport"
 	"tlb/internal/units"
-	"tlb/internal/workload"
 )
 
 // The paper's §7 asymmetry study (Fig. 16–17) degrades links statically
@@ -41,16 +39,13 @@ func figF1Workload(env testbedEnv, shorts int) spec.Workload {
 		Groups: []spec.MixGroup{
 			{
 				Longs:     env.longs,
-				LongSizes: sizeSpec(workload.Fixed{Size: 15 * units.MB}),
+				LongSizes: &spec.SizeDist{Kind: "fixed", Size: "15MB"},
 			},
 			{
 				Shorts:        shorts,
-				ShortSizes:    sizeSpec(workload.Uniform{MinSize: 10 * units.KB, MaxSize: 100 * units.KB}),
+				ShortSizes:    testbedShortSizes(),
 				ArrivalJitter: spec.Dur(figF1Window),
-				Deadlines: deadlineSpec(workload.DeadlineDist{
-					Min: 2 * units.Second, Max: 6 * units.Second,
-					OnlyBelow: 100 * units.KB,
-				}),
+				Deadlines:     testbedDeadlines(),
 			},
 		},
 	}
@@ -76,19 +71,20 @@ func figF1Shorts(o Options) int {
 func figF1Specs(o Options) ([]string, []spec.Spec) {
 	env := newTestbedEnv(0, 4)
 	shorts := figF1Shorts(o)
-	sched := faults.Schedule{
-		faults.Down(figF1FailAt, 0, 2),
-		faults.Down(figF1FailAt, 0, 7),
-		faults.Restore(figF1RecoverAt, 0, 2),
-		faults.Restore(figF1RecoverAt, 0, 7),
+	failAt, recoverAt := spec.Dur(figF1FailAt), spec.Dur(figF1RecoverAt)
+	sched := []spec.Fault{
+		{At: failAt, Leaf: 0, Spine: 2, Op: "down"},
+		{At: failAt, Leaf: 0, Spine: 7, Op: "down"},
+		{At: recoverAt, Leaf: 0, Spine: 2, Op: "restore"},
+		{At: recoverAt, Leaf: 0, Spine: 7, Op: "restore"},
 	}
 	var specs []spec.Spec
 	var order []string
-	for _, s := range env.schemes() {
+	for _, s := range testbedSchemes() {
 		order = append(order, s.label())
 		sp := env.spec(s, fmt.Sprintf("figF1-%s", s.label()), o.Seed, 120*units.Second)
 		sp.Workload = figF1Workload(env, shorts)
-		sp.Faults = faultSpecs(sched)
+		sp.Faults = sched
 		sp.Outputs.CollectTimeSeries = true
 		sp.Outputs.TimeBucket = spec.Dur(250 * units.Millisecond)
 		specs = append(specs, sp)
@@ -198,8 +194,17 @@ func FigF2(o Options) ([]Figure, error) {
 		func(x float64) testbedEnv { return newTestbedEnv(0, 4) },
 		func(x float64, env *testbedEnv, sp *spec.Spec) {
 			sp.Workload = figF1Workload(*env, figF1Shorts(o))
-			period := units.FromSeconds(x)
-			cycles := int(math.Ceil((8 * units.Second).Seconds() / x))
-			sp.Faults = faultSpecs(faults.Flap(0, 2, units.Second, period/2, period/2, cycles))
+			// Down for half a period, up for the other half, from t = 1 s
+			// until the cycles cover the arrival window; the last entry is
+			// a restore, so the link ends healthy.
+			half := units.FromSeconds(x) / 2
+			cycles := int(math.Ceil(figF1Window.Seconds() / x))
+			at := units.Second
+			for c := 0; c < cycles; c++ {
+				sp.Faults = append(sp.Faults,
+					spec.Fault{At: spec.Dur(at), Leaf: 0, Spine: 2, Op: "down"},
+					spec.Fault{At: spec.Dur(at + half), Leaf: 0, Spine: 2, Op: "restore"})
+				at += 2 * half
+			}
 		})
 }

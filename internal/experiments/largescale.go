@@ -80,11 +80,15 @@ func largeSweep(o Options, env largeEnv, schemes []Scheme, prefix, workloadName 
 	return panels.figures(), nil
 }
 
-// tlbScheme renders TLB with the environment's configuration (the
-// parameters are the diff against the registry's environment-derived
-// base, so a plain environment renders as parameterless "tlb").
-func tlbScheme(env largeEnv, deadline units.Time) Scheme {
-	return Scheme{Name: "tlb", Params: tlbParams(env.tlbConfig(deadline), spec.LeafSpineEnv(env.topo))}
+// largeTLB is TLB as the web-search and data-mining environments (and
+// the fat-tree) configure it: X = 30KB, the mean short (<100KB) size
+// of both CDFs. extra states what a figure or ablation varies on top.
+func largeTLB(extra spec.Params) Scheme {
+	p := spec.Params{"meanShortSize": "30KB"}
+	for k, v := range extra {
+		p[k] = v
+	}
+	return Scheme{Name: "tlb", Params: p}
 }
 
 // Fig10 reproduces the web-search large-scale sweep (§6.2): AFCT, tail
@@ -92,7 +96,7 @@ func tlbScheme(env largeEnv, deadline units.Time) Scheme {
 // ECMP, RPS, Presto, LetFlow and TLB over loads 0.1–0.8.
 func Fig10(o Options) ([]Figure, error) {
 	env := newLargeEnv(websearchSizes(), o.FlowsPerRun)
-	schemes := append(baselines(150*units.Microsecond), tlbScheme(env, 0))
+	schemes := append(baselines(150*units.Microsecond), largeTLB(nil))
 	return largeSweep(o, env, schemes, "fig10", "web search")
 }
 
@@ -102,7 +106,7 @@ func Fig10(o Options) ([]Figure, error) {
 // preserved.
 func Fig11(o Options) ([]Figure, error) {
 	env := newLargeEnv(dataminingSizes(), o.FlowsPerRun*2/3)
-	schemes := append(baselines(150*units.Microsecond), tlbScheme(env, 0))
+	schemes := append(baselines(150*units.Microsecond), largeTLB(nil))
 	return largeSweep(o, env, schemes, "fig11", "data mining")
 }
 
@@ -123,7 +127,7 @@ func Fig12(o Options) ([]Figure, error) {
 	}
 	schemes := make([]Scheme, 0, len(percentiles))
 	for _, p := range percentiles {
-		s := tlbScheme(env, p.d)
+		s := largeTLB(spec.Params{"deadline": pDur(p.d)})
 		s.Label = p.name
 		schemes = append(schemes, s)
 	}

@@ -8,6 +8,7 @@ import (
 	"tlb/internal/sim"
 	"tlb/internal/spec"
 	"tlb/internal/stats"
+	"tlb/internal/transport"
 	"tlb/internal/units"
 )
 
@@ -36,11 +37,11 @@ func (e fig7Env) modelParams() model.Params {
 		LongFlows:     e.longs,
 		LinkBandwidth: e.topo.FabricLink.Bandwidth,
 		RTT:           e.topo.BaseRTT(),
-		MeanShortSize: units.Bytes(e.shortSize.Mean()),
+		MeanShortSize: (basicShortMin + basicShortMax) / 2,
 		LongWindow:    64 * units.KiB,
 		Deadline:      e.deadline,
 		Interval:      500 * units.Microsecond,
-		MSS:           e.transport.MSS,
+		MSS:           transport.DefaultConfig().MSS,
 		// Fig. 7's numeric curves are the paper's literal Eq. 9.
 		UncappedLongDemand: true,
 	}
@@ -50,13 +51,10 @@ func (e fig7Env) modelParams() model.Params {
 // ratio under a fixed switching threshold qth. label keys the scenario
 // to its sweep point for progress lines and error reports.
 func (e fig7Env) qthSpec(label string, qth int, seed uint64) spec.Spec {
-	cfg := e.tlbConfig()
-	cfg.FixedQTh = qth
-	cfg.Deadline = e.deadline
 	s := Scheme{
 		Name:   "tlb",
 		Label:  fmt.Sprintf("%s-q%d", label, qth),
-		Params: tlbParams(cfg, spec.LeafSpineEnv(e.topo)),
+		Params: spec.Params{"fixedQTh": qth, "deadline": pDur(e.deadline)},
 	}
 	sp := e.spec(s, seed)
 	// Override deadlines to the fixed model deadline D so the

@@ -35,9 +35,8 @@ func Fig15(o Options) ([]Figure, error) {
 			func(*netem.Packet) {}, "up")
 	}
 
-	env := newTestbedEnv(100, 4)
-	schemes := env.schemes()
-	lbEnv := spec.LeafSpineEnv(env.topo)
+	schemes := testbedSchemes()
+	lbEnv := spec.LeafSpineEnv(newTestbedEnv(100, 4).topo)
 
 	cpu := Figure{ID: "fig15a", Title: "Per-packet decision cost", YLabel: "ns/decision"}
 	mem := Figure{ID: "fig15b", Title: "Per-switch scheme state", YLabel: "bytes after 1000-flow mix"}

@@ -3,15 +3,12 @@ package experiments
 import (
 	"fmt"
 
-	"tlb/internal/core"
 	"tlb/internal/netem"
 	"tlb/internal/sim"
 	"tlb/internal/spec"
 	"tlb/internal/stats"
 	"tlb/internal/topology"
-	"tlb/internal/transport"
 	"tlb/internal/units"
-	"tlb/internal/workload"
 )
 
 // testbedEnv mirrors the paper's §7 Mininet/P4 testbed: 10 equal-cost
@@ -20,10 +17,9 @@ import (
 // D = 3 s, and both the flowlet timeout and the TLB update interval at
 // 15 ms.
 type testbedEnv struct {
-	topo      topology.Config
-	transport transport.Config
-	shorts    int
-	longs     int
+	topo   topology.Config
+	shorts int
+	longs  int
 }
 
 func newTestbedEnv(shorts, longs int) testbedEnv {
@@ -36,33 +32,39 @@ func newTestbedEnv(shorts, longs int) testbedEnv {
 			FabricLink:   netem.LinkConfig{Bandwidth: 20 * units.Mbps, Delay: units.Millisecond},
 			Queue:        netem.QueueConfig{Capacity: 256, ECNThreshold: 20},
 		},
-		transport: testbedTransport(),
-		shorts:    shorts,
-		longs:     longs,
+		shorts: shorts,
+		longs:  longs,
 	}
 }
 
-func testbedTransport() transport.Config {
-	cfg := transport.DefaultConfig()
-	// RTT here is ~8 ms; the datacenter 10 ms RTO floor would fire
-	// spuriously. Use a floor a few RTTs out, like Mininet's Linux
-	// stack would converge to.
-	cfg.MinRTO = 50 * units.Millisecond
-	cfg.InitialRTO = 50 * units.Millisecond
-	return cfg
+// testbedTransport raises the RTO floor: RTT here is ~8 ms, so the
+// datacenter 10 ms floor would fire spuriously. Use a floor a few RTTs
+// out, like Mininet's Linux stack would converge to.
+func testbedTransport() *spec.Transport {
+	rto := spec.Duration("50ms")
+	return &spec.Transport{MinRTO: &rto, InitialRTO: &rto}
 }
 
 const testbedFlowletGap = 15 * units.Millisecond
 
-func (e testbedEnv) tlbConfig() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.LinkBandwidth = e.topo.FabricLink.Bandwidth
-	cfg.RTT = e.topo.BaseRTT()
-	cfg.Interval = 15 * units.Millisecond
-	cfg.Deadline = 3 * units.Second
-	cfg.MaxQTh = e.topo.Queue.Capacity
-	cfg.MeanShortSize = 55 * units.KB
-	return cfg
+// testbedTLB is TLB on the slow fabric: t = 15 ms, D = 3 s and
+// X = 55KB, the mean of the testbed's U[10KB, 100KB] shorts.
+func testbedTLB() Scheme {
+	return Scheme{Name: "tlb", Params: spec.Params{
+		"interval":      "15ms",
+		"deadline":      "3s",
+		"meanShortSize": "55KB",
+	}}
+}
+
+// testbedShortSizes and testbedDeadlines are the §7 short-flow
+// population: U[10KB, 100KB] with deadlines U[2s, 6s].
+func testbedShortSizes() *spec.SizeDist {
+	return &spec.SizeDist{Kind: "uniform", Min: "10KB", Max: "100KB"}
+}
+
+func testbedDeadlines() *spec.Deadlines {
+	return &spec.Deadlines{Min: "2s", Max: "6s", OnlyBelow: "100KB"}
 }
 
 // workloadSpec is the testbed's static mix: senders on leaf 0,
@@ -74,14 +76,11 @@ func (e testbedEnv) workloadSpec() spec.Workload {
 		Groups: []spec.MixGroup{{
 			Shorts:        e.shorts,
 			Longs:         e.longs,
-			ShortSizes:    sizeSpec(workload.Uniform{MinSize: 10 * units.KB, MaxSize: 100 * units.KB}),
-			LongSizes:     sizeSpec(workload.Fixed{Size: 5 * units.MB}),
+			ShortSizes:    testbedShortSizes(),
+			LongSizes:     &spec.SizeDist{Kind: "fixed", Size: "5MB"},
 			ArrivalJitter: spec.Dur(500 * units.Millisecond),
 		}},
-		Deadlines: deadlineSpec(workload.DeadlineDist{
-			Min: 2 * units.Second, Max: 6 * units.Second,
-			OnlyBelow: 100 * units.KB,
-		}),
+		Deadlines: testbedDeadlines(),
 	}
 }
 
@@ -93,7 +92,7 @@ func (e testbedEnv) spec(s Scheme, name string, seed uint64, maxTime units.Time)
 		Seed:        seed,
 		Scheme:      s.schemeSpec(),
 		Topology:    topoSpec(e.topo),
-		Transport:   transportSpec(e.transport),
+		Transport:   testbedTransport(),
 		Workload:    e.workloadSpec(),
 		Replication: s.Replication,
 		Run: spec.Run{
@@ -103,10 +102,10 @@ func (e testbedEnv) spec(s Scheme, name string, seed uint64, maxTime units.Time)
 	}
 }
 
-// schemes returns the five §7 schemes configured for the slow fabric.
-func (e testbedEnv) schemes() []Scheme {
-	return append(baselines(testbedFlowletGap),
-		Scheme{Name: "tlb", Params: tlbParams(e.tlbConfig(), spec.LeafSpineEnv(e.topo))})
+// testbedSchemes returns the five §7 schemes configured for the slow
+// fabric.
+func testbedSchemes() []Scheme {
+	return append(baselines(testbedFlowletGap), testbedTLB())
 }
 
 // normalizedPanels builds the two §7 panels: AFCT of short flows and
@@ -169,7 +168,7 @@ func testbedSweep(o Options, prefix, xlabel string, xs []float64, mk func(x floa
 	var specs []spec.Spec
 	for _, x := range xs {
 		env := mk(x)
-		for _, s := range env.schemes() {
+		for _, s := range testbedSchemes() {
 			sp := env.spec(s, fmt.Sprintf("%s-%s-%v", prefix, s.label(), x), o.Seed, 120*units.Second)
 			if mut != nil {
 				mut(x, &env, &sp)

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"tlb/internal/core"
 	"tlb/internal/netem"
 	"tlb/internal/sim"
 	"tlb/internal/spec"
 	"tlb/internal/topology"
-	"tlb/internal/transport"
 	"tlb/internal/units"
 )
 
@@ -23,40 +21,41 @@ func AblationTransport(o Options) ([]Figure, error) {
 	tput := Figure{ID: "ablation-transport-tput", Title: "Transport variants (long goodput)",
 		XLabel: "variant", YLabel: "Gbps"}
 
+	on, off := true, false
 	variants := []struct {
-		name string
-		mut  func(*transport.Config, *topology.Config)
+		name      string
+		transport *spec.Transport
+		dropTail  bool // no ECN marking at the switches
 	}{
-		{"dctcp", func(*transport.Config, *topology.Config) {}},
-		{"newreno", func(tc *transport.Config, topo *topology.Config) {
-			tc.DCTCP = false
-			topo.Queue.ECNThreshold = 0 // drop-tail only
-		}},
-		{"dctcp+sack", func(tc *transport.Config, _ *topology.Config) { tc.SACK = true }},
-		{"dctcp+delack", func(tc *transport.Config, _ *topology.Config) { tc.DelayedAck = true }},
+		{name: "dctcp"},
+		{name: "newreno", transport: &spec.Transport{DCTCP: &off}, dropTail: true},
+		{name: "dctcp+sack", transport: &spec.Transport{SACK: &on}},
+		{name: "dctcp+delack", transport: &spec.Transport{DelayedAck: &on}},
 	}
 	schemes := []Scheme{
 		{Name: "ecmp"},
 		{Name: "rps"},
 		{Name: "letflow", Params: spec.Params{"gap": pDur(150 * units.Microsecond)}},
+		largeTLB(nil),
 	}
 
 	var labels []string
 	var specs []spec.Spec
 	for _, v := range variants {
 		env := newLargeEnv(websearchSizes(), o.FlowsPerRun)
-		tcfg := transport.DefaultConfig()
-		v.mut(&tcfg, &env.topo)
-		env.transport = tcfg
-		all := append(append([]Scheme{}, schemes...), tlbScheme(env, 0))
-		for _, s := range all {
+		if v.dropTail {
+			env.topo.Queue.ECNThreshold = 0
+		}
+		for _, s := range schemes {
 			labels = append(labels, s.Name+"/"+v.name)
-			specs = append(specs, env.spec(Scheme{
+			sp := env.spec(Scheme{
 				Name:        s.Name,
 				Label:       s.Name + "-" + v.name,
 				Params:      s.Params,
 				Replication: s.Replication,
-			}, ablationLoad, o.Seed))
+			}, ablationLoad, o.Seed)
+			sp.Transport = v.transport
+			specs = append(specs, sp)
 		}
 	}
 	results, err := o.runSpecs("ablation-transport", specs)
@@ -105,8 +104,7 @@ func FatTreeComparison(o Options) ([]Figure, error) {
 		},
 	}
 
-	schemes := append(baselines(150*units.Microsecond),
-		Scheme{Name: "tlb", Params: tlbParams(tlbFatTreeConfig(ftCfg), spec.FatTreeEnv(ftCfg))})
+	schemes := append(baselines(150*units.Microsecond), largeTLB(nil))
 	specs := make([]spec.Spec, len(schemes))
 	for i, s := range schemes {
 		specs[i] = spec.Spec{
@@ -132,15 +130,4 @@ func FatTreeComparison(o Options) ([]Figure, error) {
 		tput.Bars = append(tput.Bars, Bar{s.label(), float64(res.Goodput(sim.LongFlows)) / 1e9})
 	}
 	return []Figure{afct, tput}, nil
-}
-
-// tlbFatTreeConfig adapts TLB to the 3-tier fabric.
-func tlbFatTreeConfig(ft topology.FatTreeConfig) core.Config {
-	c := core.DefaultConfig()
-	c.LinkBandwidth = ft.FabricLink.Bandwidth
-	// 3-tier round trip: 2 host links + 4 fabric links each way.
-	c.RTT = 2 * (2*ft.HostLink.Delay + 4*ft.FabricLink.Delay)
-	c.MaxQTh = ft.Queue.Capacity
-	c.MeanShortSize = 30 * units.KB
-	return c
 }

@@ -1,9 +1,8 @@
 // Package faults implements deterministic, schedule-driven link-fault
 // injection: a Schedule of timed events that take leaf-spine links
 // down (drops at admission, like a pulled cable), de-rate their
-// bandwidth, change their propagation delay, or restore them —
-// including flapping sequences — applied to a running simulation at
-// exact simulated times.
+// bandwidth, change their propagation delay, or restore them, applied
+// to a running simulation at exact simulated times.
 //
 // The paper's §7 asymmetry experiments (Fig. 16–17) degrade links
 // statically, before the run starts; this package turns that into a
@@ -127,26 +126,6 @@ func Delay(at units.Time, leaf, spine int, d units.Time) Event {
 // matter; events are applied by (At, position) order. An empty (or
 // nil) schedule injects nothing.
 type Schedule []Event
-
-// Flap returns a schedule that fails and restores the pair's link(s)
-// `cycles` times: down at start, restored downFor later, down again
-// upFor after that, and so on. The last cycle ends with a restore, so
-// the link is healthy after the flapping stops.
-func Flap(leaf, spine int, start, downFor, upFor units.Time, cycles int) Schedule {
-	if cycles <= 0 || downFor <= 0 || upFor < 0 {
-		panic(fmt.Sprintf("faults: Flap(cycles=%d, downFor=%v, upFor=%v) is not a flapping sequence",
-			cycles, downFor, upFor))
-	}
-	s := make(Schedule, 0, 2*cycles)
-	at := start
-	for c := 0; c < cycles; c++ {
-		s = append(s, Down(at, leaf, spine))
-		at += downFor
-		s = append(s, Restore(at, leaf, spine))
-		at += upFor
-	}
-	return s
-}
 
 // Validate reports the first structurally invalid event. Leaf/spine
 // range checking happens at Install time, against the actual fabric.

@@ -117,40 +117,6 @@ func TestDirectionSelectsOnePort(t *testing.T) {
 	}
 }
 
-func TestFlapGeneratesAlternatingSchedule(t *testing.T) {
-	sched := Flap(1, 2, units.Second, 100*units.Millisecond, 400*units.Millisecond, 3)
-	if len(sched) != 6 {
-		t.Fatalf("flap schedule has %d events, want 6", len(sched))
-	}
-	wantAt := []units.Time{
-		units.Second, units.Second + 100*units.Millisecond,
-		units.Second + 500*units.Millisecond, units.Second + 600*units.Millisecond,
-		units.Second + 1000*units.Millisecond, units.Second + 1100*units.Millisecond,
-	}
-	for i, e := range sched {
-		if e.At != wantAt[i] {
-			t.Fatalf("event %d at %v, want %v", i, e.At, wantAt[i])
-		}
-		wantOp := OpDown
-		if i%2 == 1 {
-			wantOp = OpRestore
-		}
-		if e.Op != wantOp {
-			t.Fatalf("event %d op %v, want %v", i, e.Op, wantOp)
-		}
-		if e.Leaf != 1 || e.Spine != 2 {
-			t.Fatalf("event %d targets (%d,%d), want (1,2)", i, e.Leaf, e.Spine)
-		}
-	}
-	if err := sched.Validate(); err != nil {
-		t.Fatalf("flap schedule invalid: %v", err)
-	}
-	// The sequence ends restored.
-	if last := sched[len(sched)-1]; last.Op != OpRestore {
-		t.Fatalf("flap ends with %v, want restore", last.Op)
-	}
-}
-
 func TestValidateRejectsBrokenEvents(t *testing.T) {
 	cases := map[string]Schedule{
 		"negative time":     {Down(-units.Second, 0, 0)},

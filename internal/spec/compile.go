@@ -27,10 +27,10 @@ func LeafSpineEnv(cfg topology.Config) lb.Env {
 	}
 }
 
-// FatTreeEnv derives the scheme-builder environment from a fat-tree
+// fatTreeEnv derives the scheme-builder environment from a fat-tree
 // fabric. The base RTT crosses 2 host links and 4 fabric links each
 // way (host-edge-agg-core-agg-edge-host).
-func FatTreeEnv(cfg topology.FatTreeConfig) lb.Env {
+func fatTreeEnv(cfg topology.FatTreeConfig) lb.Env {
 	return lb.Env{
 		FabricBandwidth: cfg.FabricLink.Bandwidth,
 		BaseRTT:         2 * (2*cfg.HostLink.Delay + 4*cfg.FabricLink.Delay),
@@ -64,40 +64,45 @@ func (c *checker) addErr(err error) {
 	}
 }
 
-func (c *checker) dur(path string, d Duration) units.Time {
-	if d == "" {
-		return 0
-	}
-	t, err := units.ParseTime(string(d))
-	if err != nil {
-		c.errf(path, "%v", err)
-		return 0
-	}
-	return t
-}
-
-func (c *checker) size(path string, s Size) units.Bytes {
+// quantity parses one unit string; empty is the unset value 0. No
+// quantity in a spec may be negative (units.Parse* accept a sign, and
+// downstream a negative would silently turn into a default), so the
+// sign is rejected here, once, for every duration, size and rate.
+func quantity[T ~int64](c *checker, path, s string, parse func(string) (T, error)) T {
 	if s == "" {
 		return 0
 	}
-	b, err := units.ParseBytes(string(s))
+	v, err := parse(s)
 	if err != nil {
 		c.errf(path, "%v", err)
 		return 0
 	}
-	return b
+	if v < 0 {
+		c.errf(path, "must not be negative, got %s", s)
+		return 0
+	}
+	return v
+}
+
+func (c *checker) dur(path string, d Duration) units.Time {
+	return quantity(c, path, string(d), units.ParseTime)
+}
+
+func (c *checker) size(path string, s Size) units.Bytes {
+	return quantity(c, path, string(s), units.ParseBytes)
 }
 
 func (c *checker) rate(path string, r Rate) units.Bandwidth {
-	if r == "" {
+	return quantity(c, path, string(r), units.ParseBandwidth)
+}
+
+// count is the same sign check for the plain integer fields.
+func (c *checker) count(path string, n int) int {
+	if n < 0 {
+		c.errf(path, "must not be negative, got %d", n)
 		return 0
 	}
-	b, err := units.ParseBandwidth(string(r))
-	if err != nil {
-		c.errf(path, "%v", err)
-		return 0
-	}
-	return b
+	return n
 }
 
 // Validate checks the spec without materializing flows; it reports
@@ -143,7 +148,7 @@ func (s *Spec) compile(materialize bool) (sim.Scenario, error) {
 		sc.Topology = lsCfg
 	case "fattree":
 		ftCfg = s.compileFatTree(c)
-		env = FatTreeEnv(ftCfg)
+		env = fatTreeEnv(ftCfg)
 		cfg := ftCfg
 		sc.BuildNetwork = func(sm *eventsim.Sim, f lb.Factory, rng *eventsim.RNG, deliver topology.DeliverFunc) (topology.Network, error) {
 			return topology.NewFatTree(sm, cfg, f, rng, deliver)
@@ -202,15 +207,9 @@ func (s *Spec) compile(materialize bool) (sim.Scenario, error) {
 	}
 
 	sc.MaxTime = c.dur("run.maxTime", s.Run.MaxTime)
-	if sc.MaxTime < 0 {
-		c.errf("run.maxTime", "must not be negative")
-	}
 	sc.StopWhenDone = s.Run.StopWhenDone
 	sc.ShortThreshold = c.size("run.shortThreshold", s.Run.ShortThreshold)
-	if s.Run.Shards < 0 {
-		c.errf("run.shards", "must not be negative")
-	}
-	sc.Shards = s.Run.Shards // deprecated and ignored by the runner; bench/trace.go still reads it
+	sc.Shards = c.count("run.shards", s.Run.Shards) // deprecated and ignored by the runner; bench/trace.go still reads it
 
 	sc.SampleShortPackets = s.Outputs.SampleShortPackets
 	sc.CollectTimeSeries = s.Outputs.CollectTimeSeries
@@ -252,10 +251,7 @@ func (s *Spec) compileLeafSpine(c *checker) topology.Config {
 		HostsPerLeaf: t.HostsPerLeaf,
 		HostLink:     s.compileLink(c, "topology.hostLink", t.HostLink),
 		FabricLink:   s.compileLink(c, "topology.fabricLink", t.FabricLink),
-		Queue: netem.QueueConfig{
-			Capacity:     t.Queue.Capacity,
-			ECNThreshold: t.Queue.ECNThreshold,
-		},
+		Queue:        s.compileQueue(c),
 	}
 	for i, o := range t.Overrides {
 		cfg.Overrides = append(cfg.Overrides, topology.LinkOverride{
@@ -289,15 +285,19 @@ func (s *Spec) compileFatTree(c *checker) topology.FatTreeConfig {
 		K:          t.K,
 		HostLink:   s.compileLink(c, "topology.hostLink", t.HostLink),
 		FabricLink: s.compileLink(c, "topology.fabricLink", t.FabricLink),
-		Queue: netem.QueueConfig{
-			Capacity:     t.Queue.Capacity,
-			ECNThreshold: t.Queue.ECNThreshold,
-		},
+		Queue:      s.compileQueue(c),
 	}
 	if err := cfg.Validate(); err != nil {
 		c.errf("topology", "%v", err)
 	}
 	return cfg
+}
+
+func (s *Spec) compileQueue(c *checker) netem.QueueConfig {
+	return netem.QueueConfig{
+		Capacity:     c.count("topology.queue.capacity", s.Topology.Queue.Capacity),
+		ECNThreshold: c.count("topology.queue.ecnThreshold", s.Topology.Queue.ECNThreshold),
+	}
 }
 
 func (s *Spec) compileLink(c *checker, path string, l Link) netem.LinkConfig {
@@ -307,9 +307,6 @@ func (s *Spec) compileLink(c *checker, path string, l Link) netem.LinkConfig {
 	}
 	if l.Bandwidth == "" {
 		c.errf(path+".bandwidth", "must be set")
-	}
-	if cfg.Delay < 0 {
-		c.errf(path+".delay", "must not be negative")
 	}
 	return cfg
 }
@@ -327,7 +324,7 @@ func (s *Spec) compileTransport(c *checker) transport.Config {
 		cfg.HeaderBytes = c.size("transport.headerBytes", *t.HeaderBytes)
 	}
 	if t.InitCwnd != nil {
-		cfg.InitCwnd = *t.InitCwnd
+		cfg.InitCwnd = c.count("transport.initCwnd", *t.InitCwnd)
 	}
 	if t.RcvWindow != nil {
 		cfg.RcvWindow = c.size("transport.rcvWindow", *t.RcvWindow)
@@ -342,7 +339,7 @@ func (s *Spec) compileTransport(c *checker) transport.Config {
 		cfg.InitialRTO = c.dur("transport.initialRTO", *t.InitialRTO)
 	}
 	if t.DupAckThreshold != nil {
-		cfg.DupAckThreshold = *t.DupAckThreshold
+		cfg.DupAckThreshold = c.count("transport.dupAckThreshold", *t.DupAckThreshold)
 	}
 	if t.DCTCP != nil {
 		cfg.DCTCP = *t.DCTCP
@@ -363,20 +360,6 @@ func (s *Spec) compileTransport(c *checker) transport.Config {
 		cfg.SACK = *t.SACK
 	}
 	return cfg
-}
-
-// Dist compiles the distribution alone, for callers that need the
-// sampler outside a full scenario (load calibration, tests).
-func (d SizeDist) Dist() (workload.SizeDist, error) {
-	var (
-		c checker
-		s Spec
-	)
-	dist := s.compileSizes(&c, "sizes", &d)
-	if err := c.err(); err != nil {
-		return nil, err
-	}
-	return dist, nil
 }
 
 func (s *Spec) compileSizes(c *checker, path string, d *SizeDist) workload.SizeDist {
@@ -431,7 +414,7 @@ func (s *Spec) compileDeadlines(c *checker, path string, d *Deadlines) workload.
 		Max:       c.dur(path+".max", d.Max),
 		OnlyBelow: c.size(path+".onlyBelow", d.OnlyBelow),
 	}
-	if dd.Max <= 0 || dd.Max < dd.Min || dd.Min < 0 {
+	if dd.Max <= 0 || dd.Max < dd.Min {
 		c.errf(path, "need 0 <= min <= max with max > 0, got [%v, %v]", d.Min, d.Max)
 	}
 	return dd
@@ -494,6 +477,9 @@ func (s *Spec) compileWorkload(c *checker, topoKind string, lsCfg topology.Confi
 	case "interpod":
 		reject("poisson", poissonFields...)
 		reject("mix", mixFields...)
+		if w.Deadlines != nil {
+			c.errf("workload.deadlines", "only applies to workload kinds %q and %q (interpod reads workload.interPod.deadline*)", "poisson", "mix")
+		}
 		return s.compileInterPod(c, topoKind, ftCfg, wseed, materialize)
 	case "":
 		c.errf("workload.kind", "must be set (valid: poisson, mix, interpod)")
@@ -672,9 +658,6 @@ func (s *Spec) compileInterPod(c *checker, topoKind string, ftCfg topology.FatTr
 	dlBase := c.dur("workload.interPod.deadlineBase", ip.DeadlineBase)
 	dlJitter := c.dur("workload.interPod.deadlineJitter", ip.DeadlineJitter)
 	dlBelow := c.size("workload.interPod.deadlineOnlyBelow", ip.DeadlineOnlyBelow)
-	if dlJitter < 0 || dlBase < 0 {
-		c.errf("workload.interPod.deadlineBase", "deadline base and jitter must not be negative")
-	}
 	if len(c.errs) > 0 || !materialize {
 		return nil, nil
 	}
@@ -779,30 +762,6 @@ var faultDirs = []struct {
 	{"both", faults.BothDirections},
 	{"leafToSpine", faults.LeafToSpine},
 	{"spineToLeaf", faults.SpineToLeaf},
-}
-
-// FaultOpName returns the spec string for an op.
-func FaultOpName(op faults.Op) string {
-	for _, e := range faultOps {
-		if e.op == op {
-			return e.name
-		}
-	}
-	return fmt.Sprintf("Op(%d)", int(op))
-}
-
-// FaultDirName returns the spec string for a direction ("" for the
-// both-directions default).
-func FaultDirName(d faults.Direction) string {
-	if d == faults.BothDirections {
-		return ""
-	}
-	for _, e := range faultDirs {
-		if e.dir == d {
-			return e.name
-		}
-	}
-	return fmt.Sprintf("Direction(%d)", int(d))
 }
 
 func (s *Spec) compileFaults(c *checker) faults.Schedule {

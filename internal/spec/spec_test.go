@@ -247,6 +247,77 @@ func TestFaultsRejectedOnFatTree(t *testing.T) {
 	}
 }
 
+// TestSilentlyIgnoredInputRejected: input that used to validate and
+// then be dropped or replaced by a default downstream — a negative
+// quantity or count, workload.deadlines on an interpod workload — fails
+// validation at its JSON path.
+func TestSilentlyIgnoredInputRejected(t *testing.T) {
+	dur := func(v Duration) *Duration { return &v }
+	size := func(v Size) *Size { return &v }
+	num := func(v int) *int { return &v }
+	interpod := func(s *Spec) {
+		s.Topology = Topology{
+			Kind:       "fattree",
+			K:          4,
+			HostLink:   Link{Bandwidth: "1Gbps", Delay: "5us"},
+			FabricLink: Link{Bandwidth: "1Gbps", Delay: "10us"},
+			Queue:      Queue{Capacity: 256},
+		}
+		s.Workload = Workload{
+			Kind:     "interpod",
+			InterPod: &InterPod{Flows: 10, Sizes: SizeDist{Kind: "fixed", Size: "1MB"}, MaxGap: "100us"},
+		}
+	}
+	for _, tc := range []struct {
+		path string
+		mut  func(*Spec)
+	}{
+		{"run.maxTime", func(s *Spec) { s.Run.MaxTime = "-1s" }},
+		{"run.shortThreshold", func(s *Spec) { s.Run.ShortThreshold = "-5KB" }},
+		{"run.shards", func(s *Spec) { s.Run.Shards = -1 }},
+		{"outputs.timeBucket", func(s *Spec) { s.Outputs.TimeBucket = "-5ms" }},
+		{"transport.mss", func(s *Spec) { s.Transport = &Transport{MSS: size("-1B")} }},
+		{"transport.minRTO", func(s *Spec) { s.Transport = &Transport{MinRTO: dur("-1ms")} }},
+		{"transport.initCwnd", func(s *Spec) { s.Transport = &Transport{InitCwnd: num(-3)} }},
+		{"transport.dupAckThreshold", func(s *Spec) { s.Transport = &Transport{DupAckThreshold: num(-1)} }},
+		{"topology.queue.capacity", func(s *Spec) { s.Topology.Queue.Capacity = -1 }},
+		{"topology.queue.ecnThreshold", func(s *Spec) { s.Topology.Queue.ECNThreshold = -1 }},
+		{"topology.fabricLink.delay", func(s *Spec) { s.Topology.FabricLink.Delay = "-10us" }},
+		{"topology.hostLink.bandwidth", func(s *Spec) { s.Topology.HostLink.Bandwidth = "-1Gbps" }},
+		{"workload.groups[0].arrivalJitter", func(s *Spec) { s.Workload.Groups[0].ArrivalJitter = "-1ms" }},
+		{"workload.deadlines.min", func(s *Spec) { s.Workload.Deadlines.Min = "-5ms" }},
+		{"replication.threshold", func(s *Spec) { s.Replication = &Replication{Threshold: "-100KB", Copies: 2} }},
+		{"faults[0].at", func(s *Spec) { s.Faults = []Fault{{At: "-1s", Op: "down"}} }},
+		{"workload.interPod.deadlineBase", func(s *Spec) {
+			interpod(s)
+			s.Workload.InterPod.DeadlineBase = "-5ms"
+		}},
+		{"workload.interPod.deadlineJitter", func(s *Spec) {
+			interpod(s)
+			s.Workload.InterPod.DeadlineJitter = "-20ms"
+		}},
+		{"workload.deadlines", func(s *Spec) {
+			interpod(s)
+			s.Workload.Deadlines = &Deadlines{Min: "5ms", Max: "25ms"}
+		}},
+	} {
+		s := testSpec()
+		tc.mut(s)
+		err := s.Validate()
+		if err == nil {
+			t.Errorf("%s: accepted", tc.path)
+			continue
+		}
+		located := false
+		for _, line := range strings.Split(err.Error(), "\n") {
+			located = located || strings.HasPrefix(line, tc.path+": ")
+		}
+		if !located {
+			t.Errorf("%s: no error at that path:\n%v", tc.path, err)
+		}
+	}
+}
+
 // TestShardsAcceptedAndIgnored pins the compatibility shim the
 // benchmark's fattree-mice-sharded workload leans on: run.shards — with
 // or without replication, which the sharded runner used to reject —

@@ -207,9 +207,6 @@ func NewFatTree(sim *eventsim.Sim, cfg FatTreeConfig, factory lb.Factory, rng *e
 	return f, nil
 }
 
-// Config returns the tree's configuration.
-func (f *FatTree) Config() FatTreeConfig { return f.cfg }
-
 // Hosts implements Network.
 func (f *FatTree) Hosts() int { return f.cfg.Hosts() }
 

@@ -193,9 +193,6 @@ func New(sim *eventsim.Sim, cfg Config, factory lb.Factory, rng *eventsim.RNG, d
 	return f, nil
 }
 
-// Config returns the fabric's configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // Hosts implements Network.
 func (f *Fabric) Hosts() int { return f.cfg.Hosts() }
 
@@ -239,9 +236,6 @@ func (f *Fabric) Drops() int64 {
 	return n
 }
 
-// Uplinks returns the uplink ports of a leaf, for instrumentation.
-func (f *Fabric) Uplinks(leaf int) []*netem.Port { return f.leaves[leaf].up }
-
 // LinkPorts returns the two directed ports of a leaf-spine pair:
 // leaf→spine and spine→leaf. It is the canonical faults.Resolver for
 // this fabric.
@@ -252,10 +246,6 @@ func (f *Fabric) LinkPorts(leaf, spine int) (up, down *netem.Port, err error) {
 	}
 	return f.leaves[leaf].up[spine], f.spines[spine].down[leaf], nil
 }
-
-// DownlinksOfSpine returns a spine's per-leaf downlinks, for
-// instrumentation.
-func (f *Fabric) DownlinksOfSpine(spine int) []*netem.Port { return f.spines[spine].down }
 
 // MinFabricDelay returns the minimum propagation delay over every
 // inter-switch link (host links excluded). The runner derives the
@@ -286,9 +276,6 @@ func minLinkDelay(groups [][]*netem.Port) units.Time {
 	}
 	return min
 }
-
-// Balancer returns the load balancer instance at the given leaf.
-func (f *Fabric) Balancer(leaf int) lb.Balancer { return f.leaves[leaf].bal }
 
 // EveryQueue invokes fn for every queue in the fabric (host NICs, leaf
 // down/up ports, spine down ports), for aggregate stats.

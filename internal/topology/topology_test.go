@@ -88,6 +88,16 @@ func TestCrossLeafDelivery(t *testing.T) {
 	}
 }
 
+// linkPorts returns a leaf-spine pair's two directed ports.
+func linkPorts(t *testing.T, fab *Fabric, leaf, spine int) (up, down *netem.Port) {
+	t.Helper()
+	up, down, err := fab.LinkPorts(leaf, spine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return up, down
+}
+
 func TestSameLeafDeliverySkipsFabric(t *testing.T) {
 	fab, s, got := build(t, testConfig(), lb.ECMP())
 	pkt := &netem.Packet{Flow: netem.FlowID{Src: 0, Dst: 1}, Kind: netem.Data, Payload: 1000, Wire: 1040}
@@ -96,9 +106,10 @@ func TestSameLeafDeliverySkipsFabric(t *testing.T) {
 	if len(got[1]) != 1 {
 		t.Fatalf("host 1 received %d packets", len(got[1]))
 	}
-	for _, sp := range [][]*netem.Port{fab.DownlinksOfSpine(0), fab.DownlinksOfSpine(1), fab.DownlinksOfSpine(2)} {
-		for _, p := range sp {
-			if p.Queue().Stats().Enqueued != 0 {
+	cfg := testConfig()
+	for spine := 0; spine < cfg.Spines; spine++ {
+		for leaf := 0; leaf < cfg.Leaves; leaf++ {
+			if _, down := linkPorts(t, fab, leaf, spine); down.Queue().Stats().Enqueued != 0 {
 				t.Fatal("intra-leaf packet crossed a spine")
 			}
 		}
@@ -120,19 +131,18 @@ func TestOverridesApplyToBothDirections(t *testing.T) {
 	slow := netem.LinkConfig{Bandwidth: 100 * units.Mbps, Delay: units.Millisecond}
 	cfg.Overrides = []LinkOverride{{Leaf: 0, Spine: 1, Link: slow}}
 	fab, _, _ := build(t, cfg, lb.ECMP())
-	up := fab.Uplinks(0)[1]
+	up, down := linkPorts(t, fab, 0, 1)
 	if up.Link() != slow {
 		t.Fatalf("uplink override not applied: %+v", up.Link())
 	}
-	down := fab.DownlinksOfSpine(1)[0]
 	if down.Link() != slow {
 		t.Fatalf("downlink override not applied: %+v", down.Link())
 	}
 	// Non-overridden links untouched.
-	if fab.Uplinks(0)[0].Link() != cfg.FabricLink {
+	if up, _ := linkPorts(t, fab, 0, 0); up.Link() != cfg.FabricLink {
 		t.Fatal("non-overridden link changed")
 	}
-	if fab.Uplinks(1)[1].Link() != cfg.FabricLink {
+	if up, _ := linkPorts(t, fab, 1, 1); up.Link() != cfg.FabricLink {
 		t.Fatal("other leaf's link to spine 1 changed")
 	}
 }
