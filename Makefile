@@ -94,11 +94,11 @@ alloc-gates:
 	$(GO) test -run 'TestAllocGate' -count 1 -v .
 
 # identity runs the output-identity contract on its own: the fabric's
-# construction-order pin, the golden
-# figure CSVs, worker-count identity, observer neutrality, records-kept
-# vs records-dropped parity (finished and truncated runs) and the
-# benchmark harness's digest tests — the set a change to shared run machinery has
-# to keep green (also part of `make test`; this is the fast inner loop).
+# construction-order pin, the golden figure CSVs, worker-count identity,
+# observer neutrality, records-kept vs records-dropped parity (finished
+# and truncated runs) and the benchmark harness's digest tests — the set
+# a change to shared run machinery has to keep green (also part of
+# `make test`; this is the fast inner loop).
 identity:
 	$(GO) test -count 1 -run 'TestConstructionOrderPinned' ./internal/topology
 	$(GO) test -count 1 -run 'TestGoldenFigures|TestParallelSerialIdentical' ./internal/experiments

@@ -7,7 +7,7 @@
 //
 //   - internal/eventsim — discrete-event engine and deterministic RNG
 //   - internal/netem    — packets, ECN drop-tail queues, links, ports
-//   - internal/topology — leaf-spine fabrics, symmetric and asymmetric
+//   - internal/topology — one up/down-routed fabric: leaf-spine, fat-tree
 //   - internal/transport— DCTCP/TCP endpoints (the paper's traffic)
 //   - internal/lb       — ECMP, RPS, Presto, LetFlow, DRILL baselines
 //   - internal/core     — TLB itself (the paper's contribution)

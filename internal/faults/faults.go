@@ -101,27 +101,6 @@ func (e Event) String() string {
 	}
 }
 
-// Down builds an event failing the pair's link(s) at the given time.
-func Down(at units.Time, leaf, spine int) Event {
-	return Event{At: at, Leaf: leaf, Spine: spine, Op: OpDown}
-}
-
-// Restore builds an event reviving the pair's link(s) and resetting
-// them to their original rate and delay.
-func Restore(at units.Time, leaf, spine int) Event {
-	return Event{At: at, Leaf: leaf, Spine: spine, Op: OpRestore}
-}
-
-// DeRate builds an event setting the pair's bandwidth.
-func DeRate(at units.Time, leaf, spine int, bw units.Bandwidth) Event {
-	return Event{At: at, Leaf: leaf, Spine: spine, Op: OpDeRate, Bandwidth: bw}
-}
-
-// Delay builds an event setting the pair's one-way propagation delay.
-func Delay(at units.Time, leaf, spine int, d units.Time) Event {
-	return Event{At: at, Leaf: leaf, Spine: spine, Op: OpDelay, Delay: d}
-}
-
 // Schedule is a set of fault events for one run. Order does not
 // matter; events are applied by (At, position) order. An empty (or
 // nil) schedule injects nothing.

@@ -38,10 +38,10 @@ func TestInjectorAppliesScheduleInOrder(t *testing.T) {
 	tr := trace.New(0)
 	sched := Schedule{
 		// Deliberately out of time order: Install must sort.
-		Restore(3*units.Millisecond, 0, 0),
-		Down(units.Millisecond, 0, 0),
-		DeRate(5*units.Millisecond, 0, 0, 100*units.Mbps),
-		Delay(7*units.Millisecond, 0, 0, units.Millisecond),
+		{At: 3 * units.Millisecond, Op: OpRestore},
+		{At: units.Millisecond, Op: OpDown},
+		{At: 5 * units.Millisecond, Op: OpDeRate, Bandwidth: 100 * units.Mbps},
+		{At: 7 * units.Millisecond, Op: OpDelay, Delay: units.Millisecond},
 	}
 	inj, err := Install(s, sched, resolve, tr)
 	if err != nil {
@@ -84,10 +84,10 @@ func TestRestoreUndoesAccumulatedChanges(t *testing.T) {
 	up, _, resolve := pair(s)
 	orig := up.Link()
 	sched := Schedule{
-		DeRate(units.Millisecond, 0, 0, 5*units.Mbps),
-		Delay(2*units.Millisecond, 0, 0, 4*units.Millisecond),
-		Down(3*units.Millisecond, 0, 0),
-		Restore(4*units.Millisecond, 0, 0),
+		{At: units.Millisecond, Op: OpDeRate, Bandwidth: 5 * units.Mbps},
+		{At: 2 * units.Millisecond, Op: OpDelay, Delay: 4 * units.Millisecond},
+		{At: 3 * units.Millisecond, Op: OpDown},
+		{At: 4 * units.Millisecond, Op: OpRestore},
 	}
 	if _, err := Install(s, sched, resolve, nil); err != nil {
 		t.Fatal(err)
@@ -119,8 +119,8 @@ func TestDirectionSelectsOnePort(t *testing.T) {
 
 func TestValidateRejectsBrokenEvents(t *testing.T) {
 	cases := map[string]Schedule{
-		"negative time":     {Down(-units.Second, 0, 0)},
-		"negative leaf":     {Down(0, -1, 0)},
+		"negative time":     {{At: -units.Second, Op: OpDown}},
+		"negative leaf":     {{Leaf: -1, Op: OpDown}},
 		"zero-rate derate":  {{At: 0, Op: OpDeRate}},
 		"negative delay":    {{At: 0, Op: OpDelay, Delay: -units.Second}},
 		"unknown direction": {{At: 0, Dir: Direction(9)}},
@@ -135,7 +135,7 @@ func TestValidateRejectsBrokenEvents(t *testing.T) {
 func TestInstallRejectsUnknownLink(t *testing.T) {
 	s := eventsim.New()
 	_, _, resolve := pair(s)
-	_, err := Install(s, Schedule{Down(0, 3, 9)}, resolve, nil)
+	_, err := Install(s, Schedule{{Leaf: 3, Spine: 9, Op: OpDown}}, resolve, nil)
 	if err == nil || !strings.Contains(err.Error(), "no such link") {
 		t.Fatalf("Install accepted an unresolvable link: %v", err)
 	}

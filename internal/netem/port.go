@@ -90,7 +90,7 @@ func NewPort(sim *eventsim.Sim, link LinkConfig, qcfg QueueConfig, dst Handler, 
 		panic("netem: port with non-positive bandwidth")
 	}
 	idx := sim.ReserveKeyedID()
-	if idx >= 1<<deliveryPortBits {
+	if idx >= MaxKeyedIDs {
 		panic("netem: port index overflows DeliveryKey packing (raise deliveryPortBits)")
 	}
 	return &Port{sim: sim, link: link, q: Queue{cfg: qcfg}, dst: dst, label: label, idx: idx}
@@ -107,6 +107,12 @@ const (
 	deliveryPortBits = 20
 	maxKeyedTime     = units.Time(1) << (63 - deliveryPortBits)
 )
+
+// MaxKeyedIDs is how many keyed identities (eventsim.Sim.ReserveKeyedID:
+// one per port, and one per host for its receiver-close key) fit the
+// index field of a DeliveryKey. A fabric that needs more cannot run on
+// one engine; topology validation rejects it before building anything.
+const MaxKeyedIDs = 1 << deliveryPortBits
 
 // DeliveryKey builds the keyed-domain ordering key for a packet
 // admitted at admittedAt on the port with the given index. Ordering

@@ -47,8 +47,8 @@ func runItem(t *testing.T, name, scheme string, faulted bool) Item {
 	var tr *trace.Tracer
 	if faulted {
 		sc.Faults = faults.Schedule{
-			faults.Down(200*units.Microsecond, 0, 0),
-			faults.Restore(2*units.Millisecond, 0, 0),
+			{At: 200 * units.Microsecond, Op: faults.OpDown},
+			{At: 2 * units.Millisecond, Op: faults.OpRestore},
 		}
 		tr = trace.New(0).WithFilter(trace.Filter{Kinds: []trace.EventKind{trace.LinkFault}})
 		sc.Tracer = tr

@@ -114,9 +114,12 @@ func newCore(sc *Scenario) (*runCore, error) {
 	c.ports = net.BalancedPorts()
 
 	if len(sc.Faults) > 0 {
+		// A custom BuildNetwork network has no links to resolve; on a
+		// built-in fabric LinkPorts decides whether (leaf, spine)
+		// addresses it.
 		fab, ok := net.(*topology.Fabric)
 		if !ok {
-			return nil, fmt.Errorf("sim: scenario %q: fault schedule requires the leaf-spine fabric", sc.Name)
+			return nil, fmt.Errorf("sim: scenario %q: fault schedule needs a *topology.Fabric to resolve links on, got %T", sc.Name, net)
 		}
 		if _, err := faults.Install(c.sim, sc.Faults, fab.LinkPorts, sc.Tracer); err != nil {
 			return nil, fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
@@ -314,10 +317,12 @@ func (c *runCore) openReplicated(idx int, f workload.Flow) {
 			recvHost.OpenReceiver(c.cfg, id, f.Size, &snd.Stats)
 			snd.Start()
 		}
-		sc.Tracer.Record(trace.Event{
-			At: c.sim.Now(), Kind: trace.FlowStart, Flow: flow,
-			Note: fmt.Sprintf("%v x%d replicas", f.Size, copies),
-		})
+		if sc.Tracer != nil {
+			sc.Tracer.Record(trace.Event{
+				At: c.sim.Now(), Kind: trace.FlowStart, Flow: flow,
+				Note: fmt.Sprintf("%v x%d replicas", f.Size, copies),
+			})
+		}
 		c.started++
 	})
 }

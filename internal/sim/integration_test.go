@@ -7,6 +7,7 @@ import (
 
 	"tlb/internal/core"
 	"tlb/internal/eventsim"
+	"tlb/internal/faults"
 	"tlb/internal/lb"
 	"tlb/internal/netem"
 	"tlb/internal/topology"
@@ -347,6 +348,41 @@ func TestFatTreeEndToEnd(t *testing.T) {
 				t.Fatal("balanced-port snapshots missing a tier")
 			}
 		})
+	}
+}
+
+// TestFaultsOnFatTreeRejected: a hand-built fat-tree scenario is a
+// *topology.Fabric like the leaf-spine, so what rejects its (leaf,
+// spine) fault schedule is LinkPorts, through faults.Install — an error
+// naming the scenario, not a panic, and not a fault landing on the
+// edge<->agg pair that happens to carry the same indices.
+func TestFaultsOnFatTreeRejected(t *testing.T) {
+	ftCfg := topology.FatTreeConfig{
+		K:          4,
+		HostLink:   netem.LinkConfig{Bandwidth: units.Gbps, Delay: 5 * units.Microsecond},
+		FabricLink: netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
+		Queue:      netem.QueueConfig{Capacity: 256, ECNThreshold: 65},
+	}
+	res, err := Run(Scenario{
+		Name:       "faulted-fattree",
+		Transport:  transport.DefaultConfig(),
+		Balancer:   lb.ECMP(),
+		SchemeName: "ecmp",
+		Flows:      []workload.Flow{{Src: 0, Dst: 12, Size: 100 * units.KB}},
+		Faults:     faults.Schedule{{At: 0, Leaf: 0, Spine: 0, Op: faults.OpDown}},
+		BuildNetwork: func(sm *eventsim.Sim, f lb.Factory, rng *eventsim.RNG, deliver topology.DeliverFunc) (topology.Network, error) {
+			return topology.NewFatTree(sm, ftCfg, f, rng, deliver)
+		},
+		StopWhenDone: true,
+		MaxTime:      units.Second,
+	})
+	if err == nil {
+		t.Fatalf("faulted fat-tree ran: %d fault drops", res.FaultDrops)
+	}
+	for _, want := range []string{`scenario "faulted-fattree"`, "(leaf, spine)", "3-tier"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }
 

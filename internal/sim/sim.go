@@ -93,8 +93,9 @@ type Scenario struct {
 
 	// Faults is the run's link-fault schedule (down / flap / de-rate /
 	// delay at scheduled sim times; see internal/faults). Empty injects
-	// nothing. Requires the default leaf-spine fabric: the schedule
-	// addresses links by (leaf, spine) pair.
+	// nothing. It addresses links by (leaf, spine) pair, so the network
+	// must be a two-tier *topology.Fabric: Fabric.LinkPorts rejects it
+	// on a fat-tree, and a custom network has no links to resolve.
 	Faults faults.Schedule
 
 	// Tracer, when non-nil, records flow lifecycle and retransmission
@@ -104,7 +105,8 @@ type Scenario struct {
 	Tracer *trace.Tracer
 
 	// BuildNetwork, when set, constructs the network instead of the
-	// default leaf-spine build of Topology — e.g. a fat-tree:
+	// default topology.New(Topology) — the same Fabric wired as a
+	// fat-tree, or a wrapper around either:
 	//
 	//	BuildNetwork: func(s, f, rng, deliver) (topology.Network, error) {
 	//	    return topology.NewFatTree(s, ftCfg, f, rng, deliver)

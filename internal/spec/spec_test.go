@@ -247,6 +247,45 @@ func TestFaultsRejectedOnFatTree(t *testing.T) {
 	}
 }
 
+// TestOversizedFabricRejected: a fabric with more ports and hosts than
+// the engine has keyed identities used to validate, then panic in
+// netem.NewPort (k=90) or ask for gigabytes of host slots (k=2000) at
+// build time; it fails validation at topology, naming count and limit.
+func TestOversizedFabricRejected(t *testing.T) {
+	fat := func(k int) *Spec {
+		s := testSpec()
+		s.Topology = Topology{
+			Kind:       "fattree",
+			K:          k,
+			HostLink:   Link{Bandwidth: "1Gbps", Delay: "5us"},
+			FabricLink: Link{Bandwidth: "1Gbps", Delay: "10us"},
+			Queue:      Queue{Capacity: 256},
+		}
+		s.Workload = Workload{
+			Kind:     "interpod",
+			InterPod: &InterPod{Flows: 10, Sizes: SizeDist{Kind: "fixed", Size: "1MB"}, MaxGap: "100us"},
+		}
+		return s
+	}
+	wide := testSpec() // a leaf-spine with k=90's port count
+	wide.Topology.Leaves, wide.Topology.Spines = 1100, 480
+	for _, s := range []*Spec{fat(90), fat(2000), wide} {
+		err := s.Validate()
+		if err == nil {
+			t.Errorf("%+v: accepted", s.Topology)
+			continue
+		}
+		located := false
+		for _, line := range strings.Split(err.Error(), "\n") {
+			located = located || strings.HasPrefix(line, "topology: ") &&
+				strings.Contains(line, "keyed identities, limit 1048576")
+		}
+		if !located {
+			t.Errorf("%+v: no size error at topology:\n%v", s.Topology, err)
+		}
+	}
+}
+
 // TestSilentlyIgnoredInputRejected: input that used to validate and
 // then be dropped or replaced by a default downstream — a negative
 // quantity or count, workload.deadlines on an interpod workload — fails

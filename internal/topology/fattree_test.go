@@ -19,7 +19,7 @@ func ftConfig(k int) FatTreeConfig {
 	}
 }
 
-func buildFT(t *testing.T, k int, f lb.Factory) (*FatTree, *eventsim.Sim, map[int]int) {
+func buildFT(t *testing.T, k int, f lb.Factory) (*Fabric, *eventsim.Sim, map[int]int) {
 	t.Helper()
 	s := eventsim.New()
 	got := map[int]int{}
@@ -47,24 +47,39 @@ func TestFatTreeValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// 7k^3/4 keyed identities (6 ports per host, plus the host): k=84
+	// is the largest tree the engine can address.
+	good.K = 84
+	if err := good.Validate(); err != nil {
+		t.Errorf("k=84 rejected: %v", err)
+	}
+	for _, k := range []int{86, 2000, 1 << 62} {
+		good.K = k
+		err := good.Validate()
+		if err == nil || !strings.Contains(err.Error(), "limit 1048576") {
+			t.Errorf("k=%d: %v", k, err)
+		}
+	}
+	good.K = 90
+	if err := good.Validate(); err == nil || !strings.Contains(err.Error(), "1093500 ports + 182250 hosts need 1275750 keyed identities, limit 1048576") {
+		t.Errorf("k=90 error does not name the counts and the limit: %v", err)
+	}
 }
 
 func TestFatTreeCounts(t *testing.T) {
-	cfg := ftConfig(4)
-	if cfg.Hosts() != 16 || cfg.Paths() != 4 {
-		t.Fatalf("k=4: hosts=%d paths=%d", cfg.Hosts(), cfg.Paths())
-	}
-	cfg.K = 8
-	if cfg.Hosts() != 128 || cfg.Paths() != 16 {
-		t.Fatalf("k=8: hosts=%d paths=%d", cfg.Hosts(), cfg.Paths())
-	}
+	// (k/2)^2 inter-pod paths: k/2 uplinks at the edge times k/2 at
+	// the agg, i.e. k^2/2 switches of k/2 balanced ports each.
 	ft, _, _ := buildFT(t, 4, lb.ECMP())
-	if len(ft.edges) != 8 || len(ft.aggs) != 8 || len(ft.cores) != 4 {
-		t.Fatalf("switch counts: %d edges %d aggs %d cores", len(ft.edges), len(ft.aggs), len(ft.cores))
+	if ft.Hosts() != 16 || len(ft.BalancedPorts()) != 16*2 {
+		t.Fatalf("k=4: hosts=%d balanced ports=%d", ft.Hosts(), len(ft.BalancedPorts()))
 	}
-	// Balanced ports: 8 edges * 2 up + 8 aggs * 2 up = 32.
-	if got := len(ft.BalancedPorts()); got != 32 {
-		t.Fatalf("%d balanced ports, want 32", got)
+	ft8, _, _ := buildFT(t, 8, lb.ECMP())
+	if ft8.Hosts() != 128 || len(ft8.BalancedPorts()) != 64*4 {
+		t.Fatalf("k=8: hosts=%d balanced ports=%d", ft8.Hosts(), len(ft8.BalancedPorts()))
+	}
+	edges, aggs, cores := ft.tiers[0], ft.tiers[1], ft.tiers[2]
+	if len(ft.tiers) != 3 || len(edges) != 8 || len(aggs) != 8 || len(cores) != 4 {
+		t.Fatalf("switch counts: %d edges %d aggs %d cores", len(edges), len(aggs), len(cores))
 	}
 }
 
@@ -98,7 +113,7 @@ func TestFatTreeSameEdgeSkipsFabric(t *testing.T) {
 	if got[1] != 1 {
 		t.Fatal("not delivered")
 	}
-	for _, e := range ft.edges {
+	for _, e := range ft.tiers[0] {
 		for _, p := range e.up {
 			if p.Queue().Stats().Enqueued != 0 {
 				t.Fatal("same-edge packet left the edge switch")
@@ -112,7 +127,7 @@ func TestFatTreeIntraPodStaysInPod(t *testing.T) {
 	// Hosts 0 and 2: same pod (0), different edges.
 	ft.Inject(0, dataPacket(0, 2))
 	s.Run()
-	for _, a := range ft.aggs {
+	for _, a := range ft.tiers[1] {
 		for _, p := range a.up {
 			if p.Queue().Stats().Enqueued != 0 {
 				t.Fatal("intra-pod packet reached a core uplink")
@@ -129,7 +144,7 @@ func TestFatTreeInterPodCrossesCore(t *testing.T) {
 		t.Fatal("not delivered")
 	}
 	coreHits := 0
-	for _, a := range ft.aggs {
+	for _, a := range ft.tiers[1] {
 		for _, p := range a.up {
 			coreHits += int(p.Queue().Stats().Enqueued)
 		}
@@ -180,7 +195,7 @@ func TestFatTreeEveryQueueLabels(t *testing.T) {
 	}
 }
 
-func onlyLabels(ft *FatTree) map[string]bool {
+func onlyLabels(ft *Fabric) map[string]bool {
 	labels := map[string]bool{}
 	ft.EveryQueue(func(label string, q *netem.Queue) {
 		labels[label] = true
@@ -198,6 +213,16 @@ func TestFatTreeBalancerPerSwitch(t *testing.T) {
 	buildFT(t, 4, counting)
 	if instances != 16 {
 		t.Fatalf("%d balancer instances, want 16 (8 edges + 8 aggs)", instances)
+	}
+}
+
+// TestFatTreeLinkPortsRejected: (leaf, spine) addresses a two-tier
+// fabric; on a fat-tree it must not resolve to the edge<->agg pair with
+// the same indices.
+func TestFatTreeLinkPortsRejected(t *testing.T) {
+	ft, _, _ := buildFT(t, 4, lb.ECMP())
+	if up, down, err := ft.LinkPorts(0, 0); err == nil {
+		t.Fatalf("LinkPorts(0, 0) on a fat-tree resolved to %s / %s", up.Label(), down.Label())
 	}
 }
 

@@ -1,12 +1,29 @@
-// Package topology builds the leaf-spine fabrics the paper evaluates
-// on: hosts attached to leaf (ToR) switches, every leaf connected to
-// every spine, giving #spines equal-cost paths between hosts on
-// different leaves.
+// Package topology builds the multi-rooted trees the paper evaluates
+// on — the two-tier leaf-spine (New) and the three-tier k-ary fat-tree
+// (NewFatTree) — as one Fabric of one switch type.
 //
-// The fabric owns all switch ports and routing; transport endpoints
-// plug in via an injection function (host -> fabric) and a delivery
-// callback (fabric -> host). Load balancing happens at the leaf
-// switches' uplink choice, exactly where the paper deploys TLB.
+// Forwarding is the same rule at every switch of every tier: a packet
+// whose destination host sits below the switch leaves through the down
+// port that covers it; anything else goes up through the port the
+// switch's load balancer picks. Balanced up, deterministic down — the
+// uplink choice is the only place a scheme acts, exactly where the
+// paper deploys TLB, and a fat-tree chains two such choices (edge, then
+// aggregation). The two constructors differ only in how they wire the
+// tiers together.
+//
+// Construction order is a contract. Every netem.Port draws its
+// DeliveryKey identity from Sim.ReserveKeyedID and every balancer its
+// random stream from rng.Split(), so the order ports and balancers are
+// built in decides how same-instant deliveries and random picks fall —
+// and with them every pinned figure. The order is: per host, its NIC
+// then its switch's down port to it; then tier pair by tier pair (per
+// pod on the fat-tree) all uplinks lower-switch-major followed by all
+// downlinks upper-switch-major; then the balancers, tier by tier in
+// switch order. TestConstructionOrderPinned holds both constructors to
+// it, and BalancedPorts and EveryQueue walk the same order.
+//
+// Transport endpoints plug in via an injection function (host ->
+// fabric) and a delivery callback (fabric -> host).
 package topology
 
 import (
@@ -18,6 +35,29 @@ import (
 	"tlb/internal/units"
 )
 
+// Network is the interface the experiment runner drives traffic
+// through. Fabric implements it for both built-in shapes; a scenario's
+// BuildNetwork may supply or wrap another.
+type Network interface {
+	// Hosts returns the number of attached hosts.
+	Hosts() int
+	// Inject sends a packet from the given host into the network.
+	Inject(host int, pkt *netem.Packet)
+	// Drops returns total packets dropped anywhere in the network.
+	Drops() int64
+	// BalancedPorts returns the ports whose selection is made by load
+	// balancers (the multipath links), for instrumentation.
+	BalancedPorts() []*netem.Port
+	// EveryQueue visits every queue in the network.
+	EveryQueue(fn func(label string, q *netem.Queue))
+	// SetPool makes the network release dropped packets back to the
+	// run's packet pool (a switch observing Port.Send refuse a packet
+	// is that packet's terminal sink). Nil disables releasing.
+	SetPool(pool *netem.PacketPool)
+}
+
+var _ Network = (*Fabric)(nil)
+
 // LinkOverride re-parameterizes one leaf<->spine pair, in both
 // directions, to create the asymmetric topologies of the paper's
 // Fig. 16 (extra delay) and Fig. 17 (reduced bandwidth).
@@ -26,7 +66,9 @@ type LinkOverride struct {
 	Link        netem.LinkConfig
 }
 
-// Config describes a leaf-spine fabric.
+// Config describes a leaf-spine fabric: hosts attached to leaf (ToR)
+// switches, every leaf connected to every spine, giving #spines
+// equal-cost paths between hosts on different leaves.
 type Config struct {
 	Leaves       int
 	Spines       int
@@ -55,6 +97,11 @@ func (c *Config) Validate() error {
 	case c.HostLink.Bandwidth <= 0 || c.FabricLink.Bandwidth <= 0:
 		return fmt.Errorf("topology: links need positive bandwidth")
 	}
+	// Two ports per host link and per leaf-spine pair.
+	hosts, pairs := float64(c.Leaves)*float64(c.HostsPerLeaf), float64(c.Leaves)*float64(c.Spines)
+	if err := checkSize(2*hosts+2*pairs, hosts); err != nil {
+		return err
+	}
 	for _, o := range c.Overrides {
 		if o.Leaf < 0 || o.Leaf >= c.Leaves || o.Spine < 0 || o.Spine >= c.Spines {
 			return fmt.Errorf("topology: override (%d,%d) out of range", o.Leaf, o.Spine)
@@ -66,12 +113,21 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// checkSize rejects a fabric the engine cannot address, before anything
+// is allocated for it: every port and every host (its receiver-close
+// key) takes one keyed identity, and a DeliveryKey has room for
+// netem.MaxKeyedIDs of them. The counts are floats so that no
+// configuration, however absurd, overflows the check itself.
+func checkSize(ports, hosts float64) error {
+	if ports+hosts > netem.MaxKeyedIDs {
+		return fmt.Errorf("topology: %.0f ports + %.0f hosts need %.0f keyed identities, limit %d",
+			ports, hosts, ports+hosts, netem.MaxKeyedIDs)
+	}
+	return nil
+}
+
 // Hosts returns the total number of hosts.
 func (c *Config) Hosts() int { return c.Leaves * c.HostsPerLeaf }
-
-// Paths returns the number of equal-cost paths between hosts on
-// different leaves (one per spine).
-func (c *Config) Paths() int { return c.Spines }
 
 // BaseRTT returns the round-trip propagation delay between hosts on
 // different leaves over a default (non-overridden) path, excluding
@@ -84,139 +140,165 @@ func (c *Config) BaseRTT() units.Time {
 // DeliverFunc receives packets that reach their destination host.
 type DeliverFunc func(host int, pkt *netem.Packet)
 
-// Fabric is an instantiated leaf-spine network.
+// Fabric is an instantiated multi-rooted tree.
 type Fabric struct {
-	sim *eventsim.Sim
-	cfg Config
+	sim   *eventsim.Sim
+	queue netem.QueueConfig
 
-	// hostNIC[h] is host h's NIC output port toward its leaf.
+	// hostNIC[h] is host h's NIC output port toward its tier-0 switch.
 	hostNIC []*netem.Port
-	leaves  []*leafSwitch
-	spines  []*spineSwitch
+	// tiers[0] holds the switches hosts attach to, tiers[len-1] the
+	// roots; hosts are numbered left to right under every tier.
+	tiers [][]*node
 
 	deliver DeliverFunc
 	drops   int64
 	pool    *netem.PacketPool
 }
 
-type leafSwitch struct {
-	f *Fabric
-	// id is the leaf index.
-	id int
-	// down[i] leads to local host index i (0..HostsPerLeaf-1).
-	down []*netem.Port
-	// up[s] leads to spine s.
-	up []*netem.Port
-	// bal chooses among up.
-	bal lb.Balancer
+// node is a switch. It owns the contiguous hosts [lo, lo+span*len(down)):
+// down[i] leads toward hosts [lo+i*span, lo+(i+1)*span) and up holds
+// the equal-cost ports toward the next tier, chosen among by bal (a
+// root has no up and no bal: every host is below it).
+type node struct {
+	f        *Fabric
+	name     string
+	lo, span int
+	down, up []*netem.Port
+	bal      lb.Balancer
 }
 
-type spineSwitch struct {
-	f  *Fabric
-	id int
-	// down[l] leads to leaf l.
-	down []*netem.Port
+// receive is the routing layer: down the covering port when the
+// destination is below this switch, otherwise up through the balancer.
+func (n *node) receive(pkt *netem.Packet) {
+	if i := pkt.Flow.Dst - n.lo; i >= 0 && i < n.span*len(n.down) {
+		n.f.send(n.down[i/n.span], pkt)
+		return
+	}
+	idx := n.bal.Pick(pkt, n.up)
+	if idx < 0 || idx >= len(n.up) {
+		panic(fmt.Sprintf("topology: balancer %s picked invalid uplink %d of %d at %s", n.bal.Name(), idx, len(n.up), n.name))
+	}
+	n.f.send(n.up[idx], pkt)
 }
 
-// New constructs the fabric. factory instantiates each leaf's
+// send forwards pkt through p. A switch (or NIC) that sees Send refuse
+// a packet is its terminal sink: the drop is counted and the packet
+// released.
+func (f *Fabric) send(p *netem.Port, pkt *netem.Packet) {
+	if !p.Send(pkt) {
+		f.drops++
+		f.pool.Put(pkt)
+	}
+}
+
+// assemble runs one constructor: wire adds the tiers bottom-up and
+// connects them; the balancers come last, tier by tier in switch order,
+// because a balancer may inspect its ports.
+func assemble(sim *eventsim.Sim, queue netem.QueueConfig, factory lb.Factory, rng *eventsim.RNG, deliver DeliverFunc, wire func(f *Fabric)) (*Fabric, error) {
+	if deliver == nil {
+		return nil, fmt.Errorf("topology: nil deliver callback")
+	}
+	f := &Fabric{sim: sim, queue: queue, deliver: deliver}
+	wire(f)
+	for _, tier := range f.tiers {
+		for _, n := range tier {
+			if len(n.up) > 0 {
+				n.bal = factory(sim, rng.Split(), n.up)
+			}
+		}
+	}
+	return f, nil
+}
+
+// addTier appends a tier of n switches above the existing ones; at
+// gives switch i's first host and its label.
+func (f *Fabric) addTier(n, span int, at func(i int) (lo int, name string)) []*node {
+	tier := make([]*node, n)
+	for i := range tier {
+		lo, name := at(i)
+		tier[i] = &node{f: f, name: name, lo: lo, span: span}
+	}
+	f.tiers = append(f.tiers, tier)
+	return tier
+}
+
+// attachHosts hangs perSwitch hosts off every tier-0 switch, building
+// each host's NIC and the switch's down port to it back to back.
+func (f *Fabric) attachHosts(perSwitch int, link netem.LinkConfig) {
+	for _, sw := range f.tiers[0] {
+		for i := 0; i < perSwitch; i++ {
+			h := len(f.hostNIC)
+			host := fmt.Sprintf("host%d", h)
+			f.hostNIC = append(f.hostNIC, netem.NewPort(f.sim, link, f.queue, sw.receive, host+"->"+sw.name))
+			sw.down = append(sw.down, netem.NewPort(f.sim, link, f.queue,
+				func(p *netem.Packet) { f.deliver(h, p) }, sw.name+"->"+host))
+		}
+	}
+}
+
+// port builds the directed port from one switch to another.
+func (f *Fabric) port(from, to *node, link netem.LinkConfig) *netem.Port {
+	return netem.NewPort(f.sim, link, f.queue, to.receive, from.name+"->"+to.name)
+}
+
+// mesh connects every lower switch to every upper one: all uplinks,
+// lower-major, then all downlinks, upper-major. link gives the pair's
+// configuration by index into the two slices.
+func (f *Fabric) mesh(lower, upper []*node, link func(l, u int) netem.LinkConfig) {
+	for l, lo := range lower {
+		for u, up := range upper {
+			lo.up = append(lo.up, f.port(lo, up, link(l, u)))
+		}
+	}
+	for u, up := range upper {
+		for l, lo := range lower {
+			up.down = append(up.down, f.port(up, lo, link(l, u)))
+		}
+	}
+}
+
+// New constructs a leaf-spine fabric. factory instantiates each leaf's
 // load balancer; rng seeds per-component deterministic streams; deliver
 // receives packets arriving at hosts.
 func New(sim *eventsim.Sim, cfg Config, factory lb.Factory, rng *eventsim.RNG, deliver DeliverFunc) (*Fabric, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if deliver == nil {
-		return nil, fmt.Errorf("topology: nil deliver callback")
-	}
-	f := &Fabric{sim: sim, cfg: cfg, deliver: deliver}
-
 	overrides := make(map[[2]int]netem.LinkConfig, len(cfg.Overrides))
 	for _, o := range cfg.Overrides {
 		overrides[[2]int{o.Leaf, o.Spine}] = o.Link
 	}
-	fabricLink := func(leaf, spine int) netem.LinkConfig {
-		if l, ok := overrides[[2]int{leaf, spine}]; ok {
-			return l
-		}
-		return cfg.FabricLink
-	}
-
-	// Spines first so leaf uplinks can point at them.
-	f.spines = make([]*spineSwitch, cfg.Spines)
-	for s := 0; s < cfg.Spines; s++ {
-		f.spines[s] = &spineSwitch{f: f, id: s}
-	}
-	f.leaves = make([]*leafSwitch, cfg.Leaves)
-	for l := 0; l < cfg.Leaves; l++ {
-		f.leaves[l] = &leafSwitch{f: f, id: l}
-	}
-
-	// Host NICs and leaf down-ports.
-	f.hostNIC = make([]*netem.Port, cfg.Hosts())
-	for h := 0; h < cfg.Hosts(); h++ {
-		leaf := f.leaves[h/cfg.HostsPerLeaf]
-		host := h
-		f.hostNIC[h] = netem.NewPort(sim, cfg.HostLink, cfg.Queue,
-			func(p *netem.Packet) { leaf.receive(p) },
-			fmt.Sprintf("host%d->leaf%d", h, leaf.id))
-		leaf.down = append(leaf.down, netem.NewPort(sim, cfg.HostLink, cfg.Queue,
-			func(p *netem.Packet) { f.deliver(host, p) },
-			fmt.Sprintf("leaf%d->host%d", leaf.id, h)))
-	}
-
-	// Leaf<->spine ports.
-	for l := 0; l < cfg.Leaves; l++ {
-		leaf := f.leaves[l]
-		leaf.up = make([]*netem.Port, cfg.Spines)
-		for s := 0; s < cfg.Spines; s++ {
-			spine := f.spines[s]
-			leaf.up[s] = netem.NewPort(sim, fabricLink(l, s), cfg.Queue,
-				func(p *netem.Packet) { spine.receive(p) },
-				fmt.Sprintf("leaf%d->spine%d", l, s))
-		}
-	}
-	for s := 0; s < cfg.Spines; s++ {
-		spine := f.spines[s]
-		spine.down = make([]*netem.Port, cfg.Leaves)
-		for l := 0; l < cfg.Leaves; l++ {
-			leaf := f.leaves[l]
-			spine.down[l] = netem.NewPort(sim, fabricLink(l, s), cfg.Queue,
-				func(p *netem.Packet) { leaf.receive(p) },
-				fmt.Sprintf("spine%d->leaf%d", s, l))
-		}
-	}
-
-	// Balancers last: they may inspect the uplink ports.
-	for l := 0; l < cfg.Leaves; l++ {
-		f.leaves[l].bal = factory(sim, rng.Split(), f.leaves[l].up)
-	}
-	return f, nil
+	return assemble(sim, cfg.Queue, factory, rng, deliver, func(f *Fabric) {
+		leaves := f.addTier(cfg.Leaves, 1, func(l int) (int, string) { return l * cfg.HostsPerLeaf, fmt.Sprintf("leaf%d", l) })
+		spines := f.addTier(cfg.Spines, cfg.HostsPerLeaf, func(s int) (int, string) { return 0, fmt.Sprintf("spine%d", s) })
+		f.attachHosts(cfg.HostsPerLeaf, cfg.HostLink)
+		f.mesh(leaves, spines, func(leaf, spine int) netem.LinkConfig {
+			if l, ok := overrides[[2]int{leaf, spine}]; ok {
+				return l
+			}
+			return cfg.FabricLink
+		})
+	})
 }
 
 // Hosts implements Network.
-func (f *Fabric) Hosts() int { return f.cfg.Hosts() }
+func (f *Fabric) Hosts() int { return len(f.hostNIC) }
 
-// BalancedPorts implements Network: all leaf uplinks in leaf order.
+// BalancedPorts implements Network: every uplink, tier by tier in
+// switch order.
 func (f *Fabric) BalancedPorts() []*netem.Port {
 	var out []*netem.Port
-	for _, l := range f.leaves {
-		out = append(out, l.up...)
+	for _, tier := range f.tiers {
+		for _, n := range tier {
+			out = append(out, n.up...)
+		}
 	}
 	return out
 }
 
-// LeafOf returns the leaf index of a host.
-func (f *Fabric) LeafOf(host int) int { return host / f.cfg.HostsPerLeaf }
-
 // SetPool implements Network: dropped packets are released to pool.
 func (f *Fabric) SetPool(pool *netem.PacketPool) { f.pool = pool }
-
-// drop counts a refused packet and releases it: the switch that saw
-// Send refuse the packet is its terminal sink.
-func (f *Fabric) drop(pkt *netem.Packet) {
-	f.drops++
-	f.pool.Put(pkt)
-}
 
 // Inject sends a packet from the given host into the network through
 // the host's NIC. Routing is by pkt.Flow.Dst.
@@ -224,101 +306,71 @@ func (f *Fabric) Inject(host int, pkt *netem.Packet) {
 	if pkt.Flow.Src != host {
 		panic(fmt.Sprintf("topology: host %d injecting packet with src %d", host, pkt.Flow.Src))
 	}
-	if !f.hostNIC[host].Send(pkt) {
-		f.drop(pkt)
-	}
+	f.send(f.hostNIC[host], pkt)
 }
 
 // Drops returns the total packets dropped anywhere in the fabric
 // (including host NIC queues).
-func (f *Fabric) Drops() int64 {
-	n := f.drops
-	return n
-}
+func (f *Fabric) Drops() int64 { return f.drops }
 
 // LinkPorts returns the two directed ports of a leaf-spine pair:
-// leaf→spine and spine→leaf. It is the canonical faults.Resolver for
-// this fabric.
+// leaf→spine and spine→leaf. It is the canonical faults.Resolver. The
+// (leaf, spine) vocabulary addresses a two-tier fabric only; on a
+// fat-tree it is an error rather than a way to reach edge↔agg pairs by
+// accident.
 func (f *Fabric) LinkPorts(leaf, spine int) (up, down *netem.Port, err error) {
-	if leaf < 0 || leaf >= f.cfg.Leaves || spine < 0 || spine >= f.cfg.Spines {
-		return nil, nil, fmt.Errorf("topology: link (leaf%d, spine%d) out of range (%d leaves, %d spines)",
-			leaf, spine, f.cfg.Leaves, f.cfg.Spines)
+	if len(f.tiers) != 2 {
+		return nil, nil, fmt.Errorf("topology: links are addressed as (leaf, spine) pairs, which a %d-tier fabric does not have", len(f.tiers))
 	}
-	return f.leaves[leaf].up[spine], f.spines[spine].down[leaf], nil
+	leaves, spines := f.tiers[0], f.tiers[1]
+	if leaf < 0 || leaf >= len(leaves) || spine < 0 || spine >= len(spines) {
+		return nil, nil, fmt.Errorf("topology: link (leaf%d, spine%d) out of range (%d leaves, %d spines)",
+			leaf, spine, len(leaves), len(spines))
+	}
+	return leaves[leaf].up[spine], spines[spine].down[leaf], nil
 }
 
 // MinFabricDelay returns the minimum propagation delay over every
-// inter-switch link (host links excluded). The runner derives the
-// flow-teardown lag from it (see internal/sim): a pure function of the
-// topology, so every run of it schedules the identical close events.
+// inter-switch port (host links excluded), 0 when there are none. The
+// runner derives the flow-teardown lag from it (see internal/sim): a
+// pure function of the topology, so every run of it schedules the
+// identical close events. On the fat-tree that is every tier's links,
+// not the agg<->core tier alone — the same value, since a
+// FatTreeConfig has one FabricLink.
 func (f *Fabric) MinFabricDelay() units.Time {
-	groups := make([][]*netem.Port, 0, len(f.leaves)+len(f.spines))
-	for _, leaf := range f.leaves {
-		groups = append(groups, leaf.up)
-	}
-	for _, spine := range f.spines {
-		groups = append(groups, spine.down)
-	}
-	return minLinkDelay(groups)
-}
-
-// minLinkDelay returns the smallest propagation delay over the ports
-// of every group, 0 when there are none.
-func minLinkDelay(groups [][]*netem.Port) units.Time {
 	var min units.Time
 	found := false
-	for _, g := range groups {
-		for _, p := range g {
+	scan := func(ports []*netem.Port) {
+		for _, p := range ports {
 			if d := p.Link().Delay; !found || d < min {
 				min, found = d, true
+			}
+		}
+	}
+	for t, tier := range f.tiers {
+		for _, n := range tier {
+			scan(n.up)
+			if t > 0 {
+				scan(n.down)
 			}
 		}
 	}
 	return min
 }
 
-// EveryQueue invokes fn for every queue in the fabric (host NICs, leaf
-// down/up ports, spine down ports), for aggregate stats.
+// EveryQueue invokes fn for every queue in the fabric — host NICs, then
+// each switch's down and up ports, tier by tier — for aggregate stats.
 func (f *Fabric) EveryQueue(fn func(label string, q *netem.Queue)) {
-	for _, p := range f.hostNIC {
-		fn(p.Label(), p.Queue())
-	}
-	for _, l := range f.leaves {
-		for _, p := range l.down {
-			fn(p.Label(), p.Queue())
-		}
-		for _, p := range l.up {
+	visit := func(ports []*netem.Port) {
+		for _, p := range ports {
 			fn(p.Label(), p.Queue())
 		}
 	}
-	for _, s := range f.spines {
-		for _, p := range s.down {
-			fn(p.Label(), p.Queue())
+	visit(f.hostNIC)
+	for _, tier := range f.tiers {
+		for _, n := range tier {
+			visit(n.down)
+			visit(n.up)
 		}
-	}
-}
-
-func (l *leafSwitch) receive(pkt *netem.Packet) {
-	dst := pkt.Flow.Dst
-	if l.f.LeafOf(dst) == l.id {
-		local := dst % l.f.cfg.HostsPerLeaf
-		if !l.down[local].Send(pkt) {
-			l.f.drop(pkt)
-		}
-		return
-	}
-	idx := l.bal.Pick(pkt, l.up)
-	if idx < 0 || idx >= len(l.up) {
-		panic(fmt.Sprintf("topology: balancer %s picked invalid uplink %d of %d", l.bal.Name(), idx, len(l.up)))
-	}
-	if !l.up[idx].Send(pkt) {
-		l.f.drop(pkt)
-	}
-}
-
-func (s *spineSwitch) receive(pkt *netem.Packet) {
-	leaf := s.f.LeafOf(pkt.Flow.Dst)
-	if !s.down[leaf].Send(pkt) {
-		s.f.drop(pkt)
 	}
 }

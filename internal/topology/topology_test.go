@@ -55,20 +55,39 @@ func TestValidate(t *testing.T) {
 	if err := over.Validate(); err == nil {
 		t.Error("out-of-range override validated")
 	}
+	// Ports + hosts must fit the engine's keyed identities: 1024 leaves
+	// x 509 spines x 2 hosts need 2*(2048+1024*509) + 2048 = 2^20 of
+	// them, exactly the limit.
+	big := good
+	big.Leaves, big.Spines, big.HostsPerLeaf = 1024, 509, 2
+	if err := big.Validate(); err != nil {
+		t.Errorf("fabric of exactly MaxKeyedIDs identities rejected: %v", err)
+	}
+	for _, leaves := range []int{1025, 1 << 62} {
+		big.Leaves = leaves
+		err := big.Validate()
+		if err == nil || !strings.Contains(err.Error(), "limit 1048576") {
+			t.Errorf("%d leaves: %v", leaves, err)
+		}
+	}
 }
 
 func TestCountsAndHelpers(t *testing.T) {
 	cfg := testConfig()
-	if cfg.Hosts() != 4 || cfg.Paths() != 3 {
-		t.Fatalf("Hosts=%d Paths=%d", cfg.Hosts(), cfg.Paths())
+	if cfg.Hosts() != 4 {
+		t.Fatalf("Hosts=%d", cfg.Hosts())
 	}
 	// BaseRTT: 2*(2*5 + 2*10) = 60µs.
 	if got := cfg.BaseRTT(); got != 60*units.Microsecond {
 		t.Fatalf("BaseRTT = %v", got)
 	}
 	fab, _, _ := build(t, cfg, lb.ECMP())
-	if fab.LeafOf(0) != 0 || fab.LeafOf(1) != 0 || fab.LeafOf(2) != 1 || fab.LeafOf(3) != 1 {
-		t.Fatal("LeafOf mapping wrong")
+	// One equal-cost path per spine, and hosts 0,1 | 2,3 under leaves 0 | 1.
+	for h, leaf := range []int{0, 0, 1, 1} {
+		n := fab.tiers[0][leaf]
+		if len(n.up) != 3 || h < n.lo || h >= n.lo+n.span*len(n.down) {
+			t.Fatalf("host %d not under leaf %d (%d paths)", h, leaf, len(n.up))
+		}
 	}
 }
 
