@@ -94,7 +94,8 @@ alloc-gates:
 	$(GO) test -run 'TestAllocGate' -count 1 -v .
 
 # identity runs the output-identity contract on its own: the fabric's
-# construction-order pin, the golden figure CSVs, worker-count identity,
+# construction-order pin, the runner's arrival-order pin, the golden
+# figure CSVs, worker-count identity,
 # observer neutrality, records-kept vs records-dropped parity (finished
 # and truncated runs) and the benchmark harness's digest tests — the set
 # a change to shared run machinery has to keep green (also part of
@@ -102,7 +103,7 @@ alloc-gates:
 identity:
 	$(GO) test -count 1 -run 'TestConstructionOrderPinned' ./internal/topology
 	$(GO) test -count 1 -run 'TestGoldenFigures|TestParallelSerialIdentical' ./internal/experiments
-	$(GO) test -count 1 -run 'TestSessionObserverNeutral|TestStreamStatsMatchesRecords' ./internal/sim
+	$(GO) test -count 1 -run 'TestArrivalOrderPinned|TestSessionObserverNeutral|TestStreamStatsMatchesRecords' ./internal/sim
 	$(GO) test -count 1 ./bench
 
 # loc prints the ROADMAP's simplicity measure — lines of non-test Go
