@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json race bench bench-all bench-gate bench-gate-self alloc-gates identity loc specs examples smoke largescale-smoke serve-smoke ci
+.PHONY: build test vet lint race bench bench-all bench-gate bench-gate-self alloc-gates identity loc specs examples smoke largescale-smoke serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -18,12 +18,6 @@ vet:
 # handlelife, dimcheck, sharedstate — plus stale-suppression detection.
 lint:
 	$(GO) run ./cmd/simlint ./...
-
-# lint-json emits the same findings machine-readably: a JSON array on
-# stdout and a SARIF 2.1.0 log in simlint.sarif (stable SIMxxx ids),
-# for editors and CI annotation.
-lint-json:
-	$(GO) run ./cmd/simlint -json -sarif simlint.sarif ./...
 
 # The race detector runs over every package: the shared sweep runner
 # (internal/sim) and the batched figure runners (internal/experiments)

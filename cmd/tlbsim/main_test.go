@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tlb/internal/spec"
+	"tlb/internal/workload"
 )
 
 const quickstart = "../../examples/quickstart/spec.json"
@@ -35,7 +36,11 @@ func TestPresetsValidateAndCompile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(sc.Flows) == 0 {
+		flows := sc.Flows
+		if sc.FlowSourceNew != nil {
+			flows = workload.Collect(sc.FlowSourceNew())
+		}
+		if len(flows) == 0 {
 			t.Fatalf("%s: compiled to no flows", name)
 		}
 	}

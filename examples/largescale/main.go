@@ -1,8 +1,8 @@
-// Largescale: streaming statistics at scale. With outputs.streamStats
-// set, the workload is generated lazily (no up-front []Flow) and every
-// completed flow folds into fixed-size per-class aggregates instead of
-// being retained, so memory is O(concurrent flows), not O(total
-// flows) — Result.Flows stays empty and every accessor answers from
+// Largescale: streaming statistics at scale. The inter-pod workload
+// is a source the runner pumps one flow ahead (no up-front []Flow) and,
+// with outputs.streamStats set, every completed flow folds into
+// fixed-size per-class aggregates instead of being retained, so memory
+// is O(concurrent flows), not O(total flows) — Result.Flows stays empty and every accessor answers from
 // the aggregates (percentiles via a DDSketch-style quantile sketch
 // with a ±1% relative-error bound).
 //

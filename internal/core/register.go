@@ -45,7 +45,6 @@ func init() {
 			{Name: "shortPolicy", Kind: lb.KindString, Doc: "short-flow path policy: shortest-queue, po2c or random"},
 			{Name: "shortHysteresis", Kind: lb.KindInt, Doc: "short-flow queue-difference hysteresis in packets (default 1)"},
 			{Name: "uncappedLongDemand", Kind: lb.KindBool, Doc: "use the paper's literal Eq. 1 long-flow demand (default false)"},
-			{Name: "rerouteLeastLong", Kind: lb.KindBool, Doc: "reroute longs to the fewest-longs uplink (default false)"},
 			{Name: "disableSafeSwitch", Kind: lb.KindBool, Doc: "turn off the reordering guard (default false)"},
 			{Name: "escapeFactor", Kind: lb.KindFloat, Doc: "degradation ratio that overrides the guard; 0 derives 4, negative disables"},
 		},
@@ -80,7 +79,6 @@ func buildTLB(a *lb.Args, env lb.Env) lb.Factory {
 	}
 	cfg.ShortHysteresis = a.Int("shortHysteresis", cfg.ShortHysteresis)
 	cfg.UncappedLongDemand = a.Bool("uncappedLongDemand", cfg.UncappedLongDemand)
-	cfg.RerouteLeastLong = a.Bool("rerouteLeastLong", cfg.RerouteLeastLong)
 	cfg.DisableSafeSwitch = a.Bool("disableSafeSwitch", cfg.DisableSafeSwitch)
 	cfg.EscapeFactor = a.Float("escapeFactor", cfg.EscapeFactor)
 	return Factory(cfg)

@@ -76,10 +76,6 @@ type Config struct {
 	// paper's literal Eq. 1) instead of capping their demand at line
 	// rate. See model.Params.UncappedLongDemand.
 	UncappedLongDemand bool
-	// RerouteLeastLong, when set, sends a rerouting long flow to the
-	// uplink with the fewest parked longs instead of the lowest-delay
-	// one (ablation knob).
-	RerouteLeastLong bool
 	// DisableSafeSwitch turns off the reordering guard on path
 	// switches. By default a flow moves to a faster port only when its
 	// idle gap covers the delay difference between the old and new
@@ -206,9 +202,6 @@ type TLB struct {
 	flows  map[netem.FlowID]*flowEntry
 	nShort int
 	nLong  int
-	// longsOnPort counts parked long flows per uplink, for spreading
-	// newly promoted longs.
-	longsOnPort []int
 
 	qth int
 
@@ -239,7 +232,6 @@ func New(sim *eventsim.Sim, rng *eventsim.RNG, ports []*netem.Port, cfg Config) 
 		cfg:          c,
 		ports:        ports,
 		flows:        make(map[netem.FlowID]*flowEntry),
-		longsOnPort:  make([]int, len(ports)),
 		estShortSize: float64(c.MeanShortSize),
 	}
 	t.hystDelay = units.Time(c.ShortHysteresis) * c.LinkBandwidth.TxTime(c.MSS+40)
@@ -291,7 +283,6 @@ func (t *TLB) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 		if !e.hasPort {
 			e.port = lb.LowestDelay(t.rng, ports)
 			e.hasPort = true
-			t.longsOnPort[e.port]++
 		} else if ports[e.port].Down() {
 			// The parked uplink died. Its queue drains and then never
 			// grows again (a down port drops at admission), so waiting
@@ -299,19 +290,15 @@ func (t *TLB) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 			// loops until the link recovers. Move now, bypassing the
 			// reorder guard: the packets on the old path are already
 			// lost, so there is nothing left to overtake.
-			np := t.rerouteTarget(ports)
+			np := lb.LowestDelay(t.rng, ports)
 			if np != e.port {
 				t.stats.Reroutes++
-				t.longsOnPort[e.port]--
-				t.longsOnPort[np]++
 				e.port = np
 			}
 		} else if ports[e.port].QueueLen() >= t.qth {
-			np := t.rerouteTarget(ports)
+			np := lb.LowestDelay(t.rng, ports)
 			if np != e.port && t.switchSafe(e, now, ports[e.port].EstimatedDelay(), ports[np].EstimatedDelay()) {
 				t.stats.Reroutes++
-				t.longsOnPort[e.port]--
-				t.longsOnPort[np]++
 				e.port = np
 			}
 		}
@@ -409,46 +396,8 @@ func (t *TLB) lookup(pkt *netem.Packet, now units.Time) (*flowEntry, units.Time)
 		t.nLong++
 		// The promoted flow keeps the port its last packet used (the
 		// paper's rule: forward to the same queue as the last packet).
-		if e.hasPort {
-			t.longsOnPort[e.port]++
-		}
 	}
 	return e, prevSeen
-}
-
-// rerouteTarget picks where a rerouting long flow goes.
-func (t *TLB) rerouteTarget(ports []*netem.Port) int {
-	if t.cfg.RerouteLeastLong {
-		return t.leastLongPort()
-	}
-	return lb.LowestDelay(t.rng, ports)
-}
-
-// leastLongPort returns the live uplink hosting the fewest parked long
-// flows, ties broken uniformly at random. Down uplinks are skipped
-// (fixed index 0 when everything is down); with all ports up the scan
-// consumes the same RNG values as the pre-liveness implementation.
-func (t *TLB) leastLongPort() int {
-	best := -1
-	var bestN, ties int
-	for i, n := range t.longsOnPort {
-		if t.ports[i].Down() {
-			continue
-		}
-		switch {
-		case best < 0 || n < bestN:
-			best, bestN, ties = i, n, 1
-		case n == bestN:
-			ties++
-			if t.rng.Intn(ties) == 0 {
-				best = i
-			}
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best
 }
 
 // remove drops a flow-table entry. completed says the flow ended with
@@ -458,9 +407,6 @@ func (t *TLB) leastLongPort() int {
 func (t *TLB) remove(id netem.FlowID, e *flowEntry, completed bool) {
 	if e.long {
 		t.nLong--
-		if e.hasPort {
-			t.longsOnPort[e.port]--
-		}
 	} else {
 		t.nShort--
 		if completed && t.cfg.EstimateShortSize && e.bytes > 0 {

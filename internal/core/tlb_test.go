@@ -389,65 +389,3 @@ func TestSwitchSafeLogic(t *testing.T) {
 		t.Fatal("DisableSafeSwitch did not bypass the guard")
 	}
 }
-
-func TestLongAccountingOnFINAndEviction(t *testing.T) {
-	s := eventsim.New()
-	tl, ports := newTLB(s, 4, nil)
-	flow := netem.FlowID{Src: 1, Dst: 2}
-	for i := 0; i < 80; i++ {
-		tl.Pick(dataPkt(flow, 1460), ports)
-	}
-	if _, long := tl.ActiveFlows(); long != 1 {
-		t.Fatal("not classified long")
-	}
-	total := func() int {
-		n := 0
-		for _, c := range tl.longsOnPort {
-			n += c
-		}
-		return n
-	}
-	if total() != 1 {
-		t.Fatalf("longsOnPort total = %d, want 1", total())
-	}
-	fin := dataPkt(flow, 1460)
-	fin.FIN = true
-	tl.Pick(fin, ports)
-	if total() != 0 {
-		t.Fatalf("longsOnPort total after FIN = %d, want 0", total())
-	}
-
-	// Same via idle eviction.
-	flow2 := netem.FlowID{Src: 3, Dst: 4}
-	for i := 0; i < 80; i++ {
-		tl.Pick(dataPkt(flow2, 1460), ports)
-	}
-	if total() != 1 {
-		t.Fatal("second long not counted")
-	}
-	s.RunUntil(s.Now() + 3*DefaultConfig().Interval)
-	if total() != 0 {
-		t.Fatalf("longsOnPort total after eviction = %d, want 0", total())
-	}
-}
-
-func TestRerouteLeastLongTarget(t *testing.T) {
-	s := eventsim.New()
-	tl, ports := newTLB(s, 3, func(c *Config) {
-		c.FixedQTh = 0 // always willing to move
-		c.RerouteLeastLong = true
-		c.DisableSafeSwitch = true
-	})
-	// Park two longs on port 0 manually via the counter, then drive a
-	// third long and observe its reroute target avoids port 0.
-	tl.longsOnPort[0] = 2
-	flow := netem.FlowID{Src: 1, Dst: 2}
-	for i := 0; i < 80; i++ {
-		tl.Pick(dataPkt(flow, 1460), ports)
-	}
-	for i := 0; i < 10; i++ {
-		if got := tl.Pick(dataPkt(flow, 1460), ports); got == 0 {
-			t.Fatal("least-long reroute landed on the most-long port")
-		}
-	}
-}

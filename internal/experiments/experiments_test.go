@@ -8,6 +8,7 @@ import (
 	"tlb/internal/spec"
 	"tlb/internal/stats"
 	"tlb/internal/units"
+	"tlb/internal/workload"
 )
 
 func quickOpts() Options {
@@ -173,7 +174,7 @@ func TestLargeEnvLoadCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows := sc.Flows
+	flows := workload.Collect(sc.FlowSourceNew())
 	// Offered bytes over the arrival span should be ~0.5x the fabric
 	// capacity.
 	var bytes float64

@@ -167,6 +167,49 @@ func sortedFlowIDs[V any](m map[netem.FlowID]V) []netem.FlowID {
 	return ids
 }
 
+// idleSweep is the one flow-table reclaim of the table-keeping
+// baselines: FIN removes a finished flow's entry, but a FIN lost at a
+// faulted queue and a reverse-direction pure-ACK stream (which never
+// carries FIN) would otherwise leak theirs for the whole run. The
+// owner calls arm on every insert; the sweep fires one period later,
+// evicts the idle entries and re-arms only while the table is
+// non-empty, so a drained simulation has no pending balancer events
+// and Run() terminates.
+type idleSweep struct {
+	sim    *eventsim.Sim
+	period units.Time
+	evict  func(now units.Time) (left int)
+	armed  bool
+}
+
+// newIdleSweep sweeps flows every period, evicting the entries idle
+// reports.
+func newIdleSweep[F any](sim *eventsim.Sim, flows map[netem.FlowID]*F, period units.Time, idle func(f *F, now units.Time) bool) idleSweep {
+	return idleSweep{sim: sim, period: period, evict: func(now units.Time) int {
+		for _, id := range sortedFlowIDs(flows) {
+			if idle(flows[id], now) {
+				delete(flows, id)
+			}
+		}
+		return len(flows)
+	}}
+}
+
+func (s *idleSweep) arm() {
+	if s.armed {
+		return
+	}
+	s.armed = true
+	s.sim.After(s.period, s.sweep)
+}
+
+func (s *idleSweep) sweep() {
+	s.armed = false
+	if s.evict(s.sim.Now()) > 0 {
+		s.arm()
+	}
+}
+
 // ECMP returns a factory for Equal-Cost Multi-Path: a static hash of
 // the flow identity selects the uplink, so a flow never moves. This is
 // also the paper's "flow-level granularity" scheme.
@@ -233,13 +276,13 @@ func (r *rps) Pick(_ *netem.Packet, ports []*netem.Port) int {
 // PrestoCell is the fixed flowcell size Presto uses (64 KB).
 const PrestoCell = 64 * units.KiB
 
-// prestoIdleTimeout is how long a Presto flow-table entry may sit
-// unused before the idle sweep reclaims it. A flow whose FIN was lost
-// at a faulted queue otherwise leaks its entry for the whole run. The
-// timeout sits far above any transport retransmission timer (max RTO
-// is 1 s), so a live-but-stalled flow is never evicted and healthy-run
-// forwarding is unchanged.
-const prestoIdleTimeout = 5 * units.Second
+// idleTimeout is how long a flow-table entry whose state matters
+// (Presto's cell position, Hermes's byte budget, FlowBender's hash
+// offset) may sit unused before the idle sweep reclaims it. It sits far
+// above any transport retransmission timer (max RTO is 1 s), so a
+// live-but-stalled flow is never evicted and healthy-run forwarding is
+// unchanged.
+const idleTimeout = 5 * units.Second
 
 // Presto returns a factory for Presto-style load balancing: each flow
 // is chopped into fixed-size flowcells and consecutive cells take
@@ -250,16 +293,19 @@ func Presto(cell units.Bytes) Factory {
 		cell = PrestoCell
 	}
 	return func(sim *eventsim.Sim, rng *eventsim.RNG, _ []*netem.Port) Balancer {
-		return &presto{sim: sim, cell: cell, rng: rng, flows: make(map[netem.FlowID]*prestoFlow)}
+		p := &presto{sim: sim, cell: cell, rng: rng, flows: make(map[netem.FlowID]*prestoFlow)}
+		p.sweep = newIdleSweep(sim, p.flows, idleTimeout,
+			func(f *prestoFlow, now units.Time) bool { return now-f.lastSeen >= idleTimeout })
+		return p
 	}
 }
 
 type presto struct {
-	sim        *eventsim.Sim
-	cell       units.Bytes
-	rng        *eventsim.RNG
-	flows      map[netem.FlowID]*prestoFlow
-	sweepArmed bool
+	sim   *eventsim.Sim
+	cell  units.Bytes
+	rng   *eventsim.RNG
+	flows map[netem.FlowID]*prestoFlow
+	sweep idleSweep
 }
 
 type prestoFlow struct {
@@ -281,7 +327,7 @@ func (p *presto) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	if !ok {
 		f = &prestoFlow{port: RandomLive(p.rng, ports)}
 		p.flows[pkt.Flow] = f
-		p.armSweep()
+		p.sweep.arm()
 	}
 	f.lastSeen = p.sim.Now()
 	if f.inCell >= p.cell {
@@ -299,61 +345,44 @@ func (p *presto) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	return f.port
 }
 
-// armSweep schedules the idle sweep lazily — only while the table is
-// non-empty — so a drained simulation has no pending balancer events
-// and Run() terminates.
-func (p *presto) armSweep() {
-	if p.sweepArmed {
-		return
-	}
-	p.sweepArmed = true
-	p.sim.After(prestoIdleTimeout, p.sweep)
-}
-
-func (p *presto) sweep() {
-	p.sweepArmed = false
-	now := p.sim.Now()
-	for _, id := range sortedFlowIDs(p.flows) {
-		if now-p.flows[id].lastSeen >= prestoIdleTimeout {
-			delete(p.flows, id)
-		}
-	}
-	if len(p.flows) > 0 {
-		p.armSweep()
-	}
-}
-
 // LetFlowGap is the default flowlet inactivity timeout (150 µs, the
 // value the paper uses in its motivation study).
 const LetFlowGap = 150 * units.Microsecond
+
+// flowletSweepPeriod is how often the flowlet schemes (LetFlow,
+// CongaFlowlet) reclaim idle flow-table entries. Eviction is
+// behaviour-neutral: an entry idle longer than the flowlet gap would
+// re-pick its port on its next packet anyway, and a table miss makes
+// the same draws from the same RNG stream — so runs are byte-identical
+// with or without the sweep.
+const flowletSweepPeriod = 500 * units.Millisecond
+
+// flowletSweep evicts the entries whose flowlet gap has expired.
+func flowletSweep(sim *eventsim.Sim, flows map[netem.FlowID]*letflowFlow, gap units.Time) idleSweep {
+	return newIdleSweep(sim, flows, flowletSweepPeriod,
+		func(f *letflowFlow, now units.Time) bool { return now-f.lastSeen > gap })
+}
 
 // LetFlow returns a factory for LetFlow: when the gap since a flow's
 // previous packet exceeds the flowlet timeout, the flow(let) is
 // re-routed to a uniformly random uplink; otherwise it sticks. This is
 // also the paper's "flowlet-level granularity" scheme.
-// letflowSweepPeriod is how often LetFlow reclaims idle flow-table
-// entries (flows whose FIN was lost at a faulted queue). Eviction is
-// behaviour-neutral: an entry idle longer than the flowlet gap would
-// re-pick a random port on its next packet anyway, and a table miss
-// draws from the same RNG stream — so healthy runs are byte-identical
-// with or without the sweep.
-const letflowSweepPeriod = 500 * units.Millisecond
-
 func LetFlow(gap units.Time) Factory {
 	if gap <= 0 {
 		gap = LetFlowGap
 	}
 	return func(sim *eventsim.Sim, rng *eventsim.RNG, _ []*netem.Port) Balancer {
-		return &letflow{sim: sim, gap: gap, rng: rng, flows: make(map[netem.FlowID]*letflowFlow)}
+		flows := make(map[netem.FlowID]*letflowFlow)
+		return &letflow{sim: sim, gap: gap, rng: rng, flows: flows, sweep: flowletSweep(sim, flows, gap)}
 	}
 }
 
 type letflow struct {
-	sim        *eventsim.Sim
-	gap        units.Time
-	rng        *eventsim.RNG
-	flows      map[netem.FlowID]*letflowFlow
-	sweepArmed bool
+	sim   *eventsim.Sim
+	gap   units.Time
+	rng   *eventsim.RNG
+	flows map[netem.FlowID]*letflowFlow
+	sweep idleSweep
 }
 
 type letflowFlow struct {
@@ -375,7 +404,7 @@ func (l *letflow) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	if !ok {
 		f = &letflowFlow{port: RandomLive(l.rng, ports)}
 		l.flows[pkt.Flow] = f
-		l.armSweep()
+		l.sweep.arm()
 	} else if now-f.lastSeen > l.gap || ports[f.port].Down() {
 		// Gap expiry is the scheme's own re-pick rule; a dead current
 		// port forces one too — sticking would blackhole the flowlet.
@@ -387,28 +416,6 @@ func (l *letflow) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 		return f.port
 	}
 	return f.port
-}
-
-// armSweep schedules the idle sweep lazily, as in presto.armSweep.
-func (l *letflow) armSweep() {
-	if l.sweepArmed {
-		return
-	}
-	l.sweepArmed = true
-	l.sim.After(letflowSweepPeriod, l.sweep)
-}
-
-func (l *letflow) sweep() {
-	l.sweepArmed = false
-	now := l.sim.Now()
-	for _, id := range sortedFlowIDs(l.flows) {
-		if now-l.flows[id].lastSeen > l.gap {
-			delete(l.flows, id)
-		}
-	}
-	if len(l.flows) > 0 {
-		l.armSweep()
-	}
 }
 
 // DRILL returns a factory for DRILL(d, m): per packet, sample d random

@@ -168,3 +168,82 @@ func TestIdleSweepSparesLiveFlows(t *testing.T) {
 		t.Fatalf("live flow evicted: table size %d, want 1", n)
 	}
 }
+
+// relatedTables are the three related-work baselines that keep state
+// for reverse-direction ACK streams and have to give it back.
+func relatedTables() map[string]Factory {
+	return map[string]Factory{
+		"conga":      CongaFlowlet(0),
+		"hermes":     Hermes(HermesConfig{}),
+		"flowbender": FlowBender(FlowBenderConfig{}),
+	}
+}
+
+func relatedTableSize(t *testing.T, b Balancer) int {
+	t.Helper()
+	switch bal := b.(type) {
+	case *congaFlowlet:
+		return len(bal.flows)
+	case *hermes:
+		return len(bal.flows)
+	case *flowBender:
+		return len(bal.flows)
+	}
+	t.Fatalf("no flow table known for %T", b)
+	return 0
+}
+
+// TestRelatedIdleSweepReclaims: conga, hermes and flowbender track
+// pure-ACK streams, which never FIN, so every finished flow leaves its
+// ACK stream's entry behind, and a flow whose FIN was lost leaves its
+// own (see TestPrestoIdleSweepReclaimsLostFINs). The idle sweep must
+// reclaim both and then disarm so the event queue can empty.
+func TestRelatedIdleSweepReclaims(t *testing.T) {
+	for name, f := range relatedTables() {
+		for _, tc := range []struct {
+			what  string
+			drive func(Balancer, []*netem.Port, int)
+			n     int
+		}{
+			{"ACK streams of finished flows", driveFlows, 1000},
+			{"flows whose FIN was lost", driveFlowsLosingFIN, 50},
+		} {
+			b, ports, s := newBal(t, f, 4)
+			tc.drive(b, ports, tc.n)
+			if n := relatedTableSize(t, b); n != tc.n {
+				t.Fatalf("%s, %s: table holds %d entries before the sweep, want %d", name, tc.what, n, tc.n)
+			}
+			s.Run()
+			if n := relatedTableSize(t, b); n != 0 {
+				t.Fatalf("%s, %s: table holds %d entries after idle sweep, want 0", name, tc.what, n)
+			}
+			if s.Pending() != 0 {
+				t.Fatalf("%s, %s: %d events still pending after the table drained", name, tc.what, s.Pending())
+			}
+		}
+	}
+}
+
+// TestHermesIdleSweepSparesLiveFlows: a flow that keeps sending (one
+// packet per max RTO) must keep its entry across sweeps, or it would
+// lose its port and the byte budget that gates its next reroute.
+func TestHermesIdleSweepSparesLiveFlows(t *testing.T) {
+	b, ports, s := newBal(t, Hermes(HermesConfig{}), 4)
+	flow := netem.FlowID{Src: 1, Dst: 2}
+	first := b.Pick(dataPkt(flow, 1460), ports)
+	entry := b.(*hermes).flows[flow]
+	sent := units.Bytes(1500)
+	for s.Now() < 12*units.Second {
+		s.RunUntil(s.Now() + units.Second)
+		if got := b.Pick(dataPkt(flow, 1460), ports); got != first {
+			t.Fatalf("live flow moved from port %d to %d at %v", first, got, s.Now())
+		}
+		sent += 1500
+	}
+	if b.(*hermes).flows[flow] != entry {
+		t.Fatal("live flow's entry evicted by the sweep")
+	}
+	if entry.sentSince != sent {
+		t.Fatalf("live flow's byte budget reset: sentSince %v, want %v", entry.sentSince, sent)
+	}
+}

@@ -47,11 +47,14 @@ func FlowBender(cfg FlowBenderConfig) Factory {
 		cfg.ECNThreshold = 65
 	}
 	return func(sim *eventsim.Sim, rng *eventsim.RNG, _ []*netem.Port) Balancer {
-		return &flowBender{
+		f := &flowBender{
 			sim: sim, cfg: cfg, rng: rng,
 			seed:  rng.Uint64(),
 			flows: make(map[netem.FlowID]*fbFlow),
 		}
+		f.sweep = newIdleSweep(sim, f.flows, idleTimeout,
+			func(st *fbFlow, now units.Time) bool { return now-st.lastSeen >= idleTimeout })
+		return f
 	}
 }
 
@@ -61,6 +64,7 @@ type flowBender struct {
 	rng   *eventsim.RNG
 	seed  uint64
 	flows map[netem.FlowID]*fbFlow
+	sweep idleSweep
 }
 
 type fbFlow struct {
@@ -70,6 +74,7 @@ type fbFlow struct {
 	windowStart units.Time
 	pkts        int
 	marked      int
+	lastSeen    units.Time
 }
 
 func (f *flowBender) Name() string { return "flowbender" }
@@ -80,7 +85,9 @@ func (f *flowBender) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	if !ok {
 		st = &fbFlow{windowStart: now}
 		f.flows[pkt.Flow] = st
+		f.sweep.arm()
 	}
+	st.lastSeen = now
 	port := int((pkt.Flow.Hash(f.seed) + st.offset*0x9e3779b97f4a7c15) % uint64(len(ports)))
 
 	// Observe congestion on the chosen path.
@@ -115,7 +122,8 @@ func CongaFlowlet(gap units.Time) Factory {
 		gap = 500 * units.Microsecond // CONGA's flowlet timeout
 	}
 	return func(sim *eventsim.Sim, rng *eventsim.RNG, _ []*netem.Port) Balancer {
-		return &congaFlowlet{sim: sim, gap: gap, rng: rng, flows: make(map[netem.FlowID]*letflowFlow)}
+		flows := make(map[netem.FlowID]*letflowFlow)
+		return &congaFlowlet{sim: sim, gap: gap, rng: rng, flows: flows, sweep: flowletSweep(sim, flows, gap)}
 	}
 }
 
@@ -124,6 +132,7 @@ type congaFlowlet struct {
 	gap   units.Time
 	rng   *eventsim.RNG
 	flows map[netem.FlowID]*letflowFlow
+	sweep idleSweep
 }
 
 func (c *congaFlowlet) Name() string { return "conga" }
@@ -134,6 +143,7 @@ func (c *congaFlowlet) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	if !ok {
 		f = &letflowFlow{port: LowestDelay(c.rng, ports)}
 		c.flows[pkt.Flow] = f
+		c.sweep.arm()
 	} else if now-f.lastSeen > c.gap {
 		f.port = LowestDelay(c.rng, ports)
 	}
@@ -172,20 +182,26 @@ func Hermes(cfg HermesConfig) Factory {
 		cfg.Degrade = 2.0
 	}
 	return func(sim *eventsim.Sim, rng *eventsim.RNG, _ []*netem.Port) Balancer {
-		return &hermes{cfg: cfg, rng: rng, flows: make(map[netem.FlowID]*hermesFlow)}
+		h := &hermes{sim: sim, cfg: cfg, rng: rng, flows: make(map[netem.FlowID]*hermesFlow)}
+		h.sweep = newIdleSweep(sim, h.flows, idleTimeout,
+			func(f *hermesFlow, now units.Time) bool { return now-f.lastSeen >= idleTimeout })
+		return h
 	}
 }
 
 type hermes struct {
+	sim   *eventsim.Sim
 	cfg   HermesConfig
 	rng   *eventsim.RNG
 	flows map[netem.FlowID]*hermesFlow
+	sweep idleSweep
 }
 
 type hermesFlow struct {
 	port      int
 	hasPort   bool
 	sentSince units.Bytes
+	lastSeen  units.Time
 }
 
 func (h *hermes) Name() string { return "hermes" }
@@ -195,7 +211,9 @@ func (h *hermes) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	if !ok {
 		f = &hermesFlow{}
 		h.flows[pkt.Flow] = f
+		h.sweep.arm()
 	}
+	f.lastSeen = h.sim.Now()
 	if !f.hasPort {
 		f.port = LowestDelay(h.rng, ports)
 		f.hasPort = true

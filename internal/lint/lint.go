@@ -82,17 +82,16 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", f.File, f.Line, f.Rule, f.Msg)
 }
 
-// ID returns the finding's stable diagnostic ID (for SARIF/JSON
-// consumers that key on IDs rather than rule names).
+// ID returns the finding's stable diagnostic ID (for consumers that
+// key on IDs rather than rule names).
 func (f Finding) ID() string { return RuleID(f.Rule) }
 
-// ruleInfo describes one rule for machine-readable output and
-// directive validation.
+// ruleInfo describes one rule for directive validation.
 type ruleInfo struct {
 	// ID is the stable diagnostic identifier; it never changes once
 	// assigned, even if the rule is renamed.
 	ID string
-	// Doc is a one-line description (SARIF shortDescription).
+	// Doc is a one-line description.
 	Doc string
 	// InTests reports whether the rule is enforced in _test.go files.
 	InTests bool

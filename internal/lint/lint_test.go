@@ -312,8 +312,8 @@ func TestCleanFixtures(t *testing.T) {
 	}
 }
 
-// TestRuleRegistry pins the stable diagnostic IDs: SARIF/JSON consumers
-// key on them, so changing one is a breaking change.
+// TestRuleRegistry pins the stable diagnostic IDs: consumers key on
+// them, so changing one is a breaking change.
 func TestRuleRegistry(t *testing.T) {
 	want := map[string]string{
 		"simlint":      "SIM000",

@@ -17,7 +17,7 @@ import (
 
 // This file is the run core: the one implementation of "a scenario on
 // an event engine" — engine, packet pool, network, hosts, fault
-// install, flow schedule and pump, flow open/close, sample and goodput
+// install, arrival pump, flow open/close, sample and goodput
 // logs, fold target — and its reduction to a Result.
 //
 // Order-sensitive floating-point reductions (time series, per-packet
@@ -59,11 +59,9 @@ type runCore struct {
 	hosts []*transport.Host
 	ports []*netem.Port // the balanced (uplink) ports
 
-	// remaining counts flows scheduled but unfinished; drained is true
-	// once no further arrivals can appear (immediately for the slice
-	// path, at the lazy source's exhaustion otherwise).
+	// remaining counts flows armed (the one pending arrival included)
+	// but unfinished.
 	remaining int
-	drained   bool
 	closeLag  units.Time // finite teardown latency, see teardownLag
 	// stopped is the durable record that the core ended its own run
 	// (stop: the last completion under StopWhenDone, or a failure):
@@ -159,32 +157,53 @@ func checkFlowEndpoints(i int, f workload.Flow, hosts int) error {
 	return nil
 }
 
-// scheduleFlows arms the workload: every flow of the slice path up
-// front, one arrival at a time for a lazy source.
-func (c *runCore) scheduleFlows() error {
+// arrivals returns the workload as one iterator over (index, flow) in
+// arrival order. A source yields in its own order and a flow's index
+// is its arrival count. A slice may list its flows in any order: a
+// flow's index is its position and flows arrive in stable (Start,
+// index) order. Slice endpoints are checked here, so a bad slice fails
+// newCore instead of the run.
+func (c *runCore) arrivals() (func() (int, workload.Flow, bool), error) {
 	sc := c.sc
+	n := 0
+	if sc.FlowSourceNew != nil {
+		src := sc.FlowSourceNew()
+		return func() (int, workload.Flow, bool) {
+			f, ok := src.Next()
+			i := n
+			n++
+			return i, f, ok
+		}, nil
+	}
+	order := make([]int, len(sc.Flows))
 	for i, f := range sc.Flows {
 		if err := checkFlowEndpoints(i, f, len(c.hosts)); err != nil {
-			return err
+			return nil, err
 		}
-		c.remaining++
-		if r := sc.Replication; r != nil && r.Copies > 1 && f.Size <= r.Threshold {
-			c.openReplicated(i, f)
-			continue
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return sc.Flows[order[a]].Start < sc.Flows[order[b]].Start })
+	return func() (int, workload.Flow, bool) {
+		if n == len(order) {
+			return 0, workload.Flow{}, false
 		}
-		c.sim.At(f.Start, func() { c.openFlow(i, f) })
+		i := order[n]
+		n++
+		return i, sc.Flows[i], true
+	}, nil
+}
+
+// scheduleFlows arms the workload's one arrival path, a pump that
+// holds exactly one future arrival in the event queue: each arrival
+// opens its flow, then pulls the next one and schedules it, so neither
+// the queue nor the set-up cost grows with the total flow count.
+func (c *runCore) scheduleFlows() error {
+	next, err := c.arrivals()
+	if err != nil {
+		return err
 	}
-	c.drained = sc.FlowSourceNew == nil
-	if c.drained {
-		return nil
-	}
-	// Lazy pump: schedule one arrival ahead. Each flow's open event
-	// pulls the next flow from the source and schedules it, so at most
-	// one future arrival lives in the event queue at a time and neither
-	// the workload nor the queue grows with the total flow count.
-	src := sc.FlowSourceNew()
-	var pump func(i int, f workload.Flow)
-	pump = func(i int, f workload.Flow) {
+	var arm func(i int, f workload.Flow)
+	arm = func(i int, f workload.Flow) {
 		if err := checkFlowEndpoints(i, f, len(c.hosts)); err != nil {
 			c.fail(err)
 			return
@@ -193,21 +212,25 @@ func (c *runCore) scheduleFlows() error {
 			c.fail(fmt.Errorf("sim: FlowSource went backwards: flow %d starts at %v, now %v", i, f.Start, c.sim.Now()))
 			return
 		}
+		// Armed before the previous arrival's event returns, so remaining
+		// cannot reach zero while the workload has flows left.
 		c.remaining++
 		c.sim.At(f.Start, func() {
-			c.openFlow(i, f)
-			if nf, ok := src.Next(); ok {
-				pump(i+1, nf)
+			if r := c.sc.Replication; r != nil && r.Copies > 1 && f.Size <= r.Threshold {
+				c.openReplicated(i, f)
 			} else {
-				c.drained = true
+				c.openFlow(i, f)
+			}
+			if ni, nf, ok := next(); ok {
+				arm(ni, nf)
 			}
 		})
 	}
-	f, ok := src.Next()
+	i, f, ok := next()
 	if !ok {
-		return fmt.Errorf("sim: scenario %q: FlowSource yielded no flows", sc.Name)
+		return fmt.Errorf("sim: scenario %q: FlowSource yielded no flows", c.sc.Name)
 	}
-	pump(0, f)
+	arm(i, f)
 	return nil
 }
 
@@ -231,16 +254,14 @@ func (c *runCore) fail(err error) {
 func (c *runCore) flowDone() {
 	c.remaining--
 	c.done++
-	if c.sc.StopWhenDone && c.remaining == 0 && c.drained {
+	if c.sc.StopWhenDone && c.remaining == 0 {
 		c.stop()
 	}
 }
 
-// openFlow runs at f.Start and opens one flow's two endpoints; it is
-// the one shared body of the eager (pre-scheduled slice) and lazy
-// (pumped source) arrival paths. Sender and receiver share one record,
-// the receiver closes after the teardown lag and the fold is
-// synchronous.
+// openFlow runs at f.Start and opens one flow's two endpoints. Sender
+// and receiver share one record, the receiver closes after the
+// teardown lag and the fold is synchronous.
 func (c *runCore) openFlow(i int, f workload.Flow) {
 	sc := c.sc
 	id := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: i}
@@ -276,8 +297,8 @@ func (c *runCore) openFlow(i int, f workload.Flow) {
 	snd.Start()
 }
 
-// openReplicated realizes one flow as N racing copies (RepFlow). The
-// canonical record enters the open log now, at schedule time, and
+// openReplicated runs at f.Start and realizes one flow as N racing
+// copies (RepFlow). The canonical record enters the open log and
 // receives the winner's record; losers keep draining but are otherwise
 // ignored.
 func (c *runCore) openReplicated(idx int, f workload.Flow) {
@@ -288,43 +309,41 @@ func (c *runCore) openReplicated(idx int, f workload.Flow) {
 	c.logOpen(idx, short, canonical)
 	won := false
 	copies := sc.Replication.Copies
-	c.sim.At(f.Start, func() {
-		for k := 0; k < copies; k++ {
-			// Distinct Port per copy: per-flow schemes (ECMP, WCMP,
-			// Presto, ...) hash the copies independently.
-			id := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: idx + (k+1)<<24}
-			recvHost := c.hosts[f.Dst]
-			snd := c.hosts[f.Src].OpenSender(c.cfg, id, f.Size, func(done *transport.Sender) {
-				closeReceiver(recvHost, c.sim.Now(), c.closeLag, id)
-				if won {
-					return
-				}
-				won = true
-				// The winner's record becomes the flow's record.
-				*canonical = done.Stats
-				canonical.ID = flow
-				canonical.Deadline = f.Deadline
-				if sc.Tracer != nil {
-					sc.Tracer.Record(trace.Event{
-						At: c.sim.Now(), Kind: trace.FlowEnd, Flow: flow,
-						Note: fmt.Sprintf("repflow winner fct=%v", done.Stats.FCT()),
-					})
-				}
-				c.agg.Fold(canonical, short, c.sim.Now())
-				c.flowDone()
-			})
-			snd.Stats.Deadline = f.Deadline
-			recvHost.OpenReceiver(c.cfg, id, f.Size, &snd.Stats)
-			snd.Start()
-		}
-		if sc.Tracer != nil {
-			sc.Tracer.Record(trace.Event{
-				At: c.sim.Now(), Kind: trace.FlowStart, Flow: flow,
-				Note: fmt.Sprintf("%v x%d replicas", f.Size, copies),
-			})
-		}
-		c.started++
-	})
+	for k := 0; k < copies; k++ {
+		// Distinct Port per copy: per-flow schemes (ECMP, WCMP,
+		// Presto, ...) hash the copies independently.
+		id := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: idx + (k+1)<<24}
+		recvHost := c.hosts[f.Dst]
+		snd := c.hosts[f.Src].OpenSender(c.cfg, id, f.Size, func(done *transport.Sender) {
+			closeReceiver(recvHost, c.sim.Now(), c.closeLag, id)
+			if won {
+				return
+			}
+			won = true
+			// The winner's record becomes the flow's record.
+			*canonical = done.Stats
+			canonical.ID = flow
+			canonical.Deadline = f.Deadline
+			if sc.Tracer != nil {
+				sc.Tracer.Record(trace.Event{
+					At: c.sim.Now(), Kind: trace.FlowEnd, Flow: flow,
+					Note: fmt.Sprintf("repflow winner fct=%v", done.Stats.FCT()),
+				})
+			}
+			c.agg.Fold(canonical, short, c.sim.Now())
+			c.flowDone()
+		})
+		snd.Stats.Deadline = f.Deadline
+		recvHost.OpenReceiver(c.cfg, id, f.Size, &snd.Stats)
+		snd.Start()
+	}
+	if sc.Tracer != nil {
+		sc.Tracer.Record(trace.Event{
+			At: c.sim.Now(), Kind: trace.FlowStart, Flow: flow,
+			Note: fmt.Sprintf("%v x%d replicas", f.Size, copies),
+		})
+	}
+	c.started++
 }
 
 // logOpen records an open (record mode only — streaming runs retain no
@@ -446,7 +465,6 @@ func assemble(sc *Scenario, c *runCore, endTime units.Time) (*Result, error) {
 	// Completed flows folded at their done callbacks; fold the flows
 	// still open so unfinished ones count too (deadline misses at
 	// endTime, goodput over active time).
-	opened := c.started
 	if sc.StreamStats {
 		// No records were kept: sweep the still-open senders, in host
 		// order then FlowID order so the fold sequence is deterministic.
@@ -456,9 +474,7 @@ func assemble(sc *Scenario, c *runCore, endTime units.Time) (*Result, error) {
 			})
 		}
 	} else {
-		// Records are kept as well: Flows in open order. The log also
-		// holds replicated flows scheduled but not yet started.
-		opened = int64(len(c.openLog))
+		// Records are kept as well: Flows in open order.
 		res.Flows = make([]*transport.FlowStats, len(c.openLog))
 		for i := range c.openLog {
 			r := &c.openLog[i]
@@ -468,7 +484,7 @@ func assemble(sc *Scenario, c *runCore, endTime units.Time) (*Result, error) {
 			}
 		}
 	}
-	if err := auditFold(c.agg.Agg(AllFlows), opened, c.done); err != nil {
+	if err := auditFold(c.agg.Agg(AllFlows), c.started, c.done); err != nil {
 		return nil, fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
 	}
 

@@ -215,9 +215,6 @@ func (ss *Session) validate() error {
 			return fmt.Errorf("sim: scenario %q: StreamStats is incompatible with Replication (racing copies need retained records)", sc.Name)
 		}
 	}
-	if hasSource && sc.Replication != nil {
-		return fmt.Errorf("sim: scenario %q: Replication needs a materialized Flows slice", sc.Name)
-	}
 	return nil
 }
 

@@ -29,18 +29,22 @@ type Scenario struct {
 	SchemeName string
 	Seed       uint64
 
-	// Flows is the workload, absolute-timed.
+	// Flows is the workload as a slice, absolute-timed and in any order:
+	// a flow's index (its FlowID.Port) is its position, and flows arrive
+	// in stable (Start, index) order. Endpoints are checked before the
+	// run starts.
 	Flows []workload.Flow
 
-	// FlowSourceNew, when set, supplies the workload lazily instead of
-	// Flows (setting both is an error), as a replayable factory: every
-	// call must return a fresh Source that yields the identical flow
-	// sequence (the compiled workloads are pure functions of spec and
-	// seed, so this is their natural form), which lets one Scenario value
-	// be run more than once. Flows must arrive in non-decreasing Start
-	// order; the runner schedules one arrival ahead of the clock instead
-	// of pre-scheduling every flow, so neither the workload nor the
-	// event queue grows with the total flow count.
+	// FlowSourceNew, when set, supplies the workload instead of Flows
+	// (setting both is an error), as a replayable factory: every call
+	// must return a fresh Source that yields the identical flow sequence
+	// (the compiled workloads are pure functions of spec and seed, so
+	// this is their natural form), which lets one Scenario value be run
+	// more than once. Flows must arrive in non-decreasing Start order; a
+	// flow's index is its arrival count. Either way the runner holds one
+	// arrival ahead of the clock in the event queue, so neither set-up
+	// nor the queue grows with the total flow count — with a source, nor
+	// does the workload.
 	FlowSourceNew func() workload.Source
 
 	// Shards is accepted and ignored: every run is one engine.
@@ -59,8 +63,9 @@ type Scenario struct {
 	// FCTSample see nothing, and FCT percentiles come from the quantile
 	// sketch and carry its relative-error bound
 	// (stats.DefaultSketchAlpha). Every other metric is the same number
-	// either way. Incompatible with SampleShortPackets,
-	// CollectTimeSeries and Replication, which need retained records.
+	// either way, and the flag decides nothing else. Incompatible with
+	// SampleShortPackets, CollectTimeSeries and Replication, which need
+	// retained records.
 	StreamStats bool
 
 	// MaxTime hard-stops the run; 0 means run until all flows finish.
@@ -156,9 +161,12 @@ type Result struct {
 	// always set, folded once per flow, and what every accessor in
 	// result.go reads.
 	Stream *StreamAgg
-	// Flows holds the per-flow records in open order, kept in addition
-	// to Stream unless Scenario.StreamStats. They serve Each, FCTSample
-	// and exact FCTPercentile.
+	// Flows holds the per-flow records, kept in addition to Stream unless
+	// Scenario.StreamStats. They serve Each, FCTSample and exact
+	// FCTPercentile. Records are in open order for every flow, replicated
+	// or not (a flow's index is Flows[i].ID.Port, not i), and a flow is a
+	// record only once it opened: one whose start the run never reached
+	// is neither here nor counted in Stream.
 	Flows   []*transport.FlowStats
 	EndTime units.Time
 	Drops   int64

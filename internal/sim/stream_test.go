@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -241,9 +242,9 @@ func TestStreamStatsMatchesRecordsWithUnfinished(t *testing.T) {
 	assertStreamParity(t, exact, streamed)
 }
 
-// The lazy FlowSourceNew path must produce the same simulation as the
-// pre-materialized slice: same flow count, same completions, same
-// aggregates.
+// A source and the same flows given as a slice go through one pump,
+// so they must produce the same Result to the last field — streamed,
+// with records kept, and with replication.
 func TestFlowSourceMatchesSlice(t *testing.T) {
 	topo := smallTopo()
 	cfg := workload.PoissonConfig{
@@ -258,46 +259,64 @@ func TestFlowSourceMatchesSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slice := streamTestScenario(flows, 30*units.Second)
-	slice.StreamStats = true
-	fromSlice, err := Run(slice)
-	if err != nil {
-		t.Fatal(err)
+	for _, mode := range []struct {
+		name string
+		set  func(*Scenario)
+	}{
+		{"streamed", func(sc *Scenario) { sc.StreamStats = true }},
+		{"records", func(*Scenario) {}},
+		{"replicated", func(sc *Scenario) {
+			sc.Replication = &ReplicationConfig{Threshold: 100 * units.KB, Copies: 2}
+		}},
+	} {
+		slice := streamTestScenario(flows, 30*units.Second)
+		mode.set(&slice)
+		fromSlice, err := Run(slice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lazy := streamTestScenario(nil, 30*units.Second)
+		mode.set(&lazy)
+		lazy.FlowSourceNew = func() workload.Source {
+			src, err := cfg.Source(eventsim.NewRNG(5), 300, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return src
+		}
+		fromSource, err := Run(lazy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fromSlice.CompletedCount(AllFlows); got != 300 {
+			t.Fatalf("%s: %d of 300 flows completed", mode.name, got)
+		}
+		if !reflect.DeepEqual(fromSource, fromSlice) {
+			t.Fatalf("%s: a source and the same flows as a slice ran differently", mode.name)
+		}
 	}
+}
 
-	src, err := cfg.Source(eventsim.NewRNG(5), 300, 0)
-	if err != nil {
-		t.Fatal(err)
+// A flow whose start the run never reaches was never opened: it is no
+// record and is not counted, replicated or not.
+func TestUnstartedFlowsNotCounted(t *testing.T) {
+	flows := []workload.Flow{
+		{Src: 0, Dst: 4, Size: 10 * units.KB, Start: 0},
+		{Src: 1, Dst: 5, Size: 10 * units.KB, Start: units.Millisecond},
+		{Src: 2, Dst: 6, Size: 10 * units.KB, Start: 5 * units.Second},
 	}
-	lazy := streamTestScenario(nil, 30*units.Second)
-	lazy.StreamStats = true
-	lazy.FlowSourceNew = func() workload.Source { return src }
-	fromSource, err := Run(lazy)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Same draws, same event sequence, same fold order: the aggregates
-	// must be identical, floats included.
-	for _, c := range []Class{AllFlows, ShortFlows, LongFlows} {
-		if a, b := fromSlice.Count(c), fromSource.Count(c); a != b {
-			t.Fatalf("class %d count %d vs %d", c, a, b)
+	for _, repl := range []*ReplicationConfig{nil, {Threshold: 100 * units.KB, Copies: 2}} {
+		sc := streamTestScenario(flows, units.Second)
+		sc.StopWhenDone = false
+		sc.Replication = repl
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if a, b := fromSlice.CompletedCount(c), fromSource.CompletedCount(c); a != b {
-			t.Fatalf("class %d completed %d vs %d", c, a, b)
+		if len(res.Flows) != 2 || res.Count(AllFlows) != 2 || res.CompletedCount(AllFlows) != 2 {
+			t.Fatalf("replication %v: %d records, %d counted, %d completed; want 2 each",
+				repl != nil, len(res.Flows), res.Count(AllFlows), res.CompletedCount(AllFlows))
 		}
-		if a, b := fromSlice.AFCT(c), fromSource.AFCT(c); a != b {
-			t.Fatalf("class %d AFCT %v vs %v", c, a, b)
-		}
-		if a, b := fromSlice.FCTPercentile(c, 99), fromSource.FCTPercentile(c, 99); a != b {
-			t.Fatalf("class %d p99 %v vs %v", c, a, b)
-		}
-		if a, b := fromSlice.Goodput(c), fromSource.Goodput(c); a != b {
-			t.Fatalf("class %d goodput %v vs %v", c, a, b)
-		}
-	}
-	if fromSlice.EndTime != fromSource.EndTime {
-		t.Fatalf("end time %v vs %v", fromSlice.EndTime, fromSource.EndTime)
 	}
 }
 

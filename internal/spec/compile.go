@@ -105,15 +105,15 @@ func (c *checker) count(path string, n int) int {
 	return n
 }
 
-// Validate checks the spec without materializing flows; it reports
-// every problem found, located by JSON path.
+// Validate checks the spec without constructing the workload; it
+// reports every problem found, located by JSON path.
 func (s *Spec) Validate() error {
 	_, err := s.compile(false)
 	return err
 }
 
 // Compile validates the spec and lowers it to a runnable
-// sim.Scenario, materializing the workload's flows.
+// sim.Scenario, workload included.
 func (s *Spec) Compile() (sim.Scenario, error) {
 	return s.compile(true)
 }
@@ -420,11 +420,12 @@ func (s *Spec) compileDeadlines(c *checker, path string, d *Deadlines) workload.
 	return dd
 }
 
-// compileWorkload lowers the workload to either a materialized flow
-// slice or (under outputs.streamStats, for the kinds that support it)
-// a replayable source factory: every call draws the identical lazy
-// sequence, so a compiled Scenario can be run more than once. Exactly
-// one of the two returns is non-nil on success.
+// compileWorkload lowers the workload to the form its kind implies:
+// poisson and interpod to a replayable source factory (every call
+// draws the identical sequence, so a compiled Scenario can be run more
+// than once), mix to a flow slice, because its generation order, not
+// its arrival order, numbers its flows. Exactly one of the two returns
+// is non-nil when materialize is set and the workload is valid.
 func (s *Spec) compileWorkload(c *checker, topoKind string, lsCfg topology.Config, ftCfg topology.FatTreeConfig, materialize bool) ([]workload.Flow, func() workload.Source) {
 	w := s.Workload
 	wseed := s.Seed + 1
@@ -471,8 +472,6 @@ func (s *Spec) compileWorkload(c *checker, topoKind string, lsCfg topology.Confi
 	case "mix":
 		reject("poisson", poissonFields...)
 		reject("interpod", interpodFields...)
-		// Mix populations are bounded by their group lists, so streaming
-		// runs keep the materialized slice (sim folds it all the same).
 		return s.compileMix(c, topoKind, lsCfg, ftCfg, wseed, materialize), nil
 	case "interpod":
 		reject("poisson", poissonFields...)
@@ -502,7 +501,7 @@ func (s *Spec) compilePoisson(c *checker, topoKind string, lsCfg topology.Config
 		c.errf("workload.load", "must be in (0,1], got %v", w.Load)
 	}
 	sizes := s.compileSizes(c, "workload.sizes", w.Sizes)
-	deadlines := s.compileDeadlinesOpt(c, "workload.deadlines", w.Deadlines)
+	deadlines := s.compileDeadlines(c, "workload.deadlines", w.Deadlines)
 	if len(c.errs) > 0 || !materialize {
 		return nil, nil
 	}
@@ -518,37 +517,10 @@ func (s *Spec) compilePoisson(c *checker, topoKind string, lsCfg topology.Config
 		CrossLeafOnly: true,
 		LeafOf:        func(h int) int { return h / hostsPerLeaf },
 	}
-	if s.Outputs.StreamStats {
-		// Validate the stream configuration once so spec errors surface
-		// at compile time; the factory then re-creates the identical
-		// source on every call.
-		if _, err := pc.Source(eventsim.NewRNG(wseed), w.Flows, 0); err != nil {
-			c.errf("workload", "%v", err)
-			return nil, nil
-		}
-		decorate := s.deadlineOverrideDecorator(c)
-		flows := w.Flows
-		return nil, func() workload.Source {
-			src, err := pc.Source(eventsim.NewRNG(wseed), flows, 0)
-			if err != nil {
-				panic(fmt.Sprintf("spec: validated poisson source failed to rebuild: %v", err))
-			}
-			return decorate(src)
-		}
-	}
-	flows, err := pc.Generate(eventsim.NewRNG(wseed), w.Flows, 0)
-	if err != nil {
-		c.errf("workload", "%v", err)
-		return nil, nil
-	}
-	return s.applyDeadlineOverride(c, flows), nil
-}
-
-func (s *Spec) compileDeadlinesOpt(c *checker, path string, d *Deadlines) workload.DeadlineDist {
-	if d == nil {
-		return workload.DeadlineDist{}
-	}
-	return s.compileDeadlines(c, path, d)
+	flows := w.Flows
+	return nil, s.sourceFactory(c, "workload", func() (workload.Source, error) {
+		return pc.Source(eventsim.NewRNG(wseed), flows, 0)
+	})
 }
 
 func (s *Spec) compileMix(c *checker, topoKind string, lsCfg topology.Config, ftCfg topology.FatTreeConfig, wseed uint64, materialize bool) []workload.Flow {
@@ -613,7 +585,7 @@ func (s *Spec) compileMix(c *checker, topoKind string, lsCfg topology.Config, ft
 		if g.Deadlines != nil {
 			m.Deadlines = s.compileDeadlines(c, path+".deadlines", g.Deadlines)
 		} else {
-			m.Deadlines = s.compileDeadlinesOpt(c, "workload.deadlines", w.Deadlines)
+			m.Deadlines = s.compileDeadlines(c, "workload.deadlines", w.Deadlines)
 		}
 		mixes = append(mixes, m)
 	}
@@ -633,7 +605,8 @@ func (s *Spec) compileMix(c *checker, topoKind string, lsCfg topology.Config, ft
 		}
 		flows = append(flows, fs...)
 	}
-	return s.applyDeadlineOverride(c, flows)
+	decorate := s.deadlineOverrideDecorator(c)
+	return workload.Collect(decorate(workload.NewSliceSource(flows)))
 }
 
 func (s *Spec) compileInterPod(c *checker, topoKind string, ftCfg topology.FatTreeConfig, wseed uint64, materialize bool) ([]workload.Flow, func() workload.Source) {
@@ -672,61 +645,36 @@ func (s *Spec) compileInterPod(c *checker, topoKind string, ftCfg topology.FatTr
 		DeadlineJitter:    dlJitter,
 		DeadlineOnlyBelow: dlBelow,
 	}
-	if s.Outputs.StreamStats {
-		// Same factory shape as compilePoisson: validate once, rebuild
-		// identically per call.
-		if _, err := ipc.Source(eventsim.NewRNG(wseed)); err != nil {
-			c.errf("workload.interPod", "%v", err)
-			return nil, nil
-		}
-		decorate := s.deadlineOverrideDecorator(c)
-		return nil, func() workload.Source {
-			src, err := ipc.Source(eventsim.NewRNG(wseed))
-			if err != nil {
-				panic(fmt.Sprintf("spec: validated interpod source failed to rebuild: %v", err))
-			}
-			return decorate(src)
-		}
-	}
-	flows, err := ipc.Generate(eventsim.NewRNG(wseed))
-	if err != nil {
-		c.errf("workload.interPod", "%v", err)
-		return nil, nil
-	}
-	return s.applyDeadlineOverride(c, flows), nil
+	return nil, s.sourceFactory(c, "workload.interPod", func() (workload.Source, error) {
+		return ipc.Source(eventsim.NewRNG(wseed))
+	})
 }
 
-// applyDeadlineOverride rewrites deadlines after generation. It runs
-// after the workload RNG is fully consumed, so overriding deadlines
-// never perturbs arrival times or sizes.
-func (s *Spec) applyDeadlineOverride(c *checker, flows []workload.Flow) []workload.Flow {
-	o := s.Workload.DeadlineOverride
-	if o == nil {
-		return flows
+// sourceFactory makes the replayable factory a Scenario carries out of
+// build, which must draw from a fresh RNG on every call. build runs
+// once here, so a configuration it rejects is a spec error at path, and
+// once per call of the factory, yielding the identical sequence each
+// time; the deadline override decorates every copy.
+func (s *Spec) sourceFactory(c *checker, path string, build func() (workload.Source, error)) func() workload.Source {
+	if _, err := build(); err != nil {
+		c.errf(path, "%v", err)
+		return nil
 	}
-	d := c.dur("workload.deadlineOverride.deadline", o.Deadline)
-	below := c.size("workload.deadlineOverride.onlyBelow", o.OnlyBelow)
-	if d <= 0 {
-		c.errf("workload.deadlineOverride.deadline", "must be a positive duration")
-		return flows
-	}
-	for i := range flows {
-		if below == 0 || flows[i].Size <= below {
-			flows[i].Deadline = flows[i].Start + d
-		} else {
-			flows[i].Deadline = 0
+	decorate := s.deadlineOverrideDecorator(c)
+	return func() workload.Source {
+		src, err := build()
+		if err != nil {
+			panic(fmt.Sprintf("spec: validated %s source failed to rebuild: %v", path, err))
 		}
+		return decorate(src)
 	}
-	return flows
 }
 
-// deadlineOverrideDecorator is the lazy counterpart of
-// applyDeadlineOverride: it validates the override once against the
-// checker and returns a pure decorator for streamed sources, with
-// identical per-flow semantics (the decorator runs after each flow's
-// draws, so the underlying stream is undisturbed). The returned
-// function is checker-free so source factories can call it long after
-// compilation.
+// deadlineOverrideDecorator validates workload.deadlineOverride once
+// against the checker and returns it as a pure decorator: it rewrites
+// each flow's deadline after that flow's draws, so overriding deadlines
+// never perturbs arrival times or sizes. The returned function is
+// checker-free so source factories can call it long after compilation.
 func (s *Spec) deadlineOverrideDecorator(c *checker) func(workload.Source) workload.Source {
 	o := s.Workload.DeadlineOverride
 	if o == nil {

@@ -326,8 +326,8 @@ type Outputs struct {
 	// StreamStats keeps only the fixed-size per-class aggregates every
 	// run folds its flow records into and does not retain the records —
 	// O(1) memory per flow, for large-scale runs; FCT percentiles are
-	// then sketch estimates. Poisson and interpod workloads also generate
-	// lazily under it. Incompatible with sampleShortPackets,
+	// then sketch estimates. It decides nothing else (the workload's
+	// form follows from its kind). Incompatible with sampleShortPackets,
 	// collectTimeSeries and replication.
 	StreamStats bool `json:"streamStats,omitempty"`
 	// Report includes this run in the self-contained HTML report the

@@ -110,7 +110,10 @@ func TestCompilePoissonMatchesPoissonConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sc.Flows, want) {
+	if sc.Flows != nil || sc.FlowSourceNew == nil {
+		t.Fatalf("poisson compiles to a source only: Flows %v factory %v", sc.Flows, sc.FlowSourceNew != nil)
+	}
+	if got := workload.Collect(sc.FlowSourceNew()); !reflect.DeepEqual(got, want) {
 		t.Fatal("spec poisson diverges from direct PoissonConfig generation")
 	}
 }
@@ -162,7 +165,10 @@ func TestCompileInterPodMatchesLoop(t *testing.T) {
 		}
 		want = append(want, f)
 	}
-	if !reflect.DeepEqual(sc.Flows, want) {
+	if sc.Flows != nil || sc.FlowSourceNew == nil {
+		t.Fatalf("interpod compiles to a source only: Flows %v factory %v", sc.Flows, sc.FlowSourceNew != nil)
+	}
+	if got := workload.Collect(sc.FlowSourceNew()); !reflect.DeepEqual(got, want) {
 		t.Fatal("spec interpod diverges from the experiments' fat-tree loop")
 	}
 }
@@ -520,13 +526,13 @@ func TestWorkloadSeedOverride(t *testing.T) {
 	}
 }
 
-// A streaming spec must compile the workload to a lazy Source drawing
-// the exact flow sequence the eager path materializes — for both kinds
-// that support it — and carry the StreamStats flag into the scenario.
+// The workload's form follows from its kind, not from
+// outputs.streamStats: poisson and interpod compile to the same
+// replayable source factory with and without it, mix to a slice, and
+// the flag is carried into the scenario.
 func TestCompileStreamStatsProducesSource(t *testing.T) {
-	// Poisson on leaf-spine.
-	s := testSpec()
-	s.Workload = Workload{
+	poisson := testSpec()
+	poisson.Workload = Workload{
 		Kind:             "poisson",
 		Flows:            50,
 		Load:             0.5,
@@ -534,39 +540,15 @@ func TestCompileStreamStatsProducesSource(t *testing.T) {
 		Deadlines:        &Deadlines{Min: "5ms", Max: "25ms", OnlyBelow: "100KB"},
 		DeadlineOverride: &DeadlineOverride{Deadline: "10ms", OnlyBelow: "100KB"},
 	}
-	eager, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Outputs.StreamStats = true
-	lazy, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !lazy.StreamStats {
-		t.Fatal("StreamStats flag not carried into the scenario")
-	}
-	if lazy.Flows != nil || lazy.FlowSourceNew == nil {
-		t.Fatalf("streaming compile: Flows %v lazy factory %v", lazy.Flows, lazy.FlowSourceNew != nil)
-	}
-	if got := workload.Collect(lazy.FlowSourceNew()); !reflect.DeepEqual(got, eager.Flows) {
-		t.Fatal("lazy poisson source diverges from the eager flows")
-	}
-	// The factory must be replayable.
-	if got := workload.Collect(lazy.FlowSourceNew()); !reflect.DeepEqual(got, eager.Flows) {
-		t.Fatal("lazy poisson factory is not replayable")
-	}
-
-	// Interpod on fat-tree.
-	s = testSpec()
-	s.Topology = Topology{
+	interpod := testSpec()
+	interpod.Topology = Topology{
 		Kind:       "fattree",
 		K:          4,
 		HostLink:   Link{Bandwidth: "1Gbps", Delay: "5us"},
 		FabricLink: Link{Bandwidth: "1Gbps", Delay: "10us"},
 		Queue:      Queue{Capacity: 256, ECNThreshold: 65},
 	}
-	s.Workload = Workload{
+	interpod.Workload = Workload{
 		Kind: "interpod",
 		InterPod: &InterPod{
 			Flows:             40,
@@ -577,24 +559,48 @@ func TestCompileStreamStatsProducesSource(t *testing.T) {
 			DeadlineOnlyBelow: "100KB",
 		},
 	}
-	eager, err = s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Outputs.StreamStats = true
-	lazy, err = s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lazy.Flows != nil || lazy.FlowSourceNew == nil {
-		t.Fatalf("streaming compile: Flows %v lazy factory %v", lazy.Flows, lazy.FlowSourceNew != nil)
-	}
-	if got := workload.Collect(lazy.FlowSourceNew()); !reflect.DeepEqual(got, eager.Flows) {
-		t.Fatal("lazy interpod source diverges from the eager flows")
+	for _, tc := range []struct {
+		s     *Spec
+		flows int
+	}{{poisson, 50}, {interpod, 40}} {
+		s, kind := tc.s, tc.s.Workload.Kind
+		records, err := s.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Outputs.StreamStats = true
+		streamed, err := s.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if records.StreamStats || !streamed.StreamStats {
+			t.Fatalf("%s: StreamStats flag not carried into the scenario", kind)
+		}
+		for _, sc := range []sim.Scenario{records, streamed} {
+			if sc.Flows != nil || sc.FlowSourceNew == nil {
+				t.Fatalf("%s (streamStats %v): Flows %v factory %v", kind, sc.StreamStats, sc.Flows, sc.FlowSourceNew != nil)
+			}
+		}
+		want := workload.Collect(records.FlowSourceNew())
+		if len(want) != tc.flows {
+			t.Fatalf("%s: source yields %d flows, want %d", kind, len(want), tc.flows)
+		}
+		for _, f := range want {
+			if s.Workload.DeadlineOverride != nil && f.Size <= 100*units.KB && f.Deadline != f.Start+10*units.Millisecond {
+				t.Fatalf("%s: deadline override not applied to the source: %+v", kind, f)
+			}
+		}
+		if got := workload.Collect(streamed.FlowSourceNew()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the source depends on outputs.streamStats", kind)
+		}
+		// The factory must be replayable.
+		if got := workload.Collect(streamed.FlowSourceNew()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: factory is not replayable", kind)
+		}
 	}
 
-	// Mix keeps the materialized slice even when streaming.
-	s = testSpec()
+	// Mix is a slice, streamed or not.
+	s := testSpec()
 	s.Outputs.StreamStats = true
 	sc, err := s.Compile()
 	if err != nil {
@@ -603,6 +609,33 @@ func TestCompileStreamStatsProducesSource(t *testing.T) {
 	if !sc.StreamStats || len(sc.Flows) == 0 || sc.FlowSourceNew != nil {
 		t.Fatalf("streaming mix: StreamStats %v Flows %d lazy factory %v",
 			sc.StreamStats, len(sc.Flows), sc.FlowSourceNew != nil)
+	}
+}
+
+// Replication no longer needs a slice: a replicated poisson spec
+// compiles to a source like any other and runs, each flow one record.
+func TestReplicatedPoissonCompilesToSourceAndRuns(t *testing.T) {
+	s := testSpec()
+	s.Workload = Workload{
+		Kind:  "poisson",
+		Flows: 30,
+		Load:  0.3,
+		Sizes: &SizeDist{Kind: "uniform", Min: "10KB", Max: "200KB"},
+	}
+	s.Replication = &Replication{Threshold: "100KB", Copies: 2}
+	sc, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Replication == nil || sc.Flows != nil || sc.FlowSourceNew == nil {
+		t.Fatalf("replication %v Flows %v factory %v", sc.Replication, sc.Flows, sc.FlowSourceNew != nil)
+	}
+	res, err := sim.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.CompletedCount(sim.AllFlows); got != 30 || len(res.Flows) != 30 {
+		t.Fatalf("%d of 30 flows completed, %d records", got, len(res.Flows))
 	}
 }
 
