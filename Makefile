@@ -1,12 +1,19 @@
 GO ?= go
 
-.PHONY: build test vet lint race bench bench-all bench-gate bench-gate-self alloc-gates identity loc specs examples smoke largescale-smoke serve-smoke ci
+.PHONY: build test fmt-check vet lint race bench bench-all bench-gate-self alloc-gates identity loc specs examples smoke largescale-smoke serve-smoke ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# fmt-check fails, listing them, if any tracked Go file is not
+# gofmt-formatted (the lint fixture modules under testdata/ hold
+# deliberately odd source and are left alone).
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "fmt-check: not gofmt-formatted:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -56,27 +63,14 @@ bench:
 bench-all:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# bench-gate fails loudly when the engine's event throughput regresses
-# more than 10% between the two newest tracked baselines, selected
-# automatically from the append-only BENCH_<pr>.json history (numeric
-# PR order) so the gate follows the trajectory without a Makefile edit
-# each PR. Run `make bench` first so the newest file reflects this
-# machine. Opt-in in ci via BENCH_GATE=1 because CI hardware varies
-# too much for an unconditional wall-clock gate.
-bench-gate:
-	@set -e; pair=$$(ls BENCH_*.json | sort -t_ -k2 -n | tail -2); \
-	base=$$(echo $$pair | cut -d' ' -f1); head=$$(echo $$pair | cut -d' ' -f2); \
-	if [ "$$base" = "$$head" ]; then echo "bench-gate: need two BENCH_*.json baselines"; exit 1; fi; \
-	echo "bench-gate: $$head vs $$base"; \
-	$(GO) run ./cmd/benchjson -compare $$base -metric events/sec -max-regress 10 $$head
-
-# bench-gate-self gates the newest baseline's own before->after pair:
-# the like-for-like check when cross-file comparison is confounded by
-# host drift (shared hardware runs at different speeds in different
-# sessions — absolute events/sec across files then measures the host,
-# not the code). Requires the newest BENCH_<pr>.json to carry a
-# "before" section captured on the same box as its "after" (PR 9's
-# does; see EXPERIMENTS.md "Engine speed trajectory").
+# bench-gate-self fails loudly when the engine's event throughput
+# regresses more than 10% across the newest baseline's own
+# before->after pair — the only like-for-like check: shared hardware
+# runs at different speeds in different sessions, so events/sec compared
+# across BENCH files measures the host, not the code. Requires the
+# newest BENCH_<pr>.json to carry a "before" section captured on the
+# same box as its "after" (see EXPERIMENTS.md "Engine speed
+# trajectory").
 bench-gate-self:
 	@set -e; head=$$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1); \
 	echo "bench-gate-self: $$head after vs before"; \
@@ -145,11 +139,7 @@ smoke:
 largescale-smoke:
 	$(GO) run ./cmd/experiments -fig figLS -flows 2 -q >/dev/null
 
-# ci is the gate: static checks (vet + simlint), the full test suite,
-# the zero-allocation gates, the output-identity contract, the race
-# detector over all packages, and
-# the end-to-end smoke runs. Set BENCH_GATE=1 to also enforce the
-# events/sec regression threshold against the tracked baselines
-# (opt-in: CI hardware varies, so the wall-clock gate is only
-# meaningful where the newest BENCH_<pr>.json was produced).
-ci: build vet lint test alloc-gates identity race specs examples smoke largescale-smoke serve-smoke $(if $(BENCH_GATE),bench-gate)
+# ci is the gate: static checks (gofmt, vet, simlint), the full test
+# suite, the zero-allocation gates, the output-identity contract, the
+# race detector over all packages, and the end-to-end smoke runs.
+ci: build fmt-check vet lint test alloc-gates identity race specs examples smoke largescale-smoke serve-smoke

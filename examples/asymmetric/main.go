@@ -19,6 +19,7 @@ import (
 	"tlb/internal/lb"
 	"tlb/internal/netem"
 	"tlb/internal/sim"
+	"tlb/internal/spec"
 	"tlb/internal/topology"
 	"tlb/internal/transport"
 	"tlb/internal/units"
@@ -78,12 +79,9 @@ func runAll(topo topology.Config) {
 	tcfg.MinRTO = 50 * units.Millisecond
 	tcfg.InitialRTO = 50 * units.Millisecond
 
-	tlbCfg := core.DefaultConfig()
-	tlbCfg.LinkBandwidth = topo.FabricLink.Bandwidth
-	tlbCfg.RTT = topo.BaseRTT()
+	tlbCfg := core.EnvConfig(spec.Env(topo))
 	tlbCfg.Interval = 15 * units.Millisecond
 	tlbCfg.Deadline = 3 * units.Second
-	tlbCfg.MaxQTh = topo.Queue.Capacity
 	tlbCfg.MeanShortSize = 55 * units.KB
 
 	mix := workload.StaticMix{

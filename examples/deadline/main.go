@@ -18,6 +18,7 @@ import (
 	"tlb/internal/eventsim"
 	"tlb/internal/netem"
 	"tlb/internal/sim"
+	"tlb/internal/spec"
 	"tlb/internal/topology"
 	"tlb/internal/transport"
 	"tlb/internal/units"
@@ -66,10 +67,7 @@ func main() {
 	fmt.Printf("%-9s %12s %12s %10s %14s\n",
 		"variant", "short AFCT", "short p99", "miss %", "long goodput")
 	for _, p := range percentiles {
-		cfg := core.DefaultConfig()
-		cfg.LinkBandwidth = topo.FabricLink.Bandwidth
-		cfg.RTT = topo.BaseRTT()
-		cfg.MaxQTh = topo.Queue.Capacity
+		cfg := core.EnvConfig(spec.Env(topo))
 		cfg.MeanShortSize = 30 * units.KB
 		cfg.Deadline = p.d
 

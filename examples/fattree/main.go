@@ -19,6 +19,7 @@ import (
 	"tlb/internal/lb"
 	"tlb/internal/netem"
 	"tlb/internal/sim"
+	"tlb/internal/spec"
 	"tlb/internal/topology"
 	"tlb/internal/transport"
 	"tlb/internal/units"
@@ -26,7 +27,7 @@ import (
 )
 
 func main() {
-	ftCfg := topology.FatTreeConfig{
+	topo := topology.Config{
 		K:          4, // 16 hosts, 4 pods, 4 cores, (k/2)^2 = 4 inter-pod paths
 		HostLink:   netem.LinkConfig{Bandwidth: units.Gbps, Delay: 5 * units.Microsecond},
 		FabricLink: netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
@@ -54,10 +55,6 @@ func main() {
 		})
 	}
 
-	tlbCfg := core.DefaultConfig()
-	tlbCfg.RTT = 140 * units.Microsecond // 3-tier round trip
-	tlbCfg.MaxQTh = ftCfg.Queue.Capacity
-
 	schemes := []struct {
 		name    string
 		factory lb.Factory
@@ -65,21 +62,19 @@ func main() {
 		{"ecmp", lb.ECMP()},
 		{"letflow", lb.LetFlow(150 * units.Microsecond)},
 		{"drill", lb.DRILL(2, 1)},
-		{"tlb", core.Factory(tlbCfg)},
+		{"tlb", core.Factory(core.EnvConfig(spec.Env(topo)))},
 	}
 
 	fmt.Printf("%-8s %12s %12s %14s\n", "scheme", "short AFCT", "short p99", "long goodput")
 	for _, s := range schemes {
 		res, err := sim.Run(sim.Scenario{
-			Name:       "fattree-" + s.name,
-			Transport:  transport.DefaultConfig(),
-			Balancer:   s.factory,
-			SchemeName: s.name,
-			Seed:       9,
-			Flows:      flows,
-			BuildNetwork: func(sm *eventsim.Sim, f lb.Factory, r *eventsim.RNG, deliver topology.DeliverFunc) (topology.Network, error) {
-				return topology.NewFatTree(sm, ftCfg, f, r, deliver)
-			},
+			Name:         "fattree-" + s.name,
+			Topology:     topo,
+			Transport:    transport.DefaultConfig(),
+			Balancer:     s.factory,
+			SchemeName:   s.name,
+			Seed:         9,
+			Flows:        flows,
 			StopWhenDone: true,
 			MaxTime:      30 * units.Second,
 		})

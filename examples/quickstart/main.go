@@ -16,6 +16,7 @@ import (
 	"tlb/internal/lb"
 	"tlb/internal/netem"
 	"tlb/internal/sim"
+	"tlb/internal/spec"
 	"tlb/internal/topology"
 	"tlb/internal/transport"
 	"tlb/internal/units"
@@ -56,11 +57,9 @@ func main() {
 	}
 
 	// TLB needs to know the fabric it balances for (link rate, RTT,
-	// buffer depth); everything else is the paper's defaults.
-	tlbCfg := core.DefaultConfig()
-	tlbCfg.LinkBandwidth = topo.FabricLink.Bandwidth
-	tlbCfg.RTT = topo.BaseRTT()
-	tlbCfg.MaxQTh = topo.Queue.Capacity
+	// buffer depth), which the topology derives; everything else is the
+	// paper's defaults.
+	tlbCfg := core.EnvConfig(spec.Env(topo))
 
 	schemes := []struct {
 		name    string

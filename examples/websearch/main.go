@@ -18,6 +18,7 @@ import (
 	"tlb/internal/lb"
 	"tlb/internal/netem"
 	"tlb/internal/sim"
+	"tlb/internal/spec"
 	"tlb/internal/topology"
 	"tlb/internal/transport"
 	"tlb/internal/units"
@@ -35,10 +36,7 @@ func main() {
 	}
 	sizes := workload.Truncated{Dist: workload.WebSearch(), Max: 20 * units.MB}
 
-	tlbCfg := core.DefaultConfig()
-	tlbCfg.LinkBandwidth = topo.FabricLink.Bandwidth
-	tlbCfg.RTT = topo.BaseRTT()
-	tlbCfg.MaxQTh = topo.Queue.Capacity
+	tlbCfg := core.EnvConfig(spec.Env(topo))
 	tlbCfg.MeanShortSize = 30 * units.KB
 
 	schemes := []struct {

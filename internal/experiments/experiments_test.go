@@ -199,7 +199,7 @@ func TestLargeEnvLoadCalibration(t *testing.T) {
 
 func TestBasicEnvTLBConfigMatchesTopology(t *testing.T) {
 	env := newBasicEnv(256, 100, 3)
-	cfg := core.EnvConfig(spec.LeafSpineEnv(env.topo))
+	cfg := core.EnvConfig(spec.Env(env.topo))
 	if cfg.LinkBandwidth != units.Gbps {
 		t.Fatalf("bandwidth %v", cfg.LinkBandwidth)
 	}

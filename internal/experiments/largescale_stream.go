@@ -27,8 +27,8 @@ const figLSFlowFactor = 1250
 
 // figLSTopo is the k=16 fat-tree: 1024 hosts in 16 pods, full
 // bisection at 1 Gbps.
-func figLSTopo() topology.FatTreeConfig {
-	return topology.FatTreeConfig{
+func figLSTopo() topology.Config {
+	return topology.Config{
 		K:          16,
 		HostLink:   netem.LinkConfig{Bandwidth: units.Gbps, Delay: 5 * units.Microsecond},
 		FabricLink: netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
@@ -52,7 +52,7 @@ func figLSSpecs(o Options) ([]string, []spec.Spec) {
 		Name:     fmt.Sprintf("largescale-ecmp-%dk", o.FlowsPerRun*figLSFlowFactor/1000),
 		Seed:     o.Seed,
 		Scheme:   spec.Scheme{Name: "ecmp"},
-		Topology: fatTreeSpec(ft),
+		Topology: topoSpec(ft),
 		Workload: spec.Workload{
 			Kind: "interpod",
 			InterPod: &spec.InterPod{

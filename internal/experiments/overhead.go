@@ -36,7 +36,7 @@ func Fig15(o Options) ([]Figure, error) {
 	}
 
 	schemes := testbedSchemes()
-	lbEnv := spec.LeafSpineEnv(newTestbedEnv(100, 4).topo)
+	lbEnv := spec.Env(newTestbedEnv(100, 4).topo)
 
 	cpu := Figure{ID: "fig15a", Title: "Per-packet decision cost", YLabel: "ns/decision"}
 	mem := Figure{ID: "fig15b", Title: "Per-switch scheme state", YLabel: "bytes after 1000-flow mix"}

@@ -3,8 +3,8 @@ package experiments
 // Every figure runner builds spec.Spec values and executes them via
 // Options.runSpecs, so each scenario an experiment runs is serializable
 // (-dump-specs) and reproducible from JSON alone (tlbsim -spec). The
-// three topology renderers below are the only struct-to-spec mappings
-// (see "Shared scenario environments" in experiments.go).
+// topology renderers below are the only struct-to-spec mappings (see
+// "Shared scenario environments" in experiments.go).
 
 import (
 	"fmt"
@@ -27,9 +27,10 @@ func linkSpec(l netem.LinkConfig) spec.Link {
 	return spec.Link{Bandwidth: spec.Bw(l.Bandwidth), Delay: spec.Dur(l.Delay)}
 }
 
-// topoSpec renders a leaf-spine topology.
+// topoSpec renders a topology of either shape.
 func topoSpec(t topology.Config) spec.Topology {
 	ts := spec.Topology{
+		K:            t.K,
 		Leaves:       t.Leaves,
 		Spines:       t.Spines,
 		HostsPerLeaf: t.HostsPerLeaf,
@@ -37,23 +38,15 @@ func topoSpec(t topology.Config) spec.Topology {
 		FabricLink:   linkSpec(t.FabricLink),
 		Queue:        spec.Queue{Capacity: t.Queue.Capacity, ECNThreshold: t.Queue.ECNThreshold},
 	}
+	if t.K != 0 {
+		ts.Kind = "fattree"
+	}
 	for _, o := range t.Overrides {
 		ts.Overrides = append(ts.Overrides, spec.Override{
 			Leaf: o.Leaf, Spine: o.Spine, Link: linkSpec(o.Link),
 		})
 	}
 	return ts
-}
-
-// fatTreeSpec renders a fat-tree topology.
-func fatTreeSpec(t topology.FatTreeConfig) spec.Topology {
-	return spec.Topology{
-		Kind:       "fattree",
-		K:          t.K,
-		HostLink:   linkSpec(t.HostLink),
-		FabricLink: linkSpec(t.FabricLink),
-		Queue:      spec.Queue{Capacity: t.Queue.Capacity, ECNThreshold: t.Queue.ECNThreshold},
-	}
 }
 
 // runSpecs compiles one experiment's spec batch and submits it to the

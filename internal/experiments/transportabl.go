@@ -80,7 +80,7 @@ func FatTreeComparison(o Options) ([]Figure, error) {
 	tput := Figure{ID: "fattree-tput", Title: "k=4 fat-tree, inter-pod mix (long goodput)",
 		YLabel: "Gbps"}
 
-	ftCfg := topology.FatTreeConfig{
+	ftCfg := topology.Config{
 		K:          4,
 		HostLink:   netem.LinkConfig{Bandwidth: units.Gbps, Delay: 5 * units.Microsecond},
 		FabricLink: netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
@@ -112,7 +112,7 @@ func FatTreeComparison(o Options) ([]Figure, error) {
 			Name:     "fattree-" + s.label(),
 			Seed:     o.Seed,
 			Scheme:   s.schemeSpec(),
-			Topology: fatTreeSpec(ftCfg),
+			Topology: topoSpec(ftCfg),
 			Workload: wl,
 			Run: spec.Run{
 				MaxTime:      spec.Dur(60 * units.Second),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -136,136 +137,15 @@ func copyModule(t *testing.T, src, dst string) {
 	}
 }
 
-// repoAnnotations lists every suppression group in the repository —
-// test files included, since they are linted too — as (relative file,
-// removal text, rule). For a single-group directive the removal text
-// is the whole directive; for a multi-rule directive it is just the
-// one rule(reason) group, so deleting it leaves the other groups
-// intact.
-func repoAnnotations(t *testing.T, root string) (files []string, texts []string, rules []string) {
-	t.Helper()
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") {
-			return nil
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		// The linter's own sources and the simlint command mention the
-		// directive syntax in doc comments, diagnostic messages and this
-		// very function; those are not suppressions of anything.
-		if strings.HasPrefix(filepath.ToSlash(rel), "internal/lint/") || strings.HasPrefix(filepath.ToSlash(rel), "cmd/simlint/") {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			idx := strings.Index(line, "//simlint:")
-			if idx < 0 {
-				continue
-			}
-			comment := line[idx:]
-			loc := allowRe.FindStringIndex(comment)
-			if loc == nil {
-				continue
-			}
-			// Walk the rule(reason) groups, recording each one's extent.
-			type group struct {
-				start, end int
-				rule       string
-			}
-			var groups []group
-			off := loc[1]
-			for {
-				m := allowGroupRe.FindStringSubmatch(comment[off:])
-				if m == nil {
-					break
-				}
-				groups = append(groups, group{start: off, end: off + len(m[0]), rule: m[1]})
-				off += len(m[0])
-			}
-			for _, g := range groups {
-				files = append(files, rel)
-				rules = append(rules, g.rule)
-				if len(groups) == 1 {
-					texts = append(texts, comment[:g.end])
-				} else {
-					texts = append(texts, comment[g.start:g.end])
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return files, texts, rules
-}
-
-// TestRemovingAnyAllowAnnotationFails proves the repo's annotations are
-// load-bearing: for every //simlint:allow directive in the tree,
-// deleting just that directive makes simlint report the suppressed
-// rule at that site.
-func TestRemovingAnyAllowAnnotationFails(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-lints the repository once per annotation")
-	}
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	files, texts, rules := repoAnnotations(t, root)
-	if len(files) < 4 {
-		t.Fatalf("expected the repo to carry several allow annotations, found %d", len(files))
-	}
-	for i := range files {
-		name := fmt.Sprintf("%s-%s-%d", strings.ReplaceAll(files[i], string(os.PathSeparator), "_"), rules[i], i)
-		t.Run(name, func(t *testing.T) {
-			tmp := t.TempDir()
-			copyModule(t, root, tmp)
-			target := filepath.Join(tmp, files[i])
-			data, err := os.ReadFile(target)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stripped := strings.Replace(string(data), texts[i], "", 1)
-			if stripped == string(data) {
-				t.Fatalf("directive %q not found in copy of %s", texts[i], files[i])
-			}
-			if err := os.WriteFile(target, []byte(stripped), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			findings, err := Run(tmp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range findings {
-				if f.Rule == rules[i] && f.File == filepath.ToSlash(files[i]) {
-					return // the annotation was load-bearing
-				}
-			}
-			t.Errorf("removing %q from %s produced no %s finding; findings: %v",
-				texts[i], files[i], rules[i], findings)
-		})
-	}
-}
-
-// TestReintroducingWallClockFails proves the nowallclock rule guards
-// the real tree: dropping a time.Now call into internal/netem makes
-// the lint run fail.
+// TestReintroducingWallClockFails proves, end to end on one copy of the
+// real tree, that the nowallclock rule guards it and that an allow
+// annotation is what holds a finding back: dropping a time.Now call
+// into internal/netem and stripping internal/sim/clock.go's two
+// directives must each surface in the same lint run. That every other
+// annotation in the tree is load-bearing needs no re-lint per
+// annotation: one that suppresses nothing is itself a finding
+// (unusedallow, not suppressible, pinned by the directives fixture), so
+// TestRepoIsClean already fails on it.
 func TestReintroducingWallClockFails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-lints the repository")
@@ -285,16 +165,32 @@ func wallClock() int64 { return time.Now().UnixNano() }
 	if err := os.WriteFile(filepath.Join(tmp, "internal/netem/zz_wallclock.go"), []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	const seam = "internal/sim/clock.go"
+	clock, err := os.ReadFile(filepath.Join(tmp, seam))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripped := regexp.MustCompile(`(?m)^\s*//simlint:allow nowallclock\(.*\)\n`).ReplaceAll(clock, nil)
+	if err := os.WriteFile(filepath.Join(tmp, seam), stripped, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	findings, err := Run(tmp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := map[string]int{}
 	for _, f := range findings {
-		if f.Rule == "nowallclock" && f.File == "internal/netem/zz_wallclock.go" {
-			return
+		if f.Rule == "nowallclock" {
+			got[f.File]++
 		}
 	}
-	t.Errorf("time.Now in internal/netem went undetected; findings: %v", findings)
+	if got["internal/netem/zz_wallclock.go"] != 1 {
+		t.Errorf("time.Now in internal/netem went undetected; findings: %v", findings)
+	}
+	if got[seam] != 2 {
+		t.Errorf("stripping %s's two allow directives surfaced %d nowallclock findings there, want 2; findings: %v",
+			seam, got[seam], findings)
+	}
 }
 
 // TestCleanFixtures covers loader edge cases that must produce zero

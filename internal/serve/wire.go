@@ -33,21 +33,21 @@ type wireUplink struct {
 
 // wireEvent is one SSE payload: a snapshot or a per-scenario terminal.
 type wireEvent struct {
-	Run          string      `json:"run"`
-	Kind         string      `json:"kind"`
-	Index        int         `json:"index"`
-	Total        int         `json:"total"`
-	Completed    int         `json:"completed,omitempty"`
-	Scenario     string      `json:"scenario"`
-	Scheme       string      `json:"scheme,omitempty"`
-	ElapsedMs    float64     `json:"elapsedMs"`
-	SimTimeMs    float64     `json:"simTimeMs"`
-	Events       uint64      `json:"events"`
-	EventsPerSec float64     `json:"eventsPerSec"`
-	FlowsStarted int64       `json:"flowsStarted"`
-	FlowsDone    int64       `json:"flowsDone"`
-	Error        string      `json:"error,omitempty"`
-	Classes      []wireClass `json:"classes,omitempty"`
+	Run          string       `json:"run"`
+	Kind         string       `json:"kind"`
+	Index        int          `json:"index"`
+	Total        int          `json:"total"`
+	Completed    int          `json:"completed,omitempty"`
+	Scenario     string       `json:"scenario"`
+	Scheme       string       `json:"scheme,omitempty"`
+	ElapsedMs    float64      `json:"elapsedMs"`
+	SimTimeMs    float64      `json:"simTimeMs"`
+	Events       uint64       `json:"events"`
+	EventsPerSec float64      `json:"eventsPerSec"`
+	FlowsStarted int64        `json:"flowsStarted"`
+	FlowsDone    int64        `json:"flowsDone"`
+	Error        string       `json:"error,omitempty"`
+	Classes      []wireClass  `json:"classes,omitempty"`
 	Uplinks      []wireUplink `json:"uplinks,omitempty"`
 }
 

@@ -112,9 +112,8 @@ func newCore(sc *Scenario) (*runCore, error) {
 	c.ports = net.BalancedPorts()
 
 	if len(sc.Faults) > 0 {
-		// A custom BuildNetwork network has no links to resolve; on a
-		// built-in fabric LinkPorts decides whether (leaf, spine)
-		// addresses it.
+		// A BuildNetwork wrapper has no links to resolve; on the fabric
+		// itself LinkPorts decides whether (leaf, spine) addresses it.
 		fab, ok := net.(*topology.Fabric)
 		if !ok {
 			return nil, fmt.Errorf("sim: scenario %q: fault schedule needs a *topology.Fabric to resolve links on, got %T", sc.Name, net)
@@ -382,8 +381,8 @@ func (c *runCore) sampleGoodput() {
 	}
 }
 
-// minFabricDelayer is implemented by the built-in topologies
-// (leaf-spine, fat-tree): the minimum propagation delay over their
+// minFabricDelayer is implemented by *topology.Fabric (and forwarded
+// by a BuildNetwork wrapper): the minimum propagation delay over its
 // inter-switch links.
 type minFabricDelayer interface {
 	MinFabricDelay() units.Time
@@ -398,8 +397,9 @@ type minFabricDelayer interface {
 // ACK. The lag is the minimum inter-switch link delay, tightened by
 // any fault-scheduled delay override: a pure function of scenario and
 // topology, so the close events — and the goldens that depend on them
-// — do not move with how a run is driven. Networks without such links
-// (custom BuildNetwork pipes) return 0 and keep the synchronous close.
+// — do not move with how a run is driven. A network that does not
+// answer (a BuildNetwork wrapper hiding it) keeps the synchronous
+// close.
 func teardownLag(net topology.Network, sched faults.Schedule) units.Time {
 	md, ok := net.(minFabricDelayer)
 	if !ok {

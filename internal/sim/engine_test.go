@@ -5,8 +5,6 @@ import (
 
 	"tlb/internal/eventsim"
 	"tlb/internal/lb"
-	"tlb/internal/netem"
-	"tlb/internal/topology"
 	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
@@ -23,12 +21,6 @@ import (
 // bound sits between. The run drains its queue, so the insert counters
 // must also account for every event exactly once.
 func TestEngineCountersDenseFabric(t *testing.T) {
-	ftCfg := topology.FatTreeConfig{
-		K:          8,
-		HostLink:   netem.LinkConfig{Bandwidth: units.Gbps, Delay: 5 * units.Microsecond},
-		FabricLink: netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
-		Queue:      netem.QueueConfig{Capacity: 256, ECNThreshold: 65},
-	}
 	flows, err := workload.InterPodConfig{
 		Hosts:  128,
 		PerPod: 16,
@@ -41,15 +33,13 @@ func TestEngineCountersDenseFabric(t *testing.T) {
 	}
 	sc := Scenario{
 		Name:       "dense-fabric",
+		Topology:   smallFatTree(8),
 		Transport:  transport.DefaultConfig(),
 		Balancer:   lb.ECMP(),
 		SchemeName: "ecmp",
 		Seed:       11,
 		Flows:      flows,
 		MaxTime:    units.Second,
-		BuildNetwork: func(s *eventsim.Sim, f lb.Factory, rng *eventsim.RNG, deliver topology.DeliverFunc) (topology.Network, error) {
-			return topology.NewFatTree(s, ftCfg, f, rng, deliver)
-		},
 	}
 	var done ProgressEvent
 	res, err := NewSession(sc, SessionOptions{

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -282,16 +283,10 @@ func TestResultClassAccessors(t *testing.T) {
 	}
 }
 
-// TestFatTreeEndToEnd runs a full workload over the 3-tier substrate
-// via Scenario.BuildNetwork: both decision tiers (edge and agg) are
+// TestFatTreeEndToEnd runs a full workload over the 3-tier substrate:
+// both decision tiers (edge and agg) are
 // exercised for every scheme, including TLB.
 func TestFatTreeEndToEnd(t *testing.T) {
-	ftCfg := topology.FatTreeConfig{
-		K:          4,
-		HostLink:   netem.LinkConfig{Bandwidth: units.Gbps, Delay: 5 * units.Microsecond},
-		FabricLink: netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
-		Queue:      netem.QueueConfig{Capacity: 256, ECNThreshold: 65},
-	}
 	tlbCfg := core.DefaultConfig()
 	tlbCfg.RTT = 100 * units.Microsecond
 	schemes := []struct {
@@ -316,15 +311,13 @@ func TestFatTreeEndToEnd(t *testing.T) {
 			}
 			flows = append(flows, workload.Flow{Src: 1, Dst: 13, Size: units.MB, Start: 0})
 			res, err := Run(Scenario{
-				Name:       "fattree-" + s.name,
-				Transport:  transport.DefaultConfig(),
-				Balancer:   s.f,
-				SchemeName: s.name,
-				Seed:       17,
-				Flows:      flows,
-				BuildNetwork: func(sm *eventsim.Sim, f lb.Factory, rng *eventsim.RNG, deliver topology.DeliverFunc) (topology.Network, error) {
-					return topology.NewFatTree(sm, ftCfg, f, rng, deliver)
-				},
+				Name:         "fattree-" + s.name,
+				Topology:     smallFatTree(4),
+				Transport:    transport.DefaultConfig(),
+				Balancer:     s.f,
+				SchemeName:   s.name,
+				Seed:         17,
+				Flows:        flows,
 				StopWhenDone: true,
 				MaxTime:      10 * units.Second,
 			})
@@ -357,22 +350,14 @@ func TestFatTreeEndToEnd(t *testing.T) {
 // naming the scenario, not a panic, and not a fault landing on the
 // edge<->agg pair that happens to carry the same indices.
 func TestFaultsOnFatTreeRejected(t *testing.T) {
-	ftCfg := topology.FatTreeConfig{
-		K:          4,
-		HostLink:   netem.LinkConfig{Bandwidth: units.Gbps, Delay: 5 * units.Microsecond},
-		FabricLink: netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
-		Queue:      netem.QueueConfig{Capacity: 256, ECNThreshold: 65},
-	}
 	res, err := Run(Scenario{
-		Name:       "faulted-fattree",
-		Transport:  transport.DefaultConfig(),
-		Balancer:   lb.ECMP(),
-		SchemeName: "ecmp",
-		Flows:      []workload.Flow{{Src: 0, Dst: 12, Size: 100 * units.KB}},
-		Faults:     faults.Schedule{{At: 0, Leaf: 0, Spine: 0, Op: faults.OpDown}},
-		BuildNetwork: func(sm *eventsim.Sim, f lb.Factory, rng *eventsim.RNG, deliver topology.DeliverFunc) (topology.Network, error) {
-			return topology.NewFatTree(sm, ftCfg, f, rng, deliver)
-		},
+		Name:         "faulted-fattree",
+		Topology:     smallFatTree(4),
+		Transport:    transport.DefaultConfig(),
+		Balancer:     lb.ECMP(),
+		SchemeName:   "ecmp",
+		Flows:        []workload.Flow{{Src: 0, Dst: 12, Size: 100 * units.KB}},
+		Faults:       faults.Schedule{{At: 0, Leaf: 0, Spine: 0, Op: faults.OpDown}},
 		StopWhenDone: true,
 		MaxTime:      units.Second,
 	})
@@ -383,6 +368,81 @@ func TestFaultsOnFatTreeRejected(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
+	}
+}
+
+// wrappedNet is the shape of the one thing BuildNetwork is for (what
+// bench/trace.go's tracedNet is): a Network embedding the fabric it
+// instruments and forwarding MinFabricDelay, so the teardown lag — and
+// with it every close event — is the unwrapped run's.
+type wrappedNet struct {
+	topology.Network
+	injected int
+}
+
+func (w *wrappedNet) Inject(host int, pkt *netem.Packet) {
+	w.injected++
+	w.Network.Inject(host, pkt)
+}
+
+func (w *wrappedNet) MinFabricDelay() units.Time {
+	return w.Network.(minFabricDelayer).MinFabricDelay()
+}
+
+// TestBuildNetworkWrapsFabric pins the wrapping seam where tier-1 sees
+// it (nothing in-tree but bench/ uses it): on both shapes a wrapper
+// around topology.New(sc.Topology) yields the unwrapped run's Result
+// exactly, and a fault schedule over it is an error, since a wrapper
+// has no links to resolve.
+func TestBuildNetworkWrapsFabric(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		topo topology.Config
+	}{
+		{"leafspine", smallTopo()},
+		{"fattree", smallFatTree(4)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			last := tc.topo.Hosts() - 1
+			var flows []workload.Flow
+			for i := 0; i < 30; i++ {
+				flows = append(flows, workload.Flow{
+					Src: i % 4, Dst: last - i%3,
+					Size:  units.Bytes(4000 + i*9000),
+					Start: units.Time(i) * 20 * units.Microsecond,
+				})
+			}
+			sc := Scenario{
+				Name: "seam", Topology: tc.topo, Transport: transport.DefaultConfig(),
+				Balancer: lb.RPS(), SchemeName: "rps", Seed: 5,
+				Flows: flows, StopWhenDone: true, MaxTime: 10 * units.Second,
+			}
+			plain, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w *wrappedNet
+			sc.BuildNetwork = func(s *eventsim.Sim, f lb.Factory, rng *eventsim.RNG, deliver topology.DeliverFunc) (topology.Network, error) {
+				fab, err := topology.New(s, tc.topo, f, rng, deliver)
+				w = &wrappedNet{Network: fab}
+				return w, err
+			}
+			wrapped, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.injected == 0 {
+				t.Fatal("the run did not go through the wrapper")
+			}
+			if plain.CompletedCount(AllFlows) != len(flows) || !reflect.DeepEqual(plain, wrapped) {
+				t.Errorf("wrapped run differs from the unwrapped one (%d/%d flows completed)",
+					plain.CompletedCount(AllFlows), len(flows))
+			}
+			sc.Faults = faults.Schedule{{At: 0, Leaf: 0, Spine: 0, Op: faults.OpDown}}
+			if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "needs a *topology.Fabric") {
+				t.Errorf("fault schedule over a wrapped network: %v", err)
+			}
+		})
 	}
 }
 

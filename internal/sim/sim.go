@@ -19,10 +19,13 @@ import (
 
 // Scenario fully describes one simulation run.
 type Scenario struct {
-	Name      string
+	Name string
+	// Topology describes the network, leaf-spine or fat-tree; the run
+	// builds it with topology.New.
 	Topology  topology.Config
 	Transport transport.Config
-	// Balancer instantiates the scheme under test at each leaf.
+	// Balancer instantiates the scheme under test at each switch that
+	// has uplinks.
 	Balancer lb.Factory
 	// SchemeName labels results (balancers are per-switch instances,
 	// so the factory itself carries no name).
@@ -98,9 +101,10 @@ type Scenario struct {
 
 	// Faults is the run's link-fault schedule (down / flap / de-rate /
 	// delay at scheduled sim times; see internal/faults). Empty injects
-	// nothing. It addresses links by (leaf, spine) pair, so the network
-	// must be a two-tier *topology.Fabric: Fabric.LinkPorts rejects it
-	// on a fat-tree, and a custom network has no links to resolve.
+	// nothing. It addresses links by (leaf, spine) pair, so Topology
+	// must be a leaf-spine (Fabric.LinkPorts rejects a fat-tree) and
+	// the network unwrapped (a BuildNetwork wrapper has no links to
+	// resolve).
 	Faults faults.Schedule
 
 	// Tracer, when non-nil, records flow lifecycle and retransmission
@@ -109,15 +113,14 @@ type Scenario struct {
 	// run; use the tracer's filters with custom hooks for those.
 	Tracer *trace.Tracer
 
-	// BuildNetwork, when set, constructs the network instead of the
-	// default topology.New(Topology) — the same Fabric wired as a
-	// fat-tree, or a wrapper around either:
-	//
-	//	BuildNetwork: func(s, f, rng, deliver) (topology.Network, error) {
-	//	    return topology.NewFatTree(s, ftCfg, f, rng, deliver)
-	//	}
-	//
-	// Topology is ignored when this is set.
+	// BuildNetwork is the wrapping seam: when set, the run drives
+	// traffic through the network it returns instead of calling
+	// topology.New(Topology) itself, so an instrumented caller can
+	// build that same fabric and put a wrapper around it, its balancers
+	// or its deliver callback (bench/trace.go does; nothing else in the
+	// tree sets it). It is not how a scenario chooses a topology —
+	// Topology says which — and a wrapper must forward MinFabricDelay
+	// or the teardown lag, and with it the result, changes.
 	BuildNetwork func(*eventsim.Sim, lb.Factory, *eventsim.RNG, topology.DeliverFunc) (topology.Network, error)
 }
 

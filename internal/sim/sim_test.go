@@ -25,6 +25,16 @@ func smallTopo() topology.Config {
 	}
 }
 
+// smallFatTree is the k-ary fat-tree on the same links as smallTopo.
+func smallFatTree(k int) topology.Config {
+	return topology.Config{
+		K:          k,
+		HostLink:   netem.LinkConfig{Bandwidth: units.Gbps, Delay: 5 * units.Microsecond},
+		FabricLink: netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
+		Queue:      netem.QueueConfig{Capacity: 256, ECNThreshold: 65},
+	}
+}
+
 func TestSingleFlowCompletes(t *testing.T) {
 	sc := Scenario{
 		Name:       "single",

@@ -192,18 +192,21 @@ func TestStreamStatsMatchesRecords(t *testing.T) {
 	assertStreamParity(t, exact, streamed)
 }
 
-// TestStreamStatsCrossCheck100k is the at-scale accuracy gate: the
-// same 100k-flow workload run with records and streamed, every
-// counter metric exactly equal and every percentile within the
-// sketch's documented bound of the exact order statistics.
-func TestStreamStatsCrossCheck100k(t *testing.T) {
+// TestStreamStatsCrossCheck is the at-scale accuracy gate: the same
+// 20k-flow workload run with records and streamed, every counter
+// metric exactly equal and every percentile within the sketch's
+// documented bound of the exact order statistics. The bound is relative,
+// so a larger run proves nothing more; the sketch's bucket collapse is
+// pinned in internal/stats, not here.
+func TestStreamStatsCrossCheck(t *testing.T) {
 	if testing.Short() {
-		t.Skip("100k-flow cross-check skipped in -short mode")
+		t.Skip("20k-flow cross-check skipped in -short mode")
 	}
 	if raceEnabled {
 		t.Skip("single-goroutine scale test; skipped under -race")
 	}
-	flows := streamTestFlows(t, 100_000)
+	const n = 20_000
+	flows := streamTestFlows(t, n)
 	exact, err := Run(streamTestScenario(flows, 120*units.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -214,8 +217,8 @@ func TestStreamStatsCrossCheck100k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := exact.CompletedCount(AllFlows); got != 100_000 {
-		t.Fatalf("only %d/100000 completed; test wants a fully finished run", got)
+	if got := exact.CompletedCount(AllFlows); got != n {
+		t.Fatalf("only %d/%d completed; test wants a fully finished run", got, n)
 	}
 	assertStreamParity(t, exact, streamed)
 }

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"tlb/internal/eventsim"
@@ -15,25 +16,12 @@ import (
 	"tlb/internal/workload"
 )
 
-// LeafSpineEnv derives the scheme-builder environment from a
-// leaf-spine fabric: the spine paths' rate, the base RTT and the
-// queue parameters.
-func LeafSpineEnv(cfg topology.Config) lb.Env {
+// Env derives the scheme-builder environment from a fabric: the
+// equal-cost paths' rate, the base RTT and the queue parameters.
+func Env(cfg topology.Config) lb.Env {
 	return lb.Env{
 		FabricBandwidth: cfg.FabricLink.Bandwidth,
 		BaseRTT:         cfg.BaseRTT(),
-		QueueCapacity:   cfg.Queue.Capacity,
-		ECNThreshold:    cfg.Queue.ECNThreshold,
-	}
-}
-
-// fatTreeEnv derives the scheme-builder environment from a fat-tree
-// fabric. The base RTT crosses 2 host links and 4 fabric links each
-// way (host-edge-agg-core-agg-edge-host).
-func fatTreeEnv(cfg topology.FatTreeConfig) lb.Env {
-	return lb.Env{
-		FabricBandwidth: cfg.FabricLink.Bandwidth,
-		BaseRTT:         2 * (2*cfg.HostLink.Delay + 4*cfg.FabricLink.Delay),
 		QueueCapacity:   cfg.Queue.Capacity,
 		ECNThreshold:    cfg.Queue.ECNThreshold,
 	}
@@ -61,6 +49,23 @@ func (c *checker) err() error {
 func (c *checker) addErr(err error) {
 	if err != nil {
 		c.errs = append(c.errs, strings.Split(err.Error(), "\n")...)
+	}
+}
+
+// field is one spec field and whether the spec sets it.
+type field struct {
+	path string
+	set  bool
+}
+
+// reject reports every set field as belonging to another kind, so a
+// typo'd spec fails loudly instead of silently ignoring half its
+// content.
+func (c *checker) reject(what, kind string, fields ...field) {
+	for _, f := range fields {
+		if f.set {
+			c.errf(f.path, "only applies to %s %q", what, kind)
+		}
 	}
 }
 
@@ -131,31 +136,8 @@ func (s *Spec) compile(materialize bool) (sim.Scenario, error) {
 	sc.Name = s.Name
 	sc.Seed = s.Seed
 
-	// Topology.
-	kind := s.Topology.Kind
-	if kind == "" {
-		kind = "leafspine"
-	}
-	var (
-		lsCfg topology.Config
-		ftCfg topology.FatTreeConfig
-		env   lb.Env
-	)
-	switch kind {
-	case "leafspine":
-		lsCfg = s.compileLeafSpine(c)
-		env = LeafSpineEnv(lsCfg)
-		sc.Topology = lsCfg
-	case "fattree":
-		ftCfg = s.compileFatTree(c)
-		env = fatTreeEnv(ftCfg)
-		cfg := ftCfg
-		sc.BuildNetwork = func(sm *eventsim.Sim, f lb.Factory, rng *eventsim.RNG, deliver topology.DeliverFunc) (topology.Network, error) {
-			return topology.NewFatTree(sm, cfg, f, rng, deliver)
-		}
-	default:
-		c.errf("topology.kind", "unknown kind %q (valid: leafspine, fattree)", s.Topology.Kind)
-	}
+	topo := s.compileTopology(c)
+	sc.Topology = topo
 
 	// Transport: the paper's DCTCP defaults with explicit overrides.
 	sc.Transport = s.compileTransport(c)
@@ -164,7 +146,7 @@ func (s *Spec) compile(materialize bool) (sim.Scenario, error) {
 	if s.Scheme.Name == "" {
 		c.errf("scheme.name", "must name a registered scheme (valid: %s)", strings.Join(lb.Names(), ", "))
 	} else {
-		f, err := lb.Build(s.Scheme.Name, s.Scheme.Params, "scheme.params", env)
+		f, err := lb.Build(s.Scheme.Name, s.Scheme.Params, "scheme.params", Env(topo))
 		if err != nil {
 			if _, known := lb.Lookup(s.Scheme.Name); !known {
 				c.errf("scheme.name", "%v", err)
@@ -181,12 +163,12 @@ func (s *Spec) compile(materialize bool) (sim.Scenario, error) {
 	}
 
 	// Workload.
-	sc.Flows, sc.FlowSourceNew = s.compileWorkload(c, kind, lsCfg, ftCfg, materialize)
+	sc.Flows, sc.FlowSourceNew = s.compileWorkload(c, topo, materialize)
 
-	// Faults address leaf-spine pairs; the fat-tree build has no
-	// notion of them.
+	// Faults address leaf-spine pairs; a fat-tree has no notion of
+	// them.
 	if len(s.Faults) > 0 {
-		if kind == "fattree" {
+		if topo.K != 0 {
 			c.errf("faults", "fault schedules address leaf-spine links and cannot apply to a fattree topology")
 		}
 		sc.Faults = s.compileFaults(c)
@@ -233,59 +215,51 @@ func (s *Spec) compile(materialize bool) (sim.Scenario, error) {
 	return sc, nil
 }
 
-func (s *Spec) compileLeafSpine(c *checker) topology.Config {
+// compileTopology lowers either kind to the one topology.Config. The
+// kind strings are read here and nowhere else: everything downstream
+// asks the Config (K != 0 is the fat-tree).
+func (s *Spec) compileTopology(c *checker) topology.Config {
 	t := s.Topology
-	for _, bad := range []struct {
-		path string
-		set  bool
-	}{
-		{"topology.k", t.K != 0},
-	} {
-		if bad.set {
-			c.errf(bad.path, "only applies to kind %q", "fattree")
-		}
+	fatTree := false
+	switch t.Kind {
+	case "", "leafspine":
+		c.reject("kind", "fattree", field{"topology.k", t.K != 0})
+	case "fattree":
+		fatTree = true
+		c.reject("kind", "leafspine",
+			field{"topology.leaves", t.Leaves != 0},
+			field{"topology.spines", t.Spines != 0},
+			field{"topology.hostsPerLeaf", t.HostsPerLeaf != 0},
+			field{"topology.overrides", len(t.Overrides) != 0})
+	default:
+		c.errf("topology.kind", "unknown kind %q (valid: leafspine, fattree)", t.Kind)
+		return topology.Config{}
 	}
 	cfg := topology.Config{
-		Leaves:       t.Leaves,
-		Spines:       t.Spines,
-		HostsPerLeaf: t.HostsPerLeaf,
-		HostLink:     s.compileLink(c, "topology.hostLink", t.HostLink),
-		FabricLink:   s.compileLink(c, "topology.fabricLink", t.FabricLink),
-		Queue:        s.compileQueue(c),
-	}
-	for i, o := range t.Overrides {
-		cfg.Overrides = append(cfg.Overrides, topology.LinkOverride{
-			Leaf:  o.Leaf,
-			Spine: o.Spine,
-			Link:  s.compileLink(c, fmt.Sprintf("topology.overrides[%d].link", i), o.Link),
-		})
-	}
-	if err := cfg.Validate(); err != nil {
-		c.errf("topology", "%v", err)
-	}
-	return cfg
-}
-
-func (s *Spec) compileFatTree(c *checker) topology.FatTreeConfig {
-	t := s.Topology
-	for _, bad := range []struct {
-		path string
-		set  bool
-	}{
-		{"topology.leaves", t.Leaves != 0},
-		{"topology.spines", t.Spines != 0},
-		{"topology.hostsPerLeaf", t.HostsPerLeaf != 0},
-		{"topology.overrides", len(t.Overrides) != 0},
-	} {
-		if bad.set {
-			c.errf(bad.path, "only applies to kind %q", "leafspine")
-		}
-	}
-	cfg := topology.FatTreeConfig{
-		K:          t.K,
 		HostLink:   s.compileLink(c, "topology.hostLink", t.HostLink),
 		FabricLink: s.compileLink(c, "topology.fabricLink", t.FabricLink),
 		Queue:      s.compileQueue(c),
+	}
+	if fatTree {
+		cfg.K = t.K
+		if t.K == 0 {
+			// Config reads K == 0 as "a leaf-spine": report the missing
+			// arity here, and go on with an odd one (this compile has
+			// failed, so nothing will build it) so the rest of the spec
+			// is still checked as a fat-tree's.
+			c.errf("topology", "topology: fat-tree arity k must be even and >= 2, got 0")
+			cfg.K = 1
+			return cfg
+		}
+	} else {
+		cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf = t.Leaves, t.Spines, t.HostsPerLeaf
+		for i, o := range t.Overrides {
+			cfg.Overrides = append(cfg.Overrides, topology.LinkOverride{
+				Leaf:  o.Leaf,
+				Spine: o.Spine,
+				Link:  s.compileLink(c, fmt.Sprintf("topology.overrides[%d].link", i), o.Link),
+			})
+		}
 	}
 	if err := cfg.Validate(); err != nil {
 		c.errf("topology", "%v", err)
@@ -426,29 +400,14 @@ func (s *Spec) compileDeadlines(c *checker, path string, d *Deadlines) workload.
 // than once), mix to a flow slice, because its generation order, not
 // its arrival order, numbers its flows. Exactly one of the two returns
 // is non-nil when materialize is set and the workload is valid.
-func (s *Spec) compileWorkload(c *checker, topoKind string, lsCfg topology.Config, ftCfg topology.FatTreeConfig, materialize bool) ([]workload.Flow, func() workload.Source) {
+func (s *Spec) compileWorkload(c *checker, topo topology.Config, materialize bool) ([]workload.Flow, func() workload.Source) {
 	w := s.Workload
 	wseed := s.Seed + 1
 	if w.Seed != nil {
 		wseed = *w.Seed
 	}
 
-	// Reject fields that belong to another workload kind, so a typo'd
-	// spec fails loudly instead of silently ignoring half its content.
-	reject := func(kind string, used ...struct {
-		path string
-		set  bool
-	}) {
-		for _, u := range used {
-			if u.set {
-				c.errf(u.path, "only applies to workload kind %q", kind)
-			}
-		}
-	}
-	type field = struct {
-		path string
-		set  bool
-	}
+	reject := func(kind string, fields ...field) { c.reject("workload kind", kind, fields...) }
 	poissonFields := []field{
 		{"workload.flows", w.Flows != 0},
 		//simlint:allow floateq(set-check on a decoded JSON field; the unset value is exactly 0)
@@ -468,18 +427,18 @@ func (s *Spec) compileWorkload(c *checker, topoKind string, lsCfg topology.Confi
 	case "poisson":
 		reject("mix", mixFields...)
 		reject("interpod", interpodFields...)
-		return s.compilePoisson(c, topoKind, lsCfg, wseed, materialize)
+		return s.compilePoisson(c, topo, wseed, materialize)
 	case "mix":
 		reject("poisson", poissonFields...)
 		reject("interpod", interpodFields...)
-		return s.compileMix(c, topoKind, lsCfg, ftCfg, wseed, materialize), nil
+		return s.compileMix(c, topo, wseed, materialize), nil
 	case "interpod":
 		reject("poisson", poissonFields...)
 		reject("mix", mixFields...)
 		if w.Deadlines != nil {
 			c.errf("workload.deadlines", "only applies to workload kinds %q and %q (interpod reads workload.interPod.deadline*)", "poisson", "mix")
 		}
-		return s.compileInterPod(c, topoKind, ftCfg, wseed, materialize)
+		return s.compileInterPod(c, topo, wseed, materialize)
 	case "":
 		c.errf("workload.kind", "must be set (valid: poisson, mix, interpod)")
 	default:
@@ -488,11 +447,14 @@ func (s *Spec) compileWorkload(c *checker, topoKind string, lsCfg topology.Confi
 	return nil, nil
 }
 
-func (s *Spec) compilePoisson(c *checker, topoKind string, lsCfg topology.Config, wseed uint64, materialize bool) ([]workload.Flow, func() workload.Source) {
+func (s *Spec) compilePoisson(c *checker, topo topology.Config, wseed uint64, materialize bool) ([]workload.Flow, func() workload.Source) {
 	w := s.Workload
-	if topoKind != "leafspine" {
+	if topo.K != 0 {
 		c.errf("workload.kind", "poisson traffic needs a leafspine topology (load is defined against the leaf-spine fabric capacity)")
 		return nil, nil
+	}
+	if topo.Leaves < 2 {
+		c.errf("topology.leaves", "poisson traffic is cross-leaf and needs at least 2 leaves, got %d", topo.Leaves)
 	}
 	if w.Flows <= 0 {
 		c.errf("workload.flows", "must be a positive flow count")
@@ -505,12 +467,12 @@ func (s *Spec) compilePoisson(c *checker, topoKind string, lsCfg topology.Config
 	if len(c.errs) > 0 || !materialize {
 		return nil, nil
 	}
-	hostsPerLeaf := lsCfg.HostsPerLeaf
+	hostsPerLeaf := topo.HostsPerLeaf
 	// Load is defined against the aggregate fabric capacity, exactly as
 	// the large-scale experiments define it.
-	fabricCapacity := float64(lsCfg.Leaves) * float64(lsCfg.Spines) * lsCfg.FabricLink.Bandwidth.BytesPerSecond()
+	fabricCapacity := float64(topo.Leaves) * float64(topo.Spines) * topo.FabricLink.Bandwidth.BytesPerSecond()
 	pc := workload.PoissonConfig{
-		Hosts:         lsCfg.Hosts(),
+		Hosts:         topo.Hosts(),
 		Sizes:         sizes,
 		RateOverride:  w.Load * fabricCapacity / sizes.Mean(),
 		Deadlines:     deadlines,
@@ -523,28 +485,22 @@ func (s *Spec) compilePoisson(c *checker, topoKind string, lsCfg topology.Config
 	})
 }
 
-func (s *Spec) compileMix(c *checker, topoKind string, lsCfg topology.Config, ftCfg topology.FatTreeConfig, wseed uint64, materialize bool) []workload.Flow {
+func (s *Spec) compileMix(c *checker, topo topology.Config, wseed uint64, materialize bool) []workload.Flow {
 	w := s.Workload
 	if len(w.Groups) == 0 {
 		c.errf("workload.groups", "mix needs at least one group")
 		return nil
 	}
-	hosts := 0
-	switch topoKind {
-	case "leafspine":
-		hosts = lsCfg.Hosts()
-	case "fattree":
-		hosts = ftCfg.Hosts()
-	}
+	hosts := topo.Hosts()
 
 	senders, receivers := w.Senders, w.Receivers
 	if len(senders) == 0 && len(receivers) == 0 {
 		// Default: leaf 0's hosts send to leaf 1's hosts — the
 		// motivation/testbed pattern.
-		if topoKind == "leafspine" && lsCfg.Leaves >= 2 {
-			for h := 0; h < lsCfg.HostsPerLeaf; h++ {
+		if topo.K == 0 && topo.Leaves >= 2 {
+			for h := 0; h < topo.HostsPerLeaf; h++ {
 				senders = append(senders, h)
-				receivers = append(receivers, lsCfg.HostsPerLeaf+h)
+				receivers = append(receivers, topo.HostsPerLeaf+h)
 			}
 		} else {
 			c.errf("workload.senders", "must be set (the leaf0→leaf1 default needs a leafspine topology with >= 2 leaves)")
@@ -560,6 +516,11 @@ func (s *Spec) compileMix(c *checker, topoKind string, lsCfg topology.Config, ft
 	for i, h := range receivers {
 		if h < 0 || (hosts > 0 && h >= hosts) {
 			c.errf(fmt.Sprintf("workload.receivers[%d]", i), "host %d out of range [0, %d)", h, hosts)
+		}
+		if slices.Contains(senders, h) {
+			// Source and destination are drawn independently, so the
+			// host could be paired with itself.
+			c.errf(fmt.Sprintf("workload.receivers[%d]", i), "host %d is also a sender", h)
 		}
 	}
 
@@ -609,9 +570,9 @@ func (s *Spec) compileMix(c *checker, topoKind string, lsCfg topology.Config, ft
 	return workload.Collect(decorate(workload.NewSliceSource(flows)))
 }
 
-func (s *Spec) compileInterPod(c *checker, topoKind string, ftCfg topology.FatTreeConfig, wseed uint64, materialize bool) ([]workload.Flow, func() workload.Source) {
+func (s *Spec) compileInterPod(c *checker, topo topology.Config, wseed uint64, materialize bool) ([]workload.Flow, func() workload.Source) {
 	w := s.Workload
-	if topoKind != "fattree" {
+	if topo.K == 0 {
 		c.errf("workload.kind", "interpod traffic needs a fattree topology")
 		return nil, nil
 	}
@@ -634,10 +595,10 @@ func (s *Spec) compileInterPod(c *checker, topoKind string, ftCfg topology.FatTr
 	if len(c.errs) > 0 || !materialize {
 		return nil, nil
 	}
-	hosts := ftCfg.Hosts()
+	hosts := topo.Hosts()
 	ipc := workload.InterPodConfig{
 		Hosts:             hosts,
-		PerPod:            hosts / ftCfg.K,
+		PerPod:            hosts / topo.K,
 		Flows:             ip.Flows,
 		Sizes:             sizes,
 		MaxGap:            maxGap,

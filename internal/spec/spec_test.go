@@ -2,6 +2,7 @@ package spec
 
 import (
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"tlb/internal/eventsim"
 	"tlb/internal/faults"
 	"tlb/internal/sim"
+	"tlb/internal/trace"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
@@ -23,6 +25,14 @@ func testTopology() Topology {
 		FabricLink:   Link{Bandwidth: "1Gbps", Delay: "10us"},
 		Queue:        Queue{Capacity: 256, ECNThreshold: 65},
 	}
+}
+
+// fatTreeTopology is the k-ary fat-tree on testTopology's links.
+func fatTreeTopology(k int) Topology {
+	t := testTopology()
+	t.Kind, t.K = "fattree", k
+	t.Leaves, t.Spines, t.HostsPerLeaf = 0, 0, 0
+	return t
 }
 
 func testSpec() *Spec {
@@ -120,13 +130,7 @@ func TestCompilePoissonMatchesPoissonConfig(t *testing.T) {
 
 func TestCompileInterPodMatchesLoop(t *testing.T) {
 	s := testSpec()
-	s.Topology = Topology{
-		Kind:       "fattree",
-		K:          4,
-		HostLink:   Link{Bandwidth: "1Gbps", Delay: "5us"},
-		FabricLink: Link{Bandwidth: "1Gbps", Delay: "10us"},
-		Queue:      Queue{Capacity: 256, ECNThreshold: 65},
-	}
+	s.Topology = fatTreeTopology(4)
 	s.Workload = Workload{
 		Kind: "interpod",
 		InterPod: &InterPod{
@@ -142,8 +146,10 @@ func TestCompileInterPodMatchesLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.BuildNetwork == nil {
-		t.Fatal("fattree spec compiled without a BuildNetwork")
+	// One topology value: the tree is in sc.Topology, where it can be
+	// read back, and the wrapping seam is left to whoever wraps.
+	if sc.Topology.K != 4 || sc.BuildNetwork != nil {
+		t.Fatalf("fattree spec compiled to Topology.K %d, BuildNetwork set %v", sc.Topology.K, sc.BuildNetwork != nil)
 	}
 	// The exact fat-tree flow loop from the experiments.
 	rng := eventsim.NewRNG(43)
@@ -294,8 +300,11 @@ func TestOversizedFabricRejected(t *testing.T) {
 
 // TestSilentlyIgnoredInputRejected: input that used to validate and
 // then be dropped or replaced by a default downstream — a negative
-// quantity or count, workload.deadlines on an interpod workload — fails
-// validation at its JSON path.
+// quantity or count, workload.deadlines on an interpod workload, one
+// topology kind's fields under the other — or that validated and then
+// hung (cross-leaf poisson traffic on one leaf never finds a pair) or
+// failed deep in the run without a path (a mix host on both sides can be
+// paired with itself) fails validation at its JSON path.
 func TestSilentlyIgnoredInputRejected(t *testing.T) {
 	dur := func(v Duration) *Duration { return &v }
 	size := func(v Size) *Size { return &v }
@@ -345,6 +354,26 @@ func TestSilentlyIgnoredInputRejected(t *testing.T) {
 			interpod(s)
 			s.Workload.Deadlines = &Deadlines{Min: "5ms", Max: "25ms"}
 		}},
+		{"topology.kind", func(s *Spec) { s.Topology.Kind = "torus" }},
+		{"topology.k", func(s *Spec) { s.Topology.K = 4 }},
+		{"topology", func(s *Spec) { // a fattree without k
+			interpod(s)
+			s.Topology.K = 0
+		}},
+		{"topology.leaves", func(s *Spec) {
+			interpod(s)
+			s.Topology.Leaves = 2
+		}},
+		{"topology.overrides", func(s *Spec) {
+			interpod(s)
+			s.Topology.Overrides = []Override{{Link: s.Topology.FabricLink}}
+		}},
+		{"topology.leaves", func(s *Spec) {
+			s.Topology.Leaves = 1
+			s.Workload = Workload{Kind: "poisson", Flows: 10, Load: 0.5, Sizes: &SizeDist{Kind: "fixed", Size: "50KB"}}
+		}},
+		{"workload.receivers[0]", func(s *Spec) { s.Workload.Senders, s.Workload.Receivers = []int{0}, []int{0} }},
+		{"workload.receivers[1]", func(s *Spec) { s.Workload.Senders, s.Workload.Receivers = []int{0, 1}, []int{2, 1} }},
 	} {
 		s := testSpec()
 		tc.mut(s)
@@ -360,6 +389,15 @@ func TestSilentlyIgnoredInputRejected(t *testing.T) {
 		if !located {
 			t.Errorf("%s: no error at that path:\n%v", tc.path, err)
 		}
+	}
+	// A fattree without k is still checked as a fat-tree: the missing
+	// arity is the only complaint, not "interpod needs a fattree" too.
+	s := testSpec()
+	interpod(s)
+	s.Topology.K = 0
+	want := "spec \"test\" invalid:\ntopology: topology: fat-tree arity k must be even and >= 2, got 0"
+	if err := s.Validate(); err == nil || err.Error() != want {
+		t.Errorf("fattree without k: %v", err)
 	}
 }
 
@@ -541,13 +579,7 @@ func TestCompileStreamStatsProducesSource(t *testing.T) {
 		DeadlineOverride: &DeadlineOverride{Deadline: "10ms", OnlyBelow: "100KB"},
 	}
 	interpod := testSpec()
-	interpod.Topology = Topology{
-		Kind:       "fattree",
-		K:          4,
-		HostLink:   Link{Bandwidth: "1Gbps", Delay: "5us"},
-		FabricLink: Link{Bandwidth: "1Gbps", Delay: "10us"},
-		Queue:      Queue{Capacity: 256, ECNThreshold: 65},
-	}
+	interpod.Topology = fatTreeTopology(4)
 	interpod.Workload = Workload{
 		Kind: "interpod",
 		InterPod: &InterPod{
@@ -678,5 +710,87 @@ func TestStreamStatsRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s, back) {
 		t.Fatalf("round trip changed the spec:\n%s", data)
+	}
+}
+
+// TestCapabilityMatrix: every feature on every topology either runs to
+// completion or is rejected by Validate with nothing but located
+// errors — never a panic, never an error from inside the run. Faults on
+// a fat-tree (its links are not (leaf, spine) pairs) is the one
+// rejection; a cell that changes side changes this table.
+func TestCapabilityMatrix(t *testing.T) {
+	topologies := []struct {
+		name  string
+		apply func(*Spec)
+	}{
+		{"leafspine", func(*Spec) {}},
+		{"fattree", func(s *Spec) {
+			s.Topology = fatTreeTopology(4)
+			s.Workload = Workload{Kind: "interpod", InterPod: &InterPod{
+				Flows:  60,
+				Sizes:  SizeDist{Kind: "uniform", Min: "10KB", Max: "400KB"},
+				MaxGap: "100us",
+			}}
+		}},
+	}
+	features := []struct {
+		name  string
+		apply func(*Spec)
+	}{
+		{"faults", func(s *Spec) {
+			s.Faults = []Fault{{At: "1ms", Leaf: 0, Spine: 1, Op: "down"}, {At: "4ms", Leaf: 0, Spine: 1, Op: "restore"}}
+		}},
+		{"replication", func(s *Spec) { s.Replication = &Replication{Threshold: "100KB", Copies: 2} }},
+		{"streamStats", func(s *Spec) { s.Outputs.StreamStats = true }},
+		{"series+samples", func(s *Spec) { s.Outputs.CollectTimeSeries, s.Outputs.SampleShortPackets = true, true }},
+		{"report", func(s *Spec) { s.Outputs.Report = true }},
+		{"replication+series+samples+report", func(s *Spec) {
+			s.Replication = &Replication{Threshold: "100KB", Copies: 2}
+			s.Outputs = Outputs{CollectTimeSeries: true, SampleShortPackets: true, Report: true}
+		}},
+	}
+	located := regexp.MustCompile(`^[a-z][A-Za-z]*(\[[0-9]+\])?(\.[a-z][A-Za-z]*(\[[0-9]+\])?)*: `)
+	for _, topo := range topologies {
+		for _, feat := range features {
+			t.Run(feat.name+"/"+topo.name, func(t *testing.T) {
+				s := testSpec()
+				topo.apply(s)
+				feat.apply(s)
+				wantRejected := feat.name == "faults" && topo.name == "fattree"
+				if err := s.Validate(); err != nil {
+					lines := strings.Split(err.Error(), "\n")
+					for _, line := range lines[1:] { // lines[0] names the spec
+						if !located.MatchString(line) {
+							t.Errorf("rejection line without a JSON path: %q", line)
+						}
+					}
+					if !wantRejected {
+						t.Errorf("rejected, but this cell is expected to run:\n%v", err)
+					}
+					return
+				}
+				if wantRejected {
+					t.Fatal("validated, but this cell is expected to be rejected")
+				}
+				sc, err := s.Compile()
+				if err != nil {
+					t.Fatalf("validated but did not compile: %v", err)
+				}
+				if s.Outputs.Report {
+					sc.Tracer = trace.New(0) // what a reported or -trace run carries
+				}
+				flows := len(sc.Flows)
+				if sc.FlowSourceNew != nil {
+					flows = len(workload.Collect(sc.FlowSourceNew()))
+				}
+				res, err := sim.Run(sc)
+				if err != nil {
+					t.Fatalf("validated, then failed in the run: %v", err)
+				}
+				if got := res.CompletedCount(sim.AllFlows); got != flows || flows == 0 || flows > 200 {
+					t.Errorf("%d of %d flows completed", got, flows)
+				}
+			})
+		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"tlb/internal/units"
 )
 
-func ftConfig(k int) FatTreeConfig {
-	return FatTreeConfig{
+func ftConfig(k int) Config {
+	return Config{
 		K:          k,
 		HostLink:   netem.LinkConfig{Bandwidth: units.Gbps, Delay: 5 * units.Microsecond},
 		FabricLink: netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
@@ -23,7 +23,7 @@ func buildFT(t *testing.T, k int, f lb.Factory) (*Fabric, *eventsim.Sim, map[int
 	t.Helper()
 	s := eventsim.New()
 	got := map[int]int{}
-	ft, err := NewFatTree(s, ftConfig(k), f, eventsim.NewRNG(1), func(host int, pkt *netem.Packet) {
+	ft, err := New(s, ftConfig(k), f, eventsim.NewRNG(1), func(host int, pkt *netem.Packet) {
 		got[host]++
 	})
 	if err != nil {
@@ -33,10 +33,23 @@ func buildFT(t *testing.T, k int, f lb.Factory) (*Fabric, *eventsim.Sim, map[int
 }
 
 func TestFatTreeValidate(t *testing.T) {
-	bad := []FatTreeConfig{
-		{K: 0},
-		{K: 3, HostLink: netem.LinkConfig{Bandwidth: 1}, FabricLink: netem.LinkConfig{Bandwidth: 1}},
+	links := ftConfig(4)
+	links.K = 0
+	withShape := func(mut func(*Config)) Config {
+		cfg := links
+		mut(&cfg)
+		return cfg
+	}
+	bad := []Config{
+		withShape(func(c *Config) { c.K = -2 }),
+		withShape(func(c *Config) { c.K = 3 }),
 		{K: 4}, // no bandwidth
+		// k fixes the whole shape: a leaf-spine field beside it is a
+		// contradiction, not a hint.
+		withShape(func(c *Config) { c.K, c.Leaves = 4, 2 }),
+		withShape(func(c *Config) { c.K, c.Spines = 4, 2 }),
+		withShape(func(c *Config) { c.K, c.HostsPerLeaf = 4, 2 }),
+		withShape(func(c *Config) { c.K, c.Overrides = 4, []LinkOverride{{Link: c.FabricLink}} }),
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -69,6 +82,12 @@ func TestFatTreeValidate(t *testing.T) {
 func TestFatTreeCounts(t *testing.T) {
 	// (k/2)^2 inter-pod paths: k/2 uplinks at the edge times k/2 at
 	// the agg, i.e. k^2/2 switches of k/2 balanced ports each.
+	// The config answers for the tree it describes: k^3/4 hosts, and
+	// host-edge-agg-core-agg-edge-host and back is 2*(2*5 + 4*10) µs.
+	cfg := ftConfig(4)
+	if cfg.Hosts() != 16 || cfg.BaseRTT() != 100*units.Microsecond {
+		t.Fatalf("k=4 config: Hosts=%d BaseRTT=%v", cfg.Hosts(), cfg.BaseRTT())
+	}
 	ft, _, _ := buildFT(t, 4, lb.ECMP())
 	if ft.Hosts() != 16 || len(ft.BalancedPorts()) != 16*2 {
 		t.Fatalf("k=4: hosts=%d balanced ports=%d", ft.Hosts(), len(ft.BalancedPorts()))

@@ -35,8 +35,8 @@ func pinnedLeafSpine() Config {
 }
 
 // pinnedFatTree is the fat-tree shape of the pin.
-func pinnedFatTree(k int) FatTreeConfig {
-	return FatTreeConfig{
+func pinnedFatTree(k int) Config {
+	return Config{
 		K:          k,
 		HostLink:   netem.LinkConfig{Bandwidth: units.Gbps, Delay: 6 * units.Microsecond},
 		FabricLink: netem.LinkConfig{Bandwidth: units.Gbps, Delay: 12 * units.Microsecond},
@@ -44,24 +44,9 @@ func pinnedFatTree(k int) FatTreeConfig {
 	}
 }
 
-// networkBuilder builds one of the two built-in fabrics on s.
-type networkBuilder func(s *eventsim.Sim, f lb.Factory, rng *eventsim.RNG, deliver DeliverFunc) (Network, error)
-
-func leafSpineBuilder(cfg Config) networkBuilder {
-	return func(s *eventsim.Sim, f lb.Factory, rng *eventsim.RNG, deliver DeliverFunc) (Network, error) {
-		return New(s, cfg, f, rng, deliver)
-	}
-}
-
-func fatTreeBuilder(k int) networkBuilder {
-	return func(s *eventsim.Sim, f lb.Factory, rng *eventsim.RNG, deliver DeliverFunc) (Network, error) {
-		return NewFatTree(s, pinnedFatTree(k), f, rng, deliver)
-	}
-}
-
 // injectAllPairs sends one 1 500 B data packet from every host to
 // every other host at t = 0, src-major, and returns how many it sent.
-func injectAllPairs(net Network) int {
+func injectAllPairs(net *Fabric) int {
 	n := net.Hosts()
 	sent := 0
 	for src := 0; src < n; src++ {
@@ -77,7 +62,7 @@ func injectAllPairs(net Network) int {
 }
 
 // TestConstructionOrderPinned pins the construction-order contract of
-// the two constructors. Every port draws its DeliveryKey identity from
+// both shapes New wires. Every port draws its DeliveryKey identity from
 // Sim.ReserveKeyedID and every balancer its stream from rng.Split(), in
 // construction order; same-instant deliveries are ordered by port
 // identity and RPS picks by the stream each switch was handed. An
@@ -90,17 +75,17 @@ func injectAllPairs(net Network) int {
 func TestConstructionOrderPinned(t *testing.T) {
 	update := os.Getenv("TLB_UPDATE_GOLDEN") != ""
 	for _, tc := range []struct {
-		name  string
-		build networkBuilder
+		name string
+		cfg  Config
 	}{
-		{"leafspine", leafSpineBuilder(pinnedLeafSpine())},
-		{"fattree-k4", fatTreeBuilder(4)},
+		{"leafspine", pinnedLeafSpine()},
+		{"fattree-k4", pinnedFatTree(4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := eventsim.New()
 			var got strings.Builder
 			delivered := 0
-			net, err := tc.build(s, lb.RPS(), eventsim.NewRNG(1), func(host int, pkt *netem.Packet) {
+			net, err := New(s, tc.cfg, lb.RPS(), eventsim.NewRNG(1), func(host int, pkt *netem.Packet) {
 				fmt.Fprintf(&got, "%d %d %d\n", int64(s.Now()), host, pkt.Flow.Src)
 				delivered++
 			})

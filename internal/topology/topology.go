@@ -1,6 +1,7 @@
 // Package topology builds the multi-rooted trees the paper evaluates
-// on — the two-tier leaf-spine (New) and the three-tier k-ary fat-tree
-// (NewFatTree) — as one Fabric of one switch type.
+// on — the two-tier leaf-spine and the three-tier k-ary fat-tree — from
+// one Config, through one constructor (New), as one Fabric of one
+// switch type.
 //
 // Forwarding is the same rule at every switch of every tier: a packet
 // whose destination host sits below the switch leaves through the down
@@ -8,8 +9,8 @@
 // switch's load balancer picks. Balanced up, deterministic down — the
 // uplink choice is the only place a scheme acts, exactly where the
 // paper deploys TLB, and a fat-tree chains two such choices (edge, then
-// aggregation). The two constructors differ only in how they wire the
-// tiers together.
+// aggregation). The two shapes differ only in how New wires the tiers
+// together.
 //
 // Construction order is a contract. Every netem.Port draws its
 // DeliveryKey identity from Sim.ReserveKeyedID and every balancer its
@@ -19,8 +20,8 @@
 // then its switch's down port to it; then tier pair by tier pair (per
 // pod on the fat-tree) all uplinks lower-switch-major followed by all
 // downlinks upper-switch-major; then the balancers, tier by tier in
-// switch order. TestConstructionOrderPinned holds both constructors to
-// it, and BalancedPorts and EveryQueue walk the same order.
+// switch order. TestConstructionOrderPinned holds both shapes to it,
+// and BalancedPorts and EveryQueue walk the same order.
 //
 // Transport endpoints plug in via an injection function (host ->
 // fabric) and a delivery callback (fabric -> host).
@@ -36,8 +37,8 @@ import (
 )
 
 // Network is the interface the experiment runner drives traffic
-// through. Fabric implements it for both built-in shapes; a scenario's
-// BuildNetwork may supply or wrap another.
+// through. Fabric implements it for both shapes; a scenario's
+// BuildNetwork may wrap it.
 type Network interface {
 	// Hosts returns the number of attached hosts.
 	Hosts() int
@@ -66,17 +67,30 @@ type LinkOverride struct {
 	Link        netem.LinkConfig
 }
 
-// Config describes a leaf-spine fabric: hosts attached to leaf (ToR)
-// switches, every leaf connected to every spine, giving #spines
-// equal-cost paths between hosts on different leaves.
+// Config describes a multi-rooted tree, in one of two shapes.
+//
+// K == 0 is the leaf-spine: hosts attached to leaf (ToR) switches,
+// every leaf connected to every spine, giving #spines equal-cost paths
+// between hosts on different leaves.
+//
+// K != 0 is the k-ary fat-tree (Al-Fares et al.): k pods, each with k/2
+// edge and k/2 aggregation switches; (k/2)^2 core switches; k^3/4
+// hosts. There are (k/2)^2 equal-cost paths between hosts in different
+// pods, chosen by TWO chained load-balancing decisions (edge picks the
+// aggregation switch, aggregation picks the core): schemes run an
+// instance at every switch of both tiers. K fixes the whole shape, so
+// Leaves, Spines, HostsPerLeaf and Overrides must stay unset.
 type Config struct {
+	// K is the fat-tree arity; must be even and >= 2 when set.
+	K int
+
 	Leaves       int
 	Spines       int
 	HostsPerLeaf int
 
-	// HostLink is the host<->leaf link in each direction.
+	// HostLink is the host<->switch link in each direction.
 	HostLink netem.LinkConfig
-	// FabricLink is the default leaf<->spine link in each direction.
+	// FabricLink is the default switch<->switch link in each direction.
 	FabricLink netem.LinkConfig
 	// Queue applies to every output queue in the fabric.
 	Queue netem.QueueConfig
@@ -87,6 +101,9 @@ type Config struct {
 
 // Validate reports a descriptive error for an unusable configuration.
 func (c *Config) Validate() error {
+	if c.K != 0 {
+		return c.validateFatTree()
+	}
 	switch {
 	case c.Leaves < 1:
 		return fmt.Errorf("topology: need at least 1 leaf, got %d", c.Leaves)
@@ -113,6 +130,21 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+func (c *Config) validateFatTree() error {
+	switch {
+	case c.K < 2 || c.K%2 != 0:
+		return fmt.Errorf("topology: fat-tree arity k must be even and >= 2, got %d", c.K)
+	case c.Leaves != 0 || c.Spines != 0 || c.HostsPerLeaf != 0 || len(c.Overrides) != 0:
+		return fmt.Errorf("topology: a fat-tree (k=%d) takes its shape from k alone; leaves, spines, hosts per leaf and overrides must be unset", c.K)
+	case c.HostLink.Bandwidth <= 0 || c.FabricLink.Bandwidth <= 0:
+		return fmt.Errorf("topology: fat-tree links need positive bandwidth")
+	}
+	// k^3/4 hosts; each of the three link tiers has k^3/4 links of two
+	// ports.
+	hosts := float64(c.K) * float64(c.K) * float64(c.K) / 4
+	return checkSize(6*hosts, hosts)
+}
+
 // checkSize rejects a fabric the engine cannot address, before anything
 // is allocated for it: every port and every host (its receiver-close
 // key) takes one keyed identity, and a DeliveryKey has room for
@@ -126,15 +158,24 @@ func checkSize(ports, hosts float64) error {
 	return nil
 }
 
-// Hosts returns the total number of hosts.
-func (c *Config) Hosts() int { return c.Leaves * c.HostsPerLeaf }
+// Hosts returns the total number of hosts: k^3/4 on a fat-tree.
+func (c *Config) Hosts() int {
+	if c.K != 0 {
+		return c.K * c.K * c.K / 4
+	}
+	return c.Leaves * c.HostsPerLeaf
+}
 
-// BaseRTT returns the round-trip propagation delay between hosts on
-// different leaves over a default (non-overridden) path, excluding
-// serialization: 2 host links + 4 fabric links, out and back.
+// BaseRTT returns the round-trip propagation delay between the two
+// hosts farthest apart (different leaves; different pods) over a
+// default (non-overridden) path, excluding serialization: each way 2
+// host links plus 2 fabric links, 4 through a fat-tree's core.
 func (c *Config) BaseRTT() units.Time {
-	oneWay := 2*c.HostLink.Delay + 2*c.FabricLink.Delay
-	return 2 * oneWay
+	fabric := 2 * c.FabricLink.Delay
+	if c.K != 0 {
+		fabric *= 2
+	}
+	return 2 * (2*c.HostLink.Delay + fabric)
 }
 
 // DeliverFunc receives packets that reach their destination host.
@@ -192,25 +233,6 @@ func (f *Fabric) send(p *netem.Port, pkt *netem.Packet) {
 	}
 }
 
-// assemble runs one constructor: wire adds the tiers bottom-up and
-// connects them; the balancers come last, tier by tier in switch order,
-// because a balancer may inspect its ports.
-func assemble(sim *eventsim.Sim, queue netem.QueueConfig, factory lb.Factory, rng *eventsim.RNG, deliver DeliverFunc, wire func(f *Fabric)) (*Fabric, error) {
-	if deliver == nil {
-		return nil, fmt.Errorf("topology: nil deliver callback")
-	}
-	f := &Fabric{sim: sim, queue: queue, deliver: deliver}
-	wire(f)
-	for _, tier := range f.tiers {
-		for _, n := range tier {
-			if len(n.up) > 0 {
-				n.bal = factory(sim, rng.Split(), n.up)
-			}
-		}
-	}
-	return f, nil
-}
-
 // addTier appends a tier of n switches above the existing ones; at
 // gives switch i's first host and its label.
 func (f *Fabric) addTier(n, span int, at func(i int) (lo int, name string)) []*node {
@@ -258,28 +280,80 @@ func (f *Fabric) mesh(lower, upper []*node, link func(l, u int) netem.LinkConfig
 	}
 }
 
-// New constructs a leaf-spine fabric. factory instantiates each leaf's
-// load balancer; rng seeds per-component deterministic streams; deliver
-// receives packets arriving at hosts.
+// New constructs the fabric cfg describes: the tiers bottom-up and
+// their links, then the balancers — last, tier by tier in switch order,
+// because a balancer may inspect its ports. factory instantiates the
+// balancer of every switch that has uplinks; rng seeds per-component
+// deterministic streams; deliver receives packets arriving at hosts.
 func New(sim *eventsim.Sim, cfg Config, factory lb.Factory, rng *eventsim.RNG, deliver DeliverFunc) (*Fabric, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if deliver == nil {
+		return nil, fmt.Errorf("topology: nil deliver callback")
+	}
+	f := &Fabric{sim: sim, queue: cfg.Queue, deliver: deliver}
+	if cfg.K != 0 {
+		f.wireFatTree(cfg)
+	} else {
+		f.wireLeafSpine(cfg)
+	}
+	for _, tier := range f.tiers {
+		for _, n := range tier {
+			if len(n.up) > 0 {
+				n.bal = factory(sim, rng.Split(), n.up)
+			}
+		}
+	}
+	return f, nil
+}
+
+func (f *Fabric) wireLeafSpine(cfg Config) {
 	overrides := make(map[[2]int]netem.LinkConfig, len(cfg.Overrides))
 	for _, o := range cfg.Overrides {
 		overrides[[2]int{o.Leaf, o.Spine}] = o.Link
 	}
-	return assemble(sim, cfg.Queue, factory, rng, deliver, func(f *Fabric) {
-		leaves := f.addTier(cfg.Leaves, 1, func(l int) (int, string) { return l * cfg.HostsPerLeaf, fmt.Sprintf("leaf%d", l) })
-		spines := f.addTier(cfg.Spines, cfg.HostsPerLeaf, func(s int) (int, string) { return 0, fmt.Sprintf("spine%d", s) })
-		f.attachHosts(cfg.HostsPerLeaf, cfg.HostLink)
-		f.mesh(leaves, spines, func(leaf, spine int) netem.LinkConfig {
-			if l, ok := overrides[[2]int{leaf, spine}]; ok {
-				return l
-			}
-			return cfg.FabricLink
-		})
+	leaves := f.addTier(cfg.Leaves, 1, func(l int) (int, string) { return l * cfg.HostsPerLeaf, fmt.Sprintf("leaf%d", l) })
+	spines := f.addTier(cfg.Spines, cfg.HostsPerLeaf, func(s int) (int, string) { return 0, fmt.Sprintf("spine%d", s) })
+	f.attachHosts(cfg.HostsPerLeaf, cfg.HostLink)
+	f.mesh(leaves, spines, func(leaf, spine int) netem.LinkConfig {
+		if l, ok := overrides[[2]int{leaf, spine}]; ok {
+			return l
+		}
+		return cfg.FabricLink
 	})
+}
+
+// wireFatTree wires the k-ary tree. Host h sits at pod p, edge e, slot
+// s: h = p*(k/2)^2 + e*(k/2) + s; switch p*(k/2)+i is pod p's i-th edge
+// (or aggregation) switch.
+func (f *Fabric) wireFatTree(cfg Config) {
+	k, half := cfg.K, cfg.K/2
+	perPod := half * half
+	fabricLink := func(int, int) netem.LinkConfig { return cfg.FabricLink }
+	edges := f.addTier(k*half, 1, func(i int) (int, string) { return i * half, fmt.Sprintf("edge%d.%d", i/half, i%half) })
+	aggs := f.addTier(k*half, half, func(i int) (int, string) { return i / half * perPod, fmt.Sprintf("agg%d.%d", i/half, i%half) })
+	cores := f.addTier(perPod, perPod, func(c int) (int, string) { return 0, fmt.Sprintf("core%d", c) })
+	f.attachHosts(half, cfg.HostLink)
+
+	// Edge <-> agg: a full mesh within each pod.
+	for p := 0; p < k; p++ {
+		f.mesh(edges[p*half:(p+1)*half], aggs[p*half:(p+1)*half], fabricLink)
+	}
+	// Agg <-> core is striped, not meshed: the a-th agg of every pod
+	// connects to cores a*half .. a*half+half-1, so core c reaches pod p
+	// through its agg c/half. Every agg->core port is built before any
+	// core->agg port.
+	for i, agg := range aggs {
+		for j := 0; j < half; j++ {
+			agg.up = append(agg.up, f.port(agg, cores[i%half*half+j], cfg.FabricLink))
+		}
+	}
+	for c, core := range cores {
+		for p := 0; p < k; p++ {
+			core.down = append(core.down, f.port(core, aggs[p*half+c/half], cfg.FabricLink))
+		}
+	}
 }
 
 // Hosts implements Network.
@@ -335,8 +409,8 @@ func (f *Fabric) LinkPorts(leaf, spine int) (up, down *netem.Port, err error) {
 // runner derives the flow-teardown lag from it (see internal/sim): a
 // pure function of the topology, so every run of it schedules the
 // identical close events. On the fat-tree that is every tier's links,
-// not the agg<->core tier alone — the same value, since a
-// FatTreeConfig has one FabricLink.
+// not the agg<->core tier alone — the same value, since a fat-tree has
+// one FabricLink.
 func (f *Fabric) MinFabricDelay() units.Time {
 	var min units.Time
 	found := false

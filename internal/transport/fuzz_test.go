@@ -21,10 +21,10 @@ import (
 // The first input byte picks the segment count; the rest choose which
 // segment arrives next (mod the count, so duplicates are frequent).
 func FuzzReceiverReassembly(f *testing.F) {
-	f.Add([]byte{5, 0, 1, 2, 3, 4})             // in order
-	f.Add([]byte{8, 7, 6, 5, 4, 3, 2, 1, 0})    // fully reversed
-	f.Add([]byte{4, 2, 2, 0, 3, 1, 0})          // holes plus duplicates
-	f.Add([]byte{1})                            // single segment, no order bytes
+	f.Add([]byte{5, 0, 1, 2, 3, 4})          // in order
+	f.Add([]byte{8, 7, 6, 5, 4, 3, 2, 1, 0}) // fully reversed
+	f.Add([]byte{4, 2, 2, 0, 3, 1, 0})       // holes plus duplicates
+	f.Add([]byte{1})                         // single segment, no order bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"tlb/internal/eventsim"
 	"tlb/internal/units"
@@ -122,6 +123,13 @@ type StaticMix struct {
 func (m StaticMix) Generate(rng *eventsim.RNG, start units.Time) ([]Flow, error) {
 	if len(m.Senders) == 0 || len(m.Receivers) == 0 {
 		return nil, fmt.Errorf("workload: static mix needs senders and receivers")
+	}
+	// src and dst are drawn independently, so a host on both sides could
+	// be paired with itself.
+	for _, h := range m.Receivers {
+		if slices.Contains(m.Senders, h) {
+			return nil, fmt.Errorf("workload: static mix host %d is both a sender and a receiver", h)
+		}
 	}
 	flows := make([]Flow, 0, m.ShortFlows+m.LongFlows)
 	add := func(n int, sizes SizeDist) {

@@ -74,6 +74,17 @@ func (c PoissonConfig) Source(rng *eventsim.RNG, n int, start units.Time) (Sourc
 	if rate <= 0 {
 		return nil, fmt.Errorf("workload: degenerate arrival rate")
 	}
+	if c.CrossLeafOnly && c.LeafOf != nil {
+		// pickPair redraws until src and dst differ in leaf: with every
+		// host on one leaf it would never return.
+		oneLeaf := true
+		for h := 1; h < c.Hosts && oneLeaf; h++ {
+			oneLeaf = c.LeafOf(h) == c.LeafOf(0)
+		}
+		if oneLeaf {
+			return nil, fmt.Errorf("workload: cross-leaf poisson traffic needs >= 2 leaves, all %d hosts are on leaf %d", c.Hosts, c.LeafOf(0))
+		}
+	}
 	return &poissonSource{cfg: c, rng: rng, rate: rate, at: start, left: n}, nil
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -215,6 +216,14 @@ func TestPoissonValidation(t *testing.T) {
 	if _, err := (PoissonConfig{Hosts: 4, Sizes: Fixed{Size: 1}, Load: 0, HostBandwidth: units.Gbps}).Generate(rng, 10, 0); err == nil {
 		t.Error("zero load accepted")
 	}
+	// Cross-leaf pairs on one leaf do not exist: the pair draw would
+	// redraw forever (inside Next, where nothing can cancel it), so the
+	// source is refused instead.
+	oneLeaf := PoissonConfig{Hosts: 4, Sizes: Fixed{Size: 1}, Load: 0.5, HostBandwidth: units.Gbps,
+		CrossLeafOnly: true, LeafOf: func(int) int { return 0 }}
+	if _, err := oneLeaf.Source(rng, 10, 0); err == nil || !strings.Contains(err.Error(), ">= 2 leaves") {
+		t.Errorf("cross-leaf traffic on one leaf: %v", err)
+	}
 }
 
 func TestDeadlineDist(t *testing.T) {
@@ -269,6 +278,12 @@ func TestStaticMix(t *testing.T) {
 	}
 	if _, err := (StaticMix{ShortFlows: 1, ShortSizes: Fixed{Size: 1}, LongSizes: Fixed{Size: 1}}).Generate(rng, 0); err == nil {
 		t.Fatal("mix without hosts accepted")
+	}
+	// src and dst are drawn independently: a host on both sides could be
+	// paired with itself, on some seeds only.
+	m.Receivers = []int{4, 2}
+	if _, err := m.Generate(rng, 0); err == nil || !strings.Contains(err.Error(), "host 2 is both") {
+		t.Fatalf("mix with host 2 on both sides: %v", err)
 	}
 }
 
