@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt-check vet lint race bench bench-all bench-gate-self alloc-gates identity loc specs examples smoke largescale-smoke serve-smoke ci
+.PHONY: build test fmt-check vet lint race bench bench-all bench-gate-self bench-pair alloc-gates identity loc specs examples smoke largescale-smoke serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -33,28 +33,32 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# bench produces the tracked baseline BENCH_14.json: the engine
+# BENCH is the baseline file `make bench` writes and `make
+# bench-gate-self` reads: the newest BENCH_<pr>.json unless named. A PR
+# that moves tracked performance starts its own with `make bench
+# BENCH=BENCH_<pr>.json`; earlier baselines are append-only history —
+# the perf trajectory the ROADMAP tracks — and are never rewritten.
+BENCH ?= $(shell ls BENCH_*.json | sort -t_ -k2 -n | tail -1)
+
+# bench writes $(BENCH)'s "after" section: the engine and port
 # micro-benchmarks (BenchmarkEventQueue* — the dense-slot one included —
-# and BenchmarkPortTransit) at a statistically useful -benchtime plus
-# the figure-scale, large-scale-streaming and simlint benchmarks at one
-# iteration each, all merged into one "after" section. The file's
-# "before" section is the parent commit's engine under the same
-# benchmark file (run these commands in a checkout of the parent with
-# this bench_test.go, piping into `benchjson -out BENCH_14.json
-# -section before`). One capture on the shared reference box spreads
-# ±15 %, so the committed pair holds, per benchmark and side, the
-# median line of interleaved parent/change rounds (8 for the engine
-# benchmarks); a plain `make bench` overwrites "after" with a single
-# capture. The raw lines inside the JSON stay benchstat-compatible.
-# Earlier baselines (BENCH_4/6/7/8/9/10.json) are append-only history —
-# the perf trajectory the ROADMAP tracks — and must never be rewritten
-# by later runs; a future PR that moves tracked performance writes a
-# new BENCH_<pr>.json.
+# BenchmarkPortTransit and its 6 144-port Cold form) at a statistically
+# useful -benchtime plus the figure-scale, large-scale-streaming and
+# simlint benchmarks at one iteration each. The file's "before" section
+# is the parent commit under the same benchmark file (run these commands
+# in a checkout of the parent with this bench_test.go, piping into
+# `benchjson -out $(BENCH) -section before`). One capture on the shared
+# reference box spreads ±15 %, so a committed pair holds, per benchmark
+# and side, the median line of interleaved parent/change rounds (8 for
+# the micro-benchmarks) and the three bench/ workloads' `make
+# bench-pair` medians as BenchmarkWorkload/<name> lines; a plain `make
+# bench` overwrites "after" with a single capture. The raw lines inside
+# the JSON stay benchstat-compatible.
 bench:
 	( $(GO) test -bench 'BenchmarkEventQueue|BenchmarkPortTransit' -benchtime 2s -run '^$$' . \
 	  && $(GO) test -bench 'BenchmarkFig8ShortFlows|BenchmarkFig10WebSearch|BenchmarkFig13VaryShort|BenchmarkLargeScaleStream' -benchtime 1x -timeout 30m -run '^$$' . \
 	  && $(GO) test -bench 'BenchmarkSimlint' -benchtime 1x -run '^$$' ./internal/lint ) \
-	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_14.json -section after -require 'events/sec,flows/sec,peakRSS-MB'
+	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out $(BENCH) -section after -require 'events/sec,flows/sec,peakRSS-MB'
 
 # bench-all runs every benchmark in every package once, without
 # touching any baseline — a quick "do they all still run" check.
@@ -72,9 +76,41 @@ bench-all:
 # same box as its "after" (see EXPERIMENTS.md "Engine speed
 # trajectory").
 bench-gate-self:
-	@set -e; head=$$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1); \
-	echo "bench-gate-self: $$head after vs before"; \
-	$(GO) run ./cmd/benchjson -compare $$head -base-section before -metric events/sec -max-regress 10 $$head
+	@echo "bench-gate-self: $(BENCH) after vs before"
+	@$(GO) run ./cmd/benchjson -compare $(BENCH) -base-section before -metric events/sec -max-regress 10 $(BENCH)
+
+# bench-pair is the paired measurement a performance claim rests on
+# (choosing-metrics: alternate sides, medians, quartiles, pair wins):
+# `make bench-pair REF=<commit> W=<workload> N=<pairs>` builds ./bench at
+# REF (exported under .bench_build/) and at the working tree, runs N
+# pairs of `-child $(W) -trace 0`, swapping which side goes first, and
+# prints every run, then each side's median and quartiles and the pair
+# wins for wall_s, cpu_s and peak_rss_mb. Keep the box otherwise idle.
+REF ?= HEAD~1
+W ?= fattree-mice
+N ?= 10
+bench-pair:
+	@set -e; d=.bench_build/pair; rm -rf $$d; mkdir -p $$d/src; \
+	git archive $(REF) | tar -x -C $$d/src; \
+	(cd $$d/src && $(GO) build -o ../ref ./bench); rm -rf $$d/src; $(GO) build -o $$d/head ./bench; \
+	for i in $$(seq 1 $(N)); do \
+	  if [ $$((i % 2)) = 1 ]; then order="ref head"; else order="head ref"; fi; \
+	  for s in $$order; do \
+	    $$d/$$s -child $(W) -trace 0 | tr ',' '\n' | awk -F: -v s=$$s -v i=$$i \
+	      '/^"(wall_s|cpu_s|peak_rss_mb)"/ { gsub(/"/, "", $$1); v[$$1] = $$2 } \
+	       END { printf "%d %s %.3f %.3f %.1f\n", i, s, v["wall_s"], v["cpu_s"], v["peak_rss_mb"] }' | tee -a $$d/runs; \
+	  done; \
+	done; \
+	for c in 3 4 5; do \
+	  m=$$(echo wall_s cpu_s peak_rss_mb | cut -d' ' -f$$((c - 2))); \
+	  for s in ref head; do \
+	    awk -v s=$$s -v c=$$c '$$2 == s { print $$c }' $$d/runs | sort -n | awk -v s=$$s -v m=$$m \
+	      'function q(p,  h, f) { h = (NR - 1) * p + 1; f = int(h); return f < NR ? a[f] + (h - f) * (a[f + 1] - a[f]) : a[NR] } \
+	       { a[NR] = $$1 } END { printf "%-11s %-4s median %.3f  q1 %.3f  q3 %.3f  n %d\n", m, s, q(.5), q(.25), q(.75), NR }'; \
+	  done; \
+	  awk -v c=$$c -v m=$$m '{ v[$$2, $$1] = $$c } END { for (i = 1; i <= $(N); i++) { w += v["head", i] < v["ref", i]; l += v["head", i] > v["ref", i] } \
+	    printf "%-11s head better in %d of $(N) pairs, ref in %d\n", m, w, l }' $$d/runs; \
+	done
 
 # alloc-gates runs just the zero-allocation contract tests (they are
 # also part of `make test`, this target is the fast inner loop).

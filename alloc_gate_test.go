@@ -136,59 +136,47 @@ func TestAllocGateAtArg(t *testing.T) {
 // TestAllocGatePortTransit: the full per-packet path — pool Get,
 // Port.Send (queue admission + delivery scheduling), serialization,
 // delivery, pool release — must be allocation-free in steady state.
-func TestAllocGatePortTransit(t *testing.T) {
-	s := eventsim.New()
-	pool := netem.NewPacketPool()
-	p := netem.NewPort(s,
-		netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
-		netem.QueueConfig{Capacity: 1 << 20},
-		func(pkt *netem.Packet) { pool.Put(pkt) }, "gate")
-	transit := func() {
-		pkt := pool.Get()
-		pkt.Flow = netem.FlowID{Src: 1, Dst: 2}
-		pkt.Kind = netem.Data
-		pkt.Payload = 1460
-		pkt.Wire = 1500
-		if !p.Send(pkt) {
-			t.Fatal("send refused")
-		}
-		s.Run()
-	}
-	for i := 0; i < 4096; i++ {
-		transit()
-	}
-	if allocs := testing.AllocsPerRun(2000, transit); allocs != 0 {
-		t.Fatalf("steady-state port transit allocates %.1f allocs/op, want 0", allocs)
-	}
-}
+func TestAllocGatePortTransit(t *testing.T) { portTransitGate(t, 1, 1, 4096, 2000) }
 
 // TestAllocGatePortTransitPipelined covers the burst shape the real
 // fabric produces — many packets admitted before the drain runs — so
-// the queue ring and heap exercise depth > 1.
-func TestAllocGatePortTransitPipelined(t *testing.T) {
+// the packet chain and heap exercise depth > 1.
+func TestAllocGatePortTransitPipelined(t *testing.T) { portTransitGate(t, 1, 64, 256, 500) }
+
+// TestAllocGatePortTransitCold is BenchmarkPortTransitCold's shape: a
+// k=16 fat-tree's 6 144 ports round-robin, a few packets in flight on
+// each, thousands of deliveries sharing every instant.
+func TestAllocGatePortTransitCold(t *testing.T) { portTransitGate(t, 6144, 4, 2, 5) }
+
+// portTransitGate sends perPort packets to each of nPorts ports, drains
+// the engine, and requires that burst to allocate nothing once warm.
+func portTransitGate(t *testing.T, nPorts, perPort, warm, runs int) {
 	s := eventsim.New()
 	pool := netem.NewPacketPool()
-	p := netem.NewPort(s,
-		netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
-		netem.QueueConfig{Capacity: 1 << 20},
-		func(pkt *netem.Packet) { pool.Put(pkt) }, "gate")
+	ports := make([]*netem.Port, nPorts)
+	for i := range ports {
+		ports[i] = netem.NewPort(s,
+			netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
+			netem.QueueConfig{Capacity: 1 << 20},
+			func(pkt *netem.Packet) { pool.Put(pkt) }, "gate")
+	}
 	burst := func() {
-		for i := 0; i < 64; i++ {
+		for i := 0; i < nPorts*perPort; i++ {
 			pkt := pool.Get()
 			pkt.Flow = netem.FlowID{Src: 1, Dst: 2}
 			pkt.Kind = netem.Data
 			pkt.Payload = 1460
 			pkt.Wire = 1500
-			if !p.Send(pkt) {
+			if !ports[i%nPorts].Send(pkt) {
 				t.Fatal("send refused")
 			}
 		}
 		s.Run()
 	}
-	for i := 0; i < 256; i++ {
+	for i := 0; i < warm; i++ {
 		burst()
 	}
-	if allocs := testing.AllocsPerRun(500, burst); allocs != 0 {
-		t.Fatalf("steady-state 64-deep transit burst allocates %.1f allocs/op, want 0", allocs)
+	if allocs := testing.AllocsPerRun(runs, burst); allocs != 0 {
+		t.Fatalf("steady-state transit burst (%d ports x %d packets) allocates %.1f allocs/op, want 0", nPorts, perPort, allocs)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"tlb/internal/experiments"
 	"tlb/internal/lb"
 	"tlb/internal/netem"
-	"tlb/internal/stats"
 	"tlb/internal/units"
 )
 
@@ -376,37 +375,57 @@ func BenchmarkEventQueueFarTimers(b *testing.B) {
 // BenchmarkPortTransit measures the full steady-state per-packet path:
 // pool Get, Send (admission + delivery scheduling), serialization,
 // delivery, pool release — the cycle every data segment and ACK of a
-// figure run pays at every hop.
-func BenchmarkPortTransit(b *testing.B) {
+// figure run pays at every hop — on one hot port, 1024 packets deep.
+func BenchmarkPortTransit(b *testing.B) { benchPortTransit(b, 1, 1024) }
+
+// BenchmarkPortTransitCold is the same cycle spread over the 6 144
+// ports of a k=16 fat-tree, visited round-robin with a few packets in
+// flight on each, so every Send and every delivery finds its port and
+// its queued packets evicted since their last use. This is the rung
+// that sees a port's cache footprint; the single hot port above cannot.
+func BenchmarkPortTransitCold(b *testing.B) { benchPortTransit(b, 6144, 4) }
+
+// benchPortTransit sends b.N packets round-robin over nPorts ports and
+// drains the engine every time each port holds perPort of them.
+func benchPortTransit(b *testing.B, nPorts, perPort int) {
 	s := eventsim.New()
 	pool := netem.NewPacketPool()
 	delivered := 0
-	p := netem.NewPort(s,
-		netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
-		netem.QueueConfig{Capacity: 1 << 20},
-		func(pkt *netem.Packet) { delivered++; pool.Put(pkt) }, "bench")
+	ports := make([]*netem.Port, nPorts)
+	for i := range ports {
+		ports[i] = netem.NewPort(s,
+			netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
+			netem.QueueConfig{Capacity: 1 << 20},
+			func(pkt *netem.Packet) { delivered++; pool.Put(pkt) }, "bench")
+	}
+	round := nPorts * perPort
+	transit := func(n int) {
+		for i := 0; i < n; i++ {
+			pkt := pool.Get()
+			pkt.Flow = netem.FlowID{Src: 1, Dst: 2}
+			pkt.Kind = netem.Data
+			pkt.Payload = 1460
+			pkt.Wire = 1500
+			ports[i%nPorts].Send(pkt)
+			if i%round == round-1 {
+				s.Run()
+			}
+		}
+		s.Run()
+	}
+	transit(round) // warm the pool and the engine's freelist
+	delivered = 0
+	warm := s.Executed()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pkt := pool.Get()
-		pkt.Flow = netem.FlowID{Src: 1, Dst: 2}
-		pkt.Kind = netem.Data
-		pkt.Payload = 1460
-		pkt.Wire = 1500
-		p.Send(pkt)
-		if i%1024 == 1023 {
-			s.Run()
-		}
-	}
-	s.Run()
+	transit(b.N)
 	b.StopTimer()
 	if delivered != b.N {
 		b.Fatalf("delivered %d packets, want %d", delivered, b.N)
 	}
 	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(s.Executed())/secs, "events/sec")
+		b.ReportMetric(float64(s.Executed()-warm)/secs, "events/sec")
 	}
-	_ = stats.Point{}
 }
 
 func BenchmarkAblationSafeSwitch(b *testing.B) {

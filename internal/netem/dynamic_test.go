@@ -176,47 +176,6 @@ func TestSetLinkDelayDecreaseKeepsFIFO(t *testing.T) {
 	}
 }
 
-// TestEntryRingWrapAroundGrowth exercises grow() with a non-zero head:
-// the ring must preserve FIFO order when it doubles while wrapped.
-func TestEntryRingWrapAroundGrowth(t *testing.T) {
-	var r entryRing
-	next := 0
-	push := func(n int) {
-		for i := 0; i < n; i++ {
-			*r.push() = queueEntry{serviceStart: units.Time(next)}
-			next++
-		}
-	}
-	expect := 0
-	pop := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			e := r.pop()
-			if e.serviceStart != units.Time(expect) {
-				t.Fatalf("pop #%d = %v, want %v", expect, e.serviceStart, units.Time(expect))
-			}
-			expect++
-		}
-	}
-	push(16) // fills the initial capacity exactly
-	pop(10)  // head now mid-buffer
-	push(10) // wraps around the end
-	if r.len() != 16 {
-		t.Fatalf("len=%d, want 16", r.len())
-	}
-	push(5) // n == cap with head != 0: grow() must unwrap correctly
-	// Random access must also see the post-growth order.
-	for i := 0; i < r.len(); i++ {
-		if got := r.at(i).serviceStart; got != units.Time(expect+i) {
-			t.Fatalf("at(%d) = %v, want %v", i, got, units.Time(expect+i))
-		}
-	}
-	pop(r.len())
-	if r.len() != 0 {
-		t.Fatalf("ring not empty after draining")
-	}
-}
-
 // TestPopDeliveredWithoutAdvance reaches popDelivered's
 // not-yet-started accounting branch: when no occupancy query ever ran
 // advance(), delivery itself must settle the entry's Dequeued/BytesOut

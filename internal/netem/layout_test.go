@@ -5,46 +5,67 @@ import (
 	"unsafe"
 )
 
+// field is one struct field's place, for the layout pins below.
+type field struct {
+	name      string
+	off, size uintptr
+}
+
+// checkLine fails for every field that does not lie wholly inside
+// bytes [lo, hi) of its struct.
+func checkLine(t *testing.T, what string, lo, hi uintptr, fields []field) {
+	t.Helper()
+	for _, f := range fields {
+		if f.off < lo || f.off+f.size > hi {
+			t.Errorf("%s field %s occupies bytes [%d, %d), outside [%d, %d)", what, f.name, f.off, f.off+f.size, lo, hi)
+		}
+	}
+}
+
 // TestPacketLayout pins the cache-line layout of Packet. Every field a
 // switch hop touches — Flow (routing/hashing), Seq/Wire/Ack
 // (forwarding and byte accounting), QueueDelay and the single-byte
-// flags (admission) — must stay inside the first 64 bytes, and the
-// whole struct must stay at 144 bytes so pool freelists and queue
-// entries stay small. Growing the packet or pushing a hot field over
-// the line is a deliberate decision: update this test and re-run
-// make bench.
+// flags (admission and the ownership guards) — must stay inside the
+// first 64 bytes; the queue linkage a port walks (next, serviceStart,
+// the stamp with the wire size) shares the second 64 with the
+// admission-stamped stats, so walking a chain reads one line per
+// packet; the cold SACK array trails; and the whole struct stays at
+// 168 bytes. Growing the packet or pushing a field over a line is a
+// deliberate decision: update this test and re-run make bench.
 func TestPacketLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit platforms only")
 	}
-	if got, want := unsafe.Sizeof(Packet{}), uintptr(144); got != want {
+	if got, want := unsafe.Sizeof(Packet{}), uintptr(168); got != want {
 		t.Errorf("sizeof(Packet) = %d, want %d", got, want)
 	}
 	var p Packet
-	hot := []struct {
-		name string
-		off  uintptr
-	}{
-		{"Flow", unsafe.Offsetof(p.Flow)},
-		{"Seq", unsafe.Offsetof(p.Seq)},
-		{"Wire", unsafe.Offsetof(p.Wire)},
-		{"Ack", unsafe.Offsetof(p.Ack)},
-		{"QueueDelay", unsafe.Offsetof(p.QueueDelay)},
-		{"Kind", unsafe.Offsetof(p.Kind)},
-		{"SackCount", unsafe.Offsetof(p.SackCount)},
-		{"CE", unsafe.Offsetof(p.CE)},
-		{"ECNEcho", unsafe.Offsetof(p.ECNEcho)},
-		{"FIN", unsafe.Offsetof(p.FIN)},
-		{"Retransmit", unsafe.Offsetof(p.Retransmit)},
-		{"pooled", unsafe.Offsetof(p.pooled)},
-	}
-	for _, f := range hot {
-		if f.off >= 64 {
-			t.Errorf("hot field Packet.%s at offset %d crossed the first cache line", f.name, f.off)
-		}
-	}
-	// The cold SACK array must stay last so it never displaces hot
-	// fields.
+	checkLine(t, "hot Packet", 0, 64, []field{
+		{"Flow", unsafe.Offsetof(p.Flow), unsafe.Sizeof(p.Flow)},
+		{"Seq", unsafe.Offsetof(p.Seq), unsafe.Sizeof(p.Seq)},
+		{"Wire", unsafe.Offsetof(p.Wire), unsafe.Sizeof(p.Wire)},
+		{"Ack", unsafe.Offsetof(p.Ack), unsafe.Sizeof(p.Ack)},
+		{"QueueDelay", unsafe.Offsetof(p.QueueDelay), unsafe.Sizeof(p.QueueDelay)},
+		{"Kind", unsafe.Offsetof(p.Kind), unsafe.Sizeof(p.Kind)},
+		{"SackCount", unsafe.Offsetof(p.SackCount), unsafe.Sizeof(p.SackCount)},
+		{"CE", unsafe.Offsetof(p.CE), unsafe.Sizeof(p.CE)},
+		{"ECNEcho", unsafe.Offsetof(p.ECNEcho), unsafe.Sizeof(p.ECNEcho)},
+		{"FIN", unsafe.Offsetof(p.FIN), unsafe.Sizeof(p.FIN)},
+		{"Retransmit", unsafe.Offsetof(p.Retransmit), unsafe.Sizeof(p.Retransmit)},
+		{"pooled", unsafe.Offsetof(p.pooled), unsafe.Sizeof(p.pooled)},
+		{"queued", unsafe.Offsetof(p.queued), unsafe.Sizeof(p.queued)},
+	})
+	checkLine(t, "queue-entry Packet", 64, 128, []field{
+		{"next", unsafe.Offsetof(p.next), unsafe.Sizeof(p.next)},
+		{"serviceStart", unsafe.Offsetof(p.serviceStart), unsafe.Sizeof(p.serviceStart)},
+		{"deliverAt", unsafe.Offsetof(p.deliverAt), unsafe.Sizeof(p.deliverAt)},
+		{"stamp", unsafe.Offsetof(p.stamp), unsafe.Sizeof(p.stamp)},
+		{"Payload", unsafe.Offsetof(p.Payload), unsafe.Sizeof(p.Payload)},
+		{"SentAt", unsafe.Offsetof(p.SentAt), unsafe.Sizeof(p.SentAt)},
+		{"MaxQueueSeen", unsafe.Offsetof(p.MaxQueueSeen), unsafe.Sizeof(p.MaxQueueSeen)},
+	})
+	// The cold SACK array must stay last so it never displaces the
+	// other two groups.
 	if off := unsafe.Offsetof(p.SackBlocks); off+unsafe.Sizeof(p.SackBlocks) != unsafe.Sizeof(Packet{}) {
 		t.Errorf("SackBlocks at offset %d is no longer the trailing field", off)
 	}
@@ -54,68 +75,48 @@ func TestPacketLayout(t *testing.T) {
 // packet-hop touches twice (Send at admission, portDeliver at
 // delivery) on a fabric with thousands of them — so each touch starts
 // cold. Everything portDeliver reads or writes must sit in the first
-// 64 bytes; the admission-time fields of Queue.admit and Send follow
-// contiguously; the label trails; and the struct is exactly 256 bytes,
-// the size class that keeps every heap-allocated Port 64-byte aligned,
-// so these offsets are real line boundaries. Moving a field is a deliberate decision: update the
-// offsets here and re-run make bench.
+// 64 bytes; what Send and admit add for every packet in the second;
+// the counters only a backlog, a drop or a mark writes, and the label,
+// in the third; and the struct is exactly 192 bytes, a size class that
+// keeps every heap-allocated Port 64-byte aligned, so these are real
+// line boundaries. Moving a field is a deliberate decision: update
+// this test and re-run make bench.
 func TestPortLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit platforms only")
 	}
-	if got, want := unsafe.Sizeof(Port{}), uintptr(256); got != want {
+	if got, want := unsafe.Sizeof(Port{}), uintptr(192); got != want {
 		t.Errorf("sizeof(Port) = %d, want %d", got, want)
 	}
 	var p Port
-	q := unsafe.Offsetof(p.q)
-	ring := q + unsafe.Offsetof(p.q.entries)
-	stats := q + unsafe.Offsetof(p.q.stats)
-	offsets := []struct {
-		name string
-		off  uintptr
-		want uintptr
-	}{
-		// Line 0: the delivery path.
-		{"evPending", unsafe.Offsetof(p.evPending), 0},
-		{"down", unsafe.Offsetof(p.down), 1},
-		{"idx", unsafe.Offsetof(p.idx), 4},
-		{"dst", unsafe.Offsetof(p.dst), 8},
-		{"q.entries.buf", ring + unsafe.Offsetof(p.q.entries.buf), 16},
-		{"q.entries.head", ring + unsafe.Offsetof(p.q.entries.head), 40},
-		{"q.entries.n", ring + unsafe.Offsetof(p.q.entries.n), 48},
-		{"q.started", q + unsafe.Offsetof(p.q.started), 56},
-		// The admission path.
-		{"q.waitingBytes", q + unsafe.Offsetof(p.q.waitingBytes), 64},
-		{"q.cfg", q + unsafe.Offsetof(p.q.cfg), 72},
-		{"q.stats", stats, 88},
-		{"sim", unsafe.Offsetof(p.sim), 160},
-		{"link", unsafe.Offsetof(p.link), 168},
-		{"lastFinish", unsafe.Offsetof(p.lastFinish), 184},
-		{"lastDelivery", unsafe.Offsetof(p.lastDelivery), 192},
-		{"busyNs", unsafe.Offsetof(p.busyNs), 200},
-		// Cold.
-		{"label", unsafe.Offsetof(p.label), 208},
-	}
-	for _, f := range offsets {
-		if f.off != f.want {
-			t.Errorf("offsetof(Port.%s) = %d, want %d", f.name, f.off, f.want)
-		}
-	}
-	if end := q + unsafe.Offsetof(p.q.started) + unsafe.Sizeof(p.q.started); end > 64 {
-		t.Errorf("the delivery-path fields end at offset %d, past the first cache line", end)
-	}
-}
-
-// TestQueueEntrySize pins the ring element at four words: the wire
-// size that spares the occupancy accounting a dereference of the (cold)
-// packet rides in the stamp's port-index field rather than in a fifth
-// word, which would cost every port's ring a quarter more memory and
-// cache (measured: +12 % on BenchmarkPortTransit's 1024-deep ring).
-func TestQueueEntrySize(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("layout pinned for 64-bit platforms only")
-	}
-	if got, want := unsafe.Sizeof(queueEntry{}), uintptr(32); got != want {
-		t.Errorf("sizeof(queueEntry) = %d, want %d", got, want)
-	}
+	checkLine(t, "delivery-path Port", 0, 64, []field{
+		{"evPending", unsafe.Offsetof(p.evPending), unsafe.Sizeof(p.evPending)},
+		{"down", unsafe.Offsetof(p.down), unsafe.Sizeof(p.down)},
+		{"idx", unsafe.Offsetof(p.idx), unsafe.Sizeof(p.idx)},
+		{"dst", unsafe.Offsetof(p.dst), unsafe.Sizeof(p.dst)},
+		{"sim", unsafe.Offsetof(p.sim), unsafe.Sizeof(p.sim)},
+		{"head", unsafe.Offsetof(p.head), unsafe.Sizeof(p.head)},
+		{"tail", unsafe.Offsetof(p.tail), unsafe.Sizeof(p.tail)},
+		{"firstWaiting", unsafe.Offsetof(p.firstWaiting), unsafe.Sizeof(p.firstWaiting)},
+		{"waiting", unsafe.Offsetof(p.waiting), unsafe.Sizeof(p.waiting)},
+		{"maxLen", unsafe.Offsetof(p.maxLen), unsafe.Sizeof(p.maxLen)},
+		{"waitingBytes", unsafe.Offsetof(p.waitingBytes), unsafe.Sizeof(p.waitingBytes)},
+	})
+	checkLine(t, "per-packet admission Port", 64, 128, []field{
+		{"link", unsafe.Offsetof(p.link), unsafe.Sizeof(p.link)},
+		{"lastFinish", unsafe.Offsetof(p.lastFinish), unsafe.Sizeof(p.lastFinish)},
+		{"lastDelivery", unsafe.Offsetof(p.lastDelivery), unsafe.Sizeof(p.lastDelivery)},
+		{"busyNs", unsafe.Offsetof(p.busyNs), unsafe.Sizeof(p.busyNs)},
+		{"capacity", unsafe.Offsetof(p.capacity), unsafe.Sizeof(p.capacity)},
+		{"ecnThreshold", unsafe.Offsetof(p.ecnThreshold), unsafe.Sizeof(p.ecnThreshold)},
+		{"enqueued", unsafe.Offsetof(p.enqueued), unsafe.Sizeof(p.enqueued)},
+		{"bytesIn", unsafe.Offsetof(p.bytesIn), unsafe.Sizeof(p.bytesIn)},
+	})
+	checkLine(t, "rarely written Port", 128, 192, []field{
+		{"sumLenOnArrival", unsafe.Offsetof(p.sumLenOnArrival), unsafe.Sizeof(p.sumLenOnArrival)},
+		{"dropped", unsafe.Offsetof(p.dropped), unsafe.Sizeof(p.dropped)},
+		{"marked", unsafe.Offsetof(p.marked), unsafe.Sizeof(p.marked)},
+		{"faultDropped", unsafe.Offsetof(p.faultDropped), unsafe.Sizeof(p.faultDropped)},
+		{"label", unsafe.Offsetof(p.label), unsafe.Sizeof(p.label)},
+	})
 }

@@ -221,6 +221,24 @@ func TestFlowIDReversed(t *testing.T) {
 	}
 }
 
+// TestNewPortRejectsWideQueueConfig: the port stores both queue limits
+// in 32 bits and Config must hand back what was given, so a value that
+// does not fit is refused at construction (topology.Config.Validate
+// turns the same condition into an error before any port is built).
+func TestNewPortRejectsWideQueueConfig(t *testing.T) {
+	s := eventsim.New()
+	cfg := QueueConfig{Capacity: 1 << 20, ECNThreshold: -1}
+	if got := NewPort(s, testLink, cfg, func(*Packet) {}, "t").Queue().Config(); got != cfg {
+		t.Fatalf("Config() = %+v, want %+v", got, cfg)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewPort accepted a capacity past 32 bits")
+		}
+	}()
+	NewPort(s, testLink, QueueConfig{Capacity: 1 << 31}, func(*Packet) {}, "t")
+}
+
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{Data: "DATA", Ack: "ACK", Syn: "SYN", SynAck: "SYNACK"} {
 		if k.String() != want {

@@ -82,16 +82,19 @@ func (k Kind) String() string {
 
 // Packet is one unit on the wire. Packets are passed by pointer through
 // the fabric and must not be mutated after being handed to a port,
-// except for the congestion-experienced bit which queues set.
+// except for the congestion-experienced bit which queues set. While a
+// port holds a packet the packet is that port's queue entry: the port
+// owns its linkage fields (next, serviceStart, deliverAt, stamp) and
+// its queued flag, and handing a queued packet to a second port, or
+// releasing it to the pool, panics instead of splicing two FIFOs.
 //
 // Field order is part of the performance contract (layout_test.go pins
 // it): the fields every hop touches — Flow for routing and hashing,
 // Seq/Wire/Ack for forwarding and byte accounting, QueueDelay plus all
-// the single-byte flags for admission — pack into the first 64 bytes,
-// so a switch hop reads one cache line; the admission-stamped
-// timestamps and stats share the second line, and the cold SACK block
-// array sits last. The reorder also drops the struct from 168 to 144
-// bytes, so the pool's freelist and every queue entry carry less.
+// the single-byte flags for admission — pack into the first 64 bytes;
+// the queue linkage shares the second line with the admission-stamped
+// stats, so a port walking its chain reads that line alone; and the
+// cold SACK block array sits last.
 type Packet struct {
 	Flow FlowID
 	// Seq is the first payload byte for Data packets.
@@ -127,15 +130,25 @@ type Packet struct {
 	// in a freelist, so a double release panics instead of silently
 	// aliasing two live packets onto one struct.
 	pooled bool
+	// queued guards port ownership the same way: true from admission
+	// to delivery.
+	queued bool
 
+	// The holding port's queue entry: the next packet behind this one,
+	// when this one starts serializing and reaches the far end, and the
+	// DeliveryKey built at admission that fixes its tie-break position
+	// among same-instant events — with the key's port-index field, the
+	// same for every packet of one port (which ORs it back in), lent to
+	// the wire size, so the occupancy accounting reads this line only.
+	next         *Packet
+	serviceStart units.Time
+	deliverAt    units.Time
+	stamp        uint64
 	// Payload is the number of payload bytes (0 for pure ACK/SYN).
 	Payload units.Bytes
 	// SentAt is when the transport first handed the packet to the
 	// network; used for delay accounting.
 	SentAt units.Time
-	// EnqueuedAt is stamped by the queue on admission, for per-hop
-	// queueing-delay stats.
-	EnqueuedAt units.Time
 	// MaxQueueSeen is the largest queue length (in packets, excluding
 	// this packet) encountered on admission at any hop — the
 	// "queueing length experienced by each packet" of Fig. 3a.

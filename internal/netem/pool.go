@@ -13,7 +13,9 @@ package netem
 //
 //   - The transport endpoint that creates a packet (Get) owns it until
 //     it hands it to the network (Port.Send via the fabric).
-//   - While queued/in flight the owning Port holds it.
+//   - While queued/in flight the owning Port holds it, chained into
+//     its FIFO through the packet's own linkage fields and marked
+//     queued: sending it on a second port, or releasing it, panics.
 //   - The packet terminates — and MUST be released (Put) — at exactly
 //     one of three sinks: the receiving Host after dispatching it to
 //     an endpoint, the switch that observed Port.Send refuse it
@@ -58,13 +60,17 @@ func (pp *PacketPool) Get() *Packet {
 // Put releases a packet back to the pool. The caller must be the
 // packet's terminating sink: releasing a packet something else still
 // holds corrupts the simulation (the same struct would be two packets
-// at once). Double-Put panics — it is always an ownership bug.
+// at once). Double-Put panics — it is always an ownership bug — and so
+// does releasing a packet a port still has queued.
 func (pp *PacketPool) Put(p *Packet) {
 	if pp == nil || p == nil {
 		return
 	}
 	if p.pooled {
 		panic("netem: packet released to pool twice")
+	}
+	if p.queued {
+		panic("netem: packet released to pool while still queued")
 	}
 	p.pooled = true
 	pp.free = append(pp.free, p)

@@ -22,7 +22,6 @@ func TestPacketPoolRecyclesZeroed(t *testing.T) {
 	p.ECNEcho = true
 	p.FIN = true
 	p.SentAt = 7
-	p.EnqueuedAt = 8
 	p.Retransmit = true
 	p.QueueDelay = 9
 	p.MaxQueueSeen = 10
@@ -75,6 +74,71 @@ func TestPacketPoolDoublePutPanics(t *testing.T) {
 	pp.Put(p)
 }
 
+// TestSendWhileQueuedPanics: a queued packet is its port's FIFO entry,
+// so handing it to a second port would splice the two chains; admit
+// catches it the way the pool catches a double release.
+func TestSendWhileQueuedPanics(t *testing.T) {
+	s := eventsim.New()
+	a := NewPort(s, testLink, QueueConfig{}, func(*Packet) {}, "a")
+	b := NewPort(s, testLink, QueueConfig{}, func(*Packet) {}, "b")
+	p := pkt(1500)
+	a.Send(p)
+	defer func() {
+		if recover() == nil {
+			t.Error("Send of a packet still queued on another port did not panic")
+		}
+	}()
+	b.Send(p)
+}
+
+func TestPutWhileQueuedPanics(t *testing.T) {
+	s := eventsim.New()
+	pp := NewPacketPool()
+	port := NewPort(s, testLink, QueueConfig{}, func(*Packet) {}, "t")
+	p := pp.Get()
+	p.Wire = 1500
+	port.Send(p)
+	defer func() {
+		if recover() == nil {
+			t.Error("Put of a packet a port still has queued did not panic")
+		}
+	}()
+	pp.Put(p)
+}
+
+// TestRefusedPacketNotQueued: a packet Send refuses — buffer full or
+// link down — was never linked, so the switch that saw the refusal can
+// release it, and delivery clears the mark for the receiving sink.
+func TestRefusedPacketNotQueued(t *testing.T) {
+	s := eventsim.New()
+	pp := NewPacketPool()
+	var delivered *Packet
+	port := NewPort(s, testLink, QueueConfig{Capacity: 1}, func(p *Packet) { delivered = p }, "t")
+	send := func() (*Packet, bool) {
+		p := pp.Get()
+		p.Wire = 1500
+		return p, port.Send(p)
+	}
+	send() // in service
+	send() // fills the one waiting slot
+	full, ok := send()
+	if ok || full.queued {
+		t.Fatalf("buffer-full Send = %v, queued = %v; want refused and unmarked", ok, full.queued)
+	}
+	pp.Put(full)
+	port.SetDown(true)
+	cut, ok := send()
+	if ok || cut.queued {
+		t.Fatalf("link-down Send = %v, queued = %v; want refused and unmarked", ok, cut.queued)
+	}
+	pp.Put(cut)
+	s.Step()
+	if delivered == nil || delivered.queued {
+		t.Fatal("a delivered packet is still marked queued")
+	}
+	pp.Put(delivered)
+}
+
 // TestNilPacketPool: a nil pool degrades to plain allocation so
 // standalone endpoints and tests need no wiring.
 func TestNilPacketPool(t *testing.T) {
@@ -90,8 +154,7 @@ func TestNilPacketPool(t *testing.T) {
 }
 
 // TestPortTransitSteadyStateAllocFree is the engine-level allocation
-// gate at the netem layer: once the pool, freelist and queue ring are
-// warm, a full send+serialize+deliver+release cycle through a Port
+// gate at the netem layer: once the pool and freelist are warm, a full send+serialize+deliver+release cycle through a Port
 // must not allocate at all.
 func TestPortTransitSteadyStateAllocFree(t *testing.T) {
 	s := eventsim.New()
@@ -112,7 +175,7 @@ func TestPortTransitSteadyStateAllocFree(t *testing.T) {
 		}
 		s.Run()
 	}
-	for i := 0; i < 4096; i++ { // warm pool, freelist, ring
+	for i := 0; i < 4096; i++ { // warm pool, freelist
 		transit()
 	}
 	if allocs := testing.AllocsPerRun(2000, transit); allocs != 0 {

@@ -42,10 +42,12 @@ type LinkConfig struct {
 // it): a k=16 fat-tree has 6 144 ports and touches two of them per
 // packet-hop, each long evicted since its last use, so what a hop costs
 // is how many of a port's cache lines it pulls. Everything portDeliver
-// needs — the event flag, the handler, the entry ring's header and the
-// started count — sits in the first 64 bytes; the fields Queue.admit
-// and Send add follow contiguously; the label trails. The struct is padded to 256 bytes, a size class the allocator
-// hands out 256-aligned, so those offsets are real line boundaries.
+// touches — the event flag, the handler, the engine, the packet chain
+// and its waiting count — is the first 64 bytes; what Send adds for
+// every packet is the second; the counters only a non-empty queue, a
+// drop or a mark writes, and the label, are the third. The struct is
+// 192 bytes, a size class the allocator hands out 64-aligned, so those
+// offsets are real line boundaries.
 type Port struct {
 	// evPending reports whether the single delivery event for the queue
 	// head is currently scheduled (ports never cancel deliveries, so a
@@ -58,9 +60,18 @@ type Port struct {
 	// the port's identity inside every DeliveryKey.
 	idx uint32
 	dst Handler
-	q   Queue
+	sim *eventsim.Sim
+	// head and tail chain the admitted, undelivered packets in FIFO
+	// order through Packet.next (tail means nothing while head is nil);
+	// firstWaiting is the oldest whose service has not begun as of the
+	// last advance, and waiting counts it and those behind it.
+	head, tail   *Packet
+	firstWaiting *Packet
+	waiting      int32
+	maxLen       int32 // QueueStats.MaxLen
+	// waitingBytes is the wire-byte occupancy of the waiting part.
+	waitingBytes units.Bytes
 
-	sim  *eventsim.Sim
 	link LinkConfig
 	// lastFinish is when the most recently admitted packet finishes
 	// serializing; the next packet starts at max(now, lastFinish).
@@ -73,12 +84,20 @@ type Port struct {
 	lastDelivery units.Time
 	// busyNs accumulates serialization time for utilization accounting.
 	busyNs units.Time
+	// capacity and ecnThreshold are the QueueConfig.
+	capacity, ecnThreshold int32
+	enqueued               int64
+	bytesIn                units.Bytes
 
+	sumLenOnArrival int64
+	dropped         int64
+	marked          int64
+	faultDropped    int64
 	// label is a human-readable identity for traces and tests.
 	label string
 
-	// Pad 224 bytes of fields to the 256-byte size class.
-	_ [32]byte
+	// Pad 176 bytes of fields to the 192-byte size class.
+	_ [16]byte
 }
 
 // NewPort wires a queue to a link ending at dst. Each port draws a
@@ -93,7 +112,11 @@ func NewPort(sim *eventsim.Sim, link LinkConfig, qcfg QueueConfig, dst Handler, 
 	if idx >= MaxKeyedIDs {
 		panic("netem: port index overflows DeliveryKey packing (raise deliveryPortBits)")
 	}
-	return &Port{sim: sim, link: link, q: Queue{cfg: qcfg}, dst: dst, label: label, idx: idx}
+	capacity, ecnThreshold := int32(qcfg.Capacity), int32(qcfg.ECNThreshold)
+	if int(capacity) != qcfg.Capacity || int(ecnThreshold) != qcfg.ECNThreshold {
+		panic("netem: queue capacity or ECN threshold overflows 32 bits")
+	}
+	return &Port{sim: sim, link: link, capacity: capacity, ecnThreshold: ecnThreshold, dst: dst, label: label, idx: idx}
 }
 
 // DeliveryKey packing: the low deliveryPortBits carry the port index,
@@ -101,7 +124,7 @@ func NewPort(sim *eventsim.Sim, link LinkConfig, qcfg QueueConfig, dst Handler, 
 // bit tops the word. 20 index bits allow a million ports; the 43
 // remaining timestamp bits cover ~2.4 simulated hours, far beyond any
 // scenario here (the guard panic says how to rebalance if that ever
-// changes). Queue entries reuse the index field for the packet's wire
+// changes). A queued packet's stamp reuses the index field for its wire
 // size (queue.go), so it also bounds a packet at 1 MB on the wire.
 const (
 	deliveryPortBits = 20
@@ -128,11 +151,11 @@ func DeliveryKey(admittedAt units.Time, port uint32) uint64 {
 
 // Queue exposes the port's queue (read-mostly: load balancers consult
 // Len; tests consult Stats).
-func (p *Port) Queue() *Queue { return &p.q }
+func (p *Port) Queue() *Queue { return (*Queue)(p) }
 
 // QueueLen is the current backlog in packets, the signal every
 // queue-length-based load balancer in this repo consults.
-func (p *Port) QueueLen() int { return p.q.Len(p.sim.Now()) }
+func (p *Port) QueueLen() int { return p.Queue().Len(p.sim.Now()) }
 
 // Link returns the current link configuration.
 func (p *Port) Link() LinkConfig { return p.link }
@@ -210,7 +233,7 @@ func (p *Port) EstimatedDelay() units.Time {
 // link is down.
 func (p *Port) Send(pkt *Packet) bool {
 	if p.down {
-		p.q.faultDrop()
+		p.faultDropped++
 		return false
 	}
 	now := p.sim.Now()
@@ -223,10 +246,10 @@ func (p *Port) Send(pkt *Packet) bool {
 	deliverAt := finish + p.link.Delay
 	// The packet's position within its delivery instant is fixed now
 	// (its key is a function of the admission time) and recorded with
-	// the queue entry; an engine event is only materialized below if
+	// the packet; an engine event is only materialized below if
 	// none is pending — the port re-arms for the next packet when the
 	// current delivery fires.
-	if !p.q.admit(pkt, now, start, deliverAt) {
+	if !p.admit(pkt, now, start, deliverAt) {
 		return false
 	}
 	p.lastFinish = finish
@@ -235,7 +258,7 @@ func (p *Port) Send(pkt *Packet) bool {
 		p.lastDelivery = deliverAt
 	}
 	if !p.evPending {
-		at, key := p.q.headDelivery(p.idx)
+		at, key := p.headDelivery()
 		p.sim.AtKey(at, key, portDeliver, p)
 		p.evPending = true
 	}
@@ -254,9 +277,9 @@ func (p *Port) Send(pkt *Packet) bool {
 func portDeliver(arg any) {
 	p := arg.(*Port)
 	p.evPending = false
-	p.dst(p.q.popDelivered())
-	if !p.evPending && p.q.hasEntries() {
-		at, key := p.q.headDelivery(p.idx)
+	p.dst(p.popDelivered())
+	if !p.evPending && p.head != nil {
+		at, key := p.headDelivery()
 		p.sim.AtKey(at, key, portDeliver, p)
 		p.evPending = true
 	}

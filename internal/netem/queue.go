@@ -4,7 +4,9 @@ import (
 	"tlb/internal/units"
 )
 
-// QueueConfig parameterizes a drop-tail FIFO queue.
+// QueueConfig parameterizes a drop-tail FIFO queue. Both values are
+// stored in 32 bits (Port's layout); NewPort panics on one that does
+// not fit and topology.Config.Validate rejects it as an error.
 type QueueConfig struct {
 	// Capacity is the buffer size in packets (the unit the paper and
 	// NS2 use). Zero or negative means unbounded.
@@ -35,199 +37,148 @@ type QueueStats struct {
 	SumLenOnArrival int64
 }
 
-// queueEntry is one admitted packet, the moment it starts service
-// (leaves the waiting queue, NS2 drop-tail semantics), when it reaches
-// the far end, and its stamp: the DeliveryKey built at admission that
-// fixes its tie-break position among same-instant events, with the
-// key's port-index field — the same for every entry of one port, which
-// ORs it back in — lent to the packet's wire size. The occupancy
-// accounting therefore never dereferences a packet other than the one
-// being handled (a queued packet's 144 bytes are cold by the time its
-// service starts), and the entry stays four words.
-type queueEntry struct {
-	pkt          *Packet
-	serviceStart units.Time
-	deliverAt    units.Time
-	stamp        uint64
-}
-
 // stampWireMask selects the wire-size field of a stamp.
 const stampWireMask = 1<<deliveryPortBits - 1
 
-func (e *queueEntry) wire() units.Bytes { return units.Bytes(e.stamp & stampWireMask) }
+// stampWire is the packet's wire size as its stamp carries it: the
+// occupancy accounting walks queued packets through the cache line
+// that holds next and serviceStart, and Wire sits on the other one.
+func (p *Packet) stampWire() units.Bytes { return units.Bytes(p.stamp & stampWireMask) }
 
-// Queue is a drop-tail FIFO with ECN marking whose occupancy is
-// evaluated lazily against precomputed service-start times: the owning
+// Queue is a port's drop-tail FIFO with ECN marking, seen on its own:
+// the same memory as the Port (Port.Queue converts the pointer), with
+// the occupancy and counter reads load balancers, tests and the
+// benchmark harness use. The queue is the chain of admitted,
+// undelivered packets itself — each Packet carries its own link,
+// service-start and delivery times and stamp — and its occupancy is
+// evaluated lazily against those precomputed service-start times: the
 // Port computes, at admission, exactly when each packet will begin
-// serializing, so "current queue length" is just a count of entries
+// serializing, so "current queue length" is just a count of packets
 // whose service has not started yet. This lets the Port schedule a
 // single simulator event per packet (its delivery) instead of separate
 // dequeue and delivery events — the difference is about 2x on whole-run
 // time.
-//
-// A Queue lives inside its Port by value, and its field order is part
-// of Port's layout contract (layout_test.go): the ring and started —
-// all a delivery touches — come first, the admission-time fields
-// follow.
-type Queue struct {
-	// entries holds admitted-but-undelivered packets in FIFO order;
-	// the first `started` of them have already begun service.
-	entries entryRing
-	started int
-	// waitingBytes is the wire-byte occupancy of the waiting part.
-	waitingBytes units.Bytes
-	cfg          QueueConfig
-	stats        QueueStats
-}
-
-// advance accounts for entries whose service has begun by time now.
-func (q *Queue) advance(now units.Time) {
-	for q.started < q.entries.len() {
-		e := q.entries.at(q.started)
-		if e.serviceStart > now {
-			break
-		}
-		q.started++
-		q.waitingBytes -= e.wire()
-		q.stats.Dequeued++
-		q.stats.BytesOut += e.wire()
-	}
-}
+type Queue Port
 
 // Len returns the number of packets waiting (service not yet started)
 // at time now.
 func (q *Queue) Len(now units.Time) int {
-	q.advance(now)
-	return q.entries.len() - q.started
+	(*Port)(q).advance(now)
+	return int(q.waiting)
 }
 
 // Bytes returns the wire bytes waiting at time now.
 func (q *Queue) Bytes(now units.Time) units.Bytes {
-	q.advance(now)
+	(*Port)(q).advance(now)
 	return q.waitingBytes
 }
 
-// Stats returns a copy of the accumulated counters.
-func (q *Queue) Stats() QueueStats { return q.stats }
+// Stats returns a copy of the accumulated counters. Dequeued and
+// BytesOut are not stored: a packet is counted out exactly when it
+// leaves the waiting part, so they are what came in less what waits,
+// and a delivery writes no counter.
+func (q *Queue) Stats() QueueStats {
+	return QueueStats{
+		Enqueued:        q.enqueued,
+		Dropped:         q.dropped,
+		Marked:          q.marked,
+		MaxLen:          int(q.maxLen),
+		BytesIn:         q.bytesIn,
+		BytesOut:        q.bytesIn - q.waitingBytes,
+		Dequeued:        q.enqueued - int64(q.waiting),
+		FaultDropped:    q.faultDropped,
+		SumLenOnArrival: q.sumLenOnArrival,
+	}
+}
 
 // Config returns the queue's configuration.
-func (q *Queue) Config() QueueConfig { return q.cfg }
+func (q *Queue) Config() QueueConfig {
+	return QueueConfig{Capacity: int(q.capacity), ECNThreshold: int(q.ecnThreshold)}
+}
 
-// admit applies drop-tail and ECN policy and records the packet with
-// its (already computed) service-start and delivery times and its
-// stamp — only admitted packets get one: a dropped packet has no
-// delivery instant to order. It reports false on drop.
-func (q *Queue) admit(p *Packet, now, serviceStart, deliverAt units.Time) bool {
-	l := q.Len(now)
-	q.stats.SumLenOnArrival += int64(l)
-	if q.cfg.Capacity > 0 && l >= q.cfg.Capacity {
-		q.stats.Dropped++
+// advance accounts for packets whose service has begun by time now.
+func (p *Port) advance(now units.Time) {
+	e := p.firstWaiting
+	for e != nil && e.serviceStart <= now {
+		p.waiting--
+		p.waitingBytes -= e.stampWire()
+		e = e.next
+	}
+	p.firstWaiting = e
+}
+
+// admit applies drop-tail and ECN policy and links the packet at the
+// tail with its (already computed) service-start and delivery times
+// and its stamp — only admitted packets get one: a dropped packet has
+// no delivery instant to order. It reports false on drop.
+func (p *Port) admit(pkt *Packet, now, serviceStart, deliverAt units.Time) bool {
+	if pkt.queued {
+		panic("netem: packet sent while still queued")
+	}
+	p.advance(now)
+	l := p.waiting
+	if l > 0 { // an empty queue adds nothing, and the counter is a line away
+		p.sumLenOnArrival += int64(l)
+	}
+	if p.capacity > 0 && l >= p.capacity {
+		p.dropped++
 		return false
 	}
 	// Per-packet queue-seen stats (Fig. 3a input) record only admitted
 	// packets: a dropped packet never experiences the queue, and its
 	// copy will be retransmitted with fresh counters.
-	if l > p.MaxQueueSeen {
-		p.MaxQueueSeen = l
+	if int(l) > pkt.MaxQueueSeen {
+		pkt.MaxQueueSeen = int(l)
 	}
-	if q.cfg.ECNThreshold > 0 && l >= q.cfg.ECNThreshold {
-		p.CE = true
-		q.stats.Marked++
+	if p.ecnThreshold > 0 && l >= p.ecnThreshold {
+		pkt.CE = true
+		p.marked++
 	}
-	p.EnqueuedAt = now
-	p.QueueDelay += serviceStart - now
-	if p.Wire < 0 || p.Wire > stampWireMask {
-		panic("netem: packet wire size overflows the queue entry stamp (raise deliveryPortBits)")
+	pkt.QueueDelay += serviceStart - now
+	if pkt.Wire < 0 || pkt.Wire > stampWireMask {
+		panic("netem: packet wire size overflows the delivery stamp (raise deliveryPortBits)")
 	}
-	*q.entries.push() = queueEntry{pkt: p, serviceStart: serviceStart, deliverAt: deliverAt, stamp: DeliveryKey(now, uint32(p.Wire))}
-	q.waitingBytes += p.Wire
-	q.stats.Enqueued++
-	q.stats.BytesIn += p.Wire
-	if l+1 > q.stats.MaxLen {
-		q.stats.MaxLen = l + 1
+	pkt.queued = true
+	pkt.serviceStart, pkt.deliverAt, pkt.stamp = serviceStart, deliverAt, DeliveryKey(now, uint32(pkt.Wire))
+	if p.head == nil {
+		p.head = pkt
+	} else {
+		p.tail.next = pkt
+	}
+	p.tail = pkt
+	if p.firstWaiting == nil {
+		p.firstWaiting = pkt
+	}
+	p.waiting++
+	p.waitingBytes += pkt.Wire
+	p.enqueued++
+	p.bytesIn += pkt.Wire
+	if p.waiting > p.maxLen {
+		p.maxLen = p.waiting
 	}
 	return true
 }
 
-// faultDrop records an admission drop at a down port.
-func (q *Queue) faultDrop() { q.stats.FaultDropped++ }
-
 // headDelivery returns the delivery time of the oldest undelivered
-// entry — the one the port's single pending engine event stands for —
-// and its DeliveryKey on the port with the given index.
-func (q *Queue) headDelivery(port uint32) (units.Time, uint64) {
-	e := q.entries.headRef()
-	return e.deliverAt, e.stamp&^stampWireMask | uint64(port)
+// packet — the one the port's single pending engine event stands for —
+// and its DeliveryKey on this port.
+func (p *Port) headDelivery() (units.Time, uint64) {
+	return p.head.deliverAt, p.head.stamp&^stampWireMask | uint64(p.idx)
 }
 
-// hasEntries reports whether any admitted packet is still undelivered.
-func (q *Queue) hasEntries() bool { return q.entries.len() > 0 }
-
-// popDelivered removes and returns the oldest entry (its delivery
+// popDelivered unlinks and returns the oldest packet (its delivery
 // event has fired).
-func (q *Queue) popDelivered() *Packet {
-	e := q.entries.pop()
-	if q.started > 0 {
-		q.started--
-	} else {
-		// Delivery implies service completed long ago; account for it.
-		q.waitingBytes -= e.wire()
-		q.stats.Dequeued++
-		q.stats.BytesOut += e.wire()
+func (p *Port) popDelivered() *Packet {
+	pkt := p.head
+	if pkt == p.firstWaiting {
+		// No occupancy query ran since its service began: delivery
+		// implies service completed long ago; account for it.
+		p.firstWaiting = pkt.next
+		p.waiting--
+		p.waitingBytes -= pkt.stampWire()
 	}
-	return e.pkt
-}
-
-// entryRing is a growable FIFO ring buffer; it avoids the
-// per-operation allocation a linked list would pay on the simulator's
-// hottest path.
-type entryRing struct {
-	buf  []queueEntry
-	head int
-	n    int
-}
-
-func (r *entryRing) len() int { return r.n }
-
-func (r *entryRing) at(i int) *queueEntry {
-	return &r.buf[(r.head+i)%len(r.buf)]
-}
-
-// push appends one entry and returns it for the caller to fill in
-// place (an entry is five words; passing it by value copies it twice).
-func (r *entryRing) push() *queueEntry {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	e := &r.buf[(r.head+r.n)%len(r.buf)]
-	r.n++
-	return e
-}
-
-func (r *entryRing) headRef() *queueEntry {
-	return &r.buf[r.head]
-}
-
-func (r *entryRing) pop() queueEntry {
-	if r.n == 0 {
-		panic("netem: pop from empty queue")
-	}
-	e := r.buf[r.head]
-	r.buf[r.head].pkt = nil // the slot must not pin a delivered packet
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return e
-}
-
-func (r *entryRing) grow() {
-	newCap := len(r.buf) * 2
-	if newCap == 0 {
-		newCap = 16
-	}
-	nb := make([]queueEntry, newCap)
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)%len(r.buf)]
-	}
-	r.buf = nb
-	r.head = 0
+	p.head = pkt.next
+	pkt.next = nil
+	pkt.queued = false
+	return pkt
 }

@@ -101,6 +101,10 @@ type Config struct {
 
 // Validate reports a descriptive error for an unusable configuration.
 func (c *Config) Validate() error {
+	// A port stores both queue limits in 32 bits (netem.NewPort panics).
+	if q := c.Queue; q.Capacity != int(int32(q.Capacity)) || q.ECNThreshold != int(int32(q.ECNThreshold)) {
+		return fmt.Errorf("topology: queue capacity %d and ECN threshold %d must each fit in 32 bits", q.Capacity, q.ECNThreshold)
+	}
 	if c.K != 0 {
 		return c.validateFatTree()
 	}

@@ -55,6 +55,16 @@ func TestValidate(t *testing.T) {
 	if err := over.Validate(); err == nil {
 		t.Error("out-of-range override validated")
 	}
+	// A port stores its queue limits in 32 bits; both shapes refuse more.
+	for _, q := range []netem.QueueConfig{{Capacity: 1 << 31}, {Capacity: 256, ECNThreshold: 1 << 31}} {
+		wide, tree := good, Config{K: 4, HostLink: good.HostLink, FabricLink: good.FabricLink, Queue: q}
+		wide.Queue = q
+		for _, cfg := range []Config{wide, tree} {
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "32 bits") {
+				t.Errorf("queue %+v on k=%d: %v", q, cfg.K, err)
+			}
+		}
+	}
 	// Ports + hosts must fit the engine's keyed identities: 1024 leaves
 	// x 509 spines x 2 hosts need 2*(2048+1024*509) + 2048 = 2^20 of
 	// them, exactly the limit.
