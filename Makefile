@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt-check vet lint race bench bench-all bench-gate-self bench-pair alloc-gates identity loc specs examples smoke largescale-smoke serve-smoke ci
+.PHONY: build test fmt-check vet lint race bench bench-all bench-gate-self bench-pair alloc-gates identity loc knobs specs examples smoke largescale-smoke serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -126,7 +126,7 @@ alloc-gates:
 # `make test`; this is the fast inner loop).
 identity:
 	$(GO) test -count 1 -run 'TestConstructionOrderPinned' ./internal/topology
-	$(GO) test -count 1 -run 'TestGoldenFigures|TestParallelSerialIdentical' ./internal/experiments
+	$(GO) test -count 1 -run 'TestGoldenFigures|TestEveryParamIsSetByARun|TestParallelSerialIdentical' ./internal/experiments
 	$(GO) test -count 1 -run 'TestArrivalOrderPinned|TestSessionObserverNeutral|TestStreamStatsMatchesRecords' ./internal/sim
 	$(GO) test -count 1 ./bench
 
@@ -134,6 +134,13 @@ identity:
 # outside bench/ — so every simplicity PR quotes the same count.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+
+# knobs prints the ROADMAP's options measure — registered scheme
+# parameters, spec fields, CLI flag definitions — for before/after.
+knobs:
+	@echo "scheme parameters $$($(GO) run ./cmd/tlbsim -list-schemes | grep -cE '^    [A-Za-z]+ +(duration|bytes|bandwidth|int|float|bool|string) ')"
+	@echo "spec fields       $$(grep -c 'json:"' internal/spec/spec.go)"
+	@echo "cli flags         $$(grep -rhoE 'flag\.((Bool|Int|Int64|Uint|Uint64|String|Float64|Duration)(Var)?|Var)\(' cmd | wc -l)"
 
 # specs validates every checked-in scenario spec through the loader
 # and registry (the example specs, the tlbsim presets and the golden

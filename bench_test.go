@@ -11,7 +11,7 @@ package tlb_test
 import (
 	"testing"
 
-	"tlb/internal/core"
+	_ "tlb/internal/core" // registers tlb
 	"tlb/internal/eventsim"
 	"tlb/internal/experiments"
 	"tlb/internal/lb"
@@ -196,37 +196,43 @@ func benchPorts(s *eventsim.Sim) []*netem.Port {
 	return ports
 }
 
-func benchDecision(b *testing.B, factory lb.Factory) {
-	s := eventsim.New()
-	ports := benchPorts(s)
-	bal := factory(s, eventsim.NewRNG(1), ports)
-	const flows = 512
-	pkts := make([]*netem.Packet, flows)
-	for i := range pkts {
-		pkts[i] = &netem.Packet{
-			Flow:    netem.FlowID{Src: i % 97, Dst: 100 + i%89, Port: i},
-			Kind:    netem.Data,
-			Payload: 1460, Wire: 1500,
-		}
+// BenchmarkFig15Decision times one steady-state forwarding decision of
+// every registered scheme, built the way a run builds it: on its
+// declared defaults, through lb.Build, in the paper's NS2 environment.
+func BenchmarkFig15Decision(b *testing.B) {
+	env := lb.Env{
+		FabricBandwidth: units.Gbps, BaseRTT: 100 * units.Microsecond,
+		QueueCapacity: 256, ECNThreshold: 65,
+		MSS: 1460, HeaderBytes: 40, RcvWindow: 64 * units.KiB,
 	}
-	for i := 0; i < flows; i++ { // warm per-flow state
-		bal.Pick(pkts[i], ports)
+	for _, name := range lb.Names() {
+		b.Run(name, func(b *testing.B) {
+			factory, err := lb.Build(name, nil, "scheme.params", env)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := eventsim.New()
+			ports := benchPorts(s)
+			bal := factory(s, eventsim.NewRNG(1), ports)
+			const flows = 512
+			pkts := make([]*netem.Packet, flows)
+			for i := range pkts {
+				pkts[i] = &netem.Packet{
+					Flow:    netem.FlowID{Src: i % 97, Dst: 100 + i%89, Port: i},
+					Kind:    netem.Data,
+					Payload: 1460, Wire: 1500,
+				}
+			}
+			for i := 0; i < flows; i++ { // warm per-flow state
+				bal.Pick(pkts[i], ports)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bal.Pick(pkts[i%flows], ports)
+			}
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bal.Pick(pkts[i%flows], ports)
-	}
-}
-
-func BenchmarkFig15DecisionECMP(b *testing.B)    { benchDecision(b, lb.ECMP()) }
-func BenchmarkFig15DecisionRPS(b *testing.B)     { benchDecision(b, lb.RPS()) }
-func BenchmarkFig15DecisionPresto(b *testing.B)  { benchDecision(b, lb.Presto(0)) }
-func BenchmarkFig15DecisionLetFlow(b *testing.B) { benchDecision(b, lb.LetFlow(0)) }
-func BenchmarkFig15DecisionDRILL(b *testing.B)   { benchDecision(b, lb.DRILL(2, 1)) }
-
-func BenchmarkFig15DecisionTLB(b *testing.B) {
-	benchDecision(b, core.Factory(core.DefaultConfig()))
 }
 
 // ---- Ablations (DESIGN.md §5) ----

@@ -296,7 +296,7 @@ func writeReport(path string, c report.Campaign) error {
 }
 
 // listSchemes prints the registry: every scheme, its doc line, and its
-// parameter schema.
+// parameters with their defaults, rendered from the declarations.
 func listSchemes(w io.Writer) {
 	for _, name := range lb.Names() {
 		r, ok := lb.Lookup(name)
@@ -305,7 +305,7 @@ func listSchemes(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%s\n    %s\n", r.Name, r.Doc)
 		for _, p := range r.Params {
-			fmt.Fprintf(w, "    %-16s %-10s %s\n", p.Name, p.Kind, p.Doc)
+			fmt.Fprintf(w, "    %-18s %-8s %s\n", p.Name, p.Kind(), p.Describe())
 		}
 	}
 }

@@ -71,6 +71,23 @@ func TestPresetsReproducePinnedOutput(t *testing.T) {
 	}
 }
 
+// TestListSchemesPinned: -list-schemes is the one reviewed statement of
+// every scheme's parameters, kinds and defaults, rendered from the
+// registry's declarations. Adding, removing or re-defaulting a
+// parameter shows up as a diff of testdata/list-schemes.stdout
+// (regenerate with `go run ./cmd/tlbsim -list-schemes`).
+func TestListSchemesPinned(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "list-schemes.stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	listSchemes(&got)
+	if got.String() != string(want) {
+		t.Errorf("-list-schemes differs from testdata/list-schemes.stdout\n--- got ---\n%s", got.String())
+	}
+}
+
 // TestBatchPrintsResultsInInputOrder: a two-file -spec reports in the
 // order the files were named, whichever run finishes first.
 func TestBatchPrintsResultsInInputOrder(t *testing.T) {

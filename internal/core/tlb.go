@@ -20,7 +20,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"tlb/internal/eventsim"
 	"tlb/internal/lb"
@@ -29,35 +28,24 @@ import (
 	"tlb/internal/units"
 )
 
-// Config parameterizes one TLB instance (one per switch).
+// Config parameterizes one TLB instance (one per switch): the scheme's
+// nine parameters plus the run's environment, from which everything
+// else Eq. 9 reads — C, RTT, the buffer depth, MSS, W_L — derives.
+// NewConfig is the one place it is built.
 type Config struct {
 	// ShortThreshold is the bytes-seen boundary between short and long
-	// flows (100 KB in the paper).
+	// flows.
 	ShortThreshold units.Bytes
 	// Interval is t: both the q_th update period and the idle-flow
-	// sampling period (500 µs in the paper's NS2 setup).
+	// sampling period.
 	Interval units.Time
 	// Deadline is D, the short-flow completion budget used by the
 	// granularity calculator — the paper uses the 25th percentile of
 	// the deadline distribution, including in the deadline-agnostic
 	// case.
 	Deadline units.Time
-	// MeanShortSize is X. When EstimateShortSize is false this static
-	// value is used; otherwise it seeds an online EWMA over the sizes
-	// of finished short flows.
+	// MeanShortSize is X.
 	MeanShortSize units.Bytes
-	// EstimateShortSize switches X to the online estimate.
-	EstimateShortSize bool
-	// LongWindow is W_L, the receive-buffer cap of long flows (64 KB).
-	LongWindow units.Bytes
-	// RTT is the fabric round-trip propagation delay.
-	RTT units.Time
-	// LinkBandwidth is the per-path bottleneck bandwidth C.
-	LinkBandwidth units.Bandwidth
-	// MSS converts bytes to packets for the model.
-	MSS units.Bytes
-	// MaxQTh clamps q_th (packets); typically the switch buffer size.
-	MaxQTh int
 	// FixedQTh, when >= 0, disables the adaptive calculator and pins
 	// the threshold — used by the Fig. 7 verification (which sweeps
 	// fixed thresholds) and the fixed-granularity ablation.
@@ -67,9 +55,9 @@ type Config struct {
 	ShortFlowPolicy ShortPolicy
 	// ShortHysteresis keeps a short flow on its current uplink while
 	// that uplink's backlog is within this many packets of the global
-	// minimum. Zero switches on any difference; one (the default via
-	// DefaultConfig) avoids ping-ponging between near-equal queues,
-	// which reorders bursts for no queueing gain.
+	// minimum. Zero switches on any difference; one (the default)
+	// avoids ping-ponging between near-equal queues, which reorders
+	// bursts for no queueing gain.
 	ShortHysteresis int
 	// UncappedLongDemand forwards the flag of the same name to the
 	// queueing model: assume longs send W_L per propagation RTT (the
@@ -86,13 +74,42 @@ type Config struct {
 	// machinery, and it is computed purely from local port state. The
 	// flag exists for the ablation that quantifies its value.
 	DisableSafeSwitch bool
-	// EscapeFactor overrides the safety guard when the current port is
-	// drastically worse than the alternative (cur > EscapeFactor *
-	// cand): a flow trapped behind a heavily degraded link (e.g. a
-	// de-rated 5 Mbps path) accepts one reordering episode to get off
-	// it, which is far cheaper than staying. 0 derives the default
-	// (4); negative disables the escape.
-	EscapeFactor float64
+
+	// Env is the fabric and transport TLB balances for: the per-path
+	// bandwidth C, the round-trip propagation delay, the queue capacity
+	// that clamps q_th, and the end hosts' MSS, header size and receive
+	// window (W_L).
+	Env lb.Env
+}
+
+// Model returns the queueing model's inputs for this configuration on
+// a switch with the given equal-cost paths and live flow counts — the
+// one translation both the running balancer and Fig. 7's numeric
+// curves use.
+func (c Config) Model(paths, shorts, longs int) model.Params {
+	return model.Params{
+		Paths:              paths,
+		ShortFlows:         shorts,
+		LongFlows:          longs,
+		LinkBandwidth:      c.Env.FabricBandwidth,
+		RTT:                c.Env.BaseRTT,
+		MeanShortSize:      c.MeanShortSize,
+		LongWindow:         c.Env.RcvWindow,
+		Deadline:           c.Deadline,
+		Interval:           c.Interval,
+		MSS:                c.Env.MSS,
+		PacketBytes:        c.Env.MSS + c.Env.HeaderBytes,
+		UncappedLongDemand: c.UncappedLongDemand,
+	}
+}
+
+// maxQTh is the q_th clamp: the switch buffer size. An unbounded queue
+// does not cap it.
+func (c Config) maxQTh() int {
+	if c.Env.QueueCapacity <= 0 {
+		return math.MaxInt32
+	}
+	return c.Env.QueueCapacity
 }
 
 // ShortPolicy enumerates per-packet path policies for short flows.
@@ -109,55 +126,6 @@ const (
 	// ShortRandom sprays uniformly (RPS-style), ignoring queues.
 	ShortRandom
 )
-
-// DefaultConfig mirrors the paper's NS2 parameters.
-func DefaultConfig() Config {
-	return Config{
-		ShortThreshold:  100 * units.KB,
-		Interval:        500 * units.Microsecond,
-		Deadline:        10 * units.Millisecond, // 25th pct of U[5ms,25ms]
-		MeanShortSize:   70 * units.KB,
-		LongWindow:      64 * units.KiB,
-		RTT:             100 * units.Microsecond,
-		LinkBandwidth:   units.Gbps,
-		MSS:             1460,
-		MaxQTh:          256,
-		FixedQTh:        -1,
-		ShortHysteresis: 1,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.ShortThreshold <= 0 {
-		c.ShortThreshold = d.ShortThreshold
-	}
-	if c.Interval <= 0 {
-		c.Interval = d.Interval
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = d.Deadline
-	}
-	if c.MeanShortSize <= 0 {
-		c.MeanShortSize = d.MeanShortSize
-	}
-	if c.LongWindow <= 0 {
-		c.LongWindow = d.LongWindow
-	}
-	if c.RTT <= 0 {
-		c.RTT = d.RTT
-	}
-	if c.LinkBandwidth <= 0 {
-		c.LinkBandwidth = d.LinkBandwidth
-	}
-	if c.MSS <= 0 {
-		c.MSS = d.MSS
-	}
-	if c.MaxQTh <= 0 {
-		c.MaxQTh = d.MaxQTh
-	}
-	return c
-}
 
 // Stats exposes TLB-internal counters for experiments and tests.
 type Stats struct {
@@ -180,17 +148,23 @@ type Stats struct {
 
 // flowEntry is one row of the switch flow table.
 type flowEntry struct {
-	bytes    units.Bytes
-	port     int
-	long     bool
-	lastSeen units.Time
-	hasPort  bool
+	bytes   units.Bytes
+	port    int
+	long    bool
+	hasPort bool
 	// lastETA is the latest estimated arrival time of any packet this
 	// flow has sent (send time + the chosen port's estimated delay at
 	// that moment). A move to another port is reordering-safe exactly
 	// when now + newPortDelay >= lastETA.
 	lastETA units.Time
 }
+
+// escapeFactor overrides the safety guard when the current port is
+// drastically worse than the alternative (cur > escapeFactor * cand): a
+// flow trapped behind a heavily degraded link (e.g. a de-rated 5 Mbps
+// path) accepts one reordering episode to get off it, which is far
+// cheaper than staying.
+const escapeFactor = 4
 
 // TLB is one switch's balancer instance.
 type TLB struct {
@@ -199,19 +173,16 @@ type TLB struct {
 	cfg   Config
 	ports []*netem.Port
 
-	flows  map[netem.FlowID]*flowEntry
+	flows  lb.FlowTable[flowEntry]
 	nShort int
 	nLong  int
 
 	qth int
 
 	// hystDelay is ShortHysteresis converted to time (packets times
-	// MSS serialization at line rate), for delay-based comparisons.
+	// full-segment serialization at line rate), for delay-based
+	// comparisons.
 	hystDelay units.Time
-
-	// Online mean short-flow size estimate (EWMA over flows that
-	// terminate below the long threshold).
-	estShortSize float64
 
 	ticker *eventsim.Ticker
 
@@ -221,31 +192,18 @@ type TLB struct {
 // New constructs a TLB balancer over the given uplinks and starts its
 // periodic granularity updates.
 func New(sim *eventsim.Sim, rng *eventsim.RNG, ports []*netem.Port, cfg Config) *TLB {
-	c := cfg.withDefaults()
-	//simlint:allow floateq(0 is the exact "derive the default" config sentinel, never a computed value)
-	if c.EscapeFactor == 0 {
-		c.EscapeFactor = 4
-	}
 	t := &TLB{
-		sim:          sim,
-		rng:          rng,
-		cfg:          c,
-		ports:        ports,
-		flows:        make(map[netem.FlowID]*flowEntry),
-		estShortSize: float64(c.MeanShortSize),
+		sim:   sim,
+		rng:   rng,
+		cfg:   cfg,
+		ports: ports,
+		flows: lb.NewFlowTable[flowEntry](),
 	}
-	t.hystDelay = units.Time(c.ShortHysteresis) * c.LinkBandwidth.TxTime(c.MSS+40)
+	t.hystDelay = units.Time(cfg.ShortHysteresis) * cfg.Env.FabricBandwidth.TxTime(cfg.Env.MSS+cfg.Env.HeaderBytes)
 	t.qth = t.computeQTh()
-	t.ticker = eventsim.NewTicker(sim, c.Interval, t.tick)
+	t.ticker = eventsim.NewTicker(sim, cfg.Interval, t.tick)
 	t.ticker.Start()
 	return t
-}
-
-// Factory adapts TLB to the lb.Factory signature used by topology.
-func Factory(cfg Config) lb.Factory {
-	return func(sim *eventsim.Sim, rng *eventsim.RNG, ports []*netem.Port) lb.Balancer {
-		return New(sim, rng, ports, cfg)
-	}
 }
 
 // Name implements lb.Balancer.
@@ -256,6 +214,10 @@ func (t *TLB) QTh() int { return t.qth }
 
 // ActiveFlows returns the current (short, long) flow counts.
 func (t *TLB) ActiveFlows() (short, long int) { return t.nShort, t.nLong }
+
+// Model returns the queueing model's inputs as of now: the
+// configuration applied to this switch's paths and live flow counts.
+func (t *TLB) Model() model.Params { return t.cfg.Model(len(t.ports), t.nShort, t.nLong) }
 
 // Stats returns a copy of the internal counters.
 func (t *TLB) Stats() Stats { return t.stats }
@@ -272,7 +234,7 @@ func (t *TLB) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 		return lb.LowestDelay(t.rng, ports)
 	}
 	now := t.sim.Now()
-	e, _ := t.lookup(pkt, now)
+	e := t.lookup(pkt, now)
 
 	var port int
 	if e.long {
@@ -331,7 +293,8 @@ func (t *TLB) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 		e.lastETA = eta
 	}
 	if pkt.FIN {
-		t.remove(pkt.Flow, e, true)
+		t.uncount(e)
+		t.flows.Remove(&pkt.Flow)
 	}
 	return port
 }
@@ -347,8 +310,7 @@ func (t *TLB) switchSafe(e *flowEntry, now, curDelay, candDelay units.Time) bool
 	if now+candDelay >= e.lastETA {
 		return true
 	}
-	return t.cfg.EscapeFactor > 0 &&
-		float64(curDelay) > t.cfg.EscapeFactor*float64(candDelay)+float64(t.hystDelay)
+	return curDelay > escapeFactor*candDelay+t.hystDelay
 }
 
 // pickShort applies the configured short-flow policy.
@@ -376,19 +338,14 @@ func (t *TLB) pickShort(ports []*netem.Port) int {
 }
 
 // lookup finds or creates the packet's flow entry and applies the
-// byte-count classification. It also returns when the flow's previous
-// packet was seen (for burst detection).
-func (t *TLB) lookup(pkt *netem.Packet, now units.Time) (*flowEntry, units.Time) {
-	e, ok := t.flows[pkt.Flow]
-	if !ok {
+// byte-count classification.
+func (t *TLB) lookup(pkt *netem.Packet, now units.Time) *flowEntry {
+	e, _, fresh := t.flows.Get(&pkt.Flow, now)
+	if fresh {
 		// New flows (first seen on SYN, or mid-flow if the table
 		// evicted them) start short.
-		e = &flowEntry{}
-		t.flows[pkt.Flow] = e
 		t.nShort++
 	}
-	prevSeen := e.lastSeen
-	e.lastSeen = now
 	e.bytes += pkt.Payload
 	if !e.long && e.bytes > t.cfg.ShortThreshold {
 		e.long = true
@@ -397,96 +354,44 @@ func (t *TLB) lookup(pkt *netem.Packet, now units.Time) (*flowEntry, units.Time)
 		// The promoted flow keeps the port its last packet used (the
 		// paper's rule: forward to the same queue as the last packet).
 	}
-	return e, prevSeen
+	return e
 }
 
-// remove drops a flow-table entry. completed says the flow ended with
-// a FIN; idle evictions pass false so that the partial byte counts of
-// stalled or dead flows do not bias the short-size estimate X (and
-// through it q_th, Eq. 9) downward.
-func (t *TLB) remove(id netem.FlowID, e *flowEntry, completed bool) {
+// uncount takes a flow leaving the table (FIN or idle eviction) out of
+// the live counts.
+func (t *TLB) uncount(e *flowEntry) {
 	if e.long {
 		t.nLong--
 	} else {
 		t.nShort--
-		if completed && t.cfg.EstimateShortSize && e.bytes > 0 {
-			// EWMA of completed short-flow sizes (g = 1/8).
-			t.estShortSize = 0.875*t.estShortSize + 0.125*float64(e.bytes)
-		}
 	}
-	delete(t.flows, id)
+}
+
+// evictIdle is the sweep's rule: a flow unseen for a whole interval
+// (lost FIN, dead connection) leaves the table.
+func (t *TLB) evictIdle(e *flowEntry, idle units.Time) bool {
+	if idle < t.cfg.Interval {
+		return false
+	}
+	t.stats.Evictions++
+	t.uncount(e)
+	return true
 }
 
 // tick is the granularity calculator's periodic update: evict idle
-// flows (lost FINs, dead connections) and recompute q_th. The sweep
-// visits flows in sorted FlowID order: eviction itself is order-free
-// today, but a fixed order keeps any future side effect (logging,
-// estimator updates) deterministic by construction.
+// flows and recompute q_th.
 func (t *TLB) tick() {
-	now := t.sim.Now()
-	for _, id := range t.sortedFlowIDs() {
-		if e := t.flows[id]; now-e.lastSeen >= t.cfg.Interval {
-			t.stats.Evictions++
-			t.remove(id, e, false)
-		}
-	}
+	t.flows.Evict(t.sim.Now(), t.evictIdle)
 	t.qth = t.computeQTh()
 	t.stats.Updates++
-}
-
-// sortedFlowIDs returns the flow-table keys ordered by (Src, Dst,
-// Port), the canonical iteration order for flow-table sweeps.
-func (t *TLB) sortedFlowIDs() []netem.FlowID {
-	ids := make([]netem.FlowID, 0, len(t.flows))
-	//simlint:allow maporder(keys are collected here and sorted below before any use)
-	for id := range t.flows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return flowIDLess(ids[i], ids[j]) })
-	return ids
-}
-
-// flowIDLess orders FlowIDs lexicographically by (Src, Dst, Port).
-func flowIDLess(a, b netem.FlowID) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	return a.Port < b.Port
 }
 
 // computeQTh evaluates Eq. 9 for the current traffic, in packets.
 func (t *TLB) computeQTh() int {
 	if t.cfg.FixedQTh >= 0 {
-		if t.cfg.FixedQTh > t.cfg.MaxQTh {
-			return t.cfg.MaxQTh
-		}
-		return t.cfg.FixedQTh
+		return min(t.cfg.FixedQTh, t.cfg.maxQTh())
 	}
-	x := units.Bytes(t.estShortSize)
-	if !t.cfg.EstimateShortSize {
-		x = t.cfg.MeanShortSize
-	}
-	p := model.Params{
-		Paths:              len(t.ports),
-		ShortFlows:         t.nShort,
-		LongFlows:          t.nLong,
-		LinkBandwidth:      t.cfg.LinkBandwidth,
-		RTT:                t.cfg.RTT,
-		MeanShortSize:      x,
-		LongWindow:         t.cfg.LongWindow,
-		Deadline:           t.cfg.Deadline,
-		Interval:           t.cfg.Interval,
-		MSS:                t.cfg.MSS,
-		UncappedLongDemand: t.cfg.UncappedLongDemand,
-	}
-	q := p.QTh()
-	if math.IsInf(q, 1) || q > float64(t.cfg.MaxQTh) {
-		return t.cfg.MaxQTh
-	}
-	return int(math.Ceil(q))
+	return t.Model().QThPackets(t.cfg.maxQTh())
 }
 
 // Stop halts the periodic updates (used when tearing a simulation down

@@ -7,6 +7,7 @@ import (
 	"tlb/internal/core"
 	"tlb/internal/spec"
 	"tlb/internal/stats"
+	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
@@ -199,15 +200,18 @@ func TestLargeEnvLoadCalibration(t *testing.T) {
 
 func TestBasicEnvTLBConfigMatchesTopology(t *testing.T) {
 	env := newBasicEnv(256, 100, 3)
-	cfg := core.EnvConfig(spec.Env(env.topo))
-	if cfg.LinkBandwidth != units.Gbps {
-		t.Fatalf("bandwidth %v", cfg.LinkBandwidth)
+	cfg, err := core.NewConfig(nil, spec.Env(env.topo, transport.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cfg.RTT != env.topo.BaseRTT() {
-		t.Fatalf("RTT %v vs %v", cfg.RTT, env.topo.BaseRTT())
+	if cfg.Env.FabricBandwidth != units.Gbps {
+		t.Fatalf("bandwidth %v", cfg.Env.FabricBandwidth)
 	}
-	if cfg.MaxQTh != 256 {
-		t.Fatalf("MaxQTh %d", cfg.MaxQTh)
+	if cfg.Env.BaseRTT != env.topo.BaseRTT() {
+		t.Fatalf("RTT %v vs %v", cfg.Env.BaseRTT, env.topo.BaseRTT())
+	}
+	if cfg.Env.QueueCapacity != 256 {
+		t.Fatalf("q_th cap %d", cfg.Env.QueueCapacity)
 	}
 }
 

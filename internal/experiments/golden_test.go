@@ -1,9 +1,17 @@
 package experiments
 
 import (
+	"encoding/json"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
+
+	"tlb/internal/lb"
+	"tlb/internal/spec"
 )
 
 // goldenFigures is the small-scale acceptance matrix pinned as CSV
@@ -62,6 +70,7 @@ func allAblations(o Options) ([]Figure, error) {
 //
 //	TLB_UPDATE_GOLDEN=1 go test ./internal/experiments -run TestGoldenFigures
 func TestGoldenFigures(t *testing.T) {
+	t.Cleanup(func() { goldenParams.complete = true }) // runs after the parallel subtests
 	update := os.Getenv("TLB_UPDATE_GOLDEN") != ""
 	dir := filepath.Join("testdata", "golden")
 	if update {
@@ -76,6 +85,13 @@ func TestGoldenFigures(t *testing.T) {
 			t.Parallel()
 			o := g.opts
 			o.Workers = 1
+			o.specObserver = func(_ string, sp *spec.Spec) {
+				goldenParams.Lock()
+				defer goldenParams.Unlock()
+				for k := range sp.Scheme.Params {
+					goldenParams.set[sp.Scheme.Name+"."+k] = true
+				}
+			}
 			figs, err := g.run(o)
 			if err != nil {
 				t.Fatal(err)
@@ -95,5 +111,88 @@ func TestGoldenFigures(t *testing.T) {
 				t.Errorf("output differs from golden %s (regenerate with TLB_UPDATE_GOLDEN=1 if the change is intended)\n--- got ---\n%s", path, got)
 			}
 		})
+	}
+}
+
+// goldenParams is every scheme parameter ("scheme.param") some spec of
+// the golden figures sets, collected by TestGoldenFigures as it runs.
+var goldenParams = struct {
+	sync.Mutex
+	set      map[string]bool
+	complete bool
+}{set: map[string]bool{}}
+
+// TestEveryParamIsSetByARun: the registry offers exactly the parameters
+// some run turns — the golden figures' specs (collected above, no extra
+// simulation) plus every checked-in JSON file that holds a scheme
+// clause (presets, example specs, golden specs, benchmark workloads).
+// A parameter nothing sets is a default under another name; a new knob
+// needs a run that turns it.
+func TestEveryParamIsSetByARun(t *testing.T) {
+	if !goldenParams.complete {
+		t.Skip("reads what TestGoldenFigures' runs collected: run them together (as `go test` and `make identity` do)")
+	}
+	set := goldenParams.set
+	err := filepath.WalkDir(filepath.Join("..", ".."), func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != filepath.Join("..", "..") && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || filepath.Ext(path) != ".json" {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var doc any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			return nil // not a document this test can hold to anything
+		}
+		collectSchemeParams(doc, set)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []string
+	for k := range set {
+		got = append(got, k)
+	}
+	for _, name := range lb.Names() {
+		reg, _ := lb.Lookup(name)
+		for _, p := range reg.Params {
+			want = append(want, name+"."+p.Name)
+		}
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("parameters some run or checked-in spec sets:\n  %s\nparameters the registry offers:\n  %s",
+			strings.Join(got, " "), strings.Join(want, " "))
+	}
+}
+
+// collectSchemeParams adds the parameters of every {"scheme": {"name":
+// ..., "params": {...}}} clause anywhere in a JSON document.
+func collectSchemeParams(doc any, set map[string]bool) {
+	switch v := doc.(type) {
+	case map[string]any:
+		if sch, ok := v["scheme"].(map[string]any); ok {
+			name, _ := sch["name"].(string)
+			params, _ := sch["params"].(map[string]any)
+			for k := range params {
+				set[name+"."+k] = true
+			}
+		}
+		for _, child := range v {
+			collectSchemeParams(child, set)
+		}
+	case []any:
+		for _, child := range v {
+			collectSchemeParams(child, set)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"tlb/internal/core"
 	"tlb/internal/model"
 	"tlb/internal/sim"
 	"tlb/internal/spec"
@@ -28,23 +29,15 @@ func newFig7Env(shorts, longs, paths int, deadline units.Time) fig7Env {
 	return fig7Env{basicEnv: env, deadline: deadline}
 }
 
-// modelParams translates the environment into the queueing model's
-// inputs.
-func (e fig7Env) modelParams() model.Params {
-	return model.Params{
-		Paths:         e.topo.Spines,
-		ShortFlows:    e.shorts,
-		LongFlows:     e.longs,
-		LinkBandwidth: e.topo.FabricLink.Bandwidth,
-		RTT:           e.topo.BaseRTT(),
-		MeanShortSize: (basicShortMin + basicShortMax) / 2,
-		LongWindow:    64 * units.KiB,
-		Deadline:      e.deadline,
-		Interval:      500 * units.Microsecond,
-		MSS:           transport.DefaultConfig().MSS,
-		// Fig. 7's numeric curves are the paper's literal Eq. 9.
-		UncappedLongDemand: true,
-	}
+// modelParams are the queueing model's inputs for this environment:
+// those of the TLB its runs build (registry defaults in the basic
+// environment's fabric and transport, D stated), with the paper's
+// literal Eq. 9 demand, which is what Fig. 7's numeric curves plot.
+func (e fig7Env) modelParams() (model.Params, error) {
+	cfg, err := core.NewConfig(
+		spec.Params{"deadline": pDur(e.deadline), "uncappedLongDemand": true},
+		spec.Env(e.topo, transport.DefaultConfig()))
+	return cfg.Model(e.topo.Spines, e.shorts, e.longs), err
 }
 
 // qthSpec builds the run measuring the short-flow deadline-miss
@@ -193,7 +186,11 @@ func Fig7(o Options) ([]Figure, error) {
 		numeric[si] = stats.Series{Name: "model"}
 		for _, x := range trim(o, sw.xs) {
 			env := sw.env(x)
-			q := env.modelParams().QTh()
+			mp, err := env.modelParams()
+			if err != nil {
+				return nil, fmt.Errorf("fig7: %w", err)
+			}
+			q := mp.QTh()
 			if math.IsInf(q, 1) {
 				q = float64(env.topo.Queue.Capacity)
 			}

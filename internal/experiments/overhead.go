@@ -7,9 +7,7 @@ import (
 
 	"tlb/internal/core"
 	"tlb/internal/eventsim"
-	"tlb/internal/lb"
 	"tlb/internal/netem"
-	"tlb/internal/spec"
 	"tlb/internal/units"
 )
 
@@ -36,7 +34,7 @@ func Fig15(o Options) ([]Figure, error) {
 	}
 
 	schemes := testbedSchemes()
-	lbEnv := spec.Env(newTestbedEnv(100, 4).topo)
+	env := newTestbedEnv(100, 4)
 
 	cpu := Figure{ID: "fig15a", Title: "Per-packet decision cost", YLabel: "ns/decision"}
 	mem := Figure{ID: "fig15b", Title: "Per-switch scheme state", YLabel: "bytes after 1000-flow mix"}
@@ -44,11 +42,13 @@ func Fig15(o Options) ([]Figure, error) {
 	const decisions = 200000
 	const flows = 1000
 	for _, s := range schemes {
-		factory, err := lb.Build(s.Name, s.Params, "scheme.params", lbEnv)
+		// The balancer is the one a testbed run of the scheme builds.
+		sp := env.spec(s, "fig15-"+s.label(), o.Seed, units.Second)
+		sc, err := sp.Compile()
 		if err != nil {
-			return nil, fmt.Errorf("fig15: %s: %w", s.label(), err)
+			return nil, fmt.Errorf("fig15: %w", err)
 		}
-		bal := factory(sim, rng.Split(), ports)
+		bal := sc.Balancer(sim, rng.Split(), ports)
 		// The warm mix is what a leaf switch actually balances: every
 		// flow's data direction plus the reverse-direction pure-ACK
 		// stream of every fourth flow. The ACKs matter for fig15b: they

@@ -9,8 +9,6 @@
 package lb
 
 import (
-	"sort"
-
 	"tlb/internal/eventsim"
 	"tlb/internal/netem"
 	"tlb/internal/units"
@@ -144,72 +142,6 @@ func nextLive(ports []*netem.Port, i int) int {
 	return (i + 1) % n
 }
 
-// sortedFlowIDs returns the map's keys ordered by (Src, Dst, Port),
-// the canonical iteration order for flow-table sweeps: eviction itself
-// is order-free, but a fixed order keeps any future side effect
-// deterministic by construction.
-func sortedFlowIDs[V any](m map[netem.FlowID]V) []netem.FlowID {
-	ids := make([]netem.FlowID, 0, len(m))
-	//simlint:allow maporder(keys are collected here and sorted below before any use)
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		return a.Port < b.Port
-	})
-	return ids
-}
-
-// idleSweep is the one flow-table reclaim of the table-keeping
-// baselines: FIN removes a finished flow's entry, but a FIN lost at a
-// faulted queue and a reverse-direction pure-ACK stream (which never
-// carries FIN) would otherwise leak theirs for the whole run. The
-// owner calls arm on every insert; the sweep fires one period later,
-// evicts the idle entries and re-arms only while the table is
-// non-empty, so a drained simulation has no pending balancer events
-// and Run() terminates.
-type idleSweep struct {
-	sim    *eventsim.Sim
-	period units.Time
-	evict  func(now units.Time) (left int)
-	armed  bool
-}
-
-// newIdleSweep sweeps flows every period, evicting the entries idle
-// reports.
-func newIdleSweep[F any](sim *eventsim.Sim, flows map[netem.FlowID]*F, period units.Time, idle func(f *F, now units.Time) bool) idleSweep {
-	return idleSweep{sim: sim, period: period, evict: func(now units.Time) int {
-		for _, id := range sortedFlowIDs(flows) {
-			if idle(flows[id], now) {
-				delete(flows, id)
-			}
-		}
-		return len(flows)
-	}}
-}
-
-func (s *idleSweep) arm() {
-	if s.armed {
-		return
-	}
-	s.armed = true
-	s.sim.After(s.period, s.sweep)
-}
-
-func (s *idleSweep) sweep() {
-	s.armed = false
-	if s.evict(s.sim.Now()) > 0 {
-		s.arm()
-	}
-}
-
 // ECMP returns a factory for Equal-Cost Multi-Path: a static hash of
 // the flow identity selects the uplink, so a flow never moves. This is
 // also the paper's "flow-level granularity" scheme.
@@ -284,34 +216,32 @@ const PrestoCell = 64 * units.KiB
 // unchanged.
 const idleTimeout = 5 * units.Second
 
+// newIdleTable is the flow table of the schemes whose state matters:
+// swept every idleTimeout, evicting rows unused for that long.
+func newIdleTable[F any](sim *eventsim.Sim) *sweptTable[F] {
+	return newSweptTable(sim, idleTimeout,
+		func(_ *F, idle units.Time) bool { return idle >= idleTimeout })
+}
+
 // Presto returns a factory for Presto-style load balancing: each flow
 // is chopped into fixed-size flowcells and consecutive cells take
 // consecutive uplinks (round-robin from a random start), oblivious to
 // congestion.
-func Presto(cell units.Bytes) Factory {
-	if cell <= 0 {
-		cell = PrestoCell
-	}
+func Presto() Factory {
 	return func(sim *eventsim.Sim, rng *eventsim.RNG, _ []*netem.Port) Balancer {
-		p := &presto{sim: sim, cell: cell, rng: rng, flows: make(map[netem.FlowID]*prestoFlow)}
-		p.sweep = newIdleSweep(sim, p.flows, idleTimeout,
-			func(f *prestoFlow, now units.Time) bool { return now-f.lastSeen >= idleTimeout })
-		return p
+		return &presto{sim: sim, rng: rng, flows: newIdleTable[prestoFlow](sim)}
 	}
 }
 
 type presto struct {
 	sim   *eventsim.Sim
-	cell  units.Bytes
 	rng   *eventsim.RNG
-	flows map[netem.FlowID]*prestoFlow
-	sweep idleSweep
+	flows *sweptTable[prestoFlow]
 }
 
 type prestoFlow struct {
-	port     int
-	inCell   units.Bytes
-	lastSeen units.Time
+	port   int
+	inCell units.Bytes
 }
 
 func (p *presto) Name() string { return "presto" }
@@ -323,14 +253,12 @@ func (p *presto) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	if pkt.IsShortHeader() {
 		return RandomLive(p.rng, ports)
 	}
-	f, ok := p.flows[pkt.Flow]
-	if !ok {
-		f = &prestoFlow{port: RandomLive(p.rng, ports)}
-		p.flows[pkt.Flow] = f
-		p.sweep.arm()
+	f, _, fresh := p.flows.Get(&pkt.Flow, p.sim.Now())
+	if fresh {
+		p.flows.arm()
+		f.port = RandomLive(p.rng, ports)
 	}
-	f.lastSeen = p.sim.Now()
-	if f.inCell >= p.cell {
+	if f.inCell >= PrestoCell {
 		f.inCell = 0
 		f.port = nextLive(ports, f.port)
 	} else if ports[f.port].Down() {
@@ -339,10 +267,11 @@ func (p *presto) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 		f.port = nextLive(ports, f.port)
 	}
 	f.inCell += pkt.Wire
+	port := f.port
 	if pkt.FIN {
-		delete(p.flows, pkt.Flow)
+		p.flows.Remove(&pkt.Flow)
 	}
-	return f.port
+	return port
 }
 
 // LetFlowGap is the default flowlet inactivity timeout (150 µs, the
@@ -357,10 +286,14 @@ const LetFlowGap = 150 * units.Microsecond
 // with or without the sweep.
 const flowletSweepPeriod = 500 * units.Millisecond
 
-// flowletSweep evicts the entries whose flowlet gap has expired.
-func flowletSweep(sim *eventsim.Sim, flows map[netem.FlowID]*letflowFlow, gap units.Time) idleSweep {
-	return newIdleSweep(sim, flows, flowletSweepPeriod,
-		func(f *letflowFlow, now units.Time) bool { return now-f.lastSeen > gap })
+// flowlet is a flowlet scheme's row: the uplink the current flowlet
+// is on.
+type flowlet struct{ port int }
+
+// newFlowletTable evicts the rows whose flowlet gap has expired.
+func newFlowletTable(sim *eventsim.Sim, gap units.Time) *sweptTable[flowlet] {
+	return newSweptTable(sim, flowletSweepPeriod,
+		func(_ *flowlet, idle units.Time) bool { return idle > gap })
 }
 
 // LetFlow returns a factory for LetFlow: when the gap since a flow's
@@ -368,12 +301,8 @@ func flowletSweep(sim *eventsim.Sim, flows map[netem.FlowID]*letflowFlow, gap un
 // re-routed to a uniformly random uplink; otherwise it sticks. This is
 // also the paper's "flowlet-level granularity" scheme.
 func LetFlow(gap units.Time) Factory {
-	if gap <= 0 {
-		gap = LetFlowGap
-	}
 	return func(sim *eventsim.Sim, rng *eventsim.RNG, _ []*netem.Port) Balancer {
-		flows := make(map[netem.FlowID]*letflowFlow)
-		return &letflow{sim: sim, gap: gap, rng: rng, flows: flows, sweep: flowletSweep(sim, flows, gap)}
+		return &letflow{sim: sim, gap: gap, rng: rng, flows: newFlowletTable(sim, gap)}
 	}
 }
 
@@ -381,13 +310,7 @@ type letflow struct {
 	sim   *eventsim.Sim
 	gap   units.Time
 	rng   *eventsim.RNG
-	flows map[netem.FlowID]*letflowFlow
-	sweep idleSweep
-}
-
-type letflowFlow struct {
-	port     int
-	lastSeen units.Time
+	flows *sweptTable[flowlet]
 }
 
 func (l *letflow) Name() string { return "letflow" }
@@ -400,42 +323,38 @@ func (l *letflow) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 		return RandomLive(l.rng, ports)
 	}
 	now := l.sim.Now()
-	f, ok := l.flows[pkt.Flow]
-	if !ok {
-		f = &letflowFlow{port: RandomLive(l.rng, ports)}
-		l.flows[pkt.Flow] = f
-		l.sweep.arm()
-	} else if now-f.lastSeen > l.gap || ports[f.port].Down() {
-		// Gap expiry is the scheme's own re-pick rule; a dead current
-		// port forces one too — sticking would blackhole the flowlet.
+	f, prev, fresh := l.flows.Get(&pkt.Flow, now)
+	if fresh {
+		l.flows.arm()
+	}
+	// Gap expiry is the scheme's own re-pick rule; a dead current port
+	// forces one too — sticking would blackhole the flowlet.
+	if fresh || now-prev > l.gap || ports[f.port].Down() {
 		f.port = RandomLive(l.rng, ports)
 	}
-	f.lastSeen = now
+	port := f.port
 	if pkt.FIN {
-		delete(l.flows, pkt.Flow)
-		return f.port
+		l.flows.Remove(&pkt.Flow)
 	}
-	return f.port
+	return port
 }
+
+// DRILL(2, 1) is the configuration the DRILL paper recommends.
+const (
+	drillSamples = 2
+	drillMemory  = 1
+)
 
 // DRILL returns a factory for DRILL(d, m): per packet, sample d random
 // queues plus the m remembered least-loaded queues from the previous
-// decision, and pick the shortest. DRILL(2, 1) is the configuration the
-// DRILL paper recommends.
-func DRILL(d, m int) Factory {
-	if d <= 0 {
-		d = 2
-	}
-	if m < 0 {
-		m = 1
-	}
+// decision, and pick the shortest.
+func DRILL() Factory {
 	return func(_ *eventsim.Sim, rng *eventsim.RNG, _ []*netem.Port) Balancer {
-		return &drill{d: d, m: m, rng: rng}
+		return &drill{rng: rng}
 	}
 }
 
 type drill struct {
-	d, m   int
 	rng    *eventsim.RNG
 	memory []int
 }
@@ -454,7 +373,7 @@ func (d *drill) Pick(_ *netem.Packet, ports []*netem.Port) int {
 			best, bestLen = i, l
 		}
 	}
-	for i := 0; i < d.d; i++ {
+	for i := 0; i < drillSamples; i++ {
 		consider(d.rng.Intn(len(ports)))
 	}
 	for _, i := range d.memory {
@@ -475,13 +394,11 @@ func (d *drill) Pick(_ *netem.Packet, ports []*netem.Port) int {
 	if best < 0 {
 		best = 0
 	}
-	if d.m > 0 {
-		if len(d.memory) < d.m {
-			d.memory = append(d.memory, best)
-		} else {
-			copy(d.memory, d.memory[1:])
-			d.memory[len(d.memory)-1] = best
-		}
+	if len(d.memory) < drillMemory {
+		d.memory = append(d.memory, best)
+	} else {
+		copy(d.memory, d.memory[1:])
+		d.memory[len(d.memory)-1] = best
 	}
 	return best
 }

@@ -75,8 +75,7 @@ func TestRPSUsesAllPortsUniformly(t *testing.T) {
 }
 
 func TestPrestoRotatesEveryCell(t *testing.T) {
-	cell := units.Bytes(64 * units.KiB)
-	b, ports, _ := newBal(t, Presto(cell), 4)
+	b, ports, _ := newBal(t, Presto(), 4)
 	flow := netem.FlowID{Src: 1, Dst: 2}
 	var seq []int
 	// 1460B payload + 40B header = 1500B wire; ~44 packets per cell.
@@ -101,18 +100,18 @@ func TestPrestoRotatesEveryCell(t *testing.T) {
 }
 
 func TestPrestoStateClearedOnFIN(t *testing.T) {
-	b, ports, _ := newBal(t, Presto(0), 4)
+	b, ports, _ := newBal(t, Presto(), 4)
 	p := b.(*presto)
 	flow := netem.FlowID{Src: 1, Dst: 2}
 	b.Pick(dataPkt(flow, 1460), ports)
-	if len(p.flows) != 1 {
-		t.Fatalf("flow table size %d", len(p.flows))
+	if p.flows.Len() != 1 {
+		t.Fatalf("flow table size %d", p.flows.Len())
 	}
 	fin := dataPkt(flow, 1460)
 	fin.FIN = true
 	b.Pick(fin, ports)
-	if len(p.flows) != 0 {
-		t.Fatalf("flow table not cleared on FIN: %d", len(p.flows))
+	if p.flows.Len() != 0 {
+		t.Fatalf("flow table not cleared on FIN: %d", p.flows.Len())
 	}
 }
 
@@ -151,7 +150,7 @@ func TestLetFlowSwitchesAfterGap(t *testing.T) {
 }
 
 func TestDRILLPrefersShortQueues(t *testing.T) {
-	b, ports, _ := newBal(t, DRILL(2, 1), 8)
+	b, ports, _ := newBal(t, DRILL(), 8)
 	// Load every port except 5 heavily.
 	for i := 0; i < 8; i++ {
 		if i != 5 {
@@ -220,9 +219,9 @@ func TestSchemeNames(t *testing.T) {
 	for name, f := range map[string]Factory{
 		"ecmp":      ECMP(),
 		"rps":       RPS(),
-		"presto":    Presto(0),
-		"letflow":   LetFlow(0),
-		"drill":     DRILL(0, -1),
+		"presto":    Presto(),
+		"letflow":   LetFlow(LetFlowGap),
+		"drill":     DRILL(),
 		"packet-sq": PacketShortestQueue(),
 	} {
 		b := f(s, eventsim.NewRNG(1), ports)

@@ -40,9 +40,9 @@ func driveFlows(b Balancer, ports []*netem.Port, n int) {
 // would persist for the whole run and inflate the Fig. 15b scheme-state
 // measurement.
 func TestPrestoFlowTableDrains(t *testing.T) {
-	b, ports, _ := newBal(t, Presto(0), 4)
+	b, ports, _ := newBal(t, Presto(), 4)
 	driveFlows(b, ports, 50)
-	if n := len(b.(*presto).flows); n != 0 {
+	if n := b.(*presto).flows.Len(); n != 0 {
 		t.Fatalf("presto flow table holds %d entries after all flows finished, want 0", n)
 	}
 }
@@ -50,9 +50,9 @@ func TestPrestoFlowTableDrains(t *testing.T) {
 // TestLetFlowFlowTableDrains is the LetFlow counterpart of the Presto
 // leak regression.
 func TestLetFlowFlowTableDrains(t *testing.T) {
-	b, ports, _ := newBal(t, LetFlow(0), 4)
+	b, ports, _ := newBal(t, LetFlow(LetFlowGap), 4)
 	driveFlows(b, ports, 50)
-	if n := len(b.(*letflow).flows); n != 0 {
+	if n := b.(*letflow).flows.Len(); n != 0 {
 		t.Fatalf("letflow flow table holds %d entries after all flows finished, want 0", n)
 	}
 }
@@ -60,7 +60,7 @@ func TestLetFlowFlowTableDrains(t *testing.T) {
 // TestHeaderPacketsRoutedStatelessly: a pure ACK must not create any
 // flow-table state, and must still land on a valid port.
 func TestHeaderPacketsRoutedStatelessly(t *testing.T) {
-	for name, f := range map[string]Factory{"presto": Presto(0), "letflow": LetFlow(0)} {
+	for name, f := range map[string]Factory{"presto": Presto(), "letflow": LetFlow(LetFlowGap)} {
 		b, ports, _ := newBal(t, f, 4)
 		flow := netem.FlowID{Src: 7, Dst: 8, Port: 9}
 		for i := 0; i < 10; i++ {
@@ -72,9 +72,9 @@ func TestHeaderPacketsRoutedStatelessly(t *testing.T) {
 		var size int
 		switch bal := b.(type) {
 		case *presto:
-			size = len(bal.flows)
+			size = bal.flows.Len()
 		case *letflow:
-			size = len(bal.flows)
+			size = bal.flows.Len()
 		}
 		if size != 0 {
 			t.Fatalf("%s created %d flow entries from pure ACKs", name, size)
@@ -89,7 +89,7 @@ func TestStatelessRoutingDeterminism(t *testing.T) {
 	pick := func() []int {
 		s := eventsim.New()
 		ports := testPorts(s, 8)
-		b := LetFlow(0)(s, eventsim.NewRNG(99), ports)
+		b := LetFlow(LetFlowGap)(s, eventsim.NewRNG(99), ports)
 		out := make([]int, 20)
 		for i := range out {
 			out[i] = b.Pick(ackPkt(netem.FlowID{Src: 1, Dst: 2}), ports)
@@ -123,13 +123,13 @@ func driveFlowsLosingFIN(b Balancer, ports []*netem.Port, n int) {
 // a faulted queue must drain once the flows go idle, and the sweep must
 // disarm afterwards so the event queue can empty.
 func TestPrestoIdleSweepReclaimsLostFINs(t *testing.T) {
-	b, ports, s := newBal(t, Presto(0), 4)
+	b, ports, s := newBal(t, Presto(), 4)
 	driveFlowsLosingFIN(b, ports, 50)
-	if n := len(b.(*presto).flows); n != 50 {
+	if n := b.(*presto).flows.Len(); n != 50 {
 		t.Fatalf("table holds %d entries before the sweep, want 50", n)
 	}
 	s.Run()
-	if n := len(b.(*presto).flows); n != 0 {
+	if n := b.(*presto).flows.Len(); n != 0 {
 		t.Fatalf("presto table holds %d orphaned entries after idle sweep, want 0", n)
 	}
 	if s.Pending() != 0 {
@@ -139,13 +139,13 @@ func TestPrestoIdleSweepReclaimsLostFINs(t *testing.T) {
 
 // TestLetFlowIdleSweepReclaimsLostFINs is the LetFlow counterpart.
 func TestLetFlowIdleSweepReclaimsLostFINs(t *testing.T) {
-	b, ports, s := newBal(t, LetFlow(0), 4)
+	b, ports, s := newBal(t, LetFlow(LetFlowGap), 4)
 	driveFlowsLosingFIN(b, ports, 50)
-	if n := len(b.(*letflow).flows); n != 50 {
+	if n := b.(*letflow).flows.Len(); n != 50 {
 		t.Fatalf("table holds %d entries before the sweep, want 50", n)
 	}
 	s.Run()
-	if n := len(b.(*letflow).flows); n != 0 {
+	if n := b.(*letflow).flows.Len(); n != 0 {
 		t.Fatalf("letflow table holds %d orphaned entries after idle sweep, want 0", n)
 	}
 	if s.Pending() != 0 {
@@ -157,14 +157,14 @@ func TestLetFlowIdleSweepReclaimsLostFINs(t *testing.T) {
 // retransmitting across a fault, max RTO 1s) must never be evicted by
 // the Presto sweep, or its round-robin cell position would reset.
 func TestIdleSweepSparesLiveFlows(t *testing.T) {
-	b, ports, s := newBal(t, Presto(0), 4)
+	b, ports, s := newBal(t, Presto(), 4)
 	flow := netem.FlowID{Src: 1, Dst: 2}
 	deadline := 12 * units.Second
 	for s.Now() < deadline {
 		b.Pick(dataPkt(flow, 1460), ports)
 		s.RunUntil(s.Now() + units.Second)
 	}
-	if n := len(b.(*presto).flows); n != 1 {
+	if n := b.(*presto).flows.Len(); n != 1 {
 		t.Fatalf("live flow evicted: table size %d, want 1", n)
 	}
 }
@@ -173,9 +173,9 @@ func TestIdleSweepSparesLiveFlows(t *testing.T) {
 // for reverse-direction ACK streams and have to give it back.
 func relatedTables() map[string]Factory {
 	return map[string]Factory{
-		"conga":      CongaFlowlet(0),
-		"hermes":     Hermes(HermesConfig{}),
-		"flowbender": FlowBender(FlowBenderConfig{}),
+		"conga":      CongaFlowlet(),
+		"hermes":     Hermes(),
+		"flowbender": FlowBender(65),
 	}
 }
 
@@ -183,11 +183,11 @@ func relatedTableSize(t *testing.T, b Balancer) int {
 	t.Helper()
 	switch bal := b.(type) {
 	case *congaFlowlet:
-		return len(bal.flows)
+		return bal.flows.Len()
 	case *hermes:
-		return len(bal.flows)
+		return bal.flows.Len()
 	case *flowBender:
-		return len(bal.flows)
+		return bal.flows.Len()
 	}
 	t.Fatalf("no flow table known for %T", b)
 	return 0
@@ -228,10 +228,10 @@ func TestRelatedIdleSweepReclaims(t *testing.T) {
 // packet per max RTO) must keep its entry across sweeps, or it would
 // lose its port and the byte budget that gates its next reroute.
 func TestHermesIdleSweepSparesLiveFlows(t *testing.T) {
-	b, ports, s := newBal(t, Hermes(HermesConfig{}), 4)
+	b, ports, s := newBal(t, Hermes(), 4)
 	flow := netem.FlowID{Src: 1, Dst: 2}
 	first := b.Pick(dataPkt(flow, 1460), ports)
-	entry := b.(*hermes).flows[flow]
+	entry := b.(*hermes).flows.find(flow)
 	sent := units.Bytes(1500)
 	for s.Now() < 12*units.Second {
 		s.RunUntil(s.Now() + units.Second)
@@ -240,7 +240,7 @@ func TestHermesIdleSweepSparesLiveFlows(t *testing.T) {
 		}
 		sent += 1500
 	}
-	if b.(*hermes).flows[flow] != entry {
+	if b.(*hermes).flows.find(flow) != entry {
 		t.Fatal("live flow's entry evicted by the sweep")
 	}
 	if entry.sentSince != sent {

@@ -116,7 +116,7 @@ func TestRPSAvoidsDownPorts(t *testing.T) {
 }
 
 func TestPrestoLeavesDeadPortMidCell(t *testing.T) {
-	b, ports, _ := newBal(t, Presto(0), 4)
+	b, ports, _ := newBal(t, Presto(), 4)
 	flow := netem.FlowID{Src: 1, Dst: 2}
 	cur := b.Pick(dataPkt(flow, 1460), ports)
 	ports[cur].SetDown(true)
@@ -131,7 +131,7 @@ func TestPrestoLeavesDeadPortMidCell(t *testing.T) {
 }
 
 func TestLetFlowLeavesDeadPortWithinFlowlet(t *testing.T) {
-	b, ports, _ := newBal(t, LetFlow(0), 4)
+	b, ports, _ := newBal(t, LetFlow(LetFlowGap), 4)
 	flow := netem.FlowID{Src: 1, Dst: 2}
 	cur := b.Pick(dataPkt(flow, 1460), ports)
 	ports[cur].SetDown(true)
@@ -145,7 +145,7 @@ func TestLetFlowLeavesDeadPortWithinFlowlet(t *testing.T) {
 }
 
 func TestDRILLAvoidsDownPorts(t *testing.T) {
-	b, ports, _ := newBal(t, DRILL(2, 1), 8)
+	b, ports, _ := newBal(t, DRILL(), 8)
 	for i := 0; i < 8; i++ {
 		if i != 6 {
 			ports[i].SetDown(true)

@@ -6,102 +6,56 @@ package lb
 
 func init() {
 	Register(Registration{
-		Name: "ecmp",
-		Doc:  "static flow hashing (flow granularity)",
-		Build: func(_ *Args, _ Env) Factory {
-			return ECMP()
-		},
+		Name:  "ecmp",
+		Doc:   "static flow hashing (flow granularity)",
+		Build: func(Args, Env) Factory { return ECMP() },
 	})
 	Register(Registration{
-		Name: "rps",
-		Doc:  "random packet spraying (packet granularity)",
-		Build: func(_ *Args, _ Env) Factory {
-			return RPS()
-		},
+		Name:  "rps",
+		Doc:   "random packet spraying (packet granularity)",
+		Build: func(Args, Env) Factory { return RPS() },
 	})
 	Register(Registration{
-		Name: "presto",
-		Doc:  "fixed-size flowcells, round-robin uplinks",
-		Params: []Param{
-			{Name: "cell", Kind: KindBytes, Doc: "flowcell size (default 64KiB)"},
-		},
-		Build: func(a *Args, _ Env) Factory {
-			return Presto(a.Bytes("cell", 0))
-		},
+		Name:  "presto",
+		Doc:   "fixed-size flowcells, round-robin uplinks",
+		Build: func(Args, Env) Factory { return Presto() },
 	})
 	Register(Registration{
 		Name: "letflow",
 		Doc:  "flowlet switching on an inactivity gap",
 		Params: []Param{
-			{Name: "gap", Kind: KindDuration, Doc: "flowlet inactivity timeout (default 150us)"},
+			{Name: "gap", Doc: "flowlet inactivity timeout", Default: LetFlowGap, Min: 1},
 		},
-		Build: func(a *Args, _ Env) Factory {
-			return LetFlow(a.Duration("gap", 0))
-		},
+		Build: func(a Args, _ Env) Factory { return LetFlow(a.Duration("gap")) },
 	})
 	Register(Registration{
-		Name: "drill",
-		Doc:  "per-packet power-of-d-choices with memory",
-		Params: []Param{
-			{Name: "d", Kind: KindInt, Doc: "random queues sampled per packet (default 2)"},
-			{Name: "m", Kind: KindInt, Doc: "remembered least-loaded queues (default 1)"},
-		},
-		Build: func(a *Args, _ Env) Factory {
-			return DRILL(a.Int("d", 2), a.Int("m", 1))
-		},
+		Name:  "drill",
+		Doc:   "per-packet power-of-d-choices with memory",
+		Build: func(Args, Env) Factory { return DRILL() },
 	})
 	Register(Registration{
-		Name: "flowbender",
-		Doc:  "congestion-triggered flow re-hashing",
-		Params: []Param{
-			{Name: "window", Kind: KindDuration, Doc: "congestion observation period (default 100us)"},
-			{Name: "markFraction", Kind: KindFloat, Doc: "ECN-marked fraction that triggers a re-hash (default 0.05)"},
-			{Name: "ecnThreshold", Kind: KindInt, Doc: "queue marking threshold in packets (default: the fabric's)"},
-		},
-		Build: func(a *Args, env Env) Factory {
-			return FlowBender(FlowBenderConfig{
-				Window:       a.Duration("window", 0),
-				MarkFraction: a.Float("markFraction", 0),
-				ECNThreshold: a.Int("ecnThreshold", env.ECNThreshold),
-			})
-		},
+		Name:  "flowbender",
+		Doc:   "congestion-triggered flow re-hashing",
+		Build: func(_ Args, env Env) Factory { return FlowBender(env.ECNThreshold) },
 	})
 	Register(Registration{
-		Name: "conga",
-		Doc:  "congestion-aware flowlet switching (local signals)",
-		Params: []Param{
-			{Name: "gap", Kind: KindDuration, Doc: "flowlet inactivity timeout (default 500us)"},
-		},
-		Build: func(a *Args, _ Env) Factory {
-			return CongaFlowlet(a.Duration("gap", 0))
-		},
+		Name:  "conga",
+		Doc:   "congestion-aware flowlet switching (local signals)",
+		Build: func(Args, Env) Factory { return CongaFlowlet() },
 	})
 	Register(Registration{
-		Name: "hermes",
-		Doc:  "cautious rerouting on strong path degradation",
-		Params: []Param{
-			{Name: "rerouteBytes", Kind: KindBytes, Doc: "minimum bytes between reroutes (default 64KiB)"},
-			{Name: "degrade", Kind: KindFloat, Doc: "delay ratio that justifies a reroute (default 2.0)"},
-		},
-		Build: func(a *Args, _ Env) Factory {
-			return Hermes(HermesConfig{
-				RerouteBytes: a.Bytes("rerouteBytes", 0),
-				Degrade:      a.Float("degrade", 0),
-			})
-		},
+		Name:  "hermes",
+		Doc:   "cautious rerouting on strong path degradation",
+		Build: func(Args, Env) Factory { return Hermes() },
 	})
 	Register(Registration{
-		Name: "wcmp",
-		Doc:  "bandwidth-weighted static flow hashing",
-		Build: func(_ *Args, _ Env) Factory {
-			return WCMP()
-		},
+		Name:  "wcmp",
+		Doc:   "bandwidth-weighted static flow hashing",
+		Build: func(Args, Env) Factory { return WCMP() },
 	})
 	Register(Registration{
-		Name: "packet-sq",
-		Doc:  "every packet to the instantaneous shortest queue",
-		Build: func(_ *Args, _ Env) Factory {
-			return PacketShortestQueue()
-		},
+		Name:  "packet-sq",
+		Doc:   "every packet to the instantaneous shortest queue",
+		Build: func(Args, Env) Factory { return PacketShortestQueue() },
 	})
 }

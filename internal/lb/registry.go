@@ -8,75 +8,167 @@ package lb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"tlb/internal/units"
 )
 
-// ParamKind types a scheme parameter for documentation and decoding.
-type ParamKind uint8
-
-// Parameter kinds. Quantities (duration, bytes, bandwidth) decode from
-// the exact unit strings of units.Parse* ("150us", "64KiB", "20Mbps").
-const (
-	KindDuration ParamKind = iota
-	KindBytes
-	KindBandwidth
-	KindInt
-	KindFloat
-	KindBool
-	KindString
-)
-
-func (k ParamKind) String() string {
-	switch k {
-	case KindDuration:
-		return "duration"
-	case KindBytes:
-		return "bytes"
-	case KindBandwidth:
-		return "bandwidth"
-	case KindInt:
-		return "int"
-	case KindFloat:
-		return "float"
-	case KindBool:
-		return "bool"
-	case KindString:
-		return "string"
-	default:
-		return fmt.Sprintf("ParamKind(%d)", uint8(k))
-	}
-}
-
-// Param documents one scheme parameter.
+// Param declares one scheme parameter, once: its name, what it is, the
+// value it takes when a spec does not set it, and the values a spec may
+// set. Build decodes, range-checks and defaults from this declaration
+// and -list-schemes renders it, so a builder reads already-valid values
+// and no default is written anywhere else.
 type Param struct {
 	Name string
-	Kind ParamKind
-	// Doc is a one-line description including the default.
+	// Doc says what the parameter is; Describe appends the default.
 	Doc string
+	// Default is the value of an absent parameter. Its Go type is the
+	// parameter's kind: units.Time (a duration string like "150us"),
+	// units.Bytes (a size string like "64KiB"), int, bool or string.
+	Default any
+	// Min is the smallest valid value of a duration, bytes or int
+	// parameter, in its base unit (ns, bytes, count).
+	Min int64
+	// OneOf lists the valid values of a string parameter.
+	OneOf []string
 }
 
-// Env carries the topology-derived context a scheme builder may need
-// for its defaults (TLB derives its link rate, RTT and q_th cap from
-// the fabric; FlowBender mirrors the queue's ECN threshold).
+// Kind names the parameter's type for -list-schemes.
+func (p Param) Kind() string {
+	switch p.Default.(type) {
+	case units.Time:
+		return "duration"
+	case units.Bytes:
+		return "bytes"
+	case int:
+		return "int"
+	case bool:
+		return "bool"
+	case string:
+		return "string"
+	}
+	panic(fmt.Sprintf("lb: parameter %q: unsupported default type %T", p.Name, p.Default))
+}
+
+// Describe is the parameter's -list-schemes text: its doc line with the
+// valid strings and the default rendered from the declaration.
+func (p Param) Describe() string {
+	if len(p.OneOf) > 0 {
+		return fmt.Sprintf("%s: %s (default %s)", p.Doc, strings.Join(p.OneOf, ", "), format(p.Default))
+	}
+	return fmt.Sprintf("%s (default %s)", p.Doc, format(p.Default))
+}
+
+// format renders a parameter value the way a spec writes it.
+func format(v any) string {
+	switch x := v.(type) {
+	case units.Time:
+		return units.FormatTime(x)
+	case units.Bytes:
+		return units.FormatBytes(x)
+	}
+	return fmt.Sprint(v)
+}
+
+// decode converts a raw argument — a spec's unit string, bool or
+// number (encoding/json produces float64; Go callers pass int) — to the
+// parameter's kind and range-checks it.
+func (p Param) decode(raw any) (v any, err error) {
+	switch p.Default.(type) {
+	case units.Time:
+		var s string
+		if s, err = typed[string](raw, `a duration string like "150us"`); err == nil {
+			v, err = units.ParseTime(s)
+		}
+	case units.Bytes:
+		var s string
+		if s, err = typed[string](raw, `a size string like "64KiB"`); err == nil {
+			v, err = units.ParseBytes(s)
+		}
+	case int:
+		//simlint:allow floateq(integrality check on a decoded JSON number; exact comparison is the intent)
+		if f, ok := raw.(float64); ok && f == float64(int(f)) {
+			raw = int(f)
+		}
+		v, err = typed[int](raw, "an integer")
+	case bool:
+		v, err = typed[bool](raw, "true or false")
+	case string:
+		v, err = typed[string](raw, "a string")
+	}
+	if err != nil {
+		return nil, err
+	}
+	return v, p.check(v)
+}
+
+// typed asserts a raw argument to its kind's Go type.
+func typed[T any](raw any, want string) (T, error) {
+	v, ok := raw.(T)
+	if !ok {
+		return v, fmt.Errorf("want %s, got %v", want, raw)
+	}
+	return v, nil
+}
+
+// check reports a value of the parameter's kind outside its range.
+func (p Param) check(v any) error {
+	var n int64
+	switch x := v.(type) {
+	case units.Time:
+		n = int64(x)
+	case units.Bytes:
+		n = int64(x)
+	case int:
+		n = int64(x)
+	case string:
+		if !slices.Contains(p.OneOf, x) {
+			return fmt.Errorf("unknown value %q (valid: %s)", x, strings.Join(p.OneOf, ", "))
+		}
+		return nil
+	default:
+		return nil
+	}
+	switch {
+	case n >= p.Min:
+		return nil
+	case p.Min == 1:
+		return fmt.Errorf("must be positive, got %s", format(v))
+	case p.Min == 0:
+		return fmt.Errorf("must not be negative, got %s", format(v))
+	}
+	return fmt.Errorf("must be at least %d, got %s", p.Min, format(v))
+}
+
+// Env is the derived context of a run that a scheme builder may read —
+// facts of the fabric and of the end hosts' transport, never something
+// a spec sets per scheme. TLB's model takes its link rate C, RTT, q_th
+// cap, MSS, header size and W_L from here; FlowBender mirrors the
+// queue's ECN threshold.
 type Env struct {
 	// FabricBandwidth is the default leaf-spine link rate.
 	FabricBandwidth units.Bandwidth
 	// BaseRTT is the fabric round-trip propagation delay.
 	BaseRTT units.Time
-	// QueueCapacity is the per-queue buffer size in packets.
+	// QueueCapacity is the per-queue buffer size in packets (0:
+	// unbounded).
 	QueueCapacity int
-	// ECNThreshold is the queue marking threshold in packets.
+	// ECNThreshold is the queue marking threshold in packets (0: no
+	// marking).
 	ECNThreshold int
+	// MSS and HeaderBytes are the transport's segment payload and
+	// per-packet header sizes.
+	MSS, HeaderBytes units.Bytes
+	// RcvWindow is the transport's receive-window cap, the W_L of the
+	// paper's Eq. 1.
+	RcvWindow units.Bytes
 }
 
-// Builder constructs a scheme's Factory from decoded arguments. Type
-// and range problems are accumulated on a (never returned directly),
-// so a builder reads every parameter and Build reports all problems at
-// once.
-type Builder func(a *Args, env Env) Factory
+// Builder constructs a scheme's Factory from its decoded arguments and
+// the run's environment.
+type Builder func(a Args, env Env) Factory
 
 // Registration describes one scheme.
 type Registration struct {
@@ -103,6 +195,9 @@ func Register(r Registration) {
 	}
 	if _, dup := registry[r.Name]; dup {
 		panic("lb: duplicate scheme registration: " + r.Name)
+	}
+	for _, p := range r.Params {
+		p.Kind() // panics on a default whose type is no parameter kind
 	}
 	registry[r.Name] = r
 }
@@ -133,198 +228,73 @@ func Build(name string, args map[string]any, path string, env Env) (Factory, err
 	if !ok {
 		return nil, fmt.Errorf("unknown scheme %q (valid: %s)", name, strings.Join(Names(), ", "))
 	}
-	a := NewArgs(args, path)
-	known := make(map[string]bool, len(reg.Params))
-	for _, p := range reg.Params {
-		known[p.Name] = true
-	}
-	for _, k := range a.sortedKeys() {
-		if !known[k] {
-			valid := make([]string, 0, len(reg.Params))
-			for _, p := range reg.Params {
-				valid = append(valid, p.Name)
-			}
-			if len(valid) == 0 {
-				a.errf("%s.%s: scheme %q takes no parameters", path, k, name)
-			} else {
-				a.errf("%s.%s: unknown parameter for scheme %q (valid: %s)",
-					path, k, name, strings.Join(valid, ", "))
-			}
-		}
-	}
-	f := reg.Build(a, env)
-	if err := a.Err(); err != nil {
+	a, err := reg.Decode(args, path)
+	if err != nil {
 		return nil, err
 	}
-	return f, nil
+	return reg.Build(a, env), nil
 }
 
-// Args decodes raw scheme arguments, accumulating every problem
-// instead of failing on the first. Quantity values are the unit
-// strings of internal/units; numbers may arrive as int, int64 or
-// float64 (encoding/json produces float64).
-type Args struct {
-	vals map[string]any
-	path string
-	errs []string
-}
+// Args are a scheme's decoded arguments: every declared parameter by
+// name, at its kind's Go type, inside its range — the set value or the
+// declared default. The accessors panic on a name or kind the scheme
+// did not declare, which is a bug in its builder.
+type Args map[string]any
 
-// NewArgs wraps raw arguments; path prefixes error locations.
-func NewArgs(vals map[string]any, path string) *Args {
-	return &Args{vals: vals, path: path}
-}
+// Duration reads a duration parameter.
+func (a Args) Duration(name string) units.Time { return a[name].(units.Time) }
 
-func (a *Args) errf(format string, args ...any) {
-	a.errs = append(a.errs, fmt.Sprintf(format, args...))
-}
+// Bytes reads a size parameter.
+func (a Args) Bytes(name string) units.Bytes { return a[name].(units.Bytes) }
 
-// Errorf records a builder-side problem with the named parameter (e.g.
-// an enum value outside its domain), located like the built-in type
-// errors.
-func (a *Args) Errorf(name, format string, args ...any) {
-	a.errf("%s.%s: %s", a.path, name, fmt.Sprintf(format, args...))
-}
+// Int reads an integer parameter.
+func (a Args) Int(name string) int { return a[name].(int) }
 
-// Err returns all accumulated problems, one per line, or nil.
-func (a *Args) Err() error {
-	if len(a.errs) == 0 {
-		return nil
+// Bool reads a boolean parameter.
+func (a Args) Bool(name string) bool { return a[name].(bool) }
+
+// String reads a string parameter.
+func (a Args) String(name string) string { return a[name].(string) }
+
+// Decode checks raw arguments against the scheme's declarations and
+// fills in the defaults, accumulating every problem — one line each,
+// located as path.name — instead of failing on the first.
+func (r Registration) Decode(raw map[string]any, path string) (Args, error) {
+	a := make(Args, len(r.Params))
+	for _, p := range r.Params {
+		a[p.Name] = p.Default
 	}
-	return fmt.Errorf("%s", strings.Join(a.errs, "\n"))
-}
-
-func (a *Args) sortedKeys() []string {
-	keys := make([]string, 0, len(a.vals))
+	keys := make([]string, 0, len(raw))
 	//simlint:allow maporder(keys are collected here and sorted below before any use)
-	for k := range a.vals {
+	for k := range raw {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	return keys
-}
-
-// Duration reads a duration parameter ("150us"), or def when absent.
-func (a *Args) Duration(name string, def units.Time) units.Time {
-	v, ok := a.vals[name]
-	if !ok {
-		return def
-	}
-	s, ok := v.(string)
-	if !ok {
-		a.errf("%s.%s: want a duration string like %q, got %v", a.path, name, "150us", v)
-		return def
-	}
-	t, err := units.ParseTime(s)
-	if err != nil {
-		a.errf("%s.%s: %v", a.path, name, err)
-		return def
-	}
-	return t
-}
-
-// Bytes reads a size parameter ("100KB"), or def when absent.
-func (a *Args) Bytes(name string, def units.Bytes) units.Bytes {
-	v, ok := a.vals[name]
-	if !ok {
-		return def
-	}
-	s, ok := v.(string)
-	if !ok {
-		a.errf("%s.%s: want a size string like %q, got %v", a.path, name, "64KiB", v)
-		return def
-	}
-	b, err := units.ParseBytes(s)
-	if err != nil {
-		a.errf("%s.%s: %v", a.path, name, err)
-		return def
-	}
-	return b
-}
-
-// Bandwidth reads a rate parameter ("1Gbps"), or def when absent.
-func (a *Args) Bandwidth(name string, def units.Bandwidth) units.Bandwidth {
-	v, ok := a.vals[name]
-	if !ok {
-		return def
-	}
-	s, ok := v.(string)
-	if !ok {
-		a.errf("%s.%s: want a bandwidth string like %q, got %v", a.path, name, "1Gbps", v)
-		return def
-	}
-	b, err := units.ParseBandwidth(s)
-	if err != nil {
-		a.errf("%s.%s: %v", a.path, name, err)
-		return def
-	}
-	return b
-}
-
-// Int reads an integer parameter, or def when absent.
-func (a *Args) Int(name string, def int) int {
-	v, ok := a.vals[name]
-	if !ok {
-		return def
-	}
-	switch n := v.(type) {
-	case int:
-		return n
-	case int64:
-		return int(n)
-	case float64:
-		// encoding/json decodes every number as float64; accept it only
-		// when it is exactly an integer.
-		//simlint:allow floateq(integrality check on a decoded JSON number; exact comparison is the intent)
-		if n == float64(int(n)) {
-			return int(n)
+	var errs []string
+	for _, k := range keys {
+		var err error
+		if i := slices.IndexFunc(r.Params, func(p Param) bool { return p.Name == k }); i < 0 {
+			err = r.unknownParam()
+		} else {
+			a[k], err = r.Params[i].decode(raw[k])
+		}
+		if err != nil {
+			errs = append(errs, fmt.Sprintf("%s.%s: %v", path, k, err))
 		}
 	}
-	a.errf("%s.%s: want an integer, got %v", a.path, name, v)
-	return def
+	if len(errs) > 0 {
+		return nil, fmt.Errorf("%s", strings.Join(errs, "\n"))
+	}
+	return a, nil
 }
 
-// Float reads a float parameter, or def when absent.
-func (a *Args) Float(name string, def float64) float64 {
-	v, ok := a.vals[name]
-	if !ok {
-		return def
+func (r Registration) unknownParam() error {
+	if len(r.Params) == 0 {
+		return fmt.Errorf("scheme %q takes no parameters", r.Name)
 	}
-	switch n := v.(type) {
-	case float64:
-		return n
-	case int:
-		return float64(n)
-	case int64:
-		return float64(n)
+	valid := make([]string, len(r.Params))
+	for i, p := range r.Params {
+		valid[i] = p.Name
 	}
-	a.errf("%s.%s: want a number, got %v", a.path, name, v)
-	return def
-}
-
-// Bool reads a boolean parameter, or def when absent.
-func (a *Args) Bool(name string, def bool) bool {
-	v, ok := a.vals[name]
-	if !ok {
-		return def
-	}
-	b, ok := v.(bool)
-	if !ok {
-		a.errf("%s.%s: want true or false, got %v", a.path, name, v)
-		return def
-	}
-	return b
-}
-
-// String reads a string parameter, or def when absent.
-func (a *Args) String(name string, def string) string {
-	v, ok := a.vals[name]
-	if !ok {
-		return def
-	}
-	s, ok := v.(string)
-	if !ok {
-		a.errf("%s.%s: want a string, got %v", a.path, name, v)
-		return def
-	}
-	return s
+	return fmt.Errorf("unknown parameter for scheme %q (valid: %s)", r.Name, strings.Join(valid, ", "))
 }

@@ -13,22 +13,21 @@ import (
 // machinery this simulator's switch-local Balancer interface does not
 // see).
 
-// FlowBenderConfig parameterizes the FlowBender adaptation.
-type FlowBenderConfig struct {
-	// Window is the congestion observation period (≈ one RTT).
-	Window units.Time
-	// MarkFraction is the fraction of a flow's packets admitted into
-	// ECN-marking queues above which the flow is re-hashed (the
-	// original uses the end host's observed ECE fraction; 5% default).
-	MarkFraction float64
-	// ECNThreshold mirrors the queue marking threshold so the balancer
-	// can tell whether the queue it picked would mark.
-	ECNThreshold int
-}
+// FlowBender's congestion observation period (≈ one RTT) and the
+// fraction of a flow's packets admitted into ECN-marking queues above
+// which the flow is re-hashed (the original uses the end host's
+// observed ECE fraction).
+const (
+	flowBenderWindow       = 100 * units.Microsecond
+	flowBenderMarkFraction = 0.05
+)
 
 // FlowBender returns a FlowBender-style balancer: flows are hashed like
 // ECMP, but a flow observing persistent congestion on its path for one
-// window is re-hashed onto a random other uplink.
+// window is re-hashed onto a random other uplink. ecnThreshold mirrors
+// the fabric's queue marking threshold, so the balancer can tell
+// whether the queue it picked would mark (0: the queues never mark and
+// no flow is ever re-hashed).
 //
 // Simplification vs the original (Kabbani et al., CoNEXT 2014):
 // FlowBender detects congestion at the END HOST from the ECE fraction
@@ -36,35 +35,22 @@ type FlowBenderConfig struct {
 // Here the switch itself observes whether the flow's packets are
 // entering above-ECN-threshold queues — the same congestion signal,
 // seen one hop earlier.
-func FlowBender(cfg FlowBenderConfig) Factory {
-	if cfg.Window <= 0 {
-		cfg.Window = 100 * units.Microsecond
-	}
-	if cfg.MarkFraction <= 0 {
-		cfg.MarkFraction = 0.05
-	}
-	if cfg.ECNThreshold <= 0 {
-		cfg.ECNThreshold = 65
-	}
+func FlowBender(ecnThreshold int) Factory {
 	return func(sim *eventsim.Sim, rng *eventsim.RNG, _ []*netem.Port) Balancer {
-		f := &flowBender{
-			sim: sim, cfg: cfg, rng: rng,
+		return &flowBender{
+			sim: sim, rng: rng, ecnThreshold: ecnThreshold,
 			seed:  rng.Uint64(),
-			flows: make(map[netem.FlowID]*fbFlow),
+			flows: newIdleTable[fbFlow](sim),
 		}
-		f.sweep = newIdleSweep(sim, f.flows, idleTimeout,
-			func(st *fbFlow, now units.Time) bool { return now-st.lastSeen >= idleTimeout })
-		return f
 	}
 }
 
 type flowBender struct {
-	sim   *eventsim.Sim
-	cfg   FlowBenderConfig
-	rng   *eventsim.RNG
-	seed  uint64
-	flows map[netem.FlowID]*fbFlow
-	sweep idleSweep
+	sim          *eventsim.Sim
+	rng          *eventsim.RNG
+	ecnThreshold int
+	seed         uint64
+	flows        *sweptTable[fbFlow]
 }
 
 type fbFlow struct {
@@ -74,39 +60,39 @@ type fbFlow struct {
 	windowStart units.Time
 	pkts        int
 	marked      int
-	lastSeen    units.Time
 }
 
 func (f *flowBender) Name() string { return "flowbender" }
 
 func (f *flowBender) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	now := f.sim.Now()
-	st, ok := f.flows[pkt.Flow]
-	if !ok {
-		st = &fbFlow{windowStart: now}
-		f.flows[pkt.Flow] = st
-		f.sweep.arm()
+	st, _, fresh := f.flows.Get(&pkt.Flow, now)
+	if fresh {
+		f.flows.arm()
+		st.windowStart = now
 	}
-	st.lastSeen = now
 	port := int((pkt.Flow.Hash(f.seed) + st.offset*0x9e3779b97f4a7c15) % uint64(len(ports)))
 
 	// Observe congestion on the chosen path.
 	st.pkts++
-	if ports[port].QueueLen() >= f.cfg.ECNThreshold {
+	if f.ecnThreshold > 0 && ports[port].QueueLen() >= f.ecnThreshold {
 		st.marked++
 	}
-	if now-st.windowStart >= f.cfg.Window {
-		if st.pkts > 0 && float64(st.marked)/float64(st.pkts) > f.cfg.MarkFraction {
+	if now-st.windowStart >= flowBenderWindow {
+		if st.pkts > 0 && float64(st.marked)/float64(st.pkts) > flowBenderMarkFraction {
 			st.offset++ // re-hash: take a different path next packet
 		}
 		st.windowStart = now
 		st.pkts, st.marked = 0, 0
 	}
 	if pkt.FIN {
-		delete(f.flows, pkt.Flow)
+		f.flows.Remove(&pkt.Flow)
 	}
 	return port
 }
+
+// congaGap is CONGA's flowlet timeout.
+const congaGap = 500 * units.Microsecond
 
 // CongaFlowlet returns a congestion-aware flowlet balancer: flowlet
 // boundaries like LetFlow, but the new flowlet goes to the uplink with
@@ -117,13 +103,9 @@ func (f *flowBender) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 // path; a Balancer only sees its local uplinks, so this uses the local
 // backlog+propagation estimate. On a two-tier fabric whose contention
 // sits at the leaf uplinks the two signals coincide.
-func CongaFlowlet(gap units.Time) Factory {
-	if gap <= 0 {
-		gap = 500 * units.Microsecond // CONGA's flowlet timeout
-	}
+func CongaFlowlet() Factory {
 	return func(sim *eventsim.Sim, rng *eventsim.RNG, _ []*netem.Port) Balancer {
-		flows := make(map[netem.FlowID]*letflowFlow)
-		return &congaFlowlet{sim: sim, gap: gap, rng: rng, flows: flows, sweep: flowletSweep(sim, flows, gap)}
+		return &congaFlowlet{sim: sim, gap: congaGap, rng: rng, flows: newFlowletTable(sim, congaGap)}
 	}
 }
 
@@ -131,39 +113,35 @@ type congaFlowlet struct {
 	sim   *eventsim.Sim
 	gap   units.Time
 	rng   *eventsim.RNG
-	flows map[netem.FlowID]*letflowFlow
-	sweep idleSweep
+	flows *sweptTable[flowlet]
 }
 
 func (c *congaFlowlet) Name() string { return "conga" }
 
 func (c *congaFlowlet) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	now := c.sim.Now()
-	f, ok := c.flows[pkt.Flow]
-	if !ok {
-		f = &letflowFlow{port: LowestDelay(c.rng, ports)}
-		c.flows[pkt.Flow] = f
-		c.sweep.arm()
-	} else if now-f.lastSeen > c.gap {
+	f, prev, fresh := c.flows.Get(&pkt.Flow, now)
+	if fresh {
+		c.flows.arm()
+	}
+	if fresh || now-prev > c.gap {
 		f.port = LowestDelay(c.rng, ports)
 	}
-	f.lastSeen = now
+	port := f.port
 	if pkt.FIN {
-		delete(c.flows, pkt.Flow)
+		c.flows.Remove(&pkt.Flow)
 	}
-	return f.port
+	return port
 }
 
-// HermesConfig parameterizes the Hermes adaptation.
-type HermesConfig struct {
-	// RerouteBytes is the minimum bytes a flow must send between
-	// reroutes (Hermes's sent-threshold; 64 KB default).
-	RerouteBytes units.Bytes
-	// Degrade is how much worse (multiplicatively) the current path's
-	// estimated delay must be than the best before Hermes considers
-	// rerouting beneficial (cautious rerouting; 2.0 default).
-	Degrade float64
-}
+// Hermes's cautious-rerouting triggers: the minimum bytes a flow must
+// send between reroutes (its sent-threshold), and how much worse
+// (multiplicatively) the current path's estimated delay must be than
+// the best before a reroute counts as beneficial.
+const (
+	hermesRerouteBytes = 64 * units.KiB
+	hermesDegrade      = 2.0
+)
 
 // Hermes returns a Hermes-style cautious balancer: a flow is rerouted
 // only when (a) it has sent enough bytes since its last move, and
@@ -174,64 +152,47 @@ type HermesConfig struct {
 // path state end-to-end (RTT, ECN fraction, retransmissions) and
 // classifies paths as good/gray/bad; this adaptation uses the local
 // delay estimate as the path signal and keeps the cautious triggers.
-func Hermes(cfg HermesConfig) Factory {
-	if cfg.RerouteBytes <= 0 {
-		cfg.RerouteBytes = 64 * units.KiB
-	}
-	if cfg.Degrade <= 1 {
-		cfg.Degrade = 2.0
-	}
+func Hermes() Factory {
 	return func(sim *eventsim.Sim, rng *eventsim.RNG, _ []*netem.Port) Balancer {
-		h := &hermes{sim: sim, cfg: cfg, rng: rng, flows: make(map[netem.FlowID]*hermesFlow)}
-		h.sweep = newIdleSweep(sim, h.flows, idleTimeout,
-			func(f *hermesFlow, now units.Time) bool { return now-f.lastSeen >= idleTimeout })
-		return h
+		return &hermes{sim: sim, rerouteBytes: hermesRerouteBytes, rng: rng, flows: newIdleTable[hermesFlow](sim)}
 	}
 }
 
 type hermes struct {
-	sim   *eventsim.Sim
-	cfg   HermesConfig
-	rng   *eventsim.RNG
-	flows map[netem.FlowID]*hermesFlow
-	sweep idleSweep
+	sim          *eventsim.Sim
+	rerouteBytes units.Bytes
+	rng          *eventsim.RNG
+	flows        *sweptTable[hermesFlow]
 }
 
 type hermesFlow struct {
 	port      int
-	hasPort   bool
 	sentSince units.Bytes
-	lastSeen  units.Time
 }
 
 func (h *hermes) Name() string { return "hermes" }
 
 func (h *hermes) Pick(pkt *netem.Packet, ports []*netem.Port) int {
-	f, ok := h.flows[pkt.Flow]
-	if !ok {
-		f = &hermesFlow{}
-		h.flows[pkt.Flow] = f
-		h.sweep.arm()
-	}
-	f.lastSeen = h.sim.Now()
-	if !f.hasPort {
+	f, _, fresh := h.flows.Get(&pkt.Flow, h.sim.Now())
+	if fresh {
+		h.flows.arm()
 		f.port = LowestDelay(h.rng, ports)
-		f.hasPort = true
-	} else if f.sentSince >= h.cfg.RerouteBytes {
+	} else if f.sentSince >= h.rerouteBytes {
 		best := LowestDelay(h.rng, ports)
 		cur := ports[f.port].EstimatedDelay()
 		cand := ports[best].EstimatedDelay()
 		// Cautious: move only on a clear win.
-		if best != f.port && float64(cur) > h.cfg.Degrade*float64(cand) {
+		if best != f.port && float64(cur) > hermesDegrade*float64(cand) {
 			f.port = best
 			f.sentSince = 0
 		}
 	}
 	f.sentSince += pkt.Wire
+	port := f.port
 	if pkt.FIN {
-		delete(h.flows, pkt.Flow)
+		h.flows.Remove(&pkt.Flow)
 	}
-	return f.port
+	return port
 }
 
 // WCMP returns weighted-cost multipath: static per-flow hashing like

@@ -11,7 +11,7 @@ import (
 func TestFlowBenderStableWithoutCongestion(t *testing.T) {
 	s := eventsim.New()
 	ports := testPorts(s, 8)
-	b := FlowBender(FlowBenderConfig{Window: 100 * units.Microsecond, ECNThreshold: 20})(s, eventsim.NewRNG(1), ports)
+	b := FlowBender(20)(s, eventsim.NewRNG(1), ports)
 	flow := netem.FlowID{Src: 1, Dst: 2}
 	first := b.Pick(dataPkt(flow, 1460), ports)
 	for i := 0; i < 100; i++ {
@@ -25,7 +25,7 @@ func TestFlowBenderStableWithoutCongestion(t *testing.T) {
 func TestFlowBenderReroutesUnderPersistentCongestion(t *testing.T) {
 	s := eventsim.New()
 	ports := testPorts(s, 8)
-	b := FlowBender(FlowBenderConfig{Window: 50 * units.Microsecond, ECNThreshold: 5})(s, eventsim.NewRNG(1), ports)
+	b := FlowBender(5)(s, eventsim.NewRNG(1), ports)
 	flow := netem.FlowID{Src: 1, Dst: 2}
 	first := b.Pick(dataPkt(flow, 1460), ports)
 	// Keep the chosen port's queue above the marking threshold; the
@@ -48,7 +48,8 @@ func TestFlowBenderReroutesUnderPersistentCongestion(t *testing.T) {
 func TestCongaFlowletPicksLeastLoadedAtBoundary(t *testing.T) {
 	s := eventsim.New()
 	ports := testPorts(s, 4)
-	b := CongaFlowlet(100*units.Microsecond)(s, eventsim.NewRNG(1), ports)
+	b := CongaFlowlet()(s, eventsim.NewRNG(1), ports)
+	b.(*congaFlowlet).gap = 100 * units.Microsecond
 	flow := netem.FlowID{Src: 1, Dst: 2}
 	// All but port 2 loaded: first pick must be 2.
 	fill(ports, 0, 50)
@@ -77,7 +78,8 @@ func TestCongaFlowletPicksLeastLoadedAtBoundary(t *testing.T) {
 func TestHermesCautiousReroute(t *testing.T) {
 	s := eventsim.New()
 	ports := testPorts(s, 4)
-	b := Hermes(HermesConfig{RerouteBytes: 10 * units.KiB, Degrade: 2})(s, eventsim.NewRNG(1), ports)
+	b := Hermes()(s, eventsim.NewRNG(1), ports)
+	b.(*hermes).rerouteBytes = 10 * units.KiB
 	flow := netem.FlowID{Src: 1, Dst: 2}
 	first := b.Pick(dataPkt(flow, 1460), ports)
 
@@ -109,7 +111,8 @@ func TestHermesCautiousReroute(t *testing.T) {
 func TestHermesRespectsByteBudget(t *testing.T) {
 	s := eventsim.New()
 	ports := testPorts(s, 4)
-	b := Hermes(HermesConfig{RerouteBytes: units.MiB, Degrade: 2})(s, eventsim.NewRNG(1), ports)
+	b := Hermes()(s, eventsim.NewRNG(1), ports)
+	b.(*hermes).rerouteBytes = units.MiB
 	flow := netem.FlowID{Src: 1, Dst: 2}
 	first := b.Pick(dataPkt(flow, 1460), ports)
 	fill(ports, first, 300) // severe, but budget not met
@@ -151,9 +154,9 @@ func TestRelatedSchemeNames(t *testing.T) {
 	s := eventsim.New()
 	ports := testPorts(s, 2)
 	for name, f := range map[string]Factory{
-		"flowbender": FlowBender(FlowBenderConfig{}),
-		"conga":      CongaFlowlet(0),
-		"hermes":     Hermes(HermesConfig{}),
+		"flowbender": FlowBender(65),
+		"conga":      CongaFlowlet(),
+		"hermes":     Hermes(),
 		"wcmp":       WCMP(),
 	} {
 		b := f(s, eventsim.NewRNG(1), ports)
@@ -175,9 +178,9 @@ func TestRelatedSchemesCleanUpOnFIN(t *testing.T) {
 		bal  Balancer
 		size func() int
 	}{}
-	cg := CongaFlowlet(0)(s, eventsim.NewRNG(1), ports).(*congaFlowlet)
-	hm := Hermes(HermesConfig{})(s, eventsim.NewRNG(1), ports).(*hermes)
-	fb := FlowBender(FlowBenderConfig{})(s, eventsim.NewRNG(1), ports).(*flowBender)
+	cg := CongaFlowlet()(s, eventsim.NewRNG(1), ports).(*congaFlowlet)
+	hm := Hermes()(s, eventsim.NewRNG(1), ports).(*hermes)
+	fb := FlowBender(65)(s, eventsim.NewRNG(1), ports).(*flowBender)
 	_ = schemes
 	for i := 0; i < 10; i++ {
 		flow := netem.FlowID{Src: i, Dst: 100}
@@ -196,8 +199,8 @@ func TestRelatedSchemesCleanUpOnFIN(t *testing.T) {
 		fin3.FIN = true
 		fb.Pick(fin3, ports)
 	}
-	if len(cg.flows) != 0 || len(hm.flows) != 0 || len(fb.flows) != 0 {
+	if cg.flows.Len() != 0 || hm.flows.Len() != 0 || fb.flows.Len() != 0 {
 		t.Fatalf("state leak: conga=%d hermes=%d flowbender=%d",
-			len(cg.flows), len(hm.flows), len(fb.flows))
+			cg.flows.Len(), hm.flows.Len(), fb.flows.Len())
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"tlb/internal/core"
 	"tlb/internal/eventsim"
 	"tlb/internal/lb"
 	"tlb/internal/stats"
@@ -80,10 +79,10 @@ func TestArrivalOrderPinned(t *testing.T) {
 		name string
 		f    lb.Factory
 	}{
-		{"tlb", core.Factory(tlbConfig(0))},
+		{"tlb", smallTLB()},
 		{"rps", lb.RPS()},
-		{"presto", lb.Presto(0)},
-		{"letflow", lb.LetFlow(0)},
+		{"presto", lb.Presto()},
+		{"letflow", lb.LetFlow(lb.LetFlowGap)},
 	} {
 		for _, replicated := range []bool{false, true} {
 			for _, series := range []bool{false, true} {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"tlb/internal/core"
 	"tlb/internal/eventsim"
 	"tlb/internal/faults"
 	"tlb/internal/lb"
@@ -22,7 +21,7 @@ import (
 // acknowledged or the run saw drops; with no drops, acked == size for
 // every flow, across random workloads and schemes.
 func TestFabricConservationProperty(t *testing.T) {
-	schemes := []lb.Factory{lb.ECMP(), lb.RPS(), lb.LetFlow(0), lb.Presto(0)}
+	schemes := []lb.Factory{lb.ECMP(), lb.RPS(), lb.LetFlow(lb.LetFlowGap), lb.Presto()}
 	f := func(seed uint64, schemeIdx uint8, n uint8) bool {
 		topo := smallTopo()
 		rngFlows := []workload.Flow{}
@@ -109,11 +108,6 @@ func TestTLBAvoidsDegradedLink(t *testing.T) {
 	slow.Delay += 2 * units.Millisecond
 	topo.Overrides = []topology.LinkOverride{{Leaf: 0, Spine: 3, Link: slow}}
 
-	cfg := core.DefaultConfig()
-	cfg.LinkBandwidth = topo.FabricLink.Bandwidth
-	cfg.RTT = topo.BaseRTT()
-	cfg.MaxQTh = topo.Queue.Capacity
-
 	flows := []workload.Flow{}
 	for i := 0; i < 12; i++ {
 		flows = append(flows, workload.Flow{
@@ -123,7 +117,7 @@ func TestTLBAvoidsDegradedLink(t *testing.T) {
 	}
 	res, err := Run(Scenario{
 		Name: "tlb-asym", Topology: topo, Transport: transport.DefaultConfig(),
-		Balancer: core.Factory(cfg), SchemeName: "tlb", Seed: 33,
+		Balancer: tlbFactory(tlbEnv(topo, topo.BaseRTT())), SchemeName: "tlb", Seed: 33,
 		Flows: flows, StopWhenDone: true, MaxTime: 10 * units.Second,
 	})
 	if err != nil {
@@ -287,15 +281,13 @@ func TestResultClassAccessors(t *testing.T) {
 // both decision tiers (edge and agg) are
 // exercised for every scheme, including TLB.
 func TestFatTreeEndToEnd(t *testing.T) {
-	tlbCfg := core.DefaultConfig()
-	tlbCfg.RTT = 100 * units.Microsecond
 	schemes := []struct {
 		name string
 		f    lb.Factory
 	}{
 		{"ecmp", lb.ECMP()},
-		{"letflow", lb.LetFlow(0)},
-		{"tlb", core.Factory(tlbCfg)},
+		{"letflow", lb.LetFlow(lb.LetFlowGap)},
+		{"tlb", tlbFactory(tlbEnv(smallFatTree(4), 100*units.Microsecond))},
 	}
 	for _, s := range schemes {
 		s := s

@@ -78,9 +78,9 @@ func TestAllSchemesCompleteMixedWorkload(t *testing.T) {
 	}{
 		{"ecmp", lb.ECMP()},
 		{"rps", lb.RPS()},
-		{"presto", lb.Presto(0)},
-		{"letflow", lb.LetFlow(0)},
-		{"drill", lb.DRILL(2, 1)},
+		{"presto", lb.Presto()},
+		{"letflow", lb.LetFlow(lb.LetFlowGap)},
+		{"drill", lb.DRILL()},
 		{"packet-sq", lb.PacketShortestQueue()},
 	}
 	for _, scheme := range schemes {

@@ -3,19 +3,39 @@ package sim
 import (
 	"testing"
 
-	"tlb/internal/core"
+	_ "tlb/internal/core" // registers tlb
 	"tlb/internal/lb"
+	"tlb/internal/topology"
+	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
 
-func tlbConfig(topo int) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.LinkBandwidth = units.Gbps
-	cfg.RTT = 60 * units.Microsecond
-	cfg.MaxQTh = 256
-	return cfg
+// tlbEnv is the environment the TLB of these tests balances for: the
+// topology's fabric (its RTT stated) and the default transport.
+func tlbEnv(topo topology.Config, rtt units.Time) lb.Env {
+	tcfg := transport.DefaultConfig()
+	return lb.Env{
+		FabricBandwidth: topo.FabricLink.Bandwidth,
+		BaseRTT:         rtt,
+		QueueCapacity:   topo.Queue.Capacity,
+		MSS:             tcfg.MSS,
+		HeaderBytes:     tcfg.HeaderBytes,
+		RcvWindow:       tcfg.RcvWindow,
+	}
 }
+
+// tlbFactory is TLB on its registry defaults in env.
+func tlbFactory(env lb.Env) lb.Factory {
+	f, err := lb.Build("tlb", nil, "scheme.params", env)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// smallTLB is TLB on smallTopo with a 60 µs RTT.
+func smallTLB() lb.Factory { return tlbFactory(tlbEnv(smallTopo(), 60*units.Microsecond)) }
 
 func TestTLBCompletesMixedWorkload(t *testing.T) {
 	flows := []workload.Flow{}
@@ -33,7 +53,7 @@ func TestTLBCompletesMixedWorkload(t *testing.T) {
 		Name:       "tlb-mixed",
 		Topology:   smallTopo(),
 		Transport:  transportDefault(),
-		Balancer:   core.Factory(tlbConfig(0)),
+		Balancer:   smallTLB(),
 		SchemeName: "tlb",
 		Seed:       11,
 		Flows:      flows, StopWhenDone: true, MaxTime: 5 * units.Second,
@@ -81,7 +101,7 @@ func TestTLBShortFlowsBeatECMPUnderElephants(t *testing.T) {
 		}
 		return res.AFCT(ShortFlows)
 	}
-	tlbFCT := run("tlb", core.Factory(tlbConfig(0)))
+	tlbFCT := run("tlb", smallTLB())
 	ecmpFCT := run("ecmp", lb.ECMP())
 	if tlbFCT >= ecmpFCT {
 		t.Fatalf("TLB short AFCT %v not better than ECMP %v", tlbFCT, ecmpFCT)

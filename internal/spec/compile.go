@@ -16,14 +16,18 @@ import (
 	"tlb/internal/workload"
 )
 
-// Env derives the scheme-builder environment from a fabric: the
-// equal-cost paths' rate, the base RTT and the queue parameters.
-func Env(cfg topology.Config) lb.Env {
+// Env derives the scheme-builder environment of a run: from its fabric
+// the equal-cost paths' rate, the base RTT and the queue parameters,
+// from its transport the segment, header and receive-window sizes.
+func Env(topo topology.Config, tcfg transport.Config) lb.Env {
 	return lb.Env{
-		FabricBandwidth: cfg.FabricLink.Bandwidth,
-		BaseRTT:         cfg.BaseRTT(),
-		QueueCapacity:   cfg.Queue.Capacity,
-		ECNThreshold:    cfg.Queue.ECNThreshold,
+		FabricBandwidth: topo.FabricLink.Bandwidth,
+		BaseRTT:         topo.BaseRTT(),
+		QueueCapacity:   topo.Queue.Capacity,
+		ECNThreshold:    topo.Queue.ECNThreshold,
+		MSS:             tcfg.MSS,
+		HeaderBytes:     tcfg.HeaderBytes,
+		RcvWindow:       tcfg.RcvWindow,
 	}
 }
 
@@ -146,7 +150,7 @@ func (s *Spec) compile(materialize bool) (sim.Scenario, error) {
 	if s.Scheme.Name == "" {
 		c.errf("scheme.name", "must name a registered scheme (valid: %s)", strings.Join(lb.Names(), ", "))
 	} else {
-		f, err := lb.Build(s.Scheme.Name, s.Scheme.Params, "scheme.params", Env(topo))
+		f, err := lb.Build(s.Scheme.Name, s.Scheme.Params, "scheme.params", Env(topo, sc.Transport))
 		if err != nil {
 			if _, known := lb.Lookup(s.Scheme.Name); !known {
 				c.errf("scheme.name", "%v", err)

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	_ "tlb/internal/core" // register the tlb scheme
+	"tlb/internal/core"
 	"tlb/internal/eventsim"
 	"tlb/internal/faults"
 	"tlb/internal/sim"
@@ -304,7 +304,9 @@ func TestOversizedFabricRejected(t *testing.T) {
 // topology kind's fields under the other — or that validated and then
 // hung (cross-leaf poisson traffic on one leaf never finds a pair) or
 // failed deep in the run without a path (a mix host on both sides can be
-// paired with itself) fails validation at its JSON path.
+// paired with itself) fails validation at its JSON path. So does a
+// scheme parameter outside its declared range, and one the scheme no
+// longer has.
 func TestSilentlyIgnoredInputRejected(t *testing.T) {
 	dur := func(v Duration) *Duration { return &v }
 	size := func(v Size) *Size { return &v }
@@ -322,10 +324,22 @@ func TestSilentlyIgnoredInputRejected(t *testing.T) {
 			InterPod: &InterPod{Flows: 10, Sizes: SizeDist{Kind: "fixed", Size: "1MB"}, MaxGap: "100us"},
 		}
 	}
+	scheme := func(name, param string, v any) func(*Spec) {
+		return func(s *Spec) { s.Scheme = Scheme{Name: name, Params: Params{param: v}} }
+	}
 	for _, tc := range []struct {
 		path string
 		mut  func(*Spec)
 	}{
+		{"scheme.params.gap", scheme("letflow", "gap", "-5us")},
+		{"scheme.params.interval", scheme("tlb", "interval", "0us")},
+		{"scheme.params.deadline", scheme("tlb", "deadline", "-3ms")},
+		{"scheme.params.meanShortSize", scheme("tlb", "meanShortSize", "0B")},
+		{"scheme.params.shortThreshold", scheme("tlb", "shortThreshold", "-100KB")},
+		{"scheme.params.shortHysteresis", scheme("tlb", "shortHysteresis", -1)},
+		{"scheme.params.fixedQTh", scheme("tlb", "fixedQTh", -2)},
+		{"scheme.params.maxQTh", scheme("tlb", "maxQTh", 0)},
+		{"scheme.params.d", scheme("drill", "d", -3)},
 		{"run.maxTime", func(s *Spec) { s.Run.MaxTime = "-1s" }},
 		{"run.shortThreshold", func(s *Spec) { s.Run.ShortThreshold = "-5KB" }},
 		{"run.shards", func(s *Spec) { s.Run.Shards = -1 }},
@@ -398,6 +412,41 @@ func TestSilentlyIgnoredInputRejected(t *testing.T) {
 	want := "spec \"test\" invalid:\ntopology: topology: fat-tree arity k must be even and >= 2, got 0"
 	if err := s.Validate(); err == nil || err.Error() != want {
 		t.Errorf("fattree without k: %v", err)
+	}
+}
+
+// TestTLBModelsTheRunsTransport: TLB's queueing model reads the segment
+// size, header size and W_L of the transport the spec actually
+// configures (they used to stay 1460 B / 64 KiB whatever the run's
+// endpoints did); with the default transport they are the paper's.
+func TestTLBModelsTheRunsTransport(t *testing.T) {
+	built := func(tr *Transport) *core.TLB {
+		t.Helper()
+		s := testSpec()
+		s.Scheme = Scheme{Name: "tlb"}
+		s.Transport = tr
+		sc, err := s.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := eventsim.New()
+		tl := sc.Balancer(sim, eventsim.NewRNG(1), nil).(*core.TLB)
+		tl.Stop()
+		return tl
+	}
+	mss, hdr, win := Size("9000B"), Size("60B"), Size("128KiB")
+	for _, tc := range []struct {
+		tr                *Transport
+		mss, packet, wndL units.Bytes
+	}{
+		{nil, 1460, 1500, 64 * units.KiB},
+		{&Transport{MSS: &mss, HeaderBytes: &hdr, RcvWindow: &win}, 9000, 9060, 128 * units.KiB},
+	} {
+		m := built(tc.tr).Model()
+		if m.MSS != tc.mss || m.PacketBytes != tc.packet || m.LongWindow != tc.wndL {
+			t.Errorf("transport %+v: model has MSS %v, packet %v, W_L %v; want %v, %v, %v",
+				tc.tr, m.MSS, m.PacketBytes, m.LongWindow, tc.mss, tc.packet, tc.wndL)
+		}
 	}
 }
 
