@@ -42,7 +42,8 @@ BENCH ?= $(shell ls BENCH_*.json | sort -t_ -k2 -n | tail -1)
 
 # bench writes $(BENCH)'s "after" section: the engine and port
 # micro-benchmarks (BenchmarkEventQueue* — the dense-slot one included —
-# BenchmarkPortTransit and its 6 144-port Cold form) at a statistically
+# BenchmarkPortTransit and its 6 144-port Cold form) and the transport's
+# BenchmarkSendAckCycle at a statistically
 # useful -benchtime plus the figure-scale, large-scale-streaming and
 # simlint benchmarks at one iteration each. The file's "before" section
 # is the parent commit under the same benchmark file (run these commands
@@ -55,7 +56,7 @@ BENCH ?= $(shell ls BENCH_*.json | sort -t_ -k2 -n | tail -1)
 # bench` overwrites "after" with a single capture. The raw lines inside
 # the JSON stay benchstat-compatible.
 bench:
-	( $(GO) test -bench 'BenchmarkEventQueue|BenchmarkPortTransit' -benchtime 2s -run '^$$' . \
+	( $(GO) test -bench 'BenchmarkEventQueue|BenchmarkPortTransit|BenchmarkSendAckCycle' -benchtime 2s -run '^$$' . \
 	  && $(GO) test -bench 'BenchmarkFig8ShortFlows|BenchmarkFig10WebSearch|BenchmarkFig13VaryShort|BenchmarkLargeScaleStream' -benchtime 1x -timeout 30m -run '^$$' . \
 	  && $(GO) test -bench 'BenchmarkSimlint' -benchtime 1x -run '^$$' ./internal/lint ) \
 	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out $(BENCH) -section after -require 'events/sec,flows/sec,peakRSS-MB'
@@ -84,33 +85,47 @@ bench-gate-self:
 # `make bench-pair REF=<commit> W=<workload> N=<pairs>` builds ./bench at
 # REF (exported under .bench_build/) and at the working tree, runs N
 # pairs of `-child $(W) -trace 0`, swapping which side goes first, and
-# prints every run, then each side's median and quartiles and the pair
-# wins for wall_s, cpu_s and peak_rss_mb. Keep the box otherwise idle.
+# prints every run, then per workload each side's median and quartiles
+# and the pair wins for wall_s, cpu_s and peak_rss_mb. W=all takes the
+# three gated workloads through one interleaved session. Each side's
+# medians also come out as the BenchmarkWorkload/<name> lines benchjson
+# ingests (last on stdout, and in .bench_build/pair/{ref,head}.bench), so
+# a BENCH file's workload rows are piped, not retyped:
+# `cat micro.txt .bench_build/pair/ref.bench | benchjson -section before`.
+# Keep the box otherwise idle.
 REF ?= HEAD~1
 W ?= fattree-mice
 N ?= 10
+WORKLOADS = leafspine-websearch fattree-mice scheme-sweep
 bench-pair:
 	@set -e; d=.bench_build/pair; rm -rf $$d; mkdir -p $$d/src; \
 	git archive $(REF) | tar -x -C $$d/src; \
 	(cd $$d/src && $(GO) build -o ../ref ./bench); rm -rf $$d/src; $(GO) build -o $$d/head ./bench; \
+	ws="$(W)"; if [ "$$ws" = all ]; then ws="$(WORKLOADS)"; fi; \
 	for i in $$(seq 1 $(N)); do \
 	  if [ $$((i % 2)) = 1 ]; then order="ref head"; else order="head ref"; fi; \
-	  for s in $$order; do \
-	    $$d/$$s -child $(W) -trace 0 | tr ',' '\n' | awk -F: -v s=$$s -v i=$$i \
-	      '/^"(wall_s|cpu_s|peak_rss_mb)"/ { gsub(/"/, "", $$1); v[$$1] = $$2 } \
-	       END { printf "%d %s %.3f %.3f %.1f\n", i, s, v["wall_s"], v["cpu_s"], v["peak_rss_mb"] }' | tee -a $$d/runs; \
-	  done; \
+	  for w in $$ws; do for s in $$order; do \
+	    $$d/$$s -child $$w -trace 0 | tr ',' '\n' | awk -F: -v w=$$w -v s=$$s -v i=$$i \
+	      '/^"(wall_s|cpu_s|peak_rss_mb|offered_bytes)"/ { gsub(/"/, "", $$1); v[$$1] = $$2 } \
+	       END { printf "%d %s %s %.3f %.3f %.1f %.6f\n", i, w, s, v["wall_s"], v["cpu_s"], v["peak_rss_mb"], v["offered_bytes"] / 1e9 }' | tee -a $$d/runs; \
+	  done; done; \
 	done; \
-	for c in 3 4 5; do \
-	  m=$$(echo wall_s cpu_s peak_rss_mb | cut -d' ' -f$$((c - 2))); \
-	  for s in ref head; do \
-	    awk -v s=$$s -v c=$$c '$$2 == s { print $$c }' $$d/runs | sort -n | awk -v s=$$s -v m=$$m \
-	      'function q(p,  h, f) { h = (NR - 1) * p + 1; f = int(h); return f < NR ? a[f] + (h - f) * (a[f + 1] - a[f]) : a[NR] } \
-	       { a[NR] = $$1 } END { printf "%-11s %-4s median %.3f  q1 %.3f  q3 %.3f  n %d\n", m, s, q(.5), q(.25), q(.75), NR }'; \
-	  done; \
-	  awk -v c=$$c -v m=$$m '{ v[$$2, $$1] = $$c } END { for (i = 1; i <= $(N); i++) { w += v["head", i] < v["ref", i]; l += v["head", i] > v["ref", i] } \
-	    printf "%-11s head better in %d of $(N) pairs, ref in %d\n", m, w, l }' $$d/runs; \
-	done
+	awk -v N=$(N) -v d=$$d -v procs=$$(nproc) ' \
+	  function med(w, s, c, p,   n, i, j, t, a, h, f) { \
+	    n = 0; for (i = 1; i <= N; i++) a[++n] = v[w, s, i, c]; \
+	    for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } \
+	    h = (n - 1) * p + 1; f = int(h); return f < n ? a[f] + (h - f) * (a[f + 1] - a[f]) : a[n] } \
+	  { for (c = 4; c <= 6; c++) v[$$2, $$3, $$1, c] = $$c; gb[$$2] = $$7; if (!($$2 in seen)) { seen[$$2]; ws[++nw] = $$2 } } \
+	  END { split("wall_s cpu_s peak_rss_mb", m, " "); split("ref head", side, " "); \
+	    for (k = 1; k <= nw; k++) { w = ws[k]; for (c = 4; c <= 6; c++) { \
+	      for (j = 1; j <= 2; j++) { s = side[j]; \
+	        printf "%-19s %-11s %-4s median %.3f  q1 %.3f  q3 %.3f  n %d\n", w, m[c - 3], s, med(w, s, c, .5), med(w, s, c, .25), med(w, s, c, .75), N } \
+	      win = 0; loss = 0; for (i = 1; i <= N; i++) { win += v[w, "head", i, c] < v[w, "ref", i, c]; loss += v[w, "head", i, c] > v[w, "ref", i, c] } \
+	      printf "%-19s %-11s head better in %d of %d pairs, ref in %d\n", w, m[c - 3], win, N, loss } } \
+	    for (j = 1; j <= 2; j++) { s = side[j]; f = d "/" s ".bench"; for (k = 1; k <= nw; k++) { w = ws[k]; \
+	      printf "BenchmarkWorkload/%s-%d\t%d\t%.0f ns/op\t%.3f cpu-s\t%.2f peakRSS-MB\t%.3f wall-s/GB\n", \
+	        w, procs, N, med(w, s, 4, .5) * 1e9, med(w, s, 5, .5), med(w, s, 6, .5), med(w, s, 4, .5) / gb[w] > f } close(f) } }' $$d/runs; \
+	for s in ref head; do echo "== $$d/$$s.bench"; cat $$d/$$s.bench; done
 
 # alloc-gates runs just the zero-allocation contract tests (they are
 # also part of `make test`, this target is the fast inner loop).

@@ -1,14 +1,20 @@
 // Allocation gates: these tests pin the zero-allocation contract of
-// the engine hot path (DESIGN.md "Engine performance"). They are part
-// of the ordinary test suite, so `go test ./...` and `make ci` fail if
-// a change reintroduces per-event or per-packet allocation.
+// the engine hot path (DESIGN.md "Engine performance"), what a flow may
+// allocate and what a finished run may retain of it. They are part of
+// the ordinary test suite, so `go test ./...` and `make ci` fail if a
+// change reintroduces per-event, per-packet or per-flow-closure
+// allocation.
 package tlb_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"tlb/internal/eventsim"
 	"tlb/internal/netem"
+	"tlb/internal/sim"
+	"tlb/internal/spec"
 	"tlb/internal/units"
 )
 
@@ -178,5 +184,98 @@ func portTransitGate(t *testing.T, nPorts, perPort, warm, runs int) {
 	}
 	if allocs := testing.AllocsPerRun(runs, burst); allocs != 0 {
 		t.Fatalf("steady-state transit burst (%d ports x %d packets) allocates %.1f allocs/op, want 0", nPorts, perPort, allocs)
+	}
+}
+
+// miceScenario compiles the fattree-mice shape at gate scale: a k=4
+// fat-tree under ECMP, 2–32 KB inter-pod flows from the lazy source.
+func miceScenario(t *testing.T, flows int, stream bool) sim.Scenario {
+	t.Helper()
+	sp, err := spec.LoadBytes([]byte(fmt.Sprintf(`{
+	  "version": 1, "name": "gate-mice", "seed": 42,
+	  "scheme": {"name": "ecmp"},
+	  "topology": {"kind": "fattree", "k": 4,
+	    "hostLink": {"bandwidth": "1Gbps", "delay": "5us"},
+	    "fabricLink": {"bandwidth": "1Gbps", "delay": "10us"},
+	    "queue": {"capacity": 256, "ecnThreshold": 65}},
+	  "workload": {"kind": "interpod", "interPod": {"flows": %d,
+	    "sizes": {"kind": "uniform", "min": "2KB", "max": "32KB"}, "maxGap": "20us"}},
+	  "run": {"maxTime": "600s", "stopWhenDone": true},
+	  "outputs": {"streamStats": %t}}`, flows, stream)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := sp.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// runMallocs runs sc and returns its result with the heap objects the
+// run allocated.
+func runMallocs(t *testing.T, sc sim.Scenario) (*sim.Result, uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := sim.Run(sc)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, all := res.CompletedCount(sim.AllFlows), res.Count(sim.AllFlows); done != all {
+		t.Fatalf("%d of %d flows completed", done, all)
+	}
+	return res, after.Mallocs - before.Mallocs
+}
+
+// TestAllocGatePerFlow: what a flow costs the allocator from arrival to
+// fold — its two endpoints in one object and its record, plus the
+// amortised growth of the sender registry, the packet pool and the
+// event freelist — taken as the slope between a 1 000- and a 5 000-flow
+// run so the fabric's set-up cancels. Record mode adds the open log and
+// Result.Flows. Neither may drift back towards a closure per timer, per
+// arrival and per completion (9.26 per flow before the flow was one
+// object).
+func TestAllocGatePerFlow(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		stream bool
+		max    float64
+	}{
+		{"streamed", true, 4},
+		{"recorded", false, 6},
+	} {
+		const few, many = 1000, 5000
+		_, a := runMallocs(t, miceScenario(t, few, tc.stream))
+		_, b := runMallocs(t, miceScenario(t, many, tc.stream))
+		perFlow := (float64(b) - float64(a)) / (many - few)
+		t.Logf("%s: %.2f allocations per flow", tc.name, perFlow)
+		if perFlow > tc.max {
+			t.Errorf("%s: %.2f allocations per flow, want <= %.0f", tc.name, perFlow, tc.max)
+		}
+	}
+}
+
+// TestAllocGateResultRetention: a record-mode Result keeps each flow's
+// 184-byte record and nothing else of the flow — not the endpoints the
+// record used to be embedded in, which tripled what a finished run held.
+func TestAllocGateResultRetention(t *testing.T) {
+	const flows = 5000
+	res, _ := runMallocs(t, miceScenario(t, flows, false))
+	if len(res.Flows) != flows {
+		t.Fatalf("result has %d flow records, want %d", len(res.Flows), flows)
+	}
+	var with, without runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&with)
+	runtime.KeepAlive(res)
+	res = nil
+	runtime.GC()
+	runtime.ReadMemStats(&without)
+	perFlow := (float64(with.HeapAlloc) - float64(without.HeapAlloc)) / flows
+	t.Logf("result retains %.0f B per flow", perFlow)
+	if perFlow > 320 {
+		t.Errorf("result retains %.0f B per flow, want <= 320", perFlow)
 	}
 }

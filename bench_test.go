@@ -16,6 +16,7 @@ import (
 	"tlb/internal/experiments"
 	"tlb/internal/lb"
 	"tlb/internal/netem"
+	"tlb/internal/transport"
 	"tlb/internal/units"
 )
 
@@ -431,6 +432,53 @@ func benchPortTransit(b *testing.B, nPorts, perPort int) {
 	}
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(s.Executed()-warm)/secs, "events/sec")
+	}
+}
+
+// BenchmarkSendAckCycle measures the transport rung between the port
+// and a whole run: one long DCTCP flow between two hosts joined by one
+// port each way, window-limited and loss-free, so every operation is one
+// packet delivered to its endpoint — a data segment received and
+// acknowledged, or an ACK that opens the window for the next segment —
+// with its share of the two port transits and the RTO re-arm. The flow
+// is opened before the timer starts; its steady state allocates nothing.
+func BenchmarkSendAckCycle(b *testing.B) {
+	s := eventsim.New()
+	pool := netem.NewPacketPool()
+	var hosts [2]*transport.Host
+	delivered := 0
+	join := func(from, to int) {
+		port := netem.NewPort(s,
+			netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
+			netem.QueueConfig{Capacity: 256, ECNThreshold: 65},
+			func(pkt *netem.Packet) { delivered++; hosts[to].Receive(pkt) }, "cycle")
+		hosts[from] = transport.NewHost(s, from, func(pkt *netem.Packet) {
+			if !port.Send(pkt) {
+				b.Fatal("send refused")
+			}
+		})
+		hosts[from].SetPool(pool)
+	}
+	join(0, 1)
+	join(1, 0)
+	cfg := transport.DefaultConfig()
+	cfg.Pool = pool
+	const warm = 4096
+	// Two deliveries per segment, and enough segments that the flow
+	// outlasts the warm-up and the timed region.
+	size := units.Bytes(warm+b.N) * cfg.MSS
+	snd := transport.Open(&cfg, hosts[0], hosts[1], netem.FlowID{Src: 0, Dst: 1}, size, nil)
+	snd.Start()
+	for delivered < warm && s.Step() {
+	}
+	delivered = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for delivered < b.N && s.Step() {
+	}
+	b.StopTimer()
+	if delivered != b.N || snd.Stats.Retransmits != 0 {
+		b.Fatalf("delivered %d packets, want %d (%d retransmits)", delivered, b.N, snd.Stats.Retransmits)
 	}
 }
 

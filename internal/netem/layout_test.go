@@ -28,15 +28,17 @@ func checkLine(t *testing.T, what string, lo, hi uintptr, fields []field) {
 // flags (admission and the ownership guards) — must stay inside the
 // first 64 bytes; the queue linkage a port walks (next, serviceStart,
 // the stamp with the wire size) shares the second 64 with the
-// admission-stamped stats, so walking a chain reads one line per
-// packet; the cold SACK array trails; and the whole struct stays at
-// 168 bytes. Growing the packet or pushing a field over a line is a
+// admission-stamped stats and the destination endpoint word, so walking
+// a chain reads one line per packet and the delivery that pops a packet
+// has loaded what the host dispatches on; the cold SACK array trails;
+// and the whole struct stays at 176 bytes, the size class the allocator
+// gave it at 168. Growing the packet or pushing a field over a line is a
 // deliberate decision: update this test and re-run make bench.
 func TestPacketLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit platforms only")
 	}
-	if got, want := unsafe.Sizeof(Packet{}), uintptr(168); got != want {
+	if got, want := unsafe.Sizeof(Packet{}), uintptr(176); got != want {
 		t.Errorf("sizeof(Packet) = %d, want %d", got, want)
 	}
 	var p Packet
@@ -63,6 +65,7 @@ func TestPacketLayout(t *testing.T) {
 		{"Payload", unsafe.Offsetof(p.Payload), unsafe.Sizeof(p.Payload)},
 		{"SentAt", unsafe.Offsetof(p.SentAt), unsafe.Sizeof(p.SentAt)},
 		{"MaxQueueSeen", unsafe.Offsetof(p.MaxQueueSeen), unsafe.Sizeof(p.MaxQueueSeen)},
+		{"To", unsafe.Offsetof(p.To), unsafe.Sizeof(p.To)},
 	})
 	// The cold SACK array must stay last so it never displaces the
 	// other two groups.

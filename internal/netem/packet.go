@@ -88,13 +88,18 @@ func (k Kind) String() string {
 // its queued flag, and handing a queued packet to a second port, or
 // releasing it to the pool, panics instead of splicing two FIFOs.
 //
+// A packet knows where it is going: the endpoint that emits it stamps
+// To, and the receiving host dispatches through that word instead of
+// looking Flow — still what switches route and hash on — up.
+//
 // Field order is part of the performance contract (layout_test.go pins
 // it): the fields every hop touches — Flow for routing and hashing,
 // Seq/Wire/Ack for forwarding and byte accounting, QueueDelay plus all
 // the single-byte flags for admission — pack into the first 64 bytes;
 // the queue linkage shares the second line with the admission-stamped
-// stats, so a port walking its chain reads that line alone; and the
-// cold SACK block array sits last.
+// stats and with To, so a port walking its chain reads that line alone
+// and the last hop's delivery has just loaded the word the host
+// dispatches on; and the cold SACK block array sits last.
 type Packet struct {
 	Flow FlowID
 	// Seq is the first payload byte for Data packets.
@@ -153,11 +158,22 @@ type Packet struct {
 	// this packet) encountered on admission at any hop — the
 	// "queueing length experienced by each packet" of Fig. 3a.
 	MaxQueueSeen int
+	// To is the endpoint the packet is addressed to; a host drops a
+	// packet addressed to nobody. PacketPool.Put clears it.
+	To *Endpoint
 
 	// SackBlocks carries up to 3 selective-acknowledgement ranges
 	// (start inclusive, end exclusive) when the transport has SACK
 	// enabled; SackCount says how many are valid.
 	SackBlocks [3]SackBlock
+}
+
+// Endpoint is a transport endpoint as the data plane sees it. The
+// transport embeds one in each sender and receiver and stamps its peer's
+// address into every packet it emits.
+type Endpoint struct {
+	Host  int // the host it lives on; delivery anywhere else is a misroute
+	Owner any // the endpoint object, opaque here, for that host to dispatch on
 }
 
 // SackBlock is one selectively-acknowledged byte range [Start, End).

@@ -61,7 +61,8 @@ func (pp *PacketPool) Get() *Packet {
 // packet's terminating sink: releasing a packet something else still
 // holds corrupts the simulation (the same struct would be two packets
 // at once). Double-Put panics — it is always an ownership bug — and so
-// does releasing a packet a port still has queued.
+// does releasing a packet a port still has queued. To is cleared here,
+// not at the next Get, so idle packets do not pin finished flows.
 func (pp *PacketPool) Put(p *Packet) {
 	if pp == nil || p == nil {
 		return
@@ -73,6 +74,7 @@ func (pp *PacketPool) Put(p *Packet) {
 		panic("netem: packet released to pool while still queued")
 	}
 	p.pooled = true
+	p.To = nil
 	pp.free = append(pp.free, p)
 }
 

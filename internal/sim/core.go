@@ -52,12 +52,19 @@ type openRec struct {
 // with another run, so sweep workers never contend.
 type runCore struct {
 	sc  *Scenario
-	cfg transport.Config // sc.Transport with this run's pool
+	cfg *transport.Config // sc.Transport normalised, with this run's pool
 	sim *eventsim.Sim
 	net topology.Network
 
 	hosts []*transport.Host
 	ports []*netem.Port // the balanced (uplink) ports
+
+	// next yields the workload in arrival order; pendIdx and pend are
+	// the one arrival the pump has pulled from it and scheduled.
+	next    func() (int, workload.Flow, bool)
+	pendIdx int
+	pend    workload.Flow
+	onDone  func(*transport.Sender) // flowFinished, bound once
 
 	// remaining counts flows armed (the one pending arrival included)
 	// but unfinished.
@@ -95,8 +102,10 @@ func newCore(sc *Scenario) (*runCore, error) {
 	// the steady-state packet path allocation-free. Per-run ownership
 	// keeps sweep workers from sharing any mutable state.
 	pool := netem.NewPacketPool()
-	c.cfg = sc.Transport
-	c.cfg.Pool = pool
+	cfg := sc.Transport.WithDefaults()
+	cfg.Pool = pool
+	c.cfg = &cfg
+	c.onDone = c.flowFinished
 
 	deliver := func(host int, pkt *netem.Packet) { c.hosts[host].Receive(pkt) }
 	var err error
@@ -197,40 +206,48 @@ func (c *runCore) arrivals() (func() (int, workload.Flow, bool), error) {
 // opens its flow, then pulls the next one and schedules it, so neither
 // the queue nor the set-up cost grows with the total flow count.
 func (c *runCore) scheduleFlows() error {
-	next, err := c.arrivals()
-	if err != nil {
+	var err error
+	if c.next, err = c.arrivals(); err != nil {
 		return err
 	}
-	var arm func(i int, f workload.Flow)
-	arm = func(i int, f workload.Flow) {
-		if err := checkFlowEndpoints(i, f, len(c.hosts)); err != nil {
-			c.fail(err)
-			return
-		}
-		if f.Start < c.sim.Now() {
-			c.fail(fmt.Errorf("sim: FlowSource went backwards: flow %d starts at %v, now %v", i, f.Start, c.sim.Now()))
-			return
-		}
-		// Armed before the previous arrival's event returns, so remaining
-		// cannot reach zero while the workload has flows left.
-		c.remaining++
-		c.sim.At(f.Start, func() {
-			if r := c.sc.Replication; r != nil && r.Copies > 1 && f.Size <= r.Threshold {
-				c.openReplicated(i, f)
-			} else {
-				c.openFlow(i, f)
-			}
-			if ni, nf, ok := next(); ok {
-				arm(ni, nf)
-			}
-		})
-	}
-	i, f, ok := next()
+	i, f, ok := c.next()
 	if !ok {
 		return fmt.Errorf("sim: scenario %q: FlowSource yielded no flows", c.sc.Name)
 	}
-	arm(i, f)
+	c.arm(i, f)
 	return nil
+}
+
+// arm schedules flow i's arrival as the pump's pending one.
+func (c *runCore) arm(i int, f workload.Flow) {
+	if err := checkFlowEndpoints(i, f, len(c.hosts)); err != nil {
+		c.fail(err)
+		return
+	}
+	if f.Start < c.sim.Now() {
+		c.fail(fmt.Errorf("sim: FlowSource went backwards: flow %d starts at %v, now %v", i, f.Start, c.sim.Now()))
+		return
+	}
+	// Armed before the previous arrival's event returns, so remaining
+	// cannot reach zero while the workload has flows left.
+	c.remaining++
+	c.pendIdx, c.pend = i, f
+	c.sim.AtArg(f.Start, arriveFire, c)
+}
+
+func arriveFire(arg any) { arg.(*runCore).arrive() }
+
+// arrive opens the pending flow at its start time and arms the next.
+func (c *runCore) arrive() {
+	i, f := c.pendIdx, c.pend
+	if r := c.sc.Replication; r != nil && r.Copies > 1 && f.Size <= r.Threshold {
+		c.openReplicated(i, f)
+	} else {
+		c.openFlow(i, f)
+	}
+	if ni, nf, ok := c.next(); ok {
+		c.arm(ni, nf)
+	}
 }
 
 // stop ends the current RunUntil after the in-flight event and the
@@ -258,31 +275,16 @@ func (c *runCore) flowDone() {
 	}
 }
 
-// openFlow runs at f.Start and opens one flow's two endpoints. Sender
-// and receiver share one record, the receiver closes after the
-// teardown lag and the fold is synchronous.
+// openFlow runs at f.Start and opens one flow. Sender and receiver
+// share one record, and flowFinished takes it from there.
 func (c *runCore) openFlow(i int, f workload.Flow) {
 	sc := c.sc
 	id := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: i}
 	short := f.Size <= sc.ShortThreshold
-	recvHost := c.hosts[f.Dst]
-	snd := c.hosts[f.Src].OpenSender(c.cfg, id, f.Size, func(done *transport.Sender) {
-		closeReceiver(recvHost, c.sim.Now(), c.closeLag, id)
-		if sc.Tracer != nil {
-			sc.Tracer.Record(trace.Event{
-				At: c.sim.Now(), Kind: trace.FlowEnd, Flow: id,
-				Note: fmt.Sprintf("fct=%v retx=%d", done.Stats.FCT(), done.Stats.Retransmits),
-			})
-		}
-		// Under StreamStats this is fold and forget: the host already
-		// released the endpoint, so nothing retains the record.
-		c.agg.Fold(&done.Stats, short, c.sim.Now())
-		c.flowDone()
-	})
+	snd := transport.Open(c.cfg, c.hosts[f.Src], c.hosts[f.Dst], id, f.Size, c.onDone)
 	snd.Stats.Deadline = f.Deadline
-	recv := recvHost.OpenReceiver(c.cfg, id, f.Size, &snd.Stats)
-	c.hookSamples(recv, short)
-	c.logOpen(i, short, &snd.Stats)
+	c.hookSamples(snd.Receiver(), short)
+	c.logOpen(i, short, snd.Stats)
 	if sc.Tracer != nil {
 		// Record is nil-safe; the guard is for the note, which would
 		// otherwise be formatted — and allocated — per flow with nobody
@@ -294,6 +296,24 @@ func (c *runCore) openFlow(i int, f workload.Flow) {
 	}
 	c.started++
 	snd.Start()
+}
+
+// flowFinished is every plain flow's done callback: the receiver closes
+// after the teardown lag (see teardownLag) and the fold is synchronous.
+func (c *runCore) flowFinished(done *transport.Sender) {
+	sc := c.sc
+	now := c.sim.Now()
+	c.hosts[done.ID().Dst].CloseReceiverAt(now, c.closeLag, done.Receiver())
+	if sc.Tracer != nil {
+		sc.Tracer.Record(trace.Event{
+			At: now, Kind: trace.FlowEnd, Flow: done.ID(),
+			Note: fmt.Sprintf("fct=%v retx=%d", done.Stats.FCT(), done.Stats.Retransmits),
+		})
+	}
+	// Under StreamStats this is fold and forget: the host already
+	// released the sender, so nothing retains the record.
+	c.agg.Fold(done.Stats, done.Size() <= sc.ShortThreshold, now)
+	c.flowDone()
 }
 
 // openReplicated runs at f.Start and realizes one flow as N racing
@@ -312,15 +332,14 @@ func (c *runCore) openReplicated(idx int, f workload.Flow) {
 		// Distinct Port per copy: per-flow schemes (ECMP, WCMP,
 		// Presto, ...) hash the copies independently.
 		id := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: idx + (k+1)<<24}
-		recvHost := c.hosts[f.Dst]
-		snd := c.hosts[f.Src].OpenSender(c.cfg, id, f.Size, func(done *transport.Sender) {
-			closeReceiver(recvHost, c.sim.Now(), c.closeLag, id)
+		snd := transport.Open(c.cfg, c.hosts[f.Src], c.hosts[f.Dst], id, f.Size, func(done *transport.Sender) {
+			c.hosts[f.Dst].CloseReceiverAt(c.sim.Now(), c.closeLag, done.Receiver())
 			if won {
 				return
 			}
 			won = true
 			// The winner's record becomes the flow's record.
-			*canonical = done.Stats
+			*canonical = *done.Stats
 			canonical.ID = flow
 			canonical.Deadline = f.Deadline
 			if sc.Tracer != nil {
@@ -333,7 +352,6 @@ func (c *runCore) openReplicated(idx int, f workload.Flow) {
 			c.flowDone()
 		})
 		snd.Stats.Deadline = f.Deadline
-		recvHost.OpenReceiver(c.cfg, id, f.Size, &snd.Stats)
 		snd.Start()
 	}
 	if sc.Tracer != nil {
@@ -417,17 +435,6 @@ func teardownLag(net topology.Network, sched faults.Schedule) units.Time {
 	return lag
 }
 
-// closeReceiver tears down a flow's receiving endpoint at its sender's
-// completion: deferred by the teardown lag where one is defined (see
-// teardownLag), synchronous otherwise.
-func closeReceiver(h *transport.Host, done, lag units.Time, id netem.FlowID) {
-	if lag > 0 {
-		h.CloseReceiverAt(done, lag, id)
-	} else {
-		h.CloseReceiver(id)
-	}
-}
-
 // uplinks snapshots the balanced (uplink) ports in their build order.
 // Reading the counters mid-run is safe between event batches.
 func (c *runCore) uplinks() []PortSnapshot {
@@ -470,7 +477,7 @@ func assemble(sc *Scenario, c *runCore, endTime units.Time) (*Result, error) {
 		// order then FlowID order so the fold sequence is deterministic.
 		for _, h := range c.hosts {
 			h.EachOpenSenderSorted(func(snd *transport.Sender) {
-				c.agg.Fold(&snd.Stats, snd.Stats.Size <= sc.ShortThreshold, endTime)
+				c.agg.Fold(snd.Stats, snd.Size() <= sc.ShortThreshold, endTime)
 			})
 		}
 	} else {

@@ -289,6 +289,9 @@ func (s *Spec) compileLink(c *checker, path string, l Link) netem.LinkConfig {
 	return cfg
 }
 
+// compileTransport returns the paper's defaults under the spec's
+// overrides, normalised: a field set to zero is the default the endpoints
+// fall back to, for the scheme (Env) as for them.
 func (s *Spec) compileTransport(c *checker) transport.Config {
 	cfg := transport.DefaultConfig()
 	t := s.Transport
@@ -337,7 +340,7 @@ func (s *Spec) compileTransport(c *checker) transport.Config {
 	if t.SACK != nil {
 		cfg.SACK = *t.SACK
 	}
-	return cfg
+	return cfg.WithDefaults()
 }
 
 func (s *Spec) compileSizes(c *checker, path string, d *SizeDist) workload.SizeDist {

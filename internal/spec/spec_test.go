@@ -418,7 +418,9 @@ func TestSilentlyIgnoredInputRejected(t *testing.T) {
 // TestTLBModelsTheRunsTransport: TLB's queueing model reads the segment
 // size, header size and W_L of the transport the spec actually
 // configures (they used to stay 1460 B / 64 KiB whatever the run's
-// endpoints did); with the default transport they are the paper's.
+// endpoints did); with the default transport they are the paper's, and
+// so they are when the spec sets the fields to zero — the endpoints fall
+// back to the defaults then, and the scheme must hear the same.
 func TestTLBModelsTheRunsTransport(t *testing.T) {
 	built := func(tr *Transport) *core.TLB {
 		t.Helper()
@@ -434,13 +436,14 @@ func TestTLBModelsTheRunsTransport(t *testing.T) {
 		tl.Stop()
 		return tl
 	}
-	mss, hdr, win := Size("9000B"), Size("60B"), Size("128KiB")
+	mss, hdr, win, zero := Size("9000B"), Size("60B"), Size("128KiB"), Size("0B")
 	for _, tc := range []struct {
 		tr                *Transport
 		mss, packet, wndL units.Bytes
 	}{
 		{nil, 1460, 1500, 64 * units.KiB},
 		{&Transport{MSS: &mss, HeaderBytes: &hdr, RcvWindow: &win}, 9000, 9060, 128 * units.KiB},
+		{&Transport{MSS: &zero, RcvWindow: &zero}, 1460, 1500, 64 * units.KiB},
 	} {
 		m := built(tc.tr).Model()
 		if m.MSS != tc.mss || m.PacketBytes != tc.packet || m.LongWindow != tc.wndL {

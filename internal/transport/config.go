@@ -16,7 +16,8 @@ import (
 	"tlb/internal/units"
 )
 
-// Config parameterizes both endpoints of every flow in a simulation.
+// Config parameterizes both endpoints of every flow in a simulation:
+// all of a run's endpoints point at one, normalised by WithDefaults.
 type Config struct {
 	// MSS is the maximum segment (payload) size.
 	MSS units.Bytes
@@ -79,22 +80,14 @@ type Config struct {
 // initial window 2, 64 KB receive window, RTO_min 10 ms (the standard
 // datacenter setting in the literature the paper builds on).
 func DefaultConfig() Config {
-	return Config{
-		MSS:             1460,
-		HeaderBytes:     40,
-		InitCwnd:        2,
-		RcvWindow:       64 * units.KiB,
-		MinRTO:          10 * units.Millisecond,
-		InitialRTO:      10 * units.Millisecond,
-		DupAckThreshold: 3,
-		DCTCP:           true,
-		DCTCPGain:       1.0 / 16,
-		Handshake:       true,
-	}
+	return Config{HeaderBytes: 40, DCTCP: true, Handshake: true}.WithDefaults()
 }
 
-func (c *Config) withDefaults() Config {
-	d := *c
+// WithDefaults returns the config a run actually uses: every unset
+// (zero or negative) field replaced by the default. It is what Open
+// requires and what a scheme is told, so the transport a scheme models
+// is the one that runs.
+func (d Config) WithDefaults() Config {
 	if d.MSS <= 0 {
 		d.MSS = 1460
 	}

@@ -41,7 +41,7 @@ func FuzzReceiverReassembly(f *testing.F) {
 				acks = append(acks, p.Ack)
 			}
 		}
-		r := NewReceiver(sim, Config{SACK: true}, flow, size, out, &FlowStats{})
+		r := loneFlow(sim, Config{SACK: true}, flow, size, discard, out).Receiver()
 
 		deliver := func(i int) {
 			seq := units.Bytes(i) * mss

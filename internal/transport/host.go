@@ -9,16 +9,18 @@ import (
 	"tlb/internal/units"
 )
 
-// Host multiplexes flow endpoints on one simulated machine. The fabric
-// delivers packets to Receive; endpoints inject packets through the
-// out function the host was built with (typically fabric.Inject).
+// Host is one simulated machine. The fabric delivers packets to
+// Receive, which hands each to the endpoint the packet names; endpoints
+// inject packets through the out function the host was built with
+// (typically fabric.Inject).
 type Host struct {
 	sim *eventsim.Sim
 	id  int
 	out func(*netem.Packet)
 
-	senders   map[netem.FlowID]*Sender
-	receivers map[netem.FlowID]*Receiver
+	// senders registers the open senders for the duplicate-open check
+	// and the end-of-run sweep of unfinished flows; no packet reads it.
+	senders map[netem.FlowID]*Sender
 
 	// pool, when set via SetPool, receives every packet Receive has
 	// finished dispatching: the host is the terminal sink of delivered
@@ -37,17 +39,13 @@ type Host struct {
 // NewHost creates a host with the given network injection function.
 func NewHost(sim *eventsim.Sim, id int, out func(*netem.Packet)) *Host {
 	return &Host{
-		sim:       sim,
-		id:        id,
-		out:       out,
-		senders:   make(map[netem.FlowID]*Sender),
-		receivers: make(map[netem.FlowID]*Receiver),
-		closeKey:  sim.ReserveKeyedID(),
+		sim:      sim,
+		id:       id,
+		out:      out,
+		senders:  make(map[netem.FlowID]*Sender),
+		closeKey: sim.ReserveKeyedID(),
 	}
 }
-
-// ID returns the host index.
-func (h *Host) ID() int { return h.id }
 
 // SetPool makes the host release every delivered packet back to pool
 // after dispatching it (see netem.PacketPool for the ownership
@@ -55,115 +53,132 @@ func (h *Host) ID() int { return h.id }
 // that re-deliver them, for instance — must leave the pool unset.
 func (h *Host) SetPool(pool *netem.PacketPool) { h.pool = pool }
 
-// OpenSender registers (but does not start) a sender for the flow.
-// done fires at completion, after the host has released the endpoint.
-func (h *Host) OpenSender(cfg Config, id netem.FlowID, size units.Bytes, done func(*Sender)) *Sender {
-	if id.Src != h.id {
-		panic(fmt.Sprintf("transport: host %d opening sender for flow %v", h.id, id))
+// flow is one flow as allocated: both endpoints, each pointing at the other.
+type flow struct {
+	snd Sender
+	rcv Receiver
+}
+
+// Open allocates the two endpoints of one flow together, wires each to
+// the other and registers the (idle) sender with src until it
+// completes. cfg must come from WithDefaults and outlive the flow: the
+// endpoints share it. done (optional) fires once, when the last byte is
+// acknowledged, after src has released the sender.
+func Open(cfg *Config, src, dst *Host, id netem.FlowID, size units.Bytes, done func(*Sender)) *Sender {
+	if size <= 0 {
+		panic(fmt.Sprintf("transport: flow %v with non-positive size %d", id, size))
 	}
-	if _, dup := h.senders[id]; dup {
+	if id.Src != src.id || id.Dst != dst.id {
+		panic(fmt.Sprintf("transport: flow %v opened from host %d to host %d", id, src.id, dst.id))
+	}
+	if cfg.MSS <= 0 || cfg.MaxRTO <= 0 {
+		panic("transport: Open needs a Config normalised by WithDefaults")
+	}
+	if _, dup := src.senders[id]; dup {
 		panic(fmt.Sprintf("transport: duplicate sender for flow %v", id))
 	}
-	var s *Sender
-	s = NewSender(h.sim, cfg, id, size, h.out, func(snd *Sender) {
-		delete(h.senders, id)
-		if done != nil {
-			done(snd)
-		}
-	})
-	h.senders[id] = s
+	f := &flow{}
+	s, r := &f.snd, &f.rcv
+	stats := &FlowStats{ID: id, Size: size}
+	*s = Sender{
+		ep:       netem.Endpoint{Host: src.id, Owner: s},
+		peer:     r,
+		sim:      src.sim,
+		cfg:      cfg,
+		out:      src.out,
+		host:     src,
+		done:     done,
+		id:       id,
+		size:     size,
+		cwnd:     float64(cfg.MSS) * float64(cfg.InitCwnd),
+		ssthresh: float64(cfg.RcvWindow),
+		alpha:    1.0,
+		Stats:    stats,
+	}
+	*r = Receiver{
+		ep:    netem.Endpoint{Host: dst.id, Owner: r},
+		peer:  s,
+		sim:   dst.sim,
+		cfg:   cfg,
+		out:   dst.out,
+		id:    id,
+		size:  size,
+		Stats: stats,
+	}
+	src.senders[id] = s
 	return s
 }
 
-// OpenReceiver registers the receiving endpoint for the flow; stats is
-// the same record the sender side writes its fields into.
-func (h *Host) OpenReceiver(cfg Config, id netem.FlowID, size units.Bytes, stats *FlowStats) *Receiver {
-	if id.Dst != h.id {
-		panic(fmt.Sprintf("transport: host %d opening receiver for flow %v", h.id, id))
+func closeReceiverFire(arg any) { arg.(*Receiver).closed = true }
+
+// CloseReceiverAt tears down a receiving endpoint of this host (the
+// runner calls it once the flow is done): from then on it ignores what
+// arrives, as a host that has forgotten the flow would. With a lag the
+// close is a keyed event at done+lag, ordered by (done, host): teardown
+// modelled as a finite-latency notification rather than an
+// instantaneous side effect. The key is built from the completion time,
+// so a late retransmission's fate (consumed by a still-open receiver
+// versus dropped by a closed one) is a function of the traffic alone.
+// Two flows completing at the same instant toward the same host collide
+// on the key; each close touches only its own receiver, so their
+// relative order is immaterial. Without a lag the close is immediate.
+func (h *Host) CloseReceiverAt(done, lag units.Time, r *Receiver) {
+	if lag <= 0 {
+		r.closed = true
+		return
 	}
-	if _, dup := h.receivers[id]; dup {
-		panic(fmt.Sprintf("transport: duplicate receiver for flow %v", id))
-	}
-	r := NewReceiver(h.sim, cfg, id, size, h.out, stats)
-	h.receivers[id] = r
-	return r
+	h.sim.AtKey(done+lag, netem.DeliveryKey(done, h.closeKey), closeReceiverFire, r)
 }
 
-// CloseReceiver drops the receiving endpoint (called by the runner once
-// the flow is done, so endpoint maps do not grow with completed flows).
-func (h *Host) CloseReceiver(id netem.FlowID) {
-	delete(h.receivers, id)
-}
-
-// hostClose carries one deferred receiver teardown through the engine.
-type hostClose struct {
-	h  *Host
-	id netem.FlowID
-}
-
-func hostCloseFire(arg any) {
-	c := arg.(*hostClose)
-	c.h.CloseReceiver(c.id)
-}
-
-// CloseReceiverAt schedules CloseReceiver as a keyed event at done+lag,
-// ordered by (done, host): flow teardown modelled as a finite-latency
-// notification rather than an instantaneous side effect. The key is
-// built from the completion time, so a late retransmission's fate
-// (consumed by a still-open receiver versus dropped by a closed one)
-// is a function of the traffic alone. Two flows completing at the same
-// instant toward the same host collide on the key; the closes are
-// commutative map deletions, so their relative order is immaterial.
-func (h *Host) CloseReceiverAt(done, lag units.Time, id netem.FlowID) {
-	h.sim.AtKey(done+lag, netem.DeliveryKey(done, h.closeKey), hostCloseFire, &hostClose{h: h, id: id})
-}
-
-// EachOpenSenderSorted visits the still-open senders in FlowID order —
-// completed flows left the map at their done callback, so this is the
-// deterministic end-of-run sweep streaming stats fold unfinished flows
-// with.
+// EachOpenSenderSorted visits the still-open senders in FlowID order
+// (all share this host as Src) — completed flows left the registry at
+// completion, so this is the deterministic end-of-run sweep streaming
+// stats fold unfinished flows with.
 func (h *Host) EachOpenSenderSorted(fn func(*Sender)) {
-	ids := make([]netem.FlowID, 0, len(h.senders))
-	//simlint:allow maporder(ids are collected here and sorted below before any use)
-	for id := range h.senders {
-		ids = append(ids, id)
+	open := make([]*Sender, 0, len(h.senders))
+	//simlint:allow maporder(senders are collected here and sorted below before any use)
+	for _, s := range h.senders {
+		open = append(open, s)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
+	sort.Slice(open, func(i, j int) bool {
+		a, b := open[i].id, open[j].id
 		if a.Dst != b.Dst {
 			return a.Dst < b.Dst
 		}
 		return a.Port < b.Port
 	})
-	for _, id := range ids {
-		fn(h.senders[id])
+	for _, s := range open {
+		fn(s)
 	}
 }
 
-// Receive dispatches a delivered packet to the right endpoint, then
+// Receive hands a delivered packet to the endpoint it names, then
 // releases it to the pool (when one is set): delivery is the packet's
-// terminal sink. Packets for unknown flows (e.g. ACKs racing a
-// completed sender) are dropped, as a real host would RST-and-ignore.
+// terminal sink. There is no lookup: a packet that names no endpoint is
+// dropped, a completed sender and a closed receiver ignore theirs (as a
+// real host would RST-and-ignore), and one whose endpoint lives on
+// another host was misrouted by the fabric, which is a bug.
 func (h *Host) Receive(pkt *netem.Packet) {
-	switch pkt.Kind {
-	case netem.Data:
-		if r, ok := h.receivers[pkt.Flow]; ok {
-			r.onData(pkt)
+	if ep := pkt.To; ep != nil {
+		if ep.Host != h.id {
+			panic(fmt.Sprintf("transport: %v packet of flow %v for an endpoint on host %d delivered to host %d", pkt.Kind, pkt.Flow, ep.Host, h.id))
 		}
-	case netem.Syn:
-		if r, ok := h.receivers[pkt.Flow]; ok {
-			r.onSyn(pkt)
-		}
-	case netem.Ack:
-		if s, ok := h.senders[pkt.Flow.Reversed()]; ok {
-			s.onAck(pkt)
-		}
-	case netem.SynAck:
-		if s, ok := h.senders[pkt.Flow.Reversed()]; ok {
-			s.onSynAck(pkt)
+		switch e := ep.Owner.(type) {
+		case *Receiver:
+			switch {
+			case e.closed:
+			case pkt.Kind == netem.Data:
+				e.onData(pkt)
+			case pkt.Kind == netem.Syn:
+				e.onSyn(pkt)
+			}
+		case *Sender:
+			switch pkt.Kind {
+			case netem.Ack:
+				e.onAck(pkt)
+			case netem.SynAck:
+				e.onSynAck(pkt)
+			}
 		}
 	}
 	h.pool.Put(pkt)

@@ -22,8 +22,13 @@ type PacketSample struct {
 // the NS2 setups the paper uses), buffers out-of-order data and echoes
 // each packet's CE bit, which is what DCTCP needs.
 type Receiver struct {
+	// ep is this endpoint as the sender's packets name it; peer is the
+	// flow's sender, whose ep goes on every ACK.
+	ep   netem.Endpoint
+	peer *Sender
+
 	sim  *eventsim.Sim
-	cfg  Config
+	cfg  *Config // the run's one normalised Config
 	out  func(*netem.Packet)
 	id   netem.FlowID
 	size units.Bytes
@@ -44,17 +49,19 @@ type Receiver struct {
 	// when the close lands: the record reads the same at any moment at
 	// or after completion.
 	frozen bool
+	// closed is set by the host's CloseReceiverAt: whatever still arrives
+	// is ignored. A pending delayed-ACK timer is no arrival: it fires.
+	closed bool
 
 	// Delayed-ACK state: how many in-order segments are unacknowledged
 	// and the timer that bounds the delay. lastCE tracks the CE bit of
 	// the previous data packet so a state change forces an immediate
-	// ACK (the DCTCP requirement). ackFn is the one pre-bound timeout
-	// callback (so arming never allocates a closure); ackCE is the CE
-	// state captured when the timer was armed, which the callback
-	// echoes.
+	// ACK (the DCTCP requirement). The timer schedules the static
+	// delayedAckFire with the receiver as its argument (so arming never
+	// allocates a closure); ackCE is the CE state captured when the
+	// timer was armed, which the callback echoes.
 	pendingAcks int
 	ackTimer    eventsim.Event
-	ackFn       func()
 	ackCE       bool
 	lastCE      bool
 	// lastBlock remembers the most recent out-of-order segment so its
@@ -69,26 +76,9 @@ type Receiver struct {
 	Stats *FlowStats
 }
 
-// NewReceiver creates the receiving endpoint. stats is shared with the
-// experiment runner (and typically with the sender's record via
-// Host.Open, which merges them — here the receiver owns the
-// receiver-side fields of the same FlowStats).
-func NewReceiver(sim *eventsim.Sim, cfg Config, id netem.FlowID, size units.Bytes, out func(*netem.Packet), stats *FlowStats) *Receiver {
-	r := &Receiver{
-		sim:   sim,
-		cfg:   cfg.withDefaults(),
-		out:   out,
-		id:    id,
-		size:  size,
-		Stats: stats,
-	}
-	r.ackFn = r.delayedAckFire
-	return r
-}
-
-// delayedAckFire is the delayed-ACK timeout callback, bound once at
-// construction.
-func (r *Receiver) delayedAckFire() {
+// delayedAckFire is the delayed-ACK timeout callback of every receiver.
+func delayedAckFire(arg any) {
+	r := arg.(*Receiver)
 	r.emitAck(r.ackCE)
 }
 
@@ -99,6 +89,7 @@ func (r *Receiver) Complete() bool { return r.rcvNxt >= r.size }
 func (r *Receiver) onSyn(pkt *netem.Packet) {
 	reply := r.cfg.Pool.Get()
 	reply.Flow = r.id.Reversed()
+	reply.To = &r.peer.ep
 	reply.Kind = netem.SynAck
 	reply.Wire = r.cfg.HeaderBytes
 	reply.SentAt = r.sim.Now()
@@ -170,7 +161,7 @@ func (r *Receiver) onData(pkt *netem.Packet) {
 		if r.pendingAcks < 2 {
 			if !r.ackTimer.Scheduled() {
 				r.ackCE = pkt.CE
-				r.ackTimer = r.sim.After(r.cfg.DelayedAckTimeout, r.ackFn)
+				r.ackTimer = r.sim.AtArg(now+r.cfg.DelayedAckTimeout, delayedAckFire, r)
 			}
 			return
 		}
@@ -186,6 +177,7 @@ func (r *Receiver) emitAck(ce bool) {
 	r.pendingAcks = 0
 	ack := r.cfg.Pool.Get()
 	ack.Flow = r.id.Reversed()
+	ack.To = &r.peer.ep
 	ack.Kind = netem.Ack
 	ack.Ack = r.rcvNxt
 	ack.Wire = r.cfg.HeaderBytes

@@ -31,9 +31,7 @@ func TestRTOSurvivesHeavyLoss(t *testing.T) {
 	p.intercept = func(dir int, pkt *netem.Packet) bool {
 		return rng.Float64() >= loss
 	}
-	id := netem.FlowID{Src: 0, Dst: 1, Port: 1}
-	snd := p.hosts[0].OpenSender(cfg, id, 40*cfg.MSS, nil)
-	p.hosts[1].OpenReceiver(cfg, id, 40*cfg.MSS, &snd.Stats)
+	snd := openFlow(t, p, cfg, 40*cfg.MSS)
 	snd.Start()
 	s.RunUntil(60 * units.Second)
 	if !snd.Done() || snd.Stats.BytesAcked != 40*cfg.MSS {
@@ -50,9 +48,9 @@ func TestRTORearmsWhenDeadlineMovesEarlier(t *testing.T) {
 	s := eventsim.New()
 	cfg := testCfg()
 	var sent []*netem.Packet
-	snd := NewSender(s, cfg, netem.FlowID{Src: 0, Dst: 1}, 10*cfg.MSS, func(p *netem.Packet) {
+	snd := loneFlow(s, cfg, netem.FlowID{Src: 0, Dst: 1}, 10*cfg.MSS, func(p *netem.Packet) {
 		sent = append(sent, p)
-	}, nil)
+	}, discard)
 	snd.Start()
 
 	// Let several RTOs fire with nothing delivered: backoff doubles.
@@ -81,7 +79,7 @@ func TestRTORearmsWhenDeadlineMovesEarlier(t *testing.T) {
 func TestRTOBackoffIsCapped(t *testing.T) {
 	s := eventsim.New()
 	cfg := testCfg()
-	snd := NewSender(s, cfg, netem.FlowID{Src: 0, Dst: 1}, 10*cfg.MSS, func(*netem.Packet) {}, nil)
+	snd := loneFlow(s, cfg, netem.FlowID{Src: 0, Dst: 1}, 10*cfg.MSS, discard, discard)
 	snd.Start()
 	s.RunUntil(30 * units.Second)
 	if snd.Stats.Timeouts < 10 {

@@ -124,7 +124,7 @@ func TestFillSackBlocksDeterministicOrder(t *testing.T) {
 	var acks []*netem.Packet
 	out := func(p *netem.Packet) { acks = append(acks, p) }
 	flow := netem.FlowID{Src: 1, Dst: 2}
-	r := NewReceiver(sim, Config{SACK: true}, flow, 10000, out, &FlowStats{})
+	r := loneFlow(sim, Config{SACK: true}, flow, 10000, discard, out).Receiver()
 
 	seg := func(seq units.Bytes) *netem.Packet {
 		return &netem.Packet{Flow: flow, Kind: netem.Data, Seq: seq, Payload: 1000, Wire: 1040}

@@ -10,11 +10,17 @@ import (
 
 // Sender is the sending endpoint of one flow. It is driven entirely by
 // simulator events: Start kicks off the handshake (or first window),
-// and the owning Host feeds it ACKs via onAck.
+// and the owning Host feeds it the ACKs addressed to it.
 type Sender struct {
+	// ep is this endpoint as the receiver's ACKs name it; peer is the
+	// flow's receiver (see Open), whose ep goes on everything sent.
+	ep   netem.Endpoint
+	peer *Receiver
+
 	sim  *eventsim.Sim
-	cfg  Config
+	cfg  *Config // the run's one normalised Config
 	out  func(*netem.Packet)
+	host *Host
 	done func(*Sender)
 
 	id   netem.FlowID
@@ -36,13 +42,12 @@ type Sender struct {
 	// RTO machinery. The timer is lazy: arming only records the
 	// deadline, and an already-scheduled (earlier) event re-schedules
 	// itself on expiry if the deadline moved. This avoids a
-	// cancel+insert pair of heap operations on every ACK. rtoFn is the
-	// one pre-bound callback reused for every (re)arm, so scheduling
-	// the timer never allocates a closure; rtoTimer is a generation-
-	// checked handle, inert once the event fired or was cancelled.
+	// cancel+insert pair of heap operations on every ACK. Every (re)arm
+	// schedules the static rtoFire with the sender as its argument, so
+	// no closure is built; rtoTimer is a generation-checked handle,
+	// inert once the event fired or was cancelled.
 	rtoTimer    eventsim.Event
 	rtoDeadline units.Time
-	rtoFn       func()
 	rtoBackoff  units.Time
 	srtt        units.Time
 	rttvar      units.Time
@@ -60,7 +65,7 @@ type Sender struct {
 
 	established bool
 	started     bool
-	finished    bool
+	finished    bool // a completed sender ignores the ACKs still in flight
 
 	// SACK scoreboard: the set of segment starts the receiver has
 	// reported (sorted, so every scan is deterministic); retxRec tracks
@@ -69,36 +74,16 @@ type Sender struct {
 	sacked  segSet
 	retxRec segSet
 
-	Stats FlowStats
-}
-
-// NewSender creates an idle sender for a flow of the given size. out
-// injects packets into the network; done (optional) fires once when the
-// last byte is acknowledged.
-func NewSender(sim *eventsim.Sim, cfg Config, id netem.FlowID, size units.Bytes, out func(*netem.Packet), done func(*Sender)) *Sender {
-	if size <= 0 {
-		panic(fmt.Sprintf("transport: flow %v with non-positive size %d", id, size))
-	}
-	c := cfg.withDefaults()
-	s := &Sender{
-		sim:      sim,
-		cfg:      c,
-		out:      out,
-		done:     done,
-		id:       id,
-		size:     size,
-		cwnd:     float64(c.MSS) * float64(c.InitCwnd),
-		ssthresh: float64(c.RcvWindow),
-		alpha:    1.0,
-	}
-	s.Stats.ID = id
-	s.Stats.Size = size
-	s.rtoFn = s.onRTOTimer
-	return s
+	// Stats is the flow's record, shared with the receiver and allocated
+	// apart: a Result that keeps it keeps 184 bytes, not the flow.
+	Stats *FlowStats
 }
 
 // ID returns the flow identity.
 func (s *Sender) ID() netem.FlowID { return s.id }
+
+// Receiver returns the flow's receiving endpoint.
+func (s *Sender) Receiver() *Receiver { return s.peer }
 
 // Size returns the flow size in bytes.
 func (s *Sender) Size() units.Bytes { return s.size }
@@ -329,6 +314,9 @@ func (s *Sender) fastRetransmit() {
 	s.retransmit(s.sndUna)
 }
 
+// rtoFire is the RTO timer callback of every sender.
+func rtoFire(arg any) { arg.(*Sender).onRTOTimer() }
+
 // onRTOTimer fires at the scheduled instant; if the deadline has moved
 // forward since scheduling (progress arrived), it just re-arms. The
 // fired handle in rtoTimer is already inert (its generation no longer
@@ -338,7 +326,7 @@ func (s *Sender) onRTOTimer() {
 		return
 	}
 	if s.sim.Now() < s.rtoDeadline {
-		s.rtoTimer = s.sim.At(s.rtoDeadline, s.rtoFn)
+		s.rtoTimer = s.sim.AtArg(s.rtoDeadline, rtoFire, s)
 		return
 	}
 	s.onRTO()
@@ -439,6 +427,7 @@ func (s *Sender) retransmit(seq units.Bytes) {
 func (s *Sender) emitData(seq, seg units.Bytes, retx bool) {
 	pkt := s.cfg.Pool.Get()
 	pkt.Flow = s.id
+	pkt.To = &s.peer.ep
 	pkt.Kind = netem.Data
 	pkt.Seq = seq
 	pkt.Payload = seg
@@ -454,6 +443,7 @@ func (s *Sender) emitData(seq, seg units.Bytes, retx bool) {
 func (s *Sender) sendControl(kind netem.Kind) {
 	pkt := s.cfg.Pool.Get()
 	pkt.Flow = s.id
+	pkt.To = &s.peer.ep
 	pkt.Kind = kind
 	pkt.Wire = s.cfg.HeaderBytes
 	pkt.SentAt = s.sim.Now()
@@ -465,7 +455,8 @@ func (s *Sender) complete() {
 	s.finished = true
 	s.Stats.Done = true
 	s.Stats.End = s.sim.Now()
-	s.cancelRTO()
+	s.sim.Cancel(s.rtoTimer)
+	delete(s.host.senders, s.id)
 	if s.done != nil {
 		s.done(s)
 	}
@@ -512,19 +503,15 @@ func (s *Sender) armRTO() {
 	}
 	s.rtoDeadline = s.sim.Now() + s.rtoBackoff
 	if !s.rtoTimer.Scheduled() {
-		s.rtoTimer = s.sim.At(s.rtoDeadline, s.rtoFn)
+		s.rtoTimer = s.sim.AtArg(s.rtoDeadline, rtoFire, s)
 	} else if s.rtoTimer.At() > s.rtoDeadline {
 		// The deadline moved *earlier* (progress reset a long timeout
 		// backoff): the lazy scheme only recovers from deadlines that
 		// move later, so a stale far-future event would leave the flow
 		// without a live RTO for the rest of the old backoff.
 		s.sim.Cancel(s.rtoTimer)
-		s.rtoTimer = s.sim.At(s.rtoDeadline, s.rtoFn)
+		s.rtoTimer = s.sim.AtArg(s.rtoDeadline, rtoFire, s)
 	}
-}
-
-func (s *Sender) cancelRTO() {
-	s.sim.Cancel(s.rtoTimer)
 }
 
 func maxf(a, b float64) float64 {

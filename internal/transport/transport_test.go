@@ -47,14 +47,22 @@ func testCfg() Config {
 	return c
 }
 
-// openFlow wires a sender on host0 and receiver on host1.
+// openFlow opens a flow from host0 to host1; cfg derives from testCfg,
+// so it is normalised.
 func openFlow(t *testing.T, p *pipe, cfg Config, size units.Bytes) *Sender {
 	t.Helper()
-	id := netem.FlowID{Src: 0, Dst: 1, Port: 1}
-	snd := p.hosts[0].OpenSender(cfg, id, size, nil)
-	p.hosts[1].OpenReceiver(cfg, id, size, &snd.Stats)
-	return snd
+	return Open(&cfg, p.hosts[0], p.hosts[1], netem.FlowID{Src: 0, Dst: 1, Port: 1}, size, nil)
 }
+
+// loneFlow opens a flow between two hosts of its own that are joined by
+// nothing: what the sender emits goes to sent, what the receiver emits
+// to acked, and the test delivers by hand.
+func loneFlow(s *eventsim.Sim, cfg Config, id netem.FlowID, size units.Bytes, sent, acked func(*netem.Packet)) *Sender {
+	cfg = cfg.WithDefaults()
+	return Open(&cfg, NewHost(s, id.Src, sent), NewHost(s, id.Dst, acked), id, size, nil)
+}
+
+func discard(*netem.Packet) {}
 
 func TestFlowCompletesCleanNetwork(t *testing.T) {
 	s := eventsim.New()
@@ -353,9 +361,7 @@ func TestReliabilityUnderRandomLoss(t *testing.T) {
 		p.intercept = func(dir int, pkt *netem.Packet) bool {
 			return rng.Float64() >= loss
 		}
-		id := netem.FlowID{Src: 0, Dst: 1, Port: 1}
-		snd := p.hosts[0].OpenSender(cfg, id, 40*cfg.MSS, nil)
-		p.hosts[1].OpenReceiver(cfg, id, 40*cfg.MSS, &snd.Stats)
+		snd := openFlow(t, p, cfg, 40*cfg.MSS)
 		snd.Start()
 		s.RunUntil(60 * units.Second)
 		return snd.Done() && snd.Stats.BytesAcked == 40*cfg.MSS
@@ -401,7 +407,7 @@ func TestDeadlineAccounting(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	var c Config
-	d := c.withDefaults()
+	d := c.WithDefaults()
 	if d.MSS != 1460 || d.InitCwnd != 2 || d.DupAckThreshold != 3 {
 		t.Fatalf("bad defaults: %+v", d)
 	}
@@ -443,9 +449,7 @@ func TestSenderInvariantsProperty(t *testing.T) {
 			}
 			return rng.Float64() >= loss
 		}
-		id := netem.FlowID{Src: 0, Dst: 1, Port: 1}
-		snd := p.hosts[0].OpenSender(cfg, id, size, nil)
-		p.hosts[1].OpenReceiver(cfg, id, size, &snd.Stats)
+		snd := openFlow(t, p, cfg, size)
 		snd.Start()
 		for i := 0; i < 400000 && !snd.Done(); i++ {
 			if !s.Step() {
@@ -513,7 +517,7 @@ func TestDuplicateSynAckIgnored(t *testing.T) {
 func TestSenderAccessors(t *testing.T) {
 	s := eventsim.New()
 	cfg := testCfg()
-	snd := NewSender(s, cfg, netem.FlowID{Src: 0, Dst: 1}, 1000, func(*netem.Packet) {}, nil)
+	snd := loneFlow(s, cfg, netem.FlowID{Src: 0, Dst: 1}, 1000, discard, discard)
 	if snd.ID() != (netem.FlowID{Src: 0, Dst: 1}) || snd.Size() != 1000 || snd.Done() {
 		t.Fatal("accessors")
 	}
@@ -528,5 +532,5 @@ func TestZeroSizeFlowPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewSender(eventsim.New(), testCfg(), netem.FlowID{}, 0, func(*netem.Packet) {}, nil)
+	loneFlow(eventsim.New(), testCfg(), netem.FlowID{Src: 0, Dst: 1}, 0, discard, discard)
 }
