@@ -141,7 +141,7 @@ alloc-gates:
 # `make test`; this is the fast inner loop).
 identity:
 	$(GO) test -count 1 -run 'TestConstructionOrderPinned' ./internal/topology
-	$(GO) test -count 1 -run 'TestGoldenFigures|TestEveryParamIsSetByARun|TestParallelSerialIdentical' ./internal/experiments
+	$(GO) test -count 1 -run 'TestGoldenFigures|TestEveryParamIsSetByARun|TestEverySpecFieldIsSetByARun|TestParallelSerialIdentical' ./internal/experiments
 	$(GO) test -count 1 -run 'TestArrivalOrderPinned|TestSessionObserverNeutral|TestStreamStatsMatchesRecords' ./internal/sim
 	$(GO) test -count 1 ./bench
 
@@ -151,11 +151,19 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 # knobs prints the ROADMAP's options measure — registered scheme
-# parameters, spec fields, CLI flag definitions — for before/after.
+# parameters, spec fields, the settable transport.Config fields, the
+# lb.Env facts a scheme builder reads, CLI flag definitions — for
+# before/after.
 knobs:
-	@echo "scheme parameters $$($(GO) run ./cmd/tlbsim -list-schemes | grep -cE '^    [A-Za-z]+ +(duration|bytes|bandwidth|int|float|bool|string) ')"
-	@echo "spec fields       $$(grep -c 'json:"' internal/spec/spec.go)"
-	@echo "cli flags         $$(grep -rhoE 'flag\.((Bool|Int|Int64|Uint|Uint64|String|Float64|Duration)(Var)?|Var)\(' cmd | wc -l)"
+	@echo "scheme parameters  $$($(GO) run ./cmd/tlbsim -list-schemes | grep -cE '^    [A-Za-z]+ +(duration|bytes|bandwidth|int|float|bool|string) ')"
+	@echo "spec fields        $$(grep -c 'json:"' internal/spec/spec.go)"
+	@echo "transport settings $$($(call fields,Config) internal/transport/config.go)"
+	@echo "lb.Env facts       $$($(call fields,Env) internal/lb/registry.go)"
+	@echo "cli flags          $$(grep -rhoE 'flag\.((Bool|Int|Int64|Uint|Uint64|String|Float64|Duration)(Var)?|Var)\(' cmd | wc -l)"
+
+# fields is an awk program counting the named fields of struct $(1) in
+# the file it is given (comments stripped; "A, B T" is two).
+fields = awk '/^type $(1) struct/ { f = 1; next } f && /^}/ { f = 0 } f { sub(/\/\/.*/, "") } f && NF > 1 { n += NF - 1 } END { print n + 0 }'
 
 # specs validates every checked-in scenario spec through the loader
 # and registry (the example specs, the tlbsim presets and the golden

@@ -204,7 +204,6 @@ func BenchmarkFig15Decision(b *testing.B) {
 	env := lb.Env{
 		FabricBandwidth: units.Gbps, BaseRTT: 100 * units.Microsecond,
 		QueueCapacity: 256, ECNThreshold: 65,
-		MSS: 1460, HeaderBytes: 40, RcvWindow: 64 * units.KiB,
 	}
 	for _, name := range lb.Names() {
 		b.Run(name, func(b *testing.B) {
@@ -461,12 +460,11 @@ func BenchmarkSendAckCycle(b *testing.B) {
 	}
 	join(0, 1)
 	join(1, 0)
-	cfg := transport.DefaultConfig()
-	cfg.Pool = pool
+	var cfg transport.Config
 	const warm = 4096
 	// Two deliveries per segment, and enough segments that the flow
 	// outlasts the warm-up and the timed region.
-	size := units.Bytes(warm+b.N) * cfg.MSS
+	size := units.Bytes(warm+b.N) * transport.MSS
 	snd := transport.Open(&cfg, hosts[0], hosts[1], netem.FlowID{Src: 0, Dst: 1}, size, nil)
 	snd.Start()
 	for delivered < warm && s.Step() {

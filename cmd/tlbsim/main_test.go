@@ -72,28 +72,20 @@ func TestPresetsReproducePinnedOutput(t *testing.T) {
 }
 
 // TestZeroTransportFieldIsTheDefault: a transport field set to zero
-// means the default to the endpoints, so it must to the scheme as well —
-// the mix preset with "mss": "0B" added hands TLB an MSS of 1460 and
-// prints the preset's own pinned output.
+// means the default — the mix preset with "minRTO": "0s" added runs on
+// the 10 ms floor and prints the preset's own pinned output.
 func TestZeroTransportFieldIsTheDefault(t *testing.T) {
 	sp, err := spec.Load(filepath.Join("specs", "mix.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero := spec.Size("0B")
-	sp.Transport = &spec.Transport{MSS: &zero}
-	sc, err := sp.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env := spec.Env(sc.Topology, sc.Transport); env.MSS != 1460 {
-		t.Errorf("Env.MSS = %v with transport.mss 0B, want the 1460 B the endpoints run on", env.MSS)
-	}
+	zero := spec.Duration("0s")
+	sp.Transport = &spec.Transport{MinRTO: &zero}
 	data, err := sp.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "mix-zero-mss.json")
+	path := filepath.Join(t.TempDir(), "mix-zero-rto.json")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -25,13 +25,14 @@ import (
 	"tlb/internal/lb"
 	"tlb/internal/model"
 	"tlb/internal/netem"
+	"tlb/internal/transport"
 	"tlb/internal/units"
 )
 
 // Config parameterizes one TLB instance (one per switch): the scheme's
-// nine parameters plus the run's environment, from which everything
-// else Eq. 9 reads — C, RTT, the buffer depth, MSS, W_L — derives.
-// NewConfig is the one place it is built.
+// nine parameters plus the run's environment, from which C, RTT and the
+// buffer depth Eq. 9 reads derive; MSS, header size and W_L are the
+// transport's constants. NewConfig is the one place it is built.
 type Config struct {
 	// ShortThreshold is the bytes-seen boundary between short and long
 	// flows.
@@ -75,10 +76,9 @@ type Config struct {
 	// flag exists for the ablation that quantifies its value.
 	DisableSafeSwitch bool
 
-	// Env is the fabric and transport TLB balances for: the per-path
-	// bandwidth C, the round-trip propagation delay, the queue capacity
-	// that clamps q_th, and the end hosts' MSS, header size and receive
-	// window (W_L).
+	// Env is the fabric TLB balances for: the per-path bandwidth C, the
+	// round-trip propagation delay and the queue capacity that clamps
+	// q_th.
 	Env lb.Env
 }
 
@@ -94,11 +94,8 @@ func (c Config) Model(paths, shorts, longs int) model.Params {
 		LinkBandwidth:      c.Env.FabricBandwidth,
 		RTT:                c.Env.BaseRTT,
 		MeanShortSize:      c.MeanShortSize,
-		LongWindow:         c.Env.RcvWindow,
 		Deadline:           c.Deadline,
 		Interval:           c.Interval,
-		MSS:                c.Env.MSS,
-		PacketBytes:        c.Env.MSS + c.Env.HeaderBytes,
 		UncappedLongDemand: c.UncappedLongDemand,
 	}
 }
@@ -199,7 +196,7 @@ func New(sim *eventsim.Sim, rng *eventsim.RNG, ports []*netem.Port, cfg Config) 
 		ports: ports,
 		flows: lb.NewFlowTable[flowEntry](),
 	}
-	t.hystDelay = units.Time(cfg.ShortHysteresis) * cfg.Env.FabricBandwidth.TxTime(cfg.Env.MSS+cfg.Env.HeaderBytes)
+	t.hystDelay = units.Time(cfg.ShortHysteresis) * cfg.Env.FabricBandwidth.TxTime(transport.MSS+transport.HeaderBytes)
 	t.qth = t.computeQTh()
 	t.ticker = eventsim.NewTicker(sim, cfg.Interval, t.tick)
 	t.ticker.Start()

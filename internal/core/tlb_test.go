@@ -17,9 +17,6 @@ func testConfig() Config {
 		FabricBandwidth: units.Gbps,
 		BaseRTT:         100 * units.Microsecond,
 		QueueCapacity:   256,
-		MSS:             1460,
-		HeaderBytes:     40,
-		RcvWindow:       64 * units.KiB,
 	})
 	if err != nil {
 		panic(err)

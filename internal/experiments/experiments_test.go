@@ -7,7 +7,6 @@ import (
 	"tlb/internal/core"
 	"tlb/internal/spec"
 	"tlb/internal/stats"
-	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
@@ -200,7 +199,7 @@ func TestLargeEnvLoadCalibration(t *testing.T) {
 
 func TestBasicEnvTLBConfigMatchesTopology(t *testing.T) {
 	env := newBasicEnv(256, 100, 3)
-	cfg, err := core.NewConfig(nil, spec.Env(env.topo, transport.DefaultConfig()))
+	cfg, err := core.NewConfig(nil, spec.Env(env.topo))
 	if err != nil {
 		t.Fatal(err)
 	}

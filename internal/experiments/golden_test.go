@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -70,7 +71,7 @@ func allAblations(o Options) ([]Figure, error) {
 //
 //	TLB_UPDATE_GOLDEN=1 go test ./internal/experiments -run TestGoldenFigures
 func TestGoldenFigures(t *testing.T) {
-	t.Cleanup(func() { goldenParams.complete = true }) // runs after the parallel subtests
+	t.Cleanup(func() { goldenRuns.complete = true }) // runs after the parallel subtests
 	update := os.Getenv("TLB_UPDATE_GOLDEN") != ""
 	dir := filepath.Join("testdata", "golden")
 	if update {
@@ -86,11 +87,17 @@ func TestGoldenFigures(t *testing.T) {
 			o := g.opts
 			o.Workers = 1
 			o.specObserver = func(_ string, sp *spec.Spec) {
-				goldenParams.Lock()
-				defer goldenParams.Unlock()
-				for k := range sp.Scheme.Params {
-					goldenParams.set[sp.Scheme.Name+"."+k] = true
+				data, err := sp.Marshal()
+				if err != nil {
+					t.Error(err)
+					return
 				}
+				goldenRuns.Lock()
+				defer goldenRuns.Unlock()
+				for k := range sp.Scheme.Params {
+					goldenRuns.params[sp.Scheme.Name+"."+k] = true
+				}
+				collectSpecFields(data, goldenRuns.fields)
 			}
 			figs, err := g.run(o)
 			if err != nil {
@@ -114,30 +121,26 @@ func TestGoldenFigures(t *testing.T) {
 	}
 }
 
-// goldenParams is every scheme parameter ("scheme.param") some spec of
-// the golden figures sets, collected by TestGoldenFigures as it runs.
-var goldenParams = struct {
+// goldenRuns is what the specs of the golden figures set, collected by
+// TestGoldenFigures as it runs: every scheme parameter ("scheme.param")
+// and every spec field ("Struct.jsonField", see collectSpecFields).
+var goldenRuns = struct {
 	sync.Mutex
-	set      map[string]bool
-	complete bool
-}{set: map[string]bool{}}
+	params, fields map[string]bool
+	complete       bool
+}{params: map[string]bool{}, fields: map[string]bool{}}
 
-// TestEveryParamIsSetByARun: the registry offers exactly the parameters
-// some run turns — the golden figures' specs (collected above, no extra
-// simulation) plus every checked-in JSON file that holds a scheme
-// clause (presets, example specs, golden specs, benchmark workloads).
-// A parameter nothing sets is a default under another name; a new knob
-// needs a run that turns it.
-func TestEveryParamIsSetByARun(t *testing.T) {
-	if !goldenParams.complete {
-		t.Skip("reads what TestGoldenFigures' runs collected: run them together (as `go test` and `make identity` do)")
-	}
-	set := goldenParams.set
-	err := filepath.WalkDir(filepath.Join("..", ".."), func(path string, d fs.DirEntry, err error) error {
+// eachCheckedInJSON calls fn with every JSON document checked in under
+// the module root (hidden directories skipped): presets, example specs,
+// golden specs, benchmark workloads, and documents that are no spec.
+func eachCheckedInJSON(t *testing.T, fn func(doc any, data []byte)) {
+	t.Helper()
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && path != filepath.Join("..", "..") && strings.HasPrefix(d.Name(), ".") {
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
 			return filepath.SkipDir
 		}
 		if d.IsDir() || filepath.Ext(path) != ".json" {
@@ -151,12 +154,26 @@ func TestEveryParamIsSetByARun(t *testing.T) {
 		if err := json.Unmarshal(data, &doc); err != nil {
 			return nil // not a document this test can hold to anything
 		}
-		collectSchemeParams(doc, set)
+		fn(doc, data)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestEveryParamIsSetByARun: the registry offers exactly the parameters
+// some run turns — the golden figures' specs (collected above, no extra
+// simulation) plus every checked-in JSON file that holds a scheme
+// clause (presets, example specs, golden specs, benchmark workloads).
+// A parameter nothing sets is a default under another name; a new knob
+// needs a run that turns it.
+func TestEveryParamIsSetByARun(t *testing.T) {
+	if !goldenRuns.complete {
+		t.Skip("reads what TestGoldenFigures' runs collected: run them together (as `go test` and `make identity` do)")
+	}
+	set := goldenRuns.params
+	eachCheckedInJSON(t, func(doc any, _ []byte) { collectSchemeParams(doc, set) })
 	var got, want []string
 	for k := range set {
 		got = append(got, k)
@@ -195,4 +212,100 @@ func collectSchemeParams(doc any, set map[string]bool) {
 			collectSchemeParams(child, set)
 		}
 	}
+}
+
+// TestEverySpecFieldIsSetByARun is TestEveryParamIsSetByARun for the
+// spec format itself: every field of every spec struct is present in
+// the marshalled spec of some run — a golden figure's, or a checked-in
+// JSON file that loads as a spec or as a list of them. A field no run
+// sets is a constant under another name. Fields are keyed by (struct,
+// JSON field), so Link.delay is one field wherever a Link sits. What
+// this cannot see is a field every run sets to the value it would
+// default to anyway (transport.initialRTO was only ever set equal to
+// minRTO, its default); those need reading, not counting.
+func TestEverySpecFieldIsSetByARun(t *testing.T) {
+	if !goldenRuns.complete {
+		t.Skip("reads what TestGoldenFigures' runs collected: run them together (as `go test` and `make identity` do)")
+	}
+	set := goldenRuns.fields
+	eachCheckedInJSON(t, func(doc any, data []byte) {
+		docs := []json.RawMessage{data}
+		if _, list := doc.([]any); list {
+			if err := json.Unmarshal(data, &docs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, raw := range docs {
+			sp, err := spec.LoadBytes(raw)
+			if err != nil {
+				continue // not a spec
+			}
+			out, err := sp.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			collectSpecFields(out, set)
+		}
+	})
+	var missing []string
+	for _, f := range specFields(reflect.TypeOf(spec.Spec{}), nil) {
+		if !set[f] {
+			missing = append(missing, f)
+		}
+	}
+	if len(missing) > 0 {
+		t.Errorf("spec fields no run sets: %s", strings.Join(missing, " "))
+	}
+}
+
+// collectSpecFields adds "Struct.jsonField" for every field present in
+// a marshalled spec, walking the JSON alongside the spec's types.
+func collectSpecFields(data []byte, set map[string]bool) {
+	var doc any
+	if err := json.Unmarshal(data, &doc); err == nil {
+		walkSpecFields(reflect.TypeOf(spec.Spec{}), doc, set)
+	}
+}
+
+func walkSpecFields(typ reflect.Type, doc any, set map[string]bool) {
+	for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
+		typ = typ.Elem()
+	}
+	switch v := doc.(type) {
+	case []any:
+		for _, e := range v {
+			walkSpecFields(typ, e, set)
+		}
+	case map[string]any:
+		if typ.Kind() != reflect.Struct {
+			return // scheme.params: keyed by the registry, see TestEveryParamIsSetByARun
+		}
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if child, ok := v[name]; ok {
+				set[typ.Name()+"."+name] = true
+				walkSpecFields(f.Type, child, set)
+			}
+		}
+	}
+}
+
+// specFields lists every "Struct.jsonField" of the spec format reachable
+// from typ, in declaration order, each once.
+func specFields(typ reflect.Type, out []string) []string {
+	for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
+		typ = typ.Elem()
+	}
+	if typ.Kind() != reflect.Struct {
+		return out
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if key := typ.Name() + "." + name; !slices.Contains(out, key) {
+			out = specFields(f.Type, append(out, key))
+		}
+	}
+	return out
 }

@@ -9,7 +9,6 @@ import (
 	"tlb/internal/sim"
 	"tlb/internal/spec"
 	"tlb/internal/stats"
-	"tlb/internal/transport"
 	"tlb/internal/units"
 )
 
@@ -36,7 +35,7 @@ func newFig7Env(shorts, longs, paths int, deadline units.Time) fig7Env {
 func (e fig7Env) modelParams() (model.Params, error) {
 	cfg, err := core.NewConfig(
 		spec.Params{"deadline": pDur(e.deadline), "uncappedLongDemand": true},
-		spec.Env(e.topo, transport.DefaultConfig()))
+		spec.Env(e.topo))
 	return cfg.Model(e.topo.Spines, e.shorts, e.longs), err
 }
 

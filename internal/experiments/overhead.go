@@ -8,6 +8,7 @@ import (
 	"tlb/internal/core"
 	"tlb/internal/eventsim"
 	"tlb/internal/netem"
+	"tlb/internal/transport"
 	"tlb/internal/units"
 )
 
@@ -59,11 +60,11 @@ func Fig15(o Options) ([]Figure, error) {
 		for i := 0; i < flows; i++ {
 			flow := netem.FlowID{Src: i % 97, Dst: 100 + i%89, Port: i}
 			pkts = append(pkts, &netem.Packet{
-				Flow: flow, Kind: netem.Data, Payload: 1460, Wire: 1500,
+				Flow: flow, Kind: netem.Data, Payload: transport.MSS, Wire: transport.MSS + transport.HeaderBytes,
 			})
 			if i%4 == 0 {
 				pkts = append(pkts, &netem.Packet{
-					Flow: flow.Reversed(), Kind: netem.Ack, Wire: 40,
+					Flow: flow.Reversed(), Kind: netem.Ack, Wire: transport.HeaderBytes,
 				})
 			}
 		}

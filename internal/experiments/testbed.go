@@ -37,12 +37,13 @@ func newTestbedEnv(shorts, longs int) testbedEnv {
 	}
 }
 
-// testbedTransport raises the RTO floor: RTT here is ~8 ms, so the
-// datacenter 10 ms floor would fire spuriously. Use a floor a few RTTs
-// out, like Mininet's Linux stack would converge to.
+// testbedTransport raises the RTO floor (and with it the timeout before
+// the first RTT sample): RTT here is ~8 ms, so the datacenter 10 ms
+// floor would fire spuriously. Use a floor a few RTTs out, like
+// Mininet's Linux stack would converge to.
 func testbedTransport() *spec.Transport {
 	rto := spec.Duration("50ms")
-	return &spec.Transport{MinRTO: &rto, InitialRTO: &rto}
+	return &spec.Transport{MinRTO: &rto}
 }
 
 const testbedFlowletGap = 15 * units.Millisecond

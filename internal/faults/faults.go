@@ -1,13 +1,13 @@
 // Package faults implements deterministic, schedule-driven link-fault
-// injection: a Schedule of timed events that take leaf-spine links
-// down (drops at admission, like a pulled cable), de-rate their
-// bandwidth, change their propagation delay, or restore them, applied
-// to a running simulation at exact simulated times.
+// injection: a Schedule of timed events that take both directions of a
+// leaf-spine link down (drops at admission, like a pulled cable) or
+// restore them, applied to a running simulation at exact simulated
+// times.
 //
 // The paper's §7 asymmetry experiments (Fig. 16–17) degrade links
-// statically, before the run starts; this package turns that into a
-// dynamic axis: links fail and recover mid-traffic, which is when
-// adaptive-granularity schemes have to re-detect path conditions.
+// statically, before the run starts (topology overrides); this package
+// adds the dynamic axis: links fail and recover mid-traffic, which is
+// when adaptive-granularity schemes have to re-detect path conditions.
 //
 // Everything is deterministic: a Schedule is explicit data, the
 // injector consumes no randomness, and events are applied in (time,
@@ -34,15 +34,8 @@ const (
 	// (QueueStats.FaultDropped) and liveness-aware balancers route
 	// around the port. Packets already on the wire still deliver.
 	OpDown Op = iota
-	// OpRestore revives the link and resets it to the rate and delay
-	// it was built with.
+	// OpRestore revives the link.
 	OpRestore
-	// OpDeRate sets the link bandwidth to Event.Bandwidth, keeping the
-	// current delay. The link stays up (or down) as it was.
-	OpDeRate
-	// OpDelay sets the one-way propagation delay to Event.Delay,
-	// keeping the current bandwidth.
-	OpDelay
 )
 
 func (o Op) String() string {
@@ -51,54 +44,25 @@ func (o Op) String() string {
 		return "down"
 	case OpRestore:
 		return "restore"
-	case OpDeRate:
-		return "derate"
-	case OpDelay:
-		return "delay"
 	default:
 		return fmt.Sprintf("Op(%d)", uint8(o))
 	}
 }
 
-// Direction selects which of a leaf-spine pair's two directed links an
-// event applies to. The zero value applies to both, matching the
-// paper's Fig. 16/17 convention of degrading a "link" in both
-// directions.
-type Direction uint8
-
-// Directions.
-const (
-	BothDirections Direction = iota
-	LeafToSpine
-	SpineToLeaf
-)
-
-// Event is one scheduled fault against the link(s) between a leaf and
-// a spine.
+// Event is one scheduled fault against both directed links between a
+// leaf and a spine — the paper's Fig. 16/17 convention of degrading a
+// "link" in both directions.
 type Event struct {
 	// At is the simulated time the fault applies.
 	At units.Time
 	// Leaf and Spine name the link pair, as in topology.LinkOverride.
 	Leaf, Spine int
-	// Dir selects the directed link(s); zero value = both directions.
-	Dir Direction
 	// Op is what happens.
 	Op Op
-	// Bandwidth is the new rate for OpDeRate (must be positive).
-	Bandwidth units.Bandwidth
-	// Delay is the new one-way propagation delay for OpDelay.
-	Delay units.Time
 }
 
 func (e Event) String() string {
-	switch e.Op {
-	case OpDeRate:
-		return fmt.Sprintf("%v leaf%d<->spine%d derate to %v", e.At, e.Leaf, e.Spine, e.Bandwidth)
-	case OpDelay:
-		return fmt.Sprintf("%v leaf%d<->spine%d delay to %v", e.At, e.Leaf, e.Spine, e.Delay)
-	default:
-		return fmt.Sprintf("%v leaf%d<->spine%d %s", e.At, e.Leaf, e.Spine, e.Op)
-	}
+	return fmt.Sprintf("%v leaf%d<->spine%d %s", e.At, e.Leaf, e.Spine, e.Op)
 }
 
 // Schedule is a set of fault events for one run. Order does not
@@ -115,14 +79,8 @@ func (s Schedule) Validate() error {
 			return fmt.Errorf("faults: event %d (%v) scheduled before t=0", i, e)
 		case e.Leaf < 0 || e.Spine < 0:
 			return fmt.Errorf("faults: event %d (%v) has negative link coordinates", i, e)
-		case e.Dir > SpineToLeaf:
-			return fmt.Errorf("faults: event %d (%v) has unknown direction %d", i, e, e.Dir)
-		case e.Op > OpDelay:
+		case e.Op > OpRestore:
 			return fmt.Errorf("faults: event %d (%v) has unknown op", i, e)
-		case e.Op == OpDeRate && e.Bandwidth <= 0:
-			return fmt.Errorf("faults: event %d (%v) de-rates to a non-positive bandwidth", i, e)
-		case e.Op == OpDelay && e.Delay < 0:
-			return fmt.Errorf("faults: event %d (%v) sets a negative delay", i, e)
 		}
 	}
 	return nil
@@ -135,11 +93,8 @@ type Resolver func(leaf, spine int) (up, down *netem.Port, err error)
 
 // Injector is one run's armed fault schedule.
 type Injector struct {
-	sim    *eventsim.Sim
-	tracer *trace.Tracer
-	// orig remembers each targeted port's built link configuration, so
-	// OpRestore undoes any accumulated de-rates and delay changes.
-	orig    map[*netem.Port]netem.LinkConfig
+	sim     *eventsim.Sim
+	tracer  *trace.Tracer
 	applied int
 }
 
@@ -156,7 +111,7 @@ func Install(sim *eventsim.Sim, sched Schedule, resolve Resolver, tracer *trace.
 	if err := sched.Validate(); err != nil {
 		return nil, err
 	}
-	inj := &Injector{sim: sim, tracer: tracer, orig: make(map[*netem.Port]netem.LinkConfig)}
+	inj := &Injector{sim: sim, tracer: tracer}
 
 	// Stable-sort a copy by time: equal-time events keep schedule
 	// order, and eventsim breaks ties FIFO by scheduling order.
@@ -169,25 +124,9 @@ func Install(sim *eventsim.Sim, sched Schedule, resolve Resolver, tracer *trace.
 		if err != nil {
 			return nil, fmt.Errorf("faults: %v: %w", ev, err)
 		}
-		var targets []*netem.Port
-		switch ev.Dir {
-		case LeafToSpine:
-			targets = []*netem.Port{up}
-		case SpineToLeaf:
-			targets = []*netem.Port{down}
-		default:
-			targets = []*netem.Port{up, down}
-		}
-		for _, p := range targets {
-			if _, ok := inj.orig[p]; !ok {
-				inj.orig[p] = p.Link()
-			}
-		}
-		ev, targets := ev, targets
 		sim.At(ev.At, func() {
-			for _, p := range targets {
-				inj.apply(ev, p)
-			}
+			inj.apply(ev, up)
+			inj.apply(ev, down)
 		})
 	}
 	return inj, nil
@@ -195,38 +134,12 @@ func Install(sim *eventsim.Sim, sched Schedule, resolve Resolver, tracer *trace.
 
 // apply executes one event against one directed port.
 func (inj *Injector) apply(ev Event, p *netem.Port) {
-	switch ev.Op {
-	case OpDown:
-		p.SetDown(true)
-	case OpRestore:
-		p.SetDown(false)
-		p.SetLink(inj.orig[p])
-	case OpDeRate:
-		l := p.Link()
-		l.Bandwidth = ev.Bandwidth
-		p.SetLink(l)
-	case OpDelay:
-		l := p.Link()
-		l.Delay = ev.Delay
-		p.SetLink(l)
-	}
+	p.SetDown(ev.Op == OpDown)
 	inj.applied++
 	inj.tracer.Record(trace.Event{
 		At:    inj.sim.Now(),
 		Kind:  trace.LinkFault,
 		Where: p.Label(),
-		Note:  ev.Op.String() + noteDetail(ev),
+		Note:  ev.Op.String(),
 	})
-}
-
-// noteDetail renders the op's parameter for the trace note.
-func noteDetail(ev Event) string {
-	switch ev.Op {
-	case OpDeRate:
-		return fmt.Sprintf(" to %v", ev.Bandwidth)
-	case OpDelay:
-		return fmt.Sprintf(" to %v", ev.Delay)
-	default:
-		return ""
-	}
 }

@@ -143,10 +143,11 @@ func (p Param) check(v any) error {
 }
 
 // Env is the derived context of a run that a scheme builder may read —
-// facts of the fabric and of the end hosts' transport, never something
-// a spec sets per scheme. TLB's model takes its link rate C, RTT, q_th
-// cap, MSS, header size and W_L from here; FlowBender mirrors the
-// queue's ECN threshold.
+// facts of the fabric, never something a spec sets per scheme. TLB's
+// model takes its link rate C, RTT and q_th cap from here (and the
+// transport's MSS, header size and W_L from the transport package,
+// which every run shares); FlowBender mirrors the queue's ECN
+// threshold.
 type Env struct {
 	// FabricBandwidth is the default leaf-spine link rate.
 	FabricBandwidth units.Bandwidth
@@ -158,12 +159,6 @@ type Env struct {
 	// ECNThreshold is the queue marking threshold in packets (0: no
 	// marking).
 	ECNThreshold int
-	// MSS and HeaderBytes are the transport's segment payload and
-	// per-packet header sizes.
-	MSS, HeaderBytes units.Bytes
-	// RcvWindow is the transport's receive-window cap, the W_L of the
-	// paper's Eq. 1.
-	RcvWindow units.Bytes
 }
 
 // Builder constructs a scheme's Factory from its decoded arguments and

@@ -13,9 +13,6 @@ func testEnv() Env {
 		BaseRTT:         100 * units.Microsecond,
 		QueueCapacity:   256,
 		ECNThreshold:    65,
-		MSS:             1460,
-		HeaderBytes:     40,
-		RcvWindow:       64 * units.KiB,
 	}
 }
 

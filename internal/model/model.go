@@ -8,13 +8,15 @@
 // second per path, sizes are packets, and the resulting q_th is a queue
 // length in packets — the unit the paper's figures use. This is exactly
 // the unit system in which the paper's E[S] = 1/C (service time of a
-// single packet) holds.
+// single packet) holds. Packets are the transport's: MSS payload bytes,
+// HeaderBytes more on the wire, and W_L is its receive window.
 package model
 
 import (
 	"fmt"
 	"math"
 
+	"tlb/internal/transport"
 	"tlb/internal/units"
 )
 
@@ -32,19 +34,10 @@ type Params struct {
 	RTT units.Time
 	// MeanShortSize is X, the mean short-flow size in bytes.
 	MeanShortSize units.Bytes
-	// LongWindow is W_L, the long flows' maximum (receive-buffer
-	// limited) window in bytes — 64 KB by default in Linux.
-	LongWindow units.Bytes
 	// Deadline is D, the short-flow completion budget.
 	Deadline units.Time
 	// Interval is t, the granularity-update period (500 µs default).
 	Interval units.Time
-	// MSS is the segment size used to convert bytes to packets and to
-	// count slow-start rounds (Eq. 3).
-	MSS units.Bytes
-	// PacketBytes is the on-wire packet size used to convert bandwidth
-	// to packets/s; defaults to MSS + 40 header bytes.
-	PacketBytes units.Bytes
 	// UncappedLongDemand reproduces the paper's Eq. 1 literally, where
 	// each long flow is assumed to send W_L per propagation RTT. With
 	// W_L = 64 KB and RTT = 100 µs that is 5+ Gbps per flow — more
@@ -56,17 +49,8 @@ type Params struct {
 }
 
 func (p Params) withDefaults() Params {
-	if p.MSS <= 0 {
-		p.MSS = 1460
-	}
-	if p.PacketBytes <= 0 {
-		p.PacketBytes = p.MSS + 40
-	}
 	if p.Interval <= 0 {
 		p.Interval = 500 * units.Microsecond
-	}
-	if p.LongWindow <= 0 {
-		p.LongWindow = 64 * units.KiB
 	}
 	return p
 }
@@ -92,17 +76,17 @@ func (p Params) Validate() error {
 
 // capacityPkts returns C in packets/second per path.
 func (p Params) capacityPkts() float64 {
-	return p.LinkBandwidth.PacketsPerSecond(p.PacketBytes)
+	return p.LinkBandwidth.PacketsPerSecond(transport.MSS + transport.HeaderBytes)
 }
 
 // shortSizePkts returns X in packets.
 func (p Params) shortSizePkts() float64 {
-	return float64(p.MeanShortSize) / float64(p.MSS)
+	return float64(p.MeanShortSize) / float64(transport.MSS)
 }
 
 // longWindowPkts returns W_L in packets.
 func (p Params) longWindowPkts() float64 {
-	return float64(p.LongWindow) / float64(p.MSS)
+	return float64(transport.RcvWindow) / float64(transport.MSS)
 }
 
 // Rounds implements Eq. 3: the number of slow-start RTT rounds to
@@ -146,7 +130,7 @@ func (p Params) ShortPathsNeeded() float64 {
 	if a <= 0 {
 		return math.Inf(1)
 	}
-	r := float64(Rounds(p.MeanShortSize, p.MSS))
+	r := float64(Rounds(p.MeanShortSize, transport.MSS))
 	// From FCT_S = r*rho/(2(1-rho)C) + X/C = D:
 	//   rho = 2aC / (r + 2aC)
 	// and lambda = mS*X/(D*nS)  =>  nS = mS*X/(D*C*rho).
@@ -229,7 +213,7 @@ func (p Params) FCTShort(qth float64) float64 {
 		return x / c
 	}
 	ms := float64(p.ShortFlows)
-	r := float64(Rounds(p.MeanShortSize, p.MSS))
+	r := float64(Rounds(p.MeanShortSize, transport.MSS))
 	// Let F = FCT, T0 = X/C. F = r*ms*x/(2C(F*nS*C - ms*x)) + T0
 	// => (F - T0)(F*nS*C - ms*x)*2C = r*ms*x
 	// => 2C*nS*C*F^2 - 2C(ms*x + T0*nS*C)F + 2C*T0*ms*x - r*ms*x = 0.

@@ -19,10 +19,8 @@ func paperParams() Params {
 		LinkBandwidth: units.Gbps,
 		RTT:           100 * units.Microsecond,
 		MeanShortSize: 70 * units.KB,
-		LongWindow:    64 * units.KiB,
 		Deadline:      10 * units.Millisecond,
 		Interval:      500 * units.Microsecond,
-		MSS:           1460,
 		// Paper-literal Eq. 1 (W_L per propagation RTT), which is
 		// what §4.2's numbers are computed from.
 		UncappedLongDemand: true,

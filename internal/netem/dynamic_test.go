@@ -127,55 +127,6 @@ func TestDownPortDropsAtAdmission(t *testing.T) {
 	}
 }
 
-// TestSetLinkDeRateAppliesAtAdmission: a committed packet keeps its
-// old-rate schedule; the next admission serializes at the new rate
-// starting where the old backlog ends.
-func TestSetLinkDeRateAppliesAtAdmission(t *testing.T) {
-	s := eventsim.New()
-	var times []units.Time
-	p := NewPort(s, testLink, QueueConfig{}, func(*Packet) { times = append(times, s.Now()) }, "t")
-	p.Send(pkt(1500)) // 12µs tx at 1 Gbps, delivery at 22µs
-	p.SetLink(LinkConfig{Bandwidth: 100 * units.Mbps, Delay: 10 * units.Microsecond})
-	p.Send(pkt(1500)) // starts at 12µs, 120µs tx, delivery at 142µs
-	s.Run()
-	want := []units.Time{22 * units.Microsecond, 142 * units.Microsecond}
-	if len(times) != 2 || times[0] != want[0] || times[1] != want[1] {
-		t.Fatalf("deliveries at %v, want %v", times, want)
-	}
-}
-
-// TestSetLinkDelayDecreaseKeepsFIFO: shrinking the propagation delay
-// mid-run must not let a later packet's delivery event fire before an
-// earlier one's — deliver() pops the FIFO head, so that would hand the
-// wrong packet to the handler.
-func TestSetLinkDelayDecreaseKeepsFIFO(t *testing.T) {
-	s := eventsim.New()
-	type arrival struct {
-		pkt *Packet
-		at  units.Time
-	}
-	var got []arrival
-	p := NewPort(s, LinkConfig{Bandwidth: units.Gbps, Delay: units.Millisecond},
-		QueueConfig{}, func(pk *Packet) { got = append(got, arrival{pk, s.Now()}) }, "t")
-	first := pkt(1500)
-	p.Send(first) // delivery at 12µs + 1ms = 1012µs
-	p.SetLink(LinkConfig{Bandwidth: units.Gbps, Delay: 0})
-	second := pkt(1500)
-	p.Send(second)
-	s.Run()
-	if len(got) != 2 || got[0].pkt != first || got[1].pkt != second {
-		t.Fatalf("FIFO violated: got %d arrivals, first-is-first=%v", len(got), len(got) == 2 && got[0].pkt == first)
-	}
-	if got[1].at < got[0].at {
-		t.Fatalf("second delivery (%v) before first (%v)", got[1].at, got[0].at)
-	}
-	// The second admission was re-anchored behind the first delivery:
-	// it starts serializing no earlier than 1012µs, arriving 12µs later.
-	if want := 1024 * units.Microsecond; got[1].at != want {
-		t.Fatalf("second delivery at %v, want %v", got[1].at, want)
-	}
-}
-
 // TestPopDeliveredWithoutAdvance reaches popDelivered's
 // not-yet-started accounting branch: when no occupancy query ever ran
 // advance(), delivery itself must settle the entry's Dequeued/BytesOut

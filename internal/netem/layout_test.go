@@ -78,12 +78,13 @@ func TestPacketLayout(t *testing.T) {
 // packet-hop touches twice (Send at admission, portDeliver at
 // delivery) on a fabric with thousands of them — so each touch starts
 // cold. Everything portDeliver reads or writes must sit in the first
-// 64 bytes; what Send and admit add for every packet in the second;
-// the counters only a backlog, a drop or a mark writes, and the label,
-// in the third; and the struct is exactly 192 bytes, a size class that
-// keeps every heap-allocated Port 64-byte aligned, so these are real
-// line boundaries. Moving a field is a deliberate decision: update
-// this test and re-run make bench.
+// 64 bytes; what Send and admit add for every packet, and the
+// fault-drop count Send writes instead on a down link, in the second;
+// the counters only a backlog, a buffer drop or a mark writes, and the
+// label, in the third; and the struct is exactly 192 bytes, a size
+// class that keeps every heap-allocated Port 64-byte aligned, so these
+// are real line boundaries. Moving a field is a deliberate decision:
+// update this test and re-run make bench.
 func TestPortLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit platforms only")
@@ -108,18 +109,17 @@ func TestPortLayout(t *testing.T) {
 	checkLine(t, "per-packet admission Port", 64, 128, []field{
 		{"link", unsafe.Offsetof(p.link), unsafe.Sizeof(p.link)},
 		{"lastFinish", unsafe.Offsetof(p.lastFinish), unsafe.Sizeof(p.lastFinish)},
-		{"lastDelivery", unsafe.Offsetof(p.lastDelivery), unsafe.Sizeof(p.lastDelivery)},
 		{"busyNs", unsafe.Offsetof(p.busyNs), unsafe.Sizeof(p.busyNs)},
 		{"capacity", unsafe.Offsetof(p.capacity), unsafe.Sizeof(p.capacity)},
 		{"ecnThreshold", unsafe.Offsetof(p.ecnThreshold), unsafe.Sizeof(p.ecnThreshold)},
 		{"enqueued", unsafe.Offsetof(p.enqueued), unsafe.Sizeof(p.enqueued)},
 		{"bytesIn", unsafe.Offsetof(p.bytesIn), unsafe.Sizeof(p.bytesIn)},
+		{"faultDropped", unsafe.Offsetof(p.faultDropped), unsafe.Sizeof(p.faultDropped)},
 	})
 	checkLine(t, "rarely written Port", 128, 192, []field{
 		{"sumLenOnArrival", unsafe.Offsetof(p.sumLenOnArrival), unsafe.Sizeof(p.sumLenOnArrival)},
 		{"dropped", unsafe.Offsetof(p.dropped), unsafe.Sizeof(p.dropped)},
 		{"marked", unsafe.Offsetof(p.marked), unsafe.Sizeof(p.marked)},
-		{"faultDropped", unsafe.Offsetof(p.faultDropped), unsafe.Sizeof(p.faultDropped)},
 		{"label", unsafe.Offsetof(p.label), unsafe.Sizeof(p.label)},
 	})
 }

@@ -33,10 +33,9 @@ type LinkConfig struct {
 // scheduled. Within one port the key is monotone in admission order (FIFO), so
 // the single re-armed event always fires for the queue head.
 //
-// Link parameters are dynamic: SetLink re-rates or re-delays the link
-// mid-run and SetDown fails the port entirely (see internal/faults).
-// Changes apply at admission time — packets already committed to the
-// wire keep the schedule computed when they were admitted.
+// A link's rate and delay are fixed at construction; SetDown fails the
+// port mid-run and revives it (see internal/faults), which applies at
+// admission — packets already committed to the wire still deliver.
 //
 // Field order is part of the performance contract (layout_test.go pins
 // it): a k=16 fat-tree has 6 144 ports and touches two of them per
@@ -44,7 +43,8 @@ type LinkConfig struct {
 // is how many of a port's cache lines it pulls. Everything portDeliver
 // touches — the event flag, the handler, the engine, the packet chain
 // and its waiting count — is the first 64 bytes; what Send adds for
-// every packet is the second; the counters only a non-empty queue, a
+// every packet, and the fault-drop count it writes instead on a down
+// link, is the second; the counters only a non-empty queue, a buffer
 // drop or a mark writes, and the label, are the third. The struct is
 // 192 bytes, a size class the allocator hands out 64-aligned, so those
 // offsets are real line boundaries.
@@ -76,28 +76,22 @@ type Port struct {
 	// lastFinish is when the most recently admitted packet finishes
 	// serializing; the next packet starts at max(now, lastFinish).
 	lastFinish units.Time
-	// lastDelivery is the latest delivery time scheduled so far. SetLink
-	// re-anchors lastFinish against it so that a mid-run delay decrease
-	// cannot let a later packet's delivery event beat an earlier one's
-	// (deliver pops the FIFO head, so delivery events must stay in
-	// admission order).
-	lastDelivery units.Time
 	// busyNs accumulates serialization time for utilization accounting.
 	busyNs units.Time
 	// capacity and ecnThreshold are the QueueConfig.
 	capacity, ecnThreshold int32
 	enqueued               int64
 	bytesIn                units.Bytes
+	faultDropped           int64
 
 	sumLenOnArrival int64
 	dropped         int64
 	marked          int64
-	faultDropped    int64
 	// label is a human-readable identity for traces and tests.
 	label string
 
-	// Pad 176 bytes of fields to the 192-byte size class.
-	_ [16]byte
+	// Pad 168 bytes of fields to the 192-byte size class.
+	_ [24]byte
 }
 
 // NewPort wires a queue to a link ending at dst. Each port draws a
@@ -157,7 +151,7 @@ func (p *Port) Queue() *Queue { return (*Queue)(p) }
 // queue-length-based load balancer in this repo consults.
 func (p *Port) QueueLen() int { return p.Queue().Len(p.sim.Now()) }
 
-// Link returns the current link configuration.
+// Link returns the link configuration.
 func (p *Port) Link() LinkConfig { return p.link }
 
 // Down reports whether the port's link is failed.
@@ -169,27 +163,6 @@ func (p *Port) Down() bool { return p.down }
 // already committed to the wire and still deliver — the model drops at
 // admission, not in flight.
 func (p *Port) SetDown(down bool) { p.down = down }
-
-// SetLink re-parameterizes the link at the current simulated time. The
-// new rate and delay apply to packets admitted from now on; packets
-// already admitted keep the service and delivery times computed at
-// their admission (they are on the wire). lastFinish is re-anchored so
-// the next admission stays causally consistent: it can start no
-// earlier than now, and — if the propagation delay shrank — no earlier
-// than would keep its delivery behind every delivery already
-// scheduled.
-func (p *Port) SetLink(link LinkConfig) {
-	if link.Bandwidth <= 0 {
-		panic("netem: SetLink with non-positive bandwidth")
-	}
-	if now := p.sim.Now(); p.lastFinish < now {
-		p.lastFinish = now
-	}
-	if floor := p.lastDelivery - link.Delay; p.lastFinish < floor {
-		p.lastFinish = floor
-	}
-	p.link = link
-}
 
 // Label returns the port's diagnostic name.
 func (p *Port) Label() string { return p.label }
@@ -254,9 +227,6 @@ func (p *Port) Send(pkt *Packet) bool {
 	}
 	p.lastFinish = finish
 	p.busyNs += tx
-	if deliverAt > p.lastDelivery {
-		p.lastDelivery = deliverAt
-	}
 	if !p.evPending {
 		at, key := p.headDelivery()
 		p.sim.AtKey(at, key, portDeliver, p)

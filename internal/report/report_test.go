@@ -15,7 +15,6 @@ import (
 	"tlb/internal/sim"
 	"tlb/internal/topology"
 	"tlb/internal/trace"
-	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
@@ -33,7 +32,6 @@ func runItem(t *testing.T, name, scheme string, faulted bool) Item {
 			FabricLink: netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
 			Queue:      netem.QueueConfig{Capacity: 64, ECNThreshold: 16},
 		},
-		Transport:  transport.DefaultConfig(),
 		Balancer:   lb.ECMP(),
 		SchemeName: scheme,
 		Seed:       42,

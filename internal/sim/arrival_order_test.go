@@ -88,8 +88,7 @@ func TestArrivalOrderPinned(t *testing.T) {
 			for _, series := range []bool{false, true} {
 				sc := Scenario{
 					Name: "arrival-order", Topology: smallTopo(),
-					Transport: transport.DefaultConfig(),
-					Balancer:  scheme.f, SchemeName: scheme.name, Seed: 3,
+					Balancer: scheme.f, SchemeName: scheme.name, Seed: 3,
 					Flows: flows, StopWhenDone: true, MaxTime: 5 * units.Second,
 					CollectTimeSeries: series, SampleShortPackets: series,
 				}

@@ -17,13 +17,14 @@ import (
 
 // This file is the run core: the one implementation of "a scenario on
 // an event engine" — engine, packet pool, network, hosts, fault
-// install, arrival pump, flow open/close, sample and goodput
-// logs, fold target — and its reduction to a Result.
+// install, arrival pump, flow open/close, sample log, goodput series,
+// fold target — and its reduction to a Result.
 //
-// Order-sensitive floating-point reductions (time series, per-packet
-// samples, goodput deltas) are never summed online: the core logs them
-// and assemble replays the logs in one canonical order, so the sums
-// are a function of the traffic, not of engine delivery order.
+// Order-sensitive floating-point reductions (the time series) are
+// summed in one canonical order. The goodput ticker visits flows in
+// open order, so it adds straight into its two series; receiver
+// samples arrive in engine delivery order, so the core logs them and
+// assemble replays the log in (time, host) order (see replaySamples).
 
 // sampleRec is one logged receiver packet sample.
 type sampleRec struct {
@@ -31,28 +32,18 @@ type sampleRec struct {
 	short bool
 }
 
-// tickRec is one flow's goodput-sampler delta at one tick.
-type tickRec struct {
-	at    units.Time
-	idx   int32
-	short bool
-	delta units.Bytes
-}
-
 // openRec remembers an opened flow, in open order — the record-mode
 // result set and the goodput sampler's iteration domain.
 type openRec struct {
-	idx   int
 	short bool
 	stats *transport.FlowStats
-	last  units.Bytes // goodput sampler: BytesAcked at last tick
+	last  units.Bytes // goodput sampler: BytesAcked added to the series so far
 }
 
 // runCore is one run's complete private world: nothing in it is shared
 // with another run, so sweep workers never contend.
 type runCore struct {
 	sc  *Scenario
-	cfg *transport.Config // sc.Transport normalised, with this run's pool
 	sim *eventsim.Sim
 	net topology.Network
 
@@ -69,7 +60,9 @@ type runCore struct {
 	// remaining counts flows armed (the one pending arrival included)
 	// but unfinished.
 	remaining int
-	closeLag  units.Time // finite teardown latency, see teardownLag
+	// closeLag is the finite teardown latency: how long after a
+	// sender's completion its receiver closes (see newCore).
+	closeLag units.Time
 	// stopped is the durable record that the core ended its own run
 	// (stop: the last completion under StopWhenDone, or a failure):
 	// RunUntil consumes the engine's one-shot stop flag on return.
@@ -88,7 +81,9 @@ type runCore struct {
 
 	openLog []openRec
 	samples []sampleRec
-	ticks   []tickRec
+	// shortGoodput and longGoodput are the per-bucket acked payload of
+	// each class, when the run collects time series.
+	shortGoodput, longGoodput *stats.TimeSeries
 }
 
 // newCore constructs the scenario's world — engine, pool, network,
@@ -102,9 +97,6 @@ func newCore(sc *Scenario) (*runCore, error) {
 	// the steady-state packet path allocation-free. Per-run ownership
 	// keeps sweep workers from sharing any mutable state.
 	pool := netem.NewPacketPool()
-	cfg := sc.Transport.WithDefaults()
-	cfg.Pool = pool
-	c.cfg = &cfg
 	c.onDone = c.flowFinished
 
 	deliver := func(host int, pkt *netem.Packet) { c.hosts[host].Receive(pkt) }
@@ -138,7 +130,15 @@ func newCore(sc *Scenario) (*runCore, error) {
 		c.hosts[h] = transport.NewHost(c.sim, h, func(pkt *netem.Packet) { net.Inject(h, pkt) })
 		c.hosts[h].SetPool(pool)
 	}
-	c.closeLag = teardownLag(net, sc.Faults)
+	// Teardown travels at finite latency like everything else in the
+	// fabric: an instantaneous close would let the sender's completion
+	// reach across the network in zero time and discard a
+	// retransmission still in flight, where a real receiver would still
+	// answer it with a duplicate ACK. The lag is the fabric's fastest
+	// inter-switch hop, read off the description, so the close events —
+	// and the goldens that depend on them — do not move with how the
+	// network was built or wrapped.
+	c.closeLag = sc.Topology.MinFabricDelay()
 
 	if err := c.scheduleFlows(); err != nil {
 		return nil, err
@@ -147,6 +147,8 @@ func newCore(sc *Scenario) (*runCore, error) {
 		// Goodput series: sample each flow's acked-byte progress once
 		// per bucket (per-packet samples carry no size, and wrapping the
 		// fabric's deliver path would double-dispatch).
+		w := sc.TimeBucket.Seconds()
+		c.shortGoodput, c.longGoodput = stats.NewTimeSeries(w), stats.NewTimeSeries(w)
 		period := sc.TimeBucket
 		var tick func()
 		tick = func() {
@@ -280,11 +282,11 @@ func (c *runCore) flowDone() {
 func (c *runCore) openFlow(i int, f workload.Flow) {
 	sc := c.sc
 	id := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: i}
-	short := f.Size <= sc.ShortThreshold
-	snd := transport.Open(c.cfg, c.hosts[f.Src], c.hosts[f.Dst], id, f.Size, c.onDone)
+	short := f.Size <= ShortThreshold
+	snd := transport.Open(&sc.Transport, c.hosts[f.Src], c.hosts[f.Dst], id, f.Size, c.onDone)
 	snd.Stats.Deadline = f.Deadline
 	c.hookSamples(snd.Receiver(), short)
-	c.logOpen(i, short, snd.Stats)
+	c.logOpen(short, snd.Stats)
 	if sc.Tracer != nil {
 		// Record is nil-safe; the guard is for the note, which would
 		// otherwise be formatted — and allocated — per flow with nobody
@@ -299,7 +301,7 @@ func (c *runCore) openFlow(i int, f workload.Flow) {
 }
 
 // flowFinished is every plain flow's done callback: the receiver closes
-// after the teardown lag (see teardownLag) and the fold is synchronous.
+// after the teardown lag and the fold is synchronous.
 func (c *runCore) flowFinished(done *transport.Sender) {
 	sc := c.sc
 	now := c.sim.Now()
@@ -312,7 +314,7 @@ func (c *runCore) flowFinished(done *transport.Sender) {
 	}
 	// Under StreamStats this is fold and forget: the host already
 	// released the sender, so nothing retains the record.
-	c.agg.Fold(done.Stats, done.Size() <= sc.ShortThreshold, now)
+	c.agg.Fold(done.Stats, done.Size() <= ShortThreshold, now)
 	c.flowDone()
 }
 
@@ -323,16 +325,16 @@ func (c *runCore) flowFinished(done *transport.Sender) {
 func (c *runCore) openReplicated(idx int, f workload.Flow) {
 	sc := c.sc
 	flow := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: idx}
-	short := f.Size <= sc.ShortThreshold
+	short := f.Size <= ShortThreshold
 	canonical := &transport.FlowStats{ID: flow, Size: f.Size, Deadline: f.Deadline}
-	c.logOpen(idx, short, canonical)
+	c.logOpen(short, canonical)
 	won := false
 	copies := sc.Replication.Copies
 	for k := 0; k < copies; k++ {
 		// Distinct Port per copy: per-flow schemes (ECMP, WCMP,
 		// Presto, ...) hash the copies independently.
 		id := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: idx + (k+1)<<24}
-		snd := transport.Open(c.cfg, c.hosts[f.Src], c.hosts[f.Dst], id, f.Size, func(done *transport.Sender) {
+		snd := transport.Open(&sc.Transport, c.hosts[f.Src], c.hosts[f.Dst], id, f.Size, func(done *transport.Sender) {
 			c.hosts[f.Dst].CloseReceiverAt(c.sim.Now(), c.closeLag, done.Receiver())
 			if won {
 				return
@@ -365,11 +367,11 @@ func (c *runCore) openReplicated(idx int, f workload.Flow) {
 
 // logOpen records an open (record mode only — streaming runs retain no
 // per-flow state).
-func (c *runCore) logOpen(idx int, short bool, fs *transport.FlowStats) {
+func (c *runCore) logOpen(short bool, fs *transport.FlowStats) {
 	if c.sc.StreamStats {
 		return
 	}
-	c.openLog = append(c.openLog, openRec{idx: idx, short: short, stats: fs})
+	c.openLog = append(c.openLog, openRec{short: short, stats: fs})
 }
 
 // hookSamples wires the receiver's per-packet sample hook into the
@@ -384,55 +386,27 @@ func (c *runCore) hookSamples(recv *transport.Receiver, short bool) {
 	}
 }
 
-// sampleGoodput logs each flow's acked-byte delta since its last tick,
-// in open order.
+// sampleGoodput adds each flow's acked-byte progress since its last
+// tick to the goodput series, in open order.
 func (c *runCore) sampleGoodput() {
 	now := c.sim.Now()
 	for j := range c.openLog {
-		r := &c.openLog[j]
-		d := r.stats.BytesAcked - r.last
-		if d <= 0 {
-			continue
-		}
-		r.last = r.stats.BytesAcked
-		c.ticks = append(c.ticks, tickRec{at: now, idx: int32(r.idx), short: r.short, delta: d})
+		c.addGoodput(&c.openLog[j], now)
 	}
 }
 
-// minFabricDelayer is implemented by *topology.Fabric (and forwarded
-// by a BuildNetwork wrapper): the minimum propagation delay over its
-// inter-switch links.
-type minFabricDelayer interface {
-	MinFabricDelay() units.Time
-}
-
-// teardownLag returns the flow-teardown latency for a run on net: how
-// long after a sender's completion its receiver is torn down. Teardown
-// travels at finite latency like everything else in the fabric — an
-// instantaneous close would let the sender's completion reach across
-// the network in zero time and discard a retransmission still in
-// flight, where a real receiver would still answer it with a duplicate
-// ACK. The lag is the minimum inter-switch link delay, tightened by
-// any fault-scheduled delay override: a pure function of scenario and
-// topology, so the close events — and the goldens that depend on them
-// — do not move with how a run is driven. A network that does not
-// answer (a BuildNetwork wrapper hiding it) keeps the synchronous
-// close.
-func teardownLag(net topology.Network, sched faults.Schedule) units.Time {
-	md, ok := net.(minFabricDelayer)
-	if !ok {
-		return 0
+// addGoodput adds r's acked bytes not yet in the series at time at.
+func (c *runCore) addGoodput(r *openRec, at units.Time) {
+	d := r.stats.BytesAcked - r.last
+	if d <= 0 {
+		return
 	}
-	lag := md.MinFabricDelay()
-	if lag <= 0 {
-		return 0
+	r.last = r.stats.BytesAcked
+	series := c.longGoodput
+	if r.short {
+		series = c.shortGoodput
 	}
-	for _, ev := range sched {
-		if ev.Op == faults.OpDelay && ev.Delay < lag {
-			lag = ev.Delay
-		}
-	}
-	return lag
+	series.Add(at.Seconds(), float64(d))
 }
 
 // uplinks snapshots the balanced (uplink) ports in their build order.
@@ -454,19 +428,22 @@ func (c *runCore) uplinks() []PortSnapshot {
 // run if the fold audit does not balance.
 func assemble(sc *Scenario, c *runCore, endTime units.Time) (*Result, error) {
 	res := &Result{
-		Scenario:       sc.Name,
-		Scheme:         sc.SchemeName,
-		Stream:         c.agg,
-		ShortThreshold: sc.ShortThreshold,
-		EndTime:        endTime,
+		Scenario: sc.Name,
+		Scheme:   sc.SchemeName,
+		Stream:   c.agg,
+		EndTime:  endTime,
 	}
 	if sc.CollectTimeSeries {
 		w := sc.TimeBucket.Seconds()
 		res.ShortQueueDelayUs = stats.NewTimeSeries(w)
 		res.ShortOOORatio = stats.NewTimeSeries(w)
 		res.LongOOORatio = stats.NewTimeSeries(w)
-		res.ShortGoodputBytes = stats.NewTimeSeries(w)
-		res.LongGoodputBytes = stats.NewTimeSeries(w)
+		// Completion can land between ticks: flush what the last tick
+		// did not see at EndTime.
+		for i := range c.openLog {
+			c.addGoodput(&c.openLog[i], endTime)
+		}
+		res.ShortGoodputBytes, res.LongGoodputBytes = c.shortGoodput, c.longGoodput
 	}
 
 	// Completed flows folded at their done callbacks; fold the flows
@@ -477,7 +454,7 @@ func assemble(sc *Scenario, c *runCore, endTime units.Time) (*Result, error) {
 		// order then FlowID order so the fold sequence is deterministic.
 		for _, h := range c.hosts {
 			h.EachOpenSenderSorted(func(snd *transport.Sender) {
-				c.agg.Fold(snd.Stats, snd.Size() <= sc.ShortThreshold, endTime)
+				c.agg.Fold(snd.Stats, snd.Size() <= ShortThreshold, endTime)
 			})
 		}
 	} else {
@@ -496,7 +473,6 @@ func assemble(sc *Scenario, c *runCore, endTime units.Time) (*Result, error) {
 	}
 
 	replaySamples(sc, res, c.samples)
-	replayGoodput(sc, res, c)
 
 	res.Drops = c.net.Drops()
 	c.net.EveryQueue(func(_ string, q *netem.Queue) { res.FaultDrops += q.Stats().FaultDropped })
@@ -517,12 +493,15 @@ func auditFold(all *stats.FlowAgg, opened, done int64) error {
 
 // replaySamples applies the packet-sample log in (time, receiving
 // host) order to the retained-sample slice and the receiver-side time
-// series. The time-series bucket sums are floating-point and therefore
-// order-sensitive, and same-instant samples at different hosts are
-// logged in engine delivery order, so the replay sorts them into an
-// order that depends only on the traffic. Two samples can never tie on
-// (time, host): a host's last hop is one FIFO port, which separates
-// its deliveries in time.
+// series. The sort is load-bearing: the bucket sums are floating-point
+// and therefore order-sensitive, and the log is in engine delivery
+// order, where same-instant samples at different hosts fall by
+// DeliveryKey (admission time, port), not by host. arrival-order.txt
+// hashes the series' raw sums in (time, host) order: summed in log
+// order their low bits move and TestArrivalOrderPinned fails (the
+// figure goldens round them away). Two samples can never tie on (time,
+// host): a host's last hop is one FIFO port, which separates its
+// deliveries in time.
 func replaySamples(sc *Scenario, res *Result, recs []sampleRec) {
 	sort.SliceStable(recs, func(a, b int) bool {
 		if recs[a].ps.At != recs[b].ps.At {
@@ -551,37 +530,6 @@ func replaySamples(sc *Scenario, res *Result, recs []sampleRec) {
 			res.ShortOOORatio.Add(at, ooo)
 		} else {
 			res.LongOOORatio.Add(at, ooo)
-		}
-	}
-}
-
-// replayGoodput applies the goodput tick log — already in tick order,
-// and open order within a tick — and the final flush at EndTime
-// (completion can land between ticks).
-func replayGoodput(sc *Scenario, res *Result, c *runCore) {
-	if !sc.CollectTimeSeries {
-		return
-	}
-	add := func(short bool, at units.Time, d units.Bytes) {
-		if short {
-			res.ShortGoodputBytes.Add(at.Seconds(), float64(d))
-		} else {
-			res.LongGoodputBytes.Add(at.Seconds(), float64(d))
-		}
-	}
-	applied := make(map[int32]units.Bytes, len(c.openLog))
-	for i := range c.ticks {
-		t := &c.ticks[i]
-		if t.at > res.EndTime {
-			continue
-		}
-		applied[t.idx] += t.delta
-		add(t.short, t.at, t.delta)
-	}
-	for i := range c.openLog {
-		r := &c.openLog[i]
-		if d := r.stats.BytesAcked - applied[int32(r.idx)]; d > 0 {
-			add(r.short, res.EndTime, d)
 		}
 	}
 }

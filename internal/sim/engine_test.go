@@ -5,7 +5,6 @@ import (
 
 	"tlb/internal/eventsim"
 	"tlb/internal/lb"
-	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
@@ -34,7 +33,6 @@ func TestEngineCountersDenseFabric(t *testing.T) {
 	sc := Scenario{
 		Name:       "dense-fabric",
 		Topology:   smallFatTree(8),
-		Transport:  transport.DefaultConfig(),
 		Balancer:   lb.ECMP(),
 		SchemeName: "ecmp",
 		Seed:       11,

@@ -12,7 +12,6 @@ import (
 	"tlb/internal/netem"
 	"tlb/internal/topology"
 	"tlb/internal/trace"
-	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
@@ -35,8 +34,8 @@ func TestFabricConservationProperty(t *testing.T) {
 			})
 		}
 		res, err := Run(Scenario{
-			Name:     "conservation-prop",
-			Topology: topo, Transport: transport.DefaultConfig(),
+			Name:       "conservation-prop",
+			Topology:   topo,
 			Balancer:   schemes[int(schemeIdx)%len(schemes)],
 			SchemeName: "prop", Seed: seed,
 			Flows: rngFlows, StopWhenDone: true, MaxTime: 30 * units.Second,
@@ -70,7 +69,7 @@ func TestAsymmetricFabricEndToEnd(t *testing.T) {
 	topo.Overrides = []topology.LinkOverride{{Leaf: 0, Spine: 1, Link: slow}}
 
 	res, err := Run(Scenario{
-		Name: "asym", Topology: topo, Transport: transport.DefaultConfig(),
+		Name: "asym", Topology: topo,
 		// ECMP hashes flows onto both spines, so some cross the slow link.
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 21,
 		Flows: []workload.Flow{
@@ -116,7 +115,7 @@ func TestTLBAvoidsDegradedLink(t *testing.T) {
 		})
 	}
 	res, err := Run(Scenario{
-		Name: "tlb-asym", Topology: topo, Transport: transport.DefaultConfig(),
+		Name: "tlb-asym", Topology: topo,
 		Balancer: tlbFactory(tlbEnv(topo, topo.BaseRTT())), SchemeName: "tlb", Seed: 33,
 		Flows: flows, StopWhenDone: true, MaxTime: 10 * units.Second,
 	})
@@ -138,7 +137,7 @@ func TestTLBAvoidsDegradedLink(t *testing.T) {
 // TestSampledShortPackets verifies the Fig. 3 sampling path end to end.
 func TestSampledShortPackets(t *testing.T) {
 	res, err := Run(Scenario{
-		Name: "samples", Topology: smallTopo(), Transport: transport.DefaultConfig(),
+		Name: "samples", Topology: smallTopo(),
 		Balancer: lb.RPS(), SchemeName: "rps", Seed: 4,
 		Flows: []workload.Flow{
 			{Src: 0, Dst: 4, Size: 30 * units.KB, Start: 0},
@@ -174,7 +173,7 @@ func TestTimeSeriesCollection(t *testing.T) {
 		{Src: 1, Dst: 5, Size: units.MB, Start: 0},
 	}
 	res, err := Run(Scenario{
-		Name: "series", Topology: smallTopo(), Transport: transport.DefaultConfig(),
+		Name: "series", Topology: smallTopo(),
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 6,
 		Flows:             flows,
 		CollectTimeSeries: true,
@@ -219,7 +218,7 @@ func TestBufferPressureCausesDropsAndRecovery(t *testing.T) {
 		})
 	}
 	res, err := Run(Scenario{
-		Name: "pressure", Topology: topo, Transport: transport.DefaultConfig(),
+		Name: "pressure", Topology: topo,
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 8,
 		Flows: flows, StopWhenDone: true, MaxTime: 30 * units.Second,
 	})
@@ -245,7 +244,7 @@ func TestBufferPressureCausesDropsAndRecovery(t *testing.T) {
 // TestResultClassAccessors pins the Result reduction helpers.
 func TestResultClassAccessors(t *testing.T) {
 	res, err := Run(Scenario{
-		Name: "classes", Topology: smallTopo(), Transport: transport.DefaultConfig(),
+		Name: "classes", Topology: smallTopo(),
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 10,
 		Flows: []workload.Flow{
 			{Src: 0, Dst: 4, Size: 10 * units.KB, Start: 0, Deadline: 50 * units.Millisecond},
@@ -305,7 +304,6 @@ func TestFatTreeEndToEnd(t *testing.T) {
 			res, err := Run(Scenario{
 				Name:         "fattree-" + s.name,
 				Topology:     smallFatTree(4),
-				Transport:    transport.DefaultConfig(),
 				Balancer:     s.f,
 				SchemeName:   s.name,
 				Seed:         17,
@@ -345,7 +343,6 @@ func TestFaultsOnFatTreeRejected(t *testing.T) {
 	res, err := Run(Scenario{
 		Name:         "faulted-fattree",
 		Topology:     smallFatTree(4),
-		Transport:    transport.DefaultConfig(),
 		Balancer:     lb.ECMP(),
 		SchemeName:   "ecmp",
 		Flows:        []workload.Flow{{Src: 0, Dst: 12, Size: 100 * units.KB}},
@@ -365,8 +362,8 @@ func TestFaultsOnFatTreeRejected(t *testing.T) {
 
 // wrappedNet is the shape of the one thing BuildNetwork is for (what
 // bench/trace.go's tracedNet is): a Network embedding the fabric it
-// instruments and forwarding MinFabricDelay, so the teardown lag — and
-// with it every close event — is the unwrapped run's.
+// instruments and nothing else — the run derives its teardown lag from
+// Scenario.Topology, so every close event is the unwrapped run's.
 type wrappedNet struct {
 	topology.Network
 	injected int
@@ -375,10 +372,6 @@ type wrappedNet struct {
 func (w *wrappedNet) Inject(host int, pkt *netem.Packet) {
 	w.injected++
 	w.Network.Inject(host, pkt)
-}
-
-func (w *wrappedNet) MinFabricDelay() units.Time {
-	return w.Network.(minFabricDelayer).MinFabricDelay()
 }
 
 // TestBuildNetworkWrapsFabric pins the wrapping seam where tier-1 sees
@@ -405,7 +398,7 @@ func TestBuildNetworkWrapsFabric(t *testing.T) {
 				})
 			}
 			sc := Scenario{
-				Name: "seam", Topology: tc.topo, Transport: transport.DefaultConfig(),
+				Name: "seam", Topology: tc.topo,
 				Balancer: lb.RPS(), SchemeName: "rps", Seed: 5,
 				Flows: flows, StopWhenDone: true, MaxTime: 10 * units.Second,
 			}
@@ -443,7 +436,7 @@ func TestBuildNetworkWrapsFabric(t *testing.T) {
 func TestRunAllSweep(t *testing.T) {
 	mk := func(seed uint64) Scenario {
 		return Scenario{
-			Name: "sweep", Topology: smallTopo(), Transport: transport.DefaultConfig(),
+			Name: "sweep", Topology: smallTopo(),
 			Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: seed,
 			Flows: []workload.Flow{
 				{Src: 0, Dst: 4, Size: 50 * units.KB, Start: 0},
@@ -484,7 +477,7 @@ func TestIncastScenario(t *testing.T) {
 		}
 	}
 	res, err := Run(Scenario{
-		Name: "incast", Topology: smallTopo(), Transport: transport.DefaultConfig(),
+		Name: "incast", Topology: smallTopo(),
 		Balancer: lb.RPS(), SchemeName: "rps", Seed: 3,
 		Flows: flows, StopWhenDone: true, MaxTime: 30 * units.Second,
 	})
@@ -500,7 +493,7 @@ func TestIncastScenario(t *testing.T) {
 func TestTracerRecordsFlowLifecycle(t *testing.T) {
 	tr := trace.New(0)
 	_, err := Run(Scenario{
-		Name: "traced", Topology: smallTopo(), Transport: transport.DefaultConfig(),
+		Name: "traced", Topology: smallTopo(),
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 2,
 		Flows: []workload.Flow{
 			{Src: 0, Dst: 4, Size: 20 * units.KB, Start: 0},
@@ -555,7 +548,7 @@ func TestRepFlowReplication(t *testing.T) {
 
 	run := func(rep *ReplicationConfig) *Result {
 		res, err := Run(Scenario{
-			Name: "repflow", Topology: topo, Transport: transport.DefaultConfig(),
+			Name: "repflow", Topology: topo,
 			Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 12,
 			Flows: flows, Replication: rep,
 			StopWhenDone: true, MaxTime: 30 * units.Second,

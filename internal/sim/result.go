@@ -19,9 +19,9 @@ const (
 func (r *Result) inClass(fs *transport.FlowStats, c Class) bool {
 	switch c {
 	case ShortFlows:
-		return fs.Size <= r.ShortThreshold
+		return fs.Size <= ShortThreshold
 	case LongFlows:
-		return fs.Size > r.ShortThreshold
+		return fs.Size > ShortThreshold
 	default:
 		return true
 	}

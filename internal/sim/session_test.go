@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tlb/internal/lb"
-	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
@@ -37,7 +36,6 @@ func sessionScenario() Scenario {
 	return Scenario{
 		Name:         "session",
 		Topology:     smallTopo(),
-		Transport:    transport.DefaultConfig(),
 		Balancer:     lb.ECMP(),
 		SchemeName:   "ecmp",
 		Seed:         7,

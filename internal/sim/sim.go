@@ -22,7 +22,9 @@ type Scenario struct {
 	Name string
 	// Topology describes the network, leaf-spine or fat-tree; the run
 	// builds it with topology.New.
-	Topology  topology.Config
+	Topology topology.Config
+	// Transport is what the run chooses about its endpoints; the zero
+	// value is the paper's DCTCP.
 	Transport transport.Config
 	// Balancer instantiates the scheme under test at each switch that
 	// has uplinks.
@@ -77,10 +79,6 @@ type Scenario struct {
 	// (default behaviour; set MaxTime too as a safety net).
 	StopWhenDone bool
 
-	// ShortThreshold classifies flows for result aggregation (100 KB,
-	// same as TLB's classifier).
-	ShortThreshold units.Bytes
-
 	// SampleShortPackets retains one PacketSample per short-flow data
 	// packet (Fig. 3a/8 CDFs) — memory-heavy, off by default.
 	SampleShortPackets bool
@@ -99,8 +97,8 @@ type Scenario struct {
 	// background, which is RepFlow's documented bandwidth cost.
 	Replication *ReplicationConfig
 
-	// Faults is the run's link-fault schedule (down / flap / de-rate /
-	// delay at scheduled sim times; see internal/faults). Empty injects
+	// Faults is the run's link-fault schedule (links down and restored
+	// at scheduled sim times; see internal/faults). Empty injects
 	// nothing. It addresses links by (leaf, spine) pair, so Topology
 	// must be a leaf-spine (Fabric.LinkPorts rejects a fat-tree) and
 	// the network unwrapped (a BuildNetwork wrapper has no links to
@@ -119,15 +117,16 @@ type Scenario struct {
 	// build that same fabric and put a wrapper around it, its balancers
 	// or its deliver callback (bench/trace.go does; nothing else in the
 	// tree sets it). It is not how a scenario chooses a topology —
-	// Topology says which — and a wrapper must forward MinFabricDelay
-	// or the teardown lag, and with it the result, changes.
+	// Topology says which, and the run reads what it derives (the
+	// teardown lag) from Topology, not from the network built.
 	BuildNetwork func(*eventsim.Sim, lb.Factory, *eventsim.RNG, topology.DeliverFunc) (topology.Network, error)
 }
 
+// ShortThreshold classifies flows for result aggregation: a flow of at
+// most this many bytes is short (TLB's default classifier boundary).
+const ShortThreshold = 100 * units.KB
+
 func (sc *Scenario) withDefaults() {
-	if sc.ShortThreshold <= 0 {
-		sc.ShortThreshold = 100 * units.KB
-	}
 	if sc.TimeBucket <= 0 {
 		sc.TimeBucket = units.Millisecond
 	}
@@ -175,8 +174,7 @@ type Result struct {
 	Drops   int64
 	// FaultDrops counts packets dropped at down ports anywhere in the
 	// fabric (admission drops of the fault injector, not buffer drops).
-	FaultDrops     int64
-	ShortThreshold units.Bytes
+	FaultDrops int64
 
 	// Uplinks snapshots every leaf uplink port (the equal-cost paths).
 	Uplinks []PortSnapshot

@@ -6,7 +6,6 @@ import (
 	"tlb/internal/lb"
 	"tlb/internal/netem"
 	"tlb/internal/topology"
-	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
@@ -39,7 +38,6 @@ func TestSingleFlowCompletes(t *testing.T) {
 	sc := Scenario{
 		Name:       "single",
 		Topology:   smallTopo(),
-		Transport:  transport.DefaultConfig(),
 		Balancer:   lb.ECMP(),
 		SchemeName: "ecmp",
 		Seed:       1,
@@ -103,7 +101,6 @@ func TestAllSchemesCompleteMixedWorkload(t *testing.T) {
 			sc := Scenario{
 				Name:         "mixed-" + scheme.name,
 				Topology:     smallTopo(),
-				Transport:    transport.DefaultConfig(),
 				Balancer:     scheme.f,
 				SchemeName:   scheme.name,
 				Seed:         7,
@@ -132,7 +129,6 @@ func TestConservationNoDropsMeansAllBytesArrive(t *testing.T) {
 	sc := Scenario{
 		Name:       "conservation",
 		Topology:   smallTopo(),
-		Transport:  transport.DefaultConfig(),
 		Balancer:   lb.ECMP(),
 		SchemeName: "ecmp",
 		Seed:       3,
@@ -170,7 +166,7 @@ func TestDeterminism(t *testing.T) {
 			})
 		}
 		res, err := Run(Scenario{
-			Name: "det", Topology: smallTopo(), Transport: transport.DefaultConfig(),
+			Name: "det", Topology: smallTopo(),
 			Balancer: lb.RPS(), SchemeName: "rps", Seed: 42,
 			Flows: flows, StopWhenDone: true, MaxTime: units.Second,
 		})
@@ -189,6 +185,3 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// transportDefault returns the shared transport config for tests.
-func transportDefault() transport.Config { return transport.DefaultConfig() }

@@ -42,8 +42,7 @@ func streamTestFlows(t *testing.T, n int) []workload.Flow {
 func streamTestScenario(flows []workload.Flow, maxTime units.Time) Scenario {
 	return Scenario{
 		Name: "stream-parity", Topology: smallTopo(),
-		Transport: transport.DefaultConfig(),
-		Balancer:  lb.ECMP(), SchemeName: "ecmp", Seed: 7,
+		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 7,
 		Flows: flows, StopWhenDone: true, MaxTime: maxTime,
 	}
 }

@@ -8,14 +8,13 @@ import (
 	"tlb/internal/eventsim"
 	"tlb/internal/lb"
 	"tlb/internal/netem"
-	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
 
 func sweepScenario(name string, seed uint64) Scenario {
 	return Scenario{
-		Name: name, Topology: smallTopo(), Transport: transport.DefaultConfig(),
+		Name: name, Topology: smallTopo(),
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: seed,
 		Flows: []workload.Flow{
 			{Src: 0, Dst: 4, Size: 40 * units.KB, Start: 0},

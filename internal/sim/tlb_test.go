@@ -6,22 +6,17 @@ import (
 	_ "tlb/internal/core" // registers tlb
 	"tlb/internal/lb"
 	"tlb/internal/topology"
-	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
 
 // tlbEnv is the environment the TLB of these tests balances for: the
-// topology's fabric (its RTT stated) and the default transport.
+// topology's fabric, its RTT stated.
 func tlbEnv(topo topology.Config, rtt units.Time) lb.Env {
-	tcfg := transport.DefaultConfig()
 	return lb.Env{
 		FabricBandwidth: topo.FabricLink.Bandwidth,
 		BaseRTT:         rtt,
 		QueueCapacity:   topo.Queue.Capacity,
-		MSS:             tcfg.MSS,
-		HeaderBytes:     tcfg.HeaderBytes,
-		RcvWindow:       tcfg.RcvWindow,
 	}
 }
 
@@ -52,7 +47,6 @@ func TestTLBCompletesMixedWorkload(t *testing.T) {
 	res, err := Run(Scenario{
 		Name:       "tlb-mixed",
 		Topology:   smallTopo(),
-		Transport:  transportDefault(),
 		Balancer:   smallTLB(),
 		SchemeName: "tlb",
 		Seed:       11,
@@ -89,7 +83,7 @@ func TestTLBShortFlowsBeatECMPUnderElephants(t *testing.T) {
 	}
 	run := func(name string, f lb.Factory) units.Time {
 		res, err := Run(Scenario{
-			Name: "headline-" + name, Topology: smallTopo(), Transport: transportDefault(),
+			Name: "headline-" + name, Topology: smallTopo(),
 			Balancer: f, SchemeName: name, Seed: 5,
 			Flows: mkFlows(), StopWhenDone: true, MaxTime: 10 * units.Second,
 		})

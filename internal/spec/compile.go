@@ -16,18 +16,14 @@ import (
 	"tlb/internal/workload"
 )
 
-// Env derives the scheme-builder environment of a run: from its fabric
-// the equal-cost paths' rate, the base RTT and the queue parameters,
-// from its transport the segment, header and receive-window sizes.
-func Env(topo topology.Config, tcfg transport.Config) lb.Env {
+// Env derives the scheme-builder environment of a run from its fabric:
+// the equal-cost paths' rate, the base RTT and the queue parameters.
+func Env(topo topology.Config) lb.Env {
 	return lb.Env{
 		FabricBandwidth: topo.FabricLink.Bandwidth,
 		BaseRTT:         topo.BaseRTT(),
 		QueueCapacity:   topo.Queue.Capacity,
 		ECNThreshold:    topo.Queue.ECNThreshold,
-		MSS:             tcfg.MSS,
-		HeaderBytes:     tcfg.HeaderBytes,
-		RcvWindow:       tcfg.RcvWindow,
 	}
 }
 
@@ -143,14 +139,13 @@ func (s *Spec) compile(materialize bool) (sim.Scenario, error) {
 	topo := s.compileTopology(c)
 	sc.Topology = topo
 
-	// Transport: the paper's DCTCP defaults with explicit overrides.
 	sc.Transport = s.compileTransport(c)
 
 	// Scheme, through the registry.
 	if s.Scheme.Name == "" {
 		c.errf("scheme.name", "must name a registered scheme (valid: %s)", strings.Join(lb.Names(), ", "))
 	} else {
-		f, err := lb.Build(s.Scheme.Name, s.Scheme.Params, "scheme.params", Env(topo, sc.Transport))
+		f, err := lb.Build(s.Scheme.Name, s.Scheme.Params, "scheme.params", Env(topo))
 		if err != nil {
 			if _, known := lb.Lookup(s.Scheme.Name); !known {
 				c.errf("scheme.name", "%v", err)
@@ -194,7 +189,6 @@ func (s *Spec) compile(materialize bool) (sim.Scenario, error) {
 
 	sc.MaxTime = c.dur("run.maxTime", s.Run.MaxTime)
 	sc.StopWhenDone = s.Run.StopWhenDone
-	sc.ShortThreshold = c.size("run.shortThreshold", s.Run.ShortThreshold)
 	sc.Shards = c.count("run.shards", s.Run.Shards) // deprecated and ignored by the runner; bench/trace.go still reads it
 
 	sc.SampleShortPackets = s.Outputs.SampleShortPackets
@@ -289,58 +283,27 @@ func (s *Spec) compileLink(c *checker, path string, l Link) netem.LinkConfig {
 	return cfg
 }
 
-// compileTransport returns the paper's defaults under the spec's
-// overrides, normalised: a field set to zero is the default the endpoints
-// fall back to, for the scheme (Env) as for them.
+// compileTransport lowers the transport block onto the zero
+// transport.Config, the paper's.
 func (s *Spec) compileTransport(c *checker) transport.Config {
-	cfg := transport.DefaultConfig()
+	var cfg transport.Config
 	t := s.Transport
 	if t == nil {
 		return cfg
 	}
-	if t.MSS != nil {
-		cfg.MSS = c.size("transport.mss", *t.MSS)
-	}
-	if t.HeaderBytes != nil {
-		cfg.HeaderBytes = c.size("transport.headerBytes", *t.HeaderBytes)
-	}
-	if t.InitCwnd != nil {
-		cfg.InitCwnd = c.count("transport.initCwnd", *t.InitCwnd)
-	}
-	if t.RcvWindow != nil {
-		cfg.RcvWindow = c.size("transport.rcvWindow", *t.RcvWindow)
-	}
 	if t.MinRTO != nil {
 		cfg.MinRTO = c.dur("transport.minRTO", *t.MinRTO)
 	}
-	if t.MaxRTO != nil {
-		cfg.MaxRTO = c.dur("transport.maxRTO", *t.MaxRTO)
-	}
-	if t.InitialRTO != nil {
-		cfg.InitialRTO = c.dur("transport.initialRTO", *t.InitialRTO)
-	}
-	if t.DupAckThreshold != nil {
-		cfg.DupAckThreshold = c.count("transport.dupAckThreshold", *t.DupAckThreshold)
-	}
 	if t.DCTCP != nil {
-		cfg.DCTCP = *t.DCTCP
-	}
-	if t.DCTCPGain != nil {
-		cfg.DCTCPGain = *t.DCTCPGain
-	}
-	if t.Handshake != nil {
-		cfg.Handshake = *t.Handshake
+		cfg.NewReno = !*t.DCTCP
 	}
 	if t.DelayedAck != nil {
 		cfg.DelayedAck = *t.DelayedAck
 	}
-	if t.DelayedAckTimeout != nil {
-		cfg.DelayedAckTimeout = c.dur("transport.delayedAckTimeout", *t.DelayedAckTimeout)
-	}
 	if t.SACK != nil {
 		cfg.SACK = *t.SACK
 	}
-	return cfg.WithDefaults()
+	return cfg
 }
 
 func (s *Spec) compileSizes(c *checker, path string, d *SizeDist) workload.SizeDist {
@@ -410,9 +373,6 @@ func (s *Spec) compileDeadlines(c *checker, path string, d *Deadlines) workload.
 func (s *Spec) compileWorkload(c *checker, topo topology.Config, materialize bool) ([]workload.Flow, func() workload.Source) {
 	w := s.Workload
 	wseed := s.Seed + 1
-	if w.Seed != nil {
-		wseed = *w.Seed
-	}
 
 	reject := func(kind string, fields ...field) { c.reject("workload kind", kind, fields...) }
 	poissonFields := []field{
@@ -666,18 +626,6 @@ var faultOps = []struct {
 }{
 	{"down", faults.OpDown},
 	{"restore", faults.OpRestore},
-	{"derate", faults.OpDeRate},
-	{"delay", faults.OpDelay},
-}
-
-//simlint:allow sharedstate(immutable name table; never written after init)
-var faultDirs = []struct {
-	name string
-	dir  faults.Direction
-}{
-	{"both", faults.BothDirections},
-	{"leafToSpine", faults.LeafToSpine},
-	{"spineToLeaf", faults.SpineToLeaf},
 }
 
 func (s *Spec) compileFaults(c *checker) faults.Schedule {
@@ -697,23 +645,7 @@ func (s *Spec) compileFaults(c *checker) faults.Schedule {
 			}
 		}
 		if !opOK {
-			c.errf(path+".op", "unknown op %q (valid: down, restore, derate, delay)", f.Op)
-		}
-		dirOK := f.Dir == ""
-		for _, d := range faultDirs {
-			if d.name == f.Dir {
-				e.Dir, dirOK = d.dir, true
-				break
-			}
-		}
-		if !dirOK {
-			c.errf(path+".dir", "unknown direction %q (valid: both, leafToSpine, spineToLeaf)", f.Dir)
-		}
-		if f.Bandwidth != "" {
-			e.Bandwidth = c.rate(path+".bandwidth", f.Bandwidth)
-		}
-		if f.Delay != "" {
-			e.Delay = c.dur(path+".delay", f.Delay)
+			c.errf(path+".op", "unknown op %q (valid: down, restore)", f.Op)
 		}
 		sched = append(sched, e)
 	}

@@ -58,8 +58,8 @@ type Spec struct {
 
 	Scheme   Scheme   `json:"scheme"`
 	Topology Topology `json:"topology"`
-	// Transport overrides individual endpoint parameters; unset fields
-	// keep the paper's DCTCP defaults.
+	// Transport sets the run's endpoint choices; unset fields keep the
+	// paper's DCTCP (see transport.Config).
 	Transport *Transport `json:"transport,omitempty"`
 	Workload  Workload   `json:"workload"`
 	// Faults is the run's link-fault schedule (leaf-spine fabrics
@@ -161,33 +161,26 @@ type Override struct {
 	Link  Link `json:"link"`
 }
 
-// Transport overrides endpoint parameters; nil fields keep
-// transport.DefaultConfig.
+// Transport sets the endpoints' transport.Config; nil fields keep its
+// zero value, the paper's DCTCP. Segment and header sizes, windows and
+// the remaining TCP constants are the transport package's, fixed for
+// every run.
 type Transport struct {
-	MSS               *Size     `json:"mss,omitempty"`
-	HeaderBytes       *Size     `json:"headerBytes,omitempty"`
-	InitCwnd          *int      `json:"initCwnd,omitempty"`
-	RcvWindow         *Size     `json:"rcvWindow,omitempty"`
-	MinRTO            *Duration `json:"minRTO,omitempty"`
-	MaxRTO            *Duration `json:"maxRTO,omitempty"`
-	InitialRTO        *Duration `json:"initialRTO,omitempty"`
-	DupAckThreshold   *int      `json:"dupAckThreshold,omitempty"`
-	DCTCP             *bool     `json:"dctcp,omitempty"`
-	DCTCPGain         *float64  `json:"dctcpGain,omitempty"`
-	Handshake         *bool     `json:"handshake,omitempty"`
-	DelayedAck        *bool     `json:"delayedAck,omitempty"`
-	DelayedAckTimeout *Duration `json:"delayedAckTimeout,omitempty"`
-	SACK              *bool     `json:"sack,omitempty"`
+	// MinRTO is the RTO floor (10ms when unset or zero).
+	MinRTO *Duration `json:"minRTO,omitempty"`
+	// DCTCP false runs TCP NewReno's ECN reaction instead.
+	DCTCP      *bool `json:"dctcp,omitempty"`
+	DelayedAck *bool `json:"delayedAck,omitempty"`
+	SACK       *bool `json:"sack,omitempty"`
 }
 
 // Workload generates the run's flows. Exactly one kind is active;
 // the other kinds' fields must be unset.
 type Workload struct {
-	// Kind is "poisson", "mix" or "interpod".
+	// Kind is "poisson", "mix" or "interpod". The workload draws from
+	// its own RNG, seeded with the scenario seed + 1 (the
+	// repository-wide convention).
 	Kind string `json:"kind"`
-	// Seed, when set, overrides the workload RNG seed; the default is
-	// the scenario seed + 1 (the repository-wide convention).
-	Seed *uint64 `json:"seed,omitempty"`
 
 	// Poisson (open-loop arrivals at a fabric load; leaf-spine only):
 	// Flows arrive Poisson between random cross-leaf host pairs, sized
@@ -273,20 +266,14 @@ type DeadlineOverride struct {
 	OnlyBelow Size     `json:"onlyBelow,omitempty"`
 }
 
-// Fault is one scheduled link fault (see internal/faults).
+// Fault is one scheduled link fault on both directions of a leaf-spine
+// pair (see internal/faults).
 type Fault struct {
 	At    Duration `json:"at"`
 	Leaf  int      `json:"leaf"`
 	Spine int      `json:"spine"`
-	// Op is "down", "restore", "derate" or "delay".
+	// Op is "down" or "restore".
 	Op string `json:"op"`
-	// Dir is "both" (default when empty), "leafToSpine" or
-	// "spineToLeaf".
-	Dir string `json:"dir,omitempty"`
-	// Bandwidth is the derate target.
-	Bandwidth Rate `json:"bandwidth,omitempty"`
-	// Delay is the new one-way propagation delay.
-	Delay Duration `json:"delay,omitempty"`
 }
 
 // Replication parameterizes RepFlow-style replication.
@@ -295,16 +282,14 @@ type Replication struct {
 	Copies    int  `json:"copies"`
 }
 
-// Run sets the stop criteria and result classification.
+// Run sets the stop criteria. Results classify flows at
+// sim.ShortThreshold (100KB).
 type Run struct {
 	// MaxTime hard-stops the run (the runner defaults to 60s when
 	// empty).
 	MaxTime Duration `json:"maxTime,omitempty"`
 	// StopWhenDone ends the run once every flow completed.
 	StopWhenDone bool `json:"stopWhenDone,omitempty"`
-	// ShortThreshold classifies flows for result aggregation (default
-	// 100KB).
-	ShortThreshold Size `json:"shortThreshold,omitempty"`
 	// Shards is accepted (negatives rejected) and ignored: every run is
 	// one engine.
 	//

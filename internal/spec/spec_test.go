@@ -11,6 +11,7 @@ import (
 	"tlb/internal/faults"
 	"tlb/internal/sim"
 	"tlb/internal/trace"
+	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
@@ -221,9 +222,7 @@ func TestCompileFaults(t *testing.T) {
 	s := testSpec()
 	s.Faults = []Fault{
 		{At: "2500ms", Leaf: 0, Spine: 2, Op: "down"},
-		{At: "3s", Leaf: 0, Spine: 2, Op: "derate", Bandwidth: "5Mbps", Dir: "leafToSpine"},
-		{At: "4s", Leaf: 0, Spine: 2, Op: "delay", Delay: "1ms", Dir: "spineToLeaf"},
-		{At: "5500ms", Leaf: 0, Spine: 2, Op: "restore"},
+		{At: "5500ms", Leaf: 1, Spine: 3, Op: "restore"},
 	}
 	sc, err := s.Compile()
 	if err != nil {
@@ -231,9 +230,7 @@ func TestCompileFaults(t *testing.T) {
 	}
 	want := faults.Schedule{
 		{At: 2500 * units.Millisecond, Spine: 2, Op: faults.OpDown},
-		{At: 3 * units.Second, Spine: 2, Op: faults.OpDeRate, Bandwidth: 5 * units.Mbps, Dir: faults.LeafToSpine},
-		{At: 4 * units.Second, Spine: 2, Op: faults.OpDelay, Delay: units.Millisecond, Dir: faults.SpineToLeaf},
-		{At: 5500 * units.Millisecond, Spine: 2, Op: faults.OpRestore},
+		{At: 5500 * units.Millisecond, Leaf: 1, Spine: 3, Op: faults.OpRestore},
 	}
 	if !reflect.DeepEqual(sc.Faults, want) {
 		t.Fatalf("faults compiled to %+v, want %+v", sc.Faults, want)
@@ -309,8 +306,6 @@ func TestOversizedFabricRejected(t *testing.T) {
 // longer has.
 func TestSilentlyIgnoredInputRejected(t *testing.T) {
 	dur := func(v Duration) *Duration { return &v }
-	size := func(v Size) *Size { return &v }
-	num := func(v int) *int { return &v }
 	interpod := func(s *Spec) {
 		s.Topology = Topology{
 			Kind:       "fattree",
@@ -341,13 +336,9 @@ func TestSilentlyIgnoredInputRejected(t *testing.T) {
 		{"scheme.params.maxQTh", scheme("tlb", "maxQTh", 0)},
 		{"scheme.params.d", scheme("drill", "d", -3)},
 		{"run.maxTime", func(s *Spec) { s.Run.MaxTime = "-1s" }},
-		{"run.shortThreshold", func(s *Spec) { s.Run.ShortThreshold = "-5KB" }},
 		{"run.shards", func(s *Spec) { s.Run.Shards = -1 }},
 		{"outputs.timeBucket", func(s *Spec) { s.Outputs.TimeBucket = "-5ms" }},
-		{"transport.mss", func(s *Spec) { s.Transport = &Transport{MSS: size("-1B")} }},
 		{"transport.minRTO", func(s *Spec) { s.Transport = &Transport{MinRTO: dur("-1ms")} }},
-		{"transport.initCwnd", func(s *Spec) { s.Transport = &Transport{InitCwnd: num(-3)} }},
-		{"transport.dupAckThreshold", func(s *Spec) { s.Transport = &Transport{DupAckThreshold: num(-1)} }},
 		{"topology.queue.capacity", func(s *Spec) { s.Topology.Queue.Capacity = -1 }},
 		{"topology.queue.ecnThreshold", func(s *Spec) { s.Topology.Queue.ECNThreshold = -1 }},
 		{"topology.fabricLink.delay", func(s *Spec) { s.Topology.FabricLink.Delay = "-10us" }},
@@ -415,12 +406,11 @@ func TestSilentlyIgnoredInputRejected(t *testing.T) {
 	}
 }
 
-// TestTLBModelsTheRunsTransport: TLB's queueing model reads the segment
-// size, header size and W_L of the transport the spec actually
-// configures (they used to stay 1460 B / 64 KiB whatever the run's
-// endpoints did); with the default transport they are the paper's, and
-// so they are when the spec sets the fields to zero — the endpoints fall
-// back to the defaults then, and the scheme must hear the same.
+// TestTLBModelsTheRunsTransport: the segment size, header size and W_L
+// TLB's queueing model reads are the transport's constants, the ones
+// every run's endpoints use, so nothing a spec's transport block
+// chooses can make scheme and endpoints disagree on them: TLB builds
+// the same model with or without it.
 func TestTLBModelsTheRunsTransport(t *testing.T) {
 	built := func(tr *Transport) *core.TLB {
 		t.Helper()
@@ -436,19 +426,99 @@ func TestTLBModelsTheRunsTransport(t *testing.T) {
 		tl.Stop()
 		return tl
 	}
-	mss, hdr, win, zero := Size("9000B"), Size("60B"), Size("128KiB"), Size("0B")
-	for _, tc := range []struct {
-		tr                *Transport
-		mss, packet, wndL units.Bytes
-	}{
-		{nil, 1460, 1500, 64 * units.KiB},
-		{&Transport{MSS: &mss, HeaderBytes: &hdr, RcvWindow: &win}, 9000, 9060, 128 * units.KiB},
-		{&Transport{MSS: &zero, RcvWindow: &zero}, 1460, 1500, 64 * units.KiB},
+	rto, on, off := Duration("50ms"), true, false
+	want := built(nil).Model()
+	for _, tr := range []*Transport{
+		{MinRTO: &rto},
+		{DCTCP: &off, SACK: &on, DelayedAck: &on},
 	} {
-		m := built(tc.tr).Model()
-		if m.MSS != tc.mss || m.PacketBytes != tc.packet || m.LongWindow != tc.wndL {
-			t.Errorf("transport %+v: model has MSS %v, packet %v, W_L %v; want %v, %v, %v",
-				tc.tr, m.MSS, m.PacketBytes, m.LongWindow, tc.mss, tc.packet, tc.wndL)
+		if got := built(tr).Model(); got != want {
+			t.Errorf("transport %+v: model %+v, want the default transport's %+v", tr, got, want)
+		}
+	}
+}
+
+// TestZeroTransportIsTheSpecDefault: the zero transport.Config is the
+// paper's transport — a run of it gives the same Result as the spec
+// without a transport block and as the spec that states the defaults.
+func TestZeroTransportIsTheSpecDefault(t *testing.T) {
+	rto, on, off := Duration("10ms"), true, false
+	stated := &Transport{MinRTO: &rto, DCTCP: &on, DelayedAck: &off, SACK: &off}
+	var want *sim.Result
+	for _, tr := range []*Transport{nil, stated} {
+		s := testSpec()
+		s.Workload.Groups[0].LongSizes = &SizeDist{Kind: "fixed", Size: "1MB"}
+		s.Transport = tr
+		sc, err := s.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := sim.Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Transport = transport.Config{}
+		zero, err := sim.Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(compiled, zero) {
+			t.Errorf("transport %+v: the compiled run differs from the zero transport.Config's", tr)
+		}
+		if want == nil {
+			want = zero
+		} else if !reflect.DeepEqual(zero, want) {
+			t.Errorf("transport %+v: the run differs from the spec without a transport block", tr)
+		}
+	}
+	if want.CompletedCount(sim.AllFlows) == 0 {
+		t.Fatal("the runs completed no flows")
+	}
+}
+
+// TestRemovedSettingsRejected: every setting that left the format — the
+// transport constants, the fixed workload seed, the one result
+// classification threshold, the fault ops and fields beyond down and
+// restore on both directions — is an error naming it, not a value
+// silently ignored.
+func TestRemovedSettingsRejected(t *testing.T) {
+	s := testSpec()
+	s.Faults = []Fault{{At: "1ms", Op: "down"}}
+	base, err := s.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ from, to, name string }{
+		{`"minRTO"`, `"mss": "9000B", "minRTO"`, "mss"},
+		{`"minRTO"`, `"headerBytes": "60B", "minRTO"`, "headerBytes"},
+		{`"minRTO"`, `"initCwnd": 10, "minRTO"`, "initCwnd"},
+		{`"minRTO"`, `"rcvWindow": "128KiB", "minRTO"`, "rcvWindow"},
+		{`"minRTO"`, `"maxRTO": "2s", "minRTO"`, "maxRTO"},
+		{`"minRTO"`, `"initialRTO": "10ms", "minRTO"`, "initialRTO"},
+		{`"minRTO"`, `"dupAckThreshold": 100, "minRTO"`, "dupAckThreshold"},
+		{`"minRTO"`, `"dctcpGain": 0.5, "minRTO"`, "dctcpGain"},
+		{`"minRTO"`, `"handshake": false, "minRTO"`, "handshake"},
+		{`"minRTO"`, `"delayedAckTimeout": "200us", "minRTO"`, "delayedAckTimeout"},
+		{`"kind": "mix"`, `"kind": "mix", "seed": 7`, "seed"},
+		{`"stopWhenDone"`, `"shortThreshold": "50KB", "stopWhenDone"`, "shortThreshold"},
+		{`"op": "down"`, `"op": "down", "dir": "leafToSpine"`, "dir"},
+		{`"op": "down"`, `"op": "down", "bandwidth": "5Mbps"`, "bandwidth"},
+		{`"op": "down"`, `"op": "down", "delay": "1ms"`, "delay"},
+	} {
+		data := strings.Replace(string(base), `"workload"`, `"transport": {"minRTO": "10ms"}, "workload"`, 1)
+		data = strings.Replace(data, tc.from, tc.to, 1)
+		if _, err := LoadBytes([]byte(data)); err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.name+`"`) {
+			t.Errorf("%s: load error %v, want one naming the field", tc.name, err)
+		}
+	}
+	for _, op := range []string{"delay", "derate"} {
+		data := strings.Replace(string(base), `"op": "down"`, `"op": "`+op+`"`, 1)
+		back, err := LoadBytes([]byte(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := back.Validate(); err == nil || !strings.Contains(err.Error(), `faults[0].op: unknown op "`+op+`"`) {
+			t.Errorf("op %s: validation error %v, want one at faults[0].op", op, err)
 		}
 	}
 }
@@ -505,8 +575,8 @@ func TestMarshalLoadRoundTrip(t *testing.T) {
 		Name:   "tlb",
 		Params: Params{"interval": "500us", "deadline": "10ms", "meanShortSize": "70KB"},
 	}
-	tr := Duration("50ms")
-	s.Transport = &Transport{MinRTO: &tr, InitialRTO: &tr}
+	tr, on := Duration("50ms"), true
+	s.Transport = &Transport{MinRTO: &tr, SACK: &on}
 	data, err := s.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -587,32 +657,6 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	_, err := LoadBytes([]byte(`{"version": 1, "nmae": "typo"}`))
 	if err == nil {
 		t.Fatal("unknown field accepted")
-	}
-}
-
-func TestWorkloadSeedOverride(t *testing.T) {
-	s := testSpec()
-	base, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := uint64(43) // the default derived seed, set explicitly
-	s.Workload.Seed = &seed
-	same, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base.Flows, same.Flows) {
-		t.Fatal("explicit workload seed 43 should match the default seed+1")
-	}
-	other := uint64(7)
-	s.Workload.Seed = &other
-	diff, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(base.Flows, diff.Flows) {
-		t.Fatal("different workload seed should change the flows")
 	}
 }
 

@@ -182,6 +182,37 @@ func (c *Config) BaseRTT() units.Time {
 	return 2 * (2*c.HostLink.Delay + fabric)
 }
 
+// MinFabricDelay returns the minimum propagation delay over the
+// inter-switch links New wires for this configuration (host links
+// excluded): on a leaf-spine the overrides' delays, and FabricLink's
+// unless the overrides cover every leaf-spine pair, the later of two
+// overrides of one pair winning as it does in New; on a fat-tree
+// FabricLink's, the only inter-switch link it has. The runner's
+// flow-teardown lag is this value (see internal/sim).
+func (c *Config) MinFabricDelay() units.Time {
+	if c.K != 0 {
+		return c.FabricLink.Delay
+	}
+	min, found := units.Time(0), false
+	consider := func(d units.Time) {
+		if !found || d < min {
+			min, found = d, true
+		}
+	}
+	wired := make(map[[2]int]bool, len(c.Overrides))
+	for i := len(c.Overrides) - 1; i >= 0; i-- {
+		o := c.Overrides[i]
+		if pair := [2]int{o.Leaf, o.Spine}; !wired[pair] {
+			wired[pair] = true
+			consider(o.Link.Delay)
+		}
+	}
+	if len(wired) < c.Leaves*c.Spines {
+		consider(c.FabricLink.Delay)
+	}
+	return min
+}
+
 // DeliverFunc receives packets that reach their destination host.
 type DeliverFunc func(host int, pkt *netem.Packet)
 
@@ -406,34 +437,6 @@ func (f *Fabric) LinkPorts(leaf, spine int) (up, down *netem.Port, err error) {
 			leaf, spine, len(leaves), len(spines))
 	}
 	return leaves[leaf].up[spine], spines[spine].down[leaf], nil
-}
-
-// MinFabricDelay returns the minimum propagation delay over every
-// inter-switch port (host links excluded), 0 when there are none. The
-// runner derives the flow-teardown lag from it (see internal/sim): a
-// pure function of the topology, so every run of it schedules the
-// identical close events. On the fat-tree that is every tier's links,
-// not the agg<->core tier alone — the same value, since a fat-tree has
-// one FabricLink.
-func (f *Fabric) MinFabricDelay() units.Time {
-	var min units.Time
-	found := false
-	scan := func(ports []*netem.Port) {
-		for _, p := range ports {
-			if d := p.Link().Delay; !found || d < min {
-				min, found = d, true
-			}
-		}
-	}
-	for t, tier := range f.tiers {
-		for _, n := range tier {
-			scan(n.up)
-			if t > 0 {
-				scan(n.down)
-			}
-		}
-	}
-	return min
 }
 
 // EveryQueue invokes fn for every queue in the fabric — host NICs, then

@@ -36,8 +36,8 @@ const (
 	Retransmit
 	// Mark: a packet was CE-marked.
 	Mark
-	// LinkFault: the fault injector changed a link's state (down,
-	// restore, de-rate, delay); the note carries the operation.
+	// LinkFault: the fault injector changed a link's state (down or
+	// restore); the note carries the operation.
 	LinkFault
 )
 

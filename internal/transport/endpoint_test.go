@@ -22,21 +22,32 @@ type wire struct {
 	snd         *Sender
 }
 
-// newWire opens and starts a two-segment flow from host 0 to host 1; its
-// whole first window — both segments — is in sent when it returns.
+// newWire opens and starts a two-segment flow from host 0 to host 1 and
+// delivers its handshake; its whole first window — both segments — is
+// in sent when it returns.
 func newWire(t *testing.T) *wire {
 	t.Helper()
 	w := &wire{sim: eventsim.New(), pool: netem.NewPacketPool()}
 	w.hosts[0] = NewHost(w.sim, 0, func(p *netem.Packet) { w.sent = append(w.sent, p) })
 	w.hosts[1] = NewHost(w.sim, 1, func(p *netem.Packet) { w.acked = append(w.acked, p) })
-	cfg := testCfg()
-	cfg.Handshake = false
-	cfg.Pool = w.pool
 	for _, h := range w.hosts {
 		h.SetPool(w.pool)
 	}
-	w.snd = Open(&cfg, w.hosts[0], w.hosts[1], netem.FlowID{Src: 0, Dst: 1, Port: 7}, 2*cfg.MSS, nil)
+	cfg := testCfg()
+	w.snd = Open(&cfg, w.hosts[0], w.hosts[1], netem.FlowID{Src: 0, Dst: 1, Port: 7}, 2*MSS, nil)
 	w.snd.Start()
+	if len(w.sent) != 1 || w.sent[0].Kind != netem.Syn {
+		t.Fatalf("flow opened with %d packets, want one SYN", len(w.sent))
+	}
+	syn := w.sent[0]
+	w.sent = nil
+	w.hosts[1].Receive(syn)
+	if len(w.acked) != 1 || w.acked[0].Kind != netem.SynAck {
+		t.Fatalf("SYN answered with %d packets, want one SYN-ACK", len(w.acked))
+	}
+	synAck := w.acked[0]
+	w.acked = nil
+	w.hosts[0].Receive(synAck)
 	if len(w.sent) != 2 {
 		t.Fatalf("first window is %d packets, want 2", len(w.sent))
 	}

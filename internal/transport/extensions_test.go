@@ -21,7 +21,7 @@ func TestDelayedAckHalvesAckCount(t *testing.T) {
 			}
 			return true
 		}
-		snd := openFlow(t, p, cfg, 200*cfg.MSS)
+		snd := openFlow(t, p, cfg, 200*MSS)
 		snd.Start()
 		s.RunUntil(10 * units.Second)
 		if !snd.Done() {
@@ -46,16 +46,30 @@ func TestDelayedAckTimeoutFlushesLoneSegment(t *testing.T) {
 	p := newPipe(s, testDelay)
 	cfg := testCfg()
 	cfg.DelayedAck = true
-	cfg.DelayedAckTimeout = 200 * units.Microsecond
-	cfg.Handshake = false
-	// One segment, no FIN suppression: ack must still arrive (here the
-	// single segment IS the FIN, so use 3 segments and watch the odd
-	// one get flushed by the timer).
-	snd := openFlow(t, p, cfg, 3*cfg.MSS)
+	// Segment 1 is held back past the timeout, so segment 0 — in order
+	// and not the FIN — arrives alone: only the timer can ACK it.
+	sent0, ack0, held := units.Time(-1), units.Time(-1), false
+	p.intercept = func(dir int, pkt *netem.Packet) bool {
+		switch {
+		case dir == 0 && pkt.Kind == netem.Data && pkt.Seq == 0 && sent0 < 0:
+			sent0 = s.Now()
+		case dir == 0 && pkt.Kind == netem.Data && pkt.Seq == MSS && !held:
+			held = true
+			s.After(2*DelayedAckTimeout, func() { p.hosts[1].Receive(pkt) })
+			return false
+		case dir == 1 && pkt.Kind == netem.Ack && ack0 < 0:
+			ack0 = s.Now()
+		}
+		return true
+	}
+	snd := openFlow(t, p, cfg, 3*MSS)
 	snd.Start()
 	s.RunUntil(5 * units.Second)
 	if !snd.Done() {
 		t.Fatal("flow stalled: delayed-ACK timer never flushed")
+	}
+	if want := sent0 + testDelay + DelayedAckTimeout; ack0 != want {
+		t.Fatalf("lone segment ACKed at %v, want the timeout after its arrival, %v", ack0, want)
 	}
 }
 
@@ -64,32 +78,24 @@ func TestDelayedAckImmediateOnOutOfOrder(t *testing.T) {
 	p := newPipe(s, testDelay)
 	cfg := testCfg()
 	cfg.DelayedAck = true
-	cfg.DupAckThreshold = 100 // isolate ack behaviour
-	held := false
-	var heldPkt *netem.Packet
-	var acksBeforeRelease int64
+	reorder, open := lateSegment2(p)
+	var acksWhileOpen int64
 	p.intercept = func(dir int, pkt *netem.Packet) bool {
-		if dir == 0 && pkt.Kind == netem.Data && pkt.Seq == 2*cfg.MSS && !held {
-			held = true
-			heldPkt = pkt
-			s.After(400*units.Microsecond, func() { p.hosts[1].Receive(heldPkt) })
-			return false
+		if dir == 1 && pkt.Kind == netem.Ack && *open {
+			acksWhileOpen++
 		}
-		if dir == 1 && pkt.Kind == netem.Ack && held && heldPkt != nil {
-			acksBeforeRelease++
-		}
-		return true
+		return reorder(dir, pkt)
 	}
-	snd := openFlow(t, p, cfg, 16*cfg.MSS)
+	snd := openFlow(t, p, cfg, 16*MSS)
 	snd.Start()
 	s.RunUntil(5 * units.Second)
 	if !snd.Done() {
 		t.Fatal("not done")
 	}
-	// The receiver must have acked the out-of-order arrivals
-	// immediately (several acks while the hole was outstanding).
-	if acksBeforeRelease == 0 {
-		t.Fatal("no immediate ACKs during reordering window")
+	// The receiver must ACK each of the two out-of-order arrivals at
+	// once, delayed ACKs or not.
+	if acksWhileOpen != DupAckThreshold-1 || snd.Stats.FastRetx != 0 {
+		t.Fatalf("%d ACKs while the hole was open and %d fast retransmits, want %d and none", acksWhileOpen, snd.Stats.FastRetx, DupAckThreshold-1)
 	}
 }
 
@@ -103,14 +109,14 @@ func TestSACKRepairsMultipleLossesInOneWindow(t *testing.T) {
 		p.intercept = func(dir int, pkt *netem.Packet) bool {
 			// Drop three separate segments of the same window once.
 			if dir == 0 && pkt.Kind == netem.Data && !pkt.Retransmit {
-				if (pkt.Seq == 8*cfg.MSS || pkt.Seq == 10*cfg.MSS || pkt.Seq == 12*cfg.MSS) && !dropped[pkt.Seq] {
+				if (pkt.Seq == 8*MSS || pkt.Seq == 10*MSS || pkt.Seq == 12*MSS) && !dropped[pkt.Seq] {
 					dropped[pkt.Seq] = true
 					return false
 				}
 			}
 			return true
 		}
-		snd := openFlow(t, p, cfg, 64*cfg.MSS)
+		snd := openFlow(t, p, cfg, 64*MSS)
 		snd.Start()
 		s.RunUntil(30 * units.Second)
 		if !snd.Done() {
@@ -141,11 +147,10 @@ func TestSACKBlocksOnACKs(t *testing.T) {
 	p := newPipe(s, testDelay)
 	cfg := testCfg()
 	cfg.SACK = true
-	cfg.DupAckThreshold = 1000 // keep sender passive; inspect receiver
 	sawBlock := false
 	var dropOnce bool
 	p.intercept = func(dir int, pkt *netem.Packet) bool {
-		if dir == 0 && pkt.Kind == netem.Data && pkt.Seq == 4*cfg.MSS && !dropOnce {
+		if dir == 0 && pkt.Kind == netem.Data && pkt.Seq == 4*MSS && !dropOnce {
 			dropOnce = true
 			return false
 		}
@@ -158,13 +163,15 @@ func TestSACKBlocksOnACKs(t *testing.T) {
 		}
 		return true
 	}
-	snd := openFlow(t, p, cfg, 16*cfg.MSS)
+	snd := openFlow(t, p, cfg, 16*MSS)
 	snd.Start()
 	s.RunUntil(10 * units.Second)
 	if !sawBlock {
 		t.Fatal("no SACK blocks observed despite a hole")
 	}
-	_ = snd
+	if !snd.Done() {
+		t.Fatal("not done")
+	}
 }
 
 func TestSACKFlowStillCompletesUnderRandomLoss(t *testing.T) {
@@ -177,10 +184,10 @@ func TestSACKFlowStillCompletesUnderRandomLoss(t *testing.T) {
 	p.intercept = func(dir int, pkt *netem.Packet) bool {
 		return rng.Float64() >= 0.15
 	}
-	snd := openFlow(t, p, cfg, 80*cfg.MSS)
+	snd := openFlow(t, p, cfg, 80*MSS)
 	snd.Start()
 	s.RunUntil(60 * units.Second)
-	if !snd.Done() || snd.Stats.BytesAcked != 80*cfg.MSS {
+	if !snd.Done() || snd.Stats.BytesAcked != 80*MSS {
 		t.Fatalf("SACK+delayedAck flow failed under loss: done=%v acked=%v",
 			snd.Done(), snd.Stats.BytesAcked)
 	}

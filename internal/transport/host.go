@@ -11,8 +11,8 @@ import (
 
 // Host is one simulated machine. The fabric delivers packets to
 // Receive, which hands each to the endpoint the packet names; endpoints
-// inject packets through the out function the host was built with
-// (typically fabric.Inject).
+// take their packets from the host's pool and inject them through the
+// out function the host was built with (typically fabric.Inject).
 type Host struct {
 	sim *eventsim.Sim
 	id  int
@@ -22,10 +22,11 @@ type Host struct {
 	// and the end-of-run sweep of unfinished flows; no packet reads it.
 	senders map[netem.FlowID]*Sender
 
-	// pool, when set via SetPool, receives every packet Receive has
-	// finished dispatching: the host is the terminal sink of delivered
-	// packets (endpoint handlers copy what they need and never retain
-	// the *Packet).
+	// pool, when set via SetPool, supplies every packet the host's
+	// endpoints emit and receives every packet Receive has finished
+	// dispatching: the host is the terminal sink of delivered packets
+	// (endpoint handlers copy what they need and never retain the
+	// *Packet). Nil falls back to plain allocation.
 	pool *netem.PacketPool
 
 	// closeKey is the host's construction-order keyed identity
@@ -47,10 +48,12 @@ func NewHost(sim *eventsim.Sim, id int, out func(*netem.Packet)) *Host {
 	}
 }
 
-// SetPool makes the host release every delivered packet back to pool
-// after dispatching it (see netem.PacketPool for the ownership
-// contract). Callers that keep delivered packets alive — test pipes
-// that re-deliver them, for instance — must leave the pool unset.
+// SetPool makes the host's endpoints allocate from pool and the host
+// release every delivered packet back to it after dispatching it (see
+// netem.PacketPool for the ownership contract). It must be the run's
+// single per-simulation pool, the one the fabric releases drops to.
+// Callers that keep delivered packets alive — test pipes that re-deliver
+// them, for instance — must leave the pool unset.
 func (h *Host) SetPool(pool *netem.PacketPool) { h.pool = pool }
 
 // flow is one flow as allocated: both endpoints, each pointing at the other.
@@ -61,18 +64,15 @@ type flow struct {
 
 // Open allocates the two endpoints of one flow together, wires each to
 // the other and registers the (idle) sender with src until it
-// completes. cfg must come from WithDefaults and outlive the flow: the
-// endpoints share it. done (optional) fires once, when the last byte is
-// acknowledged, after src has released the sender.
+// completes. cfg must outlive the flow: the endpoints share it. done
+// (optional) fires once, when the last byte is acknowledged, after src
+// has released the sender.
 func Open(cfg *Config, src, dst *Host, id netem.FlowID, size units.Bytes, done func(*Sender)) *Sender {
 	if size <= 0 {
 		panic(fmt.Sprintf("transport: flow %v with non-positive size %d", id, size))
 	}
 	if id.Src != src.id || id.Dst != dst.id {
 		panic(fmt.Sprintf("transport: flow %v opened from host %d to host %d", id, src.id, dst.id))
-	}
-	if cfg.MSS <= 0 || cfg.MaxRTO <= 0 {
-		panic("transport: Open needs a Config normalised by WithDefaults")
 	}
 	if _, dup := src.senders[id]; dup {
 		panic(fmt.Sprintf("transport: duplicate sender for flow %v", id))
@@ -85,13 +85,12 @@ func Open(cfg *Config, src, dst *Host, id netem.FlowID, size units.Bytes, done f
 		peer:     r,
 		sim:      src.sim,
 		cfg:      cfg,
-		out:      src.out,
 		host:     src,
 		done:     done,
 		id:       id,
 		size:     size,
-		cwnd:     float64(cfg.MSS) * float64(cfg.InitCwnd),
-		ssthresh: float64(cfg.RcvWindow),
+		cwnd:     float64(InitCwnd * MSS),
+		ssthresh: float64(RcvWindow),
 		alpha:    1.0,
 		Stats:    stats,
 	}
@@ -100,7 +99,7 @@ func Open(cfg *Config, src, dst *Host, id netem.FlowID, size units.Bytes, done f
 		peer:  s,
 		sim:   dst.sim,
 		cfg:   cfg,
-		out:   dst.out,
+		host:  dst,
 		id:    id,
 		size:  size,
 		Stats: stats,

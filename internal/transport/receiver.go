@@ -17,10 +17,11 @@ type PacketSample struct {
 	OutOfOrder bool
 }
 
-// Receiver is the receiving endpoint of one flow: it generates one
-// cumulative ACK per arriving data packet (no delayed ACKs, matching
-// the NS2 setups the paper uses), buffers out-of-order data and echoes
-// each packet's CE bit, which is what DCTCP needs.
+// Receiver is the receiving endpoint of one flow: it answers the SYN,
+// generates one cumulative ACK per arriving data packet (unless the
+// Config delays ACKs; the NS2 setups the paper uses do not), buffers
+// out-of-order data and echoes each packet's CE bit, which is what
+// DCTCP needs.
 type Receiver struct {
 	// ep is this endpoint as the sender's packets name it; peer is the
 	// flow's sender, whose ep goes on every ACK.
@@ -28,8 +29,8 @@ type Receiver struct {
 	peer *Sender
 
 	sim  *eventsim.Sim
-	cfg  *Config // the run's one normalised Config
-	out  func(*netem.Packet)
+	cfg  *Config // the run's one Config
+	host *Host   // emits through host.out, allocates from host.pool
 	id   netem.FlowID
 	size units.Bytes
 
@@ -87,13 +88,13 @@ func (r *Receiver) Complete() bool { return r.rcvNxt >= r.size }
 
 // onSyn answers the handshake.
 func (r *Receiver) onSyn(pkt *netem.Packet) {
-	reply := r.cfg.Pool.Get()
+	reply := r.host.pool.Get()
 	reply.Flow = r.id.Reversed()
 	reply.To = &r.peer.ep
 	reply.Kind = netem.SynAck
-	reply.Wire = r.cfg.HeaderBytes
+	reply.Wire = HeaderBytes
 	reply.SentAt = r.sim.Now()
-	r.out(reply)
+	r.host.out(reply)
 }
 
 // onData ingests one data segment and emits the corresponding ACK.
@@ -161,7 +162,7 @@ func (r *Receiver) onData(pkt *netem.Packet) {
 		if r.pendingAcks < 2 {
 			if !r.ackTimer.Scheduled() {
 				r.ackCE = pkt.CE
-				r.ackTimer = r.sim.AtArg(now+r.cfg.DelayedAckTimeout, delayedAckFire, r)
+				r.ackTimer = r.sim.AtArg(now+DelayedAckTimeout, delayedAckFire, r)
 			}
 			return
 		}
@@ -175,12 +176,12 @@ func (r *Receiver) emitAck(ce bool) {
 	// fired (we are inside that firing) is a no-op.
 	r.sim.Cancel(r.ackTimer)
 	r.pendingAcks = 0
-	ack := r.cfg.Pool.Get()
+	ack := r.host.pool.Get()
 	ack.Flow = r.id.Reversed()
 	ack.To = &r.peer.ep
 	ack.Kind = netem.Ack
 	ack.Ack = r.rcvNxt
-	ack.Wire = r.cfg.HeaderBytes
+	ack.Wire = HeaderBytes
 	ack.ECNEcho = ce
 	ack.SentAt = r.sim.Now()
 	if r.cfg.SACK {
@@ -191,7 +192,7 @@ func (r *Receiver) emitAck(ce bool) {
 	}
 	r.lastAckSent = r.rcvNxt
 	r.sentAnyAck = true
-	r.out(ack)
+	r.host.out(ack)
 }
 
 // fillSackBlocks reports up to three out-of-order ranges, the most

@@ -31,12 +31,12 @@ func TestRTOSurvivesHeavyLoss(t *testing.T) {
 	p.intercept = func(dir int, pkt *netem.Packet) bool {
 		return rng.Float64() >= loss
 	}
-	snd := openFlow(t, p, cfg, 40*cfg.MSS)
+	snd := openFlow(t, p, cfg, 40*MSS)
 	snd.Start()
 	s.RunUntil(60 * units.Second)
-	if !snd.Done() || snd.Stats.BytesAcked != 40*cfg.MSS {
+	if !snd.Done() || snd.Stats.BytesAcked != 40*MSS {
 		t.Fatalf("flow stalled: done=%v acked=%v want %v (timeouts=%d retx=%d)",
-			snd.Done(), snd.Stats.BytesAcked, 40*cfg.MSS,
+			snd.Done(), snd.Stats.BytesAcked, 40*MSS,
 			snd.Stats.Timeouts, snd.Stats.Retransmits)
 	}
 }
@@ -48,7 +48,7 @@ func TestRTORearmsWhenDeadlineMovesEarlier(t *testing.T) {
 	s := eventsim.New()
 	cfg := testCfg()
 	var sent []*netem.Packet
-	snd := loneFlow(s, cfg, netem.FlowID{Src: 0, Dst: 1}, 10*cfg.MSS, func(p *netem.Packet) {
+	snd := loneFlow(s, cfg, netem.FlowID{Src: 0, Dst: 1}, 10*MSS, func(p *netem.Packet) {
 		sent = append(sent, p)
 	}, discard)
 	snd.Start()
@@ -64,7 +64,7 @@ func TestRTORearmsWhenDeadlineMovesEarlier(t *testing.T) {
 
 	// First progress: one segment ACKed. The backoff resets, so the
 	// deadline moves earlier than the parked timer.
-	snd.onAck(&netem.Packet{Flow: netem.FlowID{Src: 0, Dst: 1}, Kind: netem.Ack, Ack: cfg.MSS})
+	snd.onAck(&netem.Packet{Flow: netem.FlowID{Src: 0, Dst: 1}, Kind: netem.Ack, Ack: MSS})
 	if !snd.rtoTimer.Scheduled() {
 		t.Fatal("no RTO timer scheduled after progress")
 	}
@@ -75,18 +75,17 @@ func TestRTORearmsWhenDeadlineMovesEarlier(t *testing.T) {
 }
 
 // TestRTOBackoffIsCapped pins fix (2): however many consecutive
-// timeouts fire, the backoff never exceeds MaxRTO.
+// timeouts fire, the backoff stops at the cap, max(1 s, MinRTO).
 func TestRTOBackoffIsCapped(t *testing.T) {
 	s := eventsim.New()
 	cfg := testCfg()
-	snd := loneFlow(s, cfg, netem.FlowID{Src: 0, Dst: 1}, 10*cfg.MSS, discard, discard)
+	snd := loneFlow(s, cfg, netem.FlowID{Src: 0, Dst: 1}, 10*MSS, discard, discard)
 	snd.Start()
 	s.RunUntil(30 * units.Second)
 	if snd.Stats.Timeouts < 10 {
 		t.Fatalf("expected many timeouts, got %d", snd.Stats.Timeouts)
 	}
-	max := snd.cfg.MaxRTO
-	if snd.rtoBackoff > max {
-		t.Fatalf("backoff %v exceeds MaxRTO %v", snd.rtoBackoff, max)
+	if max := snd.cfg.maxRTO(); snd.rtoBackoff != max {
+		t.Fatalf("backoff %v after a timeout streak, want the cap %v", snd.rtoBackoff, max)
 	}
 }

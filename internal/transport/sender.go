@@ -9,8 +9,8 @@ import (
 )
 
 // Sender is the sending endpoint of one flow. It is driven entirely by
-// simulator events: Start kicks off the handshake (or first window),
-// and the owning Host feeds it the ACKs addressed to it.
+// simulator events: Start kicks off the handshake, and the owning Host
+// feeds it the SYN-ACK and the ACKs addressed to it.
 type Sender struct {
 	// ep is this endpoint as the receiver's ACKs name it; peer is the
 	// flow's receiver (see Open), whose ep goes on everything sent.
@@ -18,9 +18,8 @@ type Sender struct {
 	peer *Receiver
 
 	sim  *eventsim.Sim
-	cfg  *Config // the run's one normalised Config
-	out  func(*netem.Packet)
-	host *Host
+	cfg  *Config // the run's one Config
+	host *Host   // emits through host.out, allocates from host.pool
 	done func(*Sender)
 
 	id   netem.FlowID
@@ -95,8 +94,8 @@ func (s *Sender) Done() bool { return s.finished }
 // instrumentation).
 func (s *Sender) Cwnd() units.Bytes { return units.Bytes(s.cwnd) }
 
-// Start opens the flow: SYN first when handshaking, otherwise straight
-// to data.
+// Start opens the flow with a SYN — the message the paper's switch
+// counts flows with; data follows the SYN-ACK.
 func (s *Sender) Start() {
 	if s.started {
 		panic(fmt.Sprintf("transport: flow %v started twice", s.id))
@@ -104,14 +103,8 @@ func (s *Sender) Start() {
 	s.started = true
 	s.Stats.Start = s.sim.Now()
 	s.rtoBackoff = s.rto()
-	if s.cfg.Handshake {
-		s.sendControl(netem.Syn)
-		s.armRTO()
-		return
-	}
-	s.established = true
-	s.winEnd = 0
-	s.trySend()
+	s.sendControl(netem.Syn)
+	s.armRTO()
 }
 
 // onSynAck completes the handshake.
@@ -151,12 +144,12 @@ func (s *Sender) onAck(pkt *netem.Packet) {
 	switch {
 	case s.inRecovery:
 		// Inflate: each dup ACK means a packet left the network.
-		s.cwnd += float64(s.cfg.MSS)
+		s.cwnd += float64(MSS)
 		if s.cfg.SACK {
 			s.sackRetransmit()
 		}
 		s.trySend()
-	case s.dupAcks == s.cfg.DupAckThreshold:
+	case s.dupAcks == DupAckThreshold:
 		s.fastRetransmit()
 	}
 }
@@ -186,7 +179,7 @@ func (s *Sender) sackRetransmit() {
 		if seg <= 0 {
 			return
 		}
-		if !s.sacked.Has(seq) && !s.retxRec.Has(seq) && s.sackedAbove(seq) >= s.cfg.DupAckThreshold {
+		if !s.sacked.Has(seq) && !s.retxRec.Has(seq) && s.sackedAbove(seq) >= DupAckThreshold {
 			s.retxRec.Add(seq)
 			s.retransmit(seq)
 			return
@@ -205,7 +198,7 @@ func (s *Sender) segLen(seq units.Bytes) units.Bytes {
 	if seq >= s.size {
 		return 0
 	}
-	seg := s.cfg.MSS
+	seg := MSS
 	if rem := s.size - seq; rem < seg {
 		seg = rem
 	}
@@ -256,10 +249,10 @@ func (s *Sender) newAck(ack units.Bytes, ece bool) {
 		s.cwnd += float64(newly)
 	} else {
 		// Congestion avoidance: ~one MSS per RTT.
-		s.cwnd += float64(s.cfg.MSS) * float64(newly) / s.cwnd
+		s.cwnd += float64(MSS) * float64(newly) / s.cwnd
 	}
-	if s.cwnd > float64(s.cfg.RcvWindow) {
-		s.cwnd = float64(s.cfg.RcvWindow)
+	if s.cwnd > float64(RcvWindow) {
+		s.cwnd = float64(RcvWindow)
 	}
 	if units.Bytes(s.cwnd) > s.Stats.MaxCwnd {
 		s.Stats.MaxCwnd = units.Bytes(s.cwnd)
@@ -280,17 +273,17 @@ func (s *Sender) newAck(ack units.Bytes, ece bool) {
 func (s *Sender) endAlphaWindow() {
 	if s.bytesAcked > 0 {
 		frac := float64(s.bytesMarked) / float64(s.bytesAcked)
-		if s.cfg.DCTCP {
-			g := s.cfg.DCTCPGain
+		if !s.cfg.NewReno {
+			const g = DCTCPGain
 			s.alpha = (1-g)*s.alpha + g*frac
 			if s.bytesMarked > 0 {
-				s.cwnd = maxf(s.cwnd*(1-s.alpha/2), float64(s.cfg.MSS))
+				s.cwnd = maxf(s.cwnd*(1-s.alpha/2), float64(MSS))
 				s.ssthresh = s.cwnd
 				s.Stats.WindowCuts++
 			}
 		} else if s.bytesMarked > 0 {
 			// Classic ECN: halve once per window.
-			s.cwnd = maxf(s.cwnd/2, 2*float64(s.cfg.MSS))
+			s.cwnd = maxf(s.cwnd/2, 2*float64(MSS))
 			s.ssthresh = s.cwnd
 			s.Stats.WindowCuts++
 		}
@@ -300,8 +293,8 @@ func (s *Sender) endAlphaWindow() {
 }
 
 func (s *Sender) fastRetransmit() {
-	s.ssthresh = maxf(s.cwnd/2, 2*float64(s.cfg.MSS))
-	s.cwnd = s.ssthresh + float64(s.cfg.DupAckThreshold)*float64(s.cfg.MSS)
+	s.ssthresh = maxf(s.cwnd/2, 2*float64(MSS))
+	s.cwnd = s.ssthresh + DupAckThreshold*float64(MSS)
 	s.inRecovery = true
 	s.recover = s.sndNxt
 	s.Stats.FastRetx++
@@ -345,8 +338,8 @@ func (s *Sender) onRTO() {
 		s.armRTO()
 		return
 	}
-	s.ssthresh = maxf(s.cwnd/2, 2*float64(s.cfg.MSS))
-	s.cwnd = float64(s.cfg.MSS)
+	s.ssthresh = maxf(s.cwnd/2, 2*float64(MSS))
+	s.cwnd = float64(MSS)
 	s.dupAcks = 0
 	s.inRecovery = false
 	s.rttValid = false
@@ -364,12 +357,10 @@ func (s *Sender) onRTO() {
 }
 
 // doubleBackoff applies the exponential timeout backoff, capped at
-// MaxRTO so a loss streak cannot push the next retry beyond reach.
+// max(1 s, MinRTO) so a loss streak cannot push the next retry beyond
+// reach.
 func (s *Sender) doubleBackoff() {
-	s.rtoBackoff *= 2
-	if s.rtoBackoff > s.cfg.MaxRTO {
-		s.rtoBackoff = s.cfg.MaxRTO
-	}
+	s.rtoBackoff = min(2*s.rtoBackoff, s.cfg.maxRTO())
 }
 
 // trySend emits as many new segments as the window allows.
@@ -378,12 +369,12 @@ func (s *Sender) trySend() {
 		return
 	}
 	wnd := units.Bytes(s.cwnd)
-	if wnd > s.cfg.RcvWindow {
-		wnd = s.cfg.RcvWindow
+	if wnd > RcvWindow {
+		wnd = RcvWindow
 	}
 	for s.sndNxt < s.size {
 		inflight := s.sndNxt - s.sndUna
-		seg := s.cfg.MSS
+		seg := MSS
 		if rem := s.size - s.sndNxt; rem < seg {
 			seg = rem
 		}
@@ -407,7 +398,7 @@ func (s *Sender) trySend() {
 }
 
 func (s *Sender) retransmit(seq units.Bytes) {
-	seg := s.cfg.MSS
+	seg := MSS
 	if rem := s.size - seq; rem < seg {
 		seg = rem
 	}
@@ -425,30 +416,30 @@ func (s *Sender) retransmit(seq units.Bytes) {
 }
 
 func (s *Sender) emitData(seq, seg units.Bytes, retx bool) {
-	pkt := s.cfg.Pool.Get()
+	pkt := s.host.pool.Get()
 	pkt.Flow = s.id
 	pkt.To = &s.peer.ep
 	pkt.Kind = netem.Data
 	pkt.Seq = seq
 	pkt.Payload = seg
-	pkt.Wire = seg + s.cfg.HeaderBytes
+	pkt.Wire = seg + HeaderBytes
 	pkt.SentAt = s.sim.Now()
 	pkt.Retransmit = retx
 	pkt.FIN = seq+seg >= s.size
 	s.Stats.PacketsSent++
 	s.Stats.BytesSent += seg
-	s.out(pkt)
+	s.host.out(pkt)
 }
 
 func (s *Sender) sendControl(kind netem.Kind) {
-	pkt := s.cfg.Pool.Get()
+	pkt := s.host.pool.Get()
 	pkt.Flow = s.id
 	pkt.To = &s.peer.ep
 	pkt.Kind = kind
-	pkt.Wire = s.cfg.HeaderBytes
+	pkt.Wire = HeaderBytes
 	pkt.SentAt = s.sim.Now()
 	s.Stats.PacketsSent++
-	s.out(pkt)
+	s.host.out(pkt)
 }
 
 func (s *Sender) complete() {
@@ -464,13 +455,9 @@ func (s *Sender) complete() {
 
 func (s *Sender) rto() units.Time {
 	if !s.hasRTT {
-		return s.cfg.InitialRTO
+		return s.cfg.minRTO()
 	}
-	rto := s.srtt + 4*s.rttvar
-	if rto < s.cfg.MinRTO {
-		rto = s.cfg.MinRTO
-	}
-	return rto
+	return max(s.srtt+4*s.rttvar, s.cfg.minRTO())
 }
 
 func (s *Sender) sampleRTT(rtt units.Time) {
