@@ -150,11 +150,12 @@ identity:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
-# knobs prints the ROADMAP's options measure — registered scheme
-# parameters, spec fields, the settable transport.Config fields, the
-# lb.Env facts a scheme builder reads, CLI flag definitions — for
+# knobs prints the ROADMAP's options measure — registered schemes and
+# their parameters, spec fields, the settable transport.Config fields,
+# the lb.Env facts a scheme builder reads, CLI flag definitions — for
 # before/after.
 knobs:
+	@echo "registered schemes $$($(GO) run ./cmd/tlbsim -list-schemes | grep -c '^[^ ]')"
 	@echo "scheme parameters  $$($(GO) run ./cmd/tlbsim -list-schemes | grep -cE '^    [A-Za-z]+ +(duration|bytes|bandwidth|int|float|bool|string) ')"
 	@echo "spec fields        $$(grep -c 'json:"' internal/spec/spec.go)"
 	@echo "transport settings $$($(call fields,Config) internal/transport/config.go)"

@@ -40,7 +40,6 @@ import (
 	"tlb/internal/serve"
 	"tlb/internal/sim"
 	"tlb/internal/spec"
-	"tlb/internal/trace"
 
 	// The tlb scheme registers itself with the lb registry.
 	_ "tlb/internal/core"
@@ -51,7 +50,6 @@ func main() {
 	flag.StringVar(&o.specPaths, "spec", "", "comma-separated spec files or globs to run (presets: cmd/tlbsim/specs/*.json)")
 	flag.BoolVar(&o.checkOnly, "check-spec", false, "with -spec: validate the files and exit without running")
 	flag.IntVar(&o.workers, "workers", 0, "concurrent runs for multi-file -spec batches (0 = GOMAXPROCS)")
-	flag.IntVar(&o.traceN, "trace", 0, "print the last N flow lifecycle events after the run")
 	flag.StringVar(&o.reportPath, "report", "", "also write a self-contained HTML report of the run(s) to this path")
 	flag.StringVar(&o.serveAddr, "serve", "", "serve the run-submission HTTP API on this address (e.g. 127.0.0.1:8080) instead of running locally")
 	list := flag.Bool("list-schemes", false, "list registered schemes and their parameters, then exit")
@@ -71,7 +69,6 @@ type options struct {
 	specPaths  string
 	checkOnly  bool
 	workers    int
-	traceN     int
 	reportPath string
 	serveAddr  string
 }
@@ -157,12 +154,6 @@ func checkSpecs(files []string, stdout io.Writer) error {
 	return nil
 }
 
-// faultTracer keeps every trace.LinkFault event of a run and nothing
-// else — what the report's fault timeline draws.
-func faultTracer() *trace.Tracer {
-	return trace.New(0).WithFilter(trace.Filter{Kinds: []trace.EventKind{trace.LinkFault}})
-}
-
 // runSpecFiles compiles and runs the spec files; multi-file batches go
 // through the sweep worker pool and report each result in input order.
 func runSpecFiles(files []string, o options, stdout io.Writer) error {
@@ -173,9 +164,6 @@ func runSpecFiles(files []string, o options, stdout io.Writer) error {
 		}
 		return runOne(sp, o, stdout)
 	}
-	if o.traceN > 0 {
-		return fmt.Errorf("-trace needs a single scenario, got %d spec files", len(files))
-	}
 	specs := make([]*spec.Spec, len(files))
 	scenarios := make([]sim.Scenario, len(files))
 	for i, f := range files {
@@ -184,12 +172,8 @@ func runSpecFiles(files []string, o options, stdout io.Writer) error {
 			return err
 		}
 		specs[i] = sp
-		scenarios[i], err = sp.Compile()
-		if err != nil {
+		if scenarios[i], err = sp.Compile(); err != nil {
 			return err
-		}
-		if o.reportPath != "" && len(sp.Faults) > 0 {
-			scenarios[i].Tracer = faultTracer()
 		}
 	}
 	results, err := sim.RunSweep(scenarios, sim.SweepOptions{
@@ -222,58 +206,27 @@ func runSpecFiles(files []string, o options, stdout io.Writer) error {
 	if o.reportPath != "" {
 		items := make([]report.Item, len(results))
 		for i, res := range results {
-			items[i] = report.Item{
-				Scenario: specs[i].Name, Scheme: schemeLabel(specs[i]),
-				Result: res, Faults: scenarios[i].Tracer.Events(),
-			}
+			items[i] = report.Item{Scenario: specs[i].Name, Scheme: schemeLabel(specs[i]), Result: res}
 		}
 		return writeReport(o.reportPath, report.Campaign{Title: "tlbsim batch", Items: items})
 	}
 	return nil
 }
 
-// runOne compiles and runs a single spec, with optional tracing.
+// runOne compiles and runs a single spec.
 func runOne(sp *spec.Spec, o options, stdout io.Writer) error {
 	sc, err := sp.Compile()
 	if err != nil {
 		return err
-	}
-	// One tracer serves two readers: -trace prints the last N events of
-	// every kind, the report's fault timeline needs every LinkFault
-	// event. When both are wanted the run keeps everything and the
-	// -trace ring is filled by replay, so neither output depends on the
-	// other flag.
-	wantFaults := o.reportPath != "" && len(sp.Faults) > 0
-	switch {
-	case wantFaults && o.traceN > 0:
-		sc.Tracer = trace.New(0)
-	case wantFaults:
-		sc.Tracer = faultTracer()
-	case o.traceN > 0:
-		sc.Tracer = trace.New(o.traceN)
 	}
 	res, err := sim.Run(sc)
 	if err != nil {
 		return err
 	}
 	printResult(stdout, res)
-	if o.traceN > 0 {
-		ring := sc.Tracer
-		if wantFaults {
-			ring = trace.New(o.traceN)
-			for _, e := range sc.Tracer.Events() {
-				ring.Record(e)
-			}
-		}
-		fmt.Fprintln(stdout, "--- trace ---")
-		ring.Dump(stdout)
-		fmt.Fprintln(stdout, "--- trace summary ---")
-		ring.Summary(stdout)
-	}
 	if o.reportPath != "" {
 		c := report.Campaign{Title: "tlbsim run " + sp.Name, Items: []report.Item{{
-			Scenario: sp.Name, Scheme: schemeLabel(sp),
-			Result: res, Faults: sc.Tracer.Events(),
+			Scenario: sp.Name, Scheme: schemeLabel(sp), Result: res,
 		}}}
 		return writeReport(o.reportPath, c)
 	}

@@ -149,7 +149,7 @@ func TestBatchPrintsResultsInInputOrder(t *testing.T) {
 // TestNoSpecIsUsageError: with nothing to run the error points at the
 // preset directory.
 func TestNoSpecIsUsageError(t *testing.T) {
-	for _, o := range []options{{}, {checkOnly: true}, {traceN: 5}} {
+	for _, o := range []options{{}, {checkOnly: true}, {reportPath: "run.html"}} {
 		got, err := runOut(t, o)
 		if err == nil || !strings.Contains(err.Error(), "-spec") || !strings.Contains(err.Error(), "cmd/tlbsim/specs") {
 			t.Errorf("%+v: err = %v, want a usage error naming -spec and cmd/tlbsim/specs", o, err)
@@ -181,38 +181,24 @@ func TestCheckSpecReportsBadFileAndKeepsGoing(t *testing.T) {
 	}
 }
 
-// TestTraceDoesNotChangeReport: the report's fault timeline shows the
-// run's link faults with or without -trace, and -trace prints the same
-// ring with or without -report.
-func TestTraceDoesNotChangeReport(t *testing.T) {
+// TestReportShowsFaultTimeline: the quickstart run outlasts its link's
+// down (20 ms) and restore (60 ms), and its report draws one marker for
+// each, whether the spec runs alone or in a batch.
+func TestReportShowsFaultTimeline(t *testing.T) {
 	dir := t.TempDir()
-	plain, traced := filepath.Join(dir, "plain.html"), filepath.Join(dir, "traced.html")
-	if _, err := runOut(t, options{specPaths: quickstart, reportPath: plain}); err != nil {
-		t.Fatal(err)
-	}
-	both, err := runOut(t, options{specPaths: quickstart, reportPath: traced, traceN: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traceOnly, err := runOut(t, options{specPaths: quickstart, traceN: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(traced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := bytes.Count(want, []byte(" down</title>")); n != 2 {
-		t.Fatalf("report without -trace shows %d down markers, want 2", n)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("-trace 5 changed the report (%d down markers, want 2)", bytes.Count(got, []byte(" down</title>")))
-	}
-	if both != traceOnly {
-		t.Errorf("-report changed what -trace prints:\n--- with -report ---\n%s--- without ---\n%s", both, traceOnly)
+	for _, paths := range []string{quickstart, quickstart + ",specs/mix.json"} {
+		path := filepath.Join(dir, "report.html")
+		if _, err := runOut(t, options{specPaths: paths, reportPath: path, workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, title := range []string{"20ms leaf0&lt;-&gt;spine3 down", "60ms leaf0&lt;-&gt;spine3 restore"} {
+			if n := bytes.Count(doc, []byte("<title>"+title+"</title>")); n != 1 {
+				t.Errorf("-spec %s: report shows %d markers titled %q, want 1", paths, n, title)
+			}
+		}
 	}
 }

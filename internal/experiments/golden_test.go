@@ -94,6 +94,7 @@ func TestGoldenFigures(t *testing.T) {
 				}
 				goldenRuns.Lock()
 				defer goldenRuns.Unlock()
+				goldenRuns.schemes[sp.Scheme.Name] = true
 				for k := range sp.Scheme.Params {
 					goldenRuns.params[sp.Scheme.Name+"."+k] = true
 				}
@@ -122,13 +123,14 @@ func TestGoldenFigures(t *testing.T) {
 }
 
 // goldenRuns is what the specs of the golden figures set, collected by
-// TestGoldenFigures as it runs: every scheme parameter ("scheme.param")
-// and every spec field ("Struct.jsonField", see collectSpecFields).
+// TestGoldenFigures as it runs: every scheme name, every scheme
+// parameter ("scheme.param") and every spec field ("Struct.jsonField",
+// see collectSpecFields).
 var goldenRuns = struct {
 	sync.Mutex
-	params, fields map[string]bool
-	complete       bool
-}{params: map[string]bool{}, fields: map[string]bool{}}
+	schemes, params, fields map[string]bool
+	complete                bool
+}{schemes: map[string]bool{}, params: map[string]bool{}, fields: map[string]bool{}}
 
 // eachCheckedInJSON calls fn with every JSON document checked in under
 // the module root (hidden directories skipped): presets, example specs,
@@ -173,7 +175,7 @@ func TestEveryParamIsSetByARun(t *testing.T) {
 		t.Skip("reads what TestGoldenFigures' runs collected: run them together (as `go test` and `make identity` do)")
 	}
 	set := goldenRuns.params
-	eachCheckedInJSON(t, func(doc any, _ []byte) { collectSchemeParams(doc, set) })
+	eachCheckedInJSON(t, func(doc any, _ []byte) { collectSchemes(doc, map[string]bool{}, set) })
 	var got, want []string
 	for k := range set {
 		got = append(got, k)
@@ -192,24 +194,45 @@ func TestEveryParamIsSetByARun(t *testing.T) {
 	}
 }
 
-// collectSchemeParams adds the parameters of every {"scheme": {"name":
-// ..., "params": {...}}} clause anywhere in a JSON document.
-func collectSchemeParams(doc any, set map[string]bool) {
+// TestEverySchemeIsRunByARun is TestEveryParamIsSetByARun for the
+// registry's schemes: each is the scheme.name of some run, over the
+// same collection. A scheme no run names is code nothing measures.
+func TestEverySchemeIsRunByARun(t *testing.T) {
+	if !goldenRuns.complete {
+		t.Skip("reads what TestGoldenFigures' runs collected: run them together (as `go test` and `make identity` do)")
+	}
+	names := goldenRuns.schemes
+	eachCheckedInJSON(t, func(doc any, _ []byte) { collectSchemes(doc, names, map[string]bool{}) })
+	var missing []string
+	for _, name := range lb.Names() {
+		if !names[name] {
+			missing = append(missing, name)
+		}
+	}
+	if len(missing) > 0 {
+		t.Errorf("registered schemes no run or checked-in spec names: %s", strings.Join(missing, " "))
+	}
+}
+
+// collectSchemes adds the name and the parameters of every {"scheme":
+// {"name": ..., "params": {...}}} clause anywhere in a JSON document.
+func collectSchemes(doc any, names, params map[string]bool) {
 	switch v := doc.(type) {
 	case map[string]any:
 		if sch, ok := v["scheme"].(map[string]any); ok {
 			name, _ := sch["name"].(string)
-			params, _ := sch["params"].(map[string]any)
-			for k := range params {
-				set[name+"."+k] = true
+			names[name] = true
+			ps, _ := sch["params"].(map[string]any)
+			for k := range ps {
+				params[name+"."+k] = true
 			}
 		}
 		for _, child := range v {
-			collectSchemeParams(child, set)
+			collectSchemes(child, names, params)
 		}
 	case []any:
 		for _, child := range v {
-			collectSchemeParams(child, set)
+			collectSchemes(child, names, params)
 		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 
 	"tlb/internal/eventsim"
 	"tlb/internal/netem"
-	"tlb/internal/trace"
 	"tlb/internal/units"
 )
 
@@ -91,55 +90,34 @@ func (s Schedule) Validate() error {
 // canonical implementation.
 type Resolver func(leaf, spine int) (up, down *netem.Port, err error)
 
-// Injector is one run's armed fault schedule.
-type Injector struct {
-	sim     *eventsim.Sim
-	tracer  *trace.Tracer
-	applied int
+// Sorted returns the events in the order Install applies them: a
+// stable sort by time, so equal-time events keep schedule order (and
+// eventsim breaks ties FIFO by scheduling order).
+func (s Schedule) Sorted() Schedule {
+	events := make(Schedule, len(s))
+	copy(events, s)
+	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
+	return events
 }
-
-// Applied returns how many (event, port) applications have fired so
-// far — for tests and post-run sanity checks.
-func (inj *Injector) Applied() int { return inj.applied }
 
 // Install validates the schedule, resolves every targeted port against
-// the fabric, and schedules the events on the simulator. It must be
-// called before the run starts (events in the past panic in eventsim).
-// Events are applied in (At, schedule position) order. The tracer may
-// be nil.
-func Install(sim *eventsim.Sim, sched Schedule, resolve Resolver, tracer *trace.Tracer) (*Injector, error) {
+// the fabric, and schedules the events on the simulator in Sorted
+// order. It must be called before the run starts (events in the past
+// panic in eventsim).
+func Install(sim *eventsim.Sim, sched Schedule, resolve Resolver) error {
 	if err := sched.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	inj := &Injector{sim: sim, tracer: tracer}
-
-	// Stable-sort a copy by time: equal-time events keep schedule
-	// order, and eventsim breaks ties FIFO by scheduling order.
-	events := make(Schedule, len(sched))
-	copy(events, sched)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-
-	for _, ev := range events {
+	for _, ev := range sched.Sorted() {
 		up, down, err := resolve(ev.Leaf, ev.Spine)
 		if err != nil {
-			return nil, fmt.Errorf("faults: %v: %w", ev, err)
+			return fmt.Errorf("faults: %v: %w", ev, err)
 		}
+		fail := ev.Op == OpDown
 		sim.At(ev.At, func() {
-			inj.apply(ev, up)
-			inj.apply(ev, down)
+			up.SetDown(fail)
+			down.SetDown(fail)
 		})
 	}
-	return inj, nil
-}
-
-// apply executes one event against one directed port.
-func (inj *Injector) apply(ev Event, p *netem.Port) {
-	p.SetDown(ev.Op == OpDown)
-	inj.applied++
-	inj.tracer.Record(trace.Event{
-		At:    inj.sim.Now(),
-		Kind:  trace.LinkFault,
-		Where: p.Label(),
-		Note:  ev.Op.String(),
-	})
+	return nil
 }

@@ -1,12 +1,12 @@
 package faults
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"tlb/internal/eventsim"
 	"tlb/internal/netem"
-	"tlb/internal/trace"
 	"tlb/internal/units"
 )
 
@@ -35,15 +35,23 @@ var errNoLink = noLinkError{}
 func TestInjectorAppliesScheduleInOrder(t *testing.T) {
 	s := eventsim.New()
 	up, down, resolve := pair(s)
-	tr := trace.New(0)
 	sched := Schedule{
 		// Deliberately out of time order: Install must sort.
 		{At: 3 * units.Millisecond, Op: OpRestore},
 		{At: units.Millisecond, Op: OpDown},
 		{At: 5 * units.Millisecond, Op: OpDown},
+		// Equal times keep schedule order: the restore is applied last.
+		{At: 7 * units.Millisecond, Op: OpDown},
+		{At: 7 * units.Millisecond, Op: OpRestore},
 	}
-	inj, err := Install(s, sched, resolve, tr)
-	if err != nil {
+	var order []Op
+	for _, e := range sched.Sorted() {
+		order = append(order, e.Op)
+	}
+	if want := []Op{OpDown, OpRestore, OpDown, OpDown, OpRestore}; !slices.Equal(order, want) {
+		t.Fatalf("Sorted ops %v, want %v", order, want)
+	}
+	if err := Install(s, sched, resolve); err != nil {
 		t.Fatal(err)
 	}
 
@@ -59,12 +67,9 @@ func TestInjectorAppliesScheduleInOrder(t *testing.T) {
 	if !up.Down() || !down.Down() {
 		t.Fatal("both directions should be down again at t=6ms")
 	}
-	// 3 events x 2 directions.
-	if inj.Applied() != 6 {
-		t.Fatalf("Applied() = %d, want 6", inj.Applied())
-	}
-	if got := tr.Count(trace.LinkFault); got != 6 {
-		t.Fatalf("traced %d LinkFault events, want 6", got)
+	s.RunUntil(8 * units.Millisecond)
+	if up.Down() || down.Down() {
+		t.Fatal("both directions should be restored at t=8ms")
 	}
 }
 
@@ -84,7 +89,7 @@ func TestValidateRejectsBrokenEvents(t *testing.T) {
 func TestInstallRejectsUnknownLink(t *testing.T) {
 	s := eventsim.New()
 	_, _, resolve := pair(s)
-	_, err := Install(s, Schedule{{Leaf: 3, Spine: 9, Op: OpDown}}, resolve, nil)
+	err := Install(s, Schedule{{Leaf: 3, Spine: 9, Op: OpDown}}, resolve)
 	if err == nil || !strings.Contains(err.Error(), "no such link") {
 		t.Fatalf("Install accepted an unresolvable link: %v", err)
 	}
@@ -93,15 +98,10 @@ func TestInstallRejectsUnknownLink(t *testing.T) {
 func TestEmptyScheduleInstallsNothing(t *testing.T) {
 	s := eventsim.New()
 	_, _, resolve := pair(s)
-	inj, err := Install(s, nil, resolve, nil)
-	if err != nil {
+	if err := Install(s, nil, resolve); err != nil {
 		t.Fatal(err)
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("empty schedule left %d events pending", s.Pending())
-	}
-	s.Run()
-	if inj.Applied() != 0 {
-		t.Fatalf("empty schedule applied %d operations", inj.Applied())
 	}
 }

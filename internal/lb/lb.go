@@ -402,22 +402,3 @@ func (d *drill) Pick(_ *netem.Packet, ports []*netem.Port) int {
 	}
 	return best
 }
-
-// PacketShortestQueue returns a factory that sends every packet to the
-// instantaneous shortest queue — the idealised packet-level policy TLB
-// applies to short flows, exposed standalone for ablations.
-func PacketShortestQueue() Factory {
-	return func(_ *eventsim.Sim, rng *eventsim.RNG, _ []*netem.Port) Balancer {
-		return &psq{rng: rng}
-	}
-}
-
-type psq struct {
-	rng *eventsim.RNG
-}
-
-func (p *psq) Name() string { return "packet-sq" }
-
-func (p *psq) Pick(_ *netem.Packet, ports []*netem.Port) int {
-	return ShortestQueue(p.rng, ports)
-}

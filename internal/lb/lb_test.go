@@ -199,30 +199,15 @@ func TestShortestQueueBreaksTiesUniformly(t *testing.T) {
 	_ = s
 }
 
-func TestPacketShortestQueueFollowsLoadShifts(t *testing.T) {
-	b, ports, _ := newBal(t, PacketShortestQueue(), 3)
-	fill(ports, 0, 5)
-	fill(ports, 1, 5)
-	if got := b.Pick(dataPkt(netem.FlowID{Src: 1}, 1460), ports); got != 2 {
-		t.Fatalf("picked %d, want empty port 2", got)
-	}
-	fill(ports, 2, 20)
-	got := b.Pick(dataPkt(netem.FlowID{Src: 1}, 1460), ports)
-	if got == 2 {
-		t.Fatal("still picking the now-longest queue")
-	}
-}
-
 func TestSchemeNames(t *testing.T) {
 	s := eventsim.New()
 	ports := testPorts(s, 2)
 	for name, f := range map[string]Factory{
-		"ecmp":      ECMP(),
-		"rps":       RPS(),
-		"presto":    Presto(),
-		"letflow":   LetFlow(LetFlowGap),
-		"drill":     DRILL(),
-		"packet-sq": PacketShortestQueue(),
+		"ecmp":    ECMP(),
+		"rps":     RPS(),
+		"presto":  Presto(),
+		"letflow": LetFlow(LetFlowGap),
+		"drill":   DRILL(),
 	} {
 		b := f(s, eventsim.NewRNG(1), ports)
 		if b.Name() != name {

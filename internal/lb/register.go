@@ -53,9 +53,4 @@ func init() {
 		Doc:   "bandwidth-weighted static flow hashing",
 		Build: func(Args, Env) Factory { return WCMP() },
 	})
-	Register(Registration{
-		Name:  "packet-sq",
-		Doc:   "every packet to the instantaneous shortest queue",
-		Build: func(Args, Env) Factory { return PacketShortestQueue() },
-	})
 }

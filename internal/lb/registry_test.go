@@ -23,7 +23,7 @@ func TestNamesCoverBaselines(t *testing.T) {
 		got[n] = true
 	}
 	for _, want := range []string{"ecmp", "rps", "presto", "letflow", "drill",
-		"flowbender", "conga", "hermes", "wcmp", "packet-sq"} {
+		"flowbender", "conga", "hermes", "wcmp"} {
 		if !got[want] {
 			t.Errorf("registry missing %q (have %v)", want, names)
 		}

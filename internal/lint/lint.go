@@ -171,7 +171,7 @@ func enforcedInTests(rule string) bool { return ruleTable[rule].InTests }
 var simPackages = map[string]bool{
 	"eventsim": true, "netem": true, "transport": true, "core": true,
 	"lb": true, "model": true, "workload": true, "topology": true,
-	"trace": true, "stats": true, "units": true, "faults": true,
+	"stats": true, "units": true, "faults": true,
 	"spec": true, "sim": true, "report": true, "serve": true,
 }
 

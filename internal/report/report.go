@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"tlb/internal/sim"
-	"tlb/internal/trace"
 	"tlb/internal/units"
 )
 
@@ -30,9 +29,6 @@ type Item struct {
 	Result *sim.Result
 	// Err is the run's failure, if any.
 	Err error
-	// Faults holds the run's recorded trace.LinkFault events for the
-	// timeline section (optional).
-	Faults []trace.Event
 }
 
 // Campaign is the input of one report: a titled list of runs, rendered
@@ -251,39 +247,27 @@ func queueSection(b *strings.Builder, c Campaign) {
 	b.WriteString("</svg>\n</section>\n")
 }
 
-// faultSection draws one lane per run that recorded trace.LinkFault
-// events, with a marker at each event's time.
+// faultSection draws one lane per run whose Result lists fault
+// events, with a marker at each link event's time.
 func faultSection(b *strings.Builder, c Campaign) {
 	fmt.Fprintf(b, "<section id=%q>\n<h2>Fault timeline</h2>\n", IDFaults)
 	type lane struct {
-		label  string
-		events []trace.Event
-		end    units.Time
-		col    string
+		label string
+		res   *sim.Result
+		col   string
 	}
 	var lanes []lane
 	var maxEnd units.Time
 	for i, it := range c.Items {
-		var evs []trace.Event
-		for _, e := range it.Faults {
-			if e.Kind == trace.LinkFault {
-				evs = append(evs, e)
-			}
-		}
-		if len(evs) == 0 {
+		if it.Result == nil || len(it.Result.Faults) == 0 {
 			continue
 		}
-		end := evs[len(evs)-1].At
-		if it.Result != nil && it.Result.EndTime > end {
-			end = it.Result.EndTime
-		}
-		if end > maxEnd {
-			maxEnd = end
-		}
-		lanes = append(lanes, lane{label: it.Scenario + "/" + it.Scheme, events: evs, end: end, col: color(i)})
+		// A run reaches only the events at or before its end.
+		maxEnd = max(maxEnd, it.Result.EndTime)
+		lanes = append(lanes, lane{label: it.Scenario + "/" + it.Scheme, res: it.Result, col: color(i)})
 	}
 	if len(lanes) == 0 {
-		b.WriteString("<p class=\"empty\">no fault events recorded</p>\n</section>\n")
+		b.WriteString("<p class=\"empty\">no run reached a fault event</p>\n</section>\n")
 		return
 	}
 	const (
@@ -297,13 +281,13 @@ func faultSection(b *strings.Builder, c Campaign) {
 		y := 14 + laneH*float64(li)
 		fmt.Fprintf(b, "<text x=\"%.0f\" y=\"%.1f\" font-size=\"11\" text-anchor=\"end\">%s</text>\n", left-8, y+4, html.EscapeString(ln.label))
 		fmt.Fprintf(b, "<line x1=\"%.0f\" y1=\"%.1f\" x2=\"%.0f\" y2=\"%.1f\" stroke=\"#e5e7eb\"/>\n", left, y, left+w, y)
-		for _, e := range ln.events {
+		for _, e := range ln.res.Faults {
 			x := left
 			if maxEnd > 0 {
 				x += w * float64(e.At) / float64(maxEnd)
 			}
-			fmt.Fprintf(b, "<circle cx=\"%.2f\" cy=\"%.1f\" r=\"4\" fill=\"%s\"><title>%s %s %s</title></circle>\n",
-				x, y, ln.col, e.At, html.EscapeString(e.Where), html.EscapeString(e.Note))
+			fmt.Fprintf(b, "<circle cx=\"%.2f\" cy=\"%.1f\" r=\"4\" fill=\"%s\"><title>%s</title></circle>\n",
+				x, y, ln.col, html.EscapeString(e.String()))
 		}
 	}
 	fmt.Fprintf(b, "<text x=\"%.0f\" y=\"%.0f\" font-size=\"9\" text-anchor=\"middle\">0</text>\n", left, height-8)

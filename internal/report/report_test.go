@@ -14,7 +14,6 @@ import (
 	"tlb/internal/netem"
 	"tlb/internal/sim"
 	"tlb/internal/topology"
-	"tlb/internal/trace"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
@@ -42,20 +41,17 @@ func runItem(t *testing.T, name, scheme string, faulted bool) Item {
 		StopWhenDone: true,
 		MaxTime:      units.Second,
 	}
-	var tr *trace.Tracer
 	if faulted {
 		sc.Faults = faults.Schedule{
 			{At: 200 * units.Microsecond, Op: faults.OpDown},
 			{At: 2 * units.Millisecond, Op: faults.OpRestore},
 		}
-		tr = trace.New(0).WithFilter(trace.Filter{Kinds: []trace.EventKind{trace.LinkFault}})
-		sc.Tracer = tr
 	}
 	res, err := sim.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Item{Scenario: name, Scheme: scheme, Result: res, Faults: tr.Events()}
+	return Item{Scenario: name, Scheme: scheme, Result: res}
 }
 
 func testCampaign(t *testing.T) Campaign {
@@ -79,7 +75,8 @@ func TestHTMLDeterministic(t *testing.T) {
 }
 
 func TestHTMLSelfContained(t *testing.T) {
-	doc := string(HTML(testCampaign(t)))
+	c := testCampaign(t)
+	doc := string(HTML(c))
 	if !strings.HasPrefix(doc, "<!DOCTYPE html>") {
 		t.Fatal("missing doctype")
 	}
@@ -105,17 +102,23 @@ func TestHTMLSelfContained(t *testing.T) {
 	if !strings.Contains(doc, "has no flows") {
 		t.Fatal("failed item's error missing from summary")
 	}
-	// The faulted run produced a timeline (down + restore markers).
-	if strings.Count(doc, "<circle") < 2 {
-		t.Fatal("fault timeline markers missing")
+	// The faulted run outlasts its down and restore: one marker each,
+	// titled with the event.
+	for _, title := range []string{"<title>200µs leaf0&lt;-&gt;spine0 down</title>", "<title>2ms leaf0&lt;-&gt;spine0 restore</title>"} {
+		if strings.Count(doc, title) != 1 {
+			t.Errorf("fault timeline: want one marker titled %q", title)
+		}
+	}
+	if n := strings.Count(doc, "<circle"); n != 2 {
+		t.Errorf("%d fault timeline markers, want 2", n)
 	}
 }
 
 func TestHTMLNoFaults(t *testing.T) {
 	c := Campaign{Items: []Item{runItem(t, "healthy", "ecmp", false)}}
 	doc := string(HTML(c))
-	if !strings.Contains(doc, "no fault events recorded") {
-		t.Fatal("fault section should state that no events were recorded")
+	if !strings.Contains(doc, "no run reached a fault event") {
+		t.Fatal("fault section should state that no run reached a fault event")
 	}
 }
 

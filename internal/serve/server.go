@@ -32,7 +32,6 @@ import (
 	"tlb/internal/report"
 	"tlb/internal/sim"
 	"tlb/internal/spec"
-	"tlb/internal/trace"
 	"tlb/internal/units"
 )
 
@@ -67,10 +66,9 @@ type Server struct {
 // the sweep handle for cancel, pre-rendered SSE frames for replay,
 // and the per-spec results for the report.
 type run struct {
-	id      string
-	specs   []*spec.Spec
-	tracers []*trace.Tracer
-	sweep   *sim.Sweep
+	id    string
+	specs []*spec.Spec
+	sweep *sim.Sweep
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -190,19 +188,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	scenarios := make([]sim.Scenario, len(specs))
-	tracers := make([]*trace.Tracer, len(specs))
 	for i, sp := range specs {
-		sc, err := sp.Compile()
-		if err != nil {
+		if scenarios[i], err = sp.Compile(); err != nil {
 			http.Error(w, fmt.Sprintf("specs[%d]: %v", i, err), http.StatusBadRequest)
 			return
 		}
-		// A reported faulted run also records its fault timeline.
-		if sp.Outputs.Report && len(sp.Faults) > 0 {
-			tracers[i] = trace.New(0).WithFilter(trace.Filter{Kinds: []trace.EventKind{trace.LinkFault}})
-			sc.Tracer = tracers[i]
-		}
-		scenarios[i] = sc
 	}
 
 	s.mu.Lock()
@@ -220,7 +210,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	for _, sp := range specs {
 		sp.RunID = id // echoed in status, events and report rows
 	}
-	rn := &run{id: id, specs: specs, tracers: tracers}
+	rn := &run{id: id, specs: specs}
 	rn.cond = sync.NewCond(&rn.mu)
 	rn.sweep = sim.NewSweep(scenarios, sim.SweepOptions{
 		Workers:       s.opt.Workers,
@@ -410,7 +400,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			Scenario: sp.Name,
 			Scheme:   sp.Scheme.Label,
 			Err:      errAt[i],
-			Faults:   rn.tracers[i].Events(),
 		}
 		if item.Scheme == "" {
 			item.Scheme = sp.Scheme.Name

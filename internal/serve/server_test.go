@@ -224,6 +224,13 @@ func TestServeSmoke(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("report status %d: %s", resp.StatusCode, doc)
 	}
+	// The quickstart run outlasts its link's down and restore, and the
+	// report draws one marker for each, as tlbsim -report does.
+	for _, op := range []string{"down", "restore"} {
+		if n := bytes.Count(doc, []byte(" "+op+"</title>")); n != 1 {
+			t.Errorf("report shows %d %s markers, want 1", n, op)
+		}
+	}
 	got := report.Skeleton(doc)
 	golden := filepath.Join("testdata", "report_skeleton.golden")
 	if *update {

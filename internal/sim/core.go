@@ -9,7 +9,6 @@ import (
 	"tlb/internal/netem"
 	"tlb/internal/stats"
 	"tlb/internal/topology"
-	"tlb/internal/trace"
 	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
@@ -119,7 +118,7 @@ func newCore(sc *Scenario) (*runCore, error) {
 		if !ok {
 			return nil, fmt.Errorf("sim: scenario %q: fault schedule needs a *topology.Fabric to resolve links on, got %T", sc.Name, net)
 		}
-		if _, err := faults.Install(c.sim, sc.Faults, fab.LinkPorts, sc.Tracer); err != nil {
+		if err := faults.Install(c.sim, sc.Faults, fab.LinkPorts); err != nil {
 			return nil, fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
 		}
 	}
@@ -287,15 +286,6 @@ func (c *runCore) openFlow(i int, f workload.Flow) {
 	snd.Stats.Deadline = f.Deadline
 	c.hookSamples(snd.Receiver(), short)
 	c.logOpen(short, snd.Stats)
-	if sc.Tracer != nil {
-		// Record is nil-safe; the guard is for the note, which would
-		// otherwise be formatted — and allocated — per flow with nobody
-		// to read it.
-		sc.Tracer.Record(trace.Event{
-			At: c.sim.Now(), Kind: trace.FlowStart, Flow: id,
-			Note: f.Size.String(),
-		})
-	}
 	c.started++
 	snd.Start()
 }
@@ -303,15 +293,8 @@ func (c *runCore) openFlow(i int, f workload.Flow) {
 // flowFinished is every plain flow's done callback: the receiver closes
 // after the teardown lag and the fold is synchronous.
 func (c *runCore) flowFinished(done *transport.Sender) {
-	sc := c.sc
 	now := c.sim.Now()
 	c.hosts[done.ID().Dst].CloseReceiverAt(now, c.closeLag, done.Receiver())
-	if sc.Tracer != nil {
-		sc.Tracer.Record(trace.Event{
-			At: now, Kind: trace.FlowEnd, Flow: done.ID(),
-			Note: fmt.Sprintf("fct=%v retx=%d", done.Stats.FCT(), done.Stats.Retransmits),
-		})
-	}
 	// Under StreamStats this is fold and forget: the host already
 	// released the sender, so nothing retains the record.
 	c.agg.Fold(done.Stats, done.Size() <= ShortThreshold, now)
@@ -344,23 +327,11 @@ func (c *runCore) openReplicated(idx int, f workload.Flow) {
 			*canonical = *done.Stats
 			canonical.ID = flow
 			canonical.Deadline = f.Deadline
-			if sc.Tracer != nil {
-				sc.Tracer.Record(trace.Event{
-					At: c.sim.Now(), Kind: trace.FlowEnd, Flow: flow,
-					Note: fmt.Sprintf("repflow winner fct=%v", done.Stats.FCT()),
-				})
-			}
 			c.agg.Fold(canonical, short, c.sim.Now())
 			c.flowDone()
 		})
 		snd.Stats.Deadline = f.Deadline
 		snd.Start()
-	}
-	if sc.Tracer != nil {
-		sc.Tracer.Record(trace.Event{
-			At: c.sim.Now(), Kind: trace.FlowStart, Flow: flow,
-			Note: fmt.Sprintf("%v x%d replicas", f.Size, copies),
-		})
 	}
 	c.started++
 }
@@ -477,6 +448,11 @@ func assemble(sc *Scenario, c *runCore, endTime units.Time) (*Result, error) {
 	res.Drops = c.net.Drops()
 	c.net.EveryQueue(func(_ string, q *netem.Queue) { res.FaultDrops += q.Stats().FaultDropped })
 	res.Uplinks = c.uplinks()
+	for _, e := range sc.Faults.Sorted() {
+		if e.At <= endTime {
+			res.Faults = append(res.Faults, e)
+		}
+	}
 	return res, nil
 }
 

@@ -20,16 +20,17 @@ import (
 // bound sits between. The run drains its queue, so the insert counters
 // must also account for every event exactly once.
 func TestEngineCountersDenseFabric(t *testing.T) {
-	flows, err := workload.InterPodConfig{
+	src, err := workload.InterPodConfig{
 		Hosts:  128,
 		PerPod: 16,
 		Flows:  3000,
 		Sizes:  workload.Uniform{MinSize: 2 * units.KB, MaxSize: 32 * units.KB},
 		MaxGap: 2400,
-	}.Generate(eventsim.NewRNG(11))
+	}.Source(eventsim.NewRNG(11))
 	if err != nil {
 		t.Fatal(err)
 	}
+	flows := workload.Collect(src)
 	sc := Scenario{
 		Name:       "dense-fabric",
 		Topology:   smallFatTree(8),

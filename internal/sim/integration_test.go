@@ -11,7 +11,6 @@ import (
 	"tlb/internal/lb"
 	"tlb/internal/netem"
 	"tlb/internal/topology"
-	"tlb/internal/trace"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
@@ -489,40 +488,51 @@ func TestIncastScenario(t *testing.T) {
 	}
 }
 
-// TestTracerRecordsFlowLifecycle wires a tracer through a run.
-func TestTracerRecordsFlowLifecycle(t *testing.T) {
-	tr := trace.New(0)
-	_, err := Run(Scenario{
-		Name: "traced", Topology: smallTopo(),
-		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 2,
-		Flows: []workload.Flow{
-			{Src: 0, Dst: 4, Size: 20 * units.KB, Start: 0},
-			{Src: 1, Dst: 5, Size: 30 * units.KB, Start: units.Millisecond},
-		},
-		Tracer:       tr,
-		StopWhenDone: true, MaxTime: 10 * units.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Count(trace.FlowStart) != 2 || tr.Count(trace.FlowEnd) != 2 {
-		t.Fatalf("starts=%d ends=%d, want 2/2", tr.Count(trace.FlowStart), tr.Count(trace.FlowEnd))
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("%d events", len(evs))
-	}
-	// Starts precede ends per flow.
-	seenStart := map[netem.FlowID]bool{}
-	for _, e := range evs {
-		switch e.Kind {
-		case trace.FlowStart:
-			seenStart[e.Flow] = true
-		case trace.FlowEnd:
-			if !seenStart[e.Flow] {
-				t.Fatal("flow ended before starting")
-			}
+// TestResultFaultsAreTheReachedTimeline: Result.Faults lists the
+// scheduled fault events the run reached, sorted the way they were
+// applied. A run StopWhenDone ends between the down and the restore
+// lists the down only; one that outlasts both lists both, whatever the
+// schedule's order; streamed and record-mode runs list the same.
+func TestResultFaultsAreTheReachedTimeline(t *testing.T) {
+	down := faults.Event{At: 50 * units.Microsecond, Spine: 1, Op: faults.OpDown}
+	restore := faults.Event{At: 400 * units.Microsecond, Spine: 1, Op: faults.OpRestore}
+	run := func(restoreAt units.Time, streamed bool) *Result {
+		t.Helper()
+		r := restore
+		r.At = restoreAt
+		res, err := Run(Scenario{
+			Name: "faulted", Topology: smallTopo(),
+			// RPS routes leaf 0's data around the down uplink.
+			Balancer: lb.RPS(), SchemeName: "rps", Seed: 2,
+			Flows:        []workload.Flow{{Src: 0, Dst: 4, Size: 200 * units.KB}},
+			Faults:       faults.Schedule{r, down},
+			StreamStats:  streamed,
+			StopWhenDone: true, MaxTime: 10 * units.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if res.CompletedCount(AllFlows) != 1 {
+			t.Fatal("the flow did not complete")
+		}
+		return res
+	}
+	early := run(5*units.Second, false)
+	if early.EndTime <= down.At || early.EndTime >= 5*units.Second {
+		t.Fatalf("run ended at %v, not between the down and the restore", early.EndTime)
+	}
+	if want := []faults.Event{down}; !reflect.DeepEqual(early.Faults, want) {
+		t.Errorf("run ended before the restore: Faults %v, want %v", early.Faults, want)
+	}
+	both := run(restore.At, false)
+	if both.EndTime <= restore.At {
+		t.Fatalf("run ended at %v, before the restore", both.EndTime)
+	}
+	if want := []faults.Event{down, restore}; !reflect.DeepEqual(both.Faults, want) {
+		t.Errorf("run outlasted both events: Faults %v, want %v", both.Faults, want)
+	}
+	if streamed := run(restore.At, true); !reflect.DeepEqual(streamed.Faults, both.Faults) {
+		t.Errorf("StreamStats run: Faults %v, record mode %v", streamed.Faults, both.Faults)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"tlb/internal/netem"
 	"tlb/internal/stats"
 	"tlb/internal/topology"
-	"tlb/internal/trace"
 	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
@@ -105,12 +104,6 @@ type Scenario struct {
 	// resolve).
 	Faults faults.Schedule
 
-	// Tracer, when non-nil, records flow lifecycle and retransmission
-	// events for post-run inspection (see internal/trace). Packet-level
-	// events are not recorded by the runner — they would dominate the
-	// run; use the tracer's filters with custom hooks for those.
-	Tracer *trace.Tracer
-
 	// BuildNetwork is the wrapping seam: when set, the run drives
 	// traffic through the network it returns instead of calling
 	// topology.New(Topology) itself, so an instrumented caller can
@@ -175,6 +168,12 @@ type Result struct {
 	// FaultDrops counts packets dropped at down ports anywhere in the
 	// fabric (admission drops of the fault injector, not buffer drops).
 	FaultDrops int64
+	// Faults is the run's fault timeline: the events of
+	// Scenario.Faults the run reached (At <= EndTime), in the order they
+	// were applied (faults.Schedule.Sorted). Fault events are armed
+	// before the workload, so at any instant they fire before a
+	// completion that could end the run.
+	Faults []faults.Event
 
 	// Uplinks snapshots every leaf uplink port (the equal-cost paths).
 	Uplinks []PortSnapshot

@@ -79,7 +79,6 @@ func TestAllSchemesCompleteMixedWorkload(t *testing.T) {
 		{"presto", lb.Presto()},
 		{"letflow", lb.LetFlow(lb.LetFlowGap)},
 		{"drill", lb.DRILL()},
-		{"packet-sq", lb.PacketShortestQueue()},
 	}
 	for _, scheme := range schemes {
 		scheme := scheme

@@ -9,6 +9,7 @@ import (
 	"tlb/internal/eventsim"
 	"tlb/internal/lb"
 	"tlb/internal/stats"
+	"tlb/internal/topology"
 	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
@@ -20,23 +21,28 @@ import (
 func streamTestFlows(t *testing.T, n int) []workload.Flow {
 	t.Helper()
 	topo := smallTopo()
-	cfg := workload.PoissonConfig{
-		Hosts:         topo.Hosts(),
-		Sizes:         workload.Uniform{MinSize: 4 * units.KB, MaxSize: 200 * units.KB},
-		Load:          0.4,
-		HostBandwidth: topo.HostLink.Bandwidth,
-		Deadlines: workload.DeadlineDist{
-			Min: units.Millisecond, Max: 10 * units.Millisecond,
-			OnlyBelow: 100 * units.KB,
-		},
-		CrossLeafOnly: true,
-		LeafOf:        func(h int) int { return h / topo.HostsPerLeaf },
+	cfg := streamTestPoisson(topo)
+	cfg.Deadlines = workload.DeadlineDist{
+		Min: units.Millisecond, Max: 10 * units.Millisecond,
+		OnlyBelow: 100 * units.KB,
 	}
-	flows, err := cfg.Generate(eventsim.NewRNG(99), n, 0)
+	src, err := cfg.Source(eventsim.NewRNG(99), n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return flows
+	return workload.Collect(src)
+}
+
+// streamTestPoisson is cross-leaf Poisson traffic at 40 % of the host
+// links' capacity.
+func streamTestPoisson(topo topology.Config) workload.PoissonConfig {
+	sizes := workload.Uniform{MinSize: 4 * units.KB, MaxSize: 200 * units.KB}
+	return workload.PoissonConfig{
+		Hosts:  topo.Hosts(),
+		Sizes:  sizes,
+		Rate:   0.4 * topo.HostLink.Bandwidth.BytesPerSecond() * float64(topo.Hosts()) / sizes.Mean(),
+		LeafOf: func(h int) int { return h / topo.HostsPerLeaf },
+	}
 }
 
 func streamTestScenario(flows []workload.Flow, maxTime units.Time) Scenario {
@@ -248,19 +254,12 @@ func TestStreamStatsMatchesRecordsWithUnfinished(t *testing.T) {
 // so they must produce the same Result to the last field — streamed,
 // with records kept, and with replication.
 func TestFlowSourceMatchesSlice(t *testing.T) {
-	topo := smallTopo()
-	cfg := workload.PoissonConfig{
-		Hosts:         topo.Hosts(),
-		Sizes:         workload.Uniform{MinSize: 4 * units.KB, MaxSize: 200 * units.KB},
-		Load:          0.4,
-		HostBandwidth: topo.HostLink.Bandwidth,
-		CrossLeafOnly: true,
-		LeafOf:        func(h int) int { return h / topo.HostsPerLeaf },
-	}
-	flows, err := cfg.Generate(eventsim.NewRNG(5), 300, 0)
+	cfg := streamTestPoisson(smallTopo())
+	src, err := cfg.Source(eventsim.NewRNG(5), 300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	flows := workload.Collect(src)
 	for _, mode := range []struct {
 		name string
 		set  func(*Scenario)

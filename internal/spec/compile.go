@@ -170,7 +170,7 @@ func (s *Spec) compile(materialize bool) (sim.Scenario, error) {
 		if topo.K != 0 {
 			c.errf("faults", "fault schedules address leaf-spine links and cannot apply to a fattree topology")
 		}
-		sc.Faults = s.compileFaults(c)
+		sc.Faults = s.compileFaults(c, topo)
 	}
 
 	if s.Replication != nil {
@@ -439,12 +439,11 @@ func (s *Spec) compilePoisson(c *checker, topo topology.Config, wseed uint64, ma
 	// the large-scale experiments define it.
 	fabricCapacity := float64(topo.Leaves) * float64(topo.Spines) * topo.FabricLink.Bandwidth.BytesPerSecond()
 	pc := workload.PoissonConfig{
-		Hosts:         topo.Hosts(),
-		Sizes:         sizes,
-		RateOverride:  w.Load * fabricCapacity / sizes.Mean(),
-		Deadlines:     deadlines,
-		CrossLeafOnly: true,
-		LeafOf:        func(h int) int { return h / hostsPerLeaf },
+		Hosts:     topo.Hosts(),
+		Sizes:     sizes,
+		Rate:      w.Load * fabricCapacity / sizes.Mean(),
+		Deadlines: deadlines,
+		LeafOf:    func(h int) int { return h / hostsPerLeaf },
 	}
 	flows := w.Flows
 	return nil, s.sourceFactory(c, "workload", func() (workload.Source, error) {
@@ -628,7 +627,9 @@ var faultOps = []struct {
 	{"restore", faults.OpRestore},
 }
 
-func (s *Spec) compileFaults(c *checker) faults.Schedule {
+// compileFaults lowers the schedule, checking each event's link against
+// the leaf-spine topology (a fat-tree is rejected by the caller).
+func (s *Spec) compileFaults(c *checker, topo topology.Config) faults.Schedule {
 	sched := make(faults.Schedule, 0, len(s.Faults))
 	for i, f := range s.Faults {
 		path := fmt.Sprintf("faults[%d]", i)
@@ -636,6 +637,14 @@ func (s *Spec) compileFaults(c *checker) faults.Schedule {
 			At:    c.dur(path+".at", f.At),
 			Leaf:  f.Leaf,
 			Spine: f.Spine,
+		}
+		if topo.K == 0 {
+			if f.Leaf < 0 || f.Leaf >= topo.Leaves {
+				c.errf(path+".leaf", "leaf %d out of range [0, %d)", f.Leaf, topo.Leaves)
+			}
+			if f.Spine < 0 || f.Spine >= topo.Spines {
+				c.errf(path+".spine", "spine %d out of range [0, %d)", f.Spine, topo.Spines)
+			}
 		}
 		opOK := false
 		for _, o := range faultOps {
@@ -648,9 +657,6 @@ func (s *Spec) compileFaults(c *checker) faults.Schedule {
 			c.errf(path+".op", "unknown op %q (valid: down, restore)", f.Op)
 		}
 		sched = append(sched, e)
-	}
-	if err := sched.Validate(); err != nil {
-		c.errf("faults", "%v", err)
 	}
 	return sched
 }

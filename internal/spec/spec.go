@@ -316,8 +316,7 @@ type Outputs struct {
 	// collectTimeSeries and replication.
 	StreamStats bool `json:"streamStats,omitempty"`
 	// Report includes this run in the self-contained HTML report the
-	// serve layer (and examples/serve) renders. Compile ignores it; a
-	// faulted leaf-spine run with report set also records its
-	// trace.LinkFault timeline for the report's fault section.
+	// serve layer (and examples/serve) renders; a campaign where no spec
+	// sets it reports every run. Compile ignores it.
 	Report bool `json:"report,omitempty"`
 }

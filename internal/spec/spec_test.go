@@ -10,7 +10,6 @@ import (
 	"tlb/internal/eventsim"
 	"tlb/internal/faults"
 	"tlb/internal/sim"
-	"tlb/internal/trace"
 	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
@@ -107,20 +106,20 @@ func TestCompilePoissonMatchesPoissonConfig(t *testing.T) {
 	}
 	sizes := workload.Truncated{Dist: workload.WebSearch(), Max: 20 * units.MB}
 	fabricCapacity := float64(2) * float64(4) * units.Gbps.BytesPerSecond()
-	want, err := workload.PoissonConfig{
-		Hosts:        8,
-		Sizes:        sizes,
-		RateOverride: 0.5 * fabricCapacity / sizes.Mean(),
+	src, err := workload.PoissonConfig{
+		Hosts: 8,
+		Sizes: sizes,
+		Rate:  0.5 * fabricCapacity / sizes.Mean(),
 		Deadlines: workload.DeadlineDist{
 			Min: 5 * units.Millisecond, Max: 25 * units.Millisecond,
 			OnlyBelow: 100 * units.KB,
 		},
-		CrossLeafOnly: true,
-		LeafOf:        func(h int) int { return h / 4 },
-	}.Generate(eventsim.NewRNG(43), 50, 0)
+		LeafOf: func(h int) int { return h / 4 },
+	}.Source(eventsim.NewRNG(43), 50, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := workload.Collect(src)
 	if sc.Flows != nil || sc.FlowSourceNew == nil {
 		t.Fatalf("poisson compiles to a source only: Flows %v factory %v", sc.Flows, sc.FlowSourceNew != nil)
 	}
@@ -347,6 +346,8 @@ func TestSilentlyIgnoredInputRejected(t *testing.T) {
 		{"workload.deadlines.min", func(s *Spec) { s.Workload.Deadlines.Min = "-5ms" }},
 		{"replication.threshold", func(s *Spec) { s.Replication = &Replication{Threshold: "-100KB", Copies: 2} }},
 		{"faults[0].at", func(s *Spec) { s.Faults = []Fault{{At: "-1s", Op: "down"}} }},
+		{"faults[1].leaf", func(s *Spec) { s.Faults = []Fault{{Op: "down"}, {Leaf: 2, Op: "restore"}} }},
+		{"faults[0].spine", func(s *Spec) { s.Faults = []Fault{{Spine: 4, Op: "down"}} }},
 		{"workload.interPod.deadlineBase", func(s *Spec) {
 			interpod(s)
 			s.Workload.InterPod.DeadlineBase = "-5ms"
@@ -871,9 +872,6 @@ func TestCapabilityMatrix(t *testing.T) {
 				sc, err := s.Compile()
 				if err != nil {
 					t.Fatalf("validated but did not compile: %v", err)
-				}
-				if s.Outputs.Report {
-					sc.Tracer = trace.New(0) // what a reported or -trace run carries
 				}
 				flows := len(sc.Flows)
 				if sc.FlowSourceNew != nil {

@@ -44,48 +44,19 @@ func (d DeadlineDist) Sample(rng *eventsim.RNG, size units.Bytes) units.Time {
 }
 
 // PoissonConfig drives the large-scale experiments' open-loop traffic:
-// flows arrive as a Poisson process between random distinct host
-// pairs, sized from a distribution, at a target load on the host links.
+// flows arrive as a Poisson process at a fixed rate between random
+// distinct host pairs, sized from a distribution.
 type PoissonConfig struct {
 	Hosts int
 	Sizes SizeDist
-	// Load is the target utilization of each host's access link
-	// (0.1–0.8 in the paper's sweeps).
-	Load float64
-	// HostBandwidth is the access-link rate the load is relative to.
-	HostBandwidth units.Bandwidth
-	// RateOverride, when > 0, sets the flow arrival rate (flows per
-	// second) directly, bypassing the Load/HostBandwidth computation —
-	// used when load is defined against fabric capacity instead.
-	RateOverride float64
-	Deadlines    DeadlineDist
-	// CrossLeafOnly, with LeafOf set, forces src and dst onto
-	// different leaves so every flow crosses the fabric.
-	CrossLeafOnly bool
-	LeafOf        func(host int) int
-}
-
-// Rate returns the aggregate flow arrival rate (flows/second) implied
-// by the target load: load * C * hosts / mean size.
-func (c PoissonConfig) Rate() float64 {
-	if c.RateOverride > 0 {
-		return c.RateOverride
-	}
-	if c.Sizes.Mean() <= 0 {
-		return 0
-	}
-	return c.Load * c.HostBandwidth.BytesPerSecond() * float64(c.Hosts) / c.Sizes.Mean()
-}
-
-// Generate produces n flows with Poisson interarrivals starting at
-// time start. It drains the lazy Source, so eager and streaming
-// callers see one draw sequence by construction.
-func (c PoissonConfig) Generate(rng *eventsim.RNG, n int, start units.Time) ([]Flow, error) {
-	src, err := c.Source(rng, n, start)
-	if err != nil {
-		return nil, err
-	}
-	return Collect(src), nil
+	// Rate is the aggregate flow arrival rate, in flows per second (the
+	// spec layer derives it from a target load on the fabric).
+	Rate      float64
+	Deadlines DeadlineDist
+	// LeafOf, when set, maps a host to its leaf, and src and dst are
+	// drawn on different leaves so every flow crosses the fabric; nil
+	// means any distinct pair.
+	LeafOf func(host int) int
 }
 
 func (c PoissonConfig) pickPair(rng *eventsim.RNG) (src, dst int) {
@@ -95,7 +66,7 @@ func (c PoissonConfig) pickPair(rng *eventsim.RNG) (src, dst int) {
 		if src == dst {
 			continue
 		}
-		if c.CrossLeafOnly && c.LeafOf != nil && c.LeafOf(src) == c.LeafOf(dst) {
+		if c.LeafOf != nil && c.LeafOf(src) == c.LeafOf(dst) {
 			continue
 		}
 		return src, dst

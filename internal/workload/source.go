@@ -37,9 +37,8 @@ func (s *SliceSource) Next() (Flow, bool) {
 	return f, true
 }
 
-// Collect drains a source into a slice — the materializing path the
-// eager Generate methods are built from, so lazy and eager generation
-// share one draw sequence by construction.
+// Collect drains a source into a slice, for a caller that wants the
+// whole workload at once.
 func Collect(src Source) []Flow {
 	var out []Flow
 	for {
@@ -51,30 +50,24 @@ func Collect(src Source) []Flow {
 	}
 }
 
-// poissonSource yields PoissonConfig's flows lazily with the exact
-// draw order of the historical eager loop: gap, pair, size, deadline.
+// poissonSource yields PoissonConfig's flows lazily, drawing each
+// flow's gap, pair, size and deadline in that order.
 type poissonSource struct {
 	cfg  PoissonConfig
 	rng  *eventsim.RNG
-	rate float64
 	at   units.Time
 	left int
 }
 
-// Source returns a lazy generator for n flows starting at start,
-// consuming rng with the same draw sequence as Generate.
+// Source returns a lazy generator for n flows starting at start.
 func (c PoissonConfig) Source(rng *eventsim.RNG, n int, start units.Time) (Source, error) {
 	if c.Hosts < 2 {
 		return nil, fmt.Errorf("workload: poisson traffic needs >= 2 hosts, got %d", c.Hosts)
 	}
-	if c.RateOverride <= 0 && (c.Load <= 0 || c.HostBandwidth <= 0) {
-		return nil, fmt.Errorf("workload: poisson traffic needs positive load and bandwidth")
+	if !(c.Rate > 0) {
+		return nil, fmt.Errorf("workload: poisson traffic needs a positive arrival rate, got %v", c.Rate)
 	}
-	rate := c.Rate()
-	if rate <= 0 {
-		return nil, fmt.Errorf("workload: degenerate arrival rate")
-	}
-	if c.CrossLeafOnly && c.LeafOf != nil {
+	if c.LeafOf != nil {
 		// pickPair redraws until src and dst differ in leaf: with every
 		// host on one leaf it would never return.
 		oneLeaf := true
@@ -85,7 +78,7 @@ func (c PoissonConfig) Source(rng *eventsim.RNG, n int, start units.Time) (Sourc
 			return nil, fmt.Errorf("workload: cross-leaf poisson traffic needs >= 2 leaves, all %d hosts are on leaf %d", c.Hosts, c.LeafOf(0))
 		}
 	}
-	return &poissonSource{cfg: c, rng: rng, rate: rate, at: start, left: n}, nil
+	return &poissonSource{cfg: c, rng: rng, at: start, left: n}, nil
 }
 
 // Next draws one flow.
@@ -95,7 +88,7 @@ func (p *poissonSource) Next() (Flow, bool) {
 	}
 	p.left--
 	c := p.cfg
-	gap := units.FromSeconds(p.rng.ExpFloat64() / p.rate)
+	gap := units.FromSeconds(p.rng.ExpFloat64() / c.Rate)
 	p.at += gap
 	src, dst := c.pickPair(p.rng)
 	size := c.Sizes.Sample(p.rng)
@@ -108,8 +101,7 @@ func (p *poissonSource) Next() (Flow, bool) {
 
 // InterPodConfig drives the fat-tree scale experiments: flows between
 // hosts in different pods, uniformly-jittered arrivals, optionally
-// deadlined. Extracted from the spec compiler's inline loop so the
-// same draw sequence is available lazily.
+// deadlined.
 type InterPodConfig struct {
 	// Hosts is the total host count; PerPod how many share a pod (src
 	// and dst are redrawn until they differ in pod).
@@ -136,8 +128,7 @@ type interPodSource struct {
 	left int
 }
 
-// Source returns a lazy generator consuming rng with the same draw
-// sequence as Generate (and as the spec compiler's historical loop).
+// Source returns a lazy generator for the configured flows.
 func (c InterPodConfig) Source(rng *eventsim.RNG) (Source, error) {
 	if c.Flows <= 0 {
 		return nil, fmt.Errorf("workload: interpod traffic needs a positive flow count, got %d", c.Flows)
@@ -149,15 +140,6 @@ func (c InterPodConfig) Source(rng *eventsim.RNG) (Source, error) {
 		return nil, fmt.Errorf("workload: interpod traffic needs a positive max arrival gap")
 	}
 	return &interPodSource{cfg: c, rng: rng, left: c.Flows}, nil
-}
-
-// Generate materializes the whole config eagerly.
-func (c InterPodConfig) Generate(rng *eventsim.RNG) ([]Flow, error) {
-	src, err := c.Source(rng)
-	if err != nil {
-		return nil, err
-	}
-	return Collect(src), nil
 }
 
 // Next draws one flow: gap, src, dst (redrawn until cross-pod), size,

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"tlb/internal/eventsim"
@@ -9,10 +10,9 @@ import (
 
 func testPoissonConfig() PoissonConfig {
 	return PoissonConfig{
-		Hosts:         16,
-		Sizes:         Uniform{MinSize: 4 * units.KB, MaxSize: 64 * units.KB},
-		Load:          0.5,
-		HostBandwidth: 10 * units.Gbps,
+		Hosts: 16,
+		Sizes: Uniform{MinSize: 4 * units.KB, MaxSize: 64 * units.KB},
+		Rate:  300_000,
 		Deadlines: DeadlineDist{
 			Min:       5 * units.Millisecond,
 			Max:       25 * units.Millisecond,
@@ -21,28 +21,35 @@ func testPoissonConfig() PoissonConfig {
 	}
 }
 
-// The lazy source and the eager Generate must consume the RNG
-// identically: same seed, same flows, flow for flow.
+// TestPoissonSourceMatchesGenerate: the source yields, flow for flow,
+// what a plain generation loop draws from the same seed — gap, pair
+// (both redrawn until distinct), size, deadline — and then stays
+// exhausted.
 func TestPoissonSourceMatchesGenerate(t *testing.T) {
 	cfg := testPoissonConfig()
-	want, err := cfg.Generate(eventsim.NewRNG(3), 500, 1*units.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := cfg.Source(eventsim.NewRNG(3), 500, 1*units.Millisecond)
+	src, err := cfg.Source(eventsim.NewRNG(3), 500, units.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := Collect(src)
-	if len(got) != len(want) {
-		t.Fatalf("%d flows, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("flow %d: %+v != %+v", i, got[i], want[i])
+	rng := eventsim.NewRNG(3)
+	at := units.Millisecond
+	var want []Flow
+	for i := 0; i < 500; i++ {
+		at += units.FromSeconds(rng.ExpFloat64() / cfg.Rate)
+		s, d := rng.Intn(cfg.Hosts), rng.Intn(cfg.Hosts)
+		for s == d {
+			s, d = rng.Intn(cfg.Hosts), rng.Intn(cfg.Hosts)
 		}
+		f := Flow{Src: s, Dst: d, Size: cfg.Sizes.Sample(rng), Start: at}
+		if dl := cfg.Deadlines.Sample(rng, f.Size); dl > 0 {
+			f.Deadline = at + dl
+		}
+		want = append(want, f)
 	}
-	// Exhausted source keeps returning false.
+	if !slices.Equal(got, want) {
+		t.Fatalf("source diverges from the generation loop (%d flows, want %d)", len(got), len(want))
+	}
 	if _, ok := src.Next(); ok {
 		t.Fatal("exhausted source yielded a flow")
 	}
@@ -73,12 +80,16 @@ func TestPoissonSourceValidation(t *testing.T) {
 		t.Fatal("no error for 1 host")
 	}
 	bad = testPoissonConfig()
-	bad.Load = 0
+	bad.Rate = 0
 	if _, err := bad.Source(eventsim.NewRNG(1), 10, 0); err == nil {
-		t.Fatal("no error for zero load")
+		t.Fatal("no error for zero rate")
 	}
 }
 
+// TestInterPodSourceMatchesGenerate: the source yields what a plain
+// generation loop draws from the same seed — gap, src, dst redrawn
+// until cross-pod, size, deadline for the flows at or below the
+// threshold.
 func TestInterPodSourceMatchesGenerate(t *testing.T) {
 	cfg := InterPodConfig{
 		Hosts:             64,
@@ -90,34 +101,28 @@ func TestInterPodSourceMatchesGenerate(t *testing.T) {
 		DeadlineJitter:    20 * units.Millisecond,
 		DeadlineOnlyBelow: 100 * units.KB,
 	}
-	want, err := cfg.Generate(eventsim.NewRNG(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != 400 {
-		t.Fatalf("%d flows", len(want))
-	}
 	src, err := cfg.Source(eventsim.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; ; i++ {
-		f, ok := src.Next()
-		if !ok {
-			if i != len(want) {
-				t.Fatalf("source ended at %d, want %d", i, len(want))
-			}
-			break
+	got := Collect(src)
+	rng := eventsim.NewRNG(7)
+	var at units.Time
+	var want []Flow
+	for i := 0; i < cfg.Flows; i++ {
+		at += units.Time(rng.Intn(int(cfg.MaxGap)))
+		s, d := rng.Intn(cfg.Hosts), rng.Intn(cfg.Hosts)
+		for d/cfg.PerPod == s/cfg.PerPod {
+			d = rng.Intn(cfg.Hosts)
 		}
-		if f != want[i] {
-			t.Fatalf("flow %d: %+v != %+v", i, f, want[i])
+		f := Flow{Src: s, Dst: d, Size: cfg.Sizes.Sample(rng), Start: at}
+		if f.Size <= cfg.DeadlineOnlyBelow {
+			f.Deadline = at + cfg.DeadlineBase + units.Time(rng.Intn(int(cfg.DeadlineJitter)))
 		}
-		if f.Src/cfg.PerPod == f.Dst/cfg.PerPod {
-			t.Fatalf("flow %d not cross-pod: %d -> %d", i, f.Src, f.Dst)
-		}
-		if f.Deadline == 0 && f.Size <= cfg.DeadlineOnlyBelow {
-			t.Fatalf("flow %d below threshold lacks deadline", i)
-		}
+		want = append(want, f)
+	}
+	if len(want) != 400 || !slices.Equal(got, want) {
+		t.Fatalf("source diverges from the generation loop (%d flows, want %d)", len(got), len(want))
 	}
 }
 

@@ -151,18 +151,18 @@ func TestFixedAndTruncated(t *testing.T) {
 }
 
 func TestPoissonGenerate(t *testing.T) {
-	rng := eventsim.NewRNG(7)
+	sizes := Uniform{MinSize: 10 * units.KB, MaxSize: 100 * units.KB}
 	pc := PoissonConfig{
-		Hosts:         16,
-		Sizes:         Uniform{MinSize: 10 * units.KB, MaxSize: 100 * units.KB},
-		Load:          0.5,
-		HostBandwidth: units.Gbps,
-		Deadlines:     DeadlineDist{Min: 5 * units.Millisecond, Max: 25 * units.Millisecond, OnlyBelow: 100 * units.KB},
+		Hosts:     16,
+		Sizes:     sizes,
+		Rate:      0.5 * units.Gbps.BytesPerSecond() * 16 / sizes.Mean(),
+		Deadlines: DeadlineDist{Min: 5 * units.Millisecond, Max: 25 * units.Millisecond, OnlyBelow: 100 * units.KB},
 	}
-	flows, err := pc.Generate(rng, 2000, 0)
+	src, err := pc.Source(eventsim.NewRNG(7), 2000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	flows := Collect(src)
 	if len(flows) != 2000 {
 		t.Fatalf("got %d flows", len(flows))
 	}
@@ -185,42 +185,37 @@ func TestPoissonGenerate(t *testing.T) {
 	// Empirical arrival rate should be close to the configured rate.
 	dur := flows[len(flows)-1].Start.Seconds()
 	gotRate := float64(len(flows)) / dur
-	if math.Abs(gotRate-pc.Rate())/pc.Rate() > 0.1 {
-		t.Fatalf("arrival rate %.0f vs configured %.0f", gotRate, pc.Rate())
+	if math.Abs(gotRate-pc.Rate)/pc.Rate > 0.1 {
+		t.Fatalf("arrival rate %.0f vs configured %.0f", gotRate, pc.Rate)
 	}
 }
 
 func TestPoissonCrossLeafOnly(t *testing.T) {
-	rng := eventsim.NewRNG(8)
 	leafOf := func(h int) int { return h / 4 }
-	pc := PoissonConfig{
-		Hosts: 16, Sizes: Fixed{Size: 10 * units.KB}, Load: 0.3,
-		HostBandwidth: units.Gbps, CrossLeafOnly: true, LeafOf: leafOf,
-	}
-	flows, err := pc.Generate(rng, 500, 0)
+	pc := PoissonConfig{Hosts: 16, Sizes: Fixed{Size: 10 * units.KB}, Rate: 50_000, LeafOf: leafOf}
+	src, err := pc.Source(eventsim.NewRNG(8), 500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range flows {
+	for _, f := range Collect(src) {
 		if leafOf(f.Src) == leafOf(f.Dst) {
-			t.Fatalf("intra-leaf flow %d->%d with CrossLeafOnly", f.Src, f.Dst)
+			t.Fatalf("intra-leaf flow %d->%d with LeafOf set", f.Src, f.Dst)
 		}
 	}
 }
 
 func TestPoissonValidation(t *testing.T) {
 	rng := eventsim.NewRNG(9)
-	if _, err := (PoissonConfig{Hosts: 1, Sizes: Fixed{Size: 1}, Load: 0.5, HostBandwidth: units.Gbps}).Generate(rng, 10, 0); err == nil {
+	if _, err := (PoissonConfig{Hosts: 1, Sizes: Fixed{Size: 1}, Rate: 1000}).Source(rng, 10, 0); err == nil {
 		t.Error("1-host config accepted")
 	}
-	if _, err := (PoissonConfig{Hosts: 4, Sizes: Fixed{Size: 1}, Load: 0, HostBandwidth: units.Gbps}).Generate(rng, 10, 0); err == nil {
-		t.Error("zero load accepted")
+	if _, err := (PoissonConfig{Hosts: 4, Sizes: Fixed{Size: 1}}).Source(rng, 10, 0); err == nil {
+		t.Error("zero rate accepted")
 	}
 	// Cross-leaf pairs on one leaf do not exist: the pair draw would
 	// redraw forever (inside Next, where nothing can cancel it), so the
 	// source is refused instead.
-	oneLeaf := PoissonConfig{Hosts: 4, Sizes: Fixed{Size: 1}, Load: 0.5, HostBandwidth: units.Gbps,
-		CrossLeafOnly: true, LeafOf: func(int) int { return 0 }}
+	oneLeaf := PoissonConfig{Hosts: 4, Sizes: Fixed{Size: 1}, Rate: 1000, LeafOf: func(int) int { return 0 }}
 	if _, err := oneLeaf.Source(rng, 10, 0); err == nil || !strings.Contains(err.Error(), ">= 2 leaves") {
 		t.Errorf("cross-leaf traffic on one leaf: %v", err)
 	}
