@@ -19,10 +19,9 @@ vet:
 	$(GO) vet ./...
 
 # lint runs simlint, the repo's custom static analyzer enforcing the
-# determinism, unit-safety, ownership and run-isolation contract (see
-# DESIGN.md, "Determinism contract" / "Static enforcement"):
-# nowallclock, noglobalrand, maporder, floateq, unitliteral, packetown,
-# handlelife, dimcheck, sharedstate — plus stale-suppression detection.
+# determinism, unit-safety and ownership contract (DESIGN.md §9,
+# "Determinism contract"): nowallclock, noglobalrand, maporder,
+# floateq, unitliteral, packetown — plus stale-suppression detection.
 lint:
 	$(GO) run ./cmd/simlint ./...
 
@@ -152,8 +151,8 @@ loc:
 
 # knobs prints the ROADMAP's options measure — registered schemes and
 # their parameters, spec fields, the settable transport.Config fields,
-# the lb.Env facts a scheme builder reads, CLI flag definitions — for
-# before/after.
+# the lb.Env facts a scheme builder reads, CLI flag definitions, the
+# rules in simlint's rule table — for before/after.
 knobs:
 	@echo "registered schemes $$($(GO) run ./cmd/tlbsim -list-schemes | grep -c '^[^ ]')"
 	@echo "scheme parameters  $$($(GO) run ./cmd/tlbsim -list-schemes | grep -cE '^    [A-Za-z]+ +(duration|bytes|bandwidth|int|float|bool|string) ')"
@@ -161,6 +160,7 @@ knobs:
 	@echo "transport settings $$($(call fields,Config) internal/transport/config.go)"
 	@echo "lb.Env facts       $$($(call fields,Env) internal/lb/registry.go)"
 	@echo "cli flags          $$(grep -rhoE 'flag\.((Bool|Int|Int64|Uint|Uint64|String|Float64|Duration)(Var)?|Var)\(' cmd | wc -l)"
+	@echo "simlint rules      $$(awk '/^var ruleTable = / { f = 1; next } f && /^}/ { f = 0 } f && /^\t"/ { n++ } END { print n + 0 }' internal/lint/lint.go)"
 
 # fields is an awk program counting the named fields of struct $(1) in
 # the file it is given (comments stripped; "A, B T" is two).

@@ -1,9 +1,8 @@
 // Command simlint runs the repository's custom static analyzer over
-// the module. It enforces the determinism, unit-safety, ownership and
-// run-isolation contract documented in DESIGN.md ("Determinism
-// contract" and "Static enforcement"): nowallclock, noglobalrand,
-// maporder, floateq, unitliteral, packetown, handlelife, dimcheck and
-// sharedstate, plus the directive meta-diagnostics (simlint,
+// the module. It enforces the determinism, unit-safety and ownership
+// contract documented in DESIGN.md §9 ("Determinism contract"):
+// nowallclock, noglobalrand, maporder, floateq, unitliteral and
+// packetown, plus the directive meta-diagnostics (simlint,
 // unusedallow).
 //
 // Usage:
@@ -14,9 +13,8 @@
 // small; whole-module analysis is what makes the type-based rules
 // sound), so the conventional ./... pattern is accepted and implied.
 //
-// Findings print as file:line: ID: rule: message. Every diagnostic
-// carries its stable SIMxxx ID, which never changes even if a rule is
-// renamed. The exit status is 1 when anything is found.
+// Findings print as file:line: rule: message. The exit status is 1
+// when anything is found.
 package main
 
 import (
@@ -43,7 +41,7 @@ func main() {
 		os.Exit(2)
 	}
 	for _, f := range findings {
-		fmt.Printf("%s:%d: %s: %s: %s\n", f.File, f.Line, f.ID(), f.Rule, f.Msg)
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "simlint: %d finding(s)\n", len(findings))

@@ -11,8 +11,6 @@ import (
 
 // shortPolicyNames are the spec-level policy strings, indexed by
 // ShortPolicy.
-//
-//simlint:allow sharedstate(immutable name table; never written after init)
 var shortPolicyNames = []string{
 	ShortShortestQueue: "shortest-queue",
 	ShortPowerOfTwo:    "po2c",
@@ -21,8 +19,6 @@ var shortPolicyNames = []string{
 
 // registration declares TLB's parameters; the defaults mirror the
 // paper's NS2 setup.
-//
-//simlint:allow sharedstate(immutable declaration; never written after init)
 var registration = lb.Registration{
 	Name: "tlb",
 	Doc:  "the paper's traffic-aware adaptive-granularity balancer",

@@ -29,7 +29,6 @@ type noLinkError struct{}
 
 func (noLinkError) Error() string { return "no such link" }
 
-//simlint:allow sharedstate(immutable error sentinel; never reassigned)
 var errNoLink = noLinkError{}
 
 func TestInjectorAppliesScheduleInOrder(t *testing.T) {

@@ -178,7 +178,6 @@ type Registration struct {
 	Build Builder
 }
 
-//simlint:allow sharedstate(written only by package-init Register calls; read-only once any sim runs)
 var registry = map[string]Registration{}
 
 // Register adds a scheme to the registry. It panics on a duplicate or

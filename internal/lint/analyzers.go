@@ -15,13 +15,12 @@ import (
 var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Sleep": true}
 
 // checkPackage runs every analyzer over one package. Test packages
-// (p.test) only run the rules whose InTests flag is set: wall-clock,
+// (p.test) only run the rules ruleTable enforces in tests: wall-clock,
 // map order, float equality and unit handling are legitimate in test
-// harnesses, while ownership, handle-lifetime, global-rand and
-// shared-state bugs in tests hide real races and leaks.
+// harnesses, while ownership and global-rand bugs are not.
 func (l *linter) checkPackage(p *pkg) {
 	sim := isSimPackage(strings.TrimSuffix(p.path, "_test"))
-	on := func(rule string) bool { return !p.test || enforcedInTests(rule) }
+	on := func(rule string) bool { return !p.test || ruleTable[rule] }
 	for _, f := range p.files {
 		if on("noglobalrand") {
 			l.checkImports(p, f)
@@ -49,15 +48,6 @@ func (l *linter) checkPackage(p *pkg) {
 		})
 		if on("packetown") {
 			l.checkPacketOwn(p, f)
-		}
-		if on("handlelife") {
-			l.checkHandleLife(p, f)
-		}
-		if sim && on("dimcheck") && !strings.HasSuffix(p.path, "/units") {
-			l.checkDimensions(p, f)
-		}
-		if on("sharedstate") {
-			l.checkSharedState(p, f, sim)
 		}
 	}
 }

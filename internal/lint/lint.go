@@ -21,29 +21,12 @@
 //	             that both releases and returns a packet, and no
 //	             retention of packets in struct fields outside the
 //	             owning netem layer.
-//	handlelife   eventsim.Event handle discipline: no method calls on
-//	             never-assigned zero handles, no discarded schedule
-//	             results in types that track a handle field, and no
-//	             ignored Cancel result on local handles.
-//	dimcheck     dimensional analysis: no cross-unit conversions
-//	             (units.Bytes built from a units.Time-derived value)
-//	             and no mixed-unit arithmetic or comparisons smuggled
-//	             through int64()/float64() strips, tracked through
-//	             local assignments.
-//	sharedstate  run isolation (sweep workers and serve handlers share
-//	             one process): no package-level mutable vars in
-//	             simulation packages, no go statements outside the
-//	             approved concurrent entry points (internal/sim/
-//	             sweep.go, internal/serve/server.go), and no writes
-//	             to captured variables inside closures passed to
-//	             sim.RunSweep/RunAll.
 //
 // Test files are analyzed too, with per-rule exemptions: wall-clock
-// reads, map ranges, float equality, bare unit literals and unit
-// strips are legitimate in test harnesses, but ownership, handle,
-// concurrency and global-rand bugs in tests hide real races from the
-// race detector, so noglobalrand, packetown, handlelife and
-// sharedstate stay enforced.
+// reads, map ranges, float equality and bare unit literals are
+// legitimate in test harnesses, but ownership and global-rand bugs in
+// tests corrupt what the tests measure, so noglobalrand and packetown
+// stay enforced.
 //
 // A site that is safe on purpose can be suppressed with an annotation
 // on the offending line or the line above; one directive may carry
@@ -82,84 +65,28 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", f.File, f.Line, f.Rule, f.Msg)
 }
 
-// ID returns the finding's stable diagnostic ID (for consumers that
-// key on IDs rather than rule names).
-func (f Finding) ID() string { return RuleID(f.Rule) }
-
-// ruleInfo describes one rule for directive validation.
-type ruleInfo struct {
-	// ID is the stable diagnostic identifier; it never changes once
-	// assigned, even if the rule is renamed.
-	ID string
-	// Doc is a one-line description.
-	Doc string
-	// InTests reports whether the rule is enforced in _test.go files.
-	InTests bool
+// ruleTable registers every suppressible rule, mapped to whether it is
+// enforced in _test.go files. The two meta diagnostics — "simlint"
+// (malformed directives) and "unusedallow" (stale directives) — are
+// not suppressible and live outside it.
+var ruleTable = map[string]bool{
+	"nowallclock":  false,
+	"noglobalrand": true,
+	"maporder":     false,
+	"floateq":      false,
+	"unitliteral":  false,
+	"packetown":    true,
 }
 
-// ruleTable registers every suppressible rule. The two meta
-// diagnostics — "simlint" (malformed directives) and "unusedallow"
-// (stale directives) — are not suppressible and live outside it.
-var ruleTable = map[string]ruleInfo{
-	"nowallclock":  {ID: "SIM001", Doc: "wall-clock read inside a simulation package", InTests: false},
-	"noglobalrand": {ID: "SIM002", Doc: "math/rand import outside eventsim/rng.go", InTests: true},
-	"maporder":     {ID: "SIM003", Doc: "range over map in a simulation package", InTests: false},
-	"floateq":      {ID: "SIM004", Doc: "floating-point ==/!= in a simulation package", InTests: false},
-	"unitliteral":  {ID: "SIM005", Doc: "untyped literal passed as a units type", InTests: false},
-	"packetown":    {ID: "SIM006", Doc: "packet pool-ownership violation", InTests: true},
-	"handlelife":   {ID: "SIM007", Doc: "event-handle lifetime violation", InTests: true},
-	"dimcheck":     {ID: "SIM008", Doc: "cross-unit conversion or mixed-unit arithmetic", InTests: false},
-	"sharedstate":  {ID: "SIM009", Doc: "mutable state shared between concurrent runs", InTests: true},
-}
-
-// metaIDs are the IDs of the non-suppressible meta diagnostics.
-var metaIDs = map[string]string{
-	"simlint":     "SIM000",
-	"unusedallow": "SIM010",
-}
-
-// RuleID returns the stable diagnostic ID for a rule name, or "SIM999"
-// for an unknown rule (never emitted by this package).
-func RuleID(rule string) string {
-	if r, ok := ruleTable[rule]; ok {
-		return r.ID
-	}
-	if id, ok := metaIDs[rule]; ok {
-		return id
-	}
-	return "SIM999"
-}
-
-// RuleDoc returns the one-line description of a rule, or "".
-func RuleDoc(rule string) string {
-	if r, ok := ruleTable[rule]; ok {
-		return r.Doc
-	}
-	switch rule {
-	case "simlint":
-		return "malformed simlint:allow directive"
-	case "unusedallow":
-		return "simlint:allow directive that suppresses nothing"
-	}
-	return ""
-}
-
-// Rules returns every diagnostic name this package can emit, sorted.
-func Rules() []string {
-	out := make([]string, 0, len(ruleTable)+len(metaIDs))
+// ruleNames returns the suppressible rule names, sorted.
+func ruleNames() []string {
+	out := make([]string, 0, len(ruleTable))
 	for r := range ruleTable {
-		out = append(out, r)
-	}
-	for r := range metaIDs {
 		out = append(out, r)
 	}
 	sort.Strings(out)
 	return out
 }
-
-// enforcedInTests reports whether findings of the rule are produced in
-// _test.go files.
-func enforcedInTests(rule string) bool { return ruleTable[rule].InTests }
 
 // simPackages names the directories under internal/ whose code must be
 // deterministic: everything that runs inside simulations, plus the
@@ -294,7 +221,7 @@ func (l *linter) collectAllows(f *ast.File) {
 					groups++
 					rule, reason := m[1], strings.TrimSpace(m[2])
 					if _, known := ruleTable[rule]; !known {
-						l.report(pos, "simlint", fmt.Sprintf("allow directive names unknown rule %q (known: %s)", rule, strings.Join(Rules(), ", ")))
+						l.report(pos, "simlint", fmt.Sprintf("allow directive names unknown rule %q (known: %s)", rule, strings.Join(ruleNames(), ", ")))
 						continue
 					}
 					if reason == "" {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -65,14 +66,30 @@ func runLint(t *testing.T, root string) []string {
 	return got
 }
 
-// TestFixtures checks every analyzer against its positive (bad.go) and
-// negative (ok.go, harness files) fixtures: the findings must match the
-// //WANT markers exactly — no extra findings, none missing.
+// cleanFixtures are the loader edge cases TestCleanFixtures runs.
+var cleanFixtures = []string{"buildtags", "nosim", "nestedtestdata"}
+
+// TestFixtures checks every rule in ruleTable against its fixture
+// module testdata/<rule>, plus the directives and testfiles fixtures:
+// the findings must match the //WANT markers exactly — no extra
+// findings, none missing — and a rule's fixture must expect that rule
+// at least once. Every directory under testdata must be one of these
+// or a clean fixture, so a rule cannot ship without a fixture and a
+// deleted rule cannot leave one behind.
 func TestFixtures(t *testing.T) {
-	fixtures := []string{
-		"nowallclock", "noglobalrand", "maporder", "floateq", "unitliteral",
-		"packetown", "handlelife", "dimcheck", "sharedstate",
-		"directives", "testfiles",
+	fixtures := append(ruleNames(), "directives", "testfiles")
+	known := map[string]bool{}
+	for _, fix := range append(fixtures, cleanFixtures...) {
+		known[fix] = true
+	}
+	entries, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !known[e.Name()] {
+			t.Errorf("testdata/%s is not a fixture of any rule or test", e.Name())
+		}
 	}
 	for _, fix := range fixtures {
 		t.Run(fix, func(t *testing.T) {
@@ -80,6 +97,11 @@ func TestFixtures(t *testing.T) {
 			want := expectedFindings(t, root)
 			if len(want) == 0 {
 				t.Fatalf("fixture %s has no //WANT markers", fix)
+			}
+			if _, isRule := ruleTable[fix]; isRule && !slices.ContainsFunc(want, func(w string) bool {
+				return strings.HasSuffix(w, ": "+fix)
+			}) {
+				t.Fatalf("fixture %s has no //WANT %s marker", fix, fix)
 			}
 			got := runLint(t, root)
 			if strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -198,7 +220,7 @@ func wallClock() int64 { return time.Now().UnixNano() }
 // with no simulation packages loads fine, and a nested testdata tree
 // is another module's fixture, not ours.
 func TestCleanFixtures(t *testing.T) {
-	for _, fix := range []string{"buildtags", "nosim", "nestedtestdata"} {
+	for _, fix := range cleanFixtures {
 		t.Run(fix, func(t *testing.T) {
 			got := runLint(t, filepath.Join("testdata", fix))
 			if len(got) != 0 {
@@ -208,42 +230,9 @@ func TestCleanFixtures(t *testing.T) {
 	}
 }
 
-// TestRuleRegistry pins the stable diagnostic IDs: consumers key on
-// them, so changing one is a breaking change.
-func TestRuleRegistry(t *testing.T) {
-	want := map[string]string{
-		"simlint":      "SIM000",
-		"nowallclock":  "SIM001",
-		"noglobalrand": "SIM002",
-		"maporder":     "SIM003",
-		"floateq":      "SIM004",
-		"unitliteral":  "SIM005",
-		"packetown":    "SIM006",
-		"handlelife":   "SIM007",
-		"dimcheck":     "SIM008",
-		"sharedstate":  "SIM009",
-		"unusedallow":  "SIM010",
-	}
-	rules := Rules()
-	if len(rules) != len(want) {
-		t.Fatalf("Rules() returned %d rules, want %d: %v", len(rules), len(want), rules)
-	}
-	for rule, id := range want {
-		if got := RuleID(rule); got != id {
-			t.Errorf("RuleID(%s) = %s, want %s", rule, got, id)
-		}
-		if RuleDoc(rule) == "" {
-			t.Errorf("RuleDoc(%s) is empty", rule)
-		}
-	}
-	if got := RuleID("nosuchrule"); got != "SIM999" {
-		t.Errorf("RuleID(nosuchrule) = %s, want SIM999", got)
-	}
-}
-
 // BenchmarkSimlint tracks the analyzer's wall clock over the whole
-// repository (all nine rules, test files included); `make bench`
-// records it in BENCH_7.json.
+// repository (every rule, test files included); `make bench` records
+// it in the newest BENCH_<pr>.json.
 func BenchmarkSimlint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		findings, err := Run("../..")

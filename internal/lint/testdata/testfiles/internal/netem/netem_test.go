@@ -1,14 +1,12 @@
 // In-package test file: wall-clock reads, map ranges and float
-// equality are exempt here, but global rand, ownership and shared
-// state stay enforced.
+// equality are exempt here, but global rand and ownership stay
+// enforced.
 package netem
 
 import (
 	"math/rand" //WANT noglobalrand
 	"time"
 )
-
-var testFixture = PacketPool{} //WANT sharedstate
 
 func wallClockIsFineInTests() int64 {
 	return time.Now().UnixNano()

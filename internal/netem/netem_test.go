@@ -13,8 +13,6 @@ func pkt(n units.Bytes) *Packet {
 }
 
 // Link: 1500B at 1Gbps serializes in 12µs.
-//
-//simlint:allow sharedstate(immutable link fixture; tests only read it)
 var testLink = LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond}
 
 func TestPortDeliversWithSerializationAndPropagation(t *testing.T) {

@@ -48,8 +48,6 @@ const (
 )
 
 // palette colors the per-item marks; index is the item's position.
-//
-//simlint:allow sharedstate(immutable color table; written only at init)
 var palette = [...]string{"#2563eb", "#dc2626", "#059669", "#d97706", "#7c3aed", "#0891b2"}
 
 func color(i int) string { return palette[i%len(palette)] }
@@ -297,8 +295,6 @@ func faultSection(b *strings.Builder, c Campaign) {
 
 // skeletonRe matches the structural elements of a report: section ids,
 // headings, and the chart/table containers.
-//
-//simlint:allow sharedstate(immutable compiled regexp; written only at init)
 var skeletonRe = regexp.MustCompile(`<section id="([a-z]+)">|<(h1|h2|table|svg|p class="empty")[\s>]`)
 
 // Skeleton reduces a rendered report to its structural outline —

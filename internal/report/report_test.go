@@ -18,7 +18,6 @@ import (
 	"tlb/internal/workload"
 )
 
-//simlint:allow sharedstate(test-only golden-update flag: written once by flag parsing before any test runs)
 var update = flag.Bool("update", false, "rewrite golden files")
 
 func runItem(t *testing.T, name, scheme string, faulted bool) Item {

@@ -23,7 +23,6 @@ import (
 	_ "tlb/internal/core"
 )
 
-//simlint:allow sharedstate(test-only golden-update flag: written once by flag parsing before any test runs)
 var update = flag.Bool("update", false, "rewrite golden files")
 
 func newTestServer(t *testing.T, opt Options) (*Server, *httptest.Server) {

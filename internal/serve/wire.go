@@ -62,8 +62,6 @@ type wireEnd struct {
 }
 
 // classNames orders the wire encoding of the three flow classes.
-//
-//simlint:allow sharedstate(immutable name table; written only at init)
 var classNames = [...]struct {
 	class sim.Class
 	name  string

@@ -430,9 +430,9 @@ func TestBuildNetworkWrapsFabric(t *testing.T) {
 	}
 }
 
-// TestRunAllSweep checks the concurrent sweep helper: same results as
-// serial runs, order preserved.
-func TestRunAllSweep(t *testing.T) {
+// TestRunSweepMatchesSerialRuns checks the concurrent sweep runner:
+// same results as serial runs, order preserved.
+func TestRunSweepMatchesSerialRuns(t *testing.T) {
 	mk := func(seed uint64) Scenario {
 		return Scenario{
 			Name: "sweep", Topology: smallTopo(),
@@ -445,7 +445,7 @@ func TestRunAllSweep(t *testing.T) {
 		}
 	}
 	scenarios := []Scenario{mk(1), mk(2), mk(3), mk(4)}
-	parallel, err := RunAll(scenarios, 4)
+	parallel, err := RunSweep(scenarios, SweepOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,6 @@ func (r *Result) AggregateGoodput(c Class) units.Bandwidth {
 	if dur <= 0 {
 		return 0
 	}
-	//simlint:allow dimcheck(bytes*8/seconds is bits-per-second, the defining relation of Bandwidth)
 	return units.Bandwidth(float64(bytes) * 8 / dur)
 }
 

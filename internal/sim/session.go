@@ -31,8 +31,6 @@ import (
 
 // ErrCanceled is the terminal error of a canceled session, wrapped
 // with the scenario name; test with errors.Is.
-//
-//simlint:allow sharedstate(immutable error sentinel: written once at init, only ever compared via errors.Is)
 var ErrCanceled = errors.New("run canceled")
 
 // DefaultSnapshotEvery is the snapshot period (in simulation time)

@@ -245,9 +245,3 @@ func (sw *Sweep) observe(ev ProgressEvent) {
 func RunSweep(scenarios []Scenario, opt SweepOptions) ([]*Result, error) {
 	return NewSweep(scenarios, opt).Run()
 }
-
-// RunAll is RunSweep without an observer — the minimal batch
-// API for callers that only want the worker pool.
-func RunAll(scenarios []Scenario, workers int) ([]*Result, error) {
-	return RunSweep(scenarios, SweepOptions{Workers: workers})
-}

@@ -33,7 +33,7 @@ func TestRunSweepAggregatesAllErrors(t *testing.T) {
 	bad2.Balancer = nil // "has no balancer"
 	scenarios := []Scenario{sweepScenario("good-a", 3), bad1, sweepScenario("good-b", 4), bad2}
 
-	results, err := RunAll(scenarios, 4)
+	results, err := RunSweep(scenarios, SweepOptions{Workers: 4})
 	if err == nil {
 		t.Fatal("broken batch returned nil error")
 	}
@@ -73,8 +73,7 @@ func TestRunSweepProgress(t *testing.T) {
 	}
 	var seen []ProgressEvent
 	_, err := RunSweep(scenarios, SweepOptions{
-		Workers: 2,
-		//simlint:allow sharedstate(RunSweep serializes Observer calls under its mutex)
+		Workers:       2,
 		Observer:      ObserverFunc(func(p ProgressEvent) { seen = append(seen, p) }),
 		SnapshotEvery: NoSnapshots,
 	})
@@ -104,7 +103,7 @@ func TestRunSweepProgress(t *testing.T) {
 
 // TestRunSweepEmptyBatch: a zero-length batch is a no-op, not a hang.
 func TestRunSweepEmptyBatch(t *testing.T) {
-	results, err := RunAll(nil, 4)
+	results, err := RunSweep(nil, SweepOptions{Workers: 4})
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty batch: %v, %d results", err, len(results))
 	}
@@ -125,8 +124,7 @@ func TestRunSweepRecoversPanickingScenario(t *testing.T) {
 
 	var seen []ProgressEvent
 	results, err := RunSweep(scenarios, SweepOptions{
-		Workers: 1,
-		//simlint:allow sharedstate(RunSweep serializes Observer calls under its mutex)
+		Workers:       1,
 		Observer:      ObserverFunc(func(p ProgressEvent) { seen = append(seen, p) }),
 		SnapshotEvery: NoSnapshots,
 	})
@@ -163,7 +161,7 @@ func TestSweepErrorTraversal(t *testing.T) {
 	bad1.Flows = nil
 	bad2 := sweepScenario("bad-two", 2)
 	bad2.Balancer = nil
-	_, err := RunAll([]Scenario{bad1, sweepScenario("ok", 3), bad2}, 2)
+	_, err := RunSweep([]Scenario{bad1, sweepScenario("ok", 3), bad2}, SweepOptions{Workers: 2})
 
 	var se *SweepError
 	if !errors.As(err, &se) {

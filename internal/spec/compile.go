@@ -618,7 +618,6 @@ func (s *Spec) deadlineOverrideDecorator(c *checker) func(workload.Source) workl
 	}
 }
 
-//simlint:allow sharedstate(immutable name table; never written after init)
 var faultOps = []struct {
 	name string
 	op   faults.Op

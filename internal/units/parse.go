@@ -16,8 +16,6 @@ import (
 
 // timeUnits in parse order; longest suffixes first so "ms" does not
 // match the "s" rule.
-//
-//simlint:allow sharedstate(immutable suffix table; never written after init)
 var timeUnits = []struct {
 	suffix string
 	unit   Time
@@ -64,8 +62,6 @@ func FormatTime(t Time) string {
 
 // byteUnits in parse order; binary units before their decimal
 // near-namesakes so "KiB" is not split as "Ki"+"B".
-//
-//simlint:allow sharedstate(immutable suffix table; never written after init)
 var byteUnits = []struct {
 	suffix string
 	unit   Bytes
@@ -116,8 +112,6 @@ func FormatBytes(n Bytes) string {
 }
 
 // bandwidthUnits in parse order.
-//
-//simlint:allow sharedstate(immutable suffix table; never written after init)
 var bandwidthUnits = []struct {
 	suffix string
 	unit   Bandwidth

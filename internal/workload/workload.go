@@ -128,7 +128,6 @@ func (d *CDFDist) Sample(rng *eventsim.RNG) units.Bytes {
 // immutable after construction, so every caller may share it.
 func WebSearch() *CDFDist { return webSearch() }
 
-//simlint:allow sharedstate(sync.OnceValue memo: the table is built once under the Once and never written again)
 var webSearch = sync.OnceValue(func() *CDFDist {
 	return MustCDF("websearch", []CDFPoint{
 		{6 * units.KB, 0.15},
@@ -154,7 +153,6 @@ var webSearch = sync.OnceValue(func() *CDFDist {
 // WebSearch.
 func DataMining() *CDFDist { return dataMining() }
 
-//simlint:allow sharedstate(sync.OnceValue memo: the table is built once under the Once and never written again)
 var dataMining = sync.OnceValue(func() *CDFDist {
 	return MustCDF("datamining", []CDFPoint{
 		{100 * units.Byte, 0.03},
