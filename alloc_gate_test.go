@@ -188,8 +188,9 @@ func portTransitGate(t *testing.T, nPorts, perPort, warm, runs int) {
 }
 
 // miceScenario compiles the fattree-mice shape at gate scale: a k=4
-// fat-tree under ECMP, 2–32 KB inter-pod flows from the lazy source.
-func miceScenario(t *testing.T, flows int, stream bool) sim.Scenario {
+// fat-tree under ECMP, 2–32 KB inter-pod flows from the lazy source,
+// with the given spec outputs block.
+func miceScenario(t *testing.T, flows int, outputs string) sim.Scenario {
 	t.Helper()
 	sp, err := spec.LoadBytes([]byte(fmt.Sprintf(`{
 	  "version": 1, "name": "gate-mice", "seed": 42,
@@ -201,7 +202,7 @@ func miceScenario(t *testing.T, flows int, stream bool) sim.Scenario {
 	  "workload": {"kind": "interpod", "interPod": {"flows": %d,
 	    "sizes": {"kind": "uniform", "min": "2KB", "max": "32KB"}, "maxGap": "20us"}},
 	  "run": {"maxTime": "600s", "stopWhenDone": true},
-	  "outputs": {"streamStats": %t}}`, flows, stream)))
+	  "outputs": %s}`, flows, outputs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,22 +234,24 @@ func runMallocs(t *testing.T, sc sim.Scenario) (*sim.Result, uint64) {
 // fold — its two endpoints in one object and its record, plus the
 // amortised growth of the sender registry, the packet pool and the
 // event freelist — taken as the slope between a 1 000- and a 5 000-flow
-// run so the fabric's set-up cancels. Record mode adds the open log and
-// Result.Flows. Neither may drift back towards a closure per timer, per
-// arrival and per completion (9.26 per flow before the flow was one
-// object).
+// run so the fabric's set-up cancels. Record mode adds Result.Flows.
+// None may drift back towards a closure per timer, per arrival and per
+// completion (9.26 per flow before the flow was one object), and the
+// time series and queue-length histogram keep nothing per packet or
+// per flow.
 func TestAllocGatePerFlow(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		stream bool
-		max    float64
+		name    string
+		outputs string
+		max     float64
 	}{
-		{"streamed", true, 4},
-		{"recorded", false, 6},
+		{"streamed", `{"streamStats": true}`, 4},
+		{"streamed+series", `{"streamStats": true, "collectTimeSeries": true}`, 4},
+		{"recorded", `{}`, 6},
 	} {
 		const few, many = 1000, 5000
-		_, a := runMallocs(t, miceScenario(t, few, tc.stream))
-		_, b := runMallocs(t, miceScenario(t, many, tc.stream))
+		_, a := runMallocs(t, miceScenario(t, few, tc.outputs))
+		_, b := runMallocs(t, miceScenario(t, many, tc.outputs))
 		perFlow := (float64(b) - float64(a)) / (many - few)
 		t.Logf("%s: %.2f allocations per flow", tc.name, perFlow)
 		if perFlow > tc.max {
@@ -262,7 +265,7 @@ func TestAllocGatePerFlow(t *testing.T) {
 // record used to be embedded in, which tripled what a finished run held.
 func TestAllocGateResultRetention(t *testing.T) {
 	const flows = 5000
-	res, _ := runMallocs(t, miceScenario(t, flows, false))
+	res, _ := runMallocs(t, miceScenario(t, flows, `{}`))
 	if len(res.Flows) != flows {
 		t.Fatalf("result has %d flow records, want %d", len(res.Flows), flows)
 	}

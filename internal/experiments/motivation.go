@@ -44,9 +44,7 @@ func Fig3And4(o Options) ([]Figure, error) {
 
 	specs := make([]spec.Spec, len(granularities))
 	for i, g := range granularities {
-		sp := env.spec(g, o.Seed)
-		sp.Outputs.SampleShortPackets = true
-		specs[i] = sp
+		specs[i] = env.spec(g, o.Seed)
 	}
 	results, err := o.runSpecs("fig3/4", specs)
 	if err != nil {
@@ -59,12 +57,8 @@ func Fig3And4(o Options) ([]Figure, error) {
 				len(res.Flows)-res.CompletedCount(sim.AllFlows), res.EndTime)
 		}
 
-		var ql stats.Sample
-		for _, ps := range res.ShortSamples {
-			ql.Add(float64(ps.QueueLen))
-		}
 		queueCDF.Series = append(queueCDF.Series, stats.Series{
-			Name: g.label(), Points: ql.CDF(50),
+			Name: g.label(), Points: res.ShortQueueLen.CDF(50),
 		})
 		dupAck.Bars = append(dupAck.Bars, Bar{g.label(), res.DupAckRatio(sim.ShortFlows)})
 		fctCDF.Series = append(fctCDF.Series, stats.Series{

@@ -90,7 +90,7 @@ func TestArrivalOrderPinned(t *testing.T) {
 					Name: "arrival-order", Topology: smallTopo(),
 					Balancer: scheme.f, SchemeName: scheme.name, Seed: 3,
 					Flows: flows, StopWhenDone: true, MaxTime: 5 * units.Second,
-					CollectTimeSeries: series, SampleShortPackets: series,
+					CollectTimeSeries: series,
 				}
 				cell := scheme.name
 				if replicated {

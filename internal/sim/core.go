@@ -16,28 +16,16 @@ import (
 
 // This file is the run core: the one implementation of "a scenario on
 // an event engine" — engine, packet pool, network, hosts, fault
-// install, arrival pump, flow open/close, sample log, goodput series,
+// install, arrival pump, flow open/close, output sinks, goodput ticker,
 // fold target — and its reduction to a Result.
 //
-// Order-sensitive floating-point reductions (the time series) are
-// summed in one canonical order. The goodput ticker visits flows in
-// open order, so it adds straight into its two series; receiver
-// samples arrive in engine delivery order, so the core logs them and
-// assemble replays the log in (time, host) order (see replaySamples).
-
-// sampleRec is one logged receiver packet sample.
-type sampleRec struct {
-	ps    transport.PacketSample
-	short bool
-}
-
-// openRec remembers an opened flow, in open order — the record-mode
-// result set and the goodput sampler's iteration domain.
-type openRec struct {
-	short bool
-	stats *transport.FlowStats
-	last  units.Bytes // goodput sampler: BytesAcked added to the series so far
-}
+// Every output folds as it happens and nothing is kept per packet.
+// Each endpoint points at its class's run-level transport.Sink: the
+// receiver adds each data packet to the queue-length histogram and the
+// receiver series, in engine delivery order (a function of the traffic
+// alone, see netem.DeliveryKey), and the sender credits newly acked
+// bytes, which the goodput ticker moves into its series once per
+// bucket.
 
 // runCore is one run's complete private world: nothing in it is shared
 // with another run, so sweep workers never contend.
@@ -78,10 +66,13 @@ type runCore struct {
 	started int64
 	done    int64
 
-	openLog []openRec
-	samples []sampleRec
-	// shortGoodput and longGoodput are the per-bucket acked payload of
-	// each class, when the run collects time series.
+	// flows are the opened flows' records in open order, kept unless
+	// StreamStats; they become Result.Flows.
+	flows []*transport.FlowStats
+	// shortOut and longOut are the sinks every endpoint of the class
+	// reports to. shortGoodput and longGoodput are the per-bucket acked
+	// payload of each class, when the run collects time series.
+	shortOut, longOut         transport.Sink
 	shortGoodput, longGoodput *stats.TimeSeries
 }
 
@@ -139,19 +130,21 @@ func newCore(sc *Scenario) (*runCore, error) {
 	// network was built or wrapped.
 	c.closeLag = sc.Topology.MinFabricDelay()
 
+	c.shortOut.QueueLen = &stats.Histogram{}
 	if err := c.scheduleFlows(); err != nil {
 		return nil, err
 	}
 	if sc.CollectTimeSeries {
-		// Goodput series: sample each flow's acked-byte progress once
-		// per bucket (per-packet samples carry no size, and wrapping the
-		// fabric's deliver path would double-dispatch).
 		w := sc.TimeBucket.Seconds()
+		c.shortOut.QueueDelayUs, c.shortOut.OutOfOrder = stats.NewTimeSeries(w), stats.NewTimeSeries(w)
+		c.longOut.OutOfOrder = stats.NewTimeSeries(w)
+		// Goodput series: the bytes acked since the last tick, once per
+		// bucket.
 		c.shortGoodput, c.longGoodput = stats.NewTimeSeries(w), stats.NewTimeSeries(w)
 		period := sc.TimeBucket
 		var tick func()
 		tick = func() {
-			c.sampleGoodput()
+			c.addGoodput(c.sim.Now())
 			c.sim.After(period, tick)
 		}
 		c.sim.After(period, tick)
@@ -284,8 +277,9 @@ func (c *runCore) openFlow(i int, f workload.Flow) {
 	short := f.Size <= ShortThreshold
 	snd := transport.Open(&sc.Transport, c.hosts[f.Src], c.hosts[f.Dst], id, f.Size, c.onDone)
 	snd.Stats.Deadline = f.Deadline
-	c.hookSamples(snd.Receiver(), short)
-	c.logOpen(short, snd.Stats)
+	snd.Sink = c.sink(short)
+	snd.Receiver().Sink = snd.Sink
+	c.keep(snd.Stats)
 	c.started++
 	snd.Start()
 }
@@ -302,15 +296,18 @@ func (c *runCore) flowFinished(done *transport.Sender) {
 }
 
 // openReplicated runs at f.Start and realizes one flow as N racing
-// copies (RepFlow). The canonical record enters the open log and
-// receives the winner's record; losers keep draining but are otherwise
-// ignored.
+// copies (RepFlow). The canonical record is the one kept and receives
+// the winner's record; losers keep draining but are otherwise ignored.
+// Every copy's receiver reports to the sink, since every copy's packets
+// cross the fabric, but the flow's payload counts as acked once, at the
+// win.
 func (c *runCore) openReplicated(idx int, f workload.Flow) {
 	sc := c.sc
 	flow := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: idx}
 	short := f.Size <= ShortThreshold
 	canonical := &transport.FlowStats{ID: flow, Size: f.Size, Deadline: f.Deadline}
-	c.logOpen(short, canonical)
+	c.keep(canonical)
+	out := c.sink(short)
 	won := false
 	copies := sc.Replication.Copies
 	for k := 0; k < copies; k++ {
@@ -327,57 +324,49 @@ func (c *runCore) openReplicated(idx int, f workload.Flow) {
 			*canonical = *done.Stats
 			canonical.ID = flow
 			canonical.Deadline = f.Deadline
+			out.Acked += canonical.BytesAcked
 			c.agg.Fold(canonical, short, c.sim.Now())
 			c.flowDone()
 		})
 		snd.Stats.Deadline = f.Deadline
+		snd.Receiver().Sink = out
 		snd.Start()
 	}
 	c.started++
 }
 
-// logOpen records an open (record mode only — streaming runs retain no
-// per-flow state).
-func (c *runCore) logOpen(short bool, fs *transport.FlowStats) {
-	if c.sc.StreamStats {
-		return
+// sink returns the class's sink.
+func (c *runCore) sink(short bool) *transport.Sink {
+	if short {
+		return &c.shortOut
 	}
-	c.openLog = append(c.openLog, openRec{short: short, stats: fs})
+	return &c.longOut
 }
 
-// hookSamples wires the receiver's per-packet sample hook into the
-// core's log.
-func (c *runCore) hookSamples(recv *transport.Receiver, short bool) {
-	sc := c.sc
-	if !(sc.SampleShortPackets && short) && !sc.CollectTimeSeries {
-		return
-	}
-	recv.Sample = func(ps transport.PacketSample) {
-		c.samples = append(c.samples, sampleRec{ps: ps, short: short})
+// keep retains a flow's record for Result.Flows (record mode only —
+// streaming runs retain no per-flow state).
+func (c *runCore) keep(fs *transport.FlowStats) {
+	if !c.sc.StreamStats {
+		c.flows = append(c.flows, fs)
 	}
 }
 
-// sampleGoodput adds each flow's acked-byte progress since its last
-// tick to the goodput series, in open order.
-func (c *runCore) sampleGoodput() {
-	now := c.sim.Now()
-	for j := range c.openLog {
-		c.addGoodput(&c.openLog[j], now)
-	}
+// addGoodput moves each class's acked bytes not yet in its goodput
+// series into it at time at.
+func (c *runCore) addGoodput(at units.Time) {
+	moveAcked(&c.shortOut, c.shortGoodput, at)
+	moveAcked(&c.longOut, c.longGoodput, at)
 }
 
-// addGoodput adds r's acked bytes not yet in the series at time at.
-func (c *runCore) addGoodput(r *openRec, at units.Time) {
-	d := r.stats.BytesAcked - r.last
-	if d <= 0 {
-		return
+// moveAcked adds out's pending acked bytes to series at time at. With
+// nothing pending it adds nothing, so Sums grows no bucket after the
+// last acked byte. A bucket sums integers, so it is exact however the
+// bytes were grouped into adds.
+func moveAcked(out *transport.Sink, series *stats.TimeSeries, at units.Time) {
+	if out.Acked > 0 {
+		series.Add(at.Seconds(), float64(out.Acked))
+		out.Acked = 0
 	}
-	r.last = r.stats.BytesAcked
-	series := c.longGoodput
-	if r.short {
-		series = c.shortGoodput
-	}
-	series.Add(at.Seconds(), float64(d))
 }
 
 // uplinks snapshots the balanced (uplink) ports in their build order.
@@ -403,17 +392,16 @@ func assemble(sc *Scenario, c *runCore, endTime units.Time) (*Result, error) {
 		Scheme:   sc.SchemeName,
 		Stream:   c.agg,
 		EndTime:  endTime,
+
+		ShortQueueLen:     c.shortOut.QueueLen,
+		ShortQueueDelayUs: c.shortOut.QueueDelayUs,
+		ShortOOORatio:     c.shortOut.OutOfOrder,
+		LongOOORatio:      c.longOut.OutOfOrder,
 	}
 	if sc.CollectTimeSeries {
-		w := sc.TimeBucket.Seconds()
-		res.ShortQueueDelayUs = stats.NewTimeSeries(w)
-		res.ShortOOORatio = stats.NewTimeSeries(w)
-		res.LongOOORatio = stats.NewTimeSeries(w)
 		// Completion can land between ticks: flush what the last tick
 		// did not see at EndTime.
-		for i := range c.openLog {
-			c.addGoodput(&c.openLog[i], endTime)
-		}
+		c.addGoodput(endTime)
 		res.ShortGoodputBytes, res.LongGoodputBytes = c.shortGoodput, c.longGoodput
 	}
 
@@ -430,20 +418,16 @@ func assemble(sc *Scenario, c *runCore, endTime units.Time) (*Result, error) {
 		}
 	} else {
 		// Records are kept as well: Flows in open order.
-		res.Flows = make([]*transport.FlowStats, len(c.openLog))
-		for i := range c.openLog {
-			r := &c.openLog[i]
-			res.Flows[i] = r.stats
-			if !r.stats.Done {
-				c.agg.Fold(r.stats, r.short, endTime)
+		res.Flows = c.flows
+		for _, fs := range c.flows {
+			if !fs.Done {
+				c.agg.Fold(fs, fs.Size <= ShortThreshold, endTime)
 			}
 		}
 	}
 	if err := auditFold(c.agg.Agg(AllFlows), c.started, c.done); err != nil {
 		return nil, fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
 	}
-
-	replaySamples(sc, res, c.samples)
 
 	res.Drops = c.net.Drops()
 	c.net.EveryQueue(func(_ string, q *netem.Queue) { res.FaultDrops += q.Stats().FaultDropped })
@@ -465,47 +449,4 @@ func auditFold(all *stats.FlowAgg, opened, done int64) error {
 			all.Count, all.Completed, opened, done)
 	}
 	return nil
-}
-
-// replaySamples applies the packet-sample log in (time, receiving
-// host) order to the retained-sample slice and the receiver-side time
-// series. The sort is load-bearing: the bucket sums are floating-point
-// and therefore order-sensitive, and the log is in engine delivery
-// order, where same-instant samples at different hosts fall by
-// DeliveryKey (admission time, port), not by host. arrival-order.txt
-// hashes the series' raw sums in (time, host) order: summed in log
-// order their low bits move and TestArrivalOrderPinned fails (the
-// figure goldens round them away). Two samples can never tie on (time,
-// host): a host's last hop is one FIFO port, which separates its
-// deliveries in time.
-func replaySamples(sc *Scenario, res *Result, recs []sampleRec) {
-	sort.SliceStable(recs, func(a, b int) bool {
-		if recs[a].ps.At != recs[b].ps.At {
-			return recs[a].ps.At < recs[b].ps.At
-		}
-		return recs[a].ps.Flow.Dst < recs[b].ps.Flow.Dst
-	})
-	for i := range recs {
-		r := &recs[i]
-		if r.ps.At > res.EndTime {
-			continue
-		}
-		if sc.SampleShortPackets && r.short {
-			res.ShortSamples = append(res.ShortSamples, r.ps)
-		}
-		if !sc.CollectTimeSeries {
-			continue
-		}
-		at := r.ps.At.Seconds()
-		ooo := 0.0
-		if r.ps.OutOfOrder {
-			ooo = 1
-		}
-		if r.short {
-			res.ShortQueueDelayUs.Add(at, r.ps.QueueDelay.Micros())
-			res.ShortOOORatio.Add(at, ooo)
-		} else {
-			res.LongOOORatio.Add(at, ooo)
-		}
-	}
 }

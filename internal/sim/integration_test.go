@@ -10,6 +10,7 @@ import (
 	"tlb/internal/faults"
 	"tlb/internal/lb"
 	"tlb/internal/netem"
+	"tlb/internal/stats"
 	"tlb/internal/topology"
 	"tlb/internal/units"
 	"tlb/internal/workload"
@@ -133,73 +134,117 @@ func TestTLBAvoidsDegradedLink(t *testing.T) {
 	}
 }
 
-// TestSampledShortPackets verifies the Fig. 3 sampling path end to end.
+// seriesSum is the sum of a series' bucket sums.
+func seriesSum(ts *stats.TimeSeries) float64 {
+	var total float64
+	for _, p := range ts.Sums() {
+		total += p.Y
+	}
+	return total
+}
+
+// TestSampledShortPackets: the per-packet outputs conserve the flow
+// counters. The queue-length histogram counts exactly the short class's
+// received data packets and the out-of-order series exactly each
+// class's out-of-order arrivals, since the receiver stops adding to
+// both at the same freeze.
 func TestSampledShortPackets(t *testing.T) {
 	res, err := Run(Scenario{
 		Name: "samples", Topology: smallTopo(),
 		Balancer: lb.RPS(), SchemeName: "rps", Seed: 4,
-		Flows: []workload.Flow{
-			{Src: 0, Dst: 4, Size: 30 * units.KB, Start: 0},
-			{Src: 1, Dst: 5, Size: 2 * units.MB, Start: 0}, // long: must not be sampled
-		},
-		SampleShortPackets: true,
-		StopWhenDone:       true, MaxTime: 10 * units.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.ShortSamples) == 0 {
-		t.Fatal("no short-packet samples collected")
-	}
-	// ~21 data packets for 30KB (plus none from the 2MB flow).
-	if len(res.ShortSamples) > 40 {
-		t.Fatalf("%d samples — long flow leaked into short sampling", len(res.ShortSamples))
-	}
-	for _, ps := range res.ShortSamples {
-		if ps.Flow.Src != 0 {
-			t.Fatalf("sample from flow %v", ps.Flow)
-		}
-		if ps.OneWay <= 0 {
-			t.Fatal("non-positive one-way delay sample")
-		}
-	}
-}
-
-// TestTimeSeriesCollection verifies the Fig. 8/9 series path.
-func TestTimeSeriesCollection(t *testing.T) {
-	flows := []workload.Flow{
-		{Src: 0, Dst: 4, Size: 80 * units.KB, Start: 0},
-		{Src: 1, Dst: 5, Size: units.MB, Start: 0},
-	}
-	res, err := Run(Scenario{
-		Name: "series", Topology: smallTopo(),
-		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 6,
-		Flows:             flows,
+		Flows:             arrivalOrderFlows()[:100],
 		CollectTimeSeries: true,
-		TimeBucket:        500 * units.Microsecond,
 		StopWhenDone:      true, MaxTime: 10 * units.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pts := res.ShortQueueDelayUs.Means(); len(pts) == 0 {
-		t.Fatal("no short queue-delay series")
+	short, long := res.Stream.Agg(ShortFlows), res.Stream.Agg(LongFlows)
+	if short.OutOfOrder == 0 || long.OutOfOrder == 0 {
+		t.Fatalf("test wants reordering in both classes: %d short, %d long", short.OutOfOrder, long.OutOfOrder)
 	}
-	long := res.LongGoodputBytes.Sums()
-	var total float64
-	for _, p := range long {
-		total += p.Y
+	if n := res.ShortQueueLen.N(); n != short.PacketsRecv {
+		t.Errorf("queue-length histogram counts %d packets, the short class received %d", n, short.PacketsRecv)
 	}
-	if total != float64(units.MB) {
-		t.Fatalf("long goodput series sums to %.0f bytes, want %d", total, units.MB)
+	if got := seriesSum(res.ShortOOORatio); got != float64(short.OutOfOrder) {
+		t.Errorf("short out-of-order series sums to %v, the short class counted %d", got, short.OutOfOrder)
 	}
-	short := res.ShortGoodputBytes.Sums()
-	total = 0
-	for _, p := range short {
-		total += p.Y
+	if got := seriesSum(res.LongOOORatio); got != float64(long.OutOfOrder) {
+		t.Errorf("long out-of-order series sums to %v, the long class counted %d", got, long.OutOfOrder)
 	}
-	if total != float64(80*units.KB) {
-		t.Fatalf("short goodput series sums to %.0f bytes, want %d", total, 80*units.KB)
+}
+
+// TestTimeSeriesCollection verifies the Fig. 8/9 series path, keeping
+// records and streamed: each class's goodput series sums to its bytes.
+func TestTimeSeriesCollection(t *testing.T) {
+	flows := []workload.Flow{
+		{Src: 0, Dst: 4, Size: 80 * units.KB, Start: 0},
+		{Src: 1, Dst: 5, Size: units.MB, Start: 0},
+	}
+	for _, streamed := range []bool{false, true} {
+		res, err := Run(Scenario{
+			Name: "series", Topology: smallTopo(),
+			Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 6,
+			Flows:             flows,
+			CollectTimeSeries: true,
+			StreamStats:       streamed,
+			TimeBucket:        500 * units.Microsecond,
+			StopWhenDone:      true, MaxTime: 10 * units.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pts := res.ShortQueueDelayUs.Means(); len(pts) == 0 {
+			t.Fatalf("streamed %v: no short queue-delay series", streamed)
+		}
+		if total := seriesSum(res.LongGoodputBytes); total != float64(units.MB) {
+			t.Fatalf("streamed %v: long goodput series sums to %.0f bytes, want %d", streamed, total, units.MB)
+		}
+		if total := seriesSum(res.ShortGoodputBytes); total != float64(80*units.KB) {
+			t.Fatalf("streamed %v: short goodput series sums to %.0f bytes, want %d", streamed, total, 80*units.KB)
+		}
+	}
+}
+
+// TestReplicatedCopiesAreSampled: every copy of a replicated flow
+// crosses the fabric, so every copy's receiver feeds the short-flow
+// histogram and series, while goodput counts each flow's bytes once.
+func TestReplicatedCopiesAreSampled(t *testing.T) {
+	flows := arrivalOrderFlows()
+	res, err := Run(Scenario{
+		Name: "replicated-samples", Topology: smallTopo(),
+		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 3,
+		Flows: flows, Replication: &ReplicationConfig{Threshold: 100 * units.KB, Copies: 2},
+		CollectTimeSeries: true,
+		StopWhenDone:      true, MaxTime: 5 * units.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CompletedCount(AllFlows) != len(flows) {
+		t.Fatalf("%d of %d flows completed", res.CompletedCount(AllFlows), len(flows))
+	}
+	if len(res.ShortQueueDelayUs.Means()) == 0 || len(res.ShortOOORatio.Means()) == 0 {
+		t.Error("replicated short flows left the short-flow series empty")
+	}
+	// The copies' packets are counted, the winners' records hold one
+	// copy's each.
+	if n, won := res.ShortQueueLen.N(), res.Stream.Agg(ShortFlows).PacketsRecv; n <= won {
+		t.Errorf("queue-length histogram counts %d packets, the winning copies alone received %d", n, won)
+	}
+	var short, long units.Bytes
+	for _, f := range flows {
+		if f.Size <= ShortThreshold {
+			short += f.Size
+		} else {
+			long += f.Size
+		}
+	}
+	if got := seriesSum(res.ShortGoodputBytes); got != float64(short) {
+		t.Errorf("short goodput series sums to %.0f bytes, want each flow once: %d", got, short)
+	}
+	if got := seriesSum(res.LongGoodputBytes); got != float64(long) {
+		t.Errorf("long goodput series sums to %.0f bytes, want %d", got, long)
 	}
 }
 

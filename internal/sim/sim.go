@@ -66,10 +66,11 @@ type Scenario struct {
 	// memory per flow. What goes with the records: Result.Each and
 	// FCTSample see nothing, and FCT percentiles come from the quantile
 	// sketch and carry its relative-error bound
-	// (stats.DefaultSketchAlpha). Every other metric is the same number
-	// either way, and the flag decides nothing else. Incompatible with
-	// SampleShortPackets, CollectTimeSeries and Replication, which need
-	// retained records.
+	// (stats.DefaultSketchAlpha). Every other metric — the time series
+	// and the queue-length histogram included, which fold as they happen
+	// — is the same number either way, and the flag decides nothing else.
+	// Incompatible with Replication, whose racing copies need retained
+	// records.
 	StreamStats bool
 
 	// MaxTime hard-stops the run; 0 means run until all flows finish.
@@ -78,9 +79,6 @@ type Scenario struct {
 	// (default behaviour; set MaxTime too as a safety net).
 	StopWhenDone bool
 
-	// SampleShortPackets retains one PacketSample per short-flow data
-	// packet (Fig. 3a/8 CDFs) — memory-heavy, off by default.
-	SampleShortPackets bool
 	// CollectTimeSeries enables the bucketed instantaneous series
 	// (Fig. 8/9).
 	CollectTimeSeries bool
@@ -178,11 +176,15 @@ type Result struct {
 	// Uplinks snapshots every leaf uplink port (the equal-cost paths).
 	Uplinks []PortSnapshot
 
-	// ShortSamples holds per-packet records of short flows when
-	// Scenario.SampleShortPackets was set.
-	ShortSamples []transport.PacketSample
+	// ShortQueueLen counts, per received short-flow data packet up to
+	// its receiver's freeze, the largest queue it saw at any hop (Fig.
+	// 3a), every replicated copy's packets included. Always set.
+	ShortQueueLen *stats.Histogram
 
-	// Instantaneous series (when CollectTimeSeries): X in seconds.
+	// Instantaneous series (when CollectTimeSeries): X in seconds. The
+	// receiver series add in delivery order, every replicated copy's
+	// packets included; goodput counts a replicated flow once, at its
+	// win.
 	ShortQueueDelayUs *stats.TimeSeries // mean queueing delay, µs
 	ShortOOORatio     *stats.TimeSeries // mean out-of-order indicator
 	LongOOORatio      *stats.TimeSeries

@@ -179,22 +179,63 @@ func TestFoldAudit(t *testing.T) {
 	}
 }
 
-func TestStreamStatsMatchesRecords(t *testing.T) {
-	flows := streamTestFlows(t, 400)
-	exact, err := Run(streamTestScenario(flows, 30*units.Second))
+// assertSameOutputs checks that the streamed run's per-packet outputs —
+// the five time series and the queue-length histogram — equal the
+// record-keeping run's exactly: they fold as they happen, and StreamStats
+// only decides whether records are kept.
+func assertSameOutputs(t *testing.T, exact, streamed *Result) {
+	t.Helper()
+	for _, o := range []struct {
+		name            string
+		exact, streamed any
+	}{
+		{"ShortQueueLen", exact.ShortQueueLen, streamed.ShortQueueLen},
+		{"ShortQueueDelayUs", exact.ShortQueueDelayUs, streamed.ShortQueueDelayUs},
+		{"ShortOOORatio", exact.ShortOOORatio, streamed.ShortOOORatio},
+		{"LongOOORatio", exact.LongOOORatio, streamed.LongOOORatio},
+		{"ShortGoodputBytes", exact.ShortGoodputBytes, streamed.ShortGoodputBytes},
+		{"LongGoodputBytes", exact.LongGoodputBytes, streamed.LongGoodputBytes},
+	} {
+		empty := false
+		switch v := o.exact.(type) {
+		case *stats.Histogram:
+			empty = v == nil || v.N() == 0
+		case *stats.TimeSeries:
+			empty = v == nil || len(v.Sums()) == 0
+		}
+		if empty {
+			t.Fatalf("%s is empty in the record-keeping run", o.name)
+		}
+		if !reflect.DeepEqual(o.exact, o.streamed) {
+			t.Errorf("%s differs between the record-keeping and the streamed run", o.name)
+		}
+	}
+}
+
+// streamParityRuns runs the stream-parity scenario over flows up to
+// maxTime with time series on, keeping records and streamed.
+func streamParityRuns(t *testing.T, flows []workload.Flow, maxTime units.Time) (exact, streamed *Result) {
+	t.Helper()
+	sc := streamTestScenario(flows, maxTime)
+	sc.CollectTimeSeries = true
+	exact, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := streamTestScenario(flows, 30*units.Second)
 	sc.StreamStats = true
-	streamed, err := Run(sc)
-	if err != nil {
+	if streamed, err = Run(sc); err != nil {
 		t.Fatal(err)
 	}
+	return exact, streamed
+}
+
+func TestStreamStatsMatchesRecords(t *testing.T) {
+	exact, streamed := streamParityRuns(t, streamTestFlows(t, 400), 30*units.Second)
 	if got := exact.CompletedCount(AllFlows); got != 400 {
 		t.Fatalf("only %d/400 completed; test wants a fully finished run", got)
 	}
 	assertStreamParity(t, exact, streamed)
+	assertSameOutputs(t, exact, streamed)
 }
 
 // TestStreamStatsCrossCheck is the at-scale accuracy gate: the same
@@ -233,21 +274,12 @@ func TestStreamStatsCrossCheck(t *testing.T) {
 // them (deadline misses at EndTime, goodput over active time).
 func TestStreamStatsMatchesRecordsWithUnfinished(t *testing.T) {
 	flows := streamTestFlows(t, 400)
-	cut := flows[len(flows)-1].Start / 2
-	exact, err := Run(streamTestScenario(flows, cut))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := streamTestScenario(flows, cut)
-	sc.StreamStats = true
-	streamed, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact, streamed := streamParityRuns(t, flows, flows[len(flows)-1].Start/2)
 	if exact.CompletedCount(AllFlows) >= exact.Count(AllFlows) {
 		t.Fatal("test wants unfinished flows")
 	}
 	assertStreamParity(t, exact, streamed)
+	assertSameOutputs(t, exact, streamed)
 }
 
 // A source and the same flows given as a slice go through one pump,
@@ -333,20 +365,6 @@ func TestStreamScenarioValidation(t *testing.T) {
 	sc.FlowSourceNew = sliceSource(flows)
 	if _, err := Run(sc); err == nil {
 		t.Fatal("no error for Flows+FlowSourceNew")
-	}
-
-	sc = base
-	sc.StreamStats = true
-	sc.CollectTimeSeries = true
-	if _, err := Run(sc); err == nil {
-		t.Fatal("no error for StreamStats+CollectTimeSeries")
-	}
-
-	sc = base
-	sc.StreamStats = true
-	sc.SampleShortPackets = true
-	if _, err := Run(sc); err == nil {
-		t.Fatal("no error for StreamStats+SampleShortPackets")
 	}
 
 	sc = base

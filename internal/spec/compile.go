@@ -191,20 +191,11 @@ func (s *Spec) compile(materialize bool) (sim.Scenario, error) {
 	sc.StopWhenDone = s.Run.StopWhenDone
 	sc.Shards = c.count("run.shards", s.Run.Shards) // deprecated and ignored by the runner; bench/trace.go still reads it
 
-	sc.SampleShortPackets = s.Outputs.SampleShortPackets
 	sc.CollectTimeSeries = s.Outputs.CollectTimeSeries
 	sc.TimeBucket = c.dur("outputs.timeBucket", s.Outputs.TimeBucket)
 	sc.StreamStats = s.Outputs.StreamStats
-	if s.Outputs.StreamStats {
-		if s.Outputs.SampleShortPackets {
-			c.errf("outputs.streamStats", "incompatible with outputs.sampleShortPackets (per-packet samples need retained records)")
-		}
-		if s.Outputs.CollectTimeSeries {
-			c.errf("outputs.streamStats", "incompatible with outputs.collectTimeSeries (the series sampler scans retained records)")
-		}
-		if s.Replication != nil {
-			c.errf("outputs.streamStats", "incompatible with replication (racing copies need retained records)")
-		}
+	if s.Outputs.StreamStats && s.Replication != nil {
+		c.errf("outputs.streamStats", "incompatible with replication (racing copies need retained records)")
 	}
 
 	if err := c.err(); err != nil {

@@ -301,9 +301,6 @@ type Run struct {
 
 // Outputs selects optional measurement collection.
 type Outputs struct {
-	// SampleShortPackets retains one sample per short-flow data packet
-	// (memory-heavy; the Fig. 3 CDFs).
-	SampleShortPackets bool `json:"sampleShortPackets,omitempty"`
 	// CollectTimeSeries enables the bucketed instantaneous series.
 	CollectTimeSeries bool `json:"collectTimeSeries,omitempty"`
 	// TimeBucket is the series bucket width (default 1ms).
@@ -312,8 +309,9 @@ type Outputs struct {
 	// run folds its flow records into and does not retain the records —
 	// O(1) memory per flow, for large-scale runs; FCT percentiles are
 	// then sketch estimates. It decides nothing else (the workload's
-	// form follows from its kind). Incompatible with sampleShortPackets,
-	// collectTimeSeries and replication.
+	// form follows from its kind; the series and the queue-length
+	// histogram fold as they happen either way). Incompatible with
+	// replication.
 	StreamStats bool `json:"streamStats,omitempty"`
 	// Report includes this run in the self-contained HTML report the
 	// serve layer (and examples/serve) renders; a campaign where no spec

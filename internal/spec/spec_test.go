@@ -771,20 +771,6 @@ func TestReplicatedPoissonCompilesToSourceAndRuns(t *testing.T) {
 func TestStreamStatsOutputConflicts(t *testing.T) {
 	s := testSpec()
 	s.Outputs.StreamStats = true
-	s.Outputs.CollectTimeSeries = true
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "outputs.streamStats") {
-		t.Fatalf("streamStats+collectTimeSeries should be rejected, got %v", err)
-	}
-
-	s = testSpec()
-	s.Outputs.StreamStats = true
-	s.Outputs.SampleShortPackets = true
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "outputs.streamStats") {
-		t.Fatalf("streamStats+sampleShortPackets should be rejected, got %v", err)
-	}
-
-	s = testSpec()
-	s.Outputs.StreamStats = true
 	s.Replication = &Replication{Threshold: "100KB", Copies: 2}
 	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "outputs.streamStats") {
 		t.Fatalf("streamStats+replication should be rejected, got %v", err)
@@ -839,11 +825,14 @@ func TestCapabilityMatrix(t *testing.T) {
 		}},
 		{"replication", func(s *Spec) { s.Replication = &Replication{Threshold: "100KB", Copies: 2} }},
 		{"streamStats", func(s *Spec) { s.Outputs.StreamStats = true }},
-		{"series+samples", func(s *Spec) { s.Outputs.CollectTimeSeries, s.Outputs.SampleShortPackets = true, true }},
+		// Every run samples short-flow packets into the queue-length
+		// histogram, so "samples" needs no field.
+		{"series+samples", func(s *Spec) { s.Outputs.CollectTimeSeries = true }},
+		{"streamStats+series", func(s *Spec) { s.Outputs.StreamStats, s.Outputs.CollectTimeSeries = true, true }},
 		{"report", func(s *Spec) { s.Outputs.Report = true }},
 		{"replication+series+samples+report", func(s *Spec) {
 			s.Replication = &Replication{Threshold: "100KB", Copies: 2}
-			s.Outputs = Outputs{CollectTimeSeries: true, SampleShortPackets: true, Report: true}
+			s.Outputs = Outputs{CollectTimeSeries: true, Report: true}
 		}},
 	}
 	located := regexp.MustCompile(`^[a-z][A-Za-z]*(\[[0-9]+\])?(\.[a-z][A-Za-z]*(\[[0-9]+\])?)*: `)

@@ -1,8 +1,9 @@
 // Package stats provides the small statistics toolkit the experiments
 // reduce their measurements with: streaming mean/variance, percentile
-// and CDF estimation over collected samples, a mergeable quantile
-// sketch and per-class flow accumulator for runs that keep no records,
-// and time-bucketed series for "instantaneous" plots.
+// and CDF estimation over collected samples, an exact integer
+// histogram, a mergeable quantile sketch and per-class flow accumulator
+// for runs that keep no records, and time-bucketed series for
+// "instantaneous" plots.
 package stats
 
 import (
@@ -172,6 +173,48 @@ func (s *Sample) CDF(points int) []Point {
 		q := float64(i) / float64(points-1)
 		idx := int(q * float64(len(s.xs)-1))
 		out = append(out, Point{X: s.xs[idx], Y: q})
+	}
+	return out
+}
+
+// Histogram counts non-negative integer observations exactly, one
+// counter per value up to the largest seen, so memory follows the
+// value range rather than the observation count. Its CDF is the one
+// Sample.CDF draws over the same observations.
+type Histogram struct {
+	counts []int64
+	n      int64
+}
+
+// Add counts one observation; v must be non-negative.
+func (h *Histogram) Add(v int) {
+	if v >= len(h.counts) {
+		h.counts = append(h.counts, make([]int64, v+1-len(h.counts))...)
+	}
+	h.counts[v]++
+	h.n++
+}
+
+// N returns the number of observations.
+func (h *Histogram) N() int64 { return h.n }
+
+// CDF returns (value, cumulative fraction) pairs at the given number of
+// evenly spaced quantiles: at q = i/(points-1), the value of rank
+// int(q*(N-1)) in sorted order, exactly as Sample.CDF picks it.
+func (h *Histogram) CDF(points int) []Point {
+	if h.n == 0 || points < 2 {
+		return nil
+	}
+	out := make([]Point, 0, points)
+	v, below := 0, h.counts[0] // below: observations of value <= v
+	for i := 0; i < points; i++ {
+		q := float64(i) / float64(points-1)
+		rank := int64(q * float64(h.n-1))
+		for below <= rank {
+			v++
+			below += h.counts[v]
+		}
+		out = append(out, Point{X: float64(v), Y: q})
 	}
 	return out
 }

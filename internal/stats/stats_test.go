@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -118,6 +119,46 @@ func TestCDFOutput(t *testing.T) {
 	}
 	if s2 := (&Sample{}).CDF(5); s2 != nil {
 		t.Fatal("empty CDF not nil")
+	}
+}
+
+// TestHistogramCDFMatchesSample: a histogram's CDF is the one
+// Sample.CDF draws over the same integers, on random data with ties,
+// a single repeated value, and fewer or more observations than points.
+func TestHistogramCDFMatchesSample(t *testing.T) {
+	same := func(xs []int) bool {
+		var h Histogram
+		var s Sample
+		for _, x := range xs {
+			h.Add(x)
+			s.Add(float64(x))
+		}
+		if h.N() != int64(s.N()) {
+			return false
+		}
+		for _, points := range []int{0, 1, 2, 11, 50, 1000} {
+			if !reflect.DeepEqual(h.CDF(points), s.CDF(points)) {
+				t.Logf("%d points over %v: histogram %v, sample %v", points, xs, h.CDF(points), s.CDF(points))
+				return false
+			}
+		}
+		return true
+	}
+	for _, xs := range [][]int{nil, {0}, {7}, {3, 3, 3, 3}, {5, 0, 5, 0}} {
+		if !same(xs) {
+			t.Fatalf("CDFs differ over %v", xs)
+		}
+	}
+	f := func(seed uint64, n uint16, span uint8) bool {
+		rng := eventsim.NewRNG(seed)
+		xs := make([]int, int(n%700)+1)
+		for i := range xs {
+			xs[i] = rng.Intn(int(span) + 1) // span 0: one value; small spans: ties
+		}
+		return same(xs)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 

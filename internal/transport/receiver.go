@@ -6,17 +6,6 @@ import (
 	"tlb/internal/units"
 )
 
-// PacketSample describes one received data packet, for experiments that
-// plot per-packet distributions (queue length seen, queueing delay).
-type PacketSample struct {
-	Flow       netem.FlowID
-	At         units.Time
-	QueueLen   int        // max queue length seen on admission at any hop
-	QueueDelay units.Time // total queueing delay across hops
-	OneWay     units.Time // send-to-receive delay
-	OutOfOrder bool
-}
-
 // Receiver is the receiving endpoint of one flow: it answers the SYN,
 // generates one cumulative ACK per arriving data packet (unless the
 // Config delays ACKs; the NS2 setups the paper uses do not), buffers
@@ -45,8 +34,8 @@ type Receiver struct {
 	// frozen is set once all payload bytes have arrived: from then on
 	// the receiver keeps answering (late retransmissions still get their
 	// ACKs, so sender dynamics are unchanged) but stops mutating Stats
-	// and emitting samples. Completion is receiver-local, so the freeze
-	// point — unlike the runner's teardown event — is independent of
+	// and reporting to its Sink. Completion is receiver-local, so the
+	// freeze point — unlike the runner's teardown event — is independent of
 	// when the close lands: the record reads the same at any moment at
 	// or after completion.
 	frozen bool
@@ -69,10 +58,9 @@ type Receiver struct {
 	// block is reported first, as RFC 2018 prescribes.
 	lastBlock netem.SackBlock
 
-	// Sample, when non-nil, receives one record per data packet; used
-	// by the Fig. 3/8 experiments. Left nil on large runs to avoid the
-	// memory cost.
-	Sample func(PacketSample)
+	// Sink, when set, is told of every data packet received before the
+	// freeze (the Fig. 3a histogram, the Figs. 8/9 series).
+	Sink *Sink
 
 	Stats *FlowStats
 }
@@ -101,7 +89,6 @@ func (r *Receiver) onSyn(pkt *netem.Packet) {
 func (r *Receiver) onData(pkt *netem.Packet) {
 	now := r.sim.Now()
 	frozen := r.frozen
-	oneWay := now - pkt.SentAt
 	if !frozen {
 		r.Stats.PacketsRecv++
 		r.Stats.DelaySamples++
@@ -135,15 +122,8 @@ func (r *Receiver) onData(pkt *netem.Packet) {
 	}
 
 	if !frozen {
-		if r.Sample != nil {
-			r.Sample(PacketSample{
-				Flow:       r.id,
-				At:         now,
-				QueueLen:   pkt.MaxQueueSeen,
-				QueueDelay: pkt.QueueDelay,
-				OneWay:     oneWay,
-				OutOfOrder: outOfOrder,
-			})
+		if r.Sink != nil {
+			r.Sink.data(now, pkt, outOfOrder)
 		}
 		r.Stats.SumQueueDelay += pkt.QueueDelay
 		if r.Complete() {

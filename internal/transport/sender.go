@@ -76,6 +76,8 @@ type Sender struct {
 	// Stats is the flow's record, shared with the receiver and allocated
 	// apart: a Result that keeps it keeps 184 bytes, not the flow.
 	Stats *FlowStats
+	// Sink, when set, is credited with every newly acknowledged byte.
+	Sink *Sink
 }
 
 // ID returns the flow identity.
@@ -209,6 +211,9 @@ func (s *Sender) newAck(ack units.Bytes, ece bool) {
 	newly := ack - s.sndUna
 	s.sndUna = ack
 	s.Stats.BytesAcked = ack
+	if s.Sink != nil {
+		s.Sink.Acked += newly
+	}
 	s.dupAcks = 0
 
 	// RTT sampling (Karn: only segments never retransmitted).

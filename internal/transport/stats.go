@@ -2,6 +2,7 @@ package transport
 
 import (
 	"tlb/internal/netem"
+	"tlb/internal/stats"
 	"tlb/internal/units"
 )
 
@@ -68,4 +69,39 @@ func (s *FlowStats) DupAckRatio() float64 {
 		return 0
 	}
 	return float64(s.DupAcksSent) / float64(s.PacketsRecv)
+}
+
+// Sink is where endpoints report what a run measures per packet rather
+// than per flow: one per flow class, shared by every flow of the class
+// and pointed at by each endpoint the runner opens. It keeps nothing per
+// packet or per flow; its fields add in engine delivery order. A nil
+// field is not measured.
+type Sink struct {
+	// QueueLen counts the largest queue each received data packet saw
+	// on admission at any hop (Fig. 3a).
+	QueueLen *stats.Histogram
+	// QueueDelayUs buckets each received data packet's total queueing
+	// delay in µs, OutOfOrder its out-of-order indicator, both by arrival
+	// time in seconds (Figs. 8/9).
+	QueueDelayUs, OutOfOrder *stats.TimeSeries
+	// Acked is payload the senders newly acknowledged that the runner
+	// has not yet moved into a goodput series.
+	Acked units.Bytes
+}
+
+// data records one received data packet.
+func (s *Sink) data(now units.Time, pkt *netem.Packet, outOfOrder bool) {
+	if s.QueueLen != nil {
+		s.QueueLen.Add(pkt.MaxQueueSeen)
+	}
+	if s.QueueDelayUs != nil {
+		s.QueueDelayUs.Add(now.Seconds(), pkt.QueueDelay.Micros())
+	}
+	if s.OutOfOrder != nil {
+		ooo := 0.0
+		if outOfOrder {
+			ooo = 1
+		}
+		s.OutOfOrder.Add(now.Seconds(), ooo)
+	}
 }
