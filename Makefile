@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt-check vet lint race bench bench-all bench-gate-self bench-pair alloc-gates identity loc knobs specs examples smoke largescale-smoke serve-smoke ci
+.PHONY: build test fmt-check vet lint race bench bench-all bench-gate-self bench-pair alloc-gates identity loc knobs specs examples smoke largescale-smoke ci
 
 build:
 	$(GO) build ./...
@@ -184,15 +184,6 @@ examples:
 		$(GO) run ./$$d >/dev/null; \
 	done
 
-# serve-smoke exercises the run server end to end under the race
-# detector: submit over HTTP, stream SSE snapshots, fetch the
-# golden-pinned report, cancel a run mid-flight and verify the server
-# releases its goroutines. The serve example doubles as a second
-# end-to-end pass from a plain HTTP client's point of view.
-serve-smoke:
-	$(GO) test -race -count 1 -run 'TestServe' ./internal/serve
-	$(GO) run ./examples/serve >/dev/null
-
 # smoke runs one small end-to-end figure — the fault-injection
 # experiment, which crosses every layer (faults -> netem -> lb/core ->
 # sim -> experiments) — and discards the output; it only has to exit 0.
@@ -210,4 +201,4 @@ largescale-smoke:
 # ci is the gate: static checks (gofmt, vet, simlint), the full test
 # suite, the zero-allocation gates, the output-identity contract, the
 # race detector over all packages, and the end-to-end smoke runs.
-ci: build fmt-check vet lint test alloc-gates identity race specs examples smoke largescale-smoke serve-smoke
+ci: build fmt-check vet lint test alloc-gates identity race specs examples smoke largescale-smoke

@@ -7,7 +7,6 @@
 //	tlbsim -spec examples/quickstart/spec.json -report run.html
 //	tlbsim -spec 'cmd/tlbsim/specs/*.json' -workers 4
 //	tlbsim -check-spec -spec my.json
-//	tlbsim -serve 127.0.0.1:8080
 //	tlbsim -list-schemes
 //
 // A scenario is a spec file (internal/spec): any scheme in the registry
@@ -28,8 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,7 +34,6 @@ import (
 
 	"tlb/internal/lb"
 	"tlb/internal/report"
-	"tlb/internal/serve"
 	"tlb/internal/sim"
 	"tlb/internal/spec"
 
@@ -51,7 +47,6 @@ func main() {
 	flag.BoolVar(&o.checkOnly, "check-spec", false, "with -spec: validate the files and exit without running")
 	flag.IntVar(&o.workers, "workers", 0, "concurrent runs for multi-file -spec batches (0 = GOMAXPROCS)")
 	flag.StringVar(&o.reportPath, "report", "", "also write a self-contained HTML report of the run(s) to this path")
-	flag.StringVar(&o.serveAddr, "serve", "", "serve the run-submission HTTP API on this address (e.g. 127.0.0.1:8080) instead of running locally")
 	list := flag.Bool("list-schemes", false, "list registered schemes and their parameters, then exit")
 	flag.Parse()
 
@@ -70,17 +65,13 @@ type options struct {
 	checkOnly  bool
 	workers    int
 	reportPath string
-	serveAddr  string
 }
 
 // run executes one invocation; results and -check-spec verdicts go to
 // stdout, progress and diagnostics to stderr.
 func run(o options, stdout io.Writer) error {
-	if o.serveAddr != "" {
-		return serveMode(o.serveAddr, o.workers)
-	}
 	if o.specPaths == "" {
-		return fmt.Errorf("nothing to run: pass -spec <files> (presets to copy and edit: cmd/tlbsim/specs/*.json), -serve <addr> or -list-schemes")
+		return fmt.Errorf("nothing to run: pass -spec <files> (presets to copy and edit: cmd/tlbsim/specs/*.json) or -list-schemes")
 	}
 	files, err := expandSpecPaths(o.specPaths)
 	if err != nil {
@@ -90,18 +81,6 @@ func run(o options, stdout io.Writer) error {
 		return checkSpecs(files, stdout)
 	}
 	return runSpecFiles(files, o, stdout)
-}
-
-// serveMode runs the HTTP API until the process is killed.
-func serveMode(addr string, workers int) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	srv := serve.New(serve.Options{Workers: workers})
-	defer srv.Close()
-	fmt.Fprintf(os.Stderr, "tlbsim: serving on http://%s (POST /runs, GET /runs/{id}/events, GET /runs/{id}/report, DELETE /runs/{id})\n", ln.Addr())
-	return http.Serve(ln, srv)
 }
 
 // expandSpecPaths splits the comma-separated -spec value and expands
@@ -179,8 +158,7 @@ func runSpecFiles(files []string, o options, stdout io.Writer) error {
 	results, err := sim.RunSweep(scenarios, sim.SweepOptions{
 		Workers: o.workers,
 		// Terminal events only: the k/n lines need no periodic snapshots,
-		// and without NoSnapshots an attached observer turns on the
-		// per-window aggregate clones.
+		// and without them each run is one engine call.
 		SnapshotEvery: sim.NoSnapshots,
 		Observer: sim.ObserverFunc(func(ev sim.ProgressEvent) {
 			if ev.Kind != sim.ProgressDone {

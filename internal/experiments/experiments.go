@@ -81,8 +81,8 @@ func (o Options) logf(format string, args ...any) {
 //
 // The figure runners consume the session observer stream directly
 // (terminal events only — figure sweeps want k/n lines, not periodic
-// snapshots, so snapshots stay disabled and the event-batch slicing is
-// provably output-neutral; see DESIGN.md §15).
+// snapshots, so snapshots stay disabled and each run is one engine
+// call; see DESIGN.md §15).
 func (o Options) runBatch(prefix string, scs []sim.Scenario) ([]*sim.Result, error) {
 	return sim.RunSweep(scs, sim.SweepOptions{
 		Workers:       o.Workers,

@@ -90,16 +90,16 @@ func ruleNames() []string {
 
 // simPackages names the directories under internal/ whose code must be
 // deterministic: everything that runs inside simulations, plus the
-// run-control layer (sim), the report renderer and the serve layer,
-// which route their one legitimate wall-clock need through the
-// sim.Clock seam (clock.go). Everything else (internal/experiments,
+// report renderer and the run-control layer (sim), which routes its
+// one legitimate wall-clock need through the sim.Clock seam
+// (clock.go). Everything else (internal/experiments,
 // cmd/, examples/) is harness: it may read the wall clock, but still
 // may not use math/rand.
 var simPackages = map[string]bool{
 	"eventsim": true, "netem": true, "transport": true, "core": true,
 	"lb": true, "model": true, "workload": true, "topology": true,
 	"stats": true, "units": true, "faults": true,
-	"spec": true, "sim": true, "report": true, "serve": true,
+	"spec": true, "sim": true, "report": true,
 }
 
 // isSimPackage reports whether the import path denotes simulation code:

@@ -5,7 +5,7 @@
 //
 // The renderer is deterministic: the same Campaign produces the same
 // bytes (slices only, fixed-precision formatting, no clocks), which is
-// what lets the serve smoke test golden-pin the structural skeleton.
+// what lets TestSkeletonGolden pin the structural skeleton.
 package report
 
 import (
@@ -19,16 +19,13 @@ import (
 	"tlb/internal/units"
 )
 
-// Item is one finished (or failed) scenario of a campaign.
+// Item is one finished scenario of a campaign.
 type Item struct {
-	// Scenario and Scheme label the run (Result carries them too, but a
-	// failed run has no Result).
+	// Scenario and Scheme label the run.
 	Scenario string
 	Scheme   string
-	// Result is the run's measurements; nil when the run failed.
+	// Result is the run's measurements.
 	Result *sim.Result
-	// Err is the run's failure, if any.
-	Err error
 }
 
 // Campaign is the input of one report: a titled list of runs, rendered
@@ -39,7 +36,7 @@ type Campaign struct {
 }
 
 // Section ids, in document order. They are the report's structural
-// contract: Skeleton extracts them and the serve smoke test pins them.
+// contract: Skeleton extracts them and TestSkeletonGolden pins them.
 const (
 	IDSummary = "summary"
 	IDAFCT    = "afct"
@@ -75,7 +72,6 @@ h1 { font-size: 1.3rem; } h2 { font-size: 1.05rem; margin-top: 2rem; border-bott
 table { border-collapse: collapse; font-size: 0.8rem; width: 100%; }
 th, td { text-align: right; padding: 0.25rem 0.6rem; border-bottom: 1px solid #f3f4f6; }
 th { color: #6b7280; font-weight: 600; } td.name, th.name { text-align: left; }
-td.err { color: #b91c1c; text-align: left; }
 svg text { font-family: ui-monospace, monospace; }
 p.empty { color: #6b7280; font-style: italic; }
 `
@@ -86,14 +82,6 @@ func summarySection(b *strings.Builder, c Campaign) {
 	b.WriteString("<tr><th class=\"name\">scenario</th><th class=\"name\">scheme</th><th>flows</th><th>afct</th><th>p99 fct</th><th>short afct</th><th>goodput</th><th>util</th><th>drops</th><th>fault drops</th><th>retx</th></tr>\n")
 	for _, it := range c.Items {
 		fmt.Fprintf(b, "<tr><td class=\"name\">%s</td><td class=\"name\">%s</td>", html.EscapeString(it.Scenario), html.EscapeString(it.Scheme))
-		if it.Result == nil {
-			msg := "no result"
-			if it.Err != nil {
-				msg = it.Err.Error()
-			}
-			fmt.Fprintf(b, "<td class=\"err\" colspan=\"9\">%s</td></tr>\n", html.EscapeString(msg))
-			continue
-		}
 		r := it.Result
 		fmt.Fprintf(b, "<td>%d/%d</td>", r.CompletedCount(sim.AllFlows), r.Count(sim.AllFlows))
 		fmt.Fprintf(b, "<td>%s</td>", ms(r.AFCT(sim.AllFlows)))
@@ -122,9 +110,6 @@ func afctSection(b *strings.Builder, c Campaign) {
 	var rows []row
 	var maxV units.Time
 	for i, it := range c.Items {
-		if it.Result == nil {
-			continue
-		}
 		r := row{
 			label: it.Scenario + "/" + it.Scheme,
 			vals: [3]units.Time{
@@ -186,7 +171,7 @@ func queueSection(b *strings.Builder, c Campaign) {
 	var curves []curve
 	var maxX float64
 	for i, it := range c.Items {
-		if it.Result == nil || len(it.Result.Uplinks) == 0 {
+		if len(it.Result.Uplinks) == 0 {
 			continue
 		}
 		var xs []float64
@@ -257,7 +242,7 @@ func faultSection(b *strings.Builder, c Campaign) {
 	var lanes []lane
 	var maxEnd units.Time
 	for i, it := range c.Items {
-		if it.Result == nil || len(it.Result.Faults) == 0 {
+		if len(it.Result.Faults) == 0 {
 			continue
 		}
 		// A run reaches only the events at or before its end.
@@ -299,8 +284,8 @@ var skeletonRe = regexp.MustCompile(`<section id="([a-z]+)">|<(h1|h2|table|svg|p
 
 // Skeleton reduces a rendered report to its structural outline —
 // section ids and container elements in document order, one token per
-// line — the stable surface the serve smoke test golden-pins without
-// freezing pixel content.
+// line — the stable surface TestSkeletonGolden pins without freezing
+// pixel content.
 func Skeleton(doc []byte) string {
 	var out []string
 	for _, m := range skeletonRe.FindAllStringSubmatch(string(doc), -1) {

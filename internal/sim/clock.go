@@ -4,11 +4,10 @@ import "time"
 
 // Clock is the run-control layer's one monotonic wall-clock seam: a
 // reading of elapsed wall time since an arbitrary fixed epoch.
-// Everything in internal/sim that needs wall time — Elapsed and the
-// events/sec rate in ProgressEvents — subtracts two readings of one
-// Clock, and internal/serve injects the same seam so
-// the whole harness has exactly one place that touches time.Now.
-// Tests inject a fake to make wall-derived fields deterministic.
+// Everything in internal/sim that needs wall time — Elapsed in
+// ProgressEvents — subtracts two readings of one Clock, so the run
+// harness has exactly one place that touches time.Now. Tests inject a
+// fake to make wall-derived fields deterministic.
 type Clock func() time.Duration
 
 // WallClock returns a Clock backed by the process monotonic clock.

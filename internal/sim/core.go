@@ -61,8 +61,8 @@ type runCore struct {
 	// of run — and becomes Result.Stream. The fold only reads records,
 	// so the simulation cannot see it.
 	agg *StreamAgg
-	// started/done count flow opens and completions, for the progress
-	// stream and the fold audit.
+	// started/done count flow opens and completions, for the fold
+	// audit.
 	started int64
 	done    int64
 

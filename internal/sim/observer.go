@@ -4,18 +4,15 @@ import (
 	"time"
 
 	"tlb/internal/eventsim"
-	"tlb/internal/units"
 )
 
 // This file is the measurement side of the run-control/measurement
 // split: a typed progress stream a single session and a sweep emit
 // over one interface. Observation is strictly read-only, and neutral
-// by construction: the per-class aggregate a snapshot clones is the one
-// every run folds into and publishes as Result.Stream whether or not an
-// observer is attached, so attaching one adds no work to the run core
-// — it only copies (exact Merge-able aggregate clones, port-stat
-// snapshots) between event batches. TestSessionObserverNeutral and the
-// figure-identity tests keep that pinned.
+// by construction: an event carries only the session's identity, wall
+// time and engine counters, read between event batches, so attaching
+// an observer adds no work to the run core. TestSessionObserverNeutral
+// and the figure-identity tests keep that pinned.
 
 // ProgressKind discriminates the events of a session's progress stream.
 type ProgressKind int
@@ -25,25 +22,13 @@ const (
 	// SnapshotEvery of *simulation* time at an event-batch boundary.
 	ProgressSnapshot ProgressKind = iota
 	// ProgressDone is the session's terminal event: exactly one per
-	// session, carrying the final aggregates and the error, if any.
+	// session, carrying the error, if any.
 	ProgressDone
 )
 
-// String names the kind for logs and the SSE wire format.
-func (k ProgressKind) String() string {
-	switch k {
-	case ProgressSnapshot:
-		return "snapshot"
-	case ProgressDone:
-		return "done"
-	}
-	return "unknown"
-}
-
 // ProgressEvent is one observation of a running (or just-finished)
 // session. Snapshot events describe the run in flight; the Done event
-// closes the stream. All reference fields (Classes, Uplinks) are
-// copies owned by the receiver — retaining them is safe.
+// closes the stream.
 type ProgressEvent struct {
 	Kind ProgressKind
 
@@ -54,9 +39,8 @@ type ProgressEvent struct {
 	// is 1 on a solo session's Done.
 	Index, Completed, Total int
 
-	// Scenario is the Scenario.Name, Scheme its SchemeName.
+	// Scenario is the Scenario.Name.
 	Scenario string
-	Scheme   string
 
 	// Elapsed is wall-clock time since the session started, read from
 	// the session's injected Clock.
@@ -65,30 +49,8 @@ type ProgressEvent struct {
 	// Err is the session's failure (Done events only).
 	Err error
 
-	// SimTime is the engine clock at the observation; Events the total
-	// events executed so far.
-	SimTime units.Time
-	Events  uint64
-	// EventsPerSec is the event rate over the wall-clock interval since
-	// the previous event of this session (0 when the interval is too
-	// short to measure).
-	EventsPerSec float64
-
-	// FlowsStarted counts flows opened so far, FlowsDone those
-	// completed.
-	FlowsStarted int64
-	FlowsDone    int64
-
-	// Classes is a clone of the run's per-class aggregate: the flows
-	// completed so far on a snapshot, Result.Stream on Done (so
-	// unfinished flows included). Exact and Merge-able, so observers can
-	// reduce across sessions. Nil only on a Done event that carries no
-	// Result (validation failure, cancel, run error).
-	Classes *StreamAgg
-
-	// Uplinks snapshots the leaf uplink ports (queue depth sums feed
-	// the live queue CDFs). Nil on events that carry no port state.
-	Uplinks []PortSnapshot
+	// Events is the total events executed so far.
+	Events uint64
 
 	// Engine holds the event queue's own counters (Done events only).
 	// They describe this execution — how the run was sliced into

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"tlb/internal/eventsim"
@@ -12,31 +10,24 @@ import (
 
 // This file is the run-control side of the run-control/measurement
 // split: a Session owns one scenario's execution — validation, start,
-// cooperative cancellation, periodic snapshots — while the simulated
-// world and its measurement live in the run core (core.go) and the
-// observer stream (observer.go). Every run is: build the core, drive it
-// in the session's windows, assemble the Result from it. Run and
-// RunSweep are built on it.
+// periodic snapshots — while the simulated world and its measurement
+// live in the run core (core.go) and the observer stream (observer.go).
+// Every run is: build the core, drive it, assemble the Result from it.
+// Run and RunSweep are built on it.
 //
-// Determinism: the session drives the core's engine in bounded
-// RunUntil windows instead of one call, which is behavior-neutral —
-// RunUntil executes events <= its deadline and then only advances the
-// clock, so slicing [0, MaxTime] into windows executes the identical
-// event sequence and lands on the identical end time (events observe
-// the clock only at their own timestamps). Cancellation and snapshots
-// happen strictly *between* windows, on the session goroutine, reading
-// copies — never from inside the event stream — so an attached
-// observer cannot perturb results, and a cancel discards the partial
-// run rather than returning a half-measured Result.
-
-// ErrCanceled is the terminal error of a canceled session, wrapped
-// with the scenario name; test with errors.Is.
-var ErrCanceled = errors.New("run canceled")
+// Determinism: a session that takes snapshots drives the core's engine
+// in bounded RunUntil windows instead of one call, which is
+// behavior-neutral — RunUntil executes events <= its deadline and then
+// only advances the clock, so slicing [0, MaxTime] into windows
+// executes the identical event sequence and lands on the identical end
+// time (events observe the clock only at their own timestamps).
+// Snapshots happen strictly *between* windows, on the session
+// goroutine, reading counters — never from inside the event stream — so
+// an attached observer cannot perturb results. A session that takes
+// none runs the engine in one call.
 
 // DefaultSnapshotEvery is the snapshot period (in simulation time)
-// used when an observer is attached without an explicit period. It is
-// also the cancellation-check granularity of every session, observer
-// or not.
+// used when an observer is attached without an explicit period.
 const DefaultSnapshotEvery = 10 * units.Millisecond
 
 // NoSnapshots disables periodic snapshots for a session that still
@@ -53,36 +44,26 @@ type SessionOptions struct {
 	// DefaultSnapshotEvery, NoSnapshots (or any negative value)
 	// disables snapshots while keeping the Done event.
 	SnapshotEvery units.Time
-	// Clock supplies wall time for Elapsed and events/sec; nil means
-	// WallClock(). Injected so tests and the serve layer control the
-	// one wall-clock seam.
+	// Clock supplies wall time for Elapsed; nil means WallClock().
+	// Injected so tests control the one wall-clock seam.
 	Clock Clock
 	// Index/Total stamp the session's position in a sweep onto its
 	// events; a solo session defaults to 0 of 1.
 	Index, Total int
 }
 
-// Session is the handle for one running scenario: Run executes it,
-// Cancel (from any goroutine) stops it at the next event-batch
-// boundary. A Session runs at most once.
+// Session is the handle for one scenario: Run executes it. A Session
+// runs at most once.
 type Session struct {
 	sc   Scenario
 	opts SessionOptions
 
-	clock    Clock
-	start    time.Duration
-	canceled atomic.Bool
+	start time.Duration
 
-	// Progress counters, written by the runner goroutine between event
-	// batches and copied into events; never read concurrently.
-	flowsStarted int64
-	flowsDone    int64
-	events       uint64
-	engine       eventsim.Counters
-
-	// Event-rate bookkeeping for EventsPerSec.
-	lastEvents uint64
-	lastWall   time.Duration
+	// The engine's execution counters at the end of the run, for the
+	// Done event.
+	events uint64
+	engine eventsim.Counters
 }
 
 // NewSession prepares a session for one scenario. The scenario is
@@ -98,45 +79,29 @@ func NewSession(sc Scenario, opts SessionOptions) *Session {
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = DefaultSnapshotEvery
 	}
-	return &Session{sc: sc, opts: opts, clock: opts.Clock}
+	return &Session{sc: sc, opts: opts}
 }
-
-// Cancel requests cooperative cancellation: the run stops at the next
-// event-batch boundary, discards the partial result, and returns an
-// error wrapping ErrCanceled. Canceling before Run prevents the
-// simulation from being built at all. Safe from any goroutine, and
-// after completion (where it is a no-op).
-func (ss *Session) Cancel() { ss.canceled.Store(true) }
-
-// Canceled reports whether Cancel has been called.
-func (ss *Session) Canceled() bool { return ss.canceled.Load() }
 
 // Run executes the session's scenario and returns its measurements,
 // exactly as the package-level Run does. Exactly one ProgressDone
 // event is emitted per Run call, error or not.
 func (ss *Session) Run() (*Result, error) {
-	ss.start = ss.clock()
-	ss.lastWall = ss.start
+	ss.start = ss.opts.Clock()
 	sc := &ss.sc
 	sc.withDefaults()
 	if err := ss.validate(); err != nil {
-		ss.emitDone(nil, err)
-		return nil, err
-	}
-	if ss.Canceled() {
-		err := ss.cancelErr()
-		ss.emitDone(nil, err)
+		ss.emitDone(err)
 		return nil, err
 	}
 	res, err := ss.run()
-	ss.emitDone(res, err)
+	ss.emitDone(err)
 	return res, err
 }
 
 // run builds the core, drives it to its stop criterion and assembles
-// the Result. The run-control loop slices the engine into bounded
-// windows so the session can check cancellation and emit snapshots
-// strictly between event batches.
+// the Result. An observing session slices the engine into snapshot
+// windows and emits a snapshot strictly between event batches; any
+// other session's one window is the whole run.
 func (ss *Session) run() (*Result, error) {
 	sc := &ss.sc
 	c, err := newCore(sc)
@@ -147,47 +112,25 @@ func (ss *Session) run() (*Result, error) {
 	window := ss.window()
 	next := window
 	for !c.stopped {
-		if ss.Canceled() {
-			ss.tally(c)
-			return nil, ss.cancelErr()
-		}
 		c.sim.RunUntil(min(maxT, next))
-		if c.stopped || c.sim.Now() >= maxT {
+		if c.stopped || c.sim.Now() >= maxT || !ss.observing() {
 			break
 		}
-		if ss.observing() && c.sim.Now() >= next {
-			ss.tally(c)
-			ss.snapshot(c)
-		}
+		ss.snapshot(c)
 		next += window
 	}
-	ss.tally(c)
+	ss.events, ss.engine = c.sim.Executed(), c.sim.Counters()
 	if c.err != nil {
 		return nil, c.err
 	}
 	return assemble(sc, c, c.sim.Now())
 }
 
-// tally copies the core's progress counters into the session, between
-// event batches.
-func (ss *Session) tally(c *runCore) {
-	ss.flowsStarted = c.started
-	ss.flowsDone = c.done
-	ss.events = c.sim.Executed()
-	ss.engine = c.sim.Counters()
-}
-
-// snapshot emits one mid-run observation of the core, between event
-// batches: a copy of the per-class aggregate the run folds into
-// whether or not anyone watches, and the uplink ports.
+// snapshot emits one mid-run observation, between event batches.
 func (ss *Session) snapshot(c *runCore) {
 	ev := ss.baseEvent(ProgressSnapshot)
-	ev.SimTime = c.sim.Now()
-	ev.Events = ss.events
-	ev.EventsPerSec = ss.rate(ss.events)
-	ev.Classes = c.agg.Clone()
-	ev.Uplinks = c.uplinks()
-	ss.emit(ev)
+	ev.Events = c.sim.Executed()
+	ss.opts.Observer.OnProgress(ev)
 }
 
 // validate applies the scenario checks that need no built network.
@@ -211,60 +154,33 @@ func (ss *Session) validate() error {
 	return nil
 }
 
-func (ss *Session) cancelErr() error {
-	return fmt.Errorf("sim: scenario %q: %w", ss.sc.Name, ErrCanceled)
-}
-
 // observing reports whether periodic snapshots should be produced.
 func (ss *Session) observing() bool {
 	return ss.opts.Observer != nil && ss.opts.SnapshotEvery > 0
 }
 
 // window is the RunUntil slice width: the snapshot period when
-// observing, the default cancellation-check granularity otherwise.
+// observing, the whole run otherwise.
 func (ss *Session) window() units.Time {
-	if ss.opts.SnapshotEvery > 0 {
+	if ss.observing() {
 		return ss.opts.SnapshotEvery
 	}
-	return DefaultSnapshotEvery
-}
-
-// emit forwards one event to the observer, if any.
-func (ss *Session) emit(ev ProgressEvent) {
-	if ss.opts.Observer != nil {
-		ss.opts.Observer.OnProgress(ev)
-	}
+	return ss.sc.MaxTime
 }
 
 // baseEvent stamps the fields every event of this session shares.
 func (ss *Session) baseEvent(kind ProgressKind) ProgressEvent {
 	return ProgressEvent{
-		Kind:         kind,
-		Index:        ss.opts.Index,
-		Total:        ss.opts.Total,
-		Scenario:     ss.sc.Name,
-		Scheme:       ss.sc.SchemeName,
-		Elapsed:      ss.clock() - ss.start,
-		FlowsStarted: ss.flowsStarted,
-		FlowsDone:    ss.flowsDone,
+		Kind:     kind,
+		Index:    ss.opts.Index,
+		Total:    ss.opts.Total,
+		Scenario: ss.sc.Name,
+		Elapsed:  ss.opts.Clock() - ss.start,
 	}
-}
-
-// rate returns events/sec over the wall interval since the previous
-// call, advancing the interval bookkeeping.
-func (ss *Session) rate(events uint64) float64 {
-	now := ss.clock()
-	dE := events - ss.lastEvents
-	dT := now - ss.lastWall
-	ss.lastEvents, ss.lastWall = events, now
-	if dT <= 0 {
-		return 0
-	}
-	return float64(dE) / dT.Seconds()
 }
 
 // emitDone sends the session's terminal event.
-func (ss *Session) emitDone(res *Result, err error) {
+func (ss *Session) emitDone(err error) {
 	if ss.opts.Observer == nil {
 		return
 	}
@@ -273,11 +189,5 @@ func (ss *Session) emitDone(res *Result, err error) {
 	ev.Err = err
 	ev.Events = ss.events
 	ev.Engine = ss.engine
-	ev.EventsPerSec = ss.rate(ss.events)
-	if res != nil {
-		ev.SimTime = res.EndTime
-		ev.Classes = res.Stream.Clone()
-		ev.Uplinks = res.Uplinks
-	}
-	ss.emit(ev)
+	ss.opts.Observer.OnProgress(ev)
 }

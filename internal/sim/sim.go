@@ -195,7 +195,7 @@ type Result struct {
 // Run executes the scenario and returns its measurements. It is the
 // observer-less session path, equivalent to
 // NewSession(sc, SessionOptions{}).Run(); use a Session directly for
-// cancellation or a progress stream (see session.go, observer.go).
+// a progress stream (see session.go, observer.go).
 func Run(sc Scenario) (*Result, error) {
 	return NewSession(sc, SessionOptions{}).Run()
 }

@@ -65,26 +65,3 @@ func foldOne(a *stats.FlowAgg, fs *transport.FlowStats, end units.Time) {
 	a.SumQueueDelay += int64(fs.SumQueueDelay)
 	a.DelaySamples += fs.DelaySamples
 }
-
-// Clone returns an independent copy: counters and the Online moments
-// copy exactly (merging into a zero accumulator is assignment), the
-// sketch clone is bucket-for-bucket equal. Progress snapshots hand
-// clones to observers so retaining or merging them never touches the
-// live fold target.
-func (st *StreamAgg) Clone() *StreamAgg {
-	c := &StreamAgg{}
-	c.Merge(st)
-	return c
-}
-
-// Merge folds another aggregate into this one exactly, so observers
-// can reduce the StreamAggs of a sweep's runs without retaining
-// records.
-func (st *StreamAgg) Merge(o *StreamAgg) {
-	if o == nil {
-		return
-	}
-	for i := range st.Classes {
-		st.Classes[i].Merge(&o.Classes[i])
-	}
-}

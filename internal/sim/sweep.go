@@ -23,8 +23,7 @@ import (
 // TestParallelSerialIdenticalFigures in internal/experiments).
 //
 // Each scenario runs inside a Session (session.go): the sweep is a
-// pool of sessions plus one serialized observer stream, and Cancel
-// reaches every running and not-yet-started session.
+// pool of sessions plus one serialized observer stream.
 
 // SweepOptions configure one sweep.
 type SweepOptions struct {
@@ -42,9 +41,6 @@ type SweepOptions struct {
 	// Done events, for callers that print per-scenario completions).
 	// Only meaningful with an Observer.
 	SnapshotEvery units.Time
-	// Clock supplies wall time for Elapsed fields; nil means
-	// WallClock().
-	Clock Clock
 }
 
 // SweepFailure is one failed scenario of a sweep.
@@ -83,74 +79,27 @@ func (e *SweepError) Unwrap() []error {
 	return errs
 }
 
-// Sweep is the handle for one scenario batch: Run executes it on the
-// worker pool, Cancel (from any goroutine) stops every running session
-// at its next batch boundary and prevents unstarted scenarios from
-// building at all.
-type Sweep struct {
-	scenarios []Scenario
-	opt       SweepOptions
-	clock     Clock
-	results   []*Result
-	errs      []error
-
-	mu       sync.Mutex // guards sessions + canceled
-	sessions []*Session
-	canceled bool
-
-	// emitMu serializes the observer stream and guards the
-	// completion counter. It is distinct from mu so Cancel (which takes
-	// mu) is safe to call from inside a callback (which holds emitMu).
-	emitMu    sync.Mutex
-	completed int
-}
-
-// NewSweep prepares a sweep over the scenarios. The slice is retained;
-// do not mutate it until Run returns.
-func NewSweep(scenarios []Scenario, opt SweepOptions) *Sweep {
-	if opt.Clock == nil {
-		opt.Clock = WallClock()
-	}
-	return &Sweep{
+// RunSweep executes the scenarios on a worker pool and returns their
+// results in input order. On failure the returned error is a
+// *SweepError listing every failed scenario; the result slice still
+// holds whatever completed. A panicking scenario is recovered in its
+// worker and reported as that scenario's failure — it cannot wedge the
+// pool (the job dispatch below blocks until a worker receives, so a
+// dead worker would deadlock the sweep).
+func RunSweep(scenarios []Scenario, opt SweepOptions) ([]*Result, error) {
+	sw := &sweep{
 		scenarios: scenarios,
 		opt:       opt,
-		clock:     opt.Clock,
+		clock:     WallClock(),
 		results:   make([]*Result, len(scenarios)),
 		errs:      make([]error, len(scenarios)),
-		sessions:  make([]*Session, len(scenarios)),
 	}
-}
-
-// Cancel requests cooperative cancellation of the whole sweep: every
-// running session stops at its next event-batch boundary, and every
-// scenario not yet started fails with ErrCanceled without running.
-// Safe from any goroutine — including an Observer callback — and
-// idempotent.
-func (sw *Sweep) Cancel() {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	sw.canceled = true
-	for _, ss := range sw.sessions {
-		if ss != nil {
-			ss.Cancel()
-		}
-	}
-}
-
-// Run executes the sweep and returns the results in input order. On
-// failure the returned error is a *SweepError listing every failed
-// scenario; the result slice still holds whatever completed. A
-// panicking scenario is recovered in its worker and reported as that
-// scenario's failure — it cannot wedge the pool (the job dispatch
-// below blocks until a worker receives, so a dead worker would
-// deadlock the sweep).
-func (sw *Sweep) Run() ([]*Result, error) {
-	workers := sw.opt.Workers
+	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(sw.scenarios) {
-		workers = len(sw.scenarios)
+	if workers > len(scenarios) {
+		workers = len(scenarios)
 	}
 	var wg sync.WaitGroup
 	jobs := make(chan int)
@@ -163,7 +112,7 @@ func (sw *Sweep) Run() ([]*Result, error) {
 			}
 		}()
 	}
-	for i := range sw.scenarios {
+	for i := range scenarios {
 		jobs <- i
 	}
 	close(jobs)
@@ -171,7 +120,7 @@ func (sw *Sweep) Run() ([]*Result, error) {
 	var failures []SweepFailure
 	for i, err := range sw.errs {
 		if err != nil {
-			failures = append(failures, SweepFailure{Index: i, Scenario: sw.scenarios[i].Name, Err: err})
+			failures = append(failures, SweepFailure{Index: i, Scenario: scenarios[i].Name, Err: err})
 		}
 	}
 	if len(failures) > 0 {
@@ -180,10 +129,24 @@ func (sw *Sweep) Run() ([]*Result, error) {
 	return sw.results, nil
 }
 
+// sweep is one RunSweep call's shared state.
+type sweep struct {
+	scenarios []Scenario
+	opt       SweepOptions
+	clock     Clock
+	results   []*Result
+	errs      []error
+
+	// mu serializes the observer stream and guards the completion
+	// counter.
+	mu        sync.Mutex
+	completed int
+}
+
 // runOne executes scenario i inside its own session, converting a
 // panic into that scenario's error so the worker survives to drain
 // the job channel.
-func (sw *Sweep) runOne(i int) {
+func (sw *sweep) runOne(i int) {
 	start := sw.clock()
 	defer func() {
 		if r := recover(); r != nil {
@@ -197,7 +160,6 @@ func (sw *Sweep) runOne(i int) {
 				Index:    i,
 				Total:    len(sw.scenarios),
 				Scenario: sw.scenarios[i].Name,
-				Scheme:   sw.scenarios[i].SchemeName,
 				Elapsed:  sw.clock() - start,
 				Err:      err,
 			}
@@ -208,40 +170,26 @@ func (sw *Sweep) runOne(i int) {
 	if sw.opt.Observer != nil {
 		obs = ObserverFunc(sw.observe)
 	}
-	ss := NewSession(sw.scenarios[i], SessionOptions{
+	sw.results[i], sw.errs[i] = NewSession(sw.scenarios[i], SessionOptions{
 		Observer:      obs,
 		SnapshotEvery: sw.opt.SnapshotEvery,
 		Clock:         sw.clock,
 		Index:         i,
 		Total:         len(sw.scenarios),
-	})
-	sw.mu.Lock()
-	sw.sessions[i] = ss
-	if sw.canceled {
-		ss.Cancel()
-	}
-	sw.mu.Unlock()
-	sw.results[i], sw.errs[i] = ss.Run()
+	}).Run()
 }
 
 // observe serializes the sessions' event streams into the sweep's
 // Observer, stamping the completion counter onto Done events.
-func (sw *Sweep) observe(ev ProgressEvent) {
+func (sw *sweep) observe(ev ProgressEvent) {
 	if sw.opt.Observer == nil {
 		return
 	}
-	sw.emitMu.Lock()
-	defer sw.emitMu.Unlock()
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
 	if ev.Kind == ProgressDone {
 		sw.completed++
 		ev.Completed = sw.completed
 	}
 	sw.opt.Observer.OnProgress(ev)
-}
-
-// RunSweep executes the scenarios on a worker pool and returns their
-// results in input order: NewSweep(...).Run() for callers that do not
-// need the cancellation handle.
-func RunSweep(scenarios []Scenario, opt SweepOptions) ([]*Result, error) {
-	return NewSweep(scenarios, opt).Run()
 }

@@ -180,70 +180,4 @@ func TestSweepErrorTraversal(t *testing.T) {
 			t.Fatalf("errors.Is(err, Failures[%d].Err) = false", i)
 		}
 	}
-	if errors.Is(err, ErrCanceled) {
-		t.Fatal("errors.Is matched ErrCanceled on a non-canceled sweep")
-	}
-}
-
-// TestSweepCancelBeforeRun: canceling an unstarted sweep fails every
-// scenario with ErrCanceled without running any of them.
-func TestSweepCancelBeforeRun(t *testing.T) {
-	sw := NewSweep([]Scenario{sweepScenario("c0", 1), sweepScenario("c1", 2)}, SweepOptions{Workers: 2})
-	sw.Cancel()
-	results, err := sw.Run()
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled through the SweepError", err)
-	}
-	var se *SweepError
-	if !errors.As(err, &se) || len(se.Failures) != 2 {
-		t.Fatalf("err = %v, want both scenarios failed", err)
-	}
-	for i, res := range results {
-		if res != nil {
-			t.Fatalf("canceled scenario %d produced a result", i)
-		}
-	}
-}
-
-// TestSweepCancelMidRun: Cancel issued from inside an observer
-// callback (the serve layer's shape) stops the running session at its
-// next batch boundary and fails the not-yet-started scenarios without
-// building them.
-func TestSweepCancelMidRun(t *testing.T) {
-	long := sessionScenario()
-	long.Name = "long"
-	scenarios := []Scenario{long, sweepScenario("later-a", 2), sweepScenario("later-b", 3)}
-
-	var sw *Sweep
-	var dones int
-	obs := ObserverFunc(func(ev ProgressEvent) {
-		if ev.Kind == ProgressSnapshot {
-			sw.Cancel()
-		}
-		if ev.Kind == ProgressDone {
-			dones++
-		}
-	})
-	sw = NewSweep(scenarios, SweepOptions{
-		Workers:       1,
-		Observer:      obs,
-		SnapshotEvery: 100 * units.Microsecond,
-		Clock:         fakeClock(),
-	})
-	results, err := sw.Run()
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	var se *SweepError
-	if !errors.As(err, &se) || len(se.Failures) != 3 {
-		t.Fatalf("err = %v, want all three scenarios canceled", err)
-	}
-	for i, res := range results {
-		if res != nil {
-			t.Fatalf("canceled sweep retained a result at %d", i)
-		}
-	}
-	if dones != 3 {
-		t.Fatalf("%d Done events, want one per scenario", dones)
-	}
 }

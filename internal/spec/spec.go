@@ -48,10 +48,6 @@ type Spec struct {
 	Version int `json:"version"`
 	// Name labels the run in results and progress lines.
 	Name string `json:"name"`
-	// RunID, when set, is echoed back by the serve layer (run handles,
-	// SSE events, report rows). Compile ignores it — it is submission
-	// metadata, not simulation input.
-	RunID string `json:"runId,omitempty"`
 	// Seed drives all randomness; the same spec + seed reproduces
 	// every number exactly.
 	Seed uint64 `json:"seed"`
@@ -313,8 +309,4 @@ type Outputs struct {
 	// histogram fold as they happen either way). Incompatible with
 	// replication.
 	StreamStats bool `json:"streamStats,omitempty"`
-	// Report includes this run in the self-contained HTML report the
-	// serve layer (and examples/serve) renders; a campaign where no spec
-	// sets it reports every run. Compile ignores it.
-	Report bool `json:"report,omitempty"`
 }

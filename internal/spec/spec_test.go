@@ -829,10 +829,9 @@ func TestCapabilityMatrix(t *testing.T) {
 		// histogram, so "samples" needs no field.
 		{"series+samples", func(s *Spec) { s.Outputs.CollectTimeSeries = true }},
 		{"streamStats+series", func(s *Spec) { s.Outputs.StreamStats, s.Outputs.CollectTimeSeries = true, true }},
-		{"report", func(s *Spec) { s.Outputs.Report = true }},
-		{"replication+series+samples+report", func(s *Spec) {
+		{"replication+series+samples", func(s *Spec) {
 			s.Replication = &Replication{Threshold: "100KB", Copies: 2}
-			s.Outputs = Outputs{CollectTimeSeries: true, Report: true}
+			s.Outputs = Outputs{CollectTimeSeries: true}
 		}},
 	}
 	located := regexp.MustCompile(`^[a-z][A-Za-z]*(\[[0-9]+\])?(\.[a-z][A-Za-z]*(\[[0-9]+\])?)*: `)

@@ -58,33 +58,6 @@ func (a *FlowAgg) AddFCT(seconds float64) {
 	a.Sketch.Add(seconds)
 }
 
-// Merge folds another accumulator into this one; merged counters are
-// exact and the sketch merge preserves its bound, so an observer can
-// reduce the aggregates of a sweep's runs into one.
-func (a *FlowAgg) Merge(b *FlowAgg) {
-	a.Count += b.Count
-	a.Completed += b.Completed
-	a.FCT.Merge(&b.FCT)
-	if b.Sketch != nil {
-		if a.Sketch == nil {
-			a.Sketch = NewQuantileSketch(b.Sketch.Alpha())
-		}
-		a.Sketch.Merge(b.Sketch)
-	}
-	a.DeadlineTotal += b.DeadlineTotal
-	a.DeadlineMissed += b.DeadlineMissed
-	a.GoodputSum += b.GoodputSum
-	a.GoodputN += b.GoodputN
-	a.BytesAcked += b.BytesAcked
-	a.Retransmits += b.Retransmits
-	a.Timeouts += b.Timeouts
-	a.PacketsRecv += b.PacketsRecv
-	a.OutOfOrder += b.OutOfOrder
-	a.DupAcksSent += b.DupAcksSent
-	a.SumQueueDelay += b.SumQueueDelay
-	a.DelaySamples += b.DelaySamples
-}
-
 // MissRatio returns DeadlineMissed/DeadlineTotal (0 when no flow
 // carried a deadline).
 func (a *FlowAgg) MissRatio() float64 {

@@ -27,11 +27,6 @@ const defaultSketchBuckets = 2048
 // midpoint 2·gamma^i/(gamma+1). Non-positive values count in a
 // dedicated zero bucket (estimated as exactly 0, which FCTs below the
 // simulator's time resolution round to anyway).
-//
-// Sketches with equal alpha merge exactly: bucket counts add, so a
-// merge of per-shard sketches equals the single-stream sketch over the
-// concatenated observations, bucket for bucket. This is what lets
-// RunSweep workers reduce shards without widening the bound.
 type QuantileSketch struct {
 	alpha   float64
 	gamma   float64
@@ -106,34 +101,6 @@ func (s *QuantileSketch) Add(x float64) {
 		return
 	}
 	s.counts[s.index(x)]++
-	s.collapse()
-}
-
-// Merge folds another sketch into this one. Both must share the same
-// alpha; merge is exact (bucket counts add).
-func (s *QuantileSketch) Merge(o *QuantileSketch) {
-	if o == nil || o.n == 0 {
-		return
-	}
-	if math.Abs(s.alpha-o.alpha) > 1e-12 {
-		panic(fmt.Sprintf("stats: merging sketches with different alpha (%v vs %v)", s.alpha, o.alpha))
-	}
-	if s.n == 0 {
-		s.min, s.max = o.min, o.max
-	} else {
-		if o.min < s.min {
-			s.min = o.min
-		}
-		if o.max > s.max {
-			s.max = o.max
-		}
-	}
-	s.n += o.n
-	s.zeros += o.zeros
-	s.collapsed = s.collapsed || o.collapsed
-	for _, k := range o.sortedKeys() {
-		s.counts[k] += o.counts[k]
-	}
 	s.collapse()
 }
 

@@ -1,9 +1,9 @@
 // Package stats provides the small statistics toolkit the experiments
 // reduce their measurements with: streaming mean/variance, percentile
 // and CDF estimation over collected samples, an exact integer
-// histogram, a mergeable quantile sketch and per-class flow accumulator
-// for runs that keep no records, and time-bucketed series for
-// "instantaneous" plots.
+// histogram, a relative-error quantile sketch and per-class flow
+// accumulator for runs that keep no records, and time-bucketed series
+// for "instantaneous" plots.
 package stats
 
 import (
@@ -37,30 +37,6 @@ func (o *Online) Add(x float64) {
 	d := x - o.mean
 	o.mean += d / float64(o.n)
 	o.m2 += d * (x - o.mean)
-}
-
-// Merge folds another accumulator into this one (Chan et al.'s
-// parallel variance formula), so per-shard Online stats reduce exactly
-// as if the shards had been one stream.
-func (o *Online) Merge(p *Online) {
-	if p.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = *p
-		return
-	}
-	n := o.n + p.n
-	d := p.mean - o.mean
-	o.m2 += p.m2 + d*d*float64(o.n)*float64(p.n)/float64(n)
-	o.mean += d * float64(p.n) / float64(n)
-	if p.min < o.min {
-		o.min = p.min
-	}
-	if p.max > o.max {
-		o.max = p.max
-	}
-	o.n = n
 }
 
 // N returns the observation count.
