@@ -85,7 +85,9 @@ bench-gate-self:
 # REF (exported under .bench_build/) and at the working tree, runs N
 # pairs of `-child $(W) -trace 0`, swapping which side goes first, and
 # prints every run, then per workload each side's median and quartiles
-# and the pair wins for wall_s, cpu_s and peak_rss_mb. W=all takes the
+# and the pair wins for wall_s, cpu_s and peak_rss_mb, and each side's
+# median gc_cycles and mallocs — exact counts that repeat per seed, so a
+# memory claim shows its mechanism in the same session. W=all takes the
 # three gated workloads through one interleaved session. Each side's
 # medians also come out as the BenchmarkWorkload/<name> lines benchjson
 # ingests (last on stdout, and in .bench_build/pair/{ref,head}.bench), so
@@ -109,8 +111,8 @@ bench-pair:
 	  if [ $$((i % 2)) = 1 ]; then order="ref head"; else order="head ref"; fi; \
 	  for w in $$ws; do for s in $$order; do \
 	    $$d/$$s -child $$w -trace 0 | tr ',' '\n' | awk -F: -v w=$$w -v s=$$s -v i=$$i \
-	      '/^"(wall_s|cpu_s|peak_rss_mb|offered_bytes)"/ { gsub(/"/, "", $$1); v[$$1] = $$2 } \
-	       END { printf "%d %s %s %.3f %.3f %.1f %.6f\n", i, w, s, v["wall_s"], v["cpu_s"], v["peak_rss_mb"], v["offered_bytes"] / 1e9 }' | tee -a $$d/runs; \
+	      '/^"(wall_s|cpu_s|peak_rss_mb|offered_bytes|gc_cycles|mallocs)"/ { gsub(/"/, "", $$1); v[$$1] = $$2 } \
+	       END { printf "%d %s %s %.3f %.3f %.1f %.6f %d %d\n", i, w, s, v["wall_s"], v["cpu_s"], v["peak_rss_mb"], v["offered_bytes"] / 1e9, v["gc_cycles"], v["mallocs"] }' | tee -a $$d/runs; \
 	  done; done; \
 	done; \
 	awk -v N=$(N) -v d=$$d -v procs=$$(nproc) ' \
@@ -118,13 +120,14 @@ bench-pair:
 	    n = 0; for (i = 1; i <= N; i++) a[++n] = v[w, s, i, c]; \
 	    for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } \
 	    h = (n - 1) * p + 1; f = int(h); return f < n ? a[f] + (h - f) * (a[f + 1] - a[f]) : a[n] } \
-	  { for (c = 4; c <= 6; c++) v[$$2, $$3, $$1, c] = $$c; gb[$$2] = $$7; if (!($$2 in seen)) { seen[$$2]; ws[++nw] = $$2 } } \
-	  END { split("wall_s cpu_s peak_rss_mb", m, " "); split("ref head", side, " "); \
+	  { for (c = 4; c <= 9; c++) v[$$2, $$3, $$1, c] = $$c; gb[$$2] = $$7; if (!($$2 in seen)) { seen[$$2]; ws[++nw] = $$2 } } \
+	  END { split("wall_s cpu_s peak_rss_mb offered_gb gc_cycles mallocs", m, " "); split("ref head", side, " "); \
 	    for (k = 1; k <= nw; k++) { w = ws[k]; for (c = 4; c <= 6; c++) { \
 	      for (j = 1; j <= 2; j++) { s = side[j]; \
 	        printf "%-19s %-11s %-4s median %.3f  q1 %.3f  q3 %.3f  n %d\n", w, m[c - 3], s, med(w, s, c, .5), med(w, s, c, .25), med(w, s, c, .75), N } \
 	      win = 0; loss = 0; for (i = 1; i <= N; i++) { win += v[w, "head", i, c] < v[w, "ref", i, c]; loss += v[w, "head", i, c] > v[w, "ref", i, c] } \
-	      printf "%-19s %-11s head better in %d of %d pairs, ref in %d\n", w, m[c - 3], win, N, loss } } \
+	      printf "%-19s %-11s head better in %d of %d pairs, ref in %d\n", w, m[c - 3], win, N, loss } \
+	      for (c = 8; c <= 9; c++) printf "%-19s %-11s ref median %d  head median %d\n", w, m[c - 3], med(w, "ref", c, .5), med(w, "head", c, .5) } \
 	    for (j = 1; j <= 2; j++) { s = side[j]; f = d "/" s ".bench"; for (k = 1; k <= nw; k++) { w = ws[k]; \
 	      printf "BenchmarkWorkload/%s-%d\t%d\t%.0f ns/op\t%.3f cpu-s\t%.2f peakRSS-MB\t%.3f wall-s/GB\n", \
 	        w, procs, N, med(w, s, 4, .5) * 1e9, med(w, s, 5, .5), med(w, s, 6, .5), med(w, s, 4, .5) / gb[w] > f } close(f) } }' $$d/runs; \

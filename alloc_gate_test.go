@@ -188,9 +188,9 @@ func portTransitGate(t *testing.T, nPorts, perPort, warm, runs int) {
 }
 
 // miceScenario compiles the fattree-mice shape at gate scale: a k=4
-// fat-tree under ECMP, 2–32 KB inter-pod flows from the lazy source,
-// with the given spec outputs block.
-func miceScenario(t *testing.T, flows int, outputs string) sim.Scenario {
+// fat-tree under ECMP, 2–32 KB inter-pod flows from the lazy source
+// arriving at most maxGap apart, with the given spec outputs block.
+func miceScenario(t *testing.T, flows int, maxGap, outputs string) sim.Scenario {
 	t.Helper()
 	sp, err := spec.LoadBytes([]byte(fmt.Sprintf(`{
 	  "version": 1, "name": "gate-mice", "seed": 42,
@@ -200,9 +200,9 @@ func miceScenario(t *testing.T, flows int, outputs string) sim.Scenario {
 	    "fabricLink": {"bandwidth": "1Gbps", "delay": "10us"},
 	    "queue": {"capacity": 256, "ecnThreshold": 65}},
 	  "workload": {"kind": "interpod", "interPod": {"flows": %d,
-	    "sizes": {"kind": "uniform", "min": "2KB", "max": "32KB"}, "maxGap": "20us"}},
+	    "sizes": {"kind": "uniform", "min": "2KB", "max": "32KB"}, "maxGap": "%s"}},
 	  "run": {"maxTime": "600s", "stopWhenDone": true},
-	  "outputs": %s}`, flows, outputs)))
+	  "outputs": %s}`, flows, maxGap, outputs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +214,15 @@ func miceScenario(t *testing.T, flows int, outputs string) sim.Scenario {
 }
 
 // runMallocs runs sc and returns its result with the heap objects the
-// run allocated.
-func runMallocs(t *testing.T, sc sim.Scenario) (*sim.Result, uint64) {
+// run allocated and the flow objects its flow pool allocated.
+func runMallocs(t *testing.T, sc sim.Scenario) (*sim.Result, uint64, int64) {
 	t.Helper()
+	var flows int64
+	done := sim.ObserverFunc(func(ev sim.ProgressEvent) { flows = ev.FlowsAllocated })
+	ss := sim.NewSession(sc, sim.SessionOptions{Observer: done, SnapshotEvery: sim.NoSnapshots})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := sim.Run(sc)
+	res, err := ss.Run()
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -227,35 +230,44 @@ func runMallocs(t *testing.T, sc sim.Scenario) (*sim.Result, uint64) {
 	if done, all := res.CompletedCount(sim.AllFlows), res.Count(sim.AllFlows); done != all {
 		t.Fatalf("%d of %d flows completed", done, all)
 	}
-	return res, after.Mallocs - before.Mallocs
+	return res, after.Mallocs - before.Mallocs, flows
 }
 
 // TestAllocGatePerFlow: what a flow costs the allocator from arrival to
-// fold — its two endpoints in one object and its record, plus the
-// amortised growth of the sender registry, the packet pool and the
-// event freelist — taken as the slope between a 1 000- and a 5 000-flow
-// run so the fabric's set-up cancels. Record mode adds Result.Flows.
-// None may drift back towards a closure per timer, per arrival and per
-// completion (9.26 per flow before the flow was one object), and the
-// time series and queue-length histogram keep nothing per packet or
-// per flow.
+// fold, taken as the slope between a 1 000- and a 5 000-flow run so the
+// fabric's set-up cancels. Flows come from the run's flow pool, records
+// too when streamed, so a flow allocates nothing of its own: the first
+// three rows, at a 20 µs gap the k=4 fabric cannot keep up with, count
+// the growth of the backlog — about half the flows are open at the end,
+// each a pooled flow and its packets in flight — and record mode adds
+// each flow's kept record and Result.Flows (2.46 per flow streamed and
+// recorded alike before flows were pooled, 9.26 before a flow was one
+// object). The last row runs a load the fabric carries: the pool's
+// allocations stop growing with the flow count, and so does the run's.
+// None may drift back towards an object per flow, a closure per timer,
+// per arrival or per completion, and the time series and queue-length
+// histogram keep nothing per packet or per flow.
 func TestAllocGatePerFlow(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		outputs string
-		max     float64
+		name, maxGap, outputs string
+		max                   float64
+		carried               bool // the pool may not grow
 	}{
-		{"streamed", `{"streamStats": true}`, 4},
-		{"streamed+series", `{"streamStats": true, "collectTimeSeries": true}`, 4},
-		{"recorded", `{}`, 6},
+		{"streamed", "20us", `{"streamStats": true}`, 1.1, false},
+		{"streamed+series", "20us", `{"streamStats": true, "collectTimeSeries": true}`, 1.1, false},
+		{"recorded", "20us", `{}`, 2.1, false},
+		{"streamed, carried load", "200us", `{"streamStats": true}`, 0.1, true},
 	} {
 		const few, many = 1000, 5000
-		_, a := runMallocs(t, miceScenario(t, few, tc.outputs))
-		_, b := runMallocs(t, miceScenario(t, many, tc.outputs))
+		_, a, poolA := runMallocs(t, miceScenario(t, few, tc.maxGap, tc.outputs))
+		_, b, poolB := runMallocs(t, miceScenario(t, many, tc.maxGap, tc.outputs))
 		perFlow := (float64(b) - float64(a)) / (many - few)
-		t.Logf("%s: %.2f allocations per flow", tc.name, perFlow)
+		t.Logf("%s: %.2f allocations per flow, %d -> %d flows allocated by the pool", tc.name, perFlow, poolA, poolB)
 		if perFlow > tc.max {
-			t.Errorf("%s: %.2f allocations per flow, want <= %.0f", tc.name, perFlow, tc.max)
+			t.Errorf("%s: %.2f allocations per flow, want <= %.1f", tc.name, perFlow, tc.max)
+		}
+		if tc.carried && poolB > poolA {
+			t.Errorf("%s: the flow pool allocated %d flows for %d flows but %d for %d, want no growth", tc.name, poolA, few, poolB, many)
 		}
 	}
 }
@@ -265,7 +277,7 @@ func TestAllocGatePerFlow(t *testing.T) {
 // record used to be embedded in, which tripled what a finished run held.
 func TestAllocGateResultRetention(t *testing.T) {
 	const flows = 5000
-	res, _ := runMallocs(t, miceScenario(t, flows, `{}`))
+	res, _, _ := runMallocs(t, miceScenario(t, flows, "20us", `{}`))
 	if len(res.Flows) != flows {
 		t.Fatalf("result has %d flow records, want %d", len(res.Flows), flows)
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 // This file is the run core: the one implementation of "a scenario on
-// an event engine" — engine, packet pool, network, hosts, fault
+// an event engine" — engine, packet and flow pools, network, hosts, fault
 // install, arrival pump, flow open/close, output sinks, goodput ticker,
 // fold target — and its reduction to a Result.
 //
@@ -36,6 +36,9 @@ type runCore struct {
 
 	hosts []*transport.Host
 	ports []*netem.Port // the balanced (uplink) ports
+	// flowPool recycles the flows (endpoints, and records under
+	// StreamStats) the hosts open; see transport.FlowPool.
+	flowPool *transport.FlowPool
 
 	// next yields the workload in arrival order; pendIdx and pend are
 	// the one arrival the pump has pulled from it and scheduled.
@@ -87,6 +90,9 @@ func newCore(sc *Scenario) (*runCore, error) {
 	// the steady-state packet path allocation-free. Per-run ownership
 	// keeps sweep workers from sharing any mutable state.
 	pool := netem.NewPacketPool()
+	// Flows recycle the same way, per run: endpoints always, records
+	// too when nothing keeps them after the fold.
+	c.flowPool = transport.NewFlowPool(sc.StreamStats)
 	c.onDone = c.flowFinished
 
 	deliver := func(host int, pkt *netem.Packet) { c.hosts[host].Receive(pkt) }
@@ -119,6 +125,7 @@ func newCore(sc *Scenario) (*runCore, error) {
 	for h := range c.hosts {
 		c.hosts[h] = transport.NewHost(c.sim, h, func(pkt *netem.Packet) { net.Inject(h, pkt) })
 		c.hosts[h].SetPool(pool)
+		c.hosts[h].SetFlowPool(c.flowPool)
 	}
 	// Teardown travels at finite latency like everything else in the
 	// fabric: an instantaneous close would let the sender's completion
@@ -290,7 +297,8 @@ func (c *runCore) flowFinished(done *transport.Sender) {
 	now := c.sim.Now()
 	c.hosts[done.ID().Dst].CloseReceiverAt(now, c.closeLag, done.Receiver())
 	// Under StreamStats this is fold and forget: the host already
-	// released the sender, so nothing retains the record.
+	// released the sender, and the record goes back to the flow pool
+	// with the flow once this callback returns and the receiver closes.
 	c.agg.Fold(done.Stats, done.Size() <= ShortThreshold, now)
 	c.flowDone()
 }

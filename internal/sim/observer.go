@@ -57,6 +57,13 @@ type ProgressEvent struct {
 	// windows moves them — not the simulated system, which is why they
 	// live here and not in Result.
 	Engine eventsim.Counters
+
+	// FlowsAllocated is how many flow objects the run's flow pool
+	// allocated (Done events only): the most flows open or awaiting
+	// their receiver's close at once, not the flow count, since each
+	// later flow reuses a released one. Like Engine, it describes the
+	// execution.
+	FlowsAllocated int64
 }
 
 // Observer receives a session's progress stream. Sessions call it

@@ -62,8 +62,9 @@ type Session struct {
 
 	// The engine's execution counters at the end of the run, for the
 	// Done event.
-	events uint64
-	engine eventsim.Counters
+	events         uint64
+	engine         eventsim.Counters
+	flowsAllocated int64
 }
 
 // NewSession prepares a session for one scenario. The scenario is
@@ -119,7 +120,7 @@ func (ss *Session) run() (*Result, error) {
 		ss.snapshot(c)
 		next += window
 	}
-	ss.events, ss.engine = c.sim.Executed(), c.sim.Counters()
+	ss.events, ss.engine, ss.flowsAllocated = c.sim.Executed(), c.sim.Counters(), c.flowPool.Allocated()
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -189,5 +190,6 @@ func (ss *Session) emitDone(err error) {
 	ev.Err = err
 	ev.Events = ss.events
 	ev.Engine = ss.engine
+	ev.FlowsAllocated = ss.flowsAllocated
 	ss.opts.Observer.OnProgress(ev)
 }

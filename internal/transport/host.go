@@ -1,8 +1,9 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"tlb/internal/eventsim"
 	"tlb/internal/netem"
@@ -28,6 +29,9 @@ type Host struct {
 	// (endpoint handlers copy what they need and never retain the
 	// *Packet). Nil falls back to plain allocation.
 	pool *netem.PacketPool
+	// flows, when set via SetFlowPool, supplies the flow objects Open
+	// takes for flows from this host. Nil falls back to plain allocation.
+	flows *FlowPool
 
 	// closeKey is the host's construction-order keyed identity
 	// (eventsim.Sim.ReserveKeyedID), used by CloseReceiverAt to place
@@ -56,17 +60,19 @@ func NewHost(sim *eventsim.Sim, id int, out func(*netem.Packet)) *Host {
 // them, for instance — must leave the pool unset.
 func (h *Host) SetPool(pool *netem.PacketPool) { h.pool = pool }
 
-// flow is one flow as allocated: both endpoints, each pointing at the other.
-type flow struct {
-	snd Sender
-	rcv Receiver
-}
+// SetFlowPool makes Open take the flows from this host out of pool,
+// which gets each back once nothing can reach it (see FlowPool). It
+// must be the run's single flow pool, and every flow's receiver must be
+// closed through CloseReceiverAt once its sender is done.
+func (h *Host) SetFlowPool(pool *FlowPool) { h.flows = pool }
 
-// Open allocates the two endpoints of one flow together, wires each to
-// the other and registers the (idle) sender with src until it
-// completes. cfg must outlive the flow: the endpoints share it. done
-// (optional) fires once, when the last byte is acknowledged, after src
-// has released the sender.
+// Open takes the two endpoints of one flow, together, from src's flow
+// pool, wires each to the other and registers the (idle) sender with
+// src until it completes. cfg must outlive the flow: the endpoints
+// share it. done (optional) fires once, when the last byte is
+// acknowledged, after src has released the sender; the flow's memory
+// and, when the pool recycles records, its record may serve another
+// flow once done has returned and the receiver has closed.
 func Open(cfg *Config, src, dst *Host, id netem.FlowID, size units.Bytes, done func(*Sender)) *Sender {
 	if size <= 0 {
 		panic(fmt.Sprintf("transport: flow %v with non-positive size %d", id, size))
@@ -77,10 +83,17 @@ func Open(cfg *Config, src, dst *Host, id netem.FlowID, size units.Bytes, done f
 	if _, dup := src.senders[id]; dup {
 		panic(fmt.Sprintf("transport: duplicate sender for flow %v", id))
 	}
-	f := &flow{}
+	f := src.flows.get()
 	s, r := &f.snd, &f.rcv
-	stats := &FlowStats{ID: id, Size: size}
+	stats := &f.rec
+	if f.pool == nil || !f.pool.records {
+		// A record something keeps after the fold is allocated apart,
+		// so keeping it does not keep the flow.
+		stats = &FlowStats{}
+	}
+	*stats = FlowStats{ID: id, Size: size}
 	*s = Sender{
+		flow:     f,
 		ep:       netem.Endpoint{Host: src.id, Owner: s},
 		peer:     r,
 		sim:      src.sim,
@@ -108,7 +121,7 @@ func Open(cfg *Config, src, dst *Host, id netem.FlowID, size units.Bytes, done f
 	return s
 }
 
-func closeReceiverFire(arg any) { arg.(*Receiver).closed = true }
+func closeReceiverFire(arg any) { arg.(*Receiver).close() }
 
 // CloseReceiverAt tears down a receiving endpoint of this host (the
 // runner calls it once the flow is done): from then on it ignores what
@@ -121,9 +134,10 @@ func closeReceiverFire(arg any) { arg.(*Receiver).closed = true }
 // Two flows completing at the same instant toward the same host collide
 // on the key; each close touches only its own receiver, so their
 // relative order is immaterial. Without a lag the close is immediate.
+// The close may return the flow to its pool (see FlowPool).
 func (h *Host) CloseReceiverAt(done, lag units.Time, r *Receiver) {
 	if lag <= 0 {
-		r.closed = true
+		r.close()
 		return
 	}
 	h.sim.AtKey(done+lag, netem.DeliveryKey(done, h.closeKey), closeReceiverFire, r)
@@ -139,12 +153,8 @@ func (h *Host) EachOpenSenderSorted(fn func(*Sender)) {
 	for _, s := range h.senders {
 		open = append(open, s)
 	}
-	sort.Slice(open, func(i, j int) bool {
-		a, b := open[i].id, open[j].id
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		return a.Port < b.Port
+	slices.SortFunc(open, func(a, b *Sender) int {
+		return cmp.Or(cmp.Compare(a.id.Dst, b.id.Dst), cmp.Compare(a.id.Port, b.id.Port))
 	})
 	for _, s := range open {
 		fn(s)
@@ -155,10 +165,12 @@ func (h *Host) EachOpenSenderSorted(fn func(*Sender)) {
 // releases it to the pool (when one is set): delivery is the packet's
 // terminal sink. There is no lookup: a packet that names no endpoint is
 // dropped, a completed sender and a closed receiver ignore theirs (as a
-// real host would RST-and-ignore), and one whose endpoint lives on
-// another host was misrouted by the fabric, which is a bug.
+// real host would RST-and-ignore), and so does an endpoint whose memory
+// serves another flow since the packet was sent (see FlowPool); one
+// whose endpoint lives on another host was misrouted by the fabric,
+// which is a bug.
 func (h *Host) Receive(pkt *netem.Packet) {
-	if ep := pkt.To; ep != nil {
+	if ep := pkt.To; ep != nil && port(ep) == pkt.Flow.Port {
 		if ep.Host != h.id {
 			panic(fmt.Sprintf("transport: %v packet of flow %v for an endpoint on host %d delivered to host %d", pkt.Kind, pkt.Flow, ep.Host, h.id))
 		}
@@ -181,4 +193,14 @@ func (h *Host) Receive(pkt *netem.Packet) {
 		}
 	}
 	h.pool.Put(pkt)
+}
+
+// port returns the arrival index of the flow ep serves now: a packet
+// whose Flow.Port differs was addressed to an earlier flow in the same
+// memory, which has finished and closed.
+func port(ep *netem.Endpoint) int {
+	if r, ok := ep.Owner.(*Receiver); ok {
+		return r.id.Port
+	}
+	return ep.Owner.(*Sender).id.Port
 }

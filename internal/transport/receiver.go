@@ -40,7 +40,8 @@ type Receiver struct {
 	// or after completion.
 	frozen bool
 	// closed is set by the host's CloseReceiverAt: whatever still arrives
-	// is ignored. A pending delayed-ACK timer is no arrival: it fires.
+	// is ignored. A pending delayed-ACK timer is no arrival: it fires,
+	// and the flow goes back to its pool only after that.
 	closed bool
 
 	// Delayed-ACK state: how many in-order segments are unacknowledged
@@ -69,6 +70,14 @@ type Receiver struct {
 func delayedAckFire(arg any) {
 	r := arg.(*Receiver)
 	r.emitAck(r.ackCE)
+	r.peer.flow.release()
+}
+
+// close ignores whatever still arrives from now on and releases the
+// flow if nothing else holds it.
+func (r *Receiver) close() {
+	r.closed = true
+	r.peer.flow.release()
 }
 
 // Complete reports whether all payload bytes have arrived.

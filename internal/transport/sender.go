@@ -16,6 +16,7 @@ type Sender struct {
 	// flow's receiver (see Open), whose ep goes on everything sent.
 	ep   netem.Endpoint
 	peer *Receiver
+	flow *flow // the object both endpoints live in, released through it
 
 	sim  *eventsim.Sim
 	cfg  *Config // the run's one Config
@@ -73,8 +74,9 @@ type Sender struct {
 	sacked  segSet
 	retxRec segSet
 
-	// Stats is the flow's record, shared with the receiver and allocated
-	// apart: a Result that keeps it keeps 184 bytes, not the flow.
+	// Stats is the flow's record, shared with the receiver: allocated
+	// apart when the run keeps it (a Result that keeps it keeps 184
+	// bytes, not the flow), recycled with the flow when nothing does.
 	Stats *FlowStats
 	// Sink, when set, is credited with every newly acknowledged byte.
 	Sink *Sink
@@ -456,6 +458,8 @@ func (s *Sender) complete() {
 	if s.done != nil {
 		s.done(s)
 	}
+	s.flow.settled = true
+	s.flow.release()
 }
 
 func (s *Sender) rto() units.Time {
