@@ -9,11 +9,20 @@ import (
 
 // TestDesignInventory keeps DESIGN.md §3 honest in both directions:
 // every directory under internal/, cmd/ and examples/ has a row in the
-// inventory table, and every row names a path that exists.
+// inventory table, and every row names a path that exists. It also
+// holds the document to describing what exists: at most 500 lines, and
+// no citations of numbered pull requests, whose history belongs in
+// CHANGES.md.
 func TestDesignInventory(t *testing.T) {
 	doc, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := strings.Count(string(doc), "\n"); n > 500 {
+		t.Errorf("DESIGN.md has %d lines, budget 500", n)
+	}
+	for _, m := range regexp.MustCompile(`\bPRs? ?\d+`).FindAllString(string(doc), -1) {
+		t.Errorf("DESIGN.md cites %q: history belongs in CHANGES.md", m)
 	}
 	_, section, ok := strings.Cut(string(doc), "\n## 3. ")
 	if !ok {

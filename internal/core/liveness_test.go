@@ -104,5 +104,4 @@ func TestTLBTableDrainsWhenFINLostAtFaultedQueue(t *testing.T) {
 	if short, long := tl.ActiveFlows(); short+long != 0 {
 		t.Fatalf("table holds %d entries after idle sweep, want 0", short+long)
 	}
-	tl.Stop()
 }

@@ -181,8 +181,6 @@ type TLB struct {
 	// comparisons.
 	hystDelay units.Time
 
-	ticker *eventsim.Ticker
-
 	stats Stats
 }
 
@@ -198,8 +196,7 @@ func New(sim *eventsim.Sim, rng *eventsim.RNG, ports []*netem.Port, cfg Config) 
 	}
 	t.hystDelay = units.Time(cfg.ShortHysteresis) * cfg.Env.FabricBandwidth.TxTime(transport.MSS+transport.HeaderBytes)
 	t.qth = t.computeQTh()
-	t.ticker = eventsim.NewTicker(sim, cfg.Interval, t.tick)
-	t.ticker.Start()
+	sim.AtArg(sim.Now()+cfg.Interval, tick, t)
 	return t
 }
 
@@ -375,12 +372,14 @@ func (t *TLB) evictIdle(e *flowEntry, idle units.Time) bool {
 	return true
 }
 
-// tick is the granularity calculator's periodic update: evict idle
-// flows and recompute q_th.
-func (t *TLB) tick() {
+// tick is the granularity calculator's periodic update, first armed by
+// New: evict idle flows, recompute q_th and re-arm one interval later.
+func tick(arg any) {
+	t := arg.(*TLB)
 	t.flows.Evict(t.sim.Now(), t.evictIdle)
 	t.qth = t.computeQTh()
 	t.stats.Updates++
+	t.sim.AtArg(t.sim.Now()+t.cfg.Interval, tick, t)
 }
 
 // computeQTh evaluates Eq. 9 for the current traffic, in packets.
@@ -390,7 +389,3 @@ func (t *TLB) computeQTh() int {
 	}
 	return t.Model().QThPackets(t.cfg.maxQTh())
 }
-
-// Stop halts the periodic updates (used when tearing a simulation down
-// before the event queue drains).
-func (t *TLB) Stop() { t.ticker.Stop() }

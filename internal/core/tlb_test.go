@@ -254,16 +254,6 @@ func TestHeaderPacketsCountedAsShort(t *testing.T) {
 	}
 }
 
-func TestStopHaltsTicker(t *testing.T) {
-	s := eventsim.New()
-	tl, _ := newTLB(s, 4, nil)
-	tl.Stop()
-	s.Run() // must terminate: no periodic events left
-	if s.Pending() != 0 {
-		t.Fatalf("%d events still pending after Stop", s.Pending())
-	}
-}
-
 func TestSafeSwitchBlocksOvertaking(t *testing.T) {
 	s := eventsim.New()
 	tl, ports := newTLB(s, 2, nil)
@@ -406,28 +396,24 @@ func TestControlPacketsCountedSeparately(t *testing.T) {
 	}
 }
 
-// TestTickEvictsIdleFlows pins the sweep's behavior: every flow idle for at least one interval is evicted in one
-// tick, active flows survive.
+// TestTickEvictsIdleFlows pins the sweep's behavior: every flow idle
+// for at least one interval is evicted in one tick, active flows
+// survive.
 func TestTickEvictsIdleFlows(t *testing.T) {
 	s := eventsim.New()
 	tl, ports := newTLB(s, 4, nil)
-	// Drive the sweep by hand: the periodic ticker would otherwise run
-	// its own eviction pass while the clock advances.
-	tl.Stop()
-
 	for i := 0; i < 10; i++ {
 		tl.Pick(dataPkt(netem.FlowID{Src: i, Dst: 100, Port: i}, 1460), ports)
 	}
-	// Let one interval pass, then refresh only the even flows.
-	s.At(tl.cfg.Interval, func() {})
-	s.Run()
+	// Refresh only the even flows half an interval in; the first tick,
+	// one interval in, finds the odd ones idle for a whole interval.
+	s.RunUntil(tl.cfg.Interval / 2)
 	for i := 0; i < 10; i += 2 {
 		tl.Pick(dataPkt(netem.FlowID{Src: i, Dst: 100, Port: i}, 1460), ports)
 	}
-	evBefore := tl.Stats().Evictions
-	tl.tick()
-	if got := tl.Stats().Evictions - evBefore; got != 5 {
-		t.Fatalf("tick evicted %d flows, want the 5 idle ones", got)
+	s.RunUntil(tl.cfg.Interval)
+	if st := tl.Stats(); st.Updates != 1 || st.Evictions != 5 {
+		t.Fatalf("after the first tick: %d updates, %d evictions; want 1 and the 5 idle flows", st.Updates, st.Evictions)
 	}
 	if short, long := tl.ActiveFlows(); short != 5 || long != 0 {
 		t.Fatalf("after tick: short=%d long=%d, want 5 short survivors", short, long)

@@ -20,26 +20,13 @@
 // Parallelism belongs one level up, across independent runs of a
 // parameter sweep.
 //
-// The pending queue is a calendar queue (one-level hierarchical timing
-// wheel plus a sorted spill): event push/pop is the hottest path of the
-// whole simulator, and almost every event is near-future — a
+// The pending queue is a calendar queue: almost every event is a
 // serialization completion or propagation arrival within one wire
-// horizon of now. Those land in O(1) wheel slots keyed by their
-// distance from the clock. A slot the clock has not reached yet is kept
-// in arrival order — an insert is a tail append that only notes whether
-// it arrived out of order — and is sorted by (at, seq) once, when it
-// becomes the wheel's earliest occupied slot; from then on (it is at or behind the sorted frontier)
-// inserts into it are placed in order. How many events share a slot is
-// a property of the fabric, not of the engine: a dozen on the leaf-spine
-// figures, over a hundred on a k=16 fat-tree, whose ~6 000 ports are
-// each monotone but mutually unordered. The minority of far-future
-// events (RTO timers, fault-schedule entries, pre-scheduled flow
-// arrivals) overflow to a small 4-ary heap that refills the wheel as
-// the clock advances. Events scheduled for the same instant drain from
-// one wheel slot as a batch, so a burst of same-timestamp deliveries
-// pays the ordering machinery once, not per event. DESIGN.md §14
-// describes the structure and why it preserves the engine's determinism
-// contract exactly.
+// horizon of now, and lands in an O(1) wheel slot kept in arrival order
+// until the clock reaches it, then sorted by (at, seq) once. The few
+// far-future events (RTO timers, fault entries) overflow to a 4-ary
+// heap that refills the wheel as the clock advances. DESIGN.md §14
+// describes the structure and why it keeps the determinism contract.
 //
 // Event storage is recycled through a per-Sim freelist so steady-state
 // scheduling allocates nothing: nodes are carved in blocks, released
@@ -68,18 +55,11 @@ const maxTime = Time(1<<63 - 1)
 
 // Calendar-queue geometry. A slot spans 2^slotShift simulated
 // nanoseconds and the wheel holds wheelSlots of them, so events within
-// wheelHorizon (= wheelSlots << slotShift ≈ 1.05 ms) of the clock
-// insert in O(1); everything further out spills to the heap. 2048
-// slots cover the longest queueing backlogs the figure scenarios build
-// without spilling steady-state traffic. How many events a 512 ns slot
-// holds depends on the fabric: per-packet serialization at 1–10 Gbps
-// spaces one port's events ~1.2–12 µs apart, so the 640-queue
-// leaf-spine figures see about a dozen per slot, while the 6 144
-// independently-phased ports of a k=16 fat-tree put ~125 in each
-// (DESIGN.md §14 has the measured numbers). The slot discipline —
-// arrival order until reached, sorted once then — makes the insert cost
-// independent of that population, so the geometry is not a per-topology
-// tuning value.
+// wheelHorizon (≈ 1.05 ms) of the clock insert in O(1); everything
+// further out spills to the heap. How many events share a slot is a
+// property of the fabric (about a dozen on the leaf-spine figures, 123
+// on a k=16 fat-tree); the slot discipline keeps the insert cost
+// independent of it, so the geometry is not tuned per topology.
 const (
 	slotShift    = 9
 	wheelSlots   = 2048 // must be a power of two
@@ -103,9 +83,9 @@ const (
 // Field order is part of the performance contract (layout_test.go pins
 // it): the queue-walk fields — at/seq for ordering comparisons,
 // next/prev for slot-list splicing, where for membership — plus gen and
-// both callback words all fit in the node's first 64 bytes, so an
-// insert, unlink or compare touches one cache line. Only the two-word
-// arg interface spills to the second line, and it is read once, at
+// the callback all fit in the node's first 64 bytes, so an insert,
+// unlink or compare touches one cache line. Only the arg interface's
+// data word spills to the second line, and it is read once, at
 // dispatch.
 type event struct {
 	at  Time
@@ -119,12 +99,11 @@ type event struct {
 	where int32
 	_     int32 // explicit padding: keeps gen's 8-alignment visible
 	gen   uint64
-	// Exactly one of fn / fnArg is set. The (fnArg, arg) pair lets hot
-	// callers schedule a pre-bound function plus argument without
-	// building a capturing closure per event.
-	fn    func()
-	fnArg func(any)
-	arg   any
+	// The callback is fn(arg): hot callers schedule a pre-bound function
+	// plus the object it acts on, without a capturing closure per event;
+	// At stores the caller's func() itself as arg.
+	fn  func(any)
+	arg any
 }
 
 // Event is a handle to a scheduled callback. It is a value: copy it
@@ -305,7 +284,6 @@ func (s *Sim) alloc() *event {
 func (s *Sim) release(e *event) {
 	e.gen++
 	e.fn = nil
-	e.fnArg = nil
 	e.arg = nil
 	e.where = locNone
 	e.next = nil
@@ -336,7 +314,7 @@ func (s *Sim) AtKey(t Time, key uint64, fn func(any), arg any) Event {
 	if key&KeyDomain == 0 {
 		panic(fmt.Sprintf("eventsim: AtKey key %#x outside the keyed domain", key))
 	}
-	return s.schedule(t, key, nil, fn, arg)
+	return s.schedule(t, key, fn, arg)
 }
 
 // ReserveKeyedID hands out consecutive small IDs in construction
@@ -351,7 +329,7 @@ func (s *Sim) ReserveKeyedID() uint32 {
 	return v
 }
 
-func (s *Sim) schedule(t Time, seq uint64, fn func(), fnArg func(any), arg any) Event {
+func (s *Sim) schedule(t Time, seq uint64, fn func(any), arg any) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("eventsim: scheduling at %v before now %v", t, s.now))
 	}
@@ -359,7 +337,6 @@ func (s *Sim) schedule(t Time, seq uint64, fn func(), fnArg func(any), arg any) 
 	e.at = t
 	e.seq = seq
 	e.fn = fn
-	e.fnArg = fnArg
 	e.arg = arg
 	if t < s.horizonEnd {
 		s.ctr.WheelInserts++
@@ -386,8 +363,12 @@ func (s *Sim) At(t Time, fn func()) Event {
 	if fn == nil {
 		panic("eventsim: nil event function")
 	}
-	return s.schedule(t, s.nextSeq(), fn, nil, nil)
+	return s.schedule(t, s.nextSeq(), callFunc, fn)
 }
+
+// callFunc is At's callback: a func value is pointer-shaped, so storing
+// one in the arg interface costs no allocation.
+func callFunc(fn any) { fn.(func())() }
 
 // After schedules fn to run d after the current time.
 func (s *Sim) After(d Time, fn func()) Event {
@@ -404,7 +385,7 @@ func (s *Sim) AtArg(t Time, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("eventsim: nil event function")
 	}
-	return s.schedule(t, s.nextSeq(), nil, fn, arg)
+	return s.schedule(t, s.nextSeq(), fn, arg)
 }
 
 // Cancel removes a pending event and reports whether it was still
@@ -495,13 +476,9 @@ func (s *Sim) Step() bool {
 // itself can schedule new events into the just-freed node and a
 // handle's Scheduled goes false for the duration of its own callback.
 func (s *Sim) invoke(e *event) {
-	fn, fnArg, arg := e.fn, e.fnArg, e.arg
+	fn, arg := e.fn, e.arg
 	s.release(e)
-	if fn != nil {
-		fn()
-	} else {
-		fnArg(arg)
-	}
+	fn(arg)
 }
 
 // peek returns the earliest pending event without removing it, or nil.
@@ -584,8 +561,8 @@ func before(a, b *event) bool {
 // whether there will be anything to sort — and e cannot precede the
 // cached min, which lies at or behind the frontier. At or behind the
 // frontier — a same-instant callback, a schedule into the slot being
-// drained, a RunUntil or NextEventAt look-ahead that reached a later
-// slot, spill migration into the current bucket — the slot is sorted
+// drained, a slot that RunUntil's peek reached past its deadline, spill
+// migration into the current bucket — the slot is sorted
 // and e is placed in (at, seq) order by a backward walk from the tail
 // (after any equal key, so insertion order breaks exact ties).
 func (s *Sim) wheelInsert(e *event) {
@@ -965,53 +942,4 @@ func (s *Sim) down(i int) {
 	}
 	h[i] = e
 	e.where = int32(i)
-}
-
-// Ticker invokes fn every period until Stop is called or the simulation
-// drains. The first tick fires one period after Start.
-type Ticker struct {
-	sim    *Sim
-	period Time
-	fn     func()
-	ev     Event
-	tickFn func()
-	active bool
-}
-
-// NewTicker creates an unstarted ticker.
-func NewTicker(sim *Sim, period Time, fn func()) *Ticker {
-	if period <= 0 {
-		panic("eventsim: non-positive ticker period")
-	}
-	t := &Ticker{sim: sim, period: period, fn: fn}
-	t.tickFn = t.tick
-	return t
-}
-
-// Start schedules the first tick. Starting a running ticker is a no-op.
-func (t *Ticker) Start() {
-	if t.active {
-		return
-	}
-	t.active = true
-	t.ev = t.sim.After(t.period, t.tickFn)
-}
-
-func (t *Ticker) tick() {
-	if !t.active {
-		return
-	}
-	t.fn()
-	if t.active {
-		t.ev = t.sim.After(t.period, t.tickFn)
-	}
-}
-
-// Stop cancels the pending tick and deactivates the ticker. The stale
-// handle kept after Stop is harmless: its generation no longer matches
-// once the node is recycled, so a later Stop cannot cancel an
-// unrelated event.
-func (t *Ticker) Stop() {
-	t.active = false
-	t.sim.Cancel(t.ev)
 }

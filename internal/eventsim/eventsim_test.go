@@ -167,25 +167,6 @@ func TestStep(t *testing.T) {
 	}
 }
 
-func TestTicker(t *testing.T) {
-	s := New()
-	var ticks []Time
-	tk := NewTicker(s, 10, func() { ticks = append(ticks, s.Now()) })
-	tk.Start()
-	tk.Start() // idempotent
-	s.At(35, func() { tk.Stop() })
-	s.RunUntil(100)
-	want := []Time{10, 20, 30}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks %v, want %v", ticks, want)
-		}
-	}
-}
-
 // TestHeapPropertyRandomOps drives the 4-ary heap with random
 // interleaved schedules and cancels and checks the pop order is always
 // non-decreasing in time.

@@ -114,39 +114,6 @@ func TestHandleAtSurvivesRecycle(t *testing.T) {
 	}
 }
 
-// TestTickerRestartAfterRecycle: stop a ticker, churn the freelist so
-// its pending-tick node is recycled by unrelated events, then restart
-// it; the stale handle kept across the stop must not interfere and the
-// restarted ticker must tick on schedule.
-func TestTickerRestartAfterRecycle(t *testing.T) {
-	s := New()
-	var ticks []Time
-	tk := NewTicker(s, 10, func() { ticks = append(ticks, s.Now()) })
-	tk.Start()
-	s.RunUntil(25) // ticks at 10, 20
-	tk.Stop()
-
-	// Churn: recycle the stopped ticker's node through other events.
-	for i := 0; i < 100; i++ {
-		s.At(s.Now()+1, func() {})
-	}
-	s.RunUntil(30)
-
-	tk.Start()
-	s.RunUntil(55) // ticks at 40, 50
-	tk.Stop()
-
-	want := []Time{10, 20, 40, 50}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks at %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks at %v, want %v", ticks, want)
-		}
-	}
-}
-
 // TestEventChurn is a fuzz-style workout of the freelist: thousands of
 // interleaved At/Cancel/Step operations driven by a seeded RNG, with an
 // oracle tracking exactly which event IDs must fire. Any resurrection

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -39,16 +41,27 @@ func TestParallelSerialIdenticalFigures(t *testing.T) {
 
 // TestParallelSerialIdenticalLargeSweep covers the batched load-grid
 // path (and with it the Poisson workload generation), which fans out
-// the widest in the figure suite.
+// the widest in the figure suite. TestGoldenFigures already renders
+// the pinned fig10 and fig12 sweeps serially and compares them with
+// their goldens, so here a six-worker pool must reproduce the same
+// files byte for byte.
 func TestParallelSerialIdenticalLargeSweep(t *testing.T) {
-	run := func(workers int) string {
-		figs, err := Fig10(Options{Seed: 5, FlowsPerRun: 60, SweepPoints: 2, Workers: workers})
+	for _, g := range goldenFigures {
+		if g.name != "fig10" && g.name != "fig12" {
+			continue
+		}
+		o := g.opts
+		o.Workers = 6
+		figs, err := g.run(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return figureCSV(figs)
-	}
-	if a, b := run(1), run(6); a != b {
-		t.Fatalf("large sweep diverges across worker counts:\n%s\nvs\n%s", a, b)
+		want, err := os.ReadFile(filepath.Join("testdata", "golden", g.name+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := figureCSV(figs); got != string(want) {
+			t.Fatalf("%s at 6 workers diverges from its serial golden:\n%s", g.name, got)
+		}
 	}
 }

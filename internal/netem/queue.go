@@ -91,11 +91,6 @@ func (q *Queue) Stats() QueueStats {
 	}
 }
 
-// Config returns the queue's configuration.
-func (q *Queue) Config() QueueConfig {
-	return QueueConfig{Capacity: int(q.capacity), ECNThreshold: int(q.ecnThreshold)}
-}
-
 // advance accounts for packets whose service has begun by time now.
 func (p *Port) advance(now units.Time) {
 	e := p.firstWaiting

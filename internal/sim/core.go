@@ -16,7 +16,7 @@ import (
 
 // This file is the run core: the one implementation of "a scenario on
 // an event engine" — engine, packet and flow pools, network, hosts, fault
-// install, arrival pump, flow open/close, output sinks, goodput ticker,
+// install, arrival pump, flow open/close, output sinks, goodput tick,
 // fold target — and its reduction to a Result.
 //
 // Every output folds as it happens and nothing is kept per packet.
@@ -24,7 +24,7 @@ import (
 // receiver adds each data packet to the queue-length histogram and the
 // receiver series, in engine delivery order (a function of the traffic
 // alone, see netem.DeliveryKey), and the sender credits newly acked
-// bytes, which the goodput ticker moves into its series once per
+// bytes, which the goodput tick moves into its series once per
 // bucket.
 
 // runCore is one run's complete private world: nothing in it is shared
@@ -80,7 +80,7 @@ type runCore struct {
 }
 
 // newCore constructs the scenario's world — engine, pool, network,
-// faults, hosts — and arms the workload and the goodput ticker, in
+// faults, hosts — and arms the workload and the goodput tick, in
 // that order: set-up events take their sequence numbers in it.
 func newCore(sc *Scenario) (*runCore, error) {
 	c := &runCore{sc: sc, sim: eventsim.New(), agg: &StreamAgg{}}

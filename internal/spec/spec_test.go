@@ -422,10 +422,7 @@ func TestTLBModelsTheRunsTransport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := eventsim.New()
-		tl := sc.Balancer(sim, eventsim.NewRNG(1), nil).(*core.TLB)
-		tl.Stop()
-		return tl
+		return sc.Balancer(eventsim.New(), eventsim.NewRNG(1), nil).(*core.TLB)
 	}
 	rto, on, off := Duration("50ms"), true, false
 	want := built(nil).Model()
