@@ -22,6 +22,9 @@ vet:
 # determinism, unit-safety and ownership contract (DESIGN.md §9,
 # "Determinism contract"): nowallclock, noglobalrand, maporder,
 # floateq, unitliteral, packetown — plus stale-suppression detection.
+# It shells out to `go list` for the module's packages and files, so it
+# lints exactly what `go build` builds (GOFLAGS included) and needs no
+# network.
 lint:
 	$(GO) run ./cmd/simlint ./...
 

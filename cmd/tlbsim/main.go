@@ -133,16 +133,9 @@ func checkSpecs(files []string, stdout io.Writer) error {
 	return nil
 }
 
-// runSpecFiles compiles and runs the spec files; multi-file batches go
-// through the sweep worker pool and report each result in input order.
+// runSpecFiles compiles the spec files and runs them through the sweep
+// worker pool, reporting each result in input order.
 func runSpecFiles(files []string, o options, stdout io.Writer) error {
-	if len(files) == 1 {
-		sp, err := spec.Load(files[0])
-		if err != nil {
-			return err
-		}
-		return runOne(sp, o, stdout)
-	}
 	specs := make([]*spec.Spec, len(files))
 	scenarios := make([]sim.Scenario, len(files))
 	for i, f := range files {
@@ -186,27 +179,11 @@ func runSpecFiles(files []string, o options, stdout io.Writer) error {
 		for i, res := range results {
 			items[i] = report.Item{Scenario: specs[i].Name, Scheme: schemeLabel(specs[i]), Result: res}
 		}
-		return writeReport(o.reportPath, report.Campaign{Title: "tlbsim batch", Items: items})
-	}
-	return nil
-}
-
-// runOne compiles and runs a single spec.
-func runOne(sp *spec.Spec, o options, stdout io.Writer) error {
-	sc, err := sp.Compile()
-	if err != nil {
-		return err
-	}
-	res, err := sim.Run(sc)
-	if err != nil {
-		return err
-	}
-	printResult(stdout, res)
-	if o.reportPath != "" {
-		c := report.Campaign{Title: "tlbsim run " + sp.Name, Items: []report.Item{{
-			Scenario: sp.Name, Scheme: schemeLabel(sp), Result: res,
-		}}}
-		return writeReport(o.reportPath, c)
+		title := "tlbsim batch"
+		if len(specs) == 1 {
+			title = "tlbsim run " + specs[0].Name
+		}
+		return writeReport(o.reportPath, report.Campaign{Title: title, Items: items})
 	}
 	return nil
 }

@@ -183,10 +183,14 @@ func TestCheckSpecReportsBadFileAndKeepsGoing(t *testing.T) {
 
 // TestReportShowsFaultTimeline: the quickstart run outlasts its link's
 // down (20 ms) and restore (60 ms), and its report draws one marker for
-// each, whether the spec runs alone or in a batch.
+// each, whether the spec runs alone or in a batch. A lone spec's report
+// is titled after its run, a batch's after the batch.
 func TestReportShowsFaultTimeline(t *testing.T) {
 	dir := t.TempDir()
-	for _, paths := range []string{quickstart, quickstart + ",specs/mix.json"} {
+	for paths, heading := range map[string]string{
+		quickstart:                     "tlbsim run quickstart-spec",
+		quickstart + ",specs/mix.json": "tlbsim batch",
+	} {
 		path := filepath.Join(dir, "report.html")
 		if _, err := runOut(t, options{specPaths: paths, reportPath: path, workers: 2}); err != nil {
 			t.Fatal(err)
@@ -194,6 +198,9 @@ func TestReportShowsFaultTimeline(t *testing.T) {
 		doc, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.Contains(doc, []byte("<h1>"+heading+"</h1>")) {
+			t.Errorf("-spec %s: report is not titled %q", paths, heading)
 		}
 		for _, title := range []string{"20ms leaf0&lt;-&gt;spine3 down", "60ms leaf0&lt;-&gt;spine3 restore"} {
 			if n := bytes.Count(doc, []byte("<title>"+title+"</title>")); n != 1 {

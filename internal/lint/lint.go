@@ -38,9 +38,10 @@
 // The reason inside the parentheses is mandatory; an empty reason and
 // an unknown rule name are themselves reported. A directive that
 // suppresses nothing is reported as unusedallow, so stale suppressions
-// fail the build. The analyzer is stdlib-only (go/parser, go/ast,
-// go/types with the source importer), keeping the module free of
-// third-party dependencies.
+// fail the build. The file set comes from `go list`, so it is the one
+// `go build` and `go vet` see; parsing and type-checking use go/parser
+// and go/types (the standard library through the source importer),
+// keeping the module free of third-party dependencies.
 package lint
 
 import (

@@ -1,17 +1,19 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
+	"io"
+	"os/exec"
 	"path/filepath"
-	"sort"
-	"strings"
+	"slices"
 )
 
 // pkg is one loaded-and-type-checked package of the module under lint.
@@ -23,7 +25,6 @@ import (
 // external _test package carries just its own files in both.
 type pkg struct {
 	path     string      // import path, e.g. "tlb/internal/core"
-	dir      string      // absolute directory
 	files    []*ast.File // files the analyzers run over
 	allFiles []*ast.File // files the type checker saw (files plus, for in-package tests, the base files)
 	info     *types.Info
@@ -39,214 +40,119 @@ var (
 	stdImporter = importer.ForCompiler(sharedFset, "source", nil)
 )
 
-// moduleImporter resolves module-internal import paths from the set of
-// already-checked packages and everything else (the standard library)
-// through the shared source importer. The module is kept dependency-free
-// on purpose, so "not module, not stdlib" cannot occur.
-type moduleImporter struct {
-	modpath string
-	pkgs    map[string]*types.Package
-}
+// moduleImporter resolves module packages from those already checked
+// and everything else (the standard library) through the shared source
+// importer. The module is kept dependency-free on purpose, so "not
+// module, not stdlib" cannot occur.
+type moduleImporter map[string]*types.Package
 
-func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if p, ok := m.pkgs[path]; ok {
+func (m moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := m[path]; ok {
 		return p, nil
-	}
-	if path == m.modpath || strings.HasPrefix(path, m.modpath+"/") {
-		return nil, fmt.Errorf("module package %s imported before it was loaded (import cycle?)", path)
 	}
 	return stdImporter.Import(path)
 }
 
-// modulePath extracts the module path from root/go.mod.
-func modulePath(root string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
+// listedPackage is the part of `go list -json` output the loader reads.
+type listedPackage struct {
+	ImportPath, Dir                    string
+	Standard                           bool
+	GoFiles, TestGoFiles, XTestGoFiles []string
+}
+
+// listModule asks the go command for the module's packages: exactly the
+// file sets `go build` and `go vet` see (build constraints, GOFLAGS and
+// testdata/_/. exclusions applied), every package after its
+// dependencies. -e keeps a package whose embed patterns match nothing;
+// parse and type errors still surface when the files are checked.
+func listModule(root string) ([]listedPackage, error) {
+	cmd := exec.Command("go", "list", "-e", "-deps", "-json=ImportPath,Dir,Standard,GoFiles,TestGoFiles,XTestGoFiles", "./...")
+	cmd.Dir = root
+	out, err := cmd.Output()
 	if err != nil {
-		return "", err
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			err = fmt.Errorf("%v: %s", err, bytes.TrimSpace(exit.Stderr))
+		}
+		return nil, fmt.Errorf("lint: go list in %s: %w", root, err)
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(rest), nil
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var lp listedPackage
+		if err := dec.Decode(&lp); err == io.EOF {
+			return pkgs, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("lint: go list output: %w", err)
+		}
+		if !lp.Standard {
+			pkgs = append(pkgs, lp)
 		}
 	}
-	return "", fmt.Errorf("lint: no module line in %s/go.mod", root)
 }
 
-// matchFile reports whether the build system would include the file on
-// the host platform: files excluded by //go:build (or // +build)
-// constraints, or by _GOOS/_GOARCH filename suffixes, are invisible to
-// the compiler and must be invisible to the linter too — they may not
-// even type-check against the loaded platform.
-func matchFile(dir, name string) (bool, error) {
-	ok, err := build.Default.MatchFile(dir, name)
-	if err != nil {
-		return false, fmt.Errorf("lint: build constraints of %s: %w", filepath.Join(dir, name), err)
-	}
-	return ok, nil
-}
-
-// loadModule parses and type-checks every package under root, then
-// loads each directory's _test.go files in a second pass: in-package
-// test files are type-checked together with their base files, external
-// _test packages on their own. Fixture modules under testdata stay
-// excluded — they are other modules entirely.
+// loadModule parses and type-checks every package of the module rooted
+// at root in the order go list prints them, then loads the _test.go
+// files in a second pass: in-package test files are type-checked
+// together with their base files, external _test packages on their
+// own. Fixture modules under testdata stay excluded: they are other
+// modules entirely.
 func loadModule(root string) ([]*pkg, error) {
-	absRoot, err := filepath.Abs(root)
+	listed, err := listModule(root)
 	if err != nil {
 		return nil, err
 	}
-	modpath, err := modulePath(absRoot)
-	if err != nil {
-		return nil, err
-	}
-
-	// Discover package directories (any dir with a buildable .go file,
-	// test-only directories included).
-	var dirs []string
-	err = filepath.WalkDir(absRoot, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != absRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		hasGo, err := dirHasGoFiles(path)
-		if err != nil {
-			return err
-		}
-		if hasGo {
-			dirs = append(dirs, path)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(dirs)
-
-	// Parse.
-	byPath := make(map[string]*pkg, len(dirs))
-	testFiles := make(map[string][]*ast.File, len(dirs)) // ipath -> parsed _test.go files
-	imports := make(map[string][]string, len(dirs))      // module-internal deps
-	var order []string                                   // ipaths with test files, in dir order
-	for _, dir := range dirs {
-		rel, err := filepath.Rel(absRoot, dir)
-		if err != nil {
-			return nil, err
-		}
-		ipath := modpath
-		if rel != "." {
-			ipath = modpath + "/" + filepath.ToSlash(rel)
-		}
-		p := &pkg{path: ipath, dir: dir}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		sawTests := false
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") {
-				continue
-			}
-			if ok, err := matchFile(dir, name); err != nil {
-				return nil, err
-			} else if !ok {
-				continue
-			}
-			f, err := parser.ParseFile(sharedFset, filepath.Join(dir, name), nil, parser.ParseComments)
-			if err != nil {
-				return nil, err
-			}
-			if strings.HasSuffix(name, "_test.go") {
-				testFiles[ipath] = append(testFiles[ipath], f)
-				sawTests = true
-				continue
-			}
-			p.files = append(p.files, f)
-			for _, imp := range f.Imports {
-				dep := strings.Trim(imp.Path.Value, `"`)
-				if dep == modpath || strings.HasPrefix(dep, modpath+"/") {
-					imports[ipath] = append(imports[ipath], dep)
-				}
-			}
-		}
-		if len(p.files) > 0 {
-			p.allFiles = p.files
-			byPath[ipath] = p
-		}
-		if sawTests {
-			order = append(order, ipath)
-		}
-	}
-
-	// Topological order over module-internal imports.
-	topo, err := topoSort(byPath, imports)
-	if err != nil {
-		return nil, err
-	}
-
-	// Type-check in dependency order.
-	imp := &moduleImporter{modpath: modpath, pkgs: make(map[string]*types.Package)}
+	imp := moduleImporter{}
 	var out []*pkg
-	for _, ipath := range topo {
-		p := byPath[ipath]
-		p.info = newInfo()
-		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(ipath, sharedFset, p.files, p.info)
-		if err != nil {
-			return nil, fmt.Errorf("lint: type-checking %s: %w", ipath, err)
+	// check parses the named files of dir and type-checks them as path,
+	// after base: the files an in-package test extends.
+	check := func(path, dir string, names []string, base []*ast.File, test bool) ([]*ast.File, error) {
+		files, err := parseFiles(dir, names)
+		if err != nil || len(files) == 0 {
+			return nil, err
 		}
-		imp.pkgs[ipath] = tpkg
+		p := &pkg{path: path, files: files, allFiles: slices.Concat(base, files), info: newInfo(), test: test}
+		conf := types.Config{Importer: imp}
+		tpkg, err := conf.Check(path, sharedFset, p.allFiles, p.info)
+		if err != nil {
+			return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
+		}
+		if !test {
+			imp[path] = tpkg
+		}
 		out = append(out, p)
+		return files, nil
 	}
 
-	// Second pass: test packages. Every non-test package is loaded by
-	// now, so test files may import anything in the module.
-	for _, ipath := range order {
-		base := byPath[ipath]
-		var inPkg, external []*ast.File
-		baseName := ""
-		if base != nil && len(base.files) > 0 {
-			baseName = base.files[0].Name.Name
+	base := make(map[string][]*ast.File, len(listed))
+	for _, lp := range listed {
+		if base[lp.ImportPath], err = check(lp.ImportPath, lp.Dir, lp.GoFiles, nil, false); err != nil {
+			return nil, err
 		}
-		for _, f := range testFiles[ipath] {
-			if baseName != "" && f.Name.Name == baseName+"_test" {
-				external = append(external, f)
-			} else {
-				inPkg = append(inPkg, f)
-			}
+	}
+	// Every non-test package is checked by now, so test files may
+	// import anything in the module.
+	for _, lp := range listed {
+		if _, err := check(lp.ImportPath, lp.Dir, lp.TestGoFiles, base[lp.ImportPath], true); err != nil {
+			return nil, err
 		}
-		dir := filepath.Dir(sharedFset.Position(testFiles[ipath][0].Pos()).Filename)
-		if len(inPkg) > 0 {
-			tp := &pkg{path: ipath, dir: dir, files: inPkg, test: true}
-			tp.allFiles = inPkg
-			if base != nil {
-				tp.allFiles = append(append([]*ast.File(nil), base.files...), inPkg...)
-			}
-			tp.info = newInfo()
-			conf := types.Config{Importer: imp}
-			if _, err := conf.Check(ipath, sharedFset, tp.allFiles, tp.info); err != nil {
-				return nil, fmt.Errorf("lint: type-checking %s tests: %w", ipath, err)
-			}
-			out = append(out, tp)
-		}
-		if len(external) > 0 {
-			tp := &pkg{path: ipath + "_test", dir: dir, files: external, allFiles: external, test: true}
-			tp.info = newInfo()
-			conf := types.Config{Importer: imp}
-			if _, err := conf.Check(ipath+"_test", sharedFset, external, tp.info); err != nil {
-				return nil, fmt.Errorf("lint: type-checking %s: %w", ipath+"_test", err)
-			}
-			out = append(out, tp)
+		if _, err := check(lp.ImportPath+"_test", lp.Dir, lp.XTestGoFiles, nil, true); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// parseFiles parses the named files of dir, comments included.
+func parseFiles(dir string, names []string) ([]*ast.File, error) {
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		f, err := parser.ParseFile(sharedFset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
 }
 
 func newInfo() *types.Info {
@@ -256,62 +162,4 @@ func newInfo() *types.Info {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-}
-
-func dirHasGoFiles(dir string) (bool, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false, err
-	}
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// topoSort orders package paths so every package follows its
-// module-internal dependencies.
-func topoSort(pkgs map[string]*pkg, deps map[string][]string) ([]string, error) {
-	const (
-		unvisited = 0
-		visiting  = 1
-		done      = 2
-	)
-	state := make(map[string]int, len(pkgs))
-	var order []string
-	var visit func(string) error
-	visit = func(p string) error {
-		switch state[p] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("lint: import cycle through %s", p)
-		}
-		state[p] = visiting
-		ds := append([]string(nil), deps[p]...)
-		sort.Strings(ds)
-		for _, d := range ds {
-			if _, ok := pkgs[d]; ok {
-				if err := visit(d); err != nil {
-					return err
-				}
-			}
-		}
-		state[p] = done
-		order = append(order, p)
-		return nil
-	}
-	paths := make([]string, 0, len(pkgs))
-	for p := range pkgs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if err := visit(p); err != nil {
-			return nil, err
-		}
-	}
-	return order, nil
 }

@@ -110,20 +110,16 @@ func (c *checker) count(path string, n int) int {
 	return n
 }
 
-// Validate checks the spec without constructing the workload; it
+// Validate checks the spec by compiling it and dropping the result; it
 // reports every problem found, located by JSON path.
 func (s *Spec) Validate() error {
-	_, err := s.compile(false)
+	_, err := s.Compile()
 	return err
 }
 
 // Compile validates the spec and lowers it to a runnable
 // sim.Scenario, workload included.
 func (s *Spec) Compile() (sim.Scenario, error) {
-	return s.compile(true)
-}
-
-func (s *Spec) compile(materialize bool) (sim.Scenario, error) {
 	c := &checker{}
 	var sc sim.Scenario
 
@@ -162,7 +158,7 @@ func (s *Spec) compile(materialize bool) (sim.Scenario, error) {
 	}
 
 	// Workload.
-	sc.Flows, sc.FlowSourceNew = s.compileWorkload(c, topo, materialize)
+	sc.Flows, sc.FlowSourceNew = s.compileWorkload(c, topo)
 
 	// Faults address leaf-spine pairs; a fat-tree has no notion of
 	// them.
@@ -360,8 +356,8 @@ func (s *Spec) compileDeadlines(c *checker, path string, d *Deadlines) workload.
 // draws the identical sequence, so a compiled Scenario can be run more
 // than once), mix to a flow slice, because its generation order, not
 // its arrival order, numbers its flows. Exactly one of the two returns
-// is non-nil when materialize is set and the workload is valid.
-func (s *Spec) compileWorkload(c *checker, topo topology.Config, materialize bool) ([]workload.Flow, func() workload.Source) {
+// is non-nil when the workload is valid.
+func (s *Spec) compileWorkload(c *checker, topo topology.Config) ([]workload.Flow, func() workload.Source) {
 	w := s.Workload
 	wseed := s.Seed + 1
 
@@ -385,18 +381,18 @@ func (s *Spec) compileWorkload(c *checker, topo topology.Config, materialize boo
 	case "poisson":
 		reject("mix", mixFields...)
 		reject("interpod", interpodFields...)
-		return s.compilePoisson(c, topo, wseed, materialize)
+		return s.compilePoisson(c, topo, wseed)
 	case "mix":
 		reject("poisson", poissonFields...)
 		reject("interpod", interpodFields...)
-		return s.compileMix(c, topo, wseed, materialize), nil
+		return s.compileMix(c, topo, wseed), nil
 	case "interpod":
 		reject("poisson", poissonFields...)
 		reject("mix", mixFields...)
 		if w.Deadlines != nil {
 			c.errf("workload.deadlines", "only applies to workload kinds %q and %q (interpod reads workload.interPod.deadline*)", "poisson", "mix")
 		}
-		return s.compileInterPod(c, topo, wseed, materialize)
+		return s.compileInterPod(c, topo, wseed)
 	case "":
 		c.errf("workload.kind", "must be set (valid: poisson, mix, interpod)")
 	default:
@@ -405,7 +401,7 @@ func (s *Spec) compileWorkload(c *checker, topo topology.Config, materialize boo
 	return nil, nil
 }
 
-func (s *Spec) compilePoisson(c *checker, topo topology.Config, wseed uint64, materialize bool) ([]workload.Flow, func() workload.Source) {
+func (s *Spec) compilePoisson(c *checker, topo topology.Config, wseed uint64) ([]workload.Flow, func() workload.Source) {
 	w := s.Workload
 	if topo.K != 0 {
 		c.errf("workload.kind", "poisson traffic needs a leafspine topology (load is defined against the leaf-spine fabric capacity)")
@@ -422,7 +418,7 @@ func (s *Spec) compilePoisson(c *checker, topo topology.Config, wseed uint64, ma
 	}
 	sizes := s.compileSizes(c, "workload.sizes", w.Sizes)
 	deadlines := s.compileDeadlines(c, "workload.deadlines", w.Deadlines)
-	if len(c.errs) > 0 || !materialize {
+	if len(c.errs) > 0 {
 		return nil, nil
 	}
 	hostsPerLeaf := topo.HostsPerLeaf
@@ -442,7 +438,7 @@ func (s *Spec) compilePoisson(c *checker, topo topology.Config, wseed uint64, ma
 	})
 }
 
-func (s *Spec) compileMix(c *checker, topo topology.Config, wseed uint64, materialize bool) []workload.Flow {
+func (s *Spec) compileMix(c *checker, topo topology.Config, wseed uint64) []workload.Flow {
 	w := s.Workload
 	if len(w.Groups) == 0 {
 		c.errf("workload.groups", "mix needs at least one group")
@@ -507,7 +503,7 @@ func (s *Spec) compileMix(c *checker, topo topology.Config, wseed uint64, materi
 		}
 		mixes = append(mixes, m)
 	}
-	if len(c.errs) > 0 || !materialize {
+	if len(c.errs) > 0 {
 		return nil
 	}
 	// One RNG shared across all groups in order: group boundaries do
@@ -527,7 +523,7 @@ func (s *Spec) compileMix(c *checker, topo topology.Config, wseed uint64, materi
 	return workload.Collect(decorate(workload.NewSliceSource(flows)))
 }
 
-func (s *Spec) compileInterPod(c *checker, topo topology.Config, wseed uint64, materialize bool) ([]workload.Flow, func() workload.Source) {
+func (s *Spec) compileInterPod(c *checker, topo topology.Config, wseed uint64) ([]workload.Flow, func() workload.Source) {
 	w := s.Workload
 	if topo.K == 0 {
 		c.errf("workload.kind", "interpod traffic needs a fattree topology")
@@ -549,7 +545,7 @@ func (s *Spec) compileInterPod(c *checker, topo topology.Config, wseed uint64, m
 	dlBase := c.dur("workload.interPod.deadlineBase", ip.DeadlineBase)
 	dlJitter := c.dur("workload.interPod.deadlineJitter", ip.DeadlineJitter)
 	dlBelow := c.size("workload.interPod.deadlineOnlyBelow", ip.DeadlineOnlyBelow)
-	if len(c.errs) > 0 || !materialize {
+	if len(c.errs) > 0 {
 		return nil, nil
 	}
 	hosts := topo.Hosts()

@@ -14,12 +14,7 @@
 // first.
 package spec
 
-import (
-	"encoding/json"
-	"sort"
-
-	"tlb/internal/units"
-)
+import "tlb/internal/units"
 
 // Version is the spec format version this build reads and writes.
 const Version = 1
@@ -81,37 +76,10 @@ type Scheme struct {
 }
 
 // Params carries scheme parameters. Values are unit strings for
-// quantities and plain JSON numbers/bools/strings otherwise; it
-// marshals with sorted keys so specs serialize deterministically.
+// quantities and plain JSON numbers/bools/strings otherwise;
+// encoding/json writes map keys sorted, so specs serialize
+// deterministically.
 type Params map[string]any
-
-// MarshalJSON writes the map in sorted-key order.
-func (p Params) MarshalJSON() ([]byte, error) {
-	keys := make([]string, 0, len(p))
-	//simlint:allow maporder(keys are collected here and sorted below before any use)
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	buf := []byte{'{'}
-	for i, k := range keys {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		kb, err := json.Marshal(k)
-		if err != nil {
-			return nil, err
-		}
-		vb, err := json.Marshal(p[k])
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, kb...)
-		buf = append(buf, ':')
-		buf = append(buf, vb...)
-	}
-	return append(buf, '}'), nil
-}
 
 // Topology describes the fabric.
 type Topology struct {
