@@ -27,7 +27,10 @@ import (
 // (ablations), a pinned q_th with a stated deadline (fig7), the
 // deadline percentiles (fig12) and link overrides on the testbed
 // transport (fig16) — pinning any change to shared run machinery or to
-// how an environment states its parameters to a reviewed diff.
+// how an environment states its parameters to a reviewed diff. The
+// data-mining grid (fig11), the long-flow testbed sweep (fig14), the
+// de-rated links (fig17) and the wider field on them (extended-asym)
+// pin the remaining scenario builders.
 var goldenFigures = []struct {
 	name string
 	run  func(Options) ([]Figure, error)
@@ -46,6 +49,10 @@ var goldenFigures = []struct {
 	{"fig7", Fig7, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 2}},
 	{"fig12", Fig12, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 2}},
 	{"fig16", Fig16, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 2}},
+	{"fig11", Fig11, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 1}},
+	{"fig14", Fig14, Options{Seed: 42, SweepPoints: 1}},
+	{"fig17", Fig17, Options{Seed: 42, SweepPoints: 2}},
+	{"extended-asym", ExtendedAsymmetric, Options{Seed: 42}},
 }
 
 // allAblations renders the seven ablation-* registry entries, in
