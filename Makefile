@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt-check vet lint race bench bench-all bench-gate-self bench-pair bench-setup-pair alloc-gates identity loc knobs specs examples smoke largescale-smoke ci
+.PHONY: build test fmt-check vet lint race bench bench-all bench-gate-self bench-pair bench-setup-pair alloc-gates identity figures-diff loc knobs specs examples smoke largescale-smoke ci
 
 build:
 	$(GO) build ./...
@@ -102,13 +102,13 @@ W ?= fattree-mice
 N ?= 10
 WORKLOADS = leafspine-websearch fattree-mice scheme-sweep
 
-# build-pair exports $(REF) into $(1)/src and builds its ./bench as
-# $(1)/ref, and the working tree's as $(1)/head.
+# build-pair exports $(REF) into $(1)/src and builds its package $(2)
+# as $(1)/ref, and the working tree's as $(1)/head.
 build-pair = rm -rf $(1); mkdir -p $(1)/src; git archive $(REF) | tar -x -C $(1)/src; \
-	(cd $(1)/src && $(GO) build -o ../ref ./bench); rm -rf $(1)/src; $(GO) build -o $(1)/head ./bench
+	(cd $(1)/src && $(GO) build -o ../ref $(2)); rm -rf $(1)/src; $(GO) build -o $(1)/head $(2)
 
 bench-pair:
-	@set -e; d=.bench_build/pair; $(call build-pair,$$d); \
+	@set -e; d=.bench_build/pair; $(call build-pair,$$d,./bench); \
 	ws="$(W)"; if [ "$$ws" = all ]; then ws="$(WORKLOADS)"; fi; \
 	for i in $$(seq 1 $(N)); do \
 	  if [ $$((i % 2)) = 1 ]; then order="ref head"; else order="head ref"; fi; \
@@ -145,7 +145,7 @@ bench-pair:
 # still makes one timed repetition, about 5 s; keep the box otherwise
 # idle.
 bench-setup-pair:
-	@set -e; d=.bench_build/setup-pair; $(call build-pair,$$d); \
+	@set -e; d=.bench_build/setup-pair; $(call build-pair,$$d,./bench); \
 	ws="$(W)"; if [ "$$ws" = all ]; then ws="$(WORKLOADS)"; fi; \
 	for i in $$(seq 1 $(N)); do \
 	  if [ $$((i % 2)) = 1 ]; then order="ref head"; else order="head ref"; fi; \
@@ -185,6 +185,26 @@ identity:
 	$(GO) test -count 1 -run 'TestGoldenFigures|TestEveryParamIsSetByARun|TestEverySpecFieldIsSetByARun|TestParallelSerialIdentical' ./internal/experiments
 	$(GO) test -count 1 -run 'TestArrivalOrderPinned|TestSessionObserverNeutral|TestStreamStatsMatchesRecords' ./internal/sim
 	$(GO) test -count 1 ./bench
+
+# figures-diff is the figure-identity check for a change that must not
+# move any figure: `make figures-diff REF=<commit>` builds
+# cmd/experiments at REF (exported under .bench_build/) and at the
+# working tree, runs every registry entry but fig15 (its bars are host
+# timings) on both with `-flows $(FLOWS) -points $(POINTS) -q -format
+# csv -dump-specs`, and fails on any difference in the CSV or in the
+# dumped specs. FLOWS=30 POINTS=0 is the full grid (each figure's own
+# sweep points).
+FLOWS ?= 40
+POINTS ?= 2
+
+figures-diff:
+	@set -e; d=.bench_build/figures; $(call build-pair,$$d,./cmd/experiments); \
+	figs=$$($$d/head -list | awk 'NR > 1 && $$1 != "fig15" { printf "%s%s", sep, $$1; sep = "," }'); \
+	for s in ref head; do \
+	  $$d/$$s -fig $$figs -flows $(FLOWS) -points $(POINTS) -q -format csv -dump-specs $$d/$$s-specs > $$d/$$s.csv; \
+	done; \
+	diff $$d/ref.csv $$d/head.csv; diff -r $$d/ref-specs $$d/head-specs; \
+	echo "figures-diff: $$(wc -l < $$d/head.csv) CSV lines and $$(ls $$d/head-specs | wc -l) specs identical to $(REF)"
 
 # loc prints the ROADMAP's simplicity measure — lines of non-test Go
 # outside bench/ — so every simplicity PR quotes the same count.

@@ -52,6 +52,10 @@ func run() int {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if *format != "plain" && *format != "csv" {
+		fmt.Fprintf(os.Stderr, "experiments: -format %q: want plain or csv\n", *format)
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -117,10 +121,9 @@ func run() int {
 			return 1
 		}
 		for _, f := range figs {
-			switch *format {
-			case "csv":
+			if *format == "csv" {
 				fmt.Print(f.CSV())
-			default:
+			} else {
 				fmt.Println(f.Format())
 			}
 		}

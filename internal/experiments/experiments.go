@@ -21,7 +21,6 @@ import (
 	"io"
 	"time"
 
-	"tlb/internal/eventsim"
 	"tlb/internal/netem"
 	"tlb/internal/sim"
 	"tlb/internal/spec"
@@ -166,6 +165,19 @@ func (f *Figure) Format() string {
 	return out
 }
 
+// add appends (x, y) to the named series, creating the series after
+// the existing ones on first use.
+func (f *Figure) add(series string, x, y float64) {
+	for i := range f.Series {
+		if f.Series[i].Name == series {
+			f.Series[i].Add(x, y)
+			return
+		}
+	}
+	f.Series = append(f.Series, stats.Series{Name: series})
+	f.Series[len(f.Series)-1].Add(x, y)
+}
+
 // Scheme names a registered balancer plus its parameters — pure data,
 // resolved through the lb registry at compile time. Replication adds
 // RepFlow-style end-host copies on top (RepFlow runs ECMP at the
@@ -207,26 +219,55 @@ func baselines(flowletGap units.Time) []Scheme {
 
 // ---- Shared scenario environments ----
 //
-// An environment keeps its fabric as a topology.Config (Fig. 7's model
-// parameters, Fig. 15's direct lb.Build and the Fig. 16/17 overrides
-// read it typed) and states everything else — sizes, deadlines,
-// transport, TLB parameters — as the spec values its scenarios carry.
-// What an environment does not state is the registry's default.
+// A figure is a grid of environments × schemes: it renders each cell
+// with env.spec, runs the batch, and reduces the results in input
+// order. An environment keeps its fabric as a topology.Config (Fig.
+// 7's model parameters and the Fig. 16/17 overrides read it typed) and
+// states everything else — transport, workload, deadlines — as the
+// spec values its scenarios carry. What it does not state is the
+// registry's default.
+
+// env is one scenario environment: the fabric, the transport (nil: the
+// paper's DCTCP), the workload and the run's time limit.
+type env struct {
+	topo      topology.Config
+	transport *spec.Transport
+	workload  spec.Workload
+	maxTime   units.Time
+}
+
+// spec builds one scheme's scenario in this environment.
+func (e env) spec(s Scheme, name string, seed uint64) spec.Spec {
+	return spec.Spec{
+		Version:     spec.Version,
+		Name:        name,
+		Seed:        seed,
+		Scheme:      s.schemeSpec(),
+		Topology:    topoSpec(e.topo),
+		Transport:   e.transport,
+		Workload:    e.workload,
+		Replication: s.Replication,
+		Run: spec.Run{
+			MaxTime:      spec.Dur(e.maxTime),
+			StopWhenDone: true,
+		},
+	}
+}
+
+// ns2 gives a fabric the NS2 simulations' links and queue: 1 Gbps,
+// 5 µs host and 10 µs fabric hops (~100 µs RTT), ECN marking at 65
+// packets in a buffer of the given size.
+func ns2(t topology.Config, buffer int) topology.Config {
+	t.HostLink = netem.LinkConfig{Bandwidth: units.Gbps, Delay: 5 * units.Microsecond}
+	t.FabricLink = netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond}
+	t.Queue = netem.QueueConfig{Capacity: buffer, ECNThreshold: 65}
+	return t
+}
 
 // paperDeadlines is the §6 deadline assignment: U[5ms, 25ms] on flows
 // up to 100KB.
 func paperDeadlines() *spec.Deadlines {
 	return &spec.Deadlines{Min: "5ms", Max: "25ms", OnlyBelow: "100KB"}
-}
-
-// basicEnv is the paper's small-scale environment (§2.2, §4.2, §6.1):
-// a leaf-spine with 15 equal-cost paths, 1 Gbps links, ~100 µs RTT.
-// TLB runs on its registry defaults here (X = 70 KB is the mean of the
-// short sizes below).
-type basicEnv struct {
-	topo   topology.Config
-	shorts int
-	longs  int
 }
 
 // "Random size of less than 100KB" with the 70KB mean §4.2 quotes:
@@ -236,79 +277,52 @@ const (
 	basicShortMax = 100 * units.KB
 )
 
-// newBasicEnv builds the environment with the given buffer size
-// (256 packets in §2.2/§6.1, 512 in §4.2) and flow counts.
-func newBasicEnv(buffer, shorts, longs int) basicEnv {
-	return basicEnv{
-		topo: topology.Config{
-			Leaves:       2,
-			Spines:       15,
-			HostsPerLeaf: 15,
-			HostLink:     netem.LinkConfig{Bandwidth: units.Gbps, Delay: 5 * units.Microsecond},
-			FabricLink:   netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
-			Queue:        netem.QueueConfig{Capacity: buffer, ECNThreshold: 65},
-		},
-		shorts: shorts,
-		longs:  longs,
-	}
-}
-
-// spec builds one scheme's scenario description: the static mix
-// (senders on leaf 0, receivers on leaf 1, shorts bursting into the
-// established longs over a few ms — the §2.2 contention scenario),
-// named after the scheme's display label.
-func (e basicEnv) spec(s Scheme, seed uint64) spec.Spec {
-	return spec.Spec{
-		Version:  spec.Version,
-		Name:     s.label(),
-		Seed:     seed,
-		Scheme:   s.schemeSpec(),
-		Topology: topoSpec(e.topo),
-		Workload: spec.Workload{
+// basicEnv is the paper's small-scale environment (§2.2, §4.2, §6.1):
+// a leaf-spine with 15 equal-cost paths, the given buffer (256 packets
+// in §2.2/§6.1, 512 in §4.2) and a static mix — senders on leaf 0,
+// receivers on leaf 1, shorts bursting into the established longs over
+// a few ms (the §2.2 contention scenario). TLB runs on its registry
+// defaults here (X = 70 KB is the mean of the short sizes).
+func basicEnv(buffer, shorts, longs int) env {
+	return env{
+		topo: ns2(topology.Config{Leaves: 2, Spines: 15, HostsPerLeaf: 15}, buffer),
+		workload: spec.Workload{
 			Kind: "mix",
 			Groups: []spec.MixGroup{{
-				Shorts:        e.shorts,
-				Longs:         e.longs,
+				Shorts:        shorts,
+				Longs:         longs,
 				ShortSizes:    &spec.SizeDist{Kind: "uniform", Min: spec.Sz(basicShortMin), Max: spec.Sz(basicShortMax)},
 				LongSizes:     &spec.SizeDist{Kind: "fixed", Size: "10MB"},
 				ArrivalJitter: spec.Dur(5 * units.Millisecond),
 			}},
 			Deadlines: paperDeadlines(),
 		},
-		Replication: s.Replication,
-		Run: spec.Run{
-			MaxTime:      spec.Dur(30 * units.Second),
-			StopWhenDone: true,
-		},
+		maxTime: 30 * units.Second,
 	}
 }
 
-// ---- Large-scale environment (§6.2) ----
-
-// largeEnv is the web-search / data-mining environment: 8 leaves,
-// 8 spines, 1 Gbps, Poisson arrivals at a target fabric load (defined
-// against the aggregate leaf-uplink capacity, the convention of the
+// largeEnv is the §6.2 web-search / data-mining environment: 8 leaves,
+// 8 spines, Poisson arrivals at a target fabric load (defined against
+// the aggregate leaf-uplink capacity, the convention of the
 // load-balancing literature the paper follows; all flows cross the
 // fabric).
-type largeEnv struct {
-	topo      topology.Config
-	sizes     spec.SizeDist
-	flowCount int
+func largeEnv(sizes spec.SizeDist, flows int, load float64) env {
+	return env{
+		topo: ns2(topology.Config{Leaves: 8, Spines: 8, HostsPerLeaf: 32}, 256),
+		workload: spec.Workload{
+			Kind:      "poisson",
+			Flows:     flows,
+			Load:      load,
+			Sizes:     &sizes,
+			Deadlines: paperDeadlines(),
+		},
+		maxTime: 60 * units.Second,
+	}
 }
 
-func newLargeEnv(sizes spec.SizeDist, flowCount int) largeEnv {
-	return largeEnv{
-		topo: topology.Config{
-			Leaves:       8,
-			Spines:       8,
-			HostsPerLeaf: 32,
-			HostLink:     netem.LinkConfig{Bandwidth: units.Gbps, Delay: 5 * units.Microsecond},
-			FabricLink:   netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
-			Queue:        netem.QueueConfig{Capacity: 256, ECNThreshold: 65},
-		},
-		sizes:     sizes,
-		flowCount: flowCount,
-	}
+// loadName names a large-environment run after its scheme and load.
+func loadName(s Scheme, load float64) string {
+	return fmt.Sprintf("%s-load%.1f", s.label(), load)
 }
 
 // websearchSizes is the web-search CDF truncated at 20MB (the
@@ -322,29 +336,23 @@ func dataminingSizes() spec.SizeDist {
 	return spec.SizeDist{Kind: "datamining", Truncate: spec.Sz(50 * units.MB)}
 }
 
-// spec builds one scheme's scenario description (with its optional
-// end-host replication) at one load point.
-func (e largeEnv) spec(s Scheme, load float64, seed uint64) spec.Spec {
-	sizes := e.sizes
-	return spec.Spec{
-		Version:  spec.Version,
-		Name:     fmt.Sprintf("%s-load%.1f", s.label(), load),
-		Seed:     seed,
-		Scheme:   s.schemeSpec(),
-		Topology: topoSpec(e.topo),
-		Workload: spec.Workload{
-			Kind:      "poisson",
-			Flows:     e.flowCount,
-			Load:      load,
-			Sizes:     &sizes,
-			Deadlines: paperDeadlines(),
+// fatTreeEnv is a k-ary fat-tree on the NS2 links carrying inter-pod
+// flows: host pairs in different pods, uniform random arrival gaps up
+// to maxGap, and §6-style deadlines on the mice.
+func fatTreeEnv(k, flows int, sizes spec.SizeDist, maxGap, maxTime units.Time) env {
+	return env{
+		topo: ns2(topology.Config{K: k}, 256),
+		workload: spec.Workload{
+			Kind: "interpod",
+			InterPod: &spec.InterPod{
+				Flows:             flows,
+				Sizes:             sizes,
+				MaxGap:            spec.Dur(maxGap),
+				DeadlineBase:      spec.Dur(5 * units.Millisecond),
+				DeadlineJitter:    spec.Dur(20 * units.Millisecond),
+				DeadlineOnlyBelow: spec.Sz(100 * units.KB),
+			},
 		},
-		Replication: s.Replication,
-		Run: spec.Run{
-			MaxTime:      spec.Dur(60 * units.Second),
-			StopWhenDone: true,
-		},
+		maxTime: maxTime,
 	}
 }
-
-func newRNG(seed uint64) *eventsim.RNG { return eventsim.NewRNG(seed) }

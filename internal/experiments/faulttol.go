@@ -28,27 +28,29 @@ const (
 	figF1Window    = 8 * units.Second
 )
 
-// figF1Workload spreads shorts uniformly over the whole observation
-// window (so every phase — before, during, after the failure — sees
-// fresh arrivals) against long flows established at t=0. Two mix
-// groups drawn in order from the shared workload RNG: the longs
-// first, then the jittered shorts.
-func figF1Workload(env testbedEnv, shorts int) spec.Workload {
-	return spec.Workload{
+// figF1Env is the testbed with shorts spread uniformly over the whole
+// observation window (so every phase — before, during, after the
+// failure — sees fresh arrivals) against 4 long flows established at
+// t=0. Two mix groups drawn in order from the shared workload RNG: the
+// longs first, then the jittered shorts.
+func figF1Env(o Options) env {
+	e := testbedEnv(0, 0)
+	e.workload = spec.Workload{
 		Kind: "mix",
 		Groups: []spec.MixGroup{
 			{
-				Longs:     env.longs,
+				Longs:     4,
 				LongSizes: &spec.SizeDist{Kind: "fixed", Size: "15MB"},
 			},
 			{
-				Shorts:        shorts,
+				Shorts:        figF1Shorts(o),
 				ShortSizes:    testbedShortSizes(),
 				ArrivalJitter: spec.Dur(figF1Window),
 				Deadlines:     testbedDeadlines(),
 			},
 		},
 	}
+	return e
 }
 
 // figF1Shorts scales the short-flow count off Options.FlowsPerRun
@@ -69,8 +71,7 @@ func figF1Shorts(o Options) int {
 // the fault schedule, with the time series enabled. Shared with the
 // golden-spec tests.
 func figF1Specs(o Options) ([]string, []spec.Spec) {
-	env := newTestbedEnv(0, 4)
-	shorts := figF1Shorts(o)
+	e := figF1Env(o)
 	failAt, recoverAt := spec.Dur(figF1FailAt), spec.Dur(figF1RecoverAt)
 	sched := []spec.Fault{
 		{At: failAt, Leaf: 0, Spine: 2, Op: "down"},
@@ -82,8 +83,7 @@ func figF1Specs(o Options) ([]string, []spec.Spec) {
 	var order []string
 	for _, s := range testbedSchemes() {
 		order = append(order, s.label())
-		sp := env.spec(s, fmt.Sprintf("figF1-%s", s.label()), o.Seed, 120*units.Second)
-		sp.Workload = figF1Workload(env, shorts)
+		sp := e.spec(s, "figF1-"+s.label(), o.Seed)
 		sp.Faults = sched
 		sp.Outputs.CollectTimeSeries = true
 		sp.Outputs.TimeBucket = spec.Dur(250 * units.Millisecond)
@@ -191,20 +191,21 @@ func figF1Phases(res *sim.Result) []phase {
 func FigF2(o Options) ([]Figure, error) {
 	xs := trim(o, []float64{4, 2, 1, 0.5}) // flap period, seconds
 	return testbedSweep(o, "figF2", "flap period on 1 link (s)", xs,
-		func(x float64) testbedEnv { return newTestbedEnv(0, 4) },
-		func(x float64, env *testbedEnv, sp *spec.Spec) {
-			sp.Workload = figF1Workload(*env, figF1Shorts(o))
+		func(float64) env { return figF1Env(o) },
+		func(x float64) []spec.Fault {
 			// Down for half a period, up for the other half, from t = 1 s
 			// until the cycles cover the arrival window; the last entry is
 			// a restore, so the link ends healthy.
+			var faults []spec.Fault
 			half := units.FromSeconds(x) / 2
 			cycles := int(math.Ceil(figF1Window.Seconds() / x))
 			at := units.Second
 			for c := 0; c < cycles; c++ {
-				sp.Faults = append(sp.Faults,
+				faults = append(faults,
 					spec.Fault{At: spec.Dur(at), Leaf: 0, Spine: 2, Op: "down"},
 					spec.Fault{At: spec.Dur(at + half), Leaf: 0, Spine: 2, Op: "restore"})
 				at += 2 * half
 			}
+			return faults
 		})
 }

@@ -9,23 +9,10 @@ import (
 
 // TestFigF1ParallelSerialIdentical extends the sweep runner's
 // determinism contract to runs that carry a fault schedule: injected
-// events ride the same event queue as everything else, so worker count
-// must stay unobservable.
+// events ride the same event queue as everything else, so the pinned
+// figF1 batch at six workers must reproduce its serial golden.
 func TestFigF1ParallelSerialIdentical(t *testing.T) {
-	run := func(workers int) string {
-		figs, err := FigF1(Options{Seed: 7, FlowsPerRun: 80, SweepPoints: 2, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return figureCSV(figs)
-	}
-	serial := run(1)
-	if parallel := run(6); serial != parallel {
-		t.Fatalf("faulted run diverges across worker counts:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
-	if len(serial) == 0 {
-		t.Fatal("empty figures")
-	}
+	matchesGoldenAt(t, "figF1", 6)
 }
 
 // TestFigF1TLBDegradesLessThanECMP is the experiment's headline claim:
@@ -68,14 +55,12 @@ func TestFigF1TLBDegradesLessThanECMP(t *testing.T) {
 	}
 }
 
-// TestFigF2SmallSweepRuns exercises the flap-schedule path end to end
-// at reduced scale: every scheme must survive repeated down/up cycles
-// and still produce non-degenerate normalized panels.
+// TestFigF2SmallSweepRuns checks the flap-schedule path on its golden
+// render: every scheme must survive repeated down/up cycles and still
+// produce non-degenerate normalized panels.
 func TestFigF2SmallSweepRuns(t *testing.T) {
-	figs, err := FigF2(Options{Seed: 3, FlowsPerRun: 60, SweepPoints: 2, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	figs := golden(t, "figF2")
 	if len(figs) != 2 {
 		t.Fatalf("got %d panels, want 2", len(figs))
 	}

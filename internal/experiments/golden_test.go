@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -31,11 +33,7 @@ import (
 // data-mining grid (fig11), the long-flow testbed sweep (fig14), the
 // de-rated links (fig17) and the wider field on them (extended-asym)
 // pin the remaining scenario builders.
-var goldenFigures = []struct {
-	name string
-	run  func(Options) ([]Figure, error)
-	opts Options
-}{
+var goldenFigures = []goldenFigure{
 	{"fig3-4", Fig3And4, Options{Seed: 42}},
 	{"fig8-9", Fig8And9, Options{Seed: 42}},
 	{"fig10", Fig10, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 1}},
@@ -53,6 +51,23 @@ var goldenFigures = []struct {
 	{"fig14", Fig14, Options{Seed: 42, SweepPoints: 1}},
 	{"fig17", Fig17, Options{Seed: 42, SweepPoints: 2}},
 	{"extended-asym", ExtendedAsymmetric, Options{Seed: 42}},
+}
+
+// goldenFigure is one pinned figure: testdata/golden/<name>.csv is
+// what run renders at opts with one worker.
+type goldenFigure struct {
+	name string
+	run  func(Options) ([]Figure, error)
+	opts Options
+}
+
+// goldenEntry looks up the named entry of goldenFigures.
+func goldenEntry(name string) (goldenFigure, error) {
+	i := slices.IndexFunc(goldenFigures, func(g goldenFigure) bool { return g.name == name })
+	if i < 0 {
+		return goldenFigure{}, fmt.Errorf("no golden figure %q", name)
+	}
+	return goldenFigures[i], nil
 }
 
 // allAblations renders the seven ablation-* registry entries, in
@@ -73,6 +88,58 @@ func allAblations(o Options) ([]Figure, error) {
 	return figs, nil
 }
 
+// goldenRender is one golden entry's render.
+type goldenRender struct {
+	sync.Once
+	figs []Figure
+	err  error
+}
+
+// goldenRenders maps an entry's name to its *goldenRender.
+var goldenRenders sync.Map
+
+// golden returns the named entry's figures, rendered once per test
+// binary — serially, with the specs it runs collected into goldenRuns —
+// and shared by TestGoldenFigures and every test that asserts on a
+// golden shape. Those tests call t.Parallel, so in a full run they
+// start after TestGoldenFigures and read its renders.
+func golden(t *testing.T, name string) []Figure {
+	t.Helper()
+	v, _ := goldenRenders.LoadOrStore(name, new(goldenRender))
+	r := v.(*goldenRender)
+	r.Do(func() { r.figs, r.err = renderGolden(name) })
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return r.figs
+}
+
+func renderGolden(name string) ([]Figure, error) {
+	g, err := goldenEntry(name)
+	if err != nil {
+		return nil, err
+	}
+	o := g.opts
+	o.Workers = 1
+	var marshalErr error
+	o.specObserver = func(_ string, sp *spec.Spec) {
+		data, err := sp.Marshal()
+		if err != nil {
+			marshalErr = err
+			return
+		}
+		goldenRuns.Lock()
+		defer goldenRuns.Unlock()
+		goldenRuns.schemes[sp.Scheme.Name] = true
+		for k := range sp.Scheme.Params {
+			goldenRuns.params[sp.Scheme.Name+"."+k] = true
+		}
+		collectSpecFields(data, goldenRuns.fields)
+	}
+	figs, err := g.run(o)
+	return figs, errors.Join(err, marshalErr)
+}
+
 // TestGoldenFigures renders each pinned figure and compares the CSV
 // bytes with the checked-in file. Regenerate with
 //
@@ -87,31 +154,10 @@ func TestGoldenFigures(t *testing.T) {
 		}
 	}
 	for _, g := range goldenFigures {
-		g := g
 		path := filepath.Join(dir, g.name+".csv")
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			o := g.opts
-			o.Workers = 1
-			o.specObserver = func(_ string, sp *spec.Spec) {
-				data, err := sp.Marshal()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				goldenRuns.Lock()
-				defer goldenRuns.Unlock()
-				goldenRuns.schemes[sp.Scheme.Name] = true
-				for k := range sp.Scheme.Params {
-					goldenRuns.params[sp.Scheme.Name+"."+k] = true
-				}
-				collectSpecFields(data, goldenRuns.fields)
-			}
-			figs, err := g.run(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := figureCSV(figs)
+			got := figureCSV(golden(t, g.name))
 			if update {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)

@@ -3,81 +3,49 @@ package experiments
 import (
 	"tlb/internal/sim"
 	"tlb/internal/spec"
-	"tlb/internal/stats"
 	"tlb/internal/units"
 )
 
 // loadGrid is the paper's workload sweep.
 var loadGrid = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
 
-// fourPanels aggregates one large-scale run into the paper's four
-// standard panels.
-type fourPanels struct {
-	afct, tail, miss, tput Figure
-}
-
-func newFourPanels(prefix, workloadName string) *fourPanels {
-	return &fourPanels{
-		afct: Figure{ID: prefix + "a", Title: "AFCT of short flows (" + workloadName + ")",
-			XLabel: "load", YLabel: "AFCT (s)"},
-		tail: Figure{ID: prefix + "b", Title: "99th percentile FCT of short flows (" + workloadName + ")",
-			XLabel: "load", YLabel: "FCT (s)"},
-		miss: Figure{ID: prefix + "c", Title: "Missed deadlines of short flows (" + workloadName + ")",
-			XLabel: "load", YLabel: "miss fraction"},
-		tput: Figure{ID: prefix + "d", Title: "Throughput of long flows (" + workloadName + ")",
-			XLabel: "load", YLabel: "per-flow goodput (Gbps)"},
-	}
-}
-
-func (p *fourPanels) addPoint(series string, load float64, res *sim.Result) {
-	add := func(f *Figure, y float64) {
-		for i := range f.Series {
-			if f.Series[i].Name == series {
-				f.Series[i].Add(load, y)
-				return
-			}
-		}
-		s := stats.Series{Name: series}
-		s.Add(load, y)
-		f.Series = append(f.Series, s)
-	}
-	add(&p.afct, res.AFCT(sim.ShortFlows).Seconds())
-	add(&p.tail, res.FCTPercentile(sim.ShortFlows, 99).Seconds())
-	add(&p.miss, res.DeadlineMissRatio(sim.ShortFlows))
-	add(&p.tput, float64(res.Goodput(sim.LongFlows))/1e9)
-}
-
-func (p *fourPanels) figures() []Figure {
-	return []Figure{p.afct, p.tail, p.miss, p.tput}
-}
-
-// largeSweep runs the scheme set over the load grid in the given
-// environment: the whole (load x scheme) grid is built as one spec
-// batch, submitted to the shared runner, and reduced in input order —
-// so the resulting figures are identical at any worker count.
-func largeSweep(o Options, env largeEnv, schemes []Scheme, prefix, workloadName string) ([]Figure, error) {
-	panels := newFourPanels(prefix, workloadName)
+// largeSweep runs the scheme set over the load grid in the large
+// environment: the whole (load × scheme) grid is built as one spec
+// batch, submitted to the shared runner, and reduced in input order
+// into the paper's four standard panels — so the resulting figures are
+// identical at any worker count.
+func largeSweep(o Options, sizes spec.SizeDist, flows int, schemes []Scheme, prefix, workloadName string) ([]Figure, error) {
 	loads := trim(o, loadGrid)
-	type point struct {
-		scheme string
-		load   float64
-	}
-	pts := make([]point, 0, len(loads)*len(schemes))
-	specs := make([]spec.Spec, 0, len(loads)*len(schemes))
+	var specs []spec.Spec
 	for _, load := range loads {
+		e := largeEnv(sizes, flows, load)
 		for _, s := range schemes {
-			pts = append(pts, point{s.label(), load})
-			specs = append(specs, env.spec(s, load, o.Seed))
+			specs = append(specs, e.spec(s, loadName(s, load), o.Seed))
 		}
 	}
 	results, err := o.runSpecs(prefix, specs)
 	if err != nil {
 		return nil, err
 	}
-	for i, res := range results {
-		panels.addPoint(pts[i].scheme, pts[i].load, res)
+	figs := []Figure{
+		{ID: prefix + "a", Title: "AFCT of short flows (" + workloadName + ")",
+			XLabel: "load", YLabel: "AFCT (s)"},
+		{ID: prefix + "b", Title: "99th percentile FCT of short flows (" + workloadName + ")",
+			XLabel: "load", YLabel: "FCT (s)"},
+		{ID: prefix + "c", Title: "Missed deadlines of short flows (" + workloadName + ")",
+			XLabel: "load", YLabel: "miss fraction"},
+		{ID: prefix + "d", Title: "Throughput of long flows (" + workloadName + ")",
+			XLabel: "load", YLabel: "per-flow goodput (Gbps)"},
 	}
-	return panels.figures(), nil
+	n := len(schemes)
+	for i, res := range results {
+		name, load := schemes[i%n].label(), loads[i/n]
+		figs[0].add(name, load, res.AFCT(sim.ShortFlows).Seconds())
+		figs[1].add(name, load, res.FCTPercentile(sim.ShortFlows, 99).Seconds())
+		figs[2].add(name, load, res.DeadlineMissRatio(sim.ShortFlows))
+		figs[3].add(name, load, float64(res.Goodput(sim.LongFlows))/1e9)
+	}
+	return figs, nil
 }
 
 // largeTLB is TLB as the web-search and data-mining environments (and
@@ -95,9 +63,8 @@ func largeTLB(extra spec.Params) Scheme {
 // FCT and deadline misses of short flows plus long-flow throughput for
 // ECMP, RPS, Presto, LetFlow and TLB over loads 0.1–0.8.
 func Fig10(o Options) ([]Figure, error) {
-	env := newLargeEnv(websearchSizes(), o.FlowsPerRun)
 	schemes := append(baselines(150*units.Microsecond), largeTLB(nil))
-	return largeSweep(o, env, schemes, "fig10", "web search")
+	return largeSweep(o, websearchSizes(), o.FlowsPerRun, schemes, "fig10", "web search")
 }
 
 // Fig11 reproduces the data-mining sweep (§6.2). The VL2 elephant tail
@@ -105,9 +72,8 @@ func Fig10(o Options) ([]Figure, error) {
 // single-run time; the mice/elephant boundary the paper discusses is
 // preserved.
 func Fig11(o Options) ([]Figure, error) {
-	env := newLargeEnv(dataminingSizes(), o.FlowsPerRun*2/3)
 	schemes := append(baselines(150*units.Microsecond), largeTLB(nil))
-	return largeSweep(o, env, schemes, "fig11", "data mining")
+	return largeSweep(o, dataminingSizes(), o.FlowsPerRun*2/3, schemes, "fig11", "data mining")
 }
 
 // Fig12 reproduces the deadline-agnostic study (§6.3): TLB configured
@@ -115,7 +81,6 @@ func Fig11(o Options) ([]Figure, error) {
 // switch) U[5ms,25ms] deadline distribution, under the web-search
 // workload.
 func Fig12(o Options) ([]Figure, error) {
-	env := newLargeEnv(websearchSizes(), o.FlowsPerRun)
 	percentiles := []struct {
 		name string
 		d    units.Time
@@ -131,5 +96,5 @@ func Fig12(o Options) ([]Figure, error) {
 		s.Label = p.name
 		schemes = append(schemes, s)
 	}
-	return largeSweep(o, env, schemes, "fig12", "web search, deadline-agnostic")
+	return largeSweep(o, websearchSizes(), o.FlowsPerRun, schemes, "fig12", "web search, deadline-agnostic")
 }

@@ -12,10 +12,8 @@ import (
 	"fmt"
 	"time"
 
-	"tlb/internal/netem"
 	"tlb/internal/sim"
 	"tlb/internal/spec"
-	"tlb/internal/topology"
 	"tlb/internal/units"
 )
 
@@ -25,51 +23,22 @@ import (
 // flow smoke run.
 const figLSFlowFactor = 1250
 
-// figLSTopo is the k=16 fat-tree: 1024 hosts in 16 pods, full
-// bisection at 1 Gbps.
-func figLSTopo() topology.Config {
-	return topology.Config{
-		K:          16,
-		HostLink:   netem.LinkConfig{Bandwidth: units.Gbps, Delay: 5 * units.Microsecond},
-		FabricLink: netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
-		Queue:      netem.QueueConfig{Capacity: 256, ECNThreshold: 65},
-	}
-}
-
 // figLSSpecs builds the streamed batch (currently one ECMP run; the
-// memory behavior under test is the stats layer's, not the balancer's).
-// Mice-only sizes keep the event count per flow small enough that a
-// million flows stay in minutes of wall clock; arrivals average one
-// flow per 600 ns, ~0.23 load against the hosts' aggregate 1 Tbps —
-// low enough that the run is stationary (FCTs, and with them the
+// memory behavior under test is the stats layer's, not the balancer's)
+// on the k=16 fat-tree: 1024 hosts in 16 pods, full bisection at
+// 1 Gbps. Mice-only sizes keep the event count per flow small enough
+// that a million flows stay in minutes of wall clock; arrivals average
+// one flow per 600 ns, ~0.23 load against the hosts' aggregate 1 Tbps
+// — low enough that the run is stationary (FCTs, and with them the
 // peak number of concurrently open flows, do not grow with run
-// length), which is what makes peak RSS independent of the total
-// flow count.
+// length), which is what makes peak RSS independent of the total flow
+// count.
 func figLSSpecs(o Options) ([]string, []spec.Spec) {
-	ft := figLSTopo()
-	sp := spec.Spec{
-		Version:  spec.Version,
-		Name:     fmt.Sprintf("largescale-ecmp-%dk", o.FlowsPerRun*figLSFlowFactor/1000),
-		Seed:     o.Seed,
-		Scheme:   spec.Scheme{Name: "ecmp"},
-		Topology: topoSpec(ft),
-		Workload: spec.Workload{
-			Kind: "interpod",
-			InterPod: &spec.InterPod{
-				Flows:             o.FlowsPerRun * figLSFlowFactor,
-				Sizes:             spec.SizeDist{Kind: "uniform", Min: spec.Sz(2 * units.KB), Max: spec.Sz(32 * units.KB)},
-				MaxGap:            spec.Dur(1200 * units.Nanosecond),
-				DeadlineBase:      spec.Dur(5 * units.Millisecond),
-				DeadlineJitter:    spec.Dur(20 * units.Millisecond),
-				DeadlineOnlyBelow: spec.Sz(100 * units.KB),
-			},
-		},
-		Outputs: spec.Outputs{StreamStats: true},
-		Run: spec.Run{
-			MaxTime:      spec.Dur(600 * units.Second),
-			StopWhenDone: true,
-		},
-	}
+	flows := o.FlowsPerRun * figLSFlowFactor
+	e := fatTreeEnv(16, flows, spec.SizeDist{Kind: "uniform", Min: spec.Sz(2 * units.KB), Max: spec.Sz(32 * units.KB)},
+		1200*units.Nanosecond, 600*units.Second)
+	sp := e.spec(Scheme{Name: "ecmp"}, fmt.Sprintf("largescale-ecmp-%dk", flows/1000), o.Seed)
+	sp.Outputs.StreamStats = true
 	return []string{"ecmp"}, []spec.Spec{sp}
 }
 

@@ -8,24 +8,21 @@ import (
 	"tlb/internal/model"
 	"tlb/internal/sim"
 	"tlb/internal/spec"
-	"tlb/internal/stats"
 	"tlb/internal/units"
 )
 
 // fig7Env is the §4.2 verification setup: 512-packet buffers, 3 long +
 // 100 short flows, X = 70 KB, D = 10 ms.
 type fig7Env struct {
-	basicEnv
+	env
 	deadline units.Time
 }
 
 func newFig7Env(shorts, longs, paths int, deadline units.Time) fig7Env {
-	env := newBasicEnv(512, shorts, longs)
-	env.topo.Spines = paths
-	if paths > env.topo.HostsPerLeaf {
-		env.topo.HostsPerLeaf = paths
-	}
-	return fig7Env{basicEnv: env, deadline: deadline}
+	e := basicEnv(512, shorts, longs)
+	e.topo.Spines = paths
+	e.topo.HostsPerLeaf = max(e.topo.HostsPerLeaf, paths)
+	return fig7Env{env: e, deadline: deadline}
 }
 
 // modelParams are the queueing model's inputs for this environment:
@@ -36,7 +33,8 @@ func (e fig7Env) modelParams() (model.Params, error) {
 	cfg, err := core.NewConfig(
 		spec.Params{"deadline": pDur(e.deadline), "uncappedLongDemand": true},
 		spec.Env(e.topo))
-	return cfg.Model(e.topo.Spines, e.shorts, e.longs), err
+	mix := e.workload.Groups[0]
+	return cfg.Model(e.topo.Spines, mix.Shorts, mix.Longs), err
 }
 
 // qthSpec builds the run measuring the short-flow deadline-miss
@@ -48,7 +46,7 @@ func (e fig7Env) qthSpec(label string, qth int, seed uint64) spec.Spec {
 		Label:  fmt.Sprintf("%s-q%d", label, qth),
 		Params: spec.Params{"fixedQTh": qth, "deadline": pDur(e.deadline)},
 	}
-	sp := e.spec(s, seed)
+	sp := e.spec(s, s.Label, seed)
 	// Override deadlines to the fixed model deadline D so the
 	// measurement matches the model's question ("do shorts finish
 	// within D").
@@ -87,10 +85,10 @@ type qthSearch struct {
 	verbose func(format string, args ...any)
 }
 
-func newQthSearch(env fig7Env, label string, seed uint64, verbose func(string, ...any)) *qthSearch {
+func newQthSearch(e fig7Env, label string, seed uint64, verbose func(string, ...any)) *qthSearch {
 	return &qthSearch{
-		env: env, label: label, seed: seed,
-		probe: env.topo.Queue.Capacity, verbose: verbose,
+		env: e, label: label, seed: seed,
+		probe: e.topo.Queue.Capacity, verbose: verbose,
 	}
 }
 
@@ -180,24 +178,24 @@ func Fig7(o Options) ([]Figure, error) {
 		search   *qthSearch
 	}
 	var points []point
-	numeric := make([]stats.Series, len(sweeps))
+	figs := make([]Figure, len(sweeps))
 	for si, sw := range sweeps {
-		numeric[si] = stats.Series{Name: "model"}
+		figs[si] = Figure{ID: sw.id, Title: sw.title, XLabel: sw.xlabel, YLabel: "min q_th (packets)"}
 		for _, x := range trim(o, sw.xs) {
-			env := sw.env(x)
-			mp, err := env.modelParams()
+			e := sw.env(x)
+			mp, err := e.modelParams()
 			if err != nil {
 				return nil, fmt.Errorf("fig7: %w", err)
 			}
 			q := mp.QTh()
 			if math.IsInf(q, 1) {
-				q = float64(env.topo.Queue.Capacity)
+				q = float64(e.topo.Queue.Capacity)
 			}
-			numeric[si].Add(x, q)
+			figs[si].add("model", x, q)
 			label := fmt.Sprintf("%s-x%v", sw.id, x)
 			points = append(points, point{
 				sweepIdx: si, x: x,
-				search: newQthSearch(env, label, o.Seed, o.logf),
+				search: newQthSearch(e, label, o.Seed, o.logf),
 			})
 		}
 	}
@@ -225,19 +223,8 @@ func Fig7(o Options) ([]Figure, error) {
 		}
 	}
 
-	var figs []Figure
-	for si, sw := range sweeps {
-		simulated := stats.Series{Name: "simulation"}
-		for _, p := range points {
-			if p.sweepIdx == si {
-				simulated.Add(p.x, float64(p.search.result))
-			}
-		}
-		figs = append(figs, Figure{
-			ID: sw.id, Title: sw.title, XLabel: sw.xlabel,
-			YLabel: "min q_th (packets)",
-			Series: []stats.Series{numeric[si], simulated},
-		})
+	for _, p := range points {
+		figs[p.sweepIdx].add("simulation", p.x, float64(p.search.result))
 	}
 	return figs, nil
 }

@@ -22,7 +22,7 @@ import (
 //	fig4b — long-flow out-of-order ratio (bars)
 //	fig4c — mean long-flow throughput, fraction of capacity (bars)
 func Fig3And4(o Options) ([]Figure, error) {
-	env := newBasicEnv(256, 100, 5)
+	e := basicEnv(256, 100, 5)
 	granularities := []Scheme{
 		{Name: "ecmp", Label: "flow"},
 		{Name: "letflow", Label: "flowlet", Params: spec.Params{"gap": pDur(150 * units.Microsecond)}},
@@ -44,7 +44,7 @@ func Fig3And4(o Options) ([]Figure, error) {
 
 	specs := make([]spec.Spec, len(granularities))
 	for i, g := range granularities {
-		specs[i] = env.spec(g, o.Seed)
+		specs[i] = e.spec(g, g.label(), o.Seed)
 	}
 	results, err := o.runSpecs("fig3/4", specs)
 	if err != nil {
@@ -67,7 +67,7 @@ func Fig3And4(o Options) ([]Figure, error) {
 
 		util.Bars = append(util.Bars, Bar{g.label(), res.UplinkUtilization()})
 		ooo.Bars = append(ooo.Bars, Bar{g.label(), res.OutOfOrderRatio(sim.LongFlows)})
-		capacity := float64(env.topo.FabricLink.Bandwidth)
+		capacity := float64(e.topo.FabricLink.Bandwidth)
 		tput.Bars = append(tput.Bars, Bar{g.label(), float64(res.Goodput(sim.LongFlows)) / capacity})
 	}
 	return []Figure{queueCDF, dupAck, fctCDF, util, ooo, tput}, nil
@@ -78,11 +78,11 @@ func Fig3And4(o Options) ([]Figure, error) {
 // instantaneous time series enabled. Shared with the golden-spec
 // tests.
 func fig89Specs(o Options) ([]Scheme, []spec.Spec) {
-	env := newBasicEnv(256, 100, 3)
+	e := basicEnv(256, 100, 3)
 	schemes := append(baselines(150*units.Microsecond), Scheme{Name: "tlb"})
 	specs := make([]spec.Spec, len(schemes))
 	for i, s := range schemes {
-		sp := env.spec(s, o.Seed)
+		sp := e.spec(s, s.label(), o.Seed)
 		sp.Outputs.CollectTimeSeries = true
 		sp.Outputs.TimeBucket = spec.Dur(2 * units.Millisecond)
 		specs[i] = sp

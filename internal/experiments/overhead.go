@@ -25,7 +25,7 @@ import (
 // cmd/experiments can print the figure without the bench harness.
 func Fig15(o Options) ([]Figure, error) {
 	sim := eventsim.New()
-	rng := newRNG(o.Seed)
+	rng := eventsim.NewRNG(o.Seed)
 	ports := make([]*netem.Port, 10)
 	for i := range ports {
 		ports[i] = netem.NewPort(sim,
@@ -35,7 +35,7 @@ func Fig15(o Options) ([]Figure, error) {
 	}
 
 	schemes := testbedSchemes()
-	env := newTestbedEnv(100, 4)
+	e := testbedEnv(100, 4)
 
 	cpu := Figure{ID: "fig15a", Title: "Per-packet decision cost", YLabel: "ns/decision"}
 	mem := Figure{ID: "fig15b", Title: "Per-switch scheme state", YLabel: "bytes after 1000-flow mix"}
@@ -44,7 +44,7 @@ func Fig15(o Options) ([]Figure, error) {
 	const flows = 1000
 	for _, s := range schemes {
 		// The balancer is the one a testbed run of the scheme builds.
-		sp := env.spec(s, "fig15-"+s.label(), o.Seed, units.Second)
+		sp := e.spec(s, "fig15-"+s.label(), o.Seed)
 		sc, err := sp.Compile()
 		if err != nil {
 			return nil, fmt.Errorf("fig15: %w", err)

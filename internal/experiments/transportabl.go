@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"tlb/internal/netem"
-	"tlb/internal/sim"
 	"tlb/internal/spec"
-	"tlb/internal/topology"
 	"tlb/internal/units"
 )
 
@@ -16,10 +13,8 @@ import (
 // SACK (which forgives reordering) erodes TLB's advantage over
 // packet-spraying schemes.
 func AblationTransport(o Options) ([]Figure, error) {
-	afct := Figure{ID: "ablation-transport-afct", Title: "Transport variants (short AFCT)",
-		XLabel: "variant", YLabel: "AFCT (s): bars labeled scheme/variant"}
-	tput := Figure{ID: "ablation-transport-tput", Title: "Transport variants (long goodput)",
-		XLabel: "variant", YLabel: "Gbps"}
+	afct, tput := afctTputPanels("ablation-transport", "Transport variants", "variant")
+	afct.YLabel = "AFCT (s): bars labeled scheme/variant"
 
 	on, off := true, false
 	variants := []struct {
@@ -42,31 +37,18 @@ func AblationTransport(o Options) ([]Figure, error) {
 	var labels []string
 	var specs []spec.Spec
 	for _, v := range variants {
-		env := newLargeEnv(websearchSizes(), o.FlowsPerRun)
+		e := largeEnv(websearchSizes(), o.FlowsPerRun, ablationLoad)
+		e.transport = v.transport
 		if v.dropTail {
-			env.topo.Queue.ECNThreshold = 0
+			e.topo.Queue.ECNThreshold = 0
 		}
 		for _, s := range schemes {
+			s.Label = s.Name + "-" + v.name
 			labels = append(labels, s.Name+"/"+v.name)
-			sp := env.spec(Scheme{
-				Name:        s.Name,
-				Label:       s.Name + "-" + v.name,
-				Params:      s.Params,
-				Replication: s.Replication,
-			}, ablationLoad, o.Seed)
-			sp.Transport = v.transport
-			specs = append(specs, sp)
+			specs = append(specs, e.spec(s, loadName(s, ablationLoad), o.Seed))
 		}
 	}
-	results, err := o.runSpecs("ablation-transport", specs)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		afct.Bars = append(afct.Bars, Bar{labels[i], res.AFCT(sim.ShortFlows).Seconds()})
-		tput.Bars = append(tput.Bars, Bar{labels[i], float64(res.Goodput(sim.LongFlows)) / 1e9})
-	}
-	return []Figure{afct, tput}, nil
+	return o.afctTputBars("ablation-transport", afct, tput, labels, specs, 1e9)
 }
 
 // FatTreeComparison runs the headline schemes on a k=4 fat-tree with
@@ -75,59 +57,20 @@ func AblationTransport(o Options) ([]Figure, error) {
 // exercises. Two chained balancing decisions per packet (edge and
 // aggregation tiers).
 func FatTreeComparison(o Options) ([]Figure, error) {
-	afct := Figure{ID: "fattree-afct", Title: "k=4 fat-tree, inter-pod mix (short AFCT)",
-		YLabel: "AFCT (s)"}
-	tput := Figure{ID: "fattree-tput", Title: "k=4 fat-tree, inter-pod mix (long goodput)",
-		YLabel: "Gbps"}
+	afct, tput := afctTputPanels("fattree", "k=4 fat-tree, inter-pod mix", "")
 
-	ftCfg := topology.Config{
-		K:          4,
-		HostLink:   netem.LinkConfig{Bandwidth: units.Gbps, Delay: 5 * units.Microsecond},
-		FabricLink: netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
-		Queue:      netem.QueueConfig{Capacity: 256, ECNThreshold: 65},
-	}
 	n := o.FlowsPerRun / 2
 	if n < 60 {
 		n = 60
 	}
 	// An inter-pod web-search-style workload: uniform random arrival
 	// gaps, cross-pod host pairs, deadlines on the mice.
-	wl := spec.Workload{
-		Kind: "interpod",
-		InterPod: &spec.InterPod{
-			Flows:             n,
-			Sizes:             websearchSizes(),
-			MaxGap:            spec.Dur(200 * units.Microsecond),
-			DeadlineBase:      spec.Dur(5 * units.Millisecond),
-			DeadlineJitter:    spec.Dur(20 * units.Millisecond),
-			DeadlineOnlyBelow: spec.Sz(100 * units.KB),
-		},
-	}
-
+	e := fatTreeEnv(4, n, websearchSizes(), 200*units.Microsecond, 60*units.Second)
 	schemes := append(baselines(150*units.Microsecond), largeTLB(nil))
+	labels := make([]string, len(schemes))
 	specs := make([]spec.Spec, len(schemes))
 	for i, s := range schemes {
-		specs[i] = spec.Spec{
-			Version:  spec.Version,
-			Name:     "fattree-" + s.label(),
-			Seed:     o.Seed,
-			Scheme:   s.schemeSpec(),
-			Topology: topoSpec(ftCfg),
-			Workload: wl,
-			Run: spec.Run{
-				MaxTime:      spec.Dur(60 * units.Second),
-				StopWhenDone: true,
-			},
-		}
+		labels[i], specs[i] = s.label(), e.spec(s, "fattree-"+s.label(), o.Seed)
 	}
-	results, err := o.runSpecs("fattree", specs)
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range schemes {
-		res := results[i]
-		afct.Bars = append(afct.Bars, Bar{s.label(), res.AFCT(sim.ShortFlows).Seconds()})
-		tput.Bars = append(tput.Bars, Bar{s.label(), float64(res.Goodput(sim.LongFlows)) / 1e9})
-	}
-	return []Figure{afct, tput}, nil
+	return o.afctTputBars("fattree", afct, tput, labels, specs, 1e9)
 }
