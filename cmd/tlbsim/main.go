@@ -136,14 +136,12 @@ func checkSpecs(files []string, stdout io.Writer) error {
 // runSpecFiles compiles the spec files and runs them through the sweep
 // worker pool, reporting each result in input order.
 func runSpecFiles(files []string, o options, stdout io.Writer) error {
-	specs := make([]*spec.Spec, len(files))
 	scenarios := make([]sim.Scenario, len(files))
 	for i, f := range files {
 		sp, err := spec.Load(f)
 		if err != nil {
 			return err
 		}
-		specs[i] = sp
 		if scenarios[i], err = sp.Compile(); err != nil {
 			return err
 		}
@@ -175,24 +173,13 @@ func runSpecFiles(files []string, o options, stdout io.Writer) error {
 		printResult(stdout, res)
 	}
 	if o.reportPath != "" {
-		items := make([]report.Item, len(results))
-		for i, res := range results {
-			items[i] = report.Item{Scenario: specs[i].Name, Scheme: schemeLabel(specs[i]), Result: res}
-		}
 		title := "tlbsim batch"
-		if len(specs) == 1 {
-			title = "tlbsim run " + specs[0].Name
+		if len(results) == 1 {
+			title = "tlbsim run " + results[0].Scenario
 		}
-		return writeReport(o.reportPath, report.Campaign{Title: title, Items: items})
+		return writeReport(o.reportPath, report.Campaign{Title: title, Results: results})
 	}
 	return nil
-}
-
-func schemeLabel(sp *spec.Spec) string {
-	if sp.Scheme.Label != "" {
-		return sp.Scheme.Label
-	}
-	return sp.Scheme.Name
 }
 
 func writeReport(path string, c report.Campaign) error {

@@ -18,7 +18,7 @@
 //
 // Entry points: cmd/tlbsim runs scenario spec files (presets under
 // cmd/tlbsim/specs); cmd/experiments regenerates every figure;
-// examples/ hold runnable walkthroughs; the benchmarks in this
+// examples/quickstart is the library walkthrough; the benchmarks in this
 // directory regenerate each figure under the standard go test -bench
 // machinery.
 package tlb

@@ -200,9 +200,6 @@ func New(sim *eventsim.Sim, rng *eventsim.RNG, ports []*netem.Port, cfg Config) 
 	return t
 }
 
-// Name implements lb.Balancer.
-func (t *TLB) Name() string { return "tlb" }
-
 // QTh returns the current switching threshold in packets.
 func (t *TLB) QTh() int { return t.qth }
 

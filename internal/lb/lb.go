@@ -18,8 +18,6 @@ import (
 // instance is per-switch: it owns whatever per-flow state its scheme
 // needs and sees every packet that switch forwards upward.
 type Balancer interface {
-	// Name identifies the scheme, e.g. "ecmp" or "tlb".
-	Name() string
 	// Pick returns the index of the uplink the packet should take.
 	// ports is the fixed slice of candidate uplinks passed at
 	// construction (also given here for convenience and so stateless
@@ -36,8 +34,9 @@ type Factory func(sim *eventsim.Sim, rng *eventsim.RNG, ports []*netem.Port) Bal
 // queued packets, breaking ties uniformly at random so that
 // simultaneous arrivals do not herd onto one queue. Down ports are
 // skipped; if every port is down the choice does not matter (admission
-// drops regardless), so a fixed index keeps the run deterministic. It
-// is the primitive behind packet-level spraying in DRILL and TLB.
+// drops regardless), so a fixed index keeps the run deterministic. No
+// scheme calls it: it is the paper's literal comparison, the reference
+// LowestDelay is tested against on a symmetric fabric.
 //
 // With all ports up the scan consumes exactly the RNG values the
 // pre-liveness implementation did, so healthy runs replay byte-for-byte.
@@ -155,8 +154,6 @@ type ecmp struct {
 	seed uint64
 }
 
-func (e *ecmp) Name() string { return "ecmp" }
-
 func (e *ecmp) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	// Hash onto the live uplinks only, the way a real switch's routing
 	// protocol would withdraw a dead next-hop from the ECMP group. With
@@ -198,8 +195,6 @@ func RPS() Factory {
 type rps struct {
 	rng *eventsim.RNG
 }
-
-func (r *rps) Name() string { return "rps" }
 
 func (r *rps) Pick(_ *netem.Packet, ports []*netem.Port) int {
 	return RandomLive(r.rng, ports)
@@ -243,8 +238,6 @@ type prestoFlow struct {
 	port   int
 	inCell units.Bytes
 }
-
-func (p *presto) Name() string { return "presto" }
 
 func (p *presto) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	// Header-only packets (pure ACKs, handshakes) are routed
@@ -313,8 +306,6 @@ type letflow struct {
 	flows *sweptTable[flowlet]
 }
 
-func (l *letflow) Name() string { return "letflow" }
-
 func (l *letflow) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	// Header-only packets are routed statelessly (see presto.Pick):
 	// pure ACKs never carry FIN, so tracking them would leak one table
@@ -358,8 +349,6 @@ type drill struct {
 	rng    *eventsim.RNG
 	memory []int
 }
-
-func (d *drill) Name() string { return "drill" }
 
 func (d *drill) Pick(_ *netem.Packet, ports []*netem.Port) int {
 	best := -1

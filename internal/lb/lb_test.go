@@ -210,9 +210,6 @@ func TestSchemeNames(t *testing.T) {
 		"drill":   DRILL(),
 	} {
 		b := f(s, eventsim.NewRNG(1), ports)
-		if b.Name() != name {
-			t.Fatalf("Name() = %q, want %q", b.Name(), name)
-		}
 		// Every scheme must return a valid index.
 		if got := b.Pick(dataPkt(netem.FlowID{Src: 1, Dst: 2}, 1460), ports); got < 0 || got >= 2 {
 			t.Fatalf("%s picked invalid port %d", name, got)

@@ -62,8 +62,6 @@ type fbFlow struct {
 	marked      int
 }
 
-func (f *flowBender) Name() string { return "flowbender" }
-
 func (f *flowBender) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	now := f.sim.Now()
 	st, _, fresh := f.flows.Get(&pkt.Flow, now)
@@ -115,8 +113,6 @@ type congaFlowlet struct {
 	rng   *eventsim.RNG
 	flows *sweptTable[flowlet]
 }
-
-func (c *congaFlowlet) Name() string { return "conga" }
 
 func (c *congaFlowlet) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	now := c.sim.Now()
@@ -170,8 +166,6 @@ type hermesFlow struct {
 	sentSince units.Bytes
 }
 
-func (h *hermes) Name() string { return "hermes" }
-
 func (h *hermes) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	f, _, fresh := h.flows.Get(&pkt.Flow, h.sim.Now())
 	if fresh {
@@ -222,8 +216,6 @@ type wcmp struct {
 	cum   []int64
 	total int64
 }
-
-func (w *wcmp) Name() string { return "wcmp" }
 
 func (w *wcmp) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	if w.total <= 0 {

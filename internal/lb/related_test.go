@@ -160,9 +160,6 @@ func TestRelatedSchemeNames(t *testing.T) {
 		"wcmp":       WCMP(),
 	} {
 		b := f(s, eventsim.NewRNG(1), ports)
-		if b.Name() != name {
-			t.Fatalf("Name() = %q, want %q", b.Name(), name)
-		}
 		if got := b.Pick(dataPkt(netem.FlowID{Src: 1, Dst: 2}, 1460), ports); got < 0 || got >= 2 {
 			t.Fatalf("%s picked invalid port %d", name, got)
 		}

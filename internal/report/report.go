@@ -19,20 +19,12 @@ import (
 	"tlb/internal/units"
 )
 
-// Item is one finished scenario of a campaign.
-type Item struct {
-	// Scenario and Scheme label the run.
-	Scenario string
-	Scheme   string
-	// Result is the run's measurements.
-	Result *sim.Result
-}
-
-// Campaign is the input of one report: a titled list of runs, rendered
-// in input order.
+// Campaign is the input of one report: a titled list of finished runs,
+// rendered in input order and labelled by each Result's Scenario and
+// Scheme.
 type Campaign struct {
-	Title string
-	Items []Item
+	Title   string
+	Results []*sim.Result
 }
 
 // Section ids, in document order. They are the report's structural
@@ -48,6 +40,9 @@ const (
 var palette = [...]string{"#2563eb", "#dc2626", "#059669", "#d97706", "#7c3aed", "#0891b2"}
 
 func color(i int) string { return palette[i%len(palette)] }
+
+// label names a run in the charts' legends.
+func label(r *sim.Result) string { return r.Scenario + "/" + r.Scheme }
 
 // HTML renders the campaign as one self-contained document.
 func HTML(c Campaign) []byte {
@@ -80,9 +75,8 @@ p.empty { color: #6b7280; font-style: italic; }
 func summarySection(b *strings.Builder, c Campaign) {
 	fmt.Fprintf(b, "<section id=%q>\n<h2>Summary</h2>\n<table>\n", IDSummary)
 	b.WriteString("<tr><th class=\"name\">scenario</th><th class=\"name\">scheme</th><th>flows</th><th>afct</th><th>p99 fct</th><th>short afct</th><th>goodput</th><th>util</th><th>drops</th><th>fault drops</th><th>retx</th></tr>\n")
-	for _, it := range c.Items {
-		fmt.Fprintf(b, "<tr><td class=\"name\">%s</td><td class=\"name\">%s</td>", html.EscapeString(it.Scenario), html.EscapeString(it.Scheme))
-		r := it.Result
+	for _, r := range c.Results {
+		fmt.Fprintf(b, "<tr><td class=\"name\">%s</td><td class=\"name\">%s</td>", html.EscapeString(r.Scenario), html.EscapeString(r.Scheme))
 		fmt.Fprintf(b, "<td>%d/%d</td>", r.CompletedCount(sim.AllFlows), r.Count(sim.AllFlows))
 		fmt.Fprintf(b, "<td>%s</td>", ms(r.AFCT(sim.AllFlows)))
 		fmt.Fprintf(b, "<td>%s</td>", ms(r.FCTPercentile(sim.AllFlows, 99)))
@@ -109,13 +103,13 @@ func afctSection(b *strings.Builder, c Campaign) {
 	}
 	var rows []row
 	var maxV units.Time
-	for i, it := range c.Items {
+	for i, res := range c.Results {
 		r := row{
-			label: it.Scenario + "/" + it.Scheme,
+			label: label(res),
 			vals: [3]units.Time{
-				it.Result.AFCT(sim.AllFlows),
-				it.Result.FCTPercentile(sim.AllFlows, 95),
-				it.Result.FCTPercentile(sim.AllFlows, 99),
+				res.AFCT(sim.AllFlows),
+				res.FCTPercentile(sim.AllFlows, 95),
+				res.FCTPercentile(sim.AllFlows, 99),
 			},
 			col: color(i),
 		}
@@ -170,12 +164,12 @@ func queueSection(b *strings.Builder, c Campaign) {
 	}
 	var curves []curve
 	var maxX float64
-	for i, it := range c.Items {
-		if len(it.Result.Uplinks) == 0 {
+	for i, r := range c.Results {
+		if len(r.Uplinks) == 0 {
 			continue
 		}
 		var xs []float64
-		for _, p := range it.Result.Uplinks {
+		for _, p := range r.Uplinks {
 			arrivals := p.Queue.Enqueued + p.Queue.Dropped
 			if arrivals == 0 {
 				xs = append(xs, 0)
@@ -187,7 +181,7 @@ func queueSection(b *strings.Builder, c Campaign) {
 		if top := xs[len(xs)-1]; top > maxX {
 			maxX = top
 		}
-		curves = append(curves, curve{label: it.Scenario + "/" + it.Scheme, xs: xs, col: color(i)})
+		curves = append(curves, curve{label: label(r), xs: xs, col: color(i)})
 	}
 	if len(curves) == 0 {
 		b.WriteString("<p class=\"empty\">no completed runs</p>\n</section>\n")
@@ -235,19 +229,18 @@ func queueSection(b *strings.Builder, c Campaign) {
 func faultSection(b *strings.Builder, c Campaign) {
 	fmt.Fprintf(b, "<section id=%q>\n<h2>Fault timeline</h2>\n", IDFaults)
 	type lane struct {
-		label string
-		res   *sim.Result
-		col   string
+		res *sim.Result
+		col string
 	}
 	var lanes []lane
 	var maxEnd units.Time
-	for i, it := range c.Items {
-		if len(it.Result.Faults) == 0 {
+	for i, r := range c.Results {
+		if len(r.Faults) == 0 {
 			continue
 		}
 		// A run reaches only the events at or before its end.
-		maxEnd = max(maxEnd, it.Result.EndTime)
-		lanes = append(lanes, lane{label: it.Scenario + "/" + it.Scheme, res: it.Result, col: color(i)})
+		maxEnd = max(maxEnd, r.EndTime)
+		lanes = append(lanes, lane{res: r, col: color(i)})
 	}
 	if len(lanes) == 0 {
 		b.WriteString("<p class=\"empty\">no run reached a fault event</p>\n</section>\n")
@@ -262,7 +255,7 @@ func faultSection(b *strings.Builder, c Campaign) {
 	fmt.Fprintf(b, "<svg viewBox=\"0 0 %.0f %.0f\" width=\"%.0f\" height=\"%.0f\" role=\"img\">\n", left+w+40, height, left+w+40, height)
 	for li, ln := range lanes {
 		y := 14 + laneH*float64(li)
-		fmt.Fprintf(b, "<text x=\"%.0f\" y=\"%.1f\" font-size=\"11\" text-anchor=\"end\">%s</text>\n", left-8, y+4, html.EscapeString(ln.label))
+		fmt.Fprintf(b, "<text x=\"%.0f\" y=\"%.1f\" font-size=\"11\" text-anchor=\"end\">%s</text>\n", left-8, y+4, html.EscapeString(label(ln.res)))
 		fmt.Fprintf(b, "<line x1=\"%.0f\" y1=\"%.1f\" x2=\"%.0f\" y2=\"%.1f\" stroke=\"#e5e7eb\"/>\n", left, y, left+w, y)
 		for _, e := range ln.res.Faults {
 			x := left

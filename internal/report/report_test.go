@@ -19,7 +19,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-func runItem(t *testing.T, name, scheme string, faulted bool) Item {
+func runScenario(t *testing.T, name, scheme string, faulted bool) *sim.Result {
 	t.Helper()
 	sc := sim.Scenario{
 		Name: name,
@@ -49,16 +49,16 @@ func runItem(t *testing.T, name, scheme string, faulted bool) Item {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Item{Scenario: name, Scheme: scheme, Result: res}
+	return res
 }
 
 func testCampaign(t *testing.T) Campaign {
 	t.Helper()
 	return Campaign{
 		Title: "report <test> campaign",
-		Items: []Item{
-			runItem(t, "healthy", "ecmp", false),
-			runItem(t, "faulted", "ecmp", true),
+		Results: []*sim.Result{
+			runScenario(t, "healthy", "ecmp", false),
+			runScenario(t, "faulted", "ecmp", true),
 		},
 	}
 }
@@ -108,7 +108,7 @@ func TestHTMLSelfContained(t *testing.T) {
 }
 
 func TestHTMLNoFaults(t *testing.T) {
-	c := Campaign{Items: []Item{runItem(t, "healthy", "ecmp", false)}}
+	c := Campaign{Results: []*sim.Result{runScenario(t, "healthy", "ecmp", false)}}
 	doc := string(HTML(c))
 	if !strings.Contains(doc, "no run reached a fault event") {
 		t.Fatal("fault section should state that no run reached a fault event")

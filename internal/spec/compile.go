@@ -2,7 +2,6 @@ package spec
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"tlb/internal/eventsim"
@@ -370,8 +369,6 @@ func (s *Spec) compileWorkload(c *checker, topo topology.Config) ([]workload.Flo
 	}
 	mixFields := []field{
 		{"workload.groups", len(w.Groups) != 0},
-		{"workload.senders", len(w.Senders) != 0},
-		{"workload.receivers", len(w.Receivers) != 0},
 	}
 	interpodFields := []field{
 		{"workload.interPod", w.InterPod != nil},
@@ -444,37 +441,15 @@ func (s *Spec) compileMix(c *checker, topo topology.Config, wseed uint64) []work
 		c.errf("workload.groups", "mix needs at least one group")
 		return nil
 	}
-	hosts := topo.Hosts()
-
-	senders, receivers := w.Senders, w.Receivers
-	if len(senders) == 0 && len(receivers) == 0 {
-		// Default: leaf 0's hosts send to leaf 1's hosts — the
-		// motivation/testbed pattern.
-		if topo.K == 0 && topo.Leaves >= 2 {
-			for h := 0; h < topo.HostsPerLeaf; h++ {
-				senders = append(senders, h)
-				receivers = append(receivers, topo.HostsPerLeaf+h)
-			}
-		} else {
-			c.errf("workload.senders", "must be set (the leaf0→leaf1 default needs a leafspine topology with >= 2 leaves)")
-		}
-	} else if len(senders) == 0 || len(receivers) == 0 {
-		c.errf("workload.senders", "senders and receivers must be set together")
+	// Leaf 0's hosts send to leaf 1's hosts — the motivation/testbed
+	// pattern.
+	if topo.K != 0 || topo.Leaves < 2 {
+		c.errf("workload.kind", "mix traffic runs from leaf 0's hosts to leaf 1's and needs a leafspine topology with >= 2 leaves")
 	}
-	for i, h := range senders {
-		if h < 0 || (hosts > 0 && h >= hosts) {
-			c.errf(fmt.Sprintf("workload.senders[%d]", i), "host %d out of range [0, %d)", h, hosts)
-		}
-	}
-	for i, h := range receivers {
-		if h < 0 || (hosts > 0 && h >= hosts) {
-			c.errf(fmt.Sprintf("workload.receivers[%d]", i), "host %d out of range [0, %d)", h, hosts)
-		}
-		if slices.Contains(senders, h) {
-			// Source and destination are drawn independently, so the
-			// host could be paired with itself.
-			c.errf(fmt.Sprintf("workload.receivers[%d]", i), "host %d is also a sender", h)
-		}
+	var senders, receivers []int
+	for h := 0; h < topo.HostsPerLeaf; h++ {
+		senders = append(senders, h)
+		receivers = append(receivers, topo.HostsPerLeaf+h)
 	}
 
 	mixes := make([]workload.StaticMix, 0, len(w.Groups))

@@ -153,12 +153,10 @@ type Workload struct {
 	Load  float64   `json:"load,omitempty"`
 	Sizes *SizeDist `json:"sizes,omitempty"`
 
-	// Mix (closed populations of shorts and longs): each group is one
-	// StaticMix drawn from the shared workload RNG in order. Senders
-	// and Receivers default to leaf 0's hosts and leaf 1's hosts.
-	Groups    []MixGroup `json:"groups,omitempty"`
-	Senders   []int      `json:"senders,omitempty"`
-	Receivers []int      `json:"receivers,omitempty"`
+	// Mix (closed populations of shorts and longs; leaf-spine only):
+	// each group is one StaticMix drawn from the shared workload RNG in
+	// order, from leaf 0's hosts to leaf 1's.
+	Groups []MixGroup `json:"groups,omitempty"`
 
 	// InterPod (fat-tree cross-pod traffic).
 	InterPod *InterPod `json:"interPod,omitempty"`

@@ -378,8 +378,10 @@ func TestSilentlyIgnoredInputRejected(t *testing.T) {
 			s.Topology.Leaves = 1
 			s.Workload = Workload{Kind: "poisson", Flows: 10, Load: 0.5, Sizes: &SizeDist{Kind: "fixed", Size: "50KB"}}
 		}},
-		{"workload.receivers[0]", func(s *Spec) { s.Workload.Senders, s.Workload.Receivers = []int{0}, []int{0} }},
-		{"workload.receivers[1]", func(s *Spec) { s.Workload.Senders, s.Workload.Receivers = []int{0, 1}, []int{2, 1} }},
+		// A mix runs from leaf 0's hosts to leaf 1's: no fat-tree, no
+		// single leaf.
+		{"workload.kind", func(s *Spec) { s.Topology = fatTreeTopology(4) }},
+		{"workload.kind", func(s *Spec) { s.Topology.Leaves = 1 }},
 	} {
 		s := testSpec()
 		tc.mut(s)
@@ -475,10 +477,10 @@ func TestZeroTransportIsTheSpecDefault(t *testing.T) {
 }
 
 // TestRemovedSettingsRejected: every setting that left the format — the
-// transport constants, the fixed workload seed, the one result
-// classification threshold, the fault ops and fields beyond down and
-// restore on both directions — is an error naming it, not a value
-// silently ignored.
+// transport constants, the fixed workload seed, a mix's host lists,
+// the one result classification threshold, the fault ops and fields
+// beyond down and restore on both directions — is an error naming it,
+// not a value silently ignored.
 func TestRemovedSettingsRejected(t *testing.T) {
 	s := testSpec()
 	s.Faults = []Fault{{At: "1ms", Op: "down"}}
@@ -498,6 +500,7 @@ func TestRemovedSettingsRejected(t *testing.T) {
 		{`"minRTO"`, `"handshake": false, "minRTO"`, "handshake"},
 		{`"minRTO"`, `"delayedAckTimeout": "200us", "minRTO"`, "delayedAckTimeout"},
 		{`"kind": "mix"`, `"kind": "mix", "seed": 7`, "seed"},
+		{`"kind": "mix"`, `"kind": "mix", "senders": [0, 1]`, "senders"},
 		{`"stopWhenDone"`, `"shortThreshold": "50KB", "stopWhenDone"`, "shortThreshold"},
 		{`"op": "down"`, `"op": "down", "dir": "leafToSpine"`, "dir"},
 		{`"op": "down"`, `"op": "down", "bandwidth": "5Mbps"`, "bandwidth"},

@@ -72,7 +72,6 @@ func TestRoutingAllPairs(t *testing.T) {
 
 type wildBalancer struct{ pick int }
 
-func (wildBalancer) Name() string                            { return "wild" }
 func (b wildBalancer) Pick(*netem.Packet, []*netem.Port) int { return b.pick }
 
 // TestInvalidPickPanics: a balancer answering outside its port slice is
@@ -97,7 +96,7 @@ func TestInvalidPickPanics(t *testing.T) {
 			net.Inject(0, dataPacket(0, last))
 			func() {
 				defer func() {
-					if msg, _ := recover().(string); !strings.Contains(msg, "balancer wild picked invalid uplink") {
+					if msg, _ := recover().(string); !strings.Contains(msg, "balancer topology.wildBalancer picked invalid uplink") {
 						t.Errorf("%s, pick %d: recovered %q", tc.name, pick, msg)
 					}
 				}()

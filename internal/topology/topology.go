@@ -253,7 +253,7 @@ func (n *node) receive(pkt *netem.Packet) {
 	}
 	idx := n.bal.Pick(pkt, n.up)
 	if idx < 0 || idx >= len(n.up) {
-		panic(fmt.Sprintf("topology: balancer %s picked invalid uplink %d of %d at %s", n.bal.Name(), idx, len(n.up), n.name))
+		panic(fmt.Sprintf("topology: balancer %T picked invalid uplink %d of %d at %s", n.bal, idx, len(n.up), n.name))
 	}
 	n.f.send(n.up[idx], pkt)
 }

@@ -215,7 +215,6 @@ func TestBalancerSeesOnlyCrossLeafTraffic(t *testing.T) {
 
 type countingBalancer struct{ n *int }
 
-func (c countingBalancer) Name() string { return "counting" }
 func (c countingBalancer) Pick(_ *netem.Packet, _ []*netem.Port) int {
 	*c.n++
 	return 0

@@ -144,7 +144,6 @@ func (s *Sender) onAck(pkt *netem.Packet) {
 		return
 	}
 	s.dupAcks++
-	s.Stats.DupAcksRcvd++
 	switch {
 	case s.inRecovery:
 		// Inflate: each dup ACK means a packet left the network.
@@ -433,8 +432,6 @@ func (s *Sender) emitData(seq, seg units.Bytes, retx bool) {
 	pkt.SentAt = s.sim.Now()
 	pkt.Retransmit = retx
 	pkt.FIN = seq+seg >= s.size
-	s.Stats.PacketsSent++
-	s.Stats.BytesSent += seg
 	s.host.out(pkt)
 }
 
@@ -445,7 +442,6 @@ func (s *Sender) sendControl(kind netem.Kind) {
 	pkt.Kind = kind
 	pkt.Wire = HeaderBytes
 	pkt.SentAt = s.sim.Now()
-	s.Stats.PacketsSent++
 	s.host.out(pkt)
 }
 

@@ -23,13 +23,10 @@ type FlowStats struct {
 	Deadline units.Time
 
 	// Sender-side counters.
-	PacketsSent int64
-	BytesSent   units.Bytes // payload, including retransmissions
 	BytesAcked  units.Bytes // cumulatively acknowledged payload
 	Retransmits int64
 	Timeouts    int64
 	FastRetx    int64
-	DupAcksRcvd int64 // duplicate ACKs observed by the sender
 	ECNAcks     int64 // ACKs carrying an ECN echo
 	WindowCuts  int64 // loss- or ECN-triggered reductions
 	MaxCwnd     units.Bytes

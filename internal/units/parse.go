@@ -14,32 +14,19 @@ import (
 // for every representable value — while parsing additionally accepts
 // decimal multipliers for hand-written specs.
 
-// timeUnits in parse order; longest suffixes first so "ms" does not
-// match the "s" rule.
-var timeUnits = []struct {
-	suffix string
-	unit   Time
-}{
-	{"ns", Nanosecond},
-	{"us", Microsecond},
-	{"µs", Microsecond},
-	{"ms", Millisecond},
-	{"s", Second},
+// The suffix tables. parseQuantity matches the whole suffix after the
+// number, so "ms" never matches the "s" entry and "KiB" is never split.
+var timeUnits = map[string]Time{
+	"ns": Nanosecond,
+	"us": Microsecond,
+	"µs": Microsecond,
+	"ms": Millisecond,
+	"s":  Second,
 }
 
 // ParseTime parses a duration like "150us", "2.5ms", "3s" or "250ns".
 // A bare number is nanoseconds.
-func ParseTime(s string) (Time, error) {
-	v, err := parseQuantity(s, "time", func(suffix string) (int64, bool) {
-		for _, u := range timeUnits {
-			if suffix == u.suffix {
-				return int64(u.unit), true
-			}
-		}
-		return 0, false
-	})
-	return Time(v), err
-}
+func ParseTime(s string) (Time, error) { return parseQuantity(s, "time", timeUnits) }
 
 // FormatTime renders t exactly: the largest unit of s/ms/us/ns that
 // divides it evenly, as an integer.
@@ -60,34 +47,19 @@ func FormatTime(t Time) string {
 	}
 }
 
-// byteUnits in parse order; binary units before their decimal
-// near-namesakes so "KiB" is not split as "Ki"+"B".
-var byteUnits = []struct {
-	suffix string
-	unit   Bytes
-}{
-	{"KiB", KiB},
-	{"MiB", MiB},
-	{"GiB", 1024 * MiB},
-	{"KB", KB},
-	{"MB", MB},
-	{"GB", 1000 * MB},
-	{"B", Byte},
+var byteUnits = map[string]Bytes{
+	"KiB": KiB,
+	"MiB": MiB,
+	"GiB": 1024 * MiB,
+	"KB":  KB,
+	"MB":  MB,
+	"GB":  1000 * MB,
+	"B":   Byte,
 }
 
 // ParseBytes parses a size like "100KB", "64KiB", "1460B" or "10MB".
 // A bare number is bytes.
-func ParseBytes(s string) (Bytes, error) {
-	v, err := parseQuantity(s, "size", func(suffix string) (int64, bool) {
-		for _, u := range byteUnits {
-			if suffix == u.suffix {
-				return int64(u.unit), true
-			}
-		}
-		return 0, false
-	})
-	return Bytes(v), err
-}
+func ParseBytes(s string) (Bytes, error) { return parseQuantity(s, "size", byteUnits) }
 
 // FormatBytes renders n exactly, preferring decimal units and falling
 // back to binary ones (so 64 KiB round-trips as "64KiB", not
@@ -111,29 +83,17 @@ func FormatBytes(n Bytes) string {
 	}
 }
 
-// bandwidthUnits in parse order.
-var bandwidthUnits = []struct {
-	suffix string
-	unit   Bandwidth
-}{
-	{"Gbps", Gbps},
-	{"Mbps", Mbps},
-	{"Kbps", Kbps},
-	{"bps", BitPerSecond},
+var bandwidthUnits = map[string]Bandwidth{
+	"Gbps": Gbps,
+	"Mbps": Mbps,
+	"Kbps": Kbps,
+	"bps":  BitPerSecond,
 }
 
 // ParseBandwidth parses a rate like "1Gbps", "20Mbps" or "2.5Gbps". A
 // bare number is bits per second.
 func ParseBandwidth(s string) (Bandwidth, error) {
-	v, err := parseQuantity(s, "bandwidth", func(suffix string) (int64, bool) {
-		for _, u := range bandwidthUnits {
-			if suffix == u.suffix {
-				return int64(u.unit), true
-			}
-		}
-		return 0, false
-	})
-	return Bandwidth(v), err
+	return parseQuantity(s, "bandwidth", bandwidthUnits)
 }
 
 // FormatBandwidth renders b exactly with the largest even unit.
@@ -154,10 +114,10 @@ func FormatBandwidth(b Bandwidth) string {
 	}
 }
 
-// parseQuantity splits "<number><suffix>" and scales. Integer values
-// scale in integer arithmetic (exact); decimals go through float64 and
-// round to the nearest base unit.
-func parseQuantity(s, what string, unitOf func(suffix string) (int64, bool)) (int64, error) {
+// parseQuantity splits "<number><suffix>" and scales by the suffix's
+// entry in table. Integer values scale in integer arithmetic (exact);
+// decimals go through float64 and round to the nearest base unit.
+func parseQuantity[T ~int64](s, what string, table map[string]T) (T, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return 0, fmt.Errorf("units: empty %s", what)
@@ -173,17 +133,17 @@ func parseQuantity(s, what string, unitOf func(suffix string) (int64, bool)) (in
 	num, suffix := s[:i], strings.TrimSpace(s[i:])
 	unit := int64(1)
 	if suffix != "" {
-		u, ok := unitOf(suffix)
+		u, ok := table[suffix]
 		if !ok {
 			return 0, fmt.Errorf("units: unknown %s unit %q in %q", what, suffix, s)
 		}
-		unit = u
+		unit = int64(u)
 	}
 	if n, err := strconv.ParseInt(num, 10, 64); err == nil {
 		if n != 0 && (n*unit)/unit != n {
 			return 0, fmt.Errorf("units: %s %q overflows", what, s)
 		}
-		return n * unit, nil
+		return T(n * unit), nil
 	}
 	f, err := strconv.ParseFloat(num, 64)
 	if err != nil {
@@ -193,5 +153,5 @@ func parseQuantity(s, what string, unitOf func(suffix string) (int64, bool)) (in
 	if math.IsNaN(v) || v > math.MaxInt64 || v < math.MinInt64 {
 		return 0, fmt.Errorf("units: %s %q out of range", what, s)
 	}
-	return int64(math.Round(v)), nil
+	return T(math.Round(v)), nil
 }

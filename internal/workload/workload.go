@@ -22,8 +22,6 @@ type SizeDist interface {
 	Sample(rng *eventsim.RNG) units.Bytes
 	// Mean returns the distribution's mean size in bytes.
 	Mean() float64
-	// Name identifies the distribution.
-	Name() string
 }
 
 // CDFPoint anchors an empirical CDF: Frac of flows are <= Size bytes.
@@ -42,7 +40,6 @@ type CDFPoint struct {
 // only mutable state is the memo of truncated means, behind mu, so one
 // distribution may be shared by every goroutine.
 type CDFDist struct {
-	name   string
 	points []CDFPoint
 	// logSize[i] is math.Log(points[i].Size), taken once here instead of
 	// on every interpolated draw.
@@ -72,7 +69,7 @@ func NewCDF(name string, points []CDFPoint) (*CDFDist, error) {
 	if points[len(points)-1].Frac != 1 {
 		return nil, fmt.Errorf("workload: CDF %q must end at fraction 1", name)
 	}
-	d := &CDFDist{name: name, points: points, logSize: make([]float64, len(points))}
+	d := &CDFDist{points: points, logSize: make([]float64, len(points))}
 	for i, p := range points {
 		d.logSize[i] = math.Log(float64(p.Size))
 	}
@@ -89,7 +86,6 @@ func MustCDF(name string, points []CDFPoint) *CDFDist {
 	return d
 }
 
-func (d *CDFDist) Name() string  { return d.name }
 func (d *CDFDist) Mean() float64 { return d.mean }
 
 // The midpoint-rule resolutions of the mean (fine-grained enough that
@@ -217,8 +213,6 @@ type Uniform struct {
 	MinSize, MaxSize units.Bytes
 }
 
-func (u Uniform) Name() string { return fmt.Sprintf("uniform[%v,%v]", u.MinSize, u.MaxSize) }
-
 func (u Uniform) Mean() float64 { return float64(u.MinSize+u.MaxSize) / 2 }
 
 func (u Uniform) Sample(rng *eventsim.RNG) units.Bytes {
@@ -233,7 +227,6 @@ type Fixed struct {
 	Size units.Bytes
 }
 
-func (f Fixed) Name() string                       { return fmt.Sprintf("fixed[%v]", f.Size) }
 func (f Fixed) Mean() float64                      { return float64(f.Size) }
 func (f Fixed) Sample(_ *eventsim.RNG) units.Bytes { return f.Size }
 
@@ -243,8 +236,6 @@ type Truncated struct {
 	Dist SizeDist
 	Max  units.Bytes
 }
-
-func (t Truncated) Name() string { return fmt.Sprintf("%s<=%v", t.Dist.Name(), t.Max) }
 
 // Mean is the mean capped size, which a poisson workload plans its
 // arrival rate from. Over a CDFDist it is a 20 000-step midpoint

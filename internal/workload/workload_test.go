@@ -32,13 +32,14 @@ func TestCDFValidation(t *testing.T) {
 
 func TestCDFSamplesWithinRange(t *testing.T) {
 	rng := eventsim.NewRNG(1)
-	for _, d := range []*CDFDist{WebSearch(), DataMining()} {
+	for _, c := range publishedCDFs() {
+		d := c.d
 		min := d.points[0].Size
 		max := d.points[len(d.points)-1].Size
 		for i := 0; i < 10000; i++ {
 			s := d.Sample(rng)
 			if s < 1 || s > max {
-				t.Fatalf("%s sample %v outside (0, %v]", d.Name(), s, max)
+				t.Fatalf("%s sample %v outside (0, %v]", c.name, s, max)
 			}
 			_ = min
 		}
@@ -284,6 +285,17 @@ func TestStaticMix(t *testing.T) {
 	}
 }
 
+// namedCDF is a published distribution with the name failure messages
+// give it.
+type namedCDF struct {
+	name string
+	d    *CDFDist
+}
+
+func publishedCDFs() []namedCDF {
+	return []namedCDF{{"websearch", WebSearch()}, {"datamining", DataMining()}}
+}
+
 // refQuantile is quantile as first written, with the anchor logs taken
 // on every call.
 func refQuantile(d *CDFDist, u float64) units.Bytes {
@@ -342,18 +354,19 @@ func refTruncatedMean(d *CDFDist, max units.Bytes) float64 {
 // second, and eight goroutines racing for a cold memo. The interpolated
 // quantile that sampling uses must match the per-call logs too.
 func TestTruncatedMeanIsTheIntegration(t *testing.T) {
-	for _, d := range []*CDFDist{WebSearch(), DataMining()} {
+	for _, c := range publishedCDFs() {
+		d := c.d
 		if got, want := d.Mean(), refMean(d); got != want {
-			t.Errorf("%s: Mean() = %v, want %v", d.Name(), got, want)
+			t.Errorf("%s: Mean() = %v, want %v", c.name, got, want)
 		}
 		// One fresh distribution takes every cap in turn, so a memo that
 		// answered one cap with another's mean would show.
 		beyond := 2 * d.points[len(d.points)-1].Size
-		fresh := MustCDF(d.Name(), d.points)
+		fresh := MustCDF(c.name, d.points)
 		for _, call := range []string{"cold", "memoized"} {
 			for _, max := range []units.Bytes{6 * units.KB, 100 * units.KB, 20 * units.MB, 1000 * units.MB, beyond} {
 				if got, want := (Truncated{Dist: fresh, Max: max}).Mean(), refTruncatedMean(d, max); got != want {
-					t.Errorf("%s<=%v %s: Mean() = %v, want %v", d.Name(), max, call, got, want)
+					t.Errorf("%s<=%v %s: Mean() = %v, want %v", c.name, max, call, got, want)
 				}
 			}
 		}
@@ -367,7 +380,7 @@ func TestTruncatedMeanIsTheIntegration(t *testing.T) {
 		}
 		for _, u := range us {
 			if got, want := d.quantile(u), refQuantile(d, u); got != want {
-				t.Fatalf("%s: quantile(%v) = %v, want %v", d.Name(), u, got, want)
+				t.Fatalf("%s: quantile(%v) = %v, want %v", c.name, u, got, want)
 			}
 		}
 	}
