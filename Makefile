@@ -176,8 +176,8 @@ alloc-gates:
 # construction-order pin, the runner's arrival-order pin, the golden
 # figure CSVs, worker-count identity,
 # observer neutrality, records-kept vs records-dropped parity (finished
-# and truncated runs, time series and queue-length histogram included)
-# and the benchmark harness's digest tests — the set
+# and truncated runs, plain and replicated, time series and queue-length
+# histogram included) and the benchmark harness's digest tests — the set
 # a change to shared run machinery has to keep green (also part of
 # `make test`; this is the fast inner loop).
 identity:

@@ -235,12 +235,12 @@ func runMallocs(t *testing.T, sc sim.Scenario) (*sim.Result, uint64, int64) {
 
 // TestAllocGatePerFlow: what a flow costs the allocator from arrival to
 // fold, taken as the slope between a 1 000- and a 5 000-flow run so the
-// fabric's set-up cancels. Flows come from the run's flow pool, records
-// too when streamed, so a flow allocates nothing of its own: the first
+// fabric's set-up cancels. Flows come from the run's flow pool, their
+// records included, so a flow allocates nothing of its own: the first
 // three rows, at a 20 µs gap the k=4 fabric cannot keep up with, count
 // the growth of the backlog — about half the flows are open at the end,
 // each a pooled flow and its packets in flight — and record mode adds
-// each flow's kept record and Result.Flows (2.46 per flow streamed and
+// the copy of each record Result.Flows keeps (2.46 per flow streamed and
 // recorded alike before flows were pooled, 9.26 before a flow was one
 // object). The last row runs a load the fabric carries: the pool's
 // allocations stop growing with the flow count, and so does the run's.
@@ -272,9 +272,10 @@ func TestAllocGatePerFlow(t *testing.T) {
 	}
 }
 
-// TestAllocGateResultRetention: a record-mode Result keeps each flow's
-// 184-byte record and nothing else of the flow — not the endpoints the
-// record used to be embedded in, which tripled what a finished run held.
+// TestAllocGateResultRetention: a record-mode Result keeps a copy of
+// each flow's 160-byte record and nothing else of the flow — not the
+// pooled flow the record lives in, which tripled what a finished run
+// held.
 func TestAllocGateResultRetention(t *testing.T) {
 	const flows = 5000
 	res, _, _ := runMallocs(t, miceScenario(t, flows, "20us", `{}`))

@@ -30,48 +30,13 @@ type Balancer interface {
 // private deterministic stream, and ports are the switch's uplinks.
 type Factory func(sim *eventsim.Sim, rng *eventsim.RNG, ports []*netem.Port) Balancer
 
-// ShortestQueue returns the index of the live port with the fewest
-// queued packets, breaking ties uniformly at random so that
-// simultaneous arrivals do not herd onto one queue. Down ports are
-// skipped; if every port is down the choice does not matter (admission
-// drops regardless), so a fixed index keeps the run deterministic. No
-// scheme calls it: it is the paper's literal comparison, the reference
-// LowestDelay is tested against on a symmetric fabric.
-//
-// With all ports up the scan consumes exactly the RNG values the
-// pre-liveness implementation did, so healthy runs replay byte-for-byte.
-func ShortestQueue(rng *eventsim.RNG, ports []*netem.Port) int {
-	best := -1
-	var bestLen, ties int
-	for i, p := range ports {
-		if p.Down() {
-			continue
-		}
-		l := p.QueueLen()
-		switch {
-		case best < 0 || l < bestLen:
-			best, bestLen, ties = i, l, 1
-		case l == bestLen:
-			// Reservoir-sample among ties for a uniform choice.
-			ties++
-			if rng.Intn(ties) == 0 {
-				best = i
-			}
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best
-}
-
 // LowestDelay returns the index of the live port whose estimated
 // delivery delay (backlog serialization + propagation) is smallest,
-// breaking ties uniformly at random. On a symmetric fabric it
-// coincides with ShortestQueue; on an asymmetric one it avoids slow or
-// long paths that a packet-count comparison cannot see. Down ports are
-// skipped (fixed index 0 when all are down), with the same
-// healthy-run RNG stream as ShortestQueue.
+// breaking ties uniformly at random. On a symmetric fabric it picks the
+// shortest queue, the paper's literal comparison; on an asymmetric one
+// it avoids slow or long paths that a packet-count comparison cannot
+// see. Down ports are skipped (fixed index 0 when all are down), which
+// leaves the RNG values a run with every port up draws unchanged.
 func LowestDelay(rng *eventsim.RNG, ports []*netem.Port) int {
 	best := -1
 	var bestCost units.Time

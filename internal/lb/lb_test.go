@@ -167,6 +167,36 @@ func TestDRILLPrefersShortQueues(t *testing.T) {
 	}
 }
 
+// shortestQueue returns the index of the live port with the fewest
+// queued packets, breaking ties uniformly at random; down ports are
+// skipped, and index 0 is the fixed choice when all are down. No scheme
+// calls it: it is the paper's literal comparison, the reference
+// LowestDelay is tested against on a symmetric fabric.
+func shortestQueue(rng *eventsim.RNG, ports []*netem.Port) int {
+	best := -1
+	var bestLen, ties int
+	for i, p := range ports {
+		if p.Down() {
+			continue
+		}
+		l := p.QueueLen()
+		switch {
+		case best < 0 || l < bestLen:
+			best, bestLen, ties = i, l, 1
+		case l == bestLen:
+			// Reservoir-sample among ties for a uniform choice.
+			ties++
+			if rng.Intn(ties) == 0 {
+				best = i
+			}
+		}
+	}
+	if best < 0 {
+		return 0
+	}
+	return best
+}
+
 func TestShortestQueuePicksMinimum(t *testing.T) {
 	s := eventsim.New()
 	ports := testPorts(s, 4)
@@ -176,8 +206,8 @@ func TestShortestQueuePicksMinimum(t *testing.T) {
 	fill(ports, 3, 7)
 	rng := eventsim.NewRNG(1)
 	for i := 0; i < 10; i++ {
-		if got := ShortestQueue(rng, ports); got != 2 {
-			t.Fatalf("ShortestQueue = %d, want 2", got)
+		if got := shortestQueue(rng, ports); got != 2 {
+			t.Fatalf("shortestQueue = %d, want 2", got)
 		}
 	}
 }
@@ -189,7 +219,7 @@ func TestShortestQueueBreaksTiesUniformly(t *testing.T) {
 	rng := eventsim.NewRNG(1)
 	counts := make([]int, 4)
 	for i := 0; i < 4000; i++ {
-		counts[ShortestQueue(rng, ports)]++
+		counts[shortestQueue(rng, ports)]++
 	}
 	for i, c := range counts {
 		if c < 800 || c > 1200 {
@@ -245,7 +275,7 @@ func TestLowestDelayMatchesShortestQueueOnSymmetricFabric(t *testing.T) {
 	fill(ports, 1, 3)
 	fill(ports, 2, 6)
 	fill(ports, 3, 12)
-	a := ShortestQueue(eventsim.NewRNG(1), ports)
+	a := shortestQueue(eventsim.NewRNG(1), ports)
 	b := LowestDelay(eventsim.NewRNG(1), ports)
 	if a != 1 || b != 1 {
 		t.Fatalf("symmetric fabric disagreement: sq=%d, ld=%d", a, b)

@@ -17,8 +17,8 @@ func TestShortestQueueSkipsDownPorts(t *testing.T) {
 	ports[2].SetDown(true)
 	rng := eventsim.NewRNG(1)
 	for i := 0; i < 10; i++ {
-		if got := ShortestQueue(rng, ports); got != 1 {
-			t.Fatalf("ShortestQueue = %d, want live minimum 1", got)
+		if got := shortestQueue(rng, ports); got != 1 {
+			t.Fatalf("shortestQueue = %d, want live minimum 1", got)
 		}
 	}
 }
@@ -45,8 +45,8 @@ func TestAllPortsDownFallsBackDeterministically(t *testing.T) {
 		p.SetDown(true)
 	}
 	rng := eventsim.NewRNG(1)
-	if got := ShortestQueue(rng, ports); got != 0 {
-		t.Fatalf("all-down ShortestQueue = %d, want fixed 0", got)
+	if got := shortestQueue(rng, ports); got != 0 {
+		t.Fatalf("all-down shortestQueue = %d, want fixed 0", got)
 	}
 	if got := LowestDelay(rng, ports); got != 0 {
 		t.Fatalf("all-down LowestDelay = %d, want fixed 0", got)

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"tlb/internal/eventsim"
@@ -36,8 +38,8 @@ type runCore struct {
 
 	hosts []*transport.Host
 	ports []*netem.Port // the balanced (uplink) ports
-	// flowPool recycles the flows (endpoints, and records under
-	// StreamStats) the hosts open; see transport.FlowPool.
+	// flowPool recycles the flows (both endpoints and the record) the
+	// hosts open; see transport.FlowPool.
 	flowPool *transport.FlowPool
 
 	// next yields the workload in arrival order; pendIdx and pend are
@@ -65,11 +67,14 @@ type runCore struct {
 	// so the simulation cannot see it.
 	agg *StreamAgg
 	// started/done count flow opens and completions, for the fold
-	// audit.
+	// audit; started is also the next flow's open ordinal.
 	started int64
 	done    int64
 
-	// flows are the opened flows' records in open order, kept unless
+	// open holds every opened, unfolded flow by index: the one registry
+	// of open flows, which no packet reads.
+	open map[int]openFlow
+	// flows are the folded records' copies in open order, kept unless
 	// StreamStats; they become Result.Flows.
 	flows []*transport.FlowStats
 	// shortOut and longOut are the sinks every endpoint of the class
@@ -79,20 +84,27 @@ type runCore struct {
 	shortGoodput, longGoodput *stats.TimeSeries
 }
 
+// openFlow is one open flow's live record — its sender's for a plain
+// flow, the canonical one for a replicated flow — and its open ordinal.
+type openFlow struct {
+	rec *transport.FlowStats
+	ord int
+}
+
 // newCore constructs the scenario's world — engine, pool, network,
 // faults, hosts — and arms the workload and the goodput tick, in
 // that order: set-up events take their sequence numbers in it.
 func newCore(sc *Scenario) (*runCore, error) {
-	c := &runCore{sc: sc, sim: eventsim.New(), agg: &StreamAgg{}}
+	c := &runCore{sc: sc, sim: eventsim.New(), agg: &StreamAgg{}, open: make(map[int]openFlow)}
 	rng := eventsim.NewRNG(sc.Seed)
 	// One packet pool per run: endpoints allocate from it, and the
 	// hosts (delivery) and fabric (drops) release back to it, making
 	// the steady-state packet path allocation-free. Per-run ownership
 	// keeps sweep workers from sharing any mutable state.
 	pool := netem.NewPacketPool()
-	// Flows recycle the same way, per run: endpoints always, records
-	// too when nothing keeps them after the fold.
-	c.flowPool = transport.NewFlowPool(sc.StreamStats)
+	// Flows recycle the same way, per run, records included: what
+	// Result.Flows keeps is a copy taken at the fold.
+	c.flowPool = &transport.FlowPool{}
 	c.onDone = c.flowFinished
 
 	deliver := func(host int, pkt *netem.Packet) { c.hosts[host].Receive(pkt) }
@@ -286,8 +298,7 @@ func (c *runCore) openFlow(i int, f workload.Flow) {
 	snd.Stats.Deadline = f.Deadline
 	snd.Sink = c.sink(short)
 	snd.Receiver().Sink = snd.Sink
-	c.keep(snd.Stats)
-	c.started++
+	c.track(i, snd.Stats)
 	snd.Start()
 }
 
@@ -296,11 +307,9 @@ func (c *runCore) openFlow(i int, f workload.Flow) {
 func (c *runCore) flowFinished(done *transport.Sender) {
 	now := c.sim.Now()
 	c.hosts[done.ID().Dst].CloseReceiverAt(now, c.closeLag, done.Receiver())
-	// Under StreamStats this is fold and forget: the host already
-	// released the sender, and the record goes back to the flow pool
-	// with the flow once this callback returns and the receiver closes.
-	c.agg.Fold(done.Stats, done.Size() <= ShortThreshold, now)
-	c.flowDone()
+	// The record goes back to the flow pool with the flow once this
+	// callback returns and the receiver closes.
+	c.finish(done.ID().Port)
 }
 
 // openReplicated runs at f.Start and realizes one flow as N racing
@@ -314,7 +323,7 @@ func (c *runCore) openReplicated(idx int, f workload.Flow) {
 	flow := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: idx}
 	short := f.Size <= ShortThreshold
 	canonical := &transport.FlowStats{ID: flow, Size: f.Size, Deadline: f.Deadline}
-	c.keep(canonical)
+	c.track(idx, canonical)
 	out := c.sink(short)
 	won := false
 	copies := sc.Replication.Copies
@@ -333,14 +342,12 @@ func (c *runCore) openReplicated(idx int, f workload.Flow) {
 			canonical.ID = flow
 			canonical.Deadline = f.Deadline
 			out.Acked += canonical.BytesAcked
-			c.agg.Fold(canonical, short, c.sim.Now())
-			c.flowDone()
+			c.finish(idx)
 		})
 		snd.Stats.Deadline = f.Deadline
 		snd.Receiver().Sink = out
 		snd.Start()
 	}
-	c.started++
 }
 
 // sink returns the class's sink.
@@ -351,11 +358,35 @@ func (c *runCore) sink(short bool) *transport.Sink {
 	return &c.longOut
 }
 
-// keep retains a flow's record for Result.Flows (record mode only —
-// streaming runs retain no per-flow state).
-func (c *runCore) keep(fs *transport.FlowStats) {
+// track registers flow i as open with its live record, at the next
+// open ordinal, and reserves the record's place in Result.Flows.
+func (c *runCore) track(i int, rec *transport.FlowStats) {
+	if _, dup := c.open[i]; dup {
+		panic(fmt.Sprintf("sim: flow %d opened twice", i))
+	}
+	c.open[i] = openFlow{rec: rec, ord: int(c.started)}
+	c.started++
 	if !c.sc.StreamStats {
-		c.flows = append(c.flows, fs)
+		c.flows = append(c.flows, nil)
+	}
+}
+
+// finish folds open flow i at its completion and forgets it.
+func (c *runCore) finish(i int) {
+	o := c.open[i]
+	delete(c.open, i)
+	c.fold(o, c.sim.Now())
+	c.flowDone()
+}
+
+// fold reduces an open flow's record into the aggregate at time at and,
+// in record mode, keeps a copy in its place in Result.Flows, so no
+// pooled flow stays reachable from the Result.
+func (c *runCore) fold(o openFlow, at units.Time) {
+	c.agg.Fold(o.rec, o.rec.Size <= ShortThreshold, at)
+	if !c.sc.StreamStats {
+		rec := *o.rec
+		c.flows[o.ord] = &rec
 	}
 }
 
@@ -415,24 +446,18 @@ func assemble(sc *Scenario, c *runCore, endTime units.Time) (*Result, error) {
 
 	// Completed flows folded at their done callbacks; fold the flows
 	// still open so unfinished ones count too (deadline misses at
-	// endTime, goodput over active time).
-	if sc.StreamStats {
-		// No records were kept: sweep the still-open senders, in host
-		// order then FlowID order so the fold sequence is deterministic.
-		for _, h := range c.hosts {
-			h.EachOpenSenderSorted(func(snd *transport.Sender) {
-				c.agg.Fold(snd.Stats, snd.Size() <= ShortThreshold, endTime)
-			})
-		}
-	} else {
-		// Records are kept as well: Flows in open order.
-		res.Flows = c.flows
-		for _, fs := range c.flows {
-			if !fs.Done {
-				c.agg.Fold(fs, fs.Size <= ShortThreshold, endTime)
-			}
-		}
+	// endTime, goodput over active time), in open order: one fixed
+	// sequence, so float sums are deterministic and both modes agree.
+	open := make([]openFlow, 0, len(c.open))
+	//simlint:allow maporder(open flows are collected here and sorted by open ordinal below before any use)
+	for _, o := range c.open {
+		open = append(open, o)
 	}
+	slices.SortFunc(open, func(a, b openFlow) int { return cmp.Compare(a.ord, b.ord) })
+	for _, o := range open {
+		c.fold(o, endTime)
+	}
+	res.Flows = c.flows
 	if err := auditFold(c.agg.Agg(AllFlows), c.started, c.done); err != nil {
 		return nil, fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
 	}

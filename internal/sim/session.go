@@ -149,9 +149,6 @@ func (ss *Session) validate() error {
 	if len(sc.Flows) > 0 && hasSource {
 		return fmt.Errorf("sim: scenario %q sets both Flows and FlowSourceNew", sc.Name)
 	}
-	if sc.StreamStats && sc.Replication != nil {
-		return fmt.Errorf("sim: scenario %q: StreamStats is incompatible with Replication (racing copies need retained records)", sc.Name)
-	}
 	return nil
 }
 

@@ -61,16 +61,14 @@ type Scenario struct {
 
 	// StreamStats means "do not retain records": every run folds each
 	// flow record into the fixed-size per-class aggregate
-	// (Result.Stream) exactly once; this flag additionally releases the
-	// record at completion instead of keeping it in Result.Flows — O(1)
-	// memory per flow. What goes with the records: Result.Each and
+	// (Result.Stream) exactly once; this flag only stops the run keeping
+	// a copy of each folded record in Result.Flows — O(1) memory per
+	// flow. What goes with the records: Result.Each and
 	// FCTSample see nothing, and FCT percentiles come from the quantile
 	// sketch and carry its relative-error bound
 	// (stats.DefaultSketchAlpha). Every other metric — the time series
 	// and the queue-length histogram included, which fold as they happen
 	// — is the same number either way, and the flag decides nothing else.
-	// Incompatible with Replication, whose racing copies need retained
-	// records.
 	StreamStats bool
 
 	// MaxTime hard-stops the run; 0 means run until all flows finish.

@@ -53,13 +53,14 @@ func streamTestScenario(flows []workload.Flow, maxTime units.Time) Scenario {
 	}
 }
 
-// assertStreamParity checks every Result accessor of the streamed run
-// against the record-keeping run: counters must be exactly equal; AFCT
-// and goodput nearly equal (the two runs fold unfinished flows in
-// different orders); percentiles within the sketch bound of the exact
-// value's bracketing order statistics. Both sides of that comparison
-// read a fold, so the integer counters are also checked against sums
-// taken directly over the retained records, which go through none.
+// assertStreamParity checks the streamed run against the
+// record-keeping run. Both fold the same records in the same order, so
+// their aggregates, which every accessor but FCTPercentile reads, must
+// be equal to the last bit; the streamed percentiles must lie within
+// the sketch bound of the exact value's bracketing order statistics.
+// An aggregate is a fold, so its integer counters are also checked
+// against sums taken directly over the retained records, which go
+// through none.
 func assertStreamParity(t *testing.T, exact, streamed *Result) {
 	t.Helper()
 	if len(streamed.Flows) != 0 {
@@ -67,6 +68,9 @@ func assertStreamParity(t *testing.T, exact, streamed *Result) {
 	}
 	if exact.EndTime != streamed.EndTime {
 		t.Fatalf("end times differ: %v vs %v", exact.EndTime, streamed.EndTime)
+	}
+	if !reflect.DeepEqual(exact.Stream, streamed.Stream) {
+		t.Fatal("the streamed run's aggregate differs from the record-keeping run's")
 	}
 	for _, c := range []Class{AllFlows, ShortFlows, LongFlows} {
 		var want stats.FlowAgg
@@ -82,43 +86,15 @@ func assertStreamParity(t *testing.T, exact, streamed *Result) {
 			want.DupAcksSent += fs.DupAcksSent
 			want.BytesAcked += int64(fs.BytesAcked)
 		})
-		for name, r := range map[string]*Result{"exact": exact, "streamed": streamed} {
-			a := r.Stream.Agg(c)
-			got := stats.FlowAgg{
-				Count: int64(r.Count(c)), Completed: int64(r.CompletedCount(c)),
-				Retransmits: r.TotalRetransmits(c), Timeouts: r.TotalTimeouts(c),
-				PacketsRecv: a.PacketsRecv, OutOfOrder: a.OutOfOrder,
-				DupAcksSent: a.DupAcksSent, BytesAcked: a.BytesAcked,
-			}
-			if got != want {
-				t.Fatalf("class %d %s run: accessors %+v, direct sum over records %+v", c, name, got, want)
-			}
+		a := exact.Stream.Agg(c)
+		got := stats.FlowAgg{
+			Count: int64(exact.Count(c)), Completed: int64(exact.CompletedCount(c)),
+			Retransmits: exact.TotalRetransmits(c), Timeouts: exact.TotalTimeouts(c),
+			PacketsRecv: a.PacketsRecv, OutOfOrder: a.OutOfOrder,
+			DupAcksSent: a.DupAcksSent, BytesAcked: a.BytesAcked,
 		}
-		if e, s := exact.DeadlineMissRatio(c), streamed.DeadlineMissRatio(c); e != s {
-			t.Fatalf("class %d miss ratio %v vs %v", c, e, s)
-		}
-		if e, s := exact.AggregateGoodput(c), streamed.AggregateGoodput(c); e != s {
-			t.Fatalf("class %d aggregate goodput %v vs %v", c, e, s)
-		}
-		if e, s := exact.MeanQueueDelay(c), streamed.MeanQueueDelay(c); e != s {
-			t.Fatalf("class %d queue delay %v vs %v", c, e, s)
-		}
-		if e, s := exact.OutOfOrderRatio(c), streamed.OutOfOrderRatio(c); e != s {
-			t.Fatalf("class %d ooo ratio %v vs %v", c, e, s)
-		}
-		if e, s := exact.DupAckRatio(c), streamed.DupAckRatio(c); e != s {
-			t.Fatalf("class %d dupack ratio %v vs %v", c, e, s)
-		}
-		// Goodput sums per-flow float terms in different orders
-		// (completion order vs record order), so compare with a tight
-		// relative tolerance rather than bit equality.
-		eg, sg := float64(exact.Goodput(c)), float64(streamed.Goodput(c))
-		if math.Abs(eg-sg) > 1e-6*math.Max(1, eg) {
-			t.Fatalf("class %d goodput %v vs %v", c, eg, sg)
-		}
-		ea, sa := exact.AFCT(c).Seconds(), streamed.AFCT(c).Seconds()
-		if math.Abs(ea-sa) > 1e-9*math.Max(1, ea) {
-			t.Fatalf("class %d AFCT %v vs %v", c, ea, sa)
+		if got != want {
+			t.Fatalf("class %d: accessors %+v, direct sum over records %+v", c, got, want)
 		}
 
 		// Percentiles: the streamed estimate must stay within the
@@ -213,11 +189,13 @@ func assertSameOutputs(t *testing.T, exact, streamed *Result) {
 }
 
 // streamParityRuns runs the stream-parity scenario over flows up to
-// maxTime with time series on, keeping records and streamed.
-func streamParityRuns(t *testing.T, flows []workload.Flow, maxTime units.Time) (exact, streamed *Result) {
+// maxTime with time series on and the given replication (nil for none),
+// keeping records and streamed.
+func streamParityRuns(t *testing.T, flows []workload.Flow, maxTime units.Time, repl *ReplicationConfig) (exact, streamed *Result) {
 	t.Helper()
 	sc := streamTestScenario(flows, maxTime)
 	sc.CollectTimeSeries = true
+	sc.Replication = repl
 	exact, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -229,13 +207,29 @@ func streamParityRuns(t *testing.T, flows []workload.Flow, maxTime units.Time) (
 	return exact, streamed
 }
 
+// parityRows are the stream/record parity tests' flow kinds: plain
+// flows, and short flows raced as two replicated copies, whose one
+// record is the canonical one whichever copies are still racing.
+var parityRows = []struct {
+	name string
+	repl *ReplicationConfig
+}{
+	{"plain", nil},
+	{"replicated", &ReplicationConfig{Threshold: 100 * units.KB, Copies: 2}},
+}
+
 func TestStreamStatsMatchesRecords(t *testing.T) {
-	exact, streamed := streamParityRuns(t, streamTestFlows(t, 400), 30*units.Second)
-	if got := exact.CompletedCount(AllFlows); got != 400 {
-		t.Fatalf("only %d/400 completed; test wants a fully finished run", got)
+	flows := streamTestFlows(t, 400)
+	for _, row := range parityRows {
+		t.Run(row.name, func(t *testing.T) {
+			exact, streamed := streamParityRuns(t, flows, 30*units.Second, row.repl)
+			if got := exact.CompletedCount(AllFlows); got != 400 {
+				t.Fatalf("only %d/400 completed; test wants a fully finished run", got)
+			}
+			assertStreamParity(t, exact, streamed)
+			assertSameOutputs(t, exact, streamed)
+		})
 	}
-	assertStreamParity(t, exact, streamed)
-	assertSameOutputs(t, exact, streamed)
 }
 
 // TestStreamStatsCrossCheck is the at-scale accuracy gate: the same
@@ -269,17 +263,23 @@ func TestStreamStatsCrossCheck(t *testing.T) {
 	assertStreamParity(t, exact, streamed)
 }
 
-// A truncated run leaves flows unfinished; the streamed end-of-run
-// sweep must fold them exactly as the record-based accessors count
-// them (deadline misses at EndTime, goodput over active time).
+// A truncated run leaves flows unfinished — and, replicated, losing
+// copies still racing; both modes fold the open flows at EndTime in open
+// order, so the streamed run must count them exactly as the
+// record-based accessors do (deadline misses at EndTime, goodput over
+// active time).
 func TestStreamStatsMatchesRecordsWithUnfinished(t *testing.T) {
 	flows := streamTestFlows(t, 400)
-	exact, streamed := streamParityRuns(t, flows, flows[len(flows)-1].Start/2)
-	if exact.CompletedCount(AllFlows) >= exact.Count(AllFlows) {
-		t.Fatal("test wants unfinished flows")
+	for _, row := range parityRows {
+		t.Run(row.name, func(t *testing.T) {
+			exact, streamed := streamParityRuns(t, flows, flows[len(flows)-1].Start/2, row.repl)
+			if exact.CompletedCount(AllFlows) >= exact.Count(AllFlows) {
+				t.Fatal("test wants unfinished flows")
+			}
+			assertStreamParity(t, exact, streamed)
+			assertSameOutputs(t, exact, streamed)
+		})
 	}
-	assertStreamParity(t, exact, streamed)
-	assertSameOutputs(t, exact, streamed)
 }
 
 // A source and the same flows given as a slice go through one pump,
@@ -365,13 +365,6 @@ func TestStreamScenarioValidation(t *testing.T) {
 	sc.FlowSourceNew = sliceSource(flows)
 	if _, err := Run(sc); err == nil {
 		t.Fatal("no error for Flows+FlowSourceNew")
-	}
-
-	sc = base
-	sc.StreamStats = true
-	sc.Replication = &ReplicationConfig{Threshold: 100 * units.KB, Copies: 2}
-	if _, err := Run(sc); err == nil {
-		t.Fatal("no error for StreamStats+Replication")
 	}
 
 	sc = base

@@ -272,7 +272,6 @@ type Outputs struct {
 	// O(1) memory per flow, for large-scale runs; FCT percentiles are
 	// then sketch estimates. It decides nothing else (the workload's
 	// form follows from its kind; the series and the queue-length
-	// histogram fold as they happen either way). Incompatible with
-	// replication.
+	// histogram fold as they happen either way).
 	StreamStats bool `json:"streamStats,omitempty"`
 }

@@ -768,15 +768,6 @@ func TestReplicatedPoissonCompilesToSourceAndRuns(t *testing.T) {
 	}
 }
 
-func TestStreamStatsOutputConflicts(t *testing.T) {
-	s := testSpec()
-	s.Outputs.StreamStats = true
-	s.Replication = &Replication{Threshold: "100KB", Copies: 2}
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "outputs.streamStats") {
-		t.Fatalf("streamStats+replication should be rejected, got %v", err)
-	}
-}
-
 func TestStreamStatsRoundTrip(t *testing.T) {
 	s := testSpec()
 	s.Outputs.StreamStats = true
@@ -800,7 +791,8 @@ func TestStreamStatsRoundTrip(t *testing.T) {
 // completion or is rejected by Validate with nothing but located
 // errors — never a panic, never an error from inside the run. Faults on
 // a fat-tree (its links are not (leaf, spine) pairs) is the one
-// rejection; a cell that changes side changes this table.
+// rejection; a cell that changes side changes this table. A streamed
+// cell's aggregate must equal its record-keeping twin's.
 func TestCapabilityMatrix(t *testing.T) {
 	topologies := []struct {
 		name  string
@@ -829,6 +821,10 @@ func TestCapabilityMatrix(t *testing.T) {
 		// histogram, so "samples" needs no field.
 		{"series+samples", func(s *Spec) { s.Outputs.CollectTimeSeries = true }},
 		{"streamStats+series", func(s *Spec) { s.Outputs.StreamStats, s.Outputs.CollectTimeSeries = true, true }},
+		{"streamStats+replication", func(s *Spec) {
+			s.Replication = &Replication{Threshold: "100KB", Copies: 2}
+			s.Outputs.StreamStats = true
+		}},
 		{"replication+series+samples", func(s *Spec) {
 			s.Replication = &Replication{Threshold: "100KB", Copies: 2}
 			s.Outputs = Outputs{CollectTimeSeries: true}
@@ -871,6 +867,16 @@ func TestCapabilityMatrix(t *testing.T) {
 				}
 				if got := res.CompletedCount(sim.AllFlows); got != flows || flows == 0 || flows > 200 {
 					t.Errorf("%d of %d flows completed", got, flows)
+				}
+				if sc.StreamStats {
+					sc.StreamStats = false
+					recorded, err := sim.Run(sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(res.Stream, recorded.Stream) {
+						t.Error("the streamed run's aggregate differs from the record-keeping run's")
+					}
 				}
 			})
 		}

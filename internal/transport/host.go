@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"tlb/internal/eventsim"
 	"tlb/internal/netem"
@@ -18,10 +16,6 @@ type Host struct {
 	sim *eventsim.Sim
 	id  int
 	out func(*netem.Packet)
-
-	// senders registers the open senders for the duplicate-open check
-	// and the end-of-run sweep of unfinished flows; no packet reads it.
-	senders map[netem.FlowID]*Sender
 
 	// pool, when set via SetPool, supplies every packet the host's
 	// endpoints emit and receives every packet Receive has finished
@@ -47,7 +41,6 @@ func NewHost(sim *eventsim.Sim, id int, out func(*netem.Packet)) *Host {
 		sim:      sim,
 		id:       id,
 		out:      out,
-		senders:  make(map[netem.FlowID]*Sender),
 		closeKey: sim.ReserveKeyedID(),
 	}
 }
@@ -66,13 +59,12 @@ func (h *Host) SetPool(pool *netem.PacketPool) { h.pool = pool }
 // closed through CloseReceiverAt once its sender is done.
 func (h *Host) SetFlowPool(pool *FlowPool) { h.flows = pool }
 
-// Open takes the two endpoints of one flow, together, from src's flow
-// pool, wires each to the other and registers the (idle) sender with
-// src until it completes. cfg must outlive the flow: the endpoints
-// share it. done (optional) fires once, when the last byte is
-// acknowledged, after src has released the sender; the flow's memory
-// and, when the pool recycles records, its record may serve another
-// flow once done has returned and the receiver has closed.
+// Open takes the two endpoints of one flow and the record they share,
+// together, from src's flow pool and wires each endpoint to the other.
+// The sender is idle until Start. cfg must outlive the flow: the
+// endpoints share it. done (optional) fires once, when the last byte is
+// acknowledged; the flow's memory, its record included, may serve
+// another flow once done has returned and the receiver has closed.
 func Open(cfg *Config, src, dst *Host, id netem.FlowID, size units.Bytes, done func(*Sender)) *Sender {
 	if size <= 0 {
 		panic(fmt.Sprintf("transport: flow %v with non-positive size %d", id, size))
@@ -80,17 +72,9 @@ func Open(cfg *Config, src, dst *Host, id netem.FlowID, size units.Bytes, done f
 	if id.Src != src.id || id.Dst != dst.id {
 		panic(fmt.Sprintf("transport: flow %v opened from host %d to host %d", id, src.id, dst.id))
 	}
-	if _, dup := src.senders[id]; dup {
-		panic(fmt.Sprintf("transport: duplicate sender for flow %v", id))
-	}
 	f := src.flows.get()
 	s, r := &f.snd, &f.rcv
 	stats := &f.rec
-	if f.pool == nil || !f.pool.records {
-		// A record something keeps after the fold is allocated apart,
-		// so keeping it does not keep the flow.
-		stats = &FlowStats{}
-	}
 	*stats = FlowStats{ID: id, Size: size}
 	*s = Sender{
 		flow:     f,
@@ -117,7 +101,6 @@ func Open(cfg *Config, src, dst *Host, id netem.FlowID, size units.Bytes, done f
 		size:  size,
 		Stats: stats,
 	}
-	src.senders[id] = s
 	return s
 }
 
@@ -141,24 +124,6 @@ func (h *Host) CloseReceiverAt(done, lag units.Time, r *Receiver) {
 		return
 	}
 	h.sim.AtKey(done+lag, netem.DeliveryKey(done, h.closeKey), closeReceiverFire, r)
-}
-
-// EachOpenSenderSorted visits the still-open senders in FlowID order
-// (all share this host as Src) — completed flows left the registry at
-// completion, so this is the deterministic end-of-run sweep streaming
-// stats fold unfinished flows with.
-func (h *Host) EachOpenSenderSorted(fn func(*Sender)) {
-	open := make([]*Sender, 0, len(h.senders))
-	//simlint:allow maporder(senders are collected here and sorted below before any use)
-	for _, s := range h.senders {
-		open = append(open, s)
-	}
-	slices.SortFunc(open, func(a, b *Sender) int {
-		return cmp.Or(cmp.Compare(a.id.Dst, b.id.Dst), cmp.Compare(a.id.Port, b.id.Port))
-	})
-	for _, s := range open {
-		fn(s)
-	}
 }
 
 // Receive hands a delivered packet to the endpoint it names, then

@@ -1,15 +1,16 @@
 package transport
 
-// FlowPool recycles a run's flow objects — both endpoints of a flow,
-// and under streamed statistics its record — the way netem.PacketPool
-// recycles packets, so a run allocates per open flow rather than per
-// flow. It is a plain LIFO stack owned by one simulation, never a
-// sync.Pool: reuse order is a pure function of the event schedule.
+// FlowPool recycles a run's flow objects — both endpoints of a flow
+// and the record they share — the way netem.PacketPool recycles
+// packets, so a run allocates per open flow rather than per flow. It is
+// a plain LIFO stack owned by one simulation, never a sync.Pool: reuse
+// order is a pure function of the event schedule.
 //
 // Lifecycle (see DESIGN.md "Engine performance"): Open takes a flow
 // from the source host's pool; the sender completes, cancelling its
-// RTO timer, and calls the done callback, which folds the record and
-// asks the receiver's host to close it after the teardown lag; the
+// RTO timer, and calls the done callback, which folds the record (a
+// caller that keeps the record copies it there) and asks the
+// receiver's host to close it after the teardown lag; the
 // flow goes back to the pool at the last of three events — the done
 // callback's return, the receiver's close, the firing of a delayed-ACK
 // timer still pending at the close.
@@ -21,29 +22,19 @@ package transport
 // is exactly what the finished sender or closed receiver it was
 // addressed to would have done.
 //
-// A nil *FlowPool is valid: every Open allocates and nothing is
-// recycled, so tests and tools that do not close their receivers can
-// pass nothing.
+// The zero value is an empty pool. A nil *FlowPool is valid too: every
+// Open allocates and nothing is recycled, so tests and tools that do
+// not close their receivers can pass nothing.
 type FlowPool struct {
 	free []*flow
-	// records recycles each flow's record with it. Only a run that keeps
-	// no record after its fold may set it: in record mode the Result
-	// keeps the records, so Open allocates them apart.
-	records bool
 	// allocated counts pool misses (fresh flow allocations); recycled
 	// counts Open hits. For tests and instrumentation.
 	allocated int64
 	recycled  int64
 }
 
-// NewFlowPool returns an empty pool; recycleRecords says whether the
-// flows' records go back to it with them (see FlowPool.records).
-func NewFlowPool(recycleRecords bool) *FlowPool {
-	return &FlowPool{records: recycleRecords}
-}
-
 // flow is one flow as allocated: both endpoints, each pointing at the
-// other, and the record when its pool recycles records.
+// other, and the record they share.
 type flow struct {
 	snd Sender
 	rcv Receiver

@@ -24,7 +24,7 @@ type yard struct {
 }
 
 func newYard(hosts int, cfg Config) *yard {
-	y := &yard{sim: eventsim.New(), pool: netem.NewPacketPool(), flows: NewFlowPool(true), cfg: cfg}
+	y := &yard{sim: eventsim.New(), pool: netem.NewPacketPool(), flows: &FlowPool{}, cfg: cfg}
 	for i := 0; i < hosts; i++ {
 		h := NewHost(y.sim, i, func(p *netem.Packet) { y.held = append(y.held, p) })
 		h.SetPool(y.pool)
@@ -179,24 +179,4 @@ func TestFlowReleasedAfterLastReference(t *testing.T) {
 		y.sim.RunUntil(y.sim.Now() + DelayedAckTimeout)
 		idle(t, y, 1, "delayed ACK fired")
 	})
-}
-
-// TestEachOpenSenderSorted: the end-of-run sweep visits a host's open
-// senders in FlowID order, and a host with none costs nothing — a
-// streamed run sweeps every host of the fabric.
-func TestEachOpenSenderSorted(t *testing.T) {
-	y := newYard(3, testCfg())
-	for _, f := range [][2]int{{2, 5}, {1, 9}, {2, 3}, {1, 4}} {
-		y.open(0, f[0], f[1], nil)
-	}
-	var got []netem.FlowID
-	y.hosts[0].EachOpenSenderSorted(func(s *Sender) { got = append(got, s.ID()) })
-	want := []netem.FlowID{{Src: 0, Dst: 1, Port: 4}, {Src: 0, Dst: 1, Port: 9}, {Src: 0, Dst: 2, Port: 3}, {Src: 0, Dst: 2, Port: 5}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("visited %v, want %v", got, want)
-	}
-	visit := func(*Sender) {}
-	if n := testing.AllocsPerRun(100, func() { y.hosts[1].EachOpenSenderSorted(visit) }); n != 0 {
-		t.Errorf("sweeping a host with no open sender allocates %.0f times, want 0", n)
-	}
 }

@@ -450,7 +450,6 @@ func (s *Sender) complete() {
 	s.Stats.Done = true
 	s.Stats.End = s.sim.Now()
 	s.sim.Cancel(s.rtoTimer)
-	delete(s.host.senders, s.id)
 	if s.done != nil {
 		s.done(s)
 	}
