@@ -173,8 +173,11 @@ alloc-gates:
 	$(GO) test -run 'TestAllocGate' -count 1 -v .
 
 # identity runs the output-identity contract on its own: the fabric's
-# construction-order pin, the runner's arrival-order pin, the golden
-# figure CSVs, worker-count identity,
+# construction-order pin, the runner's arrival-order pin, the
+# workload numbering every mix golden's FlowIDs rest on (Arrivals
+# numbers a slice by position and replays it in stable (Start, Index)
+# order; a compiled mix's indices are its generation positions), the
+# golden figure CSVs, worker-count identity,
 # observer neutrality, records-kept vs records-dropped parity (finished
 # and truncated runs, plain and replicated, time series and queue-length
 # histogram included) and the benchmark harness's digest tests — the set
@@ -182,6 +185,8 @@ alloc-gates:
 # `make test`; this is the fast inner loop).
 identity:
 	$(GO) test -count 1 -run 'TestConstructionOrderPinned' ./internal/topology
+	$(GO) test -count 1 -run 'TestArrivalsNumbersAndReplays' ./internal/workload
+	$(GO) test -count 1 -run 'TestCompiledMixIndexIsGenerationPosition' ./internal/spec
 	$(GO) test -count 1 -run 'TestGoldenFigures|TestEveryParamIsSetByARun|TestEverySpecFieldIsSetByARun|TestParallelSerialIdentical' ./internal/experiments
 	$(GO) test -count 1 -run 'TestArrivalOrderPinned|TestSessionObserverNeutral|TestStreamStatsMatchesRecords' ./internal/sim
 	$(GO) test -count 1 ./bench

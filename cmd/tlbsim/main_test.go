@@ -36,11 +36,7 @@ func TestPresetsValidateAndCompile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		flows := sc.Flows
-		if sc.FlowSourceNew != nil {
-			flows = workload.Collect(sc.FlowSourceNew())
-		}
-		if len(flows) == 0 {
+		if len(workload.Collect(sc.FlowSourceNew())) == 0 {
 			t.Fatalf("%s: compiled to no flows", name)
 		}
 	}

@@ -112,14 +112,6 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestRepoIsClean is the gate the Makefile's lint target relies on: the
-// repository itself must lint clean.
-func TestRepoIsClean(t *testing.T) {
-	if got := runLint(t, "../.."); len(got) != 0 {
-		t.Errorf("repository has %d simlint finding(s):\n%s", len(got), strings.Join(got, "\n"))
-	}
-}
-
 // copyModule copies go.mod and every .go file of the module at src
 // into dst — test files included, since they are linted too —
 // preserving the directory layout and skipping testdata (the fixtures
@@ -159,15 +151,17 @@ func copyModule(t *testing.T, src, dst string) {
 	}
 }
 
-// TestReintroducingWallClockFails proves, end to end on one copy of the
-// real tree, that the nowallclock rule guards it and that an allow
-// annotation is what holds a finding back: dropping a time.Now call
-// into internal/netem and stripping internal/sim/clock.go's two
-// directives must each surface in the same lint run. That every other
-// annotation in the tree is load-bearing needs no re-lint per
-// annotation: one that suppresses nothing is itself a finding
-// (unusedallow, not suppressible, pinned by the directives fixture), so
-// TestRepoIsClean already fails on it.
+// TestReintroducingWallClockFails lints one copy of the real tree (the
+// only whole-module type-check the tests make) with a time.Now call
+// dropped into internal/netem and internal/sim/clock.go's two allow
+// directives stripped. The findings must be exactly those three
+// nowallclock ones: that proves the rule guards the tree, that an allow
+// annotation is what holds a finding back, and that the rest of the
+// tree lints clean (`make lint` gates the same through cmd/simlint).
+// That every other annotation in the tree is load-bearing needs no
+// re-lint per annotation: one that suppresses nothing is itself a
+// finding (unusedallow, not suppressible, pinned by the directives
+// fixture), so it would make a fourth finding here.
 func TestReintroducingWallClockFails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-lints the repository")
@@ -206,12 +200,9 @@ func wallClock() int64 { return time.Now().UnixNano() }
 			got[f.File]++
 		}
 	}
-	if got["internal/netem/zz_wallclock.go"] != 1 {
-		t.Errorf("time.Now in internal/netem went undetected; findings: %v", findings)
-	}
-	if got[seam] != 2 {
-		t.Errorf("stripping %s's two allow directives surfaced %d nowallclock findings there, want 2; findings: %v",
-			seam, got[seam], findings)
+	if got["internal/netem/zz_wallclock.go"] != 1 || got[seam] != 2 || len(findings) != 3 {
+		t.Errorf("want exactly the three planted nowallclock findings (1 in internal/netem/zz_wallclock.go, 2 in %s), got %d:\n%v",
+			seam, len(findings), findings)
 	}
 }
 

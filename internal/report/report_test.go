@@ -32,10 +32,10 @@ func runScenario(t *testing.T, name, scheme string, faulted bool) *sim.Result {
 		Balancer:   lb.ECMP(),
 		SchemeName: scheme,
 		Seed:       42,
-		Flows: []workload.Flow{
+		FlowSourceNew: workload.Arrivals([]workload.Flow{
 			{Src: 0, Dst: 2, Size: 200 * units.KB, Start: 0},
 			{Src: 1, Dst: 3, Size: 40 * units.KB, Start: 100 * units.Microsecond},
-		},
+		}),
 		StopWhenDone: true,
 		MaxTime:      units.Second,
 	}

@@ -89,7 +89,7 @@ func TestArrivalOrderPinned(t *testing.T) {
 				sc := Scenario{
 					Name: "arrival-order", Topology: smallTopo(),
 					Balancer: scheme.f, SchemeName: scheme.name, Seed: 3,
-					Flows: flows, StopWhenDone: true, MaxTime: 5 * units.Second,
+					FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: 5 * units.Second,
 					CollectTimeSeries: series,
 				}
 				cell := scheme.name

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"tlb/internal/eventsim"
 	"tlb/internal/faults"
@@ -42,12 +41,11 @@ type runCore struct {
 	// hosts open; see transport.FlowPool.
 	flowPool *transport.FlowPool
 
-	// next yields the workload in arrival order; pendIdx and pend are
-	// the one arrival the pump has pulled from it and scheduled.
-	next    func() (int, workload.Flow, bool)
-	pendIdx int
-	pend    workload.Flow
-	onDone  func(*transport.Sender) // flowFinished, bound once
+	// src yields the workload in arrival order; pend is the one
+	// arrival the pump has pulled from it and scheduled.
+	src    workload.Source
+	pend   workload.Flow
+	onDone func(*transport.Sender) // flowFinished, bound once
 
 	// remaining counts flows armed (the one pending arrival included)
 	// but unfinished.
@@ -171,80 +169,34 @@ func newCore(sc *Scenario) (*runCore, error) {
 	return c, nil
 }
 
-func checkFlowEndpoints(i int, f workload.Flow, hosts int) error {
-	if f.Src == f.Dst || f.Src < 0 || f.Src >= hosts || f.Dst < 0 || f.Dst >= hosts {
-		return fmt.Errorf("sim: flow %d has invalid endpoints %d->%d", i, f.Src, f.Dst)
-	}
-	return nil
-}
-
-// arrivals returns the workload as one iterator over (index, flow) in
-// arrival order. A source yields in its own order and a flow's index
-// is its arrival count. A slice may list its flows in any order: a
-// flow's index is its position and flows arrive in stable (Start,
-// index) order. Slice endpoints are checked here, so a bad slice fails
-// newCore instead of the run.
-func (c *runCore) arrivals() (func() (int, workload.Flow, bool), error) {
-	sc := c.sc
-	n := 0
-	if sc.FlowSourceNew != nil {
-		src := sc.FlowSourceNew()
-		return func() (int, workload.Flow, bool) {
-			f, ok := src.Next()
-			i := n
-			n++
-			return i, f, ok
-		}, nil
-	}
-	order := make([]int, len(sc.Flows))
-	for i, f := range sc.Flows {
-		if err := checkFlowEndpoints(i, f, len(c.hosts)); err != nil {
-			return nil, err
-		}
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return sc.Flows[order[a]].Start < sc.Flows[order[b]].Start })
-	return func() (int, workload.Flow, bool) {
-		if n == len(order) {
-			return 0, workload.Flow{}, false
-		}
-		i := order[n]
-		n++
-		return i, sc.Flows[i], true
-	}, nil
-}
-
 // scheduleFlows arms the workload's one arrival path, a pump that
 // holds exactly one future arrival in the event queue: each arrival
 // opens its flow, then pulls the next one and schedules it, so neither
 // the queue nor the set-up cost grows with the total flow count.
 func (c *runCore) scheduleFlows() error {
-	var err error
-	if c.next, err = c.arrivals(); err != nil {
-		return err
-	}
-	i, f, ok := c.next()
+	c.src = c.sc.FlowSourceNew()
+	f, ok := c.src.Next()
 	if !ok {
 		return fmt.Errorf("sim: scenario %q: FlowSource yielded no flows", c.sc.Name)
 	}
-	c.arm(i, f)
+	c.arm(f)
 	return nil
 }
 
-// arm schedules flow i's arrival as the pump's pending one.
-func (c *runCore) arm(i int, f workload.Flow) {
-	if err := checkFlowEndpoints(i, f, len(c.hosts)); err != nil {
-		c.fail(err)
+// arm schedules flow f's arrival as the pump's pending one.
+func (c *runCore) arm(f workload.Flow) {
+	if f.Src == f.Dst || f.Src < 0 || f.Src >= len(c.hosts) || f.Dst < 0 || f.Dst >= len(c.hosts) {
+		c.fail(fmt.Errorf("sim: flow %d has invalid endpoints %d->%d", f.Index, f.Src, f.Dst))
 		return
 	}
 	if f.Start < c.sim.Now() {
-		c.fail(fmt.Errorf("sim: FlowSource went backwards: flow %d starts at %v, now %v", i, f.Start, c.sim.Now()))
+		c.fail(fmt.Errorf("sim: FlowSource went backwards: flow %d starts at %v, now %v", f.Index, f.Start, c.sim.Now()))
 		return
 	}
 	// Armed before the previous arrival's event returns, so remaining
 	// cannot reach zero while the workload has flows left.
 	c.remaining++
-	c.pendIdx, c.pend = i, f
+	c.pend = f
 	c.sim.AtArg(f.Start, arriveFire, c)
 }
 
@@ -252,14 +204,18 @@ func arriveFire(arg any) { arg.(*runCore).arrive() }
 
 // arrive opens the pending flow at its start time and arms the next.
 func (c *runCore) arrive() {
-	i, f := c.pendIdx, c.pend
-	if r := c.sc.Replication; r != nil && r.Copies > 1 && f.Size <= r.Threshold {
-		c.openReplicated(i, f)
-	} else {
-		c.openFlow(i, f)
+	f := c.pend
+	if _, dup := c.open[f.Index]; dup {
+		c.fail(fmt.Errorf("sim: flow %d opened twice: a source must give each flow its own Index", f.Index))
+		return
 	}
-	if ni, nf, ok := c.next(); ok {
-		c.arm(ni, nf)
+	if r := c.sc.Replication; r != nil && r.Copies > 1 && f.Size <= r.Threshold {
+		c.openReplicated(f)
+	} else {
+		c.openFlow(f)
+	}
+	if next, ok := c.src.Next(); ok {
+		c.arm(next)
 	}
 }
 
@@ -290,15 +246,15 @@ func (c *runCore) flowDone() {
 
 // openFlow runs at f.Start and opens one flow. Sender and receiver
 // share one record, and flowFinished takes it from there.
-func (c *runCore) openFlow(i int, f workload.Flow) {
+func (c *runCore) openFlow(f workload.Flow) {
 	sc := c.sc
-	id := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: i}
+	id := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: f.Index}
 	short := f.Size <= ShortThreshold
 	snd := transport.Open(&sc.Transport, c.hosts[f.Src], c.hosts[f.Dst], id, f.Size, c.onDone)
 	snd.Stats.Deadline = f.Deadline
 	snd.Sink = c.sink(short)
 	snd.Receiver().Sink = snd.Sink
-	c.track(i, snd.Stats)
+	c.track(f.Index, snd.Stats)
 	snd.Start()
 }
 
@@ -318,19 +274,19 @@ func (c *runCore) flowFinished(done *transport.Sender) {
 // Every copy's receiver reports to the sink, since every copy's packets
 // cross the fabric, but the flow's payload counts as acked once, at the
 // win.
-func (c *runCore) openReplicated(idx int, f workload.Flow) {
+func (c *runCore) openReplicated(f workload.Flow) {
 	sc := c.sc
-	flow := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: idx}
+	flow := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: f.Index}
 	short := f.Size <= ShortThreshold
 	canonical := &transport.FlowStats{ID: flow, Size: f.Size, Deadline: f.Deadline}
-	c.track(idx, canonical)
+	c.track(f.Index, canonical)
 	out := c.sink(short)
 	won := false
 	copies := sc.Replication.Copies
 	for k := 0; k < copies; k++ {
 		// Distinct Port per copy: per-flow schemes (ECMP, WCMP,
 		// Presto, ...) hash the copies independently.
-		id := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: idx + (k+1)<<24}
+		id := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: f.Index + (k+1)<<24}
 		snd := transport.Open(&sc.Transport, c.hosts[f.Src], c.hosts[f.Dst], id, f.Size, func(done *transport.Sender) {
 			c.hosts[f.Dst].CloseReceiverAt(c.sim.Now(), c.closeLag, done.Receiver())
 			if won {
@@ -342,7 +298,7 @@ func (c *runCore) openReplicated(idx int, f workload.Flow) {
 			canonical.ID = flow
 			canonical.Deadline = f.Deadline
 			out.Acked += canonical.BytesAcked
-			c.finish(idx)
+			c.finish(f.Index)
 		})
 		snd.Stats.Deadline = f.Deadline
 		snd.Receiver().Sink = out
@@ -361,9 +317,6 @@ func (c *runCore) sink(short bool) *transport.Sink {
 // track registers flow i as open with its live record, at the next
 // open ordinal, and reserves the record's place in Result.Flows.
 func (c *runCore) track(i int, rec *transport.FlowStats) {
-	if _, dup := c.open[i]; dup {
-		panic(fmt.Sprintf("sim: flow %d opened twice", i))
-	}
 	c.open[i] = openFlow{rec: rec, ord: int(c.started)}
 	c.started++
 	if !c.sc.StreamStats {

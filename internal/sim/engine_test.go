@@ -32,13 +32,13 @@ func TestEngineCountersDenseFabric(t *testing.T) {
 	}
 	flows := workload.Collect(src)
 	sc := Scenario{
-		Name:       "dense-fabric",
-		Topology:   smallFatTree(8),
-		Balancer:   lb.ECMP(),
-		SchemeName: "ecmp",
-		Seed:       11,
-		Flows:      flows,
-		MaxTime:    units.Second,
+		Name:          "dense-fabric",
+		Topology:      smallFatTree(8),
+		Balancer:      lb.ECMP(),
+		SchemeName:    "ecmp",
+		Seed:          11,
+		FlowSourceNew: workload.Arrivals(flows),
+		MaxTime:       units.Second,
 	}
 	var done ProgressEvent
 	res, err := NewSession(sc, SessionOptions{

@@ -38,7 +38,7 @@ func TestFabricConservationProperty(t *testing.T) {
 			Topology:   topo,
 			Balancer:   schemes[int(schemeIdx)%len(schemes)],
 			SchemeName: "prop", Seed: seed,
-			Flows: rngFlows, StopWhenDone: true, MaxTime: 30 * units.Second,
+			FlowSourceNew: workload.Arrivals(rngFlows), StopWhenDone: true, MaxTime: 30 * units.Second,
 		})
 		if err != nil {
 			return false
@@ -72,12 +72,12 @@ func TestAsymmetricFabricEndToEnd(t *testing.T) {
 		Name: "asym", Topology: topo,
 		// ECMP hashes flows onto both spines, so some cross the slow link.
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 21,
-		Flows: []workload.Flow{
+		FlowSourceNew: workload.Arrivals([]workload.Flow{
 			{Src: 0, Dst: 4, Size: 30 * units.KB, Start: 0},
 			{Src: 1, Dst: 5, Size: 30 * units.KB, Start: 0},
 			{Src: 2, Dst: 6, Size: 30 * units.KB, Start: 0},
 			{Src: 3, Dst: 7, Size: 30 * units.KB, Start: 0},
-		},
+		}),
 		StopWhenDone: true, MaxTime: 10 * units.Second,
 	})
 	if err != nil {
@@ -117,7 +117,7 @@ func TestTLBAvoidsDegradedLink(t *testing.T) {
 	res, err := Run(Scenario{
 		Name: "tlb-asym", Topology: topo,
 		Balancer: tlbFactory(tlbEnv(topo, topo.BaseRTT())), SchemeName: "tlb", Seed: 33,
-		Flows: flows, StopWhenDone: true, MaxTime: 10 * units.Second,
+		FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: 10 * units.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestSampledShortPackets(t *testing.T) {
 	res, err := Run(Scenario{
 		Name: "samples", Topology: smallTopo(),
 		Balancer: lb.RPS(), SchemeName: "rps", Seed: 4,
-		Flows:             arrivalOrderFlows()[:100],
+		FlowSourceNew:     workload.Arrivals(arrivalOrderFlows()[:100]),
 		CollectTimeSeries: true,
 		StopWhenDone:      true, MaxTime: 10 * units.Second,
 	})
@@ -185,7 +185,7 @@ func TestTimeSeriesCollection(t *testing.T) {
 		res, err := Run(Scenario{
 			Name: "series", Topology: smallTopo(),
 			Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 6,
-			Flows:             flows,
+			FlowSourceNew:     workload.Arrivals(flows),
 			CollectTimeSeries: true,
 			StreamStats:       streamed,
 			TimeBucket:        500 * units.Microsecond,
@@ -214,7 +214,7 @@ func TestReplicatedCopiesAreSampled(t *testing.T) {
 	res, err := Run(Scenario{
 		Name: "replicated-samples", Topology: smallTopo(),
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 3,
-		Flows: flows, Replication: &ReplicationConfig{Threshold: 100 * units.KB, Copies: 2},
+		FlowSourceNew: workload.Arrivals(flows), Replication: &ReplicationConfig{Threshold: 100 * units.KB, Copies: 2},
 		CollectTimeSeries: true,
 		StopWhenDone:      true, MaxTime: 5 * units.Second,
 	})
@@ -264,7 +264,7 @@ func TestBufferPressureCausesDropsAndRecovery(t *testing.T) {
 	res, err := Run(Scenario{
 		Name: "pressure", Topology: topo,
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 8,
-		Flows: flows, StopWhenDone: true, MaxTime: 30 * units.Second,
+		FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: 30 * units.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,11 +290,11 @@ func TestResultClassAccessors(t *testing.T) {
 	res, err := Run(Scenario{
 		Name: "classes", Topology: smallTopo(),
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 10,
-		Flows: []workload.Flow{
+		FlowSourceNew: workload.Arrivals([]workload.Flow{
 			{Src: 0, Dst: 4, Size: 10 * units.KB, Start: 0, Deadline: 50 * units.Millisecond},
 			{Src: 1, Dst: 5, Size: 20 * units.KB, Start: 0, Deadline: units.Microsecond}, // impossible
 			{Src: 2, Dst: 6, Size: 5 * units.MB, Start: 0},
-		},
+		}),
 		StopWhenDone: true, MaxTime: 30 * units.Second,
 	})
 	if err != nil {
@@ -346,14 +346,14 @@ func TestFatTreeEndToEnd(t *testing.T) {
 			}
 			flows = append(flows, workload.Flow{Src: 1, Dst: 13, Size: units.MB, Start: 0})
 			res, err := Run(Scenario{
-				Name:         "fattree-" + s.name,
-				Topology:     smallFatTree(4),
-				Balancer:     s.f,
-				SchemeName:   s.name,
-				Seed:         17,
-				Flows:        flows,
-				StopWhenDone: true,
-				MaxTime:      10 * units.Second,
+				Name:          "fattree-" + s.name,
+				Topology:      smallFatTree(4),
+				Balancer:      s.f,
+				SchemeName:    s.name,
+				Seed:          17,
+				FlowSourceNew: workload.Arrivals(flows),
+				StopWhenDone:  true,
+				MaxTime:       10 * units.Second,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -385,14 +385,14 @@ func TestFatTreeEndToEnd(t *testing.T) {
 // edge<->agg pair that happens to carry the same indices.
 func TestFaultsOnFatTreeRejected(t *testing.T) {
 	res, err := Run(Scenario{
-		Name:         "faulted-fattree",
-		Topology:     smallFatTree(4),
-		Balancer:     lb.ECMP(),
-		SchemeName:   "ecmp",
-		Flows:        []workload.Flow{{Src: 0, Dst: 12, Size: 100 * units.KB}},
-		Faults:       faults.Schedule{{At: 0, Leaf: 0, Spine: 0, Op: faults.OpDown}},
-		StopWhenDone: true,
-		MaxTime:      units.Second,
+		Name:          "faulted-fattree",
+		Topology:      smallFatTree(4),
+		Balancer:      lb.ECMP(),
+		SchemeName:    "ecmp",
+		FlowSourceNew: workload.Arrivals([]workload.Flow{{Src: 0, Dst: 12, Size: 100 * units.KB}}),
+		Faults:        faults.Schedule{{At: 0, Leaf: 0, Spine: 0, Op: faults.OpDown}},
+		StopWhenDone:  true,
+		MaxTime:       units.Second,
 	})
 	if err == nil {
 		t.Fatalf("faulted fat-tree ran: %d fault drops", res.FaultDrops)
@@ -444,7 +444,7 @@ func TestBuildNetworkWrapsFabric(t *testing.T) {
 			sc := Scenario{
 				Name: "seam", Topology: tc.topo,
 				Balancer: lb.RPS(), SchemeName: "rps", Seed: 5,
-				Flows: flows, StopWhenDone: true, MaxTime: 10 * units.Second,
+				FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: 10 * units.Second,
 			}
 			plain, err := Run(sc)
 			if err != nil {
@@ -482,10 +482,10 @@ func TestRunSweepMatchesSerialRuns(t *testing.T) {
 		return Scenario{
 			Name: "sweep", Topology: smallTopo(),
 			Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: seed,
-			Flows: []workload.Flow{
+			FlowSourceNew: workload.Arrivals([]workload.Flow{
 				{Src: 0, Dst: 4, Size: 50 * units.KB, Start: 0},
 				{Src: 1, Dst: 5, Size: 80 * units.KB, Start: 0},
-			},
+			}),
 			StopWhenDone: true, MaxTime: 10 * units.Second,
 		}
 	}
@@ -523,7 +523,7 @@ func TestIncastScenario(t *testing.T) {
 	res, err := Run(Scenario{
 		Name: "incast", Topology: smallTopo(),
 		Balancer: lb.RPS(), SchemeName: "rps", Seed: 3,
-		Flows: flows, StopWhenDone: true, MaxTime: 30 * units.Second,
+		FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: 30 * units.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -549,10 +549,10 @@ func TestResultFaultsAreTheReachedTimeline(t *testing.T) {
 			Name: "faulted", Topology: smallTopo(),
 			// RPS routes leaf 0's data around the down uplink.
 			Balancer: lb.RPS(), SchemeName: "rps", Seed: 2,
-			Flows:        []workload.Flow{{Src: 0, Dst: 4, Size: 200 * units.KB}},
-			Faults:       faults.Schedule{r, down},
-			StreamStats:  streamed,
-			StopWhenDone: true, MaxTime: 10 * units.Second,
+			FlowSourceNew: workload.Arrivals([]workload.Flow{{Src: 0, Dst: 4, Size: 200 * units.KB}}),
+			Faults:        faults.Schedule{r, down},
+			StreamStats:   streamed,
+			StopWhenDone:  true, MaxTime: 10 * units.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -605,7 +605,7 @@ func TestRepFlowReplication(t *testing.T) {
 		res, err := Run(Scenario{
 			Name: "repflow", Topology: topo,
 			Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 12,
-			Flows: flows, Replication: rep,
+			FlowSourceNew: workload.Arrivals(flows), Replication: rep,
 			StopWhenDone: true, MaxTime: 30 * units.Second,
 		})
 		if err != nil {

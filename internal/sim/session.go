@@ -142,12 +142,11 @@ func (ss *Session) validate() error {
 	if sc.Balancer == nil {
 		return fmt.Errorf("sim: scenario %q has no balancer", sc.Name)
 	}
-	hasSource := sc.FlowSourceNew != nil
-	if len(sc.Flows) == 0 && !hasSource {
-		return fmt.Errorf("sim: scenario %q has no flows", sc.Name)
+	if len(sc.Flows) > 0 {
+		return fmt.Errorf("sim: scenario %q sets Flows, which no run reads: give the workload as FlowSourceNew (workload.Arrivals turns a slice into one)", sc.Name)
 	}
-	if len(sc.Flows) > 0 && hasSource {
-		return fmt.Errorf("sim: scenario %q sets both Flows and FlowSourceNew", sc.Name)
+	if sc.FlowSourceNew == nil {
+		return fmt.Errorf("sim: scenario %q has no flows", sc.Name)
 	}
 	return nil
 }

@@ -33,14 +33,14 @@ func sessionScenario() Scenario {
 		})
 	}
 	return Scenario{
-		Name:         "session",
-		Topology:     smallTopo(),
-		Balancer:     lb.ECMP(),
-		SchemeName:   "ecmp",
-		Seed:         7,
-		Flows:        flows,
-		StopWhenDone: true,
-		MaxTime:      units.Second,
+		Name:          "session",
+		Topology:      smallTopo(),
+		Balancer:      lb.ECMP(),
+		SchemeName:    "ecmp",
+		Seed:          7,
+		FlowSourceNew: workload.Arrivals(flows),
+		StopWhenDone:  true,
+		MaxTime:       units.Second,
 	}
 }
 

@@ -33,23 +33,22 @@ type Scenario struct {
 	SchemeName string
 	Seed       uint64
 
-	// Flows is the workload as a slice, absolute-timed and in any order:
-	// a flow's index (its FlowID.Port) is its position, and flows arrive
-	// in stable (Start, index) order. Endpoints are checked before the
-	// run starts.
-	Flows []workload.Flow
-
-	// FlowSourceNew, when set, supplies the workload instead of Flows
-	// (setting both is an error), as a replayable factory: every call
-	// must return a fresh Source that yields the identical flow sequence
-	// (the compiled workloads are pure functions of spec and seed, so
-	// this is their natural form), which lets one Scenario value be run
-	// more than once. Flows must arrive in non-decreasing Start order; a
-	// flow's index is its arrival count. Either way the runner holds one
-	// arrival ahead of the clock in the event queue, so neither set-up
-	// nor the queue grows with the total flow count — with a source, nor
-	// does the workload.
+	// FlowSourceNew supplies the workload as a replayable factory:
+	// every call must return a fresh Source that yields the identical
+	// flows in non-decreasing Start order, each numbered by its Index
+	// (its FlowID.Port), so one Scenario value can be run more than
+	// once; workload.Arrivals gives a slice this form. The runner holds
+	// one arrival ahead of the clock in the event queue, so neither
+	// set-up nor the queue grows with the total flow count, nor, with a
+	// lazy source, does the workload.
 	FlowSourceNew func() workload.Source
+
+	// Flows is rejected by validation when non-empty: a workload is
+	// FlowSourceNew.
+	//
+	// Deprecated: no run reads it. It survives only because bench/ still
+	// reads it, and goes with Shards.
+	Flows []workload.Flow
 
 	// Shards is accepted and ignored: every run is one engine.
 	//

@@ -41,9 +41,9 @@ func TestSingleFlowCompletes(t *testing.T) {
 		Balancer:   lb.ECMP(),
 		SchemeName: "ecmp",
 		Seed:       1,
-		Flows: []workload.Flow{
+		FlowSourceNew: workload.Arrivals([]workload.Flow{
 			{Src: 0, Dst: 4, Size: 100 * units.KB, Start: 0},
-		},
+		}),
 		StopWhenDone: true,
 		MaxTime:      units.Second,
 	}
@@ -98,14 +98,14 @@ func TestAllSchemesCompleteMixedWorkload(t *testing.T) {
 				})
 			}
 			sc := Scenario{
-				Name:         "mixed-" + scheme.name,
-				Topology:     smallTopo(),
-				Balancer:     scheme.f,
-				SchemeName:   scheme.name,
-				Seed:         7,
-				Flows:        rngFlows,
-				StopWhenDone: true,
-				MaxTime:      5 * units.Second,
+				Name:          "mixed-" + scheme.name,
+				Topology:      smallTopo(),
+				Balancer:      scheme.f,
+				SchemeName:    scheme.name,
+				Seed:          7,
+				FlowSourceNew: workload.Arrivals(rngFlows),
+				StopWhenDone:  true,
+				MaxTime:       5 * units.Second,
 			}
 			res, err := Run(sc)
 			if err != nil {
@@ -131,10 +131,10 @@ func TestConservationNoDropsMeansAllBytesArrive(t *testing.T) {
 		Balancer:   lb.ECMP(),
 		SchemeName: "ecmp",
 		Seed:       3,
-		Flows: []workload.Flow{
+		FlowSourceNew: workload.Arrivals([]workload.Flow{
 			{Src: 0, Dst: 5, Size: 500 * units.KB, Start: 0},
 			{Src: 1, Dst: 6, Size: 50 * units.KB, Start: 10 * units.Microsecond},
-		},
+		}),
 		StopWhenDone: true,
 		MaxTime:      5 * units.Second,
 	}
@@ -167,7 +167,7 @@ func TestDeterminism(t *testing.T) {
 		res, err := Run(Scenario{
 			Name: "det", Topology: smallTopo(),
 			Balancer: lb.RPS(), SchemeName: "rps", Seed: 42,
-			Flows: flows, StopWhenDone: true, MaxTime: units.Second,
+			FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: units.Second,
 		})
 		if err != nil {
 			t.Fatal(err)

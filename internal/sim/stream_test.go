@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"tlb/internal/eventsim"
@@ -26,7 +27,7 @@ func streamTestFlows(t *testing.T, n int) []workload.Flow {
 		Min: units.Millisecond, Max: 10 * units.Millisecond,
 		OnlyBelow: 100 * units.KB,
 	}
-	src, err := cfg.Source(eventsim.NewRNG(99), n, 0)
+	src, err := cfg.Source(eventsim.NewRNG(99), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func streamTestScenario(flows []workload.Flow, maxTime units.Time) Scenario {
 	return Scenario{
 		Name: "stream-parity", Topology: smallTopo(),
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 7,
-		Flows: flows, StopWhenDone: true, MaxTime: maxTime,
+		FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: maxTime,
 	}
 }
 
@@ -282,12 +283,13 @@ func TestStreamStatsMatchesRecordsWithUnfinished(t *testing.T) {
 	}
 }
 
-// A source and the same flows given as a slice go through one pump,
-// so they must produce the same Result to the last field — streamed,
-// with records kept, and with replication.
+// A lazy source and the same flows collected and replayed through
+// workload.Arrivals carry the same indices through one pump, so they
+// must produce the same Result to the last field — streamed, with
+// records kept, and with replication.
 func TestFlowSourceMatchesSlice(t *testing.T) {
 	cfg := streamTestPoisson(smallTopo())
-	src, err := cfg.Source(eventsim.NewRNG(5), 300, 0)
+	src, err := cfg.Source(eventsim.NewRNG(5), 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +313,7 @@ func TestFlowSourceMatchesSlice(t *testing.T) {
 		lazy := streamTestScenario(nil, 30*units.Second)
 		mode.set(&lazy)
 		lazy.FlowSourceNew = func() workload.Source {
-			src, err := cfg.Source(eventsim.NewRNG(5), 300, 0)
+			src, err := cfg.Source(eventsim.NewRNG(5), 300)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -357,39 +359,58 @@ func TestStreamScenarioValidation(t *testing.T) {
 	flows := []workload.Flow{{Src: 0, Dst: 4, Size: units.KB, Start: 0}}
 	base := streamTestScenario(flows, units.Second)
 
-	sliceSource := func(f []workload.Flow) func() workload.Source {
-		return func() workload.Source { return workload.NewSliceSource(f) }
-	}
-
 	sc := base
-	sc.FlowSourceNew = sliceSource(flows)
-	if _, err := Run(sc); err == nil {
-		t.Fatal("no error for Flows+FlowSourceNew")
+	sc.Flows = flows
+	if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "FlowSourceNew") {
+		t.Fatalf("non-empty Flows: got %v, want a rejection naming FlowSourceNew", err)
 	}
 
 	sc = base
-	sc.Flows = nil
-	sc.FlowSourceNew = sliceSource(nil)
+	sc.FlowSourceNew = workload.Arrivals(nil)
 	if _, err := Run(sc); err == nil {
 		t.Fatal("no error for an empty source")
 	}
 
 	sc = base
-	sc.Flows = nil
-	sc.FlowSourceNew = sliceSource([]workload.Flow{
-		{Src: 0, Dst: 4, Size: units.KB, Start: units.Millisecond},
-		{Src: 1, Dst: 5, Size: units.KB, Start: 0}, // goes backwards
-	})
+	sc.FlowSourceNew = func() workload.Source {
+		return &listSource{flows: []workload.Flow{
+			{Src: 0, Dst: 4, Size: units.KB, Start: units.Millisecond},
+			{Src: 1, Dst: 5, Size: units.KB, Start: 0, Index: 1}, // goes backwards
+		}}
+	}
 	if _, err := Run(sc); err == nil {
 		t.Fatal("no error for a source with decreasing starts")
 	}
 
 	sc = base
-	sc.Flows = nil
-	sc.FlowSourceNew = sliceSource([]workload.Flow{
+	sc.FlowSourceNew = func() workload.Source {
+		return &listSource{flows: []workload.Flow{
+			{Src: 0, Dst: 4, Size: units.MB, Start: 0},
+			{Src: 1, Dst: 5, Size: units.KB, Start: units.Microsecond}, // Index 0 again, while flow 0 is open
+		}}
+	}
+	if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "opened twice") {
+		t.Fatalf("duplicate index from a source: got %v, want an error", err)
+	}
+
+	sc = base
+	sc.FlowSourceNew = workload.Arrivals([]workload.Flow{
 		{Src: 0, Dst: 99, Size: units.KB, Start: 0}, // invalid endpoint
 	})
 	if _, err := Run(sc); err == nil {
 		t.Fatal("no error for invalid endpoints from a source")
 	}
+}
+
+// listSource yields its flows as listed, unsorted and numbered as
+// given: a source that can break the contracts workload.Arrivals keeps.
+type listSource struct{ flows []workload.Flow }
+
+func (l *listSource) Next() (workload.Flow, bool) {
+	if len(l.flows) == 0 {
+		return workload.Flow{}, false
+	}
+	f := l.flows[0]
+	l.flows = l.flows[1:]
+	return f, true
 }

@@ -16,9 +16,9 @@ func sweepScenario(name string, seed uint64) Scenario {
 	return Scenario{
 		Name: name, Topology: smallTopo(),
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: seed,
-		Flows: []workload.Flow{
+		FlowSourceNew: workload.Arrivals([]workload.Flow{
 			{Src: 0, Dst: 4, Size: 40 * units.KB, Start: 0},
-		},
+		}),
 		StopWhenDone: true, MaxTime: 10 * units.Second,
 	}
 }
@@ -28,7 +28,7 @@ func sweepScenario(name string, seed uint64) Scenario {
 // first, while still returning the results that did complete.
 func TestRunSweepAggregatesAllErrors(t *testing.T) {
 	bad1 := sweepScenario("bad-one", 1)
-	bad1.Flows = nil // "has no flows"
+	bad1.FlowSourceNew = nil // "has no flows"
 	bad2 := sweepScenario("bad-two", 2)
 	bad2.Balancer = nil // "has no balancer"
 	scenarios := []Scenario{sweepScenario("good-a", 3), bad1, sweepScenario("good-b", 4), bad2}
@@ -158,7 +158,7 @@ func TestRunSweepRecoversPanickingScenario(t *testing.T) {
 // SweepError.Unwrap.
 func TestSweepErrorTraversal(t *testing.T) {
 	bad1 := sweepScenario("bad-one", 1)
-	bad1.Flows = nil
+	bad1.FlowSourceNew = nil
 	bad2 := sweepScenario("bad-two", 2)
 	bad2.Balancer = nil
 	_, err := RunSweep([]Scenario{bad1, sweepScenario("ok", 3), bad2}, SweepOptions{Workers: 2})

@@ -45,12 +45,12 @@ func TestTLBCompletesMixedWorkload(t *testing.T) {
 		flows = append(flows, workload.Flow{Src: i, Dst: 4 + i, Size: 3 * units.MB, Start: 0})
 	}
 	res, err := Run(Scenario{
-		Name:       "tlb-mixed",
-		Topology:   smallTopo(),
-		Balancer:   smallTLB(),
-		SchemeName: "tlb",
-		Seed:       11,
-		Flows:      flows, StopWhenDone: true, MaxTime: 5 * units.Second,
+		Name:          "tlb-mixed",
+		Topology:      smallTopo(),
+		Balancer:      smallTLB(),
+		SchemeName:    "tlb",
+		Seed:          11,
+		FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: 5 * units.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestTLBShortFlowsBeatECMPUnderElephants(t *testing.T) {
 		res, err := Run(Scenario{
 			Name: "headline-" + name, Topology: smallTopo(),
 			Balancer: f, SchemeName: name, Seed: 5,
-			Flows: mkFlows(), StopWhenDone: true, MaxTime: 10 * units.Second,
+			FlowSourceNew: workload.Arrivals(mkFlows()), StopWhenDone: true, MaxTime: 10 * units.Second,
 		})
 		if err != nil {
 			t.Fatal(err)

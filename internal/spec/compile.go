@@ -157,7 +157,7 @@ func (s *Spec) Compile() (sim.Scenario, error) {
 	}
 
 	// Workload.
-	sc.Flows, sc.FlowSourceNew = s.compileWorkload(c, topo)
+	sc.FlowSourceNew = s.compileWorkload(c, topo)
 
 	// Faults address leaf-spine pairs; a fat-tree has no notion of
 	// them.
@@ -347,13 +347,12 @@ func (s *Spec) compileDeadlines(c *checker, path string, d *Deadlines) workload.
 	return dd
 }
 
-// compileWorkload lowers the workload to the form its kind implies:
-// poisson and interpod to a replayable source factory (every call
-// draws the identical sequence, so a compiled Scenario can be run more
-// than once), mix to a flow slice, because its generation order, not
-// its arrival order, numbers its flows. Exactly one of the two returns
-// is non-nil when the workload is valid.
-func (s *Spec) compileWorkload(c *checker, topo topology.Config) ([]workload.Flow, func() workload.Source) {
+// compileWorkload lowers the workload to a replayable source factory:
+// every call yields the identical sequence, so a compiled Scenario can
+// be run more than once. Poisson and interpod flows are numbered by
+// arrival, a mix's by generation order (workload.Arrivals). The
+// factory is non-nil when the workload is valid.
+func (s *Spec) compileWorkload(c *checker, topo topology.Config) func() workload.Source {
 	w := s.Workload
 	wseed := s.Seed + 1
 
@@ -379,7 +378,7 @@ func (s *Spec) compileWorkload(c *checker, topo topology.Config) ([]workload.Flo
 	case "mix":
 		reject("poisson", poissonFields...)
 		reject("interpod", interpodFields...)
-		return s.compileMix(c, topo, wseed), nil
+		return s.compileMix(c, topo, wseed)
 	case "interpod":
 		reject("poisson", poissonFields...)
 		reject("mix", mixFields...)
@@ -392,14 +391,14 @@ func (s *Spec) compileWorkload(c *checker, topo topology.Config) ([]workload.Flo
 	default:
 		c.errf("workload.kind", "unknown kind %q (valid: poisson, mix, interpod)", w.Kind)
 	}
-	return nil, nil
+	return nil
 }
 
-func (s *Spec) compilePoisson(c *checker, topo topology.Config, wseed uint64) ([]workload.Flow, func() workload.Source) {
+func (s *Spec) compilePoisson(c *checker, topo topology.Config, wseed uint64) func() workload.Source {
 	w := s.Workload
 	if topo.K != 0 {
 		c.errf("workload.kind", "poisson traffic needs a leafspine topology (load is defined against the leaf-spine fabric capacity)")
-		return nil, nil
+		return nil
 	}
 	if topo.Leaves < 2 {
 		c.errf("topology.leaves", "poisson traffic is cross-leaf and needs at least 2 leaves, got %d", topo.Leaves)
@@ -413,7 +412,7 @@ func (s *Spec) compilePoisson(c *checker, topo topology.Config, wseed uint64) ([
 	sizes := s.compileSizes(c, "workload.sizes", w.Sizes)
 	deadlines := s.compileDeadlines(c, "workload.deadlines", w.Deadlines)
 	if len(c.errs) > 0 {
-		return nil, nil
+		return nil
 	}
 	hostsPerLeaf := topo.HostsPerLeaf
 	// Load is defined against the aggregate fabric capacity, exactly as
@@ -427,12 +426,12 @@ func (s *Spec) compilePoisson(c *checker, topo topology.Config, wseed uint64) ([
 		LeafOf:    func(h int) int { return h / hostsPerLeaf },
 	}
 	flows := w.Flows
-	return nil, s.sourceFactory(c, "workload", func() (workload.Source, error) {
-		return pc.Source(eventsim.NewRNG(wseed), flows, 0)
+	return s.sourceFactory(c, "workload", func() (workload.Source, error) {
+		return pc.Source(eventsim.NewRNG(wseed), flows)
 	})
 }
 
-func (s *Spec) compileMix(c *checker, topo topology.Config, wseed uint64) []workload.Flow {
+func (s *Spec) compileMix(c *checker, topo topology.Config, wseed uint64) func() workload.Source {
 	w := s.Workload
 	if len(w.Groups) == 0 {
 		c.errf("workload.groups", "mix needs at least one group")
@@ -484,27 +483,27 @@ func (s *Spec) compileMix(c *checker, topo topology.Config, wseed uint64) []work
 	rng := eventsim.NewRNG(wseed)
 	var flows []workload.Flow
 	for i, m := range mixes {
-		fs, err := m.Generate(rng, 0)
+		fs, err := m.Generate(rng)
 		if err != nil {
 			c.errf(fmt.Sprintf("workload.groups[%d]", i), "%v", err)
 			return nil
 		}
 		flows = append(flows, fs...)
 	}
-	decorate := s.deadlineOverrideDecorator(c)
-	return workload.Collect(decorate(workload.NewSliceSource(flows)))
+	replay, decorate := workload.Arrivals(flows), s.deadlineOverrideDecorator(c)
+	return func() workload.Source { return decorate(replay()) }
 }
 
-func (s *Spec) compileInterPod(c *checker, topo topology.Config, wseed uint64) ([]workload.Flow, func() workload.Source) {
+func (s *Spec) compileInterPod(c *checker, topo topology.Config, wseed uint64) func() workload.Source {
 	w := s.Workload
 	if topo.K == 0 {
 		c.errf("workload.kind", "interpod traffic needs a fattree topology")
-		return nil, nil
+		return nil
 	}
 	ip := w.InterPod
 	if ip == nil {
 		c.errf("workload.interPod", "must be set for kind %q", "interpod")
-		return nil, nil
+		return nil
 	}
 	if ip.Flows <= 0 {
 		c.errf("workload.interPod.flows", "must be a positive flow count")
@@ -518,7 +517,7 @@ func (s *Spec) compileInterPod(c *checker, topo topology.Config, wseed uint64) (
 	dlJitter := c.dur("workload.interPod.deadlineJitter", ip.DeadlineJitter)
 	dlBelow := c.size("workload.interPod.deadlineOnlyBelow", ip.DeadlineOnlyBelow)
 	if len(c.errs) > 0 {
-		return nil, nil
+		return nil
 	}
 	hosts := topo.Hosts()
 	ipc := workload.InterPodConfig{
@@ -531,7 +530,7 @@ func (s *Spec) compileInterPod(c *checker, topo topology.Config, wseed uint64) (
 		DeadlineJitter:    dlJitter,
 		DeadlineOnlyBelow: dlBelow,
 	}
-	return nil, s.sourceFactory(c, "workload.interPod", func() (workload.Source, error) {
+	return s.sourceFactory(c, "workload.interPod", func() (workload.Source, error) {
 		return ipc.Source(eventsim.NewRNG(wseed))
 	})
 }

@@ -3,6 +3,7 @@ package spec
 import (
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,13 +58,9 @@ func testSpec() *Spec {
 	}
 }
 
-func TestCompileMixMatchesStaticMix(t *testing.T) {
-	sc, err := testSpec().Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The same mix drawn directly, with the repo's seed+1 convention.
-	want, err := workload.StaticMix{
+// testSpecMix is testSpec's mix group as the workload package draws it.
+func testSpecMix() workload.StaticMix {
+	return workload.StaticMix{
 		ShortFlows:    10,
 		LongFlows:     2,
 		ShortSizes:    workload.Uniform{MinSize: 40 * units.KB, MaxSize: 100 * units.KB},
@@ -75,19 +72,81 @@ func TestCompileMixMatchesStaticMix(t *testing.T) {
 			Min: 5 * units.Millisecond, Max: 25 * units.Millisecond,
 			OnlyBelow: 100 * units.KB,
 		},
-	}.Generate(eventsim.NewRNG(43), 0)
+	}
+}
+
+func TestCompileMixMatchesStaticMix(t *testing.T) {
+	sc, err := testSpec().Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sc.Flows, want) {
+	// The same mix drawn directly, with the repo's seed+1 convention.
+	want, err := testSpecMix().Generate(eventsim.NewRNG(43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := workload.Collect(sc.FlowSourceNew())
+	if !reflect.DeepEqual(got, workload.Collect(workload.Arrivals(want)())) {
 		t.Fatalf("spec mix diverges from direct StaticMix generation:\n got %v\nwant %v",
-			sc.Flows[:3], want[:3])
+			got[:3], want[:3])
 	}
 	if sc.SchemeName != "ecmp" || sc.Name != "test" {
 		t.Errorf("names: scheme %q scenario %q", sc.SchemeName, sc.Name)
 	}
 	if sc.MaxTime != 30*units.Second || !sc.StopWhenDone {
 		t.Errorf("run block not applied: MaxTime %v StopWhenDone %v", sc.MaxTime, sc.StopWhenDone)
+	}
+}
+
+// A compiled mix numbers its flows by generation order across its
+// groups — longs then shorts, group after group, one RNG — and yields
+// them in stable (Start, Index) order: these indices are the FlowIDs
+// the mix goldens rest on.
+func TestCompiledMixIndexIsGenerationPosition(t *testing.T) {
+	s := testSpec()
+	s.Workload.Groups = append(s.Workload.Groups, MixGroup{
+		Shorts: 6, Longs: 1,
+		ShortSizes:    &SizeDist{Kind: "fixed", Size: "20KB"},
+		LongSizes:     &SizeDist{Kind: "fixed", Size: "5MB"},
+		ArrivalJitter: "1ms",
+	})
+	sc, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := testSpecMix()
+	second.ShortFlows, second.LongFlows = 6, 1
+	second.ShortSizes, second.LongSizes = workload.Fixed{Size: 20 * units.KB}, workload.Fixed{Size: 5 * units.MB}
+	second.ArrivalJitter = units.Millisecond
+	rng := eventsim.NewRNG(s.Seed + 1)
+	var gen []workload.Flow
+	for _, m := range []workload.StaticMix{testSpecMix(), second} {
+		fs, err := m.Generate(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen = append(gen, fs...)
+	}
+	got := workload.Collect(sc.FlowSourceNew())
+	if len(got) != len(gen) || len(gen) != 19 {
+		t.Fatalf("compiled mix yields %d flows, generation %d, want 19", len(got), len(gen))
+	}
+	seen := make([]bool, len(gen))
+	for k, f := range got {
+		want := gen[f.Index]
+		want.Index = f.Index
+		if f != want {
+			t.Fatalf("flow %d with Index %d is %+v, generation position %d is %+v", k, f.Index, f, f.Index, gen[f.Index])
+		}
+		seen[f.Index] = true
+		if k > 0 {
+			if p := got[k-1]; p.Start > f.Start || (p.Start == f.Start && p.Index > f.Index) {
+				t.Fatalf("flows %d and %d are out of (Start, Index) order: %+v then %+v", k-1, k, p, f)
+			}
+		}
+	}
+	if slices.Contains(seen, false) {
+		t.Fatalf("indices are not a permutation of generation positions: %v", seen)
 	}
 }
 
@@ -115,14 +174,11 @@ func TestCompilePoissonMatchesPoissonConfig(t *testing.T) {
 			OnlyBelow: 100 * units.KB,
 		},
 		LeafOf: func(h int) int { return h / 4 },
-	}.Source(eventsim.NewRNG(43), 50, 0)
+	}.Source(eventsim.NewRNG(43), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := workload.Collect(src)
-	if sc.Flows != nil || sc.FlowSourceNew == nil {
-		t.Fatalf("poisson compiles to a source only: Flows %v factory %v", sc.Flows, sc.FlowSourceNew != nil)
-	}
 	if got := workload.Collect(sc.FlowSourceNew()); !reflect.DeepEqual(got, want) {
 		t.Fatal("spec poisson diverges from direct PoissonConfig generation")
 	}
@@ -165,14 +221,11 @@ func TestCompileInterPodMatchesLoop(t *testing.T) {
 			dst = rng.Intn(hosts)
 		}
 		size := sizes.Sample(rng)
-		f := workload.Flow{Src: src, Dst: dst, Size: size, Start: at}
+		f := workload.Flow{Src: src, Dst: dst, Size: size, Start: at, Index: i}
 		if size <= 100*units.KB {
 			f.Deadline = at + 5*units.Millisecond + units.Time(rng.Intn(int(20*units.Millisecond)))
 		}
 		want = append(want, f)
-	}
-	if sc.Flows != nil || sc.FlowSourceNew == nil {
-		t.Fatalf("interpod compiles to a source only: Flows %v factory %v", sc.Flows, sc.FlowSourceNew != nil)
 	}
 	if got := workload.Collect(sc.FlowSourceNew()); !reflect.DeepEqual(got, want) {
 		t.Fatal("spec interpod diverges from the experiments' fat-tree loop")
@@ -605,7 +658,7 @@ func TestMarshalLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sc1.Flows, sc2.Flows) {
+	if !reflect.DeepEqual(workload.Collect(sc1.FlowSourceNew()), workload.Collect(sc2.FlowSourceNew())) {
 		t.Fatal("round-tripped spec compiles to different flows")
 	}
 	if sc1.Transport != sc2.Transport {
@@ -661,10 +714,9 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// The workload's form follows from its kind, not from
-// outputs.streamStats: poisson and interpod compile to the same
-// replayable source factory with and without it, mix to a slice, and
-// the flag is carried into the scenario.
+// Every workload kind compiles to the same replayable source factory
+// with and without outputs.streamStats, and the flag is carried into
+// the scenario.
 func TestCompileStreamStatsProducesSource(t *testing.T) {
 	poisson := testSpec()
 	poisson.Workload = Workload{
@@ -691,7 +743,7 @@ func TestCompileStreamStatsProducesSource(t *testing.T) {
 	for _, tc := range []struct {
 		s     *Spec
 		flows int
-	}{{poisson, 50}, {interpod, 40}} {
+	}{{poisson, 50}, {interpod, 40}, {testSpec(), 12}} {
 		s, kind := tc.s, tc.s.Workload.Kind
 		records, err := s.Compile()
 		if err != nil {
@@ -704,11 +756,6 @@ func TestCompileStreamStatsProducesSource(t *testing.T) {
 		}
 		if records.StreamStats || !streamed.StreamStats {
 			t.Fatalf("%s: StreamStats flag not carried into the scenario", kind)
-		}
-		for _, sc := range []sim.Scenario{records, streamed} {
-			if sc.Flows != nil || sc.FlowSourceNew == nil {
-				t.Fatalf("%s (streamStats %v): Flows %v factory %v", kind, sc.StreamStats, sc.Flows, sc.FlowSourceNew != nil)
-			}
 		}
 		want := workload.Collect(records.FlowSourceNew())
 		if len(want) != tc.flows {
@@ -727,18 +774,6 @@ func TestCompileStreamStatsProducesSource(t *testing.T) {
 			t.Fatalf("%s: factory is not replayable", kind)
 		}
 	}
-
-	// Mix is a slice, streamed or not.
-	s := testSpec()
-	s.Outputs.StreamStats = true
-	sc, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sc.StreamStats || len(sc.Flows) == 0 || sc.FlowSourceNew != nil {
-		t.Fatalf("streaming mix: StreamStats %v Flows %d lazy factory %v",
-			sc.StreamStats, len(sc.Flows), sc.FlowSourceNew != nil)
-	}
 }
 
 // Replication no longer needs a slice: a replicated poisson spec
@@ -756,8 +791,8 @@ func TestReplicatedPoissonCompilesToSourceAndRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Replication == nil || sc.Flows != nil || sc.FlowSourceNew == nil {
-		t.Fatalf("replication %v Flows %v factory %v", sc.Replication, sc.Flows, sc.FlowSourceNew != nil)
+	if sc.Replication == nil {
+		t.Fatal("replication not carried into the scenario")
 	}
 	res, err := sim.Run(sc)
 	if err != nil {
@@ -857,10 +892,7 @@ func TestCapabilityMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("validated but did not compile: %v", err)
 				}
-				flows := len(sc.Flows)
-				if sc.FlowSourceNew != nil {
-					flows = len(workload.Collect(sc.FlowSourceNew()))
-				}
+				flows := len(workload.Collect(sc.FlowSourceNew()))
 				res, err := sim.Run(sc)
 				if err != nil {
 					t.Fatalf("validated, then failed in the run: %v", err)

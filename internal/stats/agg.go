@@ -2,7 +2,7 @@ package stats
 
 // FlowAgg is a fixed-size accumulator for one class of flows. Every
 // figure-level metric the sim.Result accessors report is read from
-// these fields — mean/min/max FCT via Online, FCT percentiles via the
+// these fields — mean FCT via Online, FCT percentiles via the
 // sketch (within its alpha bound), and the rest from plain counters.
 // Memory is O(1) per flow observed.
 //

@@ -183,19 +183,3 @@ func (s *QuantileSketch) clamp(v float64) float64 {
 	}
 	return v
 }
-
-// Min returns the smallest observation (0 when empty).
-func (s *QuantileSketch) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the largest observation (0 when empty).
-func (s *QuantileSketch) Max() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.max
-}

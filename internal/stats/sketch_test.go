@@ -36,8 +36,8 @@ func TestSketchAccuracyLogUniform(t *testing.T) {
 	for _, q := range []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1} {
 		bracketBound(t, xs, q, s.Quantile(q), s.Alpha())
 	}
-	if s.Min() != xs[0] || s.Max() != xs[len(xs)-1] {
-		t.Fatalf("min/max %v/%v, want %v/%v", s.Min(), s.Max(), xs[0], xs[len(xs)-1])
+	if s.min != xs[0] || s.max != xs[len(xs)-1] {
+		t.Fatalf("min/max %v/%v, want %v/%v", s.min, s.max, xs[0], xs[len(xs)-1])
 	}
 	if s.Collapsed() {
 		t.Fatal("10k log-uniform values must not hit the bucket cap")

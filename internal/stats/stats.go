@@ -1,5 +1,5 @@
 // Package stats provides the small statistics toolkit the experiments
-// reduce their measurements with: streaming mean/variance, percentile
+// reduce their measurements with: a streaming mean, percentile
 // and CDF estimation over collected samples, an exact integer
 // histogram, a relative-error quantile sketch and per-class flow
 // accumulator for runs that keep no records, and time-bucketed series
@@ -12,31 +12,17 @@ import (
 	"strings"
 )
 
-// Online accumulates count/mean/variance in one pass (Welford).
+// Online accumulates a count and a running mean in one pass
+// (Welford's incremental update).
 type Online struct {
 	n    int64
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds one observation in.
 func (o *Online) Add(x float64) {
 	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
+	o.mean += (x - o.mean) / float64(o.n)
 }
 
 // N returns the observation count.
@@ -44,30 +30,6 @@ func (o *Online) N() int64 { return o.n }
 
 // Mean returns the running mean (0 when empty).
 func (o *Online) Mean() float64 { return o.mean }
-
-// Var returns the unbiased sample variance (0 with <2 observations).
-func (o *Online) Var() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// Min returns the smallest observation (0 when empty).
-func (o *Online) Min() float64 {
-	if o.n == 0 {
-		return 0
-	}
-	return o.min
-}
-
-// Max returns the largest observation (0 when empty).
-func (o *Online) Max() float64 {
-	if o.n == 0 {
-		return 0
-	}
-	return o.max
-}
 
 // Sample collects raw observations for percentile/CDF queries. It
 // sorts lazily and re-sorts only after new data arrives.

@@ -13,7 +13,7 @@ import (
 
 func TestOnlineBasics(t *testing.T) {
 	var o Online
-	if o.Mean() != 0 || o.Var() != 0 || o.N() != 0 {
+	if o.Mean() != 0 || o.N() != 0 {
 		t.Fatal("empty Online not zero")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -22,16 +22,9 @@ func TestOnlineBasics(t *testing.T) {
 	if o.N() != 8 || o.Mean() != 5 {
 		t.Fatalf("n=%d mean=%v", o.N(), o.Mean())
 	}
-	// Sample variance of that classic dataset is 32/7.
-	if math.Abs(o.Var()-32.0/7) > 1e-12 {
-		t.Fatalf("var = %v", o.Var())
-	}
-	if o.Min() != 2 || o.Max() != 9 {
-		t.Fatalf("min=%v max=%v", o.Min(), o.Max())
-	}
 }
 
-// Welford must match the naive two-pass computation.
+// Welford's running mean must match the naive sum.
 func TestOnlineMatchesNaiveProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
@@ -40,7 +33,7 @@ func TestOnlineMatchesNaiveProperty(t *testing.T) {
 				xs = append(xs, v)
 			}
 		}
-		if len(xs) < 2 {
+		if len(xs) == 0 {
 			return true
 		}
 		var o Online
@@ -50,14 +43,7 @@ func TestOnlineMatchesNaiveProperty(t *testing.T) {
 			sum += x
 		}
 		mean := sum / float64(len(xs))
-		var m2 float64
-		for _, x := range xs {
-			m2 += (x - mean) * (x - mean)
-		}
-		naiveVar := m2 / float64(len(xs)-1)
-		scale := math.Max(1, math.Abs(naiveVar))
-		return math.Abs(o.Mean()-mean) < 1e-6*math.Max(1, math.Abs(mean)) &&
-			math.Abs(o.Var()-naiveVar) < 1e-6*scale
+		return math.Abs(o.Mean()-mean) < 1e-6*math.Max(1, math.Abs(mean))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -16,6 +16,10 @@ type Flow struct {
 	Start units.Time
 	// Deadline is the absolute completion deadline, or 0 if none.
 	Deadline units.Time
+	// Index numbers the flow within its workload and becomes its
+	// FlowID.Port: a lazy source counts arrivals, Arrivals counts
+	// positions.
+	Index int
 }
 
 // DeadlineDist assigns completion budgets to flows.
@@ -90,8 +94,9 @@ type StaticMix struct {
 	Deadlines     DeadlineDist
 }
 
-// Generate materializes the mix.
-func (m StaticMix) Generate(rng *eventsim.RNG, start units.Time) ([]Flow, error) {
+// Generate materializes the mix, longs first, starting at time 0; a run
+// reads it through Arrivals.
+func (m StaticMix) Generate(rng *eventsim.RNG) ([]Flow, error) {
 	if len(m.Senders) == 0 || len(m.Receivers) == 0 {
 		return nil, fmt.Errorf("workload: static mix needs senders and receivers")
 	}
@@ -107,9 +112,9 @@ func (m StaticMix) Generate(rng *eventsim.RNG, start units.Time) ([]Flow, error)
 		for i := 0; i < n; i++ {
 			src := m.Senders[rng.Intn(len(m.Senders))]
 			dst := m.Receivers[rng.Intn(len(m.Receivers))]
-			at := start
+			var at units.Time
 			if m.ArrivalJitter > 0 {
-				at += units.Time(rng.Intn(int(m.ArrivalJitter) + 1))
+				at = units.Time(rng.Intn(int(m.ArrivalJitter) + 1))
 			}
 			size := sizes.Sample(rng)
 			f := Flow{Src: src, Dst: dst, Size: size, Start: at}

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"tlb/internal/eventsim"
 	"tlb/internal/units"
@@ -9,26 +11,35 @@ import (
 
 // Source yields flows one at a time in non-decreasing Start order, so
 // the simulator can schedule arrivals lazily instead of materializing
-// a []Flow up front — the O(n) memory term that caps run sizes.
+// a []Flow up front — the O(n) memory term that caps run sizes. Each
+// flow carries its own Index, distinct within the source.
 // Next returns the next flow and true, or a zero Flow and false when
 // the source is exhausted.
 type Source interface {
 	Next() (Flow, bool)
 }
 
-// SliceSource adapts an already-materialized flow list to Source.
-type SliceSource struct {
+// Arrivals is the replayable factory of a materialized workload: flow i
+// of flows gets Index i, and every call of the factory returns a fresh
+// Source yielding them in stable (Start, Index) order. The order is
+// sorted once, on a copy; flows itself is not touched.
+func Arrivals(flows []Flow) func() Source {
+	sorted := make([]Flow, len(flows))
+	for i, f := range flows {
+		f.Index = i
+		sorted[i] = f
+	}
+	slices.SortStableFunc(sorted, func(a, b Flow) int { return cmp.Compare(a.Start, b.Start) })
+	return func() Source { return &sliceSource{flows: sorted} }
+}
+
+// sliceSource yields a slice in order.
+type sliceSource struct {
 	flows []Flow
 	i     int
 }
 
-// NewSliceSource wraps flows (not copied) as a Source.
-func NewSliceSource(flows []Flow) *SliceSource {
-	return &SliceSource{flows: flows}
-}
-
-// Next yields the next flow in slice order.
-func (s *SliceSource) Next() (Flow, bool) {
+func (s *sliceSource) Next() (Flow, bool) {
 	if s.i >= len(s.flows) {
 		return Flow{}, false
 	}
@@ -51,16 +62,18 @@ func Collect(src Source) []Flow {
 }
 
 // poissonSource yields PoissonConfig's flows lazily, drawing each
-// flow's gap, pair, size and deadline in that order.
+// flow's gap, pair, size and deadline in that order; a flow's Index is
+// its arrival count.
 type poissonSource struct {
-	cfg  PoissonConfig
-	rng  *eventsim.RNG
-	at   units.Time
-	left int
+	cfg      PoissonConfig
+	rng      *eventsim.RNG
+	at       units.Time
+	n, flows int // drawn so far, and in all
 }
 
-// Source returns a lazy generator for n flows starting at start.
-func (c PoissonConfig) Source(rng *eventsim.RNG, n int, start units.Time) (Source, error) {
+// Source returns a lazy generator for n flows, the first arriving one
+// exponential gap after time 0.
+func (c PoissonConfig) Source(rng *eventsim.RNG, n int) (Source, error) {
 	if c.Hosts < 2 {
 		return nil, fmt.Errorf("workload: poisson traffic needs >= 2 hosts, got %d", c.Hosts)
 	}
@@ -78,21 +91,21 @@ func (c PoissonConfig) Source(rng *eventsim.RNG, n int, start units.Time) (Sourc
 			return nil, fmt.Errorf("workload: cross-leaf poisson traffic needs >= 2 leaves, all %d hosts are on leaf %d", c.Hosts, c.LeafOf(0))
 		}
 	}
-	return &poissonSource{cfg: c, rng: rng, at: start, left: n}, nil
+	return &poissonSource{cfg: c, rng: rng, flows: n}, nil
 }
 
 // Next draws one flow.
 func (p *poissonSource) Next() (Flow, bool) {
-	if p.left <= 0 {
+	if p.n >= p.flows {
 		return Flow{}, false
 	}
-	p.left--
 	c := p.cfg
 	gap := units.FromSeconds(p.rng.ExpFloat64() / c.Rate)
 	p.at += gap
 	src, dst := c.pickPair(p.rng)
 	size := c.Sizes.Sample(p.rng)
-	f := Flow{Src: src, Dst: dst, Size: size, Start: p.at}
+	f := Flow{Src: src, Dst: dst, Size: size, Start: p.at, Index: p.n}
+	p.n++
 	if d := c.Deadlines.Sample(p.rng, size); d > 0 {
 		f.Deadline = p.at + d
 	}
@@ -121,11 +134,13 @@ type InterPodConfig struct {
 	DeadlineOnlyBelow units.Bytes
 }
 
+// interPodSource yields InterPodConfig's flows lazily; a flow's Index
+// is its arrival count.
 type interPodSource struct {
-	cfg  InterPodConfig
-	rng  *eventsim.RNG
-	at   units.Time
-	left int
+	cfg InterPodConfig
+	rng *eventsim.RNG
+	at  units.Time
+	n   int // flows drawn, of cfg.Flows
 }
 
 // Source returns a lazy generator for the configured flows.
@@ -139,16 +154,15 @@ func (c InterPodConfig) Source(rng *eventsim.RNG) (Source, error) {
 	if c.MaxGap <= 0 {
 		return nil, fmt.Errorf("workload: interpod traffic needs a positive max arrival gap")
 	}
-	return &interPodSource{cfg: c, rng: rng, left: c.Flows}, nil
+	return &interPodSource{cfg: c, rng: rng}, nil
 }
 
 // Next draws one flow: gap, src, dst (redrawn until cross-pod), size,
 // deadline.
 func (s *interPodSource) Next() (Flow, bool) {
-	if s.left <= 0 {
+	if s.n >= s.cfg.Flows {
 		return Flow{}, false
 	}
-	s.left--
 	c := s.cfg
 	s.at += units.Time(s.rng.Intn(int(c.MaxGap)))
 	src := s.rng.Intn(c.Hosts)
@@ -157,7 +171,8 @@ func (s *interPodSource) Next() (Flow, bool) {
 		dst = s.rng.Intn(c.Hosts)
 	}
 	size := c.Sizes.Sample(s.rng)
-	f := Flow{Src: src, Dst: dst, Size: size, Start: s.at}
+	f := Flow{Src: src, Dst: dst, Size: size, Start: s.at, Index: s.n}
+	s.n++
 	if c.DeadlineJitter > 0 && (c.DeadlineOnlyBelow == 0 || size <= c.DeadlineOnlyBelow) {
 		f.Deadline = s.at + c.DeadlineBase + units.Time(s.rng.Intn(int(c.DeadlineJitter)))
 	}

@@ -27,13 +27,13 @@ func testPoissonConfig() PoissonConfig {
 // exhausted.
 func TestPoissonSourceMatchesGenerate(t *testing.T) {
 	cfg := testPoissonConfig()
-	src, err := cfg.Source(eventsim.NewRNG(3), 500, units.Millisecond)
+	src, err := cfg.Source(eventsim.NewRNG(3), 500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := Collect(src)
 	rng := eventsim.NewRNG(3)
-	at := units.Millisecond
+	var at units.Time
 	var want []Flow
 	for i := 0; i < 500; i++ {
 		at += units.FromSeconds(rng.ExpFloat64() / cfg.Rate)
@@ -41,7 +41,7 @@ func TestPoissonSourceMatchesGenerate(t *testing.T) {
 		for s == d {
 			s, d = rng.Intn(cfg.Hosts), rng.Intn(cfg.Hosts)
 		}
-		f := Flow{Src: s, Dst: d, Size: cfg.Sizes.Sample(rng), Start: at}
+		f := Flow{Src: s, Dst: d, Size: cfg.Sizes.Sample(rng), Start: at, Index: i}
 		if dl := cfg.Deadlines.Sample(rng, f.Size); dl > 0 {
 			f.Deadline = at + dl
 		}
@@ -56,7 +56,7 @@ func TestPoissonSourceMatchesGenerate(t *testing.T) {
 }
 
 func TestPoissonSourceStartsNonDecreasing(t *testing.T) {
-	src, err := testPoissonConfig().Source(eventsim.NewRNG(5), 1000, 0)
+	src, err := testPoissonConfig().Source(eventsim.NewRNG(5), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +76,12 @@ func TestPoissonSourceStartsNonDecreasing(t *testing.T) {
 func TestPoissonSourceValidation(t *testing.T) {
 	bad := testPoissonConfig()
 	bad.Hosts = 1
-	if _, err := bad.Source(eventsim.NewRNG(1), 10, 0); err == nil {
+	if _, err := bad.Source(eventsim.NewRNG(1), 10); err == nil {
 		t.Fatal("no error for 1 host")
 	}
 	bad = testPoissonConfig()
 	bad.Rate = 0
-	if _, err := bad.Source(eventsim.NewRNG(1), 10, 0); err == nil {
+	if _, err := bad.Source(eventsim.NewRNG(1), 10); err == nil {
 		t.Fatal("no error for zero rate")
 	}
 }
@@ -115,7 +115,7 @@ func TestInterPodSourceMatchesGenerate(t *testing.T) {
 		for d/cfg.PerPod == s/cfg.PerPod {
 			d = rng.Intn(cfg.Hosts)
 		}
-		f := Flow{Src: s, Dst: d, Size: cfg.Sizes.Sample(rng), Start: at}
+		f := Flow{Src: s, Dst: d, Size: cfg.Sizes.Sample(rng), Start: at, Index: i}
 		if f.Size <= cfg.DeadlineOnlyBelow {
 			f.Deadline = at + cfg.DeadlineBase + units.Time(rng.Intn(int(cfg.DeadlineJitter)))
 		}
@@ -145,17 +145,39 @@ func TestInterPodValidation(t *testing.T) {
 	}
 }
 
-func TestSliceSourceRoundTrip(t *testing.T) {
+// TestArrivalsNumbersAndReplays: a materialized workload's flows are
+// numbered by position and replayed in stable (Start, Index) order, the
+// same sequence on every call, and the caller's slice is left as it
+// was — the contract every mix golden's FlowIDs rest on.
+func TestArrivalsNumbersAndReplays(t *testing.T) {
 	flows := []Flow{
-		{Src: 0, Dst: 1, Size: units.KB, Start: 0},
-		{Src: 1, Dst: 2, Size: 2 * units.KB, Start: units.Microsecond},
+		{Src: 0, Dst: 1, Size: 1, Start: 3 * units.Microsecond, Index: 7},
+		{Src: 1, Dst: 2, Size: 2, Start: units.Microsecond},
+		{Src: 2, Dst: 3, Size: 3, Start: 3 * units.Microsecond},
+		{Src: 3, Dst: 4, Size: 4, Start: units.Microsecond},
+		{Src: 4, Dst: 5, Size: 5, Start: 0},
 	}
-	got := Collect(NewSliceSource(flows))
-	if len(got) != 2 || got[0] != flows[0] || got[1] != flows[1] {
-		t.Fatalf("round trip %+v", got)
+	orig := slices.Clone(flows)
+	replay := Arrivals(flows)
+	got := Collect(replay())
+	var order []int
+	for _, f := range got {
+		if want := orig[f.Index]; f.Src != want.Src || f.Size != want.Size || f.Start != want.Start {
+			t.Fatalf("flow with Index %d is %+v, position %d holds %+v", f.Index, f, f.Index, want)
+		}
+		order = append(order, f.Index)
 	}
-	if got := Collect(NewSliceSource(nil)); got != nil {
-		t.Fatalf("empty source collected %+v", got)
+	if want := []int{4, 1, 3, 0, 2}; !slices.Equal(order, want) {
+		t.Fatalf("arrival order %v, want stable (Start, Index) %v", order, want)
+	}
+	if again := Collect(replay()); !slices.Equal(again, got) {
+		t.Fatalf("second replay differs:\n%+v\n%+v", again, got)
+	}
+	if !slices.Equal(flows, orig) {
+		t.Fatalf("Arrivals changed its input: %+v", flows)
+	}
+	if got := Collect(Arrivals(nil)()); got != nil {
+		t.Fatalf("empty workload collected %+v", got)
 	}
 }
 
@@ -164,7 +186,7 @@ func TestOverrideDeadlines(t *testing.T) {
 		{Src: 0, Dst: 1, Size: 10 * units.KB, Start: units.Millisecond, Deadline: 99 * units.Millisecond},
 		{Src: 1, Dst: 2, Size: 500 * units.KB, Start: 2 * units.Millisecond, Deadline: 99 * units.Millisecond},
 	}
-	src := OverrideDeadlines(NewSliceSource(flows), 5*units.Millisecond, 100*units.KB)
+	src := OverrideDeadlines(Arrivals(flows)(), 5*units.Millisecond, 100*units.KB)
 	got := Collect(src)
 	if got[0].Deadline != flows[0].Start+5*units.Millisecond {
 		t.Fatalf("small flow deadline %v", got[0].Deadline)
@@ -173,7 +195,7 @@ func TestOverrideDeadlines(t *testing.T) {
 		t.Fatalf("large flow deadline %v, want cleared", got[1].Deadline)
 	}
 	// onlyBelow == 0 applies to everything.
-	src = OverrideDeadlines(NewSliceSource(flows), 5*units.Millisecond, 0)
+	src = OverrideDeadlines(Arrivals(flows)(), 5*units.Millisecond, 0)
 	got = Collect(src)
 	if got[1].Deadline != flows[1].Start+5*units.Millisecond {
 		t.Fatalf("deadline %v", got[1].Deadline)

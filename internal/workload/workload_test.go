@@ -161,7 +161,7 @@ func TestPoissonGenerate(t *testing.T) {
 		Rate:      0.5 * units.Gbps.BytesPerSecond() * 16 / sizes.Mean(),
 		Deadlines: DeadlineDist{Min: 5 * units.Millisecond, Max: 25 * units.Millisecond, OnlyBelow: 100 * units.KB},
 	}
-	src, err := pc.Source(eventsim.NewRNG(7), 2000, 0)
+	src, err := pc.Source(eventsim.NewRNG(7), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestPoissonGenerate(t *testing.T) {
 func TestPoissonCrossLeafOnly(t *testing.T) {
 	leafOf := func(h int) int { return h / 4 }
 	pc := PoissonConfig{Hosts: 16, Sizes: Fixed{Size: 10 * units.KB}, Rate: 50_000, LeafOf: leafOf}
-	src, err := pc.Source(eventsim.NewRNG(8), 500, 0)
+	src, err := pc.Source(eventsim.NewRNG(8), 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,17 +209,17 @@ func TestPoissonCrossLeafOnly(t *testing.T) {
 
 func TestPoissonValidation(t *testing.T) {
 	rng := eventsim.NewRNG(9)
-	if _, err := (PoissonConfig{Hosts: 1, Sizes: Fixed{Size: 1}, Rate: 1000}).Source(rng, 10, 0); err == nil {
+	if _, err := (PoissonConfig{Hosts: 1, Sizes: Fixed{Size: 1}, Rate: 1000}).Source(rng, 10); err == nil {
 		t.Error("1-host config accepted")
 	}
-	if _, err := (PoissonConfig{Hosts: 4, Sizes: Fixed{Size: 1}}).Source(rng, 10, 0); err == nil {
+	if _, err := (PoissonConfig{Hosts: 4, Sizes: Fixed{Size: 1}}).Source(rng, 10); err == nil {
 		t.Error("zero rate accepted")
 	}
 	// Cross-leaf pairs on one leaf do not exist: the pair draw would
 	// redraw forever (inside Next, where nothing can cancel it), so the
 	// source is refused instead.
 	oneLeaf := PoissonConfig{Hosts: 4, Sizes: Fixed{Size: 1}, Rate: 1000, LeafOf: func(int) int { return 0 }}
-	if _, err := oneLeaf.Source(rng, 10, 0); err == nil || !strings.Contains(err.Error(), ">= 2 leaves") {
+	if _, err := oneLeaf.Source(rng, 10); err == nil || !strings.Contains(err.Error(), ">= 2 leaves") {
 		t.Errorf("cross-leaf traffic on one leaf: %v", err)
 	}
 }
@@ -253,7 +253,7 @@ func TestStaticMix(t *testing.T) {
 		Receivers:  []int{4, 5, 6},
 		Deadlines:  DeadlineDist{Min: 5 * units.Millisecond, Max: 25 * units.Millisecond, OnlyBelow: 100 * units.KB},
 	}
-	flows, err := m.Generate(rng, 0)
+	flows, err := m.Generate(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,13 +274,13 @@ func TestStaticMix(t *testing.T) {
 	if longs != 5 {
 		t.Fatalf("%d long flows", longs)
 	}
-	if _, err := (StaticMix{ShortFlows: 1, ShortSizes: Fixed{Size: 1}, LongSizes: Fixed{Size: 1}}).Generate(rng, 0); err == nil {
+	if _, err := (StaticMix{ShortFlows: 1, ShortSizes: Fixed{Size: 1}, LongSizes: Fixed{Size: 1}}).Generate(rng); err == nil {
 		t.Fatal("mix without hosts accepted")
 	}
 	// src and dst are drawn independently: a host on both sides could be
 	// paired with itself, on some seeds only.
 	m.Receivers = []int{4, 2}
-	if _, err := m.Generate(rng, 0); err == nil || !strings.Contains(err.Error(), "host 2 is both") {
+	if _, err := m.Generate(rng); err == nil || !strings.Contains(err.Error(), "host 2 is both") {
 		t.Fatalf("mix with host 2 on both sides: %v", err)
 	}
 }
