@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"tlb/internal/eventsim"
+	"tlb/internal/lb"
 	"tlb/internal/netem"
 	"tlb/internal/sim"
 	"tlb/internal/spec"
@@ -50,6 +51,20 @@ func TestAllocGateEventScheduleFire(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(5000, cycle); allocs != 0 {
 		t.Fatalf("At+fire cycle allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestAllocGateDecision: a steady-state forwarding decision of every
+// registered scheme (warmDecision, as BenchmarkFig15Decision times it)
+// must not allocate — the allocation-free half of Fig. 15's claim.
+func TestAllocGateDecision(t *testing.T) {
+	for _, name := range lb.Names() {
+		bal, pkts, ports := warmDecision(t, name)
+		i := 0
+		pick := func() { bal.Pick(pkts[i%decisionFlows], ports); i++ }
+		if allocs := testing.AllocsPerRun(5000, pick); allocs != 0 {
+			t.Errorf("%s: a warm decision allocates %.2f allocs/op, want 0", name, allocs)
+		}
 	}
 }
 

@@ -1,11 +1,12 @@
-// Benchmarks: one per paper figure (reduced-scale, same code path as
-// cmd/experiments) plus the per-scheme decision micro-benchmarks
-// behind Fig. 15 and the ablation benches DESIGN.md calls out.
+// Benchmarks: the figure-scale runs `make bench` records (Figs. 8, 10
+// and 13 at reduced scale, the streamed large-scale run and the
+// campaign set-up), the per-scheme decision cost behind Fig. 15, and
+// the engine, port and transport micro-benchmarks.
 //
-// The figure benches report, via b.ReportMetric, the headline quantity
-// of the corresponding figure (e.g. TLB's short-flow AFCT improvement
-// over ECMP at the highest load), so a -bench run doubles as a
-// regression check on the reproduction's shape.
+// The figure benches time their figure and report, via b.ReportMetric,
+// its headline quantity beside the timing. What the figures show is
+// asserted by the claim tests over the golden renders
+// (internal/experiments/claims_test.go), not here.
 package tlb_test
 
 import (
@@ -65,57 +66,6 @@ func runFig(b *testing.B, run func(experiments.Options) ([]experiments.Figure, e
 	return figs
 }
 
-func BenchmarkFig3Granularity(b *testing.B) {
-	figs := runFig(b, experiments.Fig3And4)
-	// Fig 3b: packet-level switching must show the largest dup-ACK
-	// ratio; report it.
-	for _, f := range figs {
-		if f.ID == "fig3b" {
-			for _, bar := range f.Bars {
-				if bar.Label == "packet" {
-					b.ReportMetric(bar.Value, "dupAckRatio/packetLevel")
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkFig4Granularity(b *testing.B) {
-	figs := runFig(b, experiments.Fig3And4)
-	for _, f := range figs {
-		if f.ID == "fig4c" {
-			for _, bar := range f.Bars {
-				if bar.Label == "flow" {
-					b.ReportMetric(bar.Value, "longTputFrac/flowLevel")
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkFig7Model(b *testing.B) {
-	figs := runFig(b, experiments.Fig7)
-	// Report the mean |model - simulation| gap over fig7a, in packets.
-	for _, f := range figs {
-		if f.ID != "fig7a" || len(f.Series) != 2 {
-			continue
-		}
-		var gap float64
-		n := 0
-		for i := range f.Series[0].Points {
-			d := f.Series[0].Points[i].Y - f.Series[1].Points[i].Y
-			if d < 0 {
-				d = -d
-			}
-			gap += d
-			n++
-		}
-		if n > 0 {
-			b.ReportMetric(gap/float64(n), "modelSimGap/pkts")
-		}
-	}
-}
-
 func BenchmarkFig8ShortFlows(b *testing.B) {
 	figs := runFig(b, experiments.Fig8And9)
 	for _, f := range figs {
@@ -129,10 +79,6 @@ func BenchmarkFig8ShortFlows(b *testing.B) {
 	}
 }
 
-func BenchmarkFig9LongFlows(b *testing.B) {
-	runFig(b, experiments.Fig8And9)
-}
-
 func BenchmarkFig10WebSearch(b *testing.B) {
 	figs := runFig(b, experiments.Fig10)
 	if r := lastRatio(figs, "fig10a", "ecmp", "tlb"); r > 0 {
@@ -143,20 +89,6 @@ func BenchmarkFig10WebSearch(b *testing.B) {
 	}
 }
 
-func BenchmarkFig11DataMining(b *testing.B) {
-	figs := runFig(b, experiments.Fig11)
-	if r := lastRatio(figs, "fig11a", "ecmp", "tlb"); r > 0 {
-		b.ReportMetric(r, "ecmpAFCT/tlbAFCT@maxLoad")
-	}
-}
-
-func BenchmarkFig12DeadlineAgnostic(b *testing.B) {
-	figs := runFig(b, experiments.Fig12)
-	if r := lastRatio(figs, "fig12a", "tlb-75th", "tlb-25th"); r > 0 {
-		b.ReportMetric(r, "afct75th/afct25th@maxLoad")
-	}
-}
-
 func BenchmarkFig13VaryShort(b *testing.B) {
 	figs := runFig(b, experiments.Fig13)
 	if r := lastRatio(figs, "fig13a", "ecmp", "tlb"); r > 0 {
@@ -164,31 +96,28 @@ func BenchmarkFig13VaryShort(b *testing.B) {
 	}
 }
 
-func BenchmarkFig14VaryLong(b *testing.B) {
-	figs := runFig(b, experiments.Fig14)
-	if r := lastRatio(figs, "fig14a", "ecmp", "tlb"); r > 0 {
-		b.ReportMetric(r, "ecmpAFCT/tlbAFCT@maxLongs")
-	}
-}
-
-func BenchmarkFig16AsymDelay(b *testing.B) {
-	figs := runFig(b, experiments.Fig16)
-	if r := lastRatio(figs, "fig16a", "rps", "tlb"); r > 0 {
-		b.ReportMetric(r, "rpsAFCT/tlbAFCT@maxAsym")
-	}
-}
-
-func BenchmarkFig17AsymBandwidth(b *testing.B) {
-	figs := runFig(b, experiments.Fig17)
-	if r := lastRatio(figs, "fig17a", "rps", "tlb"); r > 0 {
-		b.ReportMetric(r, "rpsAFCT/tlbAFCT@maxAsym")
-	}
-}
-
 // ---- Fig. 15: per-packet decision cost, proper testing.B style ----
 
-// benchPorts builds the uplink set the decision benches run against.
-func benchPorts(s *eventsim.Sim) []*netem.Port {
+// decisionFlows is how many flows warmDecision warms a scheme with.
+const decisionFlows = 512
+
+// warmDecision builds the named scheme the way a run builds it — on its
+// declared defaults, through lb.Build, in the paper's NS2 environment —
+// over ten uplinks, and warms its per-flow state with one data packet of
+// each of decisionFlows flows. It returns the balancer, those packets
+// and the uplinks: bal.Pick(pkts[i%decisionFlows], ports) is one
+// steady-state forwarding decision.
+func warmDecision(tb testing.TB, name string) (lb.Balancer, []*netem.Packet, []*netem.Port) {
+	tb.Helper()
+	env := lb.Env{
+		FabricBandwidth: units.Gbps, BaseRTT: 100 * units.Microsecond,
+		QueueCapacity: 256, ECNThreshold: 65,
+	}
+	factory, err := lb.Build(name, nil, "scheme.params", env)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := eventsim.New()
 	ports := make([]*netem.Port, 10)
 	for i := range ports {
 		ports[i] = netem.NewPort(s,
@@ -196,80 +125,32 @@ func benchPorts(s *eventsim.Sim) []*netem.Port {
 			netem.QueueConfig{Capacity: 256},
 			func(*netem.Packet) {}, "up")
 	}
-	return ports
+	bal := factory(s, eventsim.NewRNG(1), ports)
+	pkts := make([]*netem.Packet, decisionFlows)
+	for i := range pkts {
+		pkts[i] = &netem.Packet{
+			Flow:    netem.FlowID{Src: i % 97, Dst: 100 + i%89, Port: i},
+			Kind:    netem.Data,
+			Payload: 1460, Wire: 1500,
+		}
+		bal.Pick(pkts[i], ports)
+	}
+	return bal, pkts, ports
 }
 
 // BenchmarkFig15Decision times one steady-state forwarding decision of
-// every registered scheme, built the way a run builds it: on its
-// declared defaults, through lb.Build, in the paper's NS2 environment.
+// every registered scheme (warmDecision).
 func BenchmarkFig15Decision(b *testing.B) {
-	env := lb.Env{
-		FabricBandwidth: units.Gbps, BaseRTT: 100 * units.Microsecond,
-		QueueCapacity: 256, ECNThreshold: 65,
-	}
 	for _, name := range lb.Names() {
 		b.Run(name, func(b *testing.B) {
-			factory, err := lb.Build(name, nil, "scheme.params", env)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s := eventsim.New()
-			ports := benchPorts(s)
-			bal := factory(s, eventsim.NewRNG(1), ports)
-			const flows = 512
-			pkts := make([]*netem.Packet, flows)
-			for i := range pkts {
-				pkts[i] = &netem.Packet{
-					Flow:    netem.FlowID{Src: i % 97, Dst: 100 + i%89, Port: i},
-					Kind:    netem.Data,
-					Payload: 1460, Wire: 1500,
-				}
-			}
-			for i := 0; i < flows; i++ { // warm per-flow state
-				bal.Pick(pkts[i], ports)
-			}
+			bal, pkts, ports := warmDecision(b, name)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bal.Pick(pkts[i%flows], ports)
+				bal.Pick(pkts[i%decisionFlows], ports)
 			}
 		})
 	}
-}
-
-// ---- Ablations (DESIGN.md §5) ----
-
-func BenchmarkAblationInterval(b *testing.B) {
-	runFig(b, experiments.AblationInterval)
-}
-
-func BenchmarkAblationThreshold(b *testing.B) {
-	runFig(b, experiments.AblationThreshold)
-}
-
-func BenchmarkAblationFixedGranularity(b *testing.B) {
-	figs := runFig(b, experiments.AblationFixedGranularity)
-	// Adaptive q_th should not lose to any fixed setting on AFCT.
-	for _, f := range figs {
-		if f.ID != "ablation-fixed-afct" {
-			continue
-		}
-		var adaptive, bestFixed float64
-		for _, bar := range f.Bars {
-			if bar.Label == "adaptive" {
-				adaptive = bar.Value
-			} else if bestFixed == 0 || bar.Value < bestFixed {
-				bestFixed = bar.Value
-			}
-		}
-		if bestFixed > 0 {
-			b.ReportMetric(adaptive/bestFixed, "adaptiveAFCT/bestFixedAFCT")
-		}
-	}
-}
-
-func BenchmarkAblationShortPolicy(b *testing.B) {
-	runFig(b, experiments.AblationShortPolicy)
 }
 
 // ---- Simulator core micro-benches (engine cost, not a paper figure) ----
@@ -558,43 +439,6 @@ func BenchmarkSpecCompile(b *testing.B) {
 			compile(b, docs)
 		}
 	})
-}
-
-func BenchmarkAblationSafeSwitch(b *testing.B) {
-	runFig(b, experiments.AblationSafeSwitch)
-}
-
-func BenchmarkAblationDemandCap(b *testing.B) {
-	runFig(b, experiments.AblationDemandCap)
-}
-
-func BenchmarkAblationTransport(b *testing.B) {
-	runFig(b, experiments.AblationTransport)
-}
-
-func BenchmarkFatTreeComparison(b *testing.B) {
-	figs := runFig(b, experiments.FatTreeComparison)
-	for _, f := range figs {
-		if f.ID != "fattree-afct" {
-			continue
-		}
-		var tlb, ecmp float64
-		for _, bar := range f.Bars {
-			switch bar.Label {
-			case "tlb":
-				tlb = bar.Value
-			case "ecmp":
-				ecmp = bar.Value
-			}
-		}
-		if tlb > 0 {
-			b.ReportMetric(ecmp/tlb, "ecmpAFCT/tlbAFCT")
-		}
-	}
-}
-
-func BenchmarkExtendedBaselines(b *testing.B) {
-	runFig(b, experiments.ExtendedBaselines)
 }
 
 // BenchmarkLargeScaleStream runs the streamed k=16 fat-tree scenario

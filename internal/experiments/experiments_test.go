@@ -98,35 +98,6 @@ func TestFig3And4ProducesAllPanels(t *testing.T) {
 		t.Fatalf("panel population wrong: %d series, %d bars",
 			len(ids["fig3a"].Series), len(ids["fig3b"].Bars))
 	}
-	// The paper's directional claims at this scale:
-	// packet-level has the largest dup-ACK ratio (fig3b).
-	bars := map[string]float64{}
-	for _, b := range ids["fig3b"].Bars {
-		bars[b.Label] = b.Value
-	}
-	if !(bars["packet"] > bars["flow"]) {
-		t.Fatalf("packet-level dup-ACK ratio %v not above flow-level %v",
-			bars["packet"], bars["flow"])
-	}
-}
-
-func TestFig13NormalizedToTLB(t *testing.T) {
-	t.Parallel()
-	for _, f := range golden(t, "fig13") {
-		if len(f.Series) != 5 {
-			t.Fatalf("%s has %d series, want 5 schemes", f.ID, len(f.Series))
-		}
-		for _, s := range f.Series {
-			if s.Name != "tlb" {
-				continue
-			}
-			for _, p := range s.Points {
-				if p.Y != 1 {
-					t.Fatalf("TLB's normalized value is %v, want exactly 1", p.Y)
-				}
-			}
-		}
-	}
 }
 
 func TestFig15ReportsAllSchemes(t *testing.T) {

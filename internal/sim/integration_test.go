@@ -315,7 +315,7 @@ func TestResultClassAccessors(t *testing.T) {
 	if res.UplinkUtilization() <= 0 {
 		t.Fatal("zero uplink utilization")
 	}
-	if res.Goodput(AllFlows) <= 0 || res.AggregateGoodput(AllFlows) <= 0 {
+	if res.Goodput(AllFlows) <= 0 || res.Stream.Agg(AllFlows).BytesAcked <= 0 {
 		t.Fatal("zero goodput")
 	}
 }

@@ -96,17 +96,6 @@ func (r *Result) Goodput(c Class) units.Bandwidth {
 	return units.Bandwidth(r.Stream.Agg(c).MeanGoodput())
 }
 
-// AggregateGoodput returns total acknowledged bytes of the class over
-// the whole run duration, as a single rate.
-func (r *Result) AggregateGoodput(c Class) units.Bandwidth {
-	bytes := units.Bytes(r.Stream.Agg(c).BytesAcked)
-	dur := r.EndTime.Seconds()
-	if dur <= 0 {
-		return 0
-	}
-	return units.Bandwidth(float64(bytes) * 8 / dur)
-}
-
 // UplinkUtilization returns mean busy fraction across all leaf uplinks
 // — the link-utilization metric of Fig. 4a.
 func (r *Result) UplinkUtilization() float64 {

@@ -70,10 +70,10 @@ type Scenario struct {
 	// — is the same number either way, and the flag decides nothing else.
 	StreamStats bool
 
-	// MaxTime hard-stops the run; 0 means run until all flows finish.
+	// MaxTime hard-stops the run; 0 means the default, 60 s.
 	MaxTime units.Time
-	// StopWhenDone ends the run as soon as every flow completed
-	// (default behaviour; set MaxTime too as a safety net).
+	// StopWhenDone ends the run as soon as every flow completed. It is
+	// off by default: without it the run goes on until MaxTime.
 	StopWhenDone bool
 
 	// CollectTimeSeries enables the bucketed instantaneous series

@@ -58,9 +58,6 @@ func NewQuantileSketch(alpha float64) *QuantileSketch {
 	}
 }
 
-// Alpha returns the sketch's relative-error bound.
-func (s *QuantileSketch) Alpha() float64 { return s.alpha }
-
 // N returns the observation count.
 func (s *QuantileSketch) N() int64 { return s.n }
 

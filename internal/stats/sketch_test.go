@@ -34,7 +34,7 @@ func TestSketchAccuracyLogUniform(t *testing.T) {
 	}
 	sort.Float64s(xs)
 	for _, q := range []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1} {
-		bracketBound(t, xs, q, s.Quantile(q), s.Alpha())
+		bracketBound(t, xs, q, s.Quantile(q), s.alpha)
 	}
 	if s.min != xs[0] || s.max != xs[len(xs)-1] {
 		t.Fatalf("min/max %v/%v, want %v/%v", s.min, s.max, xs[0], xs[len(xs)-1])
@@ -89,7 +89,7 @@ func TestSketchCollapseKeepsUpperQuantiles(t *testing.T) {
 	}
 	sort.Float64s(xs)
 	for _, q := range []float64{0.9, 0.95, 0.99, 0.999, 1} {
-		bracketBound(t, xs, q, s.Quantile(q), s.Alpha())
+		bracketBound(t, xs, q, s.Quantile(q), s.alpha)
 	}
 	prev := math.Inf(-1)
 	for q := 0.0; q <= 1.0; q += 0.02 {

@@ -63,10 +63,6 @@ func (s *segSet) Reset() { s.xs = s.xs[:0] }
 // Len returns the number of elements.
 func (s *segSet) Len() int { return len(s.xs) }
 
-// Keys returns the elements in ascending order. The slice aliases the
-// set's storage; callers must not mutate it.
-func (s *segSet) Keys() []units.Bytes { return s.xs }
-
 // oooSeg is one buffered out-of-order segment [Start, Start+Len).
 type oooSeg struct {
 	Start, Len units.Bytes

@@ -10,8 +10,8 @@ import (
 )
 
 // TestSegSetVisitOrderSorted asserts the property the sender's SACK
-// scans now rely on: however the scoreboard is populated, Keys() —
-// the order every sweep visits — is ascending.
+// scans now rely on: however the scoreboard is populated, its
+// elements — in the order every sweep visits them — are ascending.
 func TestSegSetVisitOrderSorted(t *testing.T) {
 	rng := eventsim.NewRNG(7)
 	var s segSet
@@ -21,7 +21,7 @@ func TestSegSetVisitOrderSorted(t *testing.T) {
 		s.Add(x)
 		inserted[x] = true
 	}
-	keys := s.Keys()
+	keys := s.xs
 	if len(keys) != len(inserted) {
 		t.Fatalf("segSet has %d keys, want %d distinct", len(keys), len(inserted))
 	}
@@ -54,12 +54,12 @@ func TestSegSetCountAboveAndDropBelow(t *testing.T) {
 	}
 	s.DropBelow(2920)
 	want := []units.Bytes{2920, 4380, 7300}
-	if got := s.Keys(); len(got) != len(want) {
+	if got := s.xs; len(got) != len(want) {
 		t.Fatalf("after DropBelow: %v, want %v", got, want)
 	}
-	for i, k := range s.Keys() {
+	for i, k := range s.xs {
 		if k != want[i] {
-			t.Fatalf("after DropBelow: %v, want %v", s.Keys(), want)
+			t.Fatalf("after DropBelow: %v, want %v", s.xs, want)
 		}
 	}
 	s.Reset()
