@@ -177,18 +177,18 @@ alloc-gates:
 # workload numbering every mix golden's FlowIDs rest on (Arrivals
 # numbers a slice by position and replays it in stable (Start, Index)
 # order; a compiled mix's indices are its generation positions), the
-# golden figure CSVs, worker-count identity,
-# observer neutrality, records-kept vs records-dropped parity (finished
-# and truncated runs, plain and replicated, time series and queue-length
-# histogram included) and the benchmark harness's digest tests — the set
-# a change to shared run machinery has to keep green (also part of
-# `make test`; this is the fast inner loop).
+# golden figure CSVs, worker-count identity, observer neutrality, the
+# aggregate against the records it folded (finished and truncated runs,
+# plain and replicated, FCTs by start time included), the flow draw's
+# independence of the balancer and the benchmark harness's digest tests
+# — the set a change to shared run machinery has to keep green (also
+# part of `make test`; this is the fast inner loop).
 identity:
 	$(GO) test -count 1 -run 'TestConstructionOrderPinned' ./internal/topology
 	$(GO) test -count 1 -run 'TestArrivalsNumbersAndReplays' ./internal/workload
 	$(GO) test -count 1 -run 'TestCompiledMixIndexIsGenerationPosition' ./internal/spec
 	$(GO) test -count 1 -run 'TestGoldenFigures|TestEveryParamIsSetByARun|TestEverySpecFieldIsSetByARun|TestParallelSerialIdentical' ./internal/experiments
-	$(GO) test -count 1 -run 'TestArrivalOrderPinned|TestSessionObserverNeutral|TestStreamStatsMatchesRecords' ./internal/sim
+	$(GO) test -count 1 -run 'TestArrivalOrderPinned|TestSessionObserverNeutral|TestAggregateMatchesRecords|TestFlowDrawIndependentOfBalancer' ./internal/sim
 	$(GO) test -count 1 ./bench
 
 # figures-diff is the figure-identity check for a change that must not
@@ -257,9 +257,9 @@ smoke:
 	$(GO) run ./cmd/experiments -fig figF1 -flows 60 -workers 2 -q >/dev/null
 
 # largescale-smoke runs the streamed k=16 fat-tree scenario (figLS) at
-# a reduced flow count (2 x 1250 = 2500 flows): the lazy workload
-# source, StreamStats fold and streamed Result accessors all have to
-# work end to end for it to exit 0. The full-scale (1M flow) numbers
+# a reduced flow count (2 x 1250 = 2500 flows, past the exact-percentile
+# cap): the lazy workload source, the fold and the sketched Result
+# accessors all have to work end to end for it to exit 0. The full-scale (1M flow) numbers
 # live in EXPERIMENTS.md "Large scale".
 largescale-smoke:
 	$(GO) run ./cmd/experiments -fig figLS -flows 2 -q >/dev/null

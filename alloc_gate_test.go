@@ -16,6 +16,7 @@ import (
 	"tlb/internal/netem"
 	"tlb/internal/sim"
 	"tlb/internal/spec"
+	"tlb/internal/stats"
 	"tlb/internal/units"
 )
 
@@ -252,13 +253,13 @@ func runMallocs(t *testing.T, sc sim.Scenario) (*sim.Result, uint64, int64) {
 // fold, taken as the slope between a 1 000- and a 5 000-flow run so the
 // fabric's set-up cancels. Flows come from the run's flow pool, their
 // records included, so a flow allocates nothing of its own: the first
-// three rows, at a 20 µs gap the k=4 fabric cannot keep up with, count
+// two rows, at a 20 µs gap the k=4 fabric cannot keep up with, count
 // the growth of the backlog — about half the flows are open at the end,
-// each a pooled flow and its packets in flight — and record mode adds
-// the copy of each record Result.Flows keeps (2.46 per flow streamed and
-// recorded alike before flows were pooled, 9.26 before a flow was one
-// object). The last row runs a load the fabric carries: the pool's
-// allocations stop growing with the flow count, and so does the run's.
+// each a pooled flow and its packets in flight (2.46 per flow before
+// flows were pooled, 9.26 before a flow was one object, and 2.1 while a
+// run could keep a copy of each record). The last row runs a load the
+// fabric carries: the pool's allocations stop growing with the flow
+// count, and so does the run's.
 // None may drift back towards an object per flow, a closure per timer,
 // per arrival or per completion, and the time series and queue-length
 // histogram keep nothing per packet or per flow.
@@ -268,10 +269,9 @@ func TestAllocGatePerFlow(t *testing.T) {
 		max                   float64
 		carried               bool // the pool may not grow
 	}{
-		{"streamed", "20us", `{"streamStats": true}`, 1.1, false},
-		{"streamed+series", "20us", `{"streamStats": true, "collectTimeSeries": true}`, 1.1, false},
-		{"recorded", "20us", `{}`, 2.1, false},
-		{"streamed, carried load", "200us", `{"streamStats": true}`, 0.1, true},
+		{"backlog", "20us", `{}`, 1.1, false},
+		{"backlog+series", "20us", `{"collectTimeSeries": true}`, 1.1, false},
+		{"carried load", "200us", `{}`, 0.1, true},
 	} {
 		const few, many = 1000, 5000
 		_, a, poolA := runMallocs(t, miceScenario(t, few, tc.maxGap, tc.outputs))
@@ -287,15 +287,15 @@ func TestAllocGatePerFlow(t *testing.T) {
 	}
 }
 
-// TestAllocGateResultRetention: a record-mode Result keeps a copy of
-// each flow's 160-byte record and nothing else of the flow — not the
-// pooled flow the record lives in, which tripled what a finished run
-// held.
+// TestAllocGateResultRetention: a Result does not grow with the flow
+// count. It keeps no per-flow record (a copy of each 160-byte record
+// once, and the pooled flows that held them before that) and, past
+// stats.ExactFCTCap completions per class, no per-flow FCT either.
 func TestAllocGateResultRetention(t *testing.T) {
 	const flows = 5000
 	res, _, _ := runMallocs(t, miceScenario(t, flows, "20us", `{}`))
-	if len(res.Flows) != flows {
-		t.Fatalf("result has %d flow records, want %d", len(res.Flows), flows)
+	if res.Count(sim.AllFlows) != flows || res.CompletedCount(sim.ShortFlows) <= stats.ExactFCTCap {
+		t.Fatalf("%d flows, %d short completed: test wants %d flows past the exact cap", res.Count(sim.AllFlows), res.CompletedCount(sim.ShortFlows), flows)
 	}
 	var with, without runtime.MemStats
 	runtime.GC()
@@ -306,7 +306,7 @@ func TestAllocGateResultRetention(t *testing.T) {
 	runtime.ReadMemStats(&without)
 	perFlow := (float64(with.HeapAlloc) - float64(without.HeapAlloc)) / flows
 	t.Logf("result retains %.0f B per flow", perFlow)
-	if perFlow > 320 {
-		t.Errorf("result retains %.0f B per flow, want <= 320", perFlow)
+	if perFlow > 16 {
+		t.Errorf("result retains %.0f B per flow, want <= 16", perFlow)
 	}
 }

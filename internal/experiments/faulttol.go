@@ -7,7 +7,6 @@ import (
 	"tlb/internal/sim"
 	"tlb/internal/spec"
 	"tlb/internal/stats"
-	"tlb/internal/transport"
 	"tlb/internal/units"
 )
 
@@ -68,7 +67,9 @@ func figF1Shorts(o Options) int {
 }
 
 // figF1Specs builds the fail→recover batch: every testbed scheme under
-// the fault schedule, with the time series enabled. Shared with the
+// the fault schedule, with the time series enabled. The 250 ms bucket
+// divides figF1a's 500 ms start-time buckets and every phase boundary
+// of figF1c, which both read Result.ShortFCTByStart. Shared with the
 // golden-spec tests.
 func figF1Specs(o Options) ([]string, []spec.Spec) {
 	e := figF1Env(o)
@@ -133,15 +134,21 @@ func FigF1(o Options) ([]Figure, error) {
 }
 
 // afctByStartTime buckets finished short flows by start time and
-// returns (bucket midpoint s, mean FCT s) points.
+// returns (bucket midpoint s, mean FCT s) points. bucket must be a
+// multiple of the run's time bucket.
 func afctByStartTime(res *sim.Result, bucket units.Time) []stats.Point {
-	ts := stats.NewTimeSeries(bucket.Seconds())
-	res.Each(sim.ShortFlows, func(fs *transport.FlowStats) {
-		if fs.Done {
-			ts.Add(fs.Start.Seconds(), fs.FCT().Seconds())
+	var out []stats.Point
+	by, w := res.ShortFCTByStart, bucket.Seconds()
+	// The last window is the one holding the last bucket's midpoint.
+	sums := by.Sums()
+	for i := 0; len(sums) > 0 && float64(i)*w < sums[len(sums)-1].X; i++ {
+		if n, sum := by.Window(float64(i)*w, float64(i+1)*w); n > 0 {
+			// One rounding of the exact mean: sum and n·1 s are exact in
+			// a float64.
+			out = append(out, stats.Point{X: (float64(i) + 0.5) * w, Y: sum / (float64(n) * float64(units.Second))})
 		}
-	})
-	return ts.Means()
+	}
+	return out
 }
 
 // phase is one failure-relative window of a figF1 run.
@@ -165,17 +172,10 @@ func figF1Phases(res *sim.Result) []phase {
 	}
 	out := make([]phase, 0, len(windows))
 	for _, w := range windows {
-		var sum units.Time
-		n := 0
-		res.Each(sim.ShortFlows, func(fs *transport.FlowStats) {
-			if fs.Done && fs.Start >= w.from && fs.Start < w.to {
-				sum += fs.FCT()
-				n++
-			}
-		})
+		n, sum := res.ShortFCTByStart.Window(w.from.Seconds(), w.to.Seconds())
 		p := phase{name: w.name}
 		if n > 0 {
-			p.afct = sum / units.Time(n)
+			p.afct = units.Time(sum) / units.Time(n)
 		}
 		out = append(out, p)
 	}

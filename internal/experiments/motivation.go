@@ -52,9 +52,8 @@ func Fig3And4(o Options) ([]Figure, error) {
 	}
 	for i, g := range granularities {
 		res := results[i]
-		if res.CompletedCount(sim.AllFlows) < len(res.Flows) {
-			o.logf("fig3/4: %s left %d flows unfinished at %v", g.label(),
-				len(res.Flows)-res.CompletedCount(sim.AllFlows), res.EndTime)
+		if unfinished := res.Count(sim.AllFlows) - res.CompletedCount(sim.AllFlows); unfinished > 0 {
+			o.logf("fig3/4: %s left %d flows unfinished at %v", g.label(), unfinished, res.EndTime)
 		}
 
 		queueCDF.Series = append(queueCDF.Series, stats.Series{
@@ -62,7 +61,7 @@ func Fig3And4(o Options) ([]Figure, error) {
 		})
 		dupAck.Bars = append(dupAck.Bars, Bar{g.label(), res.DupAckRatio(sim.ShortFlows)})
 		fctCDF.Series = append(fctCDF.Series, stats.Series{
-			Name: g.label(), Points: res.FCTSample(sim.ShortFlows).CDF(50),
+			Name: g.label(), Points: res.Stream.Agg(sim.ShortFlows).FCTs().CDF(50),
 		})
 
 		util.Bars = append(util.Bars, Bar{g.label(), res.UplinkUtilization()})

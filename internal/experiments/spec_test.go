@@ -20,8 +20,7 @@ func goldenOpts() Options { return Options{Seed: 42, FlowsPerRun: 150} }
 // files: the basic-environment comparison (fig8/9), the faulted
 // testbed batch (figF1) and the streamed scale run (figLS) — between
 // them they exercise schemes with parameters, mix groups, deadlines,
-// outputs (including streamStats), interpod workloads and fault
-// schedules.
+// outputs, interpod workloads and fault schedules.
 func goldenSources() map[string][]spec.Spec {
 	o := goldenOpts()
 	_, fig89 := fig89Specs(o)

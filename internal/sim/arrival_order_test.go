@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
 	"tlb/internal/eventsim"
 	"tlb/internal/lb"
 	"tlb/internal/stats"
-	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
@@ -35,14 +33,12 @@ func arrivalOrderFlows() []workload.Flow {
 	return flows
 }
 
-// arrivalOrderLine reduces one run to its pinned line. Flow records are
-// keyed by flow index (FlowID.Port), not by their position in
-// Result.Flows.
-func arrivalOrderLine(cell string, res *Result) string {
-	recs := append([]*transport.FlowStats(nil), res.Flows...)
-	sort.Slice(recs, func(a, b int) bool { return recs[a].ID.Port < recs[b].ID.Port })
+// arrivalOrderLine reduces one run and its folded records to its pinned
+// line. Flow records are keyed by flow index (FlowID.Port), not by the
+// order they folded in.
+func arrivalOrderLine(cell string, res *Result, recs folds) string {
 	h := sha256.New()
-	for _, fs := range recs {
+	for _, fs := range recs.byIndex() {
 		fmt.Fprintf(h, "%d %d %d %d %d %d %d\n", fs.ID.Port, int64(fs.Start), int64(fs.End),
 			fs.Retransmits, fs.PacketsRecv, fs.OutOfOrder, fs.DupAcksSent)
 	}
@@ -58,7 +54,7 @@ func arrivalOrderLine(cell string, res *Result) string {
 		fmt.Fprintf(h, "%x %x\n", ts.Means(), ts.Sums())
 	}
 	return fmt.Sprintf("%s end=%d drops=%d records=%d sha256=%x\n",
-		cell, int64(res.EndTime), res.Drops, len(res.Flows), h.Sum(nil))
+		cell, int64(res.EndTime), res.Drops, len(recs), h.Sum(nil))
 }
 
 // TestArrivalOrderPinned pins the order in which the runner admits
@@ -100,14 +96,14 @@ func TestArrivalOrderPinned(t *testing.T) {
 				if series {
 					cell += " series"
 				}
-				res, err := Run(sc)
+				res, recs, err := runWatched(sc)
 				if err != nil {
 					t.Fatalf("%s: %v", cell, err)
 				}
 				if res.CompletedCount(AllFlows) != len(flows) {
 					t.Fatalf("%s: %d of %d flows completed", cell, res.CompletedCount(AllFlows), len(flows))
 				}
-				got.WriteString(arrivalOrderLine(cell, res))
+				got.WriteString(arrivalOrderLine(cell, res, recs))
 			}
 		}
 	}

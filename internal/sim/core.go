@@ -72,14 +72,14 @@ type runCore struct {
 	// open holds every opened, unfolded flow by index: the one registry
 	// of open flows, which no packet reads.
 	open map[int]openFlow
-	// flows are the folded records' copies in open order, kept unless
-	// StreamStats; they become Result.Flows.
-	flows []*transport.FlowStats
 	// shortOut and longOut are the sinks every endpoint of the class
 	// reports to. shortGoodput and longGoodput are the per-bucket acked
-	// payload of each class, when the run collects time series.
+	// payload of each class, and fctByStart the short flows' FCTs by
+	// start time, when the run collects time series.
 	shortOut, longOut         transport.Sink
 	shortGoodput, longGoodput *stats.TimeSeries
+	fctByStart                *stats.TimeSeries
+	onFold                    func(*transport.FlowStats) // Session.onFold
 }
 
 // openFlow is one open flow's live record — its sender's for a plain
@@ -100,8 +100,8 @@ func newCore(sc *Scenario) (*runCore, error) {
 	// the steady-state packet path allocation-free. Per-run ownership
 	// keeps sweep workers from sharing any mutable state.
 	pool := netem.NewPacketPool()
-	// Flows recycle the same way, per run, records included: what
-	// Result.Flows keeps is a copy taken at the fold.
+	// Flows recycle the same way, per run, records included: a record
+	// is folded before its flow goes back.
 	c.flowPool = &transport.FlowPool{}
 	c.onDone = c.flowFinished
 
@@ -158,6 +158,7 @@ func newCore(sc *Scenario) (*runCore, error) {
 		// Goodput series: the bytes acked since the last tick, once per
 		// bucket.
 		c.shortGoodput, c.longGoodput = stats.NewTimeSeries(w), stats.NewTimeSeries(w)
+		c.fctByStart = stats.NewTimeSeries(w)
 		period := sc.TimeBucket
 		var tick func()
 		tick = func() {
@@ -269,7 +270,7 @@ func (c *runCore) flowFinished(done *transport.Sender) {
 }
 
 // openReplicated runs at f.Start and realizes one flow as N racing
-// copies (RepFlow). The canonical record is the one kept and receives
+// copies (RepFlow). The canonical record is the one folded and receives
 // the winner's record; losers keep draining but are otherwise ignored.
 // Every copy's receiver reports to the sink, since every copy's packets
 // cross the fabric, but the flow's payload counts as acked once, at the
@@ -315,13 +316,10 @@ func (c *runCore) sink(short bool) *transport.Sink {
 }
 
 // track registers flow i as open with its live record, at the next
-// open ordinal, and reserves the record's place in Result.Flows.
+// open ordinal.
 func (c *runCore) track(i int, rec *transport.FlowStats) {
 	c.open[i] = openFlow{rec: rec, ord: int(c.started)}
 	c.started++
-	if !c.sc.StreamStats {
-		c.flows = append(c.flows, nil)
-	}
 }
 
 // finish folds open flow i at its completion and forgets it.
@@ -332,14 +330,17 @@ func (c *runCore) finish(i int) {
 	c.flowDone()
 }
 
-// fold reduces an open flow's record into the aggregate at time at and,
-// in record mode, keeps a copy in its place in Result.Flows, so no
-// pooled flow stays reachable from the Result.
+// fold reduces an open flow's record into the aggregate at time at,
+// and a completed short flow's FCT into fctByStart. Nothing keeps the
+// record, so no pooled flow stays reachable from the Result.
 func (c *runCore) fold(o openFlow, at units.Time) {
-	c.agg.Fold(o.rec, o.rec.Size <= ShortThreshold, at)
-	if !c.sc.StreamStats {
-		rec := *o.rec
-		c.flows[o.ord] = &rec
+	short := o.rec.Size <= ShortThreshold
+	c.agg.Fold(o.rec, short, at)
+	if c.fctByStart != nil && short && o.rec.Done {
+		c.fctByStart.Add(o.rec.Start.Seconds(), float64(o.rec.FCT()))
+	}
+	if c.onFold != nil {
+		c.onFold(o.rec)
 	}
 }
 
@@ -395,12 +396,13 @@ func assemble(sc *Scenario, c *runCore, endTime units.Time) (*Result, error) {
 		// did not see at EndTime.
 		c.addGoodput(endTime)
 		res.ShortGoodputBytes, res.LongGoodputBytes = c.shortGoodput, c.longGoodput
+		res.ShortFCTByStart = c.fctByStart
 	}
 
 	// Completed flows folded at their done callbacks; fold the flows
 	// still open so unfinished ones count too (deadline misses at
 	// endTime, goodput over active time), in open order: one fixed
-	// sequence, so float sums are deterministic and both modes agree.
+	// sequence, so float sums are deterministic.
 	open := make([]openFlow, 0, len(c.open))
 	//simlint:allow maporder(open flows are collected here and sorted by open ordinal below before any use)
 	for _, o := range c.open {
@@ -410,7 +412,6 @@ func assemble(sc *Scenario, c *runCore, endTime units.Time) (*Result, error) {
 	for _, o := range open {
 		c.fold(o, endTime)
 	}
-	res.Flows = c.flows
 	if err := auditFold(c.agg.Agg(AllFlows), c.started, c.done); err != nil {
 		return nil, fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
 	}

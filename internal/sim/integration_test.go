@@ -33,17 +33,18 @@ func TestFabricConservationProperty(t *testing.T) {
 				Start: units.Time(i) * 37 * units.Microsecond,
 			})
 		}
-		res, err := Run(Scenario{
+		sc := Scenario{
 			Name:       "conservation-prop",
 			Topology:   topo,
 			Balancer:   schemes[int(schemeIdx)%len(schemes)],
 			SchemeName: "prop", Seed: seed,
 			FlowSourceNew: workload.Arrivals(rngFlows), StopWhenDone: true, MaxTime: 30 * units.Second,
-		})
-		if err != nil {
+		}
+		_, recs, err := runWatched(sc)
+		if err != nil || len(recs) != count {
 			return false
 		}
-		for _, fs := range res.Flows {
+		for _, fs := range recs {
 			if !fs.Done {
 				return false // all must finish within 30s at this scale
 			}
@@ -68,7 +69,7 @@ func TestAsymmetricFabricEndToEnd(t *testing.T) {
 	slow.Delay += 2 * units.Millisecond
 	topo.Overrides = []topology.LinkOverride{{Leaf: 0, Spine: 1, Link: slow}}
 
-	res, err := Run(Scenario{
+	sc := Scenario{
 		Name: "asym", Topology: topo,
 		// ECMP hashes flows onto both spines, so some cross the slow link.
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 21,
@@ -79,12 +80,13 @@ func TestAsymmetricFabricEndToEnd(t *testing.T) {
 			{Src: 3, Dst: 7, Size: 30 * units.KB, Start: 0},
 		}),
 		StopWhenDone: true, MaxTime: 10 * units.Second,
-	})
+	}
+	_, recs, err := runWatched(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var fast, slowCount int
-	for _, fs := range res.Flows {
+	for _, fs := range recs {
 		if !fs.Done {
 			t.Fatalf("flow %v unfinished", fs.ID)
 		}
@@ -174,35 +176,36 @@ func TestSampledShortPackets(t *testing.T) {
 	}
 }
 
-// TestTimeSeriesCollection verifies the Fig. 8/9 series path, keeping
-// records and streamed: each class's goodput series sums to its bytes.
+// TestTimeSeriesCollection verifies the Fig. 8/9 series path: each
+// class's goodput series sums to its bytes, and the short flow's FCT
+// lands in its start-time bucket.
 func TestTimeSeriesCollection(t *testing.T) {
 	flows := []workload.Flow{
 		{Src: 0, Dst: 4, Size: 80 * units.KB, Start: 0},
 		{Src: 1, Dst: 5, Size: units.MB, Start: 0},
 	}
-	for _, streamed := range []bool{false, true} {
-		res, err := Run(Scenario{
-			Name: "series", Topology: smallTopo(),
-			Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 6,
-			FlowSourceNew:     workload.Arrivals(flows),
-			CollectTimeSeries: true,
-			StreamStats:       streamed,
-			TimeBucket:        500 * units.Microsecond,
-			StopWhenDone:      true, MaxTime: 10 * units.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pts := res.ShortQueueDelayUs.Means(); len(pts) == 0 {
-			t.Fatalf("streamed %v: no short queue-delay series", streamed)
-		}
-		if total := seriesSum(res.LongGoodputBytes); total != float64(units.MB) {
-			t.Fatalf("streamed %v: long goodput series sums to %.0f bytes, want %d", streamed, total, units.MB)
-		}
-		if total := seriesSum(res.ShortGoodputBytes); total != float64(80*units.KB) {
-			t.Fatalf("streamed %v: short goodput series sums to %.0f bytes, want %d", streamed, total, 80*units.KB)
-		}
+	res, err := Run(Scenario{
+		Name: "series", Topology: smallTopo(),
+		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 6,
+		FlowSourceNew:     workload.Arrivals(flows),
+		CollectTimeSeries: true,
+		TimeBucket:        500 * units.Microsecond,
+		StopWhenDone:      true, MaxTime: 10 * units.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pts := res.ShortQueueDelayUs.Means(); len(pts) == 0 {
+		t.Fatal("no short queue-delay series")
+	}
+	if total := seriesSum(res.LongGoodputBytes); total != float64(units.MB) {
+		t.Fatalf("long goodput series sums to %.0f bytes, want %d", total, units.MB)
+	}
+	if total := seriesSum(res.ShortGoodputBytes); total != float64(80*units.KB) {
+		t.Fatalf("short goodput series sums to %.0f bytes, want %d", total, 80*units.KB)
+	}
+	if pts, fct := res.ShortFCTByStart.Sums(), res.AFCT(ShortFlows); len(pts) != 1 || pts[0].Y != float64(fct) {
+		t.Fatalf("FCT by start: %v, want the short flow's %v in the first bucket", pts, fct)
 	}
 }
 
@@ -261,11 +264,12 @@ func TestBufferPressureCausesDropsAndRecovery(t *testing.T) {
 			Src: i % 4, Dst: 4 + i%4, Size: 300 * units.KB, Start: 0,
 		})
 	}
-	res, err := Run(Scenario{
+	sc := Scenario{
 		Name: "pressure", Topology: topo,
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 8,
 		FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: 30 * units.Second,
-	})
+	}
+	res, recs, err := runWatched(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +282,10 @@ func TestBufferPressureCausesDropsAndRecovery(t *testing.T) {
 	if got := res.CompletedCount(AllFlows); got != len(flows) {
 		t.Fatalf("only %d of %d flows completed despite retransmission", got, len(flows))
 	}
-	for _, fs := range res.Flows {
+	if len(recs) != len(flows) {
+		t.Fatalf("%d records folded for %d flows", len(recs), len(flows))
+	}
+	for _, fs := range recs {
 		if fs.BytesAcked != fs.Size {
 			t.Fatalf("flow %v acked %d of %d", fs.ID, fs.BytesAcked, fs.Size)
 		}
@@ -537,11 +544,11 @@ func TestIncastScenario(t *testing.T) {
 // scheduled fault events the run reached, sorted the way they were
 // applied. A run StopWhenDone ends between the down and the restore
 // lists the down only; one that outlasts both lists both, whatever the
-// schedule's order; streamed and record-mode runs list the same.
+// schedule's order.
 func TestResultFaultsAreTheReachedTimeline(t *testing.T) {
 	down := faults.Event{At: 50 * units.Microsecond, Spine: 1, Op: faults.OpDown}
 	restore := faults.Event{At: 400 * units.Microsecond, Spine: 1, Op: faults.OpRestore}
-	run := func(restoreAt units.Time, streamed bool) *Result {
+	run := func(restoreAt units.Time) *Result {
 		t.Helper()
 		r := restore
 		r.At = restoreAt
@@ -551,7 +558,6 @@ func TestResultFaultsAreTheReachedTimeline(t *testing.T) {
 			Balancer: lb.RPS(), SchemeName: "rps", Seed: 2,
 			FlowSourceNew: workload.Arrivals([]workload.Flow{{Src: 0, Dst: 4, Size: 200 * units.KB}}),
 			Faults:        faults.Schedule{r, down},
-			StreamStats:   streamed,
 			StopWhenDone:  true, MaxTime: 10 * units.Second,
 		})
 		if err != nil {
@@ -562,22 +568,19 @@ func TestResultFaultsAreTheReachedTimeline(t *testing.T) {
 		}
 		return res
 	}
-	early := run(5*units.Second, false)
+	early := run(5 * units.Second)
 	if early.EndTime <= down.At || early.EndTime >= 5*units.Second {
 		t.Fatalf("run ended at %v, not between the down and the restore", early.EndTime)
 	}
 	if want := []faults.Event{down}; !reflect.DeepEqual(early.Faults, want) {
 		t.Errorf("run ended before the restore: Faults %v, want %v", early.Faults, want)
 	}
-	both := run(restore.At, false)
+	both := run(restore.At)
 	if both.EndTime <= restore.At {
 		t.Fatalf("run ended at %v, before the restore", both.EndTime)
 	}
 	if want := []faults.Event{down, restore}; !reflect.DeepEqual(both.Faults, want) {
 		t.Errorf("run outlasted both events: Faults %v, want %v", both.Faults, want)
-	}
-	if streamed := run(restore.At, true); !reflect.DeepEqual(streamed.Faults, both.Faults) {
-		t.Errorf("StreamStats run: Faults %v, record mode %v", streamed.Faults, both.Faults)
 	}
 }
 
@@ -601,20 +604,21 @@ func TestRepFlowReplication(t *testing.T) {
 	}
 	flows = append(flows, workload.Flow{Src: 0, Dst: 5, Size: units.MB, Start: 0})
 
-	run := func(rep *ReplicationConfig) *Result {
-		res, err := Run(Scenario{
+	run := func(rep *ReplicationConfig) (*Result, folds) {
+		sc := Scenario{
 			Name: "repflow", Topology: topo,
 			Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 12,
 			FlowSourceNew: workload.Arrivals(flows), Replication: rep,
 			StopWhenDone: true, MaxTime: 30 * units.Second,
-		})
+		}
+		res, recs, err := runWatched(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, recs
 	}
-	plain := run(nil)
-	repl := run(&ReplicationConfig{Threshold: 100 * units.KB, Copies: 2})
+	plain, _ := run(nil)
+	repl, replRecs := run(&ReplicationConfig{Threshold: 100 * units.KB, Copies: 2})
 
 	if got := repl.CompletedCount(AllFlows); got != len(flows) {
 		t.Fatalf("completed %d of %d", got, len(flows))
@@ -626,7 +630,10 @@ func TestRepFlowReplication(t *testing.T) {
 		t.Fatalf("repflow AFCT %v worse than plain %v",
 			repl.AFCT(ShortFlows), plain.AFCT(ShortFlows))
 	}
-	for _, fs := range repl.Flows {
+	if len(replRecs) != len(flows) {
+		t.Fatalf("%d records folded for %d flows", len(replRecs), len(flows))
+	}
+	for _, fs := range replRecs {
 		if fs.Size <= 100*units.KB {
 			if !fs.Done || fs.BytesAcked != fs.Size {
 				t.Fatalf("replicated flow %v incomplete", fs.ID)

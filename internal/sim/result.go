@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"tlb/internal/stats"
-	"tlb/internal/transport"
-	"tlb/internal/units"
-)
+import "tlb/internal/units"
 
 // Class selects a flow subset for aggregation.
 type Class int
@@ -16,32 +12,8 @@ const (
 	LongFlows
 )
 
-func (r *Result) inClass(fs *transport.FlowStats, c Class) bool {
-	switch c {
-	case ShortFlows:
-		return fs.Size <= ShortThreshold
-	case LongFlows:
-		return fs.Size > ShortThreshold
-	default:
-		return true
-	}
-}
-
 // Every accessor below reads Result.Stream, the one representation of a
-// run's flow measurements. The retained records (Result.Flows, absent
-// under Scenario.StreamStats) do only what an aggregate cannot: visit
-// each flow, hand out the raw FCT observations, and answer percentiles
-// exactly.
-
-// Each visits every retained flow record in the given class (none
-// under StreamStats).
-func (r *Result) Each(c Class, fn func(*transport.FlowStats)) {
-	for _, fs := range r.Flows {
-		if r.inClass(fs, c) {
-			fn(fs)
-		}
-	}
-}
+// run's flow measurements.
 
 // Count returns the number of flows in the class.
 func (r *Result) Count(c Class) int { return int(r.Stream.Agg(c).Count) }
@@ -49,39 +21,17 @@ func (r *Result) Count(c Class) int { return int(r.Stream.Agg(c).Count) }
 // CompletedCount returns how many flows in the class finished.
 func (r *Result) CompletedCount(c Class) int { return int(r.Stream.Agg(c).Completed) }
 
-// FCTSample collects the completion times (seconds) of finished flows
-// in the class from the retained records. Under StreamStats no raw
-// observations exist, so the returned sample is empty — use
-// AFCT/FCTPercentile, which answer from the aggregate.
-func (r *Result) FCTSample(c Class) *stats.Sample {
-	s := &stats.Sample{}
-	r.Each(c, func(fs *transport.FlowStats) {
-		if fs.Done {
-			s.Add(fs.FCT().Seconds())
-		}
-	})
-	return s
-}
-
 // AFCT returns the mean completion time of finished flows in the class.
 func (r *Result) AFCT(c Class) units.Time {
 	return units.FromSeconds(r.Stream.Agg(c).FCT.Mean())
 }
 
-// FCTPercentile returns the p-th percentile FCT of finished flows —
-// exact when the run retained its records, within the quantile
-// sketch's relative-error bound (stats.DefaultSketchAlpha) when it did
-// not (StreamStats). This is the one place records and aggregate give
-// different answers.
+// FCTPercentile returns the p-th percentile FCT of finished flows in
+// the class: exact while at most stats.ExactFCTCap of them finished,
+// within the quantile sketch's relative-error bound
+// (stats.DefaultSketchAlpha) past that.
 func (r *Result) FCTPercentile(c Class, p float64) units.Time {
-	if len(r.Flows) > 0 {
-		return units.FromSeconds(r.FCTSample(c).Percentile(p))
-	}
-	sk := r.Stream.Agg(c).Sketch
-	if sk == nil {
-		return 0
-	}
-	return units.FromSeconds(sk.Percentile(p))
+	return units.FromSeconds(r.Stream.Agg(c).FCTs().Percentile(p))
 }
 
 // DeadlineMissRatio returns the fraction of deadline-carrying flows in

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tlb/internal/eventsim"
+	"tlb/internal/transport"
 	"tlb/internal/units"
 )
 
@@ -65,6 +66,11 @@ type Session struct {
 	events         uint64
 	engine         eventsim.Counters
 	flowsAllocated int64
+
+	// onFold, when set, sees each flow record as it folds; the record
+	// lives in a pooled flow, so it copies what it keeps. It is the
+	// package tests' one view of per-flow records.
+	onFold func(*transport.FlowStats)
 }
 
 // NewSession prepares a session for one scenario. The scenario is
@@ -109,6 +115,7 @@ func (ss *Session) run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.onFold = ss.onFold
 	maxT := sc.MaxTime
 	window := ss.window()
 	next := window

@@ -73,8 +73,8 @@ func TestSessionObserverNeutral(t *testing.T) {
 	if len(rec.events) < 2 {
 		t.Fatalf("%d events, want snapshots plus Done", len(rec.events))
 	}
-	if plain.Stream == nil || len(plain.Flows) == 0 {
-		t.Fatal("record-mode Result must carry both Stream and Flows for the comparison to cover them")
+	if plain.Stream == nil || plain.Count(AllFlows) == 0 {
+		t.Fatal("the Result must carry a non-empty Stream for the comparison to cover it")
 	}
 	if !reflect.DeepEqual(plain, observed) {
 		t.Fatalf("observed Result differs from plain Result")
@@ -96,19 +96,11 @@ func TestSessionObserverNeutral(t *testing.T) {
 	}
 }
 
-// TestSessionSnapshotStream checks the progress stream with and
-// without retained records: the run folds either way, so the stream is
-// the same shape.
+// TestSessionSnapshotStream checks the shape of the progress stream:
+// snapshots in order, one per window the run outlasts, then Done.
 func TestSessionSnapshotStream(t *testing.T) {
-	testSnapshotStream(t, false)
-	testSnapshotStream(t, true)
-}
-
-func testSnapshotStream(t *testing.T, streamStats bool) {
-	sc := sessionScenario()
-	sc.StreamStats = streamStats
 	rec := &recorder{}
-	res, err := NewSession(sc, SessionOptions{
+	res, err := NewSession(sessionScenario(), SessionOptions{
 		Observer:      rec,
 		SnapshotEvery: 200 * units.Microsecond,
 		Clock:         fakeClock(),
@@ -148,7 +140,7 @@ func testSnapshotStream(t *testing.T, streamStats bool) {
 	// One snapshot closes each 200µs window the run outlasts; the
 	// window holding its last completion ends it.
 	if snaps, want := len(rec.events)-1, int((res.EndTime-1)/(200*units.Microsecond)); snaps != want {
-		t.Fatalf("streamStats=%v: %d snapshots for a %v run, want %d", streamStats, snaps, res.EndTime, want)
+		t.Fatalf("%d snapshots for a %v run, want %d", snaps, res.EndTime, want)
 	}
 }
 

@@ -58,18 +58,6 @@ type Scenario struct {
 	// deleted when that workload is.
 	Shards int
 
-	// StreamStats means "do not retain records": every run folds each
-	// flow record into the fixed-size per-class aggregate
-	// (Result.Stream) exactly once; this flag only stops the run keeping
-	// a copy of each folded record in Result.Flows — O(1) memory per
-	// flow. What goes with the records: Result.Each and
-	// FCTSample see nothing, and FCT percentiles come from the quantile
-	// sketch and carry its relative-error bound
-	// (stats.DefaultSketchAlpha). Every other metric — the time series
-	// and the queue-length histogram included, which fold as they happen
-	// — is the same number either way, and the flag decides nothing else.
-	StreamStats bool
-
 	// MaxTime hard-stops the run; 0 means the default, 60 s.
 	MaxTime units.Time
 	// StopWhenDone ends the run as soon as every flow completed. It is
@@ -77,7 +65,7 @@ type Scenario struct {
 	StopWhenDone bool
 
 	// CollectTimeSeries enables the bucketed instantaneous series
-	// (Fig. 8/9).
+	// (Fig. 8/9) and the short-flow FCTs by start time.
 	CollectTimeSeries bool
 	// TimeBucket is the series bucket width (default 1 ms).
 	TimeBucket units.Time
@@ -151,12 +139,9 @@ type Result struct {
 	// always set, folded once per flow, and what every accessor in
 	// result.go reads.
 	Stream *StreamAgg
-	// Flows holds the per-flow records, kept in addition to Stream unless
-	// Scenario.StreamStats. They serve Each, FCTSample and exact
-	// FCTPercentile. Records are in open order for every flow, replicated
-	// or not (a flow's index is Flows[i].ID.Port, not i), and a flow is a
-	// record only once it opened: one whose start the run never reached
-	// is neither here nor counted in Stream.
+	// Deprecated: no run sets Flows: a run keeps no per-flow records.
+	// It survives only because bench/ still reads it, and goes with
+	// Scenario.Flows.
 	Flows   []*transport.FlowStats
 	EndTime units.Time
 	Drops   int64
@@ -187,6 +172,10 @@ type Result struct {
 	LongOOORatio      *stats.TimeSeries
 	ShortGoodputBytes *stats.TimeSeries // payload bytes per bucket
 	LongGoodputBytes  *stats.TimeSeries
+	// ShortFCTByStart adds each completed short flow's FCT in
+	// nanoseconds at its start time (Fig. F1): integer sums, exact in a
+	// float64 whatever order the flows completed in.
+	ShortFCTByStart *stats.TimeSeries
 }
 
 // Run executes the scenario and returns its measurements. It is the

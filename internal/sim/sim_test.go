@@ -1,14 +1,38 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"tlb/internal/lb"
 	"tlb/internal/netem"
 	"tlb/internal/topology"
+	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
+
+// folds is what a test sees of a run's per-flow records: a copy of
+// each record the run folded, taken through the fold hook in the order
+// the flows folded.
+type folds []transport.FlowStats
+
+// runWatched runs sc and returns its Result with a copy of every record
+// the run folded, through the session's fold hook.
+func runWatched(sc Scenario) (*Result, folds, error) {
+	var f folds
+	ss := NewSession(sc, SessionOptions{})
+	ss.onFold = func(fs *transport.FlowStats) { f = append(f, *fs) }
+	res, err := ss.Run()
+	return res, f, err
+}
+
+// byIndex returns the records sorted by flow index (FlowID.Port).
+func (f folds) byIndex() folds {
+	out := slices.Clone(f)
+	slices.SortFunc(out, func(a, b transport.FlowStats) int { return a.ID.Port - b.ID.Port })
+	return out
+}
 
 // smallTopo is a 2-leaf, 4-spine fabric with 4 hosts per leaf at
 // 1 Gbps — small enough for fast tests, large enough to exercise
@@ -47,14 +71,14 @@ func TestSingleFlowCompletes(t *testing.T) {
 		StopWhenDone: true,
 		MaxTime:      units.Second,
 	}
-	res, err := Run(sc)
+	res, recs, err := runWatched(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.CompletedCount(AllFlows); got != 1 {
-		t.Fatalf("completed = %d, want 1", got)
+	if got := res.CompletedCount(AllFlows); got != 1 || len(recs) != 1 {
+		t.Fatalf("completed = %d of %d records, want 1", got, len(recs))
 	}
-	fct := res.Flows[0].FCT()
+	fct := recs[0].FCT()
 	if fct <= 0 {
 		t.Fatalf("non-positive FCT %v", fct)
 	}
@@ -138,11 +162,14 @@ func TestConservationNoDropsMeansAllBytesArrive(t *testing.T) {
 		StopWhenDone: true,
 		MaxTime:      5 * units.Second,
 	}
-	res, err := Run(sc)
+	res, recs, err := runWatched(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fs := range res.Flows {
+	if len(recs) != 2 {
+		t.Fatalf("%d records folded, want 2", len(recs))
+	}
+	for _, fs := range recs {
 		if !fs.Done {
 			t.Fatalf("flow %v unfinished", fs.ID)
 		}
@@ -156,7 +183,7 @@ func TestConservationNoDropsMeansAllBytesArrive(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	mk := func() *Result {
+	mk := func() (*Result, folds) {
 		flows := []workload.Flow{}
 		for i := 0; i < 10; i++ {
 			flows = append(flows, workload.Flow{
@@ -164,23 +191,28 @@ func TestDeterminism(t *testing.T) {
 				Start: units.Time(i) * 20 * units.Microsecond,
 			})
 		}
-		res, err := Run(Scenario{
+		sc := Scenario{
 			Name: "det", Topology: smallTopo(),
 			Balancer: lb.RPS(), SchemeName: "rps", Seed: 42,
 			FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: units.Second,
-		})
+		}
+		res, recs, err := runWatched(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, recs
 	}
-	a, b := mk(), mk()
+	a, aRecs := mk()
+	b, bRecs := mk()
 	if a.EndTime != b.EndTime {
 		t.Fatalf("end times differ: %v vs %v", a.EndTime, b.EndTime)
 	}
-	for i := range a.Flows {
-		if a.Flows[i].FCT() != b.Flows[i].FCT() {
-			t.Fatalf("flow %d FCT differs: %v vs %v", i, a.Flows[i].FCT(), b.Flows[i].FCT())
+	if len(aRecs) != 10 || len(bRecs) != 10 {
+		t.Fatalf("%d and %d records folded, want 10", len(aRecs), len(bRecs))
+	}
+	for i := range aRecs {
+		if aRecs[i] != bRecs[i] {
+			t.Fatalf("fold %d differs: %+v vs %+v", i, aRecs[i], bRecs[i])
 		}
 	}
 }

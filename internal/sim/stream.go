@@ -9,10 +9,10 @@ import (
 // StreamAgg is the one representation of a run's flow measurements:
 // a fixed-size stats.FlowAgg per class, O(1) memory in the flow count.
 // Every run folds each flow into it exactly once and every Result
-// accessor reads it. Its FCT percentiles come from the per-class
-// quantile sketch and carry its relative-error bound
-// (stats.DefaultSketchAlpha) — Result.FCTPercentile prefers the
-// retained records when there are any; everything else is exact.
+// accessor reads it. Its FCT percentiles are exact up to
+// stats.ExactFCTCap completed flows per class and carry the quantile
+// sketch's relative-error bound (stats.DefaultSketchAlpha) past it;
+// everything else is exact.
 type StreamAgg struct {
 	Classes [3]stats.FlowAgg // indexed by Class: AllFlows, ShortFlows, LongFlows
 }

@@ -3,7 +3,7 @@ package sim
 import (
 	"math"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,37 +48,44 @@ func streamTestPoisson(topo topology.Config) workload.PoissonConfig {
 
 func streamTestScenario(flows []workload.Flow, maxTime units.Time) Scenario {
 	return Scenario{
-		Name: "stream-parity", Topology: smallTopo(),
+		Name: "stream", Topology: smallTopo(),
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 7,
 		FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: maxTime,
 	}
 }
 
-// assertStreamParity checks the streamed run against the
-// record-keeping run. Both fold the same records in the same order, so
-// their aggregates, which every accessor but FCTPercentile reads, must
-// be equal to the last bit; the streamed percentiles must lie within
-// the sketch bound of the exact value's bracketing order statistics.
-// An aggregate is a fold, so its integer counters are also checked
-// against sums taken directly over the retained records, which go
-// through none.
-func assertStreamParity(t *testing.T, exact, streamed *Result) {
+// assertAggregateMatchesRecords checks a run's aggregate against the
+// records it folded, which go through no aggregate: per class, every
+// integer counter equals a direct sum over the records, and the FCT
+// percentiles and CDF equal the records' exact order statistics while
+// at most stats.ExactFCTCap flows completed, and lie within the
+// sketch's alpha bound of them past it. With time series on, each
+// start-time bucket of ShortFCTByStart equals a direct sum too.
+func assertAggregateMatchesRecords(t *testing.T, res *Result, recs folds, bucket units.Time) {
 	t.Helper()
-	if len(streamed.Flows) != 0 {
-		t.Fatalf("streamed run retained %d records", len(streamed.Flows))
-	}
-	if exact.EndTime != streamed.EndTime {
-		t.Fatalf("end times differ: %v vs %v", exact.EndTime, streamed.EndTime)
-	}
-	if !reflect.DeepEqual(exact.Stream, streamed.Stream) {
-		t.Fatal("the streamed run's aggregate differs from the record-keeping run's")
+	if len(recs) == 0 {
+		t.Fatal("no records folded")
 	}
 	for _, c := range []Class{AllFlows, ShortFlows, LongFlows} {
 		var want stats.FlowAgg
-		exact.Each(c, func(fs *transport.FlowStats) {
+		var fcts stats.Sample
+		var xs []float64
+		for i := range recs {
+			fs := &recs[i]
+			if short := fs.Size <= ShortThreshold; c == ShortFlows && !short || c == LongFlows && short {
+				continue
+			}
 			want.Count++
 			if fs.Done {
 				want.Completed++
+				fcts.Add(fs.FCT().Seconds())
+				xs = append(xs, fs.FCT().Seconds())
+			}
+			if fs.Deadline != 0 {
+				want.DeadlineTotal++
+				if fs.MissedDeadline(res.EndTime) {
+					want.DeadlineMissed++
+				}
 			}
 			want.Retransmits += fs.Retransmits
 			want.Timeouts += fs.Timeouts
@@ -86,41 +93,74 @@ func assertStreamParity(t *testing.T, exact, streamed *Result) {
 			want.OutOfOrder += fs.OutOfOrder
 			want.DupAcksSent += fs.DupAcksSent
 			want.BytesAcked += int64(fs.BytesAcked)
-		})
-		a := exact.Stream.Agg(c)
+			want.SumQueueDelay += int64(fs.SumQueueDelay)
+			want.DelaySamples += fs.DelaySamples
+		}
+		a := res.Stream.Agg(c)
 		got := stats.FlowAgg{
-			Count: int64(exact.Count(c)), Completed: int64(exact.CompletedCount(c)),
-			Retransmits: exact.TotalRetransmits(c), Timeouts: exact.TotalTimeouts(c),
+			Count: int64(res.Count(c)), Completed: int64(res.CompletedCount(c)),
+			DeadlineTotal: a.DeadlineTotal, DeadlineMissed: a.DeadlineMissed,
+			Retransmits: res.TotalRetransmits(c), Timeouts: res.TotalTimeouts(c),
 			PacketsRecv: a.PacketsRecv, OutOfOrder: a.OutOfOrder,
 			DupAcksSent: a.DupAcksSent, BytesAcked: a.BytesAcked,
+			SumQueueDelay: a.SumQueueDelay, DelaySamples: a.DelaySamples,
 		}
-		if got != want {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("class %d: accessors %+v, direct sum over records %+v", c, got, want)
 		}
-
-		// Percentiles: the streamed estimate must stay within the
-		// sketch's documented alpha bound of the exact value's
-		// bracketing order statistics.
-		var xs []float64
-		exact.Each(c, func(fs *transport.FlowStats) {
-			if fs.Done {
-				xs = append(xs, fs.FCT().Seconds())
-			}
-		})
-		if len(xs) == 0 {
+		if fcts.N() == 0 {
 			continue
 		}
-		sort.Float64s(xs)
+		ps := []float64{0, 10, 50, 90, 95, 99, 99.9, 100}
+		if fcts.N() <= stats.ExactFCTCap {
+			for _, p := range ps {
+				if got, want := res.FCTPercentile(c, p), units.FromSeconds(fcts.Percentile(p)); got != want {
+					t.Fatalf("class %d p%v: %v, exact %v", c, p, got, want)
+				}
+			}
+			if got, want := res.Stream.Agg(c).FCTs().CDF(50), fcts.CDF(50); !reflect.DeepEqual(got, want) {
+				t.Fatalf("class %d: CDF %v, exact %v", c, got, want)
+			}
+			continue
+		}
+		// Past the cap: within the sketch's documented alpha bound of the
+		// exact value's bracketing order statistics.
+		slices.Sort(xs)
 		alpha := stats.DefaultSketchAlpha
-		for _, p := range []float64{10, 50, 90, 95, 99, 99.9} {
-			est := streamed.FCTPercentile(c, p).Seconds()
+		for _, p := range ps {
+			est := res.FCTPercentile(c, p).Seconds()
 			rank := p / 100 * float64(len(xs)-1)
 			lo := xs[int(rank)] * (1 - alpha)
 			hi := xs[int(math.Ceil(rank))] * (1 + alpha)
-			if est < lo-1e-12 || est > hi+1e-12 {
-				t.Fatalf("class %d p%v: streamed %v outside [%v, %v]", c, p, est, lo, hi)
+			if est < lo-1e-9 || est > hi+1e-9 {
+				t.Fatalf("class %d p%v: sketched %v outside [%v, %v]", c, p, est, lo, hi)
 			}
 		}
+	}
+	if res.ShortFCTByStart == nil {
+		return
+	}
+	by := res.ShortFCTByStart
+	var total int64
+	for i := range by.Sums() {
+		from, to := units.Time(i)*bucket, units.Time(i+1)*bucket
+		var want struct {
+			n   int64
+			sum units.Time
+		}
+		for _, fs := range recs {
+			if fs.Done && fs.Size <= ShortThreshold && fs.Start >= from && fs.Start < to {
+				want.n++
+				want.sum += fs.FCT()
+			}
+		}
+		if n, sum := by.Window(from.Seconds(), to.Seconds()); n != want.n || sum != float64(want.sum) {
+			t.Fatalf("FCT by start at %v: %d flows, %v ns; direct sum %d, %v", from, n, sum, want.n, want.sum)
+		}
+		total += want.n
+	}
+	if total != int64(res.CompletedCount(ShortFlows)) {
+		t.Fatalf("FCT by start holds %d flows, %d short flows completed", total, res.CompletedCount(ShortFlows))
 	}
 }
 
@@ -156,62 +196,26 @@ func TestFoldAudit(t *testing.T) {
 	}
 }
 
-// assertSameOutputs checks that the streamed run's per-packet outputs —
-// the five time series and the queue-length histogram — equal the
-// record-keeping run's exactly: they fold as they happen, and StreamStats
-// only decides whether records are kept.
-func assertSameOutputs(t *testing.T, exact, streamed *Result) {
-	t.Helper()
-	for _, o := range []struct {
-		name            string
-		exact, streamed any
-	}{
-		{"ShortQueueLen", exact.ShortQueueLen, streamed.ShortQueueLen},
-		{"ShortQueueDelayUs", exact.ShortQueueDelayUs, streamed.ShortQueueDelayUs},
-		{"ShortOOORatio", exact.ShortOOORatio, streamed.ShortOOORatio},
-		{"LongOOORatio", exact.LongOOORatio, streamed.LongOOORatio},
-		{"ShortGoodputBytes", exact.ShortGoodputBytes, streamed.ShortGoodputBytes},
-		{"LongGoodputBytes", exact.LongGoodputBytes, streamed.LongGoodputBytes},
-	} {
-		empty := false
-		switch v := o.exact.(type) {
-		case *stats.Histogram:
-			empty = v == nil || v.N() == 0
-		case *stats.TimeSeries:
-			empty = v == nil || len(v.Sums()) == 0
-		}
-		if empty {
-			t.Fatalf("%s is empty in the record-keeping run", o.name)
-		}
-		if !reflect.DeepEqual(o.exact, o.streamed) {
-			t.Errorf("%s differs between the record-keeping and the streamed run", o.name)
-		}
-	}
-}
-
-// streamParityRuns runs the stream-parity scenario over flows up to
-// maxTime with time series on and the given replication (nil for none),
-// keeping records and streamed.
-func streamParityRuns(t *testing.T, flows []workload.Flow, maxTime units.Time, repl *ReplicationConfig) (exact, streamed *Result) {
+// aggregateRuns runs the stream-test scenario over flows up to maxTime
+// with time series on and the given replication (nil for none), and
+// returns its Result and the records it folded.
+func aggregateRuns(t *testing.T, flows []workload.Flow, maxTime units.Time, repl *ReplicationConfig) (*Result, folds) {
 	t.Helper()
 	sc := streamTestScenario(flows, maxTime)
 	sc.CollectTimeSeries = true
+	sc.TimeBucket = 2 * units.Millisecond
 	sc.Replication = repl
-	exact, err := Run(sc)
+	res, recs, err := runWatched(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.StreamStats = true
-	if streamed, err = Run(sc); err != nil {
-		t.Fatal(err)
-	}
-	return exact, streamed
+	return res, recs
 }
 
-// parityRows are the stream/record parity tests' flow kinds: plain
-// flows, and short flows raced as two replicated copies, whose one
-// record is the canonical one whichever copies are still racing.
-var parityRows = []struct {
+// aggregateRows are the aggregate tests' flow kinds: plain flows, and
+// short flows raced as two replicated copies, whose one record is the
+// canonical one whichever copies are still racing.
+var aggregateRows = []struct {
 	name string
 	repl *ReplicationConfig
 }{
@@ -219,74 +223,107 @@ var parityRows = []struct {
 	{"replicated", &ReplicationConfig{Threshold: 100 * units.KB, Copies: 2}},
 }
 
-func TestStreamStatsMatchesRecords(t *testing.T) {
+func TestAggregateMatchesRecords(t *testing.T) {
 	flows := streamTestFlows(t, 400)
-	for _, row := range parityRows {
+	for _, row := range aggregateRows {
 		t.Run(row.name, func(t *testing.T) {
-			exact, streamed := streamParityRuns(t, flows, 30*units.Second, row.repl)
-			if got := exact.CompletedCount(AllFlows); got != 400 {
+			res, recs := aggregateRuns(t, flows, 30*units.Second, row.repl)
+			if got := res.CompletedCount(AllFlows); got != 400 {
 				t.Fatalf("only %d/400 completed; test wants a fully finished run", got)
 			}
-			assertStreamParity(t, exact, streamed)
-			assertSameOutputs(t, exact, streamed)
+			assertAggregateMatchesRecords(t, res, recs, 2*units.Millisecond)
 		})
 	}
-}
-
-// TestStreamStatsCrossCheck is the at-scale accuracy gate: the same
-// 20k-flow workload run with records and streamed, every counter
-// metric exactly equal and every percentile within the sketch's
-// documented bound of the exact order statistics. The bound is relative,
-// so a larger run proves nothing more; the sketch's bucket collapse is
-// pinned in internal/stats, not here.
-func TestStreamStatsCrossCheck(t *testing.T) {
-	if testing.Short() {
-		t.Skip("20k-flow cross-check skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("single-goroutine scale test; skipped under -race")
-	}
-	const n = 20_000
-	flows := streamTestFlows(t, n)
-	exact, err := Run(streamTestScenario(flows, 120*units.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := streamTestScenario(flows, 120*units.Second)
-	sc.StreamStats = true
-	streamed, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := exact.CompletedCount(AllFlows); got != n {
-		t.Fatalf("only %d/%d completed; test wants a fully finished run", got, n)
-	}
-	assertStreamParity(t, exact, streamed)
 }
 
 // A truncated run leaves flows unfinished — and, replicated, losing
-// copies still racing; both modes fold the open flows at EndTime in open
-// order, so the streamed run must count them exactly as the
-// record-based accessors do (deadline misses at EndTime, goodput over
-// active time).
-func TestStreamStatsMatchesRecordsWithUnfinished(t *testing.T) {
+// copies still racing; the run folds the open flows at EndTime in open
+// order, so the aggregate counts them exactly as a direct sum over their
+// records does (deadline misses at EndTime).
+func TestAggregateMatchesRecordsWithUnfinished(t *testing.T) {
 	flows := streamTestFlows(t, 400)
-	for _, row := range parityRows {
+	for _, row := range aggregateRows {
 		t.Run(row.name, func(t *testing.T) {
-			exact, streamed := streamParityRuns(t, flows, flows[len(flows)-1].Start/2, row.repl)
-			if exact.CompletedCount(AllFlows) >= exact.Count(AllFlows) {
+			res, recs := aggregateRuns(t, flows, flows[len(flows)-1].Start/2, row.repl)
+			if res.CompletedCount(AllFlows) >= res.Count(AllFlows) {
 				t.Fatal("test wants unfinished flows")
 			}
-			assertStreamParity(t, exact, streamed)
-			assertSameOutputs(t, exact, streamed)
+			assertAggregateMatchesRecords(t, res, recs, 2*units.Millisecond)
 		})
+	}
+}
+
+// TestPercentilesPastExactCap runs just past stats.ExactFCTCap: the
+// all-flows class answers from the sketch, within its documented bound
+// of the exact order statistics, and each size class, below the cap,
+// exactly. The bound is relative, so a larger run proves nothing more;
+// the sketch's bucket collapse is pinned in internal/stats.
+func TestPercentilesPastExactCap(t *testing.T) {
+	n := stats.ExactFCTCap + 200
+	res, recs := aggregateRuns(t, streamTestFlows(t, n), 120*units.Second, nil)
+	if got := res.CompletedCount(AllFlows); got != n {
+		t.Fatalf("only %d/%d completed; test wants a fully finished run", got, n)
+	}
+	if res.CompletedCount(ShortFlows) > stats.ExactFCTCap || res.CompletedCount(LongFlows) > stats.ExactFCTCap {
+		t.Fatalf("%d short and %d long flows: test wants both classes exact", res.CompletedCount(ShortFlows), res.CompletedCount(LongFlows))
+	}
+	assertAggregateMatchesRecords(t, res, recs, 2*units.Millisecond)
+}
+
+// TestFlowDrawIndependentOfBalancer: the flows a run opens are the
+// workload's, whatever the balancer. One Poisson source under every
+// paper scheme opens the same (index, endpoints, size, start) list, so
+// comparing schemes at one seed compares them on one draw.
+func TestFlowDrawIndependentOfBalancer(t *testing.T) {
+	cfg := streamTestPoisson(smallTopo())
+	type drawn struct {
+		index, src, dst int
+		size            units.Bytes
+		start           units.Time
+	}
+	var want []drawn
+	for _, scheme := range []struct {
+		name string
+		f    lb.Factory
+	}{
+		{"ecmp", lb.ECMP()},
+		{"rps", lb.RPS()},
+		{"letflow", lb.LetFlow(lb.LetFlowGap)},
+		{"presto", lb.Presto()},
+		{"tlb", smallTLB()},
+	} {
+		sc := streamTestScenario(nil, 30*units.Second)
+		sc.Balancer, sc.SchemeName = scheme.f, scheme.name
+		sc.FlowSourceNew = func() workload.Source {
+			src, err := cfg.Source(eventsim.NewRNG(11), 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return src
+		}
+		_, recs, err := runWatched(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []drawn
+		for _, fs := range recs.byIndex() {
+			got = append(got, drawn{fs.ID.Port, fs.ID.Src, fs.ID.Dst, fs.Size, fs.Start})
+		}
+		if len(got) != 200 {
+			t.Fatalf("%s: %d flows opened, want 200", scheme.name, len(got))
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s opened other flows than ecmp", scheme.name)
+		}
 	}
 }
 
 // A lazy source and the same flows collected and replayed through
 // workload.Arrivals carry the same indices through one pump, so they
-// must produce the same Result to the last field — streamed, with
-// records kept, and with replication.
+// must produce the same Result to the last field, with replication and
+// without.
 func TestFlowSourceMatchesSlice(t *testing.T) {
 	cfg := streamTestPoisson(smallTopo())
 	src, err := cfg.Source(eventsim.NewRNG(5), 300)
@@ -298,8 +335,7 @@ func TestFlowSourceMatchesSlice(t *testing.T) {
 		name string
 		set  func(*Scenario)
 	}{
-		{"streamed", func(sc *Scenario) { sc.StreamStats = true }},
-		{"records", func(*Scenario) {}},
+		{"plain", func(*Scenario) {}},
 		{"replicated", func(sc *Scenario) {
 			sc.Replication = &ReplicationConfig{Threshold: 100 * units.KB, Copies: 2}
 		}},
@@ -344,13 +380,13 @@ func TestUnstartedFlowsNotCounted(t *testing.T) {
 		sc := streamTestScenario(flows, units.Second)
 		sc.StopWhenDone = false
 		sc.Replication = repl
-		res, err := Run(sc)
+		res, recs, err := runWatched(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Flows) != 2 || res.Count(AllFlows) != 2 || res.CompletedCount(AllFlows) != 2 {
+		if len(recs) != 2 || res.Count(AllFlows) != 2 || res.CompletedCount(AllFlows) != 2 {
 			t.Fatalf("replication %v: %d records, %d counted, %d completed; want 2 each",
-				repl != nil, len(res.Flows), res.Count(AllFlows), res.CompletedCount(AllFlows))
+				repl != nil, len(recs), res.Count(AllFlows), res.CompletedCount(AllFlows))
 		}
 	}
 }

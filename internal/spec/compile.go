@@ -188,7 +188,6 @@ func (s *Spec) Compile() (sim.Scenario, error) {
 
 	sc.CollectTimeSeries = s.Outputs.CollectTimeSeries
 	sc.TimeBucket = c.dur("outputs.timeBucket", s.Outputs.TimeBucket)
-	sc.StreamStats = s.Outputs.StreamStats
 
 	if err := c.err(); err != nil {
 		return sim.Scenario{}, fmt.Errorf("spec %q invalid:\n%w", s.Name, err)

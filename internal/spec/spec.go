@@ -267,11 +267,10 @@ type Outputs struct {
 	CollectTimeSeries bool `json:"collectTimeSeries,omitempty"`
 	// TimeBucket is the series bucket width (default 1ms).
 	TimeBucket Duration `json:"timeBucket,omitempty"`
-	// StreamStats keeps only the fixed-size per-class aggregates every
-	// run folds its flow records into and does not retain the records —
-	// O(1) memory per flow, for large-scale runs; FCT percentiles are
-	// then sketch estimates. It decides nothing else (the workload's
-	// form follows from its kind; the series and the queue-length
-	// histogram fold as they happen either way).
+	// StreamStats is accepted and ignored: every run folds its flows
+	// into fixed-size per-class aggregates and keeps no records.
+	//
+	// Deprecated: record mode was removed. The field stays until the
+	// benchmark's workloads, which set it, drop it.
 	StreamStats bool `json:"streamStats,omitempty"`
 }

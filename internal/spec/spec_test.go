@@ -714,10 +714,9 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// Every workload kind compiles to the same replayable source factory
-// with and without outputs.streamStats, and the flag is carried into
-// the scenario.
-func TestCompileStreamStatsProducesSource(t *testing.T) {
+// Every workload kind compiles to a replayable source factory that
+// applies the spec's deadline override.
+func TestCompileProducesReplayableSource(t *testing.T) {
 	poisson := testSpec()
 	poisson.Workload = Workload{
 		Kind:             "poisson",
@@ -745,19 +744,11 @@ func TestCompileStreamStatsProducesSource(t *testing.T) {
 		flows int
 	}{{poisson, 50}, {interpod, 40}, {testSpec(), 12}} {
 		s, kind := tc.s, tc.s.Workload.Kind
-		records, err := s.Compile()
+		sc, err := s.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Outputs.StreamStats = true
-		streamed, err := s.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if records.StreamStats || !streamed.StreamStats {
-			t.Fatalf("%s: StreamStats flag not carried into the scenario", kind)
-		}
-		want := workload.Collect(records.FlowSourceNew())
+		want := workload.Collect(sc.FlowSourceNew())
 		if len(want) != tc.flows {
 			t.Fatalf("%s: source yields %d flows, want %d", kind, len(want), tc.flows)
 		}
@@ -766,18 +757,14 @@ func TestCompileStreamStatsProducesSource(t *testing.T) {
 				t.Fatalf("%s: deadline override not applied to the source: %+v", kind, f)
 			}
 		}
-		if got := workload.Collect(streamed.FlowSourceNew()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: the source depends on outputs.streamStats", kind)
-		}
-		// The factory must be replayable.
-		if got := workload.Collect(streamed.FlowSourceNew()); !reflect.DeepEqual(got, want) {
+		if got := workload.Collect(sc.FlowSourceNew()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: factory is not replayable", kind)
 		}
 	}
 }
 
 // Replication no longer needs a slice: a replicated poisson spec
-// compiles to a source like any other and runs, each flow one record.
+// compiles to a source like any other and runs, each flow counted once.
 func TestReplicatedPoissonCompilesToSourceAndRuns(t *testing.T) {
 	s := testSpec()
 	s.Workload = Workload{
@@ -798,27 +785,8 @@ func TestReplicatedPoissonCompilesToSourceAndRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.CompletedCount(sim.AllFlows); got != 30 || len(res.Flows) != 30 {
-		t.Fatalf("%d of 30 flows completed, %d records", got, len(res.Flows))
-	}
-}
-
-func TestStreamStatsRoundTrip(t *testing.T) {
-	s := testSpec()
-	s.Outputs.StreamStats = true
-	data, err := s.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"streamStats": true`) {
-		t.Fatalf("marshal lost streamStats:\n%s", data)
-	}
-	back, err := LoadBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s, back) {
-		t.Fatalf("round trip changed the spec:\n%s", data)
+	if got := res.CompletedCount(sim.AllFlows); got != 30 || res.Count(sim.AllFlows) != 30 {
+		t.Fatalf("%d of %d flows completed, want 30 of 30", got, res.Count(sim.AllFlows))
 	}
 }
 
@@ -826,8 +794,9 @@ func TestStreamStatsRoundTrip(t *testing.T) {
 // completion or is rejected by Validate with nothing but located
 // errors — never a panic, never an error from inside the run. Faults on
 // a fat-tree (its links are not (leaf, spine) pairs) is the one
-// rejection; a cell that changes side changes this table. A streamed
-// cell's aggregate must equal its record-keeping twin's.
+// rejection; a cell that changes side changes this table. The
+// deprecated outputs.streamStats loads and changes nothing: its cell's
+// Result equals its twin's without it.
 func TestCapabilityMatrix(t *testing.T) {
 	topologies := []struct {
 		name  string
@@ -855,11 +824,6 @@ func TestCapabilityMatrix(t *testing.T) {
 		// Every run samples short-flow packets into the queue-length
 		// histogram, so "samples" needs no field.
 		{"series+samples", func(s *Spec) { s.Outputs.CollectTimeSeries = true }},
-		{"streamStats+series", func(s *Spec) { s.Outputs.StreamStats, s.Outputs.CollectTimeSeries = true, true }},
-		{"streamStats+replication", func(s *Spec) {
-			s.Replication = &Replication{Threshold: "100KB", Copies: 2}
-			s.Outputs.StreamStats = true
-		}},
 		{"replication+series+samples", func(s *Spec) {
 			s.Replication = &Replication{Threshold: "100KB", Copies: 2}
 			s.Outputs = Outputs{CollectTimeSeries: true}
@@ -900,14 +864,25 @@ func TestCapabilityMatrix(t *testing.T) {
 				if got := res.CompletedCount(sim.AllFlows); got != flows || flows == 0 || flows > 200 {
 					t.Errorf("%d of %d flows completed", got, flows)
 				}
-				if sc.StreamStats {
-					sc.StreamStats = false
-					recorded, err := sim.Run(sc)
+				if s.Outputs.StreamStats {
+					data, err := s.Marshal()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(res.Stream, recorded.Stream) {
-						t.Error("the streamed run's aggregate differs from the record-keeping run's")
+					if back, err := LoadBytes(data); err != nil || !back.Outputs.StreamStats {
+						t.Fatalf("outputs.streamStats does not load back: %v\n%s", err, data)
+					}
+					s.Outputs.StreamStats = false
+					sc, err := s.Compile()
+					if err != nil {
+						t.Fatal(err)
+					}
+					without, err := sim.Run(sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(res, without) {
+						t.Error("outputs.streamStats changed the Result")
 					}
 				}
 			})

@@ -1,10 +1,17 @@
 package stats
 
+import "slices"
+
+// ExactFCTCap is how many completed flows a class keeps the FCTs of, so
+// that FCTs answers exactly up to it; past it the sketch answers. It is
+// set by input size: the figures' default 800 flows per run stay exact,
+// and a run of thousands of flows keeps O(1) memory per flow.
+const ExactFCTCap = 1024
+
 // FlowAgg is a fixed-size accumulator for one class of flows. Every
 // figure-level metric the sim.Result accessors report is read from
-// these fields — mean FCT via Online, FCT percentiles via the
-// sketch (within its alpha bound), and the rest from plain counters.
-// Memory is O(1) per flow observed.
+// these fields — mean FCT via Online, FCT percentiles and CDF via FCTs,
+// and the rest from plain counters. Memory is O(1) per flow observed.
 //
 // Time-valued sums (FCT seconds aside) stay in the caller's native
 // integer tick domain so the counters equal a direct sum over the
@@ -19,6 +26,9 @@ type FlowAgg struct {
 	// Sketch estimates FCT percentiles, completed flows only. Lazily
 	// created on first AddFCT so a zero FlowAgg is usable.
 	Sketch *QuantileSketch
+	// exact holds the completed FCTs while there are at most
+	// ExactFCTCap of them, and nothing after.
+	exact Sample
 
 	// DeadlineTotal counts flows that carried a deadline;
 	// DeadlineMissed those that finished late or were unfinished past
@@ -56,6 +66,28 @@ func (a *FlowAgg) AddFCT(seconds float64) {
 	}
 	a.FCT.Add(seconds)
 	a.Sketch.Add(seconds)
+	switch n := a.FCT.N(); {
+	case n <= ExactFCTCap:
+		a.exact.Add(seconds)
+	case n == ExactFCTCap+1:
+		a.exact = Sample{}
+	}
+}
+
+// FCTs returns what the class's FCT percentiles and CDF (seconds) are
+// read from: a Sample of the completed FCTs while at most ExactFCTCap
+// flows completed, the sketch past it. It leaves a unchanged (a Sample
+// sorts as it is read), so readers of a finished run need no lock.
+func (a *FlowAgg) FCTs() interface {
+	Percentile(p float64) float64
+	CDF(points int) []Point
+} {
+	if a.FCT.N() <= ExactFCTCap {
+		s := a.exact
+		s.xs = slices.Clone(s.xs)
+		return &s
+	}
+	return a.Sketch
 }
 
 // MissRatio returns DeadlineMissed/DeadlineTotal (0 when no flow

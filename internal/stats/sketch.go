@@ -168,6 +168,20 @@ func (s *QuantileSketch) Percentile(p float64) float64 {
 	return s.Quantile(p / 100)
 }
 
+// CDF returns (value, cumulative fraction) pairs at the given number of
+// evenly spaced quantiles, by Sample.CDF's rank convention.
+func (s *QuantileSketch) CDF(points int) []Point {
+	if s.n == 0 || points < 2 {
+		return nil
+	}
+	out := make([]Point, 0, points)
+	for i := 0; i < points; i++ {
+		q := float64(i) / float64(points-1)
+		out = append(out, Point{X: s.Quantile(q), Y: q})
+	}
+	return out
+}
+
 // clamp keeps estimates inside the observed range: bucket midpoints
 // can stick out past min/max by up to alpha, and the observed extremes
 // are always the better answer there.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -136,5 +137,39 @@ func TestFlowAggRatios(t *testing.T) {
 	}
 	if (&FlowAgg{}).MissRatio() != 0 || (&FlowAgg{}).MeanGoodput() != 0 {
 		t.Fatal("zero agg ratios must be 0")
+	}
+}
+
+// TestFlowAggExactUpToCap pins where FlowAgg's FCT percentiles and CDF
+// switch: with ExactFCTCap completions they are a Sample's over the
+// same FCTs, with one more the sketch's, and the buffer is gone.
+func TestFlowAggExactUpToCap(t *testing.T) {
+	rng := eventsim.NewRNG(3)
+	var a FlowAgg
+	var exact Sample
+	for i := 0; i < ExactFCTCap; i++ {
+		x := 1e-4 * math.Exp(6*rng.Float64())
+		a.AddFCT(x)
+		exact.Add(x)
+	}
+	for _, p := range []float64{0, 1, 50, 99, 99.9, 100} {
+		if got, want := a.FCTs().Percentile(p), exact.Percentile(p); got != want {
+			t.Fatalf("n = cap: p%v = %v, Sample says %v", p, got, want)
+		}
+	}
+	if got, want := a.FCTs().CDF(50), exact.CDF(50); !reflect.DeepEqual(got, want) {
+		t.Fatalf("n = cap: CDF %v, Sample says %v", got, want)
+	}
+	a.AddFCT(0.05)
+	for _, p := range []float64{0, 1, 50, 99, 99.9, 100} {
+		if got, want := a.FCTs().Percentile(p), a.Sketch.Percentile(p); got != want {
+			t.Fatalf("n = cap+1: p%v = %v, the sketch says %v", p, got, want)
+		}
+	}
+	if got, want := a.FCTs().CDF(50), a.Sketch.CDF(50); !reflect.DeepEqual(got, want) || len(got) != 50 {
+		t.Fatalf("n = cap+1: CDF %v, the sketch says %v", got, want)
+	}
+	if a.exact.N() != 0 {
+		t.Fatalf("n = cap+1: the exact buffer still holds %d FCTs", a.exact.N())
 	}
 }

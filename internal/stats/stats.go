@@ -1,9 +1,9 @@
 // Package stats provides the small statistics toolkit the experiments
 // reduce their measurements with: a streaming mean, percentile
 // and CDF estimation over collected samples, an exact integer
-// histogram, a relative-error quantile sketch and per-class flow
-// accumulator for runs that keep no records, and time-bucketed series
-// for "instantaneous" plots.
+// histogram, a relative-error quantile sketch, the per-class flow
+// accumulator every run folds into, and time-bucketed series for
+// "instantaneous" plots.
 package stats
 
 import (
@@ -245,6 +245,19 @@ func (t *TimeSeries) Add(at, value float64) {
 // the bucket cap.
 func (t *TimeSeries) Overflow() (n int64, sum float64) {
 	return t.overflowN, t.overflowSum
+}
+
+// Window returns the count and sum of the observations in the buckets
+// that start in [from, to): with both on bucket boundaries, exactly the
+// observations at times in [from, to).
+func (t *TimeSeries) Window(from, to float64) (n int64, sum float64) {
+	for i, b := range t.buckets {
+		if at := float64(i) * t.width; at >= from && at < to {
+			n += b.n
+			sum += b.sum
+		}
+	}
+	return n, sum
 }
 
 // Means returns one point per non-empty bucket: (bucket midpoint,

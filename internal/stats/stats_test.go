@@ -210,6 +210,16 @@ func TestTimeSeries(t *testing.T) {
 	if rates[0].Y != 30 {
 		t.Fatalf("rate %v with width 1", rates[0].Y)
 	}
+
+	for _, w := range []struct {
+		from, to float64
+		n        int64
+		sum      float64
+	}{{0, 1, 2, 30}, {0, 3, 3, 36}, {1, 3, 1, 6}, {0.5, 2, 0, 0}, {3, 9, 0, 0}} {
+		if n, sum := ts.Window(w.from, w.to); n != w.n || sum != w.sum {
+			t.Errorf("window [%v, %v): %d observations summing to %v, want %d and %v", w.from, w.to, n, sum, w.n, w.sum)
+		}
+	}
 }
 
 func TestTimeSeriesWidthScaling(t *testing.T) {

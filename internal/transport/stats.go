@@ -59,15 +59,6 @@ func (s *FlowStats) MissedDeadline(now units.Time) bool {
 	return now > s.Deadline
 }
 
-// DupAckRatio returns the receiver's duplicate-ACK count over packets
-// received — the reordering signal of the paper's Fig. 3b.
-func (s *FlowStats) DupAckRatio() float64 {
-	if s.PacketsRecv == 0 {
-		return 0
-	}
-	return float64(s.DupAcksSent) / float64(s.PacketsRecv)
-}
-
 // Sink is where endpoints report what a run measures per packet rather
 // than per flow: one per flow class, shared by every flow of the class
 // and pointed at by each endpoint the runner opens. It keeps nothing per
