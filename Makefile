@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt-check vet lint race bench bench-all bench-gate-self bench-pair bench-setup-pair alloc-gates identity figures-diff loc knobs specs examples smoke largescale-smoke ci
+.PHONY: build test fmt-check vet lint race bench bench-all bench-gate-self bench-pair bench-setup-pair alloc-gates identity figures-diff docs loc knobs specs examples smoke largescale-smoke ci
 
 build:
 	$(GO) build ./...
@@ -177,17 +177,20 @@ alloc-gates:
 # workload numbering every mix golden's FlowIDs rest on (Arrivals
 # numbers a slice by position and replays it in stable (Start, Index)
 # order; a compiled mix's indices are its generation positions), the
-# golden figure CSVs, worker-count identity, observer neutrality, the
-# aggregate against the records it folded (finished and truncated runs,
-# plain and replicated, FCTs by start time included), the flow draw's
-# independence of the balancer and the benchmark harness's digest tests
-# — the set a change to shared run machinery has to keep green (also
-# part of `make test`; this is the fast inner loop).
+# golden figure CSVs and EXPERIMENTS.md's tables rendered from them,
+# worker-count identity, observer neutrality, the aggregate against the
+# records it folded (finished and truncated runs, plain and replicated,
+# FCTs by start time included), the flow draw's independence of the
+# balancer (in one run, and across the schemes at every golden sweep
+# point) and the benchmark harness's digest tests — the set a change to
+# shared run machinery has to keep green (also part of `make test`;
+# this is the fast inner loop).
 identity:
 	$(GO) test -count 1 -run 'TestConstructionOrderPinned' ./internal/topology
 	$(GO) test -count 1 -run 'TestArrivalsNumbersAndReplays' ./internal/workload
 	$(GO) test -count 1 -run 'TestCompiledMixIndexIsGenerationPosition' ./internal/spec
-	$(GO) test -count 1 -run 'TestGoldenFigures|TestEveryParamIsSetByARun|TestEverySpecFieldIsSetByARun|TestParallelSerialIdentical' ./internal/experiments
+	$(GO) test -count 1 -run 'TestGoldenFigures|TestEveryParamIsSetByARun|TestEverySpecFieldIsSetByARun|TestSchemesAtASweepPointShareTheirFlows|TestParallelSerialIdentical' ./internal/experiments
+	$(GO) test -count 1 -run 'TestExperimentsGoldenBlocks' .
 	$(GO) test -count 1 -run 'TestArrivalOrderPinned|TestSessionObserverNeutral|TestAggregateMatchesRecords|TestFlowDrawIndependentOfBalancer' ./internal/sim
 	$(GO) test -count 1 ./bench
 
@@ -196,9 +199,9 @@ identity:
 # cmd/experiments at REF (exported under .bench_build/) and at the
 # working tree, runs every registry entry but fig15 (its bars are host
 # timings) on both with `-flows $(FLOWS) -points $(POINTS) -q -format
-# csv -dump-specs`, and fails on any difference in the CSV or in the
-# dumped specs. FLOWS=30 POINTS=0 is the full grid (each figure's own
-# sweep points).
+# csv -dump-specs`, prints both the CSV and the dumped-spec differences,
+# and then fails if either differed. FLOWS=30 POINTS=0 is the full grid
+# (each figure's own sweep points).
 FLOWS ?= 40
 POINTS ?= 2
 
@@ -208,8 +211,18 @@ figures-diff:
 	for s in ref head; do \
 	  $$d/$$s -fig $$figs -flows $(FLOWS) -points $(POINTS) -q -format csv -dump-specs $$d/$$s-specs > $$d/$$s.csv; \
 	done; \
-	diff $$d/ref.csv $$d/head.csv; diff -r $$d/ref-specs $$d/head-specs; \
+	st=0; diff $$d/ref.csv $$d/head.csv || st=1; diff -r $$d/ref-specs $$d/head-specs || st=1; \
+	if [ $$st != 0 ]; then echo "figures-diff: output differs from $(REF)"; exit 1; fi; \
 	echo "figures-diff: $$(wc -l < $$d/head.csv) CSV lines and $$(ls $$d/head-specs | wc -l) specs identical to $(REF)"
+
+# docs refreshes the record of what the repo reproduces, in order: the
+# golden figure CSVs, then EXPERIMENTS.md's tables rendered from them
+# (each table sits between `<!-- golden:... -->` and `<!-- /golden -->`
+# markers). Review both diffs; a claim test a refresh flips changes with
+# its verdict.
+docs:
+	TLB_UPDATE_GOLDEN=1 $(GO) test -count=1 -run TestGoldenFigures ./internal/experiments
+	TLB_UPDATE_GOLDEN=1 $(GO) test -count=1 -run TestExperimentsGoldenBlocks .
 
 # loc prints the ROADMAP's simplicity measure — lines of non-test Go
 # outside bench/ — so every simplicity PR quotes the same count.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 
 	"tlb/internal/lb"
 	"tlb/internal/spec"
+	"tlb/internal/workload"
 )
 
 // goldenFigures is the small-scale acceptance matrix pinned as CSV
@@ -122,7 +124,7 @@ func renderGolden(name string) ([]Figure, error) {
 	o := g.opts
 	o.Workers = 1
 	var marshalErr error
-	o.specObserver = func(_ string, sp *spec.Spec) {
+	o.specObserver = func(prefix string, sp *spec.Spec) {
 		data, err := sp.Marshal()
 		if err != nil {
 			marshalErr = err
@@ -131,6 +133,8 @@ func renderGolden(name string) ([]Figure, error) {
 		goldenRuns.Lock()
 		defer goldenRuns.Unlock()
 		goldenRuns.schemes[sp.Scheme.Name] = true
+		batch := name + "/" + prefix
+		goldenRuns.batches[batch] = append(goldenRuns.batches[batch], data)
 		for k := range sp.Scheme.Params {
 			goldenRuns.params[sp.Scheme.Name+"."+k] = true
 		}
@@ -177,13 +181,15 @@ func TestGoldenFigures(t *testing.T) {
 
 // goldenRuns is what the specs of the golden figures set, collected by
 // TestGoldenFigures as it runs: every scheme name, every scheme
-// parameter ("scheme.param") and every spec field ("Struct.jsonField",
-// see collectSpecFields).
+// parameter ("scheme.param"), every spec field ("Struct.jsonField",
+// see collectSpecFields) and each batch's marshalled specs, keyed
+// "<golden entry>/<batch prefix>".
 var goldenRuns = struct {
 	sync.Mutex
 	schemes, params, fields map[string]bool
+	batches                 map[string][][]byte
 	complete                bool
-}{schemes: map[string]bool{}, params: map[string]bool{}, fields: map[string]bool{}}
+}{schemes: map[string]bool{}, params: map[string]bool{}, fields: map[string]bool{}, batches: map[string][][]byte{}}
 
 // eachCheckedInJSON calls fn with every JSON document checked in under
 // the module root (hidden directories skipped): presets, example specs,
@@ -332,6 +338,77 @@ func TestEverySpecFieldIsSetByARun(t *testing.T) {
 	if len(missing) > 0 {
 		t.Errorf("spec fields no run sets: %s", strings.Join(missing, " "))
 	}
+}
+
+// TestSchemesAtASweepPointShareTheirFlows: within each golden batch,
+// the specs that differ only in name, scheme and replication form one
+// sweep point, and every such point runs every scheme of its batch on
+// the same flows. The first and last spec of a point compile to sources
+// that yield the same flows, so a paired comparison across schemes at
+// one seed compares balancers, not workloads.
+func TestSchemesAtASweepPointShareTheirFlows(t *testing.T) {
+	if !goldenRuns.complete {
+		t.Skip("reads what TestGoldenFigures' runs collected: run them together (as `go test` and `make identity` do)")
+	}
+	type point struct {
+		specs   [][]byte
+		schemes map[string]bool
+	}
+	var batches []string
+	for batch := range goldenRuns.batches {
+		batches = append(batches, batch)
+	}
+	slices.Sort(batches)
+	for _, batch := range batches {
+		schemes := map[string]bool{}
+		var points []*point
+		byKey := map[string]*point{}
+		for _, data := range goldenRuns.batches[batch] {
+			var doc map[string]any
+			if err := json.Unmarshal(data, &doc); err != nil {
+				t.Fatal(err)
+			}
+			name := doc["scheme"].(map[string]any)["name"].(string)
+			delete(doc, "name")
+			delete(doc, "scheme")
+			delete(doc, "replication")
+			key, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := byKey[string(key)]
+			if p == nil {
+				p = &point{schemes: map[string]bool{}}
+				byKey[string(key)] = p
+				points = append(points, p)
+			}
+			p.specs = append(p.specs, data)
+			p.schemes[name] = true
+			schemes[name] = true
+		}
+		for i, p := range points {
+			if !maps.Equal(p.schemes, schemes) {
+				t.Errorf("%s point %d runs %v of the batch's schemes %v", batch, i, p.schemes, schemes)
+			}
+			if first, last := compiledFlows(t, p.specs[0]), compiledFlows(t, p.specs[len(p.specs)-1]); !slices.Equal(first, last) {
+				t.Errorf("%s point %d: its first and last spec draw different flows", batch, i)
+			}
+		}
+	}
+}
+
+// compiledFlows compiles a marshalled spec and drains its workload.
+func compiledFlows(t *testing.T, data []byte) []workload.Flow {
+	t.Helper()
+	sp, err := spec.LoadBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := sp.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return workload.Collect(sc.FlowSourceNew())
 }
 
 // collectSpecFields adds "Struct.jsonField" for every field present in
