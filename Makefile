@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt-check vet lint race bench bench-all bench-gate-self bench-pair bench-setup-pair alloc-gates identity figures-diff docs loc knobs specs examples smoke largescale-smoke ci
+.PHONY: build test fmt-check vet lint race bench-all bench-pair bench-setup-pair alloc-gates identity figures-diff docs loc knobs specs examples smoke largescale-smoke ci
 
 build:
 	$(GO) build ./...
@@ -35,106 +35,96 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# BENCH is the baseline file `make bench` writes and `make
-# bench-gate-self` reads: the newest BENCH_<pr>.json unless named. A PR
-# that moves tracked performance starts its own with `make bench
-# BENCH=BENCH_<pr>.json`; earlier baselines are append-only history —
-# the perf trajectory the ROADMAP tracks — and are never rewritten.
-BENCH ?= $(shell ls BENCH_*.json | sort -t_ -k2 -n | tail -1)
-
-# bench writes $(BENCH)'s "after" section: the engine and port
-# micro-benchmarks (BenchmarkEventQueue* — the dense-slot one included —
-# BenchmarkPortTransit and its 6 144-port Cold form) and the transport's
-# BenchmarkSendAckCycle at a statistically
-# useful -benchtime plus the figure-scale, large-scale-streaming and
-# simlint benchmarks at one iteration each. The file's "before" section
-# is the parent commit under the same benchmark file (run these commands
-# in a checkout of the parent with this bench_test.go, piping into
-# `benchjson -out $(BENCH) -section before`). One capture on the shared
-# reference box spreads ±15 %, so a committed pair holds, per benchmark
-# and side, the median line of interleaved parent/change rounds (8 for
-# the micro-benchmarks) and the three bench/ workloads' `make
-# bench-pair` medians as BenchmarkWorkload/<name> lines; a plain `make
-# bench` overwrites "after" with a single capture. The raw lines inside
-# the JSON stay benchstat-compatible.
-bench:
-	( $(GO) test -bench 'BenchmarkEventQueue|BenchmarkPortTransit|BenchmarkSendAckCycle' -benchtime 2s -run '^$$' . \
-	  && $(GO) test -bench 'BenchmarkFig8ShortFlows|BenchmarkFig10WebSearch|BenchmarkFig13VaryShort|BenchmarkLargeScaleStream|BenchmarkSpecCompile' -benchtime 1x -timeout 30m -run '^$$' . \
-	  && $(GO) test -bench 'BenchmarkSimlint' -benchtime 1x -run '^$$' ./internal/lint ) \
-	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out $(BENCH) -section after -require 'events/sec,flows/sec,peakRSS-MB'
-
-# bench-all runs every benchmark in every package once, without
-# touching any baseline — a quick "do they all still run" check.
-# (./... matters: the root package alone would silently skip
-# BenchmarkSimlint in internal/lint and any future non-root benchmark.)
+# bench-all runs every benchmark in every package once — a quick "do
+# they all still run" check that `ci` includes, so a rung `bench-pair
+# B=` pairs cannot break unseen. (./... matters: the root package alone
+# would silently skip BenchmarkSimlint in internal/lint and any future
+# non-root benchmark.)
 bench-all:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# bench-gate-self fails loudly when the engine's event throughput
-# regresses more than 10% across the newest baseline's own
-# before->after pair — the only like-for-like check: shared hardware
-# runs at different speeds in different sessions, so events/sec compared
-# across BENCH files measures the host, not the code. Requires the
-# newest BENCH_<pr>.json to carry a "before" section captured on the
-# same box as its "after" (see EXPERIMENTS.md "Engine speed
-# trajectory").
-bench-gate-self:
-	@echo "bench-gate-self: $(BENCH) after vs before"
-	@$(GO) run ./cmd/benchjson -compare $(BENCH) -base-section before -metric events/sec -max-regress 10 $(BENCH)
-
 # bench-pair is the paired measurement a performance claim rests on
-# (choosing-metrics: alternate sides, medians, quartiles, pair wins):
-# `make bench-pair REF=<commit> W=<workload> N=<pairs>` builds ./bench at
-# REF (exported under .bench_build/) and at the working tree, runs N
-# pairs of `-child $(W) -trace 0`, swapping which side goes first, and
-# prints every run, then per workload each side's median and quartiles
-# and the pair wins for wall_s, cpu_s and peak_rss_mb, and each side's
-# median gc_cycles and mallocs — exact counts that repeat per seed, so a
-# memory claim shows its mechanism in the same session. W=all takes the
-# three gated workloads through one interleaved session. Each side's
-# medians also come out as the BenchmarkWorkload/<name> lines benchjson
-# ingests (last on stdout, and in .bench_build/pair/{ref,head}.bench), so
-# a BENCH file's workload rows are piped, not retyped:
-# `cat micro.txt .bench_build/pair/ref.bench | benchjson -section before`.
+# (choosing-metrics: alternate sides, medians, quartiles, pair wins),
+# and the only before/after record: `make bench-pair REF=<commit>
+# W=<workload> N=<pairs>` builds ./bench at REF (exported under
+# .bench_build/) and at the working tree, runs N pairs of `-child $(W)
+# -trace 0`, swapping which side goes first, and prints every run, then
+# per workload each side's median and quartiles and the pair wins for
+# wall_s, cpu_s and peak_rss_mb, and each side's median gc_cycles and
+# mallocs — exact counts that repeat per seed, so a memory claim shows
+# its mechanism in the same session. W=all takes the three gated
+# workloads through one interleaved session. With B=<regexp> it pairs
+# the root package's testing.B benchmarks instead: it builds the test
+# binary (`go test -c`) on both sides, runs N pairs of `-test.run '^$'
+# -test.bench $(B)` and prints each benchmark's ns/op the same way.
+# (Write a $ in B as $$.)
 # Keep the box otherwise idle.
 REF ?= HEAD~1
 W ?= fattree-mice
+B ?=
 N ?= 10
 WORKLOADS = leafspine-websearch fattree-mice scheme-sweep
 
 # build-pair exports $(REF) into $(1)/src and builds its package $(2)
-# as $(1)/ref, and the working tree's as $(1)/head.
+# with `go $(3)` as $(1)/ref, and the working tree's as $(1)/head.
 build-pair = rm -rf $(1); mkdir -p $(1)/src; git archive $(REF) | tar -x -C $(1)/src; \
-	(cd $(1)/src && $(GO) build -o ../ref $(2)); rm -rf $(1)/src; $(GO) build -o $(1)/head $(2)
+	(cd $(1)/src && $(GO) $(3) -o ../ref $(2)); rm -rf $(1)/src; $(GO) $(3) -o $(1)/head $(2)
 
-bench-pair:
-	@set -e; d=.bench_build/pair; $(call build-pair,$$d,./bench); \
-	ws="$(W)"; if [ "$$ws" = all ]; then ws="$(WORKLOADS)"; fi; \
-	for i in $$(seq 1 $(N)); do \
+# pairs runs the command $(1) N times for each name w in $$ws and each
+# side s, swapping which side goes first every pair i; $$d/$$s is the
+# side's binary. Each run prints "i name side value…" lines, which go to
+# stdout and to $$d/runs.
+pairs = for i in $$(seq 1 $(N)); do \
 	  if [ $$((i % 2)) = 1 ]; then order="ref head"; else order="head ref"; fi; \
-	  for w in $$ws; do for s in $$order; do \
-	    $$d/$$s -child $$w -trace 0 | tr ',' '\n' | awk -F: -v w=$$w -v s=$$s -v i=$$i \
-	      '/^"(wall_s|cpu_s|peak_rss_mb|offered_bytes|gc_cycles|mallocs)"/ { gsub(/"/, "", $$1); v[$$1] = $$2 } \
-	       END { printf "%d %s %s %.3f %.3f %.1f %.6f %d %d\n", i, w, s, v["wall_s"], v["cpu_s"], v["peak_rss_mb"], v["offered_bytes"] / 1e9, v["gc_cycles"], v["mallocs"] }' | tee -a $$d/runs; \
-	  done; done; \
-	done; \
-	awk -v N=$(N) -v d=$$d -v procs=$$(nproc) ' \
-	  function med(w, s, c, p,   n, i, j, t, a, h, f) { \
-	    n = 0; for (i = 1; i <= N; i++) a[++n] = v[w, s, i, c]; \
+	  for w in $$ws; do for s in $$order; do $(1) | tee -a $$d/runs; done; done; \
+	done
+
+# pair-stats summarises $$d/runs. The k-th word of $(1) names the k-th
+# value column (field k + 3). Per name and column, in first-seen order,
+# it prints each side's median, quartiles and n and in how many pairs
+# each side was lower; for a column named in $(2) (exact counts), only
+# each side's median; a column named - it skips. $(3) formats a value.
+pair-stats = awk -v N=$(N) -v cols="$(1)" -v counts="$(2)" -v F="$(3)" ' \
+	  function q(k, s, p,   n, i, j, t, a, h, f) { \
+	    n = 0; for (i = 1; i <= N; i++) a[++n] = v[k, s, i]; \
 	    for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } \
 	    h = (n - 1) * p + 1; f = int(h); return f < n ? a[f] + (h - f) * (a[f + 1] - a[f]) : a[n] } \
-	  { for (c = 4; c <= 9; c++) v[$$2, $$3, $$1, c] = $$c; gb[$$2] = $$7; if (!($$2 in seen)) { seen[$$2]; ws[++nw] = $$2 } } \
-	  END { split("wall_s cpu_s peak_rss_mb offered_gb gc_cycles mallocs", m, " "); split("ref head", side, " "); \
-	    for (k = 1; k <= nw; k++) { w = ws[k]; for (c = 4; c <= 6; c++) { \
-	      for (j = 1; j <= 2; j++) { s = side[j]; \
-	        printf "%-19s %-11s %-4s median %.3f  q1 %.3f  q3 %.3f  n %d\n", w, m[c - 3], s, med(w, s, c, .5), med(w, s, c, .25), med(w, s, c, .75), N } \
-	      win = 0; loss = 0; for (i = 1; i <= N; i++) { win += v[w, "head", i, c] < v[w, "ref", i, c]; loss += v[w, "head", i, c] > v[w, "ref", i, c] } \
-	      printf "%-19s %-11s head better in %d of %d pairs, ref in %d\n", w, m[c - 3], win, N, loss } \
-	      for (c = 8; c <= 9; c++) printf "%-19s %-11s ref median %d  head median %d\n", w, m[c - 3], med(w, "ref", c, .5), med(w, "head", c, .5) } \
-	    for (j = 1; j <= 2; j++) { s = side[j]; f = d "/" s ".bench"; for (k = 1; k <= nw; k++) { w = ws[k]; \
-	      printf "BenchmarkWorkload/%s-%d\t%d\t%.0f ns/op\t%.3f cpu-s\t%.2f peakRSS-MB\t%.3f wall-s/GB\n", \
-	        w, procs, N, med(w, s, 4, .5) * 1e9, med(w, s, 5, .5), med(w, s, 6, .5), med(w, s, 4, .5) / gb[w] > f } close(f) } }' $$d/runs; \
-	for s in ref head; do echo "== $$d/$$s.bench"; cat $$d/$$s.bench; done
+	  BEGIN { nc = split(cols, col, " "); split(counts, c, " "); for (j in c) count[c[j]]; wd = 19 } \
+	  { for (j = 1; j <= nc; j++) v[$$2 SUBSEP col[j], $$3, $$1] = $$(j + 3); \
+	    if (!($$2 in seen)) { seen[$$2]; name[++nn] = $$2; if (length($$2) > wd) wd = length($$2) } } \
+	  END { split("ref head", side, " "); row = "%-" wd "s %-11s "; \
+	    for (k = 1; k <= nn; k++) for (j = 1; j <= nc; j++) { m = col[j]; key = name[k] SUBSEP m; if (m == "-") continue; \
+	      if (m in count) { printf row "ref median %d  head median %d\n", name[k], m, q(key, "ref", .5), q(key, "head", .5); continue } \
+	      for (l = 1; l <= 2; l++) printf row "%-4s median " F "  q1 " F "  q3 " F "  n %d\n", name[k], m, side[l], \
+	        q(key, side[l], .5), q(key, side[l], .25), q(key, side[l], .75), N; \
+	      win = 0; loss = 0; for (i = 1; i <= N; i++) { win += v[key, "head", i] < v[key, "ref", i]; loss += v[key, "head", i] > v[key, "ref", i] } \
+	      printf row "head better in %d of %d pairs, ref in %d\n", name[k], m, win, N, loss } }' $$d/runs
+
+# bench-run, workload-run and setup-run are one run of side $$s in pair
+# $$i (of workload $$w) for bench-pair B=, bench-pair W= and
+# bench-setup-pair, printed as lines of $$d/runs. bench-run names no
+# workload, so B= sets ws to the one placeholder -.
+bench-run = $$d/$$s -test.run '^$$' -test.bench '$(B)' -test.timeout 30m \
+	| awk -v i=$$i -v s=$$s '/^Benchmark/ { for (j = 3; j <= NF; j++) if ($$j == "ns/op") print i, $$1, s, $$(j - 1) }'
+workload-run = $$d/$$s -child $$w -trace 0 | tr ',' '\n' | awk -F: -v w=$$w -v s=$$s -v i=$$i \
+	'/^"(wall_s|cpu_s|peak_rss_mb|offered_bytes|gc_cycles|mallocs)"/ { gsub(/"/, "", $$1); v[$$1] = $$2 } \
+	 END { printf "%d %s %s %.3f %.3f %.1f %.6f %d %d\n", i, w, s, v["wall_s"], v["cpu_s"], v["peak_rss_mb"], v["offered_bytes"] / 1e9, v["gc_cycles"], v["mallocs"] }'
+setup-run = { rm -rf $$d/out; $$d/$$s -workload $$w -trace 0 -reps 1 -out $$d/out > /dev/null; \
+	awk -v w=$$w -v s=$$s -v i=$$i '/"setup_s"/ { f = 1 } f && /"value"/ { gsub(/[",]/, "", $$2); printf "%d %s %s %.6f\n", i, w, s, $$2; exit }' \
+	  $$d/out/results-$$w-seed*.json; }
+
+bench-pair:
+	@set -e; d=.bench_build/pair; \
+	if [ -n '$(B)' ]; then \
+	  $(call build-pair,$$d,.,test -c); ws=-; \
+	  $(call pairs,$(bench-run)); \
+	  $(call pair-stats,ns/op,,%.2f); \
+	else \
+	  $(call build-pair,$$d,./bench,build); \
+	  ws="$(W)"; if [ "$$ws" = all ]; then ws="$(WORKLOADS)"; fi; \
+	  $(call pairs,$(workload-run)); \
+	  $(call pair-stats,wall_s cpu_s peak_rss_mb - gc_cycles mallocs,gc_cycles mallocs,%.3f); \
+	fi
 
 # bench-setup-pair is bench-pair for set-up time: `make bench-setup-pair
 # REF=<commit> W=<workload|all> N=<pairs>` builds both sides the same
@@ -145,27 +135,10 @@ bench-pair:
 # still makes one timed repetition, about 5 s; keep the box otherwise
 # idle.
 bench-setup-pair:
-	@set -e; d=.bench_build/setup-pair; $(call build-pair,$$d,./bench); \
+	@set -e; d=.bench_build/setup-pair; $(call build-pair,$$d,./bench,build); \
 	ws="$(W)"; if [ "$$ws" = all ]; then ws="$(WORKLOADS)"; fi; \
-	for i in $$(seq 1 $(N)); do \
-	  if [ $$((i % 2)) = 1 ]; then order="ref head"; else order="head ref"; fi; \
-	  for w in $$ws; do for s in $$order; do \
-	    rm -rf $$d/out; $$d/$$s -workload $$w -trace 0 -reps 1 -out $$d/out > /dev/null; \
-	    awk -v w=$$w -v s=$$s -v i=$$i '/"setup_s"/ { f = 1 } f && /"value"/ { gsub(/[",]/, "", $$2); printf "%d %s %s %.6f\n", i, w, s, $$2; exit }' \
-	      $$d/out/results-$$w-seed*.json | tee -a $$d/runs; \
-	  done; done; \
-	done; \
-	awk -v N=$(N) ' \
-	  function med(w, s, p,   n, i, j, t, a, h, f) { \
-	    n = 0; for (i = 1; i <= N; i++) a[++n] = v[w, s, i]; \
-	    for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } \
-	    h = (n - 1) * p + 1; f = int(h); return f < n ? a[f] + (h - f) * (a[f + 1] - a[f]) : a[n] } \
-	  { v[$$2, $$3, $$1] = $$4; if (!($$2 in seen)) { seen[$$2]; ws[++nw] = $$2 } } \
-	  END { split("ref head", side, " "); for (k = 1; k <= nw; k++) { w = ws[k]; \
-	    for (j = 1; j <= 2; j++) { s = side[j]; \
-	      printf "%-19s setup_s %-4s median %.6f  q1 %.6f  q3 %.6f  n %d\n", w, s, med(w, s, .5), med(w, s, .25), med(w, s, .75), N } \
-	    win = 0; loss = 0; for (i = 1; i <= N; i++) { win += v[w, "head", i] < v[w, "ref", i]; loss += v[w, "head", i] > v[w, "ref", i] } \
-	    printf "%-19s setup_s head better in %d of %d pairs, ref in %d\n", w, win, N, loss } }' $$d/runs
+	$(call pairs,$(setup-run)); \
+	$(call pair-stats,setup_s,,%.6f)
 
 # alloc-gates runs just the zero-allocation contract tests (they are
 # also part of `make test`, this target is the fast inner loop).
@@ -206,7 +179,7 @@ FLOWS ?= 40
 POINTS ?= 2
 
 figures-diff:
-	@set -e; d=.bench_build/figures; $(call build-pair,$$d,./cmd/experiments); \
+	@set -e; d=.bench_build/figures; $(call build-pair,$$d,./cmd/experiments,build); \
 	figs=$$($$d/head -list | awk 'NR > 1 && $$1 != "fig15" { printf "%s%s", sep, $$1; sep = "," }'); \
 	for s in ref head; do \
 	  $$d/$$s -fig $$figs -flows $(FLOWS) -points $(POINTS) -q -format csv -dump-specs $$d/$$s-specs > $$d/$$s.csv; \
@@ -279,5 +252,6 @@ largescale-smoke:
 
 # ci is the gate: static checks (gofmt, vet, simlint), the full test
 # suite, the zero-allocation gates, the output-identity contract, the
-# race detector over all packages, and the end-to-end smoke runs.
-ci: build fmt-check vet lint test alloc-gates identity race specs examples smoke largescale-smoke
+# race detector over all packages, every benchmark body once, and the
+# end-to-end smoke runs.
+ci: build fmt-check vet lint test alloc-gates identity race bench-all specs examples smoke largescale-smoke

@@ -1,12 +1,7 @@
-// Benchmarks: the figure-scale runs `make bench` records (Figs. 8, 10
-// and 13 at reduced scale, the streamed large-scale run and the
-// campaign set-up), the per-scheme decision cost behind Fig. 15, and
-// the engine, port and transport micro-benchmarks.
-//
-// The figure benches time their figure and report, via b.ReportMetric,
-// its headline quantity beside the timing. What the figures show is
-// asserted by the claim tests over the golden renders
-// (internal/experiments/claims_test.go), not here.
+// Benchmarks: the per-scheme decision cost behind Fig. 15, the engine,
+// port and transport micro-benchmarks, and campaign set-up. Whole runs
+// are timed by the bench/ workloads, not here; `make bench-pair
+// B=<regexp>` pairs these against another commit.
 package tlb_test
 
 import (
@@ -15,86 +10,12 @@ import (
 
 	_ "tlb/internal/core" // registers tlb
 	"tlb/internal/eventsim"
-	"tlb/internal/experiments"
 	"tlb/internal/lb"
 	"tlb/internal/netem"
 	"tlb/internal/spec"
 	"tlb/internal/transport"
 	"tlb/internal/units"
 )
-
-// quick returns the reduced-scale options the benches run at.
-func quick() experiments.Options { return experiments.Quick() }
-
-// lastRatio extracts series[name]'s last point Y over series[ref]'s
-// last point Y — "how much better is ref than name at the highest x".
-func lastRatio(figs []experiments.Figure, figID, name, ref string) float64 {
-	for _, f := range figs {
-		if f.ID != figID {
-			continue
-		}
-		var a, b float64
-		for _, s := range f.Series {
-			if len(s.Points) == 0 {
-				continue
-			}
-			y := s.Points[len(s.Points)-1].Y
-			switch s.Name {
-			case name:
-				a = y
-			case ref:
-				b = y
-			}
-		}
-		if b != 0 {
-			return a / b
-		}
-	}
-	return 0
-}
-
-func runFig(b *testing.B, run func(experiments.Options) ([]experiments.Figure, error)) []experiments.Figure {
-	b.Helper()
-	var figs []experiments.Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		figs, err = run(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	return figs
-}
-
-func BenchmarkFig8ShortFlows(b *testing.B) {
-	figs := runFig(b, experiments.Fig8And9)
-	for _, f := range figs {
-		if f.ID == "fig8-9-summary" {
-			for _, bar := range f.Bars {
-				if bar.Label == "tlb" {
-					b.ReportMetric(bar.Value, "tlbLongGoodput/Gbps")
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkFig10WebSearch(b *testing.B) {
-	figs := runFig(b, experiments.Fig10)
-	if r := lastRatio(figs, "fig10a", "ecmp", "tlb"); r > 0 {
-		b.ReportMetric(r, "ecmpAFCT/tlbAFCT@maxLoad")
-	}
-	if r := lastRatio(figs, "fig10a", "letflow", "tlb"); r > 0 {
-		b.ReportMetric(r, "letflowAFCT/tlbAFCT@maxLoad")
-	}
-}
-
-func BenchmarkFig13VaryShort(b *testing.B) {
-	figs := runFig(b, experiments.Fig13)
-	if r := lastRatio(figs, "fig13a", "ecmp", "tlb"); r > 0 {
-		b.ReportMetric(r, "ecmpAFCT/tlbAFCT@maxShorts")
-	}
-}
 
 // ---- Fig. 15: per-packet decision cost, proper testing.B style ----
 
@@ -439,30 +360,4 @@ func BenchmarkSpecCompile(b *testing.B) {
 			compile(b, docs)
 		}
 	})
-}
-
-// BenchmarkLargeScaleStream runs the streamed k=16 fat-tree scenario
-// (figLS) at 10k flows — the tracked BENCH_6.json baseline for the
-// streaming-stats scale path. Reported metrics: wall-clock flow
-// throughput and the process's peak RSS (which must stay flow-count
-// independent; EXPERIMENTS.md "Large scale" records the full-scale
-// measurements).
-func BenchmarkLargeScaleStream(b *testing.B) {
-	figs := runFig(b, func(o experiments.Options) ([]experiments.Figure, error) {
-		o.FlowsPerRun = 8 // x1250 = 10k flows
-		return experiments.FigLS(o)
-	})
-	for _, f := range figs {
-		if f.ID != "figLS" {
-			continue
-		}
-		// The figure carries simulated quantities only; the host-side
-		// scale numbers are taken here.
-		for _, bar := range f.Bars {
-			if bar.Label == "ecmp flows" {
-				b.ReportMetric(bar.Value*float64(b.N)/b.Elapsed().Seconds(), "flows/sec")
-			}
-		}
-		b.ReportMetric(experiments.PeakRSSMB(), "peakRSS-MB")
-	}
 }

@@ -11,7 +11,8 @@ import (
 // so slot-list splicing and ordering comparisons touch one cache line;
 // only the arg's data word, read once at dispatch, spills past it. A
 // change that grows the node or pushes a hot field over the line must
-// update this test deliberately (and re-run make bench to justify it).
+// update this test deliberately (and justify it with make bench-pair
+// B=BenchmarkEventQueue against the parent).
 func TestEventNodeLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit platforms only")

@@ -40,15 +40,15 @@ func afctTputPanels(id, title, xlabel string) (Figure, Figure) {
 
 // afctTputBars runs one spec per bar as one batch and adds, in input
 // order, each run's short-flow AFCT (s) to afct and its long-flow
-// goodput (bits/s over per) to tput.
-func (o Options) afctTputBars(prefix string, afct, tput Figure, labels []string, specs []spec.Spec, per float64) ([]Figure, error) {
+// goodput (Gbps) to tput.
+func (o Options) afctTputBars(prefix string, afct, tput Figure, labels []string, specs []spec.Spec) ([]Figure, error) {
 	results, err := o.runSpecs(prefix, specs)
 	if err != nil {
 		return nil, err
 	}
 	for i, res := range results {
 		afct.Bars = append(afct.Bars, Bar{labels[i], res.AFCT(sim.ShortFlows).Seconds()})
-		tput.Bars = append(tput.Bars, Bar{labels[i], float64(res.Goodput(sim.LongFlows)) / per})
+		tput.Bars = append(tput.Bars, Bar{labels[i], float64(res.Goodput(sim.LongFlows)) / 1e9})
 	}
 	return []Figure{afct, tput}, nil
 }
@@ -82,7 +82,7 @@ func barAblation(o Options, id, title string, bars []ablationVariant) ([]Figure,
 	for i, b := range bars {
 		labels[i], specs[i] = b.name, b.spec(o)
 	}
-	return o.afctTputBars(id, afct, tput, labels, specs, 1e9)
+	return o.afctTputBars(id, afct, tput, labels, specs)
 }
 
 // AblationInterval sweeps the q_th update interval t.

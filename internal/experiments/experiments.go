@@ -2,7 +2,7 @@
 // evaluation (§2.2 motivation, §4.2 model verification, §6 NS2
 // simulations, §7 testbed) on this repository's simulator. Each FigNN
 // function returns the plotted series/bars; cmd/experiments prints
-// them, and the repository benchmarks run reduced-scale versions.
+// them.
 //
 // Every figure builds its scenarios as declarative spec.Spec values
 // and runs them through Options.runSpecs, so each run an experiment
@@ -12,8 +12,8 @@
 // Scale note: the returned shapes (who wins, by what factor, where
 // curves cross) are the reproduction target; absolute numbers differ
 // from the paper because the substrate is this repo's simulator, not
-// the authors' NS2 scripts. Options.Scale trades fidelity for runtime;
-// Quick() is what the benchmarks use.
+// the authors' NS2 scripts. Options.FlowsPerRun and SweepPoints trade
+// fidelity for runtime.
 package experiments
 
 import (
@@ -60,11 +60,6 @@ type Options struct {
 // cmd/experiments (full-figure shapes in minutes on one core).
 func Default() Options {
 	return Options{Seed: 42, FlowsPerRun: 800}
-}
-
-// Quick returns the miniature options used by the benchmarks.
-func Quick() Options {
-	return Options{Seed: 42, FlowsPerRun: 150, SweepPoints: 3}
 }
 
 func (o Options) logf(format string, args ...any) {

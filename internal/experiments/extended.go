@@ -44,7 +44,7 @@ func ExtendedAsymmetric(o Options) ([]Figure, error) {
 	afct := Figure{ID: "extended-asym-afct", Title: "Short AFCT, 2 of 10 links at 5 Mbps",
 		YLabel: "AFCT (s)"}
 	tput := Figure{ID: "extended-asym-tput", Title: "Long goodput, 2 of 10 links at 5 Mbps",
-		YLabel: "Mbps per flow"}
+		YLabel: "Gbps per flow"}
 
 	e := asymTestbed(func(l *netem.LinkConfig) { l.Bandwidth = 5 * units.Mbps })
 	e.maxTime = 300 * units.Second
@@ -63,5 +63,5 @@ func ExtendedAsymmetric(o Options) ([]Figure, error) {
 	for i, s := range schemes {
 		labels[i], specs[i] = s.label(), e.spec(s, "extended-asym-"+s.label(), o.Seed)
 	}
-	return o.afctTputBars("extended-asym", afct, tput, labels, specs, 1e6)
+	return o.afctTputBars("extended-asym", afct, tput, labels, specs)
 }

@@ -111,7 +111,7 @@ func FigF1(o Options) ([]Figure, error) {
 	afct := Figure{ID: "figF1a", Title: "Short-flow AFCT by start time through fail/recover",
 		XLabel: "flow start time (s)", YLabel: "AFCT (s)"}
 	tput := Figure{ID: "figF1b", Title: "Long-flow goodput through fail/recover",
-		XLabel: "time (s)", YLabel: "aggregate goodput (Mbps)"}
+		XLabel: "time (s)", YLabel: "aggregate goodput (Gbps)"}
 	bars := Figure{ID: "figF1c", Title: "Short-flow AFCT before / during / after the failure",
 		XLabel: "phase", YLabel: "AFCT (s)"}
 	for i, res := range results {
@@ -120,7 +120,7 @@ func FigF1(o Options) ([]Figure, error) {
 			Name: name, Points: afctByStartTime(res, 500*units.Millisecond)})
 		tp := stats.Series{Name: name}
 		for _, p := range res.LongGoodputBytes.Rates() {
-			tp.Add(p.X, p.Y*8/1e6) // bytes/s -> Mbps
+			tp.Add(p.X, p.Y*8/1e9) // bytes/s -> Gbps
 		}
 		tput.Series = append(tput.Series, tp)
 		for _, ph := range figF1Phases(res) {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -174,6 +175,25 @@ func TestGoldenFigures(t *testing.T) {
 			}
 			if got != string(want) {
 				t.Errorf("output differs from golden %s (regenerate with TLB_UPDATE_GOLDEN=1 if the change is intended)\n--- got ---\n%s", path, got)
+			}
+		})
+	}
+}
+
+// TestBitRatesAreGbps: every golden panel whose y axis names a bit rate
+// names Gbps. A golden CSV carries no unit, so one goodput panel in
+// another unit reads 1 000 times off beside the rest.
+func TestBitRatesAreGbps(t *testing.T) {
+	rate := regexp.MustCompile(`\b[kKMGT]?bps\b`)
+	for _, g := range goldenFigures {
+		t.Run(g.name, func(t *testing.T) {
+			t.Parallel()
+			for _, f := range golden(t, g.name) {
+				for _, unit := range rate.FindAllString(f.YLabel, -1) {
+					if unit != "Gbps" {
+						t.Errorf("%s: y axis %q is in %s, not Gbps", f.ID, f.YLabel, unit)
+					}
+				}
 			}
 		})
 	}

@@ -18,9 +18,8 @@ import (
 )
 
 // figLSFlowFactor scales Options.FlowsPerRun (800 by default) to the
-// streamed run's flow count: the default hits 1M flows, the Quick()
-// benchmark scale stays far smaller, and `-flows 8` is a ten-thousand
-// flow smoke run.
+// streamed run's flow count: the default hits 1M flows and `-flows 8`
+// is a ten-thousand flow smoke run.
 const figLSFlowFactor = 1250
 
 // figLSSpecs builds the streamed batch (currently one ECMP run; the
@@ -56,7 +55,7 @@ func FigLS(o Options) ([]Figure, error) {
 
 	fig := Figure{
 		ID:     "figLS",
-		Title:  "streaming scale: k=16 fat-tree under streamStats (O(1) memory per flow)",
+		Title:  "streaming scale: k=16 fat-tree (O(1) memory per flow)",
 		YLabel: "mixed units, see bar labels",
 	}
 	for i, res := range results {
@@ -70,7 +69,7 @@ func FigLS(o Options) ([]Figure, error) {
 			Bar{labels[i] + " sim time (s)", res.EndTime.Seconds()},
 		)
 		o.logf("figLS: %s %d flows in %v: %.0f flows/sec (wall), peak RSS %.1f MB",
-			labels[i], flows, elapsed.Round(time.Millisecond), float64(flows)/elapsed.Seconds(), PeakRSSMB())
+			labels[i], flows, elapsed.Round(time.Millisecond), float64(flows)/elapsed.Seconds(), peakRSSMB())
 	}
 	return []Figure{fig}, nil
 }

@@ -98,6 +98,7 @@ func fig89Specs(o Options) ([]Scheme, []spec.Spec) {
 //	fig8b — short-flow mean queueing delay over time (µs)
 //	fig9a — long-flow reordering ratio over time
 //	fig9b — long-flow aggregate goodput over time (Gbps)
+//	fig8-9-summary — whole-run long-flow goodput per flow (Gbps)
 func Fig8And9(o Options) ([]Figure, error) {
 	schemes, specs := fig89Specs(o)
 
@@ -109,8 +110,8 @@ func Fig8And9(o Options) ([]Figure, error) {
 		XLabel: "time (s)", YLabel: "out-of-order fraction"}
 	longTput := Figure{ID: "fig9b", Title: "Long-flow goodput over time",
 		XLabel: "time (s)", YLabel: "Gbps"}
-	summary := Figure{ID: "fig8-9-summary", Title: "Basic test summary (whole run)",
-		YLabel: "scheme: shortOOO shortQueueDelay(µs) longOOO longGoodput(Gbps)"}
+	summary := Figure{ID: "fig8-9-summary", Title: "Long-flow goodput per flow (whole run)",
+		YLabel: "Gbps per flow"}
 
 	results, err := o.runSpecs("fig8/9", specs)
 	if err != nil {

@@ -20,9 +20,13 @@ import (
 // TLB's overhead must be a small constant over ECMP/RPS/Presto, which
 // is the figure's claim.
 //
-// The repository benchmarks (BenchmarkFig15*) measure the same thing
-// under the standard testing.B machinery; this function exists so
-// cmd/experiments can print the figure without the bench harness.
+// Fig15 times the five testbed schemes as a testbed run builds them
+// (testbedSchemes in testbedEnv), warmed with 1 000 flows' data packets
+// plus the pure-ACK stream of every fourth flow, by the wall clock
+// around 200 000 decisions over that mix. The root BenchmarkFig15Decision
+// times a different set-up under testing.B: every registered scheme on
+// its registry defaults in the paper's NS2 environment, warmed with
+// one data packet of each of 512 flows and no ACKs.
 func Fig15(o Options) ([]Figure, error) {
 	sim := eventsim.New()
 	rng := eventsim.NewRNG(o.Seed)

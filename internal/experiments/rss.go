@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// PeakRSSMB reports the process's peak resident set size in MiB. On
+// peakRSSMB reports the process's peak resident set size in MiB. On
 // Linux it reads VmHWM from /proc/self/status — the kernel's
 // high-water mark, which is what the figLS scale experiment wants:
 // a number that must NOT grow with flow count under streaming stats.
@@ -18,7 +18,7 @@ import (
 // dedicated `cmd/experiments -fig figLS` invocation measures the
 // streamed run itself; mixed invocations measure the largest figure
 // run so far.
-func PeakRSSMB() float64 {
+func peakRSSMB() float64 {
 	if data, err := os.ReadFile("/proc/self/status"); err == nil {
 		for _, line := range strings.Split(string(data), "\n") {
 			if !strings.HasPrefix(line, "VmHWM:") {

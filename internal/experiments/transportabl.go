@@ -48,7 +48,7 @@ func AblationTransport(o Options) ([]Figure, error) {
 			specs = append(specs, e.spec(s, loadName(s, ablationLoad), o.Seed))
 		}
 	}
-	return o.afctTputBars("ablation-transport", afct, tput, labels, specs, 1e9)
+	return o.afctTputBars("ablation-transport", afct, tput, labels, specs)
 }
 
 // FatTreeComparison runs the headline schemes on a k=4 fat-tree with
@@ -72,5 +72,5 @@ func FatTreeComparison(o Options) ([]Figure, error) {
 	for i, s := range schemes {
 		labels[i], specs[i] = s.label(), e.spec(s, "fattree-"+s.label(), o.Seed)
 	}
-	return o.afctTputBars("fattree", afct, tput, labels, specs, 1e9)
+	return o.afctTputBars("fattree", afct, tput, labels, specs)
 }

@@ -221,9 +221,9 @@ func TestCleanFixtures(t *testing.T) {
 	}
 }
 
-// BenchmarkSimlint tracks the analyzer's wall clock over the whole
-// repository (every rule, test files included); `make bench` records
-// it in the newest BENCH_<pr>.json.
+// BenchmarkSimlint times the analyzer over the whole repository (every
+// rule, test files included); `make bench-all` runs it once in `make
+// ci`, so a finding in the tree fails it.
 func BenchmarkSimlint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		findings, err := Run("../..")

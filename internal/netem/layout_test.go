@@ -33,7 +33,8 @@ func checkLine(t *testing.T, what string, lo, hi uintptr, fields []field) {
 // has loaded what the host dispatches on; the cold SACK array trails;
 // and the whole struct stays at 176 bytes, the size class the allocator
 // gave it at 168. Growing the packet or pushing a field over a line is a
-// deliberate decision: update this test and re-run make bench.
+// deliberate decision: update this test and pair BenchmarkPortTransit
+// against the parent (make bench-pair B=BenchmarkPortTransit).
 func TestPacketLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit platforms only")
@@ -85,7 +86,8 @@ func TestPacketLayout(t *testing.T) {
 // struct is exactly 192 bytes, a size
 // class that keeps every heap-allocated Port 64-byte aligned, so these
 // are real line boundaries. Moving a field is a deliberate decision:
-// update this test and re-run make bench.
+// update this test and pair BenchmarkPortTransit against the parent
+// (make bench-pair B=BenchmarkPortTransit).
 func TestPortLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit platforms only")
