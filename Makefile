@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt-check vet lint race bench-all bench-pair bench-setup-pair alloc-gates identity figures-diff docs loc knobs specs examples smoke largescale-smoke ci
+.PHONY: build test fmt-check vet lint fma-check census race bench-all bench-pair bench-setup-pair alloc-gates identity figures-diff docs loc knobs specs examples smoke largescale-smoke ci
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,20 @@ vet:
 # network.
 lint:
 	$(GO) run ./cmd/simlint ./...
+
+# fma-check fails if an arm64 build of the simulator packages holds a
+# fused multiply-add: the Go spec lets a compiler fuse x*y + z into one
+# instruction that rounds once, which amd64 never does and arm64, ppc64le
+# and s390x do, so a golden pinned on amd64 could move elsewhere. The
+# code converts each such product (float64(x*y) + z) to round it
+# explicitly (DESIGN.md §9). The compiler's -S listing is replayed from
+# the build cache, so a cached build still checks.
+SIM_PKGS = core eventsim experiments faults lb model netem sim spec stats topology transport units workload
+
+fma-check:
+	@set -e; f=$$(mktemp); trap 'rm -f $$f' EXIT; \
+	GOARCH=arm64 $(GO) build -gcflags=-S $(addprefix ./internal/,$(SIM_PKGS)) 2> $$f || { cat $$f; exit 1; }; \
+	if grep -E '\s(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\s' $$f; then echo "fma-check: fused multiply-add above; convert the product"; exit 1; fi
 
 # The race detector runs over every package: the shared sweep runner
 # (internal/sim) and the batched figure runners (internal/experiments)
@@ -197,6 +211,52 @@ docs:
 	TLB_UPDATE_GOLDEN=1 $(GO) test -count=1 -run TestGoldenFigures ./internal/experiments
 	TLB_UPDATE_GOLDEN=1 $(GO) test -count=1 -run TestExperimentsGoldenBlocks .
 
+# census is the reachability census: it builds the five mains with
+# inlining off (-gcflags=all=-l, so every function a main calls keeps
+# its own symbol), lists their text symbols with `go tool nm`, and prints
+# each function declared in internal/ (tests and testdata aside) that
+# none of them links: code only tests reach. Generic functions are
+# matched with their instantiations' type arguments stripped. It skips
+# the test seams named in CENSUS_KEEP, each kept for the reason above
+# its line, and ends with a count; it does not fail.
+CENSUS_MAINS = ./cmd/tlbsim ./cmd/experiments ./cmd/simlint ./bench ./examples/quickstart
+# Observers of live state that tests assert on.
+CENSUS_KEEP = core.(*TLB).QTh core.(*TLB).ActiveFlows eventsim.(*Sim).Pending eventsim.(*Sim).Step
+CENSUS_KEEP += netem.(*Queue).Bytes transport.(*Sender).Size transport.(*Sender).Done transport.(*Sender).Cwnd
+CENSUS_KEEP += stats.(*Sample).N stats.(*Histogram).N stats.(*QuantileSketch).N stats.(*QuantileSketch).Collapsed stats.(*TimeSeries).Overflow
+# Pool counters the allocation tests read.
+CENSUS_KEEP += netem.(*PacketPool).Allocated netem.(*PacketPool).Recycled netem.(*PacketPool).Idle
+CENSUS_KEEP += transport.(*FlowPool).Recycled transport.(*FlowPool).Idle
+# How a test reads the flows of a compiled spec's replayable source.
+CENSUS_KEEP += workload.Collect
+# The §4 model's Eq. 6 and Eq. 8, checked by the model tests; the
+# queueing oracles (ROADMAP item 4) are their callers to come.
+CENSUS_KEEP += model.PKWait model.Params.FCTShort
+# The mean queueing delay the ⚠️-verdict explanations (ROADMAP item 5)
+# are to report.
+CENSUS_KEEP += sim.(*Result).MeanQueueDelay
+
+census:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf $$d' EXIT; \
+	for m in $(CENSUS_MAINS); do $(GO) build -gcflags=all=-l -o $$d/bin/$$(basename $$m) $$m; done; \
+	$(GO) tool nm $$d/bin/* | awk ' \
+	  function strip(s,   o, i, c, depth) { for (i = 1; i <= length(s); i++) { c = substr(s, i, 1); \
+	    if (c == "[") depth++; else if (c == "]") depth--; else if (depth == 0) o = o c } return o } \
+	  { sub(/^[^\t]*\t/, ""); sub(/^ *[0-9a-f]* [A-Za-z] /, "") } \
+	  /^tlb\/internal\// { sub(/^tlb\/internal\//, ""); print index($$0, "[") ? strip($$0) : $$0 }' > $$d/linked; \
+	find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | sort | xargs awk -v linked=$$d/linked -v keep='$(CENSUS_KEEP)' ' \
+	  BEGIN { while ((getline l < linked) > 0) have[l]; n = split(keep, k, " "); for (i = 1; i <= n; i++) kept[k[i]] } \
+	  function check(  len) { if (name == "init" || sym in have || sym in kept) return; \
+	    len = FNR - start + 1; printf "%s:%d %s (%d lines)\n", FILENAME, start, sym, len; lines += len; count++ } \
+	  FNR == 1 { pkg = FILENAME; sub(/^internal\//, "", pkg); sub(/\/[^\/]*$$/, "", pkg) } \
+	  /^func / { s = substr($$0, 6); recv = ""; \
+	    if (s ~ /^\(/) { r = substr(s, 2, index(s, ")") - 2); s = substr(s, index(s, ")") + 2); \
+	      m = split(r, a, " "); t = a[m]; sub(/\[.*/, "", t); recv = t ~ /^\*/ ? "(" t ")." : t "." } \
+	    name = s; sub(/[[(].*/, "", name); sym = pkg "." recv name; start = FNR; \
+	    if ($$0 ~ /}$$/) check(); else open = 1; next } \
+	  open && /^}/ { check(); open = 0 } \
+	  END { printf "census: %d functions (%d lines) only tests reach, %d kept seams skipped\n", count, lines, n }'
+
 # loc prints the ROADMAP's simplicity measure — lines of non-test Go
 # outside bench/ — so every simplicity PR quotes the same count.
 loc:
@@ -254,4 +314,4 @@ largescale-smoke:
 # suite, the zero-allocation gates, the output-identity contract, the
 # race detector over all packages, every benchmark body once, and the
 # end-to-end smoke runs.
-ci: build fmt-check vet lint test alloc-gates identity race bench-all specs examples smoke largescale-smoke
+ci: build fmt-check vet lint fma-check test alloc-gates identity race bench-all specs examples smoke largescale-smoke

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"tlb/internal/eventsim"
+	"tlb/internal/experiments"
 	"tlb/internal/lb"
 	"tlb/internal/netem"
 	"tlb/internal/sim"
@@ -56,14 +57,16 @@ func TestAllocGateEventScheduleFire(t *testing.T) {
 }
 
 // TestAllocGateDecision: a steady-state forwarding decision of every
-// registered scheme (warmDecision, as BenchmarkFig15Decision times it)
-// must not allocate — the allocation-free half of Fig. 15's claim.
+// registered scheme, in Fig. 15's set-up (experiments.NewDecisions, as
+// BenchmarkFig15Decision times it), must not allocate — the
+// allocation-free half of Fig. 15's claim.
 func TestAllocGateDecision(t *testing.T) {
 	for _, name := range lb.Names() {
-		bal, pkts, ports := warmDecision(t, name)
-		i := 0
-		pick := func() { bal.Pick(pkts[i%decisionFlows], ports); i++ }
-		if allocs := testing.AllocsPerRun(5000, pick); allocs != 0 {
+		d, err := experiments.NewDecisions(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(5000, d.Decide); allocs != 0 {
 			t.Errorf("%s: a warm decision allocates %.2f allocs/op, want 0", name, allocs)
 		}
 	}
@@ -235,7 +238,7 @@ func runMallocs(t *testing.T, sc sim.Scenario) (*sim.Result, uint64, int64) {
 	t.Helper()
 	var flows int64
 	done := sim.ObserverFunc(func(ev sim.ProgressEvent) { flows = ev.FlowsAllocated })
-	ss := sim.NewSession(sc, sim.SessionOptions{Observer: done, SnapshotEvery: sim.NoSnapshots})
+	ss := sim.NewSession(sc, sim.SessionOptions{Observer: done})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res, err := ss.Run()

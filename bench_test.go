@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"testing"
 
-	_ "tlb/internal/core" // registers tlb
 	"tlb/internal/eventsim"
+	"tlb/internal/experiments"
 	"tlb/internal/lb"
 	"tlb/internal/netem"
 	"tlb/internal/spec"
@@ -19,56 +19,19 @@ import (
 
 // ---- Fig. 15: per-packet decision cost, proper testing.B style ----
 
-// decisionFlows is how many flows warmDecision warms a scheme with.
-const decisionFlows = 512
-
-// warmDecision builds the named scheme the way a run builds it — on its
-// declared defaults, through lb.Build, in the paper's NS2 environment —
-// over ten uplinks, and warms its per-flow state with one data packet of
-// each of decisionFlows flows. It returns the balancer, those packets
-// and the uplinks: bal.Pick(pkts[i%decisionFlows], ports) is one
-// steady-state forwarding decision.
-func warmDecision(tb testing.TB, name string) (lb.Balancer, []*netem.Packet, []*netem.Port) {
-	tb.Helper()
-	env := lb.Env{
-		FabricBandwidth: units.Gbps, BaseRTT: 100 * units.Microsecond,
-		QueueCapacity: 256, ECNThreshold: 65,
-	}
-	factory, err := lb.Build(name, nil, "scheme.params", env)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	s := eventsim.New()
-	ports := make([]*netem.Port, 10)
-	for i := range ports {
-		ports[i] = netem.NewPort(s,
-			netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
-			netem.QueueConfig{Capacity: 256},
-			func(*netem.Packet) {}, "up")
-	}
-	bal := factory(s, eventsim.NewRNG(1), ports)
-	pkts := make([]*netem.Packet, decisionFlows)
-	for i := range pkts {
-		pkts[i] = &netem.Packet{
-			Flow:    netem.FlowID{Src: i % 97, Dst: 100 + i%89, Port: i},
-			Kind:    netem.Data,
-			Payload: 1460, Wire: 1500,
-		}
-		bal.Pick(pkts[i], ports)
-	}
-	return bal, pkts, ports
-}
-
 // BenchmarkFig15Decision times one steady-state forwarding decision of
-// every registered scheme (warmDecision).
+// every registered scheme, in Fig. 15's set-up (experiments.NewDecisions).
 func BenchmarkFig15Decision(b *testing.B) {
 	for _, name := range lb.Names() {
 		b.Run(name, func(b *testing.B) {
-			bal, pkts, ports := warmDecision(b, name)
+			d, err := experiments.NewDecisions(name, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bal.Pick(pkts[i%decisionFlows], ports)
+				d.Decide()
 			}
 		})
 	}

@@ -5,7 +5,7 @@
 //
 //	experiments -list
 //	experiments -fig fig10                # one figure, default scale
-//	experiments -fig fig3,fig4,fig7      # several
+//	experiments -fig fig3-4,fig7,fig8-9  # several
 //	experiments -fig all -flows 400      # everything, smaller runs
 //	experiments -fig ablations           # the design-choice ablations
 //	experiments -fig figF1,figF2         # dynamic link-fault experiments

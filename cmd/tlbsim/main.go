@@ -150,7 +150,6 @@ func runSpecFiles(files []string, o options, stdout io.Writer) error {
 		Workers: o.workers,
 		// Terminal events only: the k/n lines need no periodic snapshots,
 		// and without them each run is one engine call.
-		SnapshotEvery: sim.NoSnapshots,
 		Observer: sim.ObserverFunc(func(ev sim.ProgressEvent) {
 			if ev.Kind != sim.ProgressDone {
 				return

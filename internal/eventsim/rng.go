@@ -83,6 +83,6 @@ func (r *RNG) Float64() float64 {
 // ExpFloat64 returns an exponentially distributed float64 with mean 1.
 func (r *RNG) ExpFloat64() float64 {
 	// Inverse transform; u in (0,1] to avoid log(0).
-	u := 1 - r.Float64()
+	u := 1 - float64(r.Float64())
 	return -math.Log(u)
 }

@@ -56,12 +56,6 @@ type Options struct {
 	specObserver func(prefix string, sp *spec.Spec)
 }
 
-// Default returns the standard reduced-scale options used by
-// cmd/experiments (full-figure shapes in minutes on one core).
-func Default() Options {
-	return Options{Seed: 42, FlowsPerRun: 800}
-}
-
 func (o Options) logf(format string, args ...any) {
 	if o.Log != nil {
 		fmt.Fprintf(o.Log, format+"\n", args...)
@@ -79,8 +73,7 @@ func (o Options) logf(format string, args ...any) {
 // call; see DESIGN.md §15).
 func (o Options) runBatch(prefix string, scs []sim.Scenario) ([]*sim.Result, error) {
 	return sim.RunSweep(scs, sim.SweepOptions{
-		Workers:       o.Workers,
-		SnapshotEvery: sim.NoSnapshots,
+		Workers: o.Workers,
 		Observer: sim.ObserverFunc(func(ev sim.ProgressEvent) {
 			if ev.Kind != sim.ProgressDone {
 				return

@@ -17,7 +17,7 @@ func quickOpts() Options {
 
 func TestRegistryCoversEveryPaperFigure(t *testing.T) {
 	want := []string{
-		"fig3", "fig4", "fig7", "fig8", "fig9", "fig10", "fig11",
+		"fig3-4", "fig7", "fig8-9", "fig10", "fig11",
 		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
 	}
 	got := map[string]bool{}

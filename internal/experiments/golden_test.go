@@ -37,30 +37,30 @@ import (
 // de-rated links (fig17) and the wider field on them (extended-asym)
 // pin the remaining scenario builders.
 var goldenFigures = []goldenFigure{
-	{"fig3-4", Fig3And4, Options{Seed: 42}},
-	{"fig8-9", Fig8And9, Options{Seed: 42}},
-	{"fig10", Fig10, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 1}},
-	{"fig13", Fig13, Options{Seed: 42, SweepPoints: 1}},
-	{"extended", ExtendedBaselines, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 1}},
-	{"fattree", FatTreeComparison, Options{Seed: 42}},
-	{"figF1", FigF1, Options{Seed: 42, FlowsPerRun: 40}},
-	{"figF2", FigF2, Options{Seed: 42, FlowsPerRun: 40, SweepPoints: 2}},
-	{"figLS", FigLS, Options{Seed: 42, FlowsPerRun: 2}},
-	{"ablations", allAblations, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 2}},
-	{"fig7", Fig7, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 2}},
-	{"fig12", Fig12, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 2}},
-	{"fig16", Fig16, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 2}},
-	{"fig11", Fig11, Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 1}},
-	{"fig14", Fig14, Options{Seed: 42, SweepPoints: 1}},
-	{"fig17", Fig17, Options{Seed: 42, SweepPoints: 2}},
-	{"extended-asym", ExtendedAsymmetric, Options{Seed: 42}},
+	{"fig3-4", Options{Seed: 42}},
+	{"fig8-9", Options{Seed: 42}},
+	{"fig10", Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 1}},
+	{"fig13", Options{Seed: 42, SweepPoints: 1}},
+	{"extended", Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 1}},
+	{"fattree", Options{Seed: 42}},
+	{"figF1", Options{Seed: 42, FlowsPerRun: 40}},
+	{"figF2", Options{Seed: 42, FlowsPerRun: 40, SweepPoints: 2}},
+	{"figLS", Options{Seed: 42, FlowsPerRun: 2}},
+	{"ablations", Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 2}},
+	{"fig7", Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 2}},
+	{"fig12", Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 2}},
+	{"fig16", Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 2}},
+	{"fig11", Options{Seed: 42, FlowsPerRun: 30, SweepPoints: 1}},
+	{"fig14", Options{Seed: 42, SweepPoints: 1}},
+	{"fig17", Options{Seed: 42, SweepPoints: 2}},
+	{"extended-asym", Options{Seed: 42}},
 }
 
 // goldenFigure is one pinned figure: testdata/golden/<name>.csv is
-// what run renders at opts with one worker.
+// what Lookup(name)'s registry entries render at opts, in order, with
+// one worker.
 type goldenFigure struct {
 	name string
-	run  func(Options) ([]Figure, error)
 	opts Options
 }
 
@@ -71,24 +71,6 @@ func goldenEntry(name string) (goldenFigure, error) {
 		return goldenFigure{}, fmt.Errorf("no golden figure %q", name)
 	}
 	return goldenFigures[i], nil
-}
-
-// allAblations renders the seven ablation-* registry entries, in
-// registry order, as one figure list.
-func allAblations(o Options) ([]Figure, error) {
-	entries, err := Lookup("ablations")
-	if err != nil {
-		return nil, err
-	}
-	var figs []Figure
-	for _, e := range entries {
-		fs, err := e.Run(o)
-		if err != nil {
-			return nil, err
-		}
-		figs = append(figs, fs...)
-	}
-	return figs, nil
 }
 
 // goldenRender is one golden entry's render.
@@ -141,8 +123,26 @@ func renderGolden(name string) ([]Figure, error) {
 		}
 		collectSpecFields(data, goldenRuns.fields)
 	}
-	figs, err := g.run(o)
+	figs, err := render(name, o)
 	return figs, errors.Join(err, marshalErr)
+}
+
+// render runs Lookup(names)'s registry entries at o, in order, and
+// concatenates their figures.
+func render(names string, o Options) ([]Figure, error) {
+	entries, err := Lookup(names)
+	if err != nil {
+		return nil, err
+	}
+	var figs []Figure
+	for _, e := range entries {
+		fs, err := e.Run(o)
+		if err != nil {
+			return nil, err
+		}
+		figs = append(figs, fs...)
+	}
+	return figs, nil
 }
 
 // TestGoldenFigures renders each pinned figure and compares the CSV

@@ -7,9 +7,9 @@ import (
 
 	"tlb/internal/core"
 	"tlb/internal/eventsim"
+	"tlb/internal/lb"
 	"tlb/internal/netem"
 	"tlb/internal/transport"
-	"tlb/internal/units"
 )
 
 // Fig15 reproduces the §7 overhead study in this repository's terms.
@@ -20,84 +20,30 @@ import (
 // TLB's overhead must be a small constant over ECMP/RPS/Presto, which
 // is the figure's claim.
 //
-// Fig15 times the five testbed schemes as a testbed run builds them
-// (testbedSchemes in testbedEnv), warmed with 1 000 flows' data packets
-// plus the pure-ACK stream of every fourth flow, by the wall clock
-// around 200 000 decisions over that mix. The root BenchmarkFig15Decision
-// times a different set-up under testing.B: every registered scheme on
-// its registry defaults in the paper's NS2 environment, warmed with
-// one data packet of each of 512 flows and no ACKs.
+// Both panels come from one set-up, NewDecisions, which the root
+// BenchmarkFig15Decision and TestAllocGateDecision share: fig15a is the
+// wall clock around a fixed count of the benchmark's decisions, fig15b
+// the heap the warm-up left behind.
 func Fig15(o Options) ([]Figure, error) {
-	sim := eventsim.New()
-	rng := eventsim.NewRNG(o.Seed)
-	ports := make([]*netem.Port, 10)
-	for i := range ports {
-		ports[i] = netem.NewPort(sim,
-			netem.LinkConfig{Bandwidth: units.Gbps, Delay: 10 * units.Microsecond},
-			netem.QueueConfig{Capacity: 256},
-			func(*netem.Packet) {}, "up")
-	}
-
-	schemes := testbedSchemes()
-	e := testbedEnv(100, 4)
-
 	cpu := Figure{ID: "fig15a", Title: "Per-packet decision cost", YLabel: "ns/decision"}
 	mem := Figure{ID: "fig15b", Title: "Per-switch scheme state", YLabel: "bytes after 1000-flow mix"}
 
 	const decisions = 200000
-	const flows = 1000
-	for _, s := range schemes {
-		// The balancer is the one a testbed run of the scheme builds.
-		sp := e.spec(s, "fig15-"+s.label(), o.Seed)
-		sc, err := sp.Compile()
+	for _, s := range testbedSchemes() {
+		d, err := NewDecisions(s.Name, o.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("fig15: %w", err)
 		}
-		bal := sc.Balancer(sim, rng.Split(), ports)
-		// The warm mix is what a leaf switch actually balances: every
-		// flow's data direction plus the reverse-direction pure-ACK
-		// stream of every fourth flow. The ACKs matter for fig15b: they
-		// never carry FIN, so a scheme that gives them flow-table
-		// entries (the Presto/LetFlow leak this repo fixed) shows the
-		// leaked state here.
-		pkts := make([]*netem.Packet, 0, flows+flows/4)
-		for i := 0; i < flows; i++ {
-			flow := netem.FlowID{Src: i % 97, Dst: 100 + i%89, Port: i}
-			pkts = append(pkts, &netem.Packet{
-				Flow: flow, Kind: netem.Data, Payload: transport.MSS, Wire: transport.MSS + transport.HeaderBytes,
-			})
-			if i%4 == 0 {
-				pkts = append(pkts, &netem.Packet{
-					Flow: flow.Reversed(), Kind: netem.Ack, Wire: transport.HeaderBytes,
-				})
-			}
-		}
-		// Memory: live heap growth from warming the scheme's state
-		// with the flow mix (flow tables, flowlet maps, ...).
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for _, pkt := range pkts {
-			bal.Pick(pkt, ports)
-		}
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		stateBytes := float64(after.HeapAlloc) - float64(before.HeapAlloc)
-		if stateBytes < 0 {
-			stateBytes = 0
-		}
-
-		// CPU: steady-state decision cost over the warmed state.
 		start := time.Now()
 		for i := 0; i < decisions; i++ {
-			bal.Pick(pkts[i%len(pkts)], ports)
+			d.Decide()
 		}
-		elapsed := time.Since(start)
+		ns := float64(time.Since(start).Nanoseconds()) / decisions
 
-		cpu.Bars = append(cpu.Bars, Bar{s.label(), float64(elapsed.Nanoseconds()) / decisions})
-		mem.Bars = append(mem.Bars, Bar{s.label(), stateBytes})
-		o.logf("fig15: %s %.1f ns/decision", s.label(), float64(elapsed.Nanoseconds())/decisions)
-		if tl, ok := bal.(*core.TLB); ok {
+		cpu.Bars = append(cpu.Bars, Bar{s.label(), ns})
+		mem.Bars = append(mem.Bars, Bar{s.label(), d.stateBytes})
+		o.logf("fig15: %s %.1f ns/decision", s.label(), ns)
+		if tl, ok := d.bal.(*core.TLB); ok {
 			// TLB's decision breakdown: control routing is counted apart
 			// from short/long data decisions (Stats.ControlPackets).
 			st := tl.Stats()
@@ -106,4 +52,86 @@ func Fig15(o Options) ([]Figure, error) {
 		}
 	}
 	return []Figure{cpu, mem}, nil
+}
+
+// warmFlows is how many flows NewDecisions warms a balancer with.
+const warmFlows = 1000
+
+// Decisions is one scheme's steady-state forwarding decision, Fig. 15's
+// one set-up: the balancer a §7 testbed run builds for the scheme, over
+// the testbed's ten uplinks (link and queue as testbedEnv states them),
+// warmed with a 1 000-flow mix.
+type Decisions struct {
+	bal lb.Balancer
+	// stateBytes is the live heap the warm-up's decisions left behind:
+	// the scheme's per-switch state after the mix (fig15b).
+	stateBytes float64
+
+	//simlint:allow packetown(the warm mix is built here and never comes from or goes to a pool: no port ever sends it)
+	pkts  []*netem.Packet
+	ports []*netem.Port
+	next  int
+}
+
+// NewDecisions builds the named registered scheme as a testbed run
+// builds it — the five testbed schemes with testbedSchemes()'s
+// parameters, any other on its registry defaults — and warms it with
+// every flow's data direction plus the reverse-direction pure-ACK
+// stream of every fourth flow, which is what a leaf switch actually
+// balances. The ACKs matter for fig15b: they never carry FIN, so a
+// scheme that gives them flow-table entries (the Presto/LetFlow leak
+// this repo fixed) shows the leaked state. The heap reading brackets
+// only the warm-up's Picks, not the packets they take.
+func NewDecisions(name string, seed uint64) (*Decisions, error) {
+	s := Scheme{Name: name}
+	for _, t := range testbedSchemes() {
+		if t.Name == name {
+			s = t
+		}
+	}
+	e := testbedEnv(100, 4)
+	sp := e.spec(s, "fig15-"+s.label(), seed)
+	sc, err := sp.Compile()
+	if err != nil {
+		return nil, err
+	}
+	engine := eventsim.New()
+	d := &Decisions{ports: make([]*netem.Port, e.topo.Spines)}
+	for i := range d.ports {
+		d.ports[i] = netem.NewPort(engine, e.topo.FabricLink, e.topo.Queue, func(*netem.Packet) {}, "up")
+	}
+	d.bal = sc.Balancer(engine, eventsim.NewRNG(seed), d.ports)
+	d.pkts = make([]*netem.Packet, 0, warmFlows+warmFlows/4)
+	for i := 0; i < warmFlows; i++ {
+		flow := netem.FlowID{Src: i % 97, Dst: 100 + i%89, Port: i}
+		d.pkts = append(d.pkts, &netem.Packet{
+			Flow: flow, Kind: netem.Data, Payload: transport.MSS, Wire: transport.MSS + transport.HeaderBytes,
+		})
+		if i%4 == 0 {
+			d.pkts = append(d.pkts, &netem.Packet{
+				Flow: flow.Reversed(), Kind: netem.Ack, Wire: transport.HeaderBytes,
+			})
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range d.pkts {
+		d.Decide()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	d.stateBytes = max(float64(after.HeapAlloc)-float64(before.HeapAlloc), 0)
+	return d, nil
+}
+
+// Decide makes one steady-state decision: the balancer picks an uplink
+// for the next packet of the warm mix, cycling through it.
+func (d *Decisions) Decide() {
+	pkt := d.pkts[d.next]
+	if d.next++; d.next == len(d.pkts) {
+		d.next = 0
+	}
+	d.bal.Pick(pkt, d.ports)
 }

@@ -28,7 +28,7 @@ func matchesGoldenAt(t *testing.T, name string, workers int) {
 	}
 	o := g.opts
 	o.Workers = workers
-	figs, err := g.run(o)
+	figs, err := render(name, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,9 @@ type Entry struct {
 // order.
 func Registry() []Entry {
 	return []Entry{
-		{"fig3", "Fig. 3 a-c, §2.2", "impact of switching granularity on short flows", figs3Only},
-		{"fig4", "Fig. 4 a-c, §2.2", "impact of switching granularity on long flows", figs4Only},
+		{"fig3-4", "Figs. 3-4, §2.2", "impact of switching granularity on short and long flows", Fig3And4},
 		{"fig7", "Fig. 7 a-d, §4.2", "model vs simulated minimum switching threshold q_th", Fig7},
-		{"fig8", "Fig. 8 a-b, §6.1", "short-flow reordering and queueing delay over time", figs8Only},
-		{"fig9", "Fig. 9 a-b, §6.1", "long-flow reordering and instantaneous throughput", figs9Only},
+		{"fig8-9", "Figs. 8-9, §6.1", "short- and long-flow reordering, queueing delay and throughput over time", Fig8And9},
 		{"fig10", "Fig. 10 a-d, §6.2", "web-search workload sweep (loads 0.1-0.8, 5 schemes)", Fig10},
 		{"fig11", "Fig. 11 a-d, §6.2", "data-mining workload sweep", Fig11},
 		{"fig12", "Fig. 12 a-d, §6.3", "deadline-agnostic TLB percentile study", Fig12},
@@ -94,28 +92,4 @@ func Lookup(names string) ([]Entry, error) {
 		}
 	}
 	return out, nil
-}
-
-// The paper presents Fig. 3/4 (one shared run set) and Fig. 8/9
-// (likewise) as separate figures; these wrappers slice the shared
-// results accordingly. Each pair costs its runs once per call.
-
-func figs3Only(o Options) ([]Figure, error) { return sliceFigs(Fig3And4(o))("fig3") }
-func figs4Only(o Options) ([]Figure, error) { return sliceFigs(Fig3And4(o))("fig4") }
-func figs8Only(o Options) ([]Figure, error) { return sliceFigs(Fig8And9(o))("fig8") }
-func figs9Only(o Options) ([]Figure, error) { return sliceFigs(Fig8And9(o))("fig9") }
-
-func sliceFigs(figs []Figure, err error) func(prefix string) ([]Figure, error) {
-	return func(prefix string) ([]Figure, error) {
-		if err != nil {
-			return nil, err
-		}
-		var out []Figure
-		for _, f := range figs {
-			if strings.HasPrefix(f.ID, prefix) {
-				out = append(out, f)
-			}
-		}
-		return out, nil
-	}
 }

@@ -134,7 +134,7 @@ func (p Params) ShortPathsNeeded() float64 {
 	// From FCT_S = r*rho/(2(1-rho)C) + X/C = D:
 	//   rho = 2aC / (r + 2aC)
 	// and lambda = mS*X/(D*nS)  =>  nS = mS*X/(D*C*rho).
-	rho := 2 * a * c / (r + 2*a*c)
+	rho := 2 * a * c / (r + float64(2*a*c))
 	return float64(p.ShortFlows) * x / (d * c * rho)
 }
 
@@ -164,7 +164,7 @@ func (p Params) QTh() float64 {
 		perLongRate = c
 	}
 	demand := float64(p.LongFlows) * perLongRate * t
-	qth := demand/nL - t*c
+	qth := demand/nL - float64(t*c)
 	if qth < 0 {
 		return 0
 	}
@@ -199,7 +199,7 @@ func (p Params) FCTShort(qth float64) float64 {
 	t := p.Interval.Seconds()
 	nS := float64(p.Paths)
 	if p.LongFlows > 0 {
-		nS -= float64(p.LongFlows) * p.longWindowPkts() * (t / p.RTT.Seconds()) / (qth + t*c)
+		nS -= float64(p.LongFlows) * p.longWindowPkts() * (t / p.RTT.Seconds()) / (qth + float64(t*c))
 	}
 	if nS <= 0 {
 		return math.Inf(1)
@@ -218,10 +218,10 @@ func (p Params) FCTShort(qth float64) float64 {
 	// => (F - T0)(F*nS*C - ms*x)*2C = r*ms*x
 	// => 2C*nS*C*F^2 - 2C(ms*x + T0*nS*C)F + 2C*T0*ms*x - r*ms*x = 0.
 	t0 := x / c
-	A := 2 * c * nS * c
-	B := -2 * c * (ms*x + t0*nS*c)
-	C := 2*c*t0*ms*x - r*ms*x
-	disc := B*B - 4*A*C
+	A := float64(2 * c * nS * c)
+	B := float64(-2 * c * (float64(ms*x) + float64(t0*nS*c)))
+	C := float64(2*c*t0*ms*x) - float64(r*ms*x)
+	disc := float64(B*B) - float64(4*A*C)
 	if disc < 0 {
 		return math.Inf(1)
 	}

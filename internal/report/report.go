@@ -11,7 +11,6 @@ package report
 import (
 	"fmt"
 	"html"
-	"regexp"
 	"sort"
 	"strings"
 
@@ -28,7 +27,7 @@ type Campaign struct {
 }
 
 // Section ids, in document order. They are the report's structural
-// contract: Skeleton extracts them and TestSkeletonGolden pins them.
+// contract: TestSkeletonGolden extracts and pins them.
 const (
 	IDSummary = "summary"
 	IDAFCT    = "afct"
@@ -269,28 +268,4 @@ func faultSection(b *strings.Builder, c Campaign) {
 	fmt.Fprintf(b, "<text x=\"%.0f\" y=\"%.0f\" font-size=\"9\" text-anchor=\"middle\">0</text>\n", left, height-8)
 	fmt.Fprintf(b, "<text x=\"%.0f\" y=\"%.0f\" font-size=\"9\" text-anchor=\"middle\">%s</text>\n", left+w, height-8, maxEnd)
 	b.WriteString("</svg>\n</section>\n")
-}
-
-// skeletonRe matches the structural elements of a report: section ids,
-// headings, and the chart/table containers.
-var skeletonRe = regexp.MustCompile(`<section id="([a-z]+)">|<(h1|h2|table|svg|p class="empty")[\s>]`)
-
-// Skeleton reduces a rendered report to its structural outline —
-// section ids and container elements in document order, one token per
-// line — the stable surface TestSkeletonGolden pins without freezing
-// pixel content.
-func Skeleton(doc []byte) string {
-	var out []string
-	for _, m := range skeletonRe.FindAllStringSubmatch(string(doc), -1) {
-		if m[1] != "" {
-			out = append(out, "section#"+m[1])
-		} else {
-			tag := m[2]
-			if tag == `p class="empty"` {
-				tag = "p.empty"
-			}
-			out = append(out, tag)
-		}
-	}
-	return strings.Join(out, "\n") + "\n"
 }

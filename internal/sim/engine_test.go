@@ -42,8 +42,7 @@ func TestEngineCountersDenseFabric(t *testing.T) {
 	}
 	var done ProgressEvent
 	res, err := NewSession(sc, SessionOptions{
-		Observer:      ObserverFunc(func(ev ProgressEvent) { done = ev }),
-		SnapshotEvery: NoSnapshots,
+		Observer: ObserverFunc(func(ev ProgressEvent) { done = ev }),
 	}).Run()
 	if err != nil {
 		t.Fatal(err)

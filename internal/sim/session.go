@@ -27,23 +27,13 @@ import (
 // an attached observer cannot perturb results. A session that takes
 // none runs the engine in one call.
 
-// DefaultSnapshotEvery is the snapshot period (in simulation time)
-// used when an observer is attached without an explicit period.
-const DefaultSnapshotEvery = 10 * units.Millisecond
-
-// NoSnapshots disables periodic snapshots for a session that still
-// wants the terminal Done event (e.g. a sweep whose caller only
-// consumes per-scenario completions).
-const NoSnapshots units.Time = -1
-
 // SessionOptions configure one Session.
 type SessionOptions struct {
 	// Observer, when non-nil, receives the session's progress stream
 	// (see observer.go). Nil runs silently.
 	Observer Observer
-	// SnapshotEvery is the snapshot period in simulation time: 0 means
-	// DefaultSnapshotEvery, NoSnapshots (or any negative value)
-	// disables snapshots while keeping the Done event.
+	// SnapshotEvery is the snapshot period in simulation time; <= 0
+	// takes no snapshots, and the observer still sees the Done event.
 	SnapshotEvery units.Time
 	// Clock supplies wall time for Elapsed; nil means WallClock().
 	// Injected so tests control the one wall-clock seam.
@@ -82,9 +72,6 @@ func NewSession(sc Scenario, opts SessionOptions) *Session {
 	}
 	if opts.Total <= 0 {
 		opts.Total = 1
-	}
-	if opts.SnapshotEvery == 0 {
-		opts.SnapshotEvery = DefaultSnapshotEvery
 	}
 	return &Session{sc: sc, opts: opts}
 }

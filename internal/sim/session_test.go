@@ -81,14 +81,13 @@ func TestSessionObserverNeutral(t *testing.T) {
 	}
 	var whole ProgressEvent
 	unsliced, err := NewSession(sessionScenario(), SessionOptions{
-		Observer:      ObserverFunc(func(ev ProgressEvent) { whole = ev }),
-		SnapshotEvery: NoSnapshots,
+		Observer: ObserverFunc(func(ev ProgressEvent) { whole = ev }),
 	}).Run()
 	if err != nil {
 		t.Fatalf("unsliced run: %v", err)
 	}
 	if !reflect.DeepEqual(plain, unsliced) {
-		t.Fatalf("NoSnapshots Result differs from plain Result")
+		t.Fatalf("snapshot-free Result differs from plain Result")
 	}
 	sliced := rec.events[len(rec.events)-1]
 	if whole.Kind != ProgressDone || whole.Events == 0 || whole.Events != sliced.Events {

@@ -37,9 +37,8 @@ type SweepOptions struct {
 	// Done events. It runs on worker goroutines; keep it cheap.
 	Observer Observer
 	// SnapshotEvery is the per-session snapshot period in simulation
-	// time (0 means DefaultSnapshotEvery; NoSnapshots keeps only the
-	// Done events, for callers that print per-scenario completions).
-	// Only meaningful with an Observer.
+	// time; <= 0 keeps only the Done events, for callers that print
+	// per-scenario completions. Only meaningful with an Observer.
 	SnapshotEvery units.Time
 }
 

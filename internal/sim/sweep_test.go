@@ -73,9 +73,8 @@ func TestRunSweepProgress(t *testing.T) {
 	}
 	var seen []ProgressEvent
 	_, err := RunSweep(scenarios, SweepOptions{
-		Workers:       2,
-		Observer:      ObserverFunc(func(p ProgressEvent) { seen = append(seen, p) }),
-		SnapshotEvery: NoSnapshots,
+		Workers:  2,
+		Observer: ObserverFunc(func(p ProgressEvent) { seen = append(seen, p) }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,9 +123,8 @@ func TestRunSweepRecoversPanickingScenario(t *testing.T) {
 
 	var seen []ProgressEvent
 	results, err := RunSweep(scenarios, SweepOptions{
-		Workers:       1,
-		Observer:      ObserverFunc(func(p ProgressEvent) { seen = append(seen, p) }),
-		SnapshotEvery: NoSnapshots,
+		Workers:  1,
+		Observer: ObserverFunc(func(p ProgressEvent) { seen = append(seen, p) }),
 	})
 	var se *SweepError
 	if !errors.As(err, &se) {

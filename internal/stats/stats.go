@@ -80,7 +80,7 @@ func (s *Sample) Percentile(p float64) float64 {
 	if p >= 100 {
 		return s.xs[len(s.xs)-1]
 	}
-	rank := p / 100 * float64(len(s.xs)-1)
+	rank := float64(p / 100 * float64(len(s.xs)-1))
 	lo := int(rank)
 	frac := rank - float64(lo)
 	if lo+1 >= len(s.xs) {
@@ -89,7 +89,7 @@ func (s *Sample) Percentile(p float64) float64 {
 	// Interpolate in difference form and clamp to the bracketing
 	// samples: the two-product form can round one ulp outside the
 	// bracket, leaking values beyond the observed range.
-	v := s.xs[lo] + frac*(s.xs[lo+1]-s.xs[lo])
+	v := s.xs[lo] + float64(frac*(s.xs[lo+1]-s.xs[lo]))
 	if v < s.xs[lo] {
 		v = s.xs[lo]
 	}

@@ -119,7 +119,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("topology: links need positive bandwidth")
 	}
 	// Two ports per host link and per leaf-spine pair.
-	hosts, pairs := float64(c.Leaves)*float64(c.HostsPerLeaf), float64(c.Leaves)*float64(c.Spines)
+	leaves := float64(c.Leaves)
+	hosts, pairs := float64(leaves*float64(c.HostsPerLeaf)), float64(leaves*float64(c.Spines))
 	if err := checkSize(2*hosts+2*pairs, hosts); err != nil {
 		return err
 	}

@@ -281,9 +281,9 @@ func (s *Sender) endAlphaWindow() {
 		frac := float64(s.bytesMarked) / float64(s.bytesAcked)
 		if !s.cfg.NewReno {
 			const g = DCTCPGain
-			s.alpha = (1-g)*s.alpha + g*frac
+			s.alpha = float64((1-g)*s.alpha) + float64(g*frac)
 			if s.bytesMarked > 0 {
-				s.cwnd = maxf(s.cwnd*(1-s.alpha/2), float64(MSS))
+				s.cwnd = maxf(s.cwnd*(1-float64(s.alpha/2)), float64(MSS))
 				s.ssthresh = s.cwnd
 				s.Stats.WindowCuts++
 			}

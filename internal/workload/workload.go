@@ -146,7 +146,7 @@ func (d *CDFDist) quantile(u float64) units.Bytes {
 	}
 	frac := (u - lo.Frac) / (hi.Frac - lo.Frac)
 	// Log-linear interpolation in size.
-	ls := d.logSize[i-1] + frac*(d.logSize[i]-d.logSize[i-1])
+	ls := d.logSize[i-1] + float64(frac*(d.logSize[i]-d.logSize[i-1]))
 	s := units.Bytes(math.Exp(ls))
 	if s < 1 {
 		s = 1
