@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt-check vet lint fma-check census race bench-all bench-pair bench-setup-pair alloc-gates identity figures-diff docs loc knobs specs examples smoke largescale-smoke ci
+.PHONY: build test fmt-check vet lint fma-check census race bench-all bench-pair bench-setup-pair alloc-gates identity figures-diff docs loc knobs specs examples smoke ci
 
 build:
 	$(GO) build ./...
@@ -302,16 +302,8 @@ examples:
 smoke:
 	$(GO) run ./cmd/experiments -fig figF1 -flows 60 -workers 2 -q >/dev/null
 
-# largescale-smoke runs the streamed k=16 fat-tree scenario (figLS) at
-# a reduced flow count (2 x 1250 = 2500 flows, past the exact-percentile
-# cap): the lazy workload source, the fold and the sketched Result
-# accessors all have to work end to end for it to exit 0. The full-scale (1M flow) numbers
-# live in EXPERIMENTS.md "Large scale".
-largescale-smoke:
-	$(GO) run ./cmd/experiments -fig figLS -flows 2 -q >/dev/null
-
 # ci is the gate: static checks (gofmt, vet, simlint), the full test
 # suite, the zero-allocation gates, the output-identity contract, the
 # race detector over all packages, every benchmark body once, and the
-# end-to-end smoke runs.
-ci: build fmt-check vet lint fma-check test alloc-gates identity race bench-all specs examples smoke largescale-smoke
+# end-to-end smoke run.
+ci: build fmt-check vet lint fma-check test alloc-gates identity race bench-all specs examples smoke

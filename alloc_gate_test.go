@@ -220,7 +220,7 @@ func miceScenario(t *testing.T, flows int, maxGap, outputs string) sim.Scenario 
 	    "queue": {"capacity": 256, "ecnThreshold": 65}},
 	  "workload": {"kind": "interpod", "interPod": {"flows": %d,
 	    "sizes": {"kind": "uniform", "min": "2KB", "max": "32KB"}, "maxGap": "%s"}},
-	  "run": {"maxTime": "600s", "stopWhenDone": true},
+	  "run": {"maxTime": "600s"},
 	  "outputs": %s}`, flows, maxGap, outputs)))
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestAllocGatePerFlow(t *testing.T) {
 		carried               bool // the pool may not grow
 	}{
 		{"backlog", "20us", `{}`, 1.1, false},
-		{"backlog+series", "20us", `{"collectTimeSeries": true}`, 1.1, false},
+		{"backlog+series", "20us", `{"timeBucket": "1ms"}`, 1.1, false},
 		{"carried load", "200us", `{}`, 0.1, true},
 	} {
 		const few, many = 1000, 5000

@@ -265,7 +265,7 @@ const campaignSpec = `{
     "sizes": {"kind": "websearch", "truncate": %q},
     "deadlines": {"min": "5ms", "max": "25ms", "onlyBelow": "100KB"}
   },
-  "run": {"maxTime": "60s", "stopWhenDone": true},
+  "run": {"maxTime": "60s"},
   "outputs": {}
 }`
 

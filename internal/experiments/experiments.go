@@ -167,7 +167,7 @@ func (f *Figure) add(series string, x, y float64) {
 }
 
 // Scheme names a registered balancer plus its parameters — pure data,
-// resolved through the lb registry at compile time. Replication adds
+// resolved through the lb registry at compile time. Replicate adds
 // RepFlow-style end-host copies on top (RepFlow runs ECMP at the
 // switch and replicates mice at the hosts).
 type Scheme struct {
@@ -175,9 +175,9 @@ type Scheme struct {
 	Name string
 	// Label, when set, is the display name results carry ("flow" for
 	// ecmp in the motivation figures); it defaults to Name.
-	Label       string
-	Params      spec.Params
-	Replication *spec.Replication
+	Label     string
+	Params    spec.Params
+	Replicate bool
 }
 
 // label returns the display name.
@@ -227,18 +227,15 @@ type env struct {
 // spec builds one scheme's scenario in this environment.
 func (e env) spec(s Scheme, name string, seed uint64) spec.Spec {
 	return spec.Spec{
-		Version:     spec.Version,
-		Name:        name,
-		Seed:        seed,
-		Scheme:      s.schemeSpec(),
-		Topology:    topoSpec(e.topo),
-		Transport:   e.transport,
-		Workload:    e.workload,
-		Replication: s.Replication,
-		Run: spec.Run{
-			MaxTime:      spec.Dur(e.maxTime),
-			StopWhenDone: true,
-		},
+		Version:   spec.Version,
+		Name:      name,
+		Seed:      seed,
+		Scheme:    s.schemeSpec(),
+		Topology:  topoSpec(e.topo),
+		Transport: e.transport,
+		Workload:  e.workload,
+		Replicate: s.Replicate,
+		Run:       spec.Run{MaxTime: spec.Dur(e.maxTime)},
 	}
 }
 

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"tlb/internal/core"
+	"tlb/internal/eventsim"
+	"tlb/internal/lb"
+	"tlb/internal/netem"
 	"tlb/internal/spec"
 	"tlb/internal/stats"
 	"tlb/internal/units"
@@ -117,6 +120,50 @@ func TestFig15ReportsAllSchemes(t *testing.T) {
 				t.Fatalf("%s: negative metric for %s", f.ID, b.Label)
 			}
 		}
+	}
+}
+
+// timerOnly is a balancer that keeps no per-flow state: its first Pick
+// arms one timer, whose callback it built at construction.
+type timerOnly struct {
+	sim   *eventsim.Sim
+	tick  func()
+	armed bool
+}
+
+func (b *timerOnly) Pick(*netem.Packet, []*netem.Port) int {
+	if !b.armed {
+		b.armed = true
+		b.sim.After(units.Second, b.tick)
+	}
+	return 0
+}
+
+// TestFig15StateExcludesTheEngine: fig15b's heap reading charges a
+// scheme its own state only. A balancer that arms one timer and keeps
+// nothing per flow warms to 0 B, not to the engine's first block of
+// event nodes and its free list (5 376 B). The reading is the whole
+// process's heap, where the runtime and the test framework now and then
+// allocate a few bytes meanwhile, so the test is not parallel and the
+// smallest of three warm-ups counts.
+func TestFig15StateExcludesTheEngine(t *testing.T) {
+	stub := func(sim *eventsim.Sim, _ *eventsim.RNG, _ []*netem.Port) lb.Balancer {
+		b := &timerOnly{sim: sim}
+		b.tick = func() { b.armed = false }
+		return b
+	}
+	var least float64
+	for i := 0; i < 3; i++ {
+		d := warmDecisions(testbedEnv(100, 4).topo, stub, 1)
+		if !d.bal.(*timerOnly).armed {
+			t.Fatal("the warm-up armed no timer")
+		}
+		if i == 0 || d.stateBytes < least {
+			least = d.stateBytes
+		}
+	}
+	if least != 0 {
+		t.Fatalf("a balancer with no per-flow state warmed to %v B at least, want 0", least)
 	}
 }
 

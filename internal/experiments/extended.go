@@ -31,8 +31,7 @@ func extendedSchemeSet() []Scheme {
 		{Name: "flowbender"},
 		{Name: "wcmp"},
 		{Name: "letflow", Params: spec.Params{"gap": pDur(150 * units.Microsecond)}},
-		{Name: "ecmp", Label: "repflow",
-			Replication: &spec.Replication{Threshold: spec.Sz(100 * units.KB), Copies: 2}},
+		{Name: "ecmp", Label: "repflow", Replicate: true},
 		largeTLB(nil),
 	}
 }

@@ -45,9 +45,11 @@ func figF1Env(o Options) env {
 				Shorts:        figF1Shorts(o),
 				ShortSizes:    testbedShortSizes(),
 				ArrivalJitter: spec.Dur(figF1Window),
-				Deadlines:     testbedDeadlines(),
 			},
 		},
+		// The longs are above the deadlines' size bound, so they draw
+		// none.
+		Deadlines: testbedDeadlines(),
 	}
 	return e
 }
@@ -86,7 +88,6 @@ func figF1Specs(o Options) ([]string, []spec.Spec) {
 		order = append(order, s.label())
 		sp := e.spec(s, "figF1-"+s.label(), o.Seed)
 		sp.Faults = sched
-		sp.Outputs.CollectTimeSeries = true
 		sp.Outputs.TimeBucket = spec.Dur(250 * units.Millisecond)
 		specs = append(specs, sp)
 	}

@@ -201,15 +201,16 @@ func TestBitRatesAreGbps(t *testing.T) {
 
 // goldenRuns is what the specs of the golden figures set, collected by
 // TestGoldenFigures as it runs: every scheme name, every scheme
-// parameter ("scheme.param"), every spec field ("Struct.jsonField",
-// see collectSpecFields) and each batch's marshalled specs, keyed
+// parameter ("scheme.param"), the values of every spec field (see
+// collectSpecFields) and each batch's marshalled specs, keyed
 // "<golden entry>/<batch prefix>".
 var goldenRuns = struct {
 	sync.Mutex
-	schemes, params, fields map[string]bool
-	batches                 map[string][][]byte
-	complete                bool
-}{schemes: map[string]bool{}, params: map[string]bool{}, fields: map[string]bool{}, batches: map[string][][]byte{}}
+	schemes, params map[string]bool
+	fields          fieldValues
+	batches         map[string][][]byte
+	complete        bool
+}{schemes: map[string]bool{}, params: map[string]bool{}, fields: fieldValues{}, batches: map[string][][]byte{}}
 
 // eachCheckedInJSON calls fn with every JSON document checked in under
 // the module root (hidden directories skipped): presets, example specs,
@@ -316,15 +317,29 @@ func collectSchemes(doc any, names, params map[string]bool) {
 	}
 }
 
+// oneValuedFields are the spec fields TestEverySpecFieldIsSetByARun
+// lets every run set to one value, each with its reason.
+var oneValuedFields = map[string]string{
+	"Spec.version":  "a format marker: one value is its point",
+	"Fault.leaf":    "an address: every fault schedule in use takes leaf 0's uplinks",
+	"Override.leaf": "an address: every asymmetry in use sits on leaf 0's uplinks",
+	"Deadlines.onlyBelow": "pinned by bench/workloads, which sets it; it goes " +
+		"with the benchmark's next change (ROADMAP item 10)",
+	"InterPod.deadlineBase":      "pinned by bench/workloads, as Deadlines.onlyBelow",
+	"InterPod.deadlineJitter":    "pinned by bench/workloads, as Deadlines.onlyBelow",
+	"InterPod.deadlineOnlyBelow": "pinned by bench/workloads, as Deadlines.onlyBelow",
+}
+
 // TestEverySpecFieldIsSetByARun is TestEveryParamIsSetByARun for the
-// spec format itself: every field of every spec struct is present in
-// the marshalled spec of some run — a golden figure's, or a checked-in
-// JSON file that loads as a spec or as a list of them. A field no run
-// sets is a constant under another name. Fields are keyed by (struct,
-// JSON field), so Link.delay is one field wherever a Link sits. What
-// this cannot see is a field every run sets to the value it would
-// default to anyway (transport.initialRTO was only ever set equal to
-// minRTO, its default); those need reading, not counting.
+// spec format itself, over the marshalled specs of every run — a golden
+// figure's, or a checked-in JSON file that loads as a spec or as a list
+// of them. Fields are keyed by (struct, JSON field), so Link.delay is
+// one field wherever a Link sits. A field fails when every instance of
+// its struct gives it one value, absence counting as a value: a field
+// no run sets is a constant under another name, and so is one every
+// run sets alike (RepFlow's copies were always 2, its threshold always
+// 100KB). oneValuedFields exempts a field with its reason; an exemption
+// whose field now takes two values fails too, so the list stays true.
 func TestEverySpecFieldIsSetByARun(t *testing.T) {
 	if !goldenRuns.complete {
 		t.Skip("reads what TestGoldenFigures' runs collected: run them together (as `go test` and `make identity` do)")
@@ -349,14 +364,26 @@ func TestEverySpecFieldIsSetByARun(t *testing.T) {
 			collectSpecFields(out, set)
 		}
 	})
-	var missing []string
+	var oneValued, stale []string
 	for _, f := range specFields(reflect.TypeOf(spec.Spec{}), nil) {
-		if !set[f] {
-			missing = append(missing, f)
+		_, exempt := oneValuedFields[f]
+		only := "(no instance)"
+		for v := range set[f] {
+			only = v
+		}
+		switch {
+		case len(set[f]) <= 1 && !exempt:
+			oneValued = append(oneValued, f+" = "+only)
+		case len(set[f]) > 1 && exempt:
+			stale = append(stale, f)
 		}
 	}
-	if len(missing) > 0 {
-		t.Errorf("spec fields no run sets: %s", strings.Join(missing, " "))
+	if len(oneValued) > 0 {
+		t.Errorf("spec fields every run sets to one value (make each a constant, or exempt it with its reason):\n  %s",
+			strings.Join(oneValued, "\n  "))
+	}
+	if len(stale) > 0 {
+		t.Errorf("exempt spec fields that runs set to more than one value (drop the exemption): %s", strings.Join(stale, " "))
 	}
 }
 
@@ -391,7 +418,7 @@ func TestSchemesAtASweepPointShareTheirFlows(t *testing.T) {
 			name := doc["scheme"].(map[string]any)["name"].(string)
 			delete(doc, "name")
 			delete(doc, "scheme")
-			delete(doc, "replication")
+			delete(doc, "replicate")
 			key, err := json.Marshal(doc)
 			if err != nil {
 				t.Fatal(err)
@@ -431,16 +458,31 @@ func compiledFlows(t *testing.T, data []byte) []workload.Flow {
 	return workload.Collect(sc.FlowSourceNew())
 }
 
-// collectSpecFields adds "Struct.jsonField" for every field present in
-// a marshalled spec, walking the JSON alongside the spec's types.
-func collectSpecFields(data []byte, set map[string]bool) {
+// fieldValues maps each spec field, "Struct.jsonField", to the values
+// its struct's instances give it: each its JSON text, or absentValue.
+type fieldValues map[string]map[string]bool
+
+// absentValue is the value of a field an instance does not set.
+const absentValue = "(absent)"
+
+func (fv fieldValues) add(field, value string) {
+	if fv[field] == nil {
+		fv[field] = map[string]bool{}
+	}
+	fv[field][value] = true
+}
+
+// collectSpecFields adds the value of every field of every struct
+// instance in a marshalled spec, walking the JSON alongside the spec's
+// types.
+func collectSpecFields(data []byte, set fieldValues) {
 	var doc any
 	if err := json.Unmarshal(data, &doc); err == nil {
 		walkSpecFields(reflect.TypeOf(spec.Spec{}), doc, set)
 	}
 }
 
-func walkSpecFields(typ reflect.Type, doc any, set map[string]bool) {
+func walkSpecFields(typ reflect.Type, doc any, set fieldValues) {
 	for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
 		typ = typ.Elem()
 	}
@@ -456,10 +498,14 @@ func walkSpecFields(typ reflect.Type, doc any, set map[string]bool) {
 		for i := 0; i < typ.NumField(); i++ {
 			f := typ.Field(i)
 			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-			if child, ok := v[name]; ok {
-				set[typ.Name()+"."+name] = true
-				walkSpecFields(f.Type, child, set)
+			child, ok := v[name]
+			if !ok {
+				set.add(typ.Name()+"."+name, absentValue)
+				continue
 			}
+			text, _ := json.Marshal(child)
+			set.add(typ.Name()+"."+name, string(text))
+			walkSpecFields(f.Type, child, set)
 		}
 	}
 }

@@ -50,10 +50,7 @@ func (e fig7Env) qthSpec(label string, qth int, seed uint64) spec.Spec {
 	// Override deadlines to the fixed model deadline D so the
 	// measurement matches the model's question ("do shorts finish
 	// within D").
-	sp.Workload.DeadlineOverride = &spec.DeadlineOverride{
-		Deadline:  spec.Dur(e.deadline),
-		OnlyBelow: spec.Sz(100 * units.KB),
-	}
+	sp.Workload.DeadlineOverride = &spec.DeadlineOverride{Deadline: spec.Dur(e.deadline)}
 	return sp
 }
 

@@ -82,7 +82,6 @@ func fig89Specs(o Options) ([]Scheme, []spec.Spec) {
 	specs := make([]spec.Spec, len(schemes))
 	for i, s := range schemes {
 		sp := e.spec(s, s.label(), o.Seed)
-		sp.Outputs.CollectTimeSeries = true
 		sp.Outputs.TimeBucket = spec.Dur(2 * units.Millisecond)
 		specs[i] = sp
 	}

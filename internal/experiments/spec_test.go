@@ -178,7 +178,7 @@ func TestSpecObserverSeesEveryRun(t *testing.T) {
 		if err := sp.Validate(); err != nil {
 			t.Errorf("%s: %v", sp.Name, err)
 		}
-		if !sp.Outputs.CollectTimeSeries {
+		if sp.Outputs.TimeBucket == "" {
 			t.Errorf("%s: fig8/9 needs the time series enabled", sp.Name)
 		}
 	}

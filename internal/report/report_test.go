@@ -37,8 +37,7 @@ func runScenario(t *testing.T, name, scheme string, faulted bool) *sim.Result {
 			{Src: 0, Dst: 2, Size: 200 * units.KB, Start: 0},
 			{Src: 1, Dst: 3, Size: 40 * units.KB, Start: 100 * units.Microsecond},
 		}),
-		StopWhenDone: true,
-		MaxTime:      units.Second,
+		MaxTime: units.Second,
 	}
 	if faulted {
 		sc.Faults = faults.Schedule{

@@ -85,15 +85,15 @@ func TestArrivalOrderPinned(t *testing.T) {
 				sc := Scenario{
 					Name: "arrival-order", Topology: smallTopo(),
 					Balancer: scheme.f, SchemeName: scheme.name, Seed: 3,
-					FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: 5 * units.Second,
-					CollectTimeSeries: series,
+					FlowSourceNew: workload.Arrivals(flows), MaxTime: 5 * units.Second,
 				}
 				cell := scheme.name
 				if replicated {
-					sc.Replication = &ReplicationConfig{Threshold: 100 * units.KB, Copies: 2}
+					sc.Replicate = true
 					cell += " replicated"
 				}
 				if series {
+					sc.TimeBucket = units.Millisecond
 					cell += " series"
 				}
 				res, recs, err := runWatched(sc)

@@ -54,7 +54,7 @@ type runCore struct {
 	// sender's completion its receiver closes (see newCore).
 	closeLag units.Time
 	// stopped is the durable record that the core ended its own run
-	// (stop: the last completion under StopWhenDone, or a failure):
+	// (stop: the last completion, or a failure):
 	// RunUntil consumes the engine's one-shot stop flag on return.
 	stopped bool
 	err     error
@@ -151,7 +151,7 @@ func newCore(sc *Scenario) (*runCore, error) {
 	if err := c.scheduleFlows(); err != nil {
 		return nil, err
 	}
-	if sc.CollectTimeSeries {
+	if sc.TimeBucket > 0 {
 		w := sc.TimeBucket.Seconds()
 		c.shortOut.QueueDelayUs, c.shortOut.OutOfOrder = stats.NewTimeSeries(w), stats.NewTimeSeries(w)
 		c.longOut.OutOfOrder = stats.NewTimeSeries(w)
@@ -210,7 +210,7 @@ func (c *runCore) arrive() {
 		c.fail(fmt.Errorf("sim: flow %d opened twice: a source must give each flow its own Index", f.Index))
 		return
 	}
-	if r := c.sc.Replication; r != nil && r.Copies > 1 && f.Size <= r.Threshold {
+	if c.sc.Replicate && f.Size <= ShortThreshold {
 		c.openReplicated(f)
 	} else {
 		c.openFlow(f)
@@ -235,12 +235,11 @@ func (c *runCore) fail(err error) {
 	c.stop()
 }
 
-// flowDone counts one completion; under StopWhenDone the last one
-// stops the run.
+// flowDone counts one completion; the last one stops the run.
 func (c *runCore) flowDone() {
 	c.remaining--
 	c.done++
-	if c.sc.StopWhenDone && c.remaining == 0 {
+	if c.remaining == 0 {
 		c.stop()
 	}
 }
@@ -269,22 +268,20 @@ func (c *runCore) flowFinished(done *transport.Sender) {
 	c.finish(done.ID().Port)
 }
 
-// openReplicated runs at f.Start and realizes one flow as N racing
-// copies (RepFlow). The canonical record is the one folded and receives
-// the winner's record; losers keep draining but are otherwise ignored.
-// Every copy's receiver reports to the sink, since every copy's packets
-// cross the fabric, but the flow's payload counts as acked once, at the
-// win.
+// openReplicated runs at f.Start and realizes one short flow as
+// ReplicaCopies racing copies (RepFlow). The canonical record is the
+// one folded and receives the winner's record; losers keep draining but
+// are otherwise ignored. Every copy's receiver reports to the short
+// sink, since every copy's packets cross the fabric, but the flow's
+// payload counts as acked once, at the win.
 func (c *runCore) openReplicated(f workload.Flow) {
 	sc := c.sc
 	flow := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: f.Index}
-	short := f.Size <= ShortThreshold
 	canonical := &transport.FlowStats{ID: flow, Size: f.Size, Deadline: f.Deadline}
 	c.track(f.Index, canonical)
-	out := c.sink(short)
+	out := c.sink(true)
 	won := false
-	copies := sc.Replication.Copies
-	for k := 0; k < copies; k++ {
+	for k := 0; k < ReplicaCopies; k++ {
 		// Distinct Port per copy: per-flow schemes (ECMP, WCMP,
 		// Presto, ...) hash the copies independently.
 		id := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: f.Index + (k+1)<<24}
@@ -391,7 +388,7 @@ func assemble(sc *Scenario, c *runCore, endTime units.Time) (*Result, error) {
 		ShortOOORatio:     c.shortOut.OutOfOrder,
 		LongOOORatio:      c.longOut.OutOfOrder,
 	}
-	if sc.CollectTimeSeries {
+	if sc.TimeBucket > 0 {
 		// Completion can land between ticks: flush what the last tick
 		// did not see at EndTime.
 		c.addGoodput(endTime)

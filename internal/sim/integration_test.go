@@ -38,7 +38,7 @@ func TestFabricConservationProperty(t *testing.T) {
 			Topology:   topo,
 			Balancer:   schemes[int(schemeIdx)%len(schemes)],
 			SchemeName: "prop", Seed: seed,
-			FlowSourceNew: workload.Arrivals(rngFlows), StopWhenDone: true, MaxTime: 30 * units.Second,
+			FlowSourceNew: workload.Arrivals(rngFlows), MaxTime: 30 * units.Second,
 		}
 		_, recs, err := runWatched(sc)
 		if err != nil || len(recs) != count {
@@ -79,7 +79,7 @@ func TestAsymmetricFabricEndToEnd(t *testing.T) {
 			{Src: 2, Dst: 6, Size: 30 * units.KB, Start: 0},
 			{Src: 3, Dst: 7, Size: 30 * units.KB, Start: 0},
 		}),
-		StopWhenDone: true, MaxTime: 10 * units.Second,
+		MaxTime: 10 * units.Second,
 	}
 	_, recs, err := runWatched(sc)
 	if err != nil {
@@ -119,7 +119,7 @@ func TestTLBAvoidsDegradedLink(t *testing.T) {
 	res, err := Run(Scenario{
 		Name: "tlb-asym", Topology: topo,
 		Balancer: tlbFactory(tlbEnv(topo, topo.BaseRTT())), SchemeName: "tlb", Seed: 33,
-		FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: 10 * units.Second,
+		FlowSourceNew: workload.Arrivals(flows), MaxTime: 10 * units.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +154,9 @@ func TestSampledShortPackets(t *testing.T) {
 	res, err := Run(Scenario{
 		Name: "samples", Topology: smallTopo(),
 		Balancer: lb.RPS(), SchemeName: "rps", Seed: 4,
-		FlowSourceNew:     workload.Arrivals(arrivalOrderFlows()[:100]),
-		CollectTimeSeries: true,
-		StopWhenDone:      true, MaxTime: 10 * units.Second,
+		FlowSourceNew: workload.Arrivals(arrivalOrderFlows()[:100]),
+		TimeBucket:    units.Millisecond,
+		MaxTime:       10 * units.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,10 +187,9 @@ func TestTimeSeriesCollection(t *testing.T) {
 	res, err := Run(Scenario{
 		Name: "series", Topology: smallTopo(),
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 6,
-		FlowSourceNew:     workload.Arrivals(flows),
-		CollectTimeSeries: true,
-		TimeBucket:        500 * units.Microsecond,
-		StopWhenDone:      true, MaxTime: 10 * units.Second,
+		FlowSourceNew: workload.Arrivals(flows),
+		TimeBucket:    500 * units.Microsecond,
+		MaxTime:       10 * units.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,9 +216,9 @@ func TestReplicatedCopiesAreSampled(t *testing.T) {
 	res, err := Run(Scenario{
 		Name: "replicated-samples", Topology: smallTopo(),
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 3,
-		FlowSourceNew: workload.Arrivals(flows), Replication: &ReplicationConfig{Threshold: 100 * units.KB, Copies: 2},
-		CollectTimeSeries: true,
-		StopWhenDone:      true, MaxTime: 5 * units.Second,
+		FlowSourceNew: workload.Arrivals(flows), Replicate: true,
+		TimeBucket: units.Millisecond,
+		MaxTime:    5 * units.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +266,7 @@ func TestBufferPressureCausesDropsAndRecovery(t *testing.T) {
 	sc := Scenario{
 		Name: "pressure", Topology: topo,
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 8,
-		FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: 30 * units.Second,
+		FlowSourceNew: workload.Arrivals(flows), MaxTime: 30 * units.Second,
 	}
 	res, recs, err := runWatched(sc)
 	if err != nil {
@@ -302,7 +301,7 @@ func TestResultClassAccessors(t *testing.T) {
 			{Src: 1, Dst: 5, Size: 20 * units.KB, Start: 0, Deadline: units.Microsecond}, // impossible
 			{Src: 2, Dst: 6, Size: 5 * units.MB, Start: 0},
 		}),
-		StopWhenDone: true, MaxTime: 30 * units.Second,
+		MaxTime: 30 * units.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +358,6 @@ func TestFatTreeEndToEnd(t *testing.T) {
 				SchemeName:    s.name,
 				Seed:          17,
 				FlowSourceNew: workload.Arrivals(flows),
-				StopWhenDone:  true,
 				MaxTime:       10 * units.Second,
 			})
 			if err != nil {
@@ -398,7 +396,6 @@ func TestFaultsOnFatTreeRejected(t *testing.T) {
 		SchemeName:    "ecmp",
 		FlowSourceNew: workload.Arrivals([]workload.Flow{{Src: 0, Dst: 12, Size: 100 * units.KB}}),
 		Faults:        faults.Schedule{{At: 0, Leaf: 0, Spine: 0, Op: faults.OpDown}},
-		StopWhenDone:  true,
 		MaxTime:       units.Second,
 	})
 	if err == nil {
@@ -451,7 +448,7 @@ func TestBuildNetworkWrapsFabric(t *testing.T) {
 			sc := Scenario{
 				Name: "seam", Topology: tc.topo,
 				Balancer: lb.RPS(), SchemeName: "rps", Seed: 5,
-				FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: 10 * units.Second,
+				FlowSourceNew: workload.Arrivals(flows), MaxTime: 10 * units.Second,
 			}
 			plain, err := Run(sc)
 			if err != nil {
@@ -493,7 +490,7 @@ func TestRunSweepMatchesSerialRuns(t *testing.T) {
 				{Src: 0, Dst: 4, Size: 50 * units.KB, Start: 0},
 				{Src: 1, Dst: 5, Size: 80 * units.KB, Start: 0},
 			}),
-			StopWhenDone: true, MaxTime: 10 * units.Second,
+			MaxTime: 10 * units.Second,
 		}
 	}
 	scenarios := []Scenario{mk(1), mk(2), mk(3), mk(4)}
@@ -530,7 +527,7 @@ func TestIncastScenario(t *testing.T) {
 	res, err := Run(Scenario{
 		Name: "incast", Topology: smallTopo(),
 		Balancer: lb.RPS(), SchemeName: "rps", Seed: 3,
-		FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: 30 * units.Second,
+		FlowSourceNew: workload.Arrivals(flows), MaxTime: 30 * units.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -542,7 +539,7 @@ func TestIncastScenario(t *testing.T) {
 
 // TestResultFaultsAreTheReachedTimeline: Result.Faults lists the
 // scheduled fault events the run reached, sorted the way they were
-// applied. A run StopWhenDone ends between the down and the restore
+// applied. A run that ends between the down and the restore
 // lists the down only; one that outlasts both lists both, whatever the
 // schedule's order.
 func TestResultFaultsAreTheReachedTimeline(t *testing.T) {
@@ -558,7 +555,7 @@ func TestResultFaultsAreTheReachedTimeline(t *testing.T) {
 			Balancer: lb.RPS(), SchemeName: "rps", Seed: 2,
 			FlowSourceNew: workload.Arrivals([]workload.Flow{{Src: 0, Dst: 4, Size: 200 * units.KB}}),
 			Faults:        faults.Schedule{r, down},
-			StopWhenDone:  true, MaxTime: 10 * units.Second,
+			MaxTime:       10 * units.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -604,12 +601,12 @@ func TestRepFlowReplication(t *testing.T) {
 	}
 	flows = append(flows, workload.Flow{Src: 0, Dst: 5, Size: units.MB, Start: 0})
 
-	run := func(rep *ReplicationConfig) (*Result, folds) {
+	run := func(rep bool) (*Result, folds) {
 		sc := Scenario{
 			Name: "repflow", Topology: topo,
 			Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 12,
-			FlowSourceNew: workload.Arrivals(flows), Replication: rep,
-			StopWhenDone: true, MaxTime: 30 * units.Second,
+			FlowSourceNew: workload.Arrivals(flows), Replicate: rep,
+			MaxTime: 30 * units.Second,
 		}
 		res, recs, err := runWatched(sc)
 		if err != nil {
@@ -617,8 +614,8 @@ func TestRepFlowReplication(t *testing.T) {
 		}
 		return res, recs
 	}
-	plain, _ := run(nil)
-	repl, replRecs := run(&ReplicationConfig{Threshold: 100 * units.KB, Copies: 2})
+	plain, _ := run(false)
+	repl, replRecs := run(true)
 
 	if got := repl.CompletedCount(AllFlows); got != len(flows) {
 		t.Fatalf("completed %d of %d", got, len(flows))

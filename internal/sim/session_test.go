@@ -39,7 +39,6 @@ func sessionScenario() Scenario {
 		SchemeName:    "ecmp",
 		Seed:          7,
 		FlowSourceNew: workload.Arrivals(flows),
-		StopWhenDone:  true,
 		MaxTime:       units.Second,
 	}
 }

@@ -58,26 +58,23 @@ type Scenario struct {
 	// deleted when that workload is.
 	Shards int
 
-	// MaxTime hard-stops the run; 0 means the default, 60 s.
+	// MaxTime hard-stops the run; 0 means the default, 60 s. A run
+	// ends at its last completion or at MaxTime, whichever comes first.
 	MaxTime units.Time
-	// StopWhenDone ends the run as soon as every flow completed. It is
-	// off by default: without it the run goes on until MaxTime.
-	StopWhenDone bool
 
-	// CollectTimeSeries enables the bucketed instantaneous series
-	// (Fig. 8/9) and the short-flow FCTs by start time.
-	CollectTimeSeries bool
-	// TimeBucket is the series bucket width (default 1 ms).
+	// TimeBucket, when positive, is the width of the bucketed
+	// instantaneous series (Fig. 8/9) and of the short-flow FCTs by
+	// start time; zero collects neither.
 	TimeBucket units.Time
 
-	// Replication, when non-nil, enables RepFlow-style short-flow
-	// replication (Xu & Li, 2014 — discussed in the paper's §8): each
-	// flow at or below the threshold is opened as N copies with
-	// different five-tuples (so per-flow schemes hash them onto
-	// different paths), and the flow's completion time is the FIRST
-	// copy to finish. The losing copies run to completion in the
-	// background, which is RepFlow's documented bandwidth cost.
-	Replication *ReplicationConfig
+	// Replicate enables RepFlow-style short-flow replication (Xu & Li,
+	// 2014 — discussed in the paper's §8): each flow at or below
+	// ShortThreshold is opened as ReplicaCopies copies with different
+	// five-tuples (so per-flow schemes hash them onto different paths),
+	// and the flow's completion time is the FIRST copy to finish. The
+	// losing copies run to completion in the background, which is
+	// RepFlow's documented bandwidth cost.
+	Replicate bool
 
 	// Faults is the run's link-fault schedule (links down and restored
 	// at scheduled sim times; see internal/faults). Empty injects
@@ -102,25 +99,17 @@ type Scenario struct {
 // most this many bytes is short (TLB's default classifier boundary).
 const ShortThreshold = 100 * units.KB
 
+// ReplicaCopies is how many copies a replicated flow opens (RepFlow's
+// two: the flow and one replica).
+const ReplicaCopies = 2
+
 func (sc *Scenario) withDefaults() {
-	if sc.TimeBucket <= 0 {
-		sc.TimeBucket = units.Millisecond
-	}
 	if sc.MaxTime <= 0 {
 		sc.MaxTime = 60 * units.Second
 	}
 	if sc.SchemeName == "" {
 		sc.SchemeName = "unnamed"
 	}
-}
-
-// ReplicationConfig parameterizes RepFlow-style replication.
-type ReplicationConfig struct {
-	// Threshold: flows at or below this size are replicated (100 KB —
-	// RepFlow replicates only the mice).
-	Threshold units.Bytes
-	// Copies is the total number of copies (2 in RepFlow).
-	Copies int
 }
 
 // PortSnapshot records one fabric port's totals at the end of a run.
@@ -163,7 +152,7 @@ type Result struct {
 	// 3a), every replicated copy's packets included. Always set.
 	ShortQueueLen *stats.Histogram
 
-	// Instantaneous series (when CollectTimeSeries): X in seconds. The
+	// Instantaneous series (when TimeBucket is set): X in seconds. The
 	// receiver series add in delivery order, every replicated copy's
 	// packets included; goodput counts a replicated flow once, at its
 	// win.

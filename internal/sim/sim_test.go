@@ -68,8 +68,7 @@ func TestSingleFlowCompletes(t *testing.T) {
 		FlowSourceNew: workload.Arrivals([]workload.Flow{
 			{Src: 0, Dst: 4, Size: 100 * units.KB, Start: 0},
 		}),
-		StopWhenDone: true,
-		MaxTime:      units.Second,
+		MaxTime: units.Second,
 	}
 	res, recs, err := runWatched(sc)
 	if err != nil {
@@ -128,7 +127,6 @@ func TestAllSchemesCompleteMixedWorkload(t *testing.T) {
 				SchemeName:    scheme.name,
 				Seed:          7,
 				FlowSourceNew: workload.Arrivals(rngFlows),
-				StopWhenDone:  true,
 				MaxTime:       5 * units.Second,
 			}
 			res, err := Run(sc)
@@ -159,8 +157,7 @@ func TestConservationNoDropsMeansAllBytesArrive(t *testing.T) {
 			{Src: 0, Dst: 5, Size: 500 * units.KB, Start: 0},
 			{Src: 1, Dst: 6, Size: 50 * units.KB, Start: 10 * units.Microsecond},
 		}),
-		StopWhenDone: true,
-		MaxTime:      5 * units.Second,
+		MaxTime: 5 * units.Second,
 	}
 	res, recs, err := runWatched(sc)
 	if err != nil {
@@ -194,7 +191,7 @@ func TestDeterminism(t *testing.T) {
 		sc := Scenario{
 			Name: "det", Topology: smallTopo(),
 			Balancer: lb.RPS(), SchemeName: "rps", Seed: 42,
-			FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: units.Second,
+			FlowSourceNew: workload.Arrivals(flows), MaxTime: units.Second,
 		}
 		res, recs, err := runWatched(sc)
 		if err != nil {

@@ -50,7 +50,7 @@ func streamTestScenario(flows []workload.Flow, maxTime units.Time) Scenario {
 	return Scenario{
 		Name: "stream", Topology: smallTopo(),
 		Balancer: lb.ECMP(), SchemeName: "ecmp", Seed: 7,
-		FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: maxTime,
+		FlowSourceNew: workload.Arrivals(flows), MaxTime: maxTime,
 	}
 }
 
@@ -197,14 +197,13 @@ func TestFoldAudit(t *testing.T) {
 }
 
 // aggregateRuns runs the stream-test scenario over flows up to maxTime
-// with time series on and the given replication (nil for none), and
+// with time series on, replicated or not, and
 // returns its Result and the records it folded.
-func aggregateRuns(t *testing.T, flows []workload.Flow, maxTime units.Time, repl *ReplicationConfig) (*Result, folds) {
+func aggregateRuns(t *testing.T, flows []workload.Flow, maxTime units.Time, repl bool) (*Result, folds) {
 	t.Helper()
 	sc := streamTestScenario(flows, maxTime)
-	sc.CollectTimeSeries = true
 	sc.TimeBucket = 2 * units.Millisecond
-	sc.Replication = repl
+	sc.Replicate = repl
 	res, recs, err := runWatched(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -217,10 +216,10 @@ func aggregateRuns(t *testing.T, flows []workload.Flow, maxTime units.Time, repl
 // canonical one whichever copies are still racing.
 var aggregateRows = []struct {
 	name string
-	repl *ReplicationConfig
+	repl bool
 }{
-	{"plain", nil},
-	{"replicated", &ReplicationConfig{Threshold: 100 * units.KB, Copies: 2}},
+	{"plain", false},
+	{"replicated", true},
 }
 
 func TestAggregateMatchesRecords(t *testing.T) {
@@ -260,7 +259,7 @@ func TestAggregateMatchesRecordsWithUnfinished(t *testing.T) {
 // the sketch's bucket collapse is pinned in internal/stats.
 func TestPercentilesPastExactCap(t *testing.T) {
 	n := stats.ExactFCTCap + 200
-	res, recs := aggregateRuns(t, streamTestFlows(t, n), 120*units.Second, nil)
+	res, recs := aggregateRuns(t, streamTestFlows(t, n), 120*units.Second, false)
 	if got := res.CompletedCount(AllFlows); got != n {
 		t.Fatalf("only %d/%d completed; test wants a fully finished run", got, n)
 	}
@@ -337,7 +336,7 @@ func TestFlowSourceMatchesSlice(t *testing.T) {
 	}{
 		{"plain", func(*Scenario) {}},
 		{"replicated", func(sc *Scenario) {
-			sc.Replication = &ReplicationConfig{Threshold: 100 * units.KB, Copies: 2}
+			sc.Replicate = true
 		}},
 	} {
 		slice := streamTestScenario(flows, 30*units.Second)
@@ -376,17 +375,16 @@ func TestUnstartedFlowsNotCounted(t *testing.T) {
 		{Src: 1, Dst: 5, Size: 10 * units.KB, Start: units.Millisecond},
 		{Src: 2, Dst: 6, Size: 10 * units.KB, Start: 5 * units.Second},
 	}
-	for _, repl := range []*ReplicationConfig{nil, {Threshold: 100 * units.KB, Copies: 2}} {
+	for _, repl := range []bool{false, true} {
 		sc := streamTestScenario(flows, units.Second)
-		sc.StopWhenDone = false
-		sc.Replication = repl
+		sc.Replicate = repl
 		res, recs, err := runWatched(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(recs) != 2 || res.Count(AllFlows) != 2 || res.CompletedCount(AllFlows) != 2 {
 			t.Fatalf("replication %v: %d records, %d counted, %d completed; want 2 each",
-				repl != nil, len(recs), res.Count(AllFlows), res.CompletedCount(AllFlows))
+				repl, len(recs), res.Count(AllFlows), res.CompletedCount(AllFlows))
 		}
 	}
 }

@@ -19,7 +19,7 @@ func sweepScenario(name string, seed uint64) Scenario {
 		FlowSourceNew: workload.Arrivals([]workload.Flow{
 			{Src: 0, Dst: 4, Size: 40 * units.KB, Start: 0},
 		}),
-		StopWhenDone: true, MaxTime: 10 * units.Second,
+		MaxTime: 10 * units.Second,
 	}
 }
 

@@ -50,7 +50,7 @@ func TestTLBCompletesMixedWorkload(t *testing.T) {
 		Balancer:      smallTLB(),
 		SchemeName:    "tlb",
 		Seed:          11,
-		FlowSourceNew: workload.Arrivals(flows), StopWhenDone: true, MaxTime: 5 * units.Second,
+		FlowSourceNew: workload.Arrivals(flows), MaxTime: 5 * units.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestTLBShortFlowsBeatECMPUnderElephants(t *testing.T) {
 		res, err := Run(Scenario{
 			Name: "headline-" + name, Topology: smallTopo(),
 			Balancer: f, SchemeName: name, Seed: 5,
-			FlowSourceNew: workload.Arrivals(mkFlows()), StopWhenDone: true, MaxTime: 10 * units.Second,
+			FlowSourceNew: workload.Arrivals(mkFlows()), MaxTime: 10 * units.Second,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -168,25 +168,13 @@ func (s *Spec) Compile() (sim.Scenario, error) {
 		sc.Faults = s.compileFaults(c, topo)
 	}
 
-	if s.Replication != nil {
-		r := sim.ReplicationConfig{
-			Threshold: c.size("replication.threshold", s.Replication.Threshold),
-			Copies:    s.Replication.Copies,
-		}
-		if r.Copies < 2 {
-			c.errf("replication.copies", "need at least 2 copies, got %d", r.Copies)
-		}
-		if r.Threshold <= 0 {
-			c.errf("replication.threshold", "must be a positive size")
-		}
-		sc.Replication = &r
-	}
+	sc.Replicate = s.Replicate
 
+	// run.stopWhenDone is deprecated and ignored: every run ends at its
+	// last completion.
 	sc.MaxTime = c.dur("run.maxTime", s.Run.MaxTime)
-	sc.StopWhenDone = s.Run.StopWhenDone
 	sc.Shards = c.count("run.shards", s.Run.Shards) // deprecated and ignored by the runner; bench/trace.go still reads it
 
-	sc.CollectTimeSeries = s.Outputs.CollectTimeSeries
 	sc.TimeBucket = c.dur("outputs.timeBucket", s.Outputs.TimeBucket)
 
 	if err := c.err(); err != nil {
@@ -447,6 +435,7 @@ func (s *Spec) compileMix(c *checker, topo topology.Config, wseed uint64) func()
 		receivers = append(receivers, topo.HostsPerLeaf+h)
 	}
 
+	deadlines := s.compileDeadlines(c, "workload.deadlines", w.Deadlines)
 	mixes := make([]workload.StaticMix, 0, len(w.Groups))
 	for i, g := range w.Groups {
 		path := fmt.Sprintf("workload.groups[%d]", i)
@@ -459,17 +448,13 @@ func (s *Spec) compileMix(c *checker, topo topology.Config, wseed uint64) func()
 			Senders:       senders,
 			Receivers:     receivers,
 			ArrivalJitter: c.dur(path+".arrivalJitter", g.ArrivalJitter),
+			Deadlines:     deadlines,
 		}
 		if g.Shorts > 0 {
 			m.ShortSizes = s.compileSizes(c, path+".shortSizes", g.ShortSizes)
 		}
 		if g.Longs > 0 {
 			m.LongSizes = s.compileSizes(c, path+".longSizes", g.LongSizes)
-		}
-		if g.Deadlines != nil {
-			m.Deadlines = s.compileDeadlines(c, path+".deadlines", g.Deadlines)
-		} else {
-			m.Deadlines = s.compileDeadlines(c, "workload.deadlines", w.Deadlines)
 		}
 		mixes = append(mixes, m)
 	}
@@ -520,14 +505,15 @@ func (s *Spec) compileInterPod(c *checker, topo topology.Config, wseed uint64) f
 	}
 	hosts := topo.Hosts()
 	ipc := workload.InterPodConfig{
-		Hosts:             hosts,
-		PerPod:            hosts / topo.K,
-		Flows:             ip.Flows,
-		Sizes:             sizes,
-		MaxGap:            maxGap,
-		DeadlineBase:      dlBase,
-		DeadlineJitter:    dlJitter,
-		DeadlineOnlyBelow: dlBelow,
+		Hosts:  hosts,
+		PerPod: hosts / topo.K,
+		Flows:  ip.Flows,
+		Sizes:  sizes,
+		MaxGap: maxGap,
+	}
+	if dlJitter > 0 {
+		// base + U[0, jitter) is the uniform draw on [base, base+jitter-1ns].
+		ipc.Deadlines = workload.DeadlineDist{Min: dlBase, Max: dlBase + dlJitter - 1, OnlyBelow: dlBelow}
 	}
 	return s.sourceFactory(c, "workload.interPod", func() (workload.Source, error) {
 		return ipc.Source(eventsim.NewRNG(wseed))
@@ -565,13 +551,12 @@ func (s *Spec) deadlineOverrideDecorator(c *checker) func(workload.Source) workl
 		return func(src workload.Source) workload.Source { return src }
 	}
 	d := c.dur("workload.deadlineOverride.deadline", o.Deadline)
-	below := c.size("workload.deadlineOverride.onlyBelow", o.OnlyBelow)
 	if d <= 0 {
 		c.errf("workload.deadlineOverride.deadline", "must be a positive duration")
 		return func(src workload.Source) workload.Source { return src }
 	}
 	return func(src workload.Source) workload.Source {
-		return workload.OverrideDeadlines(src, d, below)
+		return workload.OverrideDeadlines(src, d, sim.ShortThreshold)
 	}
 }
 

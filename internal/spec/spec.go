@@ -56,9 +56,10 @@ type Spec struct {
 	// Faults is the run's link-fault schedule (leaf-spine fabrics
 	// only).
 	Faults []Fault `json:"faults,omitempty"`
-	// Replication enables RepFlow-style short-flow replication on top
-	// of the scheme.
-	Replication *Replication `json:"replication,omitempty"`
+	// Replicate enables RepFlow-style replication on top of the scheme:
+	// every flow at or below sim.ShortThreshold runs as
+	// sim.ReplicaCopies copies.
+	Replicate bool `json:"replicate,omitempty"`
 
 	Run     Run     `json:"run"`
 	Outputs Outputs `json:"outputs"`
@@ -162,7 +163,7 @@ type Workload struct {
 	InterPod *InterPod `json:"interPod,omitempty"`
 
 	// Deadlines assigns completion budgets during generation (poisson
-	// and mix groups without their own).
+	// and every mix group).
 	Deadlines *Deadlines `json:"deadlines,omitempty"`
 
 	// DeadlineOverride rewrites every generated flow's deadline after
@@ -179,8 +180,6 @@ type MixGroup struct {
 	LongSizes  *SizeDist `json:"longSizes,omitempty"`
 	// ArrivalJitter spreads starts uniformly over [0, jitter].
 	ArrivalJitter Duration `json:"arrivalJitter,omitempty"`
-	// Deadlines, when set, overrides Workload.Deadlines for this group.
-	Deadlines *Deadlines `json:"deadlines,omitempty"`
 }
 
 // InterPod is the fat-tree workload: flows between hosts in different
@@ -191,7 +190,9 @@ type InterPod struct {
 	// MaxGap bounds the uniform inter-arrival gap.
 	MaxGap Duration `json:"maxGap"`
 	// Deadline = start + base + U[0, jitter), for flows at or below
-	// OnlyBelow; jitter 0 disables deadlines.
+	// OnlyBelow (every flow when empty); jitter 0 disables deadlines.
+	// They compile to the workload.DeadlineDist [base, base+jitter-1ns]
+	// every workload kind draws from.
 	DeadlineBase      Duration `json:"deadlineBase,omitempty"`
 	DeadlineJitter    Duration `json:"deadlineJitter,omitempty"`
 	DeadlineOnlyBelow Size     `json:"deadlineOnlyBelow,omitempty"`
@@ -221,11 +222,9 @@ type Deadlines struct {
 }
 
 // DeadlineOverride rewrites deadlines after generation: flows at or
-// below OnlyBelow (everything when empty) get start + Deadline, all
-// others get none.
+// below sim.ShortThreshold get start + Deadline, all others get none.
 type DeadlineOverride struct {
-	Deadline  Duration `json:"deadline"`
-	OnlyBelow Size     `json:"onlyBelow,omitempty"`
+	Deadline Duration `json:"deadline"`
 }
 
 // Fault is one scheduled link fault on both directions of a leaf-spine
@@ -238,19 +237,17 @@ type Fault struct {
 	Op string `json:"op"`
 }
 
-// Replication parameterizes RepFlow-style replication.
-type Replication struct {
-	Threshold Size `json:"threshold"`
-	Copies    int  `json:"copies"`
-}
-
 // Run sets the stop criteria. Results classify flows at
 // sim.ShortThreshold (100KB).
 type Run struct {
 	// MaxTime hard-stops the run (the runner defaults to 60s when
-	// empty).
+	// empty); a run ends at its last completion if that comes first.
 	MaxTime Duration `json:"maxTime,omitempty"`
-	// StopWhenDone ends the run once every flow completed.
+	// StopWhenDone is accepted and ignored: every run ends once every
+	// flow completed.
+	//
+	// Deprecated: the field stays until the benchmark's workloads,
+	// which set it, drop it.
 	StopWhenDone bool `json:"stopWhenDone,omitempty"`
 	// Shards is accepted (negatives rejected) and ignored: every run is
 	// one engine.
@@ -263,9 +260,8 @@ type Run struct {
 
 // Outputs selects optional measurement collection.
 type Outputs struct {
-	// CollectTimeSeries enables the bucketed instantaneous series.
-	CollectTimeSeries bool `json:"collectTimeSeries,omitempty"`
-	// TimeBucket is the series bucket width (default 1ms).
+	// TimeBucket, when set, enables the bucketed instantaneous series
+	// at this bucket width.
 	TimeBucket Duration `json:"timeBucket,omitempty"`
 	// StreamStats is accepted and ignored: every run folds its flows
 	// into fixed-size per-class aggregates and keeps no records.

@@ -54,7 +54,7 @@ func testSpec() *Spec {
 			}},
 			Deadlines: &Deadlines{Min: "5ms", Max: "25ms", OnlyBelow: "100KB"},
 		},
-		Run: Run{MaxTime: "30s", StopWhenDone: true},
+		Run: Run{MaxTime: "30s"},
 	}
 }
 
@@ -93,8 +93,8 @@ func TestCompileMixMatchesStaticMix(t *testing.T) {
 	if sc.SchemeName != "ecmp" || sc.Name != "test" {
 		t.Errorf("names: scheme %q scenario %q", sc.SchemeName, sc.Name)
 	}
-	if sc.MaxTime != 30*units.Second || !sc.StopWhenDone {
-		t.Errorf("run block not applied: MaxTime %v StopWhenDone %v", sc.MaxTime, sc.StopWhenDone)
+	if sc.MaxTime != 30*units.Second {
+		t.Errorf("run block not applied: MaxTime %v", sc.MaxTime)
 	}
 }
 
@@ -397,7 +397,6 @@ func TestSilentlyIgnoredInputRejected(t *testing.T) {
 		{"topology.hostLink.bandwidth", func(s *Spec) { s.Topology.HostLink.Bandwidth = "-1Gbps" }},
 		{"workload.groups[0].arrivalJitter", func(s *Spec) { s.Workload.Groups[0].ArrivalJitter = "-1ms" }},
 		{"workload.deadlines.min", func(s *Spec) { s.Workload.Deadlines.Min = "-5ms" }},
-		{"replication.threshold", func(s *Spec) { s.Replication = &Replication{Threshold: "-100KB", Copies: 2} }},
 		{"faults[0].at", func(s *Spec) { s.Faults = []Fault{{At: "-1s", Op: "down"}} }},
 		{"faults[1].leaf", func(s *Spec) { s.Faults = []Fault{{Op: "down"}, {Leaf: 2, Op: "restore"}} }},
 		{"faults[0].spine", func(s *Spec) { s.Faults = []Fault{{Spine: 4, Op: "down"}} }},
@@ -532,8 +531,11 @@ func TestZeroTransportIsTheSpecDefault(t *testing.T) {
 // TestRemovedSettingsRejected: every setting that left the format — the
 // transport constants, the fixed workload seed, a mix's host lists,
 // the one result classification threshold, the fault ops and fields
-// beyond down and restore on both directions — is an error naming it,
-// not a value silently ignored.
+// beyond down and restore on both directions, the series switch (a
+// time bucket is the switch), RepFlow's copies and threshold, a mix
+// group's own deadlines and the deadline override's size bound — is
+// an error naming it, so an old spec never runs silently as a
+// different scenario.
 func TestRemovedSettingsRejected(t *testing.T) {
 	s := testSpec()
 	s.Faults = []Fault{{At: "1ms", Op: "down"}}
@@ -554,10 +556,14 @@ func TestRemovedSettingsRejected(t *testing.T) {
 		{`"minRTO"`, `"delayedAckTimeout": "200us", "minRTO"`, "delayedAckTimeout"},
 		{`"kind": "mix"`, `"kind": "mix", "seed": 7`, "seed"},
 		{`"kind": "mix"`, `"kind": "mix", "senders": [0, 1]`, "senders"},
-		{`"stopWhenDone"`, `"shortThreshold": "50KB", "stopWhenDone"`, "shortThreshold"},
+		{`"maxTime"`, `"shortThreshold": "50KB", "maxTime"`, "shortThreshold"},
 		{`"op": "down"`, `"op": "down", "dir": "leafToSpine"`, "dir"},
 		{`"op": "down"`, `"op": "down", "bandwidth": "5Mbps"`, "bandwidth"},
 		{`"op": "down"`, `"op": "down", "delay": "1ms"`, "delay"},
+		{`"outputs": {}`, `"outputs": {"collectTimeSeries": true, "timeBucket": "1ms"}`, "collectTimeSeries"},
+		{`"run"`, `"replication": {"threshold": "100KB", "copies": 2}, "run"`, "replication"},
+		{`"arrivalJitter"`, `"deadlines": {"min": "5ms", "max": "25ms"}, "arrivalJitter"`, "deadlines"},
+		{`"kind": "mix"`, `"kind": "mix", "deadlineOverride": {"deadline": "10ms", "onlyBelow": "100KB"}`, "onlyBelow"},
 	} {
 		data := strings.Replace(string(base), `"workload"`, `"transport": {"minRTO": "10ms"}, "workload"`, 1)
 		data = strings.Replace(data, tc.from, tc.to, 1)
@@ -577,12 +583,12 @@ func TestRemovedSettingsRejected(t *testing.T) {
 	}
 }
 
-// TestShardsAcceptedAndIgnored pins the compatibility shim the
-// benchmark's fattree-mice-sharded workload leans on: run.shards — with
-// or without replication, which the sharded runner used to reject —
-// validates, compiles and runs to the same Result (every field, hence
-// every accessor) as the spec without it; a negative count still fails
-// at its JSON path.
+// TestShardsAcceptedAndIgnored pins the compatibility shims the
+// benchmark's workloads lean on: run.shards — with or without
+// replication, which the sharded runner used to reject — and
+// run.stopWhenDone validate, compile and run to the same Result (every
+// field, hence every accessor) as the spec without them; a negative
+// count still fails at its JSON path.
 func TestShardsAcceptedAndIgnored(t *testing.T) {
 	small := func() *Spec {
 		s := testSpec()
@@ -604,16 +610,16 @@ func TestShardsAcceptedAndIgnored(t *testing.T) {
 		}
 		return res
 	}
-	for _, repl := range []*Replication{nil, {Threshold: "100KB", Copies: 2}} {
+	for _, repl := range []bool{false, true} {
 		plain, sharded := small(), small()
-		plain.Replication, sharded.Replication = repl, repl
-		sharded.Run.Shards = 2
+		plain.Replicate, sharded.Replicate = repl, repl
+		sharded.Run.Shards, sharded.Run.StopWhenDone = 2, true
 		want, got := run(plain), run(sharded)
 		if want.CompletedCount(sim.AllFlows) == 0 {
 			t.Fatal("reference run completed no flows")
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("replication %v: run.shards 2 changed the Result", repl != nil)
+			t.Fatalf("replication %v: run.shards 2 and run.stopWhenDone changed the Result", repl)
 		}
 	}
 	s := small()
@@ -724,7 +730,7 @@ func TestCompileProducesReplayableSource(t *testing.T) {
 		Load:             0.5,
 		Sizes:            &SizeDist{Kind: "websearch", Truncate: "20MB"},
 		Deadlines:        &Deadlines{Min: "5ms", Max: "25ms", OnlyBelow: "100KB"},
-		DeadlineOverride: &DeadlineOverride{Deadline: "10ms", OnlyBelow: "100KB"},
+		DeadlineOverride: &DeadlineOverride{Deadline: "10ms"},
 	}
 	interpod := testSpec()
 	interpod.Topology = fatTreeTopology(4)
@@ -773,12 +779,12 @@ func TestReplicatedPoissonCompilesToSourceAndRuns(t *testing.T) {
 		Load:  0.3,
 		Sizes: &SizeDist{Kind: "uniform", Min: "10KB", Max: "200KB"},
 	}
-	s.Replication = &Replication{Threshold: "100KB", Copies: 2}
+	s.Replicate = true
 	sc, err := s.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Replication == nil {
+	if !sc.Replicate {
 		t.Fatal("replication not carried into the scenario")
 	}
 	res, err := sim.Run(sc)
@@ -819,14 +825,14 @@ func TestCapabilityMatrix(t *testing.T) {
 		{"faults", func(s *Spec) {
 			s.Faults = []Fault{{At: "1ms", Leaf: 0, Spine: 1, Op: "down"}, {At: "4ms", Leaf: 0, Spine: 1, Op: "restore"}}
 		}},
-		{"replication", func(s *Spec) { s.Replication = &Replication{Threshold: "100KB", Copies: 2} }},
+		{"replication", func(s *Spec) { s.Replicate = true }},
 		{"streamStats", func(s *Spec) { s.Outputs.StreamStats = true }},
 		// Every run samples short-flow packets into the queue-length
 		// histogram, so "samples" needs no field.
-		{"series+samples", func(s *Spec) { s.Outputs.CollectTimeSeries = true }},
+		{"series+samples", func(s *Spec) { s.Outputs.TimeBucket = "1ms" }},
 		{"replication+series+samples", func(s *Spec) {
-			s.Replication = &Replication{Threshold: "100KB", Copies: 2}
-			s.Outputs = Outputs{CollectTimeSeries: true}
+			s.Replicate = true
+			s.Outputs = Outputs{TimeBucket: "1ms"}
 		}},
 	}
 	located := regexp.MustCompile(`^[a-z][A-Za-z]*(\[[0-9]+\])?(\.[a-z][A-Za-z]*(\[[0-9]+\])?)*: `)

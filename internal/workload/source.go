@@ -126,12 +126,8 @@ type InterPodConfig struct {
 	// MaxGap bounds the uniform arrival gap: each flow starts
 	// Intn(MaxGap) after the previous one.
 	MaxGap units.Time
-	// DeadlineBase/DeadlineJitter assign deadlines of base +
-	// Intn(jitter) to flows at or below DeadlineOnlyBelow (all flows if
-	// zero); no deadlines when jitter is zero.
-	DeadlineBase      units.Time
-	DeadlineJitter    units.Time
-	DeadlineOnlyBelow units.Bytes
+	// Deadlines draws each flow's budget after its size.
+	Deadlines DeadlineDist
 }
 
 // interPodSource yields InterPodConfig's flows lazily; a flow's Index
@@ -173,17 +169,16 @@ func (s *interPodSource) Next() (Flow, bool) {
 	size := c.Sizes.Sample(s.rng)
 	f := Flow{Src: src, Dst: dst, Size: size, Start: s.at, Index: s.n}
 	s.n++
-	if c.DeadlineJitter > 0 && (c.DeadlineOnlyBelow == 0 || size <= c.DeadlineOnlyBelow) {
-		f.Deadline = s.at + c.DeadlineBase + units.Time(s.rng.Intn(int(c.DeadlineJitter)))
+	if d := c.Deadlines.Sample(s.rng, size); d > 0 {
+		f.Deadline = s.at + d
 	}
 	return f, true
 }
 
 // OverrideDeadlines decorates a source, rewriting each flow's deadline
-// to start+deadline for flows at or below onlyBelow (all flows if
-// zero) and clearing it otherwise — the lazy counterpart of the spec
-// layer's deadline override, which never perturbs the underlying draw
-// stream.
+// to start+deadline for flows at or below onlyBelow and clearing it
+// otherwise — the lazy counterpart of the spec layer's deadline
+// override, which never perturbs the underlying draw stream.
 func OverrideDeadlines(src Source, deadline units.Time, onlyBelow units.Bytes) Source {
 	return &overrideSource{src: src, deadline: deadline, onlyBelow: onlyBelow}
 }
@@ -199,7 +194,7 @@ func (o *overrideSource) Next() (Flow, bool) {
 	if !ok {
 		return Flow{}, false
 	}
-	if o.onlyBelow == 0 || f.Size <= o.onlyBelow {
+	if f.Size <= o.onlyBelow {
 		f.Deadline = f.Start + o.deadline
 	} else {
 		f.Deadline = 0

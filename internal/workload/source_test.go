@@ -89,17 +89,16 @@ func TestPoissonSourceValidation(t *testing.T) {
 // TestInterPodSourceMatchesGenerate: the source yields what a plain
 // generation loop draws from the same seed — gap, src, dst redrawn
 // until cross-pod, size, deadline for the flows at or below the
-// threshold.
+// threshold. Deadlines on [base, base+jitter) draw base +
+// Intn(jitter), the fat-tree figures' form.
 func TestInterPodSourceMatchesGenerate(t *testing.T) {
 	cfg := InterPodConfig{
-		Hosts:             64,
-		PerPod:            16,
-		Flows:             400,
-		Sizes:             Uniform{MinSize: 4 * units.KB, MaxSize: 64 * units.KB},
-		MaxGap:            20 * units.Microsecond,
-		DeadlineBase:      5 * units.Millisecond,
-		DeadlineJitter:    20 * units.Millisecond,
-		DeadlineOnlyBelow: 100 * units.KB,
+		Hosts:     64,
+		PerPod:    16,
+		Flows:     400,
+		Sizes:     Uniform{MinSize: 4 * units.KB, MaxSize: 64 * units.KB},
+		MaxGap:    20 * units.Microsecond,
+		Deadlines: DeadlineDist{Min: 5 * units.Millisecond, Max: 25*units.Millisecond - 1, OnlyBelow: 100 * units.KB},
 	}
 	src, err := cfg.Source(eventsim.NewRNG(7))
 	if err != nil {
@@ -116,8 +115,8 @@ func TestInterPodSourceMatchesGenerate(t *testing.T) {
 			d = rng.Intn(cfg.Hosts)
 		}
 		f := Flow{Src: s, Dst: d, Size: cfg.Sizes.Sample(rng), Start: at, Index: i}
-		if f.Size <= cfg.DeadlineOnlyBelow {
-			f.Deadline = at + cfg.DeadlineBase + units.Time(rng.Intn(int(cfg.DeadlineJitter)))
+		if f.Size <= 100*units.KB {
+			f.Deadline = at + 5*units.Millisecond + units.Time(rng.Intn(int(20*units.Millisecond)))
 		}
 		want = append(want, f)
 	}
@@ -193,11 +192,5 @@ func TestOverrideDeadlines(t *testing.T) {
 	}
 	if got[1].Deadline != 0 {
 		t.Fatalf("large flow deadline %v, want cleared", got[1].Deadline)
-	}
-	// onlyBelow == 0 applies to everything.
-	src = OverrideDeadlines(Arrivals(flows)(), 5*units.Millisecond, 0)
-	got = Collect(src)
-	if got[1].Deadline != flows[1].Start+5*units.Millisecond {
-		t.Fatalf("deadline %v", got[1].Deadline)
 	}
 }
