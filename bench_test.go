@@ -211,6 +211,7 @@ func benchPortTransit(b *testing.B, nPorts, perPort int) {
 func BenchmarkSendAckCycle(b *testing.B) {
 	s := eventsim.New()
 	pool := netem.NewPacketPool()
+	flows := &transport.FlowPool{}
 	var hosts [2]*transport.Host
 	delivered := 0
 	join := func(from, to int) {
@@ -222,8 +223,7 @@ func BenchmarkSendAckCycle(b *testing.B) {
 			if !port.Send(pkt) {
 				b.Fatal("send refused")
 			}
-		})
-		hosts[from].SetPool(pool)
+		}, pool, flows)
 	}
 	join(0, 1)
 	join(1, 0)

@@ -26,9 +26,9 @@ package netem
 // handler call; they copy out the fields they need (the receiver's
 // out-of-order buffer stores (seq, len) pairs, not packets).
 //
-// A nil *PacketPool is valid and falls back to plain allocation with
-// no-op releases, so tests and tools that do not care about churn can
-// pass nothing.
+// The pool is required: every host and the fabric of a run share one.
+// Without it a spraying run allocates a packet per segment and per ACK
+// (DESIGN.md §11 gives the measured cost).
 type PacketPool struct {
 	free []*Packet
 	// allocated counts pool misses (fresh Packet allocations);
@@ -42,9 +42,6 @@ func NewPacketPool() *PacketPool { return &PacketPool{} }
 
 // Get returns a zeroed Packet, recycling a released one when possible.
 func (pp *PacketPool) Get() *Packet {
-	if pp == nil {
-		return &Packet{}
-	}
 	if n := len(pp.free); n > 0 {
 		p := pp.free[n-1]
 		pp.free[n-1] = nil
@@ -64,9 +61,6 @@ func (pp *PacketPool) Get() *Packet {
 // does releasing a packet a port still has queued. To is cleared here,
 // not at the next Get, so idle packets do not pin finished flows.
 func (pp *PacketPool) Put(p *Packet) {
-	if pp == nil || p == nil {
-		return
-	}
 	if p.pooled {
 		panic("netem: packet released to pool twice")
 	}
@@ -79,25 +73,10 @@ func (pp *PacketPool) Put(p *Packet) {
 }
 
 // Allocated returns how many Gets missed the pool (fresh allocations).
-func (pp *PacketPool) Allocated() int64 {
-	if pp == nil {
-		return 0
-	}
-	return pp.allocated
-}
+func (pp *PacketPool) Allocated() int64 { return pp.allocated }
 
 // Recycled returns how many Gets were served from the pool.
-func (pp *PacketPool) Recycled() int64 {
-	if pp == nil {
-		return 0
-	}
-	return pp.recycled
-}
+func (pp *PacketPool) Recycled() int64 { return pp.recycled }
 
 // Idle returns how many released packets are currently pooled.
-func (pp *PacketPool) Idle() int {
-	if pp == nil {
-		return 0
-	}
-	return len(pp.free)
-}
+func (pp *PacketPool) Idle() int { return len(pp.free) }

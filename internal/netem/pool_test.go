@@ -139,20 +139,6 @@ func TestRefusedPacketNotQueued(t *testing.T) {
 	pp.Put(delivered)
 }
 
-// TestNilPacketPool: a nil pool degrades to plain allocation so
-// standalone endpoints and tests need no wiring.
-func TestNilPacketPool(t *testing.T) {
-	var pp *PacketPool
-	p := pp.Get()
-	if p == nil {
-		t.Fatal("nil pool Get returned nil")
-	}
-	pp.Put(p) // must not panic
-	if pp.Idle() != 0 || pp.Allocated() != 0 || pp.Recycled() != 0 {
-		t.Fatal("nil pool reported non-zero stats")
-	}
-}
-
 // TestPortTransitSteadyStateAllocFree is the engine-level allocation
 // gate at the netem layer: once the pool and freelist are warm, a full send+serialize+deliver+release cycle through a Port
 // must not allocate at all.

@@ -133,9 +133,7 @@ func newCore(sc *Scenario) (*runCore, error) {
 	net.SetPool(pool)
 	c.hosts = make([]*transport.Host, net.Hosts())
 	for h := range c.hosts {
-		c.hosts[h] = transport.NewHost(c.sim, h, func(pkt *netem.Packet) { net.Inject(h, pkt) })
-		c.hosts[h].SetPool(pool)
-		c.hosts[h].SetFlowPool(c.flowPool)
+		c.hosts[h] = transport.NewHost(c.sim, h, func(pkt *netem.Packet) { net.Inject(h, pkt) }, pool, c.flowPool)
 	}
 	// Teardown travels at finite latency like everything else in the
 	// fabric: an instantaneous close would let the sender's completion

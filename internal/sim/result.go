@@ -29,7 +29,7 @@ func (r *Result) AFCT(c Class) units.Time {
 // FCTPercentile returns the p-th percentile FCT of finished flows in
 // the class: exact while at most stats.ExactFCTCap of them finished,
 // within the quantile sketch's relative-error bound
-// (stats.DefaultSketchAlpha) past that.
+// (stats.SketchAlpha) past that.
 func (r *Result) FCTPercentile(c Class, p float64) units.Time {
 	return units.FromSeconds(r.Stream.Agg(c).FCTs().Percentile(p))
 }

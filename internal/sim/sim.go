@@ -58,7 +58,7 @@ type Scenario struct {
 	// deleted when that workload is.
 	Shards int
 
-	// MaxTime hard-stops the run; 0 means the default, 60 s. A run
+	// MaxTime hard-stops the run; 0 means DefaultMaxTime. A run
 	// ends at its last completion or at MaxTime, whichever comes first.
 	MaxTime units.Time
 
@@ -99,13 +99,16 @@ type Scenario struct {
 // most this many bytes is short (TLB's default classifier boundary).
 const ShortThreshold = 100 * units.KB
 
+// DefaultMaxTime is the run length of a scenario that sets no MaxTime.
+const DefaultMaxTime = 60 * units.Second
+
 // ReplicaCopies is how many copies a replicated flow opens (RepFlow's
 // two: the flow and one replica).
 const ReplicaCopies = 2
 
 func (sc *Scenario) withDefaults() {
 	if sc.MaxTime <= 0 {
-		sc.MaxTime = 60 * units.Second
+		sc.MaxTime = DefaultMaxTime
 	}
 	if sc.SchemeName == "" {
 		sc.SchemeName = "unnamed"

@@ -11,7 +11,7 @@ import (
 // Every run folds each flow into it exactly once and every Result
 // accessor reads it. Its FCT percentiles are exact up to
 // stats.ExactFCTCap completed flows per class and carry the quantile
-// sketch's relative-error bound (stats.DefaultSketchAlpha) past it;
+// sketch's relative-error bound (stats.SketchAlpha) past it;
 // everything else is exact.
 type StreamAgg struct {
 	Classes [3]stats.FlowAgg // indexed by Class: AllFlows, ShortFlows, LongFlows

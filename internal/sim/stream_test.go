@@ -39,10 +39,10 @@ func streamTestFlows(t *testing.T, n int) []workload.Flow {
 func streamTestPoisson(topo topology.Config) workload.PoissonConfig {
 	sizes := workload.Uniform{MinSize: 4 * units.KB, MaxSize: 200 * units.KB}
 	return workload.PoissonConfig{
-		Hosts:  topo.Hosts(),
-		Sizes:  sizes,
-		Rate:   0.4 * topo.HostLink.Bandwidth.BytesPerSecond() * float64(topo.Hosts()) / sizes.Mean(),
-		LeafOf: func(h int) int { return h / topo.HostsPerLeaf },
+		Hosts:   topo.Hosts(),
+		Sizes:   sizes,
+		Rate:    0.4 * topo.HostLink.Bandwidth.BytesPerSecond() * float64(topo.Hosts()) / sizes.Mean(),
+		PerLeaf: topo.HostsPerLeaf,
 	}
 }
 
@@ -126,7 +126,7 @@ func assertAggregateMatchesRecords(t *testing.T, res *Result, recs folds, bucket
 		// Past the cap: within the sketch's documented alpha bound of the
 		// exact value's bracketing order statistics.
 		slices.Sort(xs)
-		alpha := stats.DefaultSketchAlpha
+		alpha := stats.SketchAlpha
 		for _, p := range ps {
 			est := res.FCTPercentile(c, p).Seconds()
 			rank := p / 100 * float64(len(xs)-1)

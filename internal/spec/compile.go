@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -9,6 +10,7 @@ import (
 	"tlb/internal/lb"
 	"tlb/internal/netem"
 	"tlb/internal/sim"
+	"tlb/internal/stats"
 	"tlb/internal/topology"
 	"tlb/internal/transport"
 	"tlb/internal/units"
@@ -176,6 +178,9 @@ func (s *Spec) Compile() (sim.Scenario, error) {
 	sc.Shards = c.count("run.shards", s.Run.Shards) // deprecated and ignored by the runner; bench/trace.go still reads it
 
 	sc.TimeBucket = c.dur("outputs.timeBucket", s.Outputs.TimeBucket)
+	if runLen := cmp.Or(sc.MaxTime, sim.DefaultMaxTime); sc.TimeBucket > 0 && runLen/sc.TimeBucket >= stats.MaxTimeBuckets {
+		c.errf("outputs.timeBucket", "%s over a %s run is %d or more buckets, past the series' cap", s.Outputs.TimeBucket, runLen, stats.MaxTimeBuckets)
+	}
 
 	if err := c.err(); err != nil {
 		return sim.Scenario{}, fmt.Errorf("spec %q invalid:\n%w", s.Name, err)
@@ -401,7 +406,6 @@ func (s *Spec) compilePoisson(c *checker, topo topology.Config, wseed uint64) fu
 	if len(c.errs) > 0 {
 		return nil
 	}
-	hostsPerLeaf := topo.HostsPerLeaf
 	// Load is defined against the aggregate fabric capacity, exactly as
 	// the large-scale experiments define it.
 	fabricCapacity := float64(topo.Leaves) * float64(topo.Spines) * topo.FabricLink.Bandwidth.BytesPerSecond()
@@ -410,7 +414,7 @@ func (s *Spec) compilePoisson(c *checker, topo topology.Config, wseed uint64) fu
 		Sizes:     sizes,
 		Rate:      w.Load * fabricCapacity / sizes.Mean(),
 		Deadlines: deadlines,
-		LeafOf:    func(h int) int { return h / hostsPerLeaf },
+		PerLeaf:   topo.HostsPerLeaf,
 	}
 	flows := w.Flows
 	return s.sourceFactory(c, "workload", func() (workload.Source, error) {
@@ -500,6 +504,9 @@ func (s *Spec) compileInterPod(c *checker, topo topology.Config, wseed uint64) f
 	dlBase := c.dur("workload.interPod.deadlineBase", ip.DeadlineBase)
 	dlJitter := c.dur("workload.interPod.deadlineJitter", ip.DeadlineJitter)
 	dlBelow := c.size("workload.interPod.deadlineOnlyBelow", ip.DeadlineOnlyBelow)
+	if dlJitter == 0 && (ip.DeadlineBase != "" || ip.DeadlineOnlyBelow != "") {
+		c.errf("workload.interPod.deadlineJitter", "must be set with deadlineBase or deadlineOnlyBelow: without it no flow draws a deadline")
+	}
 	if len(c.errs) > 0 {
 		return nil
 	}

@@ -173,7 +173,7 @@ func TestCompilePoissonMatchesPoissonConfig(t *testing.T) {
 			Min: 5 * units.Millisecond, Max: 25 * units.Millisecond,
 			OnlyBelow: 100 * units.KB,
 		},
-		LeafOf: func(h int) int { return h / 4 },
+		PerLeaf: 4,
 	}.Source(eventsim.NewRNG(43), 50)
 	if err != nil {
 		t.Fatal(err)
@@ -349,13 +349,14 @@ func TestOversizedFabricRejected(t *testing.T) {
 
 // TestSilentlyIgnoredInputRejected: input that used to validate and
 // then be dropped or replaced by a default downstream — a negative
-// quantity or count, workload.deadlines on an interpod workload, one
-// topology kind's fields under the other — or that validated and then
-// hung (cross-leaf poisson traffic on one leaf never finds a pair) or
-// failed deep in the run without a path (a mix host on both sides can be
-// paired with itself) fails validation at its JSON path. So does a
-// scheme parameter outside its declared range, and one the scheme no
-// longer has.
+// quantity or count, workload.deadlines on an interpod workload, an
+// interpod deadline base or bound without a jitter, a time bucket past
+// the series' cap, one topology kind's fields under the other — or
+// that validated and then hung (cross-leaf poisson traffic on one leaf
+// never finds a pair) or failed deep in the run without a path (a mix
+// host on both sides can be paired with itself) fails validation at
+// its JSON path. So does a scheme parameter outside its declared
+// range, and one the scheme no longer has.
 func TestSilentlyIgnoredInputRejected(t *testing.T) {
 	dur := func(v Duration) *Duration { return &v }
 	interpod := func(s *Spec) {
@@ -407,6 +408,23 @@ func TestSilentlyIgnoredInputRejected(t *testing.T) {
 		{"workload.interPod.deadlineJitter", func(s *Spec) {
 			interpod(s)
 			s.Workload.InterPod.DeadlineJitter = "-20ms"
+		}},
+		// Without a jitter no flow draws a deadline, so a base or a
+		// size bound alone would be dropped.
+		{"workload.interPod.deadlineJitter", func(s *Spec) {
+			interpod(s)
+			s.Workload.InterPod.DeadlineBase = "5ms"
+		}},
+		{"workload.interPod.deadlineJitter", func(s *Spec) {
+			interpod(s)
+			s.Workload.InterPod.DeadlineOnlyBelow = "100KB"
+		}},
+		// A bucket that cuts the run into 2^20 or more would drop the
+		// samples past the series' cap.
+		{"outputs.timeBucket", func(s *Spec) { s.Outputs.TimeBucket = "1us" }},
+		{"outputs.timeBucket", func(s *Spec) {
+			s.Run.MaxTime = ""
+			s.Outputs.TimeBucket = "50us"
 		}},
 		{"workload.deadlines", func(s *Spec) {
 			interpod(s)

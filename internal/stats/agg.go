@@ -62,7 +62,7 @@ type FlowAgg struct {
 // creating the sketch on first use.
 func (a *FlowAgg) AddFCT(seconds float64) {
 	if a.Sketch == nil {
-		a.Sketch = NewQuantileSketch(DefaultSketchAlpha)
+		a.Sketch = NewQuantileSketch()
 	}
 	a.FCT.Add(seconds)
 	a.Sketch.Add(seconds)

@@ -30,8 +30,8 @@ func FuzzQuantileSketch(f *testing.F) {
 	f.Add(seed(0.0, -1.0, 1e300))
 	f.Add(seed(1e-12, 1e12, 7.25, 7.25, 7.25, 1e-300))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const alpha = DefaultSketchAlpha
-		sk := NewQuantileSketch(alpha)
+		const alpha = SketchAlpha
+		sk := NewQuantileSketch()
 		var xs []float64
 		allPositive := true
 		for len(data) >= 9 {

@@ -1,61 +1,52 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
-// DefaultSketchAlpha is the relative-error bound the streaming
-// experiments use: a reported quantile is within 1% of the true value.
-const DefaultSketchAlpha = 0.01
+// SketchAlpha is the sketch's relative-error bound: a reported quantile
+// is within 1% of the true value.
+const SketchAlpha = 0.01
 
-// defaultSketchBuckets caps the bucket map. With alpha = 0.01 (gamma ≈
-// 1.0202) 2048 buckets span a dynamic range of e^(2048·ln γ) ≈ 6e17,
-// far wider than any FCT distribution; the cap only engages on
-// adversarial inputs, collapsing the *lowest* buckets so upper
-// quantiles (the p99s the figures report) keep their bound.
-const defaultSketchBuckets = 2048
+// sketchGamma is the bucket ratio (1+α)/(1-α), and sketchLnGamma its
+// logarithm, which index and value divide and multiply by. The typed
+// constant holds the float64 the ratio rounds to, so sums with it round
+// as run-time arithmetic does.
+const sketchGamma float64 = (1 + SketchAlpha) / (1 - SketchAlpha)
+
+var sketchLnGamma = math.Log(sketchGamma)
+
+// sketchBuckets caps the bucket map. With γ ≈ 1.0202, 2048 buckets
+// span a dynamic range of e^(2048·ln γ) ≈ 6e17, far wider than any FCT
+// distribution; the cap only engages on adversarial inputs, collapsing
+// the *lowest* buckets so upper quantiles (the p99s the figures report)
+// keep their bound.
+const sketchBuckets = 2048
 
 // QuantileSketch is a DDSketch-style streaming quantile estimator with
 // a relative-error guarantee: for any quantile q whose true value is x,
-// the estimate x̂ satisfies |x̂ - x| <= alpha·x, using O(log(max/min)/
-// log(gamma)) memory independent of the observation count.
+// the estimate x̂ satisfies |x̂ - x| <= SketchAlpha·x, using
+// O(log(max/min)/log(γ)) memory independent of the observation count.
 //
-// Values map to geometric buckets: index(x) = ceil(ln x / ln gamma)
-// with gamma = (1+alpha)/(1-alpha), estimated back as the bucket
-// midpoint 2·gamma^i/(gamma+1). Non-positive values count in a
-// dedicated zero bucket (estimated as exactly 0, which FCTs below the
-// simulator's time resolution round to anyway).
+// Values map to geometric buckets: index(x) = ceil(ln x / ln γ),
+// estimated back as the bucket midpoint 2·γ^i/(γ+1). Non-positive
+// values count in a dedicated zero bucket (estimated as exactly 0,
+// which FCTs below the simulator's time resolution round to anyway).
 type QuantileSketch struct {
-	alpha   float64
-	gamma   float64
-	lnGamma float64
-	counts  map[int]int64
-	zeros   int64
-	n       int64
-	min     float64
-	max     float64
-	// maxBuckets bounds len(counts); exceeding it collapses the lowest
-	// buckets together, degrading low quantiles only.
-	maxBuckets int
-	collapsed  bool
+	counts map[int]int64
+	zeros  int64
+	n      int64
+	min    float64
+	max    float64
+	// collapsed is set once the bucket cap has merged the lowest
+	// buckets, degrading low quantiles only.
+	collapsed bool
 }
 
-// NewQuantileSketch creates a sketch with the given relative-error
-// bound (0 < alpha < 1).
-func NewQuantileSketch(alpha float64) *QuantileSketch {
-	if alpha <= 0 || alpha >= 1 {
-		panic(fmt.Sprintf("stats: sketch alpha %v outside (0,1)", alpha))
-	}
-	gamma := (1 + alpha) / (1 - alpha)
-	return &QuantileSketch{
-		alpha:      alpha,
-		gamma:      gamma,
-		lnGamma:    math.Log(gamma),
-		counts:     make(map[int]int64),
-		maxBuckets: defaultSketchBuckets,
-	}
+// NewQuantileSketch creates an empty sketch.
+func NewQuantileSketch() *QuantileSketch {
+	return &QuantileSketch{counts: make(map[int]int64)}
 }
 
 // N returns the observation count.
@@ -67,13 +58,13 @@ func (s *QuantileSketch) N() int64 { return s.n }
 func (s *QuantileSketch) Collapsed() bool { return s.collapsed }
 
 func (s *QuantileSketch) index(x float64) int {
-	return int(math.Ceil(math.Log(x) / s.lnGamma))
+	return int(math.Ceil(math.Log(x) / sketchLnGamma))
 }
 
 func (s *QuantileSketch) value(i int) float64 {
-	// Bucket i covers (gamma^(i-1), gamma^i]; the midpoint in relative
-	// terms is 2·gamma^i/(gamma+1), within alpha of everything in it.
-	return 2 * math.Exp(float64(i)*s.lnGamma) / (s.gamma + 1)
+	// Bucket i covers (γ^(i-1), γ^i]; the midpoint in relative terms
+	// is 2·γ^i/(γ+1), within α of everything in it.
+	return 2 * math.Exp(float64(i)*sketchLnGamma) / (sketchGamma + 1)
 }
 
 // Add folds one observation in. NaN is ignored; non-positive values
@@ -114,12 +105,12 @@ func (s *QuantileSketch) sortedKeys() []int {
 // collapse merges the lowest buckets whenever the cap is exceeded,
 // preserving upper-quantile accuracy.
 func (s *QuantileSketch) collapse() {
-	if len(s.counts) <= s.maxBuckets {
+	if len(s.counts) <= sketchBuckets {
 		return
 	}
 	keys := s.sortedKeys()
 	// Fold everything below the cut into the first retained bucket.
-	cut := len(keys) - s.maxBuckets
+	cut := len(keys) - sketchBuckets
 	keep := keys[cut]
 	for _, k := range keys[:cut] {
 		s.counts[keep] += s.counts[k]
@@ -183,7 +174,7 @@ func (s *QuantileSketch) CDF(points int) []Point {
 }
 
 // clamp keeps estimates inside the observed range: bucket midpoints
-// can stick out past min/max by up to alpha, and the observed extremes
+// can stick out past min/max by up to α, and the observed extremes
 // are always the better answer there.
 func (s *QuantileSketch) clamp(v float64) float64 {
 	if v < s.min {

@@ -24,7 +24,7 @@ func bracketBound(t *testing.T, xs []float64, q, est, alpha float64) {
 
 func TestSketchAccuracyLogUniform(t *testing.T) {
 	rng := eventsim.NewRNG(11)
-	s := NewQuantileSketch(DefaultSketchAlpha)
+	s := NewQuantileSketch()
 	xs := make([]float64, 0, 10000)
 	for i := 0; i < 10000; i++ {
 		// Log-uniform over [1e-6, 1e2] seconds — the FCT range the
@@ -35,7 +35,7 @@ func TestSketchAccuracyLogUniform(t *testing.T) {
 	}
 	sort.Float64s(xs)
 	for _, q := range []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1} {
-		bracketBound(t, xs, q, s.Quantile(q), s.alpha)
+		bracketBound(t, xs, q, s.Quantile(q), SketchAlpha)
 	}
 	if s.min != xs[0] || s.max != xs[len(xs)-1] {
 		t.Fatalf("min/max %v/%v, want %v/%v", s.min, s.max, xs[0], xs[len(xs)-1])
@@ -46,7 +46,7 @@ func TestSketchAccuracyLogUniform(t *testing.T) {
 }
 
 func TestSketchZerosAndNegatives(t *testing.T) {
-	s := NewQuantileSketch(0.01)
+	s := NewQuantileSketch()
 	if s.Quantile(0.5) != 0 {
 		t.Fatal("empty sketch quantile not 0")
 	}
@@ -73,15 +73,15 @@ func TestSketchZerosAndNegatives(t *testing.T) {
 
 func TestSketchCollapseKeepsUpperQuantiles(t *testing.T) {
 	rng := eventsim.NewRNG(17)
-	s := NewQuantileSketch(DefaultSketchAlpha)
-	// 512 buckets cover a gamma^512 ≈ 2.8e4 value ratio; the data spans
-	// 1e14, so collapse must trigger. Retained buckets then cover the
-	// top ~30% of the log-uniform mass, so quantiles from 0.9 up must
-	// keep the bound while lower ones are sacrificed.
-	s.maxBuckets = 512
-	xs := make([]float64, 0, 20000)
-	for i := 0; i < 20000; i++ {
-		x := math.Exp(math.Log(1e-9) + rng.Float64()*math.Log(1e14))
+	s := NewQuantileSketch()
+	// 2048 buckets cover a γ^2048 ≈ 6e17 value ratio; the data spans
+	// 1e26, about 2 960 buckets, of which 5 000 draws fill ~2 400, so
+	// collapse must trigger. Retained buckets then cover the top ~69%
+	// of the log-uniform mass, so quantiles from 0.9 up must keep the
+	// bound while lower ones are sacrificed.
+	xs := make([]float64, 0, 5000)
+	for i := 0; i < 5000; i++ {
+		x := math.Exp(math.Log(1e-13) + rng.Float64()*math.Log(1e26))
 		s.Add(x)
 		xs = append(xs, x)
 	}
@@ -90,7 +90,7 @@ func TestSketchCollapseKeepsUpperQuantiles(t *testing.T) {
 	}
 	sort.Float64s(xs)
 	for _, q := range []float64{0.9, 0.95, 0.99, 0.999, 1} {
-		bracketBound(t, xs, q, s.Quantile(q), s.alpha)
+		bracketBound(t, xs, q, s.Quantile(q), SketchAlpha)
 	}
 	prev := math.Inf(-1)
 	for q := 0.0; q <= 1.0; q += 0.02 {
@@ -100,15 +100,6 @@ func TestSketchCollapseKeepsUpperQuantiles(t *testing.T) {
 		}
 		prev = v
 	}
-}
-
-func TestSketchBadAlphaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewQuantileSketch(1.5)
 }
 
 // TestFlowAggRatios: the first AddFCT creates the sketch, and the
@@ -132,7 +123,7 @@ func TestFlowAggRatios(t *testing.T) {
 	if a.Sketch == nil || a.Sketch.N() != 3 {
 		t.Fatal("AddFCT must create and feed the sketch")
 	}
-	if p := a.Sketch.Quantile(1); math.Abs(p-0.030) > 0.030*DefaultSketchAlpha {
+	if p := a.Sketch.Quantile(1); math.Abs(p-0.030) > 0.030*SketchAlpha {
 		t.Fatalf("sketch max quantile %v", p)
 	}
 	if (&FlowAgg{}).MissRatio() != 0 || (&FlowAgg{}).MeanGoodput() != 0 {

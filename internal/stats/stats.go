@@ -35,30 +35,17 @@ func (o *Online) Mean() float64 { return o.mean }
 // sorts lazily and re-sorts only after new data arrives.
 type Sample struct {
 	xs     []float64
-	sum    float64
 	sorted bool
 }
 
 // Add appends one observation.
 func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
-	s.sum += x
 	s.sorted = false
 }
 
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
-
-// Mean returns the arithmetic mean (0 when empty). The sum accumulates
-// at Add time (insertion order), so Mean is O(1) per call instead of a
-// re-scan — the re-scan made every figure's AFCT render O(n²) at large
-// flow counts.
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	return s.sum / float64(len(s.xs))
-}
 
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
@@ -192,17 +179,12 @@ func (s *Series) Format() string {
 type TimeSeries struct {
 	width   float64
 	buckets []bucket
-	// Observations past maxTimeBuckets*width land here instead of
-	// growing the bucket slice without bound (or, worse, wrapping the
-	// index negative on float→int conversion).
-	overflowN   int64
-	overflowSum float64
 }
 
-// maxTimeBuckets caps the bucket slice: at the default widths used by
-// the figures (1–10ms) this covers hours of simulated time while
-// bounding memory at ~16 MB even for adversarial timestamps.
-const maxTimeBuckets = 1 << 20
+// MaxTimeBuckets caps the bucket slice, bounding memory at ~16 MB even
+// for adversarial timestamps. spec.Compile rejects a run that would
+// reach it, so every observation of a run lands in a bucket.
+const MaxTimeBuckets = 1 << 20
 
 type bucket struct {
 	n   int64
@@ -218,19 +200,13 @@ func NewTimeSeries(width float64) *TimeSeries {
 	return &TimeSeries{width: width}
 }
 
-// Add records an observation at the given time. Observations at or
-// beyond maxTimeBuckets*width count into an overflow bucket (see
-// Overflow) and are excluded from Means/Sums/Rates.
+// Add records an observation at the given time. Observations before 0
+// or at or beyond MaxTimeBuckets*width are dropped.
 func (t *TimeSeries) Add(at, value float64) {
-	if at < 0 {
-		return
-	}
 	// Compare in float space before converting: int(huge/width) wraps
 	// negative and would index out of range, and a merely-large quotient
 	// would allocate an absurd bucket slice.
-	if at/t.width >= float64(maxTimeBuckets) {
-		t.overflowN++
-		t.overflowSum += value
+	if at < 0 || at/t.width >= MaxTimeBuckets {
 		return
 	}
 	i := int(at / t.width)
@@ -239,12 +215,6 @@ func (t *TimeSeries) Add(at, value float64) {
 	}
 	t.buckets[i].n++
 	t.buckets[i].sum += value
-}
-
-// Overflow returns the count and sum of observations that fell beyond
-// the bucket cap.
-func (t *TimeSeries) Overflow() (n int64, sum float64) {
-	return t.overflowN, t.overflowSum
 }
 
 // Window returns the count and sum of the observations in the buckets

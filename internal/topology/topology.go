@@ -53,7 +53,8 @@ type Network interface {
 	EveryQueue(fn func(label string, q *netem.Queue))
 	// SetPool makes the network release dropped packets back to the
 	// run's packet pool (a switch observing Port.Send refuse a packet
-	// is that packet's terminal sink). Nil disables releasing.
+	// is that packet's terminal sink). The pool is required: a run
+	// sets it before its first packet, and a drop with none panics.
 	SetPool(pool *netem.PacketPool)
 }
 
@@ -407,7 +408,8 @@ func (f *Fabric) BalancedPorts() []*netem.Port {
 	return out
 }
 
-// SetPool implements Network: dropped packets are released to pool.
+// SetPool implements Network: dropped packets are released to pool,
+// which must be set before the first drop.
 func (f *Fabric) SetPool(pool *netem.PacketPool) { f.pool = pool }
 
 // Inject sends a packet from the given host into the network through

@@ -224,6 +224,7 @@ func TestDropsCountedOnOverflow(t *testing.T) {
 	cfg := testConfig()
 	cfg.Queue = netem.QueueConfig{Capacity: 1}
 	fab, s, _ := build(t, cfg, lb.ECMP())
+	fab.SetPool(netem.NewPacketPool())
 	for i := 0; i < 50; i++ {
 		fab.Inject(0, &netem.Packet{Flow: netem.FlowID{Src: 0, Dst: 3, Port: i}, Kind: netem.Data, Payload: 1460, Wire: 1500})
 	}

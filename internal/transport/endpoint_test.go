@@ -28,11 +28,9 @@ type wire struct {
 func newWire(t *testing.T) *wire {
 	t.Helper()
 	w := &wire{sim: eventsim.New(), pool: netem.NewPacketPool()}
-	w.hosts[0] = NewHost(w.sim, 0, func(p *netem.Packet) { w.sent = append(w.sent, p) })
-	w.hosts[1] = NewHost(w.sim, 1, func(p *netem.Packet) { w.acked = append(w.acked, p) })
-	for _, h := range w.hosts {
-		h.SetPool(w.pool)
-	}
+	flows := &FlowPool{}
+	w.hosts[0] = NewHost(w.sim, 0, func(p *netem.Packet) { w.sent = append(w.sent, p) }, w.pool, flows)
+	w.hosts[1] = NewHost(w.sim, 1, func(p *netem.Packet) { w.acked = append(w.acked, p) }, w.pool, flows)
 	cfg := testCfg()
 	w.snd = Open(&cfg, w.hosts[0], w.hosts[1], netem.FlowID{Src: 0, Dst: 1, Port: 7}, 2*MSS, nil)
 	w.snd.Start()

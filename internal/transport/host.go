@@ -17,14 +17,13 @@ type Host struct {
 	id  int
 	out func(*netem.Packet)
 
-	// pool, when set via SetPool, supplies every packet the host's
-	// endpoints emit and receives every packet Receive has finished
-	// dispatching: the host is the terminal sink of delivered packets
-	// (endpoint handlers copy what they need and never retain the
-	// *Packet). Nil falls back to plain allocation.
+	// pool supplies every packet the host's endpoints emit and receives
+	// every packet Receive has finished dispatching: the host is the
+	// terminal sink of delivered packets (endpoint handlers copy what
+	// they need and never retain the *Packet).
 	pool *netem.PacketPool
-	// flows, when set via SetFlowPool, supplies the flow objects Open
-	// takes for flows from this host. Nil falls back to plain allocation.
+	// flows supplies the flow objects Open takes for flows from this
+	// host.
 	flows *FlowPool
 
 	// closeKey is the host's construction-order keyed identity
@@ -35,29 +34,25 @@ type Host struct {
 	closeKey uint32
 }
 
-// NewHost creates a host with the given network injection function.
-func NewHost(sim *eventsim.Sim, id int, out func(*netem.Packet)) *Host {
+// NewHost creates a host with the given network injection function
+// and the run's pools, both required. The host's endpoints allocate
+// from pkts, and the host releases every delivered packet back to it
+// after dispatching it (see netem.PacketPool for the ownership
+// contract): it must be the run's single packet pool, the one the
+// fabric releases drops to. Open takes the flows from this host out of
+// flows, which gets each back once nothing can reach it (see FlowPool):
+// it must be the run's single flow pool, and every flow's receiver must
+// be closed through CloseReceiverAt once its sender is done.
+func NewHost(sim *eventsim.Sim, id int, out func(*netem.Packet), pkts *netem.PacketPool, flows *FlowPool) *Host {
 	return &Host{
 		sim:      sim,
 		id:       id,
 		out:      out,
+		pool:     pkts,
+		flows:    flows,
 		closeKey: sim.ReserveKeyedID(),
 	}
 }
-
-// SetPool makes the host's endpoints allocate from pool and the host
-// release every delivered packet back to it after dispatching it (see
-// netem.PacketPool for the ownership contract). It must be the run's
-// single per-simulation pool, the one the fabric releases drops to.
-// Callers that keep delivered packets alive — test pipes that re-deliver
-// them, for instance — must leave the pool unset.
-func (h *Host) SetPool(pool *netem.PacketPool) { h.pool = pool }
-
-// SetFlowPool makes Open take the flows from this host out of pool,
-// which gets each back once nothing can reach it (see FlowPool). It
-// must be the run's single flow pool, and every flow's receiver must be
-// closed through CloseReceiverAt once its sender is done.
-func (h *Host) SetFlowPool(pool *FlowPool) { h.flows = pool }
 
 // Open takes the two endpoints of one flow and the record they share,
 // together, from src's flow pool and wires each endpoint to the other.
@@ -127,9 +122,9 @@ func (h *Host) CloseReceiverAt(done, lag units.Time, r *Receiver) {
 }
 
 // Receive hands a delivered packet to the endpoint it names, then
-// releases it to the pool (when one is set): delivery is the packet's
-// terminal sink. There is no lookup: a packet that names no endpoint is
-// dropped, a completed sender and a closed receiver ignore theirs (as a
+// releases it to the pool: delivery is the packet's terminal sink.
+// There is no lookup: a packet that names no endpoint is dropped, a
+// completed sender and a closed receiver ignore theirs (as a
 // real host would RST-and-ignore), and so does an endpoint whose memory
 // serves another flow since the packet was sent (see FlowPool); one
 // whose endpoint lives on another host was misrouted by the fabric,

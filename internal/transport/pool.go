@@ -22,9 +22,9 @@ package transport
 // is exactly what the finished sender or closed receiver it was
 // addressed to would have done.
 //
-// The zero value is an empty pool. A nil *FlowPool is valid too: every
-// Open allocates and nothing is recycled, so tests and tools that do
-// not close their receivers can pass nothing.
+// The zero value is an empty pool. The pool is required: every host of
+// a run shares one. Without it a run allocates every flow it opens and
+// holds more memory at its peak (DESIGN.md §11 gives the measured cost).
 type FlowPool struct {
 	free []*flow
 	// allocated counts pool misses (fresh flow allocations); recycled
@@ -50,9 +50,6 @@ type flow struct {
 
 // get returns a zeroed flow, recycling an idle one when possible.
 func (fp *FlowPool) get() *flow {
-	if fp == nil {
-		return &flow{}
-	}
 	if n := len(fp.free); n > 0 {
 		f := fp.free[n-1]
 		fp.free[n-1] = nil
@@ -71,7 +68,7 @@ func (fp *FlowPool) get() *flow {
 // at completion). Each of those three events calls it; only the last
 // releases.
 func (f *flow) release() {
-	if f.pool == nil || !f.settled || !f.rcv.closed || f.rcv.ackTimer.Scheduled() {
+	if !f.settled || !f.rcv.closed || f.rcv.ackTimer.Scheduled() {
 		return
 	}
 	if f.pooled {
@@ -82,25 +79,10 @@ func (f *flow) release() {
 }
 
 // Allocated returns how many Opens missed the pool (fresh allocations).
-func (fp *FlowPool) Allocated() int64 {
-	if fp == nil {
-		return 0
-	}
-	return fp.allocated
-}
+func (fp *FlowPool) Allocated() int64 { return fp.allocated }
 
 // Recycled returns how many Opens were served from the pool.
-func (fp *FlowPool) Recycled() int64 {
-	if fp == nil {
-		return 0
-	}
-	return fp.recycled
-}
+func (fp *FlowPool) Recycled() int64 { return fp.recycled }
 
 // Idle returns how many released flows are currently pooled.
-func (fp *FlowPool) Idle() int {
-	if fp == nil {
-		return 0
-	}
-	return len(fp.free)
-}
+func (fp *FlowPool) Idle() int { return len(fp.free) }

@@ -26,9 +26,7 @@ type yard struct {
 func newYard(hosts int, cfg Config) *yard {
 	y := &yard{sim: eventsim.New(), pool: netem.NewPacketPool(), flows: &FlowPool{}, cfg: cfg}
 	for i := 0; i < hosts; i++ {
-		h := NewHost(y.sim, i, func(p *netem.Packet) { y.held = append(y.held, p) })
-		h.SetPool(y.pool)
-		h.SetFlowPool(y.flows)
+		h := NewHost(y.sim, i, func(p *netem.Packet) { y.held = append(y.held, p) }, y.pool, y.flows)
 		y.hosts = append(y.hosts, h)
 	}
 	return y

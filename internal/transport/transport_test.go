@@ -26,6 +26,7 @@ type pipe struct {
 
 func newPipe(sim *eventsim.Sim, delay units.Time) *pipe {
 	p := &pipe{sim: sim, delay: delay}
+	pool, flows := netem.NewPacketPool(), &FlowPool{}
 	for i := 0; i < 2; i++ {
 		dir := i
 		p.hosts[i] = NewHost(sim, i, func(pkt *netem.Packet) {
@@ -33,7 +34,7 @@ func newPipe(sim *eventsim.Sim, delay units.Time) *pipe {
 				return
 			}
 			p.sim.After(p.delay, func() { p.hosts[1-dir].Receive(pkt) })
-		})
+		}, pool, flows)
 	}
 	return p
 }
@@ -52,7 +53,8 @@ func openFlow(t *testing.T, p *pipe, cfg Config, size units.Bytes) *Sender {
 // nothing: what the sender emits goes to sent, what the receiver emits
 // to acked, and the test delivers by hand.
 func loneFlow(s *eventsim.Sim, cfg Config, id netem.FlowID, size units.Bytes, sent, acked func(*netem.Packet)) *Sender {
-	return Open(&cfg, NewHost(s, id.Src, sent), NewHost(s, id.Dst, acked), id, size, nil)
+	pool, flows := netem.NewPacketPool(), &FlowPool{}
+	return Open(&cfg, NewHost(s, id.Src, sent, pool, flows), NewHost(s, id.Dst, acked, pool, flows), id, size, nil)
 }
 
 func discard(*netem.Packet) {}
@@ -359,7 +361,7 @@ func TestReliabilityUnderRandomLoss(t *testing.T) {
 
 func TestHostDispatchUnknownFlowIsDropped(t *testing.T) {
 	s := eventsim.New()
-	h := NewHost(s, 0, func(*netem.Packet) {})
+	h := NewHost(s, 0, func(*netem.Packet) {}, netem.NewPacketPool(), &FlowPool{})
 	// Must not panic.
 	h.Receive(&netem.Packet{Flow: netem.FlowID{Src: 9, Dst: 0}, Kind: netem.Data})
 	h.Receive(&netem.Packet{Flow: netem.FlowID{Src: 0, Dst: 9}.Reversed(), Kind: netem.Ack})

@@ -57,23 +57,20 @@ type PoissonConfig struct {
 	// spec layer derives it from a target load on the fabric).
 	Rate      float64
 	Deadlines DeadlineDist
-	// LeafOf, when set, maps a host to its leaf, and src and dst are
-	// drawn on different leaves so every flow crosses the fabric; nil
-	// means any distinct pair.
-	LeafOf func(host int) int
+	// PerLeaf is how many consecutive hosts share a leaf: src and dst
+	// are drawn on different leaves so every flow crosses the fabric.
+	// 1 means any distinct pair.
+	PerLeaf int
 }
 
+// pickPair redraws both ends until they differ in leaf.
 func (c PoissonConfig) pickPair(rng *eventsim.RNG) (src, dst int) {
 	for {
 		src = rng.Intn(c.Hosts)
 		dst = rng.Intn(c.Hosts)
-		if src == dst {
-			continue
+		if src/c.PerLeaf != dst/c.PerLeaf {
+			return src, dst
 		}
-		if c.LeafOf != nil && c.LeafOf(src) == c.LeafOf(dst) {
-			continue
-		}
-		return src, dst
 	}
 }
 

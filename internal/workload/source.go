@@ -74,22 +74,13 @@ type poissonSource struct {
 // Source returns a lazy generator for n flows, the first arriving one
 // exponential gap after time 0.
 func (c PoissonConfig) Source(rng *eventsim.RNG, n int) (Source, error) {
-	if c.Hosts < 2 {
-		return nil, fmt.Errorf("workload: poisson traffic needs >= 2 hosts, got %d", c.Hosts)
+	// pickPair redraws until src and dst differ in leaf: with every
+	// host on one leaf it would never return.
+	if c.PerLeaf < 1 || c.Hosts <= c.PerLeaf {
+		return nil, fmt.Errorf("workload: poisson traffic needs >= 2 leaves (%d hosts, %d per leaf)", c.Hosts, c.PerLeaf)
 	}
 	if !(c.Rate > 0) {
 		return nil, fmt.Errorf("workload: poisson traffic needs a positive arrival rate, got %v", c.Rate)
-	}
-	if c.LeafOf != nil {
-		// pickPair redraws until src and dst differ in leaf: with every
-		// host on one leaf it would never return.
-		oneLeaf := true
-		for h := 1; h < c.Hosts && oneLeaf; h++ {
-			oneLeaf = c.LeafOf(h) == c.LeafOf(0)
-		}
-		if oneLeaf {
-			return nil, fmt.Errorf("workload: cross-leaf poisson traffic needs >= 2 leaves, all %d hosts are on leaf %d", c.Hosts, c.LeafOf(0))
-		}
 	}
 	return &poissonSource{cfg: c, rng: rng, flows: n}, nil
 }

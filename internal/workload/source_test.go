@@ -18,6 +18,7 @@ func testPoissonConfig() PoissonConfig {
 			Max:       25 * units.Millisecond,
 			OnlyBelow: 100 * units.KB,
 		},
+		PerLeaf: 1,
 	}
 }
 

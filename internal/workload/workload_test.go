@@ -160,6 +160,7 @@ func TestPoissonGenerate(t *testing.T) {
 		Sizes:     sizes,
 		Rate:      0.5 * units.Gbps.BytesPerSecond() * 16 / sizes.Mean(),
 		Deadlines: DeadlineDist{Min: 5 * units.Millisecond, Max: 25 * units.Millisecond, OnlyBelow: 100 * units.KB},
+		PerLeaf:   1,
 	}
 	src, err := pc.Source(eventsim.NewRNG(7), 2000)
 	if err != nil {
@@ -194,31 +195,30 @@ func TestPoissonGenerate(t *testing.T) {
 }
 
 func TestPoissonCrossLeafOnly(t *testing.T) {
-	leafOf := func(h int) int { return h / 4 }
-	pc := PoissonConfig{Hosts: 16, Sizes: Fixed{Size: 10 * units.KB}, Rate: 50_000, LeafOf: leafOf}
+	pc := PoissonConfig{Hosts: 16, Sizes: Fixed{Size: 10 * units.KB}, Rate: 50_000, PerLeaf: 4}
 	src, err := pc.Source(eventsim.NewRNG(8), 500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range Collect(src) {
-		if leafOf(f.Src) == leafOf(f.Dst) {
-			t.Fatalf("intra-leaf flow %d->%d with LeafOf set", f.Src, f.Dst)
+		if f.Src/4 == f.Dst/4 {
+			t.Fatalf("intra-leaf flow %d->%d with PerLeaf 4", f.Src, f.Dst)
 		}
 	}
 }
 
 func TestPoissonValidation(t *testing.T) {
 	rng := eventsim.NewRNG(9)
-	if _, err := (PoissonConfig{Hosts: 1, Sizes: Fixed{Size: 1}, Rate: 1000}).Source(rng, 10); err == nil {
+	if _, err := (PoissonConfig{Hosts: 1, Sizes: Fixed{Size: 1}, Rate: 1000, PerLeaf: 1}).Source(rng, 10); err == nil {
 		t.Error("1-host config accepted")
 	}
-	if _, err := (PoissonConfig{Hosts: 4, Sizes: Fixed{Size: 1}}).Source(rng, 10); err == nil {
+	if _, err := (PoissonConfig{Hosts: 4, Sizes: Fixed{Size: 1}, PerLeaf: 1}).Source(rng, 10); err == nil {
 		t.Error("zero rate accepted")
 	}
 	// Cross-leaf pairs on one leaf do not exist: the pair draw would
 	// redraw forever (inside Next, where nothing can cancel it), so the
 	// source is refused instead.
-	oneLeaf := PoissonConfig{Hosts: 4, Sizes: Fixed{Size: 1}, Rate: 1000, LeafOf: func(int) int { return 0 }}
+	oneLeaf := PoissonConfig{Hosts: 4, Sizes: Fixed{Size: 1}, Rate: 1000, PerLeaf: 4}
 	if _, err := oneLeaf.Source(rng, 10); err == nil || !strings.Contains(err.Error(), ">= 2 leaves") {
 		t.Errorf("cross-leaf traffic on one leaf: %v", err)
 	}
