@@ -97,9 +97,13 @@ pairs = for i in $$(seq 1 $(N)); do \
 
 # pair-stats summarises $$d/runs. The k-th word of $(1) names the k-th
 # value column (field k + 3). Per name and column, in first-seen order,
-# it prints each side's median, quartiles and n and in how many pairs
-# each side was lower; for a column named in $(2) (exact counts), only
-# each side's median; a column named - it skips. $(3) formats a value.
+# it prints each side's median, quartiles and n, in how many pairs each
+# side was lower, and the verdict: the head/ref median ratio, and
+# "resolved" when head was lower in at least nine tenths of the pairs
+# and the medians differ by more than ref's interquartile range
+# (choosing-metrics §8), else "unresolved"; for a column named in $(2)
+# (exact counts), only each side's median; a column named - it skips.
+# $(3) formats a value.
 pair-stats = awk -v N=$(N) -v cols="$(1)" -v counts="$(2)" -v F="$(3)" ' \
 	  function q(k, s, p,   n, i, j, t, a, h, f) { \
 	    n = 0; for (i = 1; i <= N; i++) a[++n] = v[k, s, i]; \
@@ -114,7 +118,10 @@ pair-stats = awk -v N=$(N) -v cols="$(1)" -v counts="$(2)" -v F="$(3)" ' \
 	      for (l = 1; l <= 2; l++) printf row "%-4s median " F "  q1 " F "  q3 " F "  n %d\n", name[k], m, side[l], \
 	        q(key, side[l], .5), q(key, side[l], .25), q(key, side[l], .75), N; \
 	      win = 0; loss = 0; for (i = 1; i <= N; i++) { win += v[key, "head", i] < v[key, "ref", i]; loss += v[key, "head", i] > v[key, "ref", i] } \
-	      printf row "head better in %d of %d pairs, ref in %d\n", name[k], m, win, N, loss } }' $$d/runs
+	      printf row "head better in %d of %d pairs, ref in %d\n", name[k], m, win, N, loss; \
+	      rm = q(key, "ref", .5); dm = q(key, "head", .5) - rm; if (dm < 0) dm = -dm; \
+	      ok = win * 10 >= 9 * N && dm > q(key, "ref", .75) - q(key, "ref", .25); \
+	      printf row "head/ref median %.3f  %s\n", name[k], m, (rm ? q(key, "head", .5) / rm : 0), (ok ? "resolved" : "unresolved") } }' $$d/runs
 
 # bench-run, workload-run and setup-run are one run of side $$s in pair
 # $$i (of workload $$w) for bench-pair B=, bench-pair W= and

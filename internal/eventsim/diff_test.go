@@ -16,6 +16,68 @@ type dualSim struct {
 	rLog []int
 	sH   []Event
 	rH   []refHandle
+	// chains are the owned nodes, one per chain on the wheel side; the
+	// reference schedules each chain's entries with AtKey.
+	chains []*ownedChain
+}
+
+// ownedEntry is one keyed delivery a chain fires, in order.
+type ownedEntry struct {
+	id  int
+	at  Time
+	key uint64
+}
+
+// ownedChain stands in for a netem port: a FIFO of keyed entries with
+// one owned node on the wheel side, armed for the oldest unfired entry
+// and re-armed from its own callback for the next, as portDeliver
+// does; the reference side schedules the same entry with AtKey at the
+// same moments. sHead and rHead index each side's oldest unfired entry.
+type ownedChain struct {
+	d            *dualSim
+	node         Node
+	entries      []ownedEntry
+	sHead, rHead int
+}
+
+func (d *dualSim) newChain() *ownedChain {
+	c := &ownedChain{d: d}
+	c.node.Bind(func(any) {
+		d.sLog = append(d.sLog, c.entries[c.sHead].id)
+		c.sHead++
+		if c.sHead < len(c.entries) {
+			e := c.entries[c.sHead]
+			d.s.Arm(&c.node, e.at, e.key)
+		}
+	}, nil)
+	d.chains = append(d.chains, c)
+	return c
+}
+
+func (c *ownedChain) rFire() {
+	c.d.rLog = append(c.d.rLog, c.entries[c.rHead].id)
+	c.rHead++
+	if c.rHead < len(c.entries) {
+		e := c.entries[c.rHead]
+		c.d.r.AtKey(e.at, e.key, c.rFire)
+	}
+}
+
+// add queues entry id on the chain at the later of at and its last
+// entry (a FIFO delivers in order), arming each side's node if that
+// side's chain was idle.
+func (c *ownedChain) add(id int, at Time, salt uint64) {
+	if n := len(c.entries); n > 0 {
+		at = max(at, c.entries[n-1].at)
+	}
+	e := ownedEntry{id: id, at: at, key: KeyDomain | salt<<20 | uint64(id)&(1<<20-1)}
+	c.entries = append(c.entries, e)
+	if c.sHead == len(c.entries)-1 {
+		c.d.s.Arm(&c.node, e.at, e.key)
+	}
+	if c.rHead == len(c.entries)-1 {
+		c.d.r.AtKey(e.at, e.key, c.rFire)
+	}
 }
 
 func newDualSim(t testing.TB) *dualSim {
@@ -133,8 +195,9 @@ func (d *dualSim) check(when string) {
 // spill heap, and migration back as the clock advances), exact
 // same-timestamp bursts (batched dispatch) that mix keyed and
 // counter-sequenced events on one instant, keyed scheduling and
-// cancel-after-fire — always requiring behavior identical to the old
-// heap.
+// cancel-after-fire, and owned nodes re-armed from their own callbacks
+// (ownedChain), some past the horizon — always requiring behavior
+// identical to the old heap.
 func TestDifferentialRandomOps(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := NewRNG(seed)
@@ -148,11 +211,13 @@ func TestDifferentialRandomOps(t *testing.T) {
 			case 3: // far-horizon schedule (spill, > wheelHorizon)
 				d.schedule(nextID, d.s.Now()+wheelHorizon+Time(rng.Intn(50_000_000)))
 				nextID++
-			case 4: // same-timestamp burst, keyed and counter events colliding
+			case 4: // same-timestamp burst: keyed, owned and counter events colliding
 				at := d.s.Now() + Time(rng.Intn(100_000))
 				for k := rng.Intn(6) + 2; k > 0; k-- {
-					if rng.Intn(3) == 0 {
+					if r := rng.Intn(6); r < 2 {
 						d.scheduleKeyed(nextID, at, uint64(rng.Intn(4)))
+					} else if r == 2 && len(d.chains) > 0 {
+						d.chains[rng.Intn(len(d.chains))].add(nextID, at, uint64(rng.Intn(4)))
 					} else {
 						d.schedule(nextID, at)
 					}
@@ -164,8 +229,20 @@ func TestDifferentialRandomOps(t *testing.T) {
 			case 6: // schedule-from-callback chain
 				d.scheduleChained(nextID, d.s.Now()+Time(rng.Intn(100_000)), Time(rng.Intn(2_000_000)))
 				nextID++
-			case 7: // cancel (live or stale)
-				d.cancel(rng.Intn(1 << 20))
+			case 7: // cancel (live or stale), or an owned-node entry
+				if rng.Intn(2) == 0 {
+					d.cancel(rng.Intn(1 << 20))
+					break
+				}
+				if len(d.chains) < 6 {
+					d.newChain()
+				}
+				at := d.s.Now() + Time(rng.Intn(300_000))
+				if rng.Intn(6) == 0 {
+					at += wheelHorizon // past the horizon: armed into the spill
+				}
+				d.chains[rng.Intn(len(d.chains))].add(nextID, at, uint64(rng.Intn(1<<16)))
+				nextID++
 			case 8:
 				d.step()
 			case 9:
@@ -176,7 +253,18 @@ func TestDifferentialRandomOps(t *testing.T) {
 		if d.s.Pending() != 0 {
 			t.Fatalf("seed %d: events left pending after Run: %d", seed, d.s.Pending())
 		}
-		t.Logf("seed %d: %d events fired, clock at %v", seed, len(d.sLog), d.s.Now())
+		owned := 0
+		for _, c := range d.chains {
+			owned += len(c.entries)
+		}
+		c := d.s.Counters()
+		if owned == 0 || c.SpillInserts == 0 {
+			t.Fatalf("seed %d: the mix armed %d owned entries, %d spill inserts", seed, owned, c.SpillInserts)
+		}
+		if got, want := c.WheelInserts+c.SpillInserts, d.s.Executed()+c.Cancels; got != want {
+			t.Fatalf("seed %d: %d events scheduled or armed, %d executed + cancelled", seed, got, want)
+		}
+		t.Logf("seed %d: %d events fired (%d owned), clock at %v", seed, len(d.sLog), owned, d.s.Now())
 	}
 }
 

@@ -36,7 +36,10 @@
 // no-ops rather than acting on whatever event happens to occupy the
 // node now. The freelist is a plain slice, not a sync.Pool: the engine
 // is single-goroutine, and sync.Pool's GC-driven emptying would make
-// reuse order (and therefore node addresses) vary across runs.
+// reuse order (and therefore node addresses) vary across runs. A
+// component whose one callback is never pending twice at once — a netem
+// port's next delivery — embeds a Node instead and re-arms it with Arm,
+// so the freelist serves only timers, arrivals and closures.
 package eventsim
 
 import (
@@ -81,13 +84,14 @@ const (
 // release so stale Event handles cannot resurrect a recycled node.
 //
 // Field order is part of the performance contract (layout_test.go pins
-// it): the queue-walk fields — at/seq for ordering comparisons,
-// next/prev for slot-list splicing, where for membership — plus gen and
-// the callback all fit in the node's first 64 bytes, so an insert,
-// unlink or compare touches one cache line. Only the arg interface's
-// data word spills to the second line, and it is read once, at
-// dispatch.
+// it): gen leads, and everything the queue and dispatch touch — at/seq
+// for ordering comparisons, next/prev for slot-list splicing, where and
+// owned for membership, the callback and its arg — is the 64 bytes
+// after it, so a Node embedded 8 bytes before a line boundary (as
+// netem.Port embeds its delivery node) keeps all of that on one line.
+// Owned nodes never read gen.
 type event struct {
+	gen uint64
 	at  Time
 	seq uint64 // tie-break: FIFO among equal times
 	// next/prev link the node into its wheel slot's list — arrival
@@ -97,8 +101,8 @@ type event struct {
 	// where locates the node: spill-heap index, locWheel (slot derived
 	// from at), or locNone once fired or cancelled.
 	where int32
-	_     int32 // explicit padding: keeps gen's 8-alignment visible
-	gen   uint64
+	// owned marks a Node: invoke does not release it to the freelist.
+	owned bool
 	// The callback is fn(arg): hot callers schedule a pre-bound function
 	// plus the object it acts on, without a capturing closure per event;
 	// At stores the caller's func() itself as arg.
@@ -317,6 +321,28 @@ func (s *Sim) AtKey(t Time, key uint64, fn func(any), arg any) Event {
 	return s.schedule(t, key, fn, arg)
 }
 
+// Node is an event node its owner embeds instead of drawing one from
+// the freelist, for a callback that is never pending twice at once
+// (a netem port's next delivery). Bind it once; Arm then schedules it
+// in the keyed domain exactly as AtKey would, with no handle, no
+// allocation and no release when it fires, so the callback can re-arm
+// its own node. An armed node cannot be cancelled.
+type Node struct{ e event }
+
+// Bind sets the node's callback to fn(arg), once, before the first Arm.
+func (n *Node) Bind(fn func(any), arg any) {
+	n.e = event{where: locNone, owned: true, fn: fn, arg: arg}
+}
+
+// Arm schedules the bound node at absolute time t with the keyed-domain
+// ordering key (see AtKey). Arming a node that is still pending panics.
+func (s *Sim) Arm(n *Node, t Time, key uint64) {
+	if key&KeyDomain == 0 || n.e.where != locNone || !n.e.owned {
+		panic(fmt.Sprintf("eventsim: Arm with key %#x of a pending or unbound node", key))
+	}
+	s.enqueue(&n.e, t, key)
+}
+
 // ReserveKeyedID hands out consecutive small IDs in construction
 // order, for components that schedule through AtKey and need a stable
 // identity inside their keys. Determinism contract: IDs depend only on
@@ -330,14 +356,21 @@ func (s *Sim) ReserveKeyedID() uint32 {
 }
 
 func (s *Sim) schedule(t Time, seq uint64, fn func(any), arg any) Event {
+	e := s.alloc()
+	e.fn = fn
+	e.arg = arg
+	s.enqueue(e, t, seq)
+	return Event{e: e, gen: e.gen, at: t}
+}
+
+// enqueue queues e at (t, seq): into its wheel slot, or into the spill
+// past the horizon.
+func (s *Sim) enqueue(e *event, t Time, seq uint64) {
 	if t < s.now {
 		panic(fmt.Sprintf("eventsim: scheduling at %v before now %v", t, s.now))
 	}
-	e := s.alloc()
 	e.at = t
 	e.seq = seq
-	e.fn = fn
-	e.arg = arg
 	if t < s.horizonEnd {
 		s.ctr.WheelInserts++
 		s.wheelInsert(e)
@@ -345,7 +378,6 @@ func (s *Sim) schedule(t Time, seq uint64, fn func(any), arg any) Event {
 		s.ctr.SpillInserts++
 		s.spillPush(e)
 	}
-	return Event{e: e, gen: e.gen, at: t}
 }
 
 // nextSeq consumes the next FIFO sequence number for an immediate
@@ -475,7 +507,13 @@ func (s *Sim) Step() bool {
 // invoke releases the node and then runs the callback, so the callback
 // itself can schedule new events into the just-freed node and a
 // handle's Scheduled goes false for the duration of its own callback.
+// An owned node is not released: unqueue already marked it not queued,
+// so its callback can re-arm it.
 func (s *Sim) invoke(e *event) {
+	if e.owned {
+		e.fn(e.arg)
+		return
+	}
 	fn, arg := e.fn, e.arg
 	s.release(e)
 	fn(arg)

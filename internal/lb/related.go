@@ -121,7 +121,7 @@ func (c *congaFlowlet) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 		c.flows.arm()
 	}
 	if fresh || now-prev > c.gap {
-		f.port = LowestDelay(c.rng, ports)
+		f.port = LowestDelay(c.rng, now, ports)
 	}
 	port := f.port
 	if pkt.FIN {
@@ -167,14 +167,15 @@ type hermesFlow struct {
 }
 
 func (h *hermes) Pick(pkt *netem.Packet, ports []*netem.Port) int {
-	f, _, fresh := h.flows.Get(&pkt.Flow, h.sim.Now())
+	now := h.sim.Now()
+	f, _, fresh := h.flows.Get(&pkt.Flow, now)
 	if fresh {
 		h.flows.arm()
-		f.port = LowestDelay(h.rng, ports)
+		f.port = LowestDelay(h.rng, now, ports)
 	} else if f.sentSince >= h.rerouteBytes {
-		best := LowestDelay(h.rng, ports)
-		cur := ports[f.port].EstimatedDelay()
-		cand := ports[best].EstimatedDelay()
+		best := LowestDelay(h.rng, now, ports)
+		cur := ports[f.port].EstimatedDelay(now)
+		cand := ports[best].EstimatedDelay(now)
 		// Cautious: move only on a clear win.
 		if best != f.port && float64(cur) > hermesDegrade*float64(cand) {
 			f.port = best

@@ -91,32 +91,63 @@ func (m *modelPort) pop() modelEntry {
 // seeded random sequences of send bursts, time advances, single
 // deliveries and SetDown. After every step the counters (read
 // before any occupancy query, so the lazy accounting must agree too),
-// Len, Bytes, the armed head delivery's (time, key) and everything
+// Len, Bytes, the delivery each queued packet carries for its successor
+// — (time, key) —, the one armed delivery node, and everything
 // delivered so far — which packet, when — must match. A 20 ms
 // propagation delay against ~12 µs serializations lets well over a
 // thousand packets start service before the first delivers, so long
 // advance walks and deep chains are both covered (asserted below). At
 // 700 Mbps a frame's serialization is rarely a whole number of
 // nanoseconds, so that row runs the queue on rounded-up service times.
+// The testbed's 20 Mbps + 1 ms link puts a delivery behind even one
+// queued frame past the engine's wheel horizon, so its node is armed
+// into the spill and migrates; its echo rows send a packet back into
+// the same port from every third delivery's handler, which runs after
+// the port re-armed from the packet it popped.
 func TestQueueMatchesModel(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		seed uint64
-		cfg  QueueConfig
-		bw   units.Bandwidth
+		name  string
+		seed  uint64
+		cfg   QueueConfig
+		bw    units.Bandwidth
+		delay units.Time
+		echo  bool
 	}{
-		{"unbounded-ecn", 1, QueueConfig{ECNThreshold: 65}, units.Gbps},
-		{"unbounded", 2, QueueConfig{}, units.Gbps},
-		{"droptail", 3, QueueConfig{Capacity: 24, ECNThreshold: 8}, units.Gbps},
-		{"unbounded-700mbps", 4, QueueConfig{ECNThreshold: 65}, 700 * units.Mbps},
+		{"unbounded-ecn", 1, QueueConfig{ECNThreshold: 65}, units.Gbps, 20 * units.Millisecond, false},
+		{"unbounded", 2, QueueConfig{}, units.Gbps, 20 * units.Millisecond, false},
+		{"droptail", 3, QueueConfig{Capacity: 24, ECNThreshold: 8}, units.Gbps, 20 * units.Millisecond, false},
+		{"unbounded-700mbps", 4, QueueConfig{ECNThreshold: 65}, 700 * units.Mbps, 20 * units.Millisecond, false},
+		{"testbed-echo", 5, QueueConfig{Capacity: 256, ECNThreshold: 65}, 20 * units.Mbps, units.Millisecond, true},
+		{"unbounded-echo", 7, QueueConfig{ECNThreshold: 65}, units.Gbps, 20 * units.Millisecond, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := eventsim.New()
 			rng := eventsim.NewRNG(tc.seed)
-			link := LinkConfig{Bandwidth: tc.bw, Delay: 20 * units.Millisecond}
+			link := LinkConfig{Bandwidth: tc.bw, Delay: tc.delay}
 			m := &modelPort{cfg: tc.cfg, link: link}
-			delivered := 0
+			delivered, echoes := 0, 0
 			var p *Port
+			// send admits one packet to both sides and checks what
+			// admission stamped on it.
+			send := func(step int, pk *Packet) {
+				t.Helper()
+				admitted, l := m.send(pk, s.Now())
+				if got := p.Send(pk); got != admitted {
+					t.Fatalf("step %d: Send = %v, want %v", step, got, admitted)
+				}
+				if pk.queued != admitted {
+					t.Fatalf("step %d: queued = %v on a packet with Send = %v", step, pk.queued, admitted)
+				}
+				if !admitted {
+					return
+				}
+				e := m.entries[len(m.entries)-1]
+				wantCE := tc.cfg.ECNThreshold > 0 && l >= tc.cfg.ECNThreshold
+				if pk.MaxQueueSeen != l || pk.CE != wantCE || pk.QueueDelay != e.serviceStart-s.Now() {
+					t.Fatalf("step %d: admitted with MaxQueueSeen=%d CE=%v QueueDelay=%v, want %d %v %v",
+						step, pk.MaxQueueSeen, pk.CE, pk.QueueDelay, l, wantCE, e.serviceStart-s.Now())
+				}
+			}
 			p = NewPort(s, link, tc.cfg, func(pkt *Packet) {
 				want := m.pop()
 				if pkt != want.pkt || s.Now() != want.deliverAt {
@@ -125,7 +156,16 @@ func TestQueueMatchesModel(t *testing.T) {
 				if pkt.queued || pkt.next != nil {
 					t.Fatalf("delivery %d: packet still linked (queued=%v next=%p)", delivered, pkt.queued, pkt.next)
 				}
+				// The port re-armed before this handler: its node is
+				// pending exactly while packets remain.
+				if want := min(len(m.entries), 1); s.Pending() != want {
+					t.Fatalf("delivery %d: %d events pending in the handler with %d undelivered", delivered, s.Pending(), len(m.entries))
+				}
 				delivered++
+				if tc.echo && delivered%3 == 0 {
+					echoes++
+					send(-delivered, &Packet{Flow: pkt.Flow.Reversed(), Kind: Ack, Wire: 40})
+				}
 			}, "model")
 
 			maxDepth, maxWalk := 0, 0
@@ -148,13 +188,15 @@ func TestQueueMatchesModel(t *testing.T) {
 				if got := p.Queue().Stats(); got != m.stats {
 					t.Fatalf("step %d (%s): stats after advance %+v, want %+v", step, op, got, m.stats)
 				}
-				if p.evPending != (len(m.entries) > 0) {
-					t.Fatalf("step %d (%s): evPending %v with %d undelivered", step, op, p.evPending, len(m.entries))
+				// The port's node is the engine's only event.
+				if want := min(len(m.entries), 1); s.Pending() != want {
+					t.Fatalf("step %d (%s): %d events pending with %d undelivered", step, op, s.Pending(), len(m.entries))
 				}
-				if len(m.entries) > 0 {
-					at, key := p.headDelivery()
-					if h := m.entries[0]; at != h.deliverAt || key != DeliveryKey(h.admittedAt, p.idx) {
-						t.Fatalf("step %d (%s): head armed at (%v, %#x), want (%v, %#x)", step, op, at, key, h.deliverAt, DeliveryKey(h.admittedAt, p.idx))
+				for i := 1; i < len(m.entries); i++ {
+					prev, e := m.entries[i-1].pkt, m.entries[i]
+					if key := DeliveryKey(e.admittedAt, p.idx); prev.next != e.pkt || prev.nextAt != e.deliverAt || prev.nextKey != key {
+						t.Fatalf("step %d (%s): entry %d carries (%p, %v, %#x) for its successor, want (%p, %v, %#x)",
+							step, op, i-1, prev.next, prev.nextAt, prev.nextKey, e.pkt, e.deliverAt, key)
 					}
 				}
 			}
@@ -165,23 +207,7 @@ func TestQueueMatchesModel(t *testing.T) {
 				case r < 45:
 					op = "send"
 					for n := 1 + rng.Intn(120); n > 0; n-- {
-						pk := pkt(units.Bytes(64 + rng.Intn(1437)))
-						admitted, l := m.send(pk, s.Now())
-						if got := p.Send(pk); got != admitted {
-							t.Fatalf("step %d: Send = %v, want %v", step, got, admitted)
-						}
-						if pk.queued != admitted {
-							t.Fatalf("step %d: queued = %v on a packet with Send = %v", step, pk.queued, admitted)
-						}
-						if !admitted {
-							continue
-						}
-						e := m.entries[len(m.entries)-1]
-						wantCE := tc.cfg.ECNThreshold > 0 && l >= tc.cfg.ECNThreshold
-						if pk.MaxQueueSeen != l || pk.CE != wantCE || pk.QueueDelay != e.serviceStart-s.Now() {
-							t.Fatalf("step %d: admitted with MaxQueueSeen=%d CE=%v QueueDelay=%v, want %d %v %v",
-								step, pk.MaxQueueSeen, pk.CE, pk.QueueDelay, l, wantCE, e.serviceStart-s.Now())
-						}
+						send(step, pkt(units.Bytes(64+rng.Intn(1437))))
 					}
 				case r < 75:
 					op = "advance"
@@ -211,6 +237,12 @@ func TestQueueMatchesModel(t *testing.T) {
 			}
 			if tc.cfg.Capacity > 0 && m.stats.Dropped == 0 {
 				t.Error("the bounded queue never dropped")
+			}
+			if tc.echo && echoes == 0 {
+				t.Error("no handler sent back into the port")
+			}
+			if c := s.Counters(); c.SpillInserts == 0 || c.Migrations == 0 {
+				t.Errorf("no delivery went past the wheel horizon (spill inserts %d, migrations %d)", c.SpillInserts, c.Migrations)
 			}
 		})
 	}

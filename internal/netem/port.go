@@ -20,18 +20,21 @@ type LinkConfig struct {
 // admitted; the queue evaluates its own occupancy lazily from the
 // precomputed service times.
 //
-// Delivery scheduling is batched: the port keeps at most one engine
-// event pending — for its oldest undelivered packet — and re-arms it
-// for the next packet when that one fires, instead of holding one
-// event per in-flight packet. Each packet's position within its
-// delivery instant is fixed at admission by a DeliveryKey — a value in
-// the engine's keyed ordering domain (eventsim.Sim.AtKey) built from
-// the admission time and the port's construction-order index. The key
-// is a pure function of the traffic and the topology, never of
-// scheduling history, so simultaneous deliveries at different ports
-// order the same way however the events that admitted them were
-// scheduled. Within one port the key is monotone in admission order (FIFO), so
-// the single re-armed event always fires for the queue head.
+// Delivery scheduling is batched: the port owns one engine node
+// (eventsim.Node), armed for its oldest undelivered packet whenever the
+// queue is non-empty and re-armed for the next packet when that one
+// fires, instead of holding one event per in-flight packet. Each
+// packet's position within its delivery instant is fixed at admission
+// by a DeliveryKey — a value in the engine's keyed ordering domain
+// (eventsim.Sim.AtKey) built from the admission time and the port's
+// construction-order index. The key is a pure function of the traffic
+// and the topology, never of scheduling history, so simultaneous
+// deliveries at different ports order the same way however the events
+// that admitted them were scheduled. Within one port the key is
+// monotone in admission order (FIFO), so the single node always fires
+// for the queue head. Admission writes each packet's delivery instant
+// and key into the packet ahead of it, so a delivery re-arms from the
+// packet it pops without touching the next one.
 //
 // A link's rate and delay are fixed at construction; SetDown fails the
 // port mid-run and revives it (see internal/faults), which applies at
@@ -40,39 +43,40 @@ type LinkConfig struct {
 // Field order is part of the performance contract (layout_test.go pins
 // it): a k=16 fat-tree has 6 144 ports and touches two of them per
 // packet-hop, each long evicted since its last use, so what a hop costs
-// is how many of a port's cache lines it pulls. Everything portDeliver
-// touches — the event flag, the handler, the engine, the packet chain
-// and its waiting count — is the first 64 bytes; what Send adds for
-// every packet, with the idle delay estimate NewPort precomputes (which
-// is also all EstimatedDelay reads there), is the second; the counters
+// is how many of a port's cache lines it pulls. What portDeliver reads
+// besides the node — the handler, the engine, the packet chain and its
+// waiting count — fills the first 56 bytes, and the node's unread
+// generation word the last 8, so everything the wheel and dispatch
+// touch in the node is the second line. What Send adds for every
+// packet is the third, with down, idleDelay and lastFinish, which is
+// all EstimatedDelay and a pick read; the byte counter, the counters
 // only a non-empty queue, a buffer drop, a mark or a down link writes,
-// and the label, are the third. The struct is 192 bytes, a size class
+// and the label, are the fourth. The struct is 256 bytes, a size class
 // the allocator hands out 64-aligned, so those offsets are real line
 // boundaries.
 type Port struct {
-	// evPending reports whether the single delivery event for the queue
-	// head is currently scheduled (ports never cancel deliveries, so a
-	// bool suffices — no handle is kept).
-	evPending bool
-	// down marks a failed link: Send drops at admission, like a pulled
-	// cable, and liveness-aware balancers route around the port.
-	down bool
-	// idx is the port's construction-order index (eventsim.ReserveKeyedID):
-	// the port's identity inside every DeliveryKey.
-	idx uint32
-	dst Handler
-	sim *eventsim.Sim
+	waiting int32
+	maxLen  int32 // QueueStats.MaxLen
+	dst     Handler
+	sim     *eventsim.Sim
 	// head and tail chain the admitted, undelivered packets in FIFO
 	// order through Packet.next (tail means nothing while head is nil);
 	// firstWaiting is the oldest whose service has not begun as of the
 	// last advance, and waiting counts it and those behind it.
 	head, tail   *Packet
 	firstWaiting *Packet
-	waiting      int32
-	maxLen       int32 // QueueStats.MaxLen
 	// waitingBytes is the wire-byte occupancy of the waiting part.
 	waitingBytes units.Bytes
+	// deliver is bound to portDeliver; it is armed exactly while head
+	// is non-nil.
+	deliver eventsim.Node
 
+	// down marks a failed link: Send drops at admission, like a pulled
+	// cable, and liveness-aware balancers route around the port.
+	down bool
+	// idx is the port's construction-order index (eventsim.ReserveKeyedID):
+	// the port's identity inside every DeliveryKey.
+	idx  uint32
 	link LinkConfig
 	// idleDelay is what EstimatedDelay returns for an idle port: the
 	// link's propagation delay plus a full frame's serialization.
@@ -85,8 +89,8 @@ type Port struct {
 	// capacity and ecnThreshold are the QueueConfig.
 	capacity, ecnThreshold int32
 	enqueued               int64
-	bytesIn                units.Bytes
 
+	bytesIn         units.Bytes
 	sumLenOnArrival int64
 	dropped         int64
 	marked          int64
@@ -94,8 +98,8 @@ type Port struct {
 	// label is a human-readable identity for traces and tests.
 	label string
 
-	// Pad 176 bytes of fields to the 192-byte size class.
-	_ [16]byte
+	// Pad 248 bytes of fields to the 256-byte size class.
+	_ [8]byte
 }
 
 // NewPort wires a queue to a link ending at dst. Each port draws a
@@ -114,10 +118,12 @@ func NewPort(sim *eventsim.Sim, link LinkConfig, qcfg QueueConfig, dst Handler, 
 	if int(capacity) != qcfg.Capacity || int(ecnThreshold) != qcfg.ECNThreshold {
 		panic("netem: queue capacity or ECN threshold overflows 32 bits")
 	}
-	return &Port{
+	p := &Port{
 		sim: sim, link: link, capacity: capacity, ecnThreshold: ecnThreshold, dst: dst, label: label, idx: idx,
 		idleDelay: link.Delay + link.Bandwidth.TxTime(refWire),
 	}
+	p.deliver.Bind(portDeliver, p)
+	return p
 }
 
 // DeliveryKey packing: the low deliveryPortBits carry the port index,
@@ -125,8 +131,7 @@ func NewPort(sim *eventsim.Sim, link LinkConfig, qcfg QueueConfig, dst Handler, 
 // bit tops the word. 20 index bits allow a million ports; the 43
 // remaining timestamp bits cover ~2.4 simulated hours, far beyond any
 // scenario here (the guard panic says how to rebalance if that ever
-// changes). A queued packet's stamp reuses the index field for its wire
-// size (queue.go), so it also bounds a packet at 1 MB on the wire.
+// changes).
 const (
 	deliveryPortBits = 20
 	maxKeyedTime     = units.Time(1) << (63 - deliveryPortBits)
@@ -193,15 +198,16 @@ const refWire units.Bytes = 1500
 // configured link delay and the admission-time service schedule — are
 // local switch knowledge.) Across equal-speed ports the own-packet term
 // is a shared constant, so orderings there match the queue-length
-// comparison. The two constant terms are summed once, in NewPort.
+// comparison. The two constant terms are summed once, in NewPort. now
+// is the engine's clock, which a balancer reads once per pick.
 //
 // The backlog term is lastFinish − now: exactly when the wire goes
 // idle. This charges the residual serialization of the in-service
 // packet too — a port midway through a large frame on a slow link is
 // not as cheap as an empty one.
-func (p *Port) EstimatedDelay() units.Time {
+func (p *Port) EstimatedDelay(now units.Time) units.Time {
 	d := p.idleDelay
-	if resid := p.lastFinish - p.sim.Now(); resid > 0 {
+	if resid := p.lastFinish - now; resid > 0 {
 		d += resid
 	}
 	return d
@@ -222,41 +228,36 @@ func (p *Port) Send(pkt *Packet) bool {
 	}
 	tx := p.link.Bandwidth.TxTime(pkt.Wire)
 	finish := start + tx
-	deliverAt := finish + p.link.Delay
-	// The packet's position within its delivery instant is fixed now
-	// (its key is a function of the admission time) and recorded with
-	// the packet; an engine event is only materialized below if
-	// none is pending — the port re-arms for the next packet when the
-	// current delivery fires.
-	if !p.admit(pkt, now, start, deliverAt) {
+	if !p.admit(pkt, now, start, finish+p.link.Delay) {
 		return false
 	}
 	p.lastFinish = finish
 	p.busyNs += tx
-	if !p.evPending {
-		at, key := p.headDelivery()
-		p.sim.AtKey(at, key, portDeliver, p)
-		p.evPending = true
-	}
 	return true
 }
 
 // portDeliver is the delivery callback shared by every port and every
-// packet: scheduled through AtKey with the port as the argument (a
-// pointer, so the any-conversion does not allocate), it keeps Send
-// closure-free. Deliveries fire in FIFO order, so it always pops the
-// head, then re-arms the port's single event for the next undelivered
-// packet at its admission-fixed (time, key) position. The pop happens
-// before the handler runs so a handler that sends on this same port
-// sees a consistent queue (its Send re-arms the event; the check after
-// the handler then skips).
+// packet: bound to the port's node with the port as the argument, it
+// keeps Send closure-free. Deliveries fire in FIFO order, so it always
+// pops the head, and it re-arms the node from the popped packet — which
+// carries its successor's (time, key) — before the handler runs, so a
+// handler that sends on this same port sees a consistent queue (its
+// Send arms the node only if the queue was empty).
 func portDeliver(arg any) {
 	p := arg.(*Port)
-	p.evPending = false
-	p.dst(p.popDelivered())
-	if !p.evPending && p.head != nil {
-		at, key := p.headDelivery()
-		p.sim.AtKey(at, key, portDeliver, p)
-		p.evPending = true
+	pkt := p.head
+	if pkt == p.firstWaiting {
+		// No occupancy query ran since its service began: delivery
+		// implies service completed long ago; account for it.
+		p.firstWaiting = pkt.next
+		p.waiting--
+		p.waitingBytes -= pkt.queuedWire
 	}
+	p.head = pkt.next
+	if pkt.next != nil {
+		p.sim.Arm(&p.deliver, pkt.nextAt, pkt.nextKey)
+		pkt.next = nil
+	}
+	pkt.queued = false
+	p.dst(pkt)
 }

@@ -412,7 +412,12 @@ func assemble(sc *Scenario, c *runCore, endTime units.Time) (*Result, error) {
 	}
 
 	res.Drops = c.net.Drops()
-	c.net.EveryQueue(func(_ string, q *netem.Queue) { res.FaultDrops += q.Stats().FaultDropped })
+	c.net.EveryQueue(func(_ string, q *netem.Queue) {
+		st := q.Stats()
+		res.FaultDrops += st.FaultDropped
+		res.PacketHops += st.Dequeued
+	})
+	res.Events = c.sim.Executed()
 	res.Uplinks = c.uplinks()
 	for _, e := range sc.Faults.Sorted() {
 		if e.At <= endTime {

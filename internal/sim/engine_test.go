@@ -5,7 +5,9 @@ import (
 
 	"tlb/internal/eventsim"
 	"tlb/internal/lb"
+	"tlb/internal/netem"
 	"tlb/internal/topology"
+	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
 )
@@ -73,5 +75,47 @@ func TestEngineCountersDenseFabric(t *testing.T) {
 	pending := uint64(engine.Pending())
 	if got, want := e.WheelInserts+e.SpillInserts, done.Events+e.Cancels+pending; got != want {
 		t.Errorf("%d events scheduled, %d executed + cancelled + pending (%d)", got, want, pending)
+	}
+}
+
+// TestResultCountsItsCost: a run's Result carries its own event count,
+// the Done event's, and its packet hops, the sum of every port's
+// Dequeued over the fabric the run built.
+func TestResultCountsItsCost(t *testing.T) {
+	sc := Scenario{
+		Name:       "cost",
+		Topology:   smallTopo(),
+		Balancer:   lb.RPS(),
+		SchemeName: "rps",
+		Seed:       3,
+		FlowSourceNew: workload.Arrivals([]workload.Flow{
+			{Src: 0, Dst: 4, Size: 200 * units.KB, Start: 0},
+			{Src: 1, Dst: 5, Size: 30 * units.KB, Start: 10 * units.Microsecond},
+			{Src: 6, Dst: 2, Size: 60 * units.KB, Start: 20 * units.Microsecond},
+		}),
+		MaxTime: units.Second,
+	}
+	var net topology.Network
+	sc.BuildNetwork = func(s *eventsim.Sim, f lb.Factory, rng *eventsim.RNG, deliver topology.DeliverFunc) (topology.Network, error) {
+		fab, err := topology.New(s, sc.Topology, f, rng, deliver)
+		net = fab
+		return fab, err
+	}
+	var done ProgressEvent
+	res, err := NewSession(sc, SessionOptions{
+		Observer: ObserverFunc(func(ev ProgressEvent) { done = ev }),
+	}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hops int64
+	net.EveryQueue(func(_ string, q *netem.Queue) { hops += q.Stats().Dequeued })
+	if res.PacketHops != hops || res.Events != done.Events {
+		t.Fatalf("Result counts %d hops and %d events; the ports dequeued %d and the Done event counts %d",
+			res.PacketHops, res.Events, hops, done.Events)
+	}
+	// Every segment and ACK crosses at least a host NIC and a leaf.
+	if hops < 2*int64((200+30+60)*units.KB/transport.MSS) || res.Events < uint64(hops) {
+		t.Fatalf("%d hops and %d events for 290 KB", hops, res.Events)
 	}
 }

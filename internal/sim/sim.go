@@ -150,6 +150,13 @@ type Result struct {
 	// Uplinks snapshots every leaf uplink port (the equal-cost paths).
 	Uplinks []PortSnapshot
 
+	// Events is how many engine events the run executed, and PacketHops
+	// how many packets left a port queue for its wire (the sum of every
+	// port's QueueStats.Dequeued): the run's cost in the simulator's
+	// own units, deterministic like every other field.
+	Events     uint64
+	PacketHops int64
+
 	// ShortQueueLen counts, per received short-flow data packet up to
 	// its receiver's freeze, the largest queue it saw at any hop (Fig.
 	// 3a), every replicated copy's packets included. Always set.
