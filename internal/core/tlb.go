@@ -220,11 +220,11 @@ func (t *TLB) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 	// the paper's switch counts flows from the SYN/FIN of the data
 	// direction, and an ACK stream is not a flow competing for path
 	// capacity.
-	now := t.sim.Now()
 	if pkt.Kind == netem.Ack || pkt.Kind == netem.SynAck {
 		t.stats.ControlPackets++
-		return lb.LowestDelay(t.rng, now, ports)
+		return lb.LowestDelay(t.rng, ports)
 	}
+	now := t.sim.Now()
 	e := t.lookup(pkt, now)
 
 	var port int
@@ -234,7 +234,7 @@ func (t *TLB) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 		// reaches q_th, then jump to the lowest-delay port — if the
 		// move is reorder-safe.
 		if !e.hasPort {
-			e.port = lb.LowestDelay(t.rng, now, ports)
+			e.port = lb.LowestDelay(t.rng, ports)
 			e.hasPort = true
 		} else if ports[e.port].Down() {
 			// The parked uplink died. Its queue drains and then never
@@ -243,14 +243,14 @@ func (t *TLB) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 			// loops until the link recovers. Move now, bypassing the
 			// reorder guard: the packets on the old path are already
 			// lost, so there is nothing left to overtake.
-			np := lb.LowestDelay(t.rng, now, ports)
+			np := lb.LowestDelay(t.rng, ports)
 			if np != e.port {
 				t.stats.Reroutes++
 				e.port = np
 			}
 		} else if ports[e.port].QueueLen() >= t.qth {
-			np := lb.LowestDelay(t.rng, now, ports)
-			if np != e.port && t.switchSafe(e, now, ports[e.port].EstimatedDelay(now), ports[np].EstimatedDelay(now)) {
+			np := lb.LowestDelay(t.rng, ports)
+			if np != e.port && t.switchSafe(e, now, ports[e.port].EstimatedDelay(), ports[np].EstimatedDelay()) {
 				t.stats.Reroutes++
 				e.port = np
 			}
@@ -264,14 +264,14 @@ func (t *TLB) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 		// beat the current port by more than the hysteresis margin
 		// (equal-cost hopping reorders for no gain), and it has to be
 		// reorder-safe (see Config.DisableSafeSwitch).
-		port = t.pickShort(now, ports)
+		port = t.pickShort(ports)
 		if e.hasPort && port != e.port && !ports[e.port].Down() {
 			// Hysteresis and the reorder guard only apply while the old
 			// port is alive; once it is down, anything in flight there
 			// is lost and sticking would just feed the fault drop
 			// counter.
-			cur := ports[e.port].EstimatedDelay(now)
-			cand := ports[port].EstimatedDelay(now)
+			cur := ports[e.port].EstimatedDelay()
+			cand := ports[port].EstimatedDelay()
 			if cur <= cand+t.hystDelay || !t.switchSafe(e, now, cur, cand) {
 				port = e.port
 			}
@@ -280,7 +280,7 @@ func (t *TLB) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 		e.hasPort = true
 	}
 
-	if eta := now + ports[port].EstimatedDelay(now); eta > e.lastETA {
+	if eta := now + ports[port].EstimatedDelay(); eta > e.lastETA {
 		e.lastETA = eta
 	}
 	if pkt.FIN {
@@ -305,7 +305,7 @@ func (t *TLB) switchSafe(e *flowEntry, now, curDelay, candDelay units.Time) bool
 }
 
 // pickShort applies the configured short-flow policy.
-func (t *TLB) pickShort(now units.Time, ports []*netem.Port) int {
+func (t *TLB) pickShort(ports []*netem.Port) int {
 	switch t.cfg.ShortFlowPolicy {
 	case ShortPowerOfTwo:
 		a := t.rng.Intn(len(ports))
@@ -317,14 +317,14 @@ func (t *TLB) pickShort(now units.Time, ports []*netem.Port) int {
 			}
 			return a
 		}
-		if ports[b].EstimatedDelay(now) < ports[a].EstimatedDelay(now) {
+		if ports[b].EstimatedDelay() < ports[a].EstimatedDelay() {
 			return b
 		}
 		return a
 	case ShortRandom:
 		return lb.RandomLive(t.rng, ports)
 	default:
-		return lb.LowestDelay(t.rng, now, ports)
+		return lb.LowestDelay(t.rng, ports)
 	}
 }
 

@@ -36,10 +36,8 @@
 // no-ops rather than acting on whatever event happens to occupy the
 // node now. The freelist is a plain slice, not a sync.Pool: the engine
 // is single-goroutine, and sync.Pool's GC-driven emptying would make
-// reuse order (and therefore node addresses) vary across runs. A
-// component whose one callback is never pending twice at once — a netem
-// port's next delivery — embeds a Node instead and re-arms it with Arm,
-// so the freelist serves only timers, arrivals and closures.
+// reuse order (and therefore node addresses) vary across runs. A netem
+// port embeds its own delivery Node instead, re-armed with Arm.
 package eventsim
 
 import (
@@ -321,12 +319,10 @@ func (s *Sim) AtKey(t Time, key uint64, fn func(any), arg any) Event {
 	return s.schedule(t, key, fn, arg)
 }
 
-// Node is an event node its owner embeds instead of drawing one from
-// the freelist, for a callback that is never pending twice at once
-// (a netem port's next delivery). Bind it once; Arm then schedules it
-// in the keyed domain exactly as AtKey would, with no handle, no
-// allocation and no release when it fires, so the callback can re-arm
-// its own node. An armed node cannot be cancelled.
+// Node is an event node its owner embeds, for a callback never pending
+// twice at once. Bind it once; Arm schedules it exactly as AtKey would,
+// with no handle, allocation or release, so its callback can re-arm it.
+// An armed node cannot be cancelled.
 type Node struct{ e event }
 
 // Bind sets the node's callback to fn(arg), once, before the first Arm.
@@ -507,8 +503,7 @@ func (s *Sim) Step() bool {
 // invoke releases the node and then runs the callback, so the callback
 // itself can schedule new events into the just-freed node and a
 // handle's Scheduled goes false for the duration of its own callback.
-// An owned node is not released: unqueue already marked it not queued,
-// so its callback can re-arm it.
+// An owned Node is not released; unqueue has marked it re-armable.
 func (s *Sim) invoke(e *event) {
 	if e.owned {
 		e.fn(e.arg)

@@ -36,9 +36,8 @@ type Factory func(sim *eventsim.Sim, rng *eventsim.RNG, ports []*netem.Port) Bal
 // shortest queue, the paper's literal comparison; on an asymmetric one
 // it avoids slow or long paths that a packet-count comparison cannot
 // see. Down ports are skipped (fixed index 0 when all are down), which
-// leaves the RNG values a run with every port up draws unchanged. now
-// is the engine's clock, read once by the caller for the whole pick.
-func LowestDelay(rng *eventsim.RNG, now units.Time, ports []*netem.Port) int {
+// leaves the RNG values a run with every port up draws unchanged.
+func LowestDelay(rng *eventsim.RNG, ports []*netem.Port) int {
 	best := -1
 	var bestCost units.Time
 	ties := 0
@@ -46,7 +45,7 @@ func LowestDelay(rng *eventsim.RNG, now units.Time, ports []*netem.Port) int {
 		if p.Down() {
 			continue
 		}
-		c := p.EstimatedDelay(now)
+		c := p.EstimatedDelay()
 		switch {
 		case best < 0 || c < bestCost:
 			best, bestCost, ties = i, c, 1

@@ -257,13 +257,13 @@ func TestLowestDelayAvoidsSlowLink(t *testing.T) {
 	}
 	rng := eventsim.NewRNG(1)
 	for i := 0; i < 20; i++ {
-		if got := LowestDelay(rng, s.Now(), ports); got != 0 {
+		if got := LowestDelay(rng, ports); got != 0 {
 			t.Fatalf("LowestDelay picked the slow empty port")
 		}
 	}
 	// Load the fast port beyond the 2ms equivalent (~167 packets).
 	fill(ports, 0, 200)
-	if got := LowestDelay(rng, s.Now(), ports); got != 1 {
+	if got := LowestDelay(rng, ports); got != 1 {
 		t.Fatal("LowestDelay ignored a 2.4ms backlog on the fast port")
 	}
 }
@@ -276,7 +276,7 @@ func TestLowestDelayMatchesShortestQueueOnSymmetricFabric(t *testing.T) {
 	fill(ports, 2, 6)
 	fill(ports, 3, 12)
 	a := shortestQueue(eventsim.NewRNG(1), ports)
-	b := LowestDelay(eventsim.NewRNG(1), s.Now(), ports)
+	b := LowestDelay(eventsim.NewRNG(1), ports)
 	if a != 1 || b != 1 {
 		t.Fatalf("symmetric fabric disagreement: sq=%d, ld=%d", a, b)
 	}

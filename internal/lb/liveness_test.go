@@ -32,7 +32,7 @@ func TestLowestDelaySkipsDownPorts(t *testing.T) {
 	ports[0].SetDown(true) // the empty (cheapest) port is dead
 	rng := eventsim.NewRNG(1)
 	for i := 0; i < 10; i++ {
-		if got := LowestDelay(rng, s.Now(), ports); got == 0 {
+		if got := LowestDelay(rng, ports); got == 0 {
 			t.Fatal("LowestDelay picked the down port")
 		}
 	}
@@ -48,7 +48,7 @@ func TestAllPortsDownFallsBackDeterministically(t *testing.T) {
 	if got := shortestQueue(rng, ports); got != 0 {
 		t.Fatalf("all-down shortestQueue = %d, want fixed 0", got)
 	}
-	if got := LowestDelay(rng, s.Now(), ports); got != 0 {
+	if got := LowestDelay(rng, ports); got != 0 {
 		t.Fatalf("all-down LowestDelay = %d, want fixed 0", got)
 	}
 	if got := RandomLive(rng, ports); got < 0 || got >= 4 {

@@ -121,7 +121,7 @@ func (c *congaFlowlet) Pick(pkt *netem.Packet, ports []*netem.Port) int {
 		c.flows.arm()
 	}
 	if fresh || now-prev > c.gap {
-		f.port = LowestDelay(c.rng, now, ports)
+		f.port = LowestDelay(c.rng, ports)
 	}
 	port := f.port
 	if pkt.FIN {
@@ -167,15 +167,14 @@ type hermesFlow struct {
 }
 
 func (h *hermes) Pick(pkt *netem.Packet, ports []*netem.Port) int {
-	now := h.sim.Now()
-	f, _, fresh := h.flows.Get(&pkt.Flow, now)
+	f, _, fresh := h.flows.Get(&pkt.Flow, h.sim.Now())
 	if fresh {
 		h.flows.arm()
-		f.port = LowestDelay(h.rng, now, ports)
+		f.port = LowestDelay(h.rng, ports)
 	} else if f.sentSince >= h.rerouteBytes {
-		best := LowestDelay(h.rng, now, ports)
-		cur := ports[f.port].EstimatedDelay(now)
-		cand := ports[best].EstimatedDelay(now)
+		best := LowestDelay(h.rng, ports)
+		cur := ports[f.port].EstimatedDelay()
+		cand := ports[best].EstimatedDelay()
 		// Cautious: move only on a clear win.
 		if best != f.port && float64(cur) > hermesDegrade*float64(cand) {
 			f.port = best

@@ -22,10 +22,10 @@ func TestEstimatedDelayChargesResidual(t *testing.T) {
 	slow.Send(pkt(1500)) // serializes for 120µs, until t=120µs
 
 	// At t=0 the whole frame is still ahead: delay + own tx + resid.
-	if got, want := fast.EstimatedDelay(s.Now()), (10+12+12)*units.Microsecond; got != want {
+	if got, want := fast.EstimatedDelay(), (10+12+12)*units.Microsecond; got != want {
 		t.Fatalf("fast estimate at t=0 = %v, want %v", got, want)
 	}
-	if got, want := slow.EstimatedDelay(s.Now()), (10+120+120)*units.Microsecond; got != want {
+	if got, want := slow.EstimatedDelay(), (10+120+120)*units.Microsecond; got != want {
 		t.Fatalf("slow estimate at t=0 = %v, want %v", got, want)
 	}
 
@@ -33,10 +33,10 @@ func TestEstimatedDelayChargesResidual(t *testing.T) {
 	// remain and must be charged. (The old waiting-bytes backlog term
 	// was zero here — the frame is in service, not waiting.)
 	s.RunUntil(100 * units.Microsecond)
-	if got, want := fast.EstimatedDelay(s.Now()), (10+12)*units.Microsecond; got != want {
+	if got, want := fast.EstimatedDelay(), (10+12)*units.Microsecond; got != want {
 		t.Fatalf("fast estimate at t=100µs = %v, want %v", got, want)
 	}
-	if got, want := slow.EstimatedDelay(s.Now()), (10+120+20)*units.Microsecond; got != want {
+	if got, want := slow.EstimatedDelay(), (10+120+20)*units.Microsecond; got != want {
 		t.Fatalf("slow estimate at t=100µs = %v, want %v (residual not charged?)", got, want)
 	}
 }
@@ -51,7 +51,7 @@ func TestEstimatedDelayCountsWaitingBacklog(t *testing.T) {
 		p.Send(pkt(1500))
 	}
 	// Backlog drains at t=36µs; estimate = delay + own tx + 36µs.
-	if got, want := p.EstimatedDelay(s.Now()), (10+12+36)*units.Microsecond; got != want {
+	if got, want := p.EstimatedDelay(), (10+12+36)*units.Microsecond; got != want {
 		t.Fatalf("estimate = %v, want %v", got, want)
 	}
 }
@@ -127,7 +127,7 @@ func TestDownPortDropsAtAdmission(t *testing.T) {
 	}
 }
 
-// TestPopDeliveredWithoutAdvance reaches portDeliver's
+// TestPopDeliveredWithoutAdvance reaches popDelivered's
 // not-yet-started accounting branch: when no occupancy query ever ran
 // advance(), delivery itself must settle the entry's Dequeued/BytesOut
 // accounting.

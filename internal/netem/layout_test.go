@@ -26,22 +26,20 @@ func checkLine(t *testing.T, what string, lo, hi uintptr, fields []field) {
 // switch hop touches — Flow (routing/hashing), Seq/Wire/Ack
 // (forwarding and byte accounting), QueueDelay and the single-byte
 // flags (admission and the ownership guards) — must stay inside the
-// first 64 bytes; the queue entry a port walks and re-arms its delivery
-// from (next, the successor's nextAt and nextKey, serviceStart, the
-// wire-size copy) shares the second 64 with SentAt, Payload and the
-// destination endpoint word, so walking a chain or popping a packet
-// reads one line of it and the delivery has loaded what the host
-// dispatches on; MaxQueueSeen, touched only behind a backlog, and the
-// cold SACK array trail; and the whole struct is 184 bytes, in the
-// 192-byte size class, which the allocator hands out 64-aligned.
-// Growing the packet or pushing a field over a line is a deliberate
-// decision: update this test and pair BenchmarkPortTransit against the
-// parent (make bench-pair B=BenchmarkPortTransit).
+// first 64 bytes; the queue linkage a port walks (next, serviceStart,
+// the stamp with the wire size) shares the second 64 with the
+// admission-stamped stats and the destination endpoint word, so walking
+// a chain reads one line per packet and the delivery that pops a packet
+// has loaded what the host dispatches on; the cold SACK array trails;
+// and the whole struct stays at 176 bytes, the size class the allocator
+// gave it at 168. Growing the packet or pushing a field over a line is a
+// deliberate decision: update this test and pair BenchmarkPortTransit
+// against the parent (make bench-pair B=BenchmarkPortTransit).
 func TestPacketLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit platforms only")
 	}
-	if got, want := unsafe.Sizeof(Packet{}), uintptr(184); got != want {
+	if got, want := unsafe.Sizeof(Packet{}), uintptr(176); got != want {
 		t.Errorf("sizeof(Packet) = %d, want %d", got, want)
 	}
 	var p Packet
@@ -62,19 +60,16 @@ func TestPacketLayout(t *testing.T) {
 	})
 	checkLine(t, "queue-entry Packet", 64, 128, []field{
 		{"next", unsafe.Offsetof(p.next), unsafe.Sizeof(p.next)},
-		{"nextAt", unsafe.Offsetof(p.nextAt), unsafe.Sizeof(p.nextAt)},
-		{"nextKey", unsafe.Offsetof(p.nextKey), unsafe.Sizeof(p.nextKey)},
 		{"serviceStart", unsafe.Offsetof(p.serviceStart), unsafe.Sizeof(p.serviceStart)},
-		{"queuedWire", unsafe.Offsetof(p.queuedWire), unsafe.Sizeof(p.queuedWire)},
+		{"deliverAt", unsafe.Offsetof(p.deliverAt), unsafe.Sizeof(p.deliverAt)},
+		{"stamp", unsafe.Offsetof(p.stamp), unsafe.Sizeof(p.stamp)},
 		{"Payload", unsafe.Offsetof(p.Payload), unsafe.Sizeof(p.Payload)},
 		{"SentAt", unsafe.Offsetof(p.SentAt), unsafe.Sizeof(p.SentAt)},
+		{"MaxQueueSeen", unsafe.Offsetof(p.MaxQueueSeen), unsafe.Sizeof(p.MaxQueueSeen)},
 		{"To", unsafe.Offsetof(p.To), unsafe.Sizeof(p.To)},
 	})
-	checkLine(t, "backlog-only Packet", 128, 136, []field{
-		{"MaxQueueSeen", unsafe.Offsetof(p.MaxQueueSeen), unsafe.Sizeof(p.MaxQueueSeen)},
-	})
 	// The cold SACK array must stay last so it never displaces the
-	// other groups.
+	// other two groups.
 	if off := unsafe.Offsetof(p.SackBlocks); off+unsafe.Sizeof(p.SackBlocks) != unsafe.Sizeof(Packet{}) {
 		t.Errorf("SackBlocks at offset %d is no longer the trailing field", off)
 	}
@@ -87,10 +82,10 @@ func TestPacketLayout(t *testing.T) {
 // 56 bytes, with the node's generation word (which an owned node never
 // reads) in the last 8; everything the wheel and dispatch touch in the
 // node — the second line; what Send and admit add for every packet,
-// with down, idleDelay and lastFinish, which are all EstimatedDelay and
-// a pick read, the third; the byte counter, the counters only a
-// backlog, a buffer drop, a mark or a down link writes, and the label,
-// the fourth; and the struct is exactly 256 bytes, a size class that
+// with down and idleDelay, which with lastFinish and the engine's clock
+// are all a pick reads, the third; the byte counter, the counters only
+// a backlog, a buffer drop, a mark or a down link writes, and the
+// label, the fourth; and the struct is exactly 256 bytes, a size class that
 // keeps every heap-allocated Port 64-byte aligned, so these are real
 // line boundaries. Moving a field is a deliberate decision: update this
 // test and pair BenchmarkPortTransit against the parent (make
@@ -105,7 +100,7 @@ func TestPortLayout(t *testing.T) {
 	var p Port
 	checkLine(t, "delivery-path Port", 0, 56, []field{
 		{"waiting", unsafe.Offsetof(p.waiting), unsafe.Sizeof(p.waiting)},
-		{"maxLen", unsafe.Offsetof(p.maxLen), unsafe.Sizeof(p.maxLen)},
+		{"idx", unsafe.Offsetof(p.idx), unsafe.Sizeof(p.idx)},
 		{"dst", unsafe.Offsetof(p.dst), unsafe.Sizeof(p.dst)},
 		{"sim", unsafe.Offsetof(p.sim), unsafe.Sizeof(p.sim)},
 		{"head", unsafe.Offsetof(p.head), unsafe.Sizeof(p.head)},
@@ -124,7 +119,7 @@ func TestPortLayout(t *testing.T) {
 	}
 	checkLine(t, "per-packet admission Port", 128, 192, []field{
 		{"down", unsafe.Offsetof(p.down), unsafe.Sizeof(p.down)},
-		{"idx", unsafe.Offsetof(p.idx), unsafe.Sizeof(p.idx)},
+		{"maxLen", unsafe.Offsetof(p.maxLen), unsafe.Sizeof(p.maxLen)},
 		{"link", unsafe.Offsetof(p.link), unsafe.Sizeof(p.link)},
 		{"idleDelay", unsafe.Offsetof(p.idleDelay), unsafe.Sizeof(p.idleDelay)},
 		{"lastFinish", unsafe.Offsetof(p.lastFinish), unsafe.Sizeof(p.lastFinish)},

@@ -91,9 +91,9 @@ func (m *modelPort) pop() modelEntry {
 // seeded random sequences of send bursts, time advances, single
 // deliveries and SetDown. After every step the counters (read
 // before any occupancy query, so the lazy accounting must agree too),
-// Len, Bytes, the delivery each queued packet carries for its successor
-// — (time, key) —, the one armed delivery node, and everything
-// delivered so far — which packet, when — must match. A 20 ms
+// Len, Bytes, the head delivery's (time, key), that the port's node is
+// the engine's one pending event exactly while packets wait, and
+// everything delivered so far — which packet, when — must match. A 20 ms
 // propagation delay against ~12 µs serializations lets well over a
 // thousand packets start service before the first delivers, so long
 // advance walks and deep chains are both covered (asserted below). At
@@ -103,7 +103,7 @@ func (m *modelPort) pop() modelEntry {
 // queued frame past the engine's wheel horizon, so its node is armed
 // into the spill and migrates; its echo rows send a packet back into
 // the same port from every third delivery's handler, which runs after
-// the port re-armed from the packet it popped.
+// the port re-armed its node for the next packet.
 func TestQueueMatchesModel(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -192,11 +192,10 @@ func TestQueueMatchesModel(t *testing.T) {
 				if want := min(len(m.entries), 1); s.Pending() != want {
 					t.Fatalf("step %d (%s): %d events pending with %d undelivered", step, op, s.Pending(), len(m.entries))
 				}
-				for i := 1; i < len(m.entries); i++ {
-					prev, e := m.entries[i-1].pkt, m.entries[i]
-					if key := DeliveryKey(e.admittedAt, p.idx); prev.next != e.pkt || prev.nextAt != e.deliverAt || prev.nextKey != key {
-						t.Fatalf("step %d (%s): entry %d carries (%p, %v, %#x) for its successor, want (%p, %v, %#x)",
-							step, op, i-1, prev.next, prev.nextAt, prev.nextKey, e.pkt, e.deliverAt, key)
+				if len(m.entries) > 0 {
+					at, key := p.headDelivery()
+					if h := m.entries[0]; at != h.deliverAt || key != DeliveryKey(h.admittedAt, p.idx) {
+						t.Fatalf("step %d (%s): head armed at (%v, %#x), want (%v, %#x)", step, op, at, key, h.deliverAt, DeliveryKey(h.admittedAt, p.idx))
 					}
 				}
 			}

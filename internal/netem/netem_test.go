@@ -276,17 +276,17 @@ func TestSerializationMatchesTxTime(t *testing.T) {
 			if ceil != bw.TxTime(n) {
 				t.Fatalf("%v, %v: the formula gives %v, TxTime %v", bw, n, ceil, bw.TxTime(n))
 			}
-			if got, want := p.EstimatedDelay(s.Now()), delay+bw.TxTime(refWire); got != want {
+			if got, want := p.EstimatedDelay(), delay+bw.TxTime(refWire); got != want {
 				t.Fatalf("%v: idle EstimatedDelay %v, want %v", bw, got, want)
 			}
 			pk := pkt(n)
 			if !p.Send(pk) {
 				t.Fatalf("%v, %v: Send refused", bw, n)
 			}
-			if got := p.lastFinish - s.Now(); got != ceil {
+			if got := pk.deliverAt - s.Now() - delay; got != ceil {
 				t.Fatalf("%v, %v: serialized in %v, want %v", bw, n, got, ceil)
 			}
-			if got, want := p.EstimatedDelay(s.Now()), delay+bw.TxTime(refWire)+ceil; got != want {
+			if got, want := p.EstimatedDelay(), delay+bw.TxTime(refWire)+ceil; got != want {
 				t.Fatalf("%v, %v: EstimatedDelay %v, want %v", bw, n, got, want)
 			}
 		}
@@ -334,7 +334,7 @@ func TestEstimatedDelay(t *testing.T) {
 	p := NewPort(s, testLink, QueueConfig{}, func(*Packet) {}, "t")
 	ownTx := testLink.Bandwidth.TxTime(refWire)
 	// Empty: propagation plus the placed packet's own serialization.
-	if got := p.EstimatedDelay(s.Now()); got != testLink.Delay+ownTx {
+	if got := p.EstimatedDelay(); got != testLink.Delay+ownTx {
 		t.Fatalf("empty EstimatedDelay = %v, want %v", got, testLink.Delay+ownTx)
 	}
 	// 3 packets of 1500B: the committed backlog — the in-service
@@ -343,7 +343,7 @@ func TestEstimatedDelay(t *testing.T) {
 		p.Send(pkt(1500))
 	}
 	want := testLink.Delay + ownTx + testLink.Bandwidth.TxTime(3*1500)
-	if got := p.EstimatedDelay(s.Now()); got != want {
+	if got := p.EstimatedDelay(); got != want {
 		t.Fatalf("EstimatedDelay with backlog = %v, want %v", got, want)
 	}
 }
@@ -359,7 +359,7 @@ func TestEstimatedDelayComparableAcrossAsymmetricPorts(t *testing.T) {
 	if fast.QueueLen() != slow.QueueLen() {
 		t.Fatal("queue lengths differ unexpectedly")
 	}
-	if fast.EstimatedDelay(s.Now()) >= slow.EstimatedDelay(s.Now()) {
+	if fast.EstimatedDelay() >= slow.EstimatedDelay() {
 		t.Fatal("delay asymmetry invisible to EstimatedDelay")
 	}
 	// It takes ~333 packets of backlog at 1 Gbps to make the fast port
@@ -367,13 +367,13 @@ func TestEstimatedDelayComparableAcrossAsymmetricPorts(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		fast.Send(pkt(1500))
 	}
-	if fast.EstimatedDelay(s.Now()) >= slow.EstimatedDelay(s.Now()) {
+	if fast.EstimatedDelay() >= slow.EstimatedDelay() {
 		t.Fatal("100-packet backlog should still be cheaper than +4ms")
 	}
 	for i := 0; i < 300; i++ {
 		fast.Send(pkt(1500))
 	}
-	if fast.EstimatedDelay(s.Now()) <= slow.EstimatedDelay(s.Now()) {
+	if fast.EstimatedDelay() <= slow.EstimatedDelay() {
 		t.Fatal("400-packet backlog should exceed +4ms")
 	}
 }

@@ -104,8 +104,8 @@ func (k Kind) String() string {
 // the fabric and must not be mutated after being handed to a port,
 // except for the congestion-experienced bit which queues set. While a
 // port holds a packet the packet is that port's queue entry: the port
-// owns its linkage fields (next, nextAt, nextKey, serviceStart,
-// queuedWire) and its queued flag, and handing a queued packet to a second port, or
+// owns its linkage fields (next, serviceStart, deliverAt, stamp) and
+// its queued flag, and handing a queued packet to a second port, or
 // releasing it to the pool, panics instead of splicing two FIFOs.
 //
 // A packet knows where it is going: the endpoint that emits it stamps
@@ -116,12 +116,10 @@ func (k Kind) String() string {
 // it): the fields every hop touches — Flow for routing and hashing,
 // Seq/Wire/Ack for forwarding and byte accounting, QueueDelay plus all
 // the single-byte flags for admission — pack into the first 64 bytes;
-// the queue linkage shares the second line with SentAt, Payload and To,
-// so a port walking its chain or re-arming its delivery reads that line
-// alone and the last hop's delivery has just loaded the word the host
-// dispatches on; MaxQueueSeen, written only behind a backlog, and the
-// cold SACK block array sit last. The struct is 184 bytes, in the
-// 192-byte size class, which the allocator hands out 64-aligned.
+// the queue linkage shares the second line with the admission-stamped
+// stats and with To, so a port walking its chain reads that line alone
+// and the last hop's delivery has just loaded the word the host
+// dispatches on; and the cold SACK block array sits last.
 type Packet struct {
 	Flow FlowID
 	// Seq is the first payload byte for Data packets.
@@ -161,31 +159,28 @@ type Packet struct {
 	// to delivery.
 	queued bool
 
-	// The holding port's queue entry: the next packet behind this one
-	// and when it reaches the far end with the DeliveryKey that fixes
-	// its tie-break position among same-instant events (both written
-	// when next is admitted, so the delivery that pops this packet
-	// re-arms without touching next), when this one starts serializing,
-	// and a copy of Wire, so the occupancy accounting reads this line
-	// only.
+	// The holding port's queue entry: the next packet behind this one,
+	// when this one starts serializing and reaches the far end, and the
+	// DeliveryKey built at admission that fixes its tie-break position
+	// among same-instant events — with the key's port-index field, the
+	// same for every packet of one port (which ORs it back in), lent to
+	// the wire size, so the occupancy accounting reads this line only.
 	next         *Packet
-	nextAt       units.Time
-	nextKey      uint64
 	serviceStart units.Time
-	queuedWire   units.Bytes
+	deliverAt    units.Time
+	stamp        uint64
 	// Payload is the number of payload bytes (0 for pure ACK/SYN).
 	Payload units.Bytes
 	// SentAt is when the transport first handed the packet to the
 	// network; used for delay accounting.
 	SentAt units.Time
-	// To is the endpoint the packet is addressed to; a host drops a
-	// packet addressed to nobody. PacketPool.Put clears it.
-	To *Endpoint
-
 	// MaxQueueSeen is the largest queue length (in packets, excluding
 	// this packet) encountered on admission at any hop — the
 	// "queueing length experienced by each packet" of Fig. 3a.
 	MaxQueueSeen int
+	// To is the endpoint the packet is addressed to; a host drops a
+	// packet addressed to nobody. PacketPool.Put clears it.
+	To *Endpoint
 
 	// SackBlocks carries up to 3 selective-acknowledgement ranges
 	// (start inclusive, end exclusive) when the transport has SACK

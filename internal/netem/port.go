@@ -21,20 +21,17 @@ type LinkConfig struct {
 // precomputed service times.
 //
 // Delivery scheduling is batched: the port owns one engine node
-// (eventsim.Node), armed for its oldest undelivered packet whenever the
-// queue is non-empty and re-armed for the next packet when that one
-// fires, instead of holding one event per in-flight packet. Each
-// packet's position within its delivery instant is fixed at admission
-// by a DeliveryKey — a value in the engine's keyed ordering domain
-// (eventsim.Sim.AtKey) built from the admission time and the port's
-// construction-order index. The key is a pure function of the traffic
-// and the topology, never of scheduling history, so simultaneous
-// deliveries at different ports order the same way however the events
-// that admitted them were scheduled. Within one port the key is
-// monotone in admission order (FIFO), so the single node always fires
-// for the queue head. Admission writes each packet's delivery instant
-// and key into the packet ahead of it, so a delivery re-arms from the
-// packet it pops without touching the next one.
+// (eventsim.Node), pending for its oldest undelivered packet and
+// re-armed for the next when that one fires, instead of holding one
+// event per in-flight packet. Each packet's position within its
+// delivery instant is fixed at admission by a DeliveryKey — a value in
+// the engine's keyed ordering domain (eventsim.Sim.AtKey) built from
+// the admission time and the port's construction-order index. The key
+// is a pure function of the traffic and the topology, never of
+// scheduling history, so simultaneous deliveries at different ports
+// order the same way however the events that admitted them were
+// scheduled. Within one port the key is monotone in admission order (FIFO), so
+// the single node always fires for the queue head.
 //
 // A link's rate and delay are fixed at construction; SetDown fails the
 // port mid-run and revives it (see internal/faults), which applies at
@@ -44,21 +41,23 @@ type LinkConfig struct {
 // it): a k=16 fat-tree has 6 144 ports and touches two of them per
 // packet-hop, each long evicted since its last use, so what a hop costs
 // is how many of a port's cache lines it pulls. What portDeliver reads
-// besides the node — the handler, the engine, the packet chain and its
-// waiting count — fills the first 56 bytes, and the node's unread
-// generation word the last 8, so everything the wheel and dispatch
-// touch in the node is the second line. What Send adds for every
-// packet is the third, with down, idleDelay and lastFinish, which is
-// all EstimatedDelay and a pick read; the byte counter, the counters
-// only a non-empty queue, a buffer drop, a mark or a down link writes,
-// and the label, are the fourth. The struct is 256 bytes, a size class
-// the allocator hands out 64-aligned, so those offsets are real line
+// besides its node — the handler, the engine, the packet chain, its
+// waiting count and index — is the first 56 bytes, and the node's
+// unread generation word the last 8, so what the wheel and dispatch
+// touch in the node is the second line; what Send adds for every
+// packet, with down and the idle delay NewPort precomputes (what a
+// pick reads besides the clock), is the third; the byte counter, the
+// counters only a backlog, a drop, a mark or a down link writes, and
+// the label, are the fourth. The struct is 256 bytes, a size class the
+// allocator hands out 64-aligned, so those offsets are real line
 // boundaries.
 type Port struct {
 	waiting int32
-	maxLen  int32 // QueueStats.MaxLen
-	dst     Handler
-	sim     *eventsim.Sim
+	// idx is the port's construction-order index (eventsim.ReserveKeyedID):
+	// the port's identity inside every DeliveryKey.
+	idx uint32
+	dst Handler
+	sim *eventsim.Sim
 	// head and tail chain the admitted, undelivered packets in FIFO
 	// order through Packet.next (tail means nothing while head is nil);
 	// firstWaiting is the oldest whose service has not begun as of the
@@ -67,17 +66,13 @@ type Port struct {
 	firstWaiting *Packet
 	// waitingBytes is the wire-byte occupancy of the waiting part.
 	waitingBytes units.Bytes
-	// deliver is bound to portDeliver; it is armed exactly while head
-	// is non-nil.
-	deliver eventsim.Node
+	deliver      eventsim.Node // bound to portDeliver; pending iff head != nil
 
 	// down marks a failed link: Send drops at admission, like a pulled
 	// cable, and liveness-aware balancers route around the port.
-	down bool
-	// idx is the port's construction-order index (eventsim.ReserveKeyedID):
-	// the port's identity inside every DeliveryKey.
-	idx  uint32
-	link LinkConfig
+	down   bool
+	maxLen int32 // QueueStats.MaxLen
+	link   LinkConfig
 	// idleDelay is what EstimatedDelay returns for an idle port: the
 	// link's propagation delay plus a full frame's serialization.
 	idleDelay units.Time
@@ -131,7 +126,8 @@ func NewPort(sim *eventsim.Sim, link LinkConfig, qcfg QueueConfig, dst Handler, 
 // bit tops the word. 20 index bits allow a million ports; the 43
 // remaining timestamp bits cover ~2.4 simulated hours, far beyond any
 // scenario here (the guard panic says how to rebalance if that ever
-// changes).
+// changes). A queued packet's stamp reuses the index field for its wire
+// size (queue.go), so it also bounds a packet at 1 MB on the wire.
 const (
 	deliveryPortBits = 20
 	maxKeyedTime     = units.Time(1) << (63 - deliveryPortBits)
@@ -198,16 +194,15 @@ const refWire units.Bytes = 1500
 // configured link delay and the admission-time service schedule — are
 // local switch knowledge.) Across equal-speed ports the own-packet term
 // is a shared constant, so orderings there match the queue-length
-// comparison. The two constant terms are summed once, in NewPort. now
-// is the engine's clock, which a balancer reads once per pick.
+// comparison. The two constant terms are summed once, in NewPort.
 //
 // The backlog term is lastFinish − now: exactly when the wire goes
 // idle. This charges the residual serialization of the in-service
 // packet too — a port midway through a large frame on a slow link is
 // not as cheap as an empty one.
-func (p *Port) EstimatedDelay(now units.Time) units.Time {
+func (p *Port) EstimatedDelay() units.Time {
 	d := p.idleDelay
-	if resid := p.lastFinish - now; resid > 0 {
+	if resid := p.lastFinish - p.sim.Now(); resid > 0 {
 		d += resid
 	}
 	return d
@@ -228,36 +223,36 @@ func (p *Port) Send(pkt *Packet) bool {
 	}
 	tx := p.link.Bandwidth.TxTime(pkt.Wire)
 	finish := start + tx
-	if !p.admit(pkt, now, start, finish+p.link.Delay) {
+	deliverAt := finish + p.link.Delay
+	// The packet's position within its delivery instant is fixed now
+	// (its key is a function of the admission time) and recorded with
+	// the packet; the port's node is armed below only for a new head —
+	// it re-arms for the next packet when the current delivery fires.
+	if !p.admit(pkt, now, start, deliverAt) {
 		return false
 	}
 	p.lastFinish = finish
 	p.busyNs += tx
+	if p.head == pkt {
+		at, key := p.headDelivery()
+		p.sim.Arm(&p.deliver, at, key)
+	}
 	return true
 }
 
 // portDeliver is the delivery callback shared by every port and every
 // packet: bound to the port's node with the port as the argument, it
 // keeps Send closure-free. Deliveries fire in FIFO order, so it always
-// pops the head, and it re-arms the node from the popped packet — which
-// carries its successor's (time, key) — before the handler runs, so a
-// handler that sends on this same port sees a consistent queue (its
-// Send arms the node only if the queue was empty).
+// pops the head, then re-arms the node for the next undelivered packet
+// at its admission-fixed (time, key) position — both before the handler
+// runs, so a handler that sends on this same port sees a consistent
+// queue (its Send arms the node only if the queue was empty).
 func portDeliver(arg any) {
 	p := arg.(*Port)
-	pkt := p.head
-	if pkt == p.firstWaiting {
-		// No occupancy query ran since its service began: delivery
-		// implies service completed long ago; account for it.
-		p.firstWaiting = pkt.next
-		p.waiting--
-		p.waitingBytes -= pkt.queuedWire
+	pkt := p.popDelivered()
+	if p.head != nil {
+		at, key := p.headDelivery()
+		p.sim.Arm(&p.deliver, at, key)
 	}
-	p.head = pkt.next
-	if pkt.next != nil {
-		p.sim.Arm(&p.deliver, pkt.nextAt, pkt.nextKey)
-		pkt.next = nil
-	}
-	pkt.queued = false
 	p.dst(pkt)
 }

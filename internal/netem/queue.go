@@ -37,13 +37,20 @@ type QueueStats struct {
 	SumLenOnArrival int64
 }
 
+// stampWireMask selects the wire-size field of a stamp.
+const stampWireMask = 1<<deliveryPortBits - 1
+
+// stampWire is the packet's wire size as its stamp carries it: the
+// occupancy accounting walks queued packets through the cache line
+// that holds next and serviceStart, and Wire sits on the other one.
+func (p *Packet) stampWire() units.Bytes { return units.Bytes(p.stamp & stampWireMask) }
+
 // Queue is a port's drop-tail FIFO with ECN marking, seen on its own:
 // the same memory as the Port (Port.Queue converts the pointer), with
 // the occupancy and counter reads load balancers, tests and the
 // benchmark harness use. The queue is the chain of admitted,
 // undelivered packets itself — each Packet carries its own link,
-// service-start time and wire size, and its successor's delivery — and
-// its occupancy is
+// service-start and delivery times and stamp — and its occupancy is
 // evaluated lazily against those precomputed service-start times: the
 // Port computes, at admission, exactly when each packet will begin
 // serializing, so "current queue length" is just a count of packets
@@ -89,18 +96,16 @@ func (p *Port) advance(now units.Time) {
 	e := p.firstWaiting
 	for e != nil && e.serviceStart <= now {
 		p.waiting--
-		p.waitingBytes -= e.queuedWire
+		p.waitingBytes -= e.stampWire()
 		e = e.next
 	}
 	p.firstWaiting = e
 }
 
 // admit applies drop-tail and ECN policy and links the packet at the
-// tail with its (already computed) service-start time, writing its
-// delivery instant and DeliveryKey into the packet ahead of it, or
-// arming the port's node with them if the queue was empty — only
-// admitted packets get a key: a dropped packet has no delivery instant
-// to order. It reports false on drop.
+// tail with its (already computed) service-start and delivery times
+// and its stamp — only admitted packets get one: a dropped packet has
+// no delivery instant to order. It reports false on drop.
 func (p *Port) admit(pkt *Packet, now, serviceStart, deliverAt units.Time) bool {
 	if pkt.queued {
 		panic("netem: packet sent while still queued")
@@ -116,10 +121,8 @@ func (p *Port) admit(pkt *Packet, now, serviceStart, deliverAt units.Time) bool 
 	}
 	// Per-packet queue-seen stats (Fig. 3a input) record only admitted
 	// packets: a dropped packet never experiences the queue, and its
-	// copy will be retransmitted with fresh counters. An empty queue
-	// raises nothing, so the packet's third line is read only behind a
-	// backlog.
-	if l > 0 && int(l) > pkt.MaxQueueSeen {
+	// copy will be retransmitted with fresh counters.
+	if int(l) > pkt.MaxQueueSeen {
 		pkt.MaxQueueSeen = int(l)
 	}
 	if p.ecnThreshold > 0 && l >= p.ecnThreshold {
@@ -127,15 +130,15 @@ func (p *Port) admit(pkt *Packet, now, serviceStart, deliverAt units.Time) bool 
 		p.marked++
 	}
 	pkt.QueueDelay += serviceStart - now
+	if pkt.Wire < 0 || pkt.Wire > stampWireMask {
+		panic("netem: packet wire size overflows the delivery stamp (raise deliveryPortBits)")
+	}
 	pkt.queued = true
-	pkt.serviceStart, pkt.queuedWire = serviceStart, pkt.Wire
-	key := DeliveryKey(now, p.idx)
+	pkt.serviceStart, pkt.deliverAt, pkt.stamp = serviceStart, deliverAt, DeliveryKey(now, uint32(pkt.Wire))
 	if p.head == nil {
 		p.head = pkt
-		p.sim.Arm(&p.deliver, deliverAt, key)
 	} else {
 		p.tail.next = pkt
-		p.tail.nextAt, p.tail.nextKey = deliverAt, key
 	}
 	p.tail = pkt
 	if p.firstWaiting == nil {
@@ -149,4 +152,28 @@ func (p *Port) admit(pkt *Packet, now, serviceStart, deliverAt units.Time) bool 
 		p.maxLen = p.waiting
 	}
 	return true
+}
+
+// headDelivery returns the delivery time of the oldest undelivered
+// packet — the one the port's single pending engine event stands for —
+// and its DeliveryKey on this port.
+func (p *Port) headDelivery() (units.Time, uint64) {
+	return p.head.deliverAt, p.head.stamp&^stampWireMask | uint64(p.idx)
+}
+
+// popDelivered unlinks and returns the oldest packet (its delivery
+// event has fired).
+func (p *Port) popDelivered() *Packet {
+	pkt := p.head
+	if pkt == p.firstWaiting {
+		// No occupancy query ran since its service began: delivery
+		// implies service completed long ago; account for it.
+		p.firstWaiting = pkt.next
+		p.waiting--
+		p.waitingBytes -= pkt.stampWire()
+	}
+	p.head = pkt.next
+	pkt.next = nil
+	pkt.queued = false
+	return pkt
 }
