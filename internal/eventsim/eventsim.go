@@ -82,12 +82,11 @@ const (
 // release so stale Event handles cannot resurrect a recycled node.
 //
 // Field order is part of the performance contract (layout_test.go pins
-// it): gen leads, and everything the queue and dispatch touch — at/seq
-// for ordering comparisons, next/prev for slot-list splicing, where and
-// owned for membership, the callback and its arg — is the 64 bytes
-// after it, so a Node embedded 8 bytes before a line boundary (as
-// netem.Port embeds its delivery node) keeps all of that on one line.
-// Owned nodes never read gen.
+// it): gen, which owned nodes never read, leads, and everything the
+// queue and dispatch touch — at/seq for ordering, next/prev for slot
+// lists, where and owned for membership, the callback and its arg — is
+// the 64 bytes after it, so a Node embedded 8 bytes before a line
+// boundary (as netem.Port embeds one) keeps all of that on one line.
 type event struct {
 	gen uint64
 	at  Time
@@ -332,11 +331,20 @@ func (n *Node) Bind(fn func(any), arg any) {
 
 // Arm schedules the bound node at absolute time t with the keyed-domain
 // ordering key (see AtKey). Arming a node that is still pending panics.
+// It repeats schedule's insert: a shared one is a call level more.
 func (s *Sim) Arm(n *Node, t Time, key uint64) {
-	if key&KeyDomain == 0 || n.e.where != locNone || !n.e.owned {
-		panic(fmt.Sprintf("eventsim: Arm with key %#x of a pending or unbound node", key))
+	e := &n.e
+	if key&KeyDomain == 0 || e.where != locNone || !e.owned || t < s.now {
+		panic(fmt.Sprintf("eventsim: Arm at %v (now %v) with key %#x of a pending or unbound node", t, s.now, key))
 	}
-	s.enqueue(&n.e, t, key)
+	e.at, e.seq = t, key
+	if t < s.horizonEnd {
+		s.ctr.WheelInserts++
+		s.wheelInsert(e)
+	} else {
+		s.ctr.SpillInserts++
+		s.spillPush(e)
+	}
 }
 
 // ReserveKeyedID hands out consecutive small IDs in construction
@@ -352,21 +360,14 @@ func (s *Sim) ReserveKeyedID() uint32 {
 }
 
 func (s *Sim) schedule(t Time, seq uint64, fn func(any), arg any) Event {
-	e := s.alloc()
-	e.fn = fn
-	e.arg = arg
-	s.enqueue(e, t, seq)
-	return Event{e: e, gen: e.gen, at: t}
-}
-
-// enqueue queues e at (t, seq): into its wheel slot, or into the spill
-// past the horizon.
-func (s *Sim) enqueue(e *event, t Time, seq uint64) {
 	if t < s.now {
 		panic(fmt.Sprintf("eventsim: scheduling at %v before now %v", t, s.now))
 	}
+	e := s.alloc()
 	e.at = t
 	e.seq = seq
+	e.fn = fn
+	e.arg = arg
 	if t < s.horizonEnd {
 		s.ctr.WheelInserts++
 		s.wheelInsert(e)
@@ -374,6 +375,7 @@ func (s *Sim) enqueue(e *event, t Time, seq uint64) {
 		s.ctr.SpillInserts++
 		s.spillPush(e)
 	}
+	return Event{e: e, gen: e.gen, at: t}
 }
 
 // nextSeq consumes the next FIFO sequence number for an immediate
@@ -505,12 +507,10 @@ func (s *Sim) Step() bool {
 // handle's Scheduled goes false for the duration of its own callback.
 // An owned Node is not released; unqueue has marked it re-armable.
 func (s *Sim) invoke(e *event) {
-	if e.owned {
-		e.fn(e.arg)
-		return
-	}
 	fn, arg := e.fn, e.arg
-	s.release(e)
+	if !e.owned {
+		s.release(e)
+	}
 	fn(arg)
 }
 
