@@ -82,13 +82,13 @@ const (
 // release so stale Event handles cannot resurrect a recycled node.
 //
 // Field order is part of the performance contract (layout_test.go pins
-// it): gen, which owned nodes never read, leads, and everything the
-// queue and dispatch touch — at/seq for ordering, next/prev for slot
-// lists, where and owned for membership, the callback and its arg — is
-// the 64 bytes after it, so a Node embedded 8 bytes before a line
-// boundary (as netem.Port embeds one) keeps all of that on one line.
+// it): the queue-walk fields — at/seq for ordering comparisons,
+// next/prev for slot-list splicing, where and owned for membership —
+// plus gen and the callback all fit in the node's first 64 bytes, so an
+// insert, unlink or compare touches one cache line. Only the arg
+// interface's data word spills to the second line, and it is read once,
+// at dispatch.
 type event struct {
-	gen uint64
 	at  Time
 	seq uint64 // tie-break: FIFO among equal times
 	// next/prev link the node into its wheel slot's list — arrival
@@ -100,6 +100,7 @@ type event struct {
 	where int32
 	// owned marks a Node: invoke does not release it to the freelist.
 	owned bool
+	gen   uint64
 	// The callback is fn(arg): hot callers schedule a pre-bound function
 	// plus the object it acts on, without a capturing closure per event;
 	// At stores the caller's func() itself as arg.

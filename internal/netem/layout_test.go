@@ -78,18 +78,18 @@ func TestPacketLayout(t *testing.T) {
 // TestPortLayout pins the cache-line layout of Port, the object a
 // packet-hop touches twice (Send at admission, portDeliver at
 // delivery) on a fabric with thousands of them — so each touch starts
-// cold. What portDeliver reads besides its node must sit in the first
-// 56 bytes, with the node's generation word (which an owned node never
-// reads) in the last 8; everything the wheel and dispatch touch in the
-// node — the second line; what Send and admit add for every packet,
-// with down and idleDelay, which with lastFinish and the engine's clock
-// are all a pick reads, the third; the byte counter, the counters only
-// a backlog, a buffer drop, a mark or a down link writes, and the
-// label, the fourth; and the struct is exactly 256 bytes, a size class that
-// keeps every heap-allocated Port 64-byte aligned, so these are real
-// line boundaries. Moving a field is a deliberate decision: update this
-// test and pair BenchmarkPortTransit against the parent (make
-// bench-pair B=BenchmarkPortTransit).
+// cold. The delivery node must be the first 64 bytes, all the wheel
+// touches (eventsim's TestEventNodeLayout pins the node itself); its
+// arg's data word and what portDeliver reads besides must fill the
+// second line; what Send and admit add for every packet, with down and
+// idleDelay, which with lastFinish and the engine's clock are all a
+// pick reads, the third; the byte counter, the counters only a backlog,
+// a buffer drop, a mark or a down link writes, and the label, the
+// fourth; and the struct is exactly 256 bytes, a size class that keeps
+// every heap-allocated Port 64-byte aligned, so these are real line
+// boundaries. Moving a field is a deliberate decision: update this test
+// and pair BenchmarkPortTransit against the parent (make bench-pair
+// B=BenchmarkPortTransit).
 func TestPortLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit platforms only")
@@ -98,7 +98,10 @@ func TestPortLayout(t *testing.T) {
 		t.Errorf("sizeof(Port) = %d, want %d", got, want)
 	}
 	var p Port
-	checkLine(t, "delivery-path Port", 0, 56, []field{
+	if off := unsafe.Offsetof(p.deliver); off != 0 {
+		t.Errorf("Port.deliver at offset %d, want 0", off)
+	}
+	checkLine(t, "delivery-path Port", 72, 128, []field{
 		{"waiting", unsafe.Offsetof(p.waiting), unsafe.Sizeof(p.waiting)},
 		{"idx", unsafe.Offsetof(p.idx), unsafe.Sizeof(p.idx)},
 		{"dst", unsafe.Offsetof(p.dst), unsafe.Sizeof(p.dst)},
@@ -108,15 +111,6 @@ func TestPortLayout(t *testing.T) {
 		{"firstWaiting", unsafe.Offsetof(p.firstWaiting), unsafe.Sizeof(p.firstWaiting)},
 		{"waitingBytes", unsafe.Offsetof(p.waitingBytes), unsafe.Sizeof(p.waitingBytes)},
 	})
-	// The node's generation word is its first 8 bytes (eventsim's
-	// TestEventNodeLayout), so the node starting at 56 puts the rest on
-	// the second line exactly.
-	checkLine(t, "delivery node", 56, 128, []field{
-		{"deliver", unsafe.Offsetof(p.deliver), unsafe.Sizeof(p.deliver)},
-	})
-	if off := unsafe.Offsetof(p.deliver); off != 56 {
-		t.Errorf("Port.deliver at offset %d, want 56", off)
-	}
 	checkLine(t, "per-packet admission Port", 128, 192, []field{
 		{"down", unsafe.Offsetof(p.down), unsafe.Sizeof(p.down)},
 		{"maxLen", unsafe.Offsetof(p.maxLen), unsafe.Sizeof(p.maxLen)},
