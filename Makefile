@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt-check vet lint fma-check census race bench-all bench-pair bench-setup-pair alloc-gates identity figures-diff docs loc knobs specs examples smoke ci
+.PHONY: build test fmt-check vet lint fma-check cross-arch census race bench-all bench-pair bench-setup-pair alloc-gates identity figures-diff docs loc knobs specs examples smoke ci
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,23 @@ fma-check:
 	@set -e; f=$$(mktemp); trap 'rm -f $$f' EXIT; \
 	GOARCH=arm64 $(GO) build -gcflags=-S $(SIM_PKGS) 2> $$f || { cat $$f; exit 1; }; \
 	if grep -E '\s(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\s' $$f; then echo "fma-check: fused multiply-add above; convert the product"; exit 1; fi
+
+# cross-arch checks the same promise on a second GOARCH, natively: 386,
+# whose int is 32 bits. It runs the whole test suite at 386 (goldens
+# and pinned stdout included), then each gated workload's untraced
+# bench child built for 386 and for the host, and fails unless their
+# event counts and digests agree. It compares with the host build of
+# the same tree, not with bench/'s pinned digests, so a stale pin does
+# not fail it. It takes about a minute, so it is in ci, not tier-1.
+cross-arch:
+	GOARCH=386 $(GO) test ./...
+	@set -e; d=.bench_build/cross-arch; rm -rf $$d; mkdir -p $$d; \
+	$(GO) build -o $$d/host ./bench; GOARCH=386 $(GO) build -o $$d/386 ./bench; \
+	for w in $(WORKLOADS); do \
+	  for a in host 386; do $$d/$$a -child $$w -trace 0 | tr ',' '\n' | grep -E '^"(events|digest)":' > $$d/$$a-$$w; done; \
+	  if ! cmp -s $$d/host-$$w $$d/386-$$w; then echo "cross-arch: $$w differs at 386:"; diff $$d/host-$$w $$d/386-$$w; exit 1; fi; \
+	  echo "cross-arch: $$w $$(tr '\n' ' ' < $$d/386-$$w)at host and 386"; \
+	done
 
 # The race detector runs over every package: the shared sweep runner
 # (internal/sim) and the batched figure runners (internal/experiments)
@@ -313,6 +330,6 @@ smoke:
 
 # ci is the gate: static checks (gofmt, vet, simlint), the full test
 # suite, the zero-allocation gates, the output-identity contract, the
-# race detector over all packages, every benchmark body once, and the
-# end-to-end smoke run.
-ci: build fmt-check vet lint fma-check test alloc-gates identity race bench-all specs examples smoke
+# race detector over all packages, the 386 run, every benchmark body
+# once, and the end-to-end smoke run.
+ci: build fmt-check vet lint fma-check test alloc-gates identity race cross-arch bench-all specs examples smoke

@@ -69,10 +69,10 @@ func BenchmarkEventQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkEventQueueSameTick measures the batched same-timestamp
-// dispatch path: 64-event bursts sharing one instant, drained through
-// RunUntil's slot-batch loop — the shape a fan-in of port deliveries
-// on one tick produces.
+// BenchmarkEventQueueSameTick measures same-timestamp dispatch: 64-event
+// bursts sharing one instant, fired by RunUntil one after the other
+// from the slot's cursor — the shape a fan-in of port deliveries on one
+// tick produces.
 func BenchmarkEventQueueSameTick(b *testing.B) {
 	s := eventsim.New()
 	fn := func() {}
@@ -142,6 +142,42 @@ func BenchmarkEventQueueFarTimers(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Cancel(s.At(s.Now()+far, fn))
+	}
+}
+
+// BenchmarkEventQueueCancel measures Cancel in a shared slot, the RTO
+// pattern: a timer armed a few slots ahead lands in a slot that holds
+// about a dozen other events, and is cancelled, seven times in eight,
+// by the next op's re-arm before it fires. Self-rescheduling sources
+// keep the dozen events in every 512 ns slot; each op also fires one
+// event, so the clock moves and the timers' slots are reached.
+func BenchmarkEventQueueCancel(b *testing.B) {
+	s := eventsim.New()
+	rng := eventsim.NewRNG(1)
+	const (
+		sources = 384      // a mean gap of 32 slots: 12 events per slot
+		maxGap  = 64 * 512 // ns
+		ahead   = 4 * 512  // ns
+	)
+	var fire func(any)
+	fire = func(any) { s.AtArg(s.Now()+1+units.Time(rng.Intn(maxGap)), fire, nil) }
+	for i := 0; i < sources; i++ {
+		s.AtArg(units.Time(rng.Intn(maxGap)), fire, nil)
+	}
+	timer := func() {}
+	var pending eventsim.Event
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%8 != 0 {
+			s.Cancel(pending)
+		}
+		pending = s.At(s.Now()+ahead, timer)
+		s.Step()
+	}
+	b.StopTimer()
+	if c := s.Counters(); c.Cancels < uint64(b.N)/2 {
+		b.Fatalf("%d cancels in %d ops", c.Cancels, b.N)
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"tlb/internal/experiments"
+	"tlb/internal/sim"
 )
 
 func main() {
@@ -114,6 +115,10 @@ func run() int {
 
 	for _, e := range entries {
 		start := time.Now()
+		var cost sim.RunCost
+		if *timing {
+			opt.Cost = &cost
+		}
 		fmt.Printf("#### %s (%s): %s\n", e.Name, e.Paper, e.Description)
 		figs, err := e.Run(opt)
 		if err != nil {
@@ -128,7 +133,7 @@ func run() int {
 			}
 		}
 		if *timing {
-			fmt.Printf("(%s took %v)\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+			fmt.Printf("(%s took %v; its runs: %v)\n\n", e.Name, time.Since(start).Round(time.Millisecond), cost)
 		}
 	}
 	return 0

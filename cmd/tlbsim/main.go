@@ -154,12 +154,15 @@ func runSpecFiles(files []string, o options, stdout io.Writer) error {
 			if ev.Kind != sim.ProgressDone {
 				return
 			}
-			status := "done"
 			if ev.Err != nil {
-				status = "FAILED"
+				fmt.Fprintf(os.Stderr, "[%d/%d] %s FAILED (%v)\n",
+					ev.Completed, ev.Total, ev.Scenario, ev.Elapsed.Round(time.Millisecond))
+				return
 			}
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s %s (%v)\n",
-				ev.Completed, ev.Total, ev.Scenario, status, ev.Elapsed.Round(time.Millisecond))
+			var cost sim.RunCost
+			cost.Add(ev)
+			fmt.Fprintf(os.Stderr, "[%d/%d] %s done (%v, %v)\n",
+				ev.Completed, ev.Total, ev.Scenario, ev.Elapsed.Round(time.Millisecond), cost)
 		}),
 	})
 	if err != nil {
@@ -221,4 +224,6 @@ func printResult(w io.Writer, res *sim.Result) {
 	fmt.Fprintf(w, "uplink util     %.3f\n", res.UplinkUtilization())
 	fmt.Fprintf(w, "retransmits     %d (timeouts %d)\n",
 		res.TotalRetransmits(sim.AllFlows), res.TotalTimeouts(sim.AllFlows))
+	fmt.Fprintf(w, "events          %d\n", res.Events)
+	fmt.Fprintf(w, "packet hops     %d\n", res.PacketHops)
 }

@@ -6,8 +6,9 @@ import (
 
 // dualSim drives the calendar-queue engine and the old-heap reference
 // through one operation stream and checks they agree on everything
-// observable: fire order, clock, Executed and Pending. It is the
-// oracle behind TestDifferentialRandomOps and FuzzEventOrder.
+// observable: fire order, clock, Executed and Pending; and that the
+// engine's counters account for every event. It is the oracle behind
+// TestDifferentialRandomOps and FuzzEventOrder.
 type dualSim struct {
 	t    testing.TB
 	s    *Sim
@@ -187,6 +188,10 @@ func (d *dualSim) check(when string) {
 	if d.s.Pending() != d.r.Pending() {
 		d.t.Fatalf("%s: Pending diverged: wheel %d, ref %d", when, d.s.Pending(), d.r.Pending())
 	}
+	c := d.s.Counters()
+	if got, want := c.WheelInserts+c.SpillInserts, d.s.Executed()+c.Cancels+uint64(d.s.Pending()); got != want {
+		d.t.Fatalf("%s: %d inserts, %d executed + cancelled + pending (%+v)", when, got, want, c)
+	}
 }
 
 // TestDifferentialRandomOps is the calendar queue's oracle: randomized
@@ -339,15 +344,15 @@ func TestDifferentialKeyedAmongCounters(t *testing.T) {
 // through every state a slot can be in. Each round piles 64–320 events
 // into one future slot in scrambled (at, seq) order, keyed and
 // counter-sequenced mixed and colliding on instants — arrival-order
-// tail appends, far more than the in-place list sort's budget, so the
-// key sort runs; cancels members (rarely the head) while the slot is
-// still unsorted; runs to a deadline short of the slot, which sorts it
-// ahead of the clock, then inserts behind that look-ahead
-// frontier, into the empty slots before it and into the sorted slot
-// itself; stops a RunUntil inside the slot and schedules around the
-// clock again; and throws in small neighbouring slots for the list
-// sort. Fire order, clock, Executed and Pending must match the
-// reference heap throughout.
+// appends, more than the ranking sort takes, so the scatter and merge
+// run; cancels members (rarely the first) while the slot is still
+// unsorted; runs to a deadline short of the slot, which sorts it ahead
+// of the clock, then inserts behind that look-ahead frontier, into the
+// empty slots before it and into the sorted slot itself; stops a
+// RunUntil inside the slot and schedules around the clock again; and
+// throws in small neighbouring slots for the ranking sort. Fire order,
+// clock, Executed and Pending must match the reference heap
+// throughout.
 func TestDifferentialDenseSlots(t *testing.T) {
 	const slotNs = 1 << slotShift
 	for seed := uint64(1); seed <= 6; seed++ {
@@ -415,5 +420,109 @@ func TestDifferentialDenseSlots(t *testing.T) {
 			t.Fatalf("seed %d: %d events scheduled, %d executed + cancelled", seed, got, want)
 		}
 		t.Logf("seed %d: %d events fired, %+v", seed, len(d.sLog), c)
+	}
+}
+
+// TestDifferentialCancelReuse cancels pooled events in slots the
+// frontier has not reached and schedules new ones at once, so their
+// nodes — back on the freelist, LIFO — are reused in the same slot and
+// in others while the cancelled ones' slots still wait; and it cancels
+// every key of one slot, which must leave it empty and out of the
+// occupancy bitmap, so the rescan that finds the next event skips it.
+func TestDifferentialCancelReuse(t *testing.T) {
+	const slotNs = 1 << slotShift
+	for seed := uint64(1); seed <= 6; seed++ {
+		rng := NewRNG(seed)
+		d := newDualSim(t)
+		nextID := 0
+		for round := 0; round < 40; round++ {
+			base := (d.s.Now()>>slotShift + 3 + Time(rng.Intn(40))) << slotShift
+			emptied := base + 2*slotNs
+			first := len(d.sH)
+			for k := 8 + rng.Intn(24); k > 0; k-- {
+				d.schedule(nextID, base+Time(rng.Intn(slotNs)))
+				nextID++
+			}
+			whole := len(d.sH)
+			for k := 1 + rng.Intn(12); k > 0; k-- {
+				d.scheduleKeyed(nextID, emptied+Time(rng.Intn(slotNs)), uint64(rng.Intn(8)))
+				nextID++
+			}
+			end := len(d.sH)
+			for k := 0; k < 6; k++ {
+				d.cancel(first + rng.Intn(whole-first))
+				// The node just released is the next one handed out.
+				at := base + Time(rng.Intn(slotNs))
+				if k%2 == 1 {
+					at = base + slotNs + Time(rng.Intn(slotNs))
+				}
+				d.schedule(nextID, at)
+				nextID++
+			}
+			for i := whole; i < end; i++ {
+				d.cancel(i)
+			}
+			i := int(emptied>>slotShift) & wheelMask
+			if d.s.slots[i] != nil || d.s.occ[i>>6]&(1<<(uint(i)&63)) != 0 {
+				t.Fatalf("seed %d round %d: slot %d still occupied after its last key was cancelled", seed, round, i)
+			}
+			if rng.Intn(2) == 0 {
+				d.runUntil(base + Time(rng.Intn(3*slotNs)))
+			} else {
+				d.runUntil(emptied + slotNs)
+			}
+		}
+		d.run()
+		if c := d.s.Counters(); c.Cancels == 0 || c.SlotSorts == 0 {
+			t.Fatalf("seed %d: the mix missed a path: %+v", seed, c)
+		}
+	}
+}
+
+// TestDifferentialRearmIntoFiringSlot re-arms owned nodes less than a
+// slot width after they fire, as a fast link's port re-arms its
+// delivery node, so each lands in the slot being fired, ahead of and
+// behind pooled and keyed events that share it: ordered inserts into a
+// partly fired slot, placed by shifting the fired prefix or the tail.
+func TestDifferentialRearmIntoFiringSlot(t *testing.T) {
+	const slotNs = 1 << slotShift
+	for seed := uint64(1); seed <= 6; seed++ {
+		rng := NewRNG(seed)
+		d := newDualSim(t)
+		for range 6 {
+			d.newChain()
+		}
+		nextID := 0
+		for round := 0; round < 60; round++ {
+			base := (d.s.Now()>>slotShift + 1 + Time(rng.Intn(4))) << slotShift
+			for _, c := range d.chains {
+				at := base + Time(rng.Intn(slotNs/4))
+				for k := 2 + rng.Intn(6); k > 0; k-- {
+					c.add(nextID, at, uint64(rng.Intn(4)))
+					nextID++
+					at += Time(1 + rng.Intn(slotNs/8))
+				}
+			}
+			for k := rng.Intn(16); k > 0; k-- {
+				if rng.Intn(2) == 0 {
+					d.schedule(nextID, base+Time(rng.Intn(slotNs)))
+				} else {
+					d.scheduleKeyed(nextID, base+Time(rng.Intn(slotNs)), uint64(rng.Intn(4)))
+				}
+				nextID++
+			}
+			switch rng.Intn(3) {
+			case 0:
+				d.step()
+			case 1:
+				d.runUntil(base + Time(rng.Intn(slotNs)))
+			default:
+				d.runUntil(base + 2*slotNs)
+			}
+		}
+		d.run()
+		if c := d.s.Counters(); c.OrderedInserts == 0 || c.WalkSteps == 0 {
+			t.Fatalf("seed %d: no re-arm landed inside a partly fired slot: %+v", seed, c)
+		}
 	}
 }

@@ -82,21 +82,14 @@ const (
 // release so stale Event handles cannot resurrect a recycled node.
 //
 // Field order is part of the performance contract (layout_test.go pins
-// it): the queue-walk fields — at/seq for ordering comparisons,
-// next/prev for slot-list splicing, where and owned for membership —
-// plus gen and the callback all fit in the node's first 64 bytes, so an
-// insert, unlink or compare touches one cache line. Only the arg
-// interface's data word spills to the second line, and it is read once,
-// at dispatch.
+// it): every field fits in the node's first 64 bytes. The wheel and
+// the spill keep their own copies of at and seq, so the engine touches
+// a node's one line to queue it and to run it, not to order it.
 type event struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among equal times
-	// next/prev link the node into its wheel slot's list — arrival
-	// order ahead of the sorted frontier, (at, seq) order at or behind
-	// it; nil while in the spill heap or free.
-	next, prev *event
-	// where locates the node: spill-heap index, locWheel (slot derived
-	// from at), or locNone once fired or cancelled.
+	// where locates the node: spill-heap index, locWheel (a key in the
+	// slot derived from at), or locNone once fired or cancelled.
 	where int32
 	// owned marks a Node: invoke does not release it to the freelist.
 	owned bool
@@ -126,29 +119,18 @@ func (h Event) At() Time { return h.at }
 // Scheduled reports whether the event is still pending.
 func (h Event) Scheduled() bool { return h.e != nil && h.gen == h.e.gen }
 
-// slot is one wheel bucket: a doubly-linked list of the events sharing
-// one absolute bucket number (at >> slotShift), so it holds at most one
-// slot-width of time. A slot ahead of the sorted frontier is in arrival
-// order; one at or behind it is sorted by (at, seq).
-type slot struct {
-	head, tail *event
-}
+// slot is one wheel bucket: the keys of the events sharing one
+// absolute bucket number (at >> slotShift), so it holds at most one
+// slot-width of time, in a buffer the slot borrows from the engine
+// while it is occupied (nil while empty). A slot ahead of the sorted
+// frontier holds its keys in arrival order; one at or behind it holds
+// them sorted by (at, seq). Only the min slot fires, from the engine's
+// cursor: its keys before Sim.cur have run.
+type slot []sortKey
 
-// insertBefore links the unlinked node e into the list ahead of c.
-func (sl *slot) insertBefore(e, c *event) {
-	e.next = c
-	e.prev = c.prev
-	if c.prev != nil {
-		c.prev.next = e
-	} else {
-		sl.head = e
-	}
-	c.prev = e
-}
-
-// sortKey is one slot member's ordering key, copied inline so the
-// sort-on-reach pass compares contiguous memory instead of chasing
-// node pointers.
+// sortKey is one slot member: its ordering key, copied inline so that
+// ordering, sorting and firing read contiguous memory instead of nodes
+// spread over the fabric's ports, and its node, read only to run it.
 type sortKey struct {
 	at  Time
 	seq uint64
@@ -170,13 +152,14 @@ type Counters struct {
 	Migrations   uint64 // spill → wheel moves as the horizon advanced
 	Cancels      uint64 // pending events removed by Cancel
 	// OrderedInserts counts wheel inserts (scheduled or migrated) at or
-	// behind the sorted frontier, which are placed by a backward walk
-	// from the slot tail; WalkSteps sums the list steps they took.
+	// behind the sorted frontier, which are placed in their slot's
+	// sorted keys by a binary search; WalkSteps sums the keys they moved
+	// to make room (an insert at the end moves none).
 	OrderedInserts uint64
 	WalkSteps      uint64
-	// SlotSorts counts reached slots that had taken an append out of
-	// order and were sorted, EventsSorted their total population,
-	// MaxSlotSorted the largest.
+	// SlotSorts counts the slots of two or more keys that were sorted
+	// when the frontier reached them, EventsSorted their total
+	// population, MaxSlotSorted the largest.
 	SlotSorts     uint64
 	EventsSorted  uint64
 	MaxSlotSorted uint64
@@ -194,26 +177,32 @@ type Sim struct {
 	executed uint64
 
 	// wheel state. occ is the slot-occupancy bitmap scanned (from the
-	// clock's slot, circularly) to find the next nonempty slot; min
-	// caches the wheel's earliest event, nil meaning "unknown, rescan"
-	// (count disambiguates unknown from empty).
-	slots [wheelSlots]slot
-	occ   [wheelWords]uint64
-	// unsorted marks the slots ahead of the frontier that took an
-	// append out of (at, seq) order and so need sorting when reached.
-	unsorted [wheelWords]uint64
-	count    int
-	min      *event
+	// clock's slot, circularly) to find the next nonempty slot; minSlot
+	// caches the slot whose key at the cursor cur is the wheel's earliest
+	// event, -1 meaning "unknown, rescan" (count disambiguates unknown
+	// from empty). Only the min slot has fired keys: a slot that has
+	// fired holds the clock's bucket, so no insert can precede it, and
+	// it stays the min until it drains, which resets cur.
+	slots   [wheelSlots]slot
+	occ     [wheelWords]uint64
+	count   int
+	minSlot int
+	cur     int
 	// frontier is the sorted frontier: the latest absolute bucket rescan
 	// has reached. Every slot at or behind it is sorted (and stays so:
 	// inserts there are ordered); every slot ahead of it is in arrival
 	// order. It only moves forward, and only onto the earliest occupied
-	// bucket, so the slots it passes over are empty. A non-nil min
+	// bucket, so the slots it passes over are empty. A known minSlot
 	// always lies at or behind it.
 	frontier int64
-	// sortBuf/sortTmp are the sort-on-reach scratch, grown to the
-	// largest slot seen and reused.
-	sortBuf, sortTmp []sortKey
+	// spare stacks the idle key buffers: a slot takes the last one
+	// returned when it becomes occupied and gives it back when it
+	// drains, so live key memory is bounded by the slots occupied at
+	// once, each buffer by the densest slot it has held.
+	spare []slot
+	// sortTmp is the sort-on-reach scratch, grown to the largest slot
+	// seen and reused.
+	sortTmp []sortKey
 	// curBucket/horizonEnd are refreshed when the clock advances into a
 	// new bucket; events at or beyond horizonEnd go to the spill. They
 	// may lag the clock after a RunUntil deadline jump — that only
@@ -222,10 +211,10 @@ type Sim struct {
 	curBucket  int64
 	horizonEnd Time
 
-	// spill is the far-future overflow: a 4-ary implicit heap ordered
-	// by (at, seq). advance migrates its head into the wheel as the
-	// horizon moves past it.
-	spill []*event
+	// spill is the far-future overflow: a 4-ary implicit heap of keys,
+	// ordered by (at, seq). advance migrates its head into the wheel as
+	// the horizon moves past it.
+	spill []sortKey
 
 	// free is the recycled-node stack (LIFO, deterministic).
 	free []*event
@@ -244,8 +233,9 @@ const initialSpillCap = 256
 // New returns an empty simulator with the clock at zero.
 func New() *Sim {
 	return &Sim{
-		spill:      make([]*event, 0, initialSpillCap),
+		spill:      make([]sortKey, 0, initialSpillCap),
 		horizonEnd: wheelHorizon,
+		minSlot:    -1,
 	}
 }
 
@@ -281,15 +271,13 @@ func (s *Sim) alloc() *event {
 }
 
 // release invalidates every outstanding handle to the node and returns
-// it to the freelist. Callback references are cleared so the freelist
-// does not pin closures or their captures.
+// it to the freelist; whatever dequeued it has marked it locNone.
+// Callback references are cleared so the freelist does not pin
+// closures or their captures.
 func (s *Sim) release(e *event) {
 	e.gen++
 	e.fn = nil
 	e.arg = nil
-	e.where = locNone
-	e.next = nil
-	e.prev = nil
 	s.free = append(s.free, e)
 }
 
@@ -425,12 +413,17 @@ func (s *Sim) AtArg(t Time, fn func(any), arg any) Event {
 // cancel timers unconditionally; the generation check makes this safe
 // even after the event's node has been recycled for a different event.
 func (s *Sim) Cancel(h Event) bool {
-	if h.e == nil || h.gen != h.e.gen {
+	e := h.e
+	if e == nil || h.gen != e.gen {
 		return false
 	}
 	s.ctr.Cancels++
-	s.unqueue(h.e)
-	s.release(h.e)
+	if e.where == locWheel {
+		s.wheelRemove(e)
+	} else {
+		s.spillRemove(int(e.where))
+	}
+	s.release(e)
 	return true
 }
 
@@ -451,37 +444,14 @@ func (s *Sim) Run() {
 // stay queued, so a later RunUntil can continue the same simulation.
 // A pending Stop (from before the call or issued by an event) ends the
 // call early and is consumed on return.
-//
-// Events sharing a timestamp dispatch as a batch: once the earliest
-// event's slot is located, its same-time successors in that slot fire
-// back to back without re-probing the spill or the occupancy bitmap
-// (the spill cannot hold an event at the current instant — advance
-// migrated everything inside the horizon — and a callback scheduling
-// at the current instant lands in the same slot: behind the sorted
-// frontier whenever the cached min is set, where wheelInsert places it
-// in order and keeps the min coherent, so a counter-sequenced insert
-// that belongs before a still-pending keyed event is picked up in
-// order; with no cached min the batch ends and peek re-establishes it).
 func (s *Sim) RunUntil(deadline Time) {
 	for !s.stopped {
-		e := s.peek()
-		if e == nil || e.at > deadline {
+		e := s.next(deadline)
+		if e == nil {
 			break
 		}
-		t := e.at
-		s.advance(t)
-		s.unqueue(e)
 		s.executed++
 		s.invoke(e)
-		for !s.stopped {
-			n := s.min
-			if n == nil || n.at != t {
-				break
-			}
-			s.unqueue(n)
-			s.executed++
-			s.invoke(n)
-		}
 	}
 	if !s.stopped && s.now < deadline && deadline < maxTime {
 		s.now = deadline
@@ -492,12 +462,10 @@ func (s *Sim) RunUntil(deadline Time) {
 // Step runs exactly one event and reports whether one was available.
 // Step ignores a pending Stop (it is an explicit single-step request).
 func (s *Sim) Step() bool {
-	e := s.peek()
+	e := s.next(maxTime)
 	if e == nil {
 		return false
 	}
-	s.advance(e.at)
-	s.unqueue(e)
 	s.executed++
 	s.invoke(e)
 	return true
@@ -506,7 +474,7 @@ func (s *Sim) Step() bool {
 // invoke releases the node and then runs the callback, so the callback
 // itself can schedule new events into the just-freed node and a
 // handle's Scheduled goes false for the duration of its own callback.
-// An owned Node is not released; unqueue has marked it re-armable.
+// An owned Node is not released; its dequeue has marked it re-armable.
 func (s *Sim) invoke(e *event) {
 	fn, arg := e.fn, e.arg
 	if !e.owned {
@@ -515,29 +483,69 @@ func (s *Sim) invoke(e *event) {
 	fn(arg)
 }
 
-// peek returns the earliest pending event without removing it, or nil.
-// The wheel candidate comes from the cached min (rescanned on demand);
-// the spill candidate is its heap head. Comparing the two is correct
-// whether or not the spill head has been migrated yet.
-func (s *Sim) peek() *event {
-	wm := s.min
-	if wm == nil && s.count > 0 {
-		wm = s.rescan()
+// next removes the earliest pending event and moves the clock to it, or
+// returns nil if none is due by deadline. The wheel's candidate is the
+// cursor key of the cached min slot (rescanned on demand), the spill's
+// its heap head; comparing the two is correct whether or not the spill
+// head has been migrated yet. Events at one instant thus fire from the
+// min slot's cursor one after the other, each with one comparison
+// against the spill head's key: a callback's same-instant insert lands
+// behind the cursor in (at, seq) order, so a counter-sequenced event
+// that belongs before a still-pending keyed one is picked up in order.
+//
+// A wheel event leaves its slot before the clock moves: advance's
+// migrations land behind it in (at, seq) order, so the cursor key stays
+// the wheel's earliest. Popping it touches the next key's node, so that
+// the line the next dispatch reads loads while this one runs.
+func (s *Sim) next(deadline Time) *event {
+	if s.minSlot < 0 {
+		if s.count == 0 {
+			return s.nextSpill(deadline)
+		}
+		s.rescan()
 	}
-	if len(s.spill) == 0 {
-		return wm
+	i := s.minSlot
+	keys := s.slots[i]
+	k := &keys[s.cur]
+	if len(s.spill) > 0 && keyBefore(&s.spill[0], k) {
+		return s.nextSpill(deadline)
 	}
-	sp := s.spill[0]
-	if wm == nil || before(sp, wm) {
-		return sp
+	t := k.at
+	if t > deadline {
+		return nil
 	}
-	return wm
+	e := k.e
+	s.cur++
+	s.count--
+	if s.cur == len(keys) {
+		s.drain(i)
+	} else {
+		_ = *keys[s.cur].e
+	}
+	e.where = locNone
+	s.advance(t)
+	return e
+}
+
+// nextSpill is next when the spill head comes first. Moving the clock
+// into its bucket usually migrates it, and it then leaves the wheel.
+func (s *Sim) nextSpill(deadline Time) *event {
+	if len(s.spill) == 0 || s.spill[0].at > deadline {
+		return nil
+	}
+	e := s.spill[0].e
+	s.advance(e.at)
+	if e.where == locWheel {
+		s.wheelRemove(e)
+	} else {
+		s.spillPop()
+	}
+	return e
 }
 
 // advance moves the clock to t. When t enters a new bucket the wheel
 // horizon slides forward and every spill event now inside it migrates
-// to its slot — this is what lets the same-timestamp batch in RunUntil
-// skip spill probes, and what keeps slot lists to one bucket each.
+// to its slot — this is what keeps slots to one bucket each.
 func (s *Sim) advance(t Time) {
 	s.now = t
 	nb := int64(t >> slotShift)
@@ -554,33 +562,16 @@ func (s *Sim) advance(t Time) {
 	}
 	s.horizonEnd = he
 	for len(s.spill) > 0 && s.spill[0].at < he {
-		e := s.spill[0]
+		e := s.spill[0].e
 		s.spillPop()
 		s.ctr.Migrations++
 		s.wheelInsert(e)
 	}
 }
 
-// unqueue removes a queued event from whichever structure holds it.
-func (s *Sim) unqueue(e *event) {
-	if e.where == locWheel {
-		s.wheelUnlink(e)
-	} else {
-		s.spillRemove(int(e.where))
-	}
-}
-
-// b2u is the branch-free bool-to-bit conversion (the compiler lowers
-// this shape to a zero-extending move).
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// before reports queue ordering: earlier time first, FIFO within a time.
-func before(a, b *event) bool {
+// keyBefore reports queue ordering: earlier time first, FIFO within a
+// time.
+func keyBefore(a, b *sortKey) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -589,230 +580,199 @@ func before(a, b *event) bool {
 
 // ---- wheel ----
 
-// wheelInsert links e into its slot. Ahead of the sorted frontier that
-// is a tail append, whatever e's key: the slot is in arrival order
-// until rescan reaches it — one comparison with the old tail records
-// whether there will be anything to sort — and e cannot precede the
-// cached min, which lies at or behind the frontier. At or behind the
-// frontier — a same-instant callback, a schedule into the slot being
-// drained, a slot that RunUntil's peek reached past its deadline, spill
-// migration into the current bucket — the slot is sorted
-// and e is placed in (at, seq) order by a backward walk from the tail
-// (after any equal key, so insertion order breaks exact ties).
+// wheelInsert adds e's key to its slot, which borrows a buffer if it
+// was empty. Ahead of the sorted frontier that is an append, whatever
+// the key: the slot is in arrival order until rescan reaches it, and e
+// cannot precede the cached min, which lies at or behind the frontier.
+// At or behind the frontier — a same-instant callback, a schedule into
+// the slot being drained, a slot that RunUntil's next reached past its
+// deadline, spill migration into the current bucket — the slot is
+// sorted and insertSorted places the key in order.
 func (s *Sim) wheelInsert(e *event) {
 	b := int64(e.at >> slotShift)
 	i := int(b) & wheelMask
 	sl := &s.slots[i]
 	e.where = locWheel
 	s.count++
+	if *sl == nil {
+		*sl = s.takeBuf()
+		s.occ[i>>6] |= 1 << (uint(i) & 63)
+	}
+	k := sortKey{at: e.at, seq: e.seq, e: e}
 	if b > s.frontier {
-		if sl.tail == nil {
-			sl.head = e
-			s.occ[i>>6] |= 1 << (uint(i) & 63)
-			if s.count == 1 {
-				// The wheel's only event: it is the min and its slot is
-				// sorted as it stands, so the frontier can move onto it
-				// now instead of at the next peek's rescan.
-				s.min = e
-				s.frontier = b
-			}
-		} else {
-			// Branch-free: on a dense fabric the outcome is a coin toss.
-			s.unsorted[i>>6] |= b2u(before(e, sl.tail)) << (uint(i) & 63)
-			e.prev = sl.tail
-			sl.tail.next = e
+		if len(*sl) == 0 && s.count == 1 {
+			// The wheel's only event: it is the min and its slot is
+			// sorted as it stands, so the frontier can move onto it
+			// now instead of at the next rescan.
+			s.minSlot = i
+			s.frontier = b
 		}
-		sl.tail = e
+		*sl = append(*sl, k)
 		return
 	}
 	s.ctr.OrderedInserts++
-	switch {
-	case sl.tail == nil:
-		sl.head = e
-		sl.tail = e
-		s.occ[i>>6] |= 1 << (uint(i) & 63)
-	case !before(e, sl.tail):
-		e.prev = sl.tail
-		sl.tail.next = e
-		sl.tail = e
-	default:
-		c := sl.tail
-		steps := uint64(1)
-		for c.prev != nil && before(e, c.prev) {
-			c = c.prev
-			steps++
-		}
-		s.ctr.WalkSteps += steps
-		sl.insertBefore(e, c)
+	lo := 0
+	if i == s.minSlot {
+		lo = s.cur
 	}
-	if s.min != nil && before(e, s.min) {
-		s.min = e
+	s.insertSorted(sl, lo, k)
+	if s.minSlot >= 0 {
+		// Inside the min slot the key at the cursor is the min whatever
+		// moved; a key before it elsewhere opened an earlier bucket.
+		if i != s.minSlot && keyBefore(&k, &s.slots[s.minSlot][s.cur]) {
+			s.minSlot = i
+		}
 	} else if s.count == 1 {
-		s.min = e
+		s.minSlot = i
 	}
 }
 
-// wheelUnlink removes e from its slot list — O(1) whether or not the
-// slot is sorted yet — and keeps the cached min coherent: removing the
-// min promotes its same-slot successor (the slot holds the wheel's
-// earliest bucket and is sorted, so the successor is the new global
-// wheel min), or invalidates the cache when the slot drains.
-func (s *Sim) wheelUnlink(e *event) {
+// insertSorted places k among the sorted pending keys (*sl)[lo:], after
+// any equal key (insertion order breaks exact ties). A key at or past
+// the last is appended. Otherwise a binary search finds its place and
+// the shorter side moves: the pending keys before it shift down into
+// the fired prefix if there is room, or those after it shift up.
+func (s *Sim) insertSorted(sl *slot, lo int, k sortKey) {
+	keys := *sl
+	n := len(keys)
+	if lo == n || !keyBefore(&k, &keys[n-1]) {
+		*sl = append(keys, k)
+		return
+	}
+	j, hi := lo, n-1 // the first key after k lies in [j, hi]
+	for j < hi {
+		m := int(uint(j+hi) >> 1)
+		if keyBefore(&k, &keys[m]) {
+			hi = m
+		} else {
+			j = m + 1
+		}
+	}
+	if lo > 0 && j-lo < n-j {
+		copy(keys[lo-1:], keys[lo:j])
+		keys[j-1] = k
+		s.cur--
+		s.ctr.WalkSteps += uint64(j - lo)
+		return
+	}
+	keys = append(keys, sortKey{})
+	copy(keys[j+1:], keys[j:n])
+	keys[j] = k
+	*sl = keys
+	s.ctr.WalkSteps += uint64(n - j)
+}
+
+// wheelRemove deletes e's key from its slot: a scan of the slot's
+// pending keys, then the keys after it shift down. Cancels are rare
+// (mostly transport timers), so no node records its key's position.
+// The key at the cursor stays the min, unless the slot drains.
+func (s *Sim) wheelRemove(e *event) {
 	i := int(uint64(e.at)>>slotShift) & wheelMask
 	sl := &s.slots[i]
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		sl.head = e.next
+	lo := 0
+	if i == s.minSlot {
+		lo = s.cur
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		sl.tail = e.prev
+	j := lo
+	for (*sl)[j].e != e {
+		j++
 	}
-	if sl.head == nil {
-		s.occ[i>>6] &^= 1 << (uint(i) & 63)
-		s.unsorted[i>>6] &^= 1 << (uint(i) & 63)
-	}
+	*sl = append((*sl)[:j], (*sl)[j+1:]...)
 	s.count--
-	if s.min == e {
-		s.min = e.next // nil means "unknown": rescan on demand
-	}
-	e.next = nil
-	e.prev = nil
 	e.where = locNone
+	if len(*sl) == lo {
+		s.drain(i)
+	}
 }
 
-// rescan recomputes the cached wheel min by scanning the occupancy
+// takeBuf lends an empty key buffer: the last one returned, or a new
+// one.
+func (s *Sim) takeBuf() slot {
+	if n := len(s.spare); n > 0 {
+		b := s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		return b
+	}
+	return make(slot, 0, initialSlotCap)
+}
+
+// initialSlotCap sizes a new key buffer for a leaf-spine slot; a denser
+// one grows it, and it keeps that size for the slots it serves next.
+const initialSlotCap = 16
+
+// drain empties slot i, which has no pending key left: its buffer goes
+// back on the stack and the slot leaves the occupancy bitmap; if it was
+// the min slot, the min is unknown and the cursor is reset.
+func (s *Sim) drain(i int) {
+	s.spare = append(s.spare, s.slots[i][:0])
+	s.slots[i] = nil
+	s.occ[i>>6] &^= 1 << (uint(i) & 63)
+	if s.minSlot == i {
+		s.minSlot = -1
+		s.cur = 0
+	}
+}
+
+// rescan recomputes the cached min slot by scanning the occupancy
 // bitmap circularly from the clock's slot. Every queued wheel event
 // lies within wheelSlots buckets at or after the clock's bucket, so
 // the first occupied slot found is the earliest bucket; reach orders
-// it if it took appends out of order, and its head is then the
-// earliest event. Cost is a handful of word operations plus the one
-// sort, paid only when a slot drains.
-func (s *Sim) rescan() *event {
+// it, and its first key is then the earliest event. Cost is a handful
+// of word operations plus the one sort, paid only when a slot drains.
+func (s *Sim) rescan() {
 	start := int(uint64(s.now)>>slotShift) & wheelMask
 	w := start >> 6
 	b := uint(start & 63)
 	if x := s.occ[w] & (^uint64(0) << b); x != 0 {
-		s.min = s.reach(w<<6 + bits.TrailingZeros64(x))
-		return s.min
+		s.reach(w<<6 + bits.TrailingZeros64(x))
+		return
 	}
 	for k := 1; k <= wheelWords; k++ {
 		w2 := (w + k) & (wheelWords - 1)
 		if x := s.occ[w2]; x != 0 {
-			s.min = s.reach(w2<<6 + bits.TrailingZeros64(x))
-			return s.min
+			s.reach(w2<<6 + bits.TrailingZeros64(x))
+			return
 		}
 	}
-	return nil
 }
 
 // reach moves the sorted frontier onto slot i, the wheel's earliest
-// occupied one, sorting it if it lay ahead and is marked unsorted, and
-// returns its head. The buckets the frontier passes over are empty, so
-// "every slot at or behind the frontier is sorted" holds across the
-// move.
-func (s *Sim) reach(i int) *event {
-	sl := &s.slots[i]
-	if b := int64(sl.head.at >> slotShift); b > s.frontier {
+// occupied one, sorting it if it lay ahead, and caches it as the min
+// slot (the cursor is 0: the last min slot drained). The buckets the
+// frontier passes over are empty, so "every slot at or behind the
+// frontier is sorted" holds across the move.
+func (s *Sim) reach(i int) {
+	keys := s.slots[i]
+	if b := int64(keys[0].at >> slotShift); b > s.frontier {
 		s.frontier = b
-		if bit := uint64(1) << (uint(i) & 63); s.unsorted[i>>6]&bit != 0 {
-			s.unsorted[i>>6] &^= bit
-			s.sortSlot(sl)
+		if len(keys) > 1 {
+			s.sortSlot(&s.slots[i])
 		}
 	}
-	return sl.head
+	s.minSlot = i
 }
 
 // sortSlot puts an arrival-order slot into (at, seq) order — stably, so
 // events with equal keys keep their arrival order, exactly what ordered
 // insertion gives them. This changes when the engine pays for
-// ordering, never the order it fires in.
-//
-// It starts as an insertion sort on the list itself, which finishes the
-// leaf-spine figures' slots of a dozen events without copying anything.
-// Once its backward walks have used up listSortSteps the slot is a
-// dense one: the members' keys are copied into the reused scratch,
-// sorted there and the list relinked. The prefix the list pass already
-// ordered is a stable rearrangement, so the result is the same either
-// way.
+// ordering, never the order it fires in. A result that sortKeys leaves
+// in the scratch is not copied back: the slot keeps the scratch, and
+// its old buffer becomes the scratch.
 func (s *Sim) sortSlot(sl *slot) {
-	budget := listSortSteps
-	n := uint64(1)
-	for c := sl.head.next; c != nil; n++ {
-		next := c.next
-		if p := c.prev; before(c, p) {
-			for p.prev != nil && before(c, p.prev) {
-				p = p.prev
-				budget--
-			}
-			if budget < 0 {
-				s.sortSlotKeys(sl)
-				return
-			}
-			// Unlink c (it has a predecessor) and put it before p.
-			c.prev.next = next
-			if next != nil {
-				next.prev = c.prev
-			} else {
-				sl.tail = c.prev
-			}
-			sl.insertBefore(c, p)
-		}
-		c = next
-	}
-	s.countSort(n)
-}
-
-// listSortSteps bounds the backward-walk steps sortSlot spends on the
-// list before switching to the key sort: enough to finish any slot of
-// up to ~16 events in place.
-const listSortSteps = 64
-
-func (s *Sim) countSort(n uint64) {
-	s.ctr.SlotSorts++
-	s.ctr.EventsSorted += n
-	s.ctr.MaxSlotSorted = max(s.ctr.MaxSlotSorted, n)
-}
-
-// sortSlotKeys is sortSlot's dense path: sort inline keys, relink.
-func (s *Sim) sortSlotKeys(sl *slot) {
-	keys := s.sortBuf[:0]
-	for c := sl.head; c != nil; c = c.next {
-		keys = append(keys, sortKey{at: c.at, seq: c.seq, e: c})
-	}
-	s.sortBuf = keys
+	keys := *sl
 	n := len(keys)
-	s.countSort(uint64(n))
+	s.ctr.SlotSorts++
+	s.ctr.EventsSorted += uint64(n)
+	s.ctr.MaxSlotSorted = max(s.ctr.MaxSlotSorted, uint64(n))
 	if cap(s.sortTmp) < n {
 		s.sortTmp = make([]sortKey, cap(keys))
 	}
-	keys = sortKeys(keys, s.sortTmp[:n])
-	var prev *event
-	for i := range keys {
-		e := keys[i].e
-		e.prev = prev
-		if prev != nil {
-			prev.next = e
-		} else {
-			sl.head = e
-		}
-		prev = e
+	if out := sortKeys(keys, s.sortTmp[:n]); &out[0] != &keys[0] {
+		*sl, s.sortTmp = out, keys
 	}
-	prev.next = nil
-	sl.tail = prev
 }
 
-// keyBefore is before over inline keys.
-func keyBefore(a, b *sortKey) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// Sort tuning. Up to sortRun keys are insertion-sorted outright — the
+// Sort tuning. Up to sortRun keys are ranked outright (rankKeys) — the
 // leaf-spine figures' slots, a dozen events. A larger slot's members
 // still all lie within one slot width, so the low slotShift bits of at
 // are the whole time key: they are first distributed over 2^scatterBits
@@ -829,31 +789,37 @@ const (
 // second buffer, and returns whichever of the two holds the result.
 func sortKeys(a, tmp []sortKey) []sortKey {
 	n := len(a)
-	if n > sortRun {
-		const shift = slotShift - scatterBits
-		const mask = 1<<slotShift - 1
-		var pos [1<<scatterBits + 1]uint32
-		for i := range a {
-			pos[(a[i].at&mask)>>shift+1]++
-		}
-		for b := 1; b < len(pos); b++ {
-			pos[b] += pos[b-1]
-		}
-		for i := range a {
-			b := (a[i].at & mask) >> shift
-			tmp[pos[b]] = a[i]
-			pos[b]++
-		}
-		a, tmp = tmp, a
+	if n <= sortRun {
+		rankKeys(a, tmp)
+		return tmp
 	}
+	const shift = slotShift - scatterBits
+	const mask = 1<<slotShift - 1
+	var pos [1<<scatterBits + 1]uint32
+	for i := range a {
+		pos[(a[i].at&mask)>>shift+1]++
+	}
+	for b := 1; b < len(pos); b++ {
+		pos[b] += pos[b-1]
+	}
+	for i := range a {
+		b := (a[i].at & mask) >> shift
+		tmp[pos[b]] = a[i]
+		pos[b]++
+	}
+	a, tmp = tmp, a
 	// Bottom-up merge sort: insertion-sorted blocks of sortRun merged
 	// pairwise, the buffers swapping roles each pass. A pair already in
 	// order is copied, not merged.
 	for lo := 0; lo < n; lo += sortRun {
 		hi := min(lo+sortRun, n)
 		for i := lo + 1; i < hi; i++ {
+			if !keyBefore(&a[i], &a[i-1]) {
+				continue
+			}
 			k := a[i]
-			j := i
+			j := i - 1
+			a[i] = a[j]
 			for j > lo && keyBefore(&k, &a[j-1]) {
 				a[j] = a[j-1]
 				j--
@@ -888,43 +854,63 @@ func sortKeys(a, tmp []sortKey) []sortKey {
 	return a
 }
 
-// ---- spill (4-ary implicit heap, far-future overflow) ----
+// rankKeys stably sorts the at most sortRun keys of a into tmp: each
+// key's rank is how many keys go before it, counted with branch-free
+// comparisons. Arrival order in a slot is close to random, so an
+// insertion sort mispredicts about one branch per key; on the
+// leaf-spine figures' slots the n²/2 comparisons cost less than that.
+func rankKeys(a, tmp []sortKey) {
+	var rank [sortRun]uint8
+	for i := 1; i < len(a); i++ {
+		k := a[i]
+		var r uint8
+		for j := range a[:i] {
+			// k goes before a[j], which arrived first, only if it is
+			// strictly earlier.
+			b := bit(k.at < a[j].at) | bit(k.at == a[j].at)&bit(k.seq < a[j].seq)
+			rank[j] += b
+			r += 1 - b
+		}
+		rank[i] = r
+	}
+	for i := range a {
+		tmp[rank[i]] = a[i]
+	}
+}
+
+// bit is the branch-free bool-to-bit conversion (the compiler lowers
+// this shape to a set-on-condition).
+func bit(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// ---- spill (4-ary implicit heap of keys, far-future overflow) ----
 
 func (s *Sim) spillPush(e *event) {
-	s.spill = append(s.spill, e)
+	s.spill = append(s.spill, sortKey{at: e.at, seq: e.seq, e: e})
 	s.up(len(s.spill) - 1)
 }
 
 // spillPop removes the heap minimum (the caller has already read it).
-func (s *Sim) spillPop() {
-	h := s.spill
-	n := len(h) - 1
-	h[0].where = locNone
-	h[0] = h[n]
-	h[n] = nil
-	s.spill = h[:n]
-	if n > 0 {
-		s.down(0)
-	}
-}
+func (s *Sim) spillPop() { s.spillRemove(0) }
 
 // spillRemove deletes the element at index i.
 func (s *Sim) spillRemove(i int) {
 	h := s.spill
 	n := len(h) - 1
-	h[i].where = locNone
+	h[i].e.where = locNone
+	moved := h[n]
+	h[n] = sortKey{}
+	s.spill = h[:n]
 	if i == n {
-		h[n] = nil
-		s.spill = h[:n]
 		return
 	}
-	moved := h[n]
 	h[i] = moved
-	moved.where = int32(i)
-	h[n] = nil
-	s.spill = h[:n]
 	// Re-establish heap order in whichever direction is violated.
-	if i > 0 && before(moved, h[(i-1)/4]) {
+	if i > 0 && keyBefore(&moved, &h[(i-1)/4]) {
 		s.up(i)
 	} else {
 		s.down(i)
@@ -933,24 +919,24 @@ func (s *Sim) spillRemove(i int) {
 
 func (s *Sim) up(i int) {
 	h := s.spill
-	e := h[i]
+	k := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !before(e, h[p]) {
+		if !keyBefore(&k, &h[p]) {
 			break
 		}
 		h[i] = h[p]
-		h[i].where = int32(i)
+		h[i].e.where = int32(i)
 		i = p
 	}
-	h[i] = e
-	e.where = int32(i)
+	h[i] = k
+	k.e.where = int32(i)
 }
 
 func (s *Sim) down(i int) {
 	h := s.spill
 	n := len(h)
-	e := h[i]
+	k := h[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -958,22 +944,18 @@ func (s *Sim) down(i int) {
 		}
 		// Find the smallest of up to 4 children.
 		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if before(h[c], h[min]) {
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if keyBefore(&h[c], &h[min]) {
 				min = c
 			}
 		}
-		if !before(h[min], e) {
+		if !keyBefore(&h[min], &k) {
 			break
 		}
 		h[i] = h[min]
-		h[i].where = int32(i)
+		h[i].e.where = int32(i)
 		i = min
 	}
-	h[i] = e
-	e.where = int32(i)
+	h[i] = k
+	k.e.where = int32(i)
 }

@@ -58,7 +58,13 @@ func (r *RNG) Uint64() uint64 {
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
-func (r *RNG) Intn(n int) int {
+func (r *RNG) Intn(n int) int { return int(r.Int63n(int64(n))) }
+
+// Int63n returns a uniform int64 in [0, n). It panics if n <= 0. It
+// draws the numbers Intn draws for the same n, so a draw over a span of
+// simulated time or bytes, which can overflow a 32-bit int, goes
+// through it and a 64-bit run does not move.
+func (r *RNG) Int63n(n int64) int64 {
 	if n <= 0 {
 		panic("eventsim: Intn with n <= 0")
 	}
@@ -72,7 +78,7 @@ func (r *RNG) Intn(n int) int {
 			hi, lo = bits.Mul64(v, uint64(n))
 		}
 	}
-	return int(hi)
+	return int64(hi)
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -54,22 +54,26 @@ func TestSortKeysMatchesStableSort(t *testing.T) {
 // BenchmarkSortSlot times sortKeys against the stdlib stable sort on
 // slots the size of the two fabrics': a leaf-spine slot holds 11.5
 // events on average, a k=16 fat-tree's 123. Each iteration sorts a
-// fresh copy of the same unsorted slot.
+// fresh copy of the next of 256 distinct unsorted slots, so the branch
+// predictor cannot learn one input's comparisons.
 func BenchmarkSortSlot(b *testing.B) {
 	for _, n := range []int{12, 123} {
-		src := slotKeys(n, 1)
+		src := make([][]sortKey, 256)
+		for i := range src {
+			src[i] = slotKeys(n, uint64(i+1))
+		}
 		buf, tmp := make([]sortKey, n), make([]sortKey, n)
 		b.Run(fmt.Sprintf("keys=%d/sortKeys", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				copy(buf, src)
+				copy(buf, src[i%len(src)])
 				sortKeys(buf, tmp)
 			}
 		})
 		b.Run(fmt.Sprintf("keys=%d/stdlib", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				copy(buf, src)
+				copy(buf, src[i%len(src)])
 				refSortKeys(buf)
 			}
 		})

@@ -50,6 +50,8 @@ type Options struct {
 	DumpSpecs string
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
+	// Cost, when non-nil, sums the cost of every run that finishes.
+	Cost *sim.RunCost
 
 	// specObserver, when non-nil, sees every spec a figure builds just
 	// before compilation (test hook for round-trip checks).
@@ -85,6 +87,9 @@ func (o Options) runBatch(prefix string, scs []sim.Scenario) ([]*sim.Result, err
 			}
 			o.logf("%s: [%d/%d] %s (%v)",
 				prefix, ev.Completed, ev.Total, ev.Scenario, ev.Elapsed.Round(time.Millisecond))
+			if o.Cost != nil {
+				o.Cost.Add(ev)
+			}
 		}),
 	})
 }

@@ -78,10 +78,9 @@ func TestPacketLayout(t *testing.T) {
 // TestPortLayout pins the cache-line layout of Port, the object a
 // packet-hop touches twice (Send at admission, portDeliver at
 // delivery) on a fabric with thousands of them — so each touch starts
-// cold. The delivery node must be the first 64 bytes, all the wheel
-// touches (eventsim's TestEventNodeLayout pins the node itself); its
-// arg's data word and what portDeliver reads besides must fill the
-// second line; what Send and admit add for every packet, with down and
+// cold. The delivery node must lie in the first 64 bytes, all that
+// dispatch reads of it (eventsim's TestEventNodeLayout pins the node
+// itself); what portDeliver reads besides must fill the second line; what Send and admit add for every packet, with down and
 // idleDelay, which with lastFinish and the engine's clock are all a
 // pick reads, the third; the byte counter, the counters only a backlog,
 // a buffer drop, a mark or a down link writes, and the label, the
@@ -98,8 +97,8 @@ func TestPortLayout(t *testing.T) {
 		t.Errorf("sizeof(Port) = %d, want %d", got, want)
 	}
 	var p Port
-	if off := unsafe.Offsetof(p.deliver); off != 0 {
-		t.Errorf("Port.deliver at offset %d, want 0", off)
+	if off, size := unsafe.Offsetof(p.deliver), unsafe.Sizeof(p.deliver); off != 0 || size > 64 {
+		t.Errorf("Port.deliver occupies bytes [%d, %d), want it inside [0, 64)", off, off+size)
 	}
 	checkLine(t, "delivery-path Port", 72, 128, []field{
 		{"waiting", unsafe.Offsetof(p.waiting), unsafe.Sizeof(p.waiting)},

@@ -231,8 +231,13 @@ func refHash(f FlowID, seed uint64) uint64 {
 // two-byte host and flow indices, the replication ports a run numbers
 // idx + (k+1)<<24, chunk boundaries, negatives and the extremes.
 func TestFlowHashIsFNV1a(t *testing.T) {
-	ints := []int{0, 1, 97, 255, 256, 1023, 65535, 65536, 1 << 24, 7 + 1<<24, 7 + 3<<24,
-		1<<32 - 1, 1 << 32, 1 << 48, -1, -2, -1 << 16, math.MaxInt, math.MinInt}
+	var ints []int // the values an int holds: all of them on 64 bits
+	for _, v := range []int64{0, 1, 97, 255, 256, 1023, 65535, 65536, 1 << 24, 7 + 1<<24, 7 + 3<<24,
+		1<<32 - 1, 1 << 32, 1 << 48, -1, -2, -1 << 16, math.MaxInt, math.MinInt} {
+		if int64(int(v)) == v {
+			ints = append(ints, int(v))
+		}
+	}
 	for _, seed := range []uint64{0, 1, 0x9e3779b97f4a7c15, math.MaxUint64} {
 		for _, a := range ints {
 			for _, b := range ints {
@@ -313,12 +318,16 @@ func TestFlowIDReversed(t *testing.T) {
 func TestNewPortRejectsWideQueueConfig(t *testing.T) {
 	s := eventsim.New()
 	NewPort(s, testLink, QueueConfig{Capacity: 1 << 20, ECNThreshold: -1}, func(*Packet) {}, "t")
+	past := int64(math.MaxInt32) + 1
+	if int64(int(past)) != past {
+		return // a 32-bit int holds no such value
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("NewPort accepted a capacity past 32 bits")
 		}
 	}()
-	NewPort(s, testLink, QueueConfig{Capacity: 1 << 31}, func(*Packet) {}, "t")
+	NewPort(s, testLink, QueueConfig{Capacity: int(past)}, func(*Packet) {}, "t")
 }
 
 func TestKindString(t *testing.T) {

@@ -41,17 +41,18 @@ type LinkConfig struct {
 // it): a k=16 fat-tree has 6 144 ports and touches two of them per
 // packet-hop, each long evicted since its last use, so what a hop costs
 // is how many of a port's cache lines it pulls. The delivery node is the
-// first 64 bytes, all the wheel touches; its arg's data word, which
-// dispatch reads, opens the second line, and what portDeliver reads
-// besides — the handler, the engine, the packet chain, its waiting
-// count and the index — fills it; what Send adds for every packet,
-// with down and the idle delay NewPort precomputes (what a pick reads
-// besides the clock), is the third; the byte counter, the counters only
-// a backlog, a drop, a mark or a down link writes, and the label, are
-// the fourth. The struct is 256 bytes, a size class the allocator hands
+// first 56 bytes, all that dispatch reads of it (the wheel keeps its
+// own copy of the node's key), and 16 bytes of padding follow it; what
+// portDeliver reads besides — the handler, the engine, the packet
+// chain, its waiting count and the index — fills the second line;
+// what Send adds for every packet, with down and the idle delay NewPort
+// precomputes (what a pick reads besides the clock), is the third; the
+// byte counter, the counters only a backlog, a drop, a mark or a down
+// link writes, and the label, are the fourth. The struct is 256 bytes, a size class the allocator hands
 // out 64-aligned, so those offsets are real line boundaries.
 type Port struct {
 	deliver eventsim.Node // bound to portDeliver; pending iff head != nil
+	_       [16]byte
 	waiting int32
 	// idx is the port's construction-order index (eventsim.ReserveKeyedID):
 	// the port's identity inside every DeliveryKey.

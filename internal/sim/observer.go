@@ -52,6 +52,10 @@ type ProgressEvent struct {
 	// Events is the total events executed so far.
 	Events uint64
 
+	// PacketHops is the run's Result.PacketHops (Done events of runs
+	// that produced a Result only).
+	PacketHops int64
+
 	// Engine holds the event queue's own counters (Done events only).
 	// They describe this execution — how the run was sliced into
 	// windows moves them — not the simulated system, which is why they

@@ -51,11 +51,12 @@ type Session struct {
 
 	start time.Duration
 
-	// The engine's execution counters at the end of the run, for the
-	// Done event.
+	// The engine's execution counters at the end of the run, and the
+	// Result's packet hops, for the Done event.
 	events         uint64
 	engine         eventsim.Counters
 	flowsAllocated int64
+	packetHops     int64
 
 	// onFold, when set, sees each flow record as it folds; the record
 	// lives in a pooled flow, so it copies what it keeps. It is the
@@ -118,7 +119,11 @@ func (ss *Session) run() (*Result, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	return assemble(sc, c, c.sim.Now())
+	res, err := assemble(sc, c, c.sim.Now())
+	if err == nil {
+		ss.packetHops = res.PacketHops
+	}
+	return res, err
 }
 
 // snapshot emits one mid-run observation, between event batches.
@@ -179,6 +184,7 @@ func (ss *Session) emitDone(err error) {
 	ev.Completed = 1
 	ev.Err = err
 	ev.Events = ss.events
+	ev.PacketHops = ss.packetHops
 	ev.Engine = ss.engine
 	ev.FlowsAllocated = ss.flowsAllocated
 	ss.opts.Observer.OnProgress(ev)

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestFatTreeValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("k=84 rejected: %v", err)
 	}
-	for _, k := range []int{86, 2000, 1 << 62} {
+	for _, k := range []int{86, 2000, math.MaxInt/2 + 1} { // 1<<62 on 64 bits
 		good.K = k
 		err := good.Validate()
 		if err == nil || !strings.Contains(err.Error(), "limit 1048576") {

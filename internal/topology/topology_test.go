@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -55,8 +56,13 @@ func TestValidate(t *testing.T) {
 	if err := over.Validate(); err == nil {
 		t.Error("out-of-range override validated")
 	}
-	// A port stores its queue limits in 32 bits; both shapes refuse more.
-	for _, q := range []netem.QueueConfig{{Capacity: 1 << 31}, {Capacity: 256, ECNThreshold: 1 << 31}} {
+	// A port stores its queue limits in 32 bits; both shapes refuse more
+	// (which only a 64-bit int can hold).
+	var wideQueues []netem.QueueConfig
+	if past := int64(math.MaxInt32) + 1; int64(int(past)) == past {
+		wideQueues = []netem.QueueConfig{{Capacity: int(past)}, {Capacity: 256, ECNThreshold: int(past)}}
+	}
+	for _, q := range wideQueues {
 		wide, tree := good, Config{K: 4, HostLink: good.HostLink, FabricLink: good.FabricLink, Queue: q}
 		wide.Queue = q
 		for _, cfg := range []Config{wide, tree} {
@@ -73,7 +79,7 @@ func TestValidate(t *testing.T) {
 	if err := big.Validate(); err != nil {
 		t.Errorf("fabric of exactly MaxKeyedIDs identities rejected: %v", err)
 	}
-	for _, leaves := range []int{1025, 1 << 62} {
+	for _, leaves := range []int{1025, math.MaxInt/2 + 1} { // 1<<62 on 64 bits
 		big.Leaves = leaves
 		err := big.Validate()
 		if err == nil || !strings.Contains(err.Error(), "limit 1048576") {

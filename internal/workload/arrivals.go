@@ -44,7 +44,7 @@ func (d DeadlineDist) Sample(rng *eventsim.RNG, size units.Bytes) units.Time {
 	if d.Max <= d.Min {
 		return d.Min
 	}
-	return d.Min + units.Time(rng.Intn(int(d.Max-d.Min+1)))
+	return d.Min + units.Time(rng.Int63n(int64(d.Max-d.Min+1)))
 }
 
 // PoissonConfig drives the large-scale experiments' open-loop traffic:
@@ -111,7 +111,7 @@ func (m StaticMix) Generate(rng *eventsim.RNG) ([]Flow, error) {
 			dst := m.Receivers[rng.Intn(len(m.Receivers))]
 			var at units.Time
 			if m.ArrivalJitter > 0 {
-				at = units.Time(rng.Intn(int(m.ArrivalJitter) + 1))
+				at = units.Time(rng.Int63n(int64(m.ArrivalJitter) + 1))
 			}
 			size := sizes.Sample(rng)
 			f := Flow{Src: src, Dst: dst, Size: size, Start: at}

@@ -151,7 +151,7 @@ func (s *interPodSource) Next() (Flow, bool) {
 		return Flow{}, false
 	}
 	c := s.cfg
-	s.at += units.Time(s.rng.Intn(int(c.MaxGap)))
+	s.at += units.Time(s.rng.Int63n(int64(c.MaxGap)))
 	src := s.rng.Intn(c.Hosts)
 	dst := s.rng.Intn(c.Hosts)
 	for dst/c.PerPod == src/c.PerPod {

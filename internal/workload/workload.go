@@ -219,7 +219,7 @@ func (u Uniform) Sample(rng *eventsim.RNG) units.Bytes {
 	if u.MaxSize <= u.MinSize {
 		return u.MinSize
 	}
-	return u.MinSize + units.Bytes(rng.Intn(int(u.MaxSize-u.MinSize+1)))
+	return u.MinSize + units.Bytes(rng.Int63n(int64(u.MaxSize-u.MinSize+1)))
 }
 
 // Fixed always returns the same size (e.g. 10 MB long flows).
